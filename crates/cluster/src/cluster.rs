@@ -84,6 +84,13 @@ pub struct Cluster {
     next_shard_id: AtomicU64,
 }
 
+/// The per-shard results of a fan-out read, or the first shard's error.
+fn all_shards<T>(per: Vec<Result<T, Error>>) -> Result<Vec<T>, ClusterError> {
+    per.into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(ClusterError::Shard)
+}
+
 impl Cluster {
     /// A cluster of `n_shards` equal-width shards covering `[1, KEY_INF)`.
     pub fn new(params: GfslParams, n_shards: usize) -> Result<Cluster, Error> {
@@ -374,26 +381,26 @@ impl Cluster {
 
     /// Routed lookup; one routing attempt.
     pub fn try_get(&self, key: u32) -> Result<Option<u32>, ClusterError> {
-        self.with_shard(key, false, |s| s.list.handle().try_get(key))?
+        self.with_shard(key, false, |s| s.list.try_handle()?.try_get(key))?
             .map_err(ClusterError::Shard)
     }
 
     /// Routed membership test; one routing attempt.
     pub fn try_contains(&self, key: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, false, |s| s.list.handle().try_contains(key))?
+        self.with_shard(key, false, |s| s.list.try_handle()?.try_contains(key))?
             .map_err(ClusterError::Shard)
     }
 
     /// Routed insert; one routing attempt. Set-like: `Ok(false)` keeps the
     /// resident value, exactly as [`gfsl::GfslHandle`] does.
     pub fn try_insert(&self, key: u32, value: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, |s| s.list.handle().try_insert(key, value))?
+        self.with_shard(key, true, |s| s.list.try_handle()?.try_insert(key, value))?
             .map_err(ClusterError::Shard)
     }
 
     /// Routed remove; one routing attempt.
     pub fn try_remove(&self, key: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, |s| s.list.handle().try_remove(key))?
+        self.with_shard(key, true, |s| s.list.try_handle()?.try_remove(key))?
             .map_err(ClusterError::Shard)
     }
 
@@ -479,6 +486,9 @@ impl Cluster {
     }
 
     // ---- fan-out reads ----
+    //
+    // Every shard visit mints a handle; a full handle table on any shard
+    // fails the whole read with that shard's typed error.
 
     /// All pairs in the inclusive window `[lo, hi]`, stitched across shard
     /// boundaries from a consistent cut; one routing attempt. With mvcc on
@@ -490,12 +500,12 @@ impl Cluster {
         // already globally sorted.
         let per = if self.params.mvcc {
             self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-                s.list.handle().range_at(clo, chi, t)
+                Ok(s.list.try_handle()?.range_at(clo, chi, t))
             })?
         } else {
-            self.with_range_shards(lo, hi, |s, clo, chi| s.list.handle().range(clo, chi))?
+            self.with_range_shards(lo, hi, |s, clo, chi| Ok(s.list.try_handle()?.range(clo, chi)))?
         };
-        Ok(per.into_iter().flatten().collect())
+        Ok(all_shards(per)?.into_iter().flatten().collect())
     }
 
     /// Count keys in the inclusive window `[lo, hi]` across shards; one
@@ -503,12 +513,14 @@ impl Cluster {
     pub fn try_count_range(&self, lo: u32, hi: u32) -> Result<usize, ClusterError> {
         let per = if self.params.mvcc {
             self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-                s.list.handle().count_range_at(clo, chi, t)
+                Ok(s.list.try_handle()?.count_range_at(clo, chi, t))
             })?
         } else {
-            self.with_range_shards(lo, hi, |s, clo, chi| s.list.handle().count_range(clo, chi))?
+            self.with_range_shards(lo, hi, |s, clo, chi| {
+                Ok(s.list.try_handle()?.count_range(clo, chi))
+            })?
         };
-        Ok(per.into_iter().sum())
+        Ok(all_shards(per)?.into_iter().sum())
     }
 
     /// Stitched range query, re-routing through migrations.
@@ -532,9 +544,9 @@ impl Cluster {
         if !self.params.mvcc {
             return self.try_count_range(lo, hi).map(|n| (0, n as u64));
         }
-        let per = self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-            (t.version(), s.list.handle().count_range_at(clo, chi, t) as u64)
-        })?;
+        let per = all_shards(self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
+            Ok((t.version(), s.list.try_handle()?.count_range_at(clo, chi, t) as u64))
+        })?)?;
         let version = per.iter().map(|&(v, _)| v).max().unwrap_or(0);
         let count = per.iter().map(|&(_, n)| n).sum();
         Ok((version, count))
@@ -577,7 +589,7 @@ impl Cluster {
     /// The smallest present entry across all shards; one routing attempt
     /// per shard visited.
     pub fn try_min_entry(&self) -> Result<Option<(u32, u32)>, ClusterError> {
-        self.scan_min(false, |s| s.list.handle().try_min_entry())
+        self.scan_min(false, |s| s.list.try_handle()?.try_min_entry())
     }
 
     /// Extract-min across all shards: remove and return the smallest
@@ -585,7 +597,7 @@ impl Cluster {
     /// consumers never pop the same element (the per-shard extract-min is
     /// atomic); see [`Self::try_min_entry`] for the cross-shard caveat.
     pub fn try_pop_min(&self) -> Result<Option<(u32, u32)>, ClusterError> {
-        self.scan_min(true, |s| s.list.handle().try_pop_min())
+        self.scan_min(true, |s| s.list.try_handle()?.try_pop_min())
     }
 
     /// Minimum-entry peek, re-routing through migrations.

@@ -32,9 +32,13 @@ impl EdgeEngine {
     pub fn execute(&self, ops: &[ServeOp], out: &mut Vec<Reply>) {
         match self {
             EdgeEngine::Single(list) => {
+                let mut h = match list.try_handle() {
+                    Ok(h) => h,
+                    Err(e) => return out.extend(ops.iter().map(|_| Reply::Failed(e))),
+                };
                 let batch: Vec<BatchOp> = ops.iter().map(|&op| to_batch_op(op)).collect();
                 let mut replies: Vec<BatchReply> = Vec::with_capacity(batch.len());
-                list.handle().execute_batch_hinted(&batch, &mut replies);
+                h.execute_batch_hinted(&batch, &mut replies);
                 out.extend(replies.into_iter().map(Reply::from));
             }
             EdgeEngine::Cluster(c) => {
@@ -56,16 +60,16 @@ impl EdgeEngine {
             return Err(GfslError::InvalidKey(if lo < 1 { lo } else { hi }));
         }
         match self {
-            EdgeEngine::Single(list) => match list.pin_version() {
-                Some(ticket) => {
-                    let n = list.handle().count_range_at(lo, hi, &ticket);
-                    Ok((ticket.version(), n as u64))
+            EdgeEngine::Single(list) => {
+                let mut h = list.try_handle()?;
+                match list.pin_version() {
+                    Some(ticket) => {
+                        let n = h.count_range_at(lo, hi, &ticket);
+                        Ok((ticket.version(), n as u64))
+                    }
+                    None => h.try_count_range(lo, hi).map(|n| (0, n as u64)),
                 }
-                None => list
-                    .handle()
-                    .try_count_range(lo, hi)
-                    .map(|n| (0, n as u64)),
-            },
+            }
             EdgeEngine::Cluster(c) => c.snap_count_range(lo, hi),
         }
     }
@@ -155,6 +159,39 @@ mod tests {
         assert!(eng.snap_count(0, 5).is_err());
         assert!(eng.snap_count(9, 3).is_err());
         assert!(eng.snap_count(1, u32::MAX).is_err());
+    }
+
+    #[test]
+    fn full_handle_table_answers_failed_on_both_engines() {
+        let failed = Reply::Failed(GfslError::TooManyHandles);
+
+        let list = Arc::new(Gfsl::prefilled(params(), 1..=100).unwrap());
+        let live: Vec<_> = (0..gfsl::MAX_RECLAIM_HANDLES).map(|_| list.handle()).collect();
+        let eng = EdgeEngine::Single(list.clone());
+        let mut out = Vec::new();
+        eng.execute(&[ServeOp::Get(5), ServeOp::Insert(500, 1)], &mut out);
+        assert_eq!(out, vec![failed; 2]);
+        assert_eq!(eng.snap_count(1, 50), Err(GfslError::TooManyHandles));
+        drop(live);
+        assert_eq!(eng.snap_count(1, 50), Ok((0, 50)));
+
+        let c = Arc::new(Cluster::new(params(), 4).unwrap());
+        let shards = c.shards();
+        let live: Vec<_> = (0..gfsl::MAX_RECLAIM_HANDLES)
+            .map(|_| shards[0].list.handle())
+            .collect();
+        let eng = EdgeEngine::Cluster(c.clone());
+        let mut out = Vec::new();
+        eng.execute(
+            &[ServeOp::Get(5), ServeOp::Insert(6, 1), ServeOp::Delete(7), ServeOp::MinEntry],
+            &mut out,
+        );
+        assert_eq!(out[..4], vec![failed; 4]);
+        // Another shard's table has room.
+        out.clear();
+        eng.execute(&[ServeOp::Insert(3_000_000_000, 1)], &mut out);
+        assert_eq!(out, vec![Reply::Inserted(true)]);
+        drop(live);
     }
 
     #[test]

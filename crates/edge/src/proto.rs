@@ -450,7 +450,7 @@ pub fn decode_resp(buf: &[u8]) -> Result<(u64, Resp, usize), DecodeError> {
 // ---- serve-layer bridging ----
 
 /// Coarse wire code for an engine error: 1 = invalid key, 2 = pool
-/// exhausted, 3 = contained abort, 0 = anything else. The wire deliberately
+/// exhausted, 3 = contained abort, 4 = handle table full. The wire deliberately
 /// does not carry the full typed error — a client retries or reports, it
 /// does not repair.
 pub fn error_code(e: &GfslError) -> u8 {
@@ -458,6 +458,7 @@ pub fn error_code(e: &GfslError) -> u8 {
         GfslError::InvalidKey(_) => 1,
         GfslError::PoolExhausted(_) => 2,
         GfslError::Aborted(_) => 3,
+        GfslError::TooManyHandles => 4,
     }
 }
 

@@ -4,7 +4,8 @@
 //! A schedule-exploring checker that only ever reports "no violation" is
 //! indistinguishable from one that explores nothing. These knobs let the
 //! model-check suite *prove its own teeth*: flip a knob to revert one of
-//! the two real races PR 1's chaos soak found and fixed, run the
+//! the races found and fixed so far (two by PR 1's chaos soak, one while
+//! sizing the index heal), run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
@@ -45,6 +46,15 @@ static REVERT_SPLIT_RAISED_KEY: AtomicBool = AtomicBool::new(false);
 /// reader-revert explores clean.)
 static REVERT_REMOVE_SHIFT: AtomicBool = AtomicBool::new(false);
 
+/// Replace the index heal's lock-covered key with the cheaper choice a
+/// first draft made: when the walk was long at level `L >= 1`, raise the
+/// level-`L` chunk's *own minimum* straight into level `L + 1`. That key
+/// lives in some other bottom chunk whose lock the healing insert does not
+/// hold, so a concurrent remove of it can pass level `L + 1` (nothing
+/// there yet), lose the race to the heal's install, and finish below it —
+/// leaving the new entry dangling (upper-subset-of-lower violation).
+static HEAL_RAISES_UPPER_MIN: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -58,6 +68,12 @@ pub fn revert_split_raised_key() -> bool {
 #[inline]
 pub fn revert_remove_shift() -> bool {
     REVERT_REMOVE_SHIFT.load(Ordering::Relaxed)
+}
+
+/// True if the heal raises an upper chunk's own minimum.
+#[inline]
+pub fn heal_raises_upper_min() -> bool {
+    HEAL_RAISES_UPPER_MIN.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -93,6 +109,12 @@ pub fn revert_split_raised_key_guard() -> KnobGuard {
 /// Revert the remove-shift fix for the guard's lifetime.
 pub fn revert_remove_shift_guard() -> KnobGuard {
     KnobGuard::set(&REVERT_REMOVE_SHIFT)
+}
+
+/// Make the heal raise an upper chunk's own minimum for the guard's
+/// lifetime.
+pub fn heal_raises_upper_min_guard() -> KnobGuard {
+    KnobGuard::set(&HEAL_RAISES_UPPER_MIN)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

@@ -31,7 +31,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// # Errors
     /// [`Error::InvalidKey`] for the reserved keys `0` and `u32::MAX`;
     /// [`Error::PoolExhausted`] when the preallocated chunk pool is full
-    /// (the structure is left consistent and usable).
+    /// and the key did **not** go in (the structure is left consistent and
+    /// usable). Exhaustion after the key reached the bottom level only
+    /// costs index entries and still returns `Ok(true)`.
     pub fn insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
         self.stats.insert_ops += 1;
         if !is_user_key(k) {
@@ -56,7 +58,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Bottom level: the chunk that receives k stays locked until every
         // upper-level insertion completes, which is what serializes updates
         // to the same key.
-        let (p_bottom, mut raise, mut kk) = match self.insert_to_level(0, path[0], k, v)? {
+        let (p_bottom, raise, kk) = match self.insert_to_level(0, path[0], k, v)? {
             LevelOutcome::AlreadyPresent { locked } => {
                 // Duplicate observed under the bottom lock: the op's outcome
                 // is decided even if the unlock below crashes.
@@ -73,41 +75,116 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // Value inserted at level i+1 is a pointer to the chunk holding the
         // raised key at level i.
-        let mut vv = p_bottom;
-        let mut level = 1;
-        while raise && level < self.list.params.max_levels() {
-            match self.insert_to_level(level, path[level], kk, vv) {
+        if raise {
+            self.climb(&path, 1, kk, p_bottom, false);
+        } else {
+            self.heal_index(p_bottom, k, &path);
+        }
+        self.unlock(p_bottom);
+        Ok(true)
+    }
+
+    /// Install `(key, down)` at `level`, then keep raising one level at a
+    /// time while the splits this causes ask for it (the split-raise climb
+    /// of §4.2.2). The caller holds the bottom-level lock that protects
+    /// `key`; here one upper chunk is locked at a time.
+    ///
+    /// Everything this does is optional index work on behalf of an insert
+    /// that already committed at the bottom level, so pool exhaustion ends
+    /// the climb without failing the insert (a contained abort in here ends
+    /// the same way: `try_insert` reports the journal's committed outcome).
+    fn climb(
+        &mut self,
+        path: &[u32; gfsl_simt::WARP_SIZE],
+        mut level: usize,
+        mut key: u32,
+        mut down: u32,
+        healing: bool,
+    ) {
+        while level < self.list.params.max_levels() {
+            match self.insert_to_level(level, path[level], key, down) {
                 Ok(LevelOutcome::AlreadyPresent { locked }) => {
-                    // The raised key already has an index entry here (it was
-                    // raised by an earlier split and never removed). Keep
-                    // climbing: it may be missing higher up.
-                    vv = locked;
                     self.unlock(locked);
+                    if healing {
+                        return; // the entry the heal wanted exists
+                    }
+                    // The raised key already has an index entry here (it was
+                    // raised earlier and never removed). Keep climbing: it
+                    // may be missing higher up.
+                    down = locked;
                 }
                 Ok(LevelOutcome::Inserted {
                     locked,
-                    raise: r,
+                    raise,
                     raised_key,
                 }) => {
-                    vv = locked;
-                    kk = raised_key;
-                    raise = r;
                     self.unlock(locked);
+                    if !raise {
+                        return;
+                    }
+                    down = locked;
+                    key = raised_key;
                 }
-                Err(e) => {
-                    // Pool exhausted mid-climb: the key is fully inserted at
-                    // all levels up to here; only index levels are missing,
-                    // which is always legal. Surface the error after
-                    // releasing the bottom lock.
-                    self.unlock(p_bottom);
-                    return Err(e);
+                Err(_) => {
+                    self.stats.raise_aborts += 1;
+                    return;
                 }
             }
             level += 1;
         }
+    }
 
-        self.unlock(p_bottom);
-        Ok(true)
+    /// Repair the index this insert's traversal walked over (DESIGN.md
+    /// §20). `k` just went into the locked bottom chunk `p_bottom`.
+    ///
+    /// The traversal marked every level whose walk stepped across
+    /// [`HEAL_STEPS_BOTTOM`](crate::skiplist::HEAL_STEPS_BOTTOM) live chunks
+    /// (level 0; [`HEAL_STEPS_UPPER`](crate::skiplist::HEAL_STEPS_UPPER)
+    /// above) before reaching `k`'s enclosing chunk: the level above is
+    /// missing an entry there. The entry installed is keyed by the
+    /// *minimum* of the chunk it points to, so every later search for a key
+    /// in that chunk lands on it — and only ever by a key of the locked
+    /// bottom chunk: a remove of such a key needs that chunk's lock, which
+    /// this insert holds until it returns, so the key cannot vanish between
+    /// levels (`upper ⊆ lower`). `p_chunk` is the coin, as for a split.
+    fn heal_index(&mut self, p_bottom: u32, k: u32, path: &[u32; gfsl_simt::WARP_SIZE]) {
+        let marked = self.heal_levels;
+        if marked == 0 || !self.rng.coin(self.list.params.p_chunk) {
+            return;
+        }
+        let team = self.list.team;
+        let view = self.read_chunk(p_bottom);
+        if marked & 1 != 0 {
+            let min = self
+                .list
+                .params
+                .kernel
+                .keys_live(view.data_words(&team))
+                .lowest()
+                .map_or(k, |lane| view.entry(lane).key());
+            self.stats.index_heals += 1;
+            self.climb(path, 1, min, p_bottom, true);
+        }
+        // Above: the descent left `level` through its chunk's minimum. When
+        // that key lives in the locked bottom chunk it is ours to raise;
+        // otherwise some other insert will get the chance.
+        for level in 1..self.list.params.max_levels() - 1 {
+            if marked & (1 << level) == 0 {
+                continue;
+            }
+            let min = self.heal_keys[level];
+            if !view.contains_key(&team, min) && !crate::bug_knobs::heal_raises_upper_min() {
+                continue;
+            }
+            // Seen at `level` before the lock was taken: it may have been
+            // removed and re-inserted (bottom level only) since. Under the
+            // lock its levels are frozen, so look once more.
+            let at = self.search_lateral(min, path[level]);
+            if at.found.is_some() {
+                self.stats.index_heals += 1;
+                self.climb(path, level + 1, min, at.enclosing, true);
+            }
+        }
     }
 
     /// Insert `(k, v)`, or overwrite the value if `k` is already present.
@@ -374,5 +451,67 @@ mod tests {
         for &k in &inserted {
             assert!(h.contains(k), "k={k} must survive exhaustion");
         }
+    }
+
+    /// An insert whose key reached the bottom level succeeded, whatever
+    /// happens to the index above: at the parent of this test a level-1
+    /// split that found the pool empty made `insert` return `Err` for a key
+    /// that was in the set (and the edge then logged nothing for it).
+    #[test]
+    fn exhaustion_mid_climb_still_reports_the_insert() {
+        let mut raise_aborts = 0;
+        // Somewhere in this range the allocation that fails is the first
+        // level-1 split (16 sentinels + one chunk per bottom split so far).
+        for pool_chunks in 17..=40 {
+            let list = Gfsl::new(GfslParams {
+                team_size: TeamSize::Sixteen,
+                pool_chunks,
+                ..Default::default()
+            })
+            .unwrap();
+            let mut h = list.handle();
+            for k in 1..=400u32 {
+                let added = h.insert(k, k);
+                assert!(
+                    matches!(added, Ok(true) | Err(Error::PoolExhausted(_))),
+                    "pool {pool_chunks} k={k}: {added:?}"
+                );
+                assert_eq!(added == Ok(true), h.contains(k), "pool {pool_chunks} k={k}");
+            }
+            raise_aborts += h.stats().raise_aborts;
+            list.assert_valid();
+        }
+        assert!(raise_aborts > 0, "no pool size failed inside a climb");
+    }
+
+    #[test]
+    fn long_walks_heal_the_index() {
+        // Bulk-build, then delete every indexed key: the index is gone but
+        // the bottom level is intact, so inserts walk it — and repair it.
+        let list = Gfsl::from_sorted_pairs(
+            GfslParams {
+                team_size: TeamSize::Sixteen,
+                ..Default::default()
+            },
+            (1..=2_000u32).map(|k| (2 * k, k)),
+        )
+        .unwrap();
+        let mut h = list.handle();
+        let indexed: Vec<u32> = list.level_keys(1);
+        assert!(indexed.len() > 100);
+        for &k in &indexed {
+            assert!(h.remove(k));
+        }
+        assert_eq!(list.shape().index_coverage()[0], 0.0);
+        // Odd keys in a scattered order (ascending inserts would re-index
+        // each chunk through its own splits before walking anywhere).
+        for j in 0..2_000u32 {
+            let k = 2 * (j * 37 % 2_000) + 3;
+            assert_eq!(h.insert(k, k), Ok(true));
+        }
+        assert!(h.stats().index_heals > 50, "{} heals", h.stats().index_heals);
+        let coverage = list.shape().index_coverage();
+        assert!(coverage[0] > 0.5, "coverage {coverage:?}");
+        list.assert_valid();
     }
 }

@@ -95,6 +95,20 @@ impl Shape {
             Some(l0 as f64 / l1 as f64)
         }
     }
+
+    /// Index coverage per level: slot `i` = keys at level `i + 1` ÷ live
+    /// chunks at level `i`. A freshly built structure sits near 1.0 (one
+    /// index key per chunk below); deletes erode it and the update-path
+    /// heal restores it (DESIGN.md §20). One slot per level in
+    /// [`levels`](Self::levels); the top level's slot is 0.
+    pub fn index_coverage(&self) -> Vec<f64> {
+        (0..self.levels.len())
+            .map(|i| {
+                let above = self.levels.get(i + 1).map_or(0, |l| l.keys);
+                above as f64 / f64::from(self.levels[i].live_chunks.max(1))
+            })
+            .collect()
+    }
 }
 
 impl Gfsl {

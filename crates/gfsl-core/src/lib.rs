@@ -99,7 +99,7 @@ pub use history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder
 pub use params::GfslParams;
 pub use skiplist::{
     AbortReason, Error, Gfsl, GfslHandle, OpAbort, RepairStats, LOCK_RETRY_BOUND,
-    STARVATION_RETRIES,
+    MAX_RECLAIM_HANDLES, STARVATION_RETRIES,
 };
 pub use flat::{EngineKind, FlatSkiplist, KvEngine};
 pub use mc::{Counterexample, McConfig, McOp, McReport, Target};

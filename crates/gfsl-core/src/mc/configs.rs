@@ -50,14 +50,90 @@ fn mvcc_params() -> GfslParams {
     }
 }
 
+/// Keys `2, 4, …, 56` inserted in ascending order leave four bottom chunks
+/// — head `2..=12`, then `14..=26`, `28..=40`, `42..=56` — and the level-1
+/// keys 28, 42, 56 the three splits raised.
+fn four_chunk_prefill() -> Vec<(u32, u32)> {
+    (1..=28u32).map(|i| (2 * i, 100 + i)).collect()
+}
+
+/// Keys `2, 4, …, 504` in ascending order: 36 bottom chunks of seven keys,
+/// a level 1 of five chunks holding every bottom chunk's minimum but the
+/// head's — `28..=98`, `112..=196`, `210..=294`, `308..=392`, `406..=504`
+/// in steps of 14 — and the level-2 keys 210, 308, 406, 504 its four
+/// splits raised.
+fn five_index_chunk_prefill() -> Vec<(u32, u32)> {
+    (1..=252u32).map(|i| (2 * i, 100 + i)).collect()
+}
+
 /// All registered configurations.
 pub fn all() -> Vec<McConfig> {
     vec![
+        McConfig {
+            name: "heal-2t",
+            about: "index heal (insert raises its locked chunk's minimum with no \
+                    split) vs. a remove of that minimum",
+            target: Target::Chunked(Box::new(mc_params())),
+            prefill: four_chunk_prefill(),
+            // The deletes take the whole index with them: height 0.
+            erode: vec![28, 42, 56],
+            threads: vec![
+                // Walks head -> 14.. -> 30.. (two live lateral steps, not
+                // the tail): heals by raising 30, the chunk's minimum, into
+                // the empty level 1 while holding the chunk's lock.
+                vec![McOp::Insert(33, 1)],
+                // Needs that same lock: either removes 30 before the heal
+                // reads the chunk (32 is raised instead) or finds and
+                // removes the new entry top-down.
+                vec![McOp::Remove(30)],
+            ],
+            max_steps: 20_000,
+        },
+        McConfig {
+            name: "heal-3t",
+            about: "index heal vs. a remove of the raised minimum vs. lock-free \
+                    reads through the new index entry",
+            target: Target::Chunked(Box::new(mc_params())),
+            prefill: four_chunk_prefill(),
+            erode: vec![28, 42, 56],
+            threads: vec![
+                vec![McOp::Insert(33, 1)],
+                vec![McOp::Remove(30)],
+                // Both land in the healed chunk: through the level-1 entry
+                // once it is published, along the bottom level before.
+                vec![McOp::Get(30), McOp::Get(36)],
+            ],
+            max_steps: 30_000,
+        },
+        McConfig {
+            name: "heal-upper-2t",
+            about: "upper-level heal raises only a chunk minimum the held bottom \
+                    lock protects (heal lock-coverage oracle)",
+            target: Target::Chunked(Box::new(mc_params())),
+            prefill: five_index_chunk_prefill(),
+            // Level 2 goes (height 1), and so does 336, the level-1 entry
+            // after 322: the bottom chunk `338..=348` is now reached
+            // through 322 without sharing its lock.
+            erode: vec![210, 308, 406, 504, 336],
+            threads: vec![
+                // Level 1 is walked head -> 112.. -> 224.. -> 322.. (three
+                // steps, not the tail) and left through 322, that chunk's
+                // minimum; 341 lives one bottom chunk right of 322's. The
+                // heal must not raise 322 — the reverted draft does.
+                vec![McOp::Insert(341, 1)],
+                // Finds nothing above level 1 before the reverted heal
+                // publishes 322 at level 2, and removes it below: the new
+                // entry dangles.
+                vec![McOp::Remove(322)],
+            ],
+            max_steps: 40_000,
+        },
         McConfig {
             name: "cert-read-2t",
             about: "certified-snapshot hinted reads racing a chunk split",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
+            erode: vec![],
             threads: vec![
                 // Splitter: insert below every prefilled key into the full
                 // chunk — forces split + raise while the reader walks.
@@ -73,6 +149,7 @@ pub fn all() -> Vec<McConfig> {
             about: "hinted reads racing a split and a removal",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
+            erode: vec![],
             threads: vec![
                 vec![McOp::Insert(1, 1)],
                 vec![McOp::Remove(26)],
@@ -85,6 +162,7 @@ pub fn all() -> Vec<McConfig> {
             about: "split raised-key placement vs. concurrent remove (PR 1 seed race #1 oracle)",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
+            erode: vec![],
             threads: vec![
                 // Insert(1) lands in the old (still locked) half, so the
                 // fixed code raises key 1 itself; the reverted bug raises
@@ -105,6 +183,7 @@ pub fn all() -> Vec<McConfig> {
             target: Target::Chunked(Box::new(mc_params())),
             // Four keys in one chunk; removing 20 shifts 30 and 40 left.
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
+            erode: vec![],
             threads: vec![
                 vec![McOp::Remove(20)],
                 // The reverted right-to-left shift makes 30 transiently
@@ -123,6 +202,7 @@ pub fn all() -> Vec<McConfig> {
                     (fence-exclusive drain) vs ticket release",
             target: Target::Chunked(Box::new(mvcc_params())),
             prefill: full_chunk_prefill(),
+            erode: vec![],
             threads: vec![
                 // Splitter: stamped insert into the full chunk — the split
                 // locks (and therefore captures) both halves.
@@ -141,6 +221,7 @@ pub fn all() -> Vec<McConfig> {
                     stamped removal (two writers contending on the fence)",
             target: Target::Chunked(Box::new(mvcc_params())),
             prefill: full_chunk_prefill(),
+            erode: vec![],
             threads: vec![
                 vec![McOp::Insert(1, 1)],
                 vec![McOp::Remove(26)],
@@ -153,6 +234,7 @@ pub fn all() -> Vec<McConfig> {
             about: "flat-bottom leaf split racing a second inserter",
             target: Target::Flat { leaf_cap: 4 },
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
+            erode: vec![],
             threads: vec![
                 // Both inserts land in the one full leaf: each drops its
                 // locks, splits under the write lock, and retries — the
@@ -168,6 +250,7 @@ pub fn all() -> Vec<McConfig> {
             about: "flat-bottom split, empty-leaf retirement, and a reader",
             target: Target::Flat { leaf_cap: 4 },
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
+            erode: vec![],
             threads: vec![
                 vec![McOp::Insert(15, 5)],
                 // Drains a leaf so retirement (index write lock) races the
@@ -188,6 +271,7 @@ pub fn by_name(name: &str) -> Option<McConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skiplist::Gfsl;
 
     #[test]
     fn registry_names_unique_and_resolvable() {
@@ -201,6 +285,41 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), cfgs.len(), "duplicate config name");
+    }
+
+    /// The chunked structure a config's scripted ops start from.
+    fn built(name: &str) -> Gfsl {
+        let cfg = by_name(name).unwrap();
+        let Target::Chunked(params) = &cfg.target else {
+            panic!("{name} is not a chunked config")
+        };
+        cfg.build_chunked(params)
+    }
+
+    #[test]
+    fn heal_configs_start_from_the_shape_their_scripts_assume() {
+        let list = built("heal-2t");
+        assert_eq!(list.height(), 0, "the erosion took the whole index");
+        assert_eq!(list.shape().levels[0].live_chunks, 4);
+        let mut h = list.handle();
+        assert_eq!(h.insert(33, 1), Ok(true));
+        assert_eq!(h.stats().index_heals, 1);
+        assert_eq!(list.level_keys(1), vec![30], "the locked chunk's minimum");
+
+        let list = built("heal-upper-2t");
+        assert_eq!(list.height(), 1);
+        assert_eq!(list.shape().levels[1].live_chunks, 5);
+        let mut h = list.handle();
+        assert_eq!(h.insert(341, 1), Ok(true));
+        assert_eq!((h.heal_levels, h.heal_keys[1]), (1 << 1, 322));
+        assert_eq!(h.stats().index_heals, 0, "322 is another chunk's key");
+        // One bottom chunk to the left the same walk ends under 322's lock
+        // (a fresh handle: the first one's finger now skips the walk).
+        let mut h = list.handle();
+        assert_eq!(h.insert(323, 1), Ok(true));
+        assert_eq!(h.stats().index_heals, 1);
+        assert_eq!(list.level_keys(2), vec![322]);
+        list.assert_valid();
     }
 
     #[test]

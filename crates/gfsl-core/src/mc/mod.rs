@@ -91,12 +91,32 @@ pub struct McConfig {
     pub about: &'static str,
     /// Engine and its parameters.
     pub target: Target,
-    /// Keys present before the scripted ops run.
+    /// Keys inserted, in this order, before the scripted ops run.
     pub prefill: Vec<(u32, u32)>,
+    /// Prefilled keys removed again before the scripted ops run: an episode
+    /// can start from an index that deletes have thinned.
+    pub erode: Vec<u32>,
     /// Per-thread operation scripts (`threads.len()` participants).
     pub threads: Vec<Vec<McOp>>,
     /// Per-episode granted-step bound (livelock bomb). 0 = unbounded.
     pub max_steps: u64,
+}
+
+impl McConfig {
+    /// The chunked structure an episode's scripted ops start from:
+    /// `prefill` inserted in order, then `erode` removed.
+    pub(crate) fn build_chunked(&self, params: &GfslParams) -> Gfsl {
+        let list = Gfsl::new(*params).expect("mc: structure construction");
+        let mut h = list.handle_with(NoProbe);
+        for &(k, v) in &self.prefill {
+            assert!(h.insert(k, v).expect("mc: prefill"), "mc: prefill dup {k}");
+        }
+        for &k in &self.erode {
+            assert!(h.remove(k), "mc: eroded key {k} was never prefilled");
+        }
+        drop(h);
+        list
+    }
 }
 
 /// The outcome of one episode.
@@ -254,13 +274,7 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
     let (results, structure_failure): (WorkerResults, Option<String>) =
         match &config.target {
             Target::Chunked(params) => {
-                let list = Gfsl::new(**params).expect("mc: structure construction");
-                {
-                    let mut h = list.handle_with(NoProbe);
-                    for &(k, v) in &config.prefill {
-                        assert!(h.insert(k, v).expect("mc: prefill"), "mc: prefill dup {k}");
-                    }
-                }
+                let list = config.build_chunked(params);
                 let results = std::thread::scope(|s| {
                     let handles: Vec<_> = config
                         .threads
@@ -302,6 +316,9 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
                     let mut h = list.handle();
                     for &(k, v) in &config.prefill {
                         assert!(h.insert(k, v), "mc: prefill dup {k}");
+                    }
+                    for &k in &config.erode {
+                        assert!(h.remove(k), "mc: eroded key {k} was never prefilled");
                     }
                 }
                 let results = std::thread::scope(|s| {
@@ -361,7 +378,10 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
         for (r, _) in &results {
             records.extend_from_slice(r);
         }
-        let initial: HashMap<u32, u32> = config.prefill.iter().copied().collect();
+        let mut initial: HashMap<u32, u32> = config.prefill.iter().copied().collect();
+        for k in &config.erode {
+            initial.remove(k);
+        }
         if let Err(errors) = check_linearizable(&records, &initial) {
             failure = Some(format!("non-linearizable history: {}", errors.join("; ")));
         }

@@ -5,7 +5,9 @@ use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, BallotKernel, LaneId, Team};
 
 use crate::chunk::{ops, is_user_key, ChunkView, NIL};
-use crate::skiplist::{GfslHandle, FINGER_WALK_BUDGET, HINT_WALK_BUDGET};
+use crate::skiplist::{
+    GfslHandle, FINGER_WALK_BUDGET, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET,
+};
 
 /// Team decision for the next traversal step (result of the ballot in
 /// `getTidForNextStep`, Algorithm 4.3).
@@ -237,9 +239,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 for (i, slot) in p.iter_mut().enumerate().take(self.list.params.max_levels()) {
                     *slot = self.list.head_of(i);
                 }
+                self.heal_levels = 0;
             }
             // prev = the chunk we lateral-stepped from (pointer + snapshot).
             let mut prev: Option<(u32, ChunkView)> = None;
+            // Update path only: live chunks stepped across at this level.
+            let mut steps = 0u8;
             // The finger restart hands over its validating view so the
             // first step pays no second read.
             let mut pending: Option<ChunkView> = None;
@@ -312,13 +317,27 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             }
                             finger_laterals -= 1;
                         }
+                        // A finger is only at-or-left on its own level: how
+                        // far says nothing about the index above it.
+                        if path.is_some() && fingered_level != Some(height) {
+                            steps = steps.saturating_add(1);
+                        }
                         prev = Some((cur, view));
                         cur = view.next(&team);
                     }
                     NextStep::Down(lane) => {
                         if let Some(p) = path.as_deref_mut() {
                             p[height] = cur;
+                            // A long walk that ends in a chunk left through
+                            // its minimum: the one upper-level key worth
+                            // raising further (the level's tail excepted).
+                            let first = (view.entry(0).key() == crate::chunk::KEY_NEG_INF) as usize;
+                            if steps >= HEAL_STEPS_UPPER && lane == first && !is_tail(&team, &view) {
+                                self.heal_levels |= 1 << height;
+                                self.heal_keys[height] = view.entry(lane).key();
+                            }
                         }
+                        steps = 0;
                         let word = view.lock_word(&team);
                         self.note_finger(
                             height,
@@ -341,6 +360,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             if let Some(p) = path.as_deref_mut() {
                                 p[height] = pptr;
                             }
+                            steps = 0;
                             let word = pview.lock_word(&team);
                             self.note_finger(
                                 height,
@@ -556,6 +576,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let kernel = self.list.params.kernel;
         let mut prev: Option<u32> = None;
         let mut cur = start;
+        self.heal_levels &= !1;
+        let mut steps = 0u8;
         // NotFound certification, exactly as in `search_lateral`.
         let mut certify: Option<u64> = None;
         loop {
@@ -587,8 +609,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                 }
             }
-            match tid_with_equal_key(kernel, &team, k, &view) {
+            let step = tid_with_equal_key(kernel, &team, k, &view);
+            if step != LateralStep::Continue && steps >= HEAL_STEPS_BOTTOM && !is_tail(&team, &view) {
+                self.heal_levels |= 1;
+            }
+            match step {
                 LateralStep::Continue => {
+                    steps = steps.saturating_add(1);
                     prev = Some(cur);
                     cur = view.next(&team);
                     certify = None;
@@ -713,6 +740,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.retire_run(old, new, level);
         }
     }
+}
+
+/// Is this the last chunk of its level (`max = ∞`)? The index heal leaves
+/// tails alone: an append or sliding-window pattern gets its index from its
+/// own splits, and healing there only adds index churn (DESIGN.md §20).
+#[inline]
+fn is_tail(team: &Team, view: &ChunkView) -> bool {
+    view.max(team) == crate::chunk::KEY_INF
 }
 
 /// The down-step lane within a backtracked-to chunk: highest DATA lane with

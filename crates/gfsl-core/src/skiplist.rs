@@ -22,6 +22,9 @@ pub enum Error {
     /// A contained operation aborted instead of completing (see
     /// [`GfslParams::contain`] and the `try_*` entry points).
     Aborted(OpAbort),
+    /// [`MAX_RECLAIM_HANDLES`] handles are already live on this structure
+    /// (each holds a reclamation epoch slot); drop one and try again.
+    TooManyHandles,
 }
 
 impl std::fmt::Display for Error {
@@ -30,6 +33,10 @@ impl std::fmt::Display for Error {
             Error::PoolExhausted(e) => write!(f, "{e}"),
             Error::InvalidKey(k) => write!(f, "key {k} is reserved (0 = -inf, u32::MAX = inf)"),
             Error::Aborted(a) => write!(f, "{a}"),
+            Error::TooManyHandles => write!(
+                f,
+                "more than {MAX_RECLAIM_HANDLES} concurrently-live handles with reclamation enabled"
+            ),
         }
     }
 }
@@ -373,20 +380,39 @@ impl Gfsl {
     /// Create an uninstrumented operation handle. Each worker thread gets
     /// its own handle; the handle embeds an independent RNG stream for the
     /// raise-key coin.
+    ///
+    /// # Panics
+    /// As [`Gfsl::handle_with`].
     pub fn handle(&self) -> GfslHandle<'_, NoProbe> {
         self.handle_with(NoProbe)
     }
 
     /// Create a handle with a custom memory probe (the harness passes a
     /// `CountingProbe` sharing the run's L2 model).
+    ///
+    /// # Panics
+    /// With reclamation on, when [`MAX_RECLAIM_HANDLES`] handles are
+    /// already live. Code that mints handles on behalf of outside requests
+    /// uses [`Gfsl::try_handle_with`] instead.
     pub fn handle_with<P: MemProbe>(&self, probe: P) -> GfslHandle<'_, P> {
+        self.try_handle_with(probe).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Gfsl::handle`], reporting a full handle table as
+    /// [`Error::TooManyHandles`] instead of panicking.
+    pub fn try_handle(&self) -> Result<GfslHandle<'_, NoProbe>, Error> {
+        self.try_handle_with(NoProbe)
+    }
+
+    /// [`Gfsl::handle_with`], reporting a full handle table as
+    /// [`Error::TooManyHandles`] instead of panicking.
+    pub fn try_handle_with<P: MemProbe>(&self, probe: P) -> Result<GfslHandle<'_, P>, Error> {
+        let slot = match self.reclaim.as_ref() {
+            Some(r) => Some(r.register().ok_or(Error::TooManyHandles)?),
+            None => None,
+        };
         let n = self.handle_seq.fetch_add(1, Ordering::Relaxed) as u64;
-        let slot = self.reclaim.as_ref().map(|r| {
-            r.register().unwrap_or_else(|| {
-                panic!("more than {MAX_RECLAIM_HANDLES} concurrently-live handles with reclamation enabled")
-            })
-        });
-        GfslHandle {
+        Ok(GfslHandle {
             list: self,
             probe,
             rng: SplitMix64::new(self.params.seed ^ (n.wrapping_mul(0xA076_1D64_78BD_642F))),
@@ -396,12 +422,14 @@ impl Gfsl {
             hint0: None,
             hint_view: None,
             finger: [None; FINGER_LEVELS],
+            heal_levels: 0,
+            heal_keys: [0; gfsl_simt::WARP_SIZE],
             reclaim_tick: 0,
             batch_order: Vec::new(),
             journal: OpJournal::default(),
             op_waits: 0,
             op_deadline: None,
-        }
+        })
     }
 
     /// Resolve a chunk index to its pool word base.
@@ -635,6 +663,20 @@ pub(crate) const HINT_WALK_BUDGET: u32 = 8;
 /// per operation.
 pub(crate) const FINGER_WALK_BUDGET: u32 = 8;
 
+/// Live chunks an update-path traversal may step across at the bottom
+/// level before the insert that ran it concludes the index above is
+/// missing an entry for this region and installs one (DESIGN.md §20). One
+/// step is the healthy case: a split raises the inserted key, not the new
+/// chunk's minimum, so a descent routinely lands one chunk left. Chosen by
+/// chunk reads per op over the 2M-op soak of `tests/index_decay.rs`:
+/// 5.89 at 1 (level 1 doubles), 5.72 at 2, 6.01 at 3.
+pub(crate) const HEAL_STEPS_BOTTOM: u8 = 2;
+
+/// The same threshold above the bottom level, where every extra key can
+/// grow a level that costs each descent a chunk read: 5.85 reads per op at
+/// 2, 5.72 at 3, 6.06 at 4 on the same soak.
+pub(crate) const HEAL_STEPS_UPPER: u8 = 3;
+
 /// A per-thread session on a [`Gfsl`]: the moral equivalent of one GPU team.
 ///
 /// Holds the thread's memory probe, RNG stream, and operation statistics.
@@ -675,6 +717,15 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// instead of the head. Only populated when [`GfslParams::fingers`] is
     /// on.
     finger: [Option<Hint0>; FINGER_LEVELS],
+    /// Levels at which the last update-path traversal
+    /// ([`Self::search_slow`]) found the index above missing an entry (bit
+    /// `i` = level `i`): what `insert` reads to decide whether to heal
+    /// (DESIGN.md §20). Read paths never touch it.
+    pub(crate) heal_levels: u32,
+    /// For each level above 0 marked in [`heal_levels`](Self::heal_levels):
+    /// the key the traversal stepped down through there — that chunk's
+    /// minimum, the one key of an upper chunk worth raising further.
+    pub(crate) heal_keys: [u32; gfsl_simt::WARP_SIZE],
     /// Update-op counter driving periodic reclamation passes.
     reclaim_tick: u32,
     /// Reusable `(key << 32) | index` sort scratch for
@@ -1823,6 +1874,18 @@ mod tests {
         let mut a = list.handle();
         let mut b = list.handle();
         assert_ne!(a.rng.next_u64(), b.rng.next_u64());
+    }
+
+    #[test]
+    fn full_handle_table_is_a_typed_error() {
+        let list = Gfsl::new(GfslParams::default()).unwrap();
+        let mut live: Vec<_> = (0..MAX_RECLAIM_HANDLES)
+            .map(|_| list.try_handle().expect("a free slot"))
+            .collect();
+        // The 1,025th live handle.
+        assert!(matches!(list.try_handle(), Err(Error::TooManyHandles)));
+        live.pop();
+        assert!(list.try_handle().is_ok(), "a dropped handle frees its slot");
     }
 
     #[test]

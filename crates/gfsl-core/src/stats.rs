@@ -49,6 +49,14 @@ pub struct OpStats {
     pub zombie_unlinks: u64,
     /// Down-pointers repaired after splits/merges.
     pub downptr_fixes: u64,
+    /// Index entries installed by an insert whose own traversal showed the
+    /// index above was missing one (DESIGN.md §20): the climb ran although
+    /// no split asked for it.
+    pub index_heals: u64,
+    /// Raise climbs (split-raise or heal) cut short by pool exhaustion
+    /// after the key was already in the bottom level. The insert still
+    /// reports `Ok(true)`; only index entries are missing.
+    pub raise_aborts: u64,
     /// Lockstep traversal steps (chunk reads) executed.
     pub chunk_reads: u64,
     /// Traversal-hint validations that succeeded: the read started its
@@ -121,6 +129,8 @@ impl OpStats {
         self.merges += o.merges;
         self.zombie_unlinks += o.zombie_unlinks;
         self.downptr_fixes += o.downptr_fixes;
+        self.index_heals += o.index_heals;
+        self.raise_aborts += o.raise_aborts;
         self.chunk_reads += o.chunk_reads;
         self.hint_hits += o.hint_hits;
         self.hint_misses += o.hint_misses;
@@ -153,6 +163,8 @@ mod tests {
             merges: 8,
             zombie_unlinks: 9,
             downptr_fixes: 10,
+            index_heals: 19,
+            raise_aborts: 20,
             chunk_reads: 11,
             hint_hits: 14,
             hint_misses: 15,
@@ -169,6 +181,8 @@ mod tests {
         assert_eq!(a.hint_hits, 28);
         assert_eq!(a.hint_misses, 30);
         assert_eq!(a.downptr_fixes, 20);
+        assert_eq!(a.index_heals, 38);
+        assert_eq!(a.raise_aborts, 40);
         assert_eq!(a.lock_backoff_yields, 24);
         assert_eq!(a.lock_starvation_events, 26);
         assert_eq!(a.certify_retries, 8);

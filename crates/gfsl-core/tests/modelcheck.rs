@@ -69,6 +69,26 @@ fn cert_read_3t_bounded() {
 }
 
 #[test]
+fn heal_2t_exhaustive() {
+    // An insert that heals (raises its locked chunk's minimum, no split)
+    // against a remove of exactly that minimum.
+    check_exhaustive("heal-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
+fn heal_3t_exhaustive() {
+    // ... and two lock-free reads through the entry the heal publishes.
+    check_exhaustive("heal-3t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
+fn heal_upper_2t_exhaustive() {
+    // The upper-level heal declining a chunk minimum its lock does not
+    // cover, against a remove of that minimum.
+    check_exhaustive("heal-upper-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn mvcc_snap_2t_bounded() {
     // Pinned snapshot reads vs a stamped split: the version fence adds a
     // yield point per acquisition attempt on both sides, so the space is

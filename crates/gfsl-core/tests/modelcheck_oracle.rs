@@ -1,6 +1,7 @@
 //! Differential oracles for the model checker (ISSUE 9 satellite):
-//! re-introduce each of PR 1's two seed races via the `bug_knobs`
-//! test-only reverts and assert the schedule explorer **finds** the bug,
+//! re-introduce each of PR 1's two seed races, and the unprotected raise a
+//! first draft of the index heal made, via the `bug_knobs` test-only
+//! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
 //! that the *fixed* code passes the exact same schedule.
 //!
@@ -103,10 +104,33 @@ fn remove_shift_revert_is_refound() {
 }
 
 #[test]
+fn heal_raising_an_unprotected_minimum_is_refound() {
+    let guard = bug_knobs::heal_raises_upper_min_guard();
+    assert_found_minimized_and_differential("heal-upper-2t", "the heal's lock-coverage check");
+    let cx = find_bug("heal-upper-2t").counterexample.expect("refound");
+    assert!(
+        cx.description.contains("structure invariant"),
+        "expected a dangling index entry, got: {}",
+        cx.description
+    );
+    drop(guard);
+    let cfg = configs::by_name("heal-upper-2t").unwrap();
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "the lock-covered heal must pass the bug's schedule, got: {:?}",
+        out.failure
+    );
+}
+
+#[test]
 fn clean_build_passes_the_oracle_configs() {
     // Sanity inverse: with no knob set, the same exploration budget finds
     // nothing on the oracle configs (they are ordinary workloads then).
-    for name in ["split-raise-2t", "remove-shift-2t"] {
+    // The knobs are process-global: hold the lock the knob tests hold, or a
+    // parallel test run explores these configs with a revert switched on.
+    let _serial = bug_knobs::knob_test_lock();
+    for name in ["split-raise-2t", "remove-shift-2t", "heal-upper-2t"] {
         let report = find_bug(name);
         assert!(
             report.counterexample.is_none(),

@@ -250,3 +250,52 @@ fn recovery_soak_every_crash_point() {
         std::fs::write(&path, &report).expect("write soak stats artifact");
     }
 }
+
+/// A crash *inside the index-heal climb* (DESIGN.md §20) is a crash after
+/// the insert committed at the bottom level: it must be contained, the
+/// insert must still report `Ok(true)`, and repair must leave a valid
+/// structure that holds the key.
+#[test]
+fn crash_inside_the_heal_climb_keeps_the_insert() {
+    quiet_injected_panics();
+    let list = Gfsl::new(GfslParams {
+        team_size: TeamSize::Sixteen,
+        pool_chunks: 1 << 12,
+        contain: true,
+        retry_budget: 1 << 20,
+        ..Default::default()
+    })
+    .unwrap();
+    // Four bottom chunks, then delete the three raised keys: no index left,
+    // so an insert into the third chunk walks two live chunks and heals.
+    {
+        let mut h = list.handle();
+        for k in (2..=56).step_by(2) {
+            h.insert(k, k).unwrap();
+        }
+        for k in list.level_keys(1) {
+            assert!(h.remove(k));
+        }
+    }
+    assert_eq!(list.height(), 0);
+    // The insert's second lock CAS is the heal's level-1 chunk (the first
+    // is the bottom chunk).
+    let ctl = ChaosController::new(
+        1,
+        ChaosOptions {
+            panic_at: Some((CrashPoint::LockCas, 2)),
+            max_stall_turns: 0,
+            ..Default::default()
+        },
+    );
+    let mut h = list.handle_with(ctl.probe(0));
+    assert_eq!(h.try_insert(33, 330), Ok(true), "committed before the crash");
+    assert_eq!(h.stats().index_heals, 1, "the crash hit the heal");
+    drop(h);
+
+    let stats = list.handle().repair_quarantine();
+    assert_eq!(stats.crashed_ops, 1);
+    assert_eq!(stats.quarantine_depth, 0);
+    assert!(list.validate().is_empty(), "{:?}", list.validate());
+    assert_eq!(list.handle().get(33), Some(330));
+}

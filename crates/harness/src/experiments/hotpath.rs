@@ -20,8 +20,18 @@
 //!   pool recycling. Columns include the reclaim counters so the recycling
 //!   behaviour rides along in `BENCH_hotpath.json`.
 //!
+//! * **long-run index drift** — one handle, uniform 10/10/80 over a
+//!   20,000-key span holding 10,000 keys, 2M ops. Deletes take a key out of
+//!   every level and only splits used to put keys back, so the index above
+//!   a long-lived structure wore away; the cell reports chunk reads per
+//!   `get` early and late in the run and the share of bottom chunks level 1
+//!   still indexes. Counts, not timings: the row repeats exactly.
+//!
 //! The acceptance bars are **asserted in-run**, not eyeballed:
 //!
+//! * every run: a `get` in the last 100k ops of the drift soak may cost at
+//!   most [`DRIFT_GATE`]× one in the first 100k (the parent of the index
+//!   heal, DESIGN.md §20, read 3.03×);
 //! * quick/CI cell: the fingered configurations must not lose to the
 //!   hinted baseline on hot-band gets;
 //! * full runs: `swar+fingers+pf` must beat the previously committed
@@ -61,6 +71,21 @@ const COMMITTED_GET_MOPS: f64 = 5.28;
 /// configuration sat at ~0.72 MOPS. At least one locality configuration
 /// must clear it by >= 15%.
 const COMMITTED_CHURN_MOPS: f64 = 0.72;
+
+/// Largest late-to-early ratio of chunk reads per `get` the drift soak may
+/// show.
+const DRIFT_GATE: f64 = 1.7;
+
+/// The drift cell's row at the parent of the index heal (commit 71be1db),
+/// measured with this same cell: reads/get in the first and last 100k ops,
+/// level-1 keys per live bottom chunk before and after.
+const PARENT_DRIFT: DriftResult = DriftResult {
+    reads_first: 3.738,
+    reads_last: 11.315,
+    coverage_before: 0.998,
+    coverage_after: 0.123,
+    heals: 0,
+};
 
 /// One engine configuration in the locality grid.
 #[derive(Debug, Clone, Copy)]
@@ -342,6 +367,70 @@ fn window_churn(cfg: &ExpConfig, g: GridCfg) -> ChurnResult {
     }
 }
 
+#[derive(Clone, Copy, Serialize)]
+struct DriftResult {
+    reads_first: f64,
+    reads_last: f64,
+    coverage_before: f64,
+    coverage_after: f64,
+    heals: u64,
+}
+
+impl DriftResult {
+    fn drift(&self) -> f64 {
+        self.reads_last / self.reads_first
+    }
+}
+
+/// Long-run index drift: one handle runs a uniform 10/10/80
+/// insert/delete/get soak over a half-full 20,000-key span and reports what
+/// a `get` costs in chunk reads in its first and last twentieth. Fixed
+/// seed and counts only, so a row compares across commits exactly.
+fn index_drift(cfg: &ExpConfig) -> DriftResult {
+    const SPAN: u32 = 20_000;
+    let ops = cfg.ops_override.map_or(2_000_000, |n| n.max(2_000));
+    let window = ops / 20;
+    let list = Gfsl::from_sorted_pairs(GfslParams::default(), (1..=SPAN / 2).map(|i| (2 * i, i)))
+        .expect("bulk build");
+    let coverage_before = list.shape().index_coverage()[0];
+    let mut h = list.handle();
+    let mut rng = SplitMix64::new(0x1DEC_A7ED);
+    // (chunk reads, gets) inside the first and the last window.
+    let mut windows = [(0u64, 0u64); 2];
+    for i in 0..ops {
+        let k = 1 + rng.below(u64::from(SPAN)) as u32;
+        match rng.below(10) {
+            0 => {
+                h.insert(k, k).expect("the default pool dwarfs the span");
+            }
+            1 => {
+                h.remove(k);
+            }
+            _ => {
+                let before = h.stats().chunk_reads;
+                h.get(k);
+                let slot = if i < window {
+                    0
+                } else if i >= ops - window {
+                    1
+                } else {
+                    continue;
+                };
+                windows[slot].0 += h.stats().chunk_reads - before;
+                windows[slot].1 += 1;
+            }
+        }
+    }
+    let per_get = |(reads, gets): (u64, u64)| reads as f64 / gets.max(1) as f64;
+    DriftResult {
+        reads_first: per_get(windows[0]),
+        reads_last: per_get(windows[1]),
+        coverage_before,
+        coverage_after: list.shape().index_coverage()[0],
+        heals: h.stats().index_heals,
+    }
+}
+
 /// Acceptance gates and headline numbers, attached to the bench JSON.
 #[derive(Serialize)]
 struct LocalityGates {
@@ -490,7 +579,34 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         },
     );
 
-    vec![perf, churn]
+    let mut drift = Table::new(
+        "Hot path: long-run index drift (uniform 10/10/80, 10k keys, one handle, 2M ops)",
+        &["engine", "reads/get first 100k", "reads/get last 100k", "drift", "L1 keys/chunk before", "after", "heals"],
+    );
+    let healed = index_drift(cfg);
+    for (name, r) in [("parent (71be1db)", PARENT_DRIFT), ("index healing", healed)] {
+        drift.row(vec![
+            name.to_string(),
+            format!("{:.2}", r.reads_first),
+            format!("{:.2}", r.reads_last),
+            ratio(r.drift()),
+            format!("{:.2}", r.coverage_before),
+            format!("{:.2}", r.coverage_after),
+            r.heals.to_string(),
+        ]);
+    }
+    if asserted {
+        assert!(
+            healed.drift() <= DRIFT_GATE,
+            "drift gate: a get costs {:.2} chunk reads late in the soak, {:.2} early ({:.2}x > {DRIFT_GATE}x)",
+            healed.reads_last,
+            healed.reads_first,
+            healed.drift()
+        );
+    }
+    drift.attach("drift", &healed);
+
+    vec![perf, churn, drift]
 }
 
 #[cfg(test)]
@@ -501,8 +617,9 @@ mod tests {
     fn hotpath_experiment_runs_tiny() {
         let cfg = ExpConfig::tiny(2);
         let tables = run(&cfg);
-        assert_eq!(tables.len(), 2);
-        for t in &tables {
+        assert_eq!(tables.len(), 3);
+        assert_eq!(tables[2].rows.len(), 2, "the parent's drift row and this build's");
+        for t in &tables[..2] {
             assert_eq!(t.rows.len(), 7, "one row per grid configuration");
             assert_eq!(t.rows[0][0], "scalar", "scalar baseline first");
             assert_eq!(t.rows[0][2], "1.00x", "baseline ratio is identity");
