@@ -56,7 +56,7 @@ impl EdgeEngine {
     /// internal asserts see it — this is the trust boundary for hostile
     /// wire input.
     pub fn snap_count(&self, lo: u32, hi: u32) -> Result<(u64, u64), GfslError> {
-        if lo < 1 || hi >= KEY_INF || lo > hi {
+        if lo < 1 || hi == KEY_INF || lo > hi {
             return Err(GfslError::InvalidKey(if lo < 1 { lo } else { hi }));
         }
         match self {

@@ -5,12 +5,14 @@
 //! indistinguishable from one that explores nothing. These knobs let the
 //! model-check suite *prove its own teeth*: flip a knob to revert one of
 //! the races found and fixed so far (two by PR 1's chaos soak, one while
-//! sizing the index heal), run the
+//! sizing the index heal) or to drop a step of the reclamation protocol
+//! (the staging grace), run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
-//! operation (one relaxed load per split / per physical remove — noise even
+//! operation (one relaxed load per split / per physical remove / per
+//! verified reclamation batch — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -55,6 +57,13 @@ static REVERT_REMOVE_SHIFT: AtomicBool = AtomicBool::new(false);
 /// leaving the new entry dangling (upper-subset-of-lower violation).
 static HEAL_RAISES_UPPER_MIN: AtomicBool = AtomicBool::new(false);
 
+/// Skip the reclaimer's *staging* (second) grace: a candidate that passes
+/// the reachability scan goes straight to the free list. A reader that
+/// pinned after the candidate's first grace began and copied a stale
+/// pointer to it just before the scan is still parked on it when an insert
+/// reuses the chunk, and walks on through the new incarnation's lanes.
+static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -74,6 +83,12 @@ pub fn revert_remove_shift() -> bool {
 #[inline]
 pub fn heal_raises_upper_min() -> bool {
     HEAL_RAISES_UPPER_MIN.load(Ordering::Relaxed)
+}
+
+/// True if verified candidates skip the staging grace.
+#[inline]
+pub fn skip_staging_grace() -> bool {
+    SKIP_STAGING_GRACE.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -115,6 +130,12 @@ pub fn revert_remove_shift_guard() -> KnobGuard {
 /// lifetime.
 pub fn heal_raises_upper_min_guard() -> KnobGuard {
     KnobGuard::set(&HEAL_RAISES_UPPER_MIN)
+}
+
+/// Free verified candidates without the staging grace for the guard's
+/// lifetime.
+pub fn skip_staging_grace_guard() -> KnobGuard {
+    KnobGuard::set(&SKIP_STAGING_GRACE)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

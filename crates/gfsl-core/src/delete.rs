@@ -184,6 +184,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 }
                 self.stats.merges += 1;
                 self.list.dec_level_chunks(level);
+                self.list.note_zombie(level);
                 self.unlock(p_next);
                 self.update_down_ptrs(level, moved.as_slice(), p_next);
                 self.journal.intent = Intent::None;

@@ -104,6 +104,16 @@ pub trait KvEngine {
     fn snap_get(&mut self, k: u32) -> Option<u32> {
         self.get(k)
     }
+    /// Maintenance: give memory the engine retired back to its allocator
+    /// (one [`GfslHandle::reclaim_pass`]). Engines that free in place have
+    /// nothing to do.
+    fn reclaim_pass(&mut self) {}
+    /// [`Self::reclaim_pass`] with a reader in flight: a second handle of
+    /// the same structure stays pinned across the pass (scripted
+    /// model-check setups use it to leave a grace period half elapsed).
+    fn stalled_reclaim_pass(&mut self) {
+        self.reclaim_pass();
+    }
 }
 
 impl<P: MemProbe> KvEngine for GfslHandle<'_, P> {
@@ -131,6 +141,14 @@ impl<P: MemProbe> KvEngine for GfslHandle<'_, P> {
 
     fn range(&mut self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
         GfslHandle::range(self, lo, hi)
+    }
+
+    fn reclaim_pass(&mut self) {
+        GfslHandle::reclaim_pass(self);
+    }
+
+    fn stalled_reclaim_pass(&mut self) {
+        self.list.handle().with_pin(|_| GfslHandle::reclaim_pass(self));
     }
 }
 

@@ -112,6 +112,29 @@ impl Shape {
 }
 
 impl Gfsl {
+    /// Chunks linked into the level chains, `(live, zombie)`, over *every*
+    /// level — [`Gfsl::shape`] stops at the first level without keys, and a
+    /// level out of use still has its sentinel and may have a zombie run
+    /// parked behind it. With the reclaimer's queue depths this accounts
+    /// for every chunk the pool ever handed out. Quiescent use only.
+    pub fn linked_chunks(&self) -> (u64, u64) {
+        let (mut live, mut zombies) = (0, 0);
+        let mut h = self.handle_with(NoProbe);
+        for level in 0..self.params.max_levels() {
+            let mut cur = self.head_of(level);
+            while cur != NIL {
+                let v = h.read_chunk(cur);
+                if v.is_zombie(&self.team) {
+                    zombies += 1;
+                } else {
+                    live += 1;
+                }
+                cur = v.next(&self.team);
+            }
+        }
+        (live, zombies)
+    }
+
     /// Take a structural snapshot. Quiescent use only.
     pub fn shape(&self) -> Shape {
         let team = self.team;

@@ -66,6 +66,49 @@ fn five_index_chunk_prefill() -> Vec<(u32, u32)> {
     (1..=252u32).map(|i| (2 * i, 100 + i)).collect()
 }
 
+/// [`five_index_chunk_prefill`] with every key doubled (`4, 8, …, 1008`):
+/// the same chunks, each now spanning 28 integers for its seven keys, so a
+/// script can fill one to the brim and still find a key that splits it.
+fn spaced_five_index_prefill() -> Vec<(u32, u32)> {
+    (1..=252u32).map(|i| (4 * i, 100 + i)).collect()
+}
+
+/// A setup script that deletes `keys`: an episode can start from an index
+/// that deletes have thinned.
+fn removes(keys: &[u32]) -> Vec<McOp> {
+    keys.iter().map(|&k| McOp::Remove(k)).collect()
+}
+
+/// Setup of `reclaim-2t`, on the spaced index.
+fn reclaim_setup() -> Vec<McOp> {
+    let inserts = |keys: &[u32]| keys.iter().map(|&k| McOp::Insert(k, 1)).collect::<Vec<_>>();
+    // Level 2 goes (height 1).
+    let mut ops = removes(&[420, 616, 812, 1008]);
+    // Level 1's first chunk `-inf, 56, …, 196` drops to four entries and
+    // merges into its neighbour. Level 2 is out of use, so nothing
+    // repairs its sentinel's `-inf` entry: it keeps pointing down at the
+    // zombie, which the next update's descent unlinks and retires.
+    ops.extend(removes(&[56, 84, 112, 140]));
+    // Four bottom chunks lost their index entry with that; each insert
+    // walks to its chunk along the bottom and heals: level 1's first chunk
+    // is full again.
+    ops.extend(inserts(&[145, 117, 89, 61]));
+    // The bottom chunk `364, …, 388` filled and split: the key that raises
+    // splits level 1's first chunk, which raises into level 2 — height 2,
+    // and reads start at the sentinel with the stale entry.
+    ops.extend(inserts(&[365, 366, 367, 369, 370, 371, 373, 374]));
+    // Level 1's first chunk down to `-inf, 144, 168, 196`: one removal
+    // from merging in its turn.
+    ops.extend(removes(&[60, 88, 116]));
+    // The bottom chunk `28, 32, …, 52` filled to its fourteen entries.
+    ops.extend(inserts(&[29, 30, 31, 33, 34, 35, 37]));
+    // The zombie has been a candidate, was found referenced from level 2
+    // and went back to limbo; the stalled pass leaves it one epoch advance
+    // short of being a candidate again.
+    ops.extend([McOp::ReclaimPass, McOp::StalledReclaimPass]);
+    ops
+}
+
 /// All registered configurations.
 pub fn all() -> Vec<McConfig> {
     vec![
@@ -76,7 +119,7 @@ pub fn all() -> Vec<McConfig> {
             target: Target::Chunked(Box::new(mc_params())),
             prefill: four_chunk_prefill(),
             // The deletes take the whole index with them: height 0.
-            erode: vec![28, 42, 56],
+            setup: removes(&[28, 42, 56]),
             threads: vec![
                 // Walks head -> 14.. -> 30.. (two live lateral steps, not
                 // the tail): heals by raising 30, the chunk's minimum, into
@@ -95,7 +138,7 @@ pub fn all() -> Vec<McConfig> {
                     reads through the new index entry",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: four_chunk_prefill(),
-            erode: vec![28, 42, 56],
+            setup: removes(&[28, 42, 56]),
             threads: vec![
                 vec![McOp::Insert(33, 1)],
                 vec![McOp::Remove(30)],
@@ -114,7 +157,7 @@ pub fn all() -> Vec<McConfig> {
             // Level 2 goes (height 1), and so does 336, the level-1 entry
             // after 322: the bottom chunk `338..=348` is now reached
             // through 322 without sharing its lock.
-            erode: vec![210, 308, 406, 504, 336],
+            setup: removes(&[210, 308, 406, 504, 336]),
             threads: vec![
                 // Level 1 is walked head -> 112.. -> 224.. -> 322.. (three
                 // steps, not the tail) and left through 322, that chunk's
@@ -129,11 +172,41 @@ pub fn all() -> Vec<McConfig> {
             max_steps: 40_000,
         },
         McConfig {
+            name: "reclaim-2t",
+            about: "zombie reclamation (grace, reachability scan, staging grace, \
+                    reuse) vs. a read that can park on the zombie",
+            target: Target::Chunked(Box::new(mc_params())),
+            prefill: spaced_five_index_prefill(),
+            setup: reclaim_setup(),
+            threads: vec![
+                vec![
+                    // Merges level 1's first chunk away; with level 2 in
+                    // use again the repair reaches its sentinel, and the
+                    // last reference to the old zombie is gone.
+                    McOp::Remove(144),
+                    // Candidate, verified unreachable, staged; two more
+                    // passes see it through the staging grace — unless the
+                    // reader is parked: it pinned one epoch back.
+                    McOp::ReclaimPass,
+                    McOp::ReclaimPass,
+                    McOp::ReclaimPass,
+                    // Splits the full bottom chunk: the new half is the
+                    // recycled zombie when there is one.
+                    McOp::Insert(38, 2),
+                ],
+                // Steps down from the level-2 sentinel: onto the zombie, if
+                // it reads the entry before the repair. 44 lives in the
+                // chunk the insert splits.
+                vec![McOp::Get(44)],
+            ],
+            max_steps: 60_000,
+        },
+        McConfig {
             name: "cert-read-2t",
             about: "certified-snapshot hinted reads racing a chunk split",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 // Splitter: insert below every prefilled key into the full
                 // chunk — forces split + raise while the reader walks.
@@ -149,7 +222,7 @@ pub fn all() -> Vec<McConfig> {
             about: "hinted reads racing a split and a removal",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 vec![McOp::Insert(1, 1)],
                 vec![McOp::Remove(26)],
@@ -162,7 +235,7 @@ pub fn all() -> Vec<McConfig> {
             about: "split raised-key placement vs. concurrent remove (PR 1 seed race #1 oracle)",
             target: Target::Chunked(Box::new(mc_params())),
             prefill: full_chunk_prefill(),
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 // Insert(1) lands in the old (still locked) half, so the
                 // fixed code raises key 1 itself; the reverted bug raises
@@ -183,7 +256,7 @@ pub fn all() -> Vec<McConfig> {
             target: Target::Chunked(Box::new(mc_params())),
             // Four keys in one chunk; removing 20 shifts 30 and 40 left.
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 vec![McOp::Remove(20)],
                 // The reverted right-to-left shift makes 30 transiently
@@ -202,7 +275,7 @@ pub fn all() -> Vec<McConfig> {
                     (fence-exclusive drain) vs ticket release",
             target: Target::Chunked(Box::new(mvcc_params())),
             prefill: full_chunk_prefill(),
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 // Splitter: stamped insert into the full chunk — the split
                 // locks (and therefore captures) both halves.
@@ -221,7 +294,7 @@ pub fn all() -> Vec<McConfig> {
                     stamped removal (two writers contending on the fence)",
             target: Target::Chunked(Box::new(mvcc_params())),
             prefill: full_chunk_prefill(),
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 vec![McOp::Insert(1, 1)],
                 vec![McOp::Remove(26)],
@@ -234,7 +307,7 @@ pub fn all() -> Vec<McConfig> {
             about: "flat-bottom leaf split racing a second inserter",
             target: Target::Flat { leaf_cap: 4 },
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 // Both inserts land in the one full leaf: each drops its
                 // locks, splits under the write lock, and retries — the
@@ -250,7 +323,7 @@ pub fn all() -> Vec<McConfig> {
             about: "flat-bottom split, empty-leaf retirement, and a reader",
             target: Target::Flat { leaf_cap: 4 },
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
-            erode: vec![],
+            setup: vec![],
             threads: vec![
                 vec![McOp::Insert(15, 5)],
                 // Drains a leaf so retirement (index write lock) races the
@@ -319,6 +392,41 @@ mod tests {
         assert_eq!(h.insert(323, 1), Ok(true));
         assert_eq!(h.stats().index_heals, 1);
         assert_eq!(list.level_keys(2), vec![322]);
+        list.assert_valid();
+    }
+
+    #[test]
+    fn reclaim_config_starts_from_the_state_its_script_assumes() {
+        let list = built("reclaim-2t");
+        let team = list.team;
+        let mut h = list.handle();
+        assert_eq!(list.height(), 2);
+        // The level-2 sentinel still points down at level 1's old first
+        // chunk: a zombie, retired, sent back to limbo by every pass so far
+        // and now one advance from being a candidate again.
+        let zombie = h.read_chunk(list.head_chunk(2)).entry(0).val();
+        assert_ne!(zombie, list.head_chunk(1));
+        assert!(h.read_chunk(zombie).is_zombie(&team));
+        let s = list.reclaim_stats().unwrap();
+        assert_eq!((s.retired, s.limbo_len, s.staged_len, s.free_len), (1, 1, 0, 0));
+        let before = s.epochs_advanced;
+        assert_eq!(h.reclaim_pass(), 0);
+        let s = list.reclaim_stats().unwrap();
+        assert_eq!((s.epochs_advanced - before, s.limbo_len), (2, 1), "a candidate, and referenced");
+        // The scripted remove merges level 1's first chunk, and the repair
+        // that follows takes the reference away.
+        assert_eq!(h.read_chunk(list.head_chunk(1)).num_keys(&team), 4);
+        assert!(h.remove(144));
+        for _ in 0..3 {
+            h.reclaim_pass();
+        }
+        assert_eq!(h.read_chunk(list.head_chunk(2)).entry(0).val(), list.head_chunk(1));
+        assert_eq!(list.reclaim_stats().unwrap().free_len, 2, "both zombies recycled");
+        // The scripted insert splits the full bottom chunk into one of them.
+        let splits = h.stats().splits;
+        assert_eq!(h.insert(38, 2), Ok(true));
+        assert_eq!(h.stats().splits, splits + 1);
+        assert_eq!(list.reclaim_stats().unwrap().reused, 1);
         list.assert_valid();
     }
 

@@ -66,6 +66,14 @@ pub enum McOp {
     /// mvcc publish/pin/resolve protocol; recorded as a plain get (a
     /// single-key snapshot read has get semantics).
     SnapGet(u32),
+    /// One reclamation pass ([`crate::GfslHandle::reclaim_pass`]); leaves
+    /// no history record. A no-op on engines that free memory in place.
+    ReclaimPass,
+    /// A reclamation pass with a reader in flight: a second handle of the
+    /// same structure stays pinned across it, so the pass's first epoch
+    /// advance goes through and its second does not — what it leaves in
+    /// limbo is one advance short of its grace.
+    StalledReclaimPass,
 }
 
 /// Which engine an episode drives.
@@ -93,9 +101,11 @@ pub struct McConfig {
     pub target: Target,
     /// Keys inserted, in this order, before the scripted ops run.
     pub prefill: Vec<(u32, u32)>,
-    /// Prefilled keys removed again before the scripted ops run: an episode
-    /// can start from an index that deletes have thinned.
-    pub erode: Vec<u32>,
+    /// Script the building handle runs after the prefill, before any
+    /// thread starts: an episode can start from an index that deletes have
+    /// thinned, or with the reclamation pipeline in a chosen state. Inserts
+    /// and removes in it must succeed.
+    pub setup: Vec<McOp>,
     /// Per-thread operation scripts (`threads.len()` participants).
     pub threads: Vec<Vec<McOp>>,
     /// Per-episode granted-step bound (livelock bomb). 0 = unbounded.
@@ -104,18 +114,37 @@ pub struct McConfig {
 
 impl McConfig {
     /// The chunked structure an episode's scripted ops start from:
-    /// `prefill` inserted in order, then `erode` removed.
+    /// `prefill` inserted in order, then `setup` run.
     pub(crate) fn build_chunked(&self, params: &GfslParams) -> Gfsl {
         let list = Gfsl::new(*params).expect("mc: structure construction");
-        let mut h = list.handle_with(NoProbe);
-        for &(k, v) in &self.prefill {
-            assert!(h.insert(k, v).expect("mc: prefill"), "mc: prefill dup {k}");
-        }
-        for &k in &self.erode {
-            assert!(h.remove(k), "mc: eroded key {k} was never prefilled");
-        }
-        drop(h);
+        self.build_on(&mut list.handle_with(NoProbe));
         list
+    }
+
+    fn build_on<E: KvEngine>(&self, h: &mut E) {
+        for &(k, v) in &self.prefill {
+            assert!(h.insert(k, v), "mc: prefill dup {k}");
+        }
+        for &op in &self.setup {
+            let failed = matches!(
+                apply(h, op),
+                Some((_, OpAction::Insert { ok: false, .. } | OpAction::Remove { ok: false }))
+            );
+            assert!(!failed, "mc: setup {op:?} failed");
+        }
+    }
+
+    /// The key/value state the threads' history starts from.
+    fn initial_state(&self) -> HashMap<u32, u32> {
+        let mut state: HashMap<u32, u32> = self.prefill.iter().copied().collect();
+        for op in &self.setup {
+            match *op {
+                McOp::Insert(k, v) => drop(state.insert(k, v)),
+                McOp::Remove(k) => drop(state.remove(&k)),
+                _ => {}
+            }
+        }
+        state
     }
 }
 
@@ -219,26 +248,30 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Run one scripted op: the key it touched and what it did there, or
+/// `None` for a maintenance op, which the history does not see.
+fn apply<E: KvEngine>(h: &mut E, op: McOp) -> Option<(u32, OpAction)> {
+    Some(match op {
+        McOp::Insert(k, v) => (k, OpAction::Insert { value: v, ok: h.insert(k, v) }),
+        McOp::Remove(k) => (k, OpAction::Remove { ok: h.remove(k) }),
+        McOp::Get(k) => (k, OpAction::Get { found: h.get(k) }),
+        McOp::SnapGet(k) => (k, OpAction::Get { found: h.snap_get(k) }),
+        McOp::ReclaimPass => {
+            h.reclaim_pass();
+            return None;
+        }
+        McOp::StalledReclaimPass => {
+            h.stalled_reclaim_pass();
+            return None;
+        }
+    })
+}
+
 fn run_ops<E: KvEngine>(h: &mut E, ops: &[McOp], rec: &mut Recorder<'_>) {
-    for op in ops {
+    for &op in ops {
         let inv = rec.invoke();
-        match *op {
-            McOp::Insert(k, v) => {
-                let ok = h.insert(k, v);
-                rec.finish(k, OpAction::Insert { value: v, ok }, inv);
-            }
-            McOp::Remove(k) => {
-                let ok = h.remove(k);
-                rec.finish(k, OpAction::Remove { ok }, inv);
-            }
-            McOp::Get(k) => {
-                let found = h.get(k);
-                rec.finish(k, OpAction::Get { found }, inv);
-            }
-            McOp::SnapGet(k) => {
-                let found = h.snap_get(k);
-                rec.finish(k, OpAction::Get { found }, inv);
-            }
+        if let Some((k, action)) = apply(h, op) {
+            rec.finish(k, action, inv);
         }
     }
 }
@@ -312,15 +345,7 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
             }
             Target::Flat { leaf_cap } => {
                 let list = FlatSkiplist::with_leaf_cap(BallotKernel::Scalar, *leaf_cap);
-                {
-                    let mut h = list.handle();
-                    for &(k, v) in &config.prefill {
-                        assert!(h.insert(k, v), "mc: prefill dup {k}");
-                    }
-                    for &k in &config.erode {
-                        assert!(h.remove(k), "mc: eroded key {k} was never prefilled");
-                    }
-                }
+                config.build_on(&mut list.handle());
                 let results = std::thread::scope(|s| {
                     let handles: Vec<_> = config
                         .threads
@@ -378,11 +403,7 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
         for (r, _) in &results {
             records.extend_from_slice(r);
         }
-        let mut initial: HashMap<u32, u32> = config.prefill.iter().copied().collect();
-        for k in &config.erode {
-            initial.remove(k);
-        }
-        if let Err(errors) = check_linearizable(&records, &initial) {
+        if let Err(errors) = check_linearizable(&records, &config.initial_state()) {
             failure = Some(format!("non-linearizable history: {}", errors.join("; ")));
         }
     }

@@ -154,6 +154,9 @@ impl std::fmt::Debug for ReadTicket<'_> {
     }
 }
 
+/// One shard of the version chains: chunk index to its retained pre-images.
+type ChainShard = HashMap<u32, Vec<VersionImage>>;
+
 /// The multiversion engine: version clock, per-chunk version chains, head
 /// chain, ticket registry, and retirement bookkeeping. One per [`Gfsl`]
 /// when [`crate::GfslParams::mvcc`] is on.
@@ -165,7 +168,7 @@ pub struct MvccEngine {
     /// Lock-free mirror of the clock for paths that must not touch the
     /// fence (conservative tags, stats).
     clock: AtomicU64,
-    chains: Box<[Mutex<HashMap<u32, Vec<VersionImage>>>]>,
+    chains: Box<[Mutex<ChainShard>]>,
     /// Per-chunk latest capture tag: a writer captures only when its stamp
     /// exceeds this (first mutation in its stamp epoch). Written under the
     /// chunk lock, so per-chunk updates are serialized.
@@ -431,6 +434,12 @@ impl MvccEngine {
             }
         }
         best.map(|(_, head)| head)
+    }
+
+    /// Is any pre-image retained? While one is, updates keep the periodic
+    /// reclamation pass (and with it the vacuum) running.
+    pub(crate) fn has_images(&self) -> bool {
+        self.images_live.load(Ordering::Relaxed) != 0
     }
 
     /// Is retention past the opportunistic-vacuum threshold?
@@ -816,7 +825,7 @@ mod tests {
         // Churn hard enough to split/merge/recycle chunks.
         for round in 0..4u32 {
             for k in 1..=500u32 {
-                if k % 2 == round as u32 % 2 {
+                if k % 2 == round % 2 {
                     h.remove(k * 3);
                 } else {
                     h.upsert(k * 3, k + round).unwrap();

@@ -175,6 +175,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                     .collect();
                 self.quarantine_zombie(c);
                 self.list.dec_level_chunks(level);
+                self.list.note_zombie(level);
                 if !moved.is_empty() {
                     fixes.push(DownPtrFix {
                         level,

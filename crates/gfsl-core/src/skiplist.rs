@@ -222,6 +222,12 @@ pub struct Gfsl {
     /// [`GfslParams::reclaim`] is off). See DESIGN.md for the safety
     /// argument.
     pub(crate) reclaim: Option<EpochReclaimer>,
+    /// Updates by handles younger than [`RECLAIM_PERIOD`] that found
+    /// reclamation work pending (only ever written while there is some):
+    /// every `RECLAIM_PERIOD`th one runs a pass.
+    reclaim_ticks: AtomicU32,
+    /// A reclamation pass is in flight (passes are serialized).
+    reclaim_busy: AtomicBool,
     /// Quarantined chunks awaiting repair (containment mode only).
     pub(crate) quarantine: Mutex<Vec<QuarantinedChunk>>,
     /// Lock-free mirror of the quarantine set's size, so the hot path can
@@ -242,9 +248,14 @@ pub struct Gfsl {
 /// not total).
 pub const MAX_RECLAIM_HANDLES: usize = 1024;
 
-/// A reclamation pass (drain + verify + recycle) runs every this many
-/// update operations per handle; allocation also consumes the free list
-/// directly, so the period only bounds how long verified-free chunks wait.
+/// While reclamation work is pending (chunks or tokens in grace, or a level
+/// flagged for a head-edge sweep), a reclamation pass (sweep + drain +
+/// verify + recycle) runs every this many update operations — counted per
+/// handle once the handle is this old, across all younger handles before
+/// (see [`GfslHandle::maybe_reclaim`]). With nothing pending no pass runs
+/// and the epoch stands still. Allocation also consumes the free list
+/// directly, so the period only bounds how long a retired chunk waits to
+/// get there: two to three periods when no pin lags.
 const RECLAIM_PERIOD: u32 = 16;
 
 impl Gfsl {
@@ -290,6 +301,8 @@ impl Gfsl {
             reclaim: params
                 .reclaim
                 .then(|| EpochReclaimer::new(MAX_RECLAIM_HANDLES)),
+            reclaim_ticks: AtomicU32::new(0),
+            reclaim_busy: AtomicBool::new(false),
             quarantine: Mutex::new(Vec::new()),
             quarantine_len: AtomicUsize::new(0),
             recovery: RecoveryCounters::default(),
@@ -425,6 +438,7 @@ impl Gfsl {
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
             reclaim_tick: 0,
+            reclaim_cands: Vec::new(),
             batch_order: Vec::new(),
             journal: OpJournal::default(),
             op_waits: 0,
@@ -474,6 +488,22 @@ impl Gfsl {
 
     pub(crate) fn level_chunk_count(&self, level: usize) -> u32 {
         self.level_chunks[level].load(Ordering::Relaxed)
+    }
+
+    /// Record that a chunk of `level` was just marked zombie: the level's
+    /// head edge may now hold a run no traversal unlinks, so the level is
+    /// flagged (bit `level`) for the next reclamation pass to sweep.
+    pub(crate) fn note_zombie(&self, level: usize) {
+        if let Some(rec) = self.reclaim.as_ref() {
+            rec.flag(1 << level);
+        }
+    }
+
+    /// A chunk's next pointer (frozen, if the chunk is a zombie), read
+    /// straight from the pool: reclamation bookkeeping is not algorithmic
+    /// memory traffic, so it stays out of the probe stream.
+    fn next_of(&self, chunk: u32) -> u32 {
+        Entry(self.pool.read(self.chunk(chunk).entry_addr(self.team.next_lane()))).val()
     }
 
     /// Has a team died while holding chunk locks?
@@ -726,8 +756,11 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// the key the traversal stepped down through there — that chunk's
     /// minimum, the one key of an upper chunk worth raising further.
     pub(crate) heal_keys: [u32; gfsl_simt::WARP_SIZE],
-    /// Update-op counter driving periodic reclamation passes.
+    /// This handle's update count; see [`Self::maybe_reclaim`].
     reclaim_tick: u32,
+    /// Reusable candidate batch of [`Self::reclaim_pass`], so a pass
+    /// allocates nothing.
+    reclaim_cands: Vec<(u32, u8)>,
     /// Reusable `(key << 32) | index` sort scratch for
     /// [`execute_batch_hinted`](Self::execute_batch_hinted), so steady-state
     /// batch dispatch allocates nothing.
@@ -1613,64 +1646,102 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Hand an unlinked zombie run to the reclaimer: every chunk on the
     /// frozen next-chain from `from` (inclusive) to `until` (exclusive).
     /// The caller must be the run's unique unlinker (it holds the lock or
-    /// won the CAS that made the run unreachable). Chain reads go straight
-    /// to the pool — reclamation bookkeeping is not algorithmic memory
-    /// traffic, so it stays out of the probe stream.
+    /// won the CAS that made the run unreachable).
     pub(crate) fn retire_run(&mut self, from: u32, until: u32, level: usize) {
         let Some(rec) = self.list.reclaim.as_ref() else {
             return;
         };
-        let team = &self.list.team;
-        let pool = &self.list.pool;
+        let lock_lane = self.list.team.lock_lane();
         let mut cur = from;
         while cur != until && cur != NIL {
-            let ch = self.list.chunk(cur);
             debug_assert_eq!(
-                crate::chunk::lock_state(pool.read(ch.entry_addr(team.lock_lane()))),
+                crate::chunk::lock_state(self.list.pool.read(self.list.chunk(cur).entry_addr(lock_lane))),
                 crate::chunk::LOCK_ZOMBIE,
                 "retiring non-zombie chunk {cur}"
             );
             rec.retire(cur, level as u8);
-            cur = Entry(pool.read(ch.entry_addr(team.next_lane()))).val();
+            cur = self.list.next_of(cur);
         }
     }
 
-    /// Periodic reclamation driver, called from the update entry points
-    /// (never while holding chunk locks — the verification scan performs
-    /// certified reads, which may wait on lock holders).
+    /// Reclamation driver, called from the update entry points (never while
+    /// holding chunk locks — the verification scan performs certified
+    /// reads, which may wait on lock holders). With nothing in grace, no
+    /// level flagged for a head-edge sweep and no version image retained it
+    /// returns after a relaxed load of a word no update writes; otherwise
+    /// every [`RECLAIM_PERIOD`]th update runs a pass.
+    ///
+    /// A handle that has lived a full period paces itself on its own update
+    /// count, as every handle once did: no shared write even while work is
+    /// pending, and a pass falls on the same update of a long-lived handle's
+    /// stream whether or not the list was idle before. Younger handles —
+    /// the cluster mints one per operation — pool their pending updates in
+    /// the list's counter instead, so they add up to the same cadence
+    /// though none of them would ever count to a period alone.
     pub(crate) fn maybe_reclaim(&mut self) {
-        if self.list.reclaim.is_none() {
+        let list = self.list;
+        let Some(rec) = list.reclaim.as_ref() else {
+            return;
+        };
+        self.reclaim_tick = self.reclaim_tick.wrapping_add(1);
+        if !rec.has_work() && !list.mvcc.as_deref().is_some_and(|m| m.has_images()) {
             return;
         }
-        self.reclaim_tick = self.reclaim_tick.wrapping_add(1);
-        if self.reclaim_tick.is_multiple_of(RECLAIM_PERIOD) {
+        let tick = if self.reclaim_tick >= RECLAIM_PERIOD {
+            self.reclaim_tick
+        } else {
+            list.reclaim_ticks.fetch_add(1, Ordering::Relaxed) + 1
+        };
+        if tick.is_multiple_of(RECLAIM_PERIOD) {
             self.reclaim_pass();
         }
     }
 
-    /// Run one full reclamation pass now: move verified chunks whose second
-    /// grace period elapsed to the free list, then drain newly grace-passed
-    /// retired candidates and verify them. Returns the number of chunks
-    /// that reached the free list. No-op (0) when reclamation is disabled.
+    /// Run one full reclamation pass now: sweep the flagged head edges,
+    /// move verified chunks whose second grace period elapsed to the free
+    /// list, then drain newly grace-passed retired candidates and verify
+    /// them. Returns the number of chunks that reached the free list: 0
+    /// when reclamation is disabled, and when another handle's pass is in
+    /// flight (passes are serialized, so a chunk one pass holds as a
+    /// candidate is never missing from what another consults).
     ///
     /// Must not be called while holding chunk locks (see
     /// [`Self::maybe_reclaim`]); public operations call it automatically,
     /// tests and maintenance loops may call it directly.
     pub fn reclaim_pass(&mut self) -> usize {
-        if self.list.reclaim.is_none() {
-            self.vacuum_versions();
-            return 0;
-        }
-        self.sweep_head_edge();
-        let freed = self.list.reclaim.as_ref().unwrap().harvest_verified();
-        let mut cands = Vec::new();
-        self.list
-            .reclaim
-            .as_ref()
-            .unwrap()
-            .drain_candidates(&mut cands);
-        if !cands.is_empty() {
-            self.with_pin(|h| h.verify_candidates(cands));
+        let list = self.list;
+        let mut freed = 0;
+        if let Some(rec) = list.reclaim.as_ref() {
+            struct Busy<'a>(&'a AtomicBool);
+            impl Drop for Busy<'_> {
+                fn drop(&mut self) {
+                    self.0.store(false, Ordering::Release);
+                }
+            }
+            if list.reclaim_busy.swap(true, Ordering::Acquire) {
+                rec.note_pass_skipped();
+                return 0;
+            }
+            // Released from a drop guard, like `with_pin`'s unpin: a pass
+            // that dies mid-scan must not end reclamation for good.
+            let _busy = Busy(&list.reclaim_busy);
+            self.sweep_head_edge();
+            // Two advances a pass, one ahead of each drain: whatever was
+            // retired before this pass is a candidate in it when no pin
+            // lags, and a staged chunk is free two passes on.
+            rec.try_advance();
+            freed = rec.harvest_verified();
+            rec.try_advance();
+            let mut cands = std::mem::take(&mut self.reclaim_cands);
+            rec.drain_candidates(&mut cands);
+            let scanned = if cands.is_empty() {
+                0
+            } else {
+                self.with_pin(|h| h.verify_candidates(&mut cands))
+            };
+            rec.note_pass(scanned);
+            cands.clear();
+            self.reclaim_cands = cands;
         }
         self.vacuum_versions();
         freed
@@ -1693,7 +1764,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Unlink zombie runs parked at the head edge of every level.
+    /// Unlink zombie runs parked at the head edge of the levels a merge
+    /// flagged since the last sweep ([`Gfsl::note_zombie`]).
     ///
     /// Traversal unlinks are lazy: a run is swung past when a walk
     /// lateral-steps onto it with a known predecessor
@@ -1702,48 +1774,59 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// no traversal ever lateral-steps *from* a sentinel, and merges repair
     /// parent down pointers to land past the run. Monotone workloads
     /// (sliding windows, FIFO churn) retire chunks exclusively at that left
-    /// edge, so without this sweep they would never be retired at all. The
-    /// sweep reuses the traversal protocol: best-effort try-lock on the
-    /// first live chunk, re-verify, single-word pointer swing, retire.
+    /// edge, so without this sweep they would never be retired at all. A
+    /// zombie only ever appears at a level's head edge through a merge on
+    /// that level, so the flagged levels are all there is to visit — also
+    /// on a level that has since emptied. A level whose sweep lost a race
+    /// is flagged again for the next pass.
     fn sweep_head_edge(&mut self) {
-        let team = self.list.team;
-        for level in 0..self.list.params.max_levels() {
-            // A zombified first chunk: swing the head-array pointer itself.
-            loop {
-                let head = self.list.head_of(level);
-                let view = self.read_chunk(head);
-                if !view.is_zombie(&team) {
-                    break;
-                }
-                let Some((nz, _)) = self.first_non_zombie(view) else {
-                    break;
-                };
-                self.update_head(level, head, nz);
-                // A failed CAS means a racer swung it first; re-check.
-            }
-            // A zombie run right behind the first live chunk.
-            let head = self.list.head_of(level);
-            let view = self.read_chunk(head);
-            if view.is_zombie(&team) {
-                continue; // raced a fresh head merge; next pass gets it
-            }
-            let next = view.next(&team);
-            if next == NIL {
-                continue;
-            }
-            let nview = self.read_chunk(next);
-            if !nview.is_zombie(&team) {
-                continue;
-            }
-            if let Some((nz, _)) = self.first_non_zombie(nview) {
-                self.redirect_past_zombies(head, next, nz, level);
+        let mut dirty = self.list.reclaim.as_ref().map_or(0, |r| r.take_flags());
+        while dirty != 0 {
+            let level = dirty.trailing_zeros() as usize;
+            dirty &= dirty - 1;
+            if !self.sweep_level(level) {
+                self.list.note_zombie(level);
             }
         }
     }
 
+    /// One level of [`Self::sweep_head_edge`], by the traversal protocol:
+    /// best-effort try-lock on the first live chunk, re-verify, single-word
+    /// pointer swing, retire. `false` when a racer got in the way.
+    fn sweep_level(&mut self, level: usize) -> bool {
+        let team = self.list.team;
+        // A zombified first chunk: swing the head-array pointer itself (a
+        // failed CAS means a racer swung it first; re-check).
+        let (head, view) = loop {
+            let head = self.list.head_of(level);
+            let view = self.read_chunk(head);
+            if !view.is_zombie(&team) {
+                break (head, view);
+            }
+            match self.first_non_zombie(view) {
+                Some((nz, _)) => self.update_head(level, head, nz),
+                None => return false,
+            }
+        };
+        // A zombie run right behind the first live chunk.
+        let next = view.next(&team);
+        if next == NIL {
+            return true;
+        }
+        let nview = self.read_chunk(next);
+        if !nview.is_zombie(&team) {
+            return true;
+        }
+        if let Some((nz, _)) = self.first_non_zombie(nview) {
+            self.redirect_past_zombies(head, next, nz, level);
+        }
+        // Still in place: the try-lock lost (or the walk tore).
+        self.list.next_of(head) != next
+    }
+
     /// Decide each grace-passed candidate's fate: stage it for the free
     /// list if nothing can still lead a reader to it, otherwise requeue it
-    /// for a later pass.
+    /// for a later pass. Returns the parent-level chunks it read.
     ///
     /// A reader can only *acquire* a pointer to an unlinked zombie from
     /// (a) a stale down-pointer still sitting in the live chain one level
@@ -1758,54 +1841,55 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// into a register just before its source was repaired, so the chunk
     /// waits out one more grace period (covering every pin live at scan
     /// time) before `alloc_chunk` may reuse it.
-    fn verify_candidates(&mut self, cands: Vec<(u32, u8)>) {
+    ///
+    /// The batch is a handful of chunks against hundreds of references, so
+    /// it is the batch that is indexed: sorted by chunk, with the level
+    /// byte's top bit as the "referenced" mark a binary search sets.
+    fn verify_candidates(&mut self, cands: &mut [(u32, u8)]) -> u64 {
+        const REFERENCED: u8 = 0x80;
         let list = self.list;
         let rec = list.reclaim.as_ref().unwrap();
         let team = list.team;
-        let mut referenced = std::collections::HashSet::new();
+        cands.sort_unstable();
+        fn mark(cands: &mut [(u32, u8)], chunk: u32) -> bool {
+            match cands.binary_search_by_key(&chunk, |&(c, _)| c) {
+                Ok(i) if cands[i].1 & REFERENCED == 0 => {
+                    cands[i].1 |= REFERENCED;
+                    true
+                }
+                _ => false,
+            }
+        }
         // (a) data entries (down-pointers) in the live chain of each
         // candidate's parent level.
-        let mut parent_levels: Vec<usize> = cands.iter().map(|&(_, l)| l as usize + 1).collect();
-        parent_levels.sort_unstable();
-        parent_levels.dedup();
-        for &pl in &parent_levels {
-            if pl >= list.params.max_levels() {
-                continue;
-            }
-            let mut cur = list.head_of(pl);
-            loop {
+        let mut parents = cands.iter().fold(0u64, |m, &(_, l)| m | 2 << l);
+        parents &= (1 << list.params.max_levels()) - 1;
+        let mut scanned = 0;
+        while parents != 0 {
+            let mut cur = list.head_of(parents.trailing_zeros() as usize);
+            parents &= parents - 1;
+            while cur != NIL {
                 let view = self.read_chunk_certified(cur);
+                scanned += 1;
                 if !view.is_zombie(&team) {
                     for (_, e) in view.live_entries(&team) {
-                        referenced.insert(e.val());
+                        mark(cands, e.val());
                     }
                 }
-                let next = view.next(&team);
-                if next == NIL {
-                    break;
-                }
-                cur = next;
+                cur = view.next(&team);
             }
         }
-        // (b) frozen next pointers of everything still awaiting reclamation
-        // *outside* this batch (pending retirees and staged chunks).
-        // References between batch members are handled by the run fixpoint
-        // below instead of blocking verification outright.
-        let next_of = |z: u32| {
-            let ch = list.chunk(z);
-            Entry(list.pool.read(ch.entry_addr(team.next_lane()))).val()
-        };
-        let in_batch: std::collections::HashSet<u32> = cands.iter().map(|&(c, _)| c).collect();
-        let mut pending = Vec::new();
-        rec.pending_chunks(&mut pending);
-        for &z in &pending {
-            if !in_batch.contains(&z) {
-                referenced.insert(next_of(z));
-            }
-        }
+        // (b) frozen next pointers of everything else still awaiting
+        // reclamation (pending retirees and staged chunks; the batch itself
+        // left limbo when it was drained). References between batch
+        // members are handled by the run fixpoint below instead of
+        // blocking verification outright.
+        rec.for_each_pending(|z| {
+            mark(cands, list.next_of(z));
+        });
         // (c) the head array.
         for lvl in 0..list.params.max_levels() {
-            referenced.insert(list.head_of(lvl));
+            mark(cands, list.head_of(lvl));
         }
         // Whole-run staging fixpoint. A retired run Z1 → Z2 → … → Zk is
         // chained by its own frozen next pointers; treating those as live
@@ -1816,30 +1900,28 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // externally-unreferenced run if it was pinned before this scan, so
         // the single staging grace shared by the whole run covers it, and
         // after that grace no pointer into the run exists anywhere.
-        let mut staged: std::collections::HashSet<u32> = cands
-            .iter()
-            .map(|&(c, _)| c)
-            .filter(|c| !referenced.contains(c))
-            .collect();
         loop {
-            let blocked: std::collections::HashSet<u32> = cands
-                .iter()
-                .filter(|&&(z, _)| !staged.contains(&z))
-                .map(|&(z, _)| next_of(z))
-                .collect();
-            let before = staged.len();
-            staged.retain(|c| !blocked.contains(c));
-            if staged.len() == before {
+            let mut grew = false;
+            for i in 0..cands.len() {
+                let (c, lvl) = cands[i];
+                if lvl & REFERENCED != 0 {
+                    grew |= mark(cands, list.next_of(c));
+                }
+            }
+            if !grew {
                 break;
             }
         }
-        for (c, lvl) in cands {
-            if staged.contains(&c) {
-                rec.stage_verified(c);
+        for &(c, lvl) in cands.iter() {
+            if lvl & REFERENCED != 0 {
+                rec.requeue(c, lvl & !REFERENCED);
+            } else if crate::bug_knobs::skip_staging_grace() {
+                rec.recycle(c);
             } else {
-                rec.requeue(c, lvl);
+                rec.stage_verified(c);
             }
         }
+        scanned
     }
 }
 

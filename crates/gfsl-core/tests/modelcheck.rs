@@ -89,6 +89,14 @@ fn heal_upper_2t_exhaustive() {
 }
 
 #[test]
+fn reclaim_2t_exhaustive() {
+    // The reclaimer end to end — grace, reachability scan, staging grace,
+    // free list, reuse by a split — against a read that can step onto the
+    // zombie through a stale down-pointer one epoch before it is repaired.
+    check_exhaustive("reclaim-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn mvcc_snap_2t_bounded() {
     // Pinned snapshot reads vs a stamped split: the version fence adds a
     // yield point per acquisition attempt on both sides, so the space is

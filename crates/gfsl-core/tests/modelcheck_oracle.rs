@@ -1,6 +1,7 @@
 //! Differential oracles for the model checker (ISSUE 9 satellite):
-//! re-introduce each of PR 1's two seed races, and the unprotected raise a
-//! first draft of the index heal made, via the `bug_knobs` test-only
+//! re-introduce each of PR 1's two seed races, the unprotected raise a
+//! first draft of the index heal made, and a reclaimer without its staging
+//! grace, via the `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
 //! that the *fixed* code passes the exact same schedule.
@@ -124,13 +125,28 @@ fn heal_raising_an_unprotected_minimum_is_refound() {
 }
 
 #[test]
+fn skipping_the_staging_grace_is_refound() {
+    let guard = bug_knobs::skip_staging_grace_guard();
+    assert_found_minimized_and_differential("reclaim-2t", "the reclaimer's staging grace");
+    let cx = find_bug("reclaim-2t").counterexample.expect("refound");
+    drop(guard);
+    let cfg = configs::by_name("reclaim-2t").unwrap();
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "with the staging grace the parked reader's chunk must not be reused, got: {:?}",
+        out.failure
+    );
+}
+
+#[test]
 fn clean_build_passes_the_oracle_configs() {
     // Sanity inverse: with no knob set, the same exploration budget finds
     // nothing on the oracle configs (they are ordinary workloads then).
     // The knobs are process-global: hold the lock the knob tests hold, or a
     // parallel test run explores these configs with a revert switched on.
     let _serial = bug_knobs::knob_test_lock();
-    for name in ["split-raise-2t", "remove-shift-2t", "heal-upper-2t"] {
+    for name in ["split-raise-2t", "remove-shift-2t", "heal-upper-2t", "reclaim-2t"] {
         let report = find_bug(name);
         assert!(
             report.counterexample.is_none(),

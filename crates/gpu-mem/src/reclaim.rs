@@ -28,23 +28,34 @@
 //! * `alloc_chunk` consumes the free list before touching the bump pointer,
 //!   so churn runs at a bounded high-water mark.
 //!
+//! Everything in grace — retired chunks, staged chunks, the mvcc layer's
+//! deferred tokens — sits in a [`GraceQueue`]. Their total shares one atomic
+//! word with the structure layer's [`flag`](EpochReclaimer::flag)s, so
+//! [`has_work`](EpochReclaimer::has_work) tells "nothing to reclaim" with a
+//! single relaxed load. Nothing here moves the epoch on its own: the owner
+//! of a reclamation pass calls [`try_advance`](EpochReclaimer::try_advance)
+//! and then drains.
+//!
 //! Pinning is reentrant (a per-slot depth counter): `pop_min` runs a search
 //! inside a remove, `upsert` runs an insert inside a get, and each entry
 //! point pins unconditionally.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Index of a registered reclamation slot (one per worker/handle).
 pub type SlotId = usize;
 
-/// A chunk retired at `epoch`, awaiting grace + reachability verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Retired {
-    chunk: u32,
-    level: u8,
-    epoch: u64,
-}
+/// The half of [`EpochReclaimer`]'s work word that counts items in grace.
+const BACKLOG_MASK: u64 = u32::MAX as u64;
+
+/// Items waiting out a grace period, oldest first, each with the epoch it
+/// entered at. That epoch is read *under the queue lock*, so stamps never
+/// decrease from front to back and the ripe entries (two advances old) are
+/// always a prefix: draining pops from the front and stops at the first
+/// unripe one.
+type GraceQueue<T> = Mutex<VecDeque<(u64, T)>>;
 
 /// One worker's epoch announcement.
 ///
@@ -79,6 +90,17 @@ pub struct ReclaimStats {
     pub deferred_len: u64,
     /// Deferred tokens whose grace elapsed and were drained back.
     pub deferred_drained: u64,
+    /// Reclamation passes the structure layer ran.
+    pub passes: u64,
+    /// Passes that came due (or were asked for) while another worker's pass
+    /// was in flight, and so did not run.
+    pub passes_skipped: u64,
+    /// Chunks of parent levels read by the passes' stale-down-pointer
+    /// scans: the part of a pass's cost that grows with the structure, not
+    /// with what the pass reclaims.
+    pub parent_chunks_scanned: u64,
+    /// Most items ever in grace at once (limbo + staged + deferred).
+    pub backlog_high_water: u64,
 }
 
 /// Epoch-based reclaimer for fixed-size chunk slots.
@@ -91,22 +113,32 @@ pub struct EpochReclaimer {
     /// Global epoch. Starts at 1 so an announcement of 0 is unambiguous.
     global: AtomicU64,
     slots: Box<[Slot]>,
-    limbo: Mutex<Vec<Retired>>,
-    /// Verified-unreachable chunks serving their second grace period
-    /// (`level` is unused here; the field is repurposed as the staging
-    /// epoch record).
-    verified: Mutex<Vec<Retired>>,
-    free: Mutex<Vec<u32>>,
+    /// One past the highest slot ever registered; `try_advance` scans only
+    /// this prefix.
+    slots_used: AtomicUsize,
+    /// Retired `(chunk, level)` pairs awaiting their first grace.
+    limbo: GraceQueue<(u32, u8)>,
+    /// Verified-unreachable chunks serving their second grace period.
+    staged: GraceQueue<u32>,
     /// Opaque tokens (not chunk indices) riding the same two-advance grace
-    /// pipeline as limbo chunks. The mvcc layer defers condemned version
-    /// pre-images here so a reader that resolved a chain entry just before
-    /// it was condemned has quiesced before the image is dropped.
-    deferred: Mutex<Vec<(u64, u64)>>,
+    /// as limbo chunks. The mvcc layer defers condemned version pre-images
+    /// here so a reader that resolved a chain entry just before it was
+    /// condemned has quiesced before the image is dropped.
+    deferred: GraceQueue<u64>,
+    free: Mutex<Vec<u32>>,
+    /// Low half: entries in the three grace queues together. High half:
+    /// the structure layer's attention flags (see [`Self::flag`]). Zero
+    /// means a pass has nothing to do.
+    work: AtomicU64,
+    backlog_high_water: AtomicU64,
     epochs_advanced: AtomicU64,
     retired_total: AtomicU64,
     reclaimed_total: AtomicU64,
     reused_total: AtomicU64,
     deferred_drained_total: AtomicU64,
+    passes: AtomicU64,
+    passes_skipped: AtomicU64,
+    parent_chunks_scanned: AtomicU64,
 }
 
 impl EpochReclaimer {
@@ -124,15 +156,21 @@ impl EpochReclaimer {
         EpochReclaimer {
             global: AtomicU64::new(1),
             slots,
-            limbo: Mutex::new(Vec::new()),
-            verified: Mutex::new(Vec::new()),
+            slots_used: AtomicUsize::new(0),
+            limbo: GraceQueue::default(),
+            staged: GraceQueue::default(),
+            deferred: GraceQueue::default(),
             free: Mutex::new(Vec::new()),
-            deferred: Mutex::new(Vec::new()),
+            work: AtomicU64::new(0),
+            backlog_high_water: AtomicU64::new(0),
             epochs_advanced: AtomicU64::new(0),
             retired_total: AtomicU64::new(0),
             reclaimed_total: AtomicU64::new(0),
             reused_total: AtomicU64::new(0),
             deferred_drained_total: AtomicU64::new(0),
+            passes: AtomicU64::new(0),
+            passes_skipped: AtomicU64::new(0),
+            parent_chunks_scanned: AtomicU64::new(0),
         }
     }
 
@@ -145,6 +183,14 @@ impl EpochReclaimer {
             {
                 s.announce.store(0, Ordering::Release);
                 s.depth.store(0, Ordering::Relaxed);
+                // Grown only, so a handle minted per operation pays a load.
+                // SeqCst, like `pin`'s announcement that follows it: an
+                // advance scan that does not see the new bound is ordered
+                // before that announcement, as if it had seen the slot
+                // quiescent.
+                if self.slots_used.load(Ordering::Relaxed) <= i {
+                    self.slots_used.fetch_max(i + 1, Ordering::SeqCst);
+                }
                 return Some(i);
             }
         }
@@ -191,6 +237,51 @@ impl EpochReclaimer {
         }
     }
 
+    /// Put `item` in grace at the current epoch. The count goes up before
+    /// the push and down after a pop, so it never under-reports.
+    fn enqueue<T>(&self, q: &GraceQueue<T>, item: T) {
+        let now = self.work.fetch_add(1, Ordering::Relaxed) + 1;
+        self.backlog_high_water
+            .fetch_max(now & BACKLOG_MASK, Ordering::Relaxed);
+        let mut q = q.lock().unwrap();
+        q.push_back((self.global.load(Ordering::SeqCst), item));
+    }
+
+    /// Pop everything in `q` whose grace (two advances) has elapsed into
+    /// `sink`; returns how many.
+    fn dequeue<T>(&self, q: &GraceQueue<T>, mut sink: impl FnMut(T)) -> u64 {
+        let now = self.epoch();
+        let mut q = q.lock().unwrap();
+        let mut n = 0;
+        while q.front().is_some_and(|&(e, _)| now >= e + 2) {
+            sink(q.pop_front().expect("front was just observed").1);
+            n += 1;
+        }
+        self.work.fetch_sub(n, Ordering::Relaxed);
+        n
+    }
+
+    /// Is anything in grace, or any flag up? When not, a reclamation pass
+    /// would find nothing to do. One relaxed load of a word that only
+    /// reclamation work itself ever writes.
+    #[inline]
+    pub fn has_work(&self) -> bool {
+        self.work.load(Ordering::Relaxed) != 0
+    }
+
+    /// Raise attention flags for the next pass: 32 bits whose meaning is
+    /// the structure layer's (it flags the levels whose head edge needs a
+    /// sweep). Release pairs with [`Self::take_flags`]: the pass that takes
+    /// a flag sees what was written before it was raised.
+    pub fn flag(&self, bits: u32) {
+        self.work.fetch_or(u64::from(bits) << 32, Ordering::Release);
+    }
+
+    /// Take (and clear) the raised flags.
+    pub fn take_flags(&self) -> u32 {
+        (self.work.fetch_and(BACKLOG_MASK, Ordering::Acquire) >> 32) as u32
+    }
+
     /// Hand an unlinked zombie chunk to the reclaimer.
     ///
     /// Must be called by the team that made the chunk unreachable on its own
@@ -198,23 +289,22 @@ impl EpochReclaimer {
     /// it), stamping the level so the verification pass knows which parent
     /// level to scan for stale down pointers.
     pub fn retire(&self, chunk: u32, level: u8) {
-        let epoch = self.global.load(Ordering::SeqCst);
         self.retired_total.fetch_add(1, Ordering::Relaxed);
-        self.limbo.lock().unwrap().push(Retired { chunk, level, epoch });
+        self.requeue(chunk, level);
     }
 
     /// Put a grace-passed candidate back in limbo (a stale down pointer
     /// still referenced it); it re-enters grace at the current epoch.
     pub fn requeue(&self, chunk: u32, level: u8) {
-        self.retire(chunk, level);
-        self.retired_total.fetch_sub(1, Ordering::Relaxed);
+        self.enqueue(&self.limbo, (chunk, level));
     }
 
     /// Try to advance the global epoch: possible when every pinned slot has
     /// announced the current epoch. Returns the (possibly new) epoch.
     pub fn try_advance(&self) -> u64 {
         let e = self.global.load(Ordering::SeqCst);
-        for s in self.slots.iter() {
+        let used = self.slots_used.load(Ordering::SeqCst);
+        for s in self.slots[..used].iter() {
             if s.registered.load(Ordering::Acquire) == 0 {
                 continue;
             }
@@ -238,21 +328,10 @@ impl EpochReclaimer {
     /// Move every retired chunk whose grace period has elapsed (two epoch
     /// advances since retirement) into `out` as `(chunk, level)` pairs.
     ///
-    /// The caller owns the candidates: it must either `recycle` or
-    /// `requeue` each one. Tries an epoch advance first so a quiescent
-    /// system drains in a bounded number of calls.
+    /// The caller owns the candidates: it must either `stage_verified`,
+    /// `recycle` or `requeue` each one.
     pub fn drain_candidates(&self, out: &mut Vec<(u32, u8)>) {
-        let now = self.try_advance();
-        let mut limbo = self.limbo.lock().unwrap();
-        let mut i = 0;
-        while i < limbo.len() {
-            if now >= limbo[i].epoch + 2 {
-                let r = limbo.swap_remove(i);
-                out.push((r.chunk, r.level));
-            } else {
-                i += 1;
-            }
-        }
+        self.dequeue(&self.limbo, |c| out.push(c));
     }
 
     /// Put a verified-unreachable chunk on the free list for reuse.
@@ -271,41 +350,27 @@ impl EpochReclaimer {
     /// that copied a soon-after-repaired stale pointer into a register
     /// before the scan ran), via [`Self::harvest_verified`].
     pub fn stage_verified(&self, chunk: u32) {
-        let epoch = self.global.load(Ordering::SeqCst);
-        self.verified.lock().unwrap().push(Retired {
-            chunk,
-            level: 0,
-            epoch,
-        });
+        self.enqueue(&self.staged, chunk);
     }
 
     /// Move staged chunks whose second grace period has elapsed onto the
     /// free list; returns how many were moved. References to a verified
     /// chunk cannot reappear in memory, so no rescan is needed.
     pub fn harvest_verified(&self) -> usize {
-        let now = self.try_advance();
-        let mut staged = self.verified.lock().unwrap();
-        let mut moved = 0;
-        let mut i = 0;
-        while i < staged.len() {
-            if now >= staged[i].epoch + 2 {
-                let r = staged.swap_remove(i);
-                self.recycle(r.chunk);
-                moved += 1;
-            } else {
-                i += 1;
-            }
-        }
-        moved
+        self.dequeue(&self.staged, |c| self.recycle(c)) as usize
     }
 
-    /// Append every chunk still awaiting reclamation (in limbo or staged)
-    /// to `out`. The structure layer's verification pass treats the frozen
+    /// Call `f` on every chunk still awaiting reclamation (in limbo or
+    /// staged). The structure layer's verification pass treats the frozen
     /// next pointers of these chunks as live references — a reader parked
     /// on one can still step through it.
-    pub fn pending_chunks(&self, out: &mut Vec<u32>) {
-        out.extend(self.limbo.lock().unwrap().iter().map(|r| r.chunk));
-        out.extend(self.verified.lock().unwrap().iter().map(|r| r.chunk));
+    pub fn for_each_pending(&self, mut f: impl FnMut(u32)) {
+        self.limbo
+            .lock()
+            .unwrap()
+            .iter()
+            .for_each(|&(_, (c, _))| f(c));
+        self.staged.lock().unwrap().iter().for_each(|&(_, c)| f(c));
     }
 
     /// Defer an opaque token until two epoch advances have passed.
@@ -317,25 +382,13 @@ impl EpochReclaimer {
     /// been resolving the image when it was condemned was pinned then, and
     /// two advances prove every such pin has since quiesced.
     pub fn defer(&self, token: u64) {
-        let epoch = self.global.load(Ordering::SeqCst);
-        self.deferred.lock().unwrap().push((token, epoch));
+        self.enqueue(&self.deferred, token);
     }
 
     /// Move every deferred token whose grace period has elapsed into `out`.
-    /// Tries an epoch advance first, like [`Self::drain_candidates`].
     pub fn drain_deferred(&self, out: &mut Vec<u64>) {
-        let now = self.try_advance();
-        let mut deferred = self.deferred.lock().unwrap();
-        let mut i = 0;
-        while i < deferred.len() {
-            if now >= deferred[i].1 + 2 {
-                let (tok, _) = deferred.swap_remove(i);
-                out.push(tok);
-                self.deferred_drained_total.fetch_add(1, Ordering::Relaxed);
-            } else {
-                i += 1;
-            }
-        }
+        let n = self.dequeue(&self.deferred, |t| out.push(t));
+        self.deferred_drained_total.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Pop a recycled chunk index, if any.
@@ -353,18 +406,36 @@ impl EpochReclaimer {
         self.global.load(Ordering::SeqCst)
     }
 
+    /// Account one reclamation pass that read `parent_chunks` chunks while
+    /// scanning parent levels for stale down pointers.
+    pub fn note_pass(&self, parent_chunks: u64) {
+        self.passes.fetch_add(1, Ordering::Relaxed);
+        self.parent_chunks_scanned
+            .fetch_add(parent_chunks, Ordering::Relaxed);
+    }
+
+    /// Account a pass that did not run because another was in flight.
+    pub fn note_pass_skipped(&self) {
+        self.passes_skipped.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot of the reclamation counters.
     pub fn stats(&self) -> ReclaimStats {
+        let o = Ordering::Relaxed;
         ReclaimStats {
-            epochs_advanced: self.epochs_advanced.load(Ordering::Relaxed),
-            retired: self.retired_total.load(Ordering::Relaxed),
-            zombies_reclaimed: self.reclaimed_total.load(Ordering::Relaxed),
-            reused: self.reused_total.load(Ordering::Relaxed),
+            epochs_advanced: self.epochs_advanced.load(o),
+            retired: self.retired_total.load(o),
+            zombies_reclaimed: self.reclaimed_total.load(o),
+            reused: self.reused_total.load(o),
             limbo_len: self.limbo.lock().unwrap().len() as u64,
-            staged_len: self.verified.lock().unwrap().len() as u64,
+            staged_len: self.staged.lock().unwrap().len() as u64,
             free_len: self.free.lock().unwrap().len() as u64,
             deferred_len: self.deferred.lock().unwrap().len() as u64,
-            deferred_drained: self.deferred_drained_total.load(Ordering::Relaxed),
+            deferred_drained: self.deferred_drained_total.load(o),
+            passes: self.passes.load(o),
+            passes_skipped: self.passes_skipped.load(o),
+            parent_chunks_scanned: self.parent_chunks_scanned.load(o),
+            backlog_high_water: self.backlog_high_water.load(o),
         }
     }
 }
@@ -381,6 +452,13 @@ impl std::fmt::Debug for EpochReclaimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One epoch advance, then drain the retired chunks whose grace elapsed
+    /// — what a reclamation pass does.
+    fn advance_and_drain(r: &EpochReclaimer, out: &mut Vec<(u32, u8)>) {
+        r.try_advance();
+        r.drain_candidates(out);
+    }
 
     #[test]
     fn register_unregister_reuses_slots() {
@@ -399,18 +477,56 @@ mod tests {
     fn unpinned_world_advances_and_drains() {
         let r = EpochReclaimer::new(4);
         r.retire(7, 0);
+        assert!(r.has_work());
         let mut out = Vec::new();
         r.drain_candidates(&mut out);
+        assert!(out.is_empty(), "draining does not move the epoch");
+        advance_and_drain(&r, &mut out);
         assert!(out.is_empty(), "one advance is not grace");
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(7, 0)], "two advances past retirement = grace");
+        assert!(!r.has_work(), "a drained candidate is the caller's");
         r.recycle(7);
         assert_eq!(r.try_alloc(), Some(7));
         assert_eq!(r.try_alloc(), None);
         let s = r.stats();
         assert_eq!(s.zombies_reclaimed, 1);
         assert_eq!(s.reused, 1);
-        assert!(s.epochs_advanced >= 2);
+        assert_eq!(s.epochs_advanced, 2);
+        assert_eq!(s.backlog_high_water, 1);
+    }
+
+    #[test]
+    fn flags_and_backlog_share_the_work_word() {
+        let r = EpochReclaimer::new(4);
+        assert!(!r.has_work());
+        r.flag(1 << 31 | 1);
+        r.retire(4, 0);
+        assert_eq!(r.take_flags(), 1 << 31 | 1);
+        assert_eq!(r.take_flags(), 0);
+        assert!(r.has_work(), "taking the flags leaves the count");
+        assert_eq!(r.stats().backlog_high_water, 1, "flags do not leak into it");
+        let mut out = Vec::new();
+        advance_and_drain(&r, &mut out);
+        advance_and_drain(&r, &mut out);
+        assert!(!r.has_work());
+    }
+
+    #[test]
+    fn ripe_entries_are_a_prefix() {
+        let r = EpochReclaimer::new(4);
+        r.retire(1, 0);
+        r.try_advance();
+        r.retire(2, 0);
+        let mut out = Vec::new();
+        advance_and_drain(&r, &mut out);
+        assert_eq!(
+            out,
+            vec![(1, 0)],
+            "the younger entry stays queued behind it"
+        );
+        advance_and_drain(&r, &mut out);
+        assert_eq!(out, vec![(1, 0), (2, 0)]);
     }
 
     #[test]
@@ -421,14 +537,27 @@ mod tests {
         r.retire(3, 1);
         let mut out = Vec::new();
         for _ in 0..5 {
-            r.drain_candidates(&mut out);
+            advance_and_drain(&r, &mut out);
         }
         assert!(out.is_empty(), "epoch cannot advance past a pinned slot");
         r.unpin(slot);
-        r.drain_candidates(&mut out);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(3, 1)]);
         r.unregister(slot);
+    }
+
+    #[test]
+    fn advance_scans_only_slots_ever_registered() {
+        let r = EpochReclaimer::new(1024);
+        let (a, b) = (r.register().unwrap(), r.register().unwrap());
+        r.unregister(a);
+        r.pin(b);
+        assert_eq!(r.slots_used.load(Ordering::SeqCst), 2);
+        assert_eq!(r.try_advance(), 2, "b announced the current epoch");
+        assert_eq!(r.try_advance(), 2, "b, the highest slot, now lags");
+        r.unpin(b);
+        r.unregister(b);
     }
 
     #[test]
@@ -442,11 +571,10 @@ mod tests {
         // epoch, so it no longer holds grace back.
         r.pin(slot);
         let mut out = Vec::new();
-        r.drain_candidates(&mut out); // advances once; worker now lags
+        advance_and_drain(&r, &mut out); // advances once; worker now lags
         r.unpin(slot);
         r.pin(slot); // quiesced + repinned at the newer epoch
-        r.drain_candidates(&mut out);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(9, 0)]);
         r.unpin(slot);
         r.unregister(slot);
@@ -462,12 +590,12 @@ mod tests {
         r.unpin(slot);
         let mut out = Vec::new();
         for _ in 0..4 {
-            r.drain_candidates(&mut out);
+            advance_and_drain(&r, &mut out);
         }
         assert!(out.is_empty(), "still pinned at depth 1");
         r.unpin(slot);
-        r.drain_candidates(&mut out);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(5, 0)]);
         r.unregister(slot);
     }
@@ -477,14 +605,14 @@ mod tests {
         let r = EpochReclaimer::new(4);
         r.retire(11, 2);
         let mut out = Vec::new();
-        r.drain_candidates(&mut out);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(11, 2)]);
         out.clear();
         r.requeue(11, 2);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
         assert!(out.is_empty(), "requeued chunk re-enters grace");
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(11, 2)]);
         assert_eq!(r.stats().retired, 1, "requeue does not double-count");
     }
@@ -493,13 +621,19 @@ mod tests {
     fn staged_chunks_wait_out_second_grace() {
         let r = EpochReclaimer::new(4);
         r.stage_verified(13);
+        r.try_advance();
         assert_eq!(r.harvest_verified(), 0, "one advance is not grace");
         assert_eq!(r.try_alloc(), None, "staged chunks are not yet allocatable");
-        assert_eq!(r.harvest_verified(), 1, "second advance completes the grace");
+        r.try_advance();
+        assert_eq!(
+            r.harvest_verified(),
+            1,
+            "second advance completes the grace"
+        );
         assert_eq!(r.try_alloc(), Some(13));
         let s = r.stats();
         assert_eq!(s.zombies_reclaimed, 1);
-        assert_eq!(s.staged_len, 0);
+        assert!(s.staged_len == 0 && !r.has_work());
     }
 
     #[test]
@@ -508,8 +642,7 @@ mod tests {
         r.retire(1, 0);
         r.stage_verified(2);
         let mut out = Vec::new();
-        r.pending_chunks(&mut out);
-        out.sort_unstable();
+        r.for_each_pending(|c| out.push(c));
         assert_eq!(out, vec![1, 2]);
     }
 
@@ -517,13 +650,16 @@ mod tests {
     fn deferred_tokens_wait_out_grace() {
         let r = EpochReclaimer::new(4);
         r.defer(0xdead_beef);
+        assert!(r.has_work(), "a deferred token is reclamation work too");
         let mut out = Vec::new();
+        r.try_advance();
         r.drain_deferred(&mut out);
         assert!(out.is_empty(), "one advance is not grace");
+        r.try_advance();
         r.drain_deferred(&mut out);
         assert_eq!(out, vec![0xdead_beef]);
         let s = r.stats();
-        assert_eq!(s.deferred_len, 0);
+        assert!(s.deferred_len == 0 && !r.has_work());
         assert_eq!(s.deferred_drained, 1);
     }
 
@@ -535,12 +671,14 @@ mod tests {
         r.defer(42);
         let mut out = Vec::new();
         for _ in 0..5 {
+            r.try_advance();
             r.drain_deferred(&mut out);
         }
         assert!(out.is_empty(), "pinned reader holds deferred grace back");
         assert_eq!(r.stats().deferred_len, 1);
         r.unpin(slot);
-        r.drain_deferred(&mut out);
+        r.try_advance();
+        r.try_advance();
         r.drain_deferred(&mut out);
         assert_eq!(out, vec![42]);
         r.unregister(slot);
@@ -568,7 +706,7 @@ mod tests {
             s.spawn(|| {
                 let mut out = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
-                    r.drain_candidates(&mut out);
+                    advance_and_drain(&r, &mut out);
                     for (c, _) in out.drain(..) {
                         r.recycle(c);
                     }
@@ -580,12 +718,13 @@ mod tests {
             stop.store(true, Ordering::Relaxed);
         });
         let mut out = Vec::new();
-        r.drain_candidates(&mut out);
-        r.drain_candidates(&mut out);
+        advance_and_drain(&r, &mut out);
+        advance_and_drain(&r, &mut out);
         for (c, _) in out.drain(..) {
             r.recycle(c);
         }
         let s = r.stats();
         assert_eq!(s.retired, s.zombies_reclaimed + s.limbo_len);
+        assert_eq!(r.has_work(), s.limbo_len > 0);
     }
 }

@@ -300,7 +300,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                     // retention crosses the high water and readers pay the
                     // sweep inside pin_version — the opposite of the
                     // flat-tail property this cell gates.
-                    if done % 1024 == 0 {
+                    if done.is_multiple_of(1024) {
                         h.reclaim_pass();
                     }
                 }
@@ -330,7 +330,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                 let ok = if ins { h.try_insert(k, k).is_ok() } else { h.try_remove(k).is_ok() };
                 if ok {
                     done += 1;
-                    if done % 1024 == 0 {
+                    if done.is_multiple_of(1024) {
                         h.reclaim_pass();
                     }
                 }

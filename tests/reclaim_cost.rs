@@ -1,0 +1,217 @@
+//! What zombie reclamation costs, and that it loses no chunk (DESIGN.md §12).
+//!
+//! A reclamation pass used to cost the same whether or not anything was
+//! pending: the head of all 32 levels read, every down-pointer of the
+//! parent level hashed into a fresh set to test a candidate or two, 1024
+//! epoch slots walked twice. On the single-handle sliding window below that
+//! was 164 chunk reads per chunk retired. A pass now visits the levels a
+//! merge flagged and marks a sorted batch by binary search; what remains
+//! per retired chunk is the certified walk of its parent level.
+
+use gfsl_repro::gfsl::{Gfsl, GfslParams, TeamSize};
+
+const WINDOW: u32 = 4096;
+const PAIRS: u32 = 16_384;
+
+/// One handle sliding a `WINDOW`-key window `PAIRS` steps up a bulk-built
+/// structure; returns the handle's chunk reads.
+fn slide(list: &Gfsl) -> u64 {
+    let mut h = list.handle();
+    for j in 0..PAIRS {
+        let next = WINDOW + 1 + j;
+        assert!(h.insert(next, j).unwrap());
+        assert!(h.remove(next - WINDOW));
+    }
+    h.stats().chunk_reads
+}
+
+fn window_list(reclaim: bool) -> Gfsl {
+    let params = GfslParams {
+        reclaim,
+        ..GfslParams::default()
+    };
+    Gfsl::from_sorted_pairs(params, (1..=WINDOW).map(|k| (k, k))).unwrap()
+}
+
+#[test]
+fn a_pass_costs_what_it_reclaims() {
+    let on = window_list(true);
+    let reads_on = slide(&on);
+    let reads_off = slide(&window_list(false));
+    let s = on.reclaim_stats().expect("reclamation on");
+
+    // The pipeline moves the same chunks on the same updates as when every
+    // sixteenth update ran a full pass: these are that build's counts.
+    assert_eq!(
+        (
+            s.retired,
+            s.zombies_reclaimed,
+            s.reused,
+            on.chunks_allocated()
+        ),
+        (1261, 1259, 1257, 324),
+        "{s:?}"
+    );
+    // Passes stop when the pipeline is empty (the first merge comes some
+    // way into the run), and the epoch with them: two advances a pass.
+    assert!(s.passes < u64::from(2 * PAIRS / 16), "{s:?}");
+    assert_eq!(s.epochs_advanced, 2 * s.passes, "{s:?}");
+    assert_eq!(
+        s.passes_skipped, 0,
+        "one handle never finds a pass in flight"
+    );
+    assert!((2..=8).contains(&s.backlog_high_water), "{s:?}");
+
+    let per_retired = (reads_on - reads_off) as f64 / s.retired as f64;
+    println!(
+        "chunk reads {reads_on} with reclamation, {reads_off} without: {per_retired:.1} per \
+         retired chunk; {} passes scanned {} parent chunks",
+        s.passes, s.parent_chunks_scanned
+    );
+    assert!(
+        per_retired <= 80.0,
+        "{per_retired:.1} chunk reads per retired chunk"
+    );
+    // What is left is the parent-level walk, each chunk read twice to
+    // certify it.
+    assert!(2 * s.parent_chunks_scanned <= reads_on - reads_off);
+    assert!(3 * s.parent_chunks_scanned >= reads_on - reads_off, "{s:?}");
+}
+
+#[test]
+fn an_idle_list_runs_no_pass_and_keeps_its_epoch() {
+    // Splits only: nothing is ever retired.
+    let list = Gfsl::new(GfslParams::default()).unwrap();
+    let mut h = list.handle();
+    for k in 1..=10_000u32 {
+        assert!(h.insert(k, k).unwrap());
+    }
+    assert!(h.stats().splits > 100);
+    let s = list.reclaim_stats().unwrap();
+    assert_eq!(
+        (s.passes, s.epochs_advanced, s.backlog_high_water),
+        (0, 0, 0)
+    );
+}
+
+/// Every chunk ever handed out is in exactly one place: linked into a
+/// level (live, or a zombie not yet unlinked), on the free list, or in one
+/// of the reclaimer's two grace queues.
+fn assert_no_chunk_lost(list: &Gfsl, what: &str) {
+    let (live, zombies) = list.linked_chunks();
+    let s = list.reclaim_stats().expect("reclamation on");
+    assert_eq!(
+        u64::from(list.chunks_allocated()),
+        live + zombies + s.free_len + s.limbo_len + s.staged_len,
+        "{what}: {live} live and {zombies} zombie chunks linked, {s:?}"
+    );
+}
+
+/// Passes until the pipeline stops moving.
+fn drain(list: &Gfsl) {
+    let mut h = list.handle();
+    for _ in 0..8 {
+        h.reclaim_pass();
+    }
+}
+
+fn small(keys: u32) -> Gfsl {
+    let params = GfslParams {
+        team_size: TeamSize::Sixteen,
+        pool_chunks: 4096,
+        ..GfslParams::default()
+    };
+    let list = Gfsl::new(params).unwrap();
+    let mut h = list.handle();
+    for k in 1..=keys {
+        assert!(h.insert(k, k).unwrap());
+    }
+    drop(h);
+    list
+}
+
+#[test]
+fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
+    // A window sliding up: every zombie is born at the head edge of its
+    // level, as the first chunk or right behind it.
+    let list = small(2_000);
+    let mut h = list.handle();
+    for k in 1..=1_500u32 {
+        assert!(h.remove(k));
+        assert!(h.insert(2_000 + k, k).unwrap());
+    }
+    drop(h);
+    drain(&list);
+    assert_no_chunk_lost(&list, "sliding window");
+    assert_eq!(list.linked_chunks().1, 0, "the sweep reached every head edge");
+    assert!(list.reclaim_stats().unwrap().zombies_reclaimed > 200);
+
+    // A level that empties with a zombie parked at its head. Level 1 is
+    // two chunks; removing its keys in order merges the first into the
+    // second, then empties that one too, all inside one period of a fresh
+    // handle: no pass runs in between, and when one does the level holds
+    // no key. Only the sweep unlinks a zombie there, and it goes there only
+    // because the merge flagged the level.
+    let list = small(0);
+    let mut h = list.handle();
+    let mut n = 0;
+    while list.shape().levels[1].live_chunks < 2 {
+        n += 1;
+        assert!(h.insert(n, n).unwrap());
+    }
+    drop(h);
+    let index = list.level_keys(1);
+    assert!(index.len() < 16, "one period: {index:?}");
+    let mut h = list.handle();
+    for &k in &index {
+        assert!(h.remove(k));
+    }
+    drop(h);
+    let s = list.reclaim_stats().unwrap();
+    assert_eq!((s.passes, s.retired), (0, 0), "{s:?}");
+    assert!(list.level_keys(1).is_empty());
+    assert_eq!(
+        list.linked_chunks().1,
+        1,
+        "level 1: its old first chunk, then an empty one"
+    );
+    drain(&list);
+    assert_no_chunk_lost(&list, "emptied level");
+    assert_eq!(list.linked_chunks().1, 0, "an empty level is swept when flagged");
+    assert_eq!(list.reclaim_stats().unwrap().retired, 1);
+
+    // Emptied from the left, every level in turn.
+    let list = small(2_000);
+    let mut h = list.handle();
+    for k in 1..=2_000u32 {
+        assert!(h.remove(k));
+    }
+    drop(h);
+    assert_eq!(list.height(), 0);
+    drain(&list);
+    assert_no_chunk_lost(&list, "emptied from the left");
+    assert_eq!(list.linked_chunks().1, 0);
+
+    // Emptied from the right: the last chunk of a level never merges, so
+    // each chunk left of it dies into it, mid-level, where the next
+    // traversal unlinks it.
+    let list = small(2_000);
+    let mut h = list.handle();
+    for k in (1..=2_000u32).rev() {
+        assert!(h.remove(k));
+    }
+    drop(h);
+    drain(&list);
+    assert_no_chunk_lost(&list, "emptied from the right");
+
+    // Every other key gone, then the rest: merges all over every level.
+    let list = small(2_000);
+    let mut h = list.handle();
+    for k in (1..=2_000u32).step_by(2).chain((2..=2_000).step_by(2)) {
+        assert!(h.remove(k));
+    }
+    drop(h);
+    drain(&list);
+    assert_no_chunk_lost(&list, "emptied in two sweeps");
+    list.assert_valid();
+}
