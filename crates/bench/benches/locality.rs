@@ -10,8 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gfsl::{
-    BallotKernel, BatchOp, BatchReply, FlatSkiplist, Gfsl, GfslParams, KvEngine, Prefetch,
-    TeamSize,
+    BatchOp, BatchReply, FlatSkiplist, Gfsl, GfslParams, KvEngine, Prefetch, TeamSize,
 };
 use gfsl_workload::{Prefill, SplitMix64};
 
@@ -30,7 +29,6 @@ const GRID: [(&str, bool, bool, Prefetch); 3] = [
 
 fn built(hints: bool, fingers: bool, prefetch: Prefetch, reclaim: bool, expected: u64) -> Gfsl {
     let list = Gfsl::new(GfslParams {
-        kernel: BallotKernel::Swar,
         hints,
         fingers,
         prefetch,
@@ -74,8 +72,7 @@ fn bench_locality(c: &mut Criterion) {
         // fingers, so this measures validation + partial-restart cost.
         const WINDOW: u32 = 4_096;
         let list = Gfsl::new(GfslParams {
-            kernel: BallotKernel::Swar,
-            hints,
+                hints,
             fingers,
             prefetch,
             reclaim: true,
@@ -98,7 +95,7 @@ fn bench_locality(c: &mut Criterion) {
     }
 
     // Flat-bottom engine on the same two shapes, through the KvEngine seam.
-    let flat = FlatSkiplist::new(BallotKernel::Swar);
+    let flat = FlatSkiplist::new();
     let mut h = flat.handle();
     for k in Prefill::HalfRandom.keys(RANGE, 5) {
         h.insert(k, k);
@@ -117,7 +114,7 @@ fn bench_locality(c: &mut Criterion) {
     });
 
     const WINDOW: u32 = 4_096;
-    let flat = FlatSkiplist::new(BallotKernel::Swar);
+    let flat = FlatSkiplist::new();
     let mut h = flat.handle();
     for k in 1..=WINDOW {
         h.insert(k, k);

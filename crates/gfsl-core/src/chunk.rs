@@ -15,8 +15,8 @@
 //! last chunk of every level has `max = ∞` and `next = NIL`.
 
 use gfsl_gpu_mem::probe::CrashPoint;
-use gfsl_gpu_mem::{MemProbe, WordAddr, WordPool};
-use gfsl_simt::{LaneId, Lanes, Team, WARP_SIZE};
+use gfsl_gpu_mem::{MemProbe, WordAddr, WordPool, WordSpan};
+use gfsl_simt::{vector, Ballot, LaneId, Team, TeamSize, WarpRegs, WARP_SIZE};
 
 /// The `-∞` key stored in the first chunk of every level. Distinct from all
 /// user keys.
@@ -116,22 +116,47 @@ impl ChunkRef {
 /// instruction: each lane's load is individually atomic, the combination is
 /// a point-in-time-per-word snapshot only — exactly what the GPU provides
 /// and what the algorithm is designed to tolerate.
+///
+/// A view is 256 bytes. Traversals keep one or two of them as buffers and
+/// [`reload`](Self::reload) them in place, passing `&ChunkView` around;
+/// nothing on a traversal moves one by value.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkView {
-    regs: Lanes<u64>,
+    regs: WarpRegs,
 }
 
 impl ChunkView {
+    /// A buffer no read has filled yet (reads as an unlocked chunk whose
+    /// every key is `-∞`; only ever a [`reload`](Self::reload) target).
+    pub const BLANK: ChunkView = ChunkView { regs: [0; WARP_SIZE] };
+
     /// Read all `N` entries of the chunk at `ch` in one lockstep team read.
     #[inline]
     pub fn read<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) -> Self {
-        let mut addrs = [0u32; WARP_SIZE];
-        for (lane, a) in addrs.iter_mut().enumerate().take(team.lanes()) {
-            *a = ch.entry_addr(lane);
+        let mut view = ChunkView::BLANK;
+        view.reload(team, pool, probe, ch);
+        view
+    }
+
+    /// Overwrite this view with one lockstep team read of the chunk at
+    /// `ch`: one probe event and one bounds check for the chunk, then one
+    /// `Acquire` load per lane in ascending lane order, so the LOCK lane is
+    /// read after every other lane (what certifying a view against its own
+    /// lock word rests on).
+    #[inline]
+    pub fn reload<P: MemProbe>(&mut self, team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
+        match team.size() {
+            TeamSize::Sixteen => self.reload_lanes::<16, P>(pool, probe, ch),
+            TeamSize::ThirtyTwo => self.reload_lanes::<32, P>(pool, probe, ch),
         }
-        probe.warp_read(&addrs[..team.lanes()]);
-        let regs = team.each_lane(|lane| pool.read(ch.entry_addr(lane)));
-        ChunkView { regs }
+    }
+
+    #[inline(always)]
+    fn reload_lanes<const N: usize, P: MemProbe>(&mut self, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
+        let addrs: [WordAddr; N] = std::array::from_fn(|lane| ch.entry_addr(lane));
+        probe.warp_read(&addrs);
+        let regs = self.regs.first_chunk_mut::<N>().expect("a team is at most a warp wide");
+        pool.read_words(ch.base, regs);
     }
 
     /// Build a view from lanes already captured elsewhere (an mvcc version
@@ -139,16 +164,15 @@ impl ChunkView {
     /// ballot machinery a live chunk read uses.
     #[inline]
     pub(crate) fn from_lanes(team: &Team, lanes: &[u64]) -> Self {
-        debug_assert_eq!(lanes.len(), team.lanes());
-        ChunkView {
-            regs: team.each_lane(|lane| lanes[lane]),
-        }
+        let mut view = ChunkView::BLANK;
+        view.regs[..team.lanes()].copy_from_slice(lanes);
+        view
     }
 
     /// Entry held by lane `lane`.
     #[inline]
     pub fn entry(&self, lane: LaneId) -> Entry {
-        Entry(self.regs.get(lane))
+        Entry(self.regs[lane])
     }
 
     /// The chunk's max field (key half of the NEXT entry).
@@ -167,7 +191,15 @@ impl ChunkView {
     /// Raw lock word.
     #[inline]
     pub fn lock_word(&self, team: &Team) -> u64 {
-        self.regs.get(team.lock_lane())
+        self.regs[team.lock_lane()]
+    }
+
+    /// The lock word, if it shows the chunk unlocked at read time (the
+    /// observation hints, fingers and certification record).
+    #[inline]
+    pub fn unlocked_word(&self, team: &Team) -> Option<u64> {
+        let word = self.lock_word(team);
+        (lock_state(word) == LOCK_UNLOCKED).then_some(word)
     }
 
     /// Was the chunk a zombie at read time?
@@ -185,8 +217,7 @@ impl ChunkView {
     /// Number of non-EMPTY data entries (cooperative `numKeysInChunk`).
     #[inline]
     pub fn num_keys(&self, team: &Team) -> u32 {
-        team.ballot(|lane| team.is_data_lane(lane) && !self.entry(lane).is_empty())
-            .count()
+        self.keys_le(team, KEY_INF - 1).count()
     }
 
     /// Does the chunk's data array contain `k`? (cooperative
@@ -201,8 +232,7 @@ impl ChunkView {
     /// the authoritative one (paper §4.2.2).
     #[inline]
     pub fn lane_of_key(&self, team: &Team, k: u32) -> Option<LaneId> {
-        team.ballot(|lane| team.is_data_lane(lane) && self.entry(lane).key() == k)
-            .highest()
+        self.keys_eq(team, k).highest()
     }
 
     /// Is the chunk *not* enclosing `k`: a zombie, or `max < k`
@@ -219,12 +249,29 @@ impl ChunkView {
             .filter(|(_, e)| !e.is_empty())
     }
 
-    /// The raw data words (lanes `0..DSIZE`) as a slice, for the vectorized
-    /// ballot kernels ([`gfsl_simt::BallotKernel`]): bit `i` of a kernel mask
-    /// over this slice is lane `i`'s vote.
+    /// DATA lanes whose key is `<= k`, as one ballot over the whole view
+    /// (see [`gfsl_simt::vector`]); bit `i` is lane `i`'s vote.
     #[inline]
-    pub fn data_words(&self, team: &Team) -> &[u64] {
-        &self.regs.as_slice()[..team.dsize()]
+    pub fn keys_le(&self, team: &Team, k: u32) -> Ballot {
+        vector::keys_le(team.size(), &self.regs, k)
+    }
+
+    /// DATA lanes whose key is `== k`.
+    #[inline]
+    pub fn keys_eq(&self, team: &Team, k: u32) -> Ballot {
+        vector::keys_eq(team.size(), &self.regs, k)
+    }
+
+    /// DATA lanes holding a live user key (neither `-∞` nor EMPTY).
+    #[inline]
+    pub fn keys_live(&self, team: &Team) -> Ballot {
+        vector::keys_live(team.size(), &self.regs)
+    }
+
+    /// DATA lanes holding a live user key in `[lo, hi]`.
+    #[inline]
+    pub fn keys_in_range(&self, team: &Team, lo: u32, hi: u32) -> Ballot {
+        vector::keys_in_range(team.size(), &self.regs, lo, hi)
     }
 }
 
@@ -300,19 +347,14 @@ pub mod ops {
         pool.write(addr, (cur & !LOCK_STATE_MASK) | LOCK_ZOMBIE);
     }
 
-    /// Atomically overwrite data entry `lane` (the paper's per-lane
-    /// `AtomicWrite` used by the shift loops).
+    /// Atomically overwrite data entry `lane` of the chunk whose words are
+    /// `words` (the paper's per-lane `AtomicWrite` used by the shift and
+    /// copy loops, which take the chunk's [`WordSpan`] once and store
+    /// through it lane by lane).
     #[inline]
-    pub fn write_entry<P: MemProbe>(
-        pool: &WordPool,
-        probe: &mut P,
-        ch: ChunkRef,
-        lane: LaneId,
-        e: Entry,
-    ) {
-        let addr = ch.entry_addr(lane);
-        probe.lane_write(addr);
-        pool.write(addr, e.0);
+    pub fn write_entry<P: MemProbe>(probe: &mut P, words: WordSpan<'_>, lane: LaneId, e: Entry) {
+        probe.lane_write(words.addr(lane));
+        words.write(lane, e.0);
     }
 
     /// Atomically set the NEXT entry: `(max, next)` in a single 64-bit store.
@@ -399,6 +441,53 @@ mod tests {
         assert!(!v.is_zombie(&team));
         assert!(!v.is_locked(&team));
         assert_eq!(v.num_keys(&team), 2);
+    }
+
+    /// One team read is exactly `lanes` word loads, at ascending addresses,
+    /// the LOCK lane's last: a view can be certified against its own lock
+    /// word only because every data lane was loaded before it, and the
+    /// model checker interleaves other teams between exactly these loads.
+    #[test]
+    fn a_team_read_loads_each_lane_once_in_order_lock_lane_last() {
+        use gfsl_gpu_mem::schedule::{self, AccessKind, SchedHook};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Recorder(Mutex<Vec<(AccessKind, WordAddr)>>);
+        impl SchedHook for Recorder {
+            fn yield_point(&self, kind: AccessKind, addr: WordAddr) {
+                self.0.lock().unwrap().push((kind, addr));
+            }
+            fn wait_hint(&self, _: WordAddr) {}
+        }
+
+        // The crate's tests build the pool with `sched` (dev-dependency), so
+        // every word access below reports to the hook.
+        for size in [TeamSize::Sixteen, TeamSize::ThirtyTwo] {
+            let team = Team::new(size);
+            let pool = WordPool::new(4 * team.lanes());
+            let ch = ChunkRef { base: 2 * team.lanes() as u32 };
+            let rec = Arc::new(Recorder::default());
+            let mut view = ChunkView::BLANK;
+            {
+                let _hooked = schedule::register(rec.clone());
+                view.reload(&team, &pool, &mut NoProbe, ch);
+            }
+            let want: Vec<_> = (0..team.lanes())
+                .map(|lane| (AccessKind::Load, ch.entry_addr(lane)))
+                .collect();
+            assert_eq!(*rec.0.lock().unwrap(), want, "{size}-lane team");
+            assert_eq!(want.last().unwrap().1, ops::lock_addr(&team, ch));
+        }
+    }
+
+    /// A chunk index past the pool (what following a NIL or recycled pointer
+    /// amounts to) stops at the pool's bounds check.
+    #[test]
+    #[should_panic(expected = "index out of bounds: the pool holds 1024 words")]
+    fn reading_a_chunk_past_the_pool_panics() {
+        let (team, pool) = setup();
+        let _ = ChunkView::read(&team, &pool, &mut NoProbe, ChunkRef { base: 1024 - 8 });
     }
 
     #[test]

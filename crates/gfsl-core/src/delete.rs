@@ -43,8 +43,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if found.found.is_none() {
             return false;
         }
-        let (p_bottom, bview) = self.find_and_lock_enclosing(path[0], k);
-        if bview.lane_of_key(&team, k).is_none() {
+        let mut view = ChunkView::BLANK;
+        let p_bottom = self.find_and_lock_enclosing(path[0], k, &mut view);
+        if view.lane_of_key(&team, k).is_none() {
             // Lost the race to another deleter. Decided under the bottom
             // lock, so the outcome survives a crash in the unlock below.
             self.journal.committed = Some(Commit::Removed(false));
@@ -61,21 +62,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if probe_result.found.is_none() {
                 continue; // k was never raised this high
             }
-            let (p_enc, eview) = self.find_and_lock_enclosing(probe_result.enclosing, k);
-            if eview.lane_of_key(&team, k).is_none() {
+            let p_enc = self.find_and_lock_enclosing(probe_result.enclosing, k, &mut view);
+            if view.lane_of_key(&team, k).is_none() {
                 // Cannot happen while we hold k's bottom lock (no other team
                 // may update k), but a defensive unlock is free.
                 self.unlock(p_enc);
                 continue;
             }
-            self.remove_from_chunk(k, p_enc, &eview, level);
+            self.remove_from_chunk(k, p_enc, &view, level);
         }
 
         // Finally remove from the bottom level; only then is k logically
         // gone from the structure.
-        let bview = self.read_chunk(p_bottom);
-        debug_assert!(bview.lane_of_key(&team, k).is_some());
-        self.remove_from_chunk(k, p_bottom, &bview, 0);
+        self.read_chunk_into(p_bottom, &mut view);
+        debug_assert!(view.lane_of_key(&team, k).is_some());
+        self.remove_from_chunk(k, p_bottom, &view, 0);
         true
     }
 
@@ -141,7 +142,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     match self.split_remove(p_next, &nview, level) {
                         Ok(()) => {
                             self.list.inc_level_chunks(level);
-                            nview = self.read_chunk(p_next);
+                            self.read_chunk_into(p_next, &mut nview);
                         }
                         Err(_) => {
                             // Pool exhausted: degrade to a merge-free remove.
@@ -202,7 +203,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let idx = view
             .lane_of_key(&team, k)
             .expect("removing a key that is not in the locked chunk");
-        let ch = self.list.chunk(p_enc);
+        let ch = self.list.chunk_words(p_enc);
 
         if view.max(&team) == k {
             let new_max = if idx == 0 {
@@ -214,7 +215,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 &team,
                 &self.list.pool,
                 &mut self.probe,
-                ch,
+                self.list.chunk(p_enc),
                 new_max,
                 view.next(&team),
             );
@@ -226,7 +227,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut cleared = false;
         for i in idx + 1..team.dsize() {
             let e = view.entry(i);
-            ops::write_entry(&self.list.pool, &mut self.probe, ch, i - 1, e);
+            ops::write_entry(&mut self.probe, ch, i - 1, e);
             if e.is_empty() {
                 cleared = true;
                 break;
@@ -235,13 +236,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if !cleared {
             // k sat in (or the shift reached) the final data slot: the NEXT
             // lane empties it explicitly (no lane to its right to do so).
-            ops::write_entry(
-                &self.list.pool,
-                &mut self.probe,
-                ch,
-                team.dsize() - 1,
-                Entry::EMPTY,
-            );
+            ops::write_entry(&mut self.probe, ch, team.dsize() - 1, Entry::EMPTY);
         }
     }
 
@@ -254,7 +249,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// interleaved into that window misses a present key.
     fn execute_remove_shift_reverted(&mut self, p_enc: u32, view: &ChunkView, idx: usize) {
         let team = self.list.team;
-        let ch = self.list.chunk(p_enc);
+        let ch = self.list.chunk_words(p_enc);
         let mut end = team.dsize();
         for i in idx + 1..team.dsize() {
             if view.entry(i).is_empty() {
@@ -263,16 +258,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
         }
         for i in (idx + 1..end).rev() {
-            ops::write_entry(&self.list.pool, &mut self.probe, ch, i - 1, view.entry(i));
+            ops::write_entry(&mut self.probe, ch, i - 1, view.entry(i));
         }
         if end == team.dsize() {
-            ops::write_entry(
-                &self.list.pool,
-                &mut self.probe,
-                ch,
-                team.dsize() - 1,
-                Entry::EMPTY,
-            );
+            ops::write_entry(&mut self.probe, ch, team.dsize() - 1, Entry::EMPTY);
         }
     }
 
@@ -310,9 +299,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // The dying chunk held only k: nothing moves.
             return moved;
         }
-        let ch = self.list.chunk(p_next);
+        let ch = self.list.chunk_words(p_next);
         for j in (0..m).rev() {
-            ops::write_entry(&self.list.pool, &mut self.probe, ch, j, merged[j]);
+            ops::write_entry(&mut self.probe, ch, j, merged[j]);
         }
         moved
     }

@@ -25,6 +25,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if upper >= self.list.params.max_levels() {
             return;
         }
+        let mut uview = ChunkView::BLANK;
         for &mk in moved {
             // -∞ migrates like any key but has index entries only in the
             // sentinels' entry 0; fixing those is covered by the same logic.
@@ -36,7 +37,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if found.found.is_none() {
                 continue; // key was never raised (p_chunk < 1) or already removed
             }
-            let (p_upper, uview) = self.find_and_lock_enclosing(found.enclosing, mk);
+            let p_upper = self.find_and_lock_enclosing(found.enclosing, mk, &mut uview);
             if let Some(lane) = uview.lane_of_key(&team, mk) {
                 // The key must still be reachable from the destination chunk
                 // (it may have moved again); only then is the new pointer an
@@ -44,9 +45,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 if self.search_lateral(mk, lower_moved_ch).found.is_some() {
                     self.probe.crash_point(CrashPoint::DownPtrInstall);
                     ops::write_entry(
-                        &self.list.pool,
                         &mut self.probe,
-                        self.list.chunk(p_upper),
+                        self.list.chunk_words(p_upper),
                         lane,
                         Entry::new(mk, lower_moved_ch),
                     );
@@ -63,16 +63,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `target`.
     pub(crate) fn search_down_to_level(&mut self, target: usize, k: u32) -> Option<u32> {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
+        // Swapped on every lateral step, as in `descend`.
+        let mut views = [ChunkView::BLANK; 2];
+        let mut at = 0;
         'restart: loop {
             let mut height = self.list.height();
             if height < target {
                 return None;
             }
-            let mut prev: Option<(u32, ChunkView)> = None;
+            // Stepped laterally from the chunk whose view is `views[at ^ 1]`.
+            let mut stepped = false;
             let mut cur = self.list.head_of(height);
             while height > target {
-                let view = self.read_chunk(cur);
+                self.read_chunk_into(cur, &mut views[at]);
+                let view = &views[at];
                 if view.is_zombie(&team) {
                     let next = view.next(&team);
                     if next == NIL {
@@ -82,32 +86,35 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     cur = next;
                     continue;
                 }
-                match tid_for_next_step(kernel, &team, k, &view) {
+                match tid_for_next_step(&team, k, view) {
                     NextStep::Lateral => {
-                        prev = Some((cur, view));
+                        stepped = true;
                         cur = view.next(&team);
+                        at ^= 1;
                     }
                     NextStep::Down(lane) => {
                         height -= 1;
-                        prev = None;
+                        stepped = false;
                         cur = view.entry(lane).val();
                     }
-                    NextStep::Backtrack => match prev.take() {
-                        None => {
-                            self.stats.search_restarts += 1;
-                            continue 'restart;
+                    NextStep::Backtrack => {
+                        let pview = &views[at ^ 1];
+                        let down = if std::mem::take(&mut stepped) {
+                            down_step_lane(&team, k, pview)
+                        } else {
+                            None
+                        };
+                        match down {
+                            Some(l) => {
+                                height -= 1;
+                                cur = pview.entry(l).val();
+                            }
+                            None => {
+                                self.stats.search_restarts += 1;
+                                continue 'restart;
+                            }
                         }
-                        Some((_, pview)) => {
-                            height -= 1;
-                            cur = match down_step_lane(kernel, &team, k, &pview) {
-                                Some(l) => pview.entry(l).val(),
-                                None => {
-                                    self.stats.search_restarts += 1;
-                                    continue 'restart;
-                                }
-                            };
-                        }
-                    },
+                    }
                 }
             }
             return Some(cur);

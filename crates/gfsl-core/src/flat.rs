@@ -9,12 +9,10 @@
 //! hundreds of entries into each bottom node so the lateral chain almost
 //! disappears, and keep a sparse skip index above for the descent.
 //!
-//! [`FlatSkiplist`] is that bet behind the same runtime-knob boundary the
-//! [`BallotKernel`] knob established: a second engine, off by default,
-//! judged head-to-head against the chunked GFSL in the hotpath experiment
-//! grid. The position vote inside a fat leaf is [`BallotKernel::rank_le`]
-//! — a rank (count of keys `<= k`) rather than a 32-lane ballot mask, so
-//! both the scalar oracle and the SWAR kernel drive it.
+//! [`FlatSkiplist`] is that bet as a second engine, off by default, judged
+//! head-to-head against the chunked GFSL in the hotpath experiment grid.
+//! The position vote inside a fat leaf is [`rank_le`] — a rank (count of
+//! keys `<= k`) rather than a 32-lane ballot mask.
 //!
 //! ## Concurrency
 //!
@@ -48,7 +46,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
-use gfsl_simt::BallotKernel;
+use gfsl_simt::vector::rank_le;
 use parking_lot::{Mutex, RwLock};
 
 use crate::chunk::is_user_key;
@@ -153,7 +151,7 @@ impl<P: MemProbe> KvEngine for GfslHandle<'_, P> {
 }
 
 /// One fat leaf: a sorted run of packed `(val << 32) | key` words (same
-/// encoding as a GFSL data word, so [`BallotKernel::rank_le`] reads the
+/// encoding as a GFSL data word, so [`rank_le`] reads the
 /// low half), dense — no EMPTY sentinels, `len()` live entries.
 #[derive(Debug)]
 struct Leaf {
@@ -214,7 +212,6 @@ pub struct FlatShape {
 /// [`FlatSkiplist::handle`] and drives ops through [`KvEngine`].
 #[derive(Debug)]
 pub struct FlatSkiplist {
-    kernel: BallotKernel,
     leaf_cap: usize,
     /// Sorted fence array: leaf `i` covers keys in `[fence[i], fence[i+1])`
     /// (last leaf is unbounded above). `fence[0] == 0` always, so every
@@ -226,18 +223,23 @@ pub struct FlatSkiplist {
     merges: AtomicU64,
 }
 
+impl Default for FlatSkiplist {
+    fn default() -> Self {
+        FlatSkiplist::new()
+    }
+}
+
 impl FlatSkiplist {
-    /// An empty engine voting with `kernel`, default leaf capacity.
-    pub fn new(kernel: BallotKernel) -> FlatSkiplist {
-        FlatSkiplist::with_leaf_cap(kernel, FLAT_LEAF_CAP)
+    /// An empty engine, default leaf capacity.
+    pub fn new() -> FlatSkiplist {
+        FlatSkiplist::with_leaf_cap(FLAT_LEAF_CAP)
     }
 
     /// An empty engine with an explicit leaf capacity (tests use tiny
     /// capacities to force structural churn).
-    pub fn with_leaf_cap(kernel: BallotKernel, leaf_cap: usize) -> FlatSkiplist {
+    pub fn with_leaf_cap(leaf_cap: usize) -> FlatSkiplist {
         assert!(leaf_cap >= 2, "leaf capacity must allow a split");
         FlatSkiplist {
-            kernel,
             leaf_cap,
             index: RwLock::new(vec![(
                 0,
@@ -396,7 +398,7 @@ impl KvEngine for FlatHandle<'_> {
     fn get(&mut self, k: u32) -> Option<u32> {
         let index = self.list.index_read();
         let entries = lock_leaf(&index[FlatSkiplist::pos(&index, k)].1);
-        let r = self.list.kernel.rank_le(&entries, k);
+        let r = rank_le(&entries, k);
         match r.checked_sub(1).map(|i| entries[i]) {
             Some(e) if e as u32 == k => Some((e >> 32) as u32),
             _ => None,
@@ -409,7 +411,7 @@ impl KvEngine for FlatHandle<'_> {
             {
                 let index = self.list.index_read();
                 let mut entries = lock_leaf(&index[FlatSkiplist::pos(&index, k)].1);
-                let r = self.list.kernel.rank_le(&entries, k);
+                let r = rank_le(&entries, k);
                 if r > 0 && entries[r - 1] as u32 == k {
                     return false;
                 }
@@ -427,7 +429,7 @@ impl KvEngine for FlatHandle<'_> {
         let emptied = {
             let index = self.list.index_read();
             let mut entries = lock_leaf(&index[FlatSkiplist::pos(&index, k)].1);
-            let r = self.list.kernel.rank_le(&entries, k);
+            let r = rank_le(&entries, k);
             if r == 0 || entries[r - 1] as u32 != k {
                 return false;
             }
@@ -455,8 +457,8 @@ impl KvEngine for FlatHandle<'_> {
                 break;
             }
             let entries = lock_leaf(leaf);
-            let from = if lo == 0 { 0 } else { self.list.kernel.rank_le(&entries, lo - 1) };
-            let to = self.list.kernel.rank_le(&entries, hi);
+            let from = if lo == 0 { 0 } else { rank_le(&entries, lo - 1) };
+            let to = rank_le(&entries, hi);
             out.extend(entries[from..to].iter().map(|&e| (e as u32, (e >> 32) as u32)));
         }
         out
@@ -469,7 +471,7 @@ mod tests {
 
     #[test]
     fn basic_ops_and_duplicates() {
-        let list = FlatSkiplist::new(BallotKernel::Swar);
+        let list = FlatSkiplist::new();
         let mut h = list.handle();
         assert!(h.insert(10, 100));
         assert!(!h.insert(10, 999), "duplicate rejected");
@@ -483,7 +485,7 @@ mod tests {
 
     #[test]
     fn splits_keep_order_and_coverage() {
-        let list = FlatSkiplist::with_leaf_cap(BallotKernel::Swar, 8);
+        let list = FlatSkiplist::with_leaf_cap(8);
         let mut h = list.handle();
         // Shuffled inserts force splits at several fences.
         for k in (1..=500u32).rev() {
@@ -502,7 +504,7 @@ mod tests {
 
     #[test]
     fn removals_retire_empty_leaves() {
-        let list = FlatSkiplist::with_leaf_cap(BallotKernel::Scalar, 4);
+        let list = FlatSkiplist::with_leaf_cap(4);
         let mut h = list.handle();
         for k in 1..=100u32 {
             h.insert(k, k);
@@ -521,7 +523,7 @@ mod tests {
 
     #[test]
     fn range_spans_leaves_sorted() {
-        let list = FlatSkiplist::with_leaf_cap(BallotKernel::Swar, 8);
+        let list = FlatSkiplist::with_leaf_cap(8);
         let mut h = list.handle();
         for k in 1..=300u32 {
             h.insert(k * 3, k);
@@ -531,27 +533,5 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(h.range(10, 5), vec![], "inverted bounds");
         assert_eq!(h.range(1, u32::MAX - 1).len(), 300);
-    }
-
-    #[test]
-    fn kernels_agree_on_flat_ops() {
-        let scalar = FlatSkiplist::with_leaf_cap(BallotKernel::Scalar, 16);
-        let swar = FlatSkiplist::with_leaf_cap(BallotKernel::Swar, 16);
-        let (mut a, mut b) = (scalar.handle(), swar.handle());
-        let mut x = 0x243F_6A88u32; // deterministic xorshift
-        for _ in 0..4_000 {
-            x ^= x << 13;
-            x ^= x >> 17;
-            x ^= x << 5;
-            let k = x % 512 + 1;
-            match x % 3 {
-                0 => assert_eq!(a.insert(k, x), b.insert(k, x)),
-                1 => assert_eq!(a.remove(k), b.remove(k)),
-                _ => assert_eq!(a.get(k), b.get(k)),
-            }
-        }
-        assert_eq!(a.range(1, 600), b.range(1, 600));
-        scalar.assert_valid();
-        swar.assert_valid();
     }
 }

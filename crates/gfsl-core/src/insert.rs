@@ -155,11 +155,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let team = self.list.team;
         let view = self.read_chunk(p_bottom);
         if marked & 1 != 0 {
-            let min = self
-                .list
-                .params
-                .kernel
-                .keys_live(view.data_words(&team))
+            let min = view
+                .keys_live(&team)
                 .lowest()
                 .map_or(k, |lane| view.entry(lane).key());
             self.stats.index_heals += 1;
@@ -207,15 +204,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     fn upsert_pinned(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
         let team = self.list.team;
+        let mut view = ChunkView::BLANK;
         loop {
             let (_, path) = self.search_slow(k);
-            let (p_bottom, view) = self.find_and_lock_enclosing(path[0], k);
+            let p_bottom = self.find_and_lock_enclosing(path[0], k, &mut view);
             if let Some(lane) = view.lane_of_key(&team, k) {
                 let old = view.entry(lane).val();
                 ops::write_entry(
-                    &self.list.pool,
                     &mut self.probe,
-                    self.list.chunk(p_bottom),
+                    self.list.chunk_words(p_bottom),
                     lane,
                     Entry::new(k, v),
                 );
@@ -244,7 +241,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         v: u32,
     ) -> Result<LevelOutcome, Error> {
         let team = self.list.team;
-        let (p_enc, view) = self.find_and_lock_enclosing(start, k);
+        let mut view = ChunkView::BLANK;
+        let p_enc = self.find_and_lock_enclosing(start, k, &mut view);
         if view.contains_key(&team, k) {
             return Ok(LevelOutcome::AlreadyPresent { locked: p_enc });
         }
@@ -290,14 +288,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         debug_assert!(view.lane_of_key(&team, k).is_none(), "inserting duplicate {k}");
         // Sorted + left-packed under the lock, so the insertion index is the
         // number of keys smaller than k (k >= 1, so `< k` is `<= k-1`).
-        let insert_idx = self
-            .list
-            .params
-            .kernel
-            .keys_le(view.data_words(&team), k - 1)
-            .count() as usize;
+        let insert_idx = view.keys_le(&team, k - 1).count() as usize;
         debug_assert!(insert_idx < team.dsize(), "chunk was full");
-        let ch = self.list.chunk(p_enc);
+        let ch = self.list.chunk_words(p_enc);
         for i in (insert_idx..team.dsize()).rev() {
             let e = if i == insert_idx {
                 Entry::new(k, v)
@@ -305,7 +298,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 view.entry(i - 1)
             };
             if !e.is_empty() {
-                ops::write_entry(&self.list.pool, &mut self.probe, ch, i, e);
+                ops::write_entry(&mut self.probe, ch, i, e);
             }
         }
     }

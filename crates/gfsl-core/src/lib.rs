@@ -120,10 +120,6 @@ pub use gfsl_gpu_mem::{MemProbe, NoProbe};
 /// Re-exported team-size selector (chunk format): 16 or 32 entries.
 pub use gfsl_simt::TeamSize;
 
-/// Re-exported ballot-kernel selector (scalar reference loop vs branch-free
-/// SWAR), the [`GfslParams::kernel`] knob.
-pub use gfsl_simt::BallotKernel;
-
 /// Re-exported software-prefetch policy, the [`GfslParams::prefetch`] knob.
 pub use gfsl_gpu_mem::Prefetch;
 

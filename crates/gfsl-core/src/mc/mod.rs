@@ -42,7 +42,6 @@ use std::sync::{Arc, Mutex};
 
 use gfsl_gpu_mem::schedule::{self, AccessKind, SchedHook};
 use gfsl_gpu_mem::NoProbe;
-use gfsl_simt::BallotKernel;
 
 use crate::flat::{FlatSkiplist, KvEngine};
 use crate::history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder};
@@ -344,7 +343,7 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
                 (results, failure)
             }
             Target::Flat { leaf_cap } => {
-                let list = FlatSkiplist::with_leaf_cap(BallotKernel::Scalar, *leaf_cap);
+                let list = FlatSkiplist::with_leaf_cap(*leaf_cap);
                 config.build_on(&mut list.handle());
                 let results = std::thread::scope(|s| {
                     let handles: Vec<_> = config

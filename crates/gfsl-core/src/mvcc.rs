@@ -684,7 +684,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         f: &mut dyn FnMut(u32, u32),
     ) -> usize {
         let team = self.list().team;
-        let kernel = self.list().params.kernel;
         let mut cur = self.head0_at(v);
         let mut pending: Option<(u32, u32)> = None;
         let mut count = 0usize;
@@ -700,8 +699,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 cur = next;
                 continue;
             }
-            let words = view.data_words(&team);
-            let in_range = kernel.keys_in_range(words, lo, hi);
+            let in_range = view.keys_in_range(&team, lo, hi);
             for lane in 0..team.dsize() {
                 if !in_range.is_set(lane) {
                     continue;
@@ -720,8 +718,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 }
             }
             // Sorted data: any live key above `hi` ends the scan.
-            let live = kernel.keys_live(words).bits();
-            let le_hi = kernel.keys_le(words, hi).bits();
+            let live = view.keys_live(&team).bits();
+            let le_hi = view.keys_le(&team, hi).bits();
             if live & !le_hi != 0 {
                 break;
             }

@@ -1,7 +1,7 @@
 //! Tunable parameters of a GFSL instance.
 
 use gfsl_gpu_mem::Prefetch;
-use gfsl_simt::{BallotKernel, TeamSize};
+use gfsl_simt::TeamSize;
 
 /// Configuration for a [`crate::Gfsl`] instance.
 ///
@@ -25,11 +25,6 @@ pub struct GfslParams {
     pub pool_chunks: u32,
     /// Seed for the per-handle raise-coin RNG streams.
     pub seed: u64,
-    /// Which ballot kernel evaluates the chunk votes. [`BallotKernel::Swar`]
-    /// (default) is the branch-free hot path; [`BallotKernel::Scalar`] is
-    /// the per-lane reference loop kept as the differential oracle. Both
-    /// compute identical votes (proptested), so this is purely a speed knob.
-    pub kernel: BallotKernel,
     /// Enable the per-handle traversal hint cache: lock-free reads first try
     /// to start their bottom-level lateral walk at the last bottom chunk
     /// this handle touched (validated via the versioned lock word), falling
@@ -92,7 +87,6 @@ impl Default for GfslParams {
             merge_divisor: 3,
             pool_chunks: 1 << 16,
             seed: 0x9E37_79B9_7F4A_7C15,
-            kernel: BallotKernel::Swar,
             hints: false,
             fingers: false,
             prefetch: Prefetch::Off,

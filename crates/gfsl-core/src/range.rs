@@ -10,7 +10,7 @@
 
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{is_user_key, lock_state, NIL, LOCK_UNLOCKED};
+use crate::chunk::{is_user_key, ChunkView, NIL};
 use crate::skiplist::GfslHandle;
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
@@ -39,7 +39,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     fn range_pinned(&mut self, lo: u32, hi: u32, f: &mut dyn FnMut(u32, u32)) -> usize {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
         // Hinted start with the same walk budget as point lookups: chunks
         // left of `lo`'s enclosing chunk contribute nothing to the scan, so
         // a far-left hint would silently lengthen it by the whole gap.
@@ -47,24 +46,23 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut pending: Option<(u32, u32)> = None;
         let mut noted = false;
         let mut count = 0usize;
+        let mut view = ChunkView::BLANK;
         // Certified reads throughout: a torn single read racing a remove's
         // left-shift can miss a key that is present for the whole scan,
         // which the scan contract forbids.
-        while let Some((c, view)) = self.next_live_certified(cur) {
+        while let Some(c) = self.next_live_certified(cur, &mut view) {
             if !noted {
                 // The first live chunk encloses `lo`: cache it as the next
                 // scan's descent shortcut. A certified view's lock word was
                 // observed unlocked, but re-derive defensively.
                 noted = true;
-                let w = view.lock_word(&team);
-                self.note_hint(c, (lock_state(w) == LOCK_UNLOCKED).then_some(w));
+                self.note_hint(c, view.unlocked_word(&team));
             }
             // Foresight: the scan will almost always continue into the
             // successor, so start pulling it while this chunk's entries are
             // filtered and yielded.
             self.prefetch_chunk(view.next(&team));
-            let words = view.data_words(&team);
-            let in_range = kernel.keys_in_range(words, lo, hi);
+            let in_range = view.keys_in_range(&team, lo, hi);
             for lane in 0..team.dsize() {
                 if !in_range.is_set(lane) {
                     continue;
@@ -90,8 +88,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             // Data arrays are sorted, so a live key above `hi` means every
             // later chunk only holds larger keys: the scan is complete.
-            let live = kernel.keys_live(words).bits();
-            let le_hi = kernel.keys_le(words, hi).bits();
+            let live = view.keys_live(&team).bits();
+            let le_hi = view.keys_le(&team, hi).bits();
             if live & !le_hi != 0 {
                 break;
             }

@@ -125,16 +125,11 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 published: true,
             } if c == split => {
                 let view = self.read_chunk(c);
+                let words = self.list.chunk_words(c);
                 for i in (0..team.dsize()).rev() {
                     let e = view.entry(i);
                     if !e.is_empty() && e.key() > thresh {
-                        ops::write_entry(
-                            &self.list.pool,
-                            &mut self.probe,
-                            self.list.chunk(c),
-                            i,
-                            Entry::EMPTY,
-                        );
+                        ops::write_entry(&mut self.probe, words, i, Entry::EMPTY);
                     }
                 }
                 self.quarantine_unlock(c);

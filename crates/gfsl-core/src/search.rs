@@ -2,7 +2,7 @@
 //! path-recording `searchSlow` used by updates (paper §4.2.1–4.2.2).
 
 use gfsl_gpu_mem::MemProbe;
-use gfsl_simt::{Ballot, BallotKernel, LaneId, Team};
+use gfsl_simt::{Ballot, LaneId, Team};
 
 use crate::chunk::{ops, is_user_key, ChunkView, NIL};
 use crate::skiplist::{
@@ -29,14 +29,12 @@ pub enum NextStep {
 /// wins. EMPTY (∞) keys never vote because `k` is a user key `< ∞`; the
 /// `-∞` key always votes.
 ///
-/// The DATA-lane votes are evaluated by `kernel` as one branch-free mask
-/// over the chunk's packed words, then the NEXT lane's `max < k` vote is
-/// OR-ed in at its lane position. `BallotKernel::Scalar` reproduces the
-/// original per-lane closure ballot bit-for-bit (proptested in
-/// `gfsl_simt::vector`), so the kernel choice never changes a decision.
+/// The DATA-lane votes are evaluated as one branch-free mask over the
+/// chunk's packed words ([`ChunkView::keys_le`]), then the NEXT lane's
+/// `max < k` vote is OR-ed in at its lane position.
 #[inline]
-pub fn tid_for_next_step(kernel: BallotKernel, team: &Team, k: u32, view: &ChunkView) -> NextStep {
-    let data = kernel.keys_le(view.data_words(team), k).bits();
+pub fn tid_for_next_step(team: &Team, k: u32, view: &ChunkView) -> NextStep {
+    let data = view.keys_le(team, k).bits();
     let next = ((view.max(team) < k) as u32) << team.next_lane();
     match Ballot::from_bits(data | next).highest() {
         None => NextStep::Backtrack,
@@ -59,10 +57,10 @@ pub enum LateralStep {
 
 /// The cooperative `isTidWithEqualKey`: DATA lanes vote `key == k`, the
 /// NEXT lane votes `max < k`; the highest voting lane wins. DATA votes are
-/// one `kernel` mask, as in [`tid_for_next_step`].
+/// one mask, as in [`tid_for_next_step`].
 #[inline]
-pub fn tid_with_equal_key(kernel: BallotKernel, team: &Team, k: u32, view: &ChunkView) -> LateralStep {
-    let data = kernel.keys_eq(view.data_words(team), k).bits();
+pub fn tid_with_equal_key(team: &Team, k: u32, view: &ChunkView) -> LateralStep {
+    let data = view.keys_eq(team, k).bits();
     let next = ((view.max(team) < k) as u32) << team.next_lane();
     match Ballot::from_bits(data | next).highest() {
         None => LateralStep::NotFound,
@@ -117,31 +115,32 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// another chunk read: the validation bracket doubles as the negative-
     /// answer certification, so both `Found` and `NotFound` are immediate.
     pub(crate) fn hinted_lateral(&mut self, k: u32) -> LateralResult {
-        if let Some((c, view)) = self.hint_start(k) {
+        if let Some(c) = self.hint_start(k) {
+            // `hint_start` left the validated snapshot in `self.hint_view`.
             let team = self.list.team;
-            let kernel = self.list.params.kernel;
             // Foresight: under key-sorted dispatch the stream moves right,
             // so the hinted chunk's successor is the likely next touch —
             // warm it while the ballot decides.
-            self.prefetch_chunk(view.next(&team));
-            match tid_with_equal_key(kernel, &team, k, &view) {
+            let next = self.hint_view.next(&team);
+            self.prefetch_chunk(next);
+            // The validated word is unlocked by construction.
+            let word = Some(self.hint_view.lock_word(&team));
+            match tid_with_equal_key(&team, k, &self.hint_view) {
                 LateralStep::Found(lane) => {
-                    // The validated word is unlocked by construction.
                     return LateralResult {
                         enclosing: c,
-                        found: Some((lane, view.entry(lane).val())),
-                        word: Some(view.lock_word(&team)),
+                        found: Some((lane, self.hint_view.entry(lane).val())),
+                        word,
                     };
                 }
                 LateralStep::NotFound => {
                     return LateralResult {
                         enclosing: c,
                         found: None,
-                        word: Some(view.lock_word(&team)),
+                        word,
                     };
                 }
                 LateralStep::Continue => {
-                    let next = view.next(&team);
                     debug_assert_ne!(next, NIL);
                     if let Some(res) = self.search_lateral_bounded(k, next, HINT_WALK_BUDGET) {
                         return res;
@@ -164,19 +163,19 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// motivating application).
     pub fn min_entry(&mut self) -> Option<(u32, u32)> {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
         self.stats.contains_ops += 1;
         self.with_pin(|h| {
             let mut cur = h.list.head_of(0);
+            let mut view = ChunkView::BLANK;
             loop {
                 // Certified: claiming a minimum asserts the absence of
                 // smaller keys in the view, which a torn read racing a
                 // remove can fake.
-                let (_, view) = h.next_live_certified(cur)?;
+                h.next_live_certified(cur, &mut view)?;
                 // First live key above -inf; data arrays are sorted with
                 // empties at the end, and the -inf sentinel can only sit in
                 // entry 0, so the lowest voting lane is the minimum.
-                if let Some(lane) = kernel.keys_live(view.data_words(&team)).lowest() {
+                if let Some(lane) = view.keys_live(&team).lowest() {
                     let e = view.entry(lane);
                     return Some((e.key(), e.val()));
                 }
@@ -219,9 +218,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         mut path: Option<&mut [u32; gfsl_simt::WARP_SIZE]>,
     ) -> u32 {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
+        // Two view buffers, swapped on every lateral step: `views[at]` is
+        // the chunk being decided on, `views[at ^ 1]` the chunk stepped from
+        // for as long as `prev` names it.
+        let mut views = [ChunkView::BLANK; 2];
+        let mut at = 0;
         let mut from_finger = if self.list.params.fingers {
-            self.finger_restart(k)
+            self.finger_restart(k, &mut views[at])
         } else {
             None
         };
@@ -241,19 +244,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 }
                 self.heal_levels = 0;
             }
-            // prev = the chunk we lateral-stepped from (pointer + snapshot).
-            let mut prev: Option<(u32, ChunkView)> = None;
+            // prev = the chunk we lateral-stepped from (its snapshot is in
+            // the other buffer).
+            let mut prev: Option<u32> = None;
             // Update path only: live chunks stepped across at this level.
             let mut steps = 0u8;
-            // The finger restart hands over its validating view so the
-            // first step pays no second read.
-            let mut pending: Option<ChunkView> = None;
             // Level this descent attempt restarted from, while its lateral
             // budget still applies (None once descending from the head).
             let mut fingered_level: Option<usize> = None;
+            // The finger restart left its validating view in `views[at]`,
+            // so the first step pays no second read.
+            let mut pending = false;
             let (mut height, mut cur) = match from_finger.take() {
-                Some((level, chunk, view)) => {
-                    pending = Some(view);
+                Some((level, chunk)) => {
+                    pending = true;
                     fingered_level = Some(level);
                     (level, chunk)
                 }
@@ -263,22 +267,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 }
             };
             while height > 0 {
-                let mut view = match pending.take() {
-                    Some(v) => v,
-                    None => self.read_chunk(cur),
-                };
-                if view.is_zombie(&team) {
+                if !std::mem::take(&mut pending) {
+                    self.read_chunk_into(cur, &mut views[at]);
+                }
+                if views[at].is_zombie(&team) {
                     if path.is_some() {
-                        // Update path: lazily unlink the zombie run.
-                        let (nz, nz_view) = match self.first_non_zombie(view) {
-                            Some(x) => x,
-                            None => {
-                                self.stats.search_restarts += 1;
-                                continue 'restart;
-                            }
+                        // Update path: lazily unlink the zombie run; the
+                        // walk leaves the first live chunk's view in place
+                        // of the zombie's.
+                        let Some(nz) = self.first_non_zombie(&mut views[at]) else {
+                            self.stats.search_restarts += 1;
+                            continue 'restart;
                         };
                         match prev {
-                            Some((pptr, _)) => self.redirect_past_zombies(pptr, cur, nz, height),
+                            Some(pptr) => self.redirect_past_zombies(pptr, cur, nz, height),
                             None => {
                                 if self.list.head_of(height) == cur {
                                     self.update_head(height, cur, nz);
@@ -286,11 +288,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             }
                         }
                         cur = nz;
-                        view = nz_view;
                     } else {
                         // Read path: zombies keep pointing at the chunk that
                         // absorbed their keys; just step through, lock-free.
-                        let next = view.next(&team);
+                        let next = views[at].next(&team);
                         if next == NIL {
                             // Defensive: the last chunk is never zombified,
                             // so this indicates we raced something unusual.
@@ -308,7 +309,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                         continue;
                     }
                 }
-                match tid_for_next_step(kernel, &team, k, &view) {
+                let view = &views[at];
+                match tid_for_next_step(&team, k, view) {
                     NextStep::Lateral => {
                         if let Some(level) = fingered_level {
                             if finger_laterals == 0 {
@@ -322,8 +324,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                         if path.is_some() && fingered_level != Some(height) {
                             steps = steps.saturating_add(1);
                         }
-                        prev = Some((cur, view));
+                        prev = Some(cur);
                         cur = view.next(&team);
+                        at ^= 1;
                     }
                     NextStep::Down(lane) => {
                         if let Some(p) = path.as_deref_mut() {
@@ -332,19 +335,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             // its minimum: the one upper-level key worth
                             // raising further (the level's tail excepted).
                             let first = (view.entry(0).key() == crate::chunk::KEY_NEG_INF) as usize;
-                            if steps >= HEAL_STEPS_UPPER && lane == first && !is_tail(&team, &view) {
+                            if steps >= HEAL_STEPS_UPPER && lane == first && !is_tail(&team, view) {
                                 self.heal_levels |= 1 << height;
                                 self.heal_keys[height] = view.entry(lane).key();
                             }
                         }
                         steps = 0;
-                        let word = view.lock_word(&team);
-                        self.note_finger(
-                            height,
-                            cur,
-                            (crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED)
-                                .then_some(word),
-                        );
+                        self.note_finger(height, cur, view.unlocked_word(&team));
                         height -= 1;
                         prev = None;
                         cur = view.entry(lane).val();
@@ -356,20 +353,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             self.stats.search_restarts += 1;
                             continue 'restart;
                         }
-                        Some((pptr, pview)) => {
+                        Some(pptr) => {
+                            let pview = &views[at ^ 1];
                             if let Some(p) = path.as_deref_mut() {
                                 p[height] = pptr;
                             }
                             steps = 0;
-                            let word = pview.lock_word(&team);
-                            self.note_finger(
-                                height,
-                                pptr,
-                                (crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED)
-                                    .then_some(word),
-                            );
+                            self.note_finger(height, pptr, pview.unlocked_word(&team));
                             height -= 1;
-                            cur = match down_step_lane(kernel, &team, k, &pview) {
+                            cur = match down_step_lane(&team, k, pview) {
                                 Some(lane) => pview.entry(lane).val(),
                                 None => {
                                     self.stats.search_restarts += 1;
@@ -421,10 +413,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         budget: u32,
     ) -> Option<LateralResult> {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
         let skim = self.list.params.fingers;
         let mut cur = start;
         let mut moves = 0u32;
+        // One buffer, reloaded at every chunk the walk reads.
+        let mut view = ChunkView::BLANK;
         // Lock word observed before the current view's data lanes (i.e. from
         // the previous read of the *same* chunk). Reset on every move.
         let mut certify: Option<u64> = None;
@@ -479,7 +472,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.probe.lane_read(addr);
                 certify = Some(self.list.pool.read(addr));
             }
-            let view = self.read_chunk(cur);
+            self.read_chunk_into(cur, &mut view);
             // Foresight: the successor is the likely next read — either
             // this walk continues, or (under key-sorted batch dispatch)
             // the handle's next operation lands there.
@@ -494,7 +487,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 }
                 continue;
             }
-            match tid_with_equal_key(kernel, &team, k, &view) {
+            match tid_with_equal_key(&team, k, &view) {
                 LateralStep::Continue => {
                     cur = view.next(&team);
                     certify = None;
@@ -504,10 +497,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                 }
                 LateralStep::Found(lane) => {
-                    let word = view.lock_word(&team);
-                    if certify == Some(word)
-                        && crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED
-                    {
+                    let word = view.unlocked_word(&team);
+                    if word.is_some() && certify == word {
                         // Pre-bracketed: certified despite needing no
                         // confirmation for the answer itself.
                         self.stash_hint_view(cur, &view);
@@ -515,8 +506,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     return Some(LateralResult {
                         enclosing: cur,
                         found: Some((lane, view.entry(lane).val())),
-                        word: (crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED)
-                            .then_some(word),
+                        word,
                     });
                 }
                 LateralStep::NotFound => {
@@ -573,9 +563,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// through (the bottom-level half of `findLateralWithZombieRedirect`).
     pub(crate) fn search_lateral_redirect(&mut self, k: u32, start: u32) -> LateralResult {
         let team = self.list.team;
-        let kernel = self.list.params.kernel;
         let mut prev: Option<u32> = None;
         let mut cur = start;
+        let mut view = ChunkView::BLANK;
         self.heal_levels &= !1;
         let mut steps = 0u8;
         // NotFound certification, exactly as in `search_lateral`.
@@ -589,11 +579,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.probe.lane_read(addr);
                 certify = Some(self.list.pool.read(addr));
             }
-            let view = self.read_chunk(cur);
+            self.read_chunk_into(cur, &mut view);
             if view.is_zombie(&team) {
                 certify = None;
-                match self.first_non_zombie(view) {
-                    Some((nz, _)) => {
+                let next = view.next(&team);
+                match self.first_non_zombie(&mut view) {
+                    Some(nz) => {
                         if let Some(p) = prev {
                             self.redirect_past_zombies(p, cur, nz, 0);
                         }
@@ -603,13 +594,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     None => {
                         // Torn race; fall back to the plain walk which will
                         // simply keep stepping.
-                        cur = view.next(&team);
+                        cur = next;
                         debug_assert_ne!(cur, NIL);
                         continue;
                     }
                 }
             }
-            let step = tid_with_equal_key(kernel, &team, k, &view);
+            let step = tid_with_equal_key(&team, k, &view);
             if step != LateralStep::Continue && steps >= HEAL_STEPS_BOTTOM && !is_tail(&team, &view) {
                 self.heal_levels |= 1;
             }
@@ -621,17 +612,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     certify = None;
                 }
                 LateralStep::Found(lane) => {
-                    let word = view.lock_word(&team);
-                    if certify == Some(word)
-                        && crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED
-                    {
+                    let word = view.unlocked_word(&team);
+                    if word.is_some() && certify == word {
                         self.stash_hint_view(cur, &view);
                     }
                     return LateralResult {
                         enclosing: cur,
                         found: Some((lane, view.entry(lane).val())),
-                        word: (crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED)
-                            .then_some(word),
+                        word,
                     };
                 }
                 LateralStep::NotFound => {
@@ -664,21 +652,22 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Follow next pointers from a zombie's snapshot until a non-zombie
-    /// chunk. Returns `None` only on a torn race (caller restarts).
-    pub(crate) fn first_non_zombie(&mut self, zombie_view: ChunkView) -> Option<(u32, ChunkView)> {
+    /// Follow next pointers from the zombie snapshot in `view` until a
+    /// non-zombie chunk, reloading `view` at every step: on `Some(chunk)`
+    /// it holds that chunk's snapshot. Returns `None` only on a torn race
+    /// (caller restarts).
+    pub(crate) fn first_non_zombie(&mut self, view: &mut ChunkView) -> Option<u32> {
         let team = self.list.team;
-        let mut cur = zombie_view.next(&team);
+        let mut cur = view.next(&team);
         loop {
             if cur == NIL {
                 return None;
             }
-            let view = self.read_chunk(cur);
-            if view.is_zombie(&team) {
-                cur = view.next(&team);
-            } else {
-                return Some((cur, view));
+            self.read_chunk_into(cur, view);
+            if !view.is_zombie(&team) {
+                return Some(cur);
             }
+            cur = view.next(&team);
         }
     }
 
@@ -755,13 +744,8 @@ fn is_tail(team: &Team, view: &ChunkView) -> bool {
 /// from, so its max (hence every key) is `< k`; a candidate always exists
 /// unless a racing merge emptied it, in which case the caller restarts.
 #[inline]
-pub(crate) fn down_step_lane(
-    kernel: BallotKernel,
-    team: &Team,
-    k: u32,
-    view: &ChunkView,
-) -> Option<LaneId> {
-    kernel.keys_le(view.data_words(team), k).highest()
+pub(crate) fn down_step_lane(team: &Team, k: u32, view: &ChunkView) -> Option<LaneId> {
+    view.keys_le(team, k).highest()
 }
 
 #[cfg(test)]
@@ -801,10 +785,10 @@ mod tests {
         let idx = raw_chunk(&list, &[(KEY_NEG_INF, 0), (10, 1), (20, 2)], 20, NIL, LOCK_UNLOCKED);
         let mut h = list.handle();
         let v = h.read_chunk(idx);
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 15, &v), NextStep::Down(1));
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 10, &v), NextStep::Down(1));
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 9, &v), NextStep::Down(0));
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 20, &v), NextStep::Down(2));
+        assert_eq!(tid_for_next_step(&list.team, 15, &v), NextStep::Down(1));
+        assert_eq!(tid_for_next_step(&list.team, 10, &v), NextStep::Down(1));
+        assert_eq!(tid_for_next_step(&list.team, 9, &v), NextStep::Down(0));
+        assert_eq!(tid_for_next_step(&list.team, 20, &v), NextStep::Down(2));
     }
 
     #[test]
@@ -813,9 +797,9 @@ mod tests {
         let idx = raw_chunk(&list, &[(10, 1), (20, 2)], 20, 99, LOCK_UNLOCKED);
         let mut h = list.handle();
         let v = h.read_chunk(idx);
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 21, &v), NextStep::Lateral);
+        assert_eq!(tid_for_next_step(&list.team, 21, &v), NextStep::Lateral);
         // k == max: NOT lateral (strict <), down through lane 1 instead.
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 20, &v), NextStep::Down(1));
+        assert_eq!(tid_for_next_step(&list.team, 20, &v), NextStep::Down(1));
     }
 
     #[test]
@@ -824,7 +808,7 @@ mod tests {
         let idx = raw_chunk(&list, &[(30, 1), (40, 2)], 40, NIL, LOCK_UNLOCKED);
         let mut h = list.handle();
         let v = h.read_chunk(idx);
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 25, &v), NextStep::Backtrack);
+        assert_eq!(tid_for_next_step(&list.team, 25, &v), NextStep::Backtrack);
     }
 
     #[test]
@@ -833,10 +817,10 @@ mod tests {
         let idx = raw_chunk(&list, &[(10, 7), (20, 8)], 20, 42, LOCK_UNLOCKED);
         let mut h = list.handle();
         let v = h.read_chunk(idx);
-        assert_eq!(tid_with_equal_key(BallotKernel::Swar, &list.team, 10, &v), LateralStep::Found(0));
-        assert_eq!(tid_with_equal_key(BallotKernel::Swar, &list.team, 20, &v), LateralStep::Found(1));
-        assert_eq!(tid_with_equal_key(BallotKernel::Swar, &list.team, 15, &v), LateralStep::NotFound);
-        assert_eq!(tid_with_equal_key(BallotKernel::Swar, &list.team, 25, &v), LateralStep::Continue);
+        assert_eq!(tid_with_equal_key(&list.team, 10, &v), LateralStep::Found(0));
+        assert_eq!(tid_with_equal_key(&list.team, 20, &v), LateralStep::Found(1));
+        assert_eq!(tid_with_equal_key(&list.team, 15, &v), LateralStep::NotFound);
+        assert_eq!(tid_with_equal_key(&list.team, 25, &v), LateralStep::Continue);
     }
 
     #[test]
@@ -847,7 +831,7 @@ mod tests {
         let idx = raw_chunk(&list, &[(10, 1)], KEY_INF, NIL, LOCK_UNLOCKED);
         let mut h = list.handle();
         let v = h.read_chunk(idx);
-        assert_eq!(tid_for_next_step(BallotKernel::Swar, &list.team, 1000, &v), NextStep::Down(0));
+        assert_eq!(tid_for_next_step(&list.team, 1000, &v), NextStep::Down(0));
     }
 
     #[test]

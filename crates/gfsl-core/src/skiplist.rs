@@ -3,7 +3,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use gfsl_gpu_mem::{EpochReclaimer, MemProbe, NoProbe, PoolExhausted, ReclaimStats, SlotId, WordPool};
+use gfsl_gpu_mem::{
+    EpochReclaimer, MemProbe, NoProbe, PoolExhausted, ReclaimStats, SlotId, WordPool, WordSpan,
+};
 use gfsl_simt::Team;
 
 use crate::chunk::{ops, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
@@ -433,7 +435,8 @@ impl Gfsl {
             held: HeldLocks::new(self),
             reclaim_slot: ReclaimGuard { list: self, slot },
             hint0: None,
-            hint_view: None,
+            hint_view_of: NIL,
+            hint_view: ChunkView::BLANK,
             finger: [None; FINGER_LEVELS],
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
@@ -453,6 +456,13 @@ impl Gfsl {
         ChunkRef {
             base: index * self.params.lanes() as u32,
         }
+    }
+
+    /// The words of chunk `index`, bounds-checked once, for a loop that
+    /// stores to several of its lanes under the chunk's lock.
+    #[inline]
+    pub(crate) fn chunk_words(&self, index: u32) -> WordSpan<'_> {
+        self.pool.span(self.chunk(index).base, self.params.lanes() as u32)
     }
 
     /// Highest level currently in use (0 when only the bottom level holds
@@ -727,9 +737,12 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// incarnation and unmutated since) and starts its lateral walk there,
     /// skipping the descent entirely.
     hint0: Option<Hint0>,
+    /// The chunk [`hint_view`](Self::hint_view) is a snapshot of (`NIL`:
+    /// none).
+    hint_view_of: u32,
     /// Fat bottom-level hint: the last *certified* snapshot this handle's
-    /// traversals produced, tagged with its chunk index (the observed
-    /// unlocked word is the view's own lock lane). When the next lookup's
+    /// traversals produced (the observed unlocked word is the view's own
+    /// lock lane). When the next lookup's
     /// [`hint0`](Self::hint0) names the same `(chunk, word)` pair,
     /// [`hint_start`](Self::hint_start) revalidates with a single lock-lane
     /// read instead of the full team read: the identical unlocked word
@@ -738,7 +751,7 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// were *bracketed* by two observations of the same unlocked word may
     /// be stashed here — the later one-word re-read extends a bracket
     /// forward, it cannot create one around an uncertified read.
-    hint_view: Option<(u32, ChunkView)>,
+    pub(crate) hint_view: ChunkView,
     /// Multi-level finger: the cached descent path, one `(chunk, lock word)`
     /// pair per level (slot `i` = level `i`; slot 0 is unused — the bottom
     /// level lives in [`hint0`](Self::hint0), whose validated snapshot
@@ -827,16 +840,28 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         (self.probe, self.stats)
     }
 
-    /// Read a whole chunk in one lockstep team read.
+    /// Read a whole chunk in one lockstep team read, into `view`. This is
+    /// every traversal's chunk step: loops keep their view buffers across
+    /// iterations and reload them here, so no snapshot is built and then
+    /// moved.
     #[inline]
-    pub(crate) fn read_chunk(&mut self, index: u32) -> ChunkView {
+    pub(crate) fn read_chunk_into(&mut self, index: u32, view: &mut ChunkView) {
         self.stats.chunk_reads += 1;
-        ChunkView::read(
+        view.reload(
             &self.list.team,
             &self.list.pool,
             &mut self.probe,
             self.list.chunk(index),
-        )
+        );
+    }
+
+    /// [`Self::read_chunk_into`] a fresh view, for code that reads one chunk
+    /// and is done.
+    #[inline]
+    pub(crate) fn read_chunk(&mut self, index: u32) -> ChunkView {
+        let mut view = ChunkView::BLANK;
+        self.read_chunk_into(index, &mut view);
+        view
     }
 
     /// Read a chunk until the view is *certified*: two consecutive reads
@@ -848,35 +873,33 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// *absence* of a key in the view (`NotFound`, range scans, `min_entry`)
     /// — a single ascending-order read can miss a key being shifted toward
     /// lower lanes by a concurrent `executeRemove`.
-    pub(crate) fn read_chunk_certified(&mut self, index: u32) -> ChunkView {
+    ///
+    /// `view` is reloaded until it holds the certified snapshot; only the
+    /// previous read's lock word is carried from one read to the next.
+    pub(crate) fn read_chunk_certified(&mut self, index: u32, view: &mut ChunkView) {
         let team = self.list.team;
-        let mut prev = self.read_chunk(index);
-        loop {
-            if prev.is_zombie(&team) {
-                return prev;
-            }
-            let before = prev.lock_word(&team);
-            let view = self.read_chunk(index);
-            if crate::chunk::lock_state(before) == crate::chunk::LOCK_UNLOCKED
-                && view.lock_word(&team) == before
-            {
-                return view;
+        self.read_chunk_into(index, view);
+        while !view.is_zombie(&team) {
+            let before = view.unlocked_word(&team);
+            self.read_chunk_into(index, view);
+            if before.is_some() && before == Some(view.lock_word(&team)) {
+                return;
             }
             self.certify_poison_check(index);
-            prev = view;
         }
     }
 
-    /// Certified-read `cur`, stepping right past zombies: the first
-    /// non-zombie `(chunk, certified view)` at-or-right of `cur`, or `None`
-    /// past the end of the level. The shared chunk-step helper for the
-    /// bottom-level scans (`min_entry`, range iteration).
-    pub(crate) fn next_live_certified(&mut self, mut cur: u32) -> Option<(u32, ChunkView)> {
+    /// Certified-read `cur` into `view`, stepping right past zombies:
+    /// returns the first non-zombie chunk at-or-right of `cur` (its
+    /// certified snapshot in `view`), or `None` past the end of the level.
+    /// The shared chunk-step helper for the bottom-level scans
+    /// (`min_entry`, range iteration).
+    pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> Option<u32> {
         let team = self.list.team;
         loop {
-            let view = self.read_chunk_certified(cur);
+            self.read_chunk_certified(cur, view);
             if !view.is_zombie(&team) {
-                return Some((cur, view));
+                return Some(cur);
             }
             let next = view.next(&team);
             if next == NIL {
@@ -1152,8 +1175,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Validate the bottom-level hint against `k` and return its chunk with
-    /// the validated snapshot, or `None` (clearing the hint) on miss.
+    /// Validate the bottom-level hint against `k` and return its chunk,
+    /// leaving the validated snapshot in [`hint_view`](Self::hint_view), or
+    /// `None` (clearing the hint) on miss.
     ///
     /// Validity argument: re-reading the hinted chunk and seeing the *same
     /// unlocked lock word* proves no writer completed (versions bump on
@@ -1170,7 +1194,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// bracketed by two observations of the same unlocked lock word (the
     /// cached one and the view's own lock lane, which `read_chunk` reads
     /// last), so a negative answer derived from it needs no re-read.
-    pub(crate) fn hint_start(&mut self, k: u32) -> Option<(u32, ChunkView)> {
+    pub(crate) fn hint_start(&mut self, k: u32) -> Option<u32> {
         if !self.list.params.hinted_dispatch() {
             return None;
         }
@@ -1189,7 +1213,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.hint0 = None;
                 // The snapshot is as old as the hint it certified; the same
                 // defense-in-depth retires it.
-                self.hint_view = None;
+                self.hint_view_of = NIL;
                 return None;
             }
         }
@@ -1198,30 +1222,30 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // very `(chunk, word)` pair, one lock-lane read re-certifies the
         // whole cached view — the full team read is only paid when the hint
         // moved to a chunk we have no snapshot of.
-        if let Some((vc, view)) = self.hint_view {
-            if vc == c && view.lock_word(&team) == w {
-                let addr = ops::lock_addr(&team, self.list.chunk(c));
-                self.probe.lane_read(addr);
-                self.stats.skip_reads += 1;
-                if self.list.pool.read(addr) == w && view.entry(0).key() <= k {
-                    self.stats.hint_hits += 1;
-                    if self.list.params.fingers {
-                        // A validated bottom hint is a depth-0 finger restart.
-                        self.stats.finger_depth_hits[0] += 1;
-                    }
-                    return Some((c, view));
+        if self.hint_view_of == c && self.hint_view.lock_word(&team) == w {
+            let addr = ops::lock_addr(&team, self.list.chunk(c));
+            self.probe.lane_read(addr);
+            self.stats.skip_reads += 1;
+            if self.list.pool.read(addr) == w && self.hint_view.entry(0).key() <= k {
+                self.stats.hint_hits += 1;
+                if self.list.params.fingers {
+                    // A validated bottom hint is a depth-0 finger restart.
+                    self.stats.finger_depth_hits[0] += 1;
                 }
-                // Either the chunk mutated since the snapshot (the word
-                // changed, so a full re-read would fail the same compare) or
-                // its authentic minimum sits right of `k`; both are exactly
-                // the miss conditions of the full-read path below, so
-                // declare the miss without paying the team read.
-                self.hint_view = None;
-                self.stats.hint_misses += 1;
-                self.hint0 = None;
-                return None;
+                return Some(c);
             }
+            // Either the chunk mutated since the snapshot (the word
+            // changed, so a full re-read would fail the same compare) or
+            // its authentic minimum sits right of `k`; both are exactly
+            // the miss conditions of the full-read path below, so
+            // declare the miss without paying the team read.
+            self.hint_view_of = NIL;
+            self.stats.hint_misses += 1;
+            self.hint0 = None;
+            return None;
         }
+        // Not into `hint_view` itself: a miss here leaves the snapshot of
+        // whatever other chunk it holds in place.
         let view = self.read_chunk(c);
         if view.lock_word(&team) == w && view.entry(0).key() <= k {
             self.stats.hint_hits += 1;
@@ -1232,8 +1256,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // Bracketed by the cached word observation (before this read's
             // data lanes) and the view's own lock lane (after them): a
             // certified snapshot, eligible for the fast path above.
-            self.hint_view = Some((c, view));
-            Some((c, view))
+            self.hint_view_of = c;
+            self.hint_view = view;
+            Some(c)
         } else {
             self.stats.hint_misses += 1;
             self.hint0 = None;
@@ -1249,7 +1274,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     #[inline]
     pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView) {
         if self.list.params.hinted_dispatch() {
-            self.hint_view = Some((chunk, *view));
+            self.hint_view_of = chunk;
+            self.hint_view = *view;
         }
     }
 
@@ -1264,7 +1290,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.stats.finger_depth_hits[0] -= 1;
         }
         self.hint0 = None;
-        self.hint_view = None;
+        self.hint_view_of = NIL;
     }
 
     /// Demote the finger hit just recorded by [`Self::finger_restart`] to a
@@ -1315,8 +1341,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Find the deepest still-valid finger level for `k`: revalidate cached
     /// `(chunk, word)` pairs bottom-up (cheapest win first) and return the
-    /// first that passes, with the validating view so the descent's first
-    /// step pays no second read. Invalid entries are cleared as they fail.
+    /// first that passes, its validating snapshot left in `view` so the
+    /// descent's first step pays no second read. Invalid entries are
+    /// cleared as they fail.
     ///
     /// Validity mirrors [`Self::hint_start`]: the same epoch guard, then a
     /// fresh read showing the identical *unlocked* lock word (⇒ same chunk
@@ -1325,7 +1352,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// at-or-left of `k`'s position on that level. Upper levels of the
     /// update path above the restart level simply keep their level-head
     /// defaults, which are trivially at-or-left.
-    pub(crate) fn finger_restart(&mut self, k: u32) -> Option<(usize, u32, ChunkView)> {
+    pub(crate) fn finger_restart(&mut self, k: u32, view: &mut ChunkView) -> Option<(usize, u32)> {
         let team = self.list.team;
         let epoch_now = self.list.reclaim.as_ref().map(|r| r.epoch());
         for level in 1..FINGER_LEVELS {
@@ -1338,10 +1365,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     continue;
                 }
             }
-            let view = self.read_chunk(c);
+            self.read_chunk_into(c, view);
             if view.lock_word(&team) == w && view.entry(0).key() <= k {
                 self.stats.finger_depth_hits[level] += 1;
-                return Some((level, c, view));
+                return Some((level, c));
             }
             self.finger[level] = None;
         }
@@ -1371,16 +1398,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Spin until the chunk that *encloses* `k` is locked, walking right
     /// past zombies and smaller-max chunks (paper Algorithm 4.8).
     ///
-    /// Returns the locked chunk's index and its view as re-read under the
-    /// lock. `start` must be at-or-left of the enclosing chunk, which the
-    /// caller guarantees from traversal invariants (the max field only
-    /// decreases).
-    pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32) -> (u32, ChunkView) {
+    /// Returns the locked chunk's index, with its snapshot as re-read under
+    /// the lock in `view`. `start` must be at-or-left of the enclosing
+    /// chunk, which the caller guarantees from traversal invariants (the
+    /// max field only decreases).
+    pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> u32 {
         let team = self.list.team;
         let mut ch = start;
         let mut spins = 0u32;
         loop {
-            let view = self.read_chunk(ch);
+            self.read_chunk_into(ch, view);
             if view.not_enclosing(&team, k) {
                 let next = view.next(&team);
                 debug_assert_ne!(next, NIL, "walked past the last chunk hunting for {k}");
@@ -1401,13 +1428,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.held.acquired(ch);
             // Re-read under the lock; the chunk may have stopped enclosing
             // `k` between the read and the CAS.
-            let view = self.read_chunk(ch);
+            self.read_chunk_into(ch, view);
             if view.not_enclosing(&team, k) {
                 self.unlock(ch);
                 ch = view.next(&team);
                 continue;
             }
-            return (ch, view);
+            return ch;
         }
     }
 
@@ -1423,11 +1450,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             ops::read_next_field(&team, pool, &mut self.probe, self.list.chunk(ch)).val();
         let mut cur = first_next;
         let mut spins = 0u32;
+        let mut view = ChunkView::BLANK;
         loop {
             if cur == NIL {
                 return None;
             }
-            let view = self.read_chunk(cur);
+            self.read_chunk_into(cur, &mut view);
             if view.is_zombie(&team) {
                 cur = view.next(&team);
                 continue;
@@ -1622,10 +1650,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             *a = ch.entry_addr(i);
         }
         self.probe.warp_write(&addrs[..team.lanes()]);
+        let words = self.list.chunk_words(idx);
         for i in 0..team.dsize() {
-            pool.write(ch.entry_addr(i), Entry::EMPTY.0);
+            words.write(i, Entry::EMPTY.0);
         }
-        pool.write(ch.entry_addr(team.next_lane()), Entry::new(KEY_INF, NIL).0);
+        words.write(team.next_lane(), Entry::new(KEY_INF, NIL).0);
         let lock = if recycled {
             let old = pool.read(ch.entry_addr(team.lock_lane()));
             debug_assert_eq!(
@@ -1638,7 +1667,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         } else {
             crate::chunk::LOCK_LOCKED
         };
-        pool.write(ch.entry_addr(team.lock_lane()), lock);
+        words.write(team.lock_lane(), lock);
         self.held.acquired(idx);
         idx
     }
@@ -1797,14 +1826,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let team = self.list.team;
         // A zombified first chunk: swing the head-array pointer itself (a
         // failed CAS means a racer swung it first; re-check).
-        let (head, view) = loop {
+        let mut view = ChunkView::BLANK;
+        let head = loop {
             let head = self.list.head_of(level);
-            let view = self.read_chunk(head);
+            self.read_chunk_into(head, &mut view);
             if !view.is_zombie(&team) {
-                break (head, view);
+                break head;
             }
-            match self.first_non_zombie(view) {
-                Some((nz, _)) => self.update_head(level, head, nz),
+            match self.first_non_zombie(&mut view) {
+                Some(nz) => self.update_head(level, head, nz),
                 None => return false,
             }
         };
@@ -1813,11 +1843,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if next == NIL {
             return true;
         }
-        let nview = self.read_chunk(next);
-        if !nview.is_zombie(&team) {
+        self.read_chunk_into(next, &mut view);
+        if !view.is_zombie(&team) {
             return true;
         }
-        if let Some((nz, _)) = self.first_non_zombie(nview) {
+        if let Some(nz) = self.first_non_zombie(&mut view) {
             self.redirect_past_zombies(head, next, nz, level);
         }
         // Still in place: the try-lock lost (or the walk tore).
@@ -1865,11 +1895,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut parents = cands.iter().fold(0u64, |m, &(_, l)| m | 2 << l);
         parents &= (1 << list.params.max_levels()) - 1;
         let mut scanned = 0;
+        let mut view = ChunkView::BLANK;
         while parents != 0 {
             let mut cur = list.head_of(parents.trailing_zeros() as usize);
             parents &= parents - 1;
             while cur != NIL {
-                let view = self.read_chunk_certified(cur);
+                self.read_chunk_certified(cur, &mut view);
                 scanned += 1;
                 if !view.is_zombie(&team) {
                     for (_, e) in view.live_entries(&team) {
@@ -2015,7 +2046,8 @@ mod tests {
         let list = Gfsl::new(GfslParams::default()).unwrap();
         let mut h = list.handle();
         let head0 = list.head_of(0);
-        let (locked, _) = h.find_and_lock_enclosing(head0, 500);
+        let mut view = ChunkView::BLANK;
+        let locked = h.find_and_lock_enclosing(head0, 500, &mut view);
         assert_eq!(locked, head0, "sentinel has max = inf, encloses everything");
         let v = h.read_chunk(locked);
         assert!(v.is_locked(&list.team));
@@ -2027,7 +2059,8 @@ mod tests {
         let list = Gfsl::new(GfslParams::default()).unwrap();
         let mut h = list.handle();
         let head0 = list.head_of(0);
-        let (locked, _) = h.find_and_lock_enclosing(head0, 5);
+        let mut view = ChunkView::BLANK;
+        let locked = h.find_and_lock_enclosing(head0, 5, &mut view);
         assert_eq!(h.lock_next_chunk(locked, 0), None);
         h.unlock(locked);
     }

@@ -103,13 +103,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             old_next,
         );
 
-        let new_ch = self.list.chunk(p_new);
+        let new_ch = self.list.chunk_words(p_new);
         let mut moved = MovedKeys::new();
         for i in half..team.dsize() {
             let e = view.entry(i);
             debug_assert!(!e.is_empty(), "splitting a non-full chunk");
             moved.push(e.key());
-            ops::write_entry(&self.list.pool, &mut self.probe, new_ch, i - half, e);
+            ops::write_entry(&mut self.probe, new_ch, i - half, e);
         }
         self.probe.crash_point(CrashPoint::SplitPublish);
         ops::write_next_field(
@@ -123,9 +123,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if let Intent::Split { published, .. } = &mut self.journal.intent {
             *published = true;
         }
-        let split_ch = self.list.chunk(p_split);
+        let split_ch = self.list.chunk_words(p_split);
         for i in (half..team.dsize()).rev() {
-            ops::write_entry(&self.list.pool, &mut self.probe, split_ch, i, Entry::EMPTY);
+            ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
         }
         if let Some(n) = p_next {
             self.unlock(n);
@@ -224,7 +224,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         );
 
         debug_assert!(thresh != crate::chunk::KEY_INF, "absorber at least half full");
-        let new_ch = self.list.chunk(p_new);
+        let new_ch = self.list.chunk_words(p_new);
         let mut moved = MovedKeys::new();
         for i in half..team.dsize() {
             let e = view.entry(i);
@@ -232,7 +232,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 break; // live entries are left-packed
             }
             moved.push(e.key());
-            ops::write_entry(&self.list.pool, &mut self.probe, new_ch, i - half, e);
+            ops::write_entry(&mut self.probe, new_ch, i - half, e);
         }
         self.probe.crash_point(CrashPoint::SplitPublish);
         ops::write_next_field(
@@ -246,9 +246,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if let Intent::Split { published, .. } = &mut self.journal.intent {
             *published = true;
         }
-        let split_ch = self.list.chunk(p_split);
+        let split_ch = self.list.chunk_words(p_split);
         for i in (half..half + moved.as_slice().len()).rev() {
-            ops::write_entry(&self.list.pool, &mut self.probe, split_ch, i, Entry::EMPTY);
+            ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
         }
         if let Some(n) = p_nn {
             self.unlock(n);

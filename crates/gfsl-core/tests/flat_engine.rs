@@ -2,8 +2,8 @@
 //! (B-Skiplist) engine — the same bar the chunked engine's knobs clear
 //! before shipping off-by-default:
 //!
-//! * random histories against a `BTreeMap` oracle, across both ballot
-//!   kernels and a tiny leaf capacity that forces constant splits/retires;
+//! * random histories against a `BTreeMap` oracle, with a tiny leaf
+//!   capacity that forces constant splits/retires;
 //! * the flat engine against the chunked GFSL on identical histories
 //!   (engines must be observationally interchangeable behind [`KvEngine`]);
 //! * a multi-threaded linearizability soak over a tight keyspace, checked
@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder};
-use gfsl::{BallotKernel, FlatSkiplist, Gfsl, GfslParams, KvEngine, TeamSize};
+use gfsl::{FlatSkiplist, Gfsl, GfslParams, KvEngine, TeamSize};
 use proptest::prelude::*;
 
 /// One oracle-checked op over a band tight enough to split tiny leaves.
@@ -70,43 +70,41 @@ fn drive(h: &mut impl KvEngine, ops: &[FlatOp]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Flat engine vs `BTreeMap` oracle, both kernels, leaf capacity 4 so a
+    /// Flat engine vs `BTreeMap` oracle, leaf capacity 4 so a
     /// 160-key band splits and retires leaves constantly.
     #[test]
     fn flat_matches_btree_oracle(ops in proptest::collection::vec(op_strategy(), 0..300)) {
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            let list = FlatSkiplist::with_leaf_cap(kernel, 4);
-            let mut h = list.handle();
-            let mut oracle: BTreeMap<u32, u32> = BTreeMap::new();
-            for &op in &ops {
-                match op {
-                    FlatOp::Insert(k, v) => {
-                        let added = h.insert(k, v);
-                        prop_assert_eq!(added, !oracle.contains_key(&k));
-                        oracle.entry(k).or_insert(v);
-                    }
-                    FlatOp::Remove(k) => {
-                        prop_assert_eq!(h.remove(k), oracle.remove(&k).is_some());
-                    }
-                    FlatOp::Get(k) => {
-                        prop_assert_eq!(h.get(k), oracle.get(&k).copied());
-                    }
-                    FlatOp::Range(lo, hi) => {
-                        let want: Vec<(u32, u32)> =
-                            oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-                        prop_assert_eq!(h.range(lo, hi), want);
-                    }
+        let list = FlatSkiplist::with_leaf_cap(4);
+        let mut h = list.handle();
+        let mut oracle: BTreeMap<u32, u32> = BTreeMap::new();
+        for &op in &ops {
+            match op {
+                FlatOp::Insert(k, v) => {
+                    let added = h.insert(k, v);
+                    prop_assert_eq!(added, !oracle.contains_key(&k));
+                    oracle.entry(k).or_insert(v);
+                }
+                FlatOp::Remove(k) => {
+                    prop_assert_eq!(h.remove(k), oracle.remove(&k).is_some());
+                }
+                FlatOp::Get(k) => {
+                    prop_assert_eq!(h.get(k), oracle.get(&k).copied());
+                }
+                FlatOp::Range(lo, hi) => {
+                    let want: Vec<(u32, u32)> =
+                        oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                    prop_assert_eq!(h.range(lo, hi), want);
                 }
             }
-            list.assert_valid();
         }
+        list.assert_valid();
     }
 
     /// The two engines behind [`KvEngine`] are observationally identical on
     /// any single-threaded history.
     #[test]
     fn flat_and_gfsl_engines_agree(ops in proptest::collection::vec(op_strategy(), 0..250)) {
-        let flat = FlatSkiplist::with_leaf_cap(BallotKernel::Swar, 8);
+        let flat = FlatSkiplist::with_leaf_cap(8);
         let gfsl = Gfsl::new(GfslParams {
             team_size: TeamSize::Sixteen,
             pool_chunks: 1 << 12,
@@ -131,7 +129,7 @@ fn flat_engine_linearizability_soak() {
     const OPS: u64 = 600;
     const KEYSPACE: u64 = 48;
 
-    let list = FlatSkiplist::with_leaf_cap(BallotKernel::Swar, 4);
+    let list = FlatSkiplist::with_leaf_cap(4);
     let clock = HistoryClock::new();
 
     let histories: Vec<Vec<OpRecord>> = std::thread::scope(|s| {

@@ -1,19 +1,30 @@
-//! Differential tests: the SWAR ballot kernel against the scalar reference.
+//! Differential tests: the host chunk step against the scalar reference.
 //!
-//! [`BallotKernel::Scalar`] is the per-lane reference loop kept purely as an
-//! oracle; [`BallotKernel::Swar`] is the branch-free hot path. Both operate
-//! on the same already-probed chunk snapshot, so a kernel swap must change
-//! *nothing observable*: not one reply, not one membership bit, and — under
-//! a scripted chaos schedule — not one bit of the execution trace hash.
-//! That last property is the strongest witness: the FNV trace (the shared
-//! `gfsl_rng::fnv` word-wise fold) folds every granted memory-access turn
-//! of every team in execution order, so equal hashes mean the two kernels
-//! drove byte-identical access schedules.
+//! The engine reads a chunk with one fixed-width team read and votes with
+//! the fixed-width ballot kernels of `gfsl_simt::vector`; there is no
+//! second kernel to swap in. What keeps them honest:
+//!
+//! * every ballot a [`ChunkView`] offers, and both traversal decisions
+//!   built on them, against [`ScalarBallot`] — the per-lane loop kept purely
+//!   as an oracle — over chunks of every shape a traversal can meet: sorted,
+//!   mid-shift with a transient duplicate, torn across a concurrent remove,
+//!   all EMPTY, sentinel-edged, and arbitrary words;
+//! * the scripted chaos schedules' trace hashes, pinned. The FNV trace (the
+//!   shared `gfsl_rng::fnv` word-wise fold) folds every granted
+//!   memory-access turn of every team in execution order, so an unchanged
+//!   hash means a change to the chunk step drove a byte-identical access
+//!   schedule;
+//! * random single-thread histories through every traversal configuration
+//!   (plain, hinted, fingered), which must agree reply for reply.
 
 use std::sync::{Condvar, Mutex};
 
 use gfsl::chaos::{ChaosController, ChaosOptions};
-use gfsl::{BallotKernel, BatchOp, BatchReply, Gfsl, GfslParams, Prefetch, TeamSize};
+use gfsl::chunk::{ChunkRef, ChunkView, Entry};
+use gfsl::search::{tid_for_next_step, tid_with_equal_key, LateralStep, NextStep};
+use gfsl::{BatchOp, BatchReply, Gfsl, GfslParams, NoProbe, Prefetch, TeamSize};
+use gfsl_gpu_mem::WordPool;
+use gfsl_simt::{Ballot, ScalarBallot, Team};
 use proptest::prelude::*;
 
 /// Keys per worker class in the scripted runs: enough to force several
@@ -40,18 +51,17 @@ fn script_from_seed(seed: u64, len: usize) -> Vec<u8> {
 ///
 /// Handle creation is serialized through a gate (worker 0 first) because a
 /// handle's raise-coin RNG stream is assigned at creation; leaving that to
-/// OS spawn order would compare two *different* workloads, not two kernels.
+/// OS spawn order would make the schedule, not the script, pick the workload.
 ///
 /// With `locality` on, the run additionally enables the multi-level finger,
 /// foresight prefetch, and chunk reclamation — so the cached descent path
 /// is continuously split, merged, retired, and recycled underneath the
 /// fingers, and the in-run membership asserts witness that no operation
 /// ever trusted a stale cached chunk.
-fn scripted_run(kernel: BallotKernel, script: Vec<u8>, locality: bool) -> (u64, Vec<u32>) {
+fn scripted_run(script: Vec<u8>, locality: bool) -> (u64, Vec<u32>) {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        kernel,
         fingers: locality,
         prefetch: if locality { Prefetch::Next } else { Prefetch::Off },
         reclaim: locality,
@@ -116,19 +126,41 @@ fn scripted_run(kernel: BallotKernel, script: Vec<u8>, locality: bool) -> (u64, 
     (ctl.trace_hash(), list.keys())
 }
 
-/// Tentpole acceptance check: for pinned schedules, a scalar-kernel run and
-/// a SWAR-kernel run produce bit-identical chaos trace hashes (and, a
-/// fortiori, identical final states).
+/// Trace hashes of the plain scripted runs (script seeds 0..6), as the
+/// scalar and the SWAR kernel both produced them at commit 416b3af, before
+/// the chunk step became fixed-width. A change that alters any of them
+/// changed which word some team accessed on which turn — re-pin only for a
+/// change that means to.
+const PLAIN_TRACES: [u64; 6] = [
+    0x7529_3a25_e606_c4ab,
+    0xb3d0_38e6_0bee_243d,
+    0xd808_564a_63d4_a3da,
+    0x9f7b_1ce6_4d94_cba7,
+    0x0eb9_c9ef_247f_69c0,
+    0x9a2c_c100_b207_5b1d,
+];
+
+/// The same for the fingered runs (fingers, foresight prefetch and
+/// reclamation on; script seeds `0..4 ^ 0xF16E5`).
+const FINGERED_TRACES: [u64; 4] = [
+    0x4e9c_c437_fbe3_a735,
+    0x0842_7bd2_fe24_968a,
+    0x92b6_b5a5_cd0b_3b63,
+    0xe185_0d89_fb4b_d2a7,
+];
+
+/// Acceptance check for any change to the chunk step: the pinned schedules
+/// still produce the parent's chaos trace hashes bit for bit (and the final
+/// state the workload always ends in).
 #[test]
-fn scripted_chaos_traces_are_bit_identical_across_kernels() {
-    for seed in 0..6u64 {
-        let script = script_from_seed(seed, 64);
-        let scalar = scripted_run(BallotKernel::Scalar, script.clone(), false);
-        let swar = scripted_run(BallotKernel::Swar, script, false);
+fn scripted_chaos_traces_match_the_pinned_hashes() {
+    for (seed, want) in PLAIN_TRACES.into_iter().enumerate() {
+        let (trace, keys) = scripted_run(script_from_seed(seed as u64, 64), false);
         assert_eq!(
-            scalar, swar,
-            "kernel changed the observable schedule under script seed {seed}"
+            trace, want,
+            "the observable schedule changed under script seed {seed}: 0x{trace:016x}"
         );
+        assert_eq!(keys.len(), 20, "every 4th key of both classes survives");
     }
 }
 
@@ -137,39 +169,42 @@ fn scripted_chaos_traces_are_bit_identical_across_kernels() {
 /// must (a) pass every in-run membership assert — a stale finger would
 /// surface as a wrong `get`/`remove` — and (b) finish with exactly the
 /// membership of the unfingered run (the workload's final state is
-/// schedule-independent), and (c) replay bit-identically, since the finger
+/// schedule-independent), and (c) replay the pinned trace, since the finger
 /// is deterministic state.
 #[test]
 fn fingered_scripted_chaos_never_observes_stale_chunks() {
-    for seed in 0..4u64 {
-        let script = script_from_seed(seed ^ 0xF16E5, 64);
-        let plain = scripted_run(BallotKernel::Swar, script.clone(), false);
-        let fingered = scripted_run(BallotKernel::Swar, script.clone(), true);
+    for (seed, want) in FINGERED_TRACES.into_iter().enumerate() {
+        let script = script_from_seed(seed as u64 ^ 0xF16E5, 64);
+        let plain = scripted_run(script.clone(), false);
+        let fingered = scripted_run(script, true);
         assert_eq!(
             plain.1, fingered.1,
             "fingers changed final membership under script seed {seed}"
         );
-        let replay = scripted_run(BallotKernel::Swar, script, true);
-        assert_eq!(fingered, replay, "fingered scripted run must replay identically");
+        assert_eq!(
+            fingered.0, want,
+            "the fingered schedule changed under script seed {seed}: 0x{:016x}",
+            fingered.0
+        );
     }
 }
 
-/// Replay sanity for the harness itself: the same kernel under the same
-/// script is deterministic (otherwise the cross-kernel assertion above
-/// could pass or fail by accident).
+/// Replay sanity for the harness itself: the same script is deterministic
+/// within one process too (otherwise the pinned hashes above could pass or
+/// fail by accident).
 #[test]
-fn scripted_run_replays_identically_with_one_kernel() {
+fn scripted_run_replays_identically() {
     let script = script_from_seed(0xD1FF, 48);
-    let a = scripted_run(BallotKernel::Swar, script.clone(), false);
-    let b = scripted_run(BallotKernel::Swar, script, false);
+    let a = scripted_run(script.clone(), false);
+    let b = scripted_run(script, false);
     assert_eq!(a, b, "scripted harness must be deterministic");
 }
 
 /// One batch op over the interesting key space: a dense band that forces
 /// splits and merges, plus the keys adjacent to both sentinels (`-∞` lives
 /// in lane 0 as key 0; `EMPTY` is key `u32::MAX`). Reserved keys 0 and
-/// `u32::MAX` are included deliberately: both kernels must agree on typed
-/// failures too.
+/// `u32::MAX` are included deliberately: every configuration must agree on
+/// typed failures too.
 fn key_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![
         4 => 1..=120u32,
@@ -190,16 +225,10 @@ fn op_strategy() -> impl Strategy<Value = BatchOp> {
 
 /// Apply one history to a fresh list under the given configuration and
 /// return every reply plus the final membership.
-fn apply_history(
-    ops: &[BatchOp],
-    kernel: BallotKernel,
-    hints: bool,
-    fingers: bool,
-) -> (Vec<BatchReply>, Vec<u32>) {
+fn apply_history(ops: &[BatchOp], hints: bool, fingers: bool) -> (Vec<BatchReply>, Vec<u32>) {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        kernel,
         hints,
         fingers,
         prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
@@ -218,27 +247,25 @@ proptest! {
 
     /// Random single-thread histories (including sentinel-adjacent and
     /// reserved keys) produce identical replies and identical final
-    /// membership under the scalar reference, the SWAR kernel, the SWAR
-    /// kernel with the hint cache enabled, and the SWAR kernel with the
-    /// multi-level finger and foresight prefetch on. The history's inserts
-    /// and removes split and merge chunks directly on the cached path, so
-    /// this is the single-threaded finger-invalidation check: a finger
-    /// surviving a split/merge it should have rejected would change a reply.
+    /// membership with the plain traversal, with the hint cache enabled,
+    /// and with the multi-level finger and foresight prefetch on. The
+    /// history's inserts and removes split and merge chunks directly on the
+    /// cached path, so this is the single-threaded finger-invalidation
+    /// check: a finger surviving a split/merge it should have rejected
+    /// would change a reply.
     #[test]
-    fn kernels_agree_on_random_histories(
+    fn traversal_configs_agree_on_random_histories(
         ops in proptest::collection::vec(op_strategy(), 0..250),
     ) {
-        let scalar = apply_history(&ops, BallotKernel::Scalar, false, false);
-        let swar = apply_history(&ops, BallotKernel::Swar, false, false);
-        prop_assert_eq!(&scalar, &swar, "scalar vs swar diverged");
-        let hinted = apply_history(&ops, BallotKernel::Swar, true, false);
-        prop_assert_eq!(&scalar, &hinted, "hinted traversal changed results");
-        let fingered = apply_history(&ops, BallotKernel::Swar, false, true);
-        prop_assert_eq!(&scalar, &fingered, "fingered traversal changed results");
+        let plain = apply_history(&ops, false, false);
+        let hinted = apply_history(&ops, true, false);
+        prop_assert_eq!(&plain, &hinted, "hinted traversal changed results");
+        let fingered = apply_history(&ops, false, true);
+        prop_assert_eq!(&plain, &fingered, "fingered traversal changed results");
     }
 }
 
-/// Deterministic sentinel-edge sweep across the full kernel × hints grid:
+/// Deterministic sentinel-edge sweep across the traversal configurations:
 /// the first user key sits in the lane right of `-∞`, the largest legal key
 /// (`u32::MAX - 1`) sits left of the EMPTY right-packing, and the
 /// whole-keyspace range count must see exactly the live set in every
@@ -246,39 +273,36 @@ proptest! {
 #[test]
 fn sentinel_edge_lanes_agree_across_configs() {
     let mut outputs: Vec<(Vec<BatchReply>, Vec<u32>)> = Vec::new();
-    for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-        for (hints, fingers) in [(false, false), (true, false), (false, true)] {
-            let list = Gfsl::new(GfslParams {
-                team_size: TeamSize::Sixteen,
-                pool_chunks: 1 << 12,
-                kernel,
-                hints,
-                fingers,
-                prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
-                ..Default::default()
-            })
-            .expect("params valid");
-            let mut h = list.handle();
-            let mut out = Vec::new();
-            let mut ops: Vec<BatchOp> = vec![BatchOp::Insert(1, 11), BatchOp::Insert(u32::MAX - 1, 99)];
-            ops.extend((10..=60).map(|k| BatchOp::Insert(k, k)));
-            ops.extend([
-                BatchOp::Get(1),
-                BatchOp::Get(2),
-                BatchOp::Get(u32::MAX - 1),
-                BatchOp::Get(u32::MAX - 2),
-                BatchOp::CountRange(1, u32::MAX - 1),
-                BatchOp::Remove(1),
-                BatchOp::Remove(u32::MAX - 1),
-            ]);
-            ops.extend((10..=60).map(BatchOp::Remove));
-            ops.push(BatchOp::CountRange(1, u32::MAX - 1));
-            h.execute_batch(&ops, &mut out);
-            list.assert_valid();
-            let keys = list.keys();
-            assert!(keys.is_empty(), "everything removed ({kernel:?}, hints={hints})");
-            outputs.push((out, keys));
-        }
+    for (hints, fingers) in [(false, false), (true, false), (false, true)] {
+        let list = Gfsl::new(GfslParams {
+            team_size: TeamSize::Sixteen,
+            pool_chunks: 1 << 12,
+            hints,
+            fingers,
+            prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
+            ..Default::default()
+        })
+        .expect("params valid");
+        let mut h = list.handle();
+        let mut out = Vec::new();
+        let mut ops: Vec<BatchOp> = vec![BatchOp::Insert(1, 11), BatchOp::Insert(u32::MAX - 1, 99)];
+        ops.extend((10..=60).map(|k| BatchOp::Insert(k, k)));
+        ops.extend([
+            BatchOp::Get(1),
+            BatchOp::Get(2),
+            BatchOp::Get(u32::MAX - 1),
+            BatchOp::Get(u32::MAX - 2),
+            BatchOp::CountRange(1, u32::MAX - 1),
+            BatchOp::Remove(1),
+            BatchOp::Remove(u32::MAX - 1),
+        ]);
+        ops.extend((10..=60).map(BatchOp::Remove));
+        ops.push(BatchOp::CountRange(1, u32::MAX - 1));
+        h.execute_batch(&ops, &mut out);
+        list.assert_valid();
+        let keys = list.keys();
+        assert!(keys.is_empty(), "everything removed (hints={hints}, fingers={fingers})");
+        outputs.push((out, keys));
     }
     let first = &outputs[0];
     assert_eq!(first.0[53], BatchReply::Got(Some(11)), "get(1) next to -inf");
@@ -286,5 +310,150 @@ fn sentinel_edge_lanes_agree_across_configs() {
     assert_eq!(first.0[57], BatchReply::Counted(53), "full-span count");
     for other in &outputs[1..] {
         assert_eq!(first, other, "configurations diverged");
+    }
+}
+
+/// The shapes a chunk's data array can be caught in.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Sorted, left-packed, EMPTY tail: the state between updates.
+    Settled,
+    /// Mid `executeInsert`: lane `at + 1` already holds a copy of lane `at`.
+    TransientDuplicate { at: usize },
+    /// A read racing `executeRemove`'s left shift: lanes below `cut` were
+    /// read before the shift, lanes from `cut` up after it.
+    Torn { cut: usize, removed: usize },
+    /// Freshly allocated, or emptied.
+    AllEmpty,
+    /// Arbitrary words: nothing the protocol writes, everything a ballot
+    /// must still agree with the oracle on.
+    Noise,
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        2 => Just(Shape::Settled),
+        2 => (0..32usize).prop_map(|at| Shape::TransientDuplicate { at }),
+        2 => (0..32usize, 0..32usize).prop_map(|(cut, removed)| Shape::Torn { cut, removed }),
+        1 => Just(Shape::AllEmpty),
+        2 => Just(Shape::Noise),
+    ]
+}
+
+/// Keys from the sentinels' neighbourhoods as often as from the middle.
+fn edge_key_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        3 => 1..=200u32,
+        1 => 0..=2u32,
+        1 => (0..=2u32).prop_map(|d| u32::MAX - d),
+        1 => any::<u32>(),
+    ]
+}
+
+/// Lay `shape` out over `dsize` data lanes from the raw material `keys`
+/// (sorted and deduplicated here) and `noise`.
+fn data_lanes(shape: Shape, dsize: usize, keys: &[u32], fill: usize, noise: &[u64]) -> Vec<u64> {
+    let mut sorted: Vec<u32> = keys.iter().copied().filter(|&k| k != u32::MAX).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted.truncate(fill.min(dsize));
+    let settled = |keys: &[u32]| -> Vec<u64> {
+        (0..dsize)
+            .map(|i| keys.get(i).map_or(Entry::EMPTY, |&k| Entry::new(k, i as u32)).0)
+            .collect()
+    };
+    match shape {
+        Shape::Settled => settled(&sorted),
+        Shape::TransientDuplicate { at } => {
+            let mut lanes = settled(&sorted);
+            let at = at % (dsize - 1);
+            lanes[at + 1] = lanes[at];
+            lanes
+        }
+        Shape::Torn { cut, removed } => {
+            let before = settled(&sorted);
+            if !sorted.is_empty() {
+                sorted.remove(removed % sorted.len());
+            }
+            let after = settled(&sorted);
+            let cut = cut % dsize;
+            before[..cut].iter().chain(&after[cut..]).copied().collect()
+        }
+        Shape::AllEmpty => settled(&[]),
+        Shape::Noise => noise[..dsize].to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// One fixed-width team read returns exactly the pool's words, and every
+    /// ballot over it — and both traversal decisions — is bit for bit what
+    /// the scalar oracle computes from the same words, for both team sizes.
+    #[test]
+    fn chunk_step_matches_the_scalar_oracle(
+        (shape, keys, fill, noise) in (
+            shape_strategy(),
+            proptest::collection::vec(edge_key_strategy(), 32),
+            0..=32usize,
+            proptest::collection::vec(any::<u64>(), 32),
+        ),
+        (max, next, lock) in (edge_key_strategy(), any::<u32>(), any::<u64>()),
+        (k, hi) in (edge_key_strategy(), edge_key_strategy()),
+    ) {
+        for size in [TeamSize::Sixteen, TeamSize::ThirtyTwo] {
+            let team = Team::new(size);
+            let (lanes, dsize) = (team.lanes(), team.dsize());
+            // The chunk sits last in the pool: a read one word too wide
+            // would trip the bounds check.
+            let pool = WordPool::new(3 * lanes);
+            let ch = ChunkRef { base: 2 * lanes as u32 };
+            let mut words = data_lanes(shape, dsize, &keys, fill, &noise);
+            words.push(Entry::new(max, next).0);
+            words.push(lock);
+            for (lane, &w) in words.iter().enumerate() {
+                pool.write(ch.entry_addr(lane), w);
+            }
+
+            let view = ChunkView::read(&team, &pool, &mut NoProbe, ch);
+            for (lane, &w) in words.iter().enumerate() {
+                prop_assert_eq!(view.entry(lane).0, w, "lane {} of a {}-lane read", lane, lanes);
+            }
+            prop_assert_eq!(view.max(&team), max);
+            prop_assert_eq!(view.next(&team), next);
+            prop_assert_eq!(view.lock_word(&team), lock);
+
+            let data = &words[..dsize];
+            let le = ScalarBallot.keys_le(data, k);
+            let eq = ScalarBallot.keys_eq(data, k);
+            prop_assert_eq!(view.keys_le(&team, k).bits(), le);
+            prop_assert_eq!(view.keys_eq(&team, k).bits(), eq);
+            prop_assert_eq!(view.keys_live(&team).bits(), ScalarBallot.keys_live(data));
+            prop_assert_eq!(
+                view.keys_in_range(&team, k, hi).bits(),
+                ScalarBallot.keys_in_range(data, k, hi)
+            );
+            prop_assert_eq!(
+                view.num_keys(&team),
+                ScalarBallot.keys_le(data, u32::MAX - 1).count_ones()
+            );
+            prop_assert_eq!(view.lane_of_key(&team, k), Ballot::from_bits(eq).highest());
+
+            // The NEXT lane outvotes every DATA lane; otherwise the highest
+            // DATA vote decides.
+            let lateral = max < k;
+            let want_next = match Ballot::from_bits(le).highest() {
+                _ if lateral => NextStep::Lateral,
+                Some(lane) => NextStep::Down(lane),
+                None => NextStep::Backtrack,
+            };
+            prop_assert_eq!(tid_for_next_step(&team, k, &view), want_next);
+            let want_eq = match Ballot::from_bits(eq).highest() {
+                _ if lateral => LateralStep::Continue,
+                Some(lane) => LateralStep::Found(lane),
+                None => LateralStep::NotFound,
+            };
+            prop_assert_eq!(tid_with_equal_key(&team, k, &view), want_eq);
+        }
     }
 }

@@ -102,9 +102,8 @@ impl WarpProgram for GfslContainsWarp<'_> {
                     self.phase = GfslPhase::Read(view.next(&team), height);
                     return Step::Mem(addrs);
                 }
-                let kernel = self.list.params().kernel;
                 if height > 0 {
-                    match tid_for_next_step(kernel, &team, self.key, &view) {
+                    match tid_for_next_step(&team, self.key, &view) {
                         NextStep::Lateral => {
                             self.prev = Some(view);
                             self.phase = GfslPhase::Read(view.next(&team), height);
@@ -139,7 +138,7 @@ impl WarpProgram for GfslContainsWarp<'_> {
                         },
                     }
                 } else {
-                    match tid_with_equal_key(kernel, &team, self.key, &view) {
+                    match tid_with_equal_key(&team, self.key, &view) {
                         LateralStep::Continue => {
                             self.phase = GfslPhase::Read(view.next(&team), 0);
                         }

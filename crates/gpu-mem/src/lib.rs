@@ -37,7 +37,7 @@ pub mod traffic;
 
 pub use l2::L2Cache;
 pub use layout::{LineAddr, WordAddr, LINE_BYTES, LINE_WORDS, WORD_BYTES};
-pub use pool::{PoolExhausted, WordPool};
+pub use pool::{PoolExhausted, WordPool, WordSpan};
 pub use probe::{CountingProbe, CrashPoint, MemProbe, NoProbe, Prefetch};
 pub use reclaim::{EpochReclaimer, ReclaimStats, SlotId};
 pub use sched_probe::{Turnstile, YieldProbe};

@@ -167,14 +167,64 @@ impl WordPool {
         }
     }
 
-    /// Read `dst.len()` consecutive words starting at `base` (one lockstep
-    /// team read of a chunk; each lane's load is individually atomic, the
-    /// combination is not — exactly the GPU's guarantee).
+    /// Read the `N` consecutive words starting at `base` into `dst`: one
+    /// lockstep team read of a chunk. Each lane's load is individually
+    /// atomic, the combination is not — exactly the GPU's guarantee. Words
+    /// are loaded once each, in ascending address order (NotFound
+    /// certification rests on the lock lane, the highest address, being
+    /// read last), behind one bounds check for the whole chunk.
     #[inline]
-    pub fn read_words(&self, base: WordAddr, dst: &mut [u64]) {
+    pub fn read_words<const N: usize>(&self, base: WordAddr, dst: &mut [u64; N]) {
+        let words: &[ScheduledAtomicU64; N] = self
+            .span(base, N as u32)
+            .words
+            .try_into()
+            .expect("a span of N words");
         for (i, slot) in dst.iter_mut().enumerate() {
-            *slot = self.read(base + i as u32);
+            *slot = words[i].load(base + i as u32, Ordering::Acquire);
         }
+    }
+
+    /// The `n` consecutive words starting at `base`, bounds-checked once:
+    /// what a loop over one chunk's lanes stores through.
+    ///
+    /// # Panics
+    /// If the span does not lie inside the pool.
+    #[inline]
+    pub fn span(&self, base: WordAddr, n: u32) -> WordSpan<'_> {
+        let start = base as usize;
+        match self.words.get(start..start.wrapping_add(n as usize)) {
+            Some(words) => WordSpan { words, base },
+            None => span_out_of_bounds(base, n, self.words.len()),
+        }
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn span_out_of_bounds(base: WordAddr, n: u32, len: usize) -> ! {
+    panic!("index out of bounds: the pool holds {len} words but words {base}..{base}+{n} were addressed")
+}
+
+/// A run of consecutive pool words (one chunk) behind a single bounds check,
+/// indexed by lane. See [`WordPool::span`].
+#[derive(Clone, Copy)]
+pub struct WordSpan<'a> {
+    words: &'a [ScheduledAtomicU64],
+    base: WordAddr,
+}
+
+impl WordSpan<'_> {
+    /// Pool address of word `i` of the span.
+    #[inline]
+    pub fn addr(&self, i: usize) -> WordAddr {
+        self.base + i as u32
+    }
+
+    /// Release-store word `i` of the span (the paper's `AtomicWrite`).
+    #[inline]
+    pub fn write(&self, i: usize, value: u64) {
+        self.words[i].store(self.addr(i), value, Ordering::Release);
     }
 }
 
@@ -258,6 +308,35 @@ mod tests {
         let mut buf = [0u64; 8];
         p.read_words(4, &mut buf);
         assert_eq!(buf, [40, 50, 60, 70, 80, 90, 100, 110]);
+        p.read_words(56, &mut buf); // the pool's last eight words
+        assert_eq!(buf, [0; 8]);
+    }
+
+    #[test]
+    fn span_writes_land_at_base_plus_lane() {
+        let p = WordPool::new(64);
+        let s = p.span(16, 16);
+        s.write(0, 7);
+        s.write(15, 9);
+        assert_eq!(s.addr(15), 31);
+        assert_eq!((p.read(16), p.read(31)), (7, 9));
+    }
+
+    /// An out-of-range chunk (a walk that followed a NIL or recycled
+    /// pointer) must stop at the pool's bounds check, not read past it or
+    /// wrap.
+    #[test]
+    #[should_panic(expected = "index out of bounds: the pool holds 64 words")]
+    fn chunk_read_past_the_pool_panics() {
+        let p = WordPool::new(64);
+        p.read_words(60, &mut [0u64; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the pool holds 64 words")]
+    fn span_at_a_wrapped_nil_base_panics() {
+        let p = WordPool::new(64);
+        p.span(u32::MAX - 31, 32);
     }
 
     #[test]

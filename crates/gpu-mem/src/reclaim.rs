@@ -62,7 +62,13 @@ type GraceQueue<T> = Mutex<VecDeque<(u64, T)>>;
 /// `announce == 0` means quiescent (not inside an operation); otherwise it
 /// is the global epoch the worker observed when it pinned. `depth` makes
 /// pinning reentrant and is only ever touched by the owning worker.
+///
+/// Its owner writes a slot three or four times per operation (`depth`, the
+/// `SeqCst` announce, the unpin), so each slot gets a cache-line pair to
+/// itself (the adjacent-line prefetcher pulls lines in twos): neighbouring
+/// handles' slots must not bounce one line between their cores.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Slot {
     registered: AtomicU32,
     announce: AtomicU64,
@@ -458,6 +464,14 @@ mod tests {
     fn advance_and_drain(r: &EpochReclaimer, out: &mut Vec<(u32, u8)>) {
         r.try_advance();
         r.drain_candidates(out);
+    }
+
+    #[test]
+    fn adjacent_slots_share_no_cache_line_pair() {
+        assert!(std::mem::size_of::<Slot>() >= 128);
+        let r = EpochReclaimer::new(3);
+        let at = |i: usize| &r.slots[i].announce as *const AtomicU64 as usize;
+        assert!(at(1) - at(0) >= 128 && at(2) - at(1) >= 128);
     }
 
     #[test]

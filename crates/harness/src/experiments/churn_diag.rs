@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use gfsl::{BallotKernel, Gfsl, GfslParams, Prefetch, TeamSize};
+use gfsl::{Gfsl, GfslParams, Prefetch, TeamSize};
 use gfsl_gpu_mem::{CountingProbe, L2Cache};
 
 use super::ExpConfig;
@@ -44,7 +44,6 @@ fn run_cell(cfg: &ExpConfig, team: TeamSize, window: u32, prefetch: Prefetch) ->
     let pairs = (cfg.mixed_ops() / 4).max(window as usize);
     let mut params = GfslParams {
         team_size: team,
-        kernel: BallotKernel::Swar,
         fingers: true,
         prefetch,
         reclaim: true,

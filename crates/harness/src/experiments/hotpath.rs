@@ -1,7 +1,8 @@
-//! Hot-path engine grid: the ballot kernel (scalar reference vs SWAR)
-//! crossed with the locality ladder — hinted dispatch, multi-level
-//! fingers, software prefetch — plus the flat-bottom (B-Skiplist) engine
-//! variant, measured head-to-head on three workloads. Not a paper
+//! Hot-path engine grid: the locality ladder — hinted dispatch,
+//! multi-level fingers, software prefetch — plus the flat-bottom
+//! (B-Skiplist) engine variant, measured head-to-head on three workloads
+//! (the ballot-kernel axis this grid once had is gone: the fixed-width
+//! kernel is the only one, DESIGN.md "Host chunk step"). Not a paper
 //! artifact — this tracks the host-side engine work layered on the
 //! paper's structure:
 //!
@@ -13,8 +14,7 @@
 //!   lateral runs; prefetch overlaps the predicted next chunk's fetch with
 //!   the current ballot.
 //! * **fresh inserts** — update-path cost. Writes run the locked find's own
-//!   descent, so this row isolates the kernel and finger effect on the
-//!   write path.
+//!   descent, so this row isolates the finger effect on the write path.
 //! * **sliding-window churn** — insert+remove with reclamation on, the
 //!   workload that exercises zombie retirement, the head-edge sweep, and
 //!   pool recycling. Columns include the reclaim counters so the recycling
@@ -36,15 +36,15 @@
 //!   heal, DESIGN.md §20, read 3.03×);
 //! * quick/CI cell: the fingered configurations must not lose to the
 //!   hinted baseline on hot-band gets;
-//! * full runs: `swar+fingers+pf` must beat the previously committed
-//!   swar+hints headline ([`COMMITTED_GET_MOPS`]), and at least one
+//! * full runs: `fingers+pf` must beat the previously committed hinted
+//!   headline ([`COMMITTED_GET_MOPS`]), and at least one
 //!   locality configuration (fingers, prefetch, or flat-bottom) must beat
 //!   the committed churn plateau ([`COMMITTED_CHURN_MOPS`]) by >= 15%.
 
 use std::time::Instant;
 
 use gfsl::{
-    BallotKernel, BatchOp, BatchReply, EngineKind, FlatSkiplist, Gfsl, GfslHandle, GfslParams,
+    BatchOp, BatchReply, EngineKind, FlatSkiplist, Gfsl, GfslHandle, GfslParams,
     KvEngine, MemProbe, OpStats, Prefetch, ReclaimStats, FINGER_LEVELS,
 };
 use gfsl_workload::SplitMix64;
@@ -65,7 +65,7 @@ const BATCH: usize = 256;
 const REPS: usize = 3;
 
 /// Headline committed in `results/BENCH_hotpath.json` before the locality
-/// engine landed: swar+hints hot-band gets, full mode. The fingers+prefetch
+/// engine landed: hinted hot-band gets, full mode. The fingers+prefetch
 /// configuration must beat it.
 const COMMITTED_GET_MOPS: f64 = 5.28;
 
@@ -96,53 +96,32 @@ const PARENT_DRIFT: DriftResult = DriftResult {
 struct GridCfg {
     name: &'static str,
     engine: EngineKind,
-    kernel: BallotKernel,
     hints: bool,
     fingers: bool,
     prefetch: Prefetch,
 }
 
-/// The grid, scalar-reference baseline first, then the locality ladder,
-/// then the flat-bottom challenger.
-fn grid() -> [GridCfg; 7] {
+/// The grid: the plain engine first (the baseline of every "vs plain"
+/// column), then the locality ladder, then the flat-bottom challenger.
+fn grid() -> [GridCfg; 5] {
     let base = GridCfg {
-        name: "",
+        name: "plain",
         engine: EngineKind::Gfsl,
-        kernel: BallotKernel::Scalar,
         hints: false,
         fingers: false,
         prefetch: Prefetch::Off,
     };
     [
-        GridCfg { name: "scalar", ..base },
-        GridCfg { name: "scalar+hints", hints: true, ..base },
-        GridCfg { name: "swar", kernel: BallotKernel::Swar, ..base },
-        GridCfg { name: "swar+hints", kernel: BallotKernel::Swar, hints: true, ..base },
-        GridCfg {
-            name: "swar+fingers",
-            kernel: BallotKernel::Swar,
-            fingers: true,
-            ..base
-        },
-        GridCfg {
-            name: "swar+fingers+pf",
-            kernel: BallotKernel::Swar,
-            fingers: true,
-            prefetch: Prefetch::Next,
-            ..base
-        },
-        GridCfg {
-            name: "flat",
-            engine: EngineKind::FlatBottom,
-            kernel: BallotKernel::Swar,
-            ..base
-        },
+        base,
+        GridCfg { name: "hints", hints: true, ..base },
+        GridCfg { name: "fingers", fingers: true, ..base },
+        GridCfg { name: "fingers+pf", fingers: true, prefetch: Prefetch::Next, ..base },
+        GridCfg { name: "flat", engine: EngineKind::FlatBottom, ..base },
     ]
 }
 
 fn params_for(cfg: &ExpConfig, g: GridCfg, expected_keys: u64) -> GfslParams {
     let mut p = GfslParams {
-        kernel: g.kernel,
         hints: g.hints,
         fingers: g.fingers,
         prefetch: g.prefetch,
@@ -220,7 +199,7 @@ fn hot_band_gets(cfg: &ExpConfig, g: GridCfg) -> GetResult {
             }
         }
         EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new(g.kernel);
+            let list = FlatSkiplist::new();
             let mut h = list.handle();
             for k in (1..range).filter(|k| k % 2 == 0) {
                 h.insert(k, k);
@@ -280,7 +259,7 @@ fn fresh_inserts(cfg: &ExpConfig, g: GridCfg) -> f64 {
             n_ins as f64 / start.elapsed().as_secs_f64() / 1.0e6
         }
         EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new(g.kernel);
+            let list = FlatSkiplist::new();
             let mut h = list.handle();
             for k in (1..range).filter(|k| k % 2 == 0) {
                 h.insert(k, k);
@@ -341,7 +320,7 @@ fn window_churn(cfg: &ExpConfig, g: GridCfg) -> ChurnResult {
             }
         }
         EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new(g.kernel);
+            let list = FlatSkiplist::new();
             let mut h = list.handle();
             for k in 1..=window {
                 h.insert(k, k);
@@ -462,7 +441,7 @@ struct LocalityStats {
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let mut perf = Table::new(
         "Hot path: engine x locality grid (hot-band gets, fresh inserts)",
-        &["config", "get MOPS", "vs scalar", "hint hit", "finger hit", "insert MOPS", "vs scalar"],
+        &["config", "get MOPS", "vs plain", "hint hit", "finger hit", "insert MOPS", "vs plain"],
     );
     let mut gets: Vec<GetResult> = Vec::new();
     let mut base_get = 0.0f64;
@@ -494,7 +473,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let mut churn = Table::new(
         "Hot path: sliding-window churn with reclamation on",
         &[
-            "config", "churn MOPS", "vs scalar", "reclaimed", "reused", "high water", "pool",
+            "config", "churn MOPS", "vs plain", "reclaimed", "reused", "high water", "pool",
             "passes", "skipped", "parent chunks scanned", "backlog high water",
         ],
     );
@@ -527,12 +506,12 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         churns.push(r);
     }
 
-    // Grid positions (fixed by `grid()`): 3 = swar+hints, 4 = swar+fingers,
-    // 5 = swar+fingers+pf, 6 = flat.
-    let hinted_get = gets[3].mops;
-    let fingered_get = gets[4].mops.max(gets[5].mops);
-    let fingered_pf_get = gets[5].mops;
-    let locality_churn = [(4usize, "swar+fingers"), (5, "swar+fingers+pf"), (6, "flat")];
+    // Grid positions (fixed by `grid()`): 1 = hints, 2 = fingers,
+    // 3 = fingers+pf, 4 = flat.
+    let hinted_get = gets[1].mops;
+    let fingered_get = gets[2].mops.max(gets[3].mops);
+    let fingered_pf_get = gets[3].mops;
+    let locality_churn = [(2usize, "fingers"), (3, "fingers+pf"), (4, "flat")];
     let (best_churn_cfg, best_churn) = locality_churn
         .iter()
         .map(|&(i, name)| (name, churns[i].mops))
@@ -550,8 +529,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         if !cfg.quick {
             assert!(
                 fingered_pf_get > COMMITTED_GET_MOPS,
-                "locality gate: swar+fingers+pf ({fingered_pf_get:.2} MOPS) must beat \
-                 the committed swar+hints headline ({COMMITTED_GET_MOPS} MOPS)"
+                "locality gate: fingers+pf ({fingered_pf_get:.2} MOPS) must beat \
+                 the committed hinted headline ({COMMITTED_GET_MOPS} MOPS)"
             );
             assert!(
                 best_churn >= 1.15 * COMMITTED_CHURN_MOPS,
@@ -575,7 +554,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             full_gates: asserted && !cfg.quick,
         },
     );
-    let s = &gets[5].stats;
+    let s = &gets[3].stats;
     perf.attach(
         "locality_stats",
         &LocalityStats {
@@ -629,30 +608,29 @@ mod tests {
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[2].rows.len(), 2, "the parent's drift row and this build's");
         for t in &tables[..2] {
-            assert_eq!(t.rows.len(), 7, "one row per grid configuration");
-            assert_eq!(t.rows[0][0], "scalar", "scalar baseline first");
+            assert_eq!(t.rows.len(), 5, "one row per grid configuration");
+            assert_eq!(t.rows[0][0], "plain", "plain baseline first");
             assert_eq!(t.rows[0][2], "1.00x", "baseline ratio is identity");
-            assert_eq!(t.rows[3][0], "swar+hints");
-            assert_eq!(t.rows[5][0], "swar+fingers+pf");
-            assert_eq!(t.rows[6][0], "flat");
+            assert_eq!(t.rows[1][0], "hints");
+            assert_eq!(t.rows[3][0], "fingers+pf");
+            assert_eq!(t.rows[4][0], "flat");
         }
-        // The hinted configurations must actually exercise the hint cache.
-        for row in [&tables[0].rows[1], &tables[0].rows[3]] {
-            assert_ne!(row[3], "-", "hinted rows report a hit rate");
-            assert_ne!(row[3], "0.0%", "sorted hot-band batches must hit");
-        }
+        // The hinted configuration must actually exercise the hint cache.
+        let row = &tables[0].rows[1];
+        assert_ne!(row[3], "-", "hinted rows report a hit rate");
+        assert_ne!(row[3], "0.0%", "sorted hot-band batches must hit");
         // The fingered configurations must exercise both cache tiers.
-        for row in [&tables[0].rows[4], &tables[0].rows[5]] {
+        for row in [&tables[0].rows[2], &tables[0].rows[3]] {
             assert_ne!(row[3], "0.0%", "fingers subsume the bottom hint");
             assert_ne!(row[4], "-", "fingered rows report a finger hit rate");
             assert_ne!(row[4], "0.0%", "hot-band batches must validate fingers");
         }
         // Churn must have recycled: the reclaim counters are the artifact
         // (the flat engine has no chunk pool and reports dashes).
-        for row in &tables[1].rows[..6] {
+        for row in &tables[1].rows[..4] {
             assert_ne!(row[3], "0", "churn must reclaim zombies ({row:?})");
             assert_ne!(row[4], "0", "churn must reuse chunks ({row:?})");
         }
-        assert_eq!(tables[1].rows[6][3], "-", "flat engine has no reclaim counters");
+        assert_eq!(tables[1].rows[4][3], "-", "flat engine has no reclaim counters");
     }
 }

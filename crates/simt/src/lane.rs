@@ -1,4 +1,4 @@
-//! Lane identities and the fixed-width per-lane register file.
+//! Lane identities and team widths.
 
 /// Number of threads in a full hardware warp on every Nvidia GPU to date
 /// (the paper, §2.1, notes this may change in the future; GFSL only relies on
@@ -53,84 +53,6 @@ impl std::fmt::Display for TeamSize {
     }
 }
 
-/// A per-lane register: one value of type `T` for each lane of a team.
-///
-/// This is the moral equivalent of "a local variable in kernel code": each
-/// lane holds its own copy. Backed by a fixed `[T; WARP_SIZE]` so it never
-/// allocates (CUDA local arrays spill to global memory, which is exactly the
-/// effect the paper's "artificial array" trick avoids; on the host a stack
-/// array is free).
-#[derive(Debug, Clone, Copy)]
-pub struct Lanes<T> {
-    vals: [T; WARP_SIZE],
-    size: usize,
-}
-
-impl<T: Copy + Default> Lanes<T> {
-    /// A register file of `size` lanes, default-initialized.
-    #[inline]
-    pub fn new(size: TeamSize) -> Self {
-        Lanes {
-            vals: [T::default(); WARP_SIZE],
-            size: size.lanes(),
-        }
-    }
-
-    /// Populate every lane's register in lockstep: `f(lane)` is the value
-    /// computed by `lane`.
-    #[inline]
-    pub fn fill_with(size: TeamSize, mut f: impl FnMut(LaneId) -> T) -> Self {
-        let mut l = Lanes::new(size);
-        for lane in 0..l.size {
-            l.vals[lane] = f(lane);
-        }
-        l
-    }
-}
-
-impl<T: Copy> Lanes<T> {
-    /// Number of live lanes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.size
-    }
-
-    /// True when the team has no lanes (never happens for valid team sizes;
-    /// provided for API completeness).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.size == 0
-    }
-
-    /// Read lane `lane`'s register. This is `__shfl(value, lane)` observed
-    /// from any other lane: in lockstep execution every lane receives the
-    /// same broadcast value.
-    #[inline]
-    pub fn get(&self, lane: LaneId) -> T {
-        debug_assert!(lane < self.size, "shfl from lane {lane} of {}", self.size);
-        self.vals[lane]
-    }
-
-    /// Overwrite lane `lane`'s register.
-    #[inline]
-    pub fn set(&mut self, lane: LaneId, v: T) {
-        debug_assert!(lane < self.size);
-        self.vals[lane] = v;
-    }
-
-    /// Iterate `(lane, value)` pairs in lane order.
-    #[inline]
-    pub fn iter(&self) -> impl Iterator<Item = (LaneId, T)> + '_ {
-        self.vals[..self.size].iter().copied().enumerate()
-    }
-
-    /// The live lanes as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        &self.vals[..self.size]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,33 +72,6 @@ mod tests {
         assert_eq!(TeamSize::from_lanes(8), None);
         assert_eq!(TeamSize::from_lanes(0), None);
         assert_eq!(TeamSize::from_lanes(33), None);
-    }
-
-    #[test]
-    fn lanes_fill_get_set() {
-        let mut l = Lanes::fill_with(TeamSize::Sixteen, |lane| lane as u64 * 3);
-        assert_eq!(l.len(), 16);
-        assert_eq!(l.get(0), 0);
-        assert_eq!(l.get(15), 45);
-        l.set(7, 999);
-        assert_eq!(l.get(7), 999);
-    }
-
-    #[test]
-    fn lanes_iter_matches_slice() {
-        let l = Lanes::fill_with(TeamSize::ThirtyTwo, |lane| lane as u32 + 1);
-        let collected: Vec<u32> = l.iter().map(|(_, v)| v).collect();
-        assert_eq!(collected.len(), 32);
-        assert_eq!(collected.as_slice(), l.as_slice());
-        assert_eq!(collected[31], 32);
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn lanes_get_out_of_range_panics_in_debug() {
-        let l: Lanes<u64> = Lanes::new(TeamSize::Sixteen);
-        let _ = l.get(16);
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub mod vector;
 
 pub use ballot::Ballot;
 pub use divergence::DivergenceStats;
-pub use lane::{LaneId, Lanes, TeamSize, WARP_SIZE};
+pub use lane::{LaneId, TeamSize, WARP_SIZE};
 pub use team::Team;
-pub use vector::{BallotKernel, ScalarBallot, SwarBallot, VectorBallot};
+pub use vector::{ScalarBallot, WarpRegs};

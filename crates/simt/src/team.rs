@@ -1,14 +1,15 @@
 //! The team: a lockstep group of lanes executing one GFSL operation.
 
 use crate::ballot::Ballot;
-use crate::lane::{LaneId, Lanes, TeamSize};
+use crate::lane::{LaneId, TeamSize};
 
 /// A team of `N` lanes that cooperate to execute one skiplist operation.
 ///
 /// The team is a pure description of the lockstep geometry (how many lanes,
 /// which lane is the NEXT thread, which is the LOCK thread) plus the warp
-/// intrinsics. It holds no memory of its own; per-step lane registers live in
-/// [`Lanes`] values owned by the operation code, mirroring how CUDA kernel
+/// intrinsics. It holds no memory of its own; the registers of a chunk read
+/// live in a [`crate::WarpRegs`] owned by the operation code (reading lane
+/// `i`'s entry of it is the `__shfl` broadcast), mirroring how CUDA kernel
 /// locals live in the register file.
 #[derive(Debug, Clone, Copy)]
 pub struct Team {
@@ -75,20 +76,6 @@ impl Team {
         }
         Ballot::from_bits(bits)
     }
-
-    /// `__shfl(v, src)`: broadcast lane `src`'s register to the whole team.
-    #[inline]
-    pub fn shfl<T: Copy>(&self, regs: &Lanes<T>, src: LaneId) -> T {
-        regs.get(src)
-    }
-
-    /// Run a per-lane computation in lockstep and collect each lane's result
-    /// into a fresh register file. This is the "each thread computes on the
-    /// value it read" step of the paper's cooperative functions.
-    #[inline]
-    pub fn each_lane<T: Copy + Default>(&self, f: impl FnMut(LaneId) -> T) -> Lanes<T> {
-        Lanes::fill_with(self.size, f)
-    }
 }
 
 #[cfg(test)]
@@ -133,25 +120,5 @@ mod tests {
         let t = Team::new(TeamSize::Sixteen);
         let b = t.ballot(|_| true);
         assert_eq!(b.bits(), 0xFFFF);
-    }
-
-    #[test]
-    fn shfl_broadcasts_source_lane() {
-        let t = Team::new(TeamSize::ThirtyTwo);
-        let regs = t.each_lane(|lane| (lane * lane) as u64);
-        assert_eq!(t.shfl(&regs, 5), 25);
-        assert_eq!(t.shfl(&regs, 31), 961);
-    }
-
-    #[test]
-    fn each_lane_evaluates_every_lane_once() {
-        let t = Team::new(TeamSize::Sixteen);
-        let mut calls = 0;
-        let regs = t.each_lane(|lane| {
-            calls += 1;
-            lane as u32
-        });
-        assert_eq!(calls, 16);
-        assert_eq!(regs.get(15), 15);
     }
 }

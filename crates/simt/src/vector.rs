@@ -1,89 +1,91 @@
-//! Vectorized ballot kernels: branch-free SWAR evaluation of the three hot
-//! chunk votes over the packed chunk words.
+//! Ballot kernels: the three hot chunk votes evaluated over a whole
+//! register file in one fixed-width, branch-free pass.
 //!
 //! The paper's premise is that a team inspects a whole chunk in one
 //! coalesced transaction and decides the next step with a *single* ballot.
 //! The reference emulation ([`crate::Team::ballot`]) invokes a closure per
 //! lane — faithful to lockstep semantics, but 16/32 indirect predicate
 //! evaluations per traversal step on the host. The kernels here compute the
-//! same vote masks directly from the chunk's packed `u64` words with
-//! branch-free arithmetic in unrolled 8-word blocks (`u64x8`-style), which
-//! LLVM auto-vectorizes; one traversal decision becomes a handful of SIMD
-//! compares instead of a lane loop.
+//! same vote masks directly from the chunk's packed `u64` words: every one
+//! of the [`WARP_SIZE`] registers votes in straight-line code (no length to
+//! loop over, no tail; LLVM turns it into packed 32-bit compares), and the
+//! lanes that are not DATA lanes of the team are masked off the result.
 //!
-//! Two implementations of [`VectorBallot`] ship:
-//!
-//! * [`ScalarBallot`] — the per-lane loop, kept as the differential-test
-//!   oracle and used by chaos/replay runs (the "known-good" kernel);
-//! * [`SwarBallot`] — the branch-free block kernel used on the hot path.
-//!
-//! Both are pure register math over an already-read chunk snapshot: they
-//! touch no shared memory and emit no probe events, so replay trace hashes
-//! are bit-identical whichever kernel computed the votes (asserted by the
-//! chaos parity tests in `gfsl-core`).
+//! They are pure register math over an already-read chunk snapshot: they
+//! touch no shared memory and emit no probe events, so a replay's trace
+//! hash cannot depend on how a vote was computed. [`ScalarBallot`], the
+//! per-lane loop over a slice of data words, is kept as the oracle the
+//! kernels are differentially tested against — here, in `gfsl-core`'s
+//! `kernel_parity` suite and in the harness — and is not used on any
+//! production path.
 //!
 //! Key encoding contract (shared with `gfsl-core`'s chunk layout): each
 //! data word packs the key in its **low 32 bits**; key `0` is the `-∞`
 //! sentinel and key `u32::MAX` is the `∞` / EMPTY sentinel.
 
 use crate::ballot::Ballot;
+use crate::lane::{TeamSize, WARP_SIZE};
 
-/// `1` iff `key(word) <= k`. A plain comparison cast: `setcc`/`cset` on
-/// every target, and — unlike a 64-bit borrow trick — a shape LLVM's
-/// vectorizer recognizes as a packed 32-bit compare.
+/// One team's registers after a chunk read: lane `i`'s word at index `i`.
+/// Registers at or above the team's width hold no lane and never vote.
+pub type WarpRegs = [u64; WARP_SIZE];
+
+/// Every register's `vote(key)`, DATA lanes of a `size` team only.
 #[inline(always)]
-fn le_bit(word: u64, k: u32) -> u32 {
-    (word as u32 <= k) as u32
-}
-
-/// `1` iff `key(word) == k`, branch-free via the comparison cast.
-#[inline(always)]
-fn eq_bit(word: u64, k: u32) -> u32 {
-    (word as u32 == k) as u32
-}
-
-/// `1` iff `key(word)` is a live user key (neither `0` = `-∞` nor
-/// `u32::MAX` = `∞`/EMPTY).
-#[inline(always)]
-fn live_bit(word: u64) -> u32 {
-    let key = word as u32;
-    ((key != 0) & (key != u32::MAX)) as u32
-}
-
-/// Ballot kernels over the data words of one chunk snapshot.
-///
-/// `words[i]` is lane `i`'s data word (key in the low 32 bits); callers
-/// pass exactly the DATA lanes, so every returned mask bit `i` is lane
-/// `i`'s vote and bits at or above `words.len()` are zero.
-pub trait VectorBallot {
-    /// Mask of lanes whose key is `<= k` (the `getTidForNextStep` /
-    /// `getTidOfDownStep` data vote).
-    fn keys_le(&self, words: &[u64], k: u32) -> u32;
-
-    /// Mask of lanes whose key is `== k` (the `isTidWithEqualKey` data
-    /// vote).
-    fn keys_eq(&self, words: &[u64], k: u32) -> u32;
-
-    /// Mask of lanes holding a live user key — neither the `-∞` key (`0`)
-    /// nor EMPTY/`∞` (`u32::MAX`) — the min-entry scan vote.
-    fn keys_live(&self, words: &[u64]) -> u32;
-
-    /// Mask of lanes whose key is in `[lo, hi]` **and** live. Used by range
-    /// scans; equals `keys_le(hi) & !keys_le(lo-1) & keys_live`.
-    fn keys_in_range(&self, words: &[u64], lo: u32, hi: u32) -> u32 {
-        let le_hi = self.keys_le(words, hi);
-        let lt_lo = if lo == 0 { 0 } else { self.keys_le(words, lo - 1) };
-        le_hi & !lt_lo & self.keys_live(words)
+fn data_votes(size: TeamSize, regs: &WarpRegs, vote: impl Fn(u32) -> bool) -> Ballot {
+    let mut bits = 0u32;
+    for (lane, &word) in regs.iter().enumerate() {
+        bits |= (vote(word as u32) as u32) << lane;
     }
+    Ballot::from_bits(bits & ((1u32 << size.dsize()) - 1))
 }
 
-/// Reference per-lane loop: the oracle the SWAR kernel is differentially
-/// tested against, and the kernel chaos/replay campaigns pin.
+/// DATA lanes whose key is `<= k` (the `getTidForNextStep` /
+/// `getTidOfDownStep` data vote).
+#[inline]
+pub fn keys_le(size: TeamSize, regs: &WarpRegs, k: u32) -> Ballot {
+    data_votes(size, regs, |key| key <= k)
+}
+
+/// DATA lanes whose key is `== k` (the `isTidWithEqualKey` data vote).
+#[inline]
+pub fn keys_eq(size: TeamSize, regs: &WarpRegs, k: u32) -> Ballot {
+    data_votes(size, regs, |key| key == k)
+}
+
+/// DATA lanes holding a live user key — neither the `-∞` key (`0`) nor
+/// EMPTY/`∞` (`u32::MAX`) — the min-entry scan vote.
+#[inline]
+pub fn keys_live(size: TeamSize, regs: &WarpRegs) -> Ballot {
+    data_votes(size, regs, |key| key != 0 && key != u32::MAX)
+}
+
+/// DATA lanes whose key is live and in `[lo, hi]` (range scans).
+#[inline]
+pub fn keys_in_range(size: TeamSize, regs: &WarpRegs, lo: u32, hi: u32) -> Ballot {
+    data_votes(size, regs, |key| key != 0 && key != u32::MAX && lo <= key && key <= hi)
+}
+
+/// Count entries with key `<= k` across an arbitrarily wide word run.
+///
+/// Ballots pack one vote bit per lane, which caps them at 32 entries — the
+/// warp width. The flat-bottom (B-Skiplist) engine packs *hundreds* of
+/// sorted entries into one fat leaf, so its position vote is a **rank**
+/// (a count), not a mask.
+#[inline]
+pub fn rank_le(words: &[u64], k: u32) -> usize {
+    words.iter().filter(|&&w| w as u32 <= k).count()
+}
+
+/// Reference per-lane loop over a slice of data words (`words[i]` is lane
+/// `i`'s, so bit `i` of a mask is lane `i`'s vote): the differential-test
+/// oracle for the kernels above.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBallot;
 
-impl VectorBallot for ScalarBallot {
-    fn keys_le(&self, words: &[u64], k: u32) -> u32 {
+impl ScalarBallot {
+    /// Mask of lanes whose key is `<= k`.
+    pub fn keys_le(&self, words: &[u64], k: u32) -> u32 {
         let mut bits = 0u32;
         for (lane, &w) in words.iter().enumerate() {
             if w as u32 <= k {
@@ -93,7 +95,8 @@ impl VectorBallot for ScalarBallot {
         bits
     }
 
-    fn keys_eq(&self, words: &[u64], k: u32) -> u32 {
+    /// Mask of lanes whose key is `== k`.
+    pub fn keys_eq(&self, words: &[u64], k: u32) -> u32 {
         let mut bits = 0u32;
         for (lane, &w) in words.iter().enumerate() {
             if w as u32 == k {
@@ -103,7 +106,8 @@ impl VectorBallot for ScalarBallot {
         bits
     }
 
-    fn keys_live(&self, words: &[u64]) -> u32 {
+    /// Mask of lanes holding a live user key.
+    pub fn keys_live(&self, words: &[u64]) -> u32 {
         let mut bits = 0u32;
         for (lane, &w) in words.iter().enumerate() {
             let key = w as u32;
@@ -113,156 +117,13 @@ impl VectorBallot for ScalarBallot {
         }
         bits
     }
-}
 
-/// Branch-free SWAR kernel: unrolled 8-word blocks of carry-trick compares,
-/// auto-vectorized by LLVM into SIMD lanes on x86-64/aarch64.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SwarBallot;
-
-/// Apply `f(word) -> 0|1` over `words` in unrolled 8-word blocks and pack
-/// the results into a lane mask.
-#[inline(always)]
-fn swar_mask(words: &[u64], f: impl Fn(u64) -> u32 + Copy) -> u32 {
-    let mut bits = 0u32;
-    let mut lane = 0usize;
-    let mut chunks = words.chunks_exact(8);
-    for blk in &mut chunks {
-        // One straight-line block: no per-lane branches, no early exit.
-        let m = f(blk[0])
-            | f(blk[1]) << 1
-            | f(blk[2]) << 2
-            | f(blk[3]) << 3
-            | f(blk[4]) << 4
-            | f(blk[5]) << 5
-            | f(blk[6]) << 6
-            | f(blk[7]) << 7;
-        bits |= m << lane;
-        lane += 8;
-    }
-    for (i, &w) in chunks.remainder().iter().enumerate() {
-        bits |= f(w) << (lane + i);
-    }
-    bits
-}
-
-/// Count entries with key `<= k` across an arbitrarily wide word run.
-///
-/// Ballots pack one vote bit per lane, which caps them at 32 entries — the
-/// warp width. The flat-bottom (B-Skiplist) engine packs *hundreds* of
-/// sorted entries into one fat leaf, so its position vote is a **rank**
-/// (a count), not a mask. The scalar loop is the oracle; the SWAR version
-/// accumulates the same branch-free compare bits in unrolled 8-word blocks.
-#[inline]
-fn scalar_rank_le(words: &[u64], k: u32) -> usize {
-    words.iter().filter(|&&w| w as u32 <= k).count()
-}
-
-#[inline]
-fn swar_rank_le(words: &[u64], k: u32) -> usize {
-    let mut count = 0u32;
-    let mut chunks = words.chunks_exact(8);
-    for blk in &mut chunks {
-        // One straight-line block, no early exit: auto-vectorizes to packed
-        // compares + horizontal add.
-        count += le_bit(blk[0], k)
-            + le_bit(blk[1], k)
-            + le_bit(blk[2], k)
-            + le_bit(blk[3], k)
-            + le_bit(blk[4], k)
-            + le_bit(blk[5], k)
-            + le_bit(blk[6], k)
-            + le_bit(blk[7], k);
-    }
-    for &w in chunks.remainder() {
-        count += le_bit(w, k);
-    }
-    count as usize
-}
-
-impl VectorBallot for SwarBallot {
-    #[inline]
-    fn keys_le(&self, words: &[u64], k: u32) -> u32 {
-        swar_mask(words, |w| le_bit(w, k))
-    }
-
-    #[inline]
-    fn keys_eq(&self, words: &[u64], k: u32) -> u32 {
-        swar_mask(words, |w| eq_bit(w, k))
-    }
-
-    #[inline]
-    fn keys_live(&self, words: &[u64]) -> u32 {
-        swar_mask(words, live_bit)
-    }
-}
-
-/// Which ballot kernel a structure runs its chunk votes through.
-///
-/// A plain enum (not a generic parameter) so the choice is a runtime knob:
-/// benches flip it per configuration, chaos campaigns pin [`Scalar`] as the
-/// reference, and differential tests drive both through one code path.
-///
-/// [`Scalar`]: BallotKernel::Scalar
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BallotKernel {
-    /// Per-lane reference loop ([`ScalarBallot`]).
-    Scalar,
-    /// Branch-free SWAR blocks ([`SwarBallot`]); the default.
-    #[default]
-    Swar,
-}
-
-impl BallotKernel {
-    /// Mask of data lanes (within `words`) whose key is `<= k`.
-    #[inline]
-    pub fn keys_le(self, words: &[u64], k: u32) -> Ballot {
-        let bits = match self {
-            BallotKernel::Scalar => ScalarBallot.keys_le(words, k),
-            BallotKernel::Swar => SwarBallot.keys_le(words, k),
-        };
-        Ballot::from_bits(bits)
-    }
-
-    /// Mask of data lanes whose key is `== k`.
-    #[inline]
-    pub fn keys_eq(self, words: &[u64], k: u32) -> Ballot {
-        let bits = match self {
-            BallotKernel::Scalar => ScalarBallot.keys_eq(words, k),
-            BallotKernel::Swar => SwarBallot.keys_eq(words, k),
-        };
-        Ballot::from_bits(bits)
-    }
-
-    /// Mask of data lanes holding a live user key.
-    #[inline]
-    pub fn keys_live(self, words: &[u64]) -> Ballot {
-        let bits = match self {
-            BallotKernel::Scalar => ScalarBallot.keys_live(words),
-            BallotKernel::Swar => SwarBallot.keys_live(words),
-        };
-        Ballot::from_bits(bits)
-    }
-
-    /// Mask of data lanes whose key is live and in `[lo, hi]`.
-    #[inline]
-    pub fn keys_in_range(self, words: &[u64], lo: u32, hi: u32) -> Ballot {
-        let bits = match self {
-            BallotKernel::Scalar => ScalarBallot.keys_in_range(words, lo, hi),
-            BallotKernel::Swar => SwarBallot.keys_in_range(words, lo, hi),
-        };
-        Ballot::from_bits(bits)
-    }
-
-    /// Rank of `k` in a word run of *any* width: the count of entries with
-    /// key `<= k`. The fat-leaf analogue of [`keys_le`](Self::keys_le) for
-    /// runs wider than the 32-lane ballot (flat-bottom engine leaves).
-    #[inline]
-    pub fn rank_le(self, words: &[u64], k: u32) -> usize {
-        match self {
-            BallotKernel::Scalar => scalar_rank_le(words, k),
-            BallotKernel::Swar => swar_rank_le(words, k),
-        }
+    /// Mask of lanes whose key is in `[lo, hi]` **and** live; equals
+    /// `keys_le(hi) & !keys_le(lo-1) & keys_live`.
+    pub fn keys_in_range(&self, words: &[u64], lo: u32, hi: u32) -> u32 {
+        let le_hi = self.keys_le(words, hi);
+        let lt_lo = if lo == 0 { 0 } else { self.keys_le(words, lo - 1) };
+        le_hi & !lt_lo & self.keys_live(words)
     }
 }
 
@@ -271,57 +132,72 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const SIZES: [TeamSize; 2] = [TeamSize::Sixteen, TeamSize::ThirtyTwo];
+
     fn word(key: u32, val: u32) -> u64 {
         ((val as u64) << 32) | key as u64
     }
 
+    /// A register file whose first lanes are `words`; the rest EMPTY.
+    fn regs(words: &[u64]) -> WarpRegs {
+        let mut r = [word(u32::MAX, 0); WARP_SIZE];
+        r[..words.len()].copy_from_slice(words);
+        r
+    }
+
     #[test]
     fn le_handles_sentinels_and_boundaries() {
-        let words = [word(0, 9), word(5, 1), word(10, 2), word(u32::MAX, 0)];
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            assert_eq!(kernel.keys_le(&words, 4).bits(), 0b0001, "{kernel:?}");
-            assert_eq!(kernel.keys_le(&words, 5).bits(), 0b0011, "{kernel:?}");
-            assert_eq!(kernel.keys_le(&words, 10).bits(), 0b0111, "{kernel:?}");
-            assert_eq!(kernel.keys_le(&words, u32::MAX - 1).bits(), 0b0111);
-            assert_eq!(kernel.keys_le(&words, u32::MAX).bits(), 0b1111);
+        let r = regs(&[word(0, 9), word(5, 1), word(10, 2)]);
+        for size in SIZES {
+            let all = (1u32 << size.dsize()) - 1;
+            assert_eq!(keys_le(size, &r, 4).bits(), 0b001, "{size}");
+            assert_eq!(keys_le(size, &r, 5).bits(), 0b011, "{size}");
+            assert_eq!(keys_le(size, &r, 10).bits(), 0b111, "{size}");
+            assert_eq!(keys_le(size, &r, u32::MAX - 1).bits(), 0b111);
+            assert_eq!(keys_le(size, &r, u32::MAX).bits(), all, "EMPTY lanes, DATA only");
         }
     }
 
     #[test]
     fn eq_ignores_value_half() {
-        let words = [word(7, 123), word(7, 456), word(8, 7)];
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            assert_eq!(kernel.keys_eq(&words, 7).bits(), 0b011, "{kernel:?}");
-            assert_eq!(kernel.keys_eq(&words, 8).bits(), 0b100, "{kernel:?}");
-            assert_eq!(kernel.keys_eq(&words, 9).bits(), 0, "{kernel:?}");
+        let r = regs(&[word(7, 123), word(7, 456), word(8, 7)]);
+        for size in SIZES {
+            assert_eq!(keys_eq(size, &r, 7).bits(), 0b011, "{size}");
+            assert_eq!(keys_eq(size, &r, 8).bits(), 0b100, "{size}");
+            assert_eq!(keys_eq(size, &r, 9).bits(), 0, "{size}");
         }
     }
 
     #[test]
     fn live_excludes_both_sentinels() {
-        let words = [word(0, 1), word(1, 0), word(u32::MAX, 5), word(42, 0)];
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            assert_eq!(kernel.keys_live(&words).bits(), 0b1010, "{kernel:?}");
+        let r = regs(&[word(0, 1), word(1, 0), word(u32::MAX, 5), word(42, 0)]);
+        for size in SIZES {
+            assert_eq!(keys_live(size, &r).bits(), 0b1010, "{size}");
         }
     }
 
     #[test]
     fn range_mask_composes() {
         let words: Vec<u64> = (0..14u32).map(|i| word(i * 10, i)).collect();
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
+        let r = regs(&words);
+        for size in SIZES {
             // keys 0,10,..,130; live keys in [25, 60] are 30,40,50,60.
-            assert_eq!(kernel.keys_in_range(&words, 25, 60).bits(), 0b0111_1000);
+            assert_eq!(keys_in_range(size, &r, 25, 60).bits(), 0b0111_1000);
             // lo = 0 never panics and -inf stays excluded.
-            assert_eq!(kernel.keys_in_range(&words, 0, 10).bits(), 0b10);
+            assert_eq!(keys_in_range(size, &r, 0, 10).bits(), 0b10);
         }
     }
 
     #[test]
-    fn full_warp_width_masks() {
-        let words: Vec<u64> = (0..30u32).map(|i| word(i + 1, 0)).collect();
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            assert_eq!(kernel.keys_le(&words, u32::MAX - 1).bits(), (1 << 30) - 1);
-            assert_eq!(kernel.keys_live(&words).bits(), (1 << 30) - 1);
+    fn next_and_lock_lanes_never_vote() {
+        // Every register matches every vote; only DATA lanes may answer.
+        let r = [word(5, 0); WARP_SIZE];
+        for size in SIZES {
+            let data = (1u32 << size.dsize()) - 1;
+            assert_eq!(keys_le(size, &r, 5).bits(), data, "{size}");
+            assert_eq!(keys_eq(size, &r, 5).bits(), data, "{size}");
+            assert_eq!(keys_live(size, &r).bits(), data, "{size}");
+            assert_eq!(keys_in_range(size, &r, 1, 9).bits(), data, "{size}");
         }
     }
 
@@ -329,50 +205,53 @@ mod tests {
     fn rank_le_counts_past_warp_width() {
         // 300 sorted keys 10,20,...,3000: far wider than one ballot.
         let words: Vec<u64> = (1..=300u32).map(|i| word(i * 10, i)).collect();
-        for kernel in [BallotKernel::Scalar, BallotKernel::Swar] {
-            assert_eq!(kernel.rank_le(&words, 5), 0, "{kernel:?}");
-            assert_eq!(kernel.rank_le(&words, 10), 1, "{kernel:?}");
-            assert_eq!(kernel.rank_le(&words, 1234), 123, "{kernel:?}");
-            assert_eq!(kernel.rank_le(&words, u32::MAX), 300, "{kernel:?}");
-        }
+        assert_eq!(rank_le(&words, 5), 0);
+        assert_eq!(rank_le(&words, 10), 1);
+        assert_eq!(rank_le(&words, 1234), 123);
+        assert_eq!(rank_le(&words, u32::MAX), 300);
+    }
+
+    /// Register files of the shapes a traversal meets: arbitrary words,
+    /// with keys drawn so that sentinels, duplicates and `k` itself occur.
+    fn regs_strategy() -> impl Strategy<Value = Vec<u64>> {
+        let key = prop_oneof![
+            4 => any::<u32>(),
+            2 => 0..=8u32,
+            1 => (0..=2u32).prop_map(|d| u32::MAX - d),
+        ];
+        proptest::collection::vec((key, any::<u32>()).prop_map(|(k, v)| word(k, v)), WARP_SIZE)
+    }
+
+    fn k_strategy() -> impl Strategy<Value = u32> {
+        prop_oneof![2 => any::<u32>(), 2 => 0..=8u32, 1 => (0..=2u32).prop_map(|d| u32::MAX - d)]
     }
 
     proptest! {
         #[test]
-        fn swar_matches_scalar_rank_le(
-            words in proptest::collection::vec(any::<u64>(), 0..=512),
-            k in any::<u32>(),
+        fn kernels_match_the_scalar_oracle(
+            words in regs_strategy(),
+            k in k_strategy(),
+            hi in k_strategy(),
         ) {
-            prop_assert_eq!(swar_rank_le(&words, k), scalar_rank_le(&words, k));
+            let r: WarpRegs = words.as_slice().try_into().unwrap();
+            for size in SIZES {
+                let data = &r[..size.dsize()];
+                prop_assert_eq!(keys_le(size, &r, k).bits(), ScalarBallot.keys_le(data, k));
+                prop_assert_eq!(keys_eq(size, &r, k).bits(), ScalarBallot.keys_eq(data, k));
+                prop_assert_eq!(keys_live(size, &r).bits(), ScalarBallot.keys_live(data));
+                prop_assert_eq!(
+                    keys_in_range(size, &r, k, hi).bits(),
+                    ScalarBallot.keys_in_range(data, k, hi)
+                );
+            }
         }
 
         #[test]
-        fn swar_matches_scalar_le(
-            words in proptest::collection::vec(any::<u64>(), 0..=30),
-            k in any::<u32>(),
+        fn rank_le_is_the_popcount_of_the_le_mask(
+            words in regs_strategy(),
+            k in k_strategy(),
         ) {
-            prop_assert_eq!(
-                SwarBallot.keys_le(&words, k),
-                ScalarBallot.keys_le(&words, k)
-            );
-        }
-
-        #[test]
-        fn swar_matches_scalar_eq(
-            words in proptest::collection::vec(any::<u64>(), 0..=30),
-            k in any::<u32>(),
-        ) {
-            prop_assert_eq!(
-                SwarBallot.keys_eq(&words, k),
-                ScalarBallot.keys_eq(&words, k)
-            );
-        }
-
-        #[test]
-        fn swar_matches_scalar_live(
-            words in proptest::collection::vec(any::<u64>(), 0..=30),
-        ) {
-            prop_assert_eq!(SwarBallot.keys_live(&words), ScalarBallot.keys_live(&words));
+            prop_assert_eq!(rank_le(&words, k), ScalarBallot.keys_le(&words, k).count_ones() as usize);
         }
     }
 }
