@@ -12,7 +12,7 @@
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry, NIL};
+use crate::chunk::{ops, ChunkView, Entry, KEY_NEG_INF, NIL};
 use crate::search::{down_step_lane, tid_for_next_step, NextStep};
 use crate::skiplist::GfslHandle;
 
@@ -31,7 +31,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // sentinels' entry 0; fixing those is covered by the same logic.
             let start = match self.search_down_to_level(upper, mk) {
                 Some(c) => c,
-                None => return, // level above not in use: nothing points down
+                // The level above is not in use, so it holds one entry: its
+                // sentinel's `-∞`, still pointing down at the chunk `-∞`
+                // just left (a zombie no pass could ever free).
+                None if mk == KEY_NEG_INF => self.list.head_of(upper),
+                None => return, // no other key has an entry up there
             };
             let found = self.search_lateral(mk, start);
             if found.found.is_none() {
@@ -124,7 +128,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::chunk::KEY_NEG_INF;
+    use super::KEY_NEG_INF;
     use crate::params::GfslParams;
     use crate::skiplist::Gfsl;
     use gfsl_simt::TeamSize;

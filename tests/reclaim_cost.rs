@@ -180,6 +180,51 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     assert_eq!(list.linked_chunks().1, 0, "an empty level is swept when flagged");
     assert_eq!(list.reclaim_stats().unwrap().retired, 1);
 
+    // A level of two chunks right under an unused one. The split that gave
+    // level 1 its second chunk raised a key into level 2; taking that key
+    // out again leaves level 2 unused, its sentinel's `-∞` entry pointing
+    // down at level 1's first chunk. When that chunk merges away the
+    // pointer has to follow `-∞` into the absorber: left behind, it keeps
+    // the zombie referenced, every pass requeues it, and the list never
+    // goes idle again.
+    let list = small(0);
+    let mut h = list.handle();
+    let mut n = 0;
+    while list.shape().levels[1].live_chunks < 2 {
+        n += 1;
+        assert!(h.insert(n, n).unwrap());
+    }
+    for k in list.level_keys(2) {
+        assert!(h.remove(k));
+    }
+    assert_eq!(list.height(), 1, "level 2 is out of use again");
+    assert_eq!(list.shape().levels[1].live_chunks, 2);
+    for k in list.level_keys(1) {
+        if list.linked_chunks().1 > 0 {
+            break;
+        }
+        assert!(h.remove(k));
+    }
+    assert_eq!(list.linked_chunks().1, 1, "level 1's first chunk merged away");
+    drop(h);
+    drain(&list);
+    assert_no_chunk_lost(&list, "two chunks under an unused level");
+    let s = list.reclaim_stats().unwrap();
+    assert_eq!(
+        (list.linked_chunks().1, s.limbo_len, s.staged_len, s.free_len),
+        (0, 0, 0, 1),
+        "the zombie reached the free list: {s:?}"
+    );
+    // Idle: updates that retire nothing find no work and run no pass.
+    let present = *list.keys().last().expect("most keys are still there");
+    let mut h = list.handle();
+    for _ in 0..64 {
+        assert!(!h.insert(present, 0).unwrap(), "already present");
+    }
+    drop(h);
+    assert_eq!(list.reclaim_stats().unwrap().passes, s.passes);
+    list.assert_valid();
+
     // Emptied from the left, every level in turn.
     let list = small(2_000);
     let mut h = list.handle();
