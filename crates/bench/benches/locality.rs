@@ -72,7 +72,7 @@ fn bench_locality(c: &mut Criterion) {
         // fingers, so this measures validation + partial-restart cost.
         const WINDOW: u32 = 4_096;
         let list = Gfsl::new(GfslParams {
-                hints,
+            hints,
             fingers,
             prefetch,
             reclaim: true,

@@ -272,38 +272,27 @@ proptest! {
 /// configuration.
 #[test]
 fn sentinel_edge_lanes_agree_across_configs() {
-    let mut outputs: Vec<(Vec<BatchReply>, Vec<u32>)> = Vec::new();
-    for (hints, fingers) in [(false, false), (true, false), (false, true)] {
-        let list = Gfsl::new(GfslParams {
-            team_size: TeamSize::Sixteen,
-            pool_chunks: 1 << 12,
-            hints,
-            fingers,
-            prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
-            ..Default::default()
+    let mut ops: Vec<BatchOp> = vec![BatchOp::Insert(1, 11), BatchOp::Insert(u32::MAX - 1, 99)];
+    ops.extend((10..=60).map(|k| BatchOp::Insert(k, k)));
+    ops.extend([
+        BatchOp::Get(1),
+        BatchOp::Get(2),
+        BatchOp::Get(u32::MAX - 1),
+        BatchOp::Get(u32::MAX - 2),
+        BatchOp::CountRange(1, u32::MAX - 1),
+        BatchOp::Remove(1),
+        BatchOp::Remove(u32::MAX - 1),
+    ]);
+    ops.extend((10..=60).map(BatchOp::Remove));
+    ops.push(BatchOp::CountRange(1, u32::MAX - 1));
+    let outputs: Vec<_> = [(false, false), (true, false), (false, true)]
+        .into_iter()
+        .map(|(hints, fingers)| {
+            let out = apply_history(&ops, hints, fingers);
+            assert!(out.1.is_empty(), "everything removed (hints={hints}, fingers={fingers})");
+            out
         })
-        .expect("params valid");
-        let mut h = list.handle();
-        let mut out = Vec::new();
-        let mut ops: Vec<BatchOp> = vec![BatchOp::Insert(1, 11), BatchOp::Insert(u32::MAX - 1, 99)];
-        ops.extend((10..=60).map(|k| BatchOp::Insert(k, k)));
-        ops.extend([
-            BatchOp::Get(1),
-            BatchOp::Get(2),
-            BatchOp::Get(u32::MAX - 1),
-            BatchOp::Get(u32::MAX - 2),
-            BatchOp::CountRange(1, u32::MAX - 1),
-            BatchOp::Remove(1),
-            BatchOp::Remove(u32::MAX - 1),
-        ]);
-        ops.extend((10..=60).map(BatchOp::Remove));
-        ops.push(BatchOp::CountRange(1, u32::MAX - 1));
-        h.execute_batch(&ops, &mut out);
-        list.assert_valid();
-        let keys = list.keys();
-        assert!(keys.is_empty(), "everything removed (hints={hints}, fingers={fingers})");
-        outputs.push((out, keys));
-    }
+        .collect();
     let first = &outputs[0];
     assert_eq!(first.0[53], BatchReply::Got(Some(11)), "get(1) next to -inf");
     assert_eq!(first.0[55], BatchReply::Got(Some(99)), "get(MAX-1) next to EMPTY");

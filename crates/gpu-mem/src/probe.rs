@@ -49,9 +49,8 @@ pub enum CrashPoint {
     WalPrune,
 }
 
-/// Software-prefetch policy knob (the memory-side sibling of the ballot
-/// `BallotKernel` knob): what, if anything, a traversal prefetches ahead of
-/// the walk.
+/// Software-prefetch policy knob: what, if anything, a traversal prefetches
+/// ahead of the walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Prefetch {
     /// No software prefetch (the pre-foresight baseline).

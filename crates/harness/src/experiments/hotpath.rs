@@ -1,10 +1,8 @@
 //! Hot-path engine grid: the locality ladder — hinted dispatch,
 //! multi-level fingers, software prefetch — plus the flat-bottom
-//! (B-Skiplist) engine variant, measured head-to-head on three workloads
-//! (the ballot-kernel axis this grid once had is gone: the fixed-width
-//! kernel is the only one, DESIGN.md "Host chunk step"). Not a paper
-//! artifact — this tracks the host-side engine work layered on the
-//! paper's structure:
+//! (B-Skiplist) engine variant, measured head-to-head on three workloads.
+//! Not a paper artifact — this tracks the host-side engine work layered on
+//! the paper's structure:
 //!
 //! * **hot-band gets** — the read-heavy headline. Batches of point lookups
 //!   clustered in a sliding hot band, the access shape the serve layer's
