@@ -22,7 +22,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn update_down_ptrs(&mut self, level: usize, moved: &[u32], lower_moved_ch: u32) {
         let team = self.list.team;
         let upper = level + 1;
-        if upper >= self.list.params.max_levels() {
+        if upper >= self.list.params.max_levels() || self.skip_downptr_repair {
             return;
         }
         let mut uview = ChunkView::BLANK;

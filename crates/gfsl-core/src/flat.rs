@@ -88,6 +88,14 @@ pub trait KvEngine {
     fn insert(&mut self, k: u32, v: u32) -> bool;
     /// Remove `k`; `true` when the key was present.
     fn remove(&mut self, k: u32) -> bool;
+    /// [`Self::remove`] by a team that dies between committing its merges
+    /// and repairing the down-pointers of the keys they moved — the repair
+    /// is best-effort, so that is a legal state, and scripted model-check
+    /// setups use it to strand a down-pointer on a zombie. Engines without
+    /// down-pointers just remove.
+    fn remove_unrepaired(&mut self, k: u32) -> bool {
+        self.remove(k)
+    }
     /// Collect `lo..=hi` in ascending key order.
     fn range(&mut self, lo: u32, hi: u32) -> Vec<(u32, u32)>;
     /// Membership test.
@@ -135,6 +143,13 @@ impl<P: MemProbe> KvEngine for GfslHandle<'_, P> {
 
     fn remove(&mut self, k: u32) -> bool {
         GfslHandle::remove(self, k)
+    }
+
+    fn remove_unrepaired(&mut self, k: u32) -> bool {
+        self.skip_downptr_repair = true;
+        let removed = GfslHandle::remove(self, k);
+        self.skip_downptr_repair = false;
+        removed
     }
 
     fn range(&mut self, lo: u32, hi: u32) -> Vec<(u32, u32)> {

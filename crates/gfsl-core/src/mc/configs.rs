@@ -85,10 +85,11 @@ fn reclaim_setup() -> Vec<McOp> {
     // Level 2 goes (height 1).
     let mut ops = removes(&[420, 616, 812, 1008]);
     // Level 1's first chunk `-inf, 56, …, 196` drops to four entries and
-    // merges into its neighbour. Level 2 is out of use, so nothing
-    // repairs its sentinel's `-inf` entry: it keeps pointing down at the
+    // merges into its neighbour. The team that merged it never repairs
+    // the level-2 sentinel's `-inf` entry: it keeps pointing down at the
     // zombie, which the next update's descent unlinks and retires.
-    ops.extend(removes(&[56, 84, 112, 140]));
+    ops.extend(removes(&[56, 84, 112]));
+    ops.push(McOp::RemoveUnrepaired(140));
     // Four bottom chunks lost their index entry with that; each insert
     // walks to its chunk along the bottom and heals: level 1's first chunk
     // is full again.

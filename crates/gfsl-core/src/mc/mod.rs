@@ -59,6 +59,10 @@ pub enum McOp {
     Insert(u32, u32),
     /// `remove(k)`.
     Remove(u32),
+    /// `remove(k)` by a team that never gets to its down-pointer repair
+    /// ([`crate::flat::KvEngine::remove_unrepaired`]): a setup script's way
+    /// to leave an index entry pointing at the chunk a merge just killed.
+    RemoveUnrepaired(u32),
     /// `get(k)`.
     Get(u32),
     /// `snap_get(k)`: pin a version, read `k` at it, release. Drives the
@@ -139,7 +143,7 @@ impl McConfig {
         for op in &self.setup {
             match *op {
                 McOp::Insert(k, v) => drop(state.insert(k, v)),
-                McOp::Remove(k) => drop(state.remove(&k)),
+                McOp::Remove(k) | McOp::RemoveUnrepaired(k) => drop(state.remove(&k)),
                 _ => {}
             }
         }
@@ -253,6 +257,7 @@ fn apply<E: KvEngine>(h: &mut E, op: McOp) -> Option<(u32, OpAction)> {
     Some(match op {
         McOp::Insert(k, v) => (k, OpAction::Insert { value: v, ok: h.insert(k, v) }),
         McOp::Remove(k) => (k, OpAction::Remove { ok: h.remove(k) }),
+        McOp::RemoveUnrepaired(k) => (k, OpAction::Remove { ok: h.remove_unrepaired(k) }),
         McOp::Get(k) => (k, OpAction::Get { found: h.get(k) }),
         McOp::SnapGet(k) => (k, OpAction::Get { found: h.snap_get(k) }),
         McOp::ReclaimPass => {

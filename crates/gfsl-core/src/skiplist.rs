@@ -440,6 +440,7 @@ impl Gfsl {
             finger: [None; FINGER_LEVELS],
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
+            skip_downptr_repair: false,
             reclaim_tick: 0,
             reclaim_cands: Vec::new(),
             batch_order: Vec::new(),
@@ -769,6 +770,10 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// the key the traversal stepped down through there — that chunk's
     /// minimum, the one key of an upper chunk worth raising further.
     pub(crate) heal_keys: [u32; gfsl_simt::WARP_SIZE],
+    /// Set for the one operation of
+    /// [`KvEngine::remove_unrepaired`](crate::flat::KvEngine::remove_unrepaired):
+    /// `update_down_ptrs` returns without repairing anything.
+    pub(crate) skip_downptr_repair: bool,
     /// This handle's update count; see [`Self::maybe_reclaim`].
     reclaim_tick: u32,
     /// Reusable candidate batch of [`Self::reclaim_pass`], so a pass
