@@ -1,5 +1,6 @@
 //! Locality engine bench: the multi-level finger and foresight prefetch
-//! against the single-chunk hint cache, plus the flat-bottom (B-Skiplist)
+//! against the sorted entry point's own bottom-level hint (`batch`:
+//! default params), plus the flat-bottom (B-Skiplist)
 //! engine variant, on the two shapes the locality work targets — hot-band
 //! batched gets and sliding-window reclamation churn.
 //!
@@ -19,17 +20,16 @@ const BATCH: usize = 256;
 /// Hot band for clustered reads: a few hundred bottom-level chunks.
 const BAND: u32 = 8_192;
 
-/// The chunked-engine locality grid: hints (PR 7 baseline), fingers, and
-/// fingers + foresight prefetch.
-const GRID: [(&str, bool, bool, Prefetch); 3] = [
-    ("hints", true, false, Prefetch::Off),
-    ("fingers", false, true, Prefetch::Off),
-    ("fingers_pf", false, true, Prefetch::Next),
+/// The chunked-engine locality grid: default params (the baseline),
+/// fingers, and fingers + foresight prefetch.
+const GRID: [(&str, bool, Prefetch); 3] = [
+    ("batch", false, Prefetch::Off),
+    ("fingers", true, Prefetch::Off),
+    ("fingers_pf", true, Prefetch::Next),
 ];
 
-fn built(hints: bool, fingers: bool, prefetch: Prefetch, reclaim: bool, expected: u64) -> Gfsl {
+fn built(fingers: bool, prefetch: Prefetch, reclaim: bool, expected: u64) -> Gfsl {
     let list = Gfsl::new(GfslParams {
-        hints,
         fingers,
         prefetch,
         reclaim,
@@ -49,11 +49,11 @@ fn built(hints: bool, fingers: bool, prefetch: Prefetch, reclaim: bool, expected
 fn bench_locality(c: &mut Criterion) {
     let mut g = c.benchmark_group("locality");
 
-    for (name, hints, fingers, prefetch) in GRID {
+    for (name, fingers, prefetch) in GRID {
         // Read-heavy: one key-sorted batch of gets inside a random hot band
         // per iteration; the finger keeps the whole descent path cached
         // between batches, so most lookups restart at the bottom level.
-        let list = built(hints, fingers, prefetch, false, RANGE as u64 / 2);
+        let list = built(fingers, prefetch, false, RANGE as u64 / 2);
         let mut h = list.handle();
         let mut rng = SplitMix64::new(0x5EED);
         let mut out: Vec<BatchReply> = Vec::with_capacity(BATCH);
@@ -72,7 +72,6 @@ fn bench_locality(c: &mut Criterion) {
         // fingers, so this measures validation + partial-restart cost.
         const WINDOW: u32 = 4_096;
         let list = Gfsl::new(GfslParams {
-            hints,
             fingers,
             prefetch,
             reclaim: true,

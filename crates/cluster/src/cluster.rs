@@ -9,6 +9,9 @@
 //!
 //! * a routed op: `map.read` (route, drop) → `fence.read(S)` →
 //!   `map.read` (verify, drop) → run → drop fence;
+//! * a batched run ([`Cluster::execute_batch`]): the same steps once for a
+//!   whole key-sorted stretch of point ops one shard owns — one fence, one
+//!   verify, one handle — and one fence held at a time;
 //! * a fan-out op: route all overlapping shards, `fence.read` each in index
 //!   order, re-verify the epoch, run each sub-op, drop;
 //! * a migration (`reshard.rs`): `fence.write` on the victims in index
@@ -25,6 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use gfsl::batch::{key_order, order_index, BatchOp, BatchReply};
 use gfsl::{Error, Gfsl, GfslParams, MemProbe, Violation, KEY_INF};
 use parking_lot::{Mutex, RwLock};
 
@@ -109,6 +113,16 @@ impl Cluster {
     /// A cluster with explicit interior split keys: `bounds = [b1 < b2 < …]`
     /// yields shards `[1, b1), [b1, b2), …, [bk, KEY_INF)`.
     pub fn with_bounds(params: GfslParams, bounds: &[u32]) -> Result<Cluster, Error> {
+        Cluster::build(params, bounds, |_| Gfsl::new(params))
+    }
+
+    /// One shard per gap between `1`, the interior `bounds` and `KEY_INF`,
+    /// each holding the list `list_below(hi)` makes for its range.
+    fn build(
+        params: GfslParams,
+        bounds: &[u32],
+        mut list_below: impl FnMut(u32) -> Result<Gfsl, Error>,
+    ) -> Result<Cluster, Error> {
         let mut edges = vec![1u32];
         edges.extend_from_slice(bounds);
         edges.push(KEY_INF);
@@ -121,7 +135,7 @@ impl Cluster {
             .windows(2)
             .map(|w| {
                 let id = next_shard_id.fetch_add(1, Ordering::Relaxed);
-                Ok(Arc::new(Shard::new(id, w[0], w[1], Gfsl::new(params)?)))
+                Ok(Arc::new(Shard::new(id, w[0], w[1], list_below(w[1])?)))
             })
             .collect();
         let map = MapInner {
@@ -139,10 +153,8 @@ impl Cluster {
 
     /// A cluster of `n_shards` shards equal-width over the *working* key
     /// range `1..=key_range` (the top shard additionally owns everything up
-    /// to `KEY_INF`, keeping the whole space covered), bulk-loaded from an
-    /// ascending `(key, value)` stream — each shard's slice goes through
-    /// `Gfsl::from_sorted_pairs`, so prefill cost is linear and the chunks
-    /// start at the bulk fill target instead of insert-path shapes.
+    /// to `KEY_INF`, keeping the whole space covered), bulk-loaded as
+    /// [`Cluster::prefilled_with_bounds`] loads.
     pub fn prefilled(
         params: GfslParams,
         n_shards: usize,
@@ -155,71 +167,31 @@ impl Cluster {
             "more shards than working keys"
         );
         let width = u64::from(key_range) / n_shards as u64;
-        let mut edges: Vec<u32> = (0..n_shards as u64).map(|i| (1 + i * width) as u32).collect();
-        edges.push(KEY_INF);
-
-        let next_shard_id = AtomicU64::new(0);
-        let mut pairs = pairs.into_iter().peekable();
-        let mut shards = Vec::with_capacity(n_shards);
-        for w in edges.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let slice = std::iter::from_fn(|| pairs.next_if(|&(k, _)| k < hi));
-            let list = Gfsl::from_sorted_pairs(params, slice)?;
-            let id = next_shard_id.fetch_add(1, Ordering::Relaxed);
-            shards.push(Arc::new(Shard::new(id, lo, hi, list)));
-        }
-        assert!(
-            pairs.peek().is_none(),
-            "prefill pairs must be ascending user keys below KEY_INF"
-        );
-        let map = MapInner { epoch: 0, shards };
-        map.check();
-        Ok(Cluster {
-            params,
-            map: RwLock::new(map),
-            reshard: Mutex::new(()),
-            next_shard_id,
-        })
+        let bounds: Vec<u32> = (1..n_shards as u64).map(|i| (1 + i * width) as u32).collect();
+        Cluster::prefilled_with_bounds(params, &bounds, pairs)
     }
 
-    /// [`Cluster::prefilled`], but with an explicit interior-bounds layout
-    /// (as in [`Cluster::with_bounds`]) instead of equal-width shards —
-    /// how durable recovery restores the exact shard map a checkpoint
-    /// manifest recorded, so per-shard WAL lanes line up across restarts.
+    /// A cluster with the interior-bounds layout of [`Cluster::with_bounds`]
+    /// — how durable recovery restores the exact shard map a checkpoint
+    /// manifest recorded, so per-shard WAL lanes line up across restarts —
+    /// bulk-loaded from an ascending `(key, value)` stream: each shard's
+    /// slice goes through `Gfsl::from_sorted_pairs`, so prefill cost is
+    /// linear and the chunks start at the bulk fill target instead of
+    /// insert-path shapes.
     pub fn prefilled_with_bounds(
         params: GfslParams,
         bounds: &[u32],
         pairs: impl IntoIterator<Item = (u32, u32)>,
     ) -> Result<Cluster, Error> {
-        let mut edges = vec![1u32];
-        edges.extend_from_slice(bounds);
-        edges.push(KEY_INF);
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "interior bounds must be strictly ascending user keys"
-        );
-        let next_shard_id = AtomicU64::new(0);
         let mut pairs = pairs.into_iter().peekable();
-        let mut shards = Vec::with_capacity(edges.len() - 1);
-        for w in edges.windows(2) {
-            let (lo, hi) = (w[0], w[1]);
-            let slice = std::iter::from_fn(|| pairs.next_if(|&(k, _)| k < hi));
-            let list = Gfsl::from_sorted_pairs(params, slice)?;
-            let id = next_shard_id.fetch_add(1, Ordering::Relaxed);
-            shards.push(Arc::new(Shard::new(id, lo, hi, list)));
-        }
+        let cluster = Cluster::build(params, bounds, |hi| {
+            Gfsl::from_sorted_pairs(params, std::iter::from_fn(|| pairs.next_if(|&(k, _)| k < hi)))
+        })?;
         assert!(
             pairs.peek().is_none(),
             "prefill pairs must be ascending user keys below KEY_INF"
         );
-        let map = MapInner { epoch: 0, shards };
-        map.check();
-        Ok(Cluster {
-            params,
-            map: RwLock::new(map),
-            reshard: Mutex::new(()),
-            next_shard_id,
-        })
+        Ok(cluster)
     }
 
     /// The parameters every shard is built with.
@@ -263,15 +235,10 @@ impl Cluster {
         (m.shards[m.find(key)].clone(), m.epoch)
     }
 
-    /// Run `f` against the live shard owning `key`, under the full routed
-    /// protocol (see module docs). `write` feeds the shard's load window.
-    pub(crate) fn with_shard<T>(
-        &self,
-        key: u32,
-        write: bool,
-        f: impl FnOnce(&Shard) -> T,
-    ) -> Result<T, ClusterError> {
-        assert!((1..KEY_INF).contains(&key), "key {key} outside the user range");
+    /// Run `f` against the live shard owning `key` with its fence read-held
+    /// and the route verified (see module docs): the lock steps every
+    /// routed path shares, whatever it runs under them.
+    fn fenced<T>(&self, key: u32, f: impl FnOnce(&Shard) -> T) -> Result<T, ClusterError> {
         let (shard, routed_epoch) = self.route(key);
         let _fence = shard.fence.read();
         {
@@ -284,8 +251,22 @@ impl Cluster {
                 });
             }
         }
-        shard.note(write);
         Ok(f(&shard))
+    }
+
+    /// Run `f` against the live shard owning `key`, under the full routed
+    /// protocol. `write` feeds the shard's load window.
+    pub(crate) fn with_shard<T>(
+        &self,
+        key: u32,
+        write: bool,
+        f: impl FnOnce(&Shard) -> T,
+    ) -> Result<T, ClusterError> {
+        assert!((1..KEY_INF).contains(&key), "key {key} outside the user range");
+        self.fenced(key, |shard| {
+            shard.note(write);
+            f(shard)
+        })
     }
 
     /// Run `f` once per live shard overlapping the inclusive window
@@ -608,6 +589,92 @@ impl Cluster {
     /// Extract-min, re-routing through migrations.
     pub fn pop_min(&self) -> Result<Option<(u32, u32)>, Error> {
         self.retry(|| self.try_pop_min())
+    }
+
+    // ---- the epoch batch ----
+
+    /// Execute one epoch batch, appending one [`BatchReply`] per op to
+    /// `out`, index-aligned with `ops` — the contract of
+    /// [`gfsl::GfslHandle::execute_batch_hinted`]: `(key, index)` order, so
+    /// same-key ops keep their order and the rest are mutually unordered.
+    ///
+    /// The order is cut into maximal **runs** of point ops on user keys
+    /// that one shard owns, and a run pays the routed protocol once: one
+    /// route, one `fence.read`, one identity verify for its first key (a
+    /// shard's `[lo, hi)` never changes, so the very shard that still owns
+    /// that key owns the whole run), one handle — which drains the run with
+    /// its bottom-level hint live — and one load-window update. A run that
+    /// raced a migration re-routes under the current map, as the per-op
+    /// wrappers do; every other op breaks a run and executes with no fence
+    /// held here ([`Self::execute_alone`]). A full handle table fails that
+    /// shard's run typed; the other shards' runs still answer.
+    pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchReply>) {
+        let mut order = Vec::with_capacity(ops.len());
+        key_order(ops, &mut order);
+        let base = out.len();
+        out.resize(base + ops.len(), BatchReply::Got(None));
+        let out = &mut out[base..];
+        let mut rest = &order[..];
+        while let Some(&next) = rest.first() {
+            let i = order_index(next);
+            let ran = match ops[i] {
+                BatchOp::Get(k) | BatchOp::Insert(k, _) | BatchOp::Remove(k)
+                    if (1..KEY_INF).contains(&k) =>
+                {
+                    self.retry(|| self.fenced(k, |shard| Self::run_on(shard, ops, rest, out)))
+                        .expect("a run reports shard errors in its replies")
+                }
+                op => {
+                    out[i] = self.execute_alone(op);
+                    1
+                }
+            };
+            rest = &rest[ran..];
+        }
+    }
+
+    /// Drain the longest prefix of `order` that is point ops on keys below
+    /// `shard.hi` (the caller routed its first key here, and keys ascend)
+    /// through one handle, under the caller's fence. Returns its length.
+    fn run_on(shard: &Shard, ops: &[BatchOp], order: &[u64], out: &mut [BatchReply]) -> usize {
+        let (mut reads, mut writes) = (0u64, 0u64);
+        for &packed in order {
+            match ops[order_index(packed)] {
+                BatchOp::Get(k) if k < shard.hi => reads += 1,
+                BatchOp::Insert(k, _) | BatchOp::Remove(k) if k < shard.hi => writes += 1,
+                _ => break,
+            }
+        }
+        let run = &order[..(reads + writes) as usize];
+        shard.note_run(reads, writes);
+        match shard.list.try_handle() {
+            Ok(mut h) => h.execute_ordered(ops, run, out),
+            Err(e) => run
+                .iter()
+                .for_each(|&packed| out[order_index(packed)] = BatchReply::Failed(e)),
+        }
+        run.len()
+    }
+
+    /// One op that is not part of a run, answered as the single structure
+    /// answers it: fan-out reads and min scans through their retrying
+    /// paths, and a point op — its key is reserved, or it would be in a
+    /// run — with what any handle says without touching a chunk.
+    fn execute_alone(&self, op: BatchOp) -> BatchReply {
+        let reply = match op {
+            BatchOp::Get(_) => Ok(BatchReply::Got(None)),
+            BatchOp::Insert(k, _) => Err(Error::InvalidKey(k)),
+            BatchOp::Remove(_) => Ok(BatchReply::Removed(false)),
+            // A handle clips the window to the user keys and counts an
+            // empty one as zero; `count_range` asserts both instead.
+            BatchOp::CountRange(lo, hi) => match (lo.max(1), hi.min(KEY_INF - 1)) {
+                (lo, hi) if lo > hi => Ok(BatchReply::Counted(0)),
+                (lo, hi) => self.count_range(lo, hi).map(|n| BatchReply::Counted(n as u32)),
+            },
+            BatchOp::MinEntry => self.min_entry().map(BatchReply::MinIs),
+            BatchOp::PopMin => self.pop_min().map(BatchReply::Popped),
+        };
+        reply.unwrap_or_else(BatchReply::Failed)
     }
 
     // ---- introspection (quiescent use) ----

@@ -7,7 +7,7 @@
 //! shard's structure. A shard whose fence write section has completed is
 //! *retired* — its `Gfsl` was exported into successors and must never be
 //! written again; the router detects this by re-checking the shard map
-//! after acquiring the read fence (see `Cluster::with_shard`).
+//! after acquiring the read fence (see `Cluster::fenced`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,6 +61,12 @@ impl Shard {
         } else {
             self.reads.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Record a whole batched run against the current load window.
+    pub(crate) fn note_run(&self, reads: u64, writes: u64) {
+        self.reads.fetch_add(reads, Ordering::Relaxed);
+        self.writes.fetch_add(writes, Ordering::Relaxed);
     }
 
     /// Current window counters `(reads, writes)` without resetting them.

@@ -1,12 +1,14 @@
 //! The storage engine behind the edge: one GFSL or a sharded cluster.
 //!
-//! Worker threads execute whole epoch batches here. The single-structure
-//! engine rides the key-sorted batched entry point (the same hinted
-//! dispatch the in-process serve loop uses); the cluster engine routes each
-//! request through the epoch-versioned shard map, so it keeps serving
-//! straight through live split/merge migrations — a redirect retries
+//! Worker threads execute whole epoch batches here, and the epoch batch is
+//! the unit of execution on both engines: the single structure runs it
+//! through one handle's key-sorted, hinted entry point; the cluster sorts
+//! it the same way and hands each shard its stretch of the order under one
+//! fence and one handle ([`Cluster::execute_batch`]), so it keeps serving
+//! straight through live split/merge migrations — a redirect re-routes
 //! internally and never surfaces to the wire.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use gfsl::batch::{BatchOp, BatchReply};
@@ -21,30 +23,38 @@ pub enum EdgeEngine {
     /// One GFSL structure; batches dispatch through
     /// [`execute_batch_hinted`](gfsl::GfslHandle::execute_batch_hinted).
     Single(Arc<Gfsl>),
-    /// A sharded cluster; requests route per key and re-route through
-    /// migrations.
+    /// A sharded cluster; batches dispatch through
+    /// [`Cluster::execute_batch`] and re-route through migrations.
     Cluster(Arc<Cluster>),
+}
+
+thread_local! {
+    /// The calling worker's `ServeOp → BatchOp` and `BatchReply → Reply`
+    /// buffers, kept across epochs so [`EdgeEngine::execute`] allocates
+    /// nothing in steady state.
+    static EPOCH_BUFS: RefCell<(Vec<BatchOp>, Vec<BatchReply>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl EdgeEngine {
     /// Execute one epoch batch, appending one [`Reply`] per op to `out`
     /// (index-aligned with `ops`).
     pub fn execute(&self, ops: &[ServeOp], out: &mut Vec<Reply>) {
-        match self {
-            EdgeEngine::Single(list) => {
-                let mut h = match list.try_handle() {
-                    Ok(h) => h,
-                    Err(e) => return out.extend(ops.iter().map(|_| Reply::Failed(e))),
-                };
-                let batch: Vec<BatchOp> = ops.iter().map(|&op| to_batch_op(op)).collect();
-                let mut replies: Vec<BatchReply> = Vec::with_capacity(batch.len());
-                h.execute_batch_hinted(&batch, &mut replies);
-                out.extend(replies.into_iter().map(Reply::from));
+        EPOCH_BUFS.with_borrow_mut(|(batch, replies)| {
+            batch.clear();
+            batch.extend(ops.iter().map(|&op| to_batch_op(op)));
+            replies.clear();
+            match self {
+                EdgeEngine::Single(list) => match list.try_handle() {
+                    Ok(mut h) => {
+                        h.execute_batch_hinted(batch, replies);
+                    }
+                    Err(e) => replies.resize(batch.len(), BatchReply::Failed(e)),
+                },
+                EdgeEngine::Cluster(c) => c.execute_batch(batch, replies),
             }
-            EdgeEngine::Cluster(c) => {
-                out.extend(ops.iter().map(|&op| route_one(c, op)));
-            }
-        }
+            out.extend(replies.drain(..).map(Reply::from));
+        })
     }
 
     /// Version-pinned count of keys in `[lo, hi]`: `(version, count)`.
@@ -85,23 +95,6 @@ impl EdgeEngine {
                 .map(|s| s.list.quarantine_depth())
                 .sum(),
         }
-    }
-}
-
-fn route_one(c: &Cluster, op: ServeOp) -> Reply {
-    fn done<T>(r: Result<T, GfslError>, f: impl FnOnce(T) -> Reply) -> Reply {
-        match r {
-            Ok(v) => f(v),
-            Err(e) => Reply::Failed(e),
-        }
-    }
-    match op {
-        ServeOp::Get(k) => done(c.get(k), Reply::Got),
-        ServeOp::Insert(k, v) => done(c.insert(k, v), Reply::Inserted),
-        ServeOp::Delete(k) => done(c.remove(k), Reply::Deleted),
-        ServeOp::Range(lo, hi) => done(c.count_range(lo, hi), |n| Reply::Ranged(n as u32)),
-        ServeOp::MinEntry => done(c.min_entry(), Reply::MinIs),
-        ServeOp::PopMin => done(c.pop_min(), Reply::Popped),
     }
 }
 
@@ -192,6 +185,49 @@ mod tests {
         eng.execute(&[ServeOp::Insert(3_000_000_000, 1)], &mut out);
         assert_eq!(out, vec![Reply::Inserted(true)]);
         drop(live);
+    }
+
+    /// Wire input the per-op cluster API asserts on — reserved keys, windows
+    /// that touch them, an inverted window — never reaches it: the batch
+    /// path answers what the single structure answers, typed.
+    #[test]
+    fn reserved_keys_and_bad_windows_answer_alike_on_both_engines() {
+        let hostile = [
+            ServeOp::Get(0),
+            ServeOp::Get(u32::MAX),
+            ServeOp::Insert(0, 1),
+            ServeOp::Delete(u32::MAX),
+            ServeOp::Range(0, 5),
+            ServeOp::Range(9, 3),
+            ServeOp::Range(1, u32::MAX),
+        ];
+        let on_empty = vec![
+            Reply::Got(None),
+            Reply::Got(None),
+            Reply::Failed(GfslError::InvalidKey(0)),
+            Reply::Deleted(false),
+            Reply::Ranged(0),
+            Reply::Ranged(0),
+            Reply::Ranged(0),
+        ];
+        // Empty, then holding keys in every shard and next to both sentinels.
+        let keys = [1u32, 4, 5, 1_500_000_000, 2_500_000_000, 3_500_000_000, u32::MAX - 1];
+        for keys in [&[][..], &keys[..]] {
+            let single = Gfsl::prefilled(params(), keys.iter().copied()).unwrap();
+            let c = Cluster::new(params(), 4).unwrap();
+            for &k in keys {
+                c.insert(k, k).unwrap();
+            }
+            let (mut one, mut four) = (Vec::new(), Vec::new());
+            EdgeEngine::Single(Arc::new(single)).execute(&hostile, &mut one);
+            EdgeEngine::Cluster(Arc::new(c)).execute(&hostile, &mut four);
+            assert_eq!(one, four, "the engines disagree over {keys:?}");
+            if keys.is_empty() {
+                assert_eq!(one, on_empty);
+            } else {
+                assert_eq!(one[4..], [Reply::Ranged(3), Reply::Ranged(0), Reply::Ranged(7)]);
+            }
+        }
     }
 
     #[test]

@@ -295,6 +295,11 @@ fn worker_loop(
 
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut pending: Vec<PendingReq> = Vec::new();
+    // Per-epoch scratch, kept across epochs so a steady-state epoch
+    // allocates nothing.
+    let mut ops: Vec<ServeOp> = Vec::new();
+    let mut replies: Vec<Reply> = Vec::new();
+    let mut effects: Vec<WriteEffect> = Vec::new();
     let mut epoch_started: Option<Instant> = None;
     // Rotating read offset so a budget-exhausted pass doesn't starve the
     // same tail sessions every time.
@@ -407,10 +412,10 @@ fn worker_loop(
             || (stopping && !pending.is_empty());
         if due && !pending.is_empty() {
             progressed = true;
-            let batch: Vec<PendingReq> = std::mem::take(&mut pending);
             epoch_started = None;
-            let ops: Vec<ServeOp> = batch.iter().map(|p| p.op).collect();
-            let mut replies: Vec<Reply> = Vec::with_capacity(ops.len());
+            ops.clear();
+            ops.extend(pending.iter().map(|p| p.op));
+            replies.clear();
             engine.execute(&ops, &mut replies);
             debug_assert_eq!(replies.len(), ops.len());
 
@@ -418,7 +423,7 @@ fn worker_loop(
             // of this epoch before any reply frame is queued.
             let mut commit_failed = false;
             if let Some(sink) = &sink {
-                let effects = epoch_effects(&batch, &replies);
+                epoch_effects(&pending, &replies, &mut effects);
                 if !effects.is_empty() {
                     commit_failed = sink
                         .lock()
@@ -429,24 +434,27 @@ fn worker_loop(
             }
 
             let mut faults = 0u64;
-            for (p, reply) in batch.iter().zip(&replies) {
+            let (mut ok, mut failed) = (0u64, 0u64);
+            for (p, reply) in pending.drain(..).zip(&replies) {
                 if matches!(reply, Reply::Failed(_)) {
                     faults += 1;
                 }
                 let Some(conn) = conns[p.conn].as_mut() else { continue };
                 conn.sess.inflight -= 1;
                 if commit_failed && !p.op.is_read_only() {
-                    stats.ops_failed.fetch_add(1, Ordering::Relaxed);
+                    failed += 1;
                     conn.sess.push_resp(p.req_id, &Resp::Failed { code: 0 });
                     continue;
                 }
                 conn.sess.observe_reply(p.op, reply);
                 match reply {
-                    Reply::Failed(_) => stats.ops_failed.fetch_add(1, Ordering::Relaxed),
-                    _ => stats.ops_ok.fetch_add(1, Ordering::Relaxed),
-                };
+                    Reply::Failed(_) => failed += 1,
+                    _ => ok += 1,
+                }
                 conn.sess.push_resp(p.req_id, &proto::reply_resp(reply));
             }
+            stats.ops_ok.fetch_add(ok, Ordering::Relaxed);
+            stats.ops_failed.fetch_add(failed, Ordering::Relaxed);
             stats.epochs.fetch_add(1, Ordering::Relaxed);
 
             if cfg.supervised {
@@ -499,10 +507,10 @@ fn worker_loop(
     }
 }
 
-/// The durable write effects of one executed epoch, in batch order (the
-/// same mapping the in-process serve loop commits).
-fn epoch_effects(batch: &[PendingReq], replies: &[Reply]) -> Vec<WriteEffect> {
-    let mut effects = Vec::new();
+/// Fill `effects` with the durable write effects of one executed epoch, in
+/// batch order (the same mapping the in-process serve loop commits).
+fn epoch_effects(batch: &[PendingReq], replies: &[Reply], effects: &mut Vec<WriteEffect>) {
+    effects.clear();
     for (p, reply) in batch.iter().zip(replies) {
         match (p.op, reply) {
             (ServeOp::Insert(k, v), Reply::Inserted(true)) => {
@@ -517,5 +525,4 @@ fn epoch_effects(batch: &[PendingReq], replies: &[Reply]) -> Vec<WriteEffect> {
             _ => {}
         }
     }
-    effects
 }

@@ -9,8 +9,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gfsl::{Gfsl, GfslParams};
+use gfsl_cluster::Cluster;
 use gfsl_edge::proto::{self, DecodeError, Req, Resp};
-use gfsl_edge::{EdgeConfig, EdgeEngine, EdgeServer};
+use gfsl_edge::{EdgeClient, EdgeConfig, EdgeEngine, EdgeServer};
 use proptest::prelude::*;
 
 fn req_strategy() -> impl Strategy<Value = Req> {
@@ -180,4 +181,57 @@ fn server_sheds_each_malformation_with_a_typed_frame() {
     let stats = server.shutdown();
     assert_eq!(stats.proto_errors, 5, "four framing cases + one handshake");
     assert_eq!(stats.ops_ok, 0, "no garbage ever reached the engine");
+}
+
+/// Well-formed frames carrying hostile *values* — reserved keys, windows
+/// that touch them, inverted windows — reach the engine, and a
+/// cluster-backed worker must answer each typed, exactly as a
+/// single-structure server does, and still be there afterwards: the
+/// cluster's per-op API asserts on every one of these, and a panic would
+/// take the worker (and every connection pinned to it) down.
+#[test]
+fn cluster_server_answers_hostile_values_like_the_single_engine() {
+    let edges = [0u32, 1, 5, 9, 1 << 31, u32::MAX - 1, u32::MAX];
+    let mut reqs = vec![
+        Req::Get(0),
+        Req::Get(u32::MAX),
+        Req::Insert(0, 1),
+        Req::Delete(u32::MAX),
+        Req::Range(0, 5),
+        Req::Range(9, 3),
+        Req::Range(1, u32::MAX),
+    ];
+    for a in edges {
+        reqs.extend([Req::Insert(a, 7), Req::Get(a), Req::MinEntry]);
+        for b in edges {
+            reqs.extend([Req::Range(a, b), Req::SnapRange(a, b)]);
+        }
+        reqs.extend([Req::Delete(a), Req::PopMin]);
+    }
+
+    let keys = [2u32, 5, 1_500_000_000, 2_500_000_000, 3_500_000_000, u32::MAX - 1];
+    let cluster = Cluster::new(GfslParams::default(), 4).unwrap();
+    for k in keys {
+        cluster.insert(k, k).unwrap();
+    }
+    let engines = [
+        EdgeEngine::Single(Arc::new(Gfsl::prefilled(GfslParams::default(), keys).unwrap())),
+        EdgeEngine::Cluster(Arc::new(cluster)),
+    ];
+    // One request in flight at a time, so each is its own epoch and the
+    // two servers execute the same sequence.
+    let answers = engines.map(|engine| {
+        let server = EdgeServer::start(engine, EdgeConfig::default()).unwrap();
+        let mut client = EdgeClient::connect(server.addr(), Some(Duration::from_secs(5))).unwrap();
+        let got: Vec<Resp> = reqs
+            .iter()
+            .map(|&req| client.call(req).expect("the worker answers every frame"))
+            .collect();
+        assert_eq!(client.call(Req::Ping).unwrap(), Resp::Pong, "worker still serving");
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!(stats.proto_errors, 0, "every frame was well-formed");
+        got
+    });
+    assert_eq!(answers[0], answers[1]);
 }

@@ -11,7 +11,7 @@
 
 use gfsl_gpu_mem::MemProbe;
 
-use crate::skiplist::{Error, GfslHandle};
+use crate::skiplist::{Error, GfslHandle, HintUse};
 
 /// One operation inside a dispatch batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +72,26 @@ pub enum BatchReply {
     Failed(Error),
 }
 
+/// Fill `order` with the `(key, index)` execution order of `ops`, as packed
+/// `(key << 32) | index` words: one u64 compare per sort branch instead of a
+/// tuple compare that chases `ops[i]`, with the index in the low half
+/// keeping same-key ops in their original relative order.
+pub fn key_order(ops: &[BatchOp], order: &mut Vec<u64>) {
+    order.clear();
+    order.extend(
+        ops.iter()
+            .enumerate()
+            .map(|(i, op)| ((op.key() as u64) << 32) | i as u64),
+    );
+    order.sort_unstable();
+}
+
+/// The index into the batch that one word of a [`key_order`] names.
+#[inline]
+pub fn order_index(packed: u64) -> usize {
+    (packed & u32::MAX as u64) as usize
+}
+
 impl<P: MemProbe> GfslHandle<'_, P> {
     /// Execute `ops` in order, appending one [`BatchReply`] per op to `out`.
     ///
@@ -87,9 +107,10 @@ impl<P: MemProbe> GfslHandle<'_, P> {
 
     /// Execute `ops` in ascending key order (replies stay index-aligned
     /// with the request slice), so consecutive operations land in the same
-    /// or adjacent bottom-level chunks and the traversal hint cache
-    /// ([`crate::GfslParams::hints`]) turns most descents into one or two
-    /// lateral steps.
+    /// or adjacent bottom-level chunks. The call is **hinted by
+    /// construction**: for its duration the handle's bottom-level traversal
+    /// hint is live, so op *i+1*'s lateral walk starts at op *i*'s chunk
+    /// instead of re-descending from the head.
     ///
     /// Operations on the *same* key keep their original relative order (the
     /// sort is by `(key, index)`), so per-key reply semantics match
@@ -97,27 +118,35 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     /// are mutually unordered in either entry point, exactly as they would
     /// be across concurrently dispatched batches.
     pub fn execute_batch_hinted(&mut self, ops: &[BatchOp], out: &mut Vec<BatchReply>) -> usize {
-        // The `(key, index)` sort runs on packed `(key << 32) | index` words:
-        // one u64 compare per branch instead of a tuple compare that chases
-        // `ops[i]`, with the index in the low half keeping same-key ops in
-        // their original relative order. The scratch buffer lives on the
-        // handle so steady-state batch dispatch allocates nothing.
+        // The scratch buffer lives on the handle so steady-state batch
+        // dispatch allocates nothing.
         let mut order = std::mem::take(&mut self.batch_order);
-        order.clear();
-        order.extend(
-            ops.iter()
-                .enumerate()
-                .map(|(i, op)| ((op.key() as u64) << 32) | i as u64),
-        );
-        order.sort_unstable();
+        key_order(ops, &mut order);
         let base = out.len();
         out.resize(base + ops.len(), BatchReply::Got(None));
-        for &packed in &order {
-            let i = (packed & u32::MAX as u64) as usize;
-            out[base + i] = self.dispatch_one(ops[i]);
-        }
+        self.execute_ordered(ops, &order, &mut out[base..]);
         self.batch_order = order;
         ops.len()
+    }
+
+    /// Execute the ops a slice of a [`key_order`] names, in that order,
+    /// writing op `i`'s reply to `out[i]` (`out` is index-aligned with
+    /// `ops`). This is the body of
+    /// [`execute_batch_hinted`](Self::execute_batch_hinted), split out for
+    /// callers that sort one batch and hand different stretches of the
+    /// order to different structures (`gfsl-cluster`'s shard runs).
+    ///
+    /// The bottom-level hint is cleared on entry — the previous call ended
+    /// at its largest key, right of everything here — and live until
+    /// return; per-op calls outside never consult it on default params.
+    pub fn execute_ordered(&mut self, ops: &[BatchOp], order: &[u64], out: &mut [BatchReply]) {
+        self.clear_hint();
+        let per_op = std::mem::replace(&mut self.hint_use, HintUse::Sorted);
+        for &packed in order {
+            let i = order_index(packed);
+            out[i] = self.dispatch_one(ops[i]);
+        }
+        self.hint_use = per_op;
     }
 
     fn dispatch_one(&mut self, op: BatchOp) -> BatchReply {
@@ -214,25 +243,41 @@ mod tests {
         assert_eq!(out, vec![BatchReply::Counted(100), BatchReply::Counted(3)]);
     }
 
+    /// On default params the sorted call owns the hint: per-op calls
+    /// before it and after it (on the same handle) never consult one.
     #[test]
-    fn hinted_batch_matches_plain_and_reuses_hints() {
-        let params = GfslParams {
-            team_size: TeamSize::Sixteen,
-            hints: true,
-            ..Default::default()
-        };
-        let list = Gfsl::prefilled(params, (1..=500u32).map(|k| k * 2)).unwrap();
+    fn the_hint_is_live_in_the_sorted_call_and_nowhere_else() {
+        let list = Gfsl::prefilled(params16(), (1..=500u32).map(|k| k * 2)).unwrap();
         let mut h = list.handle();
-        // Scrambled lookups: hinted execution sorts them, so consecutive
-        // probes land in the same or neighbouring bottom chunks.
-        let ops: Vec<BatchOp> = (0..400u32).map(|i| BatchOp::Get((i * 37) % 1100 + 1)).collect();
-        let mut hinted = Vec::new();
-        h.execute_batch_hinted(&ops, &mut hinted);
-        assert!(h.stats().hint_hits > 0, "key-sorted batch must reuse the hint");
+        // Scrambled mixed ops: the sorted call runs them in key order, so
+        // consecutive ops land in the same or neighbouring bottom chunks.
+        let ops: Vec<BatchOp> = (0..400u32)
+            .map(|i| match (i * 37 % 1100 + 1, i % 5) {
+                (k, 0) => BatchOp::Insert(k, i),
+                (k, 1) => BatchOp::Remove(k),
+                (k, _) => BatchOp::Get(k),
+            })
+            .collect();
+        let unhinted = |s: crate::OpStats| s.hint_hits + s.hint_misses == 0;
+
         let mut plain = Vec::new();
         h.execute_batch(&ops, &mut plain);
-        assert_eq!(hinted, plain, "replies independent of execution order");
-        list.assert_valid();
+        assert!(unhinted(h.stats()), "a per-op stream consults no hint");
+
+        // Same-key order is kept, so the replies are what the in-order run
+        // would give on the state it left behind: compare on a twin.
+        let twin = Gfsl::prefilled(params16(), (1..=500u32).map(|k| k * 2)).unwrap();
+        let mut sorted = Vec::new();
+        let mut th = twin.handle();
+        th.execute_batch_hinted(&ops, &mut sorted);
+        assert_eq!(sorted, plain, "replies independent of execution order");
+        assert!(th.stats().hint_hits > 0, "key-sorted batch must reuse the hint");
+        assert_eq!(twin.pairs(), list.pairs());
+
+        th.reset_stats();
+        th.execute_batch(&ops, &mut sorted);
+        assert!(unhinted(th.stats()), "the hint does not outlive the sorted call");
+        twin.assert_valid();
     }
 
     #[test]

@@ -41,6 +41,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let team = self.list.team;
         let (found, path) = self.search_slow(k);
         if found.found.is_none() {
+            self.note_hint_after_update(found.enclosing);
             return false;
         }
         let mut view = ChunkView::BLANK;
@@ -77,6 +78,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.read_chunk_into(p_bottom, &mut view);
         debug_assert!(view.lane_of_key(&team, k).is_some());
         self.remove_from_chunk(k, p_bottom, &view, 0);
+        self.note_hint_after_update(p_bottom);
         true
     }
 

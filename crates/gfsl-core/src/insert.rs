@@ -52,6 +52,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     fn insert_pinned(&mut self, k: u32, v: u32) -> Result<bool, Error> {
         let (found, path) = self.search_slow(k);
         if found.found.is_some() {
+            self.note_hint_after_update(found.enclosing);
             return Ok(false);
         }
 
@@ -81,6 +82,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.heal_index(p_bottom, k, &path);
         }
         self.unlock(p_bottom);
+        self.note_hint_after_update(p_bottom);
         Ok(true)
     }
 

@@ -19,15 +19,14 @@ use crate::params::GfslParams;
 
 /// Chunked-engine parameters every config shares: the 16-lane team (14
 /// data entries — smallest structure, shortest episodes), a tiny pool,
-/// deterministic raise coins via `p_chunk = 1`, and the PR-3/PR-8 read
-/// locality knobs on so the *certified-snapshot hinted read path* is what
-/// gets explored.
+/// deterministic raise coins via `p_chunk = 1`, and the read locality
+/// knob on (fingers keep the bottom-level hint live per op) so the
+/// *certified-snapshot hinted read path* is what gets explored.
 fn mc_params() -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
         p_chunk: 1.0,
         pool_chunks: 64,
-        hints: true,
         fingers: true,
         ..GfslParams::default()
     }

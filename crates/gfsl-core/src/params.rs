@@ -25,21 +25,17 @@ pub struct GfslParams {
     pub pool_chunks: u32,
     /// Seed for the per-handle raise-coin RNG streams.
     pub seed: u64,
-    /// Enable the per-handle traversal hint cache: lock-free reads first try
-    /// to start their bottom-level lateral walk at the last bottom chunk
-    /// this handle touched (validated via the versioned lock word), falling
-    /// back to a full descent on miss. Off by default: it pays off when a
-    /// handle's keys arrive in sorted/clustered order (batched serving), and
-    /// costs one wasted chunk read per miss otherwise.
-    pub hints: bool,
-    /// Enable the per-handle multi-level *finger*: in addition to the
-    /// bottom-level hint, each handle caches the `(chunk, lock word)` pair
-    /// it descended through at every level. A hint miss then restarts from
-    /// the deepest still-valid cached level instead of the head, and
-    /// hinted lateral walks skim `(max, next)` words instead of reading
-    /// whole chunks while laterally far from the key. Implies the hint
-    /// behaviour of [`hints`](Self::hints) for the bottom level. Off by
-    /// default, same trade-off as `hints`.
+    /// Enable the per-handle multi-level *finger*: each handle caches the
+    /// `(chunk, lock word)` pair it descended through at every level, and
+    /// keeps the bottom-level traversal hint — which the key-sorted batch
+    /// entry point
+    /// ([`execute_batch_hinted`](crate::GfslHandle::execute_batch_hinted))
+    /// owns by construction — live for per-op calls too. A hint miss then
+    /// restarts from the deepest still-valid cached level instead of the
+    /// head, and hinted lateral walks skim `(max, next)` words instead of
+    /// reading whole chunks while laterally far from the key. Off by
+    /// default: it pays off when a handle's keys arrive clustered, and
+    /// costs wasted reads per miss otherwise.
     pub fingers: bool,
     /// Software-prefetch policy for traversals: with [`Prefetch::Next`],
     /// hinted walks, descents, and range scans prefetch the predicted next
@@ -87,7 +83,6 @@ impl Default for GfslParams {
             merge_divisor: 3,
             pool_chunks: 1 << 16,
             seed: 0x9E37_79B9_7F4A_7C15,
-            hints: false,
             fingers: false,
             prefetch: Prefetch::Off,
             reclaim: true,
@@ -117,10 +112,11 @@ impl GfslParams {
         chunks.min(u32::MAX as u64 / team_size.lanes() as u64) as u32
     }
 
-    /// Whether reads should take the hinted dispatch path: fingers imply
-    /// bottom-level hinting, so either knob selects it.
+    /// Whether a handle's *per-op* reads consult the bottom-level hint, so
+    /// callers holding whole batches should hand them to the key-sorted
+    /// entry point: fingers imply bottom-level hinting.
     pub fn hinted_dispatch(&self) -> bool {
-        self.hints || self.fingers
+        self.fingers
     }
 
     /// Number of entries per chunk (`N`).
@@ -215,11 +211,6 @@ mod tests {
             ..Default::default()
         };
         assert!(p.hinted_dispatch(), "fingers select the hinted path");
-        let p = GfslParams {
-            hints: true,
-            ..Default::default()
-        };
-        assert!(p.hinted_dispatch());
     }
 
     #[test]

@@ -421,6 +421,11 @@ impl Gfsl {
 
     /// [`Gfsl::handle_with`], reporting a full handle table as
     /// [`Error::TooManyHandles`] instead of panicking.
+    ///
+    /// `#[inline]`: the handle is ~1.1 kB returned by value. Out of line it
+    /// is built in a return slot and copied again by the caller, which the
+    /// mint-per-op callers (`Cluster::try_*`) pay on every request.
+    #[inline]
     pub fn try_handle_with<P: MemProbe>(&self, probe: P) -> Result<GfslHandle<'_, P>, Error> {
         let slot = match self.reclaim.as_ref() {
             Some(r) => Some(r.register().ok_or(Error::TooManyHandles)?),
@@ -434,6 +439,7 @@ impl Gfsl {
             stats: OpStats::new(),
             held: HeldLocks::new(self),
             reclaim_slot: ReclaimGuard { list: self, slot },
+            hint_use: if self.params.fingers { HintUse::Reads } else { HintUse::Off },
             hint0: None,
             hint_view_of: NIL,
             hint_view: ChunkView::BLANK,
@@ -691,6 +697,14 @@ pub const LOCK_RETRY_BOUND: u32 = 1 << 26;
 /// chunk reads.
 pub(crate) const HINT_WALK_BUDGET: u32 = 8;
 
+/// How far right of a hinted chunk's `max` a key may lie, in units of that
+/// chunk's own key span (`max - min`, the local key density), for the hint
+/// to be worth starting from: beyond it the walk is expected to cross more
+/// chunks than the descent it replaces reads, so the lookup descends and
+/// the hint moves with it. [`HINT_WALK_BUDGET`] still caps a walk the
+/// estimate let through.
+pub(crate) const HINT_NEAR_SPANS: u64 = 4;
+
 /// Lateral steps a finger-restarted descent may take before abandoning the
 /// finger and re-descending from the head. A validated finger is only
 /// *at-or-left* on its level; when the access pattern jumps to a new hot
@@ -732,6 +746,8 @@ pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) held: HeldLocks<'a>,
     /// This handle's epoch slot; unregisters itself on drop.
     reclaim_slot: ReclaimGuard<'a>,
+    /// Which operations consult and record the bottom-level hint below.
+    pub(crate) hint_use: HintUse,
     /// Bottom-level traversal hint: the last bottom chunk this handle's
     /// reads touched, with the lock word observed unlocked there. A later
     /// lookup revalidates the pair (word equality ⇒ the chunk is the same
@@ -792,6 +808,20 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// Deadline of the contained op in flight, when
     /// [`GfslParams::op_deadline_ns`] is set.
     op_deadline: Option<std::time::Instant>,
+}
+
+/// Who uses a handle's bottom-level traversal hint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HintUse {
+    /// Nobody: per-op calls on default params (on an unordered stream the
+    /// hint costs wasted reads per miss).
+    Off,
+    /// Reads consult and record it: per-op calls under `fingers`.
+    Reads,
+    /// Reads, and updates record where they ended: inside a key-sorted call
+    /// ([`GfslHandle::execute_ordered`]), where op *i+1*'s key is
+    /// at-or-right of op *i*'s whichever kind op *i* was.
+    Sorted,
 }
 
 /// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
@@ -1200,7 +1230,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// cached one and the view's own lock lane, which `read_chunk` reads
     /// last), so a negative answer derived from it needs no re-read.
     pub(crate) fn hint_start(&mut self, k: u32) -> Option<u32> {
-        if !self.list.params.hinted_dispatch() {
+        if self.hint_use == HintUse::Off {
             return None;
         }
         let Hint0 { chunk: c, word: w, epoch } = self.hint0?;
@@ -1223,6 +1253,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
         }
         let team = self.list.team;
+        if self.hint_view_of == c {
+            // Too far right to be worth walking to, judged on the snapshot's
+            // lanes alone — stale or not, they are only a density estimate —
+            // before any memory is touched: a sparse key-sorted batch then
+            // pays nothing for a hint it cannot use.
+            let (min, max) = (self.hint_view.entry(0).key(), self.hint_view.max(&team));
+            if k > max && u64::from(k - max) > HINT_NEAR_SPANS * u64::from(max - min) {
+                self.stats.hint_misses += 1;
+                self.clear_hint();
+                return None;
+            }
+        }
         // Fat-hint fast path: when the last certified snapshot is of this
         // very `(chunk, word)` pair, one lock-lane read re-certifies the
         // whole cached view — the full team read is only paid when the hint
@@ -1278,7 +1320,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// here — see [`Self::hint_view`].
     #[inline]
     pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView) {
-        if self.list.params.hinted_dispatch() {
+        if self.hint_use != HintUse::Off {
             self.hint_view_of = chunk;
             self.hint_view = *view;
         }
@@ -1294,6 +1336,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if self.list.params.fingers {
             self.stats.finger_depth_hits[0] -= 1;
         }
+        self.clear_hint();
+    }
+
+    /// Forget the bottom-level hint and its snapshot.
+    #[inline]
+    pub(crate) fn clear_hint(&mut self) {
         self.hint0 = None;
         self.hint_view_of = NIL;
     }
@@ -1320,11 +1368,27 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// unlocked observation is available, leaving the previous hint alone.
     #[inline]
     pub(crate) fn note_hint(&mut self, chunk: u32, word: Option<u64>) {
-        if self.list.params.hinted_dispatch() {
+        if self.hint_use != HintUse::Off {
             if let Some(w) = word {
                 let epoch = self.list.reclaim.as_ref().map_or(0, |r| r.epoch());
                 self.hint0 = Some(Hint0 { chunk, word: w, epoch });
             }
+        }
+    }
+
+    /// In a key-sorted call, point the hint at the bottom chunk an update
+    /// ended in — searched to and left alone, or written and released — by
+    /// its lock word as it stands now, if unlocked. After a write the
+    /// stashed snapshot predates it, so the next read validates with one
+    /// full re-read of this chunk: one read and a short walk where it would
+    /// otherwise descend from the head.
+    pub(crate) fn note_hint_after_update(&mut self, chunk: u32) {
+        if self.hint_use == HintUse::Sorted {
+            let addr = ops::lock_addr(&self.list.team, self.list.chunk(chunk));
+            self.probe.lane_read(addr);
+            let word = self.list.pool.read(addr);
+            let unlocked = crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED;
+            self.note_hint(chunk, unlocked.then_some(word));
         }
     }
 

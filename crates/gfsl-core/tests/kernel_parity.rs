@@ -15,7 +15,9 @@
 //!   hash means a change to the chunk step drove a byte-identical access
 //!   schedule;
 //! * random single-thread histories through every traversal configuration
-//!   (plain, hinted, fingered), which must agree reply for reply.
+//!   (plain, fingered, and the key-sorted entry point with its hint live),
+//!   which must agree reply for reply — the sorted call also under the
+//!   scripted chaos schedules.
 
 use std::sync::{Condvar, Mutex};
 
@@ -45,20 +47,45 @@ fn script_from_seed(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// How a scripted worker runs its ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// Default params, in order through `execute_batch`.
+    Plain,
+    /// In order, with the multi-level finger, foresight prefetch, and chunk
+    /// reclamation on — so the cached descent path is continuously split,
+    /// merged, retired, and recycled underneath the fingers, and the in-run
+    /// membership asserts witness that no operation ever trusted a stale
+    /// cached chunk.
+    Fingered,
+    /// Default params through the key-sorted entry point: `(key, index)`
+    /// order, the bottom-level hint live for the call.
+    Sorted,
+}
+
+/// Worker `t`'s ops: insert its class's keys, remove all but every 4th,
+/// then probe membership and a range count so the lock-free read ballots
+/// (eq / in-range / live) sit on the traced path too.
+fn class_ops(t: u32) -> Vec<BatchOp> {
+    let key = |i: u32| i * 2 + t + 1;
+    let mut ops: Vec<BatchOp> = (0..KEYS_PER_CLASS)
+        .map(|i| BatchOp::Insert(key(i), key(i) * 10))
+        .collect();
+    ops.extend((0..KEYS_PER_CLASS).filter(|i| i % 4 != 0).map(|i| BatchOp::Remove(key(i))));
+    ops.extend((0..KEYS_PER_CLASS).map(|i| BatchOp::Get(key(i))));
+    ops.push(BatchOp::CountRange(1, KEYS_PER_CLASS * 2));
+    ops
+}
+
 /// Run the two-worker split/merge/read workload under one scripted chaos
-/// schedule and return the replay witnesses: the trace hash and the final
-/// membership.
+/// schedule and return the replay witnesses — the trace hash and the final
+/// membership — and each worker's replies.
 ///
 /// Handle creation is serialized through a gate (worker 0 first) because a
 /// handle's raise-coin RNG stream is assigned at creation; leaving that to
 /// OS spawn order would make the schedule, not the script, pick the workload.
-///
-/// With `locality` on, the run additionally enables the multi-level finger,
-/// foresight prefetch, and chunk reclamation — so the cached descent path
-/// is continuously split, merged, retired, and recycled underneath the
-/// fingers, and the in-run membership asserts witness that no operation
-/// ever trusted a stale cached chunk.
-fn scripted_run(script: Vec<u8>, locality: bool) -> (u64, Vec<u32>) {
+fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 2]) {
+    let locality = run == Run::Fingered;
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
@@ -78,8 +105,8 @@ fn scripted_run(script: Vec<u8>, locality: bool) -> (u64, Vec<u32>) {
     );
     let gate = (Mutex::new(0u32), Condvar::new());
 
-    std::thread::scope(|s| {
-        for t in 0..2u32 {
+    let replies = std::thread::scope(|s| {
+        let workers = [0u32, 1].map(|t| {
             let list = &list;
             let ctl = &ctl;
             let gate = &gate;
@@ -93,37 +120,40 @@ fn scripted_run(script: Vec<u8>, locality: bool) -> (u64, Vec<u32>) {
                 gate.1.notify_all();
                 drop(turn);
 
-                // Insert this class's keys, remove all but every 4th, then
-                // probe membership and a range count so the lock-free read
-                // ballots (eq / in-range / live) sit on the traced path too.
-                for i in 0..KEYS_PER_CLASS {
-                    let k = i * 2 + t + 1;
-                    h.insert(k, k * 10).expect("pool");
+                let ops = class_ops(t);
+                let mut out = Vec::new();
+                if run == Run::Sorted {
+                    h.execute_batch_hinted(&ops, &mut out);
+                } else {
+                    h.execute_batch(&ops, &mut out);
                 }
-                for i in 0..KEYS_PER_CLASS {
-                    if i % 4 != 0 {
-                        let k = i * 2 + t + 1;
-                        assert!(h.remove(k), "remove {k}");
+                for (op, reply) in ops.iter().zip(&out) {
+                    match (*op, *reply) {
+                        (BatchOp::Insert(..), BatchReply::Inserted(true))
+                        | (BatchOp::Remove(_), BatchReply::Removed(true)) => {}
+                        (BatchOp::Get(k), BatchReply::Got(v)) => {
+                            assert_eq!(v.is_some(), (k - t - 1) / 2 % 4 == 0, "get {k}");
+                        }
+                        // The range also sees the peer's (in-flight) class,
+                        // so only this class's 10 survivors are a guaranteed
+                        // lower bound (in order: the sorted call counts from
+                        // key 1 before its own inserts); the exact value is
+                        // part of the trace-hash comparison.
+                        (BatchOp::CountRange(..), BatchReply::Counted(n)) => {
+                            let least = if run == Run::Sorted { 0 } else { 10 };
+                            assert!((least..=50).contains(&n), "count {n} outside feasible window");
+                        }
+                        other => panic!("unexpected reply {other:?}"),
                     }
                 }
-                for i in 0..KEYS_PER_CLASS {
-                    let k = i * 2 + t + 1;
-                    assert_eq!(h.get(k).is_some(), i % 4 == 0, "get {k}");
-                }
-                // The range also sees the peer's (in-flight) class, so only
-                // this class's 10 survivors are a guaranteed lower bound;
-                // the exact value is part of the trace-hash comparison.
-                let counted = h.count_range(1, KEYS_PER_CLASS * 2);
-                assert!(
-                    (10..=50).contains(&counted),
-                    "count {counted} outside feasible window"
-                );
-            });
-        }
+                out
+            })
+        });
+        workers.map(|w| w.join().expect("scripted worker"))
     });
 
     list.assert_valid();
-    (ctl.trace_hash(), list.keys())
+    (ctl.trace_hash(), list.keys(), replies)
 }
 
 /// Trace hashes of the plain scripted runs (script seeds 0..6), as the
@@ -155,7 +185,7 @@ const FINGERED_TRACES: [u64; 4] = [
 #[test]
 fn scripted_chaos_traces_match_the_pinned_hashes() {
     for (seed, want) in PLAIN_TRACES.into_iter().enumerate() {
-        let (trace, keys) = scripted_run(script_from_seed(seed as u64, 64), false);
+        let (trace, keys, _) = scripted_run(script_from_seed(seed as u64, 64), Run::Plain);
         assert_eq!(
             trace, want,
             "the observable schedule changed under script seed {seed}: 0x{trace:016x}"
@@ -175,8 +205,8 @@ fn scripted_chaos_traces_match_the_pinned_hashes() {
 fn fingered_scripted_chaos_never_observes_stale_chunks() {
     for (seed, want) in FINGERED_TRACES.into_iter().enumerate() {
         let script = script_from_seed(seed as u64 ^ 0xF16E5, 64);
-        let plain = scripted_run(script.clone(), false);
-        let fingered = scripted_run(script, true);
+        let plain = scripted_run(script.clone(), Run::Plain);
+        let fingered = scripted_run(script, Run::Fingered);
         assert_eq!(
             plain.1, fingered.1,
             "fingers changed final membership under script seed {seed}"
@@ -195,9 +225,30 @@ fn fingered_scripted_chaos_never_observes_stale_chunks() {
 #[test]
 fn scripted_run_replays_identically() {
     let script = script_from_seed(0xD1FF, 48);
-    let a = scripted_run(script.clone(), false);
-    let b = scripted_run(script, false);
+    let a = scripted_run(script.clone(), Run::Plain);
+    let b = scripted_run(script, Run::Plain);
     assert_eq!(a, b, "scripted harness must be deterministic");
+}
+
+/// The key-sorted entry point under the same scripted schedules: each
+/// worker's class is its own, so every point reply is decided by that
+/// key's own history, which the `(key, index)` order preserves — the
+/// sorted call, hint live while the peer splits and merges the chunks it
+/// names, must answer exactly what the in-order call answers and leave the
+/// same membership. (The range count sees the peer's in-flight class; both
+/// runs hold it to the feasible window.)
+#[test]
+fn sorted_call_answers_as_the_in_order_call_under_scripted_chaos() {
+    for seed in 0..6u64 {
+        let script = script_from_seed(seed, 64);
+        let (_, plain_keys, plain) = scripted_run(script.clone(), Run::Plain);
+        let (_, sorted_keys, sorted) = scripted_run(script, Run::Sorted);
+        assert_eq!(plain_keys, sorted_keys, "membership diverged under script seed {seed}");
+        for (p, s) in plain.iter().zip(&sorted) {
+            let points = p.len() - 1;
+            assert_eq!(p[..points], s[..points], "replies diverged under script seed {seed}");
+        }
+    }
 }
 
 /// One batch op over the interesting key space: a dense band that forces
@@ -223,13 +274,13 @@ fn op_strategy() -> impl Strategy<Value = BatchOp> {
     ]
 }
 
-/// Apply one history to a fresh list under the given configuration and
-/// return every reply plus the final membership.
-fn apply_history(ops: &[BatchOp], hints: bool, fingers: bool) -> (Vec<BatchReply>, Vec<u32>) {
+/// Apply one history to a fresh list — with or without the multi-level
+/// finger and foresight prefetch; in order, or through the key-sorted entry
+/// point — and return every reply plus the final membership.
+fn apply_history(ops: &[BatchOp], fingers: bool, sorted: bool) -> (Vec<BatchReply>, Vec<u32>) {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        hints,
         fingers,
         prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
         ..Default::default()
@@ -237,7 +288,11 @@ fn apply_history(ops: &[BatchOp], hints: bool, fingers: bool) -> (Vec<BatchReply
     .expect("params valid");
     let mut h = list.handle();
     let mut out = Vec::new();
-    h.execute_batch(ops, &mut out);
+    if sorted {
+        h.execute_batch_hinted(ops, &mut out);
+    } else {
+        h.execute_batch(ops, &mut out);
+    }
     list.assert_valid();
     (out, list.keys())
 }
@@ -247,21 +302,30 @@ proptest! {
 
     /// Random single-thread histories (including sentinel-adjacent and
     /// reserved keys) produce identical replies and identical final
-    /// membership with the plain traversal, with the hint cache enabled,
-    /// and with the multi-level finger and foresight prefetch on. The
-    /// history's inserts and removes split and merge chunks directly on the
-    /// cached path, so this is the single-threaded finger-invalidation
-    /// check: a finger surviving a split/merge it should have rejected
-    /// would change a reply.
+    /// membership with the plain traversal and with the multi-level finger
+    /// and foresight prefetch on. The history's inserts and removes split
+    /// and merge chunks directly on the cached path, so this is the
+    /// single-threaded finger-invalidation check: a finger surviving a
+    /// split/merge it should have rejected would change a reply.
+    ///
+    /// The key-sorted entry point runs a history in `(key, index)` order
+    /// with its hint live — updates re-point it at the chunks they write —
+    /// so it is held to the in-order call on the history sorted that way
+    /// beforehand (a range count's reply depends on where among the other
+    /// keys' ops it runs).
     #[test]
     fn traversal_configs_agree_on_random_histories(
         ops in proptest::collection::vec(op_strategy(), 0..250),
     ) {
         let plain = apply_history(&ops, false, false);
-        let hinted = apply_history(&ops, true, false);
-        prop_assert_eq!(&plain, &hinted, "hinted traversal changed results");
-        let fingered = apply_history(&ops, false, true);
+        let fingered = apply_history(&ops, true, false);
         prop_assert_eq!(&plain, &fingered, "fingered traversal changed results");
+
+        let mut by_key = ops.clone();
+        by_key.sort_by_key(BatchOp::key);
+        let in_order = apply_history(&by_key, false, false);
+        let sorted = apply_history(&by_key, false, true);
+        prop_assert_eq!(in_order, sorted, "the sorted call changed results");
     }
 }
 
@@ -285,11 +349,11 @@ fn sentinel_edge_lanes_agree_across_configs() {
     ]);
     ops.extend((10..=60).map(BatchOp::Remove));
     ops.push(BatchOp::CountRange(1, u32::MAX - 1));
-    let outputs: Vec<_> = [(false, false), (true, false), (false, true)]
+    let outputs: Vec<_> = [false, true]
         .into_iter()
-        .map(|(hints, fingers)| {
-            let out = apply_history(&ops, hints, fingers);
-            assert!(out.1.is_empty(), "everything removed (hints={hints}, fingers={fingers})");
+        .map(|fingers| {
+            let out = apply_history(&ops, fingers, false);
+            assert!(out.1.is_empty(), "everything removed (fingers={fingers})");
             out
         })
         .collect();

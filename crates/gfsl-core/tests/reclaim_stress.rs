@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use gfsl::{Error, Gfsl, GfslParams, TeamSize};
+use gfsl::{BatchOp, BatchReply, Error, Gfsl, GfslParams, TeamSize};
 
 fn params(pool_chunks: u32, reclaim: bool) -> GfslParams {
     GfslParams {
@@ -145,52 +145,63 @@ fn concurrent_churn_recycles_and_stays_valid() {
     assert_eq!(got, expect, "membership is the union of both windows");
 }
 
-/// Traversal hints must stay safe across chunk reclamation. A handle's
-/// cached bottom-level hint can name a chunk that is merged away, retired,
-/// reclaimed, and reinitialized under a different key range while the hint
-/// sits idle; the hint's `(lock word, reclaim epoch)` guard must reject
-/// such hints so a hinted lookup never trusts a recycled incarnation.
+/// The sorted call's traversal hint must stay safe across chunk
+/// reclamation. Within one key-sorted batch the hint can name a chunk that
+/// the batch's own later updates merge away, retire, reclaim, and
+/// reinitialize under a different key range; the hint's `(lock word,
+/// reclaim epoch)` guard must reject such hints so a hinted lookup never
+/// trusts a recycled incarnation. (A hint idling *between* calls cannot go
+/// stale: the call clears it on entry. The fingered test below keeps the
+/// idle-handle case, where the bottom hint is live per op.)
 ///
 /// The churn pushes chunk demand well past 10x the pool (sliding window
-/// through a 64-chunk pool for 6k keys), with hinted lookups interleaved
-/// and checked against a reference map. A second, mostly-idle handle
-/// captures a hint *before* the churn and looks up through it *after*, by
-/// which point the reclaimer has advanced far more than the two epochs the
-/// tag tolerates — the stale hint must be dropped, not followed.
+/// through a 64-chunk pool for 6k keys) in key-sorted batches of 16
+/// window steps with lookups mixed in, every reply checked against a
+/// reference map applied in index order — same-key order is what the
+/// sorted call preserves, and every reply here depends on one key.
 #[test]
-fn hinted_lookups_stay_correct_across_reclamation_churn() {
+fn sorted_batches_stay_correct_across_reclamation_churn() {
     const WINDOW: u32 = 48;
     const LAST: u32 = 6_000;
+    const STEPS: u32 = 16;
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 64,
         reclaim: true,
-        hints: true,
         ..Default::default()
     })
     .unwrap();
     let mut h = list.handle();
     let mut reference: BTreeMap<u32, u32> = BTreeMap::new();
-
-    for k in 1..=WINDOW {
-        h.insert(k, k * 3).unwrap();
-        reference.insert(k, k * 3);
-    }
-    // The idle handle's hint will outlive many reclaim epochs.
-    let mut idle = list.handle();
-    assert_eq!(idle.get(WINDOW / 2), Some(WINDOW / 2 * 3));
-
-    for k in WINDOW + 1..=LAST {
-        h.insert(k, k * 3).unwrap();
-        reference.insert(k, k * 3);
-        assert!(h.remove(k - WINDOW));
-        reference.remove(&(k - WINDOW));
-        if k % 7 == 0 {
-            // Hinted lookups mid-churn: the previous op's hint points at a
-            // window chunk that is about to be merged away and recycled.
-            let probe = k - k % WINDOW;
-            assert_eq!(h.get(probe), reference.get(&probe).copied(), "mid-churn get {probe}");
+    let mut run = |h: &mut gfsl::GfslHandle<'_, gfsl::NoProbe>, ops: &[BatchOp]| {
+        let mut out = Vec::new();
+        h.execute_batch_hinted(ops, &mut out);
+        for (op, reply) in ops.iter().zip(out) {
+            let want = match *op {
+                BatchOp::Insert(k, v) => BatchReply::Inserted(reference.insert(k, v).is_none()),
+                BatchOp::Remove(k) => BatchReply::Removed(reference.remove(&k).is_some()),
+                BatchOp::Get(k) => BatchReply::Got(reference.get(&k).copied()),
+                other => unreachable!("{other:?}"),
+            };
+            assert_eq!(reply, want, "{op:?}");
         }
+    };
+
+    let fill: Vec<BatchOp> = (1..=WINDOW).map(|k| BatchOp::Insert(k, k * 3)).collect();
+    run(&mut h, &fill);
+    for first in (WINDOW + 1..=LAST).step_by(STEPS as usize) {
+        let mut ops = Vec::new();
+        for k in first..(first + STEPS).min(LAST + 1) {
+            ops.push(BatchOp::Insert(k, k * 3));
+            ops.push(BatchOp::Remove(k - WINDOW));
+            if k % 7 == 0 {
+                // Lookups mid-churn, left of the inserts that follow them in
+                // key order: the hint they leave names a window chunk the
+                // same batch goes on to merge away and recycle.
+                ops.push(BatchOp::Get(k - k % WINDOW));
+            }
+        }
+        run(&mut h, &ops);
     }
 
     // The pool was recycled end over end: demand stayed inside 64 chunks
@@ -204,21 +215,10 @@ fn hinted_lookups_stay_correct_across_reclamation_churn() {
     );
     assert!(list.chunks_allocated() <= 64, "bump pointer within the pool");
 
-    // The pre-churn hint is now generations stale; the epoch tag (or the
-    // lock-word certification) must reject it and fall back to a full
-    // descent that still answers correctly.
-    assert_eq!(idle.get(WINDOW / 2), None, "pre-churn key is long gone");
-    assert_eq!(
-        idle.get(LAST - WINDOW / 2),
-        reference.get(&(LAST - WINDOW / 2)).copied(),
-        "stale-hinted handle reads the live window"
-    );
-
-    // Full hinted sweep against the reference; ascending keys make almost
-    // every lookup a hint hit, all of them on recycled chunks.
-    for k in 1..=LAST {
-        assert_eq!(h.get(k), reference.get(&k).copied(), "final sweep get {k}");
-    }
+    // Full sweep against the reference; ascending keys make almost every
+    // lookup a hint hit, all of them on recycled chunks.
+    let sweep: Vec<BatchOp> = (1..=LAST).map(BatchOp::Get).collect();
+    run(&mut h, &sweep);
     let s = h.stats();
     assert!(s.hint_hits > 0, "sweep never used the hint path: {s:?}");
     assert!(s.hint_misses > 0, "churn never invalidated a hint: {s:?}");
@@ -238,10 +238,12 @@ fn hinted_lookups_stay_correct_across_reclamation_churn() {
 /// must reject recycled incarnations level by level, so a fingered descent
 /// never starts below a stale chunk.
 ///
-/// Same shape as the hinted test above, with fingers + foresight prefetch
-/// on: sliding-window churn >10x through a 64-chunk pool with fingered
-/// lookups interleaved and checked against a reference map, plus an idle
-/// handle whose whole finger stack goes generations stale.
+/// Per-op sliding-window churn >10x through a 64-chunk pool with fingers +
+/// foresight prefetch on, fingered lookups interleaved and checked against
+/// a reference map, plus an idle handle that captures its bottom hint and
+/// finger stack *before* the churn and looks up through them *after*, by
+/// which point the reclaimer has advanced far more than the two epochs the
+/// tag tolerates — the stale entries must be dropped, not followed.
 #[test]
 fn fingered_lookups_stay_correct_across_reclamation_churn() {
     const WINDOW: u32 = 48;

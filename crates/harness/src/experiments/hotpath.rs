@@ -1,13 +1,15 @@
-//! Hot-path engine grid: the locality ladder — hinted dispatch,
-//! multi-level fingers, software prefetch — plus the flat-bottom
-//! (B-Skiplist) engine variant, measured head-to-head on three workloads.
+//! Hot-path engine grid: the locality ladder — the key-sorted (hinted)
+//! batch entry point, multi-level fingers, software prefetch — plus the
+//! flat-bottom (B-Skiplist) engine variant, measured head-to-head on three
+//! workloads.
 //! Not a paper artifact — this tracks the host-side engine work layered on
 //! the paper's structure:
 //!
 //! * **hot-band gets** — the read-heavy headline. Batches of point lookups
 //!   clustered in a sliding hot band, the access shape the serve layer's
-//!   key-sorted batching produces. Hinted dispatch turns most descents into
-//!   one or two lateral steps from the cached bottom-level chunk; fingers
+//!   key-sorted batching produces. The sorted entry point (`batch`: default
+//!   params, the bottom-level hint live for the call) turns most descents
+//!   into one or two lateral steps from the previous op's chunk; fingers
 //!   extend the cache up the descent path and skim `(max, next)` words on
 //!   lateral runs; prefetch overlaps the predicted next chunk's fetch with
 //!   the current ballot.
@@ -33,7 +35,7 @@
 //!   most [`DRIFT_GATE`]× one in the first 100k (the parent of the index
 //!   heal, DESIGN.md §20, read 3.03×);
 //! * quick/CI cell: the fingered configurations must not lose to the
-//!   hinted baseline on hot-band gets;
+//!   sorted-batch baseline on hot-band gets;
 //! * full runs: `fingers+pf` must beat the previously committed hinted
 //!   headline ([`COMMITTED_GET_MOPS`]), and at least one
 //!   locality configuration (fingers, prefetch, or flat-bottom) must beat
@@ -94,7 +96,9 @@ const PARENT_DRIFT: DriftResult = DriftResult {
 struct GridCfg {
     name: &'static str,
     engine: EngineKind,
-    hints: bool,
+    /// Batches go through `execute_batch_hinted` (key-sorted, the
+    /// bottom-level hint live) instead of `execute_batch` (in order).
+    sorted: bool,
     fingers: bool,
     prefetch: Prefetch,
 }
@@ -105,22 +109,21 @@ fn grid() -> [GridCfg; 5] {
     let base = GridCfg {
         name: "plain",
         engine: EngineKind::Gfsl,
-        hints: false,
+        sorted: false,
         fingers: false,
         prefetch: Prefetch::Off,
     };
     [
         base,
-        GridCfg { name: "hints", hints: true, ..base },
-        GridCfg { name: "fingers", fingers: true, ..base },
-        GridCfg { name: "fingers+pf", fingers: true, prefetch: Prefetch::Next, ..base },
+        GridCfg { name: "batch", sorted: true, ..base },
+        GridCfg { name: "fingers", sorted: true, fingers: true, ..base },
+        GridCfg { name: "fingers+pf", sorted: true, fingers: true, prefetch: Prefetch::Next, ..base },
         GridCfg { name: "flat", engine: EngineKind::FlatBottom, ..base },
     ]
 }
 
 fn params_for(cfg: &ExpConfig, g: GridCfg, expected_keys: u64) -> GfslParams {
     let mut p = GfslParams {
-        hints: g.hints,
         fingers: g.fingers,
         prefetch: g.prefetch,
         seed: cfg.seed,
@@ -133,12 +136,12 @@ fn params_for(cfg: &ExpConfig, g: GridCfg, expected_keys: u64) -> GfslParams {
 /// Dispatch one batch through the configuration's entry point.
 fn run_batch<P: MemProbe>(
     h: &mut GfslHandle<'_, P>,
-    hinted: bool,
+    sorted: bool,
     ops: &[BatchOp],
     out: &mut Vec<BatchReply>,
 ) {
     out.clear();
-    if hinted {
+    if sorted {
         h.execute_batch_hinted(ops, out);
     } else {
         h.execute_batch(ops, out);
@@ -177,7 +180,6 @@ fn hot_band_gets(cfg: &ExpConfig, g: GridCfg) -> GetResult {
     match g.engine {
         EngineKind::Gfsl => {
             let params = params_for(cfg, g, range as u64 / 2);
-            let hinted = params.hinted_dispatch();
             let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
             let mut h = list.handle();
             let mut out = Vec::with_capacity(BATCH);
@@ -185,7 +187,7 @@ fn hot_band_gets(cfg: &ExpConfig, g: GridCfg) -> GetResult {
             for _ in 0..REPS {
                 let start = Instant::now();
                 for b in &batches {
-                    run_batch(&mut h, hinted, b, &mut out);
+                    run_batch(&mut h, g.sorted, b, &mut out);
                 }
                 best = best.min(start.elapsed().as_secs_f64());
             }
@@ -242,7 +244,6 @@ fn fresh_inserts(cfg: &ExpConfig, g: GridCfg) -> f64 {
     match g.engine {
         EngineKind::Gfsl => {
             let params = params_for(cfg, g, range as u64 / 2 + n_ins as u64);
-            let hinted = params.hinted_dispatch();
             let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
             let mut h = list.handle();
             let batches: Vec<Vec<BatchOp>> = keys
@@ -252,7 +253,7 @@ fn fresh_inserts(cfg: &ExpConfig, g: GridCfg) -> f64 {
             let mut out = Vec::with_capacity(BATCH);
             let start = Instant::now();
             for b in &batches {
-                run_batch(&mut h, hinted, b, &mut out);
+                run_batch(&mut h, g.sorted, b, &mut out);
             }
             n_ins as f64 / start.elapsed().as_secs_f64() / 1.0e6
         }
@@ -460,7 +461,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             g.name.to_string(),
             mops(get.mops),
             ratio(get.mops / base_get),
-            if g.hints || g.fingers { pct(get.hit_rate) } else { "-".into() },
+            if g.sorted { pct(get.hit_rate) } else { "-".into() },
             finger_col,
             mops(ins),
             ratio(ins / base_ins),
@@ -504,7 +505,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         churns.push(r);
     }
 
-    // Grid positions (fixed by `grid()`): 1 = hints, 2 = fingers,
+    // Grid positions (fixed by `grid()`): 1 = batch, 2 = fingers,
     // 3 = fingers+pf, 4 = flat.
     let hinted_get = gets[1].mops;
     let fingered_get = gets[2].mops.max(gets[3].mops);
@@ -609,13 +610,13 @@ mod tests {
             assert_eq!(t.rows.len(), 5, "one row per grid configuration");
             assert_eq!(t.rows[0][0], "plain", "plain baseline first");
             assert_eq!(t.rows[0][2], "1.00x", "baseline ratio is identity");
-            assert_eq!(t.rows[1][0], "hints");
+            assert_eq!(t.rows[1][0], "batch");
             assert_eq!(t.rows[3][0], "fingers+pf");
             assert_eq!(t.rows[4][0], "flat");
         }
-        // The hinted configuration must actually exercise the hint cache.
+        // The sorted entry point must actually exercise the hint.
         let row = &tables[0].rows[1];
-        assert_ne!(row[3], "-", "hinted rows report a hit rate");
+        assert_ne!(row[3], "-", "sorted rows report a hit rate");
         assert_ne!(row[3], "0.0%", "sorted hot-band batches must hit");
         // The fingered configurations must exercise both cache tiers.
         for row in [&tables[0].rows[2], &tables[0].rows[3]] {

@@ -158,8 +158,9 @@ impl BatchPolicy for KeyRangeSharded {
 
 /// Key-sorted batching: the epoch is sorted by `(key, arrival)` before
 /// chopping, so each dispatched batch covers a narrow, ascending key band.
-/// Paired with the structure's traversal hint cache
-/// (`GfslParams::hints` + `execute_batch_hinted`), a team serving such a
+/// Paired with the structure's key-sorted entry point
+/// (`execute_batch_hinted`, whose bottom-level hint is live for the
+/// call), a team serving such a
 /// batch descends once and then walks laterally — `k` same-band ops cost
 /// ~1 descent + `k` lateral steps instead of `k` full descents. Same-key
 /// requests keep arrival order, so per-key semantics match FIFO.

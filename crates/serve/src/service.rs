@@ -247,9 +247,9 @@ fn worker_loop(
     op_stats: &std::sync::Mutex<gfsl::OpStats>,
 ) {
     let mut h = list.handle();
-    // When the structure's hint cache or multi-level finger is on, execute
-    // each batch in key order so consecutive ops validate the cached path
-    // (replies stay index-aligned either way).
+    // When the structure's multi-level finger is on, execute each batch in
+    // key order so consecutive ops validate the cached path (replies stay
+    // index-aligned either way).
     let hinted = list.params().hinted_dispatch();
     let mut chaos_stats = gfsl::OpStats::new();
     while let Some(item) = injector.pop() {
@@ -905,7 +905,7 @@ mod tests {
             let params = GfslParams {
                 team_size: TeamSize::Sixteen,
                 pool_chunks: 1 << 12,
-                hints: true,
+                fingers: true,
                 ..Default::default()
             };
             let list = Gfsl::prefilled(params, (1..=2_000u32).filter(|k| k % 2 == 0)).unwrap();
