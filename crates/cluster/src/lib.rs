@@ -28,6 +28,7 @@
 //! exporting, so splits and merges can race crashing client ops (see the
 //! `migration_chaos` integration test).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -22,6 +22,7 @@
 //!   sockets, with zipf-skewed per-tenant key windows, for capacity and
 //!   overload measurement (`edgebench` binary).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -11,7 +11,7 @@
 
 use gfsl_gpu_mem::MemProbe;
 
-use crate::skiplist::{Error, GfslHandle, HintUse};
+use crate::skiplist::{Error, GfslHandle};
 
 /// One operation inside a dispatch batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,15 +138,15 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     ///
     /// The bottom-level hint is cleared on entry — the previous call ended
     /// at its largest key, right of everything here — and live until
-    /// return; per-op calls outside never consult it on default params.
+    /// return; per-op calls outside never consult it.
     pub fn execute_ordered(&mut self, ops: &[BatchOp], order: &[u64], out: &mut [BatchReply]) {
         self.clear_hint();
-        let per_op = std::mem::replace(&mut self.hint_use, HintUse::Sorted);
+        let outside = std::mem::replace(&mut self.hint_live, true);
         for &packed in order {
             let i = order_index(packed);
             out[i] = self.dispatch_one(ops[i]);
         }
-        self.hint_use = per_op;
+        self.hint_live = outside;
     }
 
     fn dispatch_one(&mut self, op: BatchOp) -> BatchReply {
@@ -243,8 +243,8 @@ mod tests {
         assert_eq!(out, vec![BatchReply::Counted(100), BatchReply::Counted(3)]);
     }
 
-    /// On default params the sorted call owns the hint: per-op calls
-    /// before it and after it (on the same handle) never consult one.
+    /// The sorted call owns the hint: per-op calls before it and after it
+    /// (on the same handle) never consult one.
     #[test]
     fn the_hint_is_live_in_the_sorted_call_and_nowhere_else() {
         let list = Gfsl::prefilled(params16(), (1..=500u32).map(|k| k * 2)).unwrap();
@@ -260,6 +260,7 @@ mod tests {
             .collect();
         let unhinted = |s: crate::OpStats| s.hint_hits + s.hint_misses == 0;
 
+        assert!(!h.hint_live, "a fresh handle's hint is off");
         let mut plain = Vec::new();
         h.execute_batch(&ops, &mut plain);
         assert!(unhinted(h.stats()), "a per-op stream consults no hint");
@@ -273,6 +274,7 @@ mod tests {
         assert_eq!(sorted, plain, "replies independent of execution order");
         assert!(th.stats().hint_hits > 0, "key-sorted batch must reuse the hint");
         assert_eq!(twin.pairs(), list.pairs());
+        assert!(!th.hint_live, "the call switches it back off");
 
         th.reset_stats();
         th.execute_batch(&ops, &mut sorted);

@@ -1,8 +1,7 @@
 //! Deterministic fault injection for the GFSL locking protocol.
 //!
-//! A [`ChaosController`] is a turnstile scheduler (like
-//! `gfsl_gpu_mem::Turnstile`) extended with three chaos facilities, all
-//! replayable from a seed:
+//! A [`ChaosController`] is a turnstile scheduler with three facilities,
+//! all replayable from a seed:
 //!
 //! * **Schedule control** — every memory access of every participating
 //!   handle blocks until granted a turn; turns are granted only when all

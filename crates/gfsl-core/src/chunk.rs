@@ -195,7 +195,7 @@ impl ChunkView {
     }
 
     /// The lock word, if it shows the chunk unlocked at read time (the
-    /// observation hints, fingers and certification record).
+    /// observation the hint and certification record).
     #[inline]
     pub fn unlocked_word(&self, team: &Team) -> Option<u64> {
         let word = self.lock_word(team);

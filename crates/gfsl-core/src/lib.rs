@@ -67,6 +67,7 @@
 //!
 //! No cycle can form, so every spin terminates once the holder finishes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -105,7 +106,7 @@ pub use flat::{EngineKind, FlatSkiplist, KvEngine};
 pub use mc::{Counterexample, McConfig, McOp, McReport, Target};
 pub use mvcc::{MvccStats, ReadTicket};
 pub use introspect::{LevelShape, Shape};
-pub use stats::{OpStats, FINGER_LEVELS};
+pub use stats::OpStats;
 pub use validate::Violation;
 
 /// Re-exported crash-point seam (the named vulnerable windows of the lock
@@ -119,9 +120,6 @@ pub use gfsl_gpu_mem::{MemProbe, NoProbe};
 
 /// Re-exported team-size selector (chunk format): 16 or 32 entries.
 pub use gfsl_simt::TeamSize;
-
-/// Re-exported software-prefetch policy, the [`GfslParams::prefetch`] knob.
-pub use gfsl_gpu_mem::Prefetch;
 
 /// Re-exported reclamation counters surfaced by [`Gfsl::reclaim_stats`].
 pub use gfsl_gpu_mem::ReclaimStats;

@@ -19,15 +19,14 @@ use crate::params::GfslParams;
 
 /// Chunked-engine parameters every config shares: the 16-lane team (14
 /// data entries — smallest structure, shortest episodes), a tiny pool,
-/// deterministic raise coins via `p_chunk = 1`, and the read locality
-/// knob on (fingers keep the bottom-level hint live per op) so the
-/// *certified-snapshot hinted read path* is what gets explored.
+/// and deterministic raise coins via `p_chunk = 1`. (The episode's workers
+/// run with their handles' hint live, so the *certified-snapshot hinted
+/// path* is what gets explored — see `run_episode`.)
 fn mc_params() -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
         p_chunk: 1.0,
         pool_chunks: 64,
-        fingers: true,
         ..GfslParams::default()
     }
 }
@@ -386,9 +385,7 @@ mod tests {
         assert_eq!(h.insert(341, 1), Ok(true));
         assert_eq!((h.heal_levels, h.heal_keys[1]), (1 << 1, 322));
         assert_eq!(h.stats().index_heals, 0, "322 is another chunk's key");
-        // One bottom chunk to the left the same walk ends under 322's lock
-        // (a fresh handle: the first one's finger now skips the walk).
-        let mut h = list.handle();
+        // One bottom chunk to the left the same walk ends under 322's lock.
         assert_eq!(h.insert(323, 1), Ok(true));
         assert_eq!(h.stats().index_heals, 1);
         assert_eq!(list.level_keys(2), vec![322]);

@@ -326,6 +326,12 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
                                     ops,
                                     Box::new(move |rec| {
                                         let mut h = list.handle_with(NoProbe);
+                                        // The hint as a key-sorted call
+                                        // runs it (reads consult it, reads
+                                        // and updates move it), on scripts
+                                        // in any key order: validation, not
+                                        // sortedness, is what keeps it safe.
+                                        h.hint_live = true;
                                         run_ops(&mut h, ops, rec);
                                     }),
                                 )

@@ -1,6 +1,5 @@
 //! Tunable parameters of a GFSL instance.
 
-use gfsl_gpu_mem::Prefetch;
 use gfsl_simt::TeamSize;
 
 /// Configuration for a [`crate::Gfsl`] instance.
@@ -25,23 +24,6 @@ pub struct GfslParams {
     pub pool_chunks: u32,
     /// Seed for the per-handle raise-coin RNG streams.
     pub seed: u64,
-    /// Enable the per-handle multi-level *finger*: each handle caches the
-    /// `(chunk, lock word)` pair it descended through at every level, and
-    /// keeps the bottom-level traversal hint — which the key-sorted batch
-    /// entry point
-    /// ([`execute_batch_hinted`](crate::GfslHandle::execute_batch_hinted))
-    /// owns by construction — live for per-op calls too. A hint miss then
-    /// restarts from the deepest still-valid cached level instead of the
-    /// head, and hinted lateral walks skim `(max, next)` words instead of
-    /// reading whole chunks while laterally far from the key. Off by
-    /// default: it pays off when a handle's keys arrive clustered, and
-    /// costs wasted reads per miss otherwise.
-    pub fingers: bool,
-    /// Software-prefetch policy for traversals: with [`Prefetch::Next`],
-    /// hinted walks, descents, and range scans prefetch the predicted next
-    /// chunk (host `_mm_prefetch` plus the modeled L2 fill in counting
-    /// probes) before finishing work on the current one. Off by default.
-    pub prefetch: Prefetch,
     /// Enable epoch-based reclamation of unlinked zombie chunks (recycled
     /// through `alloc_chunk`). See `gfsl_gpu_mem::reclaim` and DESIGN.md for
     /// the safety argument.
@@ -83,8 +65,6 @@ impl Default for GfslParams {
             merge_divisor: 3,
             pool_chunks: 1 << 16,
             seed: 0x9E37_79B9_7F4A_7C15,
-            fingers: false,
-            prefetch: Prefetch::Off,
             reclaim: true,
             contain: false,
             retry_budget: 0,
@@ -110,13 +90,6 @@ impl GfslParams {
         let per_chunk = (team_size.dsize() as u64 * 5 / 10).max(1);
         let chunks = expected_keys / per_chunk + expected_keys / (per_chunk * per_chunk) + 4096;
         chunks.min(u32::MAX as u64 / team_size.lanes() as u64) as u32
-    }
-
-    /// Whether a handle's *per-op* reads consult the bottom-level hint, so
-    /// callers holding whole batches should hand them to the key-sorted
-    /// entry point: fingers imply bottom-level hinting.
-    pub fn hinted_dispatch(&self) -> bool {
-        self.fingers
     }
 
     /// Number of entries per chunk (`N`).
@@ -198,19 +171,6 @@ mod tests {
         // Versioned reads are opt-in: the default config must not pay for
         // capture bookkeeping on the write path.
         assert!(!GfslParams::default().mvcc);
-    }
-
-    #[test]
-    fn locality_knobs_default_off_and_fingers_imply_hinted_dispatch() {
-        let p = GfslParams::default();
-        assert!(!p.fingers);
-        assert_eq!(p.prefetch, Prefetch::Off);
-        assert!(!p.hinted_dispatch());
-        let p = GfslParams {
-            fingers: true,
-            ..Default::default()
-        };
-        assert!(p.hinted_dispatch(), "fingers select the hinted path");
     }
 
     #[test]

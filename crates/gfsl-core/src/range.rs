@@ -58,10 +58,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 noted = true;
                 self.note_hint(c, view.unlocked_word(&team));
             }
-            // Foresight: the scan will almost always continue into the
-            // successor, so start pulling it while this chunk's entries are
-            // filtered and yielded.
-            self.prefetch_chunk(view.next(&team));
             let in_range = view.keys_in_range(&team, lo, hi);
             for lane in 0..team.dsize() {
                 if !in_range.is_set(lane) {

@@ -5,9 +5,7 @@ use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, LaneId, Team};
 
 use crate::chunk::{ops, is_user_key, ChunkView, NIL};
-use crate::skiplist::{
-    GfslHandle, FINGER_WALK_BUDGET, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET,
-};
+use crate::skiplist::{GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET};
 
 /// Team decision for the next traversal step (result of the ballot in
 /// `getTidForNextStep`, Algorithm 4.3).
@@ -118,11 +116,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if let Some(c) = self.hint_start(k) {
             // `hint_start` left the validated snapshot in `self.hint_view`.
             let team = self.list.team;
-            // Foresight: under key-sorted dispatch the stream moves right,
-            // so the hinted chunk's successor is the likely next touch —
-            // warm it while the ballot decides.
-            let next = self.hint_view.next(&team);
-            self.prefetch_chunk(next);
             // The validated word is unlocked by construction.
             let word = Some(self.hint_view.lock_word(&team));
             match tid_with_equal_key(&team, k, &self.hint_view) {
@@ -141,6 +134,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     };
                 }
                 LateralStep::Continue => {
+                    let next = self.hint_view.next(&team);
                     debug_assert_ne!(next, NIL);
                     if let Some(res) = self.search_lateral_bounded(k, next, HINT_WALK_BUDGET) {
                         return res;
@@ -205,13 +199,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///   (levels the descent never visits are filled with the level heads
     ///   on entry and on every restart) and zombie runs are lazily
     ///   unlinked via try-lock redirection.
-    ///
-    /// With [`GfslParams::fingers`] on, the descent first tries to restart
-    /// from the deepest still-valid cached finger level instead of the
-    /// head ([`Self::finger_restart`]), and re-caches every chunk it steps
-    /// down through whose lock word was observed unlocked. An in-descent
-    /// restart (torn backtrack) always returns to the head: the finger that
-    /// got us here may be what went stale.
     pub(crate) fn descend(
         &mut self,
         k: u32,
@@ -223,20 +210,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // for as long as `prev` names it.
         let mut views = [ChunkView::BLANK; 2];
         let mut at = 0;
-        let mut from_finger = if self.list.params.fingers {
-            self.finger_restart(k, &mut views[at])
-        } else {
-            None
-        };
-        // Lateral steps remaining before a finger-started descent gives up
-        // and falls back to the head. Validation only proves the finger is
-        // *at-or-left* of `k` on its level, not near it: when the access
-        // pattern jumps (a batch moves to a new hot band), a deep finger
-        // can sit thousands of chunks left of `k`, and crawling a low level
-        // across the keyspace costs far more than the head's O(log n)
-        // strides ever save. The budget caps the damage at less than one
-        // head descent's worth of reads.
-        let mut finger_laterals = FINGER_WALK_BUDGET;
         'restart: loop {
             if let Some(p) = path.as_deref_mut() {
                 for (i, slot) in p.iter_mut().enumerate().take(self.list.params.max_levels()) {
@@ -249,27 +222,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             let mut prev: Option<u32> = None;
             // Update path only: live chunks stepped across at this level.
             let mut steps = 0u8;
-            // Level this descent attempt restarted from, while its lateral
-            // budget still applies (None once descending from the head).
-            let mut fingered_level: Option<usize> = None;
-            // The finger restart left its validating view in `views[at]`,
-            // so the first step pays no second read.
-            let mut pending = false;
-            let (mut height, mut cur) = match from_finger.take() {
-                Some((level, chunk)) => {
-                    pending = true;
-                    fingered_level = Some(level);
-                    (level, chunk)
-                }
-                None => {
-                    let h = self.list.height();
-                    (h, self.list.head_of(h))
-                }
-            };
+            let mut height = self.list.height();
+            let mut cur = self.list.head_of(height);
             while height > 0 {
-                if !std::mem::take(&mut pending) {
-                    self.read_chunk_into(cur, &mut views[at]);
-                }
+                self.read_chunk_into(cur, &mut views[at]);
                 if views[at].is_zombie(&team) {
                     if path.is_some() {
                         // Update path: lazily unlink the zombie run; the
@@ -298,13 +254,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             self.stats.search_restarts += 1;
                             continue 'restart;
                         }
-                        if let Some(level) = fingered_level {
-                            if finger_laterals == 0 {
-                                self.finger_overrun(level);
-                                continue 'restart;
-                            }
-                            finger_laterals -= 1;
-                        }
                         cur = next;
                         continue;
                     }
@@ -312,16 +261,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 let view = &views[at];
                 match tid_for_next_step(&team, k, view) {
                     NextStep::Lateral => {
-                        if let Some(level) = fingered_level {
-                            if finger_laterals == 0 {
-                                self.finger_overrun(level);
-                                continue 'restart;
-                            }
-                            finger_laterals -= 1;
-                        }
-                        // A finger is only at-or-left on its own level: how
-                        // far says nothing about the index above it.
-                        if path.is_some() && fingered_level != Some(height) {
+                        if path.is_some() {
                             steps = steps.saturating_add(1);
                         }
                         prev = Some(cur);
@@ -341,7 +281,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             }
                         }
                         steps = 0;
-                        self.note_finger(height, cur, view.unlocked_word(&team));
                         height -= 1;
                         prev = None;
                         cur = view.entry(lane).val();
@@ -359,7 +298,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                                 p[height] = pptr;
                             }
                             steps = 0;
-                            self.note_finger(height, pptr, pview.unlocked_word(&team));
                             height -= 1;
                             cur = match down_step_lane(&team, k, pview) {
                                 Some(lane) => pview.entry(lane).val(),
@@ -413,7 +351,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         budget: u32,
     ) -> Option<LateralResult> {
         let team = self.list.team;
-        let skim = self.list.params.fingers;
         let mut cur = start;
         let mut moves = 0u32;
         // One buffer, reloaded at every chunk the walk reads.
@@ -422,43 +359,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // the previous read of the *same* chunk). Reset on every move.
         let mut certify: Option<u64> = None;
         loop {
-            if skim && moves >= 2 {
-                // Max-skip: while laterally far from `k`, read only the
-                // `(max, next)` word instead of the whole chunk. `max < k`
-                // decides `Continue` exactly — every data key is `<= max`,
-                // so no passed chunk can hold `k`, zombie or not (a zombie
-                // with `max < k` is stepped through identically, and one
-                // with `max >= k` falls to the full read below, which
-                // discovers it).
-                //
-                // Engaged only once two full reads have already stepped:
-                // a word probed for a chunk the full read then re-reads is
-                // pure overhead on the 1–2 step walks that dominate hinted
-                // hot-band traffic, while the runs that matter (zombie
-                // chains at a churn window's trailing edge) are dozens of
-                // chunks long and amortize the two-step on-ramp.
-                loop {
-                    let nf = ops::read_next_field(
-                        &team,
-                        &self.list.pool,
-                        &mut self.probe,
-                        self.list.chunk(cur),
-                    );
-                    if nf.key() >= k {
-                        break;
-                    }
-                    let next = nf.val();
-                    debug_assert_ne!(next, NIL, "max < k implies a successor");
-                    self.stats.skip_reads += 1;
-                    self.prefetch_chunk(next);
-                    cur = next;
-                    certify = None;
-                    moves += 1;
-                    if moves > budget {
-                        return None;
-                    }
-                }
-            }
             // Pre-bracket: observe the lock word before the team read. If
             // the view's own lock lane (read after every data lane) repeats
             // it unlocked, the view is *certified on first read* — a
@@ -473,10 +373,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 certify = Some(self.list.pool.read(addr));
             }
             self.read_chunk_into(cur, &mut view);
-            // Foresight: the successor is the likely next read — either
-            // this walk continues, or (under key-sorted batch dispatch)
-            // the handle's next operation lands there.
-            self.prefetch_chunk(view.next(&team));
             if view.is_zombie(&team) {
                 cur = view.next(&team);
                 certify = None;

@@ -11,7 +11,7 @@ use gfsl_simt::Team;
 use crate::chunk::{ops, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
 use crate::params::GfslParams;
 use gfsl_rng::SplitMix64;
-use crate::stats::{OpStats, FINGER_LEVELS};
+use crate::stats::OpStats;
 
 /// Errors surfaced by updating operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,7 +422,7 @@ impl Gfsl {
     /// [`Gfsl::handle_with`], reporting a full handle table as
     /// [`Error::TooManyHandles`] instead of panicking.
     ///
-    /// `#[inline]`: the handle is ~1.1 kB returned by value. Out of line it
+    /// `#[inline]`: the handle is ~0.8 kB returned by value. Out of line it
     /// is built in a return slot and copied again by the caller, which the
     /// mint-per-op callers (`Cluster::try_*`) pay on every request.
     #[inline]
@@ -439,11 +439,10 @@ impl Gfsl {
             stats: OpStats::new(),
             held: HeldLocks::new(self),
             reclaim_slot: ReclaimGuard { list: self, slot },
-            hint_use: if self.params.fingers { HintUse::Reads } else { HintUse::Off },
+            hint_live: false,
             hint0: None,
             hint_view_of: NIL,
             hint_view: ChunkView::BLANK,
-            finger: [None; FINGER_LEVELS],
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
             skip_downptr_repair: false,
@@ -705,19 +704,6 @@ pub(crate) const HINT_WALK_BUDGET: u32 = 8;
 /// estimate let through.
 pub(crate) const HINT_NEAR_SPANS: u64 = 4;
 
-/// Lateral steps a finger-restarted descent may take before abandoning the
-/// finger and re-descending from the head. A validated finger is only
-/// *at-or-left* on its level; when the access pattern jumps to a new hot
-/// band the cached chunk can be arbitrarily far left, and crawling a low
-/// level across that gap costs unboundedly more than the head descent the
-/// finger was meant to save. Eight lateral reads is well under one head
-/// descent's worth of chunk reads at the 1M anchor, and a *good* restart
-/// rarely needs more than two: the budget trades a sliver of reach on
-/// borderline restarts for a tight cap on what an adversarial pattern
-/// (alternating far-apart keys, e.g. a churn window's two edges) can burn
-/// per operation.
-pub(crate) const FINGER_WALK_BUDGET: u32 = 8;
-
 /// Live chunks an update-path traversal may step across at the bottom
 /// level before the insert that ran it concludes the index above is
 /// missing an entry for this region and installs one (DESIGN.md §20). One
@@ -746,8 +732,12 @@ pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) held: HeldLocks<'a>,
     /// This handle's epoch slot; unregisters itself on drop.
     reclaim_slot: ReclaimGuard<'a>,
-    /// Which operations consult and record the bottom-level hint below.
-    pub(crate) hint_use: HintUse,
+    /// Whether operations consult and record the bottom-level hint below:
+    /// set by a key-sorted call ([`GfslHandle::execute_ordered`]) for its
+    /// duration, where op *i+1*'s key is at-or-right of op *i*'s whichever
+    /// kind op *i* was. Per-op calls leave it off: on an unordered stream
+    /// the hint costs wasted reads per miss.
+    pub(crate) hint_live: bool,
     /// Bottom-level traversal hint: the last bottom chunk this handle's
     /// reads touched, with the lock word observed unlocked there. A later
     /// lookup revalidates the pair (word equality ⇒ the chunk is the same
@@ -769,14 +759,6 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// be stashed here — the later one-word re-read extends a bracket
     /// forward, it cannot create one around an uncertified read.
     pub(crate) hint_view: ChunkView,
-    /// Multi-level finger: the cached descent path, one `(chunk, lock word)`
-    /// pair per level (slot `i` = level `i`; slot 0 is unused — the bottom
-    /// level lives in [`hint0`](Self::hint0), whose validated snapshot
-    /// doubles as the answer certification). A descent revalidates entries
-    /// deepest-first and restarts from the deepest still-valid level
-    /// instead of the head. Only populated when [`GfslParams::fingers`] is
-    /// on.
-    finger: [Option<Hint0>; FINGER_LEVELS],
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
     /// `i` = level `i`): what `insert` reads to decide whether to heal
@@ -808,20 +790,6 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// Deadline of the contained op in flight, when
     /// [`GfslParams::op_deadline_ns`] is set.
     op_deadline: Option<std::time::Instant>,
-}
-
-/// Who uses a handle's bottom-level traversal hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HintUse {
-    /// Nobody: per-op calls on default params (on an unordered stream the
-    /// hint costs wasted reads per miss).
-    Off,
-    /// Reads consult and record it: per-op calls under `fingers`.
-    Reads,
-    /// Reads, and updates record where they ended: inside a key-sorted call
-    /// ([`GfslHandle::execute_ordered`]), where op *i+1*'s key is
-    /// at-or-right of op *i*'s whichever kind op *i* was.
-    Sorted,
 }
 
 /// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
@@ -1230,7 +1198,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// cached one and the view's own lock lane, which `read_chunk` reads
     /// last), so a negative answer derived from it needs no re-read.
     pub(crate) fn hint_start(&mut self, k: u32) -> Option<u32> {
-        if self.hint_use == HintUse::Off {
+        if !self.hint_live {
             return None;
         }
         let Hint0 { chunk: c, word: w, epoch } = self.hint0?;
@@ -1275,10 +1243,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.stats.skip_reads += 1;
             if self.list.pool.read(addr) == w && self.hint_view.entry(0).key() <= k {
                 self.stats.hint_hits += 1;
-                if self.list.params.fingers {
-                    // A validated bottom hint is a depth-0 finger restart.
-                    self.stats.finger_depth_hits[0] += 1;
-                }
                 return Some(c);
             }
             // Either the chunk mutated since the snapshot (the word
@@ -1296,10 +1260,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let view = self.read_chunk(c);
         if view.lock_word(&team) == w && view.entry(0).key() <= k {
             self.stats.hint_hits += 1;
-            if self.list.params.fingers {
-                // A validated bottom hint is a depth-0 finger restart.
-                self.stats.finger_depth_hits[0] += 1;
-            }
             // Bracketed by the cached word observation (before this read's
             // data lanes) and the view's own lock lane (after them): a
             // certified snapshot, eligible for the fast path above.
@@ -1320,7 +1280,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// here — see [`Self::hint_view`].
     #[inline]
     pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView) {
-        if self.hint_use != HintUse::Off {
+        if self.hint_live {
             self.hint_view_of = chunk;
             self.hint_view = *view;
         }
@@ -1333,9 +1293,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn hint_overrun(&mut self) {
         self.stats.hint_hits -= 1;
         self.stats.hint_misses += 1;
-        if self.list.params.fingers {
-            self.stats.finger_depth_hits[0] -= 1;
-        }
         self.clear_hint();
     }
 
@@ -1346,29 +1303,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.hint_view_of = NIL;
     }
 
-    /// Demote the finger hit just recorded by [`Self::finger_restart`] to a
-    /// miss: the finger validated but sat too far left of `k` on its level,
-    /// so the descent burned its lateral budget
-    /// ([`FINGER_WALK_BUDGET`](crate::skiplist::FINGER_WALK_BUDGET)) and
-    /// fell back to the head. Clearing the slot keeps the next descent from
-    /// paying the crawl again.
-    pub(crate) fn finger_overrun(&mut self, level: usize) {
-        self.stats.finger_depth_hits[level] -= 1;
-        self.stats.finger_misses += 1;
-        // The whole stack, not just the restart level: every cached level
-        // points into the neighborhood the access pattern just left, so a
-        // shallower slot would only validate and burn the budget again on
-        // the very next descent.
-        self.finger = [None; FINGER_LEVELS];
-    }
-
     /// Record a bottom-level chunk as the traversal hint. `word` must be its
     /// lock word as observed *unlocked* in the view that certified the
     /// chunk (see [`Self::hint_start`]); callers pass `None` when no
     /// unlocked observation is available, leaving the previous hint alone.
     #[inline]
     pub(crate) fn note_hint(&mut self, chunk: u32, word: Option<u64>) {
-        if self.hint_use != HintUse::Off {
+        if self.hint_live {
             if let Some(w) = word {
                 let epoch = self.list.reclaim.as_ref().map_or(0, |r| r.epoch());
                 self.hint0 = Some(Hint0 { chunk, word: w, epoch });
@@ -1383,85 +1324,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// full re-read of this chunk: one read and a short walk where it would
     /// otherwise descend from the head.
     pub(crate) fn note_hint_after_update(&mut self, chunk: u32) {
-        if self.hint_use == HintUse::Sorted {
+        if self.hint_live {
             let addr = ops::lock_addr(&self.list.team, self.list.chunk(chunk));
             self.probe.lane_read(addr);
             let word = self.list.pool.read(addr);
             let unlocked = crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED;
             self.note_hint(chunk, unlocked.then_some(word));
         }
-    }
-
-    /// Record a level-`level` chunk the descent passed down through as that
-    /// level's finger. `word` must be its lock word as observed *unlocked*
-    /// in the descent's view (callers pass `None` otherwise, leaving the
-    /// slot alone). The capture view needs no certification: validity is
-    /// established at restart time, when [`Self::finger_restart`] re-reads
-    /// the chunk and demands the same unlocked word.
-    #[inline]
-    pub(crate) fn note_finger(&mut self, level: usize, chunk: u32, word: Option<u64>) {
-        if self.list.params.fingers && level > 0 && level < FINGER_LEVELS {
-            if let Some(w) = word {
-                let epoch = self.list.reclaim.as_ref().map_or(0, |r| r.epoch());
-                self.finger[level] = Some(Hint0 { chunk, word: w, epoch });
-            }
-        }
-    }
-
-    /// Find the deepest still-valid finger level for `k`: revalidate cached
-    /// `(chunk, word)` pairs bottom-up (cheapest win first) and return the
-    /// first that passes, its validating snapshot left in `view` so the
-    /// descent's first step pays no second read. Invalid entries are
-    /// cleared as they fail.
-    ///
-    /// Validity mirrors [`Self::hint_start`]: the same epoch guard, then a
-    /// fresh read showing the identical *unlocked* lock word (⇒ same chunk
-    /// incarnation — and therefore still on the same level — unmutated and
-    /// writer-free since capture) whose `entry(0) <= k` places the chunk
-    /// at-or-left of `k`'s position on that level. Upper levels of the
-    /// update path above the restart level simply keep their level-head
-    /// defaults, which are trivially at-or-left.
-    pub(crate) fn finger_restart(&mut self, k: u32, view: &mut ChunkView) -> Option<(usize, u32)> {
-        let team = self.list.team;
-        let epoch_now = self.list.reclaim.as_ref().map(|r| r.epoch());
-        for level in 1..FINGER_LEVELS {
-            let Some(Hint0 { chunk: c, word: w, epoch }) = self.finger[level] else {
-                continue;
-            };
-            if let Some(now) = epoch_now {
-                if now.wrapping_sub(epoch) >= 2 {
-                    self.finger[level] = None;
-                    continue;
-                }
-            }
-            self.read_chunk_into(c, view);
-            if view.lock_word(&team) == w && view.entry(0).key() <= k {
-                self.stats.finger_depth_hits[level] += 1;
-                return Some((level, c));
-            }
-            self.finger[level] = None;
-        }
-        self.stats.finger_misses += 1;
-        None
-    }
-
-    /// Issue a software prefetch for the chunk's words: the host-CPU hint
-    /// plus the modeled L2 fill in instrumented runs. A no-op unless
-    /// [`GfslParams::prefetch`] asks for it.
-    #[inline]
-    pub(crate) fn prefetch_chunk(&mut self, index: u32) {
-        if !self.list.params.prefetch.enabled() || index == NIL {
-            return;
-        }
-        let lanes = self.list.params.lanes();
-        let base = self.list.chunk(index).base;
-        self.list.pool.prefetch(base, lanes as u32);
-        let mut addrs = [0u32; gfsl_simt::WARP_SIZE];
-        for (i, a) in addrs.iter_mut().enumerate().take(lanes) {
-            *a = base + i as u32;
-        }
-        self.probe.warp_prefetch(&addrs[..lanes]);
-        self.stats.prefetch_issued += 1;
     }
 
     /// Spin until the chunk that *encloses* `k` is locked, walking right

@@ -4,12 +4,6 @@
 //! mixed-workload throughput "dip" in small key ranges, §5.3) and to verify
 //! the "< 0.01% of Contains restart" claim (§4.2.1).
 
-/// Number of skiplist levels the multi-level finger caches (level 0 = the
-/// bottom hint; deeper levels are rarely populated — a 1M-key list is ~4
-/// levels tall — so 8 covers every realistic height and the histogram
-/// clamps above it).
-pub const FINGER_LEVELS: usize = 8;
-
 /// Counters accumulated by one [`crate::GfslHandle`]. Merge across handles
 /// for run totals.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -65,17 +59,9 @@ pub struct OpStats {
     /// Traversal-hint validations that failed (lock word moved or the
     /// cached chunk no longer encloses the key): full descent taken.
     pub hint_misses: u64,
-    /// Finger restarts by level: slot `d` counts descents that resumed from
-    /// a still-valid cached chunk at level `d` (slot 0 = the bottom hint
-    /// answered directly; levels above `FINGER_LEVELS - 1` clamp into the
-    /// top slot). Only populated when `fingers` is on.
-    pub finger_depth_hits: [u64; FINGER_LEVELS],
-    /// Descents where no cached finger level validated (restart from head).
-    pub finger_misses: u64,
-    /// Software prefetches issued for a predicted next chunk.
-    pub prefetch_issued: u64,
-    /// Lateral steps that skimmed only the `(max, next)` word instead of
-    /// reading the whole chunk (the fingered max-skip walk).
+    /// Hint validations answered by re-reading one lock word instead of the
+    /// whole chunk: the fat hint's stashed snapshot was of the very
+    /// `(chunk, word)` pair the hint names.
     pub skip_reads: u64,
 }
 
@@ -102,18 +88,6 @@ impl OpStats {
         }
     }
 
-    /// Fraction of fingered descents that resumed from some cached level
-    /// (any depth) rather than the head. `None` when fingers never ran.
-    pub fn finger_hit_rate(&self) -> Option<f64> {
-        let hits: u64 = self.finger_depth_hits.iter().sum();
-        let probes = hits + self.finger_misses;
-        if probes == 0 {
-            None
-        } else {
-            Some(hits as f64 / probes as f64)
-        }
-    }
-
     /// Merge another handle's counters into this one.
     pub fn merge(&mut self, o: &OpStats) {
         self.contains_ops += o.contains_ops;
@@ -134,11 +108,6 @@ impl OpStats {
         self.chunk_reads += o.chunk_reads;
         self.hint_hits += o.hint_hits;
         self.hint_misses += o.hint_misses;
-        for (d, v) in self.finger_depth_hits.iter_mut().zip(&o.finger_depth_hits) {
-            *d += v;
-        }
-        self.finger_misses += o.finger_misses;
-        self.prefetch_issued += o.prefetch_issued;
         self.skip_reads += o.skip_reads;
     }
 }
@@ -168,9 +137,6 @@ mod tests {
             chunk_reads: 11,
             hint_hits: 14,
             hint_misses: 15,
-            finger_depth_hits: [1, 2, 0, 0, 0, 0, 0, 0],
-            finger_misses: 16,
-            prefetch_issued: 17,
             skip_reads: 18,
         };
         assert_eq!(a.total_ops(), 6);
@@ -186,19 +152,6 @@ mod tests {
         assert_eq!(a.lock_backoff_yields, 24);
         assert_eq!(a.lock_starvation_events, 26);
         assert_eq!(a.certify_retries, 8);
-        assert_eq!(a.finger_depth_hits, [2, 4, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(a.finger_misses, 32);
-        assert_eq!(a.prefetch_issued, 34);
         assert_eq!(a.skip_reads, 36);
-    }
-
-    #[test]
-    fn finger_hit_rate_counts_all_depths() {
-        let mut s = OpStats::new();
-        assert_eq!(s.finger_hit_rate(), None);
-        s.finger_depth_hits[0] = 2;
-        s.finger_depth_hits[3] = 1;
-        s.finger_misses = 1;
-        assert!((s.finger_hit_rate().unwrap() - 0.75).abs() < 1e-12);
     }
 }

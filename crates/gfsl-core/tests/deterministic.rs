@@ -2,9 +2,9 @@
 //!
 //! Each test runs a small adversarial scenario under hundreds of *seeded,
 //! reproducible* interleavings: every memory access of every participant is
-//! gated by `gfsl_gpu_mem::Turnstile`, which serializes accesses in an
-//! order that is a pure function of the seed. A failure prints the seed, so
-//! any discovered race replays exactly.
+//! gated by a [`ChaosController`] with no stalls and no injected panics,
+//! which serializes accesses in an order that is a pure function of the
+//! seed. A failure prints the seed, so any discovered race replays exactly.
 //!
 //! This complements the wall-clock stress tests: those explore schedules
 //! the OS happens to produce; these explore schedules chosen adversarially
@@ -12,8 +12,21 @@
 //! this machine would essentially never produce (e.g. a reader observing
 //! every intermediate store of a split's publish-then-clear sequence).
 
-use gfsl::{Gfsl, GfslParams, TeamSize};
-use gfsl_gpu_mem::Turnstile;
+use std::sync::Arc;
+
+use gfsl::{ChaosController, ChaosOptions, Gfsl, GfslParams, TeamSize};
+
+/// A schedule-only controller: seeded turn selection, nothing injected.
+fn turnstile(threads: usize, seed: u64) -> Arc<ChaosController> {
+    ChaosController::new(
+        threads,
+        ChaosOptions {
+            seed,
+            max_stall_turns: 0,
+            ..Default::default()
+        },
+    )
+}
 
 fn tiny_list(prefill: impl IntoIterator<Item = u32>) -> Gfsl {
     let list = Gfsl::new(GfslParams {
@@ -38,7 +51,7 @@ fn racing_inserts_into_one_full_chunk() {
     for seed in 0..250u64 {
         // 13 keys: one below the 14-entry array's capacity (with -inf).
         let list = tiny_list((1..=13).map(|i| i * 10));
-        let ts = Turnstile::new(2, seed);
+        let ts = turnstile(2, seed);
         std::thread::scope(|s| {
             for (id, key) in [(0usize, 55u32), (1, 56)] {
                 let list = &list;
@@ -65,7 +78,7 @@ fn racing_inserts_into_one_full_chunk() {
 fn racing_insert_and_merge() {
     for seed in 0..250u64 {
         let list = tiny_list([10, 20, 30, 40, 200, 210, 220, 230, 240, 250, 260, 270, 280]);
-        let ts = Turnstile::new(2, seed);
+        let ts = turnstile(2, seed);
         std::thread::scope(|s| {
             {
                 let list = &list;
@@ -107,7 +120,7 @@ fn racing_insert_and_merge() {
 fn reader_sees_anchor_through_split_and_merge_storm() {
     for seed in 0..200u64 {
         let list = tiny_list((1..=12).map(|i| i * 10)); // anchor = 60
-        let ts = Turnstile::new(2, seed);
+        let ts = turnstile(2, seed);
         std::thread::scope(|s| {
             {
                 // Writer: inserts fillers to force a split, then deletes
@@ -150,7 +163,7 @@ fn reader_sees_anchor_through_split_and_merge_storm() {
 fn three_writers_disjoint_oracle() {
     for seed in (0..600u64).step_by(3) {
         let list = tiny_list([]);
-        let ts = Turnstile::new(3, seed);
+        let ts = turnstile(3, seed);
         let finals: Vec<Vec<u32>> = std::thread::scope(|s| {
             (0..3usize)
                 .map(|id| {

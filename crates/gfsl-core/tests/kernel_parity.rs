@@ -14,17 +14,16 @@
 //!   memory-access turn of every team in execution order, so an unchanged
 //!   hash means a change to the chunk step drove a byte-identical access
 //!   schedule;
-//! * random single-thread histories through every traversal configuration
-//!   (plain, fingered, and the key-sorted entry point with its hint live),
-//!   which must agree reply for reply — the sorted call also under the
-//!   scripted chaos schedules.
+//! * random single-thread histories in order and through the key-sorted
+//!   entry point with its hint live, which must agree reply for reply — the
+//!   sorted call also under the scripted chaos schedules.
 
 use std::sync::{Condvar, Mutex};
 
 use gfsl::chaos::{ChaosController, ChaosOptions};
 use gfsl::chunk::{ChunkRef, ChunkView, Entry};
 use gfsl::search::{tid_for_next_step, tid_with_equal_key, LateralStep, NextStep};
-use gfsl::{BatchOp, BatchReply, Gfsl, GfslParams, NoProbe, Prefetch, TeamSize};
+use gfsl::{BatchOp, BatchReply, Gfsl, GfslParams, NoProbe, TeamSize};
 use gfsl_gpu_mem::WordPool;
 use gfsl_simt::{Ballot, ScalarBallot, Team};
 use proptest::prelude::*;
@@ -50,16 +49,10 @@ fn script_from_seed(seed: u64, len: usize) -> Vec<u8> {
 /// How a scripted worker runs its ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Run {
-    /// Default params, in order through `execute_batch`.
+    /// In order through `execute_batch`.
     Plain,
-    /// In order, with the multi-level finger, foresight prefetch, and chunk
-    /// reclamation on — so the cached descent path is continuously split,
-    /// merged, retired, and recycled underneath the fingers, and the in-run
-    /// membership asserts witness that no operation ever trusted a stale
-    /// cached chunk.
-    Fingered,
-    /// Default params through the key-sorted entry point: `(key, index)`
-    /// order, the bottom-level hint live for the call.
+    /// Through the key-sorted entry point: `(key, index)` order, the
+    /// bottom-level hint live for the call.
     Sorted,
 }
 
@@ -85,13 +78,12 @@ fn class_ops(t: u32) -> Vec<BatchOp> {
 /// handle's raise-coin RNG stream is assigned at creation; leaving that to
 /// OS spawn order would make the schedule, not the script, pick the workload.
 fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 2]) {
-    let locality = run == Run::Fingered;
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        fingers: locality,
-        prefetch: if locality { Prefetch::Next } else { Prefetch::Off },
-        reclaim: locality,
+        // What the pinned traces were recorded with: a reclamation pass
+        // would add its own turns to the schedule.
+        reclaim: false,
         ..Default::default()
     })
     .expect("params valid");
@@ -170,15 +162,6 @@ const PLAIN_TRACES: [u64; 6] = [
     0x9a2c_c100_b207_5b1d,
 ];
 
-/// The same for the fingered runs (fingers, foresight prefetch and
-/// reclamation on; script seeds `0..4 ^ 0xF16E5`).
-const FINGERED_TRACES: [u64; 4] = [
-    0x4e9c_c437_fbe3_a735,
-    0x0842_7bd2_fe24_968a,
-    0x92b6_b5a5_cd0b_3b63,
-    0xe185_0d89_fb4b_d2a7,
-];
-
 /// Acceptance check for any change to the chunk step: the pinned schedules
 /// still produce the parent's chaos trace hashes bit for bit (and the final
 /// state the workload always ends in).
@@ -191,31 +174,6 @@ fn scripted_chaos_traces_match_the_pinned_hashes() {
             "the observable schedule changed under script seed {seed}: 0x{trace:016x}"
         );
         assert_eq!(keys.len(), 20, "every 4th key of both classes survives");
-    }
-}
-
-/// Finger-invalidation chaos: under scripted schedules whose splits,
-/// merges, and reclamation churn the cached descent path, a fingered run
-/// must (a) pass every in-run membership assert — a stale finger would
-/// surface as a wrong `get`/`remove` — and (b) finish with exactly the
-/// membership of the unfingered run (the workload's final state is
-/// schedule-independent), and (c) replay the pinned trace, since the finger
-/// is deterministic state.
-#[test]
-fn fingered_scripted_chaos_never_observes_stale_chunks() {
-    for (seed, want) in FINGERED_TRACES.into_iter().enumerate() {
-        let script = script_from_seed(seed as u64 ^ 0xF16E5, 64);
-        let plain = scripted_run(script.clone(), Run::Plain);
-        let fingered = scripted_run(script, Run::Fingered);
-        assert_eq!(
-            plain.1, fingered.1,
-            "fingers changed final membership under script seed {seed}"
-        );
-        assert_eq!(
-            fingered.0, want,
-            "the fingered schedule changed under script seed {seed}: 0x{:016x}",
-            fingered.0
-        );
     }
 }
 
@@ -274,15 +232,12 @@ fn op_strategy() -> impl Strategy<Value = BatchOp> {
     ]
 }
 
-/// Apply one history to a fresh list — with or without the multi-level
-/// finger and foresight prefetch; in order, or through the key-sorted entry
-/// point — and return every reply plus the final membership.
-fn apply_history(ops: &[BatchOp], fingers: bool, sorted: bool) -> (Vec<BatchReply>, Vec<u32>) {
+/// Apply one history to a fresh list — in order, or through the key-sorted
+/// entry point — and return every reply plus the final membership.
+fn apply_history(ops: &[BatchOp], sorted: bool) -> (Vec<BatchReply>, Vec<u32>) {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        fingers,
-        prefetch: if fingers { Prefetch::Next } else { Prefetch::Off },
         ..Default::default()
     })
     .expect("params valid");
@@ -302,40 +257,32 @@ proptest! {
 
     /// Random single-thread histories (including sentinel-adjacent and
     /// reserved keys) produce identical replies and identical final
-    /// membership with the plain traversal and with the multi-level finger
-    /// and foresight prefetch on. The history's inserts and removes split
-    /// and merge chunks directly on the cached path, so this is the
-    /// single-threaded finger-invalidation check: a finger surviving a
-    /// split/merge it should have rejected would change a reply.
-    ///
-    /// The key-sorted entry point runs a history in `(key, index)` order
-    /// with its hint live — updates re-point it at the chunks they write —
-    /// so it is held to the in-order call on the history sorted that way
+    /// membership in order and through the key-sorted entry point. That
+    /// call runs a history in `(key, index)` order with its hint live —
+    /// updates re-point it at the chunks they write, and the history's
+    /// inserts and removes split and merge the very chunk it names — so it
+    /// is held to the in-order call on the history sorted that way
     /// beforehand (a range count's reply depends on where among the other
-    /// keys' ops it runs).
+    /// keys' ops it runs): a hint surviving a split or merge it should
+    /// have rejected would change a reply.
     #[test]
     fn traversal_configs_agree_on_random_histories(
         ops in proptest::collection::vec(op_strategy(), 0..250),
     ) {
-        let plain = apply_history(&ops, false, false);
-        let fingered = apply_history(&ops, true, false);
-        prop_assert_eq!(&plain, &fingered, "fingered traversal changed results");
-
-        let mut by_key = ops.clone();
+        let mut by_key = ops;
         by_key.sort_by_key(BatchOp::key);
-        let in_order = apply_history(&by_key, false, false);
-        let sorted = apply_history(&by_key, false, true);
+        let in_order = apply_history(&by_key, false);
+        let sorted = apply_history(&by_key, true);
         prop_assert_eq!(in_order, sorted, "the sorted call changed results");
     }
 }
 
-/// Deterministic sentinel-edge sweep across the traversal configurations:
-/// the first user key sits in the lane right of `-∞`, the largest legal key
-/// (`u32::MAX - 1`) sits left of the EMPTY right-packing, and the
-/// whole-keyspace range count must see exactly the live set in every
-/// configuration.
+/// Deterministic sentinel-edge sweep: the first user key sits in the lane
+/// right of `-∞`, the largest legal key (`u32::MAX - 1`) sits left of the
+/// EMPTY right-packing, and the whole-keyspace range count must see exactly
+/// the live set.
 #[test]
-fn sentinel_edge_lanes_agree_across_configs() {
+fn sentinel_edge_lanes_answer_for_their_keys() {
     let mut ops: Vec<BatchOp> = vec![BatchOp::Insert(1, 11), BatchOp::Insert(u32::MAX - 1, 99)];
     ops.extend((10..=60).map(|k| BatchOp::Insert(k, k)));
     ops.extend([
@@ -349,21 +296,11 @@ fn sentinel_edge_lanes_agree_across_configs() {
     ]);
     ops.extend((10..=60).map(BatchOp::Remove));
     ops.push(BatchOp::CountRange(1, u32::MAX - 1));
-    let outputs: Vec<_> = [false, true]
-        .into_iter()
-        .map(|fingers| {
-            let out = apply_history(&ops, fingers, false);
-            assert!(out.1.is_empty(), "everything removed (fingers={fingers})");
-            out
-        })
-        .collect();
-    let first = &outputs[0];
-    assert_eq!(first.0[53], BatchReply::Got(Some(11)), "get(1) next to -inf");
-    assert_eq!(first.0[55], BatchReply::Got(Some(99)), "get(MAX-1) next to EMPTY");
-    assert_eq!(first.0[57], BatchReply::Counted(53), "full-span count");
-    for other in &outputs[1..] {
-        assert_eq!(first, other, "configurations diverged");
-    }
+    let (replies, keys) = apply_history(&ops, false);
+    assert!(keys.is_empty(), "everything removed");
+    assert_eq!(replies[53], BatchReply::Got(Some(11)), "get(1) next to -inf");
+    assert_eq!(replies[55], BatchReply::Got(Some(99)), "get(MAX-1) next to EMPTY");
+    assert_eq!(replies[57], BatchReply::Counted(53), "full-span count");
 }
 
 /// The shapes a chunk's data array can be caught in.

@@ -27,11 +27,8 @@ pub enum Probe {
 
 #[derive(Clone)]
 struct Set {
-    /// Tags of resident lines, most-recently-used last. The flag marks a
-    /// line brought in by a software prefetch that no demand access has
-    /// touched yet (cleared on first demand hit so usefulness is counted
-    /// once per fill).
-    tags: Vec<(LineAddr, bool)>,
+    /// Tags of resident lines, most-recently-used last.
+    tags: Vec<LineAddr>,
 }
 
 /// A set-associative, LRU, write-allocate cache of 128-byte lines.
@@ -84,45 +81,20 @@ impl L2Cache {
 
     /// Probe (and on miss, fill) the line. LRU within the set.
     pub fn access(&self, line: LineAddr) -> Probe {
-        self.demand_access(line).0
-    }
-
-    /// Probe like [`access`](Self::access), additionally reporting whether a
-    /// hit landed on a line a software prefetch brought in (first demand
-    /// touch only). Replacement behaviour is identical to `access`.
-    pub fn demand_access(&self, line: LineAddr) -> (Probe, bool) {
         let set = &self.sets[line as usize % self.sets.len()];
         let mut s = set.lock();
-        if let Some(pos) = s.tags.iter().position(|&(t, _)| t == line) {
-            // Move to MRU position, consuming the prefetched flag.
-            let (tag, prefetched) = s.tags.remove(pos);
-            s.tags.push((tag, false));
-            (Probe::Hit, prefetched)
+        if let Some(pos) = s.tags.iter().position(|&t| t == line) {
+            // Move to MRU position.
+            let tag = s.tags.remove(pos);
+            s.tags.push(tag);
+            Probe::Hit
         } else {
             if s.tags.len() == self.ways {
                 s.tags.remove(0); // evict LRU
             }
-            s.tags.push((line, false));
-            (Probe::Miss, false)
+            s.tags.push(line);
+            Probe::Miss
         }
-    }
-
-    /// Software-prefetch the line: if absent, fill it (evicting LRU) and
-    /// mark it prefetched; if already resident, leave the set untouched —
-    /// including its LRU order, so a useless prefetch cannot extend a
-    /// line's lifetime. Returns `true` when the line was actually fetched
-    /// from DRAM.
-    pub fn prefetch(&self, line: LineAddr) -> bool {
-        let set = &self.sets[line as usize % self.sets.len()];
-        let mut s = set.lock();
-        if s.tags.iter().any(|&(t, _)| t == line) {
-            return false;
-        }
-        if s.tags.len() == self.ways {
-            s.tags.remove(0); // evict LRU
-        }
-        s.tags.push((line, true));
-        true
     }
 
     /// Drop all resident lines (used between experiment phases so the timed
@@ -231,40 +203,6 @@ mod tests {
         c.flush();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!(c.access(3), Probe::Miss);
-    }
-
-    #[test]
-    fn prefetch_fills_and_first_demand_touch_reports_it() {
-        let c = L2Cache::new(16 * 1024, 4);
-        assert!(c.prefetch(42), "absent line fetched");
-        assert!(!c.prefetch(42), "resident line not re-fetched");
-        assert_eq!(c.resident_lines(), 1);
-        assert_eq!(c.demand_access(42), (Probe::Hit, true), "useful prefetch");
-        assert_eq!(c.demand_access(42), (Probe::Hit, false), "counted once");
-    }
-
-    #[test]
-    fn prefetch_of_resident_line_does_not_refresh_lru() {
-        let c = L2Cache::new(LINE_BYTES * 4, 4); // 1 set, 4 ways
-        for line in 0..4 {
-            c.access(line);
-        }
-        // Line 0 is LRU; a prefetch of it must NOT move it to MRU.
-        assert!(!c.prefetch(0));
-        assert_eq!(c.access(99), Probe::Miss); // evicts 0, not 1
-        assert_eq!(c.access(1), Probe::Hit);
-        assert_eq!(c.access(0), Probe::Miss);
-    }
-
-    #[test]
-    fn demand_miss_clears_nothing_and_evicted_prefetch_is_wasted() {
-        let c = L2Cache::new(LINE_BYTES * 4, 4); // 1 set, 4 ways
-        assert!(c.prefetch(7));
-        // Stream enough demand lines to evict the prefetched one.
-        for line in 100..104 {
-            c.access(line);
-        }
-        assert_eq!(c.demand_access(7), (Probe::Miss, false), "wasted prefetch");
     }
 
     #[test]

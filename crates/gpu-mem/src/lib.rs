@@ -23,6 +23,7 @@
 //! `AtomicU64` with acquire/release ordering provides exactly those
 //! guarantees (and documents them, unlike CUDA's informal model).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coalesce;
@@ -31,15 +32,13 @@ pub mod layout;
 pub mod pool;
 pub mod probe;
 pub mod reclaim;
-pub mod sched_probe;
 pub mod schedule;
 pub mod traffic;
 
 pub use l2::L2Cache;
 pub use layout::{LineAddr, WordAddr, LINE_BYTES, LINE_WORDS, WORD_BYTES};
 pub use pool::{PoolExhausted, WordPool, WordSpan};
-pub use probe::{CountingProbe, CrashPoint, MemProbe, NoProbe, Prefetch};
+pub use probe::{CountingProbe, CrashPoint, MemProbe, NoProbe};
 pub use reclaim::{EpochReclaimer, ReclaimStats, SlotId};
-pub use sched_probe::{Turnstile, YieldProbe};
 pub use schedule::{AccessKind, HookGuard, ScheduledAtomicU64, SchedHook};
 pub use traffic::Traffic;

@@ -139,34 +139,6 @@ impl WordPool {
         )
     }
 
-    /// Hint the host CPU to pull the `n` words starting at `base` toward
-    /// its cache hierarchy (one prefetch per 64-byte line). Purely a
-    /// performance hint: no data is returned, out-of-range spans are
-    /// clipped, and on non-x86_64 hosts this compiles to nothing.
-    #[inline]
-    pub fn prefetch(&self, base: WordAddr, n: u32) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            const LINE_WORDS_HOST: u32 = 8; // 64-byte host line / 8-byte word
-            let end = base.saturating_add(n).min(self.capacity());
-            let mut addr = base & !(LINE_WORDS_HOST - 1);
-            while addr < end {
-                // SAFETY: addr < capacity, so the pointer is in bounds.
-                unsafe {
-                    core::arch::x86_64::_mm_prefetch(
-                        self.words.as_ptr().add(addr as usize) as *const i8,
-                        core::arch::x86_64::_MM_HINT_T0,
-                    );
-                }
-                addr += LINE_WORDS_HOST;
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = (base, n);
-        }
-    }
-
     /// Read the `N` consecutive words starting at `base` into `dst`: one
     /// lockstep team read of a chunk. Each lane's load is individually
     /// atomic, the combination is not — exactly the GPU's guarantee. Words
@@ -287,16 +259,6 @@ mod tests {
         assert_eq!(p.read(0), 9);
         assert_eq!(p.cas(0, 5, 11), Err(9));
         assert_eq!(p.read(0), 9);
-    }
-
-    #[test]
-    fn prefetch_is_a_safe_no_op_observably() {
-        let p = WordPool::new(64);
-        p.write(3, 77);
-        p.prefetch(0, 16);
-        p.prefetch(60, 100); // clipped at capacity
-        p.prefetch(u32::MAX - 1, 8); // fully out of range
-        assert_eq!(p.read(3), 77, "prefetch changes no data");
     }
 
     #[test]

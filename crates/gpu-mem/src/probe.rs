@@ -49,26 +49,6 @@ pub enum CrashPoint {
     WalPrune,
 }
 
-/// Software-prefetch policy knob: what, if anything, a traversal prefetches
-/// ahead of the walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Prefetch {
-    /// No software prefetch (the pre-foresight baseline).
-    #[default]
-    Off,
-    /// Prefetch the predicted next chunk of the walk (lateral successor
-    /// during scans, the down-pointer target during descents).
-    Next,
-}
-
-impl Prefetch {
-    /// Whether any prefetching is enabled.
-    #[inline]
-    pub fn enabled(self) -> bool {
-        self != Prefetch::Off
-    }
-}
-
 /// Observer of simulated-device memory accesses.
 ///
 /// `warp_*` methods describe a team-wide lockstep access (the slice holds one
@@ -85,15 +65,6 @@ pub trait MemProbe {
     fn lane_write(&mut self, addr: WordAddr);
     /// An atomic RMW (CAS) on one word.
     fn atomic(&mut self, addr: WordAddr);
-    /// The team issues a software prefetch covering `addrs` (one word per
-    /// lane). A prefetch is a hint: it moves lines toward the cache but
-    /// returns no data and stalls nothing.
-    ///
-    /// Default is a no-op so existing probes (and the zero-cost path) pay
-    /// nothing; the counting probe overrides it to model prefetch fills in
-    /// the shared L2.
-    #[inline(always)]
-    fn warp_prefetch(&mut self, _addrs: &[WordAddr]) {}
     /// The team is one instruction away from the named protocol transition.
     ///
     /// Default is a no-op so performance probes pay nothing; chaos probes
@@ -160,14 +131,9 @@ impl CountingProbe {
     }
 
     fn probe_line(l2: &L2Cache, traffic: &mut Traffic, line: u32, sector_mask: u8) {
-        match l2.demand_access(line) {
-            (CacheProbe::Hit, prefetched) => {
-                traffic.l2_hits += 1;
-                if prefetched {
-                    traffic.prefetch_useful += 1;
-                }
-            }
-            (CacheProbe::Miss, _) => {
+        match l2.access(line) {
+            CacheProbe::Hit => traffic.l2_hits += 1,
+            CacheProbe::Miss => {
                 traffic.l2_misses += 1;
                 traffic.miss_sectors += sector_mask.count_ones() as u64;
             }
@@ -211,17 +177,6 @@ impl MemProbe for CountingProbe {
         // cost a (serialized) transaction.
         Self::probe_line(&self.l2, &mut self.traffic, crate::layout::line_of(addr), sector_bit(addr));
         self.traffic.atomic_txns += 1;
-    }
-
-    fn warp_prefetch(&mut self, addrs: &[WordAddr]) {
-        let l2 = &self.l2;
-        let traffic = &mut self.traffic;
-        coalesce::transactions(addrs, |line, _mask| {
-            traffic.prefetch_txns += 1;
-            if l2.prefetch(line) {
-                traffic.prefetch_fills += 1;
-            }
-        });
     }
 }
 
@@ -303,26 +258,6 @@ mod tests {
         p.atomic(0);
         // Nothing to assert beyond "it compiles and runs"; NoProbe carries
         // no state by construction.
-    }
-
-    #[test]
-    fn prefetch_fills_then_demand_read_is_a_useful_hit() {
-        let mut p = probe();
-        let addrs: Vec<WordAddr> = (64..96).collect(); // 32-entry chunk, 2 lines
-        p.warp_prefetch(&addrs);
-        let t = p.traffic();
-        assert_eq!(t.prefetch_txns, 2);
-        assert_eq!(t.prefetch_fills, 2);
-        assert_eq!(t.total_txns(), 0, "prefetches are not demand traffic");
-        p.warp_read(&addrs);
-        let t = p.traffic();
-        assert_eq!(t.l2_hits, 2, "demand read hits the prefetched lines");
-        assert_eq!(t.prefetch_useful, 2);
-        assert_eq!(t.l2_misses, 0);
-        p.warp_prefetch(&addrs);
-        let t = p.traffic();
-        assert_eq!(t.prefetch_txns, 4);
-        assert_eq!(t.prefetch_fills, 2, "resident lines are not re-fetched");
     }
 
     #[test]

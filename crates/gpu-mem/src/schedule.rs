@@ -185,11 +185,9 @@ pub fn wait_hint(addr: WordAddr) {
 /// An `AtomicU64` whose operations are numbered yield points in `sched`
 /// builds and zero-cost passthroughs otherwise.
 ///
-/// Operations take the word's logical address explicitly — the wrapper is
-/// `#[repr(transparent)]` so a slice of these has the exact memory layout
-/// of a slice of `AtomicU64` (the pool's prefetch path relies on this),
-/// which also means the word cannot carry its own address.
-#[repr(transparent)]
+/// Operations take the word's logical address explicitly: the wrapper holds
+/// nothing but the `AtomicU64` (a pool of these costs what a pool of plain
+/// atomics costs), so the word cannot carry its own address.
 #[derive(Debug, Default)]
 pub struct ScheduledAtomicU64 {
     inner: AtomicU64,
@@ -262,12 +260,6 @@ impl ScheduledAtomicU64 {
     pub fn fetch_add(&self, addr: WordAddr, value: u64, order: Ordering) -> u64 {
         Self::gate(AccessKind::Rmw, addr);
         self.inner.fetch_add(value, order)
-    }
-
-    /// Raw pointer to the underlying word (for prefetch hints only).
-    #[inline]
-    pub fn as_ptr(&self) -> *const u64 {
-        self.inner.as_ptr()
     }
 }
 

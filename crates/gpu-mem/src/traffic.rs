@@ -26,14 +26,6 @@ pub struct Traffic {
     pub words_read: u64,
     /// Total words written.
     pub words_written: u64,
-    /// Software-prefetch transactions issued (one per distinct line).
-    pub prefetch_txns: u64,
-    /// Prefetch transactions that actually fetched a line from DRAM (the
-    /// rest found the line already resident).
-    pub prefetch_fills: u64,
-    /// Demand accesses whose hit landed on a prefetched line (first touch
-    /// per fill) — the "useful prefetch" count.
-    pub prefetch_useful: u64,
 }
 
 impl Traffic {
@@ -57,16 +49,6 @@ impl Traffic {
         }
     }
 
-    /// Fraction of issued prefetches whose line was demand-hit before
-    /// eviction.
-    pub fn prefetch_accuracy(&self) -> f64 {
-        if self.prefetch_txns == 0 {
-            0.0
-        } else {
-            self.prefetch_useful as f64 / self.prefetch_txns as f64
-        }
-    }
-
     /// Merge another worker's counters into this one.
     pub fn merge(&mut self, o: &Traffic) {
         self.read_txns += o.read_txns;
@@ -77,9 +59,6 @@ impl Traffic {
         self.miss_sectors += o.miss_sectors;
         self.words_read += o.words_read;
         self.words_written += o.words_written;
-        self.prefetch_txns += o.prefetch_txns;
-        self.prefetch_fills += o.prefetch_fills;
-        self.prefetch_useful += o.prefetch_useful;
     }
 }
 
@@ -105,13 +84,9 @@ mod tests {
             miss_sectors: 7,
             words_read: 100,
             words_written: 40,
-            prefetch_txns: 8,
-            prefetch_fills: 5,
-            prefetch_useful: 4,
         };
-        assert_eq!(t.total_txns(), 15, "prefetches are hints, not txns");
+        assert_eq!(t.total_txns(), 15);
         assert!((t.l2_hit_ratio() - 0.75).abs() < 1e-12);
-        assert!((t.prefetch_accuracy() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -125,9 +100,6 @@ mod tests {
             miss_sectors: 11,
             words_read: 6,
             words_written: 7,
-            prefetch_txns: 8,
-            prefetch_fills: 9,
-            prefetch_useful: 10,
         };
         a.merge(&a.clone());
         assert_eq!(
@@ -141,9 +113,6 @@ mod tests {
                 miss_sectors: 22,
                 words_read: 12,
                 words_written: 14,
-                prefetch_txns: 16,
-                prefetch_fills: 18,
-                prefetch_useful: 20,
             }
         );
     }

@@ -14,7 +14,15 @@
 //! checkpoint of the prefill plus a WAL tail of everything served — then
 //! reopened cold, timing the full pipeline: checkpoint page verification,
 //! rebuild via sorted bulk load, LSN-gated tail replay, validation walk.
+//! Only effective writes are logged, so a replayed record that changes
+//! nothing (`redundant`) means the log's order for two same-key writes is
+//! not the order they executed in, and `diverged` — pairs in exactly one of
+//! the live structure at the drop and the recovered one — counts what that
+//! cost: acknowledged writes lost or resurrected. Both are 0 with one
+//! worker and not with two (ROADMAP item 1b has the counter-example); the
+//! table reports them, nothing here hides or gates them.
 
+use std::collections::BTreeSet;
 use std::time::Instant;
 
 use gfsl::{GfslParams, TeamSize};
@@ -35,14 +43,18 @@ struct Cell {
     stats: gfsl_durable::WalStats,
     ckpt_pairs: u64,
     replayed: u64,
+    redundant: u64,
+    diverged: usize,
     recovered_keys: u64,
     recovery_s: f64,
 }
 
 fn measure(cfg: &ExpConfig, contract: DurabilityContract, range: u32, n_ops: usize) -> Cell {
+    // Unique per cell within a process: tests run cells concurrently.
     let dir = std::env::temp_dir().join(format!(
-        "gfsl_bench_durable_{}_{}",
+        "gfsl_bench_durable_{}_w{}_{}",
         contract.name(),
+        cfg.workers,
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -96,17 +108,20 @@ fn measure(cfg: &ExpConfig, contract: DurabilityContract, range: u32, n_ops: usi
     let (list, mut sink) = eng.serve_parts();
     let report = serve_durable(list, &scfg, &mut Fifo::default(), &mut src, &mut sink);
     let stats = eng.wal_stats();
+    let live: BTreeSet<(u32, u32)> = eng.list().pairs().into_iter().collect();
 
     // Crash-restart: drop the engine where it stands and reopen cold.
     drop(eng);
     let t0 = Instant::now();
     let (eng, rec) = DurableGfsl::open(&dcfg).expect("recovery");
     let recovery_s = t0.elapsed().as_secs_f64();
+    // `replayed` counts every record past the cut, the redundant ones too.
     assert_eq!(
-        rec.replayed + rec.redundant_replays,
-        stats.records,
+        rec.replayed, stats.records,
         "recovery must replay the whole served WAL tail"
     );
+    let recovered: BTreeSet<(u32, u32)> = eng.list().pairs().into_iter().collect();
+    let diverged = live.symmetric_difference(&recovered).count();
     drop(eng);
     destroy(&dir).expect("cleanup");
     Cell {
@@ -115,6 +130,8 @@ fn measure(cfg: &ExpConfig, contract: DurabilityContract, range: u32, n_ops: usi
         stats,
         ckpt_pairs,
         replayed: rec.replayed,
+        redundant: rec.redundant_replays,
+        diverged,
         recovered_keys: rec.recovered_keys,
         recovery_s,
     }
@@ -164,13 +181,18 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
 
     let mut r = Table::new(
         "Durable recovery: checkpoint base + WAL-tail replay, cold reopen",
-        &["contract", "ckpt pairs", "tail replayed", "keys", "recovery ms", "replay Mrec/s"],
+        &[
+            "contract", "ckpt pairs", "tail replayed", "redundant", "diverged", "keys",
+            "recovery ms", "replay Mrec/s",
+        ],
     );
     for c in &cells {
         r.row(vec![
             c.contract.name().into(),
             c.ckpt_pairs.to_string(),
             c.replayed.to_string(),
+            c.redundant.to_string(),
+            c.diverged.to_string(),
             c.recovered_keys.to_string(),
             format!("{:.1}", c.recovery_s * 1.0e3),
             format!("{:.2}", c.replayed as f64 / c.recovery_s.max(1e-9) / 1.0e6),
@@ -197,8 +219,19 @@ mod tests {
         );
         let rec = &tables[1];
         assert_eq!(rec.rows.len(), 3);
+        assert_eq!(rec.headers[3..5], ["redundant", "diverged"]);
         for row in &rec.rows {
             assert!(row[2].parse::<u64>().unwrap() > 0, "served writes replay on reopen");
+        }
+    }
+
+    /// One worker executes an epoch's batches one after another, in the
+    /// order the log records them: every replayed record takes effect and
+    /// recovery rebuilds exactly what was live.
+    #[test]
+    fn one_worker_log_order_is_execution_order() {
+        for row in &run(&ExpConfig::tiny(1))[1].rows {
+            assert_eq!((row[3].as_str(), row[4].as_str()), ("0", "0"), "{row:?}");
         }
     }
 }

@@ -1,7 +1,6 @@
 //! One module per paper artifact; see the crate docs for the index.
 
 pub mod ablate;
-pub mod churn_diag;
 pub mod cluster;
 pub mod cyclesim;
 pub mod diag;
@@ -114,7 +113,7 @@ impl ExpConfig {
 /// Names of all experiments, in run order.
 pub const ALL: &[&str] = &[
     "table5_1", "table5_2", "fig5_1", "fig5_2", "fig5_3", "fig5_4", "pkey", "ablate", "cyclesim",
-    "diag", "serve", "hotpath", "churn_diag", "cluster", "durable", "edge", "mvcc",
+    "diag", "serve", "hotpath", "cluster", "durable", "edge", "mvcc",
 ];
 
 /// Run one experiment by id, returning its rendered tables.
@@ -132,7 +131,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
         "diag" => diag::run(cfg),
         "serve" => serve::run(cfg),
         "hotpath" => hotpath::run(cfg),
-        "churn_diag" => churn_diag::run(cfg),
         "cluster" => cluster::run(cfg),
         "durable" => durable::run(cfg),
         "edge" => edge::run(cfg),
@@ -196,13 +194,12 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        assert_eq!(ALL.len(), 17);
+        assert_eq!(ALL.len(), 16);
         assert!(ALL.contains(&"table5_1"));
         assert!(ALL.contains(&"fig5_4"));
         assert!(ALL.contains(&"diag"));
         assert!(ALL.contains(&"serve"));
         assert!(ALL.contains(&"hotpath"));
-        assert!(ALL.contains(&"churn_diag"));
         assert!(ALL.contains(&"cluster"));
         assert!(ALL.contains(&"durable"));
         assert!(ALL.contains(&"edge"));

@@ -94,9 +94,6 @@ mod tests {
                 miss_sectors: 3200,
                 words_read: 64_000,
                 words_written: 500,
-                prefetch_txns: 0,
-                prefetch_fills: 0,
-                prefetch_useful: 0,
             },
             divergence: DivergenceStats {
                 warp_steps: 2000,

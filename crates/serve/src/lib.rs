@@ -28,6 +28,7 @@
 //! See [`service::serve`] for the event loop and [`service::ExecMode`] for
 //! the measured / modeled / chaos clock modes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

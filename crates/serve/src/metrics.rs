@@ -1,7 +1,5 @@
 //! Service-level metrics: latency histograms, batch occupancy, queue depth,
-//! and structure-locality counters (hints, fingers, prefetch).
-
-use gfsl::FINGER_LEVELS;
+//! and the structure's hint counters.
 
 /// Log2-bucketed latency histogram (nanoseconds). Bucket `i` covers
 /// `[2^i, 2^(i+1))`; quantiles report the bucket's upper bound, so a
@@ -112,25 +110,6 @@ impl serde::Serialize for LatencyHisto {
     }
 }
 
-/// Per-level finger restart counts (slot `i` = descents resumed from a
-/// still-valid cached chunk at level `i`; slot 0 is the bottom hint).
-/// Serializes as an `l0..l7` object so the BENCH json carries the whole
-/// depth histogram in one readable row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FingerDepths(pub [u64; FINGER_LEVELS]);
-
-impl serde::Serialize for FingerDepths {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Object(
-            self.0
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (format!("l{i}"), serde::Value::U64(n)))
-                .collect(),
-        )
-    }
-}
-
 /// Aggregated metrics for one service run.
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct ServiceMetrics {
@@ -198,15 +177,8 @@ pub struct ServiceMetrics {
     /// (0.0 when the hint cache never ran) — the key-sorted-dispatch
     /// locality signal.
     pub hint_hit_rate: f64,
-    /// Finger restart depth histogram across workers (see [`FingerDepths`]).
-    pub finger_depth_hits: FingerDepths,
-    /// Fingered descents that restarted from the head (no cached level
-    /// validated).
-    pub finger_misses: u64,
-    /// Software prefetches issued for predicted next chunks.
-    pub prefetch_issued: u64,
-    /// Lateral steps that skimmed only the `(max, next)` word instead of
-    /// reading the whole chunk.
+    /// Hint validations answered by re-reading one lock word instead of
+    /// the whole chunk (see [`gfsl::OpStats::skip_reads`]).
     pub skip_reads: u64,
     /// Multiversion clock at the end of the run (0 = mvcc knob off).
     pub mvcc_clock: u64,
@@ -267,13 +239,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Fold the run's merged structure-level counters into the locality
-    /// fields (hint hit rate, finger depth histogram, prefetch/skim totals).
+    /// Fold the run's merged structure-level counters into the hint fields.
     pub fn absorb_op_stats(&mut self, s: &gfsl::OpStats) {
         self.hint_hit_rate = s.hint_hit_rate().unwrap_or(0.0);
-        self.finger_depth_hits = FingerDepths(s.finger_depth_hits);
-        self.finger_misses = s.finger_misses;
-        self.prefetch_issued = s.prefetch_issued;
         self.skip_reads = s.skip_reads;
     }
 
@@ -388,23 +356,16 @@ mod tests {
     }
 
     #[test]
-    fn locality_counters_serialize_as_depth_histogram() {
+    fn hint_counters_fold_in_and_serialize() {
         let mut m = ServiceMetrics::default();
         let mut s = gfsl::OpStats::new();
         s.hint_hits = 3;
         s.hint_misses = 1;
-        s.finger_depth_hits[1] = 7;
-        s.finger_misses = 2;
-        s.prefetch_issued = 11;
         s.skip_reads = 5;
         m.absorb_op_stats(&s);
         assert!((m.hint_hit_rate - 0.75).abs() < 1e-12);
         let json = serde::to_json_string(&m);
-        assert!(
-            json.contains("\"finger_depth_hits\":{\"l0\":0,\"l1\":7,"),
-            "depth histogram serializes inline: {json}"
-        );
-        assert!(json.contains("\"prefetch_issued\":11"), "{json}");
+        assert!(json.contains("\"hint_hit_rate\":0.75"), "{json}");
         assert!(json.contains("\"skip_reads\":5"), "{json}");
     }
 

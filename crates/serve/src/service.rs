@@ -222,18 +222,11 @@ impl Injector {
     }
 }
 
-fn exec_batch<P: MemProbe>(
-    h: &mut GfslHandle<'_, P>,
-    reqs: Vec<Request>,
-    hinted: bool,
-) -> Vec<(Request, Reply)> {
+fn exec_batch<P: MemProbe>(h: &mut GfslHandle<'_, P>, reqs: Vec<Request>) -> Vec<(Request, Reply)> {
     let ops: Vec<BatchOp> = reqs.iter().map(|r| to_batch_op(r.op)).collect();
     let mut replies: Vec<BatchReply> = Vec::with_capacity(ops.len());
-    if hinted {
-        h.execute_batch_hinted(&ops, &mut replies);
-    } else {
-        h.execute_batch(&ops, &mut replies);
-    }
+    // Key order, same-key ops in arrival order; replies stay index-aligned.
+    h.execute_batch_hinted(&ops, &mut replies);
     reqs.into_iter()
         .zip(replies)
         .map(|(r, b)| (r, Reply::from(b)))
@@ -247,20 +240,16 @@ fn worker_loop(
     op_stats: &std::sync::Mutex<gfsl::OpStats>,
 ) {
     let mut h = list.handle();
-    // When the structure's multi-level finger is on, execute each batch in
-    // key order so consecutive ops validate the cached path (replies stay
-    // index-aligned either way).
-    let hinted = list.params().hinted_dispatch();
     let mut chaos_stats = gfsl::OpStats::new();
     while let Some(item) = injector.pop() {
         let replies = match item.probe {
-            None => exec_batch(&mut h, item.reqs, hinted),
+            None => exec_batch(&mut h, item.reqs),
             Some(p) => {
                 // A fresh chaos handle per batch; dropping it retires the
                 // wave participant *before* the done message is sent, so
                 // the wave's trace hash is final once all batches report.
                 let mut ch = list.handle_with(p);
-                let replies = exec_batch(&mut ch, item.reqs, hinted);
+                let replies = exec_batch(&mut ch, item.reqs);
                 chaos_stats.merge(&ch.stats());
                 replies
             }
@@ -316,10 +305,19 @@ fn admit_upto(
 /// nothing; failed ops changed nothing by definition.
 ///
 /// `done` must already be sorted by batch seq. Within one epoch, batches on
-/// different workers interleave nondeterministically, so seq order is *a*
-/// valid serialization of the epoch's concurrent writes rather than the
-/// exact memory order — any client that saw both orders saw two concurrent
-/// ops, so replaying seq order stays linearizable (see DESIGN.md §15).
+/// different workers interleave nondeterministically, so seq order is not
+/// the memory order, and — **known defect, ROADMAP item 1(b)** — it is not
+/// always a valid serialization of it either. Two same-key writes that ran
+/// concurrently on different workers and were *both effective* have one
+/// order only: with `k` present, `Delete(k) → true` then `Insert(k, v) →
+/// true` leaves `k` in the structure, but if the insert's batch carries the
+/// lower seq the log reads `Put(k, v)`, `Del(k)` and replay leaves `k`
+/// absent — an acknowledged write lost by recovery (the harness's `durable`
+/// experiment counts these as `diverged`: 0 with one worker, not with
+/// two). With one worker, seq order is execution order and the log is
+/// exact. The fix belongs to the commit path (a per-write sequence drawn at
+/// the linearization point, or same-key ops serialised per commit group)
+/// and is not made here.
 fn write_effects(done: &[DoneItem]) -> Vec<WriteEffect> {
     let mut effects = Vec::new();
     for d in done {
@@ -802,7 +800,7 @@ fn serve_inner(
 
     metrics.sheds = intake.sheds();
     metrics.run_wall_s = run_t0.elapsed().as_secs_f64();
-    // Workers have joined (scope end): fold their structure-level locality
+    // Workers have joined (scope end): fold their structure-level hint
     // counters into the service report.
     metrics.absorb_op_stats(&op_stats.into_inner().unwrap());
     metrics.absorb_mvcc_stats(list.mvcc_stats());
@@ -815,11 +813,13 @@ fn serve_inner(
 
 /// Execute `ops` slab-split across `workers` plain handles and return the
 /// wall-clock throughput in Mops/s — the harness's saturating batch-mode
-/// loop, used as the denominator for service-efficiency ratios.
+/// loop, used as the denominator for service-efficiency ratios. In order,
+/// op by op: a slab is not a batch any service could form, and handing one
+/// whole to the key-sorted call turns the denominator into a sequential
+/// sweep of the key space.
 pub fn raw_batch_mops(list: &Gfsl, ops: &[ServeOp], workers: usize) -> f64 {
     assert!(workers > 0 && !ops.is_empty());
     let slab = ops.len().div_ceil(workers);
-    let hinted = list.params().hinted_dispatch();
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for chunk in ops.chunks(slab) {
@@ -827,11 +827,7 @@ pub fn raw_batch_mops(list: &Gfsl, ops: &[ServeOp], workers: usize) -> f64 {
                 let mut h = list.handle();
                 let batch: Vec<BatchOp> = chunk.iter().map(|&o| to_batch_op(o)).collect();
                 let mut out = Vec::with_capacity(batch.len());
-                if hinted {
-                    h.execute_batch_hinted(&batch, &mut out);
-                } else {
-                    h.execute_batch(&batch, &mut out);
-                }
+                h.execute_batch(&batch, &mut out);
             });
         }
     });
@@ -842,9 +838,9 @@ pub fn raw_batch_mops(list: &Gfsl, ops: &[ServeOp], workers: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::scheduler::Fifo;
-    use crate::source::ClosedSource;
+    use crate::source::{ClosedSource, ReplaySource};
     use gfsl::{GfslParams, TeamSize};
-    use gfsl_workload::{ClosedLoop, ServeMix};
+    use gfsl_workload::{ClosedLoop, OpenLoop, ServeMix};
 
     fn small_list() -> Gfsl {
         let params = GfslParams {
@@ -902,13 +898,7 @@ mod tests {
     #[test]
     fn hinted_key_sorted_run_completes_and_replays() {
         let run = |seed: u64| {
-            let params = GfslParams {
-                team_size: TeamSize::Sixteen,
-                pool_chunks: 1 << 12,
-                fingers: true,
-                ..Default::default()
-            };
-            let list = Gfsl::prefilled(params, (1..=2_000u32).filter(|k| k % 2 == 0)).unwrap();
+            let list = small_list();
             let pop = ClosedLoop::new(16, 50, 1_000, ServeMix::C80, 2_000, seed);
             let mut src = ClosedSource::new(pop, 1_000);
             let report = serve(
@@ -924,8 +914,84 @@ mod tests {
         assert_eq!(a.metrics.ops, 16 * 50);
         assert_eq!(a.metrics.failed, 0);
         assert_eq!(a.policy, "key-sorted");
+        assert!(a.metrics.hint_hit_rate > 0.0, "the sorted call's hint was hit");
         let b = run(42);
         assert_eq!(a.trace_hash, b.trace_hash, "hinted runs replay bit-for-bit");
+    }
+
+    /// A replayed arrival script that keeps each request's op (indexed by
+    /// request id, which is arrival order) and the reply routed back for it.
+    struct Recorded {
+        inner: ReplaySource,
+        ops: Vec<ServeOp>,
+        replies: Vec<(u64, Reply)>,
+    }
+
+    impl RequestSource for Recorded {
+        fn peek_ns(&mut self) -> Option<u64> {
+            self.inner.peek_ns()
+        }
+        fn take(&mut self) -> Request {
+            let req = self.inner.take();
+            assert_eq!(req.id as usize, self.ops.len(), "ids follow arrival order");
+            self.ops.push(req.op);
+            req
+        }
+        fn on_complete(&mut self, resp: &Response) {
+            self.replies.push((resp.id, resp.reply));
+        }
+        fn on_shed(&mut self, req: Request, now_ns: u64) {
+            self.inner.on_shed(req, now_ns);
+        }
+        fn exhausted(&self) -> bool {
+            self.inner.exhausted()
+        }
+    }
+
+    /// Every batch runs through the key-sorted call, which reorders
+    /// different-key ops inside it; what must survive is same-key order.
+    /// With one worker, batches run one after another, so under either
+    /// batching policy each request must get the reply a sequential map
+    /// gives it when the whole stream is applied in arrival order (point
+    /// ops only: each reply depends on one key's history).
+    #[test]
+    fn same_key_requests_are_answered_in_arrival_order_under_either_policy() {
+        // ~20 arrivals an epoch over 100 keys: most batches repeat a key.
+        let arrivals: Vec<_> = OpenLoop::new(ServeMix::C80, 100, 8, 4_000, 2.0, 9).collect();
+        let cfg = ServeConfig {
+            workers: 1,
+            ..modeled_cfg()
+        };
+        let check = |policy: &mut dyn BatchPolicy| {
+            let list = small_list();
+            let mut model: std::collections::BTreeMap<u32, u32> = list.pairs().into_iter().collect();
+            let mut src = Recorded {
+                inner: ReplaySource::new(arrivals.clone()),
+                ops: Vec::new(),
+                replies: Vec::new(),
+            };
+            let report = serve(&list, &cfg, policy, &mut src);
+            assert_eq!((report.metrics.ops, report.metrics.sheds), (4_000, 0));
+            src.replies.sort_by_key(|&(id, _)| id);
+            for (op, (_, reply)) in src.ops.iter().zip(src.replies) {
+                let want = match *op {
+                    ServeOp::Get(k) => Reply::Got(model.get(&k).copied()),
+                    ServeOp::Insert(k, v) => Reply::Inserted(match model.entry(k) {
+                        std::collections::btree_map::Entry::Vacant(e) => {
+                            e.insert(v);
+                            true
+                        }
+                        std::collections::btree_map::Entry::Occupied(_) => false,
+                    }),
+                    ServeOp::Delete(k) => Reply::Deleted(model.remove(&k).is_some()),
+                    other => unreachable!("C80 draws point ops only: {other:?}"),
+                };
+                assert_eq!(reply, want, "{op:?} under {}", report.policy);
+            }
+            assert_eq!(list.pairs(), model.into_iter().collect::<Vec<_>>());
+        };
+        check(&mut Fifo::default());
+        check(&mut crate::scheduler::KeySorted::default());
     }
 
     #[test]

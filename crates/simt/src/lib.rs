@@ -18,6 +18,7 @@
 //! The crate also provides [`DivergenceStats`], the counter set used by the
 //! performance model to charge SIMT branch-serialization costs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ballot;
