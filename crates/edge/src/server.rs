@@ -30,7 +30,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gfsl_serve::{CommitSink, Reply, ServiceMode, ShedError, Supervisor, WriteEffect};
+use gfsl_serve::{
+    batch_effects, CommitSink, Reply, ServiceMode, ShedError, Supervisor, WriteEffect,
+};
 use gfsl_workload::ServeOp;
 
 use crate::engine::EdgeEngine;
@@ -423,7 +425,9 @@ fn worker_loop(
             // of this epoch before any reply frame is queued.
             let mut commit_failed = false;
             if let Some(sink) = &sink {
-                epoch_effects(&pending, &replies, &mut effects);
+                // In the order the engine ran the epoch, not arrival order.
+                effects.clear();
+                batch_effects(ops.iter().copied().zip(&replies), &mut effects);
                 if !effects.is_empty() {
                     commit_failed = sink
                         .lock()
@@ -503,26 +507,6 @@ fn worker_loop(
             // Nothing readable, nothing due: yield the core briefly. The
             // epoch deadline bounds the added latency.
             std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-}
-
-/// Fill `effects` with the durable write effects of one executed epoch, in
-/// batch order (the same mapping the in-process serve loop commits).
-fn epoch_effects(batch: &[PendingReq], replies: &[Reply], effects: &mut Vec<WriteEffect>) {
-    effects.clear();
-    for (p, reply) in batch.iter().zip(replies) {
-        match (p.op, reply) {
-            (ServeOp::Insert(k, v), Reply::Inserted(true)) => {
-                effects.push(WriteEffect { key: k, value: Some(v) });
-            }
-            (ServeOp::Delete(k), Reply::Deleted(true)) => {
-                effects.push(WriteEffect { key: k, value: None });
-            }
-            (ServeOp::PopMin, Reply::Popped(Some((k, _)))) => {
-                effects.push(WriteEffect { key: *k, value: None });
-            }
-            _ => {}
         }
     }
 }

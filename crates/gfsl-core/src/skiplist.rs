@@ -736,7 +736,9 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// set by a key-sorted call ([`GfslHandle::execute_ordered`]) for its
     /// duration, where op *i+1*'s key is at-or-right of op *i*'s whichever
     /// kind op *i* was. Per-op calls leave it off: on an unordered stream
-    /// the hint costs wasted reads per miss.
+    /// the hint costs wasted reads per miss. Only `mc` holds it set across
+    /// per-op calls, so its schedules reach hint validation on scripts in
+    /// any key order; no other path leaves a hint live between calls.
     pub(crate) hint_live: bool,
     /// Bottom-level traversal hint: the last bottom chunk this handle's
     /// reads touched, with the lock word observed unlocked there. A later

@@ -151,8 +151,9 @@ fn concurrent_churn_recycles_and_stays_valid() {
 /// reinitialize under a different key range; the hint's `(lock word,
 /// reclaim epoch)` guard must reject such hints so a hinted lookup never
 /// trusts a recycled incarnation. (A hint idling *between* calls — an idle
-/// handle's hint going generations stale — is unrepresentable: no hint
-/// outlives a call, which clears it on entry and consults none outside.)
+/// handle's hint going generations stale — is unreachable outside `mc`,
+/// whose workers keep `hint_live` set across per-op calls: a sorted call
+/// clears the hint on entry and nothing consults it outside one.)
 ///
 /// The churn pushes chunk demand well past 10x the pool (sliding window
 /// through a 64-chunk pool for 6k keys) in key-sorted batches of 16

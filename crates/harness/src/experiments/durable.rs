@@ -49,7 +49,13 @@ struct Cell {
     recovery_s: f64,
 }
 
-fn measure(cfg: &ExpConfig, contract: DurabilityContract, range: u32, n_ops: usize) -> Cell {
+fn measure(
+    cfg: &ExpConfig,
+    contract: DurabilityContract,
+    mix: ServeMix,
+    range: u32,
+    n_ops: usize,
+) -> Cell {
     // Unique per cell within a process: tests run cells concurrently.
     let dir = std::env::temp_dir().join(format!(
         "gfsl_bench_durable_{}_w{}_{}",
@@ -100,7 +106,7 @@ fn measure(cfg: &ExpConfig, contract: DurabilityContract, range: u32, n_ops: usi
         clients,
         (n_ops as u64).div_ceil(u64::from(clients)),
         0,
-        MIX,
+        mix,
         range,
         cfg.seed,
     );
@@ -149,7 +155,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let cells: Vec<Cell> = DurabilityContract::ALL
         .iter()
         .rev()
-        .map(|&c| measure(cfg, c, range, n_ops))
+        .map(|&c| measure(cfg, c, MIX, range, n_ops))
         .collect();
     let floor = cells[0].report.metrics.mops().max(f64::MIN_POSITIVE);
 
@@ -225,13 +231,22 @@ mod tests {
         }
     }
 
-    /// One worker executes an epoch's batches one after another, in the
-    /// order the log records them: every replayed record takes effect and
-    /// recovery rebuilds exactly what was live.
+    /// One worker executes an epoch's batches one after another, and the
+    /// log records each batch in the order the engine ran it: every replayed
+    /// record takes effect and recovery rebuilds exactly what was live. The
+    /// priority-queue mix is where that order shows — an extract-min runs
+    /// where key 1 sorts and logs the removal of whichever key it popped, so
+    /// a batch logged in arrival order would put the pop of `k` after an
+    /// insert of `k` that arrived before it and ran after it.
     #[test]
     fn one_worker_log_order_is_execution_order() {
-        for row in &run(&ExpConfig::tiny(1))[1].rows {
+        let cfg = ExpConfig::tiny(1);
+        for row in &run(&cfg)[1].rows {
             assert_eq!((row[3].as_str(), row[4].as_str()), ("0", "0"), "{row:?}");
         }
+        let n_ops = cfg.ops_override.expect("tiny runs fix their op count");
+        let pq = measure(&cfg, DurabilityContract::Buffered, ServeMix::PQ, cfg.anchor_range(), n_ops);
+        assert!(pq.report.metrics.pops > 0 && pq.stats.records > 0);
+        assert_eq!((pq.redundant, pq.diverged), (0, 0), "extract-min mix");
     }
 }

@@ -13,6 +13,10 @@
 //! checkpointer, and recovery live in `gfsl-durable`, which implements
 //! [`CommitSink`] for its engines.
 
+use gfsl_workload::ServeOp;
+
+use crate::request::{to_batch_op, Reply};
+
 /// How durable an acknowledged write is — the policy behind the group
 /// commit's sync step, surfaced as an explicit contract so a deployment
 /// states what an ack means instead of inheriting a file-API default.
@@ -77,6 +81,44 @@ pub struct WriteEffect {
     pub value: Option<u32>,
 }
 
+/// Append the effective writes of one executed batch to `effects`, in the
+/// order the engine ran them: `(BatchOp::key, index)`, the order of
+/// [`gfsl::GfslHandle::execute_batch_hinted`] and of the cluster's batch
+/// call. Arrival order is not that order, and for an extract-min the
+/// difference is visible in the log: the pop runs where key 1 sorts and
+/// removes whichever key is smallest, so in a batch `[Insert(5, v), PopMin]`
+/// over a structure whose minimum is 5 the pop removes 5 *first*, the insert
+/// then adds it back, and a log in arrival order (`Put(5)`, `Del(5)`) would
+/// replay to a structure without the acknowledged 5.
+///
+/// Only *effective* writes are logged — an `Inserted(false)` /
+/// `Deleted(false)` changed nothing and replays to nothing; failed ops
+/// changed nothing by definition. An extract-min replays as the removal of
+/// the key it popped, position-independent like any delete.
+pub fn batch_effects<'a>(
+    batch: impl Iterator<Item = (ServeOp, &'a Reply)>,
+    effects: &mut Vec<WriteEffect>,
+) {
+    let mut ran: Vec<(u32, WriteEffect)> = batch
+        .filter_map(|(op, reply)| {
+            let effect = match (op, reply) {
+                (ServeOp::Insert(k, v), Reply::Inserted(true)) => {
+                    WriteEffect { key: k, value: Some(v) }
+                }
+                (ServeOp::Delete(k), Reply::Deleted(true)) => WriteEffect { key: k, value: None },
+                (ServeOp::PopMin, Reply::Popped(Some((k, _)))) => {
+                    WriteEffect { key: *k, value: None }
+                }
+                _ => return None,
+            };
+            Some((to_batch_op(op).key(), effect))
+        })
+        .collect();
+    // Stable: ops that sort under one key stay in arrival order.
+    ran.sort_by_key(|&(at, _)| at);
+    effects.extend(ran.into_iter().map(|(_, effect)| effect));
+}
+
 /// A persistence tier the epoch batcher drains into.
 ///
 /// `commit` must not return until the effects are as durable as the sink's
@@ -130,6 +172,26 @@ mod tests {
             c.sync(&f).unwrap();
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The log follows the engine's `(key, index)` order: the pop of the
+    /// current minimum 5 ran before the insert that put 5 back, and the two
+    /// writes of key 9 keep their arrival order.
+    #[test]
+    fn batch_effects_are_logged_in_execution_order() {
+        let batch = [
+            (ServeOp::Delete(9), Reply::Deleted(true)),
+            (ServeOp::Insert(5, 50), Reply::Inserted(true)),
+            (ServeOp::Get(5), Reply::Got(Some(50))),
+            (ServeOp::Insert(9, 90), Reply::Inserted(true)),
+            (ServeOp::PopMin, Reply::Popped(Some((5, 7)))),
+            (ServeOp::Insert(3, 30), Reply::Inserted(false)),
+        ];
+        let mut effects = Vec::new();
+        batch_effects(batch.iter().map(|(op, reply)| (*op, reply)), &mut effects);
+        let put = |key, v| WriteEffect { key, value: Some(v) };
+        let del = |key| WriteEffect { key, value: None };
+        assert_eq!(effects, [del(5), put(5, 50), del(9), put(9, 90)]);
     }
 
     #[test]

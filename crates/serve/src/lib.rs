@@ -42,7 +42,7 @@ pub mod supervisor;
 pub mod trace;
 
 pub use admission::{IntakeQueue, ShedError};
-pub use durability::{CommitSink, DurabilityContract, MemorySink, WriteEffect};
+pub use durability::{batch_effects, CommitSink, DurabilityContract, MemorySink, WriteEffect};
 pub use metrics::{LatencyHisto, ServiceMetrics};
 pub use request::{ClientId, ClientQueues, Reply, Request, Response};
 pub use scheduler::{Batch, BatchPolicy, Fifo, KeyRangeSharded, KeySorted, PolicyCtx, ReadWriteSeparated};

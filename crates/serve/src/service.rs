@@ -52,7 +52,7 @@ use gfsl::{Gfsl, GfslHandle, MemProbe};
 use gfsl_workload::ServeOp;
 
 use crate::admission::IntakeQueue;
-use crate::durability::{CommitSink, WriteEffect};
+use crate::durability::{batch_effects, CommitSink, WriteEffect};
 use crate::metrics::ServiceMetrics;
 use crate::request::{to_batch_op, ClientQueues, Reply, Request, Response};
 use crate::scheduler::{Batch, BatchPolicy, PolicyCtx};
@@ -298,45 +298,29 @@ fn admit_upto(
     }
 }
 
-/// Extract the epoch's effective write effects in dispatch (batch-seq)
-/// order: the records a durability sink must persist before any of the
-/// epoch's responses may route. Only *effective* writes are logged — an
-/// `Inserted(false)` / `Deleted(false)` changed nothing and replays to
-/// nothing; failed ops changed nothing by definition.
+/// Extract the epoch's effective write effects: batches in dispatch (seq)
+/// order, each batch in the order the engine ran it ([`batch_effects`]) —
+/// the records a durability sink must persist before any of the epoch's
+/// responses may route.
 ///
-/// `done` must already be sorted by batch seq. Within one epoch, batches on
-/// different workers interleave nondeterministically, so seq order is not
-/// the memory order, and — **known defect, ROADMAP item 1(b)** — it is not
-/// always a valid serialization of it either. Two same-key writes that ran
-/// concurrently on different workers and were *both effective* have one
-/// order only: with `k` present, `Delete(k) → true` then `Insert(k, v) →
-/// true` leaves `k` in the structure, but if the insert's batch carries the
-/// lower seq the log reads `Put(k, v)`, `Del(k)` and replay leaves `k`
-/// absent — an acknowledged write lost by recovery (the harness's `durable`
-/// experiment counts these as `diverged`: 0 with one worker, not with
-/// two). With one worker, seq order is execution order and the log is
-/// exact. The fix belongs to the commit path (a per-write sequence drawn at
-/// the linearization point, or same-key ops serialised per commit group)
-/// and is not made here.
+/// `done` must already be sorted by batch seq. With one worker the batches
+/// run one after another in seq order, so the log is the execution order,
+/// exactly. Within one epoch, batches on different workers interleave
+/// nondeterministically, so seq order is not the memory order, and — **known
+/// defect, ROADMAP item 1(b)** — it is not always a valid serialization of
+/// it either. Two same-key writes that ran concurrently on different workers
+/// and were *both effective* have one order only: with `k` present,
+/// `Delete(k) → true` then `Insert(k, v) → true` leaves `k` in the
+/// structure, but if the insert's batch carries the lower seq the log reads
+/// `Put(k, v)`, `Del(k)` and replay leaves `k` absent — an acknowledged
+/// write lost by recovery (the harness's `durable` experiment counts these
+/// as `diverged`: 0 with one worker, not with two). The fix belongs to the
+/// commit path (a per-write sequence drawn at the linearization point, or
+/// same-key ops serialised per commit group) and is not made here.
 fn write_effects(done: &[DoneItem]) -> Vec<WriteEffect> {
     let mut effects = Vec::new();
     for d in done {
-        for (req, reply) in &d.replies {
-            match (req.op, reply) {
-                (ServeOp::Insert(k, v), Reply::Inserted(true)) => {
-                    effects.push(WriteEffect { key: k, value: Some(v) });
-                }
-                (ServeOp::Delete(k), Reply::Deleted(true)) => {
-                    effects.push(WriteEffect { key: k, value: None });
-                }
-                (ServeOp::PopMin, Reply::Popped(Some((k, _)))) => {
-                    // An extract-min replays as the removal of the key it
-                    // popped — position-independent, like any delete.
-                    effects.push(WriteEffect { key: *k, value: None });
-                }
-                _ => {}
-            }
-        }
+        batch_effects(d.replies.iter().map(|(req, reply)| (req.op, reply)), &mut effects);
     }
     effects
 }
@@ -948,50 +932,92 @@ mod tests {
         }
     }
 
+    /// A policy wrapper that keeps the request ids of every batch formed,
+    /// in dispatch order.
+    struct Tap<'a> {
+        inner: &'a mut dyn BatchPolicy,
+        batches: Vec<Vec<usize>>,
+    }
+
+    impl BatchPolicy for Tap<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn form(&mut self, epoch: Vec<Request>, ctx: &PolicyCtx) -> Vec<Batch> {
+            let formed = self.inner.form(epoch, ctx);
+            self.batches
+                .extend(formed.iter().map(|b| b.reqs.iter().map(|r| r.id as usize).collect()));
+            formed
+        }
+    }
+
     /// Every batch runs through the key-sorted call, which reorders
     /// different-key ops inside it; what must survive is same-key order.
     /// With one worker, batches run one after another, so under either
-    /// batching policy each request must get the reply a sequential map
-    /// gives it when the whole stream is applied in arrival order (point
-    /// ops only: each reply depends on one key's history).
+    /// batching policy a point-op stream must get, request by request, the
+    /// replies a sequential map gives when the whole stream is applied in
+    /// arrival order (each reply depends on one key's history). An
+    /// extract-min depends on every key's, so the priority-queue stream is
+    /// held to the order the engine documents instead: each batch by
+    /// `(BatchOp::key, index)`, a pop where key 1 sorts.
     #[test]
     fn same_key_requests_are_answered_in_arrival_order_under_either_policy() {
+        use std::collections::BTreeMap;
+
         // ~20 arrivals an epoch over 100 keys: most batches repeat a key.
-        let arrivals: Vec<_> = OpenLoop::new(ServeMix::C80, 100, 8, 4_000, 2.0, 9).collect();
+        let stream = |mix| OpenLoop::new(mix, 100, 8, 4_000, 2.0, 9).collect::<Vec<_>>();
+        let (points, pq) = (stream(ServeMix::C80), stream(ServeMix::PQ));
         let cfg = ServeConfig {
             workers: 1,
             ..modeled_cfg()
         };
-        let check = |policy: &mut dyn BatchPolicy| {
+        let answer = |model: &mut BTreeMap<u32, u32>, op: ServeOp| match op {
+            ServeOp::Get(k) => Reply::Got(model.get(&k).copied()),
+            ServeOp::Insert(k, v) => Reply::Inserted(match model.entry(k) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(v);
+                    true
+                }
+                std::collections::btree_map::Entry::Occupied(_) => false,
+            }),
+            ServeOp::Delete(k) => Reply::Deleted(model.remove(&k).is_some()),
+            ServeOp::Range(lo, hi) => Reply::Ranged(model.range(lo..=hi).count() as u32),
+            ServeOp::MinEntry => Reply::MinIs(model.first_key_value().map(|(&k, &v)| (k, v))),
+            ServeOp::PopMin => Reply::Popped(model.pop_first()),
+        };
+        let check = |arrivals: &[_], policy: &mut dyn BatchPolicy, in_arrival_order: bool| {
             let list = small_list();
-            let mut model: std::collections::BTreeMap<u32, u32> = list.pairs().into_iter().collect();
+            let mut model: BTreeMap<u32, u32> = list.pairs().into_iter().collect();
             let mut src = Recorded {
-                inner: ReplaySource::new(arrivals.clone()),
+                inner: ReplaySource::new(arrivals.to_vec()),
                 ops: Vec::new(),
                 replies: Vec::new(),
             };
-            let report = serve(&list, &cfg, policy, &mut src);
+            let mut tap = Tap {
+                inner: policy,
+                batches: Vec::new(),
+            };
+            let report = serve(&list, &cfg, &mut tap, &mut src);
             assert_eq!((report.metrics.ops, report.metrics.sheds), (4_000, 0));
             src.replies.sort_by_key(|&(id, _)| id);
-            for (op, (_, reply)) in src.ops.iter().zip(src.replies) {
-                let want = match *op {
-                    ServeOp::Get(k) => Reply::Got(model.get(&k).copied()),
-                    ServeOp::Insert(k, v) => Reply::Inserted(match model.entry(k) {
-                        std::collections::btree_map::Entry::Vacant(e) => {
-                            e.insert(v);
-                            true
-                        }
-                        std::collections::btree_map::Entry::Occupied(_) => false,
-                    }),
-                    ServeOp::Delete(k) => Reply::Deleted(model.remove(&k).is_some()),
-                    other => unreachable!("C80 draws point ops only: {other:?}"),
-                };
-                assert_eq!(reply, want, "{op:?} under {}", report.policy);
+            let order: Vec<usize> = if in_arrival_order {
+                (0..src.ops.len()).collect()
+            } else {
+                // Stable: ops that sort under one key stay in batch order.
+                for batch in &mut tap.batches {
+                    batch.sort_by_key(|&id| to_batch_op(src.ops[id]).key());
+                }
+                tap.batches.concat()
+            };
+            for id in order {
+                let (op, reply) = (src.ops[id], src.replies[id].1);
+                assert_eq!(reply, answer(&mut model, op), "{op:?} under {}", report.policy);
             }
             assert_eq!(list.pairs(), model.into_iter().collect::<Vec<_>>());
         };
-        check(&mut Fifo::default());
-        check(&mut crate::scheduler::KeySorted::default());
+        check(&points, &mut Fifo::default(), true);
+        check(&points, &mut crate::scheduler::KeySorted::default(), true);
+        check(&pq, &mut Fifo::default(), false);
     }
 
     #[test]
