@@ -19,9 +19,6 @@
 //! * **Consistent snapshots** ([`snapshot`]): all shard fences write-held
 //!   simultaneously give a linearizable cluster-wide cut, exported eagerly
 //!   and rebuildable into a single GFSL.
-//! * **Per-shard pipelines** ([`pipeline`]): the full `gfsl-serve` stack
-//!   (admission → batching → dispatch → supervisor) instantiated once per
-//!   shard over partitioned arrival streams.
 //!
 //! The chaos layer composes: in containment mode every routed op has a
 //! `try_*` probed variant, and migrations repair the quarantine before
@@ -33,13 +30,11 @@
 
 pub mod cluster;
 pub(crate) mod map;
-pub mod pipeline;
 pub mod reshard;
 pub mod shard;
 pub mod snapshot;
 
 pub use cluster::{Cluster, ClusterError};
-pub use pipeline::{partition_arrivals, ClusterServeReport};
 pub use reshard::{RebalancePolicy, ReshardEvent};
 pub use shard::{Shard, ShardStats};
 pub use snapshot::{ClusterSnapshot, ShardCut};

@@ -20,7 +20,7 @@
 //! - [`client`] — the blocking reference client (pipelined, id-matched).
 //! - [`loadgen`] — closed-loop and open-loop client populations over real
 //!   sockets, with zipf-skewed per-tenant key windows, for capacity and
-//!   overload measurement (`edgebench` binary).
+//!   overload measurement (the harness's `edge` experiment drives it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

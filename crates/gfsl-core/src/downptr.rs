@@ -12,8 +12,7 @@
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry, KEY_NEG_INF, NIL};
-use crate::search::{down_step_lane, tid_for_next_step, NextStep};
+use crate::chunk::{ops, ChunkView, Entry, KEY_NEG_INF};
 use crate::skiplist::GfslHandle;
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
@@ -60,70 +59,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.unlock(p_upper);
         }
     }
-
-    /// `searchDown` variant that stops at `target` level instead of level 0
-    /// (`searchDownToLevel`). Returns a chunk in `target` at-or-left of
-    /// `k`'s enclosing chunk, or `None` when the structure is shorter than
-    /// `target`.
-    pub(crate) fn search_down_to_level(&mut self, target: usize, k: u32) -> Option<u32> {
-        let team = self.list.team;
-        // Swapped on every lateral step, as in `descend`.
-        let mut views = [ChunkView::BLANK; 2];
-        let mut at = 0;
-        'restart: loop {
-            let mut height = self.list.height();
-            if height < target {
-                return None;
-            }
-            // Stepped laterally from the chunk whose view is `views[at ^ 1]`.
-            let mut stepped = false;
-            let mut cur = self.list.head_of(height);
-            while height > target {
-                self.read_chunk_into(cur, &mut views[at]);
-                let view = &views[at];
-                if view.is_zombie(&team) {
-                    let next = view.next(&team);
-                    if next == NIL {
-                        self.stats.search_restarts += 1;
-                        continue 'restart;
-                    }
-                    cur = next;
-                    continue;
-                }
-                match tid_for_next_step(&team, k, view) {
-                    NextStep::Lateral => {
-                        stepped = true;
-                        cur = view.next(&team);
-                        at ^= 1;
-                    }
-                    NextStep::Down(lane) => {
-                        height -= 1;
-                        stepped = false;
-                        cur = view.entry(lane).val();
-                    }
-                    NextStep::Backtrack => {
-                        let pview = &views[at ^ 1];
-                        let down = if std::mem::take(&mut stepped) {
-                            down_step_lane(&team, k, pview)
-                        } else {
-                            None
-                        };
-                        match down {
-                            Some(l) => {
-                                height -= 1;
-                                cur = pview.entry(l).val();
-                            }
-                            None => {
-                                self.stats.search_restarts += 1;
-                                continue 'restart;
-                            }
-                        }
-                    }
-                }
-            }
-            return Some(cur);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +81,6 @@ mod tests {
             }
         }
         list
-    }
-
-    #[test]
-    fn search_down_to_level_zero_matches_search_down() {
-        let list = built_list(300);
-        let mut h = list.handle();
-        for k in [1u32, 57, 150, 299] {
-            let a = h.search_down(k);
-            let b = h.search_down_to_level(0, k).unwrap();
-            assert_eq!(a, b, "k={k}");
-        }
     }
 
     #[test]
@@ -206,5 +130,18 @@ mod tests {
             cur = next;
         }
         assert!(checked > 10, "structure tall enough to be meaningful");
+        // The descent stopped at any level in use lands at or left of the
+        // key's enclosing chunk there: walking on from it ends where a walk
+        // from the level's head does.
+        for t in 0..=list.height() {
+            for k in [1u32, 57, 1500, 2999, 3001] {
+                let c = h.search_down_to_level(t, k).unwrap();
+                assert_eq!(
+                    h.search_lateral(k, c).enclosing,
+                    h.search_lateral(k, list.head_of(t)).enclosing,
+                    "level {t}, key {k}"
+                );
+            }
+        }
     }
 }

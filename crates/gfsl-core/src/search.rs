@@ -186,11 +186,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// final down-step (Algorithm 4.2). Restarts from the top in the rare
     /// backtrack-with-no-previous case.
     pub(crate) fn search_down(&mut self, k: u32) -> u32 {
-        self.descend(k, None)
+        self.descend(k, 0, None).expect("no structure is shorter than level 0")
     }
 
-    /// The one descent loop behind `search_down` and `search_slow` (the
-    /// read and update paths previously hand-rolled it separately).
+    /// `searchDown` stopping at level `target` instead of level 0
+    /// (`searchDownToLevel`): a chunk in `target` at-or-left of `k`'s
+    /// enclosing chunk, or `None` when the structure is shorter than
+    /// `target`.
+    pub(crate) fn search_down_to_level(&mut self, target: usize, k: u32) -> Option<u32> {
+        self.descend(k, target, None)
+    }
+
+    /// The one descent loop behind `search_down`, `search_down_to_level`
+    /// and `search_slow`: down to level `stop`, returning the chunk reached
+    /// there, or `None` when — on entry or after a restart — the structure
+    /// is shorter than `stop`.
     ///
     /// * `path = None` — read-only: zombies met at the top of a level are
     ///   stepped through without taking any lock, preserving `contains`'s
@@ -202,8 +212,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn descend(
         &mut self,
         k: u32,
+        stop: usize,
         mut path: Option<&mut [u32; gfsl_simt::WARP_SIZE]>,
-    ) -> u32 {
+    ) -> Option<u32> {
         let team = self.list.team;
         // Two view buffers, swapped on every lateral step: `views[at]` is
         // the chunk being decided on, `views[at ^ 1]` the chunk stepped from
@@ -223,8 +234,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // Update path only: live chunks stepped across at this level.
             let mut steps = 0u8;
             let mut height = self.list.height();
+            if height < stop {
+                return None;
+            }
             let mut cur = self.list.head_of(height);
-            while height > 0 {
+            while height > stop {
                 self.read_chunk_into(cur, &mut views[at]);
                 if views[at].is_zombie(&team) {
                     if path.is_some() {
@@ -310,7 +324,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     },
                 }
             }
-            return cur;
+            return Some(cur);
         }
     }
 
@@ -449,7 +463,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// levels the traversal never visited default to the level head.
     pub(crate) fn search_slow(&mut self, k: u32) -> (LateralResult, [u32; gfsl_simt::WARP_SIZE]) {
         let mut path = [NIL; gfsl_simt::WARP_SIZE];
-        let bottom = self.descend(k, Some(&mut path));
+        let bottom = self
+            .descend(k, 0, Some(&mut path))
+            .expect("no structure is shorter than level 0");
         let res = self.search_lateral_redirect(k, bottom);
         path[0] = res.enclosing;
         (res, path)

@@ -1,133 +1,29 @@
-//! Cluster scale-out: aggregate throughput vs shard count × read mix, and
-//! the hot-shard rebalance scenario. Not a paper artifact — this measures
-//! the `gfsl-cluster` subsystem layered on top of the paper's structure.
-//!
-//! **Throughput table.** One full serve pipeline per shard over a
-//! partitioned open-loop arrival stream. Scaling is reported in *virtual*
-//! service time (`ExecMode::Modeled`): each pipeline's epoch clock advances
-//! by `ns_per_op · max-ops-per-worker`, so the numbers are deterministic
-//! and measure the architecture (K independent batching loops) rather than
-//! how many host cores CI happens to have. The headline check: ≥ 2.5×
-//! aggregate throughput going 1 → 4 shards on the uniform [10,10,80] mix.
+//! Cluster: the hot-shard rebalance scenario. Not a paper artifact — this
+//! exercises the `gfsl-cluster` subsystem layered on top of the paper's
+//! structure. (What a cluster costs per op against one structure is
+//! `perfbench`'s `edge-cluster-hot` against `edge-closed-hot`.)
 //!
 //! **Rebalance table.** A zipf stream whose hot head jumps to a different
 //! shard mid-run ([`HotShard`]); after every window of routed ops one
 //! [`RebalancePolicy`] step may split the hottest shard or merge cold
 //! neighbours. Stability = the first post-shift window whose rebalance
 //! step proposes nothing; time-to-stable must stay bounded (it is asserted
-//! `<` the post-shift window budget).
+//! `<` the post-shift window budget). The per-window MOPS column is the
+//! host's wall clock, reported only.
 
 use gfsl::{GfslParams, TeamSize};
 use gfsl_cluster::{Cluster, RebalancePolicy, ReshardEvent};
-use gfsl_serve::{ExecMode, ServeConfig, ServiceMetrics};
-use gfsl_workload::{HotShard, OpenLoop, ServeMix, ServeOp};
+use gfsl_workload::{HotShard, ServeMix, ServeOp};
 
 use super::ExpConfig;
-use crate::report::{mops, ratio, Table};
+use crate::report::{mops, Table};
 
-/// Modeled per-op service cost, ns (same figure the serve replay uses).
-const NS_PER_OP: u64 = 300;
-
-fn cluster_params(range: u32, shards: usize, headroom: u64, seed: u64) -> GfslParams {
-    GfslParams {
-        team_size: TeamSize::ThirtyTwo,
-        pool_chunks: GfslParams::chunks_for(
-            range as u64 / shards as u64 + headroom,
-            TeamSize::ThirtyTwo,
-        ),
-        seed,
-        ..Default::default()
-    }
-}
-
-fn prefilled_cluster(range: u32, shards: usize, headroom: u64, seed: u64) -> Cluster {
-    let params = cluster_params(range, shards, headroom, seed);
-    Cluster::prefilled(
-        params,
-        shards,
-        range,
-        (1..range).filter(|k| k % 2 == 0).map(|k| (k, k)),
-    )
-    .expect("cluster prefill")
-}
-
-/// Throughput vs shard count for one mix; returns the per-shard-count
-/// virtual Mop/s so the caller can check the scaling headline.
-fn throughput_rows(
-    cfg: &ExpConfig,
-    range: u32,
-    n_ops: usize,
-    shard_counts: &[usize],
-    mix_name: &str,
-    mix: ServeMix,
-    t: &mut Table,
-) -> Vec<f64> {
-    // Offered rate above every shard's modeled capacity (workers /
-    // ns_per_op per pipeline) even at the widest sharding, so every
-    // configuration is saturated, admission control sheds the excess, and
-    // the virtual throughput measures service capacity rather than the
-    // arrival clock.
-    let rate_mops = 150.0;
-    let arrivals: Vec<_> =
-        OpenLoop::new(mix, range, 256, n_ops as u64, rate_mops, cfg.seed ^ 0xC1).collect();
-    let mut out = Vec::new();
-    for &k in shard_counts {
-        let cluster = prefilled_cluster(range, k, n_ops as u64, cfg.seed);
-        let scfg = ServeConfig {
-            exec: ExecMode::Modeled { ns_per_op: NS_PER_OP },
-            seed: cfg.seed,
-            ..ServeConfig::new(cfg.workers)
-        };
-        let r = cluster.serve_shards(&scfg, &arrivals);
-        if k == *shard_counts.last().unwrap() && mix_name == "10/10/80" {
-            // Structured sidecar: the per-shard service metrics and shard
-            // stats of the widest uniform-mix configuration.
-            let metrics: Vec<ServiceMetrics> =
-                r.shards.iter().map(|s| s.metrics.clone()).collect();
-            t.attach("shard_metrics", &metrics);
-            t.attach("shard_stats", &cluster.stats());
-        }
-        let sheds: u64 = r.shards.iter().map(|s| s.metrics.sheds).sum();
-        let base = *out.first().unwrap_or(&r.vmops);
-        t.row(vec![
-            k.to_string(),
-            mix_name.into(),
-            mops(r.vmops),
-            ratio(r.vmops / base),
-            mops(r.mops),
-            r.total_ops.to_string(),
-            sheds.to_string(),
-            format!("{:.3}", r.vwall_s * 1e3),
-        ]);
-        out.push(r.vmops);
-    }
-    out
-}
-
-/// Run the cluster experiment: the scale-out table and the hot-shard
-/// rebalance trace.
+/// Run the cluster experiment: the hot-shard rebalance trace.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let range = cfg.anchor_range();
     let n_ops = cfg
         .ops_override
         .unwrap_or(if cfg.quick { 120_000 } else { 500_000 });
-    let shard_counts: &[usize] = if cfg.quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-
-    let mut t = Table::new(
-        "Cluster: virtual throughput vs shard count (modeled pipelines)",
-        &[
-            "shards", "mix", "MOPS", "vs 1 shard", "host MOPS", "ops", "sheds", "vwall ms",
-        ],
-    );
-    let uniform = throughput_rows(cfg, range, n_ops, shard_counts, "10/10/80", ServeMix::C80, &mut t);
-    throughput_rows(cfg, range, n_ops, shard_counts, "range10", ServeMix::RANGE10, &mut t);
-    if shard_counts.contains(&4) {
-        let x4 = uniform[shard_counts.iter().position(|&k| k == 4).unwrap()] / uniform[0];
-        assert!(
-            x4 >= 2.5,
-            "1 -> 4 shards must scale the uniform mix at least 2.5x, got {x4:.2}x"
-        );
-    }
 
     // Hot-shard rebalance: 4 equal shards, zipf head on shard 0, jumping to
     // shard 2 at mid-run.
@@ -148,7 +44,22 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         (shift_window * window_ops) as u64,
     );
     let stream = hs.stream(ServeMix::C80, cfg.seed ^ 0x407, windows * window_ops);
-    let cluster = prefilled_cluster(range, 4, stream.len() as u64, cfg.seed);
+    let params = GfslParams {
+        team_size: TeamSize::ThirtyTwo,
+        pool_chunks: GfslParams::chunks_for(
+            range as u64 / 4 + stream.len() as u64,
+            TeamSize::ThirtyTwo,
+        ),
+        seed: cfg.seed,
+        ..Default::default()
+    };
+    let cluster = Cluster::prefilled(
+        params,
+        4,
+        range,
+        (1..range).filter(|k| k % 2 == 0).map(|k| (k, k)),
+    )
+    .expect("cluster prefill");
     let policy = RebalancePolicy {
         min_window_ops: window_ops as u64 / 2,
         max_shards: 8,
@@ -212,7 +123,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     d.attach("final_shard_stats", &cluster.stats());
     cluster.assert_valid();
 
-    vec![t, d]
+    vec![d]
 }
 
 #[cfg(test)]
@@ -223,14 +134,8 @@ mod tests {
     fn cluster_experiment_runs_tiny() {
         let cfg = ExpConfig::tiny(2);
         let tables = run(&cfg);
-        assert_eq!(tables.len(), 2);
-        let scale = &tables[0];
-        assert_eq!(scale.rows.len(), 6, "three shard counts x two mixes");
-        assert!(
-            scale.attachments.iter().any(|(k, _)| k == "shard_metrics"),
-            "per-shard service metrics ride along"
-        );
-        let reb = &tables[1];
+        assert_eq!(tables.len(), 1);
+        let reb = &tables[0];
         assert_eq!(reb.rows.len(), 16);
         assert!(reb
             .attachments

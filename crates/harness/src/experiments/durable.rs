@@ -21,14 +21,25 @@
 //! cost: acknowledged writes lost or resurrected. Both are 0 with one
 //! worker and not with two (ROADMAP item 1b has the counter-example); the
 //! table reports them, nothing here hides or gates them.
+//!
+//! **Edge table.** The same two counts for the other commit path: an
+//! [`EdgeServer`] whose workers group-commit through one shared sink. Each
+//! worker locks the sink *after* running its own epoch, so with two
+//! workers lock order is not execution order either. Two pipelined
+//! connections (one per worker when there are two) write one small key
+//! set; the sink's effects are replayed over the prefill and compared
+//! with the structure at shutdown. Asserted 0 / 0 for one worker,
+//! reported for two.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use gfsl::{GfslParams, TeamSize};
+use gfsl::{Gfsl, GfslParams, TeamSize};
 use gfsl_durable::{destroy, DurabilityContract, DurableConfig, DurableGfsl};
-use gfsl_serve::{serve_durable, ClosedSource, ExecMode, Fifo, ServeConfig};
-use gfsl_workload::{ClosedLoop, ServeMix};
+use gfsl_edge::{EdgeClient, EdgeConfig, EdgeEngine, EdgeServer, Req};
+use gfsl_serve::{serve_durable, ClosedSource, ExecMode, Fifo, MemorySink, ServeConfig};
+use gfsl_workload::{ClosedLoop, ServeMix, SplitMix64};
 
 use super::ExpConfig;
 use crate::report::{mops, ratio, Table};
@@ -36,6 +47,12 @@ use crate::report::{mops, ratio, Table};
 /// Write-heavy service mix: durability cost scales with effective writes,
 /// so a lookup-dominated mix would mostly measure the structure again.
 const MIX: ServeMix = ServeMix::new(30, 30, 40, 0, 0);
+
+/// A structure's pairs as a set: `diverged` is the symmetric difference of
+/// two of them.
+fn pair_set(list: &Gfsl) -> BTreeSet<(u32, u32)> {
+    list.pairs().into_iter().collect()
+}
 
 struct Cell {
     contract: DurabilityContract,
@@ -58,7 +75,7 @@ fn measure(
 ) -> Cell {
     // Unique per cell within a process: tests run cells concurrently.
     let dir = std::env::temp_dir().join(format!(
-        "gfsl_bench_durable_{}_w{}_{}",
+        "gfsl_repro_durable_{}_w{}_{}",
         contract.name(),
         cfg.workers,
         std::process::id()
@@ -98,7 +115,6 @@ fn measure(
         batch_ops: cfg.workers * max_batch,
         max_batch,
         intake_cap: (cfg.workers * max_batch * 4).max(8192),
-        seed: cfg.seed,
         exec: ExecMode::Measured,
     };
     let clients = (4 * cfg.workers as u32 * 512).min((n_ops / 4).max(1) as u32);
@@ -114,7 +130,7 @@ fn measure(
     let (list, mut sink) = eng.serve_parts();
     let report = serve_durable(list, &scfg, &mut Fifo::default(), &mut src, &mut sink);
     let stats = eng.wal_stats();
-    let live: BTreeSet<(u32, u32)> = eng.list().pairs().into_iter().collect();
+    let live = pair_set(eng.list());
 
     // Crash-restart: drop the engine where it stands and reopen cold.
     drop(eng);
@@ -126,8 +142,7 @@ fn measure(
         rec.replayed, stats.records,
         "recovery must replay the whole served WAL tail"
     );
-    let recovered: BTreeSet<(u32, u32)> = eng.list().pairs().into_iter().collect();
-    let diverged = live.symmetric_difference(&recovered).count();
+    let diverged = live.symmetric_difference(&pair_set(eng.list())).count();
     drop(eng);
     destroy(&dir).expect("cleanup");
     Cell {
@@ -143,8 +158,91 @@ fn measure(
     }
 }
 
-/// Run the durable experiment: the group-commit policy table and the
-/// crash-restart recovery table.
+/// Keys the edge cells write: few enough that two connections collide on
+/// a key in nearly every epoch.
+const EDGE_KEYS: u32 = 64;
+/// Requests a connection keeps in flight: one edge epoch
+/// ([`EdgeConfig::batch_ops`]), so nothing sheds.
+const EDGE_WINDOW: u64 = 32;
+
+/// One row of the edge table: `workers` edge workers over one structure
+/// and one recording sink, two connections writing `ops_per_conn` inserts
+/// and deletes each over [`EDGE_KEYS`] keys.
+fn edge_row(cfg: &ExpConfig, workers: usize, ops_per_conn: u64) -> Vec<String> {
+    let prefilled = || {
+        Gfsl::prefilled(GfslParams::default(), (1..=EDGE_KEYS).filter(|k| k % 2 == 0))
+            .expect("prefill")
+    };
+    let list = Arc::new(prefilled());
+    let sink = Arc::new(Mutex::new(MemorySink::default()));
+    let srv = EdgeServer::start_durable(
+        EdgeEngine::Single(list.clone()),
+        EdgeConfig {
+            workers,
+            ..EdgeConfig::default()
+        },
+        sink.clone(),
+    )
+    .expect("start edge server");
+    let addr = srv.addr();
+    std::thread::scope(|s| {
+        for conn in 0..2u64 {
+            s.spawn(move || {
+                // The timeout turns a dead server into a failure, not a hang.
+                let patience = Some(Duration::from_secs(10));
+                let mut client = EdgeClient::connect(addr, patience).expect("connect");
+                let mut rng = SplitMix64::new(cfg.seed ^ 0xED6E ^ conn << 32);
+                let mut sent = 0;
+                while sent < ops_per_conn {
+                    let ids: Vec<u64> = (sent..ops_per_conn.min(sent + EDGE_WINDOW))
+                        .map(|i| {
+                            let k = 1 + rng.below(u64::from(EDGE_KEYS)) as u32;
+                            // A value no other write carries.
+                            let v = (conn * ops_per_conn + i) as u32;
+                            let write = rng.below(2) == 0;
+                            client.send(if write { Req::Insert(k, v) } else { Req::Delete(k) })
+                        })
+                        .collect();
+                    sent += ids.len() as u64;
+                    for id in ids {
+                        client.recv(id).expect("reply");
+                    }
+                }
+            });
+        }
+    });
+    srv.shutdown();
+
+    // Recovery's replay (`gfsl_durable`'s), on a second copy of the prefill.
+    let sink = sink.lock().expect("sink poisoned");
+    let replayed = prefilled();
+    let mut redundant = 0;
+    {
+        let mut h = replayed.handle();
+        for e in &sink.effects {
+            let effective = match e.value {
+                Some(v) => h.try_insert(e.key, v),
+                None => h.try_remove(e.key),
+            }
+            .expect("replay");
+            redundant += u64::from(!effective);
+        }
+    }
+    let diverged = pair_set(&list).symmetric_difference(&pair_set(&replayed)).count() as u64;
+    if workers == 1 {
+        // One worker runs its epochs one after another and logs each in
+        // the order the engine ran it.
+        assert_eq!((redundant, diverged), (0, 0), "one edge worker");
+    }
+    let records = sink.effects.len() as u64;
+    [workers as u64, 2 * ops_per_conn, sink.commits, records, redundant, diverged]
+        .iter()
+        .map(u64::to_string)
+        .collect()
+}
+
+/// Run the durable experiment: the group-commit policy table, the
+/// crash-restart recovery table, and the edge's shared-sink log order.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let range = cfg.anchor_range();
     let n_ops = cfg
@@ -204,7 +302,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
             format!("{:.2}", c.replayed as f64 / c.recovery_s.max(1e-9) / 1.0e6),
         ]);
     }
-    vec![t, r]
+
+    let mut e = Table::new(
+        "Durable edge: shared-sink log order vs execution order (two connections, 64 keys)",
+        &["workers", "ops", "commits", "records", "redundant", "diverged"],
+    );
+    for workers in [1, 2] {
+        e.row(edge_row(cfg, workers, n_ops as u64 / 2));
+    }
+    vec![t, r, e]
 }
 
 #[cfg(test)]
@@ -215,7 +321,7 @@ mod tests {
     fn durable_experiment_runs_tiny() {
         let cfg = ExpConfig::tiny(2);
         let tables = run(&cfg);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         let commit = &tables[0];
         assert_eq!(commit.rows.len(), 3, "one row per durability contract");
         assert_eq!(commit.rows[0][0], "none", "ratio floor (no sync) leads");
@@ -228,6 +334,12 @@ mod tests {
         assert_eq!(rec.headers[3..5], ["redundant", "diverged"]);
         for row in &rec.rows {
             assert!(row[2].parse::<u64>().unwrap() > 0, "served writes replay on reopen");
+        }
+        let edge = &tables[2];
+        assert_eq!(edge.headers[4..6], ["redundant", "diverged"]);
+        assert_eq!((edge.rows[0][0].as_str(), edge.rows[1][0].as_str()), ("1", "2"));
+        for row in &edge.rows {
+            assert!(row[3].parse::<u64>().unwrap() > 0, "effective writes reach the sink");
         }
     }
 

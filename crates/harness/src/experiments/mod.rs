@@ -10,7 +10,6 @@ pub mod figures;
 pub mod hotpath;
 pub mod mvcc;
 pub mod pkey;
-pub mod serve;
 pub mod table_warps;
 
 use std::path::PathBuf;
@@ -113,7 +112,7 @@ impl ExpConfig {
 /// Names of all experiments, in run order.
 pub const ALL: &[&str] = &[
     "table5_1", "table5_2", "fig5_1", "fig5_2", "fig5_3", "fig5_4", "pkey", "ablate", "cyclesim",
-    "diag", "serve", "hotpath", "cluster", "durable", "edge", "mvcc",
+    "diag", "hotpath", "cluster", "durable", "edge", "mvcc",
 ];
 
 /// Run one experiment by id, returning its rendered tables.
@@ -129,7 +128,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
         "ablate" => ablate::run(cfg),
         "cyclesim" => cyclesim::run(cfg),
         "diag" => diag::run(cfg),
-        "serve" => serve::run(cfg),
         "hotpath" => hotpath::run(cfg),
         "cluster" => cluster::run(cfg),
         "durable" => durable::run(cfg),
@@ -194,11 +192,10 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        assert_eq!(ALL.len(), 16);
+        assert_eq!(ALL.len(), 15);
         assert!(ALL.contains(&"table5_1"));
         assert!(ALL.contains(&"fig5_4"));
         assert!(ALL.contains(&"diag"));
-        assert!(ALL.contains(&"serve"));
         assert!(ALL.contains(&"hotpath"));
         assert!(ALL.contains(&"cluster"));
         assert!(ALL.contains(&"durable"));

@@ -1,14 +1,16 @@
 //! Multiversion snapshot/scan latency under write pressure. Not a paper
-//! artifact — this gates the `gfsl::mvcc` subsystem (DESIGN.md §19).
+//! artifact — this reports on the `gfsl::mvcc` subsystem (DESIGN.md §19)
+//! and gates its counts.
 //!
 //! Four cells over one prefilled keyspace:
 //!
 //! 1. **scan-idle** — pinned full-span `count_range_at` scans with no
 //!    writers: the latency baseline.
 //! 2. **scan-soak** — the same pinned scans while a write-heavy churn
-//!    soak runs on all other workers. The headline gate: pinned reads
-//!    never block on writer locks, so p99 must stay *flat* — asserted
-//!    ≤ 1.5× the idle baseline.
+//!    soak runs on all other workers. Pinned reads never block on writer
+//!    locks, so p99 should stay *flat*: the soak-over-idle ratio is
+//!    reported (`p99_soak_over_idle`), never asserted — whether a tail
+//!    moved is `perfbench`'s to judge, with alternated pairs.
 //!
 //!    The churn is a *paced open-loop stream* (bursts on a fixed offered
 //!    rate), like the edge loadgen's arrival process — not a tight spin
@@ -27,10 +29,10 @@
 //!    churn every shard: fences are stamp-and-release, so the cut walk
 //!    runs wait-free with respect to writers.
 //!
-//! Two more gates are asserted in-run: the per-chunk version-chain high
-//! water stays bounded (retention does not grow with soak length), and
-//! the soak writers make real progress while scans pin (no reader-side
-//! starvation of the write path).
+//! Two gates are asserted in-run, both counts: the per-chunk
+//! version-chain high water stays bounded (retention does not grow with
+//! soak length), and the soak writers make real progress while scans pin
+//! (no reader-side starvation of the write path).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -43,22 +45,6 @@ use serde::Serialize;
 use super::ExpConfig;
 use crate::report::Table;
 
-/// Soak-vs-idle p99 ratio the flat-latency gate allows.
-const FLAT_RATIO_NUM: u64 = 3;
-const FLAT_RATIO_DEN: u64 = 2;
-
-/// Baseline floor, ns: below this the idle p99 is scheduler noise, not
-/// scan cost, and a ratio gate on it would be meaningless.
-const BASELINE_FLOOR_NS: u64 = 25_000;
-
-/// Additive allowance, ns: on a one-core host a paced write burst can
-/// land wholly inside a scan, so the soak tail carries one burst of
-/// writer CPU on top of the scan itself. That is noise the ratio gate
-/// cannot price when the scan is only a few burst-costs long (the tiny
-/// test span); at the quick/full spans the ratio bound is the larger
-/// term and the gate keeps its plain ratio meaning.
-const SOAK_HIT_ALLOWANCE_NS: u64 = 100_000;
-
 /// Combined offered write rate for the soak cells, ops/s — write-heavy
 /// (100% mutations, every one capturing a pre-image while the scanner
 /// pins), but paced so the cell measures the structure rather than CPU
@@ -67,33 +53,6 @@ const SOAK_WRITES_PER_SEC: u64 = 80_000;
 
 /// Ops per burst between pacing sleeps.
 const SOAK_BURST: u64 = 32;
-
-/// Debug builds run each write op an order of magnitude slower, so the
-/// release pace and burst size would let a burst outrun its pace slot
-/// and cost more CPU than a whole scan — the "paced" stream degenerates
-/// into a spinning writer and the cell goes back to measuring scheduler
-/// quanta on a small host. Offer a slower stream in smaller bursts and
-/// widen the gate there: the precision claim belongs to the release
-/// runs (the CI `mvcc` job and the committed `BENCH_mvcc.json`); the
-/// debug gate still catches the gross regressions (a sweep on the read
-/// path, a chain lookup per chunk).
-const DEBUG_RATE_DIV: u64 = 16;
-const DEBUG_BURST: u64 = 4;
-const DEBUG_RATIO_MUL: u64 = 2;
-
-/// [`SOAK_WRITES_PER_SEC`] adjusted for the build profile.
-fn offered_rate() -> u64 {
-    if cfg!(debug_assertions) {
-        SOAK_WRITES_PER_SEC / DEBUG_RATE_DIV
-    } else {
-        SOAK_WRITES_PER_SEC
-    }
-}
-
-/// [`SOAK_BURST`] adjusted for the build profile.
-fn burst_size() -> u64 {
-    if cfg!(debug_assertions) { DEBUG_BURST } else { SOAK_BURST }
-}
 
 /// Deepest single-chunk version chain the bounded-retention gate allows.
 /// Chains grow one image per version epoch a chunk is first mutated in
@@ -231,10 +190,10 @@ fn churn(
     mut apply: impl FnMut(u32, bool) -> bool,
 ) {
     let pace = std::time::Duration::from_micros(
-        burst_size() * writers as u64 * 1_000_000 / offered_rate(),
+        SOAK_BURST * writers as u64 * 1_000_000 / SOAK_WRITES_PER_SEC,
     );
     while !stop.load(Ordering::Relaxed) {
-        for _ in 0..burst_size() {
+        for _ in 0..SOAK_BURST {
             let k = 1 + rng.below(span as u64) as u32;
             if apply(k, rng.below(2) == 0) {
                 writes.fetch_add(1, Ordering::Relaxed);
@@ -244,16 +203,15 @@ fn churn(
     }
 }
 
-/// Run the mvcc experiment: pinned-scan latency idle vs under write soak
-/// (the flat-tail gate), the unpinned contrast row, and the cluster
-/// version-pinned cut — plus the bounded chain high-water gate.
+/// Run the mvcc experiment: pinned-scan latency idle vs under write soak,
+/// the unpinned contrast row, and the cluster version-pinned cut — plus
+/// the bounded chain high-water gate.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let span = cfg
         .anchor_override
         .unwrap_or(if cfg.quick { 200_000 } else { 1_000_000 });
-    // Floor of 200: the flat-tail gate reads p99, and on a 50-sample cell
-    // that is the maximum — one vacuum-blocked pin or scheduler quantum
-    // would gate the whole run on a single outlier.
+    // Floor of 200: the cells report p99, and on a 50-sample cell that is
+    // the maximum — one vacuum-blocked pin or scheduler quantum.
     let scans = (cfg.mixed_ops() / 200).clamp(200, 2_000);
     let writers = cfg.workers.saturating_sub(1).max(1);
 
@@ -299,7 +257,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
                     // pipeline's periodic reclaim pass does); otherwise
                     // retention crosses the high water and readers pay the
                     // sweep inside pin_version — the opposite of the
-                    // flat-tail property this cell gates.
+                    // flat-tail property this cell is about.
                     if done.is_multiple_of(1024) {
                         h.reclaim_pass();
                     }
@@ -373,21 +331,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         },
     );
 
-    // Gate 1: pinned-scan p99 stays flat under the soak.
-    let baseline_ns = idle.p99().max(BASELINE_FLOOR_NS);
-    let headroom = if cfg!(debug_assertions) { DEBUG_RATIO_MUL } else { 1 };
-    let bound_ns = (baseline_ns * FLAT_RATIO_NUM * headroom / FLAT_RATIO_DEN)
-        .max(baseline_ns + SOAK_HIT_ALLOWANCE_NS);
-    let flat = soak.p99() <= bound_ns;
-    assert!(
-        flat,
-        "pinned scan tail moved under write soak: p99 {}us vs idle baseline {}us (bound {}us)",
-        soak.p99() / 1_000,
-        baseline_ns / 1_000,
-        bound_ns / 1_000,
-    );
-
-    // Gate 2: version-chain retention is bounded — the deepest chain must
+    // Gate 1: version-chain retention is bounded — the deepest chain must
     // not scale with how many soak writes ran.
     assert!(
         stats.chain_hwm <= CHAIN_HWM_BOUND,
@@ -396,7 +340,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         soak.writes,
     );
 
-    // Gate 3: scans pinning versions must not starve the write path, and
+    // Gate 2: scans pinning versions must not starve the write path, and
     // writers must actually have advanced the version clock.
     assert!(
         soak.writes > soak.lat_ns.len() as u64 && soak.clock_advance > 0,
@@ -428,9 +372,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     t.attach("cells", &cells.iter().map(|c| c.json()).collect::<Vec<_>>());
     t.attach(
         "p99_soak_over_idle",
-        &(cells[1].p99() as f64 / baseline_ns as f64),
+        &(cells[1].p99() as f64 / cells[0].p99().max(1) as f64),
     );
-    t.attach("flat_tail_gate", &flat);
     t.attach("chain_hwm", &stats.chain_hwm);
     t.attach("chain_hwm_bound", &CHAIN_HWM_BOUND);
     t.attach("chain_bounded_gate", &(stats.chain_hwm <= CHAIN_HWM_BOUND));
@@ -448,7 +391,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mvcc_experiment_runs_tiny_and_gates_hold() {
+    fn mvcc_experiment_runs_tiny() {
         let cfg = ExpConfig {
             workers: 2,
             ..ExpConfig::tiny(2)
@@ -457,16 +400,10 @@ mod tests {
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         assert_eq!(t.rows.len(), 4, "idle, soak, legacy, cluster cut");
-        // The gates already asserted inside run(); double-check the
-        // recorded flags made it into the attachments.
-        for flag in ["flat_tail_gate", "chain_bounded_gate"] {
-            let v = t
-                .attachments
-                .iter()
-                .find(|(k, _)| k == flag)
-                .unwrap_or_else(|| panic!("{flag} attached"));
-            assert_eq!(v.1.to_json(), "true", "{flag}");
-        }
-        assert!(t.attachments.iter().any(|(k, _)| k == "cells"));
+        let attached = |key: &str| t.attachments.iter().find(|(k, _)| k == key);
+        // Asserted inside run() already; the flag must reach the rollup.
+        let bounded = attached("chain_bounded_gate").expect("chain gate attached");
+        assert_eq!(bounded.1.to_json(), "true");
+        assert!(attached("cells").is_some() && attached("p99_soak_over_idle").is_some());
     }
 }

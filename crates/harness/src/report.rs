@@ -276,7 +276,7 @@ mod tests {
         let mut t = Table::new("Serve \"anchor\"", &["policy", "mops", "ratio"]);
         t.row(vec!["fifo".into(), "12.5".into(), "0.97x".into()]);
         t.row(vec!["sharded".into(), "13".into(), "1.01x".into()]);
-        let dir = std::env::temp_dir().join("gfsl_bench_json_test");
+        let dir = std::env::temp_dir().join("gfsl_report_json_test");
         let path = write_bench_json(&dir, "serve", &[t]).unwrap();
         assert_eq!(path.file_name().unwrap().to_str().unwrap(), "BENCH_serve.json");
         let body = std::fs::read_to_string(&path).unwrap();
@@ -298,7 +298,7 @@ mod tests {
         t.row(vec!["4".into(), "12.5".into()]);
         t.attach("shard_stats", &vec![(1u32, 2u32), (3, 4)]);
         t.attach("note", &"hot".to_string());
-        let dir = std::env::temp_dir().join("gfsl_bench_meta_test");
+        let dir = std::env::temp_dir().join("gfsl_report_meta_test");
         let path = write_bench_json(&dir, "cluster", &[t]).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(

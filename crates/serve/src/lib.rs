@@ -10,15 +10,15 @@
 //! 1. **admits** them into a bounded intake queue, shedding with a typed
 //!    error under overload ([`admission`]);
 //! 2. **batches** them per epoch — deadline- and size-triggered, like an
-//!    inference server's continuous batching — under a pluggable policy
-//!    ([`scheduler`]: FIFO, key-range-sharded, read/write-separated);
+//!    inference server's continuous batching — under one of two policies
+//!    ([`scheduler`]: FIFO, key-sorted);
 //! 3. **dispatches** each warp-aligned batch onto a GFSL team via the
-//!    structure's batched entry point ([`service`]);
-//! 4. **routes** typed responses back through per-client completion queues
-//!    ([`request`]), feeding closed-loop clients their next issue;
-//! 5. **measures** everything — occupancy, queue depth, formation wait,
-//!    p50/p99/p999 latency, sheds ([`metrics`]) — and folds the entire
-//!    schedule into a replayable FNV-1a trace hash ([`trace`]);
+//!    structure's key-sorted batch entry point ([`service`]);
+//! 4. **routes** typed responses ([`request`]) back to the source in
+//!    dispatch order, feeding closed-loop clients their next issue;
+//! 5. **measures** occupancy, queue depth, p50/p99/p999 latency and sheds
+//!    ([`metrics`]) — and folds the entire schedule into a replayable
+//!    FNV-1a trace hash ([`trace`]);
 //! 6. **heals** itself: with the structure in containment mode
 //!    (`GfslParams::contain`), crashed operations surface as typed aborts,
 //!    a per-epoch repair pass drains the quarantine, and a supervisor
@@ -26,7 +26,7 @@
 //!    ladder until the structure is healthy again ([`supervisor`]).
 //!
 //! See [`service::serve`] for the event loop and [`service::ExecMode`] for
-//! the measured / modeled / chaos clock modes.
+//! the measured / modeled clock modes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,12 +44,9 @@ pub mod trace;
 pub use admission::{IntakeQueue, ShedError};
 pub use durability::{batch_effects, CommitSink, DurabilityContract, MemorySink, WriteEffect};
 pub use metrics::{LatencyHisto, ServiceMetrics};
-pub use request::{ClientId, ClientQueues, Reply, Request, Response};
-pub use scheduler::{Batch, BatchPolicy, Fifo, KeyRangeSharded, KeySorted, PolicyCtx, ReadWriteSeparated};
-pub use service::{
-    env_seed, raw_batch_mops, serve, serve_durable, serve_durable_supervised, serve_supervised,
-    ExecMode, ServeConfig, ServiceReport,
-};
+pub use request::{ClientId, Reply, Request, Response};
+pub use scheduler::{Batch, BatchPolicy, Fifo, KeySorted, PolicyCtx};
+pub use service::{env_seed, serve, serve_durable, ExecMode, ServeConfig, ServiceReport};
 pub use source::{ClosedSource, OpenSource, ReplaySource, RequestSource};
 pub use supervisor::{ServiceMode, Supervisor};
 pub use trace::TraceHash;

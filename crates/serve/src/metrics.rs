@@ -155,19 +155,10 @@ pub struct ServiceMetrics {
     pub time_to_heal_ns: u64,
     /// Largest intake depth sampled at an epoch close.
     pub queue_depth_max: usize,
-    /// Batch-formation wait per request (virtual ns).
-    pub wait: LatencyHisto,
     /// End-to-end latency per request (virtual ns).
     pub latency: LatencyHisto,
-    /// Wall-clock seconds spent executing batches (dispatch → collect).
-    pub exec_wall_s: f64,
     /// Wall-clock seconds for the whole run (formation + routing included).
     pub run_wall_s: f64,
-    /// Virtual clock at the end of the run, ns. Under `ExecMode::Modeled`
-    /// this is the deterministic service duration (what throughput scaling
-    /// studies divide by on hosts whose wall clock can't parallelize);
-    /// under `Measured` it tracks measured execution advances.
-    pub clock_end_ns: u64,
     /// Group commits issued to the durability sink (at most one per epoch;
     /// zero when serving without a sink or when an epoch wrote nothing).
     pub durable_commits: u64,
@@ -198,10 +189,6 @@ pub struct ServiceMetrics {
     pub mvcc_image_resolves: u64,
     #[serde(skip)]
     occupancy_sum: f64,
-    #[serde(skip)]
-    queue_depth_sum: u64,
-    #[serde(skip)]
-    queue_samples: u64,
 }
 
 impl ServiceMetrics {
@@ -217,8 +204,6 @@ impl ServiceMetrics {
     /// Sample the intake depth at an epoch close.
     pub fn sample_queue_depth(&mut self, depth: usize) {
         self.queue_depth_max = self.queue_depth_max.max(depth);
-        self.queue_depth_sum += depth as u64;
-        self.queue_samples += 1;
     }
 
     /// Mean lane occupancy across dispatched batches, in `0..=1`.
@@ -227,15 +212,6 @@ impl ServiceMetrics {
             0.0
         } else {
             self.occupancy_sum / self.batches as f64
-        }
-    }
-
-    /// Mean intake depth at epoch close.
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.queue_samples == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.queue_samples as f64
         }
     }
 
@@ -265,25 +241,6 @@ impl ServiceMetrics {
             0.0
         } else {
             self.ops as f64 / self.run_wall_s / 1.0e6
-        }
-    }
-
-    /// Completed throughput over the virtual service clock, Mops/s.
-    /// Deterministic under `ExecMode::Modeled`.
-    pub fn virtual_mops(&self) -> f64 {
-        if self.clock_end_ns == 0 {
-            0.0
-        } else {
-            self.ops as f64 * 1.0e3 / self.clock_end_ns as f64
-        }
-    }
-
-    /// Completed throughput over execution wall-clock only, Mops/s.
-    pub fn exec_mops(&self) -> f64 {
-        if self.exec_wall_s <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.exec_wall_s / 1.0e6
         }
     }
 }
@@ -318,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_and_depth_averages() {
+    fn occupancy_average_and_depth_high_water() {
         let mut m = ServiceMetrics::default();
         m.record_batch(32, 32, true);
         m.record_batch(16, 32, false);
@@ -328,7 +285,6 @@ mod tests {
         m.sample_queue_depth(10);
         m.sample_queue_depth(30);
         assert_eq!(m.queue_depth_max, 30);
-        assert!((m.mean_queue_depth() - 20.0).abs() < 1e-9);
     }
 
     #[test]
@@ -340,7 +296,6 @@ mod tests {
             ..Default::default()
         };
         m.record_batch(16, 32, true);
-        m.wait.record(100);
         m.latency.record(1_000);
         let json = serde::to_json_string(&m);
         assert!(json.starts_with("{\"ops\":3,\"gets\":2,"), "{json}");

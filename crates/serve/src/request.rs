@@ -1,4 +1,4 @@
-//! Request/response types and per-client completion routing.
+//! Request/response types.
 
 use gfsl::batch::{BatchOp, BatchReply};
 use gfsl::Error as GfslError;
@@ -90,40 +90,6 @@ impl Response {
     }
 }
 
-/// Per-client FIFO completion queues: batch execution completes out of
-/// arrival order (batches run concurrently), so responses are routed here
-/// and each client consumes *its* stream in issue order.
-#[derive(Debug, Default)]
-pub struct ClientQueues {
-    queues: Vec<std::collections::VecDeque<Response>>,
-}
-
-impl ClientQueues {
-    /// Empty routing table.
-    pub fn new() -> ClientQueues {
-        ClientQueues::default()
-    }
-
-    /// Route one response to its client's queue.
-    pub fn push(&mut self, resp: Response) {
-        let c = resp.client as usize;
-        if c >= self.queues.len() {
-            self.queues.resize_with(c + 1, Default::default);
-        }
-        self.queues[c].push_back(resp);
-    }
-
-    /// Pop the oldest undelivered response for `client`.
-    pub fn pop(&mut self, client: ClientId) -> Option<Response> {
-        self.queues.get_mut(client as usize)?.pop_front()
-    }
-
-    /// Total undelivered responses across all clients.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,21 +103,6 @@ mod tests {
             done_ns: 10,
             reply: Reply::Got(None),
         }
-    }
-
-    #[test]
-    fn queues_preserve_per_client_fifo_order() {
-        let mut q = ClientQueues::new();
-        q.push(resp(1, 10));
-        q.push(resp(0, 5));
-        q.push(resp(1, 11));
-        assert_eq!(q.pending(), 3);
-        assert_eq!(q.pop(1).unwrap().id, 10);
-        assert_eq!(q.pop(1).unwrap().id, 11);
-        assert_eq!(q.pop(1), None);
-        assert_eq!(q.pop(0).unwrap().id, 5);
-        assert_eq!(q.pop(7), None, "unknown client is empty, not a panic");
-        assert_eq!(q.pending(), 0);
     }
 
     #[test]

@@ -1,19 +1,14 @@
-//! Pluggable batch schedulers: how an epoch's admitted requests become
-//! warp-aligned dispatch batches.
+//! Batch schedulers: how an epoch's admitted requests become warp-aligned
+//! dispatch batches.
 //!
 //! A policy receives everything admitted in one epoch and returns the
-//! batches to dispatch, each with a planned worker. Three policies ship:
+//! batches to dispatch, each with a planned worker. Two policies ship:
 //!
 //! * [`Fifo`] — arrival order, chopped into lane-aligned batches, workers
-//!   round-robin. The baseline.
-//! * [`KeyRangeSharded`] — requests partitioned by key into per-worker
-//!   shards first. Batches touch disjoint key regions, so concurrently
-//!   executing teams contend on different chunks (and their coalesced reads
-//!   stay in a narrow key neighborhood).
-//! * [`ReadWriteSeparated`] — reads (`Get`/`Range`) and writes split into
-//!   distinct batches. Read-only batches never take a chunk lock end to
-//!   end — the paper's lock-free Contains fast path — so they are never
-//!   queued behind a lock held by a batchmate's insert.
+//!   round-robin. The reference: what the durable tier and the tests run.
+//! * [`KeySorted`] — the epoch sorted by key before chopping, so each
+//!   batch covers a narrow ascending key band for the structure's
+//!   key-sorted entry point. What the benchmark ladder passes.
 
 use crate::request::Request;
 
@@ -112,50 +107,6 @@ impl BatchPolicy for Fifo {
     }
 }
 
-/// Key-range sharding: requests are partitioned into `workers` contiguous
-/// key shards (shard `i` owns keys `[i·range/workers, …)`), then each shard
-/// is chopped and pinned to its worker.
-#[derive(Debug)]
-pub struct KeyRangeSharded {
-    key_range: u32,
-}
-
-impl KeyRangeSharded {
-    /// Sharding over keys `1..=key_range`.
-    pub fn new(key_range: u32) -> KeyRangeSharded {
-        assert!(key_range > 0);
-        KeyRangeSharded { key_range }
-    }
-}
-
-impl BatchPolicy for KeyRangeSharded {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn form(&mut self, epoch: Vec<Request>, ctx: &PolicyCtx) -> Vec<Batch> {
-        let workers = ctx.workers.max(1);
-        let mut shards: Vec<Vec<Request>> = (0..workers).map(|_| Vec::new()).collect();
-        for r in epoch {
-            let k = r.op.key().min(self.key_range).saturating_sub(1) as u64;
-            let shard = (k * workers as u64 / self.key_range as u64) as usize;
-            shards[shard.min(workers - 1)].push(r);
-        }
-        let mut out = Vec::new();
-        for (worker, shard) in shards.into_iter().enumerate() {
-            let mut pin = worker;
-            // chop advances its worker counter per batch; re-pin every
-            // batch of this shard to the shard's worker.
-            let before = out.len();
-            chop(shard, ctx, &mut pin, &mut out);
-            for b in &mut out[before..] {
-                b.worker = worker;
-            }
-        }
-        out
-    }
-}
-
 /// Key-sorted batching: the epoch is sorted by `(key, arrival)` before
 /// chopping, so each dispatched batch covers a narrow, ascending key band.
 /// Paired with the structure's key-sorted entry point
@@ -178,28 +129,6 @@ impl BatchPolicy for KeySorted {
         epoch.sort_by_key(|r| (r.op.key(), r.arrival_ns, r.id));
         let mut out = Vec::new();
         chop(epoch, ctx, &mut self.next_worker, &mut out);
-        out
-    }
-}
-
-/// Read/write separation: lock-free reads and lock-taking writes form
-/// disjoint batches; reads are dispatched first.
-#[derive(Debug, Default)]
-pub struct ReadWriteSeparated {
-    next_worker: usize,
-}
-
-impl BatchPolicy for ReadWriteSeparated {
-    fn name(&self) -> &'static str {
-        "read-write"
-    }
-
-    fn form(&mut self, epoch: Vec<Request>, ctx: &PolicyCtx) -> Vec<Batch> {
-        let (reads, writes): (Vec<Request>, Vec<Request>) =
-            epoch.into_iter().partition(|r| r.op.is_read_only());
-        let mut out = Vec::new();
-        chop(reads, ctx, &mut self.next_worker, &mut out);
-        chop(writes, ctx, &mut self.next_worker, &mut out);
         out
     }
 }
@@ -255,54 +184,6 @@ mod tests {
         );
         // alignment pads the tail batch to a lane multiple
         assert_eq!(batches[2].aligned_len(16), 16);
-    }
-
-    #[test]
-    fn sharded_partitions_by_key_and_pins_workers() {
-        let ops: Vec<ServeOp> = (0..100u32).map(|k| ServeOp::Insert(k + 1, 0)).collect();
-        let epoch = reqs(&ops);
-        let mut p = KeyRangeSharded::new(100);
-        let c = ctx();
-        let batches = p.form(epoch, &c);
-        assert_eq!(total_ids(&batches), (0..100).collect::<Vec<u64>>());
-        for b in &batches {
-            let w = b.worker;
-            assert!(w < 4);
-            for r in &b.reqs {
-                let k = (r.op.key() - 1) as u64;
-                assert_eq!((k * 4 / 100) as usize, w, "key {} on worker {w}", r.op.key());
-            }
-            assert!(!b.read_only);
-        }
-    }
-
-    #[test]
-    fn read_write_separation_never_mixes() {
-        let ops: Vec<ServeOp> = (0..60u32)
-            .map(|k| {
-                if k % 3 == 0 {
-                    ServeOp::Insert(k + 1, 0)
-                } else if k % 3 == 1 {
-                    ServeOp::Get(k + 1)
-                } else {
-                    ServeOp::Range(k + 1, k + 10)
-                }
-            })
-            .collect();
-        let epoch = reqs(&ops);
-        let mut p = ReadWriteSeparated::default();
-        let batches = p.form(epoch, &ctx());
-        assert_eq!(total_ids(&batches), (0..60).collect::<Vec<u64>>());
-        for b in &batches {
-            let all_reads = b.reqs.iter().all(|r| r.op.is_read_only());
-            let all_writes = b.reqs.iter().all(|r| !r.op.is_read_only());
-            assert!(all_reads || all_writes, "mixed batch");
-            assert_eq!(b.read_only, all_reads);
-        }
-        // reads come first in dispatch order
-        let first_write = batches.iter().position(|b| !b.read_only).unwrap();
-        assert!(batches[..first_write].iter().all(|b| b.read_only));
-        assert!(batches[first_write..].iter().all(|b| !b.read_only));
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! when either the deadline expires or enough requests are queued (the
 //! continuous-batching size trigger), hands the epoch to a
 //! [`BatchPolicy`], and dispatches the resulting warp-aligned batches onto
-//! a pool of worker threads — one GFSL team each. Responses route through
-//! per-client FIFO queues back to the source, which lets closed-loop
-//! clients schedule their next issue.
+//! a pool of worker threads — one GFSL team each. Responses route back to
+//! the source in dispatch order, which lets closed-loop clients schedule
+//! their next issue.
 //!
 //! ## Clocks and determinism
 //!
@@ -23,23 +23,12 @@
 //!   close, batch, and dispatch grant is then a pure function of the seed
 //!   and config: the run's [trace hash](crate::trace::TraceHash) replays
 //!   bit-for-bit.
-//! * [`ExecMode::Chaos`] — modeled time, plus every batch executes under a
-//!   seeded [`ChaosController`] that serializes *individual memory
-//!   accesses* in a deterministic adversarial order. The per-wave chaos
-//!   trace folds into the service trace, extending the replay guarantee
-//!   down to the memory-access schedule.
-//!
-//! Chaos dispatch runs in waves of at most `workers` batches: every batch
-//! in a wave is a chaos participant, and the controller only grants turns
-//! when all live participants are parked — so no participant may ever be
-//! waiting for a worker thread. Waves keep participants ≤ workers.
 //!
 //! ## Pipelining
 //!
-//! In the measured and modeled modes the driver keeps one epoch in flight:
-//! epoch N+1's batches are pushed *before* epoch N's completions are
-//! collected, so response routing, completion feedback, and admission all
-//! overlap worker execution. Chaos mode never pipelines (see above).
+//! The driver keeps one epoch in flight: epoch N+1's batches are pushed
+//! *before* epoch N's completions are collected, so response routing,
+//! completion feedback, and admission all overlap worker execution.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -47,15 +36,14 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use gfsl::batch::{BatchOp, BatchReply};
-use gfsl::chaos::{ChaosController, ChaosOptions, ChaosProbe};
-use gfsl::{Gfsl, GfslHandle, MemProbe};
+use gfsl::{Gfsl, GfslHandle, NoProbe};
 use gfsl_workload::ServeOp;
 
 use crate::admission::IntakeQueue;
 use crate::durability::{batch_effects, CommitSink, WriteEffect};
 use crate::metrics::ServiceMetrics;
-use crate::request::{to_batch_op, ClientQueues, Reply, Request, Response};
-use crate::scheduler::{Batch, BatchPolicy, PolicyCtx};
+use crate::request::{to_batch_op, Reply, Request, Response};
+use crate::scheduler::{BatchPolicy, PolicyCtx};
 use crate::source::RequestSource;
 use crate::supervisor::{ServiceMode, Supervisor};
 use crate::trace::TraceHash;
@@ -75,14 +63,6 @@ pub enum ExecMode {
         /// Modeled service cost per request, nanoseconds.
         ns_per_op: u64,
     },
-    /// Modeled time + per-wave chaos scheduling of every memory access.
-    Chaos {
-        /// Modeled service cost per request, nanoseconds.
-        ns_per_op: u64,
-        /// Extra stall turns the chaos scheduler may inject at crash
-        /// points (see [`ChaosOptions::max_stall_turns`]).
-        max_stall_turns: u8,
-    },
 }
 
 /// Service configuration.
@@ -100,8 +80,6 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// Intake queue bound; arrivals beyond it are shed.
     pub intake_cap: usize,
-    /// Seed for chaos waves (formation itself is seeded by the source).
-    pub seed: u64,
     /// Execution-time mode.
     pub exec: ExecMode,
 }
@@ -116,7 +94,6 @@ impl ServeConfig {
             batch_ops: 1024,
             max_batch: 256,
             intake_cap: 8192,
-            seed: 0xC0F_FEE5,
             exec: ExecMode::Measured,
         }
     }
@@ -155,7 +132,6 @@ struct WorkItem {
     seq: u64,
     epoch: u64,
     reqs: Vec<Request>,
-    probe: Option<ChaosProbe>,
 }
 
 struct DoneItem {
@@ -222,7 +198,7 @@ impl Injector {
     }
 }
 
-fn exec_batch<P: MemProbe>(h: &mut GfslHandle<'_, P>, reqs: Vec<Request>) -> Vec<(Request, Reply)> {
+fn exec_batch(h: &mut GfslHandle<'_, NoProbe>, reqs: Vec<Request>) -> Vec<(Request, Reply)> {
     let ops: Vec<BatchOp> = reqs.iter().map(|r| to_batch_op(r.op)).collect();
     let mut replies: Vec<BatchReply> = Vec::with_capacity(ops.len());
     // Key order, same-key ops in arrival order; replies stay index-aligned.
@@ -240,36 +216,47 @@ fn worker_loop(
     op_stats: &std::sync::Mutex<gfsl::OpStats>,
 ) {
     let mut h = list.handle();
-    let mut chaos_stats = gfsl::OpStats::new();
     while let Some(item) = injector.pop() {
-        let replies = match item.probe {
-            None => exec_batch(&mut h, item.reqs),
-            Some(p) => {
-                // A fresh chaos handle per batch; dropping it retires the
-                // wave participant *before* the done message is sent, so
-                // the wave's trace hash is final once all batches report.
-                let mut ch = list.handle_with(p);
-                let replies = exec_batch(&mut ch, item.reqs);
-                chaos_stats.merge(&ch.stats());
-                replies
-            }
-        };
         let reply = DoneItem {
             seq: item.seq,
             epoch: item.epoch,
-            replies,
+            replies: exec_batch(&mut h, item.reqs),
         };
         if done.send(reply).is_err() {
             break;
         }
     }
-    chaos_stats.merge(&h.stats());
-    op_stats.lock().unwrap().merge(&chaos_stats);
+    op_stats.lock().unwrap().merge(&h.stats());
 }
 
-/// Admit every arrival at or before `limit_ns`, shedding on overflow and —
-/// when the supervisor has degraded the service — by the current mode's
-/// admission rule.
+/// Take the source's next arrival, due at `t`, and queue it — or shed it:
+/// by the current mode's admission rule when the supervisor has degraded
+/// the service, else on overflow. Returns whether it was queued.
+fn admit_next(
+    src: &mut dyn RequestSource,
+    intake: &mut IntakeQueue,
+    trace: &mut TraceHash,
+    t: u64,
+    mode: ServiceMode,
+    metrics: &mut ServiceMetrics,
+) -> bool {
+    let req = src.take();
+    let (req, shed) = if !mode.admits(req.op, intake.len(), intake.capacity()) {
+        intake.note_shed();
+        metrics.degraded_sheds += 1;
+        (req, intake.shed_error())
+    } else {
+        match intake.offer(req) {
+            Ok(()) => return true,
+            Err(refused) => refused,
+        }
+    };
+    trace.shed(req.client as u64, shed.depth as u64);
+    src.on_shed(req, t);
+    false
+}
+
+/// Admit every arrival at or before `limit_ns` ([`admit_next`]).
 fn admit_upto(
     src: &mut dyn RequestSource,
     intake: &mut IntakeQueue,
@@ -282,19 +269,7 @@ fn admit_upto(
         if t > limit_ns {
             break;
         }
-        let req = src.take();
-        if !mode.admits(req.op, intake.len(), intake.capacity()) {
-            let shed = intake.shed_error();
-            intake.note_shed();
-            metrics.degraded_sheds += 1;
-            trace.shed(req.client as u64, shed.depth as u64);
-            src.on_shed(req, t);
-            continue;
-        }
-        if let Err((req, shed)) = intake.offer(req) {
-            trace.shed(req.client as u64, shed.depth as u64);
-            src.on_shed(req, t);
-        }
+        admit_next(src, intake, trace, t, mode, metrics);
     }
 }
 
@@ -348,18 +323,18 @@ fn commit_epoch(
     metrics.durable_records += effects.len() as u64;
 }
 
-/// Deliver one collected epoch: count, timestamp, histogram, route through
-/// per-client FIFO queues, and feed completions back to the source (which
-/// is what lets closed-loop clients schedule their next issue).
+/// Deliver one collected epoch: count, timestamp, histogram, and feed
+/// completions back to the source (which is what lets closed-loop clients
+/// schedule their next issue).
 fn route_done(
     mut done: Vec<DoneItem>,
     dispatch_t: u64,
     clock: u64,
     metrics: &mut ServiceMetrics,
-    queues: &mut ClientQueues,
     src: &mut dyn RequestSource,
 ) {
-    // Batches complete out of order; restore dispatch order first.
+    // Batches complete out of order; restore dispatch order first, so each
+    // client sees its responses in the order its requests were dispatched.
     done.sort_by_key(|d| d.seq);
     for d in done {
         for (req, reply) in d.replies {
@@ -378,22 +353,15 @@ fn route_done(
                 ServeOp::PopMin => metrics.pops += 1,
             }
             metrics.ops += 1;
-            let (client, id) = (req.client, req.id);
             let resp = Response {
-                client,
-                id,
+                client: req.client,
+                id: req.id,
                 arrival_ns: req.arrival_ns,
                 wait_ns: dispatch_t.saturating_sub(req.arrival_ns),
                 done_ns: clock,
                 reply,
             };
             metrics.latency.record(resp.latency_ns());
-            // Through the client's completion queue: within one epoch a
-            // client's responses already arrive in dispatch order, so the
-            // queue drains immediately and FIFO delivery is preserved.
-            queues.push(resp);
-            let resp = queues.pop(client).expect("routed response missing");
-            debug_assert_eq!(resp.id, id, "per-client FIFO order broken");
             src.on_complete(&resp);
         }
     }
@@ -409,7 +377,6 @@ fn collect_epoch(
     early: &mut Vec<DoneItem>,
     clock: &mut u64,
     metrics: &mut ServiceMetrics,
-    queues: &mut ClientQueues,
     src: &mut dyn RequestSource,
     sink: &mut Option<&mut dyn CommitSink>,
 ) {
@@ -433,17 +400,13 @@ fn collect_epoch(
             early.push(d);
         }
     }
-    let exec_elapsed = p.exec_t0.elapsed();
-    metrics.exec_wall_s += exec_elapsed.as_secs_f64();
     let advance = match exec {
-        ExecMode::Measured => exec_elapsed.as_nanos() as u64,
-        ExecMode::Modeled { ns_per_op } | ExecMode::Chaos { ns_per_op, .. } => {
-            ns_per_op.saturating_mul(p.per_worker_max)
-        }
+        ExecMode::Measured => p.exec_t0.elapsed().as_nanos() as u64,
+        ExecMode::Modeled { ns_per_op } => ns_per_op.saturating_mul(p.per_worker_max),
     };
     *clock = clock.saturating_add(advance.max(1));
     commit_epoch(sink, &mut done, metrics);
-    route_done(done, p.dispatch_t, *clock, metrics, queues, src);
+    route_done(done, p.dispatch_t, *clock, metrics, src);
 }
 
 /// Run the service to completion: pull every request the source will ever
@@ -454,7 +417,7 @@ pub fn serve(
     policy: &mut dyn BatchPolicy,
     src: &mut dyn RequestSource,
 ) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, None, None)
+    serve_inner(list, cfg, policy, src, None)
 }
 
 /// [`serve`], with every acknowledgement gated on a durability sink: each
@@ -469,34 +432,7 @@ pub fn serve_durable(
     src: &mut dyn RequestSource,
     sink: &mut dyn CommitSink,
 ) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, Some(sink), None)
-}
-
-/// [`serve`], with a caller-owned [`Supervisor`] — the way to install a
-/// drain-completion hook ([`Supervisor::on_drain_quiesced`]) or custom
-/// escalation windows, and to inspect the ladder after the run.
-pub fn serve_supervised(
-    list: &Gfsl,
-    cfg: &ServeConfig,
-    policy: &mut dyn BatchPolicy,
-    src: &mut dyn RequestSource,
-    sup: &mut Supervisor,
-) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, None, Some(sup))
-}
-
-/// [`serve_durable`] and [`serve_supervised`] combined: durability-gated
-/// acks plus a caller-owned supervisor, the full shutdown shape (drain →
-/// quiesce → final checkpoint from the drain hook).
-pub fn serve_durable_supervised(
-    list: &Gfsl,
-    cfg: &ServeConfig,
-    policy: &mut dyn BatchPolicy,
-    src: &mut dyn RequestSource,
-    sink: &mut dyn CommitSink,
-    sup: &mut Supervisor,
-) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, Some(sink), Some(sup))
+    serve_inner(list, cfg, policy, src, Some(sink))
 }
 
 fn serve_inner(
@@ -505,7 +441,6 @@ fn serve_inner(
     policy: &mut dyn BatchPolicy,
     src: &mut dyn RequestSource,
     mut sink: Option<&mut dyn CommitSink>,
-    sup: Option<&mut Supervisor>,
 ) -> ServiceReport {
     cfg.validate();
     let run_t0 = Instant::now();
@@ -515,17 +450,16 @@ fn serve_inner(
         max_batch: cfg.max_batch,
         lane_align: lanes,
     };
-    // Drain-rate estimate behind shed retry-after hints: the modeled (or
-    // chaos) per-op cost when there is one, else the epoch deadline
-    // amortized over a full size-triggered epoch.
+    // Drain-rate estimate behind shed retry-after hints: the modeled per-op
+    // cost when there is one, else the epoch deadline amortized over a full
+    // size-triggered epoch.
     let drain_ns_per_req = match cfg.exec {
-        ExecMode::Modeled { ns_per_op } | ExecMode::Chaos { ns_per_op, .. } => ns_per_op,
+        ExecMode::Modeled { ns_per_op } => ns_per_op,
         ExecMode::Measured => cfg.epoch_ns / cfg.batch_ops.max(1) as u64,
     };
     let mut intake = IntakeQueue::with_drain_hint(cfg.intake_cap, drain_ns_per_req);
     let mut metrics = ServiceMetrics::default();
     let mut trace = TraceHash::new();
-    let mut queues = ClientQueues::new();
     let injector = Injector::new();
     let (done_tx, done_rx) = mpsc::channel::<DoneItem>();
     let op_stats = std::sync::Mutex::new(gfsl::OpStats::new());
@@ -553,11 +487,7 @@ fn serve_inner(
         // abort / quarantine signals.
         let contain = list.params().contain;
         let mut maint = list.handle();
-        let mut own_sup = Supervisor::default();
-        let sup: &mut Supervisor = match sup {
-            Some(s) => s,
-            None => &mut own_sup,
-        };
+        let mut sup = Supervisor::default();
         let mut mode = sup.mode();
         let mut last_aborts = 0u64;
         let mut last_repairs = 0u64;
@@ -596,20 +526,13 @@ fn serve_inner(
             // happened — they contend for intake space now, or are shed.
             admit_upto(src, &mut intake, &mut trace, clock, mode, &mut metrics);
 
-            // Drain quiescence: nothing queued and nothing in flight means
-            // the ladder's terminal rung has finished draining — latch it
-            // and fire the shutdown hook (final checkpoint, test barriers).
-            if mode == ServiceMode::Drain && intake.is_empty() && pending.is_none() {
-                sup.notify_drain_quiesced(clock);
-            }
-
             if intake.is_empty() {
                 if let Some(p) = pending.take() {
                     // Nothing to form yet; drain the pipeline so the
                     // completions can seed the next arrivals.
                     collect_epoch(
-                        p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics,
-                        &mut queues, src, &mut sink,
+                        p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src,
+                        &mut sink,
                     );
                     continue;
                 }
@@ -634,26 +557,11 @@ fn serve_inner(
                     if t > deadline {
                         break;
                     }
-                    let req = src.take();
-                    if !mode.admits(req.op, intake.len(), intake.capacity()) {
-                        let shed = intake.shed_error();
-                        intake.note_shed();
-                        metrics.degraded_sheds += 1;
-                        trace.shed(req.client as u64, shed.depth as u64);
-                        src.on_shed(req, t);
-                        continue;
-                    }
-                    match intake.offer(req) {
-                        Ok(()) => {
-                            if intake.len() >= cfg.batch_ops {
-                                close = t.max(clock);
-                                break;
-                            }
-                        }
-                        Err((req, shed)) => {
-                            trace.shed(req.client as u64, shed.depth as u64);
-                            src.on_shed(req, t);
-                        }
+                    if admit_next(src, &mut intake, &mut trace, t, mode, &mut metrics)
+                        && intake.len() >= cfg.batch_ops
+                    {
+                        close = t.max(clock);
+                        break;
                     }
                 }
             }
@@ -670,10 +578,6 @@ fn serve_inner(
             let epoch_reqs = intake.drain_upto(cfg.batch_ops);
             trace.epoch(epoch_seq, clock, epoch_reqs.len());
             epoch_seq += 1;
-            let dispatch_t = clock;
-            for r in &epoch_reqs {
-                metrics.wait.record(dispatch_t.saturating_sub(r.arrival_ns));
-            }
 
             let mut batches = policy.form(epoch_reqs, &ctx);
             let mut per_worker = vec![0u64; cfg.workers];
@@ -685,101 +589,42 @@ fn serve_inner(
                 per_worker[b.worker % cfg.workers] += b.reqs.len() as u64;
             }
 
-            // Dispatch. Measured/Modeled: push this epoch's batches *before*
-            // collecting the one in flight, so the workers execute epoch
-            // N+1 while the driver routes epoch N's responses and admits
-            // the arrivals they trigger. Chaos: strictly synchronous —
-            // every wave participant must be live on a worker, so no batch
-            // may queue behind an earlier epoch.
-            match cfg.exec {
-                ExecMode::Measured | ExecMode::Modeled { .. } => {
-                    let fresh = InFlight {
-                        n: batches.len(),
-                        epoch: epoch_seq - 1,
-                        dispatch_t,
-                        per_worker_max: per_worker.iter().copied().max().unwrap_or(0),
-                        exec_t0: Instant::now(),
-                    };
-                    for b in batches {
-                        trace.grant(b.seq);
-                        injector.push(WorkItem {
-                            seq: b.seq,
-                            epoch: fresh.epoch,
-                            reqs: b.reqs,
-                            probe: None,
-                        });
-                    }
-                    if let Some(p) = pending.take() {
-                        collect_epoch(
-                            p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics,
-                            &mut queues, src, &mut sink,
-                        );
-                    }
-                    pending = Some(fresh);
-                }
-                ExecMode::Chaos { max_stall_turns, .. } => {
-                    debug_assert!(pending.is_none(), "chaos epochs never pipeline");
-                    let exec_t0 = Instant::now();
-                    let mut done: Vec<DoneItem> = Vec::new();
-                    let mut wave_no = 0u64;
-                    let mut iter = batches.into_iter().peekable();
-                    while iter.peek().is_some() {
-                        let wave: Vec<Batch> = iter.by_ref().take(cfg.workers).collect();
-                        let opts = ChaosOptions {
-                            seed: cfg.seed
-                                ^ epoch_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                ^ wave_no.wrapping_mul(0xBF58_476D_1CE4_E5B9),
-                            max_stall_turns,
-                            ..ChaosOptions::default()
-                        };
-                        let ctl = ChaosController::new(wave.len(), opts);
-                        let n = wave.len();
-                        for (i, b) in wave.into_iter().enumerate() {
-                            trace.grant(b.seq);
-                            injector.push(WorkItem {
-                                seq: b.seq,
-                                epoch: epoch_seq - 1,
-                                reqs: b.reqs,
-                                probe: Some(ctl.probe(i)),
-                            });
-                        }
-                        for _ in 0..n {
-                            done.push(done_rx.recv().expect("worker thread died"));
-                        }
-                        trace.chaos(ctl.trace_hash());
-                        wave_no += 1;
-                    }
-                    metrics.exec_wall_s += exec_t0.elapsed().as_secs_f64();
-                    let advance = match cfg.exec {
-                        ExecMode::Chaos { ns_per_op, .. } => {
-                            ns_per_op.saturating_mul(per_worker.iter().copied().max().unwrap_or(0))
-                        }
-                        _ => unreachable!(),
-                    };
-                    clock = clock.saturating_add(advance.max(1));
-                    commit_epoch(&mut sink, &mut done, &mut metrics);
-                    route_done(done, dispatch_t, clock, &mut metrics, &mut queues, src);
-                }
+            // Dispatch: push this epoch's batches *before* collecting the
+            // one in flight, so the workers execute epoch N+1 while the
+            // driver routes epoch N's responses and admits the arrivals
+            // they trigger.
+            let fresh = InFlight {
+                n: batches.len(),
+                epoch: epoch_seq - 1,
+                dispatch_t: clock,
+                per_worker_max: per_worker.iter().copied().max().unwrap_or(0),
+                exec_t0: Instant::now(),
+            };
+            for b in batches {
+                trace.grant(b.seq);
+                injector.push(WorkItem {
+                    seq: b.seq,
+                    epoch: fresh.epoch,
+                    reqs: b.reqs,
+                });
             }
+            if let Some(p) = pending.take() {
+                collect_epoch(
+                    p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src, &mut sink,
+                );
+            }
+            pending = Some(fresh);
         }
 
         if let Some(p) = pending.take() {
             collect_epoch(
-                p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, &mut queues, src,
-                &mut sink,
+                p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src, &mut sink,
             );
-        }
-        if mode == ServiceMode::Drain {
-            // The loop can exhaust its source in the same pass that drained
-            // the pipeline; report the terminal quiescence it never looped
-            // back to observe.
-            sup.notify_drain_quiesced(clock);
         }
         debug_assert!(early.is_empty(), "stray completions after drain");
         injector.close();
         metrics.mode_transitions = sup.transitions;
         metrics.time_to_heal_ns = sup.time_to_heal_ns;
-        metrics.clock_end_ns = clock;
     });
 
     metrics.sheds = intake.sheds();
@@ -795,33 +640,10 @@ fn serve_inner(
     }
 }
 
-/// Execute `ops` slab-split across `workers` plain handles and return the
-/// wall-clock throughput in Mops/s — the harness's saturating batch-mode
-/// loop, used as the denominator for service-efficiency ratios. In order,
-/// op by op: a slab is not a batch any service could form, and handing one
-/// whole to the key-sorted call turns the denominator into a sequential
-/// sweep of the key space.
-pub fn raw_batch_mops(list: &Gfsl, ops: &[ServeOp], workers: usize) -> f64 {
-    assert!(workers > 0 && !ops.is_empty());
-    let slab = ops.len().div_ceil(workers);
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for chunk in ops.chunks(slab) {
-            s.spawn(move || {
-                let mut h = list.handle();
-                let batch: Vec<BatchOp> = chunk.iter().map(|&o| to_batch_op(o)).collect();
-                let mut out = Vec::with_capacity(batch.len());
-                h.execute_batch(&batch, &mut out);
-            });
-        }
-    });
-    ops.len() as f64 / t0.elapsed().as_secs_f64() / 1.0e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Fifo;
+    use crate::scheduler::{Batch, Fifo};
     use crate::source::{ClosedSource, ReplaySource};
     use gfsl::{GfslParams, TeamSize};
     use gfsl_workload::{ClosedLoop, OpenLoop, ServeMix};
@@ -842,7 +664,6 @@ mod tests {
             batch_ops: 64,
             max_batch: 32,
             intake_cap: 256,
-            seed: 7,
             exec: ExecMode::Modeled { ns_per_op: 100 },
         }
     }
@@ -1067,15 +888,6 @@ mod tests {
         let (b, eb) = run();
         assert_eq!(a.trace_hash, b.trace_hash, "sink must not perturb the schedule");
         assert_eq!(ea, eb, "same seed, same WAL effect stream");
-    }
-
-    #[test]
-    fn raw_batch_mops_executes_all_ops() {
-        let list = small_list();
-        let ops = ServeMix::C80.stream(5, 2_000, 4_000);
-        let mops = raw_batch_mops(&list, &ops, 2);
-        assert!(mops > 0.0);
-        list.assert_valid();
     }
 
     #[test]

@@ -91,6 +91,7 @@ impl std::fmt::Display for ServiceMode {
 /// The escalation state machine. Deterministic: the next mode is a pure
 /// function of the observation stream, so supervised runs still replay
 /// bit-for-bit (transitions are folded into the service trace).
+#[derive(Debug)]
 pub struct Supervisor {
     mode: ServiceMode,
     bad_streak: u32,
@@ -100,30 +101,11 @@ pub struct Supervisor {
     escalate_after: u32,
     /// Consecutive clean observations before each de-escalation rung.
     deescalate_after: u32,
-    /// Latched once the service quiesces in `Drain` (see
-    /// [`Supervisor::notify_drain_quiesced`]); cleared on leaving `Drain`.
-    drain_quiesced: bool,
-    /// Drain-completion hook, fired at the quiescent instant.
-    on_drain: Option<Box<dyn FnMut(u64) + Send>>,
     /// Mode changes so far (both directions).
     pub transitions: u64,
     /// Duration of the last completed degraded interval (first rung up to
     /// the return to `Normal`), virtual ns. Zero until a full heal happened.
     pub time_to_heal_ns: u64,
-}
-
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor")
-            .field("mode", &self.mode)
-            .field("bad_streak", &self.bad_streak)
-            .field("clean_streak", &self.clean_streak)
-            .field("drain_quiesced", &self.drain_quiesced)
-            .field("has_drain_hook", &self.on_drain.is_some())
-            .field("transitions", &self.transitions)
-            .field("time_to_heal_ns", &self.time_to_heal_ns)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for Supervisor {
@@ -145,37 +127,8 @@ impl Supervisor {
             degraded_since_ns: None,
             escalate_after: escalate_after.max(1),
             deescalate_after: deescalate_after.max(1),
-            drain_quiesced: false,
-            on_drain: None,
             transitions: 0,
             time_to_heal_ns: 0,
-        }
-    }
-
-    /// Install the drain-completion hook: called exactly once per `Drain`
-    /// visit, at the instant the service quiesces there (intake empty, no
-    /// epoch in flight). Shutdown uses this to trigger a final checkpoint;
-    /// tests use it to await quiescence deterministically.
-    pub fn on_drain_quiesced(&mut self, f: impl FnMut(u64) + Send + 'static) {
-        self.on_drain = Some(Box::new(f));
-    }
-
-    /// Has the service quiesced in `Drain`? Latched at the quiescent
-    /// instant and cleared when the ladder steps back down, so a caller
-    /// polling after a run sees whether a full drain completed.
-    pub fn drain_quiesced(&self) -> bool {
-        self.drain_quiesced
-    }
-
-    /// The driver reports that the service is quiescent — nothing queued,
-    /// nothing in flight. Only meaningful in `Drain`: latches the flag and
-    /// fires the completion hook on the first quiescent instant per visit.
-    pub fn notify_drain_quiesced(&mut self, now_ns: u64) {
-        if self.mode == ServiceMode::Drain && !self.drain_quiesced {
-            self.drain_quiesced = true;
-            if let Some(f) = self.on_drain.as_mut() {
-                f(now_ns);
-            }
         }
     }
 
@@ -225,10 +178,6 @@ impl Supervisor {
 
     fn switch(&mut self, to: ServiceMode, now_ns: u64) {
         debug_assert_ne!(to, self.mode);
-        if self.mode == ServiceMode::Drain {
-            // Leaving Drain re-arms the hook for the next visit.
-            self.drain_quiesced = false;
-        }
         if self.mode == ServiceMode::Normal {
             self.degraded_since_ns = Some(now_ns);
         }
@@ -299,49 +248,6 @@ mod tests {
         assert_eq!(sup.mode(), ServiceMode::ShedWrites);
         assert_eq!(sup.observe(3, 0, 1), ServiceMode::ShedWrites, "rung held, streak reset");
         assert_eq!(sup.observe(4, 0, 1), ServiceMode::ReadOnly);
-    }
-
-    #[test]
-    fn drain_hook_fires_once_per_visit_and_rearms() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        let fired = Arc::new(AtomicU64::new(0));
-        let at = Arc::new(AtomicU64::new(0));
-        let mut sup = Supervisor::new(1, 1);
-        {
-            let (fired, at) = (fired.clone(), at.clone());
-            sup.on_drain_quiesced(move |now| {
-                fired.fetch_add(1, Ordering::SeqCst);
-                at.store(now, Ordering::SeqCst);
-            });
-        }
-
-        // Not in Drain: notifications are ignored.
-        sup.notify_drain_quiesced(10);
-        assert!(!sup.drain_quiesced());
-        assert_eq!(fired.load(Ordering::SeqCst), 0);
-
-        for i in 0..3u64 {
-            sup.observe(i, 1, 0); // climb to Drain
-        }
-        assert_eq!(sup.mode(), ServiceMode::Drain);
-        sup.notify_drain_quiesced(500);
-        assert!(sup.drain_quiesced());
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(at.load(Ordering::SeqCst), 500);
-        sup.notify_drain_quiesced(600);
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "latched: once per visit");
-
-        // Step down a rung and climb back: the hook is re-armed.
-        sup.observe(700, 0, 0);
-        assert!(!sup.drain_quiesced(), "leaving Drain clears the latch");
-        for i in 0..3u64 {
-            sup.observe(800 + i, 1, 0);
-        }
-        assert_eq!(sup.mode(), ServiceMode::Drain);
-        sup.notify_drain_quiesced(900);
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! Uses the same constants and byte-wise fold as the chaos layer's trace
 //! (PR 1), so a full service run — batch formation, dispatch grants, sheds,
-//! and (in chaos mode) every granted memory-access turn — collapses to one
-//! `u64`. Two runs with the same seed and config produce the same hash or
-//! something is nondeterministic.
+//! mode transitions — collapses to one `u64`. Two runs with the same seed
+//! and config produce the same hash or something is nondeterministic.
 
 /// FNV-1a offset basis (the chaos trace's initial value). Re-exported from
 /// the shared [`gfsl_rng::fnv`] helper so every trace fold in the workspace
@@ -17,7 +16,6 @@ const EV_EPOCH: u64 = 0xE1;
 const EV_BATCH: u64 = 0xB2;
 const EV_GRANT: u64 = 0x64;
 const EV_SHED: u64 = 0x5D;
-const EV_CHAOS: u64 = 0xC4;
 const EV_MODE: u64 = 0xD3;
 
 /// Accumulating FNV-1a fold over schedule events.
@@ -80,12 +78,6 @@ impl TraceHash {
         self.fold(depth);
     }
 
-    /// Fold a chaos wave's own trace hash (memory-access-level schedule).
-    pub fn chaos(&mut self, wave_trace: u64) {
-        self.fold(EV_CHAOS);
-        self.fold(wave_trace);
-    }
-
     /// The supervisor changed the service mode (degradation ladder rung
     /// `severity`, see `supervisor::ServiceMode::severity`) at virtual time
     /// `at_ns`. Mode transitions steer admission, so they are part of the
@@ -110,7 +102,6 @@ mod tests {
             t.batch(0, 1, 32, false);
             t.grant(0);
             t.shed(4, 128);
-            t.chaos(0xDEAD_BEEF);
             t.mode(512, 1);
         }
         assert_eq!(a.value(), b.value());

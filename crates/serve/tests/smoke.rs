@@ -1,15 +1,14 @@
 //! End-to-end smoke tests for the serving front end — the CI gate.
 //!
 //! Covers the acceptance properties at a size that runs in seconds:
-//! a low-load closed loop completes with zero sheds; a chaos-seeded run
-//! replays with an identical trace hash; overload sheds with the typed
-//! path (and closed-loop retries eventually complete everything); and the
-//! service loop's throughput is a sane fraction of the raw batch loop.
+//! a low-load closed loop completes with zero sheds; overload sheds with
+//! the typed path (and closed-loop retries eventually complete
+//! everything); and both policies complete one workload to one final
+//! state. Modeled runs replaying to one trace hash is `service::tests`'.
 
 use gfsl::{Gfsl, GfslParams, TeamSize};
 use gfsl_serve::{
-    env_seed, raw_batch_mops, serve, ClosedSource, ExecMode, Fifo, KeyRangeSharded, OpenSource,
-    ReadWriteSeparated, ServeConfig,
+    env_seed, serve, ClosedSource, ExecMode, Fifo, KeySorted, OpenSource, ServeConfig,
 };
 use gfsl_workload::{ClosedLoop, OpenLoop, ServeMix};
 
@@ -42,10 +41,11 @@ fn low_load_closed_loop_sheds_nothing() {
         batch_ops: 128,
         max_batch: 64,
         intake_cap: 1024,
-        seed,
         exec: ExecMode::Modeled { ns_per_op: 200 },
     };
     let report = serve(&list, &cfg, &mut Fifo::default(), &mut src);
+    // Modeled clock: a function of the seed alone, in any process.
+    eprintln!("low-load trace hash {:#018x}", report.trace_hash);
     assert_eq!(report.metrics.ops, total, "every request completes");
     assert_eq!(report.metrics.sheds, 0, "low load must not shed");
     assert_eq!(report.metrics.failed, 0);
@@ -53,41 +53,6 @@ fn low_load_closed_loop_sheds_nothing() {
     assert!(report.metrics.ranges > 0, "RANGE10 mix exercises range scans");
     assert!(report.metrics.latency.p50_ns() <= report.metrics.latency.p99_ns());
     list.assert_valid();
-}
-
-#[test]
-fn chaos_seeded_run_replays_with_identical_trace_hash() {
-    let seed = test_seed() ^ 0xC405;
-    let run = || {
-        let list = list_for(500);
-        let pop = ClosedLoop::new(8, 25, 1_000, ServeMix::C80, 500, seed);
-        let mut src = ClosedSource::new(pop, 1_000);
-        let cfg = ServeConfig {
-            workers: 2,
-            epoch_ns: 50_000,
-            batch_ops: 64,
-            max_batch: 32,
-            intake_cap: 256,
-            seed,
-            exec: ExecMode::Chaos {
-                ns_per_op: 500,
-                max_stall_turns: 2,
-            },
-        };
-        let report = serve(&list, &cfg, &mut KeyRangeSharded::new(500), &mut src);
-        list.assert_valid();
-        report
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.metrics.ops, 8 * 25);
-    assert_eq!(b.metrics.ops, 8 * 25);
-    assert_eq!(
-        a.trace_hash, b.trace_hash,
-        "chaos-seeded service runs must replay bit-for-bit"
-    );
-    assert_eq!(a.metrics.epochs, b.metrics.epochs);
-    assert_eq!(a.metrics.batches, b.metrics.batches);
 }
 
 #[test]
@@ -103,7 +68,6 @@ fn overload_sheds_with_typed_error_and_open_clients_drop() {
         batch_ops: 128,
         max_batch: 64,
         intake_cap: 128,
-        seed,
         exec: ExecMode::Modeled { ns_per_op: 2_000 },
     };
     let report = serve(&list, &cfg, &mut Fifo::default(), &mut src);
@@ -135,10 +99,9 @@ fn closed_loop_retries_complete_despite_sheds() {
         batch_ops: 32,
         max_batch: 32,
         intake_cap: 32,
-        seed,
         exec: ExecMode::Modeled { ns_per_op: 1_000 },
     };
-    let report = serve(&list, &cfg, &mut ReadWriteSeparated::default(), &mut src);
+    let report = serve(&list, &cfg, &mut Fifo::default(), &mut src);
     assert_eq!(report.metrics.ops, total, "closed loop retries until done");
     assert_eq!(report.metrics.sheds, src.retries);
     list.assert_valid();
@@ -153,69 +116,20 @@ fn policies_complete_the_same_workload() {
         batch_ops: 128,
         max_batch: 64,
         intake_cap: 512,
-        seed,
         exec: ExecMode::Modeled { ns_per_op: 300 },
     };
     let mut fifo = Fifo::default();
-    let mut sharded = KeyRangeSharded::new(4_000);
-    let mut rw = ReadWriteSeparated::default();
-    let policies: [&mut dyn gfsl_serve::BatchPolicy; 3] = [&mut fifo, &mut sharded, &mut rw];
-    let mut ops_seen = Vec::new();
+    let mut sorted = KeySorted::default();
+    let policies: [&mut dyn gfsl_serve::BatchPolicy; 2] = [&mut fifo, &mut sorted];
+    let mut seen = Vec::new();
     for policy in policies {
         let list = list_for(4_000);
         let pop = ClosedLoop::new(24, 40, 2_000, ServeMix::RANGE10, 4_000, seed);
         let mut src = ClosedSource::new(pop, 2_000);
         let report = serve(&list, &cfg, policy, &mut src);
         assert_eq!(report.metrics.sheds, 0);
-        ops_seen.push(report.metrics.ops);
         list.assert_valid();
+        seen.push((report.metrics.ops, list.pairs()));
     }
-    assert_eq!(ops_seen[0], ops_seen[1]);
-    assert_eq!(ops_seen[1], ops_seen[2]);
-}
-
-#[test]
-fn measured_service_throughput_is_a_sane_fraction_of_raw() {
-    let seed = test_seed() ^ 0x7412;
-    let range = 50_000u32;
-    let n_ops = 200_000usize;
-    let workers = 2;
-    let list = list_for(range);
-    let raw = raw_batch_mops(&list, &ServeMix::C80.stream(seed ^ 1, range, n_ops), workers);
-
-    let list2 = list_for(range);
-    let clients = 512;
-    let pop = ClosedLoop::new(
-        clients,
-        n_ops as u64 / clients as u64,
-        0,
-        ServeMix::C80,
-        range,
-        seed,
-    );
-    let total = pop.total_ops();
-    let mut src = ClosedSource::new(pop, 1_000);
-    let cfg = ServeConfig {
-        workers,
-        epoch_ns: 200_000,
-        batch_ops: 512,
-        max_batch: 256,
-        intake_cap: 4096,
-        seed,
-        exec: ExecMode::Measured,
-    };
-    let report = serve(&list2, &cfg, &mut Fifo::default(), &mut src);
-    assert_eq!(report.metrics.ops, total);
-    let ratio = report.metrics.mops() / raw;
-    eprintln!(
-        "raw = {raw:.2} Mops/s, serve = {:.2} Mops/s, ratio = {ratio:.2}",
-        report.metrics.mops()
-    );
-    // The acceptance target (≥ 0.9 at the anchor scale) is asserted by the
-    // harness experiment; here we only guard against gross regression so CI
-    // noise on small runs cannot flake the suite.
-    assert!(
-        ratio > 0.5,
-        "service loop overhead out of hand: ratio = {ratio:.2} (raw {raw:.2} Mops/s)"
-    );
+    assert_eq!(seen[0], seen[1]);
 }
