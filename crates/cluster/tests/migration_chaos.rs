@@ -1,5 +1,5 @@
 //! Migration-under-chaos soak: seeded splits, merges, and snapshots race
-//! probed client operations while the chaos layer kills one operation at
+//! probed client operations while the fault plan kills one operation at
 //! every crash point in the lock protocol.
 //!
 //! A cell passes only if
@@ -18,60 +18,47 @@
 //! on an OS lock while live, or grants stall against the migration driver.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
+use std::sync::mpsc;
 
-use gfsl::chaos::{ChaosController, ChaosOptions, LOCK_CRASH_POINTS};
+use gfsl::chaos::LOCK_CRASH_POINTS;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
+use gfsl::mc::strategy::RandomWalk;
 use gfsl::{AbortReason, CrashPoint, Error, GfslParams, TeamSize};
 use gfsl_cluster::{Cluster, ClusterError};
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
-const OPS_PER_WORKER: usize = 200;
+/// Long enough that a cell reaches the rare windows (split publish, zombie
+/// mark, down-pointer install) two to four times: at 200 a cell reached
+/// them once or twice, the second and third occurrences were rarely there
+/// to kill, and the coverage assert missed one run in 200.
+const OPS_PER_WORKER: usize = 400;
 const WORKERS: usize = 2;
 const MAX_SHARDS: usize = 6;
-/// Pause between driver actions: continuous export→rebuild cycles would
-/// keep every chunk compacted to the bulk fill target and starve the
-/// split/merge crash windows of pressure.
-const DRIVER_PAUSE: std::time::Duration = std::time::Duration::from_micros(800);
+/// Completed worker ops per driver action: back-to-back export→rebuild
+/// cycles would keep every chunk compacted to the bulk fill target and
+/// starve the split/merge crash windows of pressure. The driver is paced by
+/// worker progress, not by the clock, so the ratio holds however loaded
+/// the host is (one action per 100 ops is what an idle host's 800 µs pause
+/// used to give).
+const OPS_PER_DRIVER_ACTION: usize = 100;
 
-/// Silence the default panic hook for *injected* unwinds only (same
-/// convention as the single-structure recovery soak).
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-            let injected = match msg {
-                Some(m) => m.starts_with("chaos: injected"),
-                None => true, // typed AbortSignal payloads
-            };
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
-
+/// Seeds per crash point (CI runs 8). A cell kills occurrence `1 + seed % 3`
+/// of its point; seed 3 is a second first-occurrence cell, the one kind
+/// that fires in (nearly) every cell.
 fn soak_seeds() -> u64 {
     std::env::var("GFSL_CLUSTER_SOAK_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
+        .unwrap_or(4)
 }
 
-/// One soak cell: two probed workers churn the key space while a
-/// free-running driver splits, merges, and snapshots the shards, and the
-/// chaos layer kills the seeded occurrence of `point`. Returns
+/// One soak cell: two probed workers churn the key space while an
+/// unprobed driver splits, merges, and snapshots the shards, and the
+/// fault plan kills the seeded occurrence of `point`. Returns
 /// `(crashed_ops, migrations)`.
 fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let params = GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
@@ -87,25 +74,23 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
         cluster.insert(k, k).unwrap();
     }
     let occurrence = 1 + seed % 3;
-    let ctl = ChaosController::new(
+    let ctl = gfsl::chaos::controller(
         WORKERS,
-        ChaosOptions {
-            panic_at: Some((point, occurrence)),
-            max_stall_turns: 1,
-            seed: seed ^ 0x9D3C_5A1B_7E24_F680,
-            ..Default::default()
-        },
+        RandomWalk::new(seed ^ 0x9D3C_5A1B_7E24_F680, 1),
+        Some((point, occurrence)),
     );
     let clock = HistoryClock::new();
-    let stop = AtomicBool::new(false);
+    // One token per completed worker op; closed when the last worker is done.
+    let (op_done, ops_done) = mpsc::channel::<()>();
 
     let (histories, migrations) = std::thread::scope(|s| {
-        // Free-running migration driver: no probe, so the chaos turnstile
-        // never waits on it. Splits are capped so the shard set stays small.
-        let driver = s.spawn(|| {
+        // Migration driver: no probe, so the turnstile never waits on it.
+        // Splits are capped so the shard set stays small.
+        let cluster = &cluster;
+        let driver = s.spawn(move || {
             let mut rng = SplitMix64::new(seed.wrapping_mul(0xA5A5) ^ 0x11);
             let mut done = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let r = rng.next_u64();
                 let key = (r % u64::from(KEY_SPACE) + 1) as u32;
                 let id = cluster
@@ -129,14 +114,15 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
                     }
                 };
                 done += u64::from(ev.is_some());
-                std::thread::sleep(DRIVER_PAUSE);
+                if (0..OPS_PER_DRIVER_ACTION).any(|_| ops_done.recv().is_err()) {
+                    return done;
+                }
             }
-            done
         });
 
         let workers: Vec<_> = (0..WORKERS)
             .map(|t| {
-                let (cluster, ctl, clock) = (&cluster, &ctl, &clock);
+                let (ctl, clock, op_done) = (&ctl, &clock, op_done.clone());
                 s.spawn(move || {
                     // Stay retired whenever not holding a probe: a live
                     // participant blocked on a fence would stall the
@@ -212,16 +198,17 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
                                 }
                             },
                         }
+                        op_done.send(()).expect("the driver outlives the workers");
                     }
                     rec.records
                 })
             })
             .collect();
+        drop(op_done);
         let histories: Vec<_> = workers
             .into_iter()
             .map(|w| w.join().expect("worker must survive (containment)"))
             .collect();
-        stop.store(true, Ordering::Relaxed);
         (histories, driver.join().expect("driver must survive"))
     });
 

@@ -5,9 +5,10 @@
 //! tail), pre-fsync, per checkpoint page, pre-rename, pre-prune. In
 //! production ([`Failpoints::Off`]) the call is a no-op that inlines away;
 //! under the kill-restart soak a [`ChaosProbe`] sits behind it, so the
-//! seeded `panic_at` machinery that drives every other soak in this repo
-//! (occurrence counting, replayable decisions, trace hashing) kills the
-//! process-under-test at exactly the chosen window.
+//! fault plan of the one schedule turnstile (`gfsl::McController`:
+//! occurrence counting, recorded decisions, trace hashing) — the one that
+//! drives every other soak in this repo — kills the process-under-test at
+//! exactly the chosen window.
 
 use gfsl::chaos::ChaosProbe;
 use gfsl::{CrashPoint, MemProbe};
@@ -18,11 +19,11 @@ pub enum Failpoints {
     /// Production: every hit is free.
     #[default]
     Off,
-    /// Chaos campaign: hits route to a [`ChaosProbe`], whose controller may
-    /// stall or panic per its seeded options. Use a 1-participant
-    /// controller for the single-threaded durable path — its only
-    /// participant is always the one parked, so every turn grants
-    /// immediately and `panic_at` fires at the seeded occurrence.
+    /// Chaos campaign: hits route to a [`ChaosProbe`], whose controller
+    /// panics per its fault plan. Use a 1-participant controller for the
+    /// single-threaded durable path — its only participant is always the
+    /// one parked, so every turn grants immediately and `panic_at` fires
+    /// at the chosen occurrence.
     Chaos(ChaosProbe),
 }
 

@@ -10,9 +10,9 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 
-use gfsl::chaos::{ChaosController, ChaosOptions, DURABILITY_CRASH_POINTS};
+use gfsl::chaos::DURABILITY_CRASH_POINTS;
+use gfsl::mc::strategy::Replay;
 use gfsl::{CrashPoint, GfslParams, TeamSize};
 use gfsl_durable::{destroy, DurabilityContract, DurableCluster, DurableClusterConfig, Failpoints};
 use gfsl_rng::SplitMix64;
@@ -20,23 +20,6 @@ use gfsl_rng::SplitMix64;
 const KEY_SPACE: u32 = 400;
 const OPS: usize = 150;
 const OPS_PER_CKPT: usize = 25;
-
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-            if !msg.is_some_and(|m| m.starts_with("chaos: injected")) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn soak_seeds() -> u64 {
     std::env::var("GFSL_DURABLE_SOAK_SEEDS")
@@ -53,7 +36,7 @@ enum Pending {
 }
 
 fn soak_cell(point: CrashPoint, seed: u64) -> bool {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let dir = std::env::temp_dir().join(format!(
         "gfsl_dcsoak_{point:?}_{seed}_{}",
         std::process::id()
@@ -88,15 +71,7 @@ fn soak_cell(point: CrashPoint, seed: u64) -> bool {
     let bounds_before = dc.cluster().bounds();
 
     let occurrence = 1 + seed % 3;
-    let ctl = ChaosController::new(
-        1,
-        ChaosOptions {
-            panic_at: Some((point, occurrence)),
-            max_stall_turns: 1,
-            seed: seed ^ 0x94D0_49BB_1331_11EB,
-            ..Default::default()
-        },
-    );
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, occurrence)));
     dc.hook = Failpoints::Chaos(ctl.probe(0));
 
     let mut rng = SplitMix64::new(seed.wrapping_mul(0x2545) ^ 0x5DEE);

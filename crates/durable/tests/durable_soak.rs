@@ -25,9 +25,9 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Once;
 
-use gfsl::chaos::{ChaosController, ChaosOptions, DURABILITY_CRASH_POINTS};
+use gfsl::chaos::DURABILITY_CRASH_POINTS;
+use gfsl::mc::strategy::Replay;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
 use gfsl::{CrashPoint, GfslParams, TeamSize};
 use gfsl_durable::{destroy, DurabilityContract, DurableConfig, DurableGfsl, Failpoints};
@@ -37,26 +37,6 @@ const KEY_SPACE: u32 = 110;
 const OPS: usize = 120;
 const OPS_PER_CKPT: usize = 20;
 const POST_RECOVERY_OPS: usize = 30;
-
-/// Silence the default panic hook for injected kills; real assertion
-/// failures still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-            let injected = msg.is_some_and(|m| m.starts_with("chaos: injected"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn soak_seeds() -> u64 {
     std::env::var("GFSL_DURABLE_SOAK_SEEDS")
@@ -79,7 +59,7 @@ struct CellStats {
 /// One cell: seeded run, injected kill at `point`, restart, verification,
 /// then a second restart to prove post-recovery writes are durable too.
 fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let dir = std::env::temp_dir().join(format!(
         "gfsl_dsoak_{point:?}_{seed}_{}",
         std::process::id()
@@ -105,15 +85,9 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
     }
 
     let occurrence = 1 + seed % 3;
-    let ctl = ChaosController::new(
-        1, // the durable path is single-threaded: every turn grants
-        ChaosOptions {
-            panic_at: Some((point, occurrence)),
-            max_stall_turns: 1,
-            seed: seed ^ 0xD6E8_FEB8_6659_FD93,
-            ..Default::default()
-        },
-    );
+    // The durable path is single-threaded: one participant, every turn
+    // grants, no decision is ever drawn.
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, occurrence)));
     eng.hook = Failpoints::Chaos(ctl.probe(0));
 
     let clock = HistoryClock::new();
@@ -259,7 +233,7 @@ fn kill_restart_soak_every_durability_crash_point() {
 /// partial record that recovery truncates (not an error, not a lost ack).
 #[test]
 fn wal_append_kill_truncates_exactly_the_unacked_tail() {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let dir = std::env::temp_dir().join(format!("gfsl_dsoak_torn_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = DurableConfig {
@@ -270,14 +244,7 @@ fn wal_append_kill_truncates_exactly_the_unacked_tail() {
     for k in 1..=40u32 {
         eng.insert(k, k).unwrap();
     }
-    let ctl = ChaosController::new(
-        1,
-        ChaosOptions {
-            panic_at: Some((CrashPoint::WalAppend, 1)),
-            max_stall_turns: 1,
-            ..Default::default()
-        },
-    );
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::WalAppend, 1)));
     eng.hook = Failpoints::Chaos(ctl.probe(0));
     let mut eng = Some(eng);
     let killed = catch_unwind(AssertUnwindSafe(|| {

@@ -94,7 +94,7 @@ pub mod stats;
 pub mod validate;
 
 pub use batch::{BatchOp, BatchReply};
-pub use chaos::{ChaosController, ChaosOptions, ChaosProbe};
+pub use chaos::ChaosProbe;
 pub use chunk::{Entry, KEY_INF, KEY_NEG_INF};
 pub use history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder};
 pub use params::GfslParams;
@@ -103,6 +103,7 @@ pub use skiplist::{
     MAX_RECLAIM_HANDLES, STARVATION_RETRIES,
 };
 pub use flat::{EngineKind, FlatSkiplist, KvEngine};
+pub use mc::controller::{quiet_injected_panics, InjectedCrash, McController};
 pub use mc::{Counterexample, McConfig, McOp, McReport, Target};
 pub use mvcc::{MvccStats, ReadTicket};
 pub use introspect::{LevelShape, Shape};

@@ -1,42 +1,51 @@
-//! The model checker's turnstile: one thread runs at a time, the
-//! [`Scheduler`] decides which.
+//! The schedule turnstile: one thread runs at a time, the [`Scheduler`]
+//! decides which. The workspace's only one — the model checker's episodes
+//! and every fault-injection run ([`crate::chaos`]) are its clients.
 //!
-//! Same grant discipline as [`crate::chaos::ChaosController`] (a turn is
-//! granted only when every live participant is parked, so the schedule is
-//! a pure function of the decision stream, not OS timing), with three
-//! extensions the chaos layer does not need:
+//! A turn is granted only when every live participant is parked, so the
+//! schedule is a pure function of the decision stream, not OS timing.
+//! Participants gate at every pool atomic ([`McHook`], the `sched` builds'
+//! yield points — what bounded-exhaustive exploration needs) or at every
+//! [`gfsl_gpu_mem::MemProbe`] event ([`crate::chaos::ChaosProbe`] — what a
+//! soak can afford). On top of the grant discipline:
 //!
-//! * **Access-level parking.** Participants park at
-//!   [`gfsl_gpu_mem::schedule`] yield points — every individual pool
-//!   atomic in `sched` builds — and report the access kind and address
-//!   they are *about to* perform, so the scheduler can reason about
+//! * **Access reporting.** A participant parks *before* its access and
+//!   reports its kind and address, so the scheduler can reason about
 //!   conflicts before committing an order.
 //! * **Decision recording.** Every decision point with ≥ 2 effective
 //!   candidates logs the chosen index as one byte. The byte list replays
-//!   the episode exactly (via [`super::strategy::Replay`]) and is what
-//!   ddmin minimizes; the trace hash (same word-wise FNV fold as chaos)
-//!   is the one-line fingerprint.
+//!   the run exactly (via [`super::strategy::Replay`]) and is what ddmin
+//!   minimizes; the trace hash (a word-wise FNV fold of every granted
+//!   step) is the one-line fingerprint.
 //! * **Spin-wait tracking.** `wait_hint(addr)` marks the caller as
 //!   spinning on `addr`; waiting threads are excluded from the effective
 //!   candidate set while any non-waiting thread is runnable (scheduling a
 //!   spinner before its lock word changes only permutes futile spins),
 //!   and every granted store/RMW clears the flags so woken spinners
-//!   rejoin the candidate set. If *everyone* is waiting the controller
-//!   schedules them anyway — a genuinely deadlocked protocol then trips
-//!   the per-episode step bomb instead of hanging the test run.
+//!   rejoin the candidate set. This, not a fallback policy in a strategy,
+//!   keeps a run live under a schedule that always continues one thread.
+//!   If *everyone* is waiting the controller schedules them anyway — a
+//!   genuinely deadlocked protocol then trips the step bomb instead of
+//!   hanging the test run.
+//! * **A fault plan.** `panic_at = (point, n)` kills the participant
+//!   granted the n-th occurrence of a [`CrashPoint`], inside the window,
+//!   with a typed [`InjectedCrash`]; see [`McController::new`].
 //!
-//! Like the chaos turnstile, a **retired** participant passes through
-//! ungated (and unrecorded): a thread that keeps executing probed code
-//! after retirement must never park waiting for a turn no scheduler
-//! grants to the retired.
+//! A **retired** participant passes through ungated (and unrecorded): a
+//! thread that keeps executing gated code after retirement — a crash
+//! victim's unwind and quarantine bookkeeping, before its catch site
+//! revives it — must never park waiting for a turn no scheduler grants to
+//! the retired.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Once};
 
 use gfsl_gpu_mem::schedule::{AccessKind, SchedHook};
-use gfsl_gpu_mem::WordAddr;
+use gfsl_gpu_mem::{CrashPoint, WordAddr};
 use gfsl_rng::fnv;
 
 use super::strategy::{PendingAccess, Scheduler};
+use crate::chaos::ALL_CRASH_POINTS;
+use crate::skiplist::AbortSignal;
 
 /// Synthetic address of the episode start gate: every worker's first
 /// yield point, so all threads are parked before any instruction of any
@@ -46,6 +55,42 @@ pub const SYNTH_START: WordAddr = 0xFFFF_FFFC;
 /// A strategy shared between the episode executor (between episodes) and
 /// the controller (during an episode).
 pub type SharedScheduler = Arc<Mutex<Box<dyn Scheduler>>>;
+
+/// `strategy` in the shared form with its one episode begun: what a single
+/// run — a replay, a fault-injection run and its rounds — hands its
+/// controller(s).
+pub fn one_episode(mut strategy: impl Scheduler + 'static) -> SharedScheduler {
+    assert!(strategy.begin_episode(), "strategy has no episode left");
+    Arc::new(Mutex::new(Box::new(strategy)))
+}
+
+/// Panic payload of a fault-plan kill: which window, which occurrence of
+/// it, which participant died there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InjectedCrash {
+    /// The crash point the victim was granted.
+    pub point: CrashPoint,
+    /// Its 1-based occurrence, counted across participants.
+    pub occurrence: u64,
+    /// The participant killed.
+    pub participant: usize,
+}
+
+/// Silence the default panic hook for injected unwinds — the fault plan's
+/// [`InjectedCrash`] and containment's typed abort signals — for the rest
+/// of the process. Every other panic still prints.
+pub fn quiet_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let p = info.payload();
+            if !p.is::<InjectedCrash>() && !p.is::<AbortSignal>() {
+                prev(info);
+            }
+        }));
+    });
+}
 
 struct McState {
     parked: Vec<bool>,
@@ -58,10 +103,13 @@ struct McState {
     trace: u64,
     steps: u64,
     max_steps: u64,
+    panic_at: Option<(CrashPoint, u64)>,
+    crash_hits: [u64; ALL_CRASH_POINTS.len()],
 }
 
-/// The per-episode scheduling turnstile (see module docs). One per
-/// episode; workers attach via [`McController::hook`].
+/// The scheduling turnstile (see module docs). One per episode or
+/// fault-injection run; participants attach via [`McController::hook`] or
+/// [`McController::probe`].
 pub struct McController {
     state: Mutex<McState>,
     cv: Condvar,
@@ -70,9 +118,18 @@ pub struct McController {
 
 impl McController {
     /// A controller for `threads` participants driving decisions from
-    /// `strategy`. `max_steps` bounds one episode's granted turns (the
-    /// livelock/deadlock bomb); 0 means no bound.
-    pub fn new(threads: usize, strategy: SharedScheduler, max_steps: u64) -> Arc<McController> {
+    /// `strategy`. `max_steps` bounds the granted turns (the
+    /// livelock/deadlock bomb); 0 means no bound. With `panic_at = (point,
+    /// n)` the participant granted the `n`-th occurrence (1-based, counted
+    /// across participants) of the crash point panics inside it with an
+    /// [`InjectedCrash`], retired first so its peers keep being scheduled
+    /// through the unwind.
+    pub fn new(
+        threads: usize,
+        strategy: SharedScheduler,
+        max_steps: u64,
+        panic_at: Option<(CrashPoint, u64)>,
+    ) -> Arc<McController> {
         Arc::new(McController {
             state: Mutex::new(McState {
                 parked: vec![false; threads],
@@ -91,6 +148,8 @@ impl McController {
                 trace: fnv::OFFSET,
                 steps: 0,
                 max_steps,
+                panic_at,
+                crash_hits: [0; ALL_CRASH_POINTS.len()],
             }),
             cv: Condvar::new(),
             strategy,
@@ -99,10 +158,15 @@ impl McController {
 
     /// The [`SchedHook`] for participant `id` (register it in that
     /// worker's thread-local via [`gfsl_gpu_mem::schedule::register`]).
-    pub fn hook(self: &Arc<McController>, id: usize) -> Arc<McHook> {
+    /// With `words` every pool atomic is a gate; without, only the wait
+    /// hints reach the controller — a [`crate::chaos::ChaosProbe`]
+    /// participant's hook, which gates per probe event even in `sched`
+    /// builds.
+    pub fn hook(self: &Arc<McController>, id: usize, words: bool) -> Arc<McHook> {
         Arc::new(McHook {
             controller: self.clone(),
             id,
+            words,
         })
     }
 
@@ -122,13 +186,26 @@ impl McController {
         self.cv.notify_all();
     }
 
-    /// The episode's trace hash (word-wise FNV over every granted step's
-    /// (thread, kind, address), same fold as the chaos trace hashes).
+    /// Re-admit a retired participant: a crash victim whose kill was
+    /// contained (the catch site calls this through
+    /// [`gfsl_gpu_mem::MemProbe::crash_recovered`]), or one that sat out
+    /// between operations.
+    pub fn revive(&self, id: usize) {
+        let mut st = self.state.lock().unwrap();
+        st.retired[id] = false;
+        st.parked[id] = false;
+        st.waiting[id] = false;
+        self.cv.notify_all();
+    }
+
+    /// The run's trace hash: a word-wise FNV fold of every granted step's
+    /// (thread, kind, address). Equal decisions and thread behaviour ⇒
+    /// equal hash; this is the replay-determinism witness.
     pub fn trace_hash(&self) -> u64 {
         self.state.lock().unwrap().trace
     }
 
-    /// Granted turns this episode.
+    /// Granted turns so far.
     pub fn steps(&self) -> u64 {
         self.state.lock().unwrap().steps
     }
@@ -140,7 +217,21 @@ impl McController {
         self.state.lock().unwrap().decisions.clone()
     }
 
-    fn step(&self, id: usize, kind: AccessKind, addr: WordAddr) {
+    /// How many times each crash point was granted.
+    pub fn crash_point_hits(&self) -> Vec<(CrashPoint, u64)> {
+        let st = self.state.lock().unwrap();
+        ALL_CRASH_POINTS.iter().copied().zip(st.crash_hits).collect()
+    }
+
+    /// Block until `id` is granted the access it describes; `point` names
+    /// the crash point this step *is*, for the hit table and the fault plan.
+    pub(crate) fn step(
+        &self,
+        id: usize,
+        kind: AccessKind,
+        addr: WordAddr,
+        point: Option<CrashPoint>,
+    ) {
         let mut st = self.state.lock().unwrap();
         if st.retired[id] {
             // Retired passthrough: ungated AND unrecorded (an ungated
@@ -176,6 +267,18 @@ impl McController {
                         }
                     }
                 }
+                let crash = point.and_then(|p| {
+                    st.crash_hits[p as usize] += 1;
+                    let occurrence = st.crash_hits[p as usize];
+                    (st.panic_at == Some((p, occurrence))).then_some(InjectedCrash {
+                        point: p,
+                        occurrence,
+                        participant: id,
+                    })
+                });
+                if crash.is_some() {
+                    st.retired[id] = true;
+                }
                 let max = st.max_steps;
                 let over_budget = max > 0 && st.steps > max;
                 self.cv.notify_all();
@@ -185,6 +288,9 @@ impl McController {
                         "mc: episode exceeded {max} scheduled steps — livelocked or \
                          deadlocked schedule (all threads spin-waiting?)"
                     );
+                }
+                if let Some(crash) = crash {
+                    std::panic::panic_any(crash);
                 }
                 return;
             }
@@ -252,11 +358,14 @@ impl McController {
 pub struct McHook {
     controller: Arc<McController>,
     id: usize,
+    words: bool,
 }
 
 impl SchedHook for McHook {
     fn yield_point(&self, kind: AccessKind, addr: WordAddr) {
-        self.controller.step(self.id, kind, addr);
+        if self.words {
+            self.controller.step(self.id, kind, addr, None);
+        }
     }
     fn wait_hint(&self, addr: WordAddr) {
         self.controller.note_wait(self.id, addr);
@@ -279,14 +388,14 @@ mod tests {
         let run = |bytes: Vec<u8>| {
             let strategy = shared(Replay::new(bytes));
             strategy.lock().unwrap().begin_episode();
-            let ctl = McController::new(2, strategy, 1000);
+            let ctl = McController::new(2, strategy, 1000, None);
             let order = Arc::new(Mutex::new(Vec::new()));
             std::thread::scope(|s| {
                 for id in 0..2usize {
                     let ctl = ctl.clone();
                     let order = order.clone();
                     s.spawn(move || {
-                        let hook = ctl.hook(id);
+                        let hook = ctl.hook(id, true);
                         for a in 0..3u32 {
                             hook.yield_point(AccessKind::Store, 100 + a);
                             order.lock().unwrap().push((id, a));
@@ -311,9 +420,9 @@ mod tests {
     fn retired_passthrough_never_parks() {
         let strategy = shared(Replay::new(Vec::new()));
         strategy.lock().unwrap().begin_episode();
-        let ctl = McController::new(2, strategy, 1000);
+        let ctl = McController::new(2, strategy, 1000, None);
         ctl.retire(1);
-        let hook = ctl.hook(1);
+        let hook = ctl.hook(1, true);
         // Would park forever pre-fix: no peer is running to grant a turn.
         hook.yield_point(AccessKind::Store, 5);
         hook.wait_hint(5);
@@ -328,14 +437,14 @@ mod tests {
         // the waiting thread until thread 0's store clears the flag.
         let strategy = shared(Replay::new(vec![0, 0, 0, 0, 0, 0, 0, 0]));
         strategy.lock().unwrap().begin_episode();
-        let ctl = McController::new(2, strategy, 1000);
+        let ctl = McController::new(2, strategy, 1000, None);
         let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|s| {
             {
                 let ctl = ctl.clone();
                 let order = order.clone();
                 s.spawn(move || {
-                    let hook = ctl.hook(0);
+                    let hook = ctl.hook(0, true);
                     for _ in 0..3 {
                         hook.yield_point(AccessKind::Load, 1);
                         order.lock().unwrap().push(0);
@@ -349,7 +458,7 @@ mod tests {
                 let ctl = ctl.clone();
                 let order = order.clone();
                 s.spawn(move || {
-                    let hook = ctl.hook(1);
+                    let hook = ctl.hook(1, true);
                     hook.wait_hint(2);
                     hook.yield_point(AccessKind::Load, 2);
                     order.lock().unwrap().push(1);
@@ -361,5 +470,82 @@ mod tests {
         // Thread 1 was marked waiting before its first park, so thread 0
         // runs alone until its store; thread 1's access is granted last.
         assert_eq!(order, vec![0, 0, 0, 0, 1]);
+    }
+
+    /// The fault plan: the n-th occurrence of the point, counted across
+    /// participants, panics inside the window with the typed payload and
+    /// retires its victim, which then passes through ungated and
+    /// unrecorded until revived.
+    #[test]
+    fn fault_plan_kills_the_nth_occurrence_and_retires_until_revive() {
+        use gfsl_gpu_mem::MemProbe;
+        let ctl = crate::chaos::controller(
+            2,
+            Replay::new(Vec::new()),
+            Some((CrashPoint::SplitPublish, 3)),
+        );
+        let killed = std::thread::scope(|s| {
+            let spawn = |id: usize| {
+                let ctl = &ctl;
+                s.spawn(move || {
+                    let mut probe = ctl.probe(id);
+                    let mut killed = None;
+                    for _ in 0..2 {
+                        let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            probe.crash_point(CrashPoint::SplitPublish)
+                        }));
+                        if let Err(payload) = hit {
+                            killed = Some(*payload.downcast::<InjectedCrash>().expect("typed"));
+                            // Retired: these neither park (the peer may be
+                            // gone) nor count.
+                            let before = ctl.steps();
+                            probe.lane_write(7);
+                            probe.crash_point(CrashPoint::NextSwing);
+                            assert_eq!(ctl.steps(), before, "passthrough is unrecorded");
+                            probe.crash_recovered();
+                        }
+                    }
+                    probe.lane_write(8); // revived: gated and counted again
+                    killed
+                })
+            };
+            let workers = [spawn(0), spawn(1)];
+            workers.map(|w| w.join().unwrap())
+        });
+        // The empty script runs thread 0 to completion first: its two hits
+        // are occurrences 1 and 2, thread 1's first is the third.
+        let crash = InjectedCrash { point: CrashPoint::SplitPublish, occurrence: 3, participant: 1 };
+        assert_eq!(killed, [None, Some(crash)]);
+        let hits = ctl.crash_point_hits();
+        assert_eq!(hits[CrashPoint::SplitPublish as usize], (CrashPoint::SplitPublish, 4));
+        assert_eq!(hits[CrashPoint::NextSwing as usize].1, 0, "a retiree's hit is not counted");
+        assert_eq!(ctl.steps(), 4 + 2, "four crash points and two revived writes");
+    }
+
+    /// What `gfsl_durable::Failpoints::Chaos` relies on: the only
+    /// participant is always the one parked, so every step grants at once
+    /// and the plan fires at the seeded occurrence.
+    #[test]
+    fn one_participant_grants_immediately() {
+        use gfsl_gpu_mem::MemProbe;
+        let ctl =
+            crate::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::WalFsync, 2)));
+        let mut probe = ctl.probe(0);
+        probe.crash_point(CrashPoint::WalAppend);
+        probe.crash_point(CrashPoint::WalFsync);
+        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            probe.crash_point(CrashPoint::WalFsync)
+        }));
+        assert!(second.unwrap_err().is::<InjectedCrash>());
+        assert_eq!(ctl.steps(), 3);
+        assert!(ctl.decisions().is_empty(), "one candidate is never a decision");
+    }
+
+    /// The hit table is indexed by discriminant.
+    #[test]
+    fn crash_point_table_is_in_discriminant_order() {
+        for (i, p) in ALL_CRASH_POINTS.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{p:?}");
+        }
     }
 }

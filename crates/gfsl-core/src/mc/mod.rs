@@ -1,15 +1,15 @@
 //! Schedule-exploring model checker for the GFSL lock protocol.
 //!
-//! PR 1's chaos layer *samples* interleavings from seeded randomness; this
-//! module *enumerates* them. Every `WordPool` atomic access (in `sched`
-//! builds of `gfsl-gpu-mem`) and every explicit gate (flat-engine lock
-//! acquisitions, the episode start gate) is a yield point parked in a
-//! [`controller::McController`] turnstile; a [`strategy::Scheduler`]
-//! decides, at each point where two or more threads could run, which one
-//! does. Three strategies: seeded [`strategy::RandomWalk`] (subsumes the
-//! chaos scheduler), [`strategy::Replay`] of a recorded decision list, and
-//! [`strategy::DfsBounded`] — bounded-exhaustive DFS with a preemption
-//! bound and optional partial-order pruning.
+//! The fault-injection soaks ([`crate::chaos`]) *sample* interleavings from
+//! seeded randomness; this module *enumerates* them, on the same turnstile.
+//! Every `WordPool` atomic access (in `sched` builds of `gfsl-gpu-mem`) and
+//! every explicit gate (flat-engine lock acquisitions, the episode start
+//! gate) is a yield point parked in a [`controller::McController`]; a
+//! [`strategy::Scheduler`] decides, at each point where two or more threads
+//! could run, which one does. Three strategies: seeded
+//! [`strategy::RandomWalk`], [`strategy::Replay`] of a recorded decision
+//! list, and [`strategy::DfsBounded`] — bounded-exhaustive DFS with a
+//! preemption bound and optional partial-order pruning.
 //!
 //! An **episode** is one complete run of a small configuration
 //! ([`McConfig`]): build a fresh structure, prefill it, run each thread's
@@ -48,7 +48,7 @@ use crate::history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recor
 use crate::params::GfslParams;
 use crate::skiplist::Gfsl;
 
-use controller::{McController, SharedScheduler, SYNTH_START};
+use controller::{one_episode, McController, SharedScheduler, SYNTH_START};
 use minimize::ddmin;
 use strategy::{Replay, Scheduler};
 
@@ -280,110 +280,85 @@ fn run_ops<E: KvEngine>(h: &mut E, ops: &[McOp], rec: &mut Recorder<'_>) {
     }
 }
 
+/// Each worker's history and its panic message, if it panicked.
+type WorkerResults = Vec<(Vec<OpRecord>, Option<String>)>;
+
+/// One thread per script of `config`, each on a handle `handle()` mints
+/// once it is through the start gate: run the script, and always retire (a
+/// panicking worker that stays registered as live would wedge every parked
+/// peer).
+fn run_workers<E: KvEngine>(
+    config: &McConfig,
+    ctl: &Arc<McController>,
+    clock: &HistoryClock,
+    handle: impl Fn() -> E + Sync,
+) -> WorkerResults {
+    std::thread::scope(|s| {
+        let workers: Vec<_> = config
+            .threads
+            .iter()
+            .enumerate()
+            .map(|(id, ops)| {
+                let handle = &handle;
+                s.spawn(move || {
+                    let hook: Arc<dyn SchedHook> = ctl.hook(id, true);
+                    let mut rec = Recorder::new(clock);
+                    let res = catch_unwind(AssertUnwindSafe(|| {
+                        let _guard = schedule::register(hook);
+                        schedule::yield_point(AccessKind::Load, SYNTH_START);
+                        run_ops(&mut handle(), ops, &mut rec);
+                    }));
+                    ctl.retire(id);
+                    (rec.records, res.err().map(panic_text))
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+}
+
 /// Run one episode of `config` under `strategy` (whose `begin_episode`
 /// must already have returned `true`).
 pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutcome {
     let threads = config.threads.len();
     assert!(threads >= 1, "config needs at least one thread");
-    let ctl = McController::new(threads, strategy.clone(), config.max_steps);
+    let ctl = McController::new(threads, strategy.clone(), config.max_steps, None);
     let clock = HistoryClock::new();
 
-    // Worker body shared by both engines: gate at the start line, run the
-    // script, and always retire (a panicking worker that stays registered
-    // as live would wedge every parked peer).
-    let worker = |id: usize,
-                  ops: &[McOp],
-                  mut with_handle: Box<dyn FnMut(&mut Recorder<'_>) + '_>|
-     -> (Vec<OpRecord>, Option<String>) {
-        let hook: Arc<dyn SchedHook> = ctl.hook(id);
-        let mut rec = Recorder::new(&clock);
-        let res = catch_unwind(AssertUnwindSafe(|| {
-            let _guard = schedule::register(hook);
-            schedule::yield_point(AccessKind::Load, SYNTH_START);
-            with_handle(&mut rec);
-        }));
-        ctl.retire(id);
-        let _ = ops;
-        (rec.records, res.err().map(panic_text))
+    let (results, structure_failure): (WorkerResults, Option<String>) = match &config.target {
+        Target::Chunked(params) => {
+            let list = config.build_chunked(params);
+            let results = run_workers(config, &ctl, &clock, || {
+                let mut h = list.handle_with(NoProbe);
+                // The hint as a key-sorted call runs it (reads consult it,
+                // reads and updates move it), on scripts in any key order:
+                // validation, not sortedness, is what keeps it safe.
+                h.hint_live = true;
+                h
+            });
+            let violations = list.validate();
+            let failure = (!violations.is_empty()).then(|| {
+                format!(
+                    "structure invariant violated: {}",
+                    violations
+                        .iter()
+                        .map(|v| v.to_string())
+                        .collect::<Vec<_>>()
+                        .join("; ")
+                )
+            });
+            (results, failure)
+        }
+        Target::Flat { leaf_cap } => {
+            let list = FlatSkiplist::with_leaf_cap(*leaf_cap);
+            config.build_on(&mut list.handle());
+            let results = run_workers(config, &ctl, &clock, || list.handle());
+            let failure = catch_unwind(AssertUnwindSafe(|| list.assert_valid()))
+                .err()
+                .map(|p| format!("flat invariant violated: {}", panic_text(p)));
+            (results, failure)
+        }
     };
-
-    type WorkerResults = Vec<(Vec<OpRecord>, Option<String>)>;
-    let (results, structure_failure): (WorkerResults, Option<String>) =
-        match &config.target {
-            Target::Chunked(params) => {
-                let list = config.build_chunked(params);
-                let results = std::thread::scope(|s| {
-                    let handles: Vec<_> = config
-                        .threads
-                        .iter()
-                        .enumerate()
-                        .map(|(id, ops)| {
-                            let list = &list;
-                            let worker = &worker;
-                            s.spawn(move || {
-                                worker(
-                                    id,
-                                    ops,
-                                    Box::new(move |rec| {
-                                        let mut h = list.handle_with(NoProbe);
-                                        // The hint as a key-sorted call
-                                        // runs it (reads consult it, reads
-                                        // and updates move it), on scripts
-                                        // in any key order: validation, not
-                                        // sortedness, is what keeps it safe.
-                                        h.hint_live = true;
-                                        run_ops(&mut h, ops, rec);
-                                    }),
-                                )
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                let violations = list.validate();
-                let failure = (!violations.is_empty()).then(|| {
-                    format!(
-                        "structure invariant violated: {}",
-                        violations
-                            .iter()
-                            .map(|v| v.to_string())
-                            .collect::<Vec<_>>()
-                            .join("; ")
-                    )
-                });
-                (results, failure)
-            }
-            Target::Flat { leaf_cap } => {
-                let list = FlatSkiplist::with_leaf_cap(*leaf_cap);
-                config.build_on(&mut list.handle());
-                let results = std::thread::scope(|s| {
-                    let handles: Vec<_> = config
-                        .threads
-                        .iter()
-                        .enumerate()
-                        .map(|(id, ops)| {
-                            let list = &list;
-                            let worker = &worker;
-                            s.spawn(move || {
-                                worker(
-                                    id,
-                                    ops,
-                                    Box::new(move |rec| {
-                                        let mut h = list.handle();
-                                        run_ops(&mut h, ops, rec);
-                                    }),
-                                )
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                let failure = catch_unwind(AssertUnwindSafe(|| list.assert_valid()))
-                    .err()
-                    .map(|p| format!("flat invariant violated: {}", panic_text(p)));
-                (results, failure)
-            }
-        };
 
     let steps = ctl.steps();
     // Silent no-op guard: a multi-threaded chunked episode whose only
@@ -428,9 +403,7 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
 
 /// Replay one episode from a decision byte list.
 pub fn replay(config: &McConfig, decisions: Vec<u8>) -> EpisodeOutcome {
-    let shared: SharedScheduler = Arc::new(Mutex::new(Box::new(Replay::new(decisions))));
-    assert!(shared.lock().unwrap().begin_episode());
-    run_episode(config, &shared)
+    run_episode(config, &one_episode(Replay::new(decisions)))
 }
 
 /// Explore `config` under `strategy` until a failure is found or the

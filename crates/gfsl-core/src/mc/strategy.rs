@@ -5,10 +5,10 @@
 //! more runnable threads are parked and one must be granted the next
 //! access — and answers with a candidate index. Three strategies:
 //!
-//! * [`RandomWalk`] — a seeded uniform pick per decision; subsumes PR 1's
-//!   seeded chaos scheduling (every walked schedule is automatically a
-//!   byte-script counterexample if it fails, because the controller
-//!   records every decision).
+//! * [`RandomWalk`] — a seeded uniform pick per decision; what every
+//!   seeded fault-injection run takes (every walked schedule is
+//!   automatically a byte-script counterexample if it fails, because the
+//!   controller records every decision).
 //! * [`Replay`] — a single episode driven by a recorded decision byte
 //!   list; exhausted bytes fall back to the [`default_index`] policy,
 //!   which is what makes ddmin-shortened prefixes replayable.

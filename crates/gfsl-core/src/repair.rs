@@ -324,7 +324,8 @@ impl<P: MemProbe> GfslHandle<'_, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::chaos::{ChaosController, ChaosOptions};
+    use crate::mc::controller::McController;
+    use crate::mc::strategy::Replay;
     use crate::params::GfslParams;
     use crate::skiplist::{AbortReason, Error, Gfsl};
     use gfsl_gpu_mem::CrashPoint;
@@ -339,15 +340,8 @@ mod tests {
         }
     }
 
-    fn crash_once_at(point: CrashPoint) -> std::sync::Arc<ChaosController> {
-        ChaosController::new(
-            1,
-            ChaosOptions {
-                panic_at: Some((point, 1)),
-                max_stall_turns: 0,
-                ..Default::default()
-            },
-        )
+    fn crash_once_at(point: CrashPoint) -> std::sync::Arc<McController> {
+        crate::chaos::controller(1, Replay::new(Vec::new()), Some((point, 1)))
     }
 
     #[test]

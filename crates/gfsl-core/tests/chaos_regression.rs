@@ -10,7 +10,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use gfsl::chaos::{ChaosController, ChaosOptions};
+use gfsl::mc::strategy::Replay;
 use gfsl::{CrashPoint, Gfsl, GfslParams, TeamSize};
 
 #[test]
@@ -22,13 +22,10 @@ fn panic_mid_split_poisons_instead_of_deadlocking() {
     })
     .unwrap();
 
-    let ctl = ChaosController::new(
+    let ctl = gfsl::chaos::controller(
         1,
-        ChaosOptions {
-            panic_at: Some((CrashPoint::SplitPublish, 1)),
-            max_stall_turns: 0,
-            ..Default::default()
-        },
+        Replay::new(Vec::new()),
+        Some((CrashPoint::SplitPublish, 1)),
     );
 
     std::thread::scope(|s| {
@@ -124,15 +121,12 @@ fn surviving_teams_keep_running_after_peer_dies_elsewhere() {
         }
     }
 
-    let ctl = ChaosController::new(
+    let ctl = gfsl::chaos::controller(
         1,
-        ChaosOptions {
-            // Die at the first zombie-mark: the victim is mid-merge holding
-            // the bottom chunk's lock, which gets orphaned by the unwind.
-            panic_at: Some((CrashPoint::MergeZombieMark, 1)),
-            max_stall_turns: 0,
-            ..Default::default()
-        },
+        Replay::new(Vec::new()),
+        // Die at the first zombie-mark: the victim is mid-merge holding
+        // the bottom chunk's lock, which gets orphaned by the unwind.
+        Some((CrashPoint::MergeZombieMark, 1)),
     );
     std::thread::scope(|s| {
         let victim = s.spawn(|| {
@@ -180,13 +174,10 @@ fn contained_crash_repairs_to_a_fully_valid_structure() {
         ..Default::default()
     })
     .unwrap();
-    let ctl = ChaosController::new(
+    let ctl = gfsl::chaos::controller(
         1,
-        ChaosOptions {
-            panic_at: Some((CrashPoint::SplitPublish, 1)),
-            max_stall_turns: 0,
-            ..Default::default()
-        },
+        Replay::new(Vec::new()),
+        Some((CrashPoint::SplitPublish, 1)),
     );
 
     let crashed = std::thread::scope(|s| {

@@ -9,18 +9,18 @@
 //!   as an oracle — over chunks of every shape a traversal can meet: sorted,
 //!   mid-shift with a transient duplicate, torn across a concurrent remove,
 //!   all EMPTY, sentinel-edged, and arbitrary words;
-//! * the scripted chaos schedules' trace hashes, pinned. The FNV trace (the
-//!   shared `gfsl_rng::fnv` word-wise fold) folds every granted
-//!   memory-access turn of every team in execution order, so an unchanged
-//!   hash means a change to the chunk step drove a byte-identical access
-//!   schedule;
+//! * the scripted schedules' trace hashes, pinned. The FNV trace (the
+//!   shared `gfsl_rng::fnv` word-wise fold) folds every granted probe event
+//!   of every team — who, what kind, which word — in execution order, so an
+//!   unchanged hash means a change to the chunk step drove a byte-identical
+//!   access schedule;
 //! * random single-thread histories in order and through the key-sorted
 //!   entry point with its hint live, which must agree reply for reply — the
 //!   sorted call also under the scripted chaos schedules.
 
 use std::sync::{Condvar, Mutex};
 
-use gfsl::chaos::{ChaosController, ChaosOptions};
+use gfsl::mc::strategy::Replay;
 use gfsl::chunk::{ChunkRef, ChunkView, Entry};
 use gfsl::search::{tid_for_next_step, tid_with_equal_key, LateralStep, NextStep};
 use gfsl::{BatchOp, BatchReply, Gfsl, GfslParams, NoProbe, TeamSize};
@@ -32,11 +32,15 @@ use proptest::prelude::*;
 /// splits of a 14-data-entry chunk, then merges on the way back down.
 const KEYS_PER_CLASS: u32 = 40;
 
+/// Script bytes per run: a byte is spent at each step where both workers
+/// could run (some 2,500 of a run's 3,000), so this steers the whole run.
+const SCRIPT_LEN: usize = 4096;
+
 /// Deterministic script bytes from a seed (xorshift; no global RNG state so
 /// the pinned seeds replay forever).
-fn script_from_seed(seed: u64, len: usize) -> Vec<u8> {
+fn script_from_seed(seed: u64) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    (0..len)
+    (0..SCRIPT_LEN)
         .map(|_| {
             x ^= x << 13;
             x ^= x >> 7;
@@ -70,7 +74,7 @@ fn class_ops(t: u32) -> Vec<BatchOp> {
     ops
 }
 
-/// Run the two-worker split/merge/read workload under one scripted chaos
+/// Run the two-worker split/merge/read workload under one scripted
 /// schedule and return the replay witnesses — the trace hash and the final
 /// membership — and each worker's replies.
 ///
@@ -87,14 +91,7 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
         ..Default::default()
     })
     .expect("params valid");
-    let ctl = ChaosController::new(
-        2,
-        ChaosOptions {
-            script: Some(script),
-            max_stall_turns: 3,
-            ..Default::default()
-        },
-    );
+    let ctl = gfsl::chaos::controller(2, Replay::new(script), None);
     let gate = (Mutex::new(0u32), Condvar::new());
 
     let replies = std::thread::scope(|s| {
@@ -148,27 +145,30 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
     (ctl.trace_hash(), list.keys(), replies)
 }
 
-/// Trace hashes of the plain scripted runs (script seeds 0..6), as the
-/// scalar and the SWAR kernel both produced them at commit 416b3af, before
-/// the chunk step became fixed-width. A change that alters any of them
-/// changed which word some team accessed on which turn — re-pin only for a
-/// change that means to.
+/// Trace hashes of the plain scripted runs (script seeds 0..6), re-pinned
+/// once in PR 21, when the schedule moved onto the model checker's
+/// controller: `Replay` decisions instead of the chaos decider's, no stall
+/// draws, and a fold of (who, kind, word) per granted step instead of
+/// (who, event code). EXPERIMENTS "Turnstile fold" lists old → new; the
+/// fixed-width chunk step had reproduced the old six bit for bit. A change
+/// that alters any of them changed which word some team accessed on which
+/// turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x7529_3a25_e606_c4ab,
-    0xb3d0_38e6_0bee_243d,
-    0xd808_564a_63d4_a3da,
-    0x9f7b_1ce6_4d94_cba7,
-    0x0eb9_c9ef_247f_69c0,
-    0x9a2c_c100_b207_5b1d,
+    0x0d3a_4d55_111f_9d0c,
+    0xad15_f176_82a5_fd0d,
+    0x1df5_1bc5_46d8_b806,
+    0x6670_a0cd_23b3_7289,
+    0x0255_1d4c_8f7e_60cf,
+    0x6cfb_7cdf_ac51_3927,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules
-/// still produce the parent's chaos trace hashes bit for bit (and the final
-/// state the workload always ends in).
+/// still produce the pinned trace hashes bit for bit (and the final state
+/// the workload always ends in).
 #[test]
 fn scripted_chaos_traces_match_the_pinned_hashes() {
     for (seed, want) in PLAIN_TRACES.into_iter().enumerate() {
-        let (trace, keys, _) = scripted_run(script_from_seed(seed as u64, 64), Run::Plain);
+        let (trace, keys, _) = scripted_run(script_from_seed(seed as u64), Run::Plain);
         assert_eq!(
             trace, want,
             "the observable schedule changed under script seed {seed}: 0x{trace:016x}"
@@ -182,7 +182,7 @@ fn scripted_chaos_traces_match_the_pinned_hashes() {
 /// fail by accident).
 #[test]
 fn scripted_run_replays_identically() {
-    let script = script_from_seed(0xD1FF, 48);
+    let script = script_from_seed(0xD1FF);
     let a = scripted_run(script.clone(), Run::Plain);
     let b = scripted_run(script, Run::Plain);
     assert_eq!(a, b, "scripted harness must be deterministic");
@@ -198,7 +198,7 @@ fn scripted_run_replays_identically() {
 #[test]
 fn sorted_call_answers_as_the_in_order_call_under_scripted_chaos() {
     for seed in 0..6u64 {
-        let script = script_from_seed(seed, 64);
+        let script = script_from_seed(seed);
         let (_, plain_keys, plain) = scripted_run(script.clone(), Run::Plain);
         let (_, sorted_keys, sorted) = scripted_run(script, Run::Sorted);
         assert_eq!(plain_keys, sorted_keys, "membership diverged under script seed {seed}");

@@ -11,8 +11,10 @@
 //! proves nothing by finding none.
 
 use gfsl::bug_knobs;
-use gfsl::mc::strategy::{DfsBounded, RandomWalk, Scheduler};
-use gfsl::mc::{configs, explore, replay, McReport};
+use gfsl::mc::minimize::ddmin;
+use gfsl::mc::strategy::{DfsBounded, RandomWalk, Replay, Scheduler};
+use gfsl::mc::{configs, explore, format_spec, replay, McOp, McReport, Target};
+use gfsl::Gfsl;
 
 /// Explore with bounded DFS, escalating to a seeded random walk if the
 /// preemption-bounded space misses the bug (it should not — both seed
@@ -153,5 +155,84 @@ fn clean_build_passes_the_oracle_configs() {
             "{name} must be clean without a revert knob: {}",
             report.summary()
         );
+    }
+}
+
+/// One *probe-granularity* run of `split-raise-2t`'s two scripted threads —
+/// the granularity every fault-injection soak gates at, and the one PR 1's
+/// soak found this race at: participants step the one turnstile through
+/// [`gfsl::ChaosProbe`] (one step per probe event or crash point), not
+/// through the pool-word hook. Returns whether the structure came out
+/// invalid, the decision bytes and the trace hash.
+fn probe_run(strategy: impl Scheduler + 'static) -> (bool, Vec<u8>, u64) {
+    let cfg = configs::by_name("split-raise-2t").expect("config registered");
+    let Target::Chunked(params) = &cfg.target else {
+        unreachable!("split-raise-2t drives the chunked engine")
+    };
+    let list = Gfsl::new(**params).expect("params valid");
+    {
+        let mut h = list.handle();
+        for &(k, v) in &cfg.prefill {
+            assert!(h.insert(k, v).expect("pool"));
+        }
+    }
+    let ctl = gfsl::chaos::controller(cfg.threads.len(), strategy, None);
+    std::thread::scope(|s| {
+        for (id, ops) in cfg.threads.iter().enumerate() {
+            let (list, ctl) = (&list, &ctl);
+            s.spawn(move || {
+                let mut h = list.handle_with(ctl.probe(id));
+                for &op in ops {
+                    match op {
+                        McOp::Insert(k, v) => drop(h.insert(k, v).expect("pool")),
+                        McOp::Remove(k) => drop(h.remove(k)),
+                        other => unreachable!("split-raise-2t scripts no {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    (!list.validate().is_empty(), ctl.decisions(), ctl.trace_hash())
+}
+
+/// Seeds a probe-granularity campaign may spend re-finding the race.
+const PROBE_SEED_BUDGET: u64 = 2_000;
+
+/// The fold of fault injection onto the model checker's turnstile kept its
+/// teeth and gained replay: a seeded walk over probe-granularity
+/// participants re-finds the split raised-key race, the recorded decisions
+/// replay it to the same trace hash, ddmin shrinks them — and with the fix
+/// in place the same seeds are clean.
+#[test]
+fn probe_granularity_walk_refinds_the_split_raise_race() {
+    let guard = bug_knobs::revert_split_raised_key_guard();
+    let (seed, decisions, trace) = (0..PROBE_SEED_BUDGET)
+        .find_map(|seed| {
+            let (bad, decisions, trace) = probe_run(RandomWalk::new(seed, 1));
+            bad.then_some((seed, decisions, trace))
+        })
+        .unwrap_or_else(|| panic!("no violation in {PROBE_SEED_BUDGET} probe-granularity seeds"));
+    assert_eq!(
+        probe_run(Replay::new(decisions.clone())),
+        (true, decisions.clone(), trace),
+        "the recorded decisions replay the failure bit for bit"
+    );
+    let (min, replays) = ddmin(&decisions, |b| probe_run(Replay::new(b.to_vec())).0);
+    assert!(min.len() <= decisions.len(), "ddmin never grows a schedule");
+    let (bad, _, min_trace) = probe_run(Replay::new(min.clone()));
+    assert!(bad, "the minimized schedule still fails");
+    println!(
+        "oracle split-raise-2t @ probe granularity: seed {seed} of {PROBE_SEED_BUDGET}, {} decision \
+         byte(s) -> {} after {replays} replays, spec {}",
+        decisions.len(),
+        min.len(),
+        format_spec(min_trace, &min)
+    );
+    drop(guard);
+
+    let _serial = bug_knobs::knob_test_lock();
+    assert!(!probe_run(Replay::new(min)).0, "the fixed split passes the bug's schedule");
+    for seed in 0..PROBE_SEED_BUDGET {
+        assert!(!probe_run(RandomWalk::new(seed, 1)).0, "seed {seed}: fixed code must be clean");
     }
 }

@@ -21,41 +21,16 @@
 //! CI artifact.
 
 use std::collections::HashMap;
-use std::sync::Once;
 
-use gfsl::chaos::{ChaosController, ChaosOptions, LOCK_CRASH_POINTS};
+use gfsl::chaos::LOCK_CRASH_POINTS;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
+use gfsl::mc::strategy::{RandomWalk, Replay};
 use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslParams, TeamSize};
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
 const OPS_PER_WORKER: usize = 120;
 const WORKERS: usize = 2;
-
-/// Silence the default panic hook for *injected* unwinds: the chaos layer's
-/// `String` payloads and the containment layer's typed abort signals (the
-/// only non-string payloads this suite produces). Real assertion failures
-/// still print.
-fn quiet_injected_panics() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let msg = info
-                .payload()
-                .downcast_ref::<&str>()
-                .copied()
-                .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-            let injected = match msg {
-                Some(m) => m.starts_with("chaos: injected"),
-                None => true, // typed AbortSignal payloads
-            };
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn soak_seeds() -> u64 {
     std::env::var("GFSL_SOAK_SEEDS")
@@ -78,7 +53,7 @@ struct CellStats {
 /// One soak cell: seeded run, crash at `point`, repair, full verification.
 /// Returns the cell's recovery statistics.
 fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
@@ -95,14 +70,10 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
         }
     }
     let occurrence = 1 + seed % 3;
-    let ctl = ChaosController::new(
+    let ctl = gfsl::chaos::controller(
         WORKERS,
-        ChaosOptions {
-            panic_at: Some((point, occurrence)),
-            max_stall_turns: 1,
-            seed: seed ^ 0xD6E8_FEB8_6659_FD93,
-            ..Default::default()
-        },
+        RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
+        Some((point, occurrence)),
     );
 
     let clock = HistoryClock::new();
@@ -257,7 +228,7 @@ fn recovery_soak_every_crash_point() {
 /// structure that holds the key.
 #[test]
 fn crash_inside_the_heal_climb_keeps_the_insert() {
-    quiet_injected_panics();
+    gfsl::quiet_injected_panics();
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
@@ -280,14 +251,7 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     assert_eq!(list.height(), 0);
     // The insert's second lock CAS is the heal's level-1 chunk (the first
     // is the bottom chunk).
-    let ctl = ChaosController::new(
-        1,
-        ChaosOptions {
-            panic_at: Some((CrashPoint::LockCas, 2)),
-            max_stall_turns: 0,
-            ..Default::default()
-        },
-    );
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::LockCas, 2)));
     let mut h = list.handle_with(ctl.probe(0));
     assert_eq!(h.try_insert(33, 330), Ok(true), "committed before the crash");
     assert_eq!(h.stats().index_heals, 1, "the crash hit the heal");

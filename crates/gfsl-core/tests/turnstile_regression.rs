@@ -1,18 +1,17 @@
-//! Regression: the chaos turnstile must never wedge on a *retired*
+//! Regression: the schedule turnstile must never wedge on a *retired*
 //! participant.
 //!
-//! The bug (found while wiring the model checker's stepped executor onto
-//! the same turnstile): an injected panic retires its participant on the
-//! way out, but under containment the catch site's bookkeeping —
-//! quarantining the chunks the dead op still holds — performs probed pool
-//! accesses *before* the participant is revived. `ChaosController::step`
-//! used to park every caller unconditionally, and `choose` never grants a
-//! turn to a retired participant, so the still-retired caller waited
-//! forever while its peers spun on the lock words it held: a whole-process
-//! deadlock with every thread alive and no panic to report.
+//! The bug: an injected panic retires its participant on the way out, but
+//! under containment the catch site's bookkeeping — quarantining the
+//! chunks the dead op still holds — performs gated accesses *before* the
+//! participant is revived. A turnstile that parks every caller
+//! unconditionally never grants a turn to a retired participant, so the
+//! still-retired caller waits forever while its peers spin on the lock
+//! words it holds: a whole-process deadlock with every thread alive and no
+//! panic to report.
 //!
 //! Two fixes cover it, each sufficient, both kept:
-//! - `ChaosController::step` passes retired participants through ungated
+//! - `McController::step` passes retired participants through ungated
 //!   (and unrecorded, to keep trace replay deterministic), and
 //! - the containment catch site calls `crash_recovered()` *before* any
 //!   quarantine bookkeeping.
@@ -24,7 +23,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
-use gfsl::chaos::{ChaosController, ChaosOptions};
+use gfsl::mc::strategy::RandomWalk;
 use gfsl::{CrashPoint, Gfsl, GfslParams, TeamSize};
 
 /// Deadline generous enough for a debug-build chaos run (the run itself
@@ -47,17 +46,13 @@ fn contained_crash_with_live_peers_does_not_wedge_the_turnstile() {
         // split-publish dies there. Containment catches the kill, and its
         // quarantine bookkeeping runs while the participant is still
         // retired from the schedule — the exact wedge window.
-        let ctl = ChaosController::new(
+        let ctl = gfsl::chaos::controller(
             2,
-            ChaosOptions {
-                seed: 0x7ED_0FF,
-                panic_at: Some((CrashPoint::SplitPublish, 1)),
-                max_stall_turns: 0,
-                ..Default::default()
-            },
+            RandomWalk::new(0x7ED_0FF, 1),
+            Some((CrashPoint::SplitPublish, 1)),
         );
 
-        let crashes = std::thread::scope(|s| {
+        let (crashes, acked) = std::thread::scope(|s| {
             let workers: Vec<_> = (0..2)
                 .map(|t| {
                     let probe = ctl.probe(t);
@@ -65,13 +60,15 @@ fn contained_crash_with_live_peers_does_not_wedge_the_turnstile() {
                     s.spawn(move || {
                         let mut h = list.handle_with(probe);
                         let mut crashed = 0u32;
+                        let mut acked = Vec::new();
                         // Disjoint key ranges; enough inserts per thread
                         // that each fills chunks and splits repeatedly,
                         // so the survivor keeps stepping the turnstile
                         // long after the victim's crash.
                         for k in 1..=60u32 {
-                            match h.try_insert(1000 * t as u32 + k, k) {
-                                Ok(_) => {}
+                            let key = 1000 * t as u32 + k;
+                            match h.try_insert(key, k) {
+                                Ok(_) => acked.push(key),
                                 // The victim's crash surfaces as `Crashed`;
                                 // the survivor's inserts may also abort with
                                 // `Quarantined` when they route through the
@@ -85,14 +82,17 @@ fn contained_crash_with_live_peers_does_not_wedge_the_turnstile() {
                                 Err(e) => panic!("unexpected error {e}"),
                             }
                         }
-                        crashed
+                        (crashed, acked)
                     })
                 })
                 .collect();
             workers
                 .into_iter()
                 .map(|w| w.join().expect("containment keeps workers alive"))
-                .sum::<u32>()
+                .fold((0, Vec::new()), |(crashes, mut all), (c, acked)| {
+                    all.extend(acked);
+                    (crashes + c, all)
+                })
         });
 
         assert_eq!(crashes, 1, "exactly one injected crash must surface");
@@ -105,14 +105,16 @@ fn contained_crash_with_live_peers_does_not_wedge_the_turnstile() {
         assert_eq!(stats.quarantine_depth, 0);
         list.assert_valid();
         let mut h = list.handle();
-        assert!(h.contains(1), "thread 0 keyspace reachable");
-        assert!(h.contains(1001), "thread 1 keyspace reachable");
+        assert!(!acked.is_empty(), "inserts were acknowledged before the crash");
+        for key in acked {
+            assert!(h.contains(key), "acknowledged key {key} reachable");
+        }
 
         tx.send(()).unwrap();
     });
 
     rx.recv_timeout(WATCHDOG).expect(
-        "turnstile wedged: a retired participant parked in ChaosController::step \
+        "turnstile wedged: a retired participant parked in McController::step \
          (or containment quarantined before crash_recovered) and the schedule \
          never granted it a turn",
     );
@@ -124,10 +126,10 @@ fn retired_probe_steps_pass_through_ungated() {
     // Unit-level counterpart, directly on the controller: with one of two
     // participants retired and the other never stepping, the retiree's
     // accesses must return immediately instead of waiting for a turn that
-    // `choose` will never grant. Run under the same watchdog discipline.
+    // is never granted. Run under the same watchdog discipline.
     let (tx, rx) = mpsc::channel();
     let runner = std::thread::spawn(move || {
-        let ctl = ChaosController::new(2, ChaosOptions::default());
+        let ctl = gfsl::chaos::controller(2, RandomWalk::new(0, 1), None);
         ctl.retire(0);
         let mut probe = ctl.probe(0);
         // Would park forever before the passthrough fix.

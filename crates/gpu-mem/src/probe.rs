@@ -17,10 +17,11 @@ use crate::traffic::Traffic;
 /// may preempt, stall, or kill the acting team.
 ///
 /// Each variant marks the moment *just before* the structure commits the
-/// named transition. A fault-injection probe (see `gfsl::chaos`) can park the
-/// team here for an arbitrary number of scheduling turns — simulating the
-/// worst-case interleavings a GPU gives you for free — or panic to model a
-/// team dying while holding locks.
+/// named transition. A fault-injection probe (`gfsl::chaos::ChaosProbe`)
+/// yields to its scheduler here, which may run the team's peers inside the
+/// window for as long as it likes — simulating the worst-case interleavings
+/// a GPU gives you for free — or panics to model a team dying while holding
+/// locks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
     /// About to CAS a chunk's LOCK word from UNLOCKED to LOCKED.
@@ -67,14 +68,14 @@ pub trait MemProbe {
     fn atomic(&mut self, addr: WordAddr);
     /// The team is one instruction away from the named protocol transition.
     ///
-    /// Default is a no-op so performance probes pay nothing; chaos probes
-    /// override it to preempt/stall/kill at the most damaging instants.
+    /// Default is a no-op so performance probes pay nothing; fault-injection
+    /// probes override it to preempt or kill at the most damaging instants.
     #[inline(always)]
     fn crash_point(&mut self, _point: CrashPoint) {}
     /// The team survived a contained crash and will keep issuing accesses.
     ///
     /// A probe that kills a team at a [`crash_point`](Self::crash_point)
-    /// may also deregister it from its scheduler (the chaos turnstile
+    /// may also deregister it from its scheduler (the schedule turnstile
     /// retires the participant so peers stop waiting on it during the
     /// unwind). A containment layer that *catches* the kill and keeps the
     /// same thread running calls this from the catch site; scheduling

@@ -1,10 +1,12 @@
 //! Scheduled-atomic instrumentation: the model checker's view of memory.
 //!
-//! The chaos layer (PR 1) intercepts *logical* accesses through [`MemProbe`]
-//! — one probe event per warp read, per lane write, per lock CAS. That is
-//! the right granularity for fault injection, but a schedule-*exploring*
-//! checker needs to interleave at the granularity the hardware does: every
-//! individual atomic word access. This module provides that layer:
+//! Fault injection gates *logical* accesses through [`MemProbe`] — one
+//! probe event per warp read, per lane write, per lock CAS. That is the
+//! right granularity for a soak, but a schedule-*exploring* checker needs
+//! to interleave at the granularity the hardware does: every individual
+//! atomic word access. Both are participants of one controller
+//! (`gfsl::mc::controller`); this module provides the word-level layer
+//! and the thread-local hook both use:
 //!
 //! * [`ScheduledAtomicU64`] — a `#[repr(transparent)]` wrapper over
 //!   `AtomicU64` whose operations take the word's *logical* pool address.
@@ -15,11 +17,12 @@
 //! * [`SchedHook`] — the controller-side trait. A hook decides *when* the
 //!   calling thread proceeds (typically by parking it in a turnstile until
 //!   granted a turn) and records the access for trace hashing and
-//!   partial-order reduction.
+//!   partial-order reduction. A probe-granularity participant registers a
+//!   hook that lets every word through and forwards only its wait hints.
 //! * [`register`] / [`yield_point`] / [`wait_hint`] / [`hooked`] — the
 //!   thread-local registry. Registration returns a guard so a panicking
-//!   worker (chaos panic injection!) unregisters on unwind instead of
-//!   leaving a dangling hook in a pooled thread.
+//!   worker (an injected crash!) unregisters on unwind instead of leaving a
+//!   dangling hook in a pooled thread.
 //!
 //! Addresses are logical [`WordAddr`] indexes, never host pointers: pointer
 //! identity varies run-to-run under ASLR and would break the bit-identical
@@ -94,8 +97,7 @@ impl AccessKind {
         self == AccessKind::Load && other == AccessKind::Load
     }
 
-    /// Stable event code for trace hashing (disjoint from the chaos layer's
-    /// 0..=9 access codes and 16.. crash-point codes).
+    /// Stable event code for trace hashing.
     #[inline]
     pub fn code(self) -> u16 {
         match self {

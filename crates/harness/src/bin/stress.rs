@@ -3,6 +3,7 @@
 //! ```text
 //! stress [--seconds N] [--threads N] [--range N] [--mix i,d,c] [--team 16|32] [--seed S]
 //! stress --chaos [--seeds N] [--threads N] [--seed S]
+//! stress --chaos --seed S [--threads N] --schedule <trace>:<decisions>
 //! stress --modelcheck <config|all> [--strategy dfs|walk] [--bound N] [--episodes N] [--no-por] [--seed S]
 //! stress --modelcheck <config> --schedule <trace>:<decisions>
 //! ```
@@ -15,31 +16,34 @@
 //!
 //! `--chaos` instead runs a deterministic fault-injection campaign: for
 //! each of `--seeds N` seeds, worker threads hammer a tiny shared key range
-//! under a [`gfsl::chaos::ChaosController`] that serializes every simulated
-//! memory access and injects stalls at the lock protocol's named crash
-//! points. Every operation is recorded and the merged history is checked
-//! for per-key linearizability; structural invariants are validated at
-//! every quiescence point. The first seed is re-run at the end and must
-//! reproduce the identical crash-point trace hash (replay determinism).
+//! as probe-granularity participants of the schedule turnstile
+//! ([`gfsl::McController`] under a seeded random walk), which serializes
+//! every simulated memory access and yields inside the lock protocol's
+//! named crash points. Every operation is recorded and the merged history
+//! is checked for per-key linearizability; structural invariants are
+//! validated at every quiescence point. A failing seed's recorded decisions
+//! are ddmin-minimized and printed as a one-line `--schedule` spec that
+//! `--chaos --seed S --schedule <spec>` replays; at the end the first
+//! seed's decisions are replayed and must reproduce its trace hash.
 //!
 //! `--modelcheck` runs the systematic schedule explorer (see
 //! `gfsl::mc`) on a named configuration from the shared registry — or
 //! `all` of them — with bounded-exhaustive DFS (`--strategy dfs`, default)
 //! or a seeded random walk (`--strategy walk`). Any counterexample prints
 //! a one-line `--schedule` spec; passing that spec back replays the exact
-//! schedule, which is how a CI failure becomes a local repro. Both modes
-//! need the pool's accesses compiled as yield points: build with
-//! `--features modelcheck` (forwards `gfsl-gpu-mem/sched`).
+//! schedule, which is how a CI failure becomes a local repro. The
+//! `--modelcheck` modes need the pool's accesses compiled as yield points:
+//! build with `--features modelcheck` (forwards `gfsl-gpu-mem/sched`).
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gfsl::chaos::{ChaosController, ChaosOptions};
+use gfsl::mc::strategy::{RandomWalk, Replay, Scheduler};
 use gfsl::{
-    check_linearizable, Gfsl, GfslParams, HistoryClock, OpAction, OpRecord, OpStats, Recorder,
-    TeamSize,
+    check_linearizable, Gfsl, GfslParams, HistoryClock, McController, OpAction, OpRecord, OpStats,
+    Recorder, TeamSize,
 };
 use gfsl_workload::SplitMix64;
 
@@ -121,10 +125,6 @@ fn parse() -> Args {
     a
 }
 
-// Per-round trace hashes fold into one per-seed hash via the shared
-// byte-wise FNV-1a helper (gfsl_rng::fnv::fold_u64) — previously a local
-// copy of the fold lived here.
-
 /// Tiny shared key range: every thread fights over the same few chunks so
 /// splits, merges, and lock handoffs happen constantly.
 const CHAOS_RANGE: u32 = 48;
@@ -135,17 +135,26 @@ const CHAOS_OPS: u64 = 40;
 /// a quiescence check, and the history carries across rounds.
 const CHAOS_ROUNDS: u64 = 2;
 
+/// Replays a failing seed's minimization may spend (~50 ms each).
+const MINIMIZE_REPLAYS: u32 = 2_000;
+
 struct SeedOutcome {
+    /// The first check that failed, if any; the rounds after it do not run.
+    failure: Option<String>,
     trace: u64,
     steps: u64,
     stats: OpStats,
     crash_hits: Vec<(gfsl::CrashPoint, u64)>,
+    /// The decision bytes of every round, in order: a [`Replay`] of them
+    /// walks the same schedule.
+    decisions: Vec<u8>,
 }
 
 /// One full chaos run for one seed: CHAOS_ROUNDS rounds of scheduled
 /// mayhem, validating invariants and per-key linearizability at each
-/// quiescence point. Fully deterministic in `seed`.
-fn run_chaos_seed(a: &Args, seed: u64) -> Result<SeedOutcome, String> {
+/// quiescence point. The workload is a function of `seed`, the schedule of
+/// `strategy` — one episode of it, shared by the rounds.
+fn run_chaos_seed(a: &Args, seed: u64, strategy: impl Scheduler + 'static) -> SeedOutcome {
     let threads = a.threads.clamp(2, 4) as usize;
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
@@ -153,25 +162,24 @@ fn run_chaos_seed(a: &Args, seed: u64) -> Result<SeedOutcome, String> {
         seed,
         ..Default::default()
     })
-    .map_err(|e| format!("construct: {e:?}"))?;
+    .expect("chaos params are valid");
+    let strategy = gfsl::mc::controller::one_episode(strategy);
 
     let clock = HistoryClock::new();
     // Keys present at the start of the current round (round 0: empty).
     let mut initial: HashMap<u32, u32> = HashMap::new();
-    let mut trace = gfsl_rng::fnv::OFFSET;
-    let mut steps = 0u64;
-    let mut stats = OpStats::new();
-    let mut crash_hits: Vec<(gfsl::CrashPoint, u64)> = Vec::new();
+    let mut out = SeedOutcome {
+        failure: None,
+        trace: gfsl_rng::fnv::OFFSET,
+        steps: 0,
+        stats: OpStats::new(),
+        crash_hits: Vec::new(),
+        decisions: Vec::new(),
+    };
 
     for round in 0..CHAOS_ROUNDS {
-        let ctl = ChaosController::new(
-            threads,
-            ChaosOptions {
-                seed: seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..Default::default()
-            },
-        );
-        let per_thread: Vec<(Vec<OpRecord>, OpStats)> = std::thread::scope(|s| {
+        let ctl = McController::new(threads, strategy.clone(), gfsl::chaos::MAX_STEPS, None);
+        let per_thread: Vec<Option<(Vec<OpRecord>, OpStats)>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|t| {
                     let list = &list;
@@ -203,16 +211,19 @@ fn run_chaos_seed(a: &Args, seed: u64) -> Result<SeedOutcome, String> {
                     })
                 })
                 .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("chaos worker panicked"))
-                .collect()
+            // A worker's own panic (the step bomb, a protocol assert) is
+            // a failed check, not the campaign's: its message is on stderr.
+            workers.into_iter().map(|w| w.join().ok()).collect()
         });
+        out.trace = gfsl_rng::fnv::fold_u64(out.trace, ctl.trace_hash());
+        out.steps += ctl.steps();
+        out.decisions.extend(ctl.decisions());
+        add_hits(&mut out.crash_hits, ctl.crash_point_hits());
 
         // All workers joined: quiescence. Structure must be fully valid.
         let violations = list.validate();
         if !violations.is_empty() {
-            return Err(format!(
+            out.failure = Some(format!(
                 "seed 0x{seed:016x} round {round}: {} invariant violations: {}",
                 violations.len(),
                 violations
@@ -221,12 +232,17 @@ fn run_chaos_seed(a: &Args, seed: u64) -> Result<SeedOutcome, String> {
                     .collect::<Vec<_>>()
                     .join("; ")
             ));
+            return out;
         }
 
         let mut records: Vec<OpRecord> = Vec::new();
-        for (r, st) in per_thread {
+        for worker in per_thread {
+            let Some((r, st)) = worker else {
+                out.failure = Some(format!("seed 0x{seed:016x} round {round}: a worker panicked"));
+                return out;
+            };
             records.extend(r);
-            stats.merge(&st);
+            out.stats.merge(&st);
         }
 
         // Quiescent reads of the whole range close the round's history and
@@ -247,33 +263,70 @@ fn run_chaos_seed(a: &Args, seed: u64) -> Result<SeedOutcome, String> {
         }
 
         if let Err(errs) = check_linearizable(&records, &initial) {
-            return Err(format!(
+            out.failure = Some(format!(
                 "seed 0x{seed:016x} round {round}: history NOT linearizable: {}",
                 errs.join(" | ")
             ));
+            return out;
         }
         initial = next_initial;
+    }
+    out
+}
 
-        trace = gfsl_rng::fnv::fold_u64(trace, ctl.trace_hash());
-        steps += ctl.steps();
-        let hits = ctl.crash_point_hits();
-        if crash_hits.is_empty() {
-            crash_hits = hits;
-        } else {
-            for (acc, (_, n)) in crash_hits.iter_mut().zip(hits) {
-                acc.1 += n;
-            }
+/// Add one controller's crash-point hit table into a running total.
+fn add_hits(total: &mut Vec<(gfsl::CrashPoint, u64)>, hits: Vec<(gfsl::CrashPoint, u64)>) {
+    if total.is_empty() {
+        *total = hits;
+    } else {
+        for (acc, (_, n)) in total.iter_mut().zip(hits) {
+            acc.1 += n;
         }
     }
-    Ok(SeedOutcome {
-        trace,
-        steps,
-        stats,
-        crash_hits,
-    })
+}
+
+/// `--schedule`: replay one `<trace>:<decisions>` spec — as a failing
+/// campaign's or exploration's `replay with:` line asks — through `run`,
+/// which returns the replayed trace hash, step count and failure.
+fn replay_spec(
+    what: &str,
+    spec: &str,
+    run: impl FnOnce(Vec<u8>) -> (u64, u64, Option<String>),
+) -> ExitCode {
+    let (want_trace, decisions) = match gfsl::mc::parse_spec(spec) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("bad --schedule spec: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (trace, steps, failure) = run(decisions);
+    println!("replay {what}: trace 0x{trace:016x}, {steps} scheduled steps");
+    if trace != want_trace {
+        println!(
+            "WARNING: replayed trace differs from the spec's 0x{want_trace:016x} \
+             (the code or the run's other flags changed since the schedule was captured?)"
+        );
+    }
+    match failure {
+        Some(f) => {
+            println!("schedule FAILS: {f}");
+            ExitCode::FAILURE
+        }
+        None => {
+            println!("schedule passes");
+            ExitCode::SUCCESS
+        }
+    }
 }
 
 fn chaos_main(a: &Args) -> ExitCode {
+    if let Some(spec) = &a.schedule {
+        return replay_spec(&format!("seed 0x{:016x}", a.seed), spec, |decisions| {
+            let out = run_chaos_seed(a, a.seed, Replay::new(decisions));
+            (out.trace, out.steps, out.failure)
+        });
+    }
     if a.seeds == 0 {
         eprintln!("--seeds must be at least 1");
         return ExitCode::FAILURE;
@@ -286,7 +339,7 @@ fn chaos_main(a: &Args) -> ExitCode {
         CHAOS_OPS,
         CHAOS_ROUNDS
     );
-    let mut first: Option<(u64, u64)> = None; // (seed, trace hash)
+    let mut first: Option<(u64, u64, Vec<u8>)> = None; // (seed, trace hash, decisions)
     let mut stats = OpStats::new();
     let mut crash_hits: Vec<(gfsl::CrashPoint, u64)> = Vec::new();
     let mut steps = 0u64;
@@ -294,52 +347,67 @@ fn chaos_main(a: &Args) -> ExitCode {
         let seed = a
             .seed
             .wrapping_add(u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        match run_chaos_seed(a, seed) {
-            Ok(out) => {
-                println!(
-                    "  seed {i:3} (0x{seed:016x}): trace 0x{:016x}, {:6} schedule steps",
-                    out.trace, out.steps
+        let out = run_chaos_seed(a, seed, RandomWalk::new(seed, 1));
+        if let Some(e) = &out.failure {
+            eprintln!("CHAOS FAILURE: {e}");
+            // The schedule that failed is its decision bytes: one line
+            // reproduces it. Printed as recorded, then ddmin-minimized with
+            // every candidate re-validated by full replay — up to
+            // MINIMIZE_REPLAYS of them (a campaign run records a few
+            // thousand bytes, and ddmin's worst case is quadratic); past
+            // that every candidate is refused, which ends the search at the
+            // best list found so far.
+            let replay_line = |trace: u64, decisions: &[u8]| {
+                eprintln!(
+                    "replay with: stress --chaos --threads {} --seed {seed} --schedule {}",
+                    a.threads,
+                    gfsl::mc::format_spec(trace, decisions)
                 );
-                if first.is_none() {
-                    first = Some((seed, out.trace));
-                }
-                stats.merge(&out.stats);
-                steps += out.steps;
-                if crash_hits.is_empty() {
-                    crash_hits = out.crash_hits;
-                } else {
-                    for (acc, (_, n)) in crash_hits.iter_mut().zip(out.crash_hits) {
-                        acc.1 += n;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("CHAOS FAILURE: {e}");
-                eprintln!("replay with: stress --chaos --seeds 1 --seed {seed}");
-                return ExitCode::FAILURE;
-            }
+            };
+            replay_line(out.trace, &out.decisions);
+            let mut replays = 0u32;
+            let (min, _) = gfsl::mc::minimize::ddmin(&out.decisions, |bytes| {
+                replays += 1;
+                replays <= MINIMIZE_REPLAYS
+                    && run_chaos_seed(a, seed, Replay::new(bytes.to_vec())).failure.is_some()
+            });
+            let pinned = run_chaos_seed(a, seed, Replay::new(min.clone()));
+            eprintln!(
+                "minimized {} decision bytes to {} in {} replays: {}",
+                out.decisions.len(),
+                min.len(),
+                replays.min(MINIMIZE_REPLAYS),
+                pinned.failure.as_deref().unwrap_or("(the minimized schedule passed?)")
+            );
+            replay_line(pinned.trace, &min);
+            return ExitCode::FAILURE;
+        }
+        println!(
+            "  seed {i:3} (0x{seed:016x}): trace 0x{:016x}, {:6} schedule steps",
+            out.trace, out.steps
+        );
+        stats.merge(&out.stats);
+        steps += out.steps;
+        add_hits(&mut crash_hits, out.crash_hits);
+        if first.is_none() {
+            first = Some((seed, out.trace, out.decisions));
         }
     }
 
-    // Replay determinism: the first seed, run again, must walk the exact
-    // same schedule (bit-identical crash-point trace hash).
-    let (seed0, trace0) = first.expect("at least one seed");
-    match run_chaos_seed(a, seed0) {
-        Ok(out) if out.trace == trace0 => {
-            println!("replay determinism: seed 0x{seed0:016x} reproduced trace 0x{trace0:016x}");
-        }
-        Ok(out) => {
-            eprintln!(
-                "NON-DETERMINISTIC REPLAY: seed 0x{seed0:016x} first gave trace 0x{trace0:016x}, replay gave 0x{:016x}",
-                out.trace
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("NON-DETERMINISTIC REPLAY: first run passed, replay failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    // Replay determinism: the first seed's recorded decisions, replayed,
+    // must walk the exact same schedule (bit-identical trace hash).
+    let (seed0, trace0, decisions0) = first.expect("at least one seed");
+    let replayed = run_chaos_seed(a, seed0, Replay::new(decisions0));
+    if replayed.failure.is_some() || replayed.trace != trace0 {
+        eprintln!(
+            "NON-DETERMINISTIC REPLAY: seed 0x{seed0:016x} first gave trace 0x{trace0:016x}, \
+             its decisions replayed to 0x{:016x} ({})",
+            replayed.trace,
+            replayed.failure.as_deref().unwrap_or("no check failed")
+        );
+        return ExitCode::FAILURE;
     }
+    println!("replay determinism: seed 0x{seed0:016x} reproduced trace 0x{trace0:016x}");
 
     println!("campaign totals: {steps} schedule steps");
     println!(
@@ -362,7 +430,7 @@ fn chaos_main(a: &Args) -> ExitCode {
 /// `--modelcheck`: systematic schedule exploration over a registered
 /// configuration, or replay of one counterexample spec.
 fn modelcheck_main(a: &Args) -> ExitCode {
-    use gfsl::mc::strategy::{DfsBounded, RandomWalk, Scheduler};
+    use gfsl::mc::strategy::DfsBounded;
     use gfsl::mc::{self, configs};
 
     if !gfsl_gpu_mem::schedule::POOL_GATED {
@@ -397,35 +465,11 @@ fn modelcheck_main(a: &Args) -> ExitCode {
             eprintln!("--schedule replays one schedule: name a single --modelcheck <config>");
             return ExitCode::FAILURE;
         }
-        let (want_trace, decisions) = match mc::parse_spec(spec) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bad --schedule spec: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         let cfg = &cfgs[0];
-        let out = mc::replay(cfg, decisions);
-        println!(
-            "replay {}: trace 0x{:016x}, {} scheduled steps",
-            cfg.name, out.trace, out.steps
-        );
-        if out.trace != want_trace {
-            println!(
-                "WARNING: replayed trace differs from the spec's 0x{want_trace:016x} \
-                 (code changed since the schedule was captured?)"
-            );
-        }
-        return match out.failure {
-            Some(f) => {
-                println!("schedule FAILS: {f}");
-                ExitCode::FAILURE
-            }
-            None => {
-                println!("schedule passes");
-                ExitCode::SUCCESS
-            }
-        };
+        return replay_spec(cfg.name, spec, |decisions| {
+            let out = mc::replay(cfg, decisions);
+            (out.trace, out.steps, out.failure)
+        });
     }
 
     let mut clean = true;
@@ -463,12 +507,12 @@ fn main() -> ExitCode {
     if a.modelcheck.is_some() {
         return modelcheck_main(&a);
     }
-    if a.schedule.is_some() {
-        eprintln!("--schedule needs --modelcheck <config> to replay against");
-        return ExitCode::FAILURE;
-    }
     if a.chaos {
         return chaos_main(&a);
+    }
+    if a.schedule.is_some() {
+        eprintln!("--schedule replays against --modelcheck <config> or --chaos --seed S");
+        return ExitCode::FAILURE;
     }
     println!(
         "soak: {}s, {} threads, range {}, mix [{},{},{}], GFSL-{}",

@@ -1,17 +1,17 @@
 //! FNV-1a trace hashing — the single home for the fold that previously
-//! lived as four copy-pasted implementations (`serve::trace`,
-//! `gfsl-core::chaos`, `harness` stress binary, and the kernel-parity
-//! suite's commentary).
+//! lived as four copy-pasted implementations (`serve::trace`, the schedule
+//! turnstile now at `gfsl::mc::controller`, the `harness` stress binary,
+//! and the kernel-parity suite's commentary).
 //!
 //! Two fold shapes exist in the codebase and **both are load-bearing**:
 //!
 //! * [`fold_u64`] — the textbook byte-wise little-endian FNV-1a fold, used
 //!   by the serve-layer schedule trace and the stress campaign's per-seed
 //!   rollup hash.
-//! * [`fold_word`] — the chaos turnstile's word-wise variant (xor the whole
-//!   64-bit value, one multiply). It is *not* byte-wise FNV-1a, but every
-//!   recorded chaos trace hash since PR 1 is built from it, so replay
-//!   stability demands it stay bit-identical.
+//! * [`fold_word`] — the schedule turnstile's word-wise variant (xor the
+//!   whole 64-bit value, one multiply). It is *not* byte-wise FNV-1a, but
+//!   every recorded schedule trace hash since PR 1 is built from it, so
+//!   replay stability demands it stay bit-identical.
 //!
 //! Changing either fold (or the constants) silently invalidates every
 //! pinned trace hash in CI and every historical replay transcript; the
@@ -33,8 +33,8 @@ pub fn fold_u64(mut h: u64, x: u64) -> u64 {
 }
 
 /// Fold one 64-bit value into `h`, word-wise: xor the whole value, then a
-/// single multiply by [`PRIME`]. This is the chaos turnstile's historical
-/// fold; it must never be "fixed" to the byte-wise form.
+/// single multiply by [`PRIME`]. This is the schedule turnstile's
+/// historical fold; it must never be "fixed" to the byte-wise form.
 #[inline]
 pub fn fold_word(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(PRIME)
@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn fold_word_pins_the_chaos_fold_shape() {
-        // The chaos trace folds (id, code) pairs word-wise. Pin the exact
+        // The turnstile's trace folds (id, kind, address) word-wise. Pin the exact
         // arithmetic so the shared helper can never drift from the histories
         // recorded by PR 1's campaigns.
         let h = fold_word(fold_word(OFFSET, 3), 0x42);

@@ -900,7 +900,7 @@ mod tests {
 
     #[test]
     fn service_heals_through_a_precrashed_structure() {
-        use gfsl::chaos::{ChaosController, ChaosOptions};
+        use gfsl::mc::strategy::Replay;
         use gfsl::{AbortReason, CrashPoint, Error};
 
         let params = GfslParams {
@@ -914,13 +914,10 @@ mod tests {
         // Crash one op deterministically before serving: the mid-split
         // victim leaves its held chunks quarantined (still lock-held), the
         // exact state the service must route around and repair online.
-        let ctl = ChaosController::new(
+        let ctl = gfsl::chaos::controller(
             1,
-            ChaosOptions {
-                panic_at: Some((CrashPoint::SplitPublish, 1)),
-                max_stall_turns: 0,
-                ..Default::default()
-            },
+            Replay::new(Vec::new()),
+            Some((CrashPoint::SplitPublish, 1)),
         );
         {
             let mut h = list.handle_with(ctl.probe(0));
