@@ -25,6 +25,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use gfsl_serve::LatencyHisto;
 use gfsl_workload::{Lehmer64, ServeMix, ServeOp, Zipf};
 
 use crate::client::EdgeClient;
@@ -80,63 +81,6 @@ impl Default for LoadConfig {
     }
 }
 
-/// Log2-bucket latency histogram (same estimator as the serve layer's,
-/// plus cross-thread merge).
-#[derive(Debug, Clone)]
-pub struct Histo {
-    buckets: [u64; 64],
-    count: u64,
-    max: u64,
-}
-
-impl Default for Histo {
-    fn default() -> Histo {
-        Histo { buckets: [0; 64], count: 0, max: 0 }
-    }
-}
-
-impl Histo {
-    /// Record one sample, ns.
-    #[inline]
-    pub fn record(&mut self, ns: u64) {
-        let idx = 63 - (ns | 1).leading_zeros() as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.max = self.max.max(ns);
-    }
-
-    /// Fold another histogram in.
-    pub fn merge(&mut self, other: &Histo) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Quantile estimate: bucket upper bound, clamped to the observed max.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                let hi = if i >= 63 { u64::MAX } else { (1u64 << (i + 1)) - 1 };
-                return hi.min(self.max);
-            }
-        }
-        self.max
-    }
-}
-
 /// What one load-generator run observed, aggregated over all connections.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
@@ -160,7 +104,7 @@ pub struct LoadReport {
     /// Successful replies per second over the measured window.
     pub goodput_ops_s: f64,
     /// Completion latency histogram (successful replies only).
-    pub histo: Histo,
+    pub histo: LatencyHisto,
 }
 
 impl LoadReport {

@@ -100,7 +100,9 @@ pub struct EdgeStats {
     pub snaps: AtomicU64,
     /// Epoch batches executed.
     pub epochs: AtomicU64,
-    /// Read-your-writes violations observed across all sessions.
+    /// [`Session::ryw_violations`] summed over closed sessions: reads that
+    /// differed from the reading session's own last write of the key —
+    /// violations only where no other session writes that key.
     pub ryw_violations: AtomicU64,
     /// Highest supervisor rung any worker reached (severity 0–3).
     pub max_mode: AtomicU64,
@@ -129,7 +131,7 @@ pub struct StatsSnapshot {
     pub snaps: u64,
     /// Epochs executed.
     pub epochs: u64,
-    /// Read-your-writes violations.
+    /// Reads that differed from the session's own last write of the key.
     pub ryw_violations: u64,
     /// Highest supervisor severity reached.
     pub max_mode: u64,

@@ -53,9 +53,11 @@ pub struct Session {
     /// The session's acknowledged writes: key → value it last wrote
     /// (`None` = deleted). What read-your-writes is checked against.
     last_writes: HashMap<u32, Option<u32>>,
-    /// Reads that contradicted the session's own acknowledged writes.
-    /// Exact under disjoint per-session key namespaces; cross-session
-    /// writers can legitimately outdate an entry (see module tests).
+    /// `Get`s whose presence answer differed from this session's last
+    /// acknowledged write of the key. A violation only when no other
+    /// session writes the key (disjoint per-session namespaces): another
+    /// session's `Delete` or `PopMin` in between makes the same count on
+    /// a linearizable history (`tests::another_sessions_remove_is_counted`).
     pub ryw_violations: u64,
 }
 
@@ -237,5 +239,52 @@ impl Session {
     /// it cannot accept even that).
     pub fn dead(&self) -> bool {
         self.dying && self.pending_out() == 0 && self.inflight == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use gfsl::history::{check_linearizable, OpAction, OpRecord};
+
+    use super::*;
+
+    /// A session on the accepted end of a loopback pair, and the peer end
+    /// that keeps it open.
+    fn session() -> (Session, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Session::new(stream, Instant::now()), peer)
+    }
+
+    /// The counter fires on a legal history: A inserts `k`, another session
+    /// removes it, A reads it absent.
+    #[test]
+    fn another_sessions_remove_is_counted() {
+        let (k, v) = (7, 70);
+        for (remove, removed) in [
+            (ServeOp::Delete(k), Reply::Deleted(true)),
+            (ServeOp::PopMin, Reply::Popped(Some((k, v)))),
+        ] {
+            let (mut a, _peer_a) = session();
+            let (mut b, _peer_b) = session();
+            a.observe_reply(ServeOp::Insert(k, v), &Reply::Inserted(true));
+            b.observe_reply(remove, &removed);
+            a.observe_reply(ServeOp::Get(k), &Reply::Got(None));
+            assert_eq!((a.ryw_violations, b.ryw_violations), (1, 0), "{remove:?}");
+
+            let records: Vec<OpRecord> = [
+                OpAction::Insert { value: v, ok: true },
+                OpAction::Remove { ok: true },
+                OpAction::Get { found: None },
+            ]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(action, i)| OpRecord { key: k, action, invoke: 2 * i, ret: 2 * i + 1 })
+            .collect();
+            assert_eq!(check_linearizable(&records, &HashMap::new()), Ok(()));
+        }
     }
 }

@@ -78,7 +78,6 @@ pub mod chunk;
 pub mod delete;
 pub mod downptr;
 pub mod export;
-pub mod flat;
 pub mod history;
 pub mod insert;
 pub mod introspect;
@@ -102,9 +101,8 @@ pub use skiplist::{
     AbortReason, Error, Gfsl, GfslHandle, OpAbort, RepairStats, LOCK_RETRY_BOUND,
     MAX_RECLAIM_HANDLES, STARVATION_RETRIES,
 };
-pub use flat::{EngineKind, FlatSkiplist, KvEngine};
 pub use mc::controller::{quiet_injected_panics, InjectedCrash, McController};
-pub use mc::{Counterexample, McConfig, McOp, McReport, Target};
+pub use mc::{Counterexample, McConfig, McOp, McReport};
 pub use mvcc::{MvccStats, ReadTicket};
 pub use introspect::{LevelShape, Shape};
 pub use stats::OpStats;

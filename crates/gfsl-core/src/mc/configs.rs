@@ -8,20 +8,19 @@
 //!
 //! Sizing discipline: exhaustive exploration cost grows roughly with
 //! `(decision points)^(preemption bound)`, and every gated pool access is
-//! a decision point, so chunked configs stay at 2–3 threads and 1–3 ops
-//! per thread over a single near-full chunk. Flat configs are cheap (only
-//! lock acquisitions are gated) and exhaust in seconds even at bound 3.
+//! a decision point, so configs stay at 2–3 threads and 1–3 ops per thread
+//! over a single near-full chunk.
 
 use gfsl_simt::TeamSize;
 
-use super::{McConfig, McOp, Target};
+use super::{McConfig, McOp};
 use crate::params::GfslParams;
 
-/// Chunked-engine parameters every config shares: the 16-lane team (14
-/// data entries — smallest structure, shortest episodes), a tiny pool,
-/// and deterministic raise coins via `p_chunk = 1`. (The episode's workers
-/// run with their handles' hint live, so the *certified-snapshot hinted
-/// path* is what gets explored — see `run_episode`.)
+/// Parameters every config shares: the 16-lane team (14 data entries —
+/// smallest structure, shortest episodes), a tiny pool, and deterministic
+/// raise coins via `p_chunk = 1`. (The episode's workers run with their
+/// handles' hint live, so the *certified-snapshot hinted path* is what gets
+/// explored — see `run_workers`.)
 fn mc_params() -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
@@ -115,7 +114,7 @@ pub fn all() -> Vec<McConfig> {
             name: "heal-2t",
             about: "index heal (insert raises its locked chunk's minimum with no \
                     split) vs. a remove of that minimum",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: four_chunk_prefill(),
             // The deletes take the whole index with them: height 0.
             setup: removes(&[28, 42, 56]),
@@ -135,7 +134,7 @@ pub fn all() -> Vec<McConfig> {
             name: "heal-3t",
             about: "index heal vs. a remove of the raised minimum vs. lock-free \
                     reads through the new index entry",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: four_chunk_prefill(),
             setup: removes(&[28, 42, 56]),
             threads: vec![
@@ -151,7 +150,7 @@ pub fn all() -> Vec<McConfig> {
             name: "heal-upper-2t",
             about: "upper-level heal raises only a chunk minimum the held bottom \
                     lock protects (heal lock-coverage oracle)",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: five_index_chunk_prefill(),
             // Level 2 goes (height 1), and so does 336, the level-1 entry
             // after 322: the bottom chunk `338..=348` is now reached
@@ -174,7 +173,7 @@ pub fn all() -> Vec<McConfig> {
             name: "reclaim-2t",
             about: "zombie reclamation (grace, reachability scan, staging grace, \
                     reuse) vs. a read that can park on the zombie",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: spaced_five_index_prefill(),
             setup: reclaim_setup(),
             threads: vec![
@@ -203,7 +202,7 @@ pub fn all() -> Vec<McConfig> {
         McConfig {
             name: "cert-read-2t",
             about: "certified-snapshot hinted reads racing a chunk split",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: full_chunk_prefill(),
             setup: vec![],
             threads: vec![
@@ -219,7 +218,7 @@ pub fn all() -> Vec<McConfig> {
         McConfig {
             name: "cert-read-3t",
             about: "hinted reads racing a split and a removal",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: full_chunk_prefill(),
             setup: vec![],
             threads: vec![
@@ -232,7 +231,7 @@ pub fn all() -> Vec<McConfig> {
         McConfig {
             name: "split-raise-2t",
             about: "split raised-key placement vs. concurrent remove (PR 1 seed race #1 oracle)",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             prefill: full_chunk_prefill(),
             setup: vec![],
             threads: vec![
@@ -252,7 +251,7 @@ pub fn all() -> Vec<McConfig> {
         McConfig {
             name: "remove-shift-2t",
             about: "remove compaction shift vs. concurrent reads (PR 1 seed race #2 oracle)",
-            target: Target::Chunked(Box::new(mc_params())),
+            params: mc_params(),
             // Four keys in one chunk; removing 20 shifts 30 and 40 left.
             prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
             setup: vec![],
@@ -272,7 +271,7 @@ pub fn all() -> Vec<McConfig> {
             about: "pinned snapshot reads racing a stamped split: version \
                     publish (fence-shared stamp + capture-on-lock) vs pin \
                     (fence-exclusive drain) vs ticket release",
-            target: Target::Chunked(Box::new(mvcc_params())),
+            params: mvcc_params(),
             prefill: full_chunk_prefill(),
             setup: vec![],
             threads: vec![
@@ -291,7 +290,7 @@ pub fn all() -> Vec<McConfig> {
             name: "mvcc-snap-3t",
             about: "pinned snapshot read racing a stamped split and a \
                     stamped removal (two writers contending on the fence)",
-            target: Target::Chunked(Box::new(mvcc_params())),
+            params: mvcc_params(),
             prefill: full_chunk_prefill(),
             setup: vec![],
             threads: vec![
@@ -300,37 +299,6 @@ pub fn all() -> Vec<McConfig> {
                 vec![McOp::SnapGet(26)],
             ],
             max_steps: 40_000,
-        },
-        McConfig {
-            name: "flat-split-2t",
-            about: "flat-bottom leaf split racing a second inserter",
-            target: Target::Flat { leaf_cap: 4 },
-            prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
-            setup: vec![],
-            threads: vec![
-                // Both inserts land in the one full leaf: each drops its
-                // locks, splits under the write lock, and retries — the
-                // double-split / already-split-by-peer interleavings are
-                // the point.
-                vec![McOp::Insert(15, 5)],
-                vec![McOp::Insert(25, 6)],
-            ],
-            max_steps: 2_000,
-        },
-        McConfig {
-            name: "flat-split-3t",
-            about: "flat-bottom split, empty-leaf retirement, and a reader",
-            target: Target::Flat { leaf_cap: 4 },
-            prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
-            setup: vec![],
-            threads: vec![
-                vec![McOp::Insert(15, 5)],
-                // Drains a leaf so retirement (index write lock) races the
-                // split and the reader.
-                vec![McOp::Remove(10), McOp::Remove(20)],
-                vec![McOp::Get(30)],
-            ],
-            max_steps: 4_000,
         },
     ]
 }
@@ -359,13 +327,9 @@ mod tests {
         assert_eq!(names.len(), cfgs.len(), "duplicate config name");
     }
 
-    /// The chunked structure a config's scripted ops start from.
+    /// The structure a config's scripted ops start from.
     fn built(name: &str) -> Gfsl {
-        let cfg = by_name(name).unwrap();
-        let Target::Chunked(params) = &cfg.target else {
-            panic!("{name} is not a chunked config")
-        };
-        cfg.build_chunked(params)
+        by_name(name).unwrap().build()
     }
 
     #[test]

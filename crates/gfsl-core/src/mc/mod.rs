@@ -3,8 +3,8 @@
 //! The fault-injection soaks ([`crate::chaos`]) *sample* interleavings from
 //! seeded randomness; this module *enumerates* them, on the same turnstile.
 //! Every `WordPool` atomic access (in `sched` builds of `gfsl-gpu-mem`) and
-//! every explicit gate (flat-engine lock acquisitions, the episode start
-//! gate) is a yield point parked in a [`controller::McController`]; a
+//! every explicit gate (the mvcc version fence's acquisitions, the episode
+//! start gate) is a yield point parked in a [`controller::McController`]; a
 //! [`strategy::Scheduler`] decides, at each point where two or more threads
 //! could run, which one does. Three strategies: seeded
 //! [`strategy::RandomWalk`], [`strategy::Replay`] of a recorded decision
@@ -43,10 +43,9 @@ use std::sync::{Arc, Mutex};
 use gfsl_gpu_mem::schedule::{self, AccessKind, SchedHook};
 use gfsl_gpu_mem::NoProbe;
 
-use crate::flat::{FlatSkiplist, KvEngine};
 use crate::history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder};
 use crate::params::GfslParams;
-use crate::skiplist::Gfsl;
+use crate::skiplist::{Gfsl, GfslHandle};
 
 use controller::{one_episode, McController, SharedScheduler, SYNTH_START};
 use minimize::ddmin;
@@ -59,9 +58,10 @@ pub enum McOp {
     Insert(u32, u32),
     /// `remove(k)`.
     Remove(u32),
-    /// `remove(k)` by a team that never gets to its down-pointer repair
-    /// ([`crate::flat::KvEngine::remove_unrepaired`]): a setup script's way
-    /// to leave an index entry pointing at the chunk a merge just killed.
+    /// `remove(k)` by a team that dies between committing its merges and
+    /// repairing the down-pointers of the keys they moved (the repair is
+    /// best-effort, so that is a legal state): a setup script's way to
+    /// leave an index entry pointing at the chunk a merge just killed.
     RemoveUnrepaired(u32),
     /// `get(k)`.
     Get(u32),
@@ -70,27 +70,13 @@ pub enum McOp {
     /// single-key snapshot read has get semantics).
     SnapGet(u32),
     /// One reclamation pass ([`crate::GfslHandle::reclaim_pass`]); leaves
-    /// no history record. A no-op on engines that free memory in place.
+    /// no history record.
     ReclaimPass,
     /// A reclamation pass with a reader in flight: a second handle of the
     /// same structure stays pinned across it, so the pass's first epoch
     /// advance goes through and its second does not — what it leaves in
     /// limbo is one advance short of its grace.
     StalledReclaimPass,
-}
-
-/// Which engine an episode drives.
-#[derive(Debug, Clone)]
-pub enum Target {
-    /// The chunked GFSL under `params` (pool accesses are the yield
-    /// points — requires the `sched` feature on `gfsl-gpu-mem`).
-    Chunked(Box<GfslParams>),
-    /// The flat-bottom engine with the given leaf capacity (lock
-    /// acquisitions are the yield points — always instrumented).
-    Flat {
-        /// Leaf capacity (tiny values force the split path).
-        leaf_cap: usize,
-    },
 }
 
 /// A model-check configuration: a small, fully scripted concurrent run.
@@ -100,8 +86,9 @@ pub struct McConfig {
     pub name: &'static str,
     /// What the configuration exercises (printed in reports).
     pub about: &'static str,
-    /// Engine and its parameters.
-    pub target: Target,
+    /// The structure's parameters. Pool accesses are the yield points:
+    /// exploring needs the `sched` feature on `gfsl-gpu-mem`.
+    pub params: GfslParams,
     /// Keys inserted, in this order, before the scripted ops run.
     pub prefill: Vec<(u32, u32)>,
     /// Script the building handle runs after the prefill, before any
@@ -116,25 +103,23 @@ pub struct McConfig {
 }
 
 impl McConfig {
-    /// The chunked structure an episode's scripted ops start from:
-    /// `prefill` inserted in order, then `setup` run.
-    pub(crate) fn build_chunked(&self, params: &GfslParams) -> Gfsl {
-        let list = Gfsl::new(*params).expect("mc: structure construction");
-        self.build_on(&mut list.handle_with(NoProbe));
-        list
-    }
-
-    fn build_on<E: KvEngine>(&self, h: &mut E) {
+    /// The structure an episode's scripted ops start from: `prefill`
+    /// inserted in order, then `setup` run.
+    pub(crate) fn build(&self) -> Gfsl {
+        let list = Gfsl::new(self.params).expect("mc: structure construction");
+        let mut h = list.handle_with(NoProbe);
         for &(k, v) in &self.prefill {
-            assert!(h.insert(k, v), "mc: prefill dup {k}");
+            assert_eq!(h.insert(k, v), Ok(true), "mc: prefill dup {k}");
         }
         for &op in &self.setup {
             let failed = matches!(
-                apply(h, op),
+                apply(&mut h, op),
                 Some((_, OpAction::Insert { ok: false, .. } | OpAction::Remove { ok: false }))
             );
             assert!(!failed, "mc: setup {op:?} failed");
         }
+        drop(h);
+        list
     }
 
     /// The key/value state the threads' history starts from.
@@ -251,27 +236,60 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The handle type every episode drives.
+type Handle<'a> = GfslHandle<'a, NoProbe>;
+
+/// [`McOp::RemoveUnrepaired`]: `update_down_ptrs` repairs nothing for this
+/// one removal.
+fn remove_unrepaired(h: &mut Handle<'_>, k: u32) -> bool {
+    h.skip_downptr_repair = true;
+    let removed = h.remove(k);
+    h.skip_downptr_repair = false;
+    removed
+}
+
+/// [`McOp::SnapGet`]: read `k` at a freshly pinned version (a plain `get`
+/// when the structure keeps no versions).
+fn snap_get(h: &mut Handle<'_>, k: u32) -> Option<u32> {
+    // Pin borrows the list (not the handle), so the ticket can live
+    // across the `&mut self` versioned read.
+    let list = h.list;
+    match list.pin_version() {
+        Some(t) => h.get_at(k, &t),
+        None => h.get(k),
+    }
+}
+
+/// [`McOp::StalledReclaimPass`]: a second handle of the same structure
+/// stays pinned across the pass.
+fn stalled_reclaim_pass(h: &mut Handle<'_>) {
+    h.list.handle().with_pin(|_| h.reclaim_pass());
+}
+
 /// Run one scripted op: the key it touched and what it did there, or
 /// `None` for a maintenance op, which the history does not see.
-fn apply<E: KvEngine>(h: &mut E, op: McOp) -> Option<(u32, OpAction)> {
+fn apply(h: &mut Handle<'_>, op: McOp) -> Option<(u32, OpAction)> {
     Some(match op {
-        McOp::Insert(k, v) => (k, OpAction::Insert { value: v, ok: h.insert(k, v) }),
+        McOp::Insert(k, v) => {
+            let ok = h.insert(k, v).expect("gfsl insert failed");
+            (k, OpAction::Insert { value: v, ok })
+        }
         McOp::Remove(k) => (k, OpAction::Remove { ok: h.remove(k) }),
-        McOp::RemoveUnrepaired(k) => (k, OpAction::Remove { ok: h.remove_unrepaired(k) }),
+        McOp::RemoveUnrepaired(k) => (k, OpAction::Remove { ok: remove_unrepaired(h, k) }),
         McOp::Get(k) => (k, OpAction::Get { found: h.get(k) }),
-        McOp::SnapGet(k) => (k, OpAction::Get { found: h.snap_get(k) }),
+        McOp::SnapGet(k) => (k, OpAction::Get { found: snap_get(h, k) }),
         McOp::ReclaimPass => {
             h.reclaim_pass();
             return None;
         }
         McOp::StalledReclaimPass => {
-            h.stalled_reclaim_pass();
+            stalled_reclaim_pass(h);
             return None;
         }
     })
 }
 
-fn run_ops<E: KvEngine>(h: &mut E, ops: &[McOp], rec: &mut Recorder<'_>) {
+fn run_ops(h: &mut Handle<'_>, ops: &[McOp], rec: &mut Recorder<'_>) {
     for &op in ops {
         let inv = rec.invoke();
         if let Some((k, action)) = apply(h, op) {
@@ -283,15 +301,15 @@ fn run_ops<E: KvEngine>(h: &mut E, ops: &[McOp], rec: &mut Recorder<'_>) {
 /// Each worker's history and its panic message, if it panicked.
 type WorkerResults = Vec<(Vec<OpRecord>, Option<String>)>;
 
-/// One thread per script of `config`, each on a handle `handle()` mints
+/// One thread per script of `config`, each on a handle of `list` it mints
 /// once it is through the start gate: run the script, and always retire (a
 /// panicking worker that stays registered as live would wedge every parked
 /// peer).
-fn run_workers<E: KvEngine>(
+fn run_workers(
     config: &McConfig,
     ctl: &Arc<McController>,
     clock: &HistoryClock,
-    handle: impl Fn() -> E + Sync,
+    list: &Gfsl,
 ) -> WorkerResults {
     std::thread::scope(|s| {
         let workers: Vec<_> = config
@@ -299,14 +317,19 @@ fn run_workers<E: KvEngine>(
             .iter()
             .enumerate()
             .map(|(id, ops)| {
-                let handle = &handle;
                 s.spawn(move || {
                     let hook: Arc<dyn SchedHook> = ctl.hook(id, true);
                     let mut rec = Recorder::new(clock);
                     let res = catch_unwind(AssertUnwindSafe(|| {
                         let _guard = schedule::register(hook);
                         schedule::yield_point(AccessKind::Load, SYNTH_START);
-                        run_ops(&mut handle(), ops, &mut rec);
+                        let mut h = list.handle_with(NoProbe);
+                        // The hint as a key-sorted call runs it (reads
+                        // consult it, reads and updates move it), on scripts
+                        // in any key order: validation, not sortedness, is
+                        // what keeps it safe.
+                        h.hint_live = true;
+                        run_ops(&mut h, ops, &mut rec);
                     }));
                     ctl.retire(id);
                     (rec.records, res.err().map(panic_text))
@@ -325,44 +348,23 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
     let ctl = McController::new(threads, strategy.clone(), config.max_steps, None);
     let clock = HistoryClock::new();
 
-    let (results, structure_failure): (WorkerResults, Option<String>) = match &config.target {
-        Target::Chunked(params) => {
-            let list = config.build_chunked(params);
-            let results = run_workers(config, &ctl, &clock, || {
-                let mut h = list.handle_with(NoProbe);
-                // The hint as a key-sorted call runs it (reads consult it,
-                // reads and updates move it), on scripts in any key order:
-                // validation, not sortedness, is what keeps it safe.
-                h.hint_live = true;
-                h
-            });
-            let violations = list.validate();
-            let failure = (!violations.is_empty()).then(|| {
-                format!(
-                    "structure invariant violated: {}",
-                    violations
-                        .iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )
-            });
-            (results, failure)
-        }
-        Target::Flat { leaf_cap } => {
-            let list = FlatSkiplist::with_leaf_cap(*leaf_cap);
-            config.build_on(&mut list.handle());
-            let results = run_workers(config, &ctl, &clock, || list.handle());
-            let failure = catch_unwind(AssertUnwindSafe(|| list.assert_valid()))
-                .err()
-                .map(|p| format!("flat invariant violated: {}", panic_text(p)));
-            (results, failure)
-        }
-    };
+    let list = config.build();
+    let results = run_workers(config, &ctl, &clock, &list);
+    let violations = list.validate();
+    let mut failure = (!violations.is_empty()).then(|| {
+        format!(
+            "structure invariant violated: {}",
+            violations
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("; ")
+        )
+    });
 
     let steps = ctl.steps();
-    // Silent no-op guard: a multi-threaded chunked episode whose only
-    // granted turns are the start gates means the pool was built without
+    // Silent no-op guard: a multi-threaded episode whose only granted
+    // turns are the start gates means the pool was built without
     // per-access gating — exploration would trivially "pass" over one
     // schedule. Fail loudly instead.
     if threads > 1 && steps <= threads as u64 {
@@ -374,7 +376,6 @@ pub fn run_episode(config: &McConfig, strategy: &SharedScheduler) -> EpisodeOutc
         );
     }
 
-    let mut failure = structure_failure;
     for (id, (_, panic_msg)) in results.iter().enumerate() {
         if failure.is_some() {
             break;

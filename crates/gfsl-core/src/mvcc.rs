@@ -247,10 +247,9 @@ impl MvccEngine {
     }
 
     /// Acquire the fence shared (writer side). Under a scheduler hook every
-    /// attempt is a yield point on [`SYNTH_MVCC_FENCE`], for the same
-    /// reason as the flat engine's locks: the turnstile only grants turns
-    /// when all live threads are parked, so blocking inside the OS lock
-    /// would wedge it.
+    /// attempt is a yield point on [`SYNTH_MVCC_FENCE`]: the turnstile only
+    /// grants turns when all live threads are parked, so blocking inside
+    /// the OS lock would wedge it.
     pub(crate) fn writer_fence(&self) -> RwLockReadGuard<'_, u64> {
         if !schedule::hooked() {
             return self.fence.read();

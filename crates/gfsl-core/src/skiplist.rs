@@ -770,8 +770,8 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// the key the traversal stepped down through there — that chunk's
     /// minimum, the one key of an upper chunk worth raising further.
     pub(crate) heal_keys: [u32; gfsl_simt::WARP_SIZE],
-    /// Set for the one operation of
-    /// [`KvEngine::remove_unrepaired`](crate::flat::KvEngine::remove_unrepaired):
+    /// Set for the one operation of a scripted
+    /// [`McOp::RemoveUnrepaired`](crate::mc::McOp::RemoveUnrepaired):
     /// `update_down_ptrs` returns without repairing anything.
     pub(crate) skip_downptr_repair: bool,
     /// This handle's update count; see [`Self::maybe_reclaim`].

@@ -13,7 +13,7 @@
 use gfsl::bug_knobs;
 use gfsl::mc::minimize::ddmin;
 use gfsl::mc::strategy::{DfsBounded, RandomWalk, Replay, Scheduler};
-use gfsl::mc::{configs, explore, format_spec, replay, McOp, McReport, Target};
+use gfsl::mc::{configs, explore, format_spec, replay, McOp, McReport};
 use gfsl::Gfsl;
 
 /// Explore with bounded DFS, escalating to a seeded random walk if the
@@ -166,10 +166,7 @@ fn clean_build_passes_the_oracle_configs() {
 /// invalid, the decision bytes and the trace hash.
 fn probe_run(strategy: impl Scheduler + 'static) -> (bool, Vec<u8>, u64) {
     let cfg = configs::by_name("split-raise-2t").expect("config registered");
-    let Target::Chunked(params) = &cfg.target else {
-        unreachable!("split-raise-2t drives the chunked engine")
-    };
-    let list = Gfsl::new(**params).expect("params valid");
+    let list = Gfsl::new(cfg.params).expect("params valid");
     {
         let mut h = list.handle();
         for &(k, v) in &cfg.prefill {

@@ -27,8 +27,9 @@
 //! Addresses are logical [`WordAddr`] indexes, never host pointers: pointer
 //! identity varies run-to-run under ASLR and would break the bit-identical
 //! trace hashes the replay machinery depends on. Structures that do not
-//! live in the word pool (e.g. the flat engine's leaf mutexes) participate
-//! by minting stable synthetic addresses in a reserved high range.
+//! live in the word pool (e.g. the mvcc version fence, an `RwLock`)
+//! participate by minting stable synthetic addresses in a reserved high
+//! range.
 //!
 //! Why the hook is consulted through TLS rather than a field: the pool is
 //! shared by every handle, but only *scheduled* threads should be gated —
@@ -66,13 +67,6 @@ pub const SYNTH_ALLOC: WordAddr = 0xFFFF_FFFD;
 /// acquisition attempt on this address so the model checker owns the
 /// interleaving of stamp vs pin.
 pub const SYNTH_MVCC_FENCE: WordAddr = 0xFFFF_FFFC;
-
-/// Synthetic address of the flat engine's index `RwLock`.
-pub const SYNTH_FLAT_INDEX: WordAddr = 0xFFFF_FFFE;
-
-/// Base of the synthetic address range for flat-engine leaf mutexes: leaf
-/// `id` gates on `SYNTH_FLAT_LEAF_BASE | id`.
-pub const SYNTH_FLAT_LEAF_BASE: WordAddr = 0xF000_0000;
 
 /// What kind of memory access a yield point guards.
 ///

@@ -1,6 +1,5 @@
-//! Hot-path engine grid: per-op calls, the key-sorted (hinted) batch entry
-//! point, and the flat-bottom (B-Skiplist) engine variant, measured
-//! head-to-head on three workloads.
+//! Hot-path engine grid: per-op calls and the key-sorted (hinted) batch
+//! entry point, measured head-to-head on three workloads.
 //! Not a paper artifact — this tracks the host-side engine work layered on
 //! the paper's structure:
 //!
@@ -11,7 +10,7 @@
 //!   into one or two lateral steps from the previous op's chunk.
 //! * **fresh inserts** — update-path cost, through the same entry points.
 //! * **sliding-window churn** — per-op insert+remove with reclamation on
-//!   (so one row per engine: the entry point does not enter into it), the
+//!   (so one row: the entry point does not enter into it), the
 //!   workload that exercises zombie retirement, the head-edge sweep, and
 //!   pool recycling. Columns include the reclaim counters so the recycling
 //!   behaviour, and what the passes cost beyond it (how many ran, how many
@@ -33,10 +32,7 @@
 
 use std::time::Instant;
 
-use gfsl::{
-    BatchOp, BatchReply, EngineKind, FlatSkiplist, Gfsl, GfslHandle, GfslParams,
-    KvEngine, MemProbe, ReclaimStats,
-};
+use gfsl::{BatchOp, BatchReply, Gfsl, GfslHandle, GfslParams, MemProbe, ReclaimStats};
 use gfsl_workload::SplitMix64;
 use serde::Serialize;
 
@@ -73,18 +69,16 @@ const PARENT_DRIFT: DriftResult = DriftResult {
 #[derive(Debug, Clone, Copy)]
 struct GridCfg {
     name: &'static str,
-    engine: EngineKind,
     /// Batches go through `execute_batch_hinted` (key-sorted, the
     /// bottom-level hint live) instead of `execute_batch` (in order).
     sorted: bool,
 }
 
-/// The grid: the plain engine first (the baseline of every "vs plain"
-/// column), then the sorted entry point, then the flat-bottom challenger.
-const GRID: [GridCfg; 3] = [
-    GridCfg { name: "plain", engine: EngineKind::Gfsl, sorted: false },
-    GridCfg { name: "batch", engine: EngineKind::Gfsl, sorted: true },
-    GridCfg { name: "flat", engine: EngineKind::FlatBottom, sorted: false },
+/// The grid: per-op order first (the baseline of every "vs plain" column),
+/// then the sorted entry point.
+const GRID: [GridCfg; 2] = [
+    GridCfg { name: "plain", sorted: false },
+    GridCfg { name: "batch", sorted: true },
 ];
 
 fn params_for(cfg: &ExpConfig, expected_keys: u64) -> GfslParams {
@@ -147,55 +141,25 @@ fn hot_band_gets(cfg: &ExpConfig, g: GridCfg) -> GetResult {
     let range = cfg.anchor_range();
     let batches = get_batches(cfg, range);
     let total = (batches.len() * BATCH) as f64;
-    match g.engine {
-        EngineKind::Gfsl => {
-            let params = params_for(cfg, range as u64 / 2);
-            let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
-            let mut h = list.handle();
-            let mut out = Vec::with_capacity(BATCH);
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let start = Instant::now();
-                for b in &batches {
-                    run_batch(&mut h, g.sorted, b, &mut out);
-                }
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            let stats = h.stats();
-            GetResult {
-                mops: total / best / 1.0e6,
-                hint: LocalityStats {
-                    hint_hit_rate: stats.hint_hit_rate().unwrap_or(0.0),
-                    skip_reads: stats.skip_reads,
-                },
-            }
+    let params = params_for(cfg, range as u64 / 2);
+    let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
+    let mut h = list.handle();
+    let mut out = Vec::with_capacity(BATCH);
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        for b in &batches {
+            run_batch(&mut h, g.sorted, b, &mut out);
         }
-        EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new();
-            let mut h = list.handle();
-            for k in (1..range).filter(|k| k % 2 == 0) {
-                h.insert(k, k);
-            }
-            let mut found = 0u64;
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                found = 0;
-                let start = Instant::now();
-                for b in &batches {
-                    for op in b {
-                        if let BatchOp::Get(k) = *op {
-                            found += h.get(k).is_some() as u64;
-                        }
-                    }
-                }
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            assert!(found > 0, "hot band over a half-full list must hit");
-            GetResult {
-                mops: total / best / 1.0e6,
-                hint: LocalityStats { hint_hit_rate: 0.0, skip_reads: 0 },
-            }
-        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let stats = h.stats();
+    GetResult {
+        mops: total / best / 1.0e6,
+        hint: LocalityStats {
+            hint_hit_rate: stats.hint_hit_rate().unwrap_or(0.0),
+            skip_reads: stats.skip_reads,
+        },
     }
 }
 
@@ -212,107 +176,64 @@ fn fresh_inserts(cfg: &ExpConfig, g: GridCfg) -> f64 {
         keys.swap(i, rng.below(i as u64 + 1) as usize);
     }
 
-    match g.engine {
-        EngineKind::Gfsl => {
-            let params = params_for(cfg, range as u64 / 2 + n_ins as u64);
-            let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
-            let mut h = list.handle();
-            let batches: Vec<Vec<BatchOp>> = keys
-                .chunks(BATCH)
-                .map(|c| c.iter().map(|&k| BatchOp::Insert(k, k)).collect())
-                .collect();
-            let mut out = Vec::with_capacity(BATCH);
-            let start = Instant::now();
-            for b in &batches {
-                run_batch(&mut h, g.sorted, b, &mut out);
-            }
-            n_ins as f64 / start.elapsed().as_secs_f64() / 1.0e6
-        }
-        EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new();
-            let mut h = list.handle();
-            for k in (1..range).filter(|k| k % 2 == 0) {
-                h.insert(k, k);
-            }
-            let start = Instant::now();
-            for &k in &keys {
-                assert!(h.insert(k, k), "odd keys are fresh");
-            }
-            n_ins as f64 / start.elapsed().as_secs_f64() / 1.0e6
-        }
+    let params = params_for(cfg, range as u64 / 2 + n_ins as u64);
+    let list = Gfsl::prefilled(params, (1..range).filter(|k| k % 2 == 0)).unwrap();
+    let mut h = list.handle();
+    let batches: Vec<Vec<BatchOp>> = keys
+        .chunks(BATCH)
+        .map(|c| c.iter().map(|&k| BatchOp::Insert(k, k)).collect())
+        .collect();
+    let mut out = Vec::with_capacity(BATCH);
+    let start = Instant::now();
+    for b in &batches {
+        run_batch(&mut h, g.sorted, b, &mut out);
     }
+    n_ins as f64 / start.elapsed().as_secs_f64() / 1.0e6
 }
 
-/// Churn workload result: throughput plus the reclamation (or, for the
-/// flat engine, structural-churn) counters.
+/// Churn workload result: throughput plus the reclamation counters.
 struct ChurnResult {
     mops: f64,
-    /// Reclamation counters, bump high water and pool size, in chunks;
-    /// `None` for the flat engine (no chunk pool; see `flat_shape` meta).
-    reclaim: Option<(ReclaimStats, u32, u32)>,
+    reclaim: ReclaimStats,
+    /// Bump high water and pool size, in chunks.
+    high_water: u32,
+    pool: u32,
 }
 
 /// Sliding-window churn with reclamation on: monotone insert+remove pairs
 /// whose zombie runs park behind the level sentinels — the workload that
 /// needs the reclaim pass's head-edge sweep to recycle anything at all.
-fn window_churn(cfg: &ExpConfig, engine: EngineKind) -> ChurnResult {
+fn window_churn(cfg: &ExpConfig) -> ChurnResult {
     let window = (cfg.anchor_range() / 8).clamp(256, 4_096);
     let pairs = (cfg.mixed_ops() / 2).max(window as usize);
-    match engine {
-        EngineKind::Gfsl => {
-            let params = GfslParams {
-                reclaim: true,
-                ..params_for(cfg, window as u64 * 2)
-            };
-            let pool = params.pool_chunks;
-            let list = Gfsl::new(params).unwrap();
-            let mut h = list.handle();
-            for k in 1..=window {
-                h.insert(k, k).unwrap();
-            }
-            // The window keeps sliding across reps — steady state is the
-            // point, so later reps measure the same regime as the first.
-            let mut next = window + 1;
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let start = Instant::now();
-                for _ in 0..pairs as u32 {
-                    h.insert(next, next).expect("reclamation keeps the pool ahead of churn");
-                    assert!(h.remove(next - window), "window key must be present");
-                    next += 1;
-                }
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            let stats = list.reclaim_stats().expect("reclamation on");
-            ChurnResult {
-                mops: (pairs * 2) as f64 / best / 1.0e6,
-                reclaim: Some((stats, list.chunks_allocated(), pool)),
-            }
+    let params = GfslParams {
+        reclaim: true,
+        ..params_for(cfg, window as u64 * 2)
+    };
+    let pool = params.pool_chunks;
+    let list = Gfsl::new(params).unwrap();
+    let mut h = list.handle();
+    for k in 1..=window {
+        h.insert(k, k).unwrap();
+    }
+    // The window keeps sliding across reps — steady state is the point, so
+    // later reps measure the same regime as the first.
+    let mut next = window + 1;
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        for _ in 0..pairs as u32 {
+            h.insert(next, next).expect("reclamation keeps the pool ahead of churn");
+            assert!(h.remove(next - window), "window key must be present");
+            next += 1;
         }
-        EngineKind::FlatBottom => {
-            let list = FlatSkiplist::new();
-            let mut h = list.handle();
-            for k in 1..=window {
-                h.insert(k, k);
-            }
-            let mut next = window + 1;
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let start = Instant::now();
-                for _ in 0..pairs as u32 {
-                    assert!(h.insert(next, next));
-                    assert!(h.remove(next - window), "window key must be present");
-                    next += 1;
-                }
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            let shape = list.shape();
-            assert!(shape.merges > 0, "sliding window must retire leaves");
-            ChurnResult {
-                mops: (pairs * 2) as f64 / best / 1.0e6,
-                reclaim: None,
-            }
-        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    ChurnResult {
+        mops: (pairs * 2) as f64 / best / 1.0e6,
+        reclaim: list.reclaim_stats().expect("reclamation on"),
+        high_water: list.chunks_allocated(),
+        pool,
     }
 }
 
@@ -413,37 +334,29 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let mut churn = Table::new(
         "Hot path: sliding-window churn with reclamation on",
         &[
-            "config", "churn MOPS", "vs plain", "reclaimed", "reused", "high water", "pool",
-            "passes", "skipped", "parent chunks scanned", "backlog high water",
+            "config", "churn MOPS", "reclaimed", "reused", "high water", "pool", "passes",
+            "skipped", "parent chunks scanned", "backlog high water",
         ],
     );
-    let mut base_churn = 0.0f64;
-    // The churn cell makes per-op calls: one row per engine.
-    for g in GRID.into_iter().filter(|g| !g.sorted) {
-        let r = window_churn(cfg, g.engine);
-        if base_churn == 0.0 {
-            base_churn = r.mops;
-        }
-        // What reclamation moved, and what it cost beyond that: a pass
-        // reads its candidates' whole parent level, whatever it reclaims.
-        let counters = match r.reclaim {
-            Some((s, high, pool)) => [
-                s.zombies_reclaimed,
-                s.reused,
-                u64::from(high),
-                u64::from(pool),
-                s.passes,
-                s.passes_skipped,
-                s.parent_chunks_scanned,
-                s.backlog_high_water,
-            ]
-            .map(|n| n.to_string()),
-            None => std::array::from_fn(|_| "-".to_string()),
-        };
-        let mut row = vec![g.name.to_string(), mops(r.mops), ratio(r.mops / base_churn)];
-        row.extend(counters);
-        churn.row(row);
-    }
+    // The churn cell makes per-op calls: one row. What reclamation moved,
+    // and what it cost beyond that: a pass reads its candidates' whole
+    // parent level, whatever it reclaims.
+    let r = window_churn(cfg);
+    let mut row = vec![GRID[0].name.to_string(), mops(r.mops)];
+    row.extend(
+        [
+            r.reclaim.zombies_reclaimed,
+            r.reclaim.reused,
+            u64::from(r.high_water),
+            u64::from(r.pool),
+            r.reclaim.passes,
+            r.reclaim.passes_skipped,
+            r.reclaim.parent_chunks_scanned,
+            r.reclaim.backlog_high_water,
+        ]
+        .map(|n| n.to_string()),
+    );
+    churn.row(row);
 
     let mut drift = Table::new(
         "Hot path: long-run index drift (uniform 10/10/80, 10k keys, one handle, 2M ops)",
@@ -488,21 +401,17 @@ mod tests {
         assert_eq!(tables.len(), 3);
         assert_eq!(tables[2].rows.len(), 2, "the parent's drift row and this build's");
         let grid = &tables[0].rows;
-        assert_eq!(grid.len(), 3, "one row per grid configuration");
         let names: Vec<&str> = grid.iter().map(|r| r[0].as_str()).collect();
-        assert_eq!(names, ["plain", "batch", "flat"], "plain baseline first");
+        assert_eq!(names, ["plain", "batch"], "plain baseline first");
         assert_eq!(grid[0][2], "1.00x", "baseline ratio is identity");
         // The sorted entry point must actually exercise the hint.
         assert_ne!(grid[1][3], "-", "sorted rows report a hit rate");
         assert_ne!(grid[1][3], "0.0%", "sorted hot-band batches must hit");
-        // Churn must have recycled: the reclaim counters are the artifact
-        // (the flat engine has no chunk pool and reports dashes).
+        // Churn must have recycled: the reclaim counters are the artifact.
         let churn = &tables[1].rows;
-        assert_eq!(churn.len(), 2, "one row per engine");
-        assert_eq!((churn[0][0].as_str(), churn[0][2].as_str()), ("plain", "1.00x"));
-        assert_ne!(churn[0][3], "0", "churn must reclaim zombies ({:?})", churn[0]);
-        assert_ne!(churn[0][4], "0", "churn must reuse chunks ({:?})", churn[0]);
-        assert_eq!(churn[1][0], "flat");
-        assert_eq!(churn[1][3], "-", "flat engine has no reclaim counters");
+        assert_eq!(churn.len(), 1, "the entry point does not enter into it");
+        assert_eq!(churn[0][0], "plain");
+        assert_ne!(churn[0][2], "0", "churn must reclaim zombies ({:?})", churn[0]);
+        assert_ne!(churn[0][3], "0", "churn must reuse chunks ({:?})", churn[0]);
     }
 }

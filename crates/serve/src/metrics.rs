@@ -42,6 +42,16 @@ impl LatencyHisto {
         self.max = self.max.max(ns);
     }
 
+    /// Fold another histogram in (per-thread histograms, one report).
+    pub fn merge(&mut self, other: &LatencyHisto) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Samples recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -272,6 +282,25 @@ mod tests {
         h.record(0);
         assert_eq!(h.count(), 1);
         assert_eq!(h.p50_ns(), 0, "clamped to observed max");
+    }
+
+    #[test]
+    fn merged_histograms_equal_one_fed_both_streams() {
+        let (mut a, mut b, mut both) = (LatencyHisto::new(), LatencyHisto::new(), LatencyHisto::new());
+        for i in 0..2_000u64 {
+            let ns = i * i + 1;
+            if i % 3 == 0 { &mut a } else { &mut b }.record(ns);
+            both.record(ns);
+        }
+        a.merge(&b);
+        assert_eq!((a.buckets, a.count, a.sum, a.max), (both.buckets, both.count, both.sum, both.max));
+        assert_eq!(a.p99_ns(), both.p99_ns());
+
+        // Rank 0 clamps to the first sample: its bucket, not `min(1, max)`.
+        let mut h = LatencyHisto::new();
+        h.record(5_000);
+        h.record(9_000);
+        assert!(h.quantile_ns(0.0) >= 4_096, "q0 = {}", h.quantile_ns(0.0));
     }
 
     #[test]

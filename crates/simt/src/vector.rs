@@ -66,17 +66,6 @@ pub fn keys_in_range(size: TeamSize, regs: &WarpRegs, lo: u32, hi: u32) -> Ballo
     data_votes(size, regs, |key| key != 0 && key != u32::MAX && lo <= key && key <= hi)
 }
 
-/// Count entries with key `<= k` across an arbitrarily wide word run.
-///
-/// Ballots pack one vote bit per lane, which caps them at 32 entries — the
-/// warp width. The flat-bottom (B-Skiplist) engine packs *hundreds* of
-/// sorted entries into one fat leaf, so its position vote is a **rank**
-/// (a count), not a mask.
-#[inline]
-pub fn rank_le(words: &[u64], k: u32) -> usize {
-    words.iter().filter(|&&w| w as u32 <= k).count()
-}
-
 /// Reference per-lane loop over a slice of data words (`words[i]` is lane
 /// `i`'s, so bit `i` of a mask is lane `i`'s vote): the differential-test
 /// oracle for the kernels above.
@@ -201,16 +190,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rank_le_counts_past_warp_width() {
-        // 300 sorted keys 10,20,...,3000: far wider than one ballot.
-        let words: Vec<u64> = (1..=300u32).map(|i| word(i * 10, i)).collect();
-        assert_eq!(rank_le(&words, 5), 0);
-        assert_eq!(rank_le(&words, 10), 1);
-        assert_eq!(rank_le(&words, 1234), 123);
-        assert_eq!(rank_le(&words, u32::MAX), 300);
-    }
-
     /// Register files of the shapes a traversal meets: arbitrary words,
     /// with keys drawn so that sentinels, duplicates and `k` itself occur.
     fn regs_strategy() -> impl Strategy<Value = Vec<u64>> {
@@ -244,14 +223,6 @@ mod tests {
                     ScalarBallot.keys_in_range(data, k, hi)
                 );
             }
-        }
-
-        #[test]
-        fn rank_le_is_the_popcount_of_the_le_mask(
-            words in regs_strategy(),
-            k in k_strategy(),
-        ) {
-            prop_assert_eq!(rank_le(&words, k), ScalarBallot.keys_le(&words, k).count_ones() as usize);
         }
     }
 }

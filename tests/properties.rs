@@ -13,14 +13,26 @@ enum Action {
     Remove(u32),
     Get(u32),
     MinEntry,
+    Range(u32, u32),
+}
+
+/// Mostly the dense span, and the user keys next to both sentinels.
+fn key_strategy(key_span: u32) -> impl Strategy<Value = u32> {
+    prop_oneof![
+        6 => 1..=key_span,
+        1 => Just(1u32),
+        1 => (0..=2u32).prop_map(|d| u32::MAX - 1 - d),
+    ]
 }
 
 fn action_strategy(key_span: u32) -> impl Strategy<Value = Action> {
+    let key = move || key_strategy(key_span);
     prop_oneof![
-        (1..=key_span, any::<u32>()).prop_map(|(k, v)| Action::Insert(k, v)),
-        (1..=key_span).prop_map(Action::Remove),
-        (1..=key_span).prop_map(Action::Get),
-        Just(Action::MinEntry),
+        2 => (key(), any::<u32>()).prop_map(|(k, v)| Action::Insert(k, v)),
+        2 => key().prop_map(Action::Remove),
+        2 => key().prop_map(Action::Get),
+        2 => Just(Action::MinEntry),
+        1 => (key(), key()).prop_map(|(a, b)| Action::Range(a.min(b), a.max(b))),
     ]
 }
 
@@ -49,6 +61,12 @@ fn check_gfsl(team: TeamSize, actions: &[Action]) {
             Action::MinEntry => {
                 let want = reference.iter().next().map(|(&k, &v)| (k, v));
                 assert_eq!(h.min_entry(), want, "min_entry");
+            }
+            Action::Range(lo, hi) => {
+                let got = h.range(lo, hi);
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "range {lo}..={hi} sorted, unique");
+                let want: Vec<(u32, u32)> = reference.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                assert_eq!(got, want, "range {lo}..={hi}");
             }
         }
     }
@@ -103,7 +121,7 @@ proptest! {
                 Action::Get(k) => {
                     prop_assert_eq!(h.get(k), reference.get(&k).copied());
                 }
-                Action::MinEntry => {} // not part of the M&C API
+                Action::MinEntry | Action::Range(..) => {} // not part of the M&C API
             }
         }
         let keys: Vec<u32> = reference.keys().copied().collect();
