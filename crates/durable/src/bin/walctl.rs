@@ -3,7 +3,7 @@
 //! ```text
 //! gfsl-walctl dump <wal-dir>      dump every segment record with LSN/CRC status
 //! gfsl-walctl verify <ckpt-dir>   verify every checkpoint manifest + data pages
-//! gfsl-walctl status <root-dir>   one-line summary of <root>/wal and <root>/ckpt
+//! gfsl-walctl status <root-dir>   one line per <root>/wal/lane-* and <root>/ckpt checkpoint
 //! ```
 //!
 //! Unlike recovery, `dump` never repairs: a torn tail is *reported*, not
@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use gfsl_durable::ckpt::{self, PAGE_BYTES};
 use gfsl_durable::wal::{
-    decode_record, list_segments, RECORD_BYTES, SEG_HEADER_BYTES, WAL_MAGIC,
+    decode_record, list_segments, WalRecord, RECORD_BYTES, SEG_HEADER_BYTES, WAL_MAGIC,
 };
 
 fn main() -> ExitCode {
@@ -47,6 +47,46 @@ fn main() -> ExitCode {
     }
 }
 
+/// One frame slot of a segment body: the record at the LSN its offset
+/// implies, or the line `dump` prints for the damage.
+type Frame = Result<WalRecord, String>;
+
+/// One segment file, read whole.
+struct Segment {
+    /// File length, bytes.
+    len: usize,
+    /// Base LSN and every frame slot; `None` when the header is torn or
+    /// carries the wrong magic.
+    body: Option<(u64, Vec<Frame>)>,
+}
+
+/// The one frame walk `dump` prints and `status` counts.
+fn walk_segment(path: &Path) -> std::io::Result<Segment> {
+    let bytes = fs::read(path)?;
+    let len = bytes.len();
+    if len < SEG_HEADER_BYTES || bytes[0..8] != WAL_MAGIC {
+        return Ok(Segment { len, body: None });
+    }
+    let base = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+    let frames = bytes[SEG_HEADER_BYTES..]
+        .chunks(RECORD_BYTES)
+        .enumerate()
+        .map(|(i, frame)| {
+            let (at, expect) = (SEG_HEADER_BYTES + i * RECORD_BYTES, base + i as u64);
+            match decode_record(frame) {
+                Some(r) if r.lsn == expect => Ok(r),
+                Some(r) => Err(format!("  lsn {:>8}  MISPLACED (expected lsn {expect})", r.lsn)),
+                None if frame.len() < RECORD_BYTES => Err(format!(
+                    "  @byte {at:>6}  PARTIAL ({} of {RECORD_BYTES} bytes) — torn tail?",
+                    frame.len()
+                )),
+                None => Err(format!("  @byte {at:>6}  CRC FAIL (expected lsn {expect})")),
+            }
+        })
+        .collect();
+    Ok(Segment { len, body: Some((base, frames)) })
+}
+
 /// Dump every record of every segment. Returns whether all validated.
 fn dump_wal(dir: &Path) -> std::io::Result<bool> {
     let segs = list_segments(dir)?;
@@ -56,43 +96,26 @@ fn dump_wal(dir: &Path) -> std::io::Result<bool> {
     }
     let mut clean = true;
     for (seq, path) in segs {
-        let bytes = fs::read(&path)?;
-        print!("segment {seq:#x} ({}, {} bytes): ", path.display(), bytes.len());
-        if bytes.len() < SEG_HEADER_BYTES {
-            println!("TORN HEADER ({} of {SEG_HEADER_BYTES} bytes)", bytes.len());
+        let Segment { len, body } = walk_segment(&path)?;
+        print!("segment {seq:#x} ({}, {len} bytes): ", path.display());
+        let Some((base, frames)) = body else {
+            if len < SEG_HEADER_BYTES {
+                println!("TORN HEADER ({len} of {SEG_HEADER_BYTES} bytes)");
+            } else {
+                println!("BAD MAGIC");
+            }
             clean = false;
             continue;
-        }
-        if bytes[0..8] != WAL_MAGIC {
-            println!("BAD MAGIC");
-            clean = false;
-            continue;
-        }
-        let base = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        };
         println!("base_lsn {base}");
-        let body = &bytes[SEG_HEADER_BYTES..];
-        let mut offset = 0;
-        while offset < body.len() {
-            let frame = &body[offset..body.len().min(offset + RECORD_BYTES)];
-            let expect = base + (offset / RECORD_BYTES) as u64;
-            match decode_record(frame) {
-                Some(r) if r.lsn == expect => {
-                    println!("  lsn {:>8}  CRC ok   {:?}", r.lsn, r.op)
-                }
-                Some(r) => {
-                    println!("  lsn {:>8}  MISPLACED (expected lsn {expect})", r.lsn);
-                    clean = false;
-                }
-                None if frame.len() < RECORD_BYTES => {
-                    println!("  @byte {:>6}  PARTIAL ({} of {RECORD_BYTES} bytes) — torn tail?", SEG_HEADER_BYTES + offset, frame.len());
-                    clean = false;
-                }
-                None => {
-                    println!("  @byte {:>6}  CRC FAIL (expected lsn {expect})", SEG_HEADER_BYTES + offset);
+        for frame in frames {
+            match frame {
+                Ok(r) => println!("  lsn {:>8}  CRC ok   {:?}", r.lsn, r.op),
+                Err(damage) => {
+                    println!("{damage}");
                     clean = false;
                 }
             }
-            offset += RECORD_BYTES;
         }
     }
     Ok(clean)
@@ -128,12 +151,11 @@ fn verify_ckpt(dir: &Path) -> std::io::Result<bool> {
     Ok(clean)
 }
 
-/// One-line summary of a durable root (engine layout `<root>/{wal,ckpt}`
-/// or cluster layout `<root>/wal/lane-*`).
+/// One-line summary per WAL lane (`<root>/wal/lane-*`) and per checkpoint
+/// of a durable root.
 fn status(root: &Path) -> std::io::Result<bool> {
     let mut clean = true;
-    let wal_root = root.join("wal");
-    let mut lane_dirs: Vec<_> = match fs::read_dir(&wal_root) {
+    let mut lane_dirs: Vec<_> = match fs::read_dir(root.join("wal")) {
         Ok(rd) => rd
             .filter_map(|e| e.ok())
             .map(|e| e.path())
@@ -146,32 +168,19 @@ fn status(root: &Path) -> std::io::Result<bool> {
         Err(_) => Vec::new(),
     };
     lane_dirs.sort();
-    if lane_dirs.is_empty() {
-        lane_dirs.push(wal_root);
-    }
     for lane in &lane_dirs {
         let segs = list_segments(lane)?;
         let mut records = 0u64;
         let mut bad_frames = 0u64;
         for (seq, path) in &segs {
-            let bytes = fs::read(path)?;
-            if bytes.len() < SEG_HEADER_BYTES || bytes[0..8] != WAL_MAGIC {
+            let Some((_, frames)) = walk_segment(path)?.body else {
                 println!("{}: segment {seq:#x} has a damaged header", lane.display());
                 clean = false;
                 continue;
-            }
-            let base = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-            let body = &bytes[SEG_HEADER_BYTES..];
-            let mut offset = 0;
-            while offset < body.len() {
-                let frame = &body[offset..body.len().min(offset + RECORD_BYTES)];
-                let expect = base + (offset / RECORD_BYTES) as u64;
-                match decode_record(frame) {
-                    Some(r) if r.lsn == expect => records += 1,
-                    _ => bad_frames += 1,
-                }
-                offset += RECORD_BYTES;
-            }
+            };
+            let valid = frames.iter().filter(|f| f.is_ok()).count() as u64;
+            records += valid;
+            bad_frames += frames.len() as u64 - valid;
         }
         if bad_frames > 0 {
             println!(

@@ -1,43 +1,77 @@
-//! [`DurableCluster`]: the durability tier over the key-range-sharded
-//! multi-GFSL engine.
+//! [`DurableCluster`]: the one durable engine — a key-range-sharded
+//! cluster whose acknowledged writes survive process death. A single
+//! durable list is the `n_shards: 1, n_lanes: 1` shape of it.
+//!
+//! ## The commit protocol
+//!
+//! Every mutation follows **apply → log → sync → ack**: the structural
+//! operation runs first, then (only if it was effective — GFSL inserts are
+//! set-like, so a duplicate insert changes nothing and logs nothing) its
+//! [`WriteEffect`] goes through the engine's one commit routine
+//! ([`CommitSink::commit`] on the lane log): effects partitioned by lane,
+//! one append and one [`DurabilityContract`] sync per lane touched. The
+//! per-op [`insert`](DurableCluster::insert) / [`remove`](DurableCluster::remove)
+//! commit one effect; a serving edge commits an epoch's worth through
+//! [`DurableCluster::sink`]. A crash before the log leaves an
+//! applied-but-unlogged write that dies with the process — safe, because
+//! it was never acknowledged. A crash after the sync loses nothing. The
+//! window in between is the *maybe* zone the kill-restart soak models with
+//! `InsertMaybe`/`RemoveMaybe` history records.
 //!
 //! ## Static WAL lanes, not per-shard logs
 //!
 //! The cluster reshards: splits and live migration move key ranges between
 //! shards, so a log *per shard* would have to move records between logs
 //! (or impose cross-log ordering) whenever the shard map changes. Instead
-//! the durable cluster logs into `n_lanes` **static** lanes — lane of a
-//! key is `key % n_lanes`, fixed for the lifetime of the directory. Every
-//! op on a given key lands in one lane in apply order, and because lanes
-//! own disjoint key sets there is *no* cross-lane ordering to preserve:
-//! each lane is an independent LSN space, synced independently, replayed
-//! in any interleaving.
+//! the engine logs into `n_lanes` **static** lanes — lane of a key is
+//! `key % n_lanes`, fixed for the lifetime of the directory. Every op on a
+//! given key lands in one lane in commit order, and because lanes own
+//! disjoint key sets there is *no* cross-lane ordering to preserve: each
+//! lane is an independent LSN space, synced independently, replayed in
+//! any interleaving.
 //!
-//! ## Checkpoint cut discipline
+//! ## Why replay is idempotent, and the checkpoint cut
 //!
-//! The checkpointer reads every lane's `last_lsn` **before** taking the
-//! consistent cluster snapshot. Apply happens before log, so a write can
-//! be in the snapshot yet have `lsn > cut` — replayed redundantly, which
-//! the set-like ops absorb (see [`crate::engine`] module docs). The
-//! reverse — a write with `lsn ≤ cut` missing from the snapshot — cannot
-//! happen with cuts read first, and that is the direction that would lose
-//! data. The manifest records the per-lane cuts, the shard-map epoch, and
-//! every shard's key-range bounds, so recovery restores the same shard
-//! layout before replaying each lane's tail.
+//! Only *effective* writes are logged, so per key the log alternates
+//! `Put`/`Del`. Replaying a contiguous LSN suffix onto any state at least
+//! as old as the replay floor converges to the post-log state: a `Put`
+//! whose key is resident is a set-like no-op, a `Del` whose key is absent
+//! likewise. The checkpointer therefore reads every lane's `last_lsn`
+//! **before** taking the consistent cluster snapshot: apply happens before
+//! log, so a write can be in the snapshot yet have `lsn > cut` — replayed
+//! redundantly and absorbed. The reverse — a write with `lsn ≤ cut`
+//! missing from the snapshot — cannot happen with cuts read first, and
+//! that is the direction that would lose data.
+//!
+//! ## Recovery ([`DurableCluster::open`])
+//!
+//! 1. Sweep checkpoint temp files (a crash mid-publication leaves only
+//!    `tmp-*` debris).
+//! 2. Load the newest checkpoint that validates end to end, falling back
+//!    on damage ([`ckpt::load_latest`]); its manifest carries the per-lane
+//!    cuts, the shard-map epoch and every shard's key-range bounds, so the
+//!    same shard layout comes back.
+//! 3. Per lane, scan the WAL ([`wal::scan_wal`]): truncate a torn tail,
+//!    refuse on mid-log corruption, damaged headers, or segment gaps.
+//! 4. Refuse with [`RecoverError::WalGap`] if a lane's surviving log does
+//!    not reach back to its cut — a stale checkpoint over a pruned log
+//!    would otherwise silently lose acknowledged writes.
+//! 5. Replay each lane's records past its cut, run the full validation
+//!    walk, and only then serve.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gfsl::GfslParams;
 use gfsl_cluster::{Cluster, ClusterSnapshot};
-use gfsl_serve::DurabilityContract;
+use gfsl_serve::{CommitSink, DurabilityContract, WriteEffect};
 
 use crate::ckpt::{self, Manifest};
-use crate::engine::RecoveryReport;
 use crate::error::{OpError, RecoverError};
 use crate::hook::Failpoints;
-use crate::wal::{self, Wal, WalOp};
+use crate::wal::{self, Wal, WalOp, WalRecord};
 
-/// Shape of a durable cluster's on-disk footprint.
+/// Shape of a durable engine's on-disk footprint.
 #[derive(Debug, Clone)]
 pub struct DurableClusterConfig {
     /// Root directory; lane `i` logs into `<dir>/wal/lane-<i>`,
@@ -47,7 +81,7 @@ pub struct DurableClusterConfig {
     pub contract: DurabilityContract,
     /// Records per WAL segment before rotation.
     pub seg_records: u32,
-    /// Published checkpoints retained.
+    /// Published checkpoints retained (≥ 2 keeps a fallback).
     pub ckpt_keep: usize,
     /// Static WAL lane count — fixed for the directory's lifetime; reopen
     /// with the same value.
@@ -77,29 +111,108 @@ impl DurableClusterConfig {
         }
     }
 
-    fn lane_dir(&self, lane: usize) -> PathBuf {
+    /// Lane `lane`'s WAL directory.
+    pub fn lane_dir(&self, lane: usize) -> PathBuf {
         self.dir.join("wal").join(format!("lane-{lane:04}"))
     }
 
-    fn ckpt_dir(&self) -> PathBuf {
+    /// The checkpoint directory.
+    pub fn ckpt_dir(&self) -> PathBuf {
         self.dir.join("ckpt")
+    }
+}
+
+/// What [`DurableCluster::open`] did to get back to a servable engine.
+#[derive(Debug, Default, Clone, serde::Serialize)]
+pub struct RecoveryReport {
+    /// Sequence of the checkpoint restored from (`None`: started empty).
+    pub checkpoint_seq: Option<u64>,
+    /// Pairs the checkpoint contributed.
+    pub checkpoint_pairs: u64,
+    /// Newer checkpoints skipped as damaged: `(seq, why)`.
+    pub checkpoint_fallbacks: Vec<(u64, String)>,
+    /// Checkpoint temp files swept (crash mid-publication).
+    pub swept_temps: u64,
+    /// WAL records replayed past the checkpoint cut.
+    pub replayed: u64,
+    /// Replayed records that were already reflected (set-like no-ops) —
+    /// the overlap idempotent replay absorbs.
+    pub redundant_replays: u64,
+    /// Bytes truncated from torn WAL tails.
+    pub truncated_bytes: u64,
+    /// Headerless final segments removed.
+    pub removed_torn_segments: u64,
+    /// Highest LSN durable on any lane after recovery.
+    pub last_lsn: u64,
+    /// Keys resident after recovery.
+    pub recovered_keys: u64,
+}
+
+/// Everything a commit touches: the per-lane logs and the failpoint hook,
+/// behind the one lock the per-op API and an edge's workers share.
+struct LaneLog {
+    lanes: Vec<Wal>,
+    hook: Failpoints,
+    /// Per-lane record buffers, kept across commits.
+    scratch: Vec<Vec<WalOp>>,
+}
+
+impl CommitSink for LaneLog {
+    /// The engine's one commit routine: `effects` partitioned by
+    /// `key % n_lanes` (per-key order kept — a key has one lane), then one
+    /// append and one contract sync per lane touched. Returns the highest
+    /// LSN any touched lane assigned.
+    fn commit(&mut self, effects: &[WriteEffect]) -> std::io::Result<u64> {
+        let n_lanes = self.lanes.len();
+        self.scratch.iter_mut().for_each(Vec::clear);
+        for e in effects {
+            self.scratch[e.key as usize % n_lanes].push(match e.value {
+                Some(val) => WalOp::Put { key: e.key, val },
+                None => WalOp::Del { key: e.key },
+            });
+        }
+        let mut last = 0;
+        for (wal, ops) in self.lanes.iter_mut().zip(&self.scratch) {
+            if !ops.is_empty() {
+                last = last.max(wal.append(ops, &mut self.hook)?.1);
+            }
+        }
+        Ok(last)
     }
 }
 
 /// A sharded cluster + per-lane WALs + manifest-published checkpoints.
 pub struct DurableCluster {
-    cluster: Cluster,
-    lanes: Vec<Wal>,
+    cluster: Arc<Cluster>,
+    log: Arc<Mutex<LaneLog>>,
     ckpt_dir: PathBuf,
     ckpt_keep: usize,
     contract: DurabilityContract,
-    /// Failpoints the durable path reports to (chaos soak entry point).
-    pub hook: Failpoints,
     ckpt_seq: u64,
 }
 
 impl DurableCluster {
-    /// Create a fresh durable cluster (empty shards, empty lanes).
+    fn assemble(
+        cfg: &DurableClusterConfig,
+        cluster: Cluster,
+        lanes: Vec<Wal>,
+        ckpt_seq: u64,
+    ) -> DurableCluster {
+        DurableCluster {
+            cluster: Arc::new(cluster),
+            log: Arc::new(Mutex::new(LaneLog {
+                scratch: vec![Vec::new(); lanes.len()],
+                lanes,
+                hook: Failpoints::Off,
+            })),
+            ckpt_dir: cfg.ckpt_dir(),
+            ckpt_keep: cfg.ckpt_keep.max(1),
+            contract: cfg.contract,
+            ckpt_seq,
+        }
+    }
+
+    /// Create a fresh durable engine (empty shards, empty lanes).
     pub fn create(cfg: &DurableClusterConfig) -> Result<DurableCluster, RecoverError> {
         assert!(cfg.n_lanes >= 1, "need at least one WAL lane");
         let cluster = Cluster::prefilled(
@@ -112,20 +225,12 @@ impl DurableCluster {
         let lanes = (0..cfg.n_lanes)
             .map(|i| Wal::create(cfg.lane_dir(i), cfg.contract, cfg.seg_records))
             .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(DurableCluster {
-            cluster,
-            lanes,
-            ckpt_dir: cfg.ckpt_dir(),
-            ckpt_keep: cfg.ckpt_keep.max(1),
-            contract: cfg.contract,
-            hook: Failpoints::Off,
-            ckpt_seq: 0,
-        })
+        Ok(DurableCluster::assemble(cfg, cluster, lanes, 0))
     }
 
-    /// Recover a cluster from `cfg.dir`: newest valid checkpoint (shard
-    /// layout restored from its manifest), per-lane torn-tail repair and
-    /// gap checks, per-lane tail replay, full validation walk.
+    /// Recover an engine from `cfg.dir` (see module docs for the state
+    /// machine). Every acknowledged write is present when this returns;
+    /// any repair taken is in the [`RecoveryReport`].
     pub fn open(
         cfg: &DurableClusterConfig,
     ) -> Result<(DurableCluster, RecoveryReport), RecoverError> {
@@ -149,15 +254,10 @@ impl DurableCluster {
                         cfg.n_lanes
                     )));
                 }
-                (
-                    loaded.manifest.lane_cuts.clone(),
-                    loaded.manifest.shard_bounds.clone(),
-                    loaded.pairs,
-                )
+                (loaded.manifest.lane_cuts, loaded.manifest.shard_bounds, loaded.pairs)
             }
             None => (vec![0; cfg.n_lanes], Vec::new(), Vec::new()),
         };
-        let ckpt_seq = report.checkpoint_seq.unwrap_or(0);
 
         // Restore the checkpointed shard layout, or the configured fresh
         // layout when starting from nothing.
@@ -176,16 +276,10 @@ impl DurableCluster {
             let lane_scan = wal::scan_wal(&cfg.lane_dir(lane))?;
             report.truncated_bytes += lane_scan.truncated_bytes;
             report.removed_torn_segments += lane_scan.removed_torn_segments;
-            check_lane_reach(&lane_scan, cut)?;
-            for r in lane_scan.records.iter().filter(|r| r.lsn > cut) {
-                let effective = match r.op {
-                    WalOp::Put { key, val } => cluster.insert(key, val),
-                    WalOp::Del { key } => cluster.remove(key),
-                }
-                .map_err(RecoverError::Rebuild)?;
-                report.replayed += 1;
-                report.redundant_replays += u64::from(!effective);
-            }
+            check_reach(&lane_scan, cut)?;
+            let (replayed, redundant) = replay(&cluster, &lane_scan.records, cut)?;
+            report.replayed += replayed;
+            report.redundant_replays += redundant;
             let lane_wal =
                 Wal::resume(cfg.lane_dir(lane), cfg.contract, cfg.seg_records, &lane_scan, cut)?;
             report.last_lsn = report.last_lsn.max(lane_wal.last_lsn());
@@ -203,37 +297,36 @@ impl DurableCluster {
         }
         report.recovered_keys = cluster.len() as u64;
 
-        Ok((
-            DurableCluster {
-                cluster,
-                lanes,
-                ckpt_dir: cfg.ckpt_dir(),
-                ckpt_keep: cfg.ckpt_keep.max(1),
-                contract: cfg.contract,
-                hook: Failpoints::Off,
-                ckpt_seq,
-            },
-            report,
-        ))
+        let ckpt_seq = report.checkpoint_seq.unwrap_or(0);
+        Ok((DurableCluster::assemble(cfg, cluster, lanes, ckpt_seq), report))
     }
 
-    /// The underlying cluster (reads, resharding, migration, validation).
-    pub fn cluster(&self) -> &Cluster {
+    /// The underlying cluster (reads, resharding, migration, validation);
+    /// clone the `Arc` to serve it from an edge.
+    pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
     }
 
-    /// Which lane owns `key`, for the directory's lifetime.
-    pub fn lane_of(&self, key: u32) -> usize {
-        key as usize % self.lanes.len()
+    /// The engine's commit routine as a shareable [`CommitSink`]: a serving
+    /// loop that executes epochs on [`Self::cluster`] hands each epoch's
+    /// effective writes here before it acknowledges them.
+    pub fn sink(&self) -> Arc<Mutex<dyn CommitSink + Send>> {
+        self.log.clone()
+    }
+
+    /// Route the durable path's crash points to `hook` (chaos soak entry
+    /// point).
+    pub fn set_hook(&mut self, hook: Failpoints) {
+        lock(&self.log).hook = hook;
     }
 
     /// Insert `key → value`; `Ok(true)` — durable on its lane — iff the
-    /// key was absent.
+    /// key was absent. An effective insert is applied, logged, and synced
+    /// before this returns.
     pub fn insert(&mut self, key: u32, value: u32) -> Result<bool, OpError> {
         let applied = self.cluster.insert(key, value)?;
         if applied {
-            let lane = self.lane_of(key);
-            self.lanes[lane].append(&[WalOp::Put { key, val: value }], &mut self.hook)?;
+            lock(&self.log).commit(&[WriteEffect { key, value: Some(value) }])?;
         }
         Ok(applied)
     }
@@ -242,8 +335,7 @@ impl DurableCluster {
     pub fn remove(&mut self, key: u32) -> Result<bool, OpError> {
         let applied = self.cluster.remove(key)?;
         if applied {
-            let lane = self.lane_of(key);
-            self.lanes[lane].append(&[WalOp::Del { key }], &mut self.hook)?;
+            lock(&self.log).commit(&[WriteEffect { key, value: None }])?;
         }
         Ok(applied)
     }
@@ -255,11 +347,15 @@ impl DurableCluster {
 
     /// Publish a checkpoint: per-lane cuts read first, then a consistent
     /// cluster snapshot, then manifest publication and per-lane pruning.
+    /// Commits wait out the publication (the lane log stays locked);
+    /// applies do not, which is why the cuts come first.
     pub fn checkpoint(&mut self) -> std::io::Result<Manifest> {
+        let mut log = lock(&self.log);
+        let LaneLog { lanes, hook, .. } = &mut *log;
         // Cuts BEFORE the snapshot: apply precedes log, so reading cuts
         // first can only over-include (redundant replay, absorbed), never
         // under-include (lost writes).
-        let cuts: Vec<u64> = self.lanes.iter().map(|w| w.last_lsn()).collect();
+        let cuts: Vec<u64> = lanes.iter().map(|w| w.last_lsn()).collect();
         let snap: ClusterSnapshot = self.cluster.snapshot();
         let shard_bounds: Vec<(u32, u32)> =
             snap.cuts.iter().map(|c| (c.lo, c.hi)).collect();
@@ -284,7 +380,7 @@ impl DurableCluster {
             },
             &snap.pairs,
             self.contract,
-            &mut self.hook,
+            hook,
         )?;
         self.ckpt_seq = manifest.seq;
         ckpt::prune_old(&self.ckpt_dir, self.ckpt_keep)?;
@@ -298,8 +394,8 @@ impl DurableCluster {
                 }
             }
         }
-        for (lane, &cut) in safe_cuts.iter().enumerate() {
-            self.lanes[lane].prune_upto(cut, &mut self.hook)?;
+        for (lane, &cut) in lanes.iter_mut().zip(&safe_cuts) {
+            lane.prune_upto(cut, hook)?;
         }
         Ok(manifest)
     }
@@ -307,7 +403,7 @@ impl DurableCluster {
     /// Sum of per-lane lifetime counters.
     pub fn wal_stats(&self) -> wal::WalStats {
         let mut total = wal::WalStats::default();
-        for w in &self.lanes {
+        for w in &lock(&self.log).lanes {
             total.group_commits += w.stats.group_commits;
             total.records += w.stats.records;
             total.syncs += w.stats.syncs;
@@ -321,13 +417,20 @@ impl DurableCluster {
 impl std::fmt::Debug for DurableCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableCluster")
-            .field("lanes", &self.lanes.len())
             .field("ckpt_seq", &self.ckpt_seq)
             .finish_non_exhaustive()
     }
 }
 
-fn check_lane_reach(scan: &wal::WalScanned, cut: u64) -> Result<(), RecoverError> {
+/// A poisoned lane lock means a commit or checkpoint died part-way (an
+/// injected kill): what is on disk is recovery's to judge, not this
+/// process's to keep appending to.
+fn lock(log: &Mutex<LaneLog>) -> MutexGuard<'_, LaneLog> {
+    log.lock().expect("a commit panicked under the lane lock: reopen the engine")
+}
+
+/// Refuse if a lane's surviving log cannot replay everything past `cut`.
+fn check_reach(scan: &wal::WalScanned, cut: u64) -> Result<(), RecoverError> {
     let first_available = scan
         .records
         .first()
@@ -344,11 +447,35 @@ fn check_lane_reach(scan: &wal::WalScanned, cut: u64) -> Result<(), RecoverError
     Ok(())
 }
 
+/// Replay one lane's `records` past `cut` onto `cluster`; returns
+/// `(replayed, redundant)`.
+fn replay(cluster: &Cluster, records: &[WalRecord], cut: u64) -> Result<(u64, u64), RecoverError> {
+    let (mut replayed, mut redundant) = (0, 0);
+    for r in records.iter().filter(|r| r.lsn > cut) {
+        let effective = match r.op {
+            WalOp::Put { key, val } => cluster.insert(key, val),
+            WalOp::Del { key } => cluster.remove(key),
+        }
+        .map_err(RecoverError::Rebuild)?;
+        replayed += 1;
+        redundant += u64::from(!effective);
+    }
+    Ok((replayed, redundant))
+}
+
+/// Remove an engine's entire on-disk footprint (tests, tooling).
+pub fn destroy(dir: &Path) -> std::io::Result<()> {
+    if dir.exists() {
+        std::fs::remove_dir_all(dir)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::destroy;
 
+    /// The `(lanes, shards) = (3, 4)` shape.
     fn cfg(name: &str) -> DurableClusterConfig {
         let dir =
             std::env::temp_dir().join(format!("gfsl_dclu_{name}_{}", std::process::id()));
@@ -360,6 +487,164 @@ mod tests {
             key_range: 10_000,
             ..DurableClusterConfig::new(dir)
         }
+    }
+
+    /// The single-list shape: one shard, one lane.
+    fn single(name: &str) -> DurableClusterConfig {
+        DurableClusterConfig {
+            n_lanes: 1,
+            n_shards: 1,
+            ..cfg(name)
+        }
+    }
+
+    #[test]
+    fn create_write_reopen_recovers_everything() {
+        let cfg = single("roundtrip1");
+        let mut eng = DurableCluster::create(&cfg).unwrap();
+        for k in 1..=200u32 {
+            assert!(eng.insert(k * 2, k).unwrap());
+        }
+        assert!(!eng.insert(2, 99).unwrap(), "set-like duplicate");
+        for k in 1..=50u32 {
+            assert!(eng.remove(k * 4).unwrap());
+        }
+        let stats = eng.wal_stats();
+        assert_eq!(stats.records, 250, "200 puts + 50 dels, duplicates unlogged");
+        assert_eq!(stats.group_commits, 250, "a per-op write is a one-effect commit");
+        drop(eng); // process death: memory gone, files remain
+
+        let (eng, report) = DurableCluster::open(&cfg).unwrap();
+        assert_eq!(report.replayed, 250);
+        assert_eq!(report.recovered_keys, 150);
+        assert_eq!(report.checkpoint_seq, None);
+        assert_eq!(report.last_lsn, 250);
+        assert_eq!(eng.get(4).unwrap(), None, "removed key stays removed");
+        assert_eq!(eng.get(202).unwrap(), Some(101));
+        eng.cluster().assert_valid();
+        destroy(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_prunes_wal_and_bounds_replay() {
+        let cfg = single("ckpt1");
+        let mut eng = DurableCluster::create(&cfg).unwrap();
+        for k in 1..=100u32 {
+            eng.insert(k, k + 1).unwrap();
+        }
+        let m = eng.checkpoint().unwrap();
+        assert_eq!(m.lane_cuts, vec![100]);
+        assert!(eng.wal_stats().pruned_segments > 0, "covered segments go");
+        for k in 101..=120u32 {
+            eng.insert(k, k + 1).unwrap();
+        }
+        drop(eng);
+
+        let (eng, report) = DurableCluster::open(&cfg).unwrap();
+        assert_eq!(report.checkpoint_seq, Some(1));
+        assert_eq!(report.checkpoint_pairs, 100);
+        assert_eq!(report.replayed, 20, "only the post-cut tail replays");
+        assert_eq!(report.recovered_keys, 120);
+        assert_eq!(report.last_lsn, 120);
+        eng.cluster().assert_valid();
+        destroy(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn replay_overlap_is_idempotent() {
+        // Rebuild from a state that already reflects part of the replayed
+        // suffix: the set-like ops must converge, not double-apply.
+        let cfg = single("overlap");
+        let mut eng = DurableCluster::create(&cfg).unwrap();
+        eng.insert(1, 10).unwrap(); // lsn 1
+        eng.remove(1).unwrap(); // lsn 2
+        eng.insert(1, 20).unwrap(); // lsn 3
+        eng.insert(2, 30).unwrap(); // lsn 4
+        drop(eng);
+
+        // Replay EVERYTHING (cut 0) onto the final state itself.
+        let wal_scan = wal::scan_wal(&cfg.lane_dir(0)).unwrap();
+        let cluster =
+            Cluster::prefilled(cfg.params, 1, cfg.key_range, [(1u32, 20u32), (2, 30)]).unwrap();
+        let (replayed, redundant) = replay(&cluster, &wal_scan.records, 0).unwrap();
+        assert_eq!(replayed, 4);
+        // lsn1 Put(1,10): resident → no-op. lsn2 Del(1): effective. lsn3
+        // Put(1,20): effective again. lsn4 Put(2,30): resident → no-op.
+        assert_eq!(redundant, 2);
+        assert_eq!(cluster.pairs(), [(1, 20), (2, 30)]);
+        destroy(&cfg.dir).unwrap();
+    }
+
+    #[test]
+    fn stale_checkpoint_over_pruned_wal_is_refused() {
+        // ckpt_keep = 1: losing the only manifest leaves a pruned log with
+        // no checkpoint to anchor it.
+        let cfg = DurableClusterConfig {
+            ckpt_keep: 1,
+            ..single("stale")
+        };
+        let mut eng = DurableCluster::create(&cfg).unwrap();
+        for k in 1..=60u32 {
+            eng.insert(k, k).unwrap();
+        }
+        eng.checkpoint().unwrap(); // ckpt 1 @ cut 60, early segments pruned
+        for k in 61..=80u32 {
+            eng.insert(k, k).unwrap();
+        }
+        eng.checkpoint().unwrap(); // ckpt 2 @ cut 80, more pruning
+        drop(eng);
+        // Lose checkpoint 2: recovery falls back to checkpoint 1, but the
+        // WAL records in (60, ~80] that checkpoint 2 covered are pruned.
+        std::fs::remove_file(ckpt::manifest_path(&cfg.ckpt_dir(), 2)).unwrap();
+        match DurableCluster::open(&cfg) {
+            Err(RecoverError::WalGap { need_from, .. }) => assert_eq!(need_from, 1),
+            other => panic!("expected WalGap, got {other:?}"),
+        }
+        destroy(&cfg.dir).unwrap();
+    }
+
+    /// The commit routine on a multi-lane epoch: each touched lane gets one
+    /// append (the untouched lane none), a key's two effective writes stay
+    /// in order on its lane, and the log replays to the live state.
+    #[test]
+    fn a_multi_lane_epoch_commits_each_touched_lane_once() {
+        let cfg = cfg("epoch");
+        let dc = DurableCluster::create(&cfg).unwrap();
+        let put = |key, v| WriteEffect { key, value: Some(v) };
+        // What an edge worker does: execute on the cluster, then commit the
+        // effects in execution order. Lanes: 4 → 1, 7 → 1, 5 → 2; lane 0 idle.
+        let epoch = [put(4, 40), put(5, 50), WriteEffect { key: 4, value: None }, put(7, 70), put(4, 41)];
+        for e in &epoch {
+            let applied = match e.value {
+                Some(v) => dc.cluster().insert(e.key, v),
+                None => dc.cluster().remove(e.key),
+            };
+            assert!(applied.unwrap(), "every write of the epoch is effective");
+        }
+        let last = dc.sink().lock().unwrap().commit(&epoch).unwrap();
+        assert_eq!(last, 4, "lane 1 took four records, lane 2 one");
+        let stats = dc.wal_stats();
+        assert_eq!((stats.group_commits, stats.syncs, stats.records), (2, 2, 5));
+        assert_eq!(wal::scan_wal(&cfg.lane_dir(0)).unwrap().records.len(), 0);
+        let lane1: Vec<WalOp> =
+            wal::scan_wal(&cfg.lane_dir(1)).unwrap().records.iter().map(|r| r.op).collect();
+        assert_eq!(
+            lane1,
+            [
+                WalOp::Put { key: 4, val: 40 },
+                WalOp::Del { key: 4 },
+                WalOp::Put { key: 7, val: 70 },
+                WalOp::Put { key: 4, val: 41 },
+            ]
+        );
+        let live = dc.cluster().pairs();
+        drop(dc);
+
+        let (dc, report) = DurableCluster::open(&cfg).unwrap();
+        assert_eq!((report.replayed, report.redundant_replays), (5, 0));
+        assert_eq!(dc.cluster().pairs(), live);
+        assert_eq!(live, [(4, 41), (5, 50), (7, 70)]);
+        destroy(&cfg.dir).unwrap();
     }
 
     #[test]

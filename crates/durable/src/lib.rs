@@ -1,26 +1,28 @@
 //! Durability tier for GFSL: acknowledged writes survive process death.
 //!
-//! Three pieces, layered under the engines this workspace already has:
+//! One engine, [`DurableCluster`], over three pieces:
 //!
 //! * **WAL** ([`wal`]) — an append-only, segment-rotated, CRC-32C-guarded
-//!   log. Group commit: the serving loop's epoch batcher drains each
-//!   epoch's effective writes into one append + one sync (per the
-//!   [`DurabilityContract`]), and only then do the epoch's
-//!   acknowledgements route. Torn final records are detected and
+//!   log. Group commit: the serving edge hands each epoch's effective
+//!   writes to the engine's commit routine — one append + one sync (per
+//!   the [`DurabilityContract`]) per lane touched — and only then do the
+//!   epoch's acknowledgements route. Torn final records are detected and
 //!   truncated on replay; damage anywhere else refuses to serve with a
 //!   typed [`RecoverError`] — never silent loss.
 //! * **Checkpoints** ([`ckpt`]) — sorted chunk runs streamed through a
 //!   minimal disk manager (page-aligned 4 KiB writes, per-page checksums,
 //!   temp-file + atomic-rename publication behind a manifest commit
 //!   point). Publishing a checkpoint prunes the WAL segments it covers.
-//! * **Recovery** ([`DurableGfsl::open`], [`DurableCluster::open`]) —
-//!   newest valid checkpoint (with fallback on damage), LSN-gated
-//!   idempotent WAL-tail replay, and a full validation walk before the
-//!   engine serves.
+//! * **Recovery** ([`DurableCluster::open`]) — newest valid checkpoint
+//!   (with fallback on damage), LSN-gated idempotent WAL-tail replay, and
+//!   a full validation walk before the engine serves.
 //!
-//! [`DurableGfsl`] wraps one engine; [`DurableCluster`] wraps the sharded
-//! cluster with static per-key-lane WALs and shard-layout-carrying
-//! manifests. Both expose the same crash points
+//! [`DurableCluster`] wraps the sharded cluster with static per-key-lane
+//! WALs and shard-layout-carrying manifests; a single durable list is its
+//! one-shard, one-lane shape. There is one commit path: the per-op
+//! `insert` / `remove` and the [`CommitSink`](gfsl_serve::CommitSink) an
+//! edge server commits epochs through ([`DurableCluster::sink`]) run the
+//! same routine. It exposes its crash points
 //! (`WalAppend`/`WalFsync`/`CkptWrite`/`CkptRename`/`WalPrune`) to the
 //! seeded chaos controller, which is how the kill-restart soak proves the
 //! "no acknowledged write lost" contract at every window.
@@ -31,15 +33,13 @@
 pub mod ckpt;
 pub mod cluster;
 pub mod crc;
-pub mod engine;
 pub mod error;
 pub mod hook;
 pub mod wal;
 
 pub use ckpt::{load_latest, write_checkpoint, CheckpointScan, LoadedCheckpoint, Manifest};
-pub use cluster::{DurableCluster, DurableClusterConfig};
+pub use cluster::{destroy, DurableCluster, DurableClusterConfig, RecoveryReport};
 pub use crc::crc32c;
-pub use engine::{destroy, DurableConfig, DurableGfsl, RecoveryReport, WalSink};
 pub use error::{OpError, RecoverError};
 pub use hook::Failpoints;
 pub use wal::{scan_wal, Wal, WalOp, WalRecord, WalScanned, WalStats};

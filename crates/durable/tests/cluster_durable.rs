@@ -72,7 +72,7 @@ fn soak_cell(point: CrashPoint, seed: u64) -> bool {
 
     let occurrence = 1 + seed % 3;
     let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, occurrence)));
-    dc.hook = Failpoints::Chaos(ctl.probe(0));
+    dc.set_hook(Failpoints::Chaos(ctl.probe(0)));
 
     let mut rng = SplitMix64::new(seed.wrapping_mul(0x2545) ^ 0x5DEE);
     let mut crashed = false;

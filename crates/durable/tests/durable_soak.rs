@@ -1,8 +1,10 @@
 //! Kill-restart chaos soak: the durability contract end to end, for every
 //! crash point in the WAL/checkpoint protocol.
 //!
-//! For each (crash point × seed) cell, a seeded workload runs against a
-//! [`DurableGfsl`] whose failpoint hook routes to the chaos controller;
+//! For each (engine shape × crash point × seed) cell, a seeded workload
+//! runs against a [`DurableCluster`] — `(lanes, shards)` = `(1, 1)`, the
+//! single list, and `(3, 4)` — whose failpoint hook routes to the chaos
+//! controller;
 //! the controller kills the process-under-test (an injected panic caught
 //! at the op boundary) at the seeded occurrence of the target point —
 //! mid-append with a genuinely torn record on disk, pre-fsync, mid
@@ -30,13 +32,17 @@ use gfsl::chaos::DURABILITY_CRASH_POINTS;
 use gfsl::mc::strategy::Replay;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
 use gfsl::{CrashPoint, GfslParams, TeamSize};
-use gfsl_durable::{destroy, DurabilityContract, DurableConfig, DurableGfsl, Failpoints};
+use gfsl_durable::{
+    destroy, DurabilityContract, DurableCluster, DurableClusterConfig, Failpoints,
+};
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
 const OPS: usize = 120;
 const OPS_PER_CKPT: usize = 20;
 const POST_RECOVERY_OPS: usize = 30;
+/// `(lanes, shards)` every cell runs on.
+const SHAPES: [(usize, usize); 2] = [(1, 1), (3, 4)];
 
 fn soak_seeds() -> u64 {
     std::env::var("GFSL_DURABLE_SOAK_SEEDS")
@@ -58,27 +64,32 @@ struct CellStats {
 
 /// One cell: seeded run, injected kill at `point`, restart, verification,
 /// then a second restart to prove post-recovery writes are durable too.
-fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
+fn soak_cell((n_lanes, n_shards): (usize, usize), point: CrashPoint, seed: u64) -> CellStats {
     gfsl::quiet_injected_panics();
     let dir = std::env::temp_dir().join(format!(
-        "gfsl_dsoak_{point:?}_{seed}_{}",
+        "gfsl_dsoak_{n_lanes}x{n_shards}_{point:?}_{seed}_{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = DurableConfig {
+    let cfg = DurableClusterConfig {
         contract: DurabilityContract::ALL[(seed % 3) as usize],
-        seg_records: 8 + (seed % 9) as u32, // force rotation and pruning
+        // Force rotation and pruning; a lane of three sees a third of the
+        // records, so its segments are a third the size.
+        seg_records: (8 + (seed % 9) as u32) / n_lanes as u32,
         ckpt_keep: 2,
+        n_lanes,
+        n_shards,
+        key_range: KEY_SPACE,
         params: GfslParams {
             team_size: TeamSize::Sixteen,
             pool_chunks: 1 << 12,
             ..Default::default()
         },
-        ..DurableConfig::new(&dir)
+        ..DurableClusterConfig::new(&dir)
     };
 
     // Prefill BEFORE arming the failpoints: these acks are unconditional.
-    let mut eng = DurableGfsl::create(&cfg).unwrap();
+    let mut eng = DurableCluster::create(&cfg).unwrap();
     let initial: HashMap<u32, u32> = (2..KEY_SPACE).step_by(2).map(|k| (k, k)).collect();
     for (&k, &v) in &initial {
         assert!(eng.insert(k, v).unwrap());
@@ -88,7 +99,7 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
     // The durable path is single-threaded: one participant, every turn
     // grants, no decision is ever drawn.
     let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, occurrence)));
-    eng.hook = Failpoints::Chaos(ctl.probe(0));
+    eng.set_hook(Failpoints::Chaos(ctl.probe(0)));
 
     let clock = HistoryClock::new();
     let mut rec = Recorder::new(&clock);
@@ -144,12 +155,12 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
 
     // Phase 2: restart. Recovery must repair or refuse — for injected
     // kills, always repair (nothing acknowledged can be missing).
-    let (mut eng, report) = DurableGfsl::open(&cfg).unwrap_or_else(|e| {
-        panic!("[{point:?} seed {seed}] recovery failed: {e}")
+    let (mut eng, report) = DurableCluster::open(&cfg).unwrap_or_else(|e| {
+        panic!("[{n_lanes}x{n_shards} {point:?} seed {seed}] recovery failed: {e}")
     });
     assert!(
-        eng.list().validate().is_empty(),
-        "[{point:?} seed {seed}] recovered structure must validate"
+        eng.cluster().validate().is_empty(),
+        "[{n_lanes}x{n_shards} {point:?} seed {seed}] recovered structure must validate"
     );
     stats.replayed = report.replayed;
     stats.redundant_replays = report.redundant_replays;
@@ -174,10 +185,10 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
         }
     }
     drop(eng);
-    let (mut eng, _) = DurableGfsl::open(&cfg).unwrap_or_else(|e| {
-        panic!("[{point:?} seed {seed}] second recovery failed: {e}")
+    let (eng, _) = DurableCluster::open(&cfg).unwrap_or_else(|e| {
+        panic!("[{n_lanes}x{n_shards} {point:?} seed {seed}] second recovery failed: {e}")
     });
-    stats.recovered_keys = eng.list().len() as u64;
+    stats.recovered_keys = eng.cluster().len() as u64;
 
     let mut records = std::mem::take(&mut rec.records);
     {
@@ -190,7 +201,7 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
         records.extend(rec.records);
     }
     if let Err(errors) = check_linearizable(&records, &initial) {
-        panic!("[{point:?} seed {seed}] acknowledged writes lost or phantom: {errors:?}");
+        panic!("[{n_lanes}x{n_shards} {point:?} seed {seed}] acknowledged writes lost or phantom: {errors:?}");
     }
 
     destroy(&dir).unwrap();
@@ -200,29 +211,34 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
 #[test]
 fn kill_restart_soak_every_durability_crash_point() {
     let seeds = soak_seeds();
-    let mut report =
-        String::from("point,seed,crashed,replayed,redundant,truncated_bytes,ckpt_seq,fallbacks,keys\n");
-    for &point in DURABILITY_CRASH_POINTS.iter() {
-        let mut crashes_for_point = 0u64;
-        for seed in 0..seeds {
-            let s = soak_cell(point, seed);
-            crashes_for_point += u64::from(s.crashed);
-            report.push_str(&format!(
-                "{point:?},{seed},{},{},{},{},{},{},{}\n",
-                u8::from(s.crashed),
-                s.replayed,
-                s.redundant_replays,
-                s.truncated_bytes,
-                s.checkpoint_seq,
-                s.checkpoint_fallbacks,
-                s.recovered_keys
-            ));
+    let mut report = String::from(
+        "lanes,shards,point,seed,crashed,replayed,redundant,truncated_bytes,ckpt_seq,fallbacks,keys\n",
+    );
+    for shape in SHAPES {
+        for &point in DURABILITY_CRASH_POINTS.iter() {
+            let mut crashes_for_point = 0u64;
+            for seed in 0..seeds {
+                let s = soak_cell(shape, point, seed);
+                crashes_for_point += u64::from(s.crashed);
+                report.push_str(&format!(
+                    "{},{},{point:?},{seed},{},{},{},{},{},{},{}\n",
+                    shape.0,
+                    shape.1,
+                    u8::from(s.crashed),
+                    s.replayed,
+                    s.redundant_replays,
+                    s.truncated_bytes,
+                    s.checkpoint_seq,
+                    s.checkpoint_fallbacks,
+                    s.recovered_keys
+                ));
+            }
+            assert!(
+                crashes_for_point > 0,
+                "{shape:?} {point:?} never produced an injected kill in {seeds} seeds — \
+                 the soak is not exercising this window"
+            );
         }
-        assert!(
-            crashes_for_point > 0,
-            "{point:?} never produced an injected kill in {seeds} seeds — \
-             the soak is not exercising this window"
-        );
     }
     if let Ok(path) = std::env::var("GFSL_DURABLE_SOAK_STATS") {
         std::fs::write(&path, &report).expect("write soak stats");
@@ -234,32 +250,44 @@ fn kill_restart_soak_every_durability_crash_point() {
 #[test]
 fn wal_append_kill_truncates_exactly_the_unacked_tail() {
     gfsl::quiet_injected_panics();
-    let dir = std::env::temp_dir().join(format!("gfsl_dsoak_torn_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = DurableConfig {
-        seg_records: 64,
-        ..DurableConfig::new(&dir)
-    };
-    let mut eng = DurableGfsl::create(&cfg).unwrap();
-    for k in 1..=40u32 {
-        eng.insert(k, k).unwrap();
-    }
-    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::WalAppend, 1)));
-    eng.hook = Failpoints::Chaos(ctl.probe(0));
-    let mut eng = Some(eng);
-    let killed = catch_unwind(AssertUnwindSafe(|| {
-        eng.as_mut().unwrap().insert(1000, 7).unwrap()
-    }))
-    .is_err();
-    assert!(killed, "WalAppend must fire on the first effective write");
-    drop(eng);
+    for (n_lanes, n_shards) in SHAPES {
+        let dir = std::env::temp_dir().join(format!(
+            "gfsl_dsoak_torn_{n_lanes}x{n_shards}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurableClusterConfig {
+            seg_records: 64,
+            n_lanes,
+            n_shards,
+            key_range: 2_000,
+            ..DurableClusterConfig::new(&dir)
+        };
+        let mut eng = DurableCluster::create(&cfg).unwrap();
+        for k in 1..=40u32 {
+            eng.insert(k, k).unwrap();
+        }
+        let ctl =
+            gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::WalAppend, 1)));
+        eng.set_hook(Failpoints::Chaos(ctl.probe(0)));
+        let mut eng = Some(eng);
+        let killed = catch_unwind(AssertUnwindSafe(|| {
+            eng.as_mut().unwrap().insert(1000, 7).unwrap()
+        }))
+        .is_err();
+        assert!(killed, "WalAppend must fire on the first effective write");
+        drop(eng);
 
-    let (mut eng, report) = DurableGfsl::open(&cfg).unwrap();
-    assert!(report.truncated_bytes > 0, "a torn record must be truncated");
-    assert_eq!(report.recovered_keys, 40, "the 40 acked writes survive");
-    assert_eq!(eng.get(1000).unwrap(), None, "the unacked write is gone");
-    // The repaired log accepts new writes at the reclaimed LSN.
-    assert!(eng.insert(1000, 8).unwrap());
-    assert_eq!(eng.last_lsn(), 41);
-    destroy(&dir).unwrap();
+        let (mut eng, report) = DurableCluster::open(&cfg).unwrap();
+        assert!(report.truncated_bytes > 0, "a torn record must be truncated");
+        assert_eq!(report.recovered_keys, 40, "the 40 acked writes survive");
+        assert_eq!(eng.get(1000).unwrap(), None, "the unacked write is gone");
+        // The repaired log accepts new writes at the reclaimed LSN: one past
+        // the acked writes of key 1000's lane (41 when there is one lane).
+        assert!(eng.insert(1000, 8).unwrap());
+        let lane = 1000 % n_lanes;
+        let acked = (1..=40).filter(|k| k % n_lanes == lane).count() as u64;
+        assert_eq!(eng.checkpoint().unwrap().lane_cuts[lane], acked + 1);
+        destroy(&dir).unwrap();
+    }
 }

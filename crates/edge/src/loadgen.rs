@@ -313,7 +313,7 @@ fn open_loop_conn(addr: SocketAddr, cfg: &LoadConfig, conn_idx: usize) -> LoadRe
 
 /// The wire request for a drawn serve op. In scan-tenant mode every range
 /// goes out as a version-pinned `SnapRange`.
-fn op_req(op: ServeOp, snap_scans: bool) -> Req {
+pub fn op_req(op: ServeOp, snap_scans: bool) -> Req {
     match op {
         ServeOp::Get(k) => Req::Get(k),
         ServeOp::Insert(k, v) => Req::Insert(k, v),

@@ -44,10 +44,6 @@ pub struct GfslParams {
     /// (fall back to [`crate::skiplist::LOCK_RETRY_BOUND`]). Only consulted
     /// when [`contain`](Self::contain) is on.
     pub retry_budget: u32,
-    /// Wall-clock deadline for one contained operation, in nanoseconds;
-    /// checked at the same wait points as the retry budget. `0` = none.
-    /// Only consulted when [`contain`](Self::contain) is on.
-    pub op_deadline_ns: u64,
     /// Enable multiversion reads (DESIGN.md §19): a global version clock,
     /// per-chunk copy-on-write version chains captured at lock acquisition,
     /// and `pin_version` read tickets that serve `get`/`range`/snapshot
@@ -68,7 +64,6 @@ impl Default for GfslParams {
             reclaim: true,
             contain: false,
             retry_budget: 0,
-            op_deadline_ns: 0,
             mvcc: false,
         }
     }
@@ -163,7 +158,6 @@ mod tests {
         let p = GfslParams::default();
         assert!(!p.contain);
         assert_eq!(p.retry_budget, 0);
-        assert_eq!(p.op_deadline_ns, 0);
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub enum AbortReason {
     /// The per-op retry budget ([`GfslParams::retry_budget`]) ran out at a
     /// wait point. No effect on the structure.
     RetryBudget,
-    /// The per-op deadline ([`GfslParams::op_deadline_ns`]) passed at a
-    /// wait point. No effect on the structure.
-    Deadline,
 }
 
 /// Internal panic payload for *clean* aborts raised at wait points. Caught
@@ -451,7 +448,6 @@ impl Gfsl {
             batch_order: Vec::new(),
             journal: OpJournal::default(),
             op_waits: 0,
-            op_deadline: None,
         })
     }
 
@@ -789,9 +785,6 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// Lock-wait + certification retries spent by the contained op in
     /// flight, charged against [`GfslParams::retry_budget`].
     op_waits: u32,
-    /// Deadline of the contained op in flight, when
-    /// [`GfslParams::op_deadline_ns`] is set.
-    op_deadline: Option<std::time::Instant>,
 }
 
 /// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
@@ -1005,10 +998,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         self.journal = OpJournal::default();
         self.op_waits = 0;
-        self.op_deadline = (self.list.params.op_deadline_ns > 0).then(|| {
-            std::time::Instant::now()
-                + std::time::Duration::from_nanos(self.list.params.op_deadline_ns)
-        });
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self))) {
             Ok(r) => {
                 self.journal.intent = Intent::None;
@@ -1476,8 +1465,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Containment-mode wait accounting, called at every retry of every
     /// wait point (lock backoff, snapshot certification). Raises a *clean*
     /// [`AbortSignal`] — caught by [`Self::contained`] — when the wait
-    /// targets a quarantined chunk or the op's retry/deadline budget is
-    /// spent. Every wait point in the protocol occurs while each held chunk
+    /// targets a quarantined chunk or the op's retry budget is spent. Every wait point in the protocol occurs while each held chunk
     /// is individually consistent (waits happen before a chunk's mutation
     /// starts or after it fully completes; the shift/copy loops themselves
     /// never wait), which is what entitles the catch site to blanket-release
@@ -1492,15 +1480,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if budget > 0 && self.op_waits > budget {
             std::panic::panic_any(AbortSignal { reason: AbortReason::RetryBudget, chunk: ch });
         }
-        if self.op_waits < 4 || self.op_waits.is_multiple_of(16) {
-            if self.list.is_quarantined(ch) {
-                std::panic::panic_any(AbortSignal { reason: AbortReason::Quarantined, chunk: ch });
-            }
-            if let Some(d) = self.op_deadline {
-                if std::time::Instant::now() >= d {
-                    std::panic::panic_any(AbortSignal { reason: AbortReason::Deadline, chunk: ch });
-                }
-            }
+        if (self.op_waits < 4 || self.op_waits.is_multiple_of(16)) && self.list.is_quarantined(ch) {
+            std::panic::panic_any(AbortSignal { reason: AbortReason::Quarantined, chunk: ch });
         }
     }
 

@@ -1,17 +1,18 @@
-//! The durability contract between the serving loop and a persistence tier.
+//! The durability contract between a serving loop and a persistence tier.
 //!
-//! The epoch batcher acknowledges a request by routing its response back to
-//! the client. With a [`CommitSink`] installed (see
-//! [`crate::service::serve_durable`]), that acknowledgement is *gated*: the
-//! driver hands every write effect of a collected epoch to the sink, and
+//! A serving loop acknowledges a request by routing its response back to
+//! the client. With a [`CommitSink`] installed (the edge server's
+//! `start_durable`), that acknowledgement is *gated*: the worker hands every
+//! write effect of an executed epoch ([`batch_effects`]) to the sink, and
 //! only when [`CommitSink::commit`] returns — i.e. the records are on
 //! storage as durable as the configured [`DurabilityContract`] promises —
-//! do the responses route. This is group commit: one sink call (one fsync)
-//! amortizes over the whole epoch's writes.
+//! do the responses route. This is group commit: one sink call amortizes
+//! its syncs over the whole epoch's writes.
 //!
 //! The serve crate owns only the *contract*; the write-ahead log, the
-//! checkpointer, and recovery live in `gfsl-durable`, which implements
-//! [`CommitSink`] for its engines.
+//! checkpointer, and recovery live in `gfsl-durable`, whose engine hands
+//! out its commit routine as a [`CommitSink`]. [`crate::service::serve`]
+//! itself takes no sink.
 
 use gfsl_workload::ServeOp;
 

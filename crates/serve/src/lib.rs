@@ -27,6 +27,12 @@
 //!
 //! See [`service::serve`] for the event loop and [`service::ExecMode`] for
 //! the measured / modeled clock modes.
+//!
+//! The crate also owns the durability *contract* ([`durability`]:
+//! [`CommitSink`], [`batch_effects`], [`DurabilityContract`]). One loop
+//! commits through it — the edge server's epoch — into one engine,
+//! `gfsl_durable::DurableCluster`; [`serve`] acknowledges from memory and
+//! takes no sink.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +52,7 @@ pub use durability::{batch_effects, CommitSink, DurabilityContract, MemorySink, 
 pub use metrics::{LatencyHisto, ServiceMetrics};
 pub use request::{ClientId, Reply, Request, Response};
 pub use scheduler::{Batch, BatchPolicy, Fifo, KeySorted, PolicyCtx};
-pub use service::{env_seed, serve, serve_durable, ExecMode, ServeConfig, ServiceReport};
+pub use service::{env_seed, serve, ExecMode, ServeConfig, ServiceReport};
 pub use source::{ClosedSource, OpenSource, ReplaySource, RequestSource};
 pub use supervisor::{ServiceMode, Supervisor};
 pub use trace::TraceHash;

@@ -169,11 +169,6 @@ pub struct ServiceMetrics {
     pub latency: LatencyHisto,
     /// Wall-clock seconds for the whole run (formation + routing included).
     pub run_wall_s: f64,
-    /// Group commits issued to the durability sink (at most one per epoch;
-    /// zero when serving without a sink or when an epoch wrote nothing).
-    pub durable_commits: u64,
-    /// Effective write records handed to the durability sink.
-    pub durable_records: u64,
     /// Fraction of bottom-hint validations that succeeded across workers
     /// (0.0 when the hint cache never ran) — the key-sorted-dispatch
     /// locality signal.

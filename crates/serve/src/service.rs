@@ -40,7 +40,6 @@ use gfsl::{Gfsl, GfslHandle, NoProbe};
 use gfsl_workload::ServeOp;
 
 use crate::admission::IntakeQueue;
-use crate::durability::{batch_effects, CommitSink, WriteEffect};
 use crate::metrics::ServiceMetrics;
 use crate::request::{to_batch_op, Reply, Request, Response};
 use crate::scheduler::{BatchPolicy, PolicyCtx};
@@ -273,56 +272,6 @@ fn admit_upto(
     }
 }
 
-/// Extract the epoch's effective write effects: batches in dispatch (seq)
-/// order, each batch in the order the engine ran it ([`batch_effects`]) —
-/// the records a durability sink must persist before any of the epoch's
-/// responses may route.
-///
-/// `done` must already be sorted by batch seq. With one worker the batches
-/// run one after another in seq order, so the log is the execution order,
-/// exactly. Within one epoch, batches on different workers interleave
-/// nondeterministically, so seq order is not the memory order, and — **known
-/// defect, ROADMAP item 1(b)** — it is not always a valid serialization of
-/// it either. Two same-key writes that ran concurrently on different workers
-/// and were *both effective* have one order only: with `k` present,
-/// `Delete(k) → true` then `Insert(k, v) → true` leaves `k` in the
-/// structure, but if the insert's batch carries the lower seq the log reads
-/// `Put(k, v)`, `Del(k)` and replay leaves `k` absent — an acknowledged
-/// write lost by recovery (the harness's `durable` experiment counts these
-/// as `diverged`: 0 with one worker, not with two). The fix belongs to the
-/// commit path (a per-write sequence drawn at the linearization point, or
-/// same-key ops serialised per commit group) and is not made here.
-fn write_effects(done: &[DoneItem]) -> Vec<WriteEffect> {
-    let mut effects = Vec::new();
-    for d in done {
-        batch_effects(d.replies.iter().map(|(req, reply)| (req.op, reply)), &mut effects);
-    }
-    effects
-}
-
-/// Group-commit one epoch's write effects into the sink (when one is
-/// installed). Must run before [`route_done`]: routing *is* the ack, and
-/// the durability contract says nothing routes until the WAL says so. A
-/// sink error is fatal by design — acknowledging a write the log cannot
-/// hold would be silent data loss, the one failure mode this tier exists
-/// to rule out.
-fn commit_epoch(
-    sink: &mut Option<&mut dyn CommitSink>,
-    done: &mut [DoneItem],
-    metrics: &mut ServiceMetrics,
-) {
-    let Some(sink) = sink.as_mut() else { return };
-    done.sort_by_key(|d| d.seq);
-    let effects = write_effects(done);
-    if effects.is_empty() {
-        return;
-    }
-    sink.commit(&effects)
-        .expect("durability sink failed: refusing to acknowledge non-durable writes");
-    metrics.durable_commits += 1;
-    metrics.durable_records += effects.len() as u64;
-}
-
 /// Deliver one collected epoch: count, timestamp, histogram, and feed
 /// completions back to the source (which is what lets closed-loop clients
 /// schedule their next issue).
@@ -369,7 +318,6 @@ fn route_done(
 
 /// Collect a pipelined epoch: receive its batches, advance the virtual
 /// clock by its service time, and route the responses.
-#[allow(clippy::too_many_arguments)]
 fn collect_epoch(
     p: InFlight,
     exec: ExecMode,
@@ -378,7 +326,6 @@ fn collect_epoch(
     clock: &mut u64,
     metrics: &mut ServiceMetrics,
     src: &mut dyn RequestSource,
-    sink: &mut Option<&mut dyn CommitSink>,
 ) {
     // The next epoch's batches are already executing; its completions can
     // land on the shared channel interleaved with this epoch's. Claim
@@ -405,7 +352,6 @@ fn collect_epoch(
         ExecMode::Modeled { ns_per_op } => ns_per_op.saturating_mul(p.per_worker_max),
     };
     *clock = clock.saturating_add(advance.max(1));
-    commit_epoch(sink, &mut done, metrics);
     route_done(done, p.dispatch_t, *clock, metrics, src);
 }
 
@@ -416,31 +362,6 @@ pub fn serve(
     cfg: &ServeConfig,
     policy: &mut dyn BatchPolicy,
     src: &mut dyn RequestSource,
-) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, None)
-}
-
-/// [`serve`], with every acknowledgement gated on a durability sink: each
-/// epoch's effective writes are group-committed through `sink` *before*
-/// the epoch's responses route. The sink's contract (see
-/// [`crate::durability::DurabilityContract`]) decides what an ack then
-/// means — fsync-durable, fdatasync-durable, or page-cache-buffered.
-pub fn serve_durable(
-    list: &Gfsl,
-    cfg: &ServeConfig,
-    policy: &mut dyn BatchPolicy,
-    src: &mut dyn RequestSource,
-    sink: &mut dyn CommitSink,
-) -> ServiceReport {
-    serve_inner(list, cfg, policy, src, Some(sink))
-}
-
-fn serve_inner(
-    list: &Gfsl,
-    cfg: &ServeConfig,
-    policy: &mut dyn BatchPolicy,
-    src: &mut dyn RequestSource,
-    mut sink: Option<&mut dyn CommitSink>,
 ) -> ServiceReport {
     cfg.validate();
     let run_t0 = Instant::now();
@@ -530,10 +451,7 @@ fn serve_inner(
                 if let Some(p) = pending.take() {
                     // Nothing to form yet; drain the pipeline so the
                     // completions can seed the next arrivals.
-                    collect_epoch(
-                        p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src,
-                        &mut sink,
-                    );
+                    collect_epoch(p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src);
                     continue;
                 }
                 match src.peek_ns() {
@@ -609,17 +527,13 @@ fn serve_inner(
                 });
             }
             if let Some(p) = pending.take() {
-                collect_epoch(
-                    p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src, &mut sink,
-                );
+                collect_epoch(p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src);
             }
             pending = Some(fresh);
         }
 
         if let Some(p) = pending.take() {
-            collect_epoch(
-                p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src, &mut sink,
-            );
+            collect_epoch(p, cfg.exec, &done_rx, &mut early, &mut clock, &mut metrics, src);
         }
         debug_assert!(early.is_empty(), "stray completions after drain");
         injector.close();
@@ -839,55 +753,6 @@ mod tests {
         check(&points, &mut Fifo::default(), true);
         check(&points, &mut crate::scheduler::KeySorted::default(), true);
         check(&pq, &mut Fifo::default(), false);
-    }
-
-    #[test]
-    fn durable_serve_commits_every_effective_write_before_ack() {
-        use crate::durability::MemorySink;
-
-        let list = small_list();
-        let pop = ClosedLoop::new(16, 50, 1_000, ServeMix::C80, 2_000, 42);
-        let mut src = ClosedSource::new(pop, 1_000);
-        let mut sink = MemorySink::default();
-        let report = serve_durable(&list, &modeled_cfg(), &mut Fifo::default(), &mut src, &mut sink);
-
-        let m = &report.metrics;
-        assert_eq!(m.ops, 16 * 50);
-        assert_eq!(m.durable_records, sink.effects.len() as u64);
-        assert_eq!(m.durable_commits, sink.commits);
-        assert!(m.durable_commits <= m.epochs, "at most one group commit per epoch");
-        // Every committed record corresponds to an effective write the
-        // structure performed; the structure must agree with the log.
-        let mut inserted = 0u64;
-        let mut deleted = 0u64;
-        for e in &sink.effects {
-            match e.value {
-                Some(_) => inserted += 1,
-                None => deleted += 1,
-            }
-        }
-        assert!(inserted + deleted > 0, "C80 mix must produce effective writes");
-        assert!(inserted <= m.inserts && deleted <= m.deletes);
-        list.assert_valid();
-    }
-
-    #[test]
-    fn durable_modeled_runs_replay_with_identical_logs() {
-        use crate::durability::MemorySink;
-
-        let run = || {
-            let list = small_list();
-            let pop = ClosedLoop::new(16, 50, 1_000, ServeMix::C80, 2_000, 42);
-            let mut src = ClosedSource::new(pop, 1_000);
-            let mut sink = MemorySink::default();
-            let report =
-                serve_durable(&list, &modeled_cfg(), &mut Fifo::default(), &mut src, &mut sink);
-            (report, sink.effects)
-        };
-        let (a, ea) = run();
-        let (b, eb) = run();
-        assert_eq!(a.trace_hash, b.trace_hash, "sink must not perturb the schedule");
-        assert_eq!(ea, eb, "same seed, same WAL effect stream");
     }
 
     #[test]

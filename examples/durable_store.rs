@@ -1,7 +1,8 @@
 //! Crash-surviving key-value store: the durability tier end to end.
 //!
-//! Builds a [`DurableGfsl`] (DESIGN.md §15), commits writes through the
-//! group-commit WAL, checkpoints, writes a tail past the checkpoint, then
+//! Builds a [`DurableCluster`] in its single-list shape — one shard, one
+//! WAL lane (DESIGN.md §15) — commits writes through the engine's commit
+//! routine, checkpoints, writes a tail past the checkpoint, then
 //! *drops the engine where it stands* — the moral equivalent of
 //! `kill -9` — and reopens from disk. The recovery report shows the
 //! checkpoint base plus the LSN-gated tail replay, and a validation walk
@@ -11,8 +12,8 @@
 //! cargo run --release --example durable_store [data-dir]
 //! ```
 //!
-//! With a `data-dir` argument the on-disk state is left in place so you
-//! can poke at it with the inspection tool:
+//! With a `data-dir` argument — wiped first — the on-disk state is left in
+//! place so you can poke at it with the inspection tool:
 //!
 //! ```text
 //! cargo run --release -p gfsl-durable --bin gfsl-walctl -- status <data-dir>
@@ -20,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use gfsl_durable::{destroy, DurabilityContract, DurableConfig, DurableGfsl};
+use gfsl_durable::{destroy, DurabilityContract, DurableCluster, DurableClusterConfig};
 
 fn main() {
     let (dir, keep) = match std::env::args().nth(1) {
@@ -31,17 +32,19 @@ fn main() {
         ),
     };
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = DurableConfig {
+    let cfg = DurableClusterConfig {
         contract: DurabilityContract::Synced,
         seg_records: 64, // small segments so the demo rotates and prunes
-        ..DurableConfig::new(&dir)
+        n_shards: 1,
+        n_lanes: 1,
+        ..DurableClusterConfig::new(&dir)
     };
 
     // Phase 1: a store takes acknowledged writes. Every `insert`/`remove`
     // below returns only after its record is fsync'd (apply -> log -> sync
     // -> ack), so everything this model sees is a promise.
     let mut model: BTreeMap<u32, u32> = BTreeMap::new();
-    let mut eng = DurableGfsl::create(&cfg).expect("create store");
+    let mut eng = DurableCluster::create(&cfg).expect("create store");
     for k in 1..=300u32 {
         eng.insert(k, k * 7).expect("insert");
         model.insert(k, k * 7);
@@ -53,9 +56,7 @@ fn main() {
     let manifest = eng.checkpoint().expect("checkpoint");
     println!(
         "checkpointed {} pairs at lsn {} (seq {})",
-        manifest.n_pairs,
-        eng.checkpoint_lsn(),
-        manifest.seq
+        manifest.n_pairs, manifest.lane_cuts[0], manifest.seq
     );
 
     // A tail past the checkpoint: these live only in the WAL.
@@ -75,16 +76,16 @@ fn main() {
     println!("\n-- crash --\n");
 
     // Phase 3: restart from disk.
-    let (eng, report) = DurableGfsl::open(&cfg).expect("recovery");
+    let (eng, report) = DurableCluster::open(&cfg).expect("recovery");
     println!(
         "recovered: checkpoint seq {:?} ({} pairs) + {} WAL records replayed -> {} keys",
         report.checkpoint_seq, report.checkpoint_pairs, report.replayed, report.recovered_keys
     );
     assert!(report.checkpoint_fallbacks.is_empty(), "no damage expected");
 
-    let recovered: BTreeMap<u32, u32> = eng.list().export_pairs().collect();
+    let recovered: BTreeMap<u32, u32> = eng.cluster().pairs().into_iter().collect();
     assert_eq!(recovered, model, "every acknowledged write survived");
-    eng.list().assert_valid();
+    eng.cluster().assert_valid();
     println!("all {} acknowledged writes survived; structure validates", model.len());
 
     drop(eng);
