@@ -677,6 +677,26 @@ impl Cluster {
         reply.unwrap_or_else(BatchReply::Failed)
     }
 
+    /// One heal step of a contained cluster, shard by shard under the
+    /// shard's read fence (routed ops keep running; a migration waits):
+    /// repair the quarantine and advance the background scrubber
+    /// `scrub_budget` chunks ([`Gfsl::heal_step`]; a shard with no free
+    /// handle slot is skipped this step). Returns `(chunks repaired,
+    /// quarantine depth left)`, summed over the shards.
+    pub fn repair_quarantine(&self, scrub_budget: usize) -> (u64, usize) {
+        let (mut repaired, mut depth) = (0, 0);
+        for s in self.shards() {
+            let _fence = s.fence.read();
+            let (r, d) = s
+                .list
+                .heal_step(scrub_budget)
+                .unwrap_or((0, s.list.quarantine_depth()));
+            repaired += r;
+            depth += d;
+        }
+        (repaired, depth)
+    }
+
     // ---- introspection (quiescent use) ----
 
     /// Per-shard statistics for the current map.

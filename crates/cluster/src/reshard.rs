@@ -89,13 +89,6 @@ impl Cluster {
             .map(|i| (i, m.shards[i].clone()))
     }
 
-    /// Heal a shard before export so the pair walk sees a clean structure.
-    fn drain_quarantine(shard: &Shard) {
-        if shard.list.params().contain && shard.list.quarantine_depth() > 0 {
-            shard.list.handle().repair_quarantine();
-        }
-    }
-
     /// Split shard `id` into two: the top half of its pairs (by count)
     /// moves into a fresh GFSL. Returns `Ok(None)` when the shard is gone
     /// (already migrated) or too narrow to split.
@@ -105,7 +98,7 @@ impl Cluster {
             return Ok(None);
         };
         let _fence = shard.fence.write();
-        Self::drain_quarantine(&shard);
+        shard.drain_quarantine();
         let pairs: Vec<(u32, u32)> = shard.list.export_pairs().collect();
         // Median key if there is one; fall back to the range midpoint for
         // thin shards so a hot-but-small range can still be subdivided.
@@ -158,8 +151,8 @@ impl Cluster {
         // Fences in index order — the global fence order.
         let _fl = left.fence.write();
         let _fr = right.fence.write();
-        Self::drain_quarantine(&left);
-        Self::drain_quarantine(&right);
+        left.drain_quarantine();
+        right.drain_quarantine();
         let merged = Gfsl::from_sorted_pairs(
             self.params,
             left.list.export_pairs().chain(right.list.export_pairs()),

@@ -85,6 +85,16 @@ impl Shard {
         )
     }
 
+    /// Repair the quarantine a contained op's crash left in this shard, if
+    /// any, before a migration or snapshot exports it; the caller holds the
+    /// write fence. Panics when the handle table is full: exporting chunks
+    /// a crashed op still holds would copy a half-done mutation.
+    pub(crate) fn drain_quarantine(&self) {
+        self.list
+            .heal_step(0)
+            .expect("no handle slot to repair a fenced shard's quarantine");
+    }
+
     /// A point-in-time statistics snapshot of this shard.
     pub fn stats(&self) -> ShardStats {
         let (reads, writes) = self.window();

@@ -85,9 +85,7 @@ impl Cluster {
         // chunks. Rare (containment mode after an injected crash), so the
         // pinned path's brief-fence claim holds in the common case.
         for s in &shards {
-            if s.list.params().contain && s.list.quarantine_depth() > 0 {
-                s.list.handle().repair_quarantine();
-            }
+            s.drain_quarantine();
         }
 
         if self.params.mvcc {

@@ -63,7 +63,6 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
         contain: true,
-        retry_budget: 1 << 20,
         ..Default::default()
     };
     // One shard at full key density: the migration driver introduces (and

@@ -35,11 +35,6 @@ impl Failpoints {
             probe.crash_point(point);
         }
     }
-
-    /// Is a chaos probe installed?
-    pub fn armed(&self) -> bool {
-        matches!(self, Failpoints::Chaos(_))
-    }
 }
 
 impl std::fmt::Debug for Failpoints {

@@ -84,16 +84,18 @@ impl EdgeEngine {
         }
     }
 
-    /// Current quarantine depth (the supervisor's repair-pressure signal);
-    /// summed across shards for a cluster.
-    pub fn quarantine_depth(&self) -> usize {
+    /// One heal step of a contained engine: repair the quarantine crashed
+    /// ops left and advance the background scrubber `scrub_budget` chunks
+    /// ([`Gfsl::heal_step`]; [`Cluster::repair_quarantine`] on a cluster,
+    /// shard by shard under its fence). Returns `(chunks repaired,
+    /// quarantine depth left)` — the supervisor's repair-pressure signals.
+    /// With no free handle slot the step repairs nothing this time.
+    pub fn heal(&self, scrub_budget: usize) -> (u64, usize) {
         match self {
-            EdgeEngine::Single(list) => list.quarantine_depth(),
-            EdgeEngine::Cluster(c) => c
-                .shards()
-                .iter()
-                .map(|s| s.list.quarantine_depth())
-                .sum(),
+            EdgeEngine::Single(list) => list
+                .heal_step(scrub_budget)
+                .unwrap_or((0, list.quarantine_depth())),
+            EdgeEngine::Cluster(c) => c.repair_quarantine(scrub_budget),
         }
     }
 }

@@ -17,7 +17,11 @@
 //!    group-commit write effects into the durable sink *before* any reply
 //!    is queued (commit-before-ack), then route replies back to each
 //!    session by request id;
-//! 4. flush, and shed connections that broke framing (one [`Resp::Proto`]
+//! 4. heal a contained engine: repair its quarantine, advance the scrubber,
+//!    and feed the worker's [`Supervisor`] the epoch's aborted replies,
+//!    the chunks repaired and the quarantine depth left — the rung that
+//!    gates step 2 (DESIGN §13);
+//! 5. flush, and shed connections that broke framing (one [`Resp::Proto`]
 //!    frame, then close) or stalled mid-frame past the slow-client timeout.
 //!
 //! Everything is std networking — no async runtime; the thread-per-core
@@ -30,9 +34,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gfsl_serve::{
-    batch_effects, CommitSink, Reply, ServiceMode, ShedError, Supervisor, WriteEffect,
-};
+use gfsl::Error as GfslError;
+use gfsl_serve::{batch_effects, CommitSink, Reply, ShedError, Supervisor, WriteEffect};
 use gfsl_workload::ServeOp;
 
 use crate::engine::EdgeEngine;
@@ -41,6 +44,11 @@ use crate::session::Session;
 
 /// Shared handle to a durable commit sink (workers group-commit through it).
 pub type SharedSink = Arc<Mutex<dyn CommitSink + Send>>;
+
+/// Chunks a contained engine's background scrubber re-validates after each
+/// epoch. Small on purpose: the scrubber is bycatch of the serving loop,
+/// not a second workload.
+const SCRUB_BUDGET_PER_EPOCH: usize = 32;
 
 /// Edge server tuning.
 #[derive(Debug, Clone)]
@@ -56,9 +64,6 @@ pub struct EdgeConfig {
     /// Slow-client guard: a session stalled mid-frame (or refusing to read
     /// its responses) longer than this is dropped.
     pub idle_timeout_ms: u64,
-    /// Run the degradation-ladder supervisor (sheds writes under fault
-    /// pressure); off = always [`ServiceMode::Normal`].
-    pub supervised: bool,
     /// Drain-rate estimate feeding shed retry-after hints, ns per request.
     pub drain_ns_per_req: u64,
 }
@@ -71,7 +76,6 @@ impl Default for EdgeConfig {
             epoch_us: 200,
             intake_cap: 256,
             idle_timeout_ms: 2_000,
-            supervised: false,
             drain_ns_per_req: 2_000,
         }
     }
@@ -104,8 +108,14 @@ pub struct EdgeStats {
     /// differed from the reading session's own last write of the key —
     /// violations only where no other session writes that key.
     pub ryw_violations: AtomicU64,
-    /// Highest supervisor rung any worker reached (severity 0–3).
+    /// Highest supervisor rung any worker reached (severity 0–3); stays 0
+    /// unless the engine is contained.
     pub max_mode: AtomicU64,
+    /// Supervisor rung changes, both directions, summed over workers.
+    pub mode_transitions: AtomicU64,
+    /// Longest completed degraded interval — first rung off `Normal` until
+    /// the return to it — any worker's supervisor reported, ns.
+    pub time_to_heal_ns: AtomicU64,
 }
 
 /// Plain-value copy of [`EdgeStats`] at one instant.
@@ -135,6 +145,10 @@ pub struct StatsSnapshot {
     pub ryw_violations: u64,
     /// Highest supervisor severity reached.
     pub max_mode: u64,
+    /// Supervisor rung changes.
+    pub mode_transitions: u64,
+    /// Longest completed degraded interval, ns.
+    pub time_to_heal_ns: u64,
 }
 
 impl EdgeStats {
@@ -152,6 +166,8 @@ impl EdgeStats {
             epochs: self.epochs.load(Ordering::Relaxed),
             ryw_violations: self.ryw_violations.load(Ordering::Relaxed),
             max_mode: self.max_mode.load(Ordering::Relaxed),
+            mode_transitions: self.mode_transitions.load(Ordering::Relaxed),
+            time_to_heal_ns: self.time_to_heal_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -308,6 +324,12 @@ fn worker_loop(
     // Rotating read offset so a budget-exhausted pass doesn't starve the
     // same tail sessions every time.
     let mut rr = 0usize;
+    // Self-healing runs only on a contained engine; any other stays at
+    // `Normal` and pays one branch per epoch.
+    let contain = match &engine {
+        EdgeEngine::Single(list) => list.params().contain,
+        EdgeEngine::Cluster(c) => c.params().contain,
+    };
     let mut supervisor = Supervisor::default();
     let idle_timeout = Duration::from_millis(cfg.idle_timeout_ms);
     let epoch_deadline = Duration::from_micros(cfg.epoch_us);
@@ -332,11 +354,7 @@ fn worker_loop(
             progressed = true;
         }
 
-        let mode = if cfg.supervised {
-            supervisor.mode()
-        } else {
-            ServiceMode::Normal
-        };
+        let mode = supervisor.mode();
 
         // Read, decode, admit — under a decode budget. Each pass decodes
         // at most (epoch-buffer room + SHED_QUANTUM) frames across all
@@ -414,7 +432,9 @@ fn worker_loop(
         let due = pending.len() >= cfg.batch_ops
             || epoch_started.is_some_and(|t| now.duration_since(t) >= epoch_deadline)
             || (stopping && !pending.is_empty());
-        if due && !pending.is_empty() {
+        let executed = due && !pending.is_empty();
+        let mut aborts = 0u64;
+        if executed {
             progressed = true;
             epoch_started = None;
             ops.clear();
@@ -439,12 +459,8 @@ fn worker_loop(
                 }
             }
 
-            let mut faults = 0u64;
             let (mut ok, mut failed) = (0u64, 0u64);
             for (p, reply) in pending.drain(..).zip(&replies) {
-                if matches!(reply, Reply::Failed(_)) {
-                    faults += 1;
-                }
                 let Some(conn) = conns[p.conn].as_mut() else { continue };
                 conn.sess.inflight -= 1;
                 if commit_failed && !p.op.is_read_only() {
@@ -454,7 +470,12 @@ fn worker_loop(
                 }
                 conn.sess.observe_reply(p.op, reply);
                 match reply {
-                    Reply::Failed(_) => failed += 1,
+                    Reply::Failed(e) => {
+                        failed += 1;
+                        // Only a typed abort is a fault; a reserved key is
+                        // the client's mistake.
+                        aborts += u64::from(matches!(e, GfslError::Aborted(_)));
+                    }
                     _ => ok += 1,
                 }
                 conn.sess.push_resp(p.req_id, &proto::reply_resp(reply));
@@ -462,11 +483,30 @@ fn worker_loop(
             stats.ops_ok.fetch_add(ok, Ordering::Relaxed);
             stats.ops_failed.fetch_add(failed, Ordering::Relaxed);
             stats.epochs.fetch_add(1, Ordering::Relaxed);
+        }
 
-            if cfg.supervised {
+        // Heal a contained engine on every pass (free while the quarantine
+        // is empty); the scrubber advances once per executed epoch. The
+        // supervisor observes each executed epoch and, between epochs,
+        // every pass that repaired, left a quarantine or runs degraded: a
+        // rung that refuses the clients' ops runs no epoch, so only idle
+        // passes can walk it back down.
+        if contain {
+            let budget = if executed { SCRUB_BUDGET_PER_EPOCH } else { 0 };
+            let (repaired, depth) = engine.heal(budget);
+            if executed || repaired > 0 || depth > 0 || supervisor.degraded() {
+                let seen = supervisor.transitions;
                 let now_ns = start.elapsed().as_nanos() as u64;
-                let m = supervisor.observe(now_ns, faults, engine.quarantine_depth());
-                stats.max_mode.fetch_max(m.severity() as u64, Ordering::Relaxed);
+                let m = supervisor.observe(now_ns, aborts + repaired, depth);
+                stats
+                    .max_mode
+                    .fetch_max(u64::from(m.severity()), Ordering::Relaxed);
+                stats
+                    .mode_transitions
+                    .fetch_add(supervisor.transitions - seen, Ordering::Relaxed);
+                stats
+                    .time_to_heal_ns
+                    .fetch_max(supervisor.time_to_heal_ns, Ordering::Relaxed);
             }
         }
 

@@ -149,13 +149,6 @@ impl Session {
         io
     }
 
-    /// Complete frames already buffered but not yet decoded (a nonzero
-    /// value means the session has work queued even if its socket is
-    /// quiet).
-    pub fn has_buffered_input(&self) -> bool {
-        !self.rbuf.is_empty()
-    }
-
     fn fail_protocol(&mut self, e: DecodeError, io: &mut SessionIo) {
         // One typed error frame, then the connection is shed: a peer that
         // broke framing can never resynchronize, so there is nothing to

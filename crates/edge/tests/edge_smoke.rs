@@ -1,7 +1,7 @@
 //! Socket-level integration tests for the edge server: full round trips,
 //! commit-before-ack durability, typed overload shedding, slow-client
-//! timeouts, framing-violation handling, and read-your-writes under live
-//! shard migrations.
+//! timeouts, framing-violation handling, read-your-writes under live
+//! shard migrations, and self-healing of a contained engine.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -9,7 +9,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gfsl::{Gfsl, GfslParams};
+use gfsl::mc::strategy::Replay;
+use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslParams, TeamSize};
 use gfsl_cluster::Cluster;
 use gfsl_edge::proto::{self, Req, Resp};
 use gfsl_edge::{EdgeClient, EdgeConfig, EdgeEngine, EdgeServer};
@@ -350,4 +351,201 @@ fn read_your_writes_holds_across_live_shard_migrations() {
         "server-side tracker agrees: no session saw a stale read"
     );
     assert!(stats.ops_ok >= client_checks, "all checks rode real engine replies");
+}
+
+fn contained_params() -> GfslParams {
+    GfslParams {
+        team_size: TeamSize::Sixteen,
+        pool_chunks: 1 << 12,
+        contain: true,
+        ..GfslParams::default()
+    }
+}
+
+/// Crash one contained insert deterministically before any server runs:
+/// the mid-split victim leaves its held chunks quarantined (still
+/// lock-held), the state the edge must route around and repair online.
+fn crash_one_split(list: &Gfsl) {
+    gfsl::quiet_injected_panics();
+    let ctl = gfsl::chaos::controller(
+        1,
+        Replay::new(Vec::new()),
+        Some((CrashPoint::SplitPublish, 1)),
+    );
+    let mut h = list.handle_with(ctl.probe(0));
+    for k in 0..200u32 {
+        match h.try_insert(2 * k + 1, 7) {
+            Ok(_) => {}
+            Err(Error::Aborted(a)) => {
+                assert_eq!(a.reason, AbortReason::Crashed);
+                assert!(list.quarantine_depth() > 0, "crash leaves a quarantine");
+                return;
+            }
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    panic!("the injected crash must fire before serving");
+}
+
+/// Serve 40 pipelined rounds of mixed point ops over keys `1..=2000` on
+/// one connection and one worker; return the final counters.
+fn serve_rounds(engine: EdgeEngine) -> gfsl_edge::StatsSnapshot {
+    let cfg = EdgeConfig {
+        workers: 1,
+        ..EdgeConfig::default()
+    };
+    let server = EdgeServer::start(engine, cfg).unwrap();
+    let mut c = connect(&server);
+    for round in 0..40u32 {
+        let ids: Vec<u64> = (0..64u32)
+            .map(|i| {
+                let k = (round * 64 + i) * 37 % 2_000 + 1;
+                c.send(match i % 5 {
+                    0 => Req::Insert(k, k),
+                    1 => Req::Delete(k),
+                    _ => Req::Get(k),
+                })
+            })
+            .collect();
+        for id in ids {
+            // An op that met the quarantine answers `Failed`, one a
+            // degraded rung refused `Shed`; neither breaks the session.
+            let resp = c.recv(id).unwrap();
+            assert!(!matches!(resp, Resp::Proto { .. }), "{resp:?}");
+        }
+    }
+    server.shutdown()
+}
+
+/// `service_heals_through_a_precrashed_structure`'s port: the edge loop
+/// heals on both engine arms.
+#[test]
+fn the_edge_heals_through_a_precrashed_structure() {
+    let check = |stats: &gfsl_edge::StatsSnapshot, depth: usize, repaired: u64| {
+        assert_eq!(depth, 0, "the edge repaired the quarantine");
+        assert!(
+            repaired >= 1,
+            "the heal step repaired the crashed op's chunks"
+        );
+        assert!(
+            stats.max_mode >= 1,
+            "the repair was observed as a fault: {stats:?}"
+        );
+        assert!(
+            stats.mode_transitions >= 2,
+            "the supervisor must degrade and return to normal: {stats:?}"
+        );
+        assert!(
+            stats.time_to_heal_ns > 0,
+            "a completed heal reports its duration"
+        );
+    };
+    let evens = || (1..=2_000u32).filter(|k| k % 2 == 0);
+
+    let list = Arc::new(Gfsl::prefilled(contained_params(), evens()).unwrap());
+    crash_one_split(&list);
+    let stats = serve_rounds(EdgeEngine::Single(list.clone()));
+    check(
+        &stats,
+        list.quarantine_depth(),
+        list.repair_stats().repaired(),
+    );
+    list.assert_valid();
+
+    let pairs = evens().map(|k| (k, k));
+    let cluster = Arc::new(Cluster::prefilled(contained_params(), 4, 2_000, pairs).unwrap());
+    let shards = cluster.shards();
+    crash_one_split(&shards[0].list);
+    let stats = serve_rounds(EdgeEngine::Cluster(cluster.clone()));
+    assert_eq!(cluster.shard_count(), 4, "no migration retired a shard");
+    check(
+        &stats,
+        shards.iter().map(|s| s.list.quarantine_depth()).sum(),
+        shards
+            .iter()
+            .map(|s| s.list.repair_stats().repaired())
+            .sum(),
+    );
+    cluster.assert_valid();
+}
+
+/// A worker walked to `Drain` admits nothing and so runs no epoch; its idle
+/// passes must still heal and step it back down. Held handles keep the edge
+/// from repairing a pre-crashed list until the worker drains; once they go,
+/// a client sending only writes finds the worker serving again.
+#[test]
+fn a_drained_edge_heals_between_epochs() {
+    let evens = (1..=2_000u32).filter(|k| k % 2 == 0);
+    let list = Arc::new(Gfsl::prefilled(contained_params(), evens).unwrap());
+    crash_one_split(&list);
+    let held: Vec<_> = (0..gfsl::MAX_RECLAIM_HANDLES).map(|_| list.handle()).collect();
+    let cfg = EdgeConfig {
+        workers: 1,
+        ..EdgeConfig::default()
+    };
+    let server = EdgeServer::start(EdgeEngine::Single(list.clone()), cfg).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let wait_for = |what: &str, done: &dyn Fn(&gfsl_edge::StatsSnapshot) -> bool| {
+        while !done(&server.stats()) {
+            assert!(Instant::now() < deadline, "{what}: {:?}", server.stats());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    wait_for("an unrepairable quarantine drains the worker", &|s| s.max_mode == 3);
+    let mut c = connect(&server);
+    assert!(matches!(c.insert(3_001, 1).unwrap(), Resp::Shed { mode: 3, .. }));
+
+    drop(held);
+    for k in 3_002.. {
+        match c.insert(k, k).unwrap() {
+            Resp::Inserted(true) => break,
+            Resp::Shed { .. } => {}
+            other => panic!("{other:?}"),
+        }
+        assert!(Instant::now() < deadline, "writes stay shed: {:?}", server.stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    wait_for("the worker returns to Normal", &|s| s.time_to_heal_ns > 0);
+    let stats = server.shutdown();
+    assert_eq!(list.quarantine_depth(), 0, "the edge repaired the quarantine");
+    assert!(list.repair_stats().repaired() >= 1);
+    assert_eq!(
+        (stats.max_mode, stats.mode_transitions),
+        (3, 6),
+        "three rungs up, three down: {stats:?}"
+    );
+    list.assert_valid();
+}
+
+/// A reserved key is the client's mistake, not a fault: however many of
+/// them a contained engine answers `Failed(InvalidKey)`, its rung stays at
+/// `Normal`.
+#[test]
+fn a_contained_edge_does_not_degrade_on_reserved_keys() {
+    let list = Arc::new(Gfsl::new(contained_params()).unwrap());
+    let cfg = EdgeConfig {
+        workers: 1,
+        ..EdgeConfig::default()
+    };
+    let server = EdgeServer::start(EdgeEngine::Single(list), cfg).unwrap();
+    let mut c = connect(&server);
+    let invalid = Resp::Failed {
+        code: proto::error_code(&Error::InvalidKey(0)),
+    };
+    for round in 0..20u32 {
+        let ids: Vec<u64> = (0..64u32)
+            .map(|i| c.send(Req::Insert(0, round * 64 + i)))
+            .collect();
+        for id in ids {
+            assert_eq!(c.recv(id).unwrap(), invalid);
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.ops_failed, 20 * 64);
+    assert!(stats.epochs >= 20, "every round ran through the heal step");
+    assert_eq!(
+        (stats.max_mode, stats.mode_transitions),
+        (0, 0),
+        "{stats:?}"
+    );
 }

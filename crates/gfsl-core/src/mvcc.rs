@@ -70,6 +70,7 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
 use crate::chunk::{is_user_key, ChunkView, KEY_INF, NIL};
+use crate::range::RangeEmit;
 use crate::skiplist::{Gfsl, GfslHandle};
 
 /// Chain-map shard count (power of two). Pushes and resolves are short
@@ -672,9 +673,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         mvcc.resolve_head0(v).unwrap_or(raw)
     }
 
-    /// The bottom-level walk at version `v`. Mirrors `range_pinned`'s
-    /// dedup discipline (cross-chunk duplicates mid-merge: rightmost wins)
-    /// defensively, although a quiescent version should never show one.
+    /// The bottom-level walk at version `v`, emitting through the live
+    /// walk's [`RangeEmit`] (its merge dedup is defensive here: a quiescent
+    /// version should never show a key twice).
     fn range_at_pinned(
         &mut self,
         lo: u32,
@@ -684,42 +685,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ) -> usize {
         let team = self.list().team;
         let mut cur = self.head0_at(v);
-        let mut pending: Option<(u32, u32)> = None;
-        let mut count = 0usize;
+        let mut emit = RangeEmit::new(lo, hi, f);
         loop {
             let view = self.read_chunk_at(cur, v);
-            if view.is_zombie(&team) {
-                // Zombie at `v`: its data is dead but its frozen next still
-                // chains rightward through the version's list.
-                let next = view.next(&team);
-                if next == NIL {
-                    break;
-                }
-                cur = next;
-                continue;
-            }
-            let in_range = view.keys_in_range(&team, lo, hi);
-            for lane in 0..team.dsize() {
-                if !in_range.is_set(lane) {
-                    continue;
-                }
-                let e = view.entry(lane);
-                let k = e.key();
-                match pending {
-                    Some((pk, _)) if k == pk => pending = Some((k, e.val())),
-                    Some((pk, pv)) if k > pk => {
-                        f(pk, pv);
-                        count += 1;
-                        pending = Some((k, e.val()));
-                    }
-                    Some(_) => {}
-                    None => pending = Some((k, e.val())),
-                }
-            }
-            // Sorted data: any live key above `hi` ends the scan.
-            let live = view.keys_live(&team).bits();
-            let le_hi = view.keys_le(&team, hi).bits();
-            if live & !le_hi != 0 {
+            // A zombie at `v` emits nothing, but its frozen next still
+            // chains rightward through the version's list.
+            if !view.is_zombie(&team) && emit.chunk(&team, &view) {
                 break;
             }
             let next = view.next(&team);
@@ -728,11 +699,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             cur = next;
         }
-        if let Some((pk, pv)) = pending.take() {
-            f(pk, pv);
-            count += 1;
-        }
-        count
+        emit.finish()
     }
 }
 

@@ -38,12 +38,6 @@ pub struct GfslParams {
     /// Off by default: the plain entry points keep PR 1's fail-fast
     /// poisoning semantics, and zero containment bookkeeping runs.
     pub contain: bool,
-    /// Bounded-retry budget for one contained operation: total lock-wait
-    /// and certification retries an op may spend before aborting with
-    /// [`crate::skiplist::AbortReason::RetryBudget`]. `0` = unbounded
-    /// (fall back to [`crate::skiplist::LOCK_RETRY_BOUND`]). Only consulted
-    /// when [`contain`](Self::contain) is on.
-    pub retry_budget: u32,
     /// Enable multiversion reads (DESIGN.md §19): a global version clock,
     /// per-chunk copy-on-write version chains captured at lock acquisition,
     /// and `pin_version` read tickets that serve `get`/`range`/snapshot
@@ -63,7 +57,6 @@ impl Default for GfslParams {
             seed: 0x9E37_79B9_7F4A_7C15,
             reclaim: true,
             contain: false,
-            retry_budget: 0,
             mvcc: false,
         }
     }
@@ -155,9 +148,7 @@ mod tests {
     #[test]
     fn containment_defaults_off() {
         // PR 1's poisoning semantics must remain the default behavior.
-        let p = GfslParams::default();
-        assert!(!p.contain);
-        assert_eq!(p.retry_budget, 0);
+        assert!(!GfslParams::default().contain);
     }
 
     #[test]

@@ -9,18 +9,78 @@
 //! may not appear, exactly like the point operations.
 
 use gfsl_gpu_mem::MemProbe;
+use gfsl_simt::Team;
 
 use crate::chunk::{is_user_key, ChunkView, NIL};
 use crate::skiplist::GfslHandle;
 
+/// The per-chunk half of a bottom-level scan, shared by the live walk
+/// ([`GfslHandle::for_each_in_range`]) and the versioned one
+/// ([`GfslHandle::for_each_in_range_at`]): each walk reads its chunks its
+/// own way and hands every non-zombie view here, left to right.
+///
+/// A key can appear in two consecutive chunk views while a merge is in
+/// flight (the rightmost copy is authoritative), so the largest key seen is
+/// held back until a larger one proves it final: a later copy of the same
+/// key replaces it, a smaller key is a stale copy and is skipped. Keys are
+/// never yielded out of order.
+pub(crate) struct RangeEmit<'f> {
+    lo: u32,
+    hi: u32,
+    pending: Option<(u32, u32)>,
+    count: usize,
+    f: &'f mut dyn FnMut(u32, u32),
+}
+
+impl<'f> RangeEmit<'f> {
+    pub(crate) fn new(lo: u32, hi: u32, f: &'f mut dyn FnMut(u32, u32)) -> RangeEmit<'f> {
+        RangeEmit {
+            lo,
+            hi,
+            pending: None,
+            count: 0,
+            f,
+        }
+    }
+
+    /// Emit `view`'s keys in `[lo, hi]`. Returns whether the scan is
+    /// complete: data arrays are sorted, so a live key above `hi` means
+    /// every later chunk holds only larger keys.
+    pub(crate) fn chunk(&mut self, team: &Team, view: &ChunkView) -> bool {
+        let in_range = view.keys_in_range(team, self.lo, self.hi);
+        for lane in 0..team.dsize() {
+            if !in_range.is_set(lane) {
+                continue;
+            }
+            let e = view.entry(lane);
+            let k = e.key();
+            match self.pending {
+                Some((pk, _)) if k < pk => continue,
+                Some((pk, pv)) if k > pk => {
+                    (self.f)(pk, pv);
+                    self.count += 1;
+                }
+                _ => {}
+            }
+            self.pending = Some((k, e.val()));
+        }
+        view.keys_live(team).bits() & !view.keys_le(team, self.hi).bits() != 0
+    }
+
+    /// Emit the held-back key; returns the number of keys emitted.
+    pub(crate) fn finish(self) -> usize {
+        if let Some((k, v)) = self.pending {
+            (self.f)(k, v);
+            return self.count + 1;
+        }
+        self.count
+    }
+}
+
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Visit every `(key, value)` with `lo <= key <= hi` in ascending key
-    /// order. Returns the number of entries visited.
-    ///
-    /// A key can appear in two consecutive chunk snapshots while a merge is
-    /// in flight (the rightmost copy is authoritative); the scan
-    /// deduplicates by keeping the last copy seen and never yields keys out
-    /// of order.
+    /// order, each key once (see [`RangeEmit`] for keys a merge in flight
+    /// shows twice). Returns the number of entries visited.
     pub fn for_each_in_range(
         &mut self,
         lo: u32,
@@ -43,9 +103,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // left of `lo`'s enclosing chunk contribute nothing to the scan, so
         // a far-left hint would silently lengthen it by the whole gap.
         let mut cur = self.hinted_lateral(lo).enclosing;
-        let mut pending: Option<(u32, u32)> = None;
+        let mut emit = RangeEmit::new(lo, hi, f);
         let mut noted = false;
-        let mut count = 0usize;
         let mut view = ChunkView::BLANK;
         // Certified reads throughout: a torn single read racing a remove's
         // left-shift can miss a key that is present for the whole scan,
@@ -58,35 +117,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 noted = true;
                 self.note_hint(c, view.unlocked_word(&team));
             }
-            let in_range = view.keys_in_range(&team, lo, hi);
-            for lane in 0..team.dsize() {
-                if !in_range.is_set(lane) {
-                    continue;
-                }
-                let e = view.entry(lane);
-                let k = e.key();
-                match pending {
-                    Some((pk, _)) if k == pk => {
-                        // Cross-chunk duplicate mid-merge: rightmost wins.
-                        pending = Some((k, e.val()));
-                    }
-                    Some((pk, pv)) if k > pk => {
-                        f(pk, pv);
-                        count += 1;
-                        pending = Some((k, e.val()));
-                    }
-                    Some(_) => {
-                        // Out-of-order artifact mid-merge: skip the stale
-                        // smaller copy.
-                    }
-                    None => pending = Some((k, e.val())),
-                }
-            }
-            // Data arrays are sorted, so a live key above `hi` means every
-            // later chunk only holds larger keys: the scan is complete.
-            let live = view.keys_live(&team).bits();
-            let le_hi = view.keys_le(&team, hi).bits();
-            if live & !le_hi != 0 {
+            if emit.chunk(&team, &view) {
                 break;
             }
             let next = view.next(&team);
@@ -95,11 +126,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             cur = next;
         }
-        if let Some((pk, pv)) = pending.take() {
-            f(pk, pv);
-            count += 1;
-        }
-        count
+        emit.finish()
     }
 
     /// Collect `lo..=hi` into a vector (see

@@ -32,8 +32,28 @@ use crate::chunk::{
     lock_state, ops, Entry, KEY_NEG_INF, LOCK_LOCKED, LOCK_STATE_MASK, LOCK_UNLOCKED,
     LOCK_VERSION_UNIT, LOCK_ZOMBIE, NIL,
 };
-use crate::skiplist::{GfslHandle, Intent, QuarantinedChunk, RepairStats};
+use crate::skiplist::{Error, Gfsl, GfslHandle, Intent, QuarantinedChunk, RepairStats};
 use crate::validate::chunk_rules;
+
+impl Gfsl {
+    /// One heal step of a contained structure: repair the quarantine if it
+    /// holds anything, then advance the scrubber `scrub_budget` chunks. A
+    /// step with nothing to do mints no handle. Returns `(chunks repaired
+    /// meanwhile — by this step or a concurrent one, quarantine depth
+    /// left)`, or [`Error::TooManyHandles`] when there was work and no
+    /// handle slot to do it with.
+    pub fn heal_step(&self, scrub_budget: usize) -> Result<(u64, usize), Error> {
+        let before = self.repair_stats().repaired();
+        if self.quarantine_depth() > 0 || scrub_budget > 0 {
+            let mut h = self.try_handle()?;
+            if self.quarantine_depth() > 0 {
+                h.repair_quarantine();
+            }
+            h.scrub_step(scrub_budget);
+        }
+        Ok((self.repair_stats().repaired() - before, self.quarantine_depth()))
+    }
+}
 
 /// A down-pointer repair deferred until every quarantined lock has been
 /// released (running it earlier could wait on a chunk this very repair pass
@@ -365,10 +385,30 @@ mod tests {
         h.insert(5, 5).unwrap();
         let stats = h.repair_quarantine();
         assert_eq!(stats.quarantine_depth, 0);
-        assert_eq!(
-            stats.repaired_forward + stats.repaired_back + stats.unpoisoned_clean,
-            0
-        );
+        assert_eq!(stats.repaired(), 0);
+        list.assert_valid();
+    }
+
+    /// `heal_step` mints a handle only when there is work: with the handle
+    /// table full, a step over a quarantine fails typed and an idle one
+    /// still answers; once a slot frees, the step repairs and counts.
+    #[test]
+    fn heal_step_needs_a_handle_only_for_work() {
+        let list = Gfsl::new(contain16()).unwrap();
+        let ctl = crash_once_at(CrashPoint::SplitPublish);
+        let mut h = list.handle_with(ctl.probe(0));
+        assert!((1..=60u32).any(|k| h.try_insert(k, k).is_err()), "the crash fires");
+        drop(h);
+        let full = || (0..crate::MAX_RECLAIM_HANDLES).map(|_| list.handle());
+        let held: Vec<_> = full().collect();
+        assert_eq!(list.heal_step(32), Err(Error::TooManyHandles));
+        drop(held);
+        let (repaired, depth) = list.heal_step(0).unwrap();
+        assert!(repaired >= 1, "the crashed split's chunks are repaired");
+        assert_eq!(depth, 0);
+        let held: Vec<_> = full().collect();
+        assert_eq!(list.heal_step(0), Ok((0, 0)), "nothing to do, no handle");
+        drop(held);
         list.assert_valid();
     }
 

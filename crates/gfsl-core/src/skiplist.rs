@@ -75,7 +75,7 @@ pub enum AbortReason {
     /// everything it held (all individually consistent) and had **no
     /// effect** on the structure.
     Quarantined,
-    /// The per-op retry budget ([`GfslParams::retry_budget`]) ran out at a
+    /// The per-op retry budget ([`CONTAINED_RETRY_BUDGET`]) ran out at a
     /// wait point. No effect on the structure.
     RetryBudget,
 }
@@ -112,6 +112,14 @@ pub struct RepairStats {
     pub scrubbed_chunks: u64,
     /// Invariant violations the scrubber observed on settled chunks.
     pub scrub_violations: u64,
+}
+
+impl RepairStats {
+    /// Quarantined chunks repaired by any route: rolled forward, rolled
+    /// back, or released clean.
+    pub fn repaired(&self) -> u64 {
+        self.repaired_forward + self.repaired_back + self.unpoisoned_clean
+    }
 }
 
 /// Atomic backing store for [`RepairStats`].
@@ -683,6 +691,13 @@ pub const STARVATION_RETRIES: u32 = 1 << 12;
 /// panics with a deadlock diagnosis instead of spinning forever.
 pub const LOCK_RETRY_BOUND: u32 = 1 << 26;
 
+/// Lock-wait and certification retries one contained operation may spend
+/// before it aborts with [`AbortReason::RetryBudget`] — far below
+/// [`LOCK_RETRY_BOUND`], so a contained waiter gives up typed long before
+/// an uncontained one would panic. A constant since PR 25: every caller of
+/// the per-instance budget it replaces set this value.
+pub const CONTAINED_RETRY_BUDGET: u32 = 1 << 20;
+
 /// Chunk-move budget for a lateral walk started from a validated traversal
 /// hint. A validated hint only proves the enclosing chunk is at-or-right of
 /// the cached one; clustered streams land within a step or two, while an
@@ -783,7 +798,7 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// point); reset by [`Self::contained`].
     pub(crate) journal: OpJournal,
     /// Lock-wait + certification retries spent by the contained op in
-    /// flight, charged against [`GfslParams::retry_budget`].
+    /// flight, charged against [`CONTAINED_RETRY_BUDGET`].
     op_waits: u32,
 }
 
@@ -1476,8 +1491,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             return;
         }
         self.op_waits += 1;
-        let budget = self.list.params.retry_budget;
-        if budget > 0 && self.op_waits > budget {
+        if self.op_waits > CONTAINED_RETRY_BUDGET {
             std::panic::panic_any(AbortSignal { reason: AbortReason::RetryBudget, chunk: ch });
         }
         if (self.op_waits < 4 || self.op_waits.is_multiple_of(16)) && self.list.is_quarantined(ch) {

@@ -58,7 +58,6 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
         contain: true,
-        retry_budget: 1 << 20,
         ..Default::default()
     })
     .unwrap();
@@ -233,7 +232,6 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
         contain: true,
-        retry_budget: 1 << 20,
         ..Default::default()
     })
     .unwrap();

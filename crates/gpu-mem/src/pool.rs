@@ -113,12 +113,6 @@ impl WordPool {
         self.words[addr as usize].load(addr, Ordering::Acquire)
     }
 
-    /// Relaxed load (for validation/diagnostic scans at quiescence).
-    #[inline]
-    pub fn read_relaxed(&self, addr: WordAddr) -> u64 {
-        self.words[addr as usize].load(addr, Ordering::Relaxed)
-    }
-
     /// Release-store the word at `addr` (the paper's `AtomicWrite`).
     #[inline]
     pub fn write(&self, addr: WordAddr, value: u64) {

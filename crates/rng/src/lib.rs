@@ -49,13 +49,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform draw in `[0, 1)`. Alias kept for the raise-key coin path in
-    /// `gfsl-core`, which predates the shared crate.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        self.unit_f64()
-    }
-
     /// Bernoulli trial.
     #[inline]
     pub fn coin(&mut self, p: f64) -> bool {

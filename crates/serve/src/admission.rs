@@ -11,8 +11,8 @@ use std::collections::VecDeque;
 
 use crate::request::Request;
 
-/// Typed rejection: the intake queue (or a degraded service mode) refused
-/// the request at admission.
+/// Typed rejection: the intake queue (or the edge's degraded supervisor
+/// rung) refused the request at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShedError {
     /// Queue depth observed at rejection.
@@ -76,21 +76,13 @@ impl IntakeQueue {
         }
     }
 
-    /// The [`ShedError`] an arrival would receive right now (also used by
-    /// the service's degraded-mode admission gate, which sheds *before*
-    /// the queue is full).
-    pub fn shed_error(&self) -> ShedError {
+    /// The [`ShedError`] an arrival would receive right now.
+    fn shed_error(&self) -> ShedError {
         let depth = self.q.len();
         ShedError {
             depth,
             retry_after_ns: (depth as u64).saturating_mul(self.drain_ns_per_req),
         }
-    }
-
-    /// Count one shed decided outside the queue itself (the service's
-    /// degraded-mode gate), so `sheds()` stays the single total.
-    pub fn note_shed(&mut self) {
-        self.sheds += 1;
     }
 
     /// Admit a request, or shed it. On rejection the request is handed back
@@ -172,14 +164,6 @@ mod tests {
         assert_eq!(err.retry_after_ns, 4 * 250, "hint = backlog x drain estimate");
         q.drain_upto(2);
         assert_eq!(q.shed_error().retry_after_ns, 2 * 250, "hint tracks current depth");
-    }
-
-    #[test]
-    fn external_sheds_fold_into_the_total() {
-        let mut q = IntakeQueue::new(2);
-        q.note_shed();
-        q.note_shed();
-        assert_eq!(q.sheds(), 2, "degraded-mode gate sheds count too");
     }
 
     #[test]

@@ -19,11 +19,13 @@
 //! 5. **measures** occupancy, queue depth, p50/p99/p999 latency and sheds
 //!    ([`metrics`]) — and folds the entire schedule into a replayable
 //!    FNV-1a trace hash ([`trace`]);
-//! 6. **heals** itself: with the structure in containment mode
-//!    (`GfslParams::contain`), crashed operations surface as typed aborts,
-//!    a per-epoch repair pass drains the quarantine, and a supervisor
+//! 6. **does not heal**: with the structure in containment mode
+//!    (`GfslParams::contain`) a crashed operation's reply is a typed
+//!    abort, and nothing here repairs the quarantine it leaves. Healing
+//!    runs where serving survives — the edge's worker loop (`gfsl-edge`)
+//!    repairs, scrubs and feeds the [`supervisor`] this crate owns, which
 //!    walks the Normal → Shed-writes → Read-only → Drain degradation
-//!    ladder until the structure is healthy again ([`supervisor`]).
+//!    ladder until the structure is healthy again.
 //!
 //! See [`service::serve`] for the event loop and [`service::ExecMode`] for
 //! the measured / modeled clock modes.

@@ -7,8 +7,6 @@
 /// across PRs, with O(1) memory and no allocation on the hot path.
 #[derive(Debug, Clone)]
 pub struct LatencyHisto {
-    // Serialized as the quantile summary, not the raw buckets — see the
-    // hand-written `Serialize` impl below.
     buckets: [u64; 64],
     count: u64,
     sum: u64,
@@ -104,105 +102,41 @@ impl LatencyHisto {
     }
 }
 
-/// A histogram serializes as its quantile summary: 64 raw log2 buckets
-/// would bloat every report row without adding anything the summary does
-/// not carry (the buckets are a lossy sketch to begin with).
-impl serde::Serialize for LatencyHisto {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("count".to_string(), serde::Value::U64(self.count)),
-            ("mean_ns".to_string(), serde::Value::F64(self.mean_ns())),
-            ("p50_ns".to_string(), serde::Value::U64(self.p50_ns())),
-            ("p99_ns".to_string(), serde::Value::U64(self.p99_ns())),
-            ("p999_ns".to_string(), serde::Value::U64(self.p999_ns())),
-            ("max_ns".to_string(), serde::Value::U64(self.max)),
-        ])
-    }
-}
-
-/// Aggregated metrics for one service run.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+/// Aggregated metrics for one service run: what `perfbench`'s ladder and
+/// this crate's tests read.
+#[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
     /// Requests completed.
     pub ops: u64,
-    /// Completed `Get`s.
-    pub gets: u64,
-    /// Completed `Insert`s.
-    pub inserts: u64,
-    /// Completed `Delete`s.
-    pub deletes: u64,
     /// Completed `Range`s.
     pub ranges: u64,
-    /// Completed `MinEntry` peeks.
-    pub min_peeks: u64,
-    /// Completed `PopMin` extract-mins.
-    pub pops: u64,
     /// Replies that failed structurally (reserved key, pool exhausted).
     pub failed: u64,
     /// Epochs closed.
     pub epochs: u64,
     /// Batches dispatched.
     pub batches: u64,
-    /// Batches that were read-only (lock-free fast path end to end).
-    pub read_only_batches: u64,
-    /// Requests shed at admission (queue-full and degraded-mode combined).
+    /// Requests shed at admission (the intake queue was full).
     pub sheds: u64,
-    /// Sheds decided by the degradation ladder rather than a full queue.
+    /// Sheds decided by a degradation ladder. Always 0: `serve()` runs no
+    /// supervisor — the edge heals a contained engine (DESIGN §13) — and
+    /// `perfbench`'s ladder still reads the field.
     pub degraded_sheds: u64,
-    /// Replies that failed with a typed operation abort (crash, quarantine,
-    /// retry budget, or deadline) — the recovery signal the supervisor
-    /// watches. Also counted in `failed`.
-    pub aborts: u64,
-    /// Quarantined chunks repaired (rolled forward, rolled back, or
-    /// released clean) by the service's per-epoch repair pass.
-    pub repairs: u64,
-    /// Deepest quarantine observed at an epoch boundary.
-    pub quarantine_depth_max: u64,
-    /// Degradation-ladder transitions (both directions).
-    pub mode_transitions: u64,
-    /// Duration of the last completed degraded interval — first rung away
-    /// from normal service until the return to it — in virtual ns.
-    pub time_to_heal_ns: u64,
     /// Largest intake depth sampled at an epoch close.
     pub queue_depth_max: usize,
     /// End-to-end latency per request (virtual ns).
     pub latency: LatencyHisto,
-    /// Wall-clock seconds for the whole run (formation + routing included).
-    pub run_wall_s: f64,
     /// Fraction of bottom-hint validations that succeeded across workers
     /// (0.0 when the hint cache never ran) — the key-sorted-dispatch
     /// locality signal.
     pub hint_hit_rate: f64,
-    /// Hint validations answered by re-reading one lock word instead of
-    /// the whole chunk (see [`gfsl::OpStats::skip_reads`]).
-    pub skip_reads: u64,
-    /// Multiversion clock at the end of the run (0 = mvcc knob off).
-    pub mvcc_clock: u64,
-    /// Version pre-images still retained on chains at the end of the run.
-    pub mvcc_images: u64,
-    /// Deepest single-chunk version chain observed over the whole run —
-    /// the bounded-retention signal the mvcc bench gates on.
-    pub mvcc_chain_hwm: u64,
-    /// Chunk pre-images captured by stamped writers.
-    pub mvcc_captures: u64,
-    /// Images condemned by vacuum passes.
-    pub mvcc_vacuumed: u64,
-    /// Read tickets minted (pinned snapshots taken through the engine).
-    pub mvcc_pins: u64,
-    /// Versioned chunk resolutions served from a chain image rather than
-    /// the live chunk.
-    pub mvcc_image_resolves: u64,
-    #[serde(skip)]
     occupancy_sum: f64,
 }
 
 impl ServiceMetrics {
     /// Record a dispatched batch: `len` requests padded to `aligned` lanes.
-    pub fn record_batch(&mut self, len: usize, aligned: usize, read_only: bool) {
+    pub fn record_batch(&mut self, len: usize, aligned: usize) {
         self.batches += 1;
-        if read_only {
-            self.read_only_batches += 1;
-        }
         self.occupancy_sum += len as f64 / aligned.max(1) as f64;
     }
 
@@ -220,33 +154,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Fold the run's merged structure-level counters into the hint fields.
+    /// Fold the run's merged structure-level counters into the hint rate.
     pub fn absorb_op_stats(&mut self, s: &gfsl::OpStats) {
         self.hint_hit_rate = s.hint_hit_rate().unwrap_or(0.0);
-        self.skip_reads = s.skip_reads;
-    }
-
-    /// Fold the engine's multiversion counters into the report (no-op —
-    /// all zeros — when the mvcc knob is off and the engine returns
-    /// `None`).
-    pub fn absorb_mvcc_stats(&mut self, s: Option<gfsl::MvccStats>) {
-        let Some(s) = s else { return };
-        self.mvcc_clock = s.clock;
-        self.mvcc_images = s.images;
-        self.mvcc_chain_hwm = s.chain_hwm;
-        self.mvcc_captures = s.captures;
-        self.mvcc_vacuumed = s.vacuumed;
-        self.mvcc_pins = s.pins;
-        self.mvcc_image_resolves = s.image_resolves;
-    }
-
-    /// Completed throughput over the whole run wall-clock, Mops/s.
-    pub fn mops(&self) -> f64 {
-        if self.run_wall_s <= 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / self.run_wall_s / 1.0e6
-        }
     }
 }
 
@@ -301,10 +211,9 @@ mod tests {
     #[test]
     fn occupancy_average_and_depth_high_water() {
         let mut m = ServiceMetrics::default();
-        m.record_batch(32, 32, true);
-        m.record_batch(16, 32, false);
+        m.record_batch(32, 32);
+        m.record_batch(16, 32);
         assert_eq!(m.batches, 2);
-        assert_eq!(m.read_only_batches, 1);
         assert!((m.mean_occupancy() - 0.75).abs() < 1e-9);
         m.sample_queue_depth(10);
         m.sample_queue_depth(30);
@@ -312,73 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_serialize_to_json_with_histo_summaries() {
-        let mut m = ServiceMetrics {
-            ops: 3,
-            gets: 2,
-            run_wall_s: 0.25,
-            ..Default::default()
-        };
-        m.record_batch(16, 32, true);
-        m.latency.record(1_000);
-        let json = serde::to_json_string(&m);
-        assert!(json.starts_with("{\"ops\":3,\"gets\":2,"), "{json}");
-        assert!(
-            json.contains("\"latency\":{\"count\":1,"),
-            "histograms serialize as summaries: {json}"
-        );
-        assert!(json.contains("\"run_wall_s\":0.25"), "{json}");
-        assert!(
-            !json.contains("occupancy_sum"),
-            "private accumulators are skipped: {json}"
-        );
-    }
-
-    #[test]
-    fn hint_counters_fold_in_and_serialize() {
+    fn hint_counters_fold_in() {
         let mut m = ServiceMetrics::default();
         let mut s = gfsl::OpStats::new();
         s.hint_hits = 3;
         s.hint_misses = 1;
-        s.skip_reads = 5;
         m.absorb_op_stats(&s);
         assert!((m.hint_hit_rate - 0.75).abs() < 1e-12);
-        let json = serde::to_json_string(&m);
-        assert!(json.contains("\"hint_hit_rate\":0.75"), "{json}");
-        assert!(json.contains("\"skip_reads\":5"), "{json}");
-    }
-
-    #[test]
-    fn mvcc_counters_fold_in_and_stay_zero_when_off() {
-        let mut m = ServiceMetrics::default();
-        m.absorb_mvcc_stats(None);
-        assert_eq!(m.mvcc_clock, 0, "knob off: all zeros");
-        let s = gfsl::MvccStats {
-            clock: 42,
-            images: 3,
-            chain_hwm: 2,
-            captures: 9,
-            vacuumed: 6,
-            pins: 5,
-            image_resolves: 4,
-            ..Default::default()
-        };
-        m.absorb_mvcc_stats(Some(s));
-        assert_eq!(m.mvcc_clock, 42);
-        assert_eq!(m.mvcc_chain_hwm, 2);
-        let json = serde::to_json_string(&m);
-        assert!(json.contains("\"mvcc_clock\":42"), "{json}");
-        assert!(json.contains("\"mvcc_pins\":5"), "{json}");
-    }
-
-    #[test]
-    fn throughput_requires_elapsed_time() {
-        let mut m = ServiceMetrics {
-            ops: 1_000_000,
-            ..Default::default()
-        };
-        assert_eq!(m.mops(), 0.0, "no wall time, no rate");
-        m.run_wall_s = 0.5;
-        assert!((m.mops() - 2.0).abs() < 1e-9);
     }
 }

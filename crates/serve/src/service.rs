@@ -44,13 +44,7 @@ use crate::metrics::ServiceMetrics;
 use crate::request::{to_batch_op, Reply, Request, Response};
 use crate::scheduler::{BatchPolicy, PolicyCtx};
 use crate::source::RequestSource;
-use crate::supervisor::{ServiceMode, Supervisor};
 use crate::trace::TraceHash;
-
-/// Chunks the background scrubber re-validates per epoch when the structure
-/// runs in containment mode. Small on purpose: the scrubber is bycatch of
-/// the driver loop, not a second workload.
-const SCRUB_BUDGET_PER_EPOCH: usize = 32;
 
 /// What advances the virtual clock across an epoch's execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,31 +222,22 @@ fn worker_loop(
     op_stats.lock().unwrap().merge(&h.stats());
 }
 
-/// Take the source's next arrival, due at `t`, and queue it — or shed it:
-/// by the current mode's admission rule when the supervisor has degraded
-/// the service, else on overflow. Returns whether it was queued.
+/// Take the source's next arrival, due at `t`, and queue it — or shed it
+/// on overflow. Returns whether it was queued.
 fn admit_next(
     src: &mut dyn RequestSource,
     intake: &mut IntakeQueue,
     trace: &mut TraceHash,
     t: u64,
-    mode: ServiceMode,
-    metrics: &mut ServiceMetrics,
 ) -> bool {
-    let req = src.take();
-    let (req, shed) = if !mode.admits(req.op, intake.len(), intake.capacity()) {
-        intake.note_shed();
-        metrics.degraded_sheds += 1;
-        (req, intake.shed_error())
-    } else {
-        match intake.offer(req) {
-            Ok(()) => return true,
-            Err(refused) => refused,
+    match intake.offer(src.take()) {
+        Ok(()) => true,
+        Err((req, shed)) => {
+            trace.shed(req.client as u64, shed.depth as u64);
+            src.on_shed(req, t);
+            false
         }
-    };
-    trace.shed(req.client as u64, shed.depth as u64);
-    src.on_shed(req, t);
-    false
+    }
 }
 
 /// Admit every arrival at or before `limit_ns` ([`admit_next`]).
@@ -261,14 +246,12 @@ fn admit_upto(
     intake: &mut IntakeQueue,
     trace: &mut TraceHash,
     limit_ns: u64,
-    mode: ServiceMode,
-    metrics: &mut ServiceMetrics,
 ) {
     while let Some(t) = src.peek_ns() {
         if t > limit_ns {
             break;
         }
-        admit_next(src, intake, trace, t, mode, metrics);
+        admit_next(src, intake, trace, t);
     }
 }
 
@@ -287,20 +270,8 @@ fn route_done(
     done.sort_by_key(|d| d.seq);
     for d in done {
         for (req, reply) in d.replies {
-            if let Reply::Failed(e) = &reply {
-                metrics.failed += 1;
-                if matches!(e, gfsl::Error::Aborted(_)) {
-                    metrics.aborts += 1;
-                }
-            }
-            match req.op {
-                ServeOp::Get(_) => metrics.gets += 1,
-                ServeOp::Insert(..) => metrics.inserts += 1,
-                ServeOp::Delete(_) => metrics.deletes += 1,
-                ServeOp::Range(..) => metrics.ranges += 1,
-                ServeOp::MinEntry => metrics.min_peeks += 1,
-                ServeOp::PopMin => metrics.pops += 1,
-            }
+            metrics.failed += u64::from(matches!(reply, Reply::Failed(_)));
+            metrics.ranges += u64::from(matches!(req.op, ServeOp::Range(..)));
             metrics.ops += 1;
             let resp = Response {
                 client: req.client,
@@ -364,7 +335,6 @@ pub fn serve(
     src: &mut dyn RequestSource,
 ) -> ServiceReport {
     cfg.validate();
-    let run_t0 = Instant::now();
     let lanes = list.params().lanes();
     let ctx = PolicyCtx {
         workers: cfg.workers,
@@ -401,51 +371,10 @@ pub fn serve(
         let mut pending: Option<InFlight> = None;
         let mut early: Vec<DoneItem> = Vec::new();
 
-        // Self-healing plumbing (active only with the structure in
-        // containment mode): a maintenance handle repairs quarantined
-        // chunks and advances the background scrubber each driver pass,
-        // and the supervisor walks the degradation ladder on the observed
-        // abort / quarantine signals.
-        let contain = list.params().contain;
-        let mut maint = list.handle();
-        let mut sup = Supervisor::default();
-        let mut mode = sup.mode();
-        let mut last_aborts = 0u64;
-        let mut last_repairs = 0u64;
-        let repairs_base = {
-            let s = list.repair_stats();
-            s.repaired_forward + s.repaired_back + s.unpoisoned_clean
-        };
-
         loop {
-            if contain {
-                let depth = list.quarantine_depth();
-                metrics.quarantine_depth_max = metrics.quarantine_depth_max.max(depth as u64);
-                if depth > 0 {
-                    maint.repair_quarantine();
-                }
-                maint.scrub_step(SCRUB_BUDGET_PER_EPOCH);
-                let s = list.repair_stats();
-                metrics.repairs = (s.repaired_forward + s.repaired_back + s.unpoisoned_clean)
-                    .saturating_sub(repairs_base);
-                let faults_delta = (metrics.aborts - last_aborts)
-                    + (metrics.repairs - last_repairs);
-                last_aborts = metrics.aborts;
-                last_repairs = metrics.repairs;
-                // The depth fed to the supervisor is *post-repair*: staying
-                // positive means repair is not keeping up, which is what
-                // should climb the ladder past shed-writes. Repair activity
-                // itself still counts as a fault for this epoch.
-                let next = sup.observe(clock, faults_delta, list.quarantine_depth());
-                if next != mode {
-                    mode = next;
-                    trace.mode(clock, u64::from(mode.severity()));
-                }
-            }
-
             // Arrivals during the previous epoch's execution have already
             // happened — they contend for intake space now, or are shed.
-            admit_upto(src, &mut intake, &mut trace, clock, mode, &mut metrics);
+            admit_upto(src, &mut intake, &mut trace, clock);
 
             if intake.is_empty() {
                 if let Some(p) = pending.take() {
@@ -458,7 +387,7 @@ pub fn serve(
                     Some(t) => {
                         // Idle: jump the clock to the next arrival.
                         clock = clock.max(t);
-                        admit_upto(src, &mut intake, &mut trace, clock, mode, &mut metrics);
+                        admit_upto(src, &mut intake, &mut trace, clock);
                     }
                     None => break,
                 }
@@ -475,8 +404,7 @@ pub fn serve(
                     if t > deadline {
                         break;
                     }
-                    if admit_next(src, &mut intake, &mut trace, t, mode, &mut metrics)
-                        && intake.len() >= cfg.batch_ops
+                    if admit_next(src, &mut intake, &mut trace, t) && intake.len() >= cfg.batch_ops
                     {
                         close = t.max(clock);
                         break;
@@ -503,7 +431,7 @@ pub fn serve(
                 b.seq = batch_seq;
                 batch_seq += 1;
                 trace.batch(b.seq, b.worker, b.reqs.len(), b.read_only);
-                metrics.record_batch(b.reqs.len(), b.aligned_len(lanes), b.read_only);
+                metrics.record_batch(b.reqs.len(), b.aligned_len(lanes));
                 per_worker[b.worker % cfg.workers] += b.reqs.len() as u64;
             }
 
@@ -537,16 +465,12 @@ pub fn serve(
         }
         debug_assert!(early.is_empty(), "stray completions after drain");
         injector.close();
-        metrics.mode_transitions = sup.transitions;
-        metrics.time_to_heal_ns = sup.time_to_heal_ns;
     });
 
     metrics.sheds = intake.sheds();
-    metrics.run_wall_s = run_t0.elapsed().as_secs_f64();
     // Workers have joined (scope end): fold their structure-level hint
     // counters into the service report.
     metrics.absorb_op_stats(&op_stats.into_inner().unwrap());
-    metrics.absorb_mvcc_stats(list.mvcc_stats());
     ServiceReport {
         policy: policy.name(),
         metrics,
@@ -764,64 +688,6 @@ mod tests {
     }
 
     #[test]
-    fn service_heals_through_a_precrashed_structure() {
-        use gfsl::mc::strategy::Replay;
-        use gfsl::{AbortReason, CrashPoint, Error};
-
-        let params = GfslParams {
-            team_size: TeamSize::Sixteen,
-            pool_chunks: 1 << 12,
-            contain: true,
-            ..Default::default()
-        };
-        let list = Gfsl::prefilled(params, (1..=2_000u32).filter(|k| k % 2 == 0)).unwrap();
-
-        // Crash one op deterministically before serving: the mid-split
-        // victim leaves its held chunks quarantined (still lock-held), the
-        // exact state the service must route around and repair online.
-        let ctl = gfsl::chaos::controller(
-            1,
-            Replay::new(Vec::new()),
-            Some((CrashPoint::SplitPublish, 1)),
-        );
-        {
-            let mut h = list.handle_with(ctl.probe(0));
-            let mut crashed = false;
-            for k in 0..200u32 {
-                match h.try_insert(2 * k + 1, 7) {
-                    Ok(_) => {}
-                    Err(Error::Aborted(a)) => {
-                        assert_eq!(a.reason, AbortReason::Crashed);
-                        crashed = true;
-                        break;
-                    }
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-            assert!(crashed, "the injected crash must fire before serving");
-        }
-        assert!(list.quarantine_depth() > 0, "crash leaves a quarantine");
-
-        let pop = ClosedLoop::new(16, 50, 1_000, ServeMix::C80, 2_000, 42);
-        let mut src = ClosedSource::new(pop, 1_000);
-        let report = serve(&list, &modeled_cfg(), &mut Fifo::default(), &mut src);
-
-        let m = &report.metrics;
-        assert_eq!(list.quarantine_depth(), 0, "service repaired the quarantine");
-        assert!(m.repairs >= 1, "repair pass handled the crashed op's chunks");
-        assert!(m.quarantine_depth_max >= 1, "degradation signal was observed");
-        assert!(
-            m.mode_transitions >= 2,
-            "supervisor must degrade and return to normal (saw {})",
-            m.mode_transitions
-        );
-        assert!(m.time_to_heal_ns > 0, "completed heal reports its duration");
-        list.assert_valid();
-        // Requests the service acknowledged as applied must be in effect.
-        assert!(m.ops > 0);
-    }
-
-    #[test]
     fn contained_modeled_runs_still_replay_bit_for_bit() {
         let run = || {
             let params = GfslParams {
@@ -841,7 +707,5 @@ mod tests {
         let b = run();
         assert_eq!(a.trace_hash, b.trace_hash, "containment must not break replay");
         assert_eq!(a.metrics.ops, 16 * 50);
-        assert_eq!(a.metrics.mode_transitions, 0, "healthy run never degrades");
-        assert_eq!(a.metrics.repairs, 0);
     }
 }

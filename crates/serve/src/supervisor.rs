@@ -1,12 +1,13 @@
-//! Graceful-degradation supervisor: the service's recovery state machine.
+//! Graceful-degradation supervisor: the serving loop's recovery state
+//! machine.
 //!
 //! Once the structure runs in containment mode
 //! ([`gfsl::GfslParams::contain`]), operation crashes surface as typed
 //! aborts and quarantined chunks instead of a poisoned structure — the
 //! service can keep running *through* a fault. The supervisor decides what
 //! "keep running" means at each moment: it observes per-epoch recovery
-//! signals (aborted replies, quarantine depth) and walks a degradation
-//! ladder
+//! signals (aborted replies, chunks repaired, quarantine depth) and walks a
+//! degradation ladder
 //!
 //! ```text
 //! Normal  →  ShedWrites  →  ReadOnly  →  Drain
@@ -18,7 +19,9 @@
 //! if even repair cannot keep up, to full drain) instead of a latency
 //! collapse. Every transition is counted and the full degraded interval —
 //! first rung up to the return to [`ServiceMode::Normal`] — is reported as
-//! the *time to heal* in virtual nanoseconds.
+//! the *time to heal*, in the caller's clock. The edge server's workers run
+//! one each whenever their engine is contained, observing every epoch and
+//! every idle pass while degraded (`gfsl-edge`, DESIGN §13).
 
 use gfsl_workload::ServeOp;
 
@@ -40,7 +43,7 @@ pub enum ServiceMode {
 
 impl ServiceMode {
     /// Ladder rung as a number (`Normal` = 0 … `Drain` = 3), the form the
-    /// trace hash folds and the escalation arithmetic uses.
+    /// edge's `max_mode` gauge and the escalation arithmetic use.
     pub fn severity(self) -> u8 {
         match self {
             ServiceMode::Normal => 0,
@@ -89,8 +92,7 @@ impl std::fmt::Display for ServiceMode {
 }
 
 /// The escalation state machine. Deterministic: the next mode is a pure
-/// function of the observation stream, so supervised runs still replay
-/// bit-for-bit (transitions are folded into the service trace).
+/// function of the observation stream.
 #[derive(Debug)]
 pub struct Supervisor {
     mode: ServiceMode,
@@ -104,7 +106,8 @@ pub struct Supervisor {
     /// Mode changes so far (both directions).
     pub transitions: u64,
     /// Duration of the last completed degraded interval (first rung up to
-    /// the return to `Normal`), virtual ns. Zero until a full heal happened.
+    /// the return to `Normal`), ns of the observation clock. Zero until a
+    /// full heal happened.
     pub time_to_heal_ns: u64,
 }
 

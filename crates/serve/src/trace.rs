@@ -1,8 +1,8 @@
 //! Replay-determinism witness: an FNV-1a fold over the service schedule.
 //!
 //! Uses the same constants and byte-wise fold as the chaos layer's trace
-//! (PR 1), so a full service run — batch formation, dispatch grants, sheds,
-//! mode transitions — collapses to one `u64`. Two runs with the same seed
+//! (PR 1), so a full service run — epoch closes, batch formation, dispatch
+//! grants, sheds — collapses to one `u64`. Two runs with the same seed
 //! and config produce the same hash or something is nondeterministic.
 
 /// FNV-1a offset basis (the chaos trace's initial value). Re-exported from
@@ -16,7 +16,6 @@ const EV_EPOCH: u64 = 0xE1;
 const EV_BATCH: u64 = 0xB2;
 const EV_GRANT: u64 = 0x64;
 const EV_SHED: u64 = 0x5D;
-const EV_MODE: u64 = 0xD3;
 
 /// Accumulating FNV-1a fold over schedule events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,16 +76,6 @@ impl TraceHash {
         self.fold(client);
         self.fold(depth);
     }
-
-    /// The supervisor changed the service mode (degradation ladder rung
-    /// `severity`, see `supervisor::ServiceMode::severity`) at virtual time
-    /// `at_ns`. Mode transitions steer admission, so they are part of the
-    /// schedule.
-    pub fn mode(&mut self, at_ns: u64, severity: u64) {
-        self.fold(EV_MODE);
-        self.fold(at_ns);
-        self.fold(severity);
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +91,6 @@ mod tests {
             t.batch(0, 1, 32, false);
             t.grant(0);
             t.shed(4, 128);
-            t.mode(512, 1);
         }
         assert_eq!(a.value(), b.value());
     }

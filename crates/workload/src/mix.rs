@@ -130,11 +130,6 @@ impl OpMix {
             })
             .collect()
     }
-
-    /// Update fraction (inserts + deletes) in `0..=1`.
-    pub fn update_fraction(&self) -> f64 {
-        (self.insert_pct + self.delete_pct) as f64 / 100.0
-    }
 }
 
 impl std::fmt::Display for OpMix {
