@@ -93,7 +93,7 @@ impl Gfsl {
         if cur != list.head_of(0) {
             raised.push((cur, cur_min));
         }
-        list.level_chunks[0].store(raised.len() as u32, std::sync::atomic::Ordering::Relaxed);
+        list.store_level_chunks(0, raised.len() as u32);
 
         // Upper levels: each non-sentinel chunk of level i is indexed by one
         // (min key -> chunk) entry in level i+1.
@@ -128,8 +128,7 @@ impl Gfsl {
             if cur != list.head_of(level) {
                 next_raised.push((cur, cur_min));
             }
-            list.level_chunks[level]
-                .store(raised.len() as u32, std::sync::atomic::Ordering::Relaxed);
+            list.store_level_chunks(level, raised.len() as u32);
             raised = next_raised;
             level += 1;
         }

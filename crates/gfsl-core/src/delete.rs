@@ -45,7 +45,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             return false;
         }
         let mut view = ChunkView::BLANK;
-        let p_bottom = self.find_and_lock_enclosing(path[0], k, &mut view);
+        let p_bottom = self.find_and_lock_enclosing(path.at(self.list, 0), k, &mut view);
         if view.lane_of_key(&team, k).is_none() {
             // Lost the race to another deleter. Decided under the bottom
             // lock, so the outcome survives a crash in the unlock below.
@@ -55,11 +55,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
 
         // Re-read the height under the bottom lock so levels added since the
-        // traversal are not missed; path entries above the traversal height
-        // already default to the level heads.
+        // traversal are not missed; path levels above the traversal height
+        // read as the level heads.
         let height = self.list.height();
         for level in (1..=height).rev() {
-            let probe_result = self.search_lateral(k, path[level]);
+            let probe_result = self.search_lateral(k, path.at(self.list, level));
             if probe_result.found.is_none() {
                 continue; // k was never raised this high
             }

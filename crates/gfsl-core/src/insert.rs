@@ -5,6 +5,7 @@
 use gfsl_gpu_mem::MemProbe;
 
 use crate::chunk::{is_user_key, ops, ChunkView, Entry};
+use crate::search::UpdatePath;
 use crate::skiplist::{Commit, Error, GfslHandle};
 
 /// What happened when inserting into one level.
@@ -59,7 +60,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Bottom level: the chunk that receives k stays locked until every
         // upper-level insertion completes, which is what serializes updates
         // to the same key.
-        let (p_bottom, raise, kk) = match self.insert_to_level(0, path[0], k, v)? {
+        let (p_bottom, raise, kk) = match self.insert_to_level(0, path.at(self.list, 0), k, v)? {
             LevelOutcome::AlreadyPresent { locked } => {
                 // Duplicate observed under the bottom lock: the op's outcome
                 // is decided even if the unlock below crashes.
@@ -97,14 +98,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the same way: `try_insert` reports the journal's committed outcome).
     fn climb(
         &mut self,
-        path: &[u32; gfsl_simt::WARP_SIZE],
+        path: &UpdatePath,
         mut level: usize,
         mut key: u32,
         mut down: u32,
         healing: bool,
     ) {
         while level < self.list.params.max_levels() {
-            match self.insert_to_level(level, path[level], key, down) {
+            match self.insert_to_level(level, path.at(self.list, level), key, down) {
                 Ok(LevelOutcome::AlreadyPresent { locked }) => {
                     self.unlock(locked);
                     if healing {
@@ -149,7 +150,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// bottom chunk: a remove of such a key needs that chunk's lock, which
     /// this insert holds until it returns, so the key cannot vanish between
     /// levels (`upper ⊆ lower`). `p_chunk` is the coin, as for a split.
-    fn heal_index(&mut self, p_bottom: u32, k: u32, path: &[u32; gfsl_simt::WARP_SIZE]) {
+    fn heal_index(&mut self, p_bottom: u32, k: u32, path: &UpdatePath) {
         let marked = self.heal_levels;
         if marked == 0 || !self.rng.coin(self.list.params.p_chunk) {
             return;
@@ -166,11 +167,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         // Above: the descent left `level` through its chunk's minimum. When
         // that key lives in the locked bottom chunk it is ours to raise;
-        // otherwise some other insert will get the chance.
-        for level in 1..self.list.params.max_levels() - 1 {
-            if marked & (1 << level) == 0 {
-                continue;
-            }
+        // otherwise some other insert will get the chance. The top level has
+        // nowhere to raise to.
+        let mut upper = marked & !1 & !(1 << (self.list.params.max_levels() - 1));
+        while upper != 0 {
+            let level = upper.trailing_zeros() as usize;
+            upper &= upper - 1;
             let min = self.heal_keys[level];
             if !view.contains_key(&team, min) && !crate::bug_knobs::heal_raises_upper_min() {
                 continue;
@@ -178,7 +180,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // Seen at `level` before the lock was taken: it may have been
             // removed and re-inserted (bottom level only) since. Under the
             // lock its levels are frozen, so look once more.
-            let at = self.search_lateral(min, path[level]);
+            let at = self.search_lateral(min, path.at(self.list, level));
             if at.found.is_some() {
                 self.stats.index_heals += 1;
                 self.climb(path, level + 1, min, at.enclosing, true);
@@ -209,7 +211,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut view = ChunkView::BLANK;
         loop {
             let (_, path) = self.search_slow(k);
-            let p_bottom = self.find_and_lock_enclosing(path[0], k, &mut view);
+            let p_bottom = self.find_and_lock_enclosing(path.at(self.list, 0), k, &mut view);
             if let Some(lane) = view.lane_of_key(&team, k) {
                 let old = view.entry(lane).val();
                 ops::write_entry(

@@ -412,6 +412,57 @@ mod tests {
         list.assert_valid();
     }
 
+    /// A rolled-forward split counts its new chunk and a rolled-forward
+    /// merge uncounts its dying one: the height is the full counter scan on
+    /// both sides of each. (A split that dies installing a down-pointer has
+    /// published; one that dies at `SplitPublish` rolls back uncounted.)
+    #[test]
+    fn height_is_the_full_scan_around_repair() {
+        for (point, moved) in [
+            (CrashPoint::DownPtrInstall, 1i64),
+            (CrashPoint::MergeZombieMark, -1),
+        ] {
+            let list = Gfsl::new(contain16()).unwrap();
+            let counted = || -> i64 {
+                (0..list.params.max_levels())
+                    .map(|l| i64::from(list.level_chunk_count(l)))
+                    .sum()
+            };
+            {
+                let mut h = list.handle();
+                for k in 1..=200u32 {
+                    h.insert(k * 10, k).unwrap();
+                }
+            }
+            let ctl = crash_once_at(point);
+            let mut h = list.handle_with(ctl.probe(0));
+            let crashed = (1..=400u32).any(|k| {
+                let op = if point == CrashPoint::DownPtrInstall {
+                    h.try_insert(k * 10 + 5, k).map(|_| ())
+                } else {
+                    h.try_remove(k * 10).map(|_| ())
+                };
+                op.is_err()
+            });
+            drop(h);
+            assert!(crashed && list.quarantine_depth() > 0, "{point:?} fires");
+            assert_eq!(
+                list.height(),
+                list.scanned_height(),
+                "{point:?} before repair"
+            );
+            let before = counted();
+            list.handle().repair_quarantine();
+            assert_eq!(counted() - before, moved, "{point:?}");
+            assert_eq!(
+                list.height(),
+                list.scanned_height(),
+                "{point:?} after repair"
+            );
+            list.assert_valid();
+        }
+    }
+
     #[test]
     fn split_publish_crash_quarantines_then_repairs() {
         let list = Gfsl::new(contain16()).unwrap();

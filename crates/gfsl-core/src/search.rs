@@ -5,7 +5,25 @@ use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, LaneId, Team};
 
 use crate::chunk::{ops, is_user_key, ChunkView, NIL};
-use crate::skiplist::{GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET};
+use crate::skiplist::{Gfsl, GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET};
+
+/// The per-level path an update's traversal records (`searchSlow`): at each
+/// level it descended through, a chunk at-or-left of the key's enclosing
+/// chunk there. Levels above the height it started from hold `NIL` and read
+/// as their level head, so no update pays for the levels nobody uses.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UpdatePath([u32; gfsl_simt::WARP_SIZE]);
+
+impl UpdatePath {
+    /// The chunk to start from at `level`.
+    #[inline]
+    pub(crate) fn at(&self, list: &Gfsl, level: usize) -> u32 {
+        match self.0[level] {
+            NIL => list.head_of(level),
+            c => c,
+        }
+    }
+}
 
 /// Team decision for the next traversal step (result of the ballot in
 /// `getTidForNextStep`, Algorithm 4.3).
@@ -205,15 +223,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// * `path = None` — read-only: zombies met at the top of a level are
     ///   stepped through without taking any lock, preserving `contains`'s
     ///   lock-freedom.
-    /// * `path = Some` — update path: per-level `path[i]` is recorded
-    ///   (levels the descent never visits are filled with the level heads
-    ///   on entry and on every restart) and zombie runs are lazily
-    ///   unlinked via try-lock redirection.
+    /// * `path = Some` — update path: the chunk each level is left through
+    ///   is recorded in the path (every level from the height down is
+    ///   written before the descent leaves it; levels above it stay `NIL`)
+    ///   and zombie runs are lazily unlinked via try-lock redirection.
     pub(crate) fn descend(
         &mut self,
         k: u32,
         stop: usize,
-        mut path: Option<&mut [u32; gfsl_simt::WARP_SIZE]>,
+        mut path: Option<&mut UpdatePath>,
     ) -> Option<u32> {
         let team = self.list.team;
         // Two view buffers, swapped on every lateral step: `views[at]` is
@@ -221,19 +239,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // for as long as `prev` names it.
         let mut views = [ChunkView::BLANK; 2];
         let mut at = 0;
+        // The height the last attempt started from.
+        let mut written = 0;
         'restart: loop {
-            if let Some(p) = path.as_deref_mut() {
-                for (i, slot) in p.iter_mut().enumerate().take(self.list.params.max_levels()) {
-                    *slot = self.list.head_of(i);
-                }
-                self.heal_levels = 0;
-            }
             // prev = the chunk we lateral-stepped from (its snapshot is in
             // the other buffer).
             let mut prev: Option<u32> = None;
             // Update path only: live chunks stepped across at this level.
             let mut steps = 0u8;
             let mut height = self.list.height();
+            if let Some(p) = path.as_deref_mut() {
+                // A restart from a lower height must not leave the earlier
+                // attempt's choices above it: those levels read as heads.
+                if written > height {
+                    p.0[height + 1..=written].fill(NIL);
+                }
+                written = height;
+                self.heal_levels = 0;
+            }
             if height < stop {
                 return None;
             }
@@ -284,7 +307,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                     NextStep::Down(lane) => {
                         if let Some(p) = path.as_deref_mut() {
-                            p[height] = cur;
+                            p.0[height] = cur;
                             // A long walk that ends in a chunk left through
                             // its minimum: the one upper-level key worth
                             // raising further (the level's tail excepted).
@@ -309,7 +332,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                         Some(pptr) => {
                             let pview = &views[at ^ 1];
                             if let Some(p) = path.as_deref_mut() {
-                                p[height] = pptr;
+                                p.0[height] = pptr;
                             }
                             steps = 0;
                             height -= 1;
@@ -459,15 +482,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// as `search_down` + bottom lateral, but records the per-level path and
     /// lazily unlinks zombies it meets after lateral steps.
     ///
-    /// `path[i]` = chunk in level `i` at-or-left of `k`'s enclosing chunk;
-    /// levels the traversal never visited default to the level head.
-    pub(crate) fn search_slow(&mut self, k: u32) -> (LateralResult, [u32; gfsl_simt::WARP_SIZE]) {
-        let mut path = [NIL; gfsl_simt::WARP_SIZE];
+    /// `path.at(list, i)` = chunk in level `i` at-or-left of `k`'s enclosing
+    /// chunk; levels the traversal never visited read as the level head.
+    pub(crate) fn search_slow(&mut self, k: u32) -> (LateralResult, UpdatePath) {
+        let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
         let bottom = self
             .descend(k, 0, Some(&mut path))
             .expect("no structure is shorter than level 0");
         let res = self.search_lateral_redirect(k, bottom);
-        path[0] = res.enclosing;
+        path.0[0] = res.enclosing;
         (res, path)
     }
 
@@ -782,14 +805,36 @@ mod tests {
     }
 
     #[test]
-    fn search_slow_path_defaults_to_heads() {
+    fn path_levels_above_the_descent_read_as_heads() {
         let list = small_list();
         let mut h = list.handle();
         let (res, path) = h.search_slow(123);
         assert_eq!(res.found, None);
-        assert_eq!(path[0], list.head_of(0));
-        for (lvl, &p) in path.iter().enumerate().take(list.params.max_levels()).skip(1) {
-            assert_eq!(p, list.head_of(lvl));
+        assert_eq!(path.at(&list, 0), list.head_of(0));
+        for lvl in 1..list.params.max_levels() {
+            assert_eq!(path.0[lvl], NIL, "level {lvl} was never descended through");
+            assert_eq!(path.at(&list, lvl), list.head_of(lvl));
+        }
+        // Taller: the levels the descent left are its choices, at-or-left
+        // of the key's enclosing chunk; the ones above read as heads.
+        for k in 1..=2_000u32 {
+            h.insert(k, k).unwrap();
+        }
+        let height = list.height();
+        assert!(height >= 2);
+        let (_, path) = h.search_slow(1_500);
+        for lvl in 0..list.params.max_levels() {
+            let c = path.at(&list, lvl);
+            if lvl <= height {
+                assert_ne!(path.0[lvl], NIL, "level {lvl}");
+                assert_eq!(
+                    h.search_lateral(1_500, c).enclosing,
+                    h.search_lateral(1_500, list.head_of(lvl)).enclosing,
+                    "level {lvl}"
+                );
+            } else {
+                assert_eq!(c, list.head_of(lvl), "level {lvl}");
+            }
         }
     }
 }

@@ -219,6 +219,11 @@ pub struct Gfsl {
     /// Per-level utilized-chunk counters; `level_chunks[i] > 0` marks level
     /// `i` as in use (drives [`Gfsl::height`]).
     pub(crate) level_chunks: Vec<AtomicU32>,
+    /// The highest level whose counter was ever raised above zero: raised
+    /// before any counter increment, never lowered. Every level above it
+    /// holds nothing but its never-retired sentinel, so [`Gfsl::height`]
+    /// and the head-array scan of a reclamation pass start here.
+    levels_high_water: AtomicUsize,
     handle_seq: AtomicU32,
     /// Set when a team died (panicked) while holding chunk locks: those
     /// locks can never be released, so waiters must fail fast, not spin.
@@ -302,6 +307,7 @@ impl Gfsl {
             team,
             head: sentinels.iter().map(|&c| AtomicU32::new(c)).collect(),
             level_chunks: (0..levels).map(|_| AtomicU32::new(0)).collect(),
+            levels_high_water: AtomicUsize::new(0),
             handle_seq: AtomicU32::new(0),
             poisoned: AtomicBool::new(false),
             poison_note: Mutex::new(None),
@@ -478,14 +484,37 @@ impl Gfsl {
     /// Highest level currently in use (0 when only the bottom level holds
     /// keys). Reads are unlocked: a stale-low answer merely starts searches
     /// lower (level 0 always holds every key), a stale-high answer starts at
-    /// an empty sentinel — both are benign.
+    /// an empty sentinel — both are benign. Scans down from the levels'
+    /// high-water mark, so it costs the levels in use, not `max_levels`.
     pub fn height(&self) -> usize {
-        for i in (1..self.params.max_levels()).rev() {
-            if self.level_chunks[i].load(Ordering::Relaxed) > 0 {
-                return i;
-            }
+        (1..=self.levels_high_water())
+            .rev()
+            .find(|&i| self.level_chunks[i].load(Ordering::Relaxed) > 0)
+            .unwrap_or(0)
+    }
+
+    /// The highest level ever in use: every level above it is a bare
+    /// sentinel that no operation has touched.
+    #[inline]
+    pub(crate) fn levels_high_water(&self) -> usize {
+        self.levels_high_water.load(Ordering::Relaxed)
+    }
+
+    /// Raise the high-water mark to `level` before its counter goes up. A
+    /// plain load first: the mark is almost always high enough already, and
+    /// a read keeps the shared line out of every split's write set.
+    fn raise_levels_high_water(&self, level: usize) {
+        if self.levels_high_water() < level {
+            self.levels_high_water.fetch_max(level, Ordering::Relaxed);
         }
-        0
+    }
+
+    /// Set `level`'s utilized-chunk counter (bulk loading).
+    pub(crate) fn store_level_chunks(&self, level: usize, count: u32) {
+        if count > 0 {
+            self.raise_levels_high_water(level);
+        }
+        self.level_chunks[level].store(count, Ordering::Relaxed);
     }
 
     /// First-chunk pointer for a level.
@@ -495,6 +524,7 @@ impl Gfsl {
     }
 
     pub(crate) fn inc_level_chunks(&self, level: usize) {
+        self.raise_levels_high_water(level);
         self.level_chunks[level].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -508,6 +538,16 @@ impl Gfsl {
 
     pub(crate) fn level_chunk_count(&self, level: usize) -> u32 {
         self.level_chunks[level].load(Ordering::Relaxed)
+    }
+
+    /// [`Gfsl::height`] by a scan of every level's counter, as the tests'
+    /// reference for the high-water scan.
+    #[cfg(test)]
+    pub(crate) fn scanned_height(&self) -> usize {
+        (1..self.params.max_levels())
+            .rev()
+            .find(|&i| self.level_chunk_count(i) > 0)
+            .unwrap_or(0)
     }
 
     /// Record that a chunk of `level` was just marked zombie: the level's
@@ -899,6 +939,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 return;
             }
             self.certify_poison_check(index);
+        }
+    }
+
+    /// [`Self::read_chunk_certified`] with the pre-bracket of
+    /// [`Self::search_lateral`]: one lock-word read before the team read,
+    /// so a quiescent chunk certifies on its first read. A view a writer
+    /// overlapped falls back to the re-read loop.
+    pub(crate) fn read_chunk_bracketed(&mut self, index: u32, view: &mut ChunkView) {
+        let team = self.list.team;
+        let addr = ops::lock_addr(&team, self.list.chunk(index));
+        self.probe.lane_read(addr);
+        let before = self.list.pool.read(addr);
+        self.read_chunk_into(index, view);
+        if !view.is_zombie(&team) && view.unlocked_word(&team) != Some(before) {
+            self.read_chunk_certified(index, view);
         }
     }
 
@@ -1853,8 +1908,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         rec.for_each_pending(|z| {
             mark(cands, list.next_of(z));
         });
-        // (c) the head array.
-        for lvl in 0..list.params.max_levels() {
+        // (c) the head array, up to the levels' high-water mark: a level
+        // above it never held a key, so its head is the sentinel it was
+        // built with, never a candidate.
+        for lvl in 0..=list.levels_high_water() {
             mark(cands, list.head_of(lvl));
         }
         // Whole-run staging fixpoint. A retired run Z1 → Z2 → … → Zk is
@@ -1974,6 +2031,47 @@ mod tests {
         assert_eq!(list.height(), 3);
         list.dec_level_chunks(3);
         assert_eq!(list.height(), 0);
+    }
+
+    fn list16() -> Gfsl {
+        Gfsl::new(GfslParams {
+            team_size: gfsl_simt::TeamSize::Sixteen,
+            ..Default::default()
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn height_after_a_bulk_build_is_the_full_scan() {
+        let list =
+            Gfsl::from_sorted_pairs(list16().params, (1..=20_000u32).map(|k| (k, k))).unwrap();
+        assert!(list.height() >= 3);
+        assert_eq!(list.height(), list.scanned_height());
+    }
+
+    /// Grow the index one split at a time, then drain it: the height tracks
+    /// the full scan through every level a split opens and every level the
+    /// merges empty (`note_possible_level_empty`'s zero store).
+    #[test]
+    fn height_tracks_levels_opened_by_splits_and_emptied_by_merges() {
+        let list = list16();
+        let mut h = list.handle();
+        let (mut opened, mut emptied) = (0, 0);
+        let mut last = 0;
+        for k in 1..=3_000u32 {
+            h.insert(k, k).unwrap();
+            assert_eq!(list.height(), list.scanned_height(), "after inserting {k}");
+            opened += list.height().saturating_sub(last);
+            last = list.height();
+        }
+        for k in 1..=3_000u32 {
+            assert!(h.remove(k));
+            assert_eq!(list.height(), list.scanned_height(), "after removing {k}");
+            emptied += last.saturating_sub(list.height());
+            last = list.height();
+        }
+        assert!(opened >= 3, "{opened} levels opened");
+        assert_eq!(emptied, opened, "every opened level emptied again");
     }
 
     #[test]

@@ -145,21 +145,22 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
     (ctl.trace_hash(), list.keys(), replies)
 }
 
-/// Trace hashes of the plain scripted runs (script seeds 0..6), re-pinned
-/// once in PR 21, when the schedule moved onto the model checker's
-/// controller: `Replay` decisions instead of the chaos decider's, no stall
-/// draws, and a fold of (who, kind, word) per granted step instead of
-/// (who, event code). EXPERIMENTS "Turnstile fold" lists old → new; the
-/// fixed-width chunk step had reproduced the old six bit for bit. A change
-/// that alters any of them changed which word some team accessed on which
-/// turn — re-pin only for a change that means to.
+/// Trace hashes of the plain scripted runs (script seeds 0..6). Re-pinned
+/// when the schedule moved onto the model checker's controller (`Replay`
+/// decisions instead of the chaos decider's, no stall draws, and a fold of
+/// (who, kind, word) per granted step instead of (who, event code)), and
+/// again when splits and merges began repairing the index in one descent
+/// each: the same fixes, fewer reads, so fewer granted steps. EXPERIMENTS
+/// ("Turnstile fold", "Update-path index maintenance") lists old → new. A
+/// change that alters any of them changed which word some team accessed on
+/// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x0d3a_4d55_111f_9d0c,
-    0xad15_f176_82a5_fd0d,
-    0x1df5_1bc5_46d8_b806,
-    0x6670_a0cd_23b3_7289,
-    0x0255_1d4c_8f7e_60cf,
-    0x6cfb_7cdf_ac51_3927,
+    0x87ed_44d1_dbd4_f27f,
+    0x9f1b_262e_0432_a861,
+    0x4d67_4f6d_fb95_0677,
+    0x0dfa_e372_92bb_49b0,
+    0xb6fb_878a_1bd2_d043,
+    0x6e33_d276_1d3f_afe9,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules
