@@ -7,7 +7,7 @@
 //! request ids, so callers can keep many in flight and consume completions
 //! out of order.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -21,8 +21,8 @@ pub struct EdgeClient {
     out: Vec<u8>,
     /// Inbound bytes not yet decoded.
     inbuf: Vec<u8>,
-    /// Completions decoded but not yet claimed by id.
-    ready: HashMap<u64, Resp>,
+    /// Completions decoded but not yet claimed, in wire order.
+    ready: VecDeque<(u64, Resp)>,
     next_id: u64,
 }
 
@@ -47,7 +47,7 @@ impl EdgeClient {
             stream,
             out: Vec::with_capacity(4096),
             inbuf: Vec::with_capacity(4096),
-            ready: HashMap::new(),
+            ready: VecDeque::new(),
             next_id: 1,
         })
     }
@@ -75,7 +75,7 @@ impl EdgeClient {
         loop {
             match proto::decode_resp(&self.inbuf[at..]) {
                 Ok((id, resp, used)) => {
-                    self.ready.insert(id, resp);
+                    self.ready.push_back((id, resp));
                     at += used;
                 }
                 Err(DecodeError::Incomplete) => break,
@@ -91,8 +91,8 @@ impl EdgeClient {
     pub fn recv(&mut self, id: u64) -> io::Result<Resp> {
         self.flush()?;
         loop {
-            if let Some(resp) = self.ready.remove(&id) {
-                return Ok(resp);
+            if let Some(at) = self.ready.iter().position(|&(r, _)| r == id) {
+                return Ok(self.ready.remove(at).expect("position is in range").1);
             }
             let mut chunk = [0u8; 16 * 1024];
             let n = self.stream.read(&mut chunk)?;
@@ -107,12 +107,10 @@ impl EdgeClient {
         }
     }
 
-    /// Claim any one already-decoded completion without touching the
-    /// socket; `None` when nothing is ready in-process.
+    /// Claim the oldest already-decoded completion (wire order) without
+    /// touching the socket; `None` when nothing is ready in-process.
     pub fn take_ready(&mut self) -> Option<(u64, Resp)> {
-        let id = *self.ready.keys().next()?;
-        let resp = self.ready.remove(&id).unwrap();
-        Some((id, resp))
+        self.ready.pop_front()
     }
 
     /// Pull whatever the socket has right now (nonblocking-ish: one read
@@ -175,5 +173,47 @@ impl EdgeClient {
     /// purpose — raw writes that violate framing).
     pub fn stream(&mut self) -> &mut TcpStream {
         &mut self.stream
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A peer that completes the handshake, then writes `ids`' replies in
+    /// that order and holds the socket open until the client is done.
+    fn scripted_peer(ids: &'static [u64]) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut hello = [0u8; proto::HELLO_LEN];
+            s.read_exact(&mut hello).unwrap();
+            let mut out = Vec::new();
+            proto::encode_hello(&mut out);
+            for &id in ids {
+                Resp::Got(Some(id as u32)).encode(id, &mut out);
+            }
+            s.write_all(&out).unwrap();
+            // Wait for the client to hang up.
+            let _ = s.read(&mut hello);
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn completions_come_back_in_wire_order_and_recv_finds_any_id() {
+        let (addr, peer) = scripted_peer(&[3, 1, 4, 2, 5]);
+        let mut c = EdgeClient::connect(addr, Some(Duration::from_secs(5))).unwrap();
+        // Out of order: 2 sits behind 3, 1 and 4 on the wire.
+        assert_eq!(c.recv(2).unwrap(), Resp::Got(Some(2)));
+        while c.ready.len() < 4 {
+            c.poll().unwrap();
+        }
+        let taken: Vec<u64> = std::iter::from_fn(|| c.take_ready()).map(|(id, _)| id).collect();
+        assert_eq!(taken, vec![3, 1, 4, 5], "the rest in the order they arrived");
+        drop(c);
+        peer.join().unwrap();
     }
 }

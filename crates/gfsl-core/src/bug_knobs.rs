@@ -5,14 +5,15 @@
 //! indistinguishable from one that explores nothing. These knobs let the
 //! model-check suite *prove its own teeth*: flip a knob to revert one of
 //! the races found and fixed so far (two by PR 1's chaos soak, one while
-//! sizing the index heal) or to drop a step of the reclamation protocol
-//! (the staging grace), run the
+//! sizing the index heal), to drop a step of the reclamation protocol
+//! (the staging grace) or to skip the check that makes the certified
+//! bottom-lock upgrade safe, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
 //! operation (one relaxed load per split / per physical remove / per
-//! verified reclamation batch — noise even
+//! verified reclamation batch / per bottom-lock upgrade — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -64,6 +65,13 @@ static HEAL_RAISES_UPPER_MIN: AtomicBool = AtomicBool::new(false);
 /// reuses the chunk, and walks on through the new incarnation's lanes.
 static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
 
+/// Break the bottom-lock upgrade: CAS the lock word from whatever it reads
+/// *now* instead of from the word that certified the search's view, and keep
+/// that view. A writer that held and released the chunk between the search
+/// and the CAS goes unnoticed, and the update writes the chunk from a
+/// snapshot that predates the writer's change — a lost update.
+static STALE_LOCK_UPGRADE: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -89,6 +97,12 @@ pub fn heal_raises_upper_min() -> bool {
 #[inline]
 pub fn skip_staging_grace() -> bool {
     SKIP_STAGING_GRACE.load(Ordering::Relaxed)
+}
+
+/// True if the bottom-lock upgrade ignores the certifying word.
+#[inline]
+pub fn stale_lock_upgrade() -> bool {
+    STALE_LOCK_UPGRADE.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -136,6 +150,12 @@ pub fn heal_raises_upper_min_guard() -> KnobGuard {
 /// lifetime.
 pub fn skip_staging_grace_guard() -> KnobGuard {
     KnobGuard::set(&SKIP_STAGING_GRACE)
+}
+
+/// Upgrade to the bottom lock from the current word, keeping the stale
+/// view, for the guard's lifetime.
+pub fn stale_lock_upgrade_guard() -> KnobGuard {
+    KnobGuard::set(&STALE_LOCK_UPGRADE)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

@@ -315,6 +315,26 @@ pub mod ops {
             .is_ok()
     }
 
+    /// One CAS from exactly `word`, an unlocked lock word read earlier, to
+    /// its locked form, with no read first. It succeeds only if no writer
+    /// has held the chunk since `word` was read: every release bumps the
+    /// version, zombie marking changes the state bits, and a recycled chunk
+    /// continues its old version sequence.
+    #[inline]
+    pub fn try_lock_from<P: MemProbe>(
+        team: &Team,
+        pool: &WordPool,
+        probe: &mut P,
+        ch: ChunkRef,
+        word: u64,
+    ) -> bool {
+        debug_assert_eq!(lock_state(word), LOCK_UNLOCKED, "upgrading from a held lock word");
+        let addr = lock_addr(team, ch);
+        probe.crash_point(CrashPoint::LockCas);
+        probe.atomic(addr);
+        pool.cas(addr, word, word | LOCK_LOCKED).is_ok()
+    }
+
     /// Release a held lock, bumping the release version so lock-free readers
     /// can certify that a chunk read overlapped no writer.
     #[inline]
@@ -529,6 +549,25 @@ mod tests {
         assert!(!ops::try_lock(&team, &pool, &mut NoProbe, ch), "zombies cannot be locked");
         let v = ChunkView::read(&team, &pool, &mut NoProbe, ch);
         assert!(v.is_zombie(&team));
+    }
+
+    #[test]
+    fn lock_upgrade_succeeds_only_from_the_current_word() {
+        let (team, pool) = setup();
+        let ch = ChunkRef { base: 0 };
+        write_chunk(&pool, 0, &[], KEY_INF, NIL, LOCK_UNLOCKED);
+        let seen = ChunkView::read(&team, &pool, &mut NoProbe, ch).lock_word(&team);
+        // Another team's lock/unlock cycle bumps the version: the upgrade
+        // from the old word fails, and one from the new word succeeds.
+        assert!(ops::try_lock(&team, &pool, &mut NoProbe, ch));
+        ops::unlock(&team, &pool, &mut NoProbe, ch);
+        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, seen));
+        let now = ChunkView::read(&team, &pool, &mut NoProbe, ch).lock_word(&team);
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now));
+        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now), "held");
+        // A zombie keeps its version but not its state bits.
+        ops::mark_zombie(&team, &pool, &mut NoProbe, ch);
+        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now));
     }
 
     #[test]

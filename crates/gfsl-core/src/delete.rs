@@ -5,7 +5,8 @@
 use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
-use crate::chunk::{is_user_key, ops, ChunkView, Entry, KEY_NEG_INF};
+use crate::chunk::{is_user_key, ops, ChunkView, Entry, KEY_NEG_INF, NIL};
+use crate::search::UpdatePath;
 use crate::skiplist::{Commit, GfslHandle, Intent};
 use crate::split::MovedKeys;
 
@@ -14,8 +15,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// The bottom-level enclosing chunk stays locked until `k` has been
     /// removed from every level, which serializes updates to the same key.
-    /// Upper levels are processed top-down with per-level lock/remove/unlock
-    /// and a containment pre-check to keep contention off the sparse upper
+    /// Under that lock a lock-free probe climbs from level 1 to the first
+    /// level without `k`; the levels found are then processed top-down with
+    /// per-level lock/remove/unlock, keeping contention off the sparse upper
     /// levels.
     ///
     /// Deviation from the paper (documented): if a merge needs to pre-split
@@ -39,14 +41,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     fn remove_pinned(&mut self, k: u32) -> bool {
         let team = self.list.team;
-        let (found, path) = self.search_slow(k);
+        // k's bottom chunk as locked, kept to the final removal: nobody else
+        // writes a chunk this handle holds, and everything this op writes
+        // before then is at level 1 or above.
+        let mut bottom = ChunkView::BLANK;
+        let (found, path) = self.search_slow(k, &mut bottom);
         if found.found.is_none() {
             self.note_hint_after_update(found.enclosing);
             return false;
         }
-        let mut view = ChunkView::BLANK;
-        let p_bottom = self.find_and_lock_enclosing(path.at(self.list, 0), k, &mut view);
-        if view.lane_of_key(&team, k).is_none() {
+        let p_bottom = self.lock_certified(&found, k, &mut bottom);
+        if bottom.lane_of_key(&team, k).is_none() {
             // Lost the race to another deleter. Decided under the bottom
             // lock, so the outcome survives a crash in the unlock below.
             self.journal.committed = Some(Commit::Removed(false));
@@ -54,16 +59,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             return false;
         }
 
-        // Re-read the height under the bottom lock so levels added since the
-        // traversal are not missed; path levels above the traversal height
-        // read as the level heads.
-        let height = self.list.height();
-        for level in (1..=height).rev() {
-            let probe_result = self.search_lateral(k, path.at(self.list, level));
-            if probe_result.found.is_none() {
-                continue; // k was never raised this high
-            }
-            let p_enc = self.find_and_lock_enclosing(probe_result.enclosing, k, &mut view);
+        let mut enclosing = [NIL; gfsl_simt::WARP_SIZE];
+        let top = self.levels_holding(k, &path, &mut enclosing);
+        let mut view = ChunkView::BLANK;
+        for level in (1..=top).rev() {
+            let p_enc = self.find_and_lock_enclosing(enclosing[level], k, &mut view);
             if view.lane_of_key(&team, k).is_none() {
                 // Cannot happen while we hold k's bottom lock (no other team
                 // may update k), but a defensive unlock is free.
@@ -75,11 +75,46 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // Finally remove from the bottom level; only then is k logically
         // gone from the structure.
-        self.read_chunk_into(p_bottom, &mut view);
-        debug_assert!(view.lane_of_key(&team, k).is_some());
-        self.remove_from_chunk(k, p_bottom, &view, 0);
+        debug_assert!(
+            self.view_is_current(p_bottom, &bottom),
+            "chunk {p_bottom} changed under our lock"
+        );
+        self.remove_from_chunk(k, p_bottom, &bottom, 0);
         self.note_hint_after_update(p_bottom);
         true
+    }
+
+    /// The highest level holding `k`, whose bottom lock the caller holds,
+    /// with `k`'s enclosing chunk at each level from 1 up to it left in
+    /// `enclosing`. Under that lock `k`'s levels are frozen, and they run
+    /// contiguously up from level 0 (upper ⊆ lower): the probe climbs from
+    /// level 1 and stops at the first level without `k`, so a key that was
+    /// never raised costs one search. Path levels above the traversal
+    /// height read as the level heads, so levels added since are seen.
+    pub(crate) fn levels_holding(
+        &mut self,
+        k: u32,
+        path: &UpdatePath,
+        enclosing: &mut [u32; gfsl_simt::WARP_SIZE],
+    ) -> usize {
+        let mut top = 0;
+        while top + 1 < self.list.params.max_levels() {
+            let at = self.search_lateral(k, path.at(self.list, top + 1));
+            if at.found.is_none() {
+                break;
+            }
+            top += 1;
+            enclosing[top] = at.enclosing;
+        }
+        top
+    }
+
+    /// Does `view` still hold chunk `ch`'s data and next lanes? Read with
+    /// plain pool loads, so a debug check costs no counted chunk read.
+    fn view_is_current(&self, ch: u32, view: &ChunkView) -> bool {
+        let base = self.list.chunk(ch);
+        (0..self.list.team.lock_lane())
+            .all(|lane| self.list.pool.read(base.entry_addr(lane)) == view.entry(lane).0)
     }
 
     /// Remove and return the smallest key (with its value), or `None` when
@@ -328,6 +363,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
 #[cfg(test)]
 mod tests {
+    use crate::chunk::{ChunkView, NIL};
     use crate::params::GfslParams;
     use crate::skiplist::Gfsl;
     use gfsl_simt::TeamSize;
@@ -473,5 +509,88 @@ mod tests {
             assert!(!h.contains(k));
         }
         assert_eq!(list.height(), 0, "levels marked empty after draining");
+    }
+
+    /// A list of height >= 3 (ascending inserts into 14-slot chunks, every
+    /// split raising a key).
+    fn tall_list16() -> Gfsl {
+        let list = list16();
+        let mut h = list.handle();
+        for k in 1..=3_000u32 {
+            h.insert(k, k).unwrap();
+        }
+        drop(h);
+        assert!(list.height() >= 3, "height {}", list.height());
+        list
+    }
+
+    /// Lock `k`'s bottom chunk the way `remove` does, then run the upward
+    /// probe alone: the level it stops at and the chunk reads it cost.
+    fn probe(list: &Gfsl, k: u32) -> (usize, u64) {
+        let mut h = list.handle();
+        let mut view = ChunkView::BLANK;
+        let (found, path) = h.search_slow(k, &mut view);
+        assert!(found.found.is_some());
+        let p_bottom = h.lock_certified(&found, k, &mut view);
+        let before = h.stats().chunk_reads;
+        let top = h.levels_holding(k, &path, &mut [NIL; gfsl_simt::WARP_SIZE]);
+        let reads = h.stats().chunk_reads - before;
+        h.unlock(p_bottom);
+        (top, reads)
+    }
+
+    #[test]
+    fn the_upward_probe_reads_one_chunk_per_level_up_to_the_first_without_the_key() {
+        let list = tall_list16();
+        let at = |level: usize| list.level_keys(level);
+        let (l1, l2, l3) = (at(1), at(2), at(3));
+        let bottom_only = *at(0).iter().find(|k| !l1.contains(k)).unwrap();
+        let raised_to_2 = *l2.iter().find(|k| !l3.contains(k)).unwrap();
+        // One search, at level 1, where the top-down walk it replaces
+        // searched every level from the height down.
+        assert_eq!(probe(&list, bottom_only), (0, 1));
+        // Levels 1 and 2 find it, level 3 does not.
+        assert_eq!(probe(&list, raised_to_2), (2, 3));
+        // The removes themselves take every level the probe found.
+        let mut h = list.handle();
+        assert!(h.remove(bottom_only) && h.remove(raised_to_2));
+        assert!(!list.level_keys(2).contains(&raised_to_2));
+        assert!(!list.level_keys(1).contains(&raised_to_2));
+        list.assert_valid();
+    }
+
+    #[test]
+    fn the_kept_bottom_view_is_checked_against_the_pool_without_a_counted_read() {
+        let list = list16();
+        let mut h = list.handle();
+        for k in [10, 20, 30] {
+            h.insert(k, k).unwrap();
+        }
+        let team = list.team;
+        let head = list.head_of(0);
+        let mut view = h.read_chunk(head);
+        let reads = h.stats().chunk_reads;
+        assert!(h.view_is_current(head, &view));
+        // Another handle's insert moves the chunk on: the check sees it.
+        list.handle().insert(15, 15).unwrap();
+        assert!(!h.view_is_current(head, &view));
+        assert_eq!(h.stats().chunk_reads, reads, "plain pool loads, not counted reads");
+        h.read_chunk_into(head, &mut view);
+        assert!(view.contains_key(&team, 15) && h.view_is_current(head, &view));
+    }
+
+    /// Drains a tall list — upper-level removals and merges run between
+    /// each bottom lock and its final removal — so in a debug build every
+    /// remove asserts its kept bottom view is still the pool's chunk.
+    #[test]
+    fn every_remove_finds_its_kept_bottom_view_current() {
+        let list = tall_list16();
+        let mut h = list.handle();
+        for k in (1..=3_000u32).rev().step_by(3).chain(1..=3_000u32) {
+            h.remove(k);
+        }
+        assert!(h.stats().merges > 0);
+        assert!(list.keys().is_empty());
+        list.assert_valid();
     }
 }

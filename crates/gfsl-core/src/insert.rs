@@ -51,7 +51,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     fn insert_pinned(&mut self, k: u32, v: u32) -> Result<bool, Error> {
-        let (found, path) = self.search_slow(k);
+        let mut view = ChunkView::BLANK;
+        let (found, path) = self.search_slow(k, &mut view);
         if found.found.is_some() {
             self.note_hint_after_update(found.enclosing);
             return Ok(false);
@@ -60,7 +61,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Bottom level: the chunk that receives k stays locked until every
         // upper-level insertion completes, which is what serializes updates
         // to the same key.
-        let (p_bottom, raise, kk) = match self.insert_to_level(0, path.at(self.list, 0), k, v)? {
+        let p_enc = self.lock_certified(&found, k, &mut view);
+        let (p_bottom, raise, kk) = match self.insert_locked(0, p_enc, &view, k, v)? {
             LevelOutcome::AlreadyPresent { locked } => {
                 // Duplicate observed under the bottom lock: the op's outcome
                 // is decided even if the unlock below crashes.
@@ -210,8 +212,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let team = self.list.team;
         let mut view = ChunkView::BLANK;
         loop {
-            let (_, path) = self.search_slow(k);
-            let p_bottom = self.find_and_lock_enclosing(path.at(self.list, 0), k, &mut view);
+            let (found, _) = self.search_slow(k, &mut view);
+            let p_bottom = self.lock_certified(&found, k, &mut view);
             if let Some(lane) = view.lane_of_key(&team, k) {
                 let old = view.entry(lane).val();
                 ops::write_entry(
@@ -244,14 +246,27 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         k: u32,
         v: u32,
     ) -> Result<LevelOutcome, Error> {
-        let team = self.list.team;
         let mut view = ChunkView::BLANK;
         let p_enc = self.find_and_lock_enclosing(start, k, &mut view);
+        self.insert_locked(level, p_enc, &view, k, v)
+    }
+
+    /// [`Self::insert_to_level`] once `k`'s enclosing chunk `p_enc` is
+    /// locked, its content in `view`.
+    fn insert_locked(
+        &mut self,
+        level: usize,
+        p_enc: u32,
+        view: &ChunkView,
+        k: u32,
+        v: u32,
+    ) -> Result<LevelOutcome, Error> {
+        let team = self.list.team;
         if view.contains_key(&team, k) {
             return Ok(LevelOutcome::AlreadyPresent { locked: p_enc });
         }
         if (view.num_keys(&team) as usize) < team.dsize() {
-            self.execute_insert(p_enc, &view, k, v);
+            self.execute_insert(p_enc, view, k, v);
             if level == 0 {
                 // Linearization point passed: the key is in the bottom level.
                 // A crash from here on must still report Ok(true).
@@ -268,7 +283,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 raised_key: k,
             })
         } else {
-            let (p_insert, raised_key) = self.split_insert(p_enc, &view, k, v, level)?;
+            let (p_insert, raised_key) = self.split_insert(p_enc, view, k, v, level)?;
             self.list.inc_level_chunks(level);
             let raise =
                 level + 1 < self.list.params.max_levels() && self.rng.coin(self.list.params.p_chunk);

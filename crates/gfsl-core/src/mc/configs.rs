@@ -267,6 +267,26 @@ pub fn all() -> Vec<McConfig> {
             max_steps: 20_000,
         },
         McConfig {
+            name: "lock-upgrade-2t",
+            about: "two inserts into one bottom chunk: a certified view upgraded \
+                    to the bottom lock by one CAS vs. a writer that held and \
+                    released the chunk since (stale-upgrade oracle)",
+            params: mc_params(),
+            // One bottom chunk: `-inf, 10, 20, 30, 40`.
+            prefill: vec![(10, 1), (20, 2), (30, 3), (40, 4)],
+            setup: vec![],
+            threads: vec![
+                // Each insert shifts the keys above it from its own view. One
+                // written from a view that predates the other's insert
+                // overwrites a key — 25 if this one writes stale, 20 if the
+                // other does — and each thread then reads the key its own
+                // stale write would lose.
+                vec![McOp::Insert(15, 1), McOp::Get(25)],
+                vec![McOp::Insert(25, 2), McOp::Get(20)],
+            ],
+            max_steps: 20_000,
+        },
+        McConfig {
             name: "mvcc-snap-2t",
             about: "pinned snapshot reads racing a stamped split: version \
                     publish (fence-shared stamp + capture-on-lock) vs pin \

@@ -484,23 +484,38 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// `path.at(list, i)` = chunk in level `i` at-or-left of `k`'s enclosing
     /// chunk; levels the traversal never visited read as the level head.
-    pub(crate) fn search_slow(&mut self, k: u32) -> (LateralResult, UpdatePath) {
+    /// `view` is left holding the enclosing chunk's last read, and the
+    /// result's `word` is `Some` exactly when that view is *certified* (its
+    /// data lanes bracketed by two reads of that same unlocked word): what
+    /// [`Self::lock_certified`] upgrades to the update's bottom lock.
+    pub(crate) fn search_slow(
+        &mut self,
+        k: u32,
+        view: &mut ChunkView,
+    ) -> (LateralResult, UpdatePath) {
         let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
         let bottom = self
             .descend(k, 0, Some(&mut path))
             .expect("no structure is shorter than level 0");
-        let res = self.search_lateral_redirect(k, bottom);
+        let res = self.search_lateral_redirect(k, bottom, view);
         path.0[0] = res.enclosing;
         (res, path)
     }
 
     /// Like [`Self::search_lateral`] but lazily unlinks zombie runs it walks
-    /// through (the bottom-level half of `findLateralWithZombieRedirect`).
-    pub(crate) fn search_lateral_redirect(&mut self, k: u32, start: u32) -> LateralResult {
+    /// through (the bottom-level half of `findLateralWithZombieRedirect`),
+    /// and walks in the caller's `view`, whose last read it leaves there.
+    /// Unlike `search_lateral`'s, a `Found` result carries its `word` only
+    /// when the view is certified.
+    pub(crate) fn search_lateral_redirect(
+        &mut self,
+        k: u32,
+        start: u32,
+        view: &mut ChunkView,
+    ) -> LateralResult {
         let team = self.list.team;
         let mut prev: Option<u32> = None;
         let mut cur = start;
-        let mut view = ChunkView::BLANK;
         self.heal_levels &= !1;
         let mut steps = 0u8;
         // NotFound certification, exactly as in `search_lateral`.
@@ -514,11 +529,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.probe.lane_read(addr);
                 certify = Some(self.list.pool.read(addr));
             }
-            self.read_chunk_into(cur, &mut view);
+            self.read_chunk_into(cur, view);
             if view.is_zombie(&team) {
                 certify = None;
                 let next = view.next(&team);
-                match self.first_non_zombie(&mut view) {
+                match self.first_non_zombie(view) {
                     Some(nz) => {
                         if let Some(p) = prev {
                             self.redirect_past_zombies(p, cur, nz, 0);
@@ -535,8 +550,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                 }
             }
-            let step = tid_with_equal_key(&team, k, &view);
-            if step != LateralStep::Continue && steps >= HEAL_STEPS_BOTTOM && !is_tail(&team, &view) {
+            let step = tid_with_equal_key(&team, k, view);
+            if step != LateralStep::Continue && steps >= HEAL_STEPS_BOTTOM && !is_tail(&team, view) {
                 self.heal_levels |= 1;
             }
             match step {
@@ -547,9 +562,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     certify = None;
                 }
                 LateralStep::Found(lane) => {
-                    let word = view.unlocked_word(&team);
-                    if word.is_some() && certify == word {
-                        self.stash_hint_view(cur, &view);
+                    let word = view.unlocked_word(&team).filter(|&w| certify == Some(w));
+                    if word.is_some() {
+                        self.stash_hint_view(cur, view);
                     }
                     return LateralResult {
                         enclosing: cur,
@@ -571,7 +586,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     if certify == Some(after)
                         && crate::chunk::lock_state(after) == crate::chunk::LOCK_UNLOCKED
                     {
-                        self.stash_hint_view(cur, &view);
+                        self.stash_hint_view(cur, view);
                         return LateralResult {
                             enclosing: cur,
                             found: None,
@@ -808,7 +823,8 @@ mod tests {
     fn path_levels_above_the_descent_read_as_heads() {
         let list = small_list();
         let mut h = list.handle();
-        let (res, path) = h.search_slow(123);
+        let mut view = ChunkView::BLANK;
+        let (res, path) = h.search_slow(123, &mut view);
         assert_eq!(res.found, None);
         assert_eq!(path.at(&list, 0), list.head_of(0));
         for lvl in 1..list.params.max_levels() {
@@ -822,7 +838,7 @@ mod tests {
         }
         let height = list.height();
         assert!(height >= 2);
-        let (_, path) = h.search_slow(1_500);
+        let (_, path) = h.search_slow(1_500, &mut view);
         for lvl in 0..list.params.max_levels() {
             let c = path.at(&list, lvl);
             if lvl <= height {

@@ -10,6 +10,7 @@ use gfsl_simt::Team;
 
 use crate::chunk::{ops, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
 use crate::params::GfslParams;
+use crate::search::LateralResult;
 use gfsl_rng::SplitMix64;
 use crate::stats::OpStats;
 
@@ -1437,6 +1438,36 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
+    /// Take an update's bottom lock on the chunk its [`Self::search_slow`]
+    /// ended in, `res.enclosing`, whose last read is in `view`.
+    ///
+    /// When that view is certified (`res.word`: its data lanes bracketed by
+    /// two reads of that unlocked word), one CAS from exactly that word
+    /// upgrades it: success proves no writer held the chunk since the view
+    /// was read, so `view` is still the chunk's content and neither of
+    /// [`Self::find_and_lock_enclosing`]'s two team reads is needed (DESIGN
+    /// §12). Any other outcome falls back to that walk from the same chunk,
+    /// a failed CAS counting as a lock retry. Returns the locked chunk, its
+    /// content in `view`.
+    pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> u32 {
+        if let Some(word) = res.word {
+            let team = self.list.team;
+            let ch = self.list.chunk(res.enclosing);
+            let locked = if crate::bug_knobs::stale_lock_upgrade() {
+                ops::try_lock(&team, &self.list.pool, &mut self.probe, ch)
+            } else {
+                ops::try_lock_from(&team, &self.list.pool, &mut self.probe, ch, word)
+            };
+            if locked {
+                self.stats.locks_taken += 1;
+                self.held.acquired(res.enclosing);
+                return res.enclosing;
+            }
+            self.stats.lock_retries += 1;
+        }
+        self.find_and_lock_enclosing(res.enclosing, k, view)
+    }
+
     /// Lock the first non-zombie chunk right of `ch` (which the caller holds
     /// locked), unlinking any zombies skipped by rewriting `ch`'s next
     /// pointer. Returns `None` when `ch` is the last chunk in its level.
@@ -2085,6 +2116,43 @@ mod tests {
         let v = h.read_chunk(locked);
         assert!(v.is_locked(&list.team));
         h.unlock(locked);
+    }
+
+    #[test]
+    fn a_certified_view_written_since_falls_back_to_the_locking_walk() {
+        let list = Gfsl::new(GfslParams::default()).unwrap();
+        let team = list.team;
+        let mut h = list.handle();
+        for k in [10, 20, 30, 40] {
+            h.insert(k, k).unwrap();
+        }
+        // Quiescent: the search's view is certified and one CAS locks it,
+        // with no chunk read.
+        let mut view = ChunkView::BLANK;
+        let (found, _) = h.search_slow(25, &mut view);
+        assert!(found.word.is_some(), "a quiescent chunk's view is certified");
+        let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
+        let p = h.lock_certified(&found, 25, &mut view);
+        assert_eq!((h.stats().chunk_reads, h.stats().lock_retries), (reads, retries));
+        h.unlock(p);
+
+        // A second handle writes the chunk between the search and the lock.
+        let (found, _) = h.search_slow(25, &mut view);
+        assert!(found.word.is_some());
+        list.handle().insert(15, 15).unwrap();
+        let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
+        let p = h.lock_certified(&found, 25, &mut view);
+        assert_eq!(h.stats().lock_retries, retries + 1, "the failed CAS is a retry");
+        assert_eq!(h.stats().chunk_reads, reads + 2, "read, lock, re-read");
+        assert!(view.is_locked(&team) && view.contains_key(&team, 15), "the view is the chunk's");
+        h.unlock(p);
+
+        // The other handle's key survived, and the insert the lock was
+        // taken for goes in next to it (`lock-upgrade-2t` explores the race
+        // inside one op).
+        assert!(h.insert(25, 25).unwrap());
+        assert_eq!(list.keys(), vec![10, 15, 20, 25, 30, 40]);
+        list.assert_valid();
     }
 
     #[test]

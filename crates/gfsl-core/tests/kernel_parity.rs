@@ -148,19 +148,21 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// Trace hashes of the plain scripted runs (script seeds 0..6). Re-pinned
 /// when the schedule moved onto the model checker's controller (`Replay`
 /// decisions instead of the chaos decider's, no stall draws, and a fold of
-/// (who, kind, word) per granted step instead of (who, event code)), and
-/// again when splits and merges began repairing the index in one descent
-/// each: the same fixes, fewer reads, so fewer granted steps. EXPERIMENTS
-/// ("Turnstile fold", "Update-path index maintenance") lists old → new. A
+/// (who, kind, word) per granted step instead of (who, event code)), again
+/// when splits and merges began repairing the index in one descent each,
+/// and again when updates began taking their bottom lock with one CAS on
+/// the search's certified view: the same fixes, fewer reads, so fewer
+/// granted steps. EXPERIMENTS ("Turnstile fold", "Update-path index
+/// maintenance", "Certified lock upgrade") lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x87ed_44d1_dbd4_f27f,
-    0x9f1b_262e_0432_a861,
-    0x4d67_4f6d_fb95_0677,
-    0x0dfa_e372_92bb_49b0,
-    0xb6fb_878a_1bd2_d043,
-    0x6e33_d276_1d3f_afe9,
+    0xaf4c_ae0c_4f49_a0d0,
+    0x4c8d_24bf_5411_2ab3,
+    0xf259_2283_3e3a_3f52,
+    0x27a8_8293_d49e_ba1b,
+    0x9ac7_ff08_1a19_91c7,
+    0x504d_04e5_3c45_1159,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

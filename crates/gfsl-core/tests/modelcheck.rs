@@ -87,6 +87,13 @@ fn reclaim_2t_exhaustive() {
 }
 
 #[test]
+fn lock_upgrade_2t_exhaustive() {
+    // Two inserts into one bottom chunk: either one's certified view can go
+    // stale between its search and the CAS that upgrades it to the lock.
+    check_exhaustive("lock-upgrade-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn mvcc_snap_2t_bounded() {
     // Pinned snapshot reads vs a stamped split: the version fence adds a
     // yield point per acquisition attempt on both sides, so the space is
