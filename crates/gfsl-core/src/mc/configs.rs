@@ -385,8 +385,8 @@ mod tests {
         // The level-2 sentinel still points down at level 1's old first
         // chunk: a zombie, retired, sent back to limbo by every pass so far
         // and now one advance from being a candidate again.
-        let zombie = h.read_chunk(list.head_chunk(2)).entry(0).val();
-        assert_ne!(zombie, list.head_chunk(1));
+        let zombie = h.read_chunk(list.head_of(2)).entry(0).val();
+        assert_ne!(zombie, list.head_of(1));
         assert!(h.read_chunk(zombie).is_zombie(&team));
         let s = list.reclaim_stats().unwrap();
         assert_eq!((s.retired, s.limbo_len, s.staged_len, s.free_len), (1, 1, 0, 0));
@@ -396,12 +396,12 @@ mod tests {
         assert_eq!((s.epochs_advanced - before, s.limbo_len), (2, 1), "a candidate, and referenced");
         // The scripted remove merges level 1's first chunk, and the repair
         // that follows takes the reference away.
-        assert_eq!(h.read_chunk(list.head_chunk(1)).num_keys(&team), 4);
+        assert_eq!(h.read_chunk(list.head_of(1)).num_keys(&team), 4);
         assert!(h.remove(144));
         for _ in 0..3 {
             h.reclaim_pass();
         }
-        assert_eq!(h.read_chunk(list.head_chunk(2)).entry(0).val(), list.head_chunk(1));
+        assert_eq!(h.read_chunk(list.head_of(2)).entry(0).val(), list.head_of(1));
         assert_eq!(list.reclaim_stats().unwrap().free_len, 2, "both zombies recycled");
         // The scripted insert splits the full bottom chunk into one of them.
         let splits = h.stats().splits;

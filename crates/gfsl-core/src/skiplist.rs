@@ -381,24 +381,6 @@ impl Gfsl {
         &self.team
     }
 
-    /// Raw access to the underlying device-memory pool (for external
-    /// simulators and tooling; the pool is append-only and safe to read
-    /// concurrently).
-    pub fn raw_pool(&self) -> &WordPool {
-        &self.pool
-    }
-
-    /// The chunk reference for a pool chunk index (advanced/simulator API).
-    pub fn chunk_ref(&self, index: u32) -> ChunkRef {
-        self.chunk(index)
-    }
-
-    /// First-chunk index of a level (advanced/simulator API; lock-free
-    /// snapshot).
-    pub fn head_chunk(&self, level: usize) -> u32 {
-        self.head_of(level)
-    }
-
     /// Chunks allocated so far (sentinels included).
     pub fn chunks_allocated(&self) -> u32 {
         self.pool.used() / self.params.lanes() as u32
@@ -1535,13 +1517,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.held.released(ch);
     }
 
-    /// Bounded, poison-aware wait between lock attempts: exponential spin
-    /// (capped at 64 iterations) escalating into a scheduler yield, so a
-    /// descheduled lock holder can run (essential on machines with fewer
-    /// cores than worker threads; a GPU scheduler interleaves stalled warps
-    /// for the same reason). Periodically re-checks [`Gfsl::is_poisoned`] so
-    /// waiters on an orphaned lock fail fast with the poison report instead
-    /// of spinning until [`LOCK_RETRY_BOUND`].
     /// Abort a snapshot-certification spin if the structure is poisoned.
     /// Certification waits for the chunk's lock word to settle UNLOCKED; if
     /// the lock's holder died mid-operation that never happens, and without
@@ -1566,8 +1541,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Containment-mode wait accounting, called at every retry of every
     /// wait point (lock backoff, snapshot certification). Raises a *clean*
     /// [`AbortSignal`] — caught by [`Self::contained`] — when the wait
-    /// targets a quarantined chunk or the op's retry budget is spent. Every wait point in the protocol occurs while each held chunk
-    /// is individually consistent (waits happen before a chunk's mutation
+    /// targets a quarantined chunk or the op's retry budget is spent. Every
+    /// wait point in the protocol occurs while each held chunk is
+    /// individually consistent (waits happen before a chunk's mutation
     /// starts or after it fully completes; the shift/copy loops themselves
     /// never wait), which is what entitles the catch site to blanket-release
     /// the held locks.
@@ -1585,6 +1561,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
+    /// Bounded, poison-aware wait between lock attempts: exponential spin
+    /// (capped at 64 iterations) escalating into a scheduler yield, so a
+    /// descheduled lock holder can run (essential on machines with fewer
+    /// cores than worker threads; a GPU scheduler interleaves stalled warps
+    /// for the same reason). Periodically re-checks [`Gfsl::is_poisoned`] so
+    /// waiters on an orphaned lock fail fast with the poison report instead
+    /// of spinning until [`LOCK_RETRY_BOUND`].
     fn lock_backoff(&mut self, spins: &mut u32, ch: u32) {
         *spins += 1;
         let n = *spins;

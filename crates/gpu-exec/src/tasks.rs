@@ -1,18 +1,15 @@
-//! Warp programs: lockstep state machines executed by the scheduler.
+//! Warp programs: the structures' own recorded access streams, replayed one
+//! lockstep step at a time by the scheduler.
 
-use gfsl::chunk::ChunkView;
-use gfsl::search::{tid_for_next_step, tid_with_equal_key, LateralStep, NextStep};
 use gfsl::Gfsl;
-use gfsl_gpu_mem::{NoProbe, WordAddr};
-use mc_skiplist::node::{NodeRef, NIL as MC_NIL};
+use gfsl_gpu_mem::{MemProbe, WordAddr};
 use mc_skiplist::McSkipList;
 
 /// One lockstep step's externally visible effect.
 #[derive(Debug, Clone)]
 pub enum Step {
-    /// A warp-wide memory access (one address per active lane). The data is
-    /// read immediately (the structure is static during read-only
-    /// simulation); the scheduler charges the latency.
+    /// A warp-wide memory access (one address per active lane); the
+    /// scheduler charges its latency.
     Mem(Vec<WordAddr>),
     /// Pure computation for this many cycles.
     Compute(u64),
@@ -26,27 +23,42 @@ pub trait WarpProgram {
     fn step(&mut self) -> Step;
 }
 
+/// The probe an op runs under here: every access it reports becomes one
+/// recorded access, in order. A team read keeps its addresses together; a
+/// single-lane read, write or atomic is an access of one address.
+#[derive(Default)]
+struct Recorder(Vec<Vec<WordAddr>>);
+
+impl MemProbe for Recorder {
+    fn warp_read(&mut self, addrs: &[WordAddr]) {
+        self.0.push(addrs.to_vec());
+    }
+    fn warp_write(&mut self, addrs: &[WordAddr]) {
+        self.0.push(addrs.to_vec());
+    }
+    fn lane_read(&mut self, addr: WordAddr) {
+        self.0.push(vec![addr]);
+    }
+    fn lane_write(&mut self, addr: WordAddr) {
+        self.0.push(vec![addr]);
+    }
+    fn atomic(&mut self, addr: WordAddr) {
+        self.0.push(vec![addr]);
+    }
+}
+
 // --------------------------------------------------------------------------
 // GFSL: one team per warp, one Contains at a time.
 // --------------------------------------------------------------------------
 
-enum GfslPhase {
-    /// About to read the chunk at index `.0` while at height `.1`.
-    Read(u32, usize),
-    /// Between ops.
-    NextOp,
-    Finished,
-}
-
-/// A GFSL team executing a queue of Contains operations. Faithful to
-/// Algorithm 4.1/4.2: down/lateral/backtrack steps decided by the same
-/// ballot code the real structure uses (literally the same functions).
+/// A GFSL team executing a queue of Contains operations. Each op is the
+/// structure's own `contains` (Algorithms 4.1/4.2) run under a recording
+/// probe; the warp then issues its accesses one step each.
 pub struct GfslContainsWarp<'a> {
     list: &'a Gfsl,
     keys: std::vec::IntoIter<u32>,
-    key: u32,
-    phase: GfslPhase,
-    prev: Option<ChunkView>,
+    /// The current op's accesses not yet issued.
+    pending: std::vec::IntoIter<Vec<WordAddr>>,
     /// Contains results (checked by tests against ground truth).
     pub results: Vec<bool>,
 }
@@ -57,104 +69,26 @@ impl<'a> GfslContainsWarp<'a> {
         GfslContainsWarp {
             list,
             keys: keys.into_iter(),
-            key: 0,
-            phase: GfslPhase::NextOp,
-            prev: None,
+            pending: Vec::new().into_iter(),
             results: Vec::new(),
-        }
-    }
-
-    fn read_view(&self, chunk: u32) -> (ChunkView, Vec<WordAddr>) {
-        let team = self.list.team();
-        let cref = self.list.chunk_ref(chunk);
-        let addrs: Vec<WordAddr> = (0..team.lanes()).map(|l| cref.entry_addr(l)).collect();
-        let view = ChunkView::read(team, self.list.raw_pool(), &mut NoProbe, cref);
-        (view, addrs)
-    }
-
-    fn start_op(&mut self) -> Step {
-        match self.keys.next() {
-            None => {
-                self.phase = GfslPhase::Finished;
-                Step::Done
-            }
-            Some(k) => {
-                self.key = k;
-                self.prev = None;
-                let h = self.list.height();
-                self.phase = GfslPhase::Read(self.list.head_chunk(h), h);
-                // Reading the head array + height counters: a cheap step.
-                Step::Compute(4)
-            }
         }
     }
 }
 
 impl WarpProgram for GfslContainsWarp<'_> {
     fn step(&mut self) -> Step {
-        let team = *self.list.team();
-        match self.phase {
-            GfslPhase::Finished => Step::Done,
-            GfslPhase::NextOp => self.start_op(),
-            GfslPhase::Read(chunk, height) => {
-                let (view, addrs) = self.read_view(chunk);
-                if view.is_zombie(&team) {
-                    self.phase = GfslPhase::Read(view.next(&team), height);
-                    return Step::Mem(addrs);
-                }
-                if height > 0 {
-                    match tid_for_next_step(&team, self.key, &view) {
-                        NextStep::Lateral => {
-                            self.prev = Some(view);
-                            self.phase = GfslPhase::Read(view.next(&team), height);
-                        }
-                        NextStep::Down(lane) => {
-                            self.prev = None;
-                            self.phase =
-                                GfslPhase::Read(view.entry(lane).val(), height - 1);
-                        }
-                        NextStep::Backtrack => match self.prev.take() {
-                            None => {
-                                // Rare restart (only under concurrent
-                                // deletes; impossible in read-only sim, kept
-                                // for completeness).
-                                let h = self.list.height();
-                                self.phase =
-                                    GfslPhase::Read(self.list.head_chunk(h), h);
-                            }
-                            Some(pview) => {
-                                let lane = team
-                                    .ballot(|l| {
-                                        team.is_data_lane(l)
-                                            && pview.entry(l).key() <= self.key
-                                    })
-                                    .highest()
-                                    .expect("backtrack with candidate");
-                                self.phase = GfslPhase::Read(
-                                    pview.entry(lane).val(),
-                                    height - 1,
-                                );
-                            }
-                        },
-                    }
-                } else {
-                    match tid_with_equal_key(&team, self.key, &view) {
-                        LateralStep::Continue => {
-                            self.phase = GfslPhase::Read(view.next(&team), 0);
-                        }
-                        LateralStep::Found(_) => {
-                            self.results.push(true);
-                            self.phase = GfslPhase::NextOp;
-                        }
-                        LateralStep::NotFound => {
-                            self.results.push(false);
-                            self.phase = GfslPhase::NextOp;
-                        }
-                    }
-                }
-                Step::Mem(addrs)
-            }
+        if let Some(addrs) = self.pending.next() {
+            return Step::Mem(addrs);
         }
+        let Some(k) = self.keys.next() else {
+            return Step::Done;
+        };
+        // One handle per op: resident warps never hold reclaim slots.
+        let mut h = self.list.handle_with(Recorder::default());
+        self.results.push(h.contains(k));
+        self.pending = h.into_parts().0 .0.into_iter();
+        // Reading the head array + height counters: a cheap step.
+        Step::Compute(4)
     }
 }
 
@@ -162,112 +96,45 @@ impl WarpProgram for GfslContainsWarp<'_> {
 // M&C: 32 independent lanes per warp, one Contains per lane.
 // --------------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
-enum McLane {
-    /// About to read `pred`'s level-`level` next pointer.
-    ReadNext { pred: u32, level: usize },
-    /// About to read node `node`'s header (key); `pred`/`level` for the
-    /// ensuing decision.
-    ReadKey { pred: u32, node: u32, level: usize },
-    /// Lane finished with the given verdict.
-    Done(bool),
-}
-
-/// A warp of 32 independent M&C Contains operations in lockstep: every step
-/// executes the current instruction of all still-active lanes (the SIMT
-/// masked-execution model — lanes that finished idle until the warp
-/// retires, which is M&C's divergence cost).
-pub struct McContainsWarp<'a> {
-    list: &'a McSkipList,
-    keys: Vec<u32>,
-    lanes: Vec<McLane>,
-    /// Per-lane verdicts once the warp retires.
+/// A warp of up to 32 independent M&C Contains operations in lockstep: step
+/// *i* issues the *i*-th recorded access of every lane that still has one
+/// (the SIMT masked-execution model — lanes that finished idle until the
+/// warp retires, which is M&C's divergence cost).
+pub struct McContainsWarp {
+    lanes: Vec<std::vec::IntoIter<Vec<WordAddr>>>,
+    /// Per-lane verdicts.
     pub results: Vec<bool>,
 }
 
-impl<'a> McContainsWarp<'a> {
+impl McContainsWarp {
     /// A warp looking up one key per lane (up to 32).
-    pub fn new(list: &'a McSkipList, keys: Vec<u32>) -> Self {
+    pub fn new(list: &McSkipList, keys: Vec<u32>) -> Self {
         assert!(keys.len() <= 32);
-        let top = list.params().max_height as usize - 1;
-        let head = list.head_node().base;
-        let lanes = keys
-            .iter()
-            .map(|_| McLane::ReadNext {
-                pred: head,
-                level: top,
+        let (results, lanes) = keys
+            .into_iter()
+            .map(|k| {
+                let mut h = list.handle_with(Recorder::default());
+                let found = h.contains(k);
+                (found, h.into_parts().0 .0.into_iter())
             })
-            .collect();
-        McContainsWarp {
-            list,
-            keys,
-            lanes,
-            results: Vec::new(),
-        }
+            .unzip();
+        McContainsWarp { lanes, results }
     }
 }
 
-impl WarpProgram for McContainsWarp<'_> {
+impl WarpProgram for McContainsWarp {
     fn step(&mut self) -> Step {
-        let pool = self.list.raw_pool();
-        let mut addrs = Vec::new();
-        let mut active = false;
-        for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let key = self.keys[i];
-            match *lane {
-                McLane::Done(_) => {}
-                McLane::ReadNext { pred, level } => {
-                    active = true;
-                    let node = NodeRef { base: pred };
-                    addrs.push(node.next_addr(level));
-                    let succ = node.next(pool, &mut NoProbe, level);
-                    let s = succ.ptr();
-                    if s == MC_NIL {
-                        if level == 0 {
-                            *lane = McLane::Done(false);
-                        } else {
-                            *lane = McLane::ReadNext {
-                                pred,
-                                level: level - 1,
-                            };
-                        }
-                    } else {
-                        *lane = McLane::ReadKey {
-                            pred,
-                            node: s,
-                            level,
-                        };
-                    }
-                }
-                McLane::ReadKey { pred, node, level } => {
-                    active = true;
-                    let n = NodeRef { base: node };
-                    addrs.push(n.base); // header word
-                    let (k, _) = n.header(pool, &mut NoProbe);
-                    if k < key {
-                        *lane = McLane::ReadNext { pred: node, level };
-                    } else if k == key {
-                        *lane = McLane::Done(true);
-                    } else if level == 0 {
-                        *lane = McLane::Done(false);
-                    } else {
-                        *lane = McLane::ReadNext {
-                            pred,
-                            level: level - 1,
-                        };
-                    }
-                }
-            }
+        let addrs: Vec<WordAddr> = self
+            .lanes
+            .iter_mut()
+            .filter_map(Iterator::next)
+            .flatten()
+            .collect();
+        if addrs.is_empty() {
+            Step::Done
+        } else {
+            Step::Mem(addrs)
         }
-        if !active {
-            self.results = self
-                .lanes
-                .iter()
-                .map(|l| matches!(l, McLane::Done(true)))
-                .collect();
-            return Step::Done;
-        }
-        Step::Mem(addrs)
     }
 }
 
@@ -348,19 +215,5 @@ mod tests {
             warp_steps >= solo_steps / 2,
             "warp {warp_steps} vs solo {solo_steps}"
         );
-    }
-
-    #[test]
-    fn gfsl_team_reads_whole_chunks() {
-        let list = Gfsl::new(GfslParams::sized_for(2_000)).unwrap();
-        let mut h = list.handle();
-        for k in 1..=500u32 {
-            h.insert(k, k).unwrap();
-        }
-        let (_, words) = {
-            let w = GfslContainsWarp::new(&list, vec![250]);
-            drive(w)
-        };
-        assert_eq!(words % 32, 0, "every access covers all 32 lanes");
     }
 }

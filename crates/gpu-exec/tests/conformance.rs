@@ -1,9 +1,13 @@
-//! Conformance: the cycle executor's warp state machines must answer
-//! exactly like the structures' own operations, on arbitrary structures —
-//! including ones containing zombies and both chunk formats.
+//! Conformance: the cycle executor's warp programs must answer exactly like
+//! the structures' own operations, and charge exactly their accesses, on
+//! arbitrary structures — including ones containing zombies and both chunk
+//! formats.
+
+use std::sync::Arc;
 
 use gfsl::{Gfsl, GfslParams, TeamSize};
 use gfsl_gpu_exec::{Device, ExecConfig, GfslContainsWarp, McContainsWarp, Step, WarpProgram};
+use gfsl_gpu_mem::{CountingProbe, L2Cache, Traffic};
 use gfsl_workload::SplitMix64;
 use mc_skiplist::{McParams, McSkipList};
 use proptest::prelude::*;
@@ -73,6 +77,68 @@ proptest! {
         let got = drive_mc(&list, probes);
         prop_assert_eq!(got, expect);
     }
+}
+
+/// The `(read_txns, words_read, l2_hits, l2_misses)` a traffic total holds.
+fn read_counts(t: Traffic) -> (u64, u64, u64, u64) {
+    (t.read_txns, t.words_read, t.l2_hits, t.l2_misses)
+}
+
+/// The executor replays the very access stream the roofline's probe charges:
+/// one GFSL warp over a key list (both team sizes, after churn that leaves
+/// zombies behind), and one-lane M&C warps run one after another, leave a
+/// fresh device with the traffic a `CountingProbe` counts for the same
+/// `contains` calls in the same order.
+#[test]
+fn warps_replay_the_counting_probe_stream() {
+    let mut rng = SplitMix64::new(0x5EED);
+    let keys: Vec<u32> = (0..300).map(|_| rng.below(700) as u32 + 1).collect();
+    for team_size in [TeamSize::Sixteen, TeamSize::ThirtyTwo] {
+        let list = Gfsl::new(GfslParams {
+            team_size,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut h = list.handle();
+        for _ in 0..2_000 {
+            let k = rng.below(600) as u32 + 1;
+            if rng.coin(0.6) {
+                h.insert(k, k).unwrap();
+            } else {
+                h.remove(k);
+            }
+        }
+        let mut dev = Device::new(ExecConfig::default());
+        let warp = GfslContainsWarp::new(&list, keys.clone());
+        let got = dev.run(vec![Box::new(warp)], keys.len() as u64).traffic;
+        let mut h = list.handle_with(CountingProbe::new(Arc::new(L2Cache::gtx970())));
+        for &k in &keys {
+            h.contains(k);
+        }
+        let want = h.into_parts().0.traffic();
+        assert_eq!(read_counts(got), read_counts(want), "{team_size:?}");
+    }
+
+    let list = McSkipList::new(McParams::sized_for(4_000)).unwrap();
+    let mut h = list.handle();
+    for _ in 0..2_000 {
+        let k = rng.below(600) as u32 + 1;
+        if rng.coin(0.6) {
+            h.insert(k, k);
+        } else {
+            h.remove(k);
+        }
+    }
+    let mut dev = Device::new(ExecConfig::default());
+    for &k in &keys {
+        dev.run(vec![Box::new(McContainsWarp::new(&list, vec![k]))], 1);
+    }
+    let mut h = list.handle_with(CountingProbe::new(Arc::new(L2Cache::gtx970())));
+    for &k in &keys {
+        h.contains(k);
+    }
+    let want = h.into_parts().0.traffic();
+    assert_eq!(read_counts(dev.traffic()), read_counts(want), "M&C");
 }
 
 /// A full device run returns correct op counts and monotone-positive time,

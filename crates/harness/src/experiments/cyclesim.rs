@@ -1,10 +1,12 @@
 //! Cross-validation: the cycle-level SIMT executor vs the roofline model
 //! on Contains-only workloads (Fig. 5.4a's regime).
 //!
-//! The two estimators share nothing but the L2 geometry: the roofline
-//! converts aggregate measured traffic to time through calibrated
-//! bandwidth/issue constants; the executor schedules every warp step
-//! against latencies and a DRAM queue, one event at a time. Agreement on
+//! The two estimators read one access stream (each op's accesses as its
+//! `MemProbe` reports them) through one L2 model and differ only in their
+//! timing models: the roofline converts aggregate measured traffic to time
+//! through calibrated bandwidth/issue constants; the executor schedules
+//! every warp step against latencies and a DRAM queue, one event at a
+//! time. Agreement on
 //! *shape* (GFSL vs M&C ordering per range, degradation direction) means
 //! the reproduction's conclusions don't hinge on either model's
 //! simplifications.

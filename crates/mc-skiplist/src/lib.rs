@@ -26,6 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod list;
-pub mod node;
+mod node;
 
 pub use list::{McHandle, McParams, McSkipList, McStats};

@@ -112,16 +112,6 @@ impl McSkipList {
         &self.params
     }
 
-    /// Raw access to the underlying pool (simulator/tooling API).
-    pub fn raw_pool(&self) -> &WordPool {
-        &self.pool
-    }
-
-    /// The head sentinel node (simulator/tooling API).
-    pub fn head_node(&self) -> NodeRef {
-        self.head
-    }
-
     /// Words allocated so far (leaked nodes included — like the original).
     pub fn words_used(&self) -> u32 {
         self.pool.used()

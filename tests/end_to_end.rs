@@ -129,7 +129,9 @@ fn model_pipeline_sanity() {
 #[test]
 fn all_experiments_smoke() {
     let cfg = tiny_cfg();
-    for id in ["table5_1", "table5_2", "fig5_4", "pkey", "ablate", "diag"] {
+    for id in [
+        "table5_1", "table5_2", "fig5_4", "pkey", "ablate", "diag", "cyclesim",
+    ] {
         let tables = experiments::run(id, &cfg);
         assert!(!tables.is_empty(), "{id} produced no tables");
         for t in &tables {
