@@ -677,13 +677,18 @@ impl Cluster {
         reply.unwrap_or_else(BatchReply::Failed)
     }
 
-    /// One heal step of a contained cluster, shard by shard under the
-    /// shard's read fence (routed ops keep running; a migration waits):
-    /// repair the quarantine and advance the background scrubber
-    /// `scrub_budget` chunks ([`Gfsl::heal_step`]; a shard with no free
-    /// handle slot is skipped this step). Returns `(chunks repaired,
-    /// quarantine depth left)`, summed over the shards.
+    /// One heal step of the cluster, shard by shard under the shard's read
+    /// fence (routed ops keep running; a migration waits): repair the
+    /// quarantine and advance the background scrubber `scrub_budget`
+    /// chunks ([`Gfsl::heal_step`]; a shard with no free handle slot is
+    /// skipped this step). With no budget and no quarantine it fences
+    /// nothing. Returns `(chunks repaired, quarantine depth left)`, summed
+    /// over the shards.
     pub fn repair_quarantine(&self, scrub_budget: usize) -> (u64, usize) {
+        let idle = |s: &Arc<Shard>| s.list.quarantine_depth() == 0;
+        if scrub_budget == 0 && self.map.read().shards.iter().all(idle) {
+            return (0, 0);
+        }
         let (mut repaired, mut depth) = (0, 0);
         for s in self.shards() {
             let _fence = s.fence.read();

@@ -20,8 +20,8 @@
 //!   simultaneously give a linearizable cluster-wide cut, exported eagerly
 //!   and rebuildable into a single GFSL.
 //!
-//! The chaos layer composes: in containment mode every routed op has a
-//! `try_*` probed variant, and migrations repair the quarantine before
+//! The chaos layer composes: every routed op has a contained `try_*`
+//! probed variant, and migrations repair the quarantine before
 //! exporting, so splits and merges can race crashing client ops (see the
 //! `migration_chaos` integration test).
 

@@ -130,6 +130,6 @@ pub struct ShardStats {
     pub writes: u64,
     /// Keys currently resident (lock-free range count).
     pub keys: usize,
-    /// Quarantined chunks awaiting repair (containment mode).
+    /// Quarantined chunks awaiting repair.
     pub quarantine_depth: usize,
 }

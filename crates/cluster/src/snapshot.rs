@@ -82,7 +82,7 @@ impl Cluster {
         };
         let fences: Vec<_> = shards.iter().map(|s| s.fence.write()).collect();
         // Heal before walking: exports must not traverse quarantined
-        // chunks. Rare (containment mode after an injected crash), so the
+        // chunks. Rare (a contained op crashed), so the
         // pinned path's brief-fence claim holds in the common case.
         for s in &shards {
             s.drain_quarantine();

@@ -28,6 +28,15 @@ fn params16() -> GfslParams {
     }
 }
 
+/// Containment must not hide bugs: a run that injects no crash ends with no
+/// op panicked into a quarantine on any shard.
+fn assert_no_contained_crash(c: &Cluster) {
+    for s in c.shards() {
+        let r = s.list.repair_stats();
+        assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "shard {}: {r:?}", s.id);
+    }
+}
+
 fn is_user_key(k: u32) -> bool {
     (1..KEY_INF).contains(&k)
 }
@@ -133,6 +142,8 @@ proptest! {
             }
         }
         batched.assert_valid();
+        assert_no_contained_crash(&batched);
+        assert_no_contained_crash(&routed);
         let pairs: Vec<(u32, u32)> = oracle.into_iter().collect();
         prop_assert_eq!(batched.pairs(), pairs.clone());
         prop_assert_eq!(routed.pairs(), pairs);
@@ -171,6 +182,8 @@ fn a_batch_feeds_the_load_windows_what_the_per_op_path_feeds_them() {
     let windows = |c: &Cluster| c.shards().iter().map(|s| s.window()).collect::<Vec<_>>();
     assert_eq!(windows(&batched), windows(&routed));
     assert!(windows(&batched).iter().all(|&(r, w)| r > 0 && w > 0), "every shard saw load");
+    assert_no_contained_crash(&batched);
+    assert_no_contained_crash(&routed);
 }
 
 /// Two threads drive `execute_batch` over disjoint key classes while a
@@ -279,6 +292,7 @@ fn batches_linearize_and_lose_nothing_across_live_migrations() {
     assert!(migrations > 0, "the migrator must have installed splits and merges");
 
     cluster.assert_valid();
+    assert_no_contained_crash(&cluster);
     let mut records = Vec::new();
     let mut expect = BTreeMap::new();
     for (history, oracle) in results {

@@ -57,4 +57,9 @@ fn sliding_window_churn_through_per_op_handles_recycles_every_shard() {
     let got: Vec<u32> = cluster.pairs().into_iter().map(|(k, _)| k).collect();
     assert_eq!(got, expect, "each shard holds its last window");
     cluster.assert_valid();
+    // Containment must not hide bugs: no op panicked into a quarantine.
+    for shard in cluster.shards() {
+        let r = shard.list.repair_stats();
+        assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "shard {}: {r:?}", shard.id);
+    }
 }

@@ -62,7 +62,6 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
     let params = GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        contain: true,
         ..Default::default()
     };
     // One shard at full key density: the migration driver introduces (and

@@ -84,7 +84,7 @@ impl EdgeEngine {
         }
     }
 
-    /// One heal step of a contained engine: repair the quarantine crashed
+    /// One heal step of the engine: repair the quarantine crashed
     /// ops left and advance the background scrubber `scrub_budget` chunks
     /// ([`Gfsl::heal_step`]; [`Cluster::repair_quarantine`] on a cluster,
     /// shard by shard under its fence). Returns `(chunks repaired,
@@ -107,6 +107,19 @@ mod tests {
 
     fn params() -> GfslParams {
         GfslParams::default()
+    }
+
+    /// Containment must not hide bugs: no op these tests run may panic
+    /// into a quarantine.
+    fn assert_no_contained_crash(eng: &EdgeEngine) {
+        let check = |list: &Gfsl| {
+            let r = list.repair_stats();
+            assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
+        };
+        match eng {
+            EdgeEngine::Single(list) => check(list),
+            EdgeEngine::Cluster(c) => c.shards().iter().for_each(|s| check(&s.list)),
+        }
     }
 
     #[test]
@@ -133,6 +146,7 @@ mod tests {
             ],
             "index-aligned replies; same-key order preserved"
         );
+        assert_no_contained_crash(&eng);
     }
 
     #[test]
@@ -154,6 +168,8 @@ mod tests {
         assert!(eng.snap_count(0, 5).is_err());
         assert!(eng.snap_count(9, 3).is_err());
         assert!(eng.snap_count(1, u32::MAX).is_err());
+        assert_no_contained_crash(&plain);
+        assert_no_contained_crash(&eng);
     }
 
     #[test]
@@ -169,6 +185,7 @@ mod tests {
         assert_eq!(eng.snap_count(1, 50), Err(GfslError::TooManyHandles));
         drop(live);
         assert_eq!(eng.snap_count(1, 50), Ok((0, 50)));
+        assert_no_contained_crash(&eng);
 
         let c = Arc::new(Cluster::new(params(), 4).unwrap());
         let shards = c.shards();
@@ -187,6 +204,7 @@ mod tests {
         eng.execute(&[ServeOp::Insert(3_000_000_000, 1)], &mut out);
         assert_eq!(out, vec![Reply::Inserted(true)]);
         drop(live);
+        assert_no_contained_crash(&eng);
     }
 
     /// Wire input the per-op cluster API asserts on — reserved keys, windows
@@ -221,8 +239,10 @@ mod tests {
                 c.insert(k, k).unwrap();
             }
             let (mut one, mut four) = (Vec::new(), Vec::new());
-            EdgeEngine::Single(Arc::new(single)).execute(&hostile, &mut one);
-            EdgeEngine::Cluster(Arc::new(c)).execute(&hostile, &mut four);
+            let engines = [EdgeEngine::Single(Arc::new(single)), EdgeEngine::Cluster(Arc::new(c))];
+            engines[0].execute(&hostile, &mut one);
+            engines[1].execute(&hostile, &mut four);
+            engines.iter().for_each(assert_no_contained_crash);
             assert_eq!(one, four, "the engines disagree over {keys:?}");
             if keys.is_empty() {
                 assert_eq!(one, on_empty);
@@ -243,6 +263,7 @@ mod tests {
         let (v, n) = eng.snap_count(1, 3_000_000_001).unwrap();
         assert!(v >= 1);
         assert_eq!(n, 4, "pinned count stitches across all four shards");
+        assert_no_contained_crash(&eng);
     }
 
     #[test]
@@ -258,5 +279,6 @@ mod tests {
         eng.execute(&[ServeOp::PopMin, ServeOp::MinEntry], &mut out);
         assert_eq!(out[0], Reply::Popped(Some((10, 10))));
         assert_eq!(out[1], Reply::MinIs(Some((1_000_000_000, 1_000_000_000))));
+        assert_no_contained_crash(&eng);
     }
 }

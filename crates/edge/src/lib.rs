@@ -15,9 +15,9 @@
 //!   migrating cluster, executing whole epoch batches.
 //! - [`server`] — a thread-per-core TCP server: one acceptor, per-core
 //!   workers with connection affinity, epoch batching onto the engine,
-//!   commit-before-ack durability, and — the one place a contained engine
-//!   heals — a repair step on every loop pass (scrub per epoch) feeding
-//!   each worker's supervisor, whose ladder surfaces as typed shed frames.
+//!   commit-before-ack durability, and — the one place an engine heals —
+//!   a repair step on every loop pass (scrub on idle passes) feeding each
+//!   worker's supervisor, whose ladder surfaces as typed shed frames.
 //! - [`client`] — the blocking reference client (pipelined, id-matched).
 //! - [`loadgen`] — closed-loop and open-loop client populations over real
 //!   sockets, with zipf-skewed per-tenant key windows, for capacity and

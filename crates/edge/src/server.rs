@@ -17,10 +17,12 @@
 //!    group-commit write effects into the durable sink *before* any reply
 //!    is queued (commit-before-ack), then route replies back to each
 //!    session by request id;
-//! 4. heal a contained engine: repair its quarantine, advance the scrubber,
-//!    and feed the worker's [`Supervisor`] the epoch's aborted replies,
-//!    the chunks repaired and the quarantine depth left — the rung that
-//!    gates step 2 (DESIGN §13);
+//! 4. heal the engine: repair its quarantine (every pass; the engine runs
+//!    each op contained, so a crash leaves one instead of a poisoned
+//!    structure), advance the scrubber on a pass that did no work, and
+//!    feed the worker's [`Supervisor`] the epoch's aborted replies, the
+//!    chunks repaired and the quarantine depth left — the rung that gates
+//!    step 2 (DESIGN §13);
 //! 5. flush, and shed connections that broke framing (one [`Resp::Proto`]
 //!    frame, then close) or stalled mid-frame past the slow-client timeout.
 //!
@@ -45,10 +47,10 @@ use crate::session::Session;
 /// Shared handle to a durable commit sink (workers group-commit through it).
 pub type SharedSink = Arc<Mutex<dyn CommitSink + Send>>;
 
-/// Chunks a contained engine's background scrubber re-validates after each
-/// epoch. Small on purpose: the scrubber is bycatch of the serving loop,
-/// not a second workload.
-const SCRUB_BUDGET_PER_EPOCH: usize = 32;
+/// Chunks the engine's background scrubber re-validates on each pass that
+/// did no work. Small on purpose: the scrubber spends idle time, never
+/// served traffic's.
+const SCRUB_BUDGET_PER_IDLE_PASS: usize = 32;
 
 /// Edge server tuning.
 #[derive(Debug, Clone)]
@@ -109,7 +111,7 @@ pub struct EdgeStats {
     /// violations only where no other session writes that key.
     pub ryw_violations: AtomicU64,
     /// Highest supervisor rung any worker reached (severity 0–3); stays 0
-    /// unless the engine is contained.
+    /// unless an operation crashed or aborted.
     pub max_mode: AtomicU64,
     /// Supervisor rung changes, both directions, summed over workers.
     pub mode_transitions: AtomicU64,
@@ -324,12 +326,6 @@ fn worker_loop(
     // Rotating read offset so a budget-exhausted pass doesn't starve the
     // same tail sessions every time.
     let mut rr = 0usize;
-    // Self-healing runs only on a contained engine; any other stays at
-    // `Normal` and pays one branch per epoch.
-    let contain = match &engine {
-        EdgeEngine::Single(list) => list.params().contain,
-        EdgeEngine::Cluster(c) => c.params().contain,
-    };
     let mut supervisor = Supervisor::default();
     let idle_timeout = Duration::from_millis(cfg.idle_timeout_ms);
     let epoch_deadline = Duration::from_micros(cfg.epoch_us);
@@ -485,19 +481,19 @@ fn worker_loop(
             stats.epochs.fetch_add(1, Ordering::Relaxed);
         }
 
-        // Heal a contained engine on every pass (free while the quarantine
-        // is empty); the scrubber advances once per executed epoch. The
-        // supervisor observes each executed epoch and, between epochs,
-        // every pass that repaired, left a quarantine or runs degraded: a
-        // rung that refuses the clients' ops runs no epoch, so only idle
-        // passes can walk it back down.
-        if contain {
-            let budget = if executed { SCRUB_BUDGET_PER_EPOCH } else { 0 };
-            let (repaired, depth) = engine.heal(budget);
-            if executed || repaired > 0 || depth > 0 || supervisor.degraded() {
-                let seen = supervisor.transitions;
-                let now_ns = start.elapsed().as_nanos() as u64;
-                let m = supervisor.observe(now_ns, aborts + repaired, depth);
+        // Heal on every pass (free while the quarantine is empty); the
+        // scrubber advances only on a pass that has done no work, so idle
+        // time pays for it. The supervisor observes each executed epoch
+        // and, between epochs, every pass that repaired, left a quarantine
+        // or runs degraded: a rung that refuses the clients' ops runs no
+        // epoch, so only idle passes can walk it back down.
+        let scrub = if progressed { 0 } else { SCRUB_BUDGET_PER_IDLE_PASS };
+        let (repaired, depth) = engine.heal(scrub);
+        if executed || repaired > 0 || depth > 0 || supervisor.degraded() {
+            let seen = supervisor.transitions;
+            let now_ns = now.duration_since(start).as_nanos() as u64;
+            let m = supervisor.observe(now_ns, aborts + repaired, depth);
+            if supervisor.transitions != seen {
                 stats
                     .max_mode
                     .fetch_max(u64::from(m.severity()), Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! Socket-level integration tests for the edge server: full round trips,
 //! commit-before-ack durability, typed overload shedding, slow-client
 //! timeouts, framing-violation handling, read-your-writes under live
-//! shard migrations, and self-healing of a contained engine.
+//! shard migrations, and self-healing of the engine.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -24,9 +24,26 @@ fn connect(server: &EdgeServer) -> EdgeClient {
     EdgeClient::connect(server.addr(), Some(Duration::from_secs(5))).unwrap()
 }
 
+/// Shut `server` down and check that no op it served on `engine` panicked
+/// into a quarantine: containment must not hide bugs in a run that injects
+/// no crash.
+fn shutdown_clean(server: EdgeServer, engine: &EdgeEngine) -> gfsl_edge::StatsSnapshot {
+    let stats = server.shutdown();
+    let check = |list: &Gfsl| {
+        let r = list.repair_stats();
+        assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
+    };
+    match engine {
+        EdgeEngine::Single(list) => check(list),
+        EdgeEngine::Cluster(c) => c.shards().iter().for_each(|s| check(&s.list)),
+    }
+    stats
+}
+
 #[test]
 fn every_op_round_trips_over_the_wire() {
-    let server = EdgeServer::start(single_engine(), EdgeConfig::default()).unwrap();
+    let engine = single_engine();
+    let server = EdgeServer::start(engine.clone(), EdgeConfig::default()).unwrap();
     let mut c = connect(&server);
 
     assert_eq!(c.call(Req::Ping).unwrap(), Resp::Pong);
@@ -41,7 +58,7 @@ fn every_op_round_trips_over_the_wire() {
     assert_eq!(c.delete(20).unwrap(), Resp::Deleted(true));
     assert_eq!(c.pop_min().unwrap(), Resp::Popped(None));
 
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(stats.pings, 1);
     assert!(stats.ops_ok >= 10);
     assert_eq!(stats.proto_errors, 0);
@@ -50,7 +67,8 @@ fn every_op_round_trips_over_the_wire() {
 
 #[test]
 fn pipelined_requests_come_back_id_matched() {
-    let server = EdgeServer::start(single_engine(), EdgeConfig::default()).unwrap();
+    let engine = single_engine();
+    let server = EdgeServer::start(engine.clone(), EdgeConfig::default()).unwrap();
     let mut c = connect(&server);
     let ids: Vec<(u64, u32)> = (1..=64u32).map(|k| (c.send(Req::Insert(k, k * 10)), k)).collect();
     for (id, k) in &ids {
@@ -64,14 +82,15 @@ fn pipelined_requests_come_back_id_matched() {
     for (id, k) in gets.iter().filter(|(_, k)| k % 2 == 1) {
         assert_eq!(c.recv(*id).unwrap(), Resp::Got(Some(k * 10)));
     }
-    server.shutdown();
+    shutdown_clean(server, &engine);
 }
 
 #[test]
 fn writes_commit_to_the_sink_before_ack() {
     let sink = Arc::new(Mutex::new(MemorySink::default()));
+    let engine = single_engine();
     let server = EdgeServer::start_durable(
-        single_engine(),
+        engine.clone(),
         EdgeConfig::default(),
         sink.clone(),
     )
@@ -100,7 +119,7 @@ fn writes_commit_to_the_sink_before_ack() {
     assert_eq!(c.get(7).unwrap(), Resp::Got(None));
     assert_eq!(c.delete(7).unwrap(), Resp::Deleted(false));
     assert_eq!(sink.lock().unwrap().effects.len(), effects_now);
-    server.shutdown();
+    shutdown_clean(server, &engine);
 }
 
 #[test]
@@ -116,7 +135,8 @@ fn overload_sheds_with_typed_frames_and_the_connection_survives() {
         drain_ns_per_req: 1_000_000, // 1 ms/req so hints are nonzero ms
         ..EdgeConfig::default()
     };
-    let server = EdgeServer::start(single_engine(), cfg).unwrap();
+    let engine = single_engine();
+    let server = EdgeServer::start(engine.clone(), cfg).unwrap();
     let mut c = connect(&server);
 
     let ids: Vec<u64> = (1..=512u32).map(|k| c.send(Req::Insert(k, k))).collect();
@@ -138,7 +158,7 @@ fn overload_sheds_with_typed_frames_and_the_connection_survives() {
     assert_eq!(c.call(Req::Ping).unwrap(), Resp::Pong);
     assert_eq!(c.get(1).unwrap(), Resp::Got(Some(1)));
 
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(stats.sheds, shed);
     assert_eq!(stats.proto_errors, 0);
     assert_eq!(stats.timeouts, 0);
@@ -146,7 +166,8 @@ fn overload_sheds_with_typed_frames_and_the_connection_survives() {
 
 #[test]
 fn malformed_frame_answers_proto_then_sheds_the_connection() {
-    let server = EdgeServer::start(single_engine(), EdgeConfig::default()).unwrap();
+    let engine = single_engine();
+    let server = EdgeServer::start(engine.clone(), EdgeConfig::default()).unwrap();
     let mut s = TcpStream::connect(server.addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut hello = Vec::new();
@@ -186,7 +207,7 @@ fn malformed_frame_answers_proto_then_sheds_the_connection() {
         assert!(Instant::now() < deadline, "proto shed not accounted: {st:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
-    server.shutdown();
+    shutdown_clean(server, &engine);
 }
 
 #[test]
@@ -195,7 +216,8 @@ fn slow_clients_time_out_but_idle_clients_do_not() {
         idle_timeout_ms: 150,
         ..EdgeConfig::default()
     };
-    let server = EdgeServer::start(single_engine(), cfg).unwrap();
+    let engine = single_engine();
+    let server = EdgeServer::start(engine.clone(), cfg).unwrap();
 
     // An idle-but-clean client survives well past the timeout.
     let mut idle = connect(&server);
@@ -219,7 +241,7 @@ fn slow_clients_time_out_but_idle_clients_do_not() {
     // ...the idle one still serves.
     assert_eq!(idle.call(Req::Ping).unwrap(), Resp::Pong);
 
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(stats.timeouts, 1, "exactly the stalled session timed out");
 }
 
@@ -230,12 +252,8 @@ fn snap_range_serves_pinned_counts_over_the_wire() {
     // snapshot version, and a hostile window fails typed — the
     // connection survives all of it.
     let params = GfslParams { mvcc: true, ..GfslParams::default() };
-    let cluster = Arc::new(Cluster::new(params, 2).unwrap());
-    let server = EdgeServer::start(
-        EdgeEngine::Cluster(cluster.clone()),
-        EdgeConfig::default(),
-    )
-    .unwrap();
+    let engine = EdgeEngine::Cluster(Arc::new(Cluster::new(params, 2).unwrap()));
+    let server = EdgeServer::start(engine.clone(), EdgeConfig::default()).unwrap();
     let mut c = connect(&server);
 
     for k in 1..=50u32 {
@@ -263,7 +281,8 @@ fn snap_range_serves_pinned_counts_over_the_wire() {
     assert_eq!(c.get(1).unwrap(), Resp::Got(Some(1)));
 
     // An engine without the knob still answers, unpinned.
-    let plain = EdgeServer::start(single_engine(), EdgeConfig::default()).unwrap();
+    let plain_engine = single_engine();
+    let plain = EdgeServer::start(plain_engine.clone(), EdgeConfig::default()).unwrap();
     let mut p = connect(&plain);
     assert!(matches!(p.insert(5, 5).unwrap(), Resp::Inserted(true)));
     assert_eq!(
@@ -271,9 +290,9 @@ fn snap_range_serves_pinned_counts_over_the_wire() {
         Resp::Snapped { version: 0, count: 1 },
         "mvcc-off fallback reports version 0"
     );
-    plain.shutdown();
+    shutdown_clean(plain, &plain_engine);
 
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(stats.snaps, 4, "two pinned counts + two rejected windows");
     assert_eq!(stats.proto_errors, 0);
 }
@@ -286,8 +305,9 @@ fn read_your_writes_holds_across_live_shard_migrations() {
     // session's own last acknowledged write; the server-side tracker
     // counts violations exactly because the namespaces are disjoint.
     let cluster = Arc::new(Cluster::new(GfslParams::default(), 4).unwrap());
+    let engine = EdgeEngine::Cluster(cluster.clone());
     let server = EdgeServer::start(
-        EdgeEngine::Cluster(cluster.clone()),
+        engine.clone(),
         EdgeConfig { workers: 2, ..EdgeConfig::default() },
     )
     .unwrap();
@@ -344,7 +364,7 @@ fn read_your_writes_holds_across_live_shard_migrations() {
     stop.store(true, Ordering::Relaxed);
     churn.join().unwrap();
 
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(client_checks, (SESSIONS as u64) * 240);
     assert_eq!(
         stats.ryw_violations, 0,
@@ -353,16 +373,16 @@ fn read_your_writes_holds_across_live_shard_migrations() {
     assert!(stats.ops_ok >= client_checks, "all checks rode real engine replies");
 }
 
-fn contained_params() -> GfslParams {
+/// A small structure: 16-entry chunks, a 4096-chunk pool.
+fn small_params() -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        contain: true,
         ..GfslParams::default()
     }
 }
 
-/// Crash one contained insert deterministically before any server runs:
+/// Crash one (contained) `try_insert` deterministically before any server runs:
 /// the mid-split victim leaves its held chunks quarantined (still
 /// lock-held), the state the edge must route around and repair online.
 fn crash_one_split(list: &Gfsl) {
@@ -442,7 +462,7 @@ fn the_edge_heals_through_a_precrashed_structure() {
     };
     let evens = || (1..=2_000u32).filter(|k| k % 2 == 0);
 
-    let list = Arc::new(Gfsl::prefilled(contained_params(), evens()).unwrap());
+    let list = Arc::new(Gfsl::prefilled(small_params(), evens()).unwrap());
     crash_one_split(&list);
     let stats = serve_rounds(EdgeEngine::Single(list.clone()));
     check(
@@ -453,7 +473,7 @@ fn the_edge_heals_through_a_precrashed_structure() {
     list.assert_valid();
 
     let pairs = evens().map(|k| (k, k));
-    let cluster = Arc::new(Cluster::prefilled(contained_params(), 4, 2_000, pairs).unwrap());
+    let cluster = Arc::new(Cluster::prefilled(small_params(), 4, 2_000, pairs).unwrap());
     let shards = cluster.shards();
     crash_one_split(&shards[0].list);
     let stats = serve_rounds(EdgeEngine::Cluster(cluster.clone()));
@@ -476,7 +496,7 @@ fn the_edge_heals_through_a_precrashed_structure() {
 #[test]
 fn a_drained_edge_heals_between_epochs() {
     let evens = (1..=2_000u32).filter(|k| k % 2 == 0);
-    let list = Arc::new(Gfsl::prefilled(contained_params(), evens).unwrap());
+    let list = Arc::new(Gfsl::prefilled(small_params(), evens).unwrap());
     crash_one_split(&list);
     let held: Vec<_> = (0..gfsl::MAX_RECLAIM_HANDLES).map(|_| list.handle()).collect();
     let cfg = EdgeConfig {
@@ -518,16 +538,16 @@ fn a_drained_edge_heals_between_epochs() {
 }
 
 /// A reserved key is the client's mistake, not a fault: however many of
-/// them a contained engine answers `Failed(InvalidKey)`, its rung stays at
+/// them the engine answers `Failed(InvalidKey)`, its rung stays at
 /// `Normal`.
 #[test]
 fn a_contained_edge_does_not_degrade_on_reserved_keys() {
-    let list = Arc::new(Gfsl::new(contained_params()).unwrap());
+    let engine = EdgeEngine::Single(Arc::new(Gfsl::new(small_params()).unwrap()));
     let cfg = EdgeConfig {
         workers: 1,
         ..EdgeConfig::default()
     };
-    let server = EdgeServer::start(EdgeEngine::Single(list), cfg).unwrap();
+    let server = EdgeServer::start(engine.clone(), cfg).unwrap();
     let mut c = connect(&server);
     let invalid = Resp::Failed {
         code: proto::error_code(&Error::InvalidKey(0)),
@@ -540,7 +560,7 @@ fn a_contained_edge_does_not_degrade_on_reserved_keys() {
             assert_eq!(c.recv(id).unwrap(), invalid);
         }
     }
-    let stats = server.shutdown();
+    let stats = shutdown_clean(server, &engine);
     assert_eq!(stats.ops_failed, 20 * 64);
     assert!(stats.epochs >= 20, "every round ran through the heal step");
     assert_eq!(
@@ -548,4 +568,25 @@ fn a_contained_edge_does_not_degrade_on_reserved_keys() {
         (0, 0),
         "{stats:?}"
     );
+}
+
+/// The scrubber runs on the passes that did no work: a server nobody talks
+/// to still re-validates chunks.
+#[test]
+fn an_idle_edge_advances_the_scrubber() {
+    let list = Arc::new(Gfsl::prefilled(small_params(), 1..=2_000).unwrap());
+    let engine = EdgeEngine::Single(list.clone());
+    let cfg = EdgeConfig {
+        workers: 1,
+        ..EdgeConfig::default()
+    };
+    let server = EdgeServer::start(engine.clone(), cfg).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while list.repair_stats().scrubbed_chunks == 0 {
+        assert!(Instant::now() < deadline, "the idle worker never scrubbed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = shutdown_clean(server, &engine);
+    assert_eq!(stats.epochs, 0, "no traffic, no epoch");
+    assert_eq!(list.repair_stats().scrub_violations, 0);
 }

@@ -150,10 +150,9 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     }
 
     fn dispatch_one(&mut self, op: BatchOp) -> BatchReply {
-        // Every op runs through its contained (`try_*`) entry point: with
-        // [`crate::GfslParams::contain`] off these are plain zero-overhead
-        // aliases, with it on a mid-batch crash or budget overrun surfaces
-        // as `Failed(Error::Aborted)` in that op's reply slot while its
+        // Every op runs through its contained (`try_*`) entry point: a
+        // mid-batch crash or budget overrun surfaces as
+        // `Failed(Error::Aborted)` in that op's reply slot while its
         // batchmates keep dispatching.
         match op {
             BatchOp::Get(k) => match self.try_get(k) {

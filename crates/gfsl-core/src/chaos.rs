@@ -4,8 +4,8 @@
 //! release, split publish, merge zombie-mark, next-pointer swing,
 //! down-pointer install, and `gfsl-durable`'s WAL / checkpoint windows), a
 //! fault plan that kills whoever reaches the n-th occurrence of one of them
-//! (`panic_at`, see [`controller`]) and containment catching that kill
-//! ([`crate::GfslParams::contain`]). The schedule is not this module's: a
+//! (`panic_at`, see [`controller`]) and a `try_*` entry point's containment
+//! catching that kill. The schedule is not this module's: a
 //! fault-injection run is a [`McController`] run whose participants gate
 //! once per [`MemProbe`] event — [`ChaosProbe`] is that adapter — so a
 //! seeded run takes [`RandomWalk`](crate::mc::strategy::RandomWalk), a

@@ -53,7 +53,7 @@ pub enum OpAction {
         found: Option<u32>,
     },
     /// `insert(key, value)` whose outcome is *unknown*: the operation
-    /// crashed mid-protocol (containment mode) before acknowledging, so it
+    /// crashed mid-protocol (contained) before acknowledging, so it
     /// may have linearized (key now present with `value`) or not happened
     /// at all. The checker tries both.
     InsertMaybe {

@@ -28,16 +28,6 @@ pub struct GfslParams {
     /// through `alloc_chunk`). See `gfsl_gpu_mem::reclaim` and DESIGN.md for
     /// the safety argument.
     pub reclaim: bool,
-    /// Enable panic containment and quarantine (DESIGN.md §13). With this
-    /// on, the `try_*` entry points run each operation inside an unwind
-    /// boundary: a panic mid-protocol (e.g. a chaos-injected crash) moves
-    /// the held chunks into a quarantine set — with their pre-op snapshots
-    /// and the op's journal stub — and returns a typed
-    /// [`crate::skiplist::OpAbort`] instead of poisoning the structure, and
-    /// waiters on a quarantined chunk abort cleanly instead of spinning.
-    /// Off by default: the plain entry points keep PR 1's fail-fast
-    /// poisoning semantics, and zero containment bookkeeping runs.
-    pub contain: bool,
     /// Enable multiversion reads (DESIGN.md §19): a global version clock,
     /// per-chunk copy-on-write version chains captured at lock acquisition,
     /// and `pin_version` read tickets that serve `get`/`range`/snapshot
@@ -56,7 +46,6 @@ impl Default for GfslParams {
             pool_chunks: 1 << 16,
             seed: 0x9E37_79B9_7F4A_7C15,
             reclaim: true,
-            contain: false,
             mvcc: false,
         }
     }
@@ -143,12 +132,6 @@ mod tests {
         assert_eq!(p.dsize(), 14);
         assert_eq!(p.merge_threshold(), 4);
         assert_eq!(p.max_levels(), 16);
-    }
-
-    #[test]
-    fn containment_defaults_off() {
-        // PR 1's poisoning semantics must remain the default behavior.
-        assert!(!GfslParams::default().contain);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Online scrub-and-repair of crash-quarantined chunks (DESIGN.md §13).
 //!
-//! When a contained operation crashes ([`crate::GfslParams::contain`]), its
+//! When an operation run through a `try_*` entry point crashes, its
 //! held chunks are parked — still lock-held — in the structure's quarantine
 //! set together with their certified pre-op snapshots and the crashed op's
 //! journal intent. [`GfslHandle::repair_quarantine`] walks that set and
@@ -29,14 +29,14 @@ use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
 use crate::chunk::{
-    lock_state, ops, Entry, KEY_NEG_INF, LOCK_LOCKED, LOCK_STATE_MASK, LOCK_UNLOCKED,
+    lock_state, ops, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED, LOCK_STATE_MASK, LOCK_UNLOCKED,
     LOCK_VERSION_UNIT, LOCK_ZOMBIE, NIL,
 };
 use crate::skiplist::{Error, Gfsl, GfslHandle, Intent, QuarantinedChunk, RepairStats};
 use crate::validate::chunk_rules;
 
 impl Gfsl {
-    /// One heal step of a contained structure: repair the quarantine if it
+    /// One heal step of the structure: repair the quarantine if it
     /// holds anything, then advance the scrubber `scrub_budget` chunks. A
     /// step with nothing to do mints no handle. Returns `(chunks repaired
     /// meanwhile — by this step or a concurrent one, quarantine depth
@@ -152,13 +152,12 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                         ops::write_entry(&mut self.probe, words, i, Entry::EMPTY);
                     }
                 }
-                self.quarantine_unlock(c);
+                self.release_bumped(c);
                 self.list.inc_level_chunks(level);
                 let moved: Vec<u32> = entry
                     .snapshot
                     .iter()
-                    .take(team.dsize())
-                    .map(|&w| Entry(w))
+                    .flat_map(|s| (0..team.dsize()).map(|i| s.entry(i)))
                     .filter(|e| !e.is_empty() && e.key() > thresh)
                     .map(|e| e.key())
                     .collect();
@@ -208,7 +207,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 copied: true,
                 ..
             } if c == absorber => {
-                self.quarantine_unlock(c);
+                self.release_bumped(c);
                 self.bump(|r| &r.unpoisoned_clean);
             }
             // No applicable intent: decide from the chunk image itself.
@@ -218,11 +217,11 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             _ => {
                 let view = self.read_chunk(c);
                 if chunk_rules(&team, &view, 0, c).is_empty() {
-                    self.quarantine_unlock(c);
+                    self.release_bumped(c);
                     self.bump(|r| &r.unpoisoned_clean);
                 } else {
-                    self.restore_snapshot(c, &entry.snapshot);
-                    self.quarantine_unlock(c);
+                    self.restore_snapshot(c, entry.snapshot.as_ref());
+                    self.release_bumped(c);
                     self.bump(|r| &r.repaired_back);
                 }
             }
@@ -230,32 +229,28 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     }
 
     /// Overwrite every non-lock lane of `c` from its quarantine snapshot.
-    /// The lock lane is deliberately *not* restored: the snapshot holds the
-    /// pre-acquisition word, and rewinding the version would break snapshot
-    /// certification and hint validation.
-    fn restore_snapshot(&mut self, c: u32, snapshot: &[u64]) {
-        let team = self.list.team;
-        if snapshot.len() != team.lanes() {
+    /// The lock lane is deliberately *not* restored: rewinding the version
+    /// would break snapshot certification and hint validation.
+    fn restore_snapshot(&mut self, c: u32, snapshot: Option<&ChunkView>) {
+        let Some(snapshot) = snapshot else {
             return; // no certified snapshot recorded; leave the image alone
-        }
+        };
+        let team = self.list.team;
         let ch = self.list.chunk(c);
-        for (i, &w) in snapshot.iter().enumerate() {
-            if i == team.lock_lane() {
-                continue;
-            }
+        for i in (0..team.lanes()).filter(|&i| i != team.lock_lane()) {
             self.probe.lane_write(ch.entry_addr(i));
-            self.list.pool.write(ch.entry_addr(i), w);
+            self.list.pool.write(ch.entry_addr(i), snapshot.entry(i).0);
         }
     }
 
-    /// Release a quarantined chunk's lock with a version bump (the
-    /// un-poisoning step; equivalent to [`ops::unlock`] minus its
-    /// crash point, which must not fire inside the repairer).
-    fn quarantine_unlock(&mut self, c: u32) {
+    /// Release a held chunk's lock with a version bump: [`ops::unlock`]
+    /// minus its crash point, which must not fire inside the repairer or a
+    /// clean abort's release (the un-poisoning step of both).
+    pub(crate) fn release_bumped(&mut self, c: u32) {
         let team = self.list.team;
         let addr = self.list.chunk(c).entry_addr(team.lock_lane());
         let cur = self.list.pool.read(addr);
-        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "repairing an unheld chunk {c}");
+        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "releasing an unheld chunk {c}");
         self.probe.lane_write(addr);
         self.list.pool.write(
             addr,
@@ -347,15 +342,14 @@ mod tests {
     use crate::mc::controller::McController;
     use crate::mc::strategy::Replay;
     use crate::params::GfslParams;
-    use crate::skiplist::{AbortReason, Error, Gfsl};
+    use crate::skiplist::{AbortReason, Error, Gfsl, Intent};
     use gfsl_gpu_mem::CrashPoint;
     use gfsl_simt::TeamSize;
 
-    fn contain16() -> GfslParams {
+    fn params16() -> GfslParams {
         GfslParams {
             team_size: TeamSize::Sixteen,
             pool_chunks: 1 << 12,
-            contain: true,
             ..Default::default()
         }
     }
@@ -364,9 +358,37 @@ mod tests {
         crate::chaos::controller(1, Replay::new(Vec::new()), Some((point, 1)))
     }
 
+    /// A structure of 200 keys (`10, 20, …`) built by plain inserts.
+    fn prefilled16() -> Gfsl {
+        let list = Gfsl::new(params16()).unwrap();
+        let mut h = list.handle();
+        for k in 1..=200u32 {
+            h.insert(k * 10, k).unwrap();
+        }
+        drop(h);
+        list
+    }
+
+    /// Run `try_insert(k * 10 + 5)` (for a split) or `try_remove(k * 10)`
+    /// (for a merge) for `k = 1, 2, …` on a handle that crashes at the
+    /// first `point`; return whether it fired.
+    fn crash_one_op(list: &Gfsl, point: CrashPoint, mut before_op: impl FnMut()) -> bool {
+        let ctl = crash_once_at(point);
+        let mut h = list.handle_with(ctl.probe(0));
+        (1..=400u32).any(|k| {
+            before_op();
+            let op = if point == CrashPoint::MergeZombieMark {
+                h.try_remove(k * 10).map(|_| ())
+            } else {
+                h.try_insert(k * 10 + 5, k).map(|_| ())
+            };
+            op.is_err()
+        })
+    }
+
     #[test]
     fn scrub_covers_clean_structure_without_violations() {
-        let list = Gfsl::new(contain16()).unwrap();
+        let list = Gfsl::new(params16()).unwrap();
         let mut h = list.handle();
         for k in 1..=600u32 {
             h.insert(k, k).unwrap();
@@ -380,7 +402,7 @@ mod tests {
 
     #[test]
     fn repair_on_empty_quarantine_is_noop() {
-        let list = Gfsl::new(contain16()).unwrap();
+        let list = Gfsl::new(params16()).unwrap();
         let mut h = list.handle();
         h.insert(5, 5).unwrap();
         let stats = h.repair_quarantine();
@@ -394,7 +416,7 @@ mod tests {
     /// still answers; once a slot frees, the step repairs and counts.
     #[test]
     fn heal_step_needs_a_handle_only_for_work() {
-        let list = Gfsl::new(contain16()).unwrap();
+        let list = Gfsl::new(params16()).unwrap();
         let ctl = crash_once_at(CrashPoint::SplitPublish);
         let mut h = list.handle_with(ctl.probe(0));
         assert!((1..=60u32).any(|k| h.try_insert(k, k).is_err()), "the crash fires");
@@ -422,29 +444,13 @@ mod tests {
             (CrashPoint::DownPtrInstall, 1i64),
             (CrashPoint::MergeZombieMark, -1),
         ] {
-            let list = Gfsl::new(contain16()).unwrap();
+            let list = prefilled16();
             let counted = || -> i64 {
                 (0..list.params.max_levels())
                     .map(|l| i64::from(list.level_chunk_count(l)))
                     .sum()
             };
-            {
-                let mut h = list.handle();
-                for k in 1..=200u32 {
-                    h.insert(k * 10, k).unwrap();
-                }
-            }
-            let ctl = crash_once_at(point);
-            let mut h = list.handle_with(ctl.probe(0));
-            let crashed = (1..=400u32).any(|k| {
-                let op = if point == CrashPoint::DownPtrInstall {
-                    h.try_insert(k * 10 + 5, k).map(|_| ())
-                } else {
-                    h.try_remove(k * 10).map(|_| ())
-                };
-                op.is_err()
-            });
-            drop(h);
+            let crashed = crash_one_op(&list, point, || {});
             assert!(crashed && list.quarantine_depth() > 0, "{point:?} fires");
             assert_eq!(
                 list.height(),
@@ -465,7 +471,7 @@ mod tests {
 
     #[test]
     fn split_publish_crash_quarantines_then_repairs() {
-        let list = Gfsl::new(contain16()).unwrap();
+        let list = Gfsl::new(params16()).unwrap();
         let ctl = crash_once_at(CrashPoint::SplitPublish);
         let mut acked = Vec::new();
         let mut crashed = None;
@@ -518,7 +524,7 @@ mod tests {
 
     #[test]
     fn merge_zombie_crash_rolls_forward() {
-        let list = Gfsl::new(contain16()).unwrap();
+        let list = Gfsl::new(params16()).unwrap();
         {
             let mut h = list.handle();
             for k in 1..=200u32 {
@@ -557,5 +563,66 @@ mod tests {
         );
         list.assert_valid();
         assert!(list.is_empty(), "every key removed after repair");
+    }
+
+    /// What a crash quarantines carries the chunk's image from before the
+    /// op: equal, lane for lane (the lock lane aside), to the pool read just
+    /// before the crashing op started. The half a split allocated had no
+    /// image before the op and carries none.
+    #[test]
+    fn quarantine_snapshots_are_the_pre_op_image() {
+        for point in [CrashPoint::SplitPublish, CrashPoint::MergeZombieMark] {
+            let list = prefilled16();
+            let mut before = Vec::new();
+            let crashed = crash_one_op(&list, point, || {
+                before = (0..list.pool.used()).map(|a| list.pool.read(a)).collect();
+            });
+            assert!(crashed, "{point:?} fires");
+            let team = list.team;
+            let q = list.quarantine.lock().unwrap();
+            assert!(q.len() >= 2, "{point:?}: the op held a pair");
+            for entry in q.iter() {
+                let c = entry.chunk;
+                let allocated = matches!(entry.intent, Intent::Split { new, .. } if new == c);
+                let Some(snap) = entry.snapshot else {
+                    assert!(allocated, "{point:?}: chunk {c} existed before the op but has no snapshot");
+                    continue;
+                };
+                assert!(!allocated, "{point:?}: chunk {c} was allocated by the op but has a snapshot");
+                let base = c as usize * team.lanes();
+                for i in (0..team.lanes()).filter(|&i| i != team.lock_lane()) {
+                    assert_eq!(snap.entry(i).0, before[base + i], "{point:?}: chunk {c} lane {i}");
+                }
+            }
+            if point == CrashPoint::SplitPublish {
+                assert!(q.iter().any(|e| e.snapshot.is_none()), "the new half is quarantined");
+            }
+            drop(q);
+            list.handle().repair_quarantine();
+            list.assert_valid();
+        }
+    }
+
+    /// Snapshots go into a buffer the handle keeps: once warm, 10,000 more
+    /// contained updates (splits and merges among them) do not grow it.
+    #[test]
+    fn a_warm_handle_records_snapshots_without_growing_their_store() {
+        let list = Gfsl::new(params16()).unwrap();
+        let mut h = list.handle();
+        let mut churn = |keys: std::ops::Range<u32>| {
+            for k in keys {
+                assert!(h.try_insert(k, k).unwrap());
+                if k > 64 {
+                    assert!(h.try_remove(k - 64).unwrap());
+                }
+            }
+            h.held.snap_lanes.capacity()
+        };
+        let warm = churn(1..2_065);
+        assert!(warm > 0, "contained updates record snapshots");
+        assert_eq!(churn(2_065..7_065), warm, "the store grew on a warm handle");
+        let r = list.repair_stats();
+        assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
+        list.assert_valid();
     }
 }

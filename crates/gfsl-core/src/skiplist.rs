@@ -22,8 +22,8 @@ pub enum Error {
     /// The key collides with a reserved sentinel (`0` is `-∞`,
     /// `u32::MAX` is `∞`).
     InvalidKey(u32),
-    /// A contained operation aborted instead of completing (see
-    /// [`GfslParams::contain`] and the `try_*` entry points).
+    /// An operation run through a `try_*` entry point aborted instead of
+    /// completing (see [`GfslHandle::try_insert`]).
     Aborted(OpAbort),
     /// [`MAX_RECLAIM_HANDLES`] handles are already live on this structure
     /// (each holds a reclamation epoch slot); drop one and try again.
@@ -47,8 +47,7 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Why a contained operation aborted, and where. Returned inside
-/// [`Error::Aborted`] by the `try_*` entry points when
-/// [`GfslParams::contain`] is on.
+/// [`Error::Aborted`] by the `try_*` entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpAbort {
     /// What cut the operation short.
@@ -142,9 +141,10 @@ pub(crate) struct RecoveryCounters {
 pub(crate) struct QuarantinedChunk {
     /// Pool chunk index.
     pub(crate) chunk: u32,
-    /// Full chunk image (all lanes) captured when the crashed op acquired
-    /// the lock — the certified pre-op state the rollback path restores.
-    pub(crate) snapshot: Vec<u64>,
+    /// The chunk's image when the crashed op locked it — the certified
+    /// pre-op state the rollback path restores. `None` for a chunk the op
+    /// allocated itself: it had no pre-op state.
+    pub(crate) snapshot: Option<ChunkView>,
     /// The crashed op's journal stub at crash time, shared by every chunk
     /// it held.
     pub(crate) intent: Intent,
@@ -241,7 +241,7 @@ pub struct Gfsl {
     reclaim_ticks: AtomicU32,
     /// A reclamation pass is in flight (passes are serialized).
     reclaim_busy: AtomicBool,
-    /// Quarantined chunks awaiting repair (containment mode only).
+    /// Quarantined chunks awaiting repair (left by crashed `try_*` ops).
     pub(crate) quarantine: Mutex<Vec<QuarantinedChunk>>,
     /// Lock-free mirror of the quarantine set's size, so the hot path can
     /// skip the mutex when nothing is quarantined.
@@ -593,12 +593,15 @@ impl Gfsl {
 pub(crate) struct HeldLocks<'a> {
     list: &'a Gfsl,
     chunks: Vec<u32>,
-    /// Pre-op chunk images captured at lock acquisition, keyed by chunk.
-    /// Only populated in containment mode ([`GfslParams::contain`]); the
-    /// quarantine entries carry these as certified rollback states (the
-    /// lock CAS preceding the capture means no other writer can have
-    /// touched the chunk since).
-    snaps: Vec<(u32, Vec<u64>)>,
+    /// Set while the handle runs inside [`GfslHandle::contained`]: only
+    /// then are pre-op images recorded and waits able to abort cleanly.
+    pub(crate) contained: bool,
+    /// Pre-op images of locked chunks, chunk `snaps[i]`'s lanes the `i`th
+    /// team-width run of `snap_lanes` (a held chunk's is its latest): the
+    /// rollback states quarantine entries carry. Emptied, not freed, once
+    /// nothing is held.
+    snaps: Vec<u32>,
+    pub(crate) snap_lanes: Vec<u64>,
     /// The in-flight update's mvcc publish stamp (`0` = unstamped). Set by
     /// `with_version_stamp` while the operation holds the version fence
     /// shared; lock acquisitions capture version pre-images tagged with it.
@@ -610,19 +613,38 @@ impl<'a> HeldLocks<'a> {
         HeldLocks {
             list,
             chunks: Vec::new(),
+            contained: false,
             snaps: Vec::new(),
+            snap_lanes: Vec::new(),
             stamp: 0,
         }
     }
 
+    /// Inside the containment boundary, record the pre-op image of `ch`,
+    /// just locked (not allocated) by the op: `view` when the lock proves it
+    /// current, else one read of the pool.
+    #[inline]
+    pub(crate) fn pre_image(&mut self, ch: u32, view: Option<&ChunkView>) {
+        match view {
+            _ if !self.contained => {}
+            Some(v) => {
+                self.snaps.push(ch);
+                self.snap_lanes.extend_from_slice(v.lanes(&self.list.team));
+            }
+            None => self.pre_image_read(ch),
+        }
+    }
+
+    /// [`Self::pre_image`] for the rare lock paths with no current view.
+    #[cold]
+    #[inline(never)]
+    fn pre_image_read(&mut self, ch: u32) {
+        let v = ChunkView::read(&self.list.team, &self.list.pool, &mut NoProbe, self.list.chunk(ch));
+        self.pre_image(ch, Some(&v));
+    }
+
     #[inline]
     pub(crate) fn acquired(&mut self, ch: u32) {
-        if self.list.params.contain {
-            let lanes = self.list.params.lanes();
-            let base = self.list.chunk(ch);
-            let snap = (0..lanes).map(|i| self.list.pool.read(base.entry_addr(i))).collect();
-            self.snaps.push((ch, snap));
-        }
         // Mvcc capture-on-lock-acquire: the first time a stamped update
         // locks a chunk in its stamp epoch (with readers outstanding), the
         // chunk's pre-image goes onto its version chain *before any
@@ -651,6 +673,7 @@ impl<'a> HeldLocks<'a> {
     pub(crate) fn clear(&mut self) {
         self.chunks.clear();
         self.snaps.clear();
+        self.snap_lanes.clear();
     }
 
     #[inline]
@@ -661,8 +684,9 @@ impl<'a> HeldLocks<'a> {
             }
             None => debug_assert!(false, "releasing untracked lock on chunk {ch}"),
         }
-        if let Some(i) = self.snaps.iter().rposition(|&(c, _)| c == ch) {
-            self.snaps.swap_remove(i);
+        if self.chunks.is_empty() {
+            self.snaps.clear();
+            self.snap_lanes.clear();
         }
     }
 
@@ -671,13 +695,11 @@ impl<'a> HeldLocks<'a> {
         &self.chunks
     }
 
-    /// The captured pre-op image of a held chunk, if containment recorded
-    /// one.
-    fn snapshot_of(&self, ch: u32) -> Option<Vec<u64>> {
-        self.snaps
-            .iter()
-            .rfind(|&&(c, _)| c == ch)
-            .map(|(_, s)| s.clone())
+    /// The recorded pre-op image of held chunk `ch`, if any.
+    fn snapshot_of(&self, ch: u32) -> Option<ChunkView> {
+        let i = self.snaps.iter().rposition(|&c| c == ch)?;
+        let lanes = self.snap_lanes.chunks_exact(self.list.team.lanes()).nth(i)?;
+        Some(ChunkView::from_lanes(&self.list.team, lanes))
     }
 }
 
@@ -1025,11 +1047,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         r
     }
 
-    /// Run one operation inside the containment unwind boundary. A no-op
-    /// passthrough when [`GfslParams::contain`] is off (plain call, zero
-    /// bookkeeping). With containment on: resets the op journal and
-    /// retry/deadline budgets, runs `f` under `catch_unwind`, and converts
-    /// any panic into a typed [`OpAbort`] —
+    /// Run one operation inside the containment unwind boundary, as every
+    /// `try_*` entry point does: resets the op journal and retry budget,
+    /// marks the handle as inside the boundary for `f` (restoring the mark
+    /// it found: repair nests a second boundary), runs `f` under
+    /// `catch_unwind`, and converts any panic into a typed [`OpAbort`] —
     ///
     /// * a clean [`AbortSignal`] (raised by [`Self::note_wait`] at a wait
     ///   point, where every held chunk is individually consistent) releases
@@ -1046,12 +1068,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// outcome is real and must be reported (this is what keeps
     /// acknowledged writes from being lost across crashes).
     pub(crate) fn contained<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> Result<R, OpAbort> {
-        if !self.list.params.contain {
-            return Ok(f(self));
-        }
         self.journal = OpJournal::default();
         self.op_waits = 0;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self))) {
+        let outer = std::mem::replace(&mut self.held.contained, true);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
+        self.held.contained = outer;
+        match run {
             Ok(r) => {
                 self.journal.intent = Intent::None;
                 Ok(r)
@@ -1101,22 +1123,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// release bumps the version exactly like [`ops::unlock`] so snapshot
     /// certification and hints observe the mutation window.
     fn abort_release_held(&mut self) {
-        let team = &self.list.team;
-        let pool = &self.list.pool;
-        for &ch in self.held.chunks() {
-            let addr = self.list.chunk(ch).entry_addr(team.lock_lane());
-            let cur = pool.read(addr);
-            debug_assert_eq!(
-                crate::chunk::lock_state(cur),
-                crate::chunk::LOCK_LOCKED,
-                "abort-releasing chunk {ch} that is not locked"
-            );
-            pool.write(
-                addr,
-                (cur & !crate::chunk::LOCK_STATE_MASK)
-                    .wrapping_add(crate::chunk::LOCK_VERSION_UNIT)
-                    | LOCK_UNLOCKED,
-            );
+        for ch in self.held.chunks().to_vec() {
+            self.release_bumped(ch);
         }
         self.held.clear();
     }
@@ -1137,10 +1145,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
             for &ch in &held {
-                let snapshot = self.held.snapshot_of(ch).unwrap_or_default();
                 q.push(QuarantinedChunk {
                     chunk: ch,
-                    snapshot,
+                    snapshot: self.held.snapshot_of(ch),
                     intent,
                 });
             }
@@ -1156,10 +1163,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Contained insert: like [`insert`](Self::insert), but a panic or
     /// budget overrun mid-protocol surfaces as [`Error::Aborted`] (with the
-    /// faulty chunks quarantined) instead of poisoning the structure.
-    /// Requires [`GfslParams::contain`]; without it this is a plain
-    /// zero-overhead alias of `insert`. If the operation had already passed
-    /// its linearization point when it aborted, the recorded outcome is
+    /// faulty chunks quarantined) instead of poisoning the structure as
+    /// `insert` does. If the operation had already passed its
+    /// linearization point when it aborted, the recorded outcome is
     /// returned as `Ok` — an acknowledged insert is never silently lost.
     pub fn try_insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
         match self.contained(|h| h.insert(k, v)) {
@@ -1416,6 +1422,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 ch = view.next(&team);
                 continue;
             }
+            self.held.pre_image(ch, Some(view));
             return ch;
         }
     }
@@ -1443,6 +1450,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if locked {
                 self.stats.locks_taken += 1;
                 self.held.acquired(res.enclosing);
+                self.held.pre_image(res.enclosing, Some(view));
                 return res.enclosing;
             }
             self.stats.lock_retries += 1;
@@ -1484,6 +1492,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             self.stats.locks_taken += 1;
             self.held.acquired(cur);
+            self.held.pre_image(cur, None);
             if cur != first_next {
                 // Unlink the zombies we skipped: we hold `ch`'s lock, so its
                 // max is stable and rewriting (max, next) in one word is safe.
@@ -1538,8 +1547,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         std::hint::spin_loop();
     }
 
-    /// Containment-mode wait accounting, called at every retry of every
-    /// wait point (lock backoff, snapshot certification). Raises a *clean*
+    /// Contained wait accounting, called at every retry of every wait
+    /// point (lock backoff, snapshot certification). Raises a *clean*
     /// [`AbortSignal`] — caught by [`Self::contained`] — when the wait
     /// targets a quarantined chunk or the op's retry budget is spent. Every
     /// wait point in the protocol occurs while each held chunk is
@@ -1549,7 +1558,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the held locks.
     #[inline]
     fn note_wait(&mut self, ch: u32) {
-        if !self.list.params.contain {
+        if !self.held.contained {
             return;
         }
         self.op_waits += 1;

@@ -161,7 +161,7 @@ fn surviving_teams_keep_running_after_peer_dies_elsewhere() {
 }
 
 /// The containment counterpart of the poisoning regressions: the same
-/// injected crash, but with [`GfslParams::contain`] on the worker survives
+/// injected crash, but through a `try_*` entry point the worker survives
 /// with a typed abort, the orphaned chunks land in quarantine, and one
 /// repair pass returns the structure to a state where the *full* validation
 /// walk — not just the lock-scrubbed subset — passes clean.
@@ -170,7 +170,6 @@ fn contained_crash_repairs_to_a_fully_valid_structure() {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        contain: true,
         ..Default::default()
     })
     .unwrap();

@@ -229,6 +229,9 @@ fn sorted_batches_stay_correct_across_reclamation_churn() {
     let got: BTreeSet<u32> = list.keys().into_iter().collect();
     let expect: BTreeSet<u32> = reference.keys().copied().collect();
     assert_eq!(got, expect);
+    // Containment must not hide bugs: no batch op panicked into quarantine.
+    let r = list.repair_stats();
+    assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
 }
 
 /// With reclamation off, a tiny pool exhausts under churn. The regression

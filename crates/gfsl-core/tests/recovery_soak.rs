@@ -57,7 +57,6 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        contain: true,
         ..Default::default()
     })
     .unwrap();
@@ -231,7 +230,6 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        contain: true,
         ..Default::default()
     })
     .unwrap();

@@ -37,7 +37,6 @@ fn contained_crash_with_live_peers_does_not_wedge_the_turnstile() {
         let list = Gfsl::new(GfslParams {
             team_size: TeamSize::Sixteen,
             pool_chunks: 1 << 12,
-            contain: true,
             ..Default::default()
         })
         .unwrap();

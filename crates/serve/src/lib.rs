@@ -19,9 +19,9 @@
 //! 5. **measures** occupancy, queue depth, p50/p99/p999 latency and sheds
 //!    ([`metrics`]) — and folds the entire schedule into a replayable
 //!    FNV-1a trace hash ([`trace`]);
-//! 6. **does not heal**: with the structure in containment mode
-//!    (`GfslParams::contain`) a crashed operation's reply is a typed
-//!    abort, and nothing here repairs the quarantine it leaves. Healing
+//! 6. **does not heal**: the batch entry point runs every operation
+//!    through its contained `try_*` path, so a crashed operation's reply
+//!    is a typed abort, and nothing here repairs the quarantine it leaves. Healing
 //!    runs where serving survives — the edge's worker loop (`gfsl-edge`)
 //!    repairs, scrubs and feeds the [`supervisor`] this crate owns, which
 //!    walks the Normal → Shed-writes → Read-only → Drain degradation

@@ -119,7 +119,7 @@ pub struct ServiceMetrics {
     /// Requests shed at admission (the intake queue was full).
     pub sheds: u64,
     /// Sheds decided by a degradation ladder. Always 0: `serve()` runs no
-    /// supervisor — the edge heals a contained engine (DESIGN §13) — and
+    /// supervisor — the edge heals its engine (DESIGN §13) — and
     /// `perfbench`'s ladder still reads the field.
     pub degraded_sheds: u64,
     /// Largest intake depth sampled at an epoch close.

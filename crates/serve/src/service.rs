@@ -693,7 +693,6 @@ mod tests {
             let params = GfslParams {
                 team_size: TeamSize::Sixteen,
                 pool_chunks: 1 << 12,
-                contain: true,
                 ..Default::default()
             };
             let list = Gfsl::prefilled(params, (1..=2_000u32).filter(|k| k % 2 == 0)).unwrap();

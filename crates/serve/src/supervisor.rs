@@ -1,8 +1,8 @@
 //! Graceful-degradation supervisor: the serving loop's recovery state
 //! machine.
 //!
-//! Once the structure runs in containment mode
-//! ([`gfsl::GfslParams::contain`]), operation crashes surface as typed
+//! Operations run through the structure's `try_*` entry points (the batch
+//! path every server uses) are contained: crashes surface as typed
 //! aborts and quarantined chunks instead of a poisoned structure — the
 //! service can keep running *through* a fault. The supervisor decides what
 //! "keep running" means at each moment: it observes per-epoch recovery
@@ -20,8 +20,8 @@
 //! collapse. Every transition is counted and the full degraded interval —
 //! first rung up to the return to [`ServiceMode::Normal`] — is reported as
 //! the *time to heal*, in the caller's clock. The edge server's workers run
-//! one each whenever their engine is contained, observing every epoch and
-//! every idle pass while degraded (`gfsl-edge`, DESIGN §13).
+//! one each, observing every epoch and every idle pass while degraded
+//! (`gfsl-edge`, DESIGN §13).
 
 use gfsl_workload::ServeOp;
 
