@@ -169,12 +169,6 @@ impl ChunkView {
         view
     }
 
-    /// The lanes one read by `team` fills.
-    #[inline]
-    pub(crate) fn lanes(&self, team: &Team) -> &[u64] {
-        &self.regs[..team.lanes()]
-    }
-
     /// Entry held by lane `lane`.
     #[inline]
     pub fn entry(&self, lane: LaneId) -> Entry {

@@ -2,23 +2,26 @@
 //!
 //! When an operation run through a `try_*` entry point crashes, its
 //! held chunks are parked — still lock-held — in the structure's quarantine
-//! set together with their certified pre-op snapshots and the crashed op's
-//! journal intent. [`GfslHandle::repair_quarantine`] walks that set and
-//! decides, per chunk, between **roll-forward** (complete the structural
-//! mutation the journal proves was in flight: publish-side of a split, the
-//! zombie mark of a copied merge) and **roll-back** (restore the pre-op
-//! snapshot certified by the versioned lock word, or retire a never-published
-//! orphan), then releases the lock with a version bump so waiters, hints and
-//! certification observe the repair as an ordinary writer critical section.
+//! set together with the crashed op's journal intent.
+//! [`GfslHandle::repair_quarantine`] walks that set and decides, per chunk,
+//! from that intent and the chunk's current image alone (no image from
+//! before the op is kept): **roll-forward** (complete the structural
+//! mutation the journal proves was in flight: the publish side of a split,
+//! the zombie mark of a copied merge), **roll-back** (retire a
+//! never-published split half) or a plain release. Each releases the lock
+//! with a version bump so waiters, hints and certification observe the
+//! repair as an ordinary writer critical section.
 //!
-//! The decision is safe against lock-free readers because a crashed op's
-//! chunks are each *individually consistent* (the protocol's crash points
-//! all precede their stores, and the shift/copy loops contain none), and
-//! roll-back is applied only to states readers cannot have observed: a
-//! never-published split half is unreachable, and a partially-merged
-//! absorber only ever gains entries that duplicate live ones in the (still
-//! linked, still locked) dying chunk with identical key *and* value.
-//! Anything a reader could have answered `Found` from is rolled forward.
+//! This is safe against lock-free readers because every structural change
+//! commits with one single-word store (a split's publish, a merge's zombie
+//! mark) and every crash point precedes its store, so an injected crash
+//! leaves each chunk it held *individually consistent*. Roll-back touches
+//! only a state readers cannot have observed (an unpublished half is
+//! unreachable); a partially-merged absorber only ever gains entries that
+//! duplicate live ones in the (still linked, still locked) dying chunk with
+//! identical key *and* value. A chunk that fails the chunk-local rules was
+//! torn mid-store, which only a bug can leave: repair poisons the structure
+//! and leaves that chunk locked.
 //!
 //! [`GfslHandle::scrub_step`] is the other half of the subsystem: an
 //! incremental background walk re-validating settled (unlocked, non-zombie)
@@ -139,10 +142,10 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             // new chunk (the crashed op died before its caller could).
             Intent::Split {
                 split,
-                new,
                 thresh,
                 level,
                 published: true,
+                ..
             } if c == split => {
                 let view = self.read_chunk(c);
                 let words = self.list.chunk_words(c);
@@ -154,13 +157,27 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 }
                 self.release_bumped(c);
                 self.list.inc_level_chunks(level);
-                let moved: Vec<u32> = entry
-                    .snapshot
-                    .iter()
-                    .flat_map(|s| (0..team.dsize()).map(|i| s.entry(i)))
-                    .filter(|e| !e.is_empty() && e.key() > thresh)
-                    .map(|e| e.key())
-                    .collect();
+                self.bump(|r| &r.repaired_forward);
+            }
+            // The new half of a published split, still held by the crashed
+            // op: read under that lock, its keys are the ones that moved
+            // (plus the op's own key if it landed here), so they name the
+            // down-pointers to fix. A new half the op had already released
+            // is not in the quarantine and gets no fix: its stale
+            // down-pointers are legal.
+            Intent::Split {
+                new,
+                level,
+                published: true,
+                ..
+            } if c == new => {
+                let view = self.read_chunk(c);
+                if self.poison_if_torn(c, &view) {
+                    return;
+                }
+                // Sorted, as the chunk rules just checked.
+                let moved: Vec<u32> = view.live_entries(&team).map(|(_, e)| e.key()).collect();
+                self.release_bumped(c);
                 if !moved.is_empty() {
                     fixes.push(DownPtrFix {
                         level,
@@ -168,7 +185,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                         target: new,
                     });
                 }
-                self.bump(|r| &r.repaired_forward);
+                self.bump(|r| &r.unpoisoned_clean);
             }
             // A merge whose copy completed: every survivor already lives in
             // the absorber, so roll forward by issuing the zombie mark the
@@ -211,36 +228,27 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 self.bump(|r| &r.unpoisoned_clean);
             }
             // No applicable intent: decide from the chunk image itself.
-            // Crash points all precede their stores, so in practice the
-            // image passes and is released untouched; the snapshot restore
-            // is the defensive roll-back for a genuinely torn image.
+            // Crash points all precede their stores, so the image of a chunk
+            // an injected crash left passes and is released untouched.
             _ => {
                 let view = self.read_chunk(c);
-                if chunk_rules(&team, &view, 0, c).is_empty() {
+                if !self.poison_if_torn(c, &view) {
                     self.release_bumped(c);
                     self.bump(|r| &r.unpoisoned_clean);
-                } else {
-                    self.restore_snapshot(c, entry.snapshot.as_ref());
-                    self.release_bumped(c);
-                    self.bump(|r| &r.repaired_back);
                 }
             }
         }
     }
 
-    /// Overwrite every non-lock lane of `c` from its quarantine snapshot.
-    /// The lock lane is deliberately *not* restored: rewinding the version
-    /// would break snapshot certification and hint validation.
-    fn restore_snapshot(&mut self, c: u32, snapshot: Option<&ChunkView>) {
-        let Some(snapshot) = snapshot else {
-            return; // no certified snapshot recorded; leave the image alone
-        };
-        let team = self.list.team;
-        let ch = self.list.chunk(c);
-        for i in (0..team.lanes()).filter(|&i| i != team.lock_lane()) {
-            self.probe.lane_write(ch.entry_addr(i));
-            self.list.pool.write(ch.entry_addr(i), snapshot.entry(i).0);
+    /// Poison the structure if `c`'s image breaks the chunk-local rules:
+    /// torn mid-store, which only a bug can leave and no intent describes.
+    /// The chunk stays locked, so the poisoned lock-wait path reports it.
+    fn poison_if_torn(&self, c: u32, view: &ChunkView) -> bool {
+        let torn = !chunk_rules(&self.list.team, view, 0, c).is_empty();
+        if torn {
+            self.list.poison(&[c]);
         }
+        torn
     }
 
     /// Release a held chunk's lock with a version bump: [`ops::unlock`]
@@ -339,11 +347,12 @@ impl<P: MemProbe> GfslHandle<'_, P> {
 
 #[cfg(test)]
 mod tests {
+    use crate::chunk::{lock_state, LOCK_LOCKED, NIL};
     use crate::mc::controller::McController;
     use crate::mc::strategy::Replay;
     use crate::params::GfslParams;
-    use crate::skiplist::{AbortReason, Error, Gfsl, Intent};
-    use gfsl_gpu_mem::CrashPoint;
+    use crate::skiplist::{AbortReason, Error, Gfsl, GfslHandle, Intent};
+    use gfsl_gpu_mem::{CrashPoint, MemProbe, WordAddr};
     use gfsl_simt::TeamSize;
 
     fn params16() -> GfslParams {
@@ -372,11 +381,10 @@ mod tests {
     /// Run `try_insert(k * 10 + 5)` (for a split) or `try_remove(k * 10)`
     /// (for a merge) for `k = 1, 2, …` on a handle that crashes at the
     /// first `point`; return whether it fired.
-    fn crash_one_op(list: &Gfsl, point: CrashPoint, mut before_op: impl FnMut()) -> bool {
+    fn crash_one_op(list: &Gfsl, point: CrashPoint) -> bool {
         let ctl = crash_once_at(point);
         let mut h = list.handle_with(ctl.probe(0));
         (1..=400u32).any(|k| {
-            before_op();
             let op = if point == CrashPoint::MergeZombieMark {
                 h.try_remove(k * 10).map(|_| ())
             } else {
@@ -450,7 +458,7 @@ mod tests {
                     .map(|l| i64::from(list.level_chunk_count(l)))
                     .sum()
             };
-            let crashed = crash_one_op(&list, point, || {});
+            let crashed = crash_one_op(&list, point);
             assert!(crashed && list.quarantine_depth() > 0, "{point:?} fires");
             assert_eq!(
                 list.height(),
@@ -557,72 +565,235 @@ mod tests {
         drop(h);
         let stats = list.repair_stats();
         assert_eq!(stats.crashed_ops, 1, "MergeZombieMark occurrence 1 fires");
-        assert!(
-            stats.repaired_forward + stats.unpoisoned_clean >= 1,
-            "merge repair acts on the quarantined pair"
+        assert_eq!(stats.chunks_quarantined, 2, "the dying chunk and its absorber");
+        assert_eq!(
+            (stats.repaired_forward, stats.unpoisoned_clean),
+            (1, 1),
+            "the dying chunk rolls forward, the absorber is released"
         );
         list.assert_valid();
         assert!(list.is_empty(), "every key removed after repair");
     }
 
-    /// What a crash quarantines carries the chunk's image from before the
-    /// op: equal, lane for lane (the lock lane aside), to the pool read just
-    /// before the crashing op started. The half a split allocated had no
-    /// image before the op and carries none.
+    /// `key`'s entry at `level`: the chunk it points down at.
+    fn down_pointer(list: &Gfsl, level: usize, key: u32) -> Option<u32> {
+        let team = list.team;
+        let mut h = list.handle();
+        let mut c = list.head_of(level);
+        while c != NIL {
+            let v = h.read_chunk(c);
+            if let Some(lane) = v.lane_of_key(&team, key).filter(|_| !v.is_zombie(&team)) {
+                return Some(v.entry(lane).val());
+            }
+            c = v.next(&team);
+        }
+        None
+    }
+
+    /// [`prefilled16`], then `try_insert(k)` for each of `keys` on a handle
+    /// that crashes at the `n`th `point`, until the crash quarantines
+    /// something. Returns the list, the quarantined chunks' shared intent
+    /// and the chunks.
+    fn crash_inserts(point: CrashPoint, n: u64, keys: &[u32]) -> (Gfsl, Intent, Vec<u32>) {
+        crate::quiet_injected_panics();
+        let list = prefilled16();
+        let ctl = crate::chaos::controller(1, Replay::new(Vec::new()), Some((point, n)));
+        let mut h = list.handle_with(ctl.probe(0));
+        for &k in keys {
+            let _ = h.try_insert(k, k);
+            if list.quarantine_depth() > 0 {
+                break;
+            }
+        }
+        drop(h);
+        let q = list.quarantine.lock().unwrap();
+        let intent = q.first().map_or(Intent::None, |e| e.intent);
+        let held = q.iter().map(|e| e.chunk).collect();
+        drop(q);
+        (list, intent, held)
+    }
+
+    /// A split that dies releasing the next chunk, just after its publish,
+    /// quarantines all three chunks it held: the split chunk, the new half
+    /// and the next chunk. Repair rolls it forward, and its one deferred
+    /// down-pointer fix carries the keys the new half holds: every one of
+    /// them indexed in the level above points at the new half afterwards,
+    /// where before the repair they still pointed at the split chunk.
     #[test]
-    fn quarantine_snapshots_are_the_pre_op_image() {
-        for point in [CrashPoint::SplitPublish, CrashPoint::MergeZombieMark] {
-            let list = prefilled16();
-            let mut before = Vec::new();
-            let crashed = crash_one_op(&list, point, || {
-                before = (0..list.pool.used()).map(|a| list.pool.read(a)).collect();
-            });
-            assert!(crashed, "{point:?} fires");
-            let team = list.team;
-            let q = list.quarantine.lock().unwrap();
-            assert!(q.len() >= 2, "{point:?}: the op held a pair");
-            for entry in q.iter() {
-                let c = entry.chunk;
-                let allocated = matches!(entry.intent, Intent::Split { new, .. } if new == c);
-                let Some(snap) = entry.snapshot else {
-                    assert!(allocated, "{point:?}: chunk {c} existed before the op but has no snapshot");
-                    continue;
+    fn a_published_split_fixes_the_down_pointers_of_its_new_half() {
+        // The chunk of 210..=270 (210, its minimum, indexed above) takes
+        // 201..=207; 208 splits it and 210 moves to the new half.
+        let keys: Vec<u32> = (201..=208).collect();
+        let (list, split, new) = (1..=64u64)
+            .find_map(|n| {
+                let (list, intent, held) = crash_inserts(CrashPoint::LockRelease, n, &keys);
+                let Intent::Split { split, new, published: true, level: 0, .. } = intent else {
+                    return None;
                 };
-                assert!(!allocated, "{point:?}: chunk {c} was allocated by the op but has a snapshot");
-                let base = c as usize * team.lanes();
-                for i in (0..team.lanes()).filter(|&i| i != team.lock_lane()) {
-                    assert_eq!(snap.entry(i).0, before[base + i], "{point:?}: chunk {c} lane {i}");
-                }
-            }
-            if point == CrashPoint::SplitPublish {
-                assert!(q.iter().any(|e| e.snapshot.is_none()), "the new half is quarantined");
-            }
-            drop(q);
-            list.handle().repair_quarantine();
-            list.assert_valid();
+                (held.len() == 3 && held.contains(&split) && held.contains(&new)).then_some((list, split, new))
+            })
+            .expect("some LockRelease occurrence is a split's next-chunk release");
+        let mut h = list.handle();
+        let moved: Vec<u32> = {
+            let v = h.read_chunk(new);
+            v.live_entries(&list.team).map(|(_, e)| e.key()).collect()
+        };
+        let indexed: Vec<u32> = moved
+            .iter()
+            .copied()
+            .filter(|&k| down_pointer(&list, 1, k).is_some())
+            .collect();
+        assert!(!indexed.is_empty(), "the new half holds an indexed key: {moved:?}");
+        for &k in &indexed {
+            assert_eq!(down_pointer(&list, 1, k), Some(split), "key {k} before repair");
+        }
+        let before = list.repair_stats();
+        let after = h.repair_quarantine();
+        assert_eq!(after.downptr_repairs - before.downptr_repairs, 1, "one fix, for the split");
+        assert_eq!(after.quarantine_depth, 0);
+        list.assert_valid();
+        for &k in &indexed {
+            assert_eq!(down_pointer(&list, 1, k), Some(new), "key {k} after repair");
         }
     }
 
-    /// Snapshots go into a buffer the handle keeps: once warm, 10,000 more
-    /// contained updates (splits and merges among them) do not grow it.
+    /// A split whose insert lands in the old half releases the new half
+    /// before it installs the moved keys' down-pointers. A crash in that
+    /// install quarantines the split chunk under the published intent, but
+    /// not the new half, which other ops may already be changing: repair
+    /// rolls the split forward without reading it and queues no fix. The
+    /// stale down-pointer stays, legal, and the structure validates.
     #[test]
-    fn a_warm_handle_records_snapshots_without_growing_their_store() {
+    fn a_split_whose_new_half_was_released_queues_no_fix() {
+        // The chunk of 210..=270 takes six keys below 207 and 209; 208 then
+        // splits it at 209, lands in the old half, and 210 moves on.
+        let keys = [201, 202, 203, 204, 205, 206, 209, 208];
+        let (list, intent, held) = crash_inserts(CrashPoint::DownPtrInstall, 1, &keys);
+        let Intent::Split { split, new, published: true, level: 0, .. } = intent else {
+            panic!("the crash hit the split's own down-pointer install: {intent:?}");
+        };
+        assert!(held.contains(&split) && !held.contains(&new), "{held:?}");
+        assert_eq!(down_pointer(&list, 1, 210), Some(split));
+        let before = list.repair_stats();
+        let after = list.handle().repair_quarantine();
+        assert_eq!(after.downptr_repairs, before.downptr_repairs, "no fix queued");
+        assert_eq!(after.quarantine_depth, 0);
+        assert!(!list.is_poisoned());
+        list.assert_valid();
+        assert_eq!(down_pointer(&list, 1, 210), Some(split), "stale, and legal");
+        assert_eq!(list.handle().get(210), Some(21));
+    }
+
+    /// A probe that panics at the `nth` lane write into chunk `target`: a
+    /// bug tearing that chunk between two stores of a shift or a copy,
+    /// which no crash point models.
+    struct TearAt {
+        target: std::ops::Range<WordAddr>,
+        nth: usize,
+    }
+
+    impl MemProbe for TearAt {
+        fn warp_read(&mut self, _: &[WordAddr]) {}
+        fn warp_write(&mut self, _: &[WordAddr]) {}
+        fn lane_read(&mut self, _: WordAddr) {}
+        fn atomic(&mut self, _: WordAddr) {}
+        fn lane_write(&mut self, addr: WordAddr) {
+            if self.target.contains(&addr) {
+                self.nth -= 1;
+                assert!(self.nth > 0, "a bug tears the chunk mid-store");
+            }
+        }
+    }
+
+    /// Run `op` on a handle that tears chunk `c` at its `nth` lane write,
+    /// repair, and check the escalation: the structure is poisoned, the
+    /// report names `c`, and `c` stays locked.
+    fn torn_op_poisons(
+        list: &Gfsl,
+        c: u32,
+        nth: usize,
+        op: impl FnOnce(&mut GfslHandle<'_, TearAt>) -> Result<bool, Error>,
+    ) {
+        let base = list.chunk(c).entry_addr(0);
+        let mut h = list.handle_with(TearAt {
+            target: base..base + list.team.lanes() as WordAddr,
+            nth,
+        });
+        match op(&mut h) {
+            Err(Error::Aborted(a)) => assert_eq!(a.reason, AbortReason::Crashed),
+            other => panic!("the torn op must crash, got {other:?}"),
+        }
+        drop(h);
+        assert!(!list.is_poisoned(), "the crash itself is contained");
+        list.handle().repair_quarantine();
+        assert!(list.is_poisoned(), "a torn chunk poisons the structure");
+        let report = list.poison_report().unwrap();
+        assert!(report.contains(&format!("[{c}]")), "{report}");
+        let lock = list.pool.read(list.chunk(c).entry_addr(list.team.lock_lane()));
+        assert_eq!(lock_state(lock), LOCK_LOCKED, "the torn chunk stays locked");
+    }
+
+    /// Keys `10, 20, …, 10 * n` by plain inserts.
+    fn tens16(n: u32) -> Gfsl {
         let list = Gfsl::new(params16()).unwrap();
         let mut h = list.handle();
-        let mut churn = |keys: std::ops::Range<u32>| {
-            for k in keys {
-                assert!(h.try_insert(k, k).unwrap());
-                if k > 64 {
-                    assert!(h.try_remove(k - 64).unwrap());
-                }
-            }
-            h.held.snap_lanes.capacity()
+        for k in 1..=n {
+            h.insert(k * 10, k).unwrap();
+        }
+        drop(h);
+        list
+    }
+
+    /// An insert shift torn after its first store (the chunk's last key
+    /// copied one slot right, so it is there twice).
+    #[test]
+    fn a_torn_insert_shift_poisons() {
+        let list = tens16(7);
+        let c = list.head_of(0);
+        torn_op_poisons(&list, c, 2, |h| h.try_insert(15, 1));
+    }
+
+    /// A merge copy torn after its first store into the absorber (one entry
+    /// written past the absorber's live run, leaving a hole before it).
+    #[test]
+    fn a_torn_merge_copy_poisons() {
+        let list = tens16(30);
+        let team = list.team;
+        let mut h = list.handle();
+        let dying = h.read_chunk(list.head_of(0)).next(&team);
+        let view = |h: &mut GfslHandle<'_, _>| h.read_chunk(dying);
+        // Thin the second chunk until its next remove merges.
+        while view(&mut h).num_keys(&team) > list.params.merge_threshold() {
+            let v = view(&mut h);
+            let k = v.entry(v.keys_live(&team).lowest().unwrap()).key();
+            assert!(h.remove(k));
+        }
+        let v = view(&mut h);
+        let k = v.entry(v.keys_live(&team).lowest().unwrap()).key();
+        let absorber = v.next(&team);
+        drop(h);
+        torn_op_poisons(&list, absorber, 2, |h| h.try_remove(k));
+    }
+
+    /// The case no pre-op image could cover: a split's new half, published,
+    /// torn by the insert that follows into it. The half was allocated by
+    /// the op and has no state from before it.
+    #[test]
+    fn a_torn_published_new_half_poisons() {
+        // 13 keys fill the head chunk (with its -∞); inserting 125 splits it
+        // and lands in the new half, shifting 130 right first.
+        let new_half = |list: &Gfsl| {
+            let mut h = list.handle();
+            h.read_chunk(list.head_of(0)).next(&list.team)
         };
-        let warm = churn(1..2_065);
-        assert!(warm > 0, "contained updates record snapshots");
-        assert_eq!(churn(2_065..7_065), warm, "the store grew on a warm handle");
-        let r = list.repair_stats();
-        assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
-        list.assert_valid();
+        let dry = tens16(13);
+        assert_eq!(dry.handle().try_insert(125, 1), Ok(true));
+        let c = new_half(&dry);
+        assert_ne!(c, NIL, "the insert split the head chunk");
+        let list = tens16(13);
+        assert_eq!(new_half(&list), NIL);
+        // The new half takes its next field and the seven moved entries
+        // before the publish; its tenth write is the shift's second.
+        torn_op_poisons(&list, c, 10, |h| h.try_insert(125, 1));
     }
 }

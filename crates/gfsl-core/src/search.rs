@@ -639,7 +639,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         self.stats.locks_taken += 1;
         self.held.acquired(prev);
-        self.held.pre_image(prev, None);
         // Under the lock, prev cannot be zombified or split concurrently.
         let nf = ops::read_next_field(&team, &self.list.pool, &mut self.probe, pch);
         if nf.val() == old_next {

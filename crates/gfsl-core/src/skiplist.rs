@@ -101,7 +101,8 @@ pub struct RepairStats {
     pub quarantine_depth: usize,
     /// Quarantined chunks repaired by rolling the interrupted op forward.
     pub repaired_forward: u64,
-    /// Quarantined chunks repaired by restoring the pre-op snapshot.
+    /// Quarantined chunks repaired by rolling the interrupted op back:
+    /// never-published split halves, retired.
     pub repaired_back: u64,
     /// Quarantined chunks whose image was already consistent (clean
     /// unlock, no rewrite needed).
@@ -141,10 +142,6 @@ pub(crate) struct RecoveryCounters {
 pub(crate) struct QuarantinedChunk {
     /// Pool chunk index.
     pub(crate) chunk: u32,
-    /// The chunk's image when the crashed op locked it — the certified
-    /// pre-op state the rollback path restores. `None` for a chunk the op
-    /// allocated itself: it had no pre-op state.
-    pub(crate) snapshot: Option<ChunkView>,
     /// The crashed op's journal stub at crash time, shared by every chunk
     /// it held.
     pub(crate) intent: Intent,
@@ -594,14 +591,8 @@ pub(crate) struct HeldLocks<'a> {
     list: &'a Gfsl,
     chunks: Vec<u32>,
     /// Set while the handle runs inside [`GfslHandle::contained`]: only
-    /// then are pre-op images recorded and waits able to abort cleanly.
+    /// then are waits able to abort cleanly.
     pub(crate) contained: bool,
-    /// Pre-op images of locked chunks, chunk `snaps[i]`'s lanes the `i`th
-    /// team-width run of `snap_lanes` (a held chunk's is its latest): the
-    /// rollback states quarantine entries carry. Emptied, not freed, once
-    /// nothing is held.
-    snaps: Vec<u32>,
-    pub(crate) snap_lanes: Vec<u64>,
     /// The in-flight update's mvcc publish stamp (`0` = unstamped). Set by
     /// `with_version_stamp` while the operation holds the version fence
     /// shared; lock acquisitions capture version pre-images tagged with it.
@@ -614,33 +605,8 @@ impl<'a> HeldLocks<'a> {
             list,
             chunks: Vec::new(),
             contained: false,
-            snaps: Vec::new(),
-            snap_lanes: Vec::new(),
             stamp: 0,
         }
-    }
-
-    /// Inside the containment boundary, record the pre-op image of `ch`,
-    /// just locked (not allocated) by the op: `view` when the lock proves it
-    /// current, else one read of the pool.
-    #[inline]
-    pub(crate) fn pre_image(&mut self, ch: u32, view: Option<&ChunkView>) {
-        match view {
-            _ if !self.contained => {}
-            Some(v) => {
-                self.snaps.push(ch);
-                self.snap_lanes.extend_from_slice(v.lanes(&self.list.team));
-            }
-            None => self.pre_image_read(ch),
-        }
-    }
-
-    /// [`Self::pre_image`] for the rare lock paths with no current view.
-    #[cold]
-    #[inline(never)]
-    fn pre_image_read(&mut self, ch: u32) {
-        let v = ChunkView::read(&self.list.team, &self.list.pool, &mut NoProbe, self.list.chunk(ch));
-        self.pre_image(ch, Some(&v));
     }
 
     #[inline]
@@ -672,8 +638,6 @@ impl<'a> HeldLocks<'a> {
     /// the containment paths that already dispatched every held chunk.
     pub(crate) fn clear(&mut self) {
         self.chunks.clear();
-        self.snaps.clear();
-        self.snap_lanes.clear();
     }
 
     #[inline]
@@ -684,22 +648,11 @@ impl<'a> HeldLocks<'a> {
             }
             None => debug_assert!(false, "releasing untracked lock on chunk {ch}"),
         }
-        if self.chunks.is_empty() {
-            self.snaps.clear();
-            self.snap_lanes.clear();
-        }
     }
 
     /// The chunks currently held (containment paths).
     pub(crate) fn chunks(&self) -> &[u32] {
         &self.chunks
-    }
-
-    /// The recorded pre-op image of held chunk `ch`, if any.
-    fn snapshot_of(&self, ch: u32) -> Option<ChunkView> {
-        let i = self.snaps.iter().rposition(|&c| c == ch)?;
-        let lanes = self.snap_lanes.chunks_exact(self.list.team.lanes()).nth(i)?;
-        Some(ChunkView::from_lanes(&self.list.team, lanes))
     }
 }
 
@@ -1058,10 +1011,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///   all held locks with a version bump and reports the signalled
     ///   reason;
     /// * any other panic (a *crash*: chaos injection, poison-detection, or
-    ///   a genuine bug mid-protocol) moves the held chunks — with their
-    ///   pre-op snapshots and the op's journal intent — into the quarantine
-    ///   set for [`Self::repair_quarantine`], leaving the rest of the
-    ///   structure unpoisoned and live.
+    ///   a genuine bug mid-protocol) moves the held chunks — with the op's
+    ///   journal intent — into the quarantine set for
+    ///   [`Self::repair_quarantine`], leaving the rest of the structure live.
+    ///   Repair works from that intent and each chunk's current image, so a
+    ///   crash between a chunk's stores (any injected one: crash points
+    ///   precede their stores) heals unpoisoned. A panic that tears a chunk
+    ///   mid-store (a bug inside a shift or copy loop) leaves an image no
+    ///   intent describes: repair poisons the structure and leaves that
+    ///   chunk locked.
     ///
     /// The caller inspects `self.journal.committed` on `Err`: a recorded
     /// commit means the op's linearization point had already passed, so its
@@ -1130,7 +1088,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Move every held chunk into the quarantine set (still lock-held, with
-    /// its pre-op snapshot and the crashed op's intent stub) and forget them
+    /// the crashed op's intent stub) and forget them
     /// locally, so the handle's unwind does not poison the structure.
     /// Returns the first quarantined chunk (for the [`OpAbort`] report), or
     /// `NIL` if the crash held nothing.
@@ -1145,11 +1103,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 .lock()
                 .unwrap_or_else(|p| p.into_inner());
             for &ch in &held {
-                q.push(QuarantinedChunk {
-                    chunk: ch,
-                    snapshot: self.held.snapshot_of(ch),
-                    intent,
-                });
+                q.push(QuarantinedChunk { chunk: ch, intent });
             }
             self.list.quarantine_len.store(q.len(), Ordering::Release);
             self.list
@@ -1422,7 +1376,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 ch = view.next(&team);
                 continue;
             }
-            self.held.pre_image(ch, Some(view));
             return ch;
         }
     }
@@ -1450,7 +1403,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if locked {
                 self.stats.locks_taken += 1;
                 self.held.acquired(res.enclosing);
-                self.held.pre_image(res.enclosing, Some(view));
                 return res.enclosing;
             }
             self.stats.lock_retries += 1;
@@ -1492,7 +1444,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             self.stats.locks_taken += 1;
             self.held.acquired(cur);
-            self.held.pre_image(cur, None);
             if cur != first_next {
                 // Unlink the zombies we skipped: we hold `ch`'s lock, so its
                 // max is stable and rewriting (max, next) in one word is safe.

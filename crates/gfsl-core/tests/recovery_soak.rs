@@ -2,19 +2,22 @@
 //! point in the lock protocol.
 //!
 //! For each (crash point × seed) cell, two contending workers run a mixed
-//! insert/remove/get workload in containment mode while the chaos layer
-//! kills one operation at the seeded occurrence of the target crash point.
-//! The dead op's chunks land in quarantine; the surviving worker keeps
-//! operating around them (aborting with typed `Quarantined` errors where it
-//! must). After the run, online repair drains the quarantine, and the cell
-//! passes only if
+//! insert/remove/get workload through the `try_*` entry points while the
+//! chaos layer kills one operation at the seeded occurrence of the target
+//! crash point. The dead op's chunks land in quarantine; the surviving
+//! worker keeps operating around them (aborting with typed `Quarantined`
+//! errors where it must). The sweep runs the same cell single-threaded on
+//! one scripted sliding window, once per occurrence of every crash point.
+//! After the run, online repair drains the quarantine, and the cell passes
+//! only if
 //!
 //! 1. every structural invariant validates clean (`Gfsl::validate`),
 //! 2. no acknowledged operation is lost and every crashed op either fully
 //!    happened or not at all — checked by a per-key linearizability search
 //!    over the recorded history (crashed ops enter as `InsertMaybe` /
 //!    `RemoveMaybe`, final sequential gets pin the end state),
-//! 3. the quarantine is empty and stays empty.
+//! 3. the quarantine is empty and stays empty, and the structure is not
+//!    poisoned: repair rebuilt it from the crashed op's intent alone.
 //!
 //! Seeds per point come from `GFSL_SOAK_SEEDS` (default 4; CI runs 32), and
 //! `GFSL_SOAK_STATS=<path>` dumps per-cell repair/abort statistics for the
@@ -24,8 +27,8 @@ use std::collections::HashMap;
 
 use gfsl::chaos::LOCK_CRASH_POINTS;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
-use gfsl::mc::strategy::{RandomWalk, Replay};
-use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslParams, TeamSize};
+use gfsl::mc::strategy::{RandomWalk, Replay, Scheduler};
+use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslHandle, GfslParams, MemProbe, TeamSize};
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
@@ -50,79 +53,127 @@ struct CellStats {
     downptr_repairs: u64,
 }
 
-/// One soak cell: seeded run, crash at `point`, repair, full verification.
-/// Returns the cell's recovery statistics.
-fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
-    gfsl::quiet_injected_panics();
-    let list = Gfsl::new(GfslParams {
+/// One operation of a worker's script.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Insert(u32, u32),
+    Remove(u32),
+    Get(u32),
+}
+
+/// The keys every cell starts from, so removes and merges have something
+/// to chew on from turn one.
+fn prefill() -> impl Iterator<Item = u32> {
+    (2..KEY_SPACE).step_by(2)
+}
+
+fn list16() -> Gfsl {
+    Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
         ..Default::default()
     })
-    .unwrap();
-    // Prefill so removes and merges have something to chew on from turn one.
+    .unwrap()
+}
+
+/// Worker `t`'s seeded mix: two inserts, two removes and one get in five,
+/// over `1..=KEY_SPACE`.
+fn mixed_script(seed: u64, t: usize) -> Vec<Op> {
+    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37) ^ t as u64);
+    (0..OPS_PER_WORKER)
+        .map(|_| {
+            let r = rng.next_u64();
+            let key = (r % u64::from(KEY_SPACE) + 1) as u32;
+            match (r >> 32) % 5 {
+                0 | 1 => Op::Insert(key, (r >> 40) as u32 | 1),
+                2 | 3 => Op::Remove(key),
+                _ => Op::Get(key),
+            }
+        })
+        .collect()
+}
+
+/// A 64-key window sliding 64 steps right over the prefill: each step
+/// inserts the key 64 above the left edge, removes the edge, removes and
+/// re-inserts the key 40 above it and reads one in between. Inserts fill
+/// and split the chunks ahead, removes merge the chunks behind (into an
+/// absorber full enough to be split first, once), and a re-inserted key
+/// comes back without the index entry its removal took, so later inserts
+/// walk and heal the index.
+fn window_script() -> Vec<Op> {
+    (1..=64u32)
+        .flat_map(|k| {
+            [
+                Op::Insert(k + 64, k),
+                Op::Remove(k),
+                Op::Remove(k + 40),
+                Op::Insert(k + 40, k),
+                Op::Get(k + 20),
+            ]
+        })
+        .collect()
+}
+
+/// Run `op` through the `try_*` entry points and record it. A crashed
+/// update's outcome is unknown (repair may roll it forward), so it is
+/// recorded as a `*Maybe` the checker tries both ways; a clean abort
+/// (quarantined chunk, budget) has no effect and no record.
+fn run_op<P: MemProbe>(h: &mut GfslHandle<'_, P>, rec: &mut Recorder<'_>, op: Op) {
+    let inv = rec.invoke();
+    let crashed = |a: &gfsl::OpAbort| a.reason == AbortReason::Crashed;
+    match op {
+        Op::Insert(key, value) => match h.try_insert(key, value) {
+            Ok(ok) => rec.finish(key, OpAction::Insert { value, ok }, inv),
+            Err(Error::Aborted(a)) if crashed(&a) => rec.finish(key, OpAction::InsertMaybe { value }, inv),
+            Err(Error::Aborted(_)) => {}
+            Err(e) => panic!("insert({key}): unexpected error {e}"),
+        },
+        Op::Remove(key) => match h.try_remove(key) {
+            Ok(ok) => rec.finish(key, OpAction::Remove { ok }, inv),
+            Err(Error::Aborted(a)) if crashed(&a) => rec.finish(key, OpAction::RemoveMaybe, inv),
+            Err(Error::Aborted(_)) => {}
+            Err(e) => panic!("remove({key}): unexpected error {e}"),
+        },
+        Op::Get(key) => match h.try_get(key) {
+            Ok(found) => rec.finish(key, OpAction::Get { found }, inv),
+            Err(Error::Aborted(a)) => assert!(!crashed(&a), "lock-free gets cannot crash"),
+            Err(e) => panic!("get({key}): unexpected error {e}"),
+        },
+    }
+}
+
+/// One soak cell: one worker per script, scheduled by `strategy`, the
+/// `occurrence`-th hit of `point` crashing its op; then repair and full
+/// verification. Returns the cell's recovery statistics.
+fn soak_cell(
+    point: CrashPoint,
+    occurrence: u64,
+    strategy: impl Scheduler + 'static,
+    scripts: &[Vec<Op>],
+    cell: &str,
+) -> CellStats {
+    gfsl::quiet_injected_panics();
+    let list = list16();
     {
         let mut h = list.handle();
-        for k in (2..KEY_SPACE).step_by(2) {
+        for k in prefill() {
             h.insert(k, k).unwrap();
         }
     }
-    let occurrence = 1 + seed % 3;
-    let ctl = gfsl::chaos::controller(
-        WORKERS,
-        RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
-        Some((point, occurrence)),
-    );
+    let ctl = gfsl::chaos::controller(scripts.len(), strategy, Some((point, occurrence)));
 
     let clock = HistoryClock::new();
     let histories: Vec<_> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..WORKERS)
-            .map(|t| {
+        let workers: Vec<_> = scripts
+            .iter()
+            .enumerate()
+            .map(|(t, script)| {
                 let (list, ctl, clock) = (&list, &ctl, &clock);
                 s.spawn(move || {
                     let mut rec = Recorder::new(clock);
-                    let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37) ^ t as u64);
                     let mut h = list.handle_with(ctl.probe(t));
-                    for _ in 0..OPS_PER_WORKER {
-                        let r = rng.next_u64();
-                        let key = (r % u64::from(KEY_SPACE) + 1) as u32;
-                        let value = (r >> 40) as u32 | 1;
-                        let inv = rec.invoke();
-                        match (r >> 32) % 5 {
-                            0 | 1 => match h.try_insert(key, value) {
-                                Ok(ok) => rec.finish(key, OpAction::Insert { value, ok }, inv),
-                                Err(Error::Aborted(a)) => {
-                                    if a.reason == AbortReason::Crashed {
-                                        // Outcome unknown: repair may roll it
-                                        // forward. The checker tries both.
-                                        rec.finish(key, OpAction::InsertMaybe { value }, inv);
-                                    }
-                                    // Clean aborts (quarantined chunk, budget)
-                                    // have no effect: no record.
-                                }
-                                Err(e) => panic!("insert({key}): unexpected error {e}"),
-                            },
-                            2 | 3 => match h.try_remove(key) {
-                                Ok(ok) => rec.finish(key, OpAction::Remove { ok }, inv),
-                                Err(Error::Aborted(a)) => {
-                                    if a.reason == AbortReason::Crashed {
-                                        rec.finish(key, OpAction::RemoveMaybe, inv);
-                                    }
-                                }
-                                Err(e) => panic!("remove({key}): unexpected error {e}"),
-                            },
-                            _ => match h.try_get(key) {
-                                Ok(found) => rec.finish(key, OpAction::Get { found }, inv),
-                                Err(Error::Aborted(a)) => {
-                                    assert_ne!(
-                                        a.reason,
-                                        AbortReason::Crashed,
-                                        "lock-free gets cannot crash"
-                                    );
-                                }
-                                Err(e) => panic!("get({key}): unexpected error {e}"),
-                            },
-                        }
+                    for &op in script {
+                        run_op(&mut h, &mut rec, op);
                     }
                     rec.records
                 })
@@ -141,41 +192,52 @@ fn soak_cell(point: CrashPoint, seed: u64) -> CellStats {
         .map(|(_, n)| n)
         .unwrap_or(0);
 
-    // Online repair, then the three verdicts: structure valid, quarantine
-    // empty, history linearizable.
+    // Online repair, then the verdicts: structure valid and unpoisoned,
+    // quarantine empty, history linearizable.
     let stats = list.handle().repair_quarantine();
     assert_eq!(
         stats.quarantine_depth, 0,
-        "[{point:?} seed {seed}] repair must drain the quarantine"
+        "[{cell}] repair must drain the quarantine"
+    );
+    assert!(
+        !list.is_poisoned(),
+        "[{cell}] repair poisoned the structure: {:?}",
+        list.poison_report()
     );
     let violations = list.validate();
     assert!(
         violations.is_empty(),
-        "[{point:?} seed {seed}] post-repair invariant violations: {violations:?}"
+        "[{cell}] post-repair invariant violations: {violations:?}"
     );
     if stats.crashed_ops > 0 {
-        assert!(
-            fired >= occurrence,
-            "[{point:?} seed {seed}] a crash implies the point fired"
-        );
+        assert!(fired >= occurrence, "[{cell}] a crash implies the point fired");
     }
 
     let mut records: Vec<_> = histories.into_iter().flatten().collect();
     {
         // Sequential reads on the same clock pin the post-repair state:
         // an acknowledged-then-lost write becomes a linearizability error.
+        let top = scripts
+            .iter()
+            .flatten()
+            .map(|&op| match op {
+                Op::Insert(k, _) | Op::Remove(k) | Op::Get(k) => k,
+            })
+            .max()
+            .unwrap_or(0)
+            .max(KEY_SPACE);
         let mut rec = Recorder::new(&clock);
         let mut h = list.handle();
-        for key in 1..=KEY_SPACE {
+        for key in 1..=top {
             let inv = rec.invoke();
             let found = h.try_get(key).expect("quiescent get cannot abort");
             rec.finish(key, OpAction::Get { found }, inv);
         }
         records.extend(rec.records);
     }
-    let initial: HashMap<u32, u32> = (2..KEY_SPACE).step_by(2).map(|k| (k, k)).collect();
+    let initial: HashMap<u32, u32> = prefill().map(|k| (k, k)).collect();
     if let Err(errors) = check_linearizable(&records, &initial) {
-        panic!("[{point:?} seed {seed}] non-linearizable recovery: {errors:?}");
+        panic!("[{cell}] non-linearizable recovery: {errors:?}");
     }
 
     CellStats {
@@ -196,7 +258,14 @@ fn recovery_soak_every_crash_point() {
     for &point in LOCK_CRASH_POINTS.iter() {
         let mut crashes_for_point = 0u64;
         for seed in 0..seeds {
-            let s = soak_cell(point, seed);
+            let scripts: Vec<_> = (0..WORKERS).map(|t| mixed_script(seed, t)).collect();
+            let s = soak_cell(
+                point,
+                1 + seed % 3,
+                RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
+                &scripts,
+                &format!("{point:?} seed {seed}"),
+            );
             crashes_for_point += s.crashed_ops;
             report.push_str(&format!(
                 "{point:?},{seed},{},{},{},{},{},{},{}\n",
@@ -217,6 +286,82 @@ fn recovery_soak_every_crash_point() {
     }
     if let Ok(path) = std::env::var("GFSL_SOAK_STATS") {
         std::fs::write(&path, &report).expect("write soak stats artifact");
+    }
+}
+
+/// The sweep: [`window_script`] on one worker under the empty replay
+/// schedule, crashed at every occurrence of every lock crash point in turn
+/// (one cell each, until the next occurrence no longer fires), each cell
+/// repaired and verified like a soak cell. Single-threaded runs are
+/// deterministic, so this covers every crash window the script reaches.
+#[test]
+fn crash_sweep_every_occurrence() {
+    let script = [window_script()];
+    for &point in LOCK_CRASH_POINTS {
+        let mut cells = 0u64;
+        let [mut fwd, mut back, mut clean, mut fixes] = [0u64; 4];
+        loop {
+            let n = cells + 1;
+            let s = soak_cell(point, n, Replay::new(Vec::new()), &script, &format!("{point:?} occurrence {n}"));
+            if s.crashed_ops == 0 {
+                break;
+            }
+            cells = n;
+            fwd += s.repaired_forward;
+            back += s.repaired_back;
+            clean += s.unpoisoned_clean;
+            fixes += s.downptr_repairs;
+        }
+        assert!(cells > 0, "{point:?} never fired on the window script");
+        println!("sweep {point:?}: {cells} cells; chunks forward {fwd}, back {back}, clean {clean}; {fixes} down-pointer fixes");
+    }
+}
+
+/// The sweep's script reaches every mutation kind repair must handle:
+/// insert and remove shifts, splits on the insert and on the remove side,
+/// merges and index heals, with down-pointer installs after them.
+#[test]
+fn window_script_reaches_every_mutation_kind() {
+    let list = list16();
+    let mut h = list.handle();
+    for k in prefill() {
+        h.insert(k, k).unwrap();
+    }
+    let base = h.stats();
+    let [mut insert_shifts, mut remove_shifts, mut insert_splits, mut remove_splits] = [0u64; 4];
+    for op in window_script() {
+        let before = h.stats();
+        match op {
+            Op::Insert(k, v) => {
+                let fresh = h.insert(k, v).unwrap();
+                let splits = h.stats().splits - before.splits;
+                insert_splits += splits;
+                insert_shifts += u64::from(fresh && splits == 0);
+            }
+            Op::Remove(k) => {
+                let gone = h.remove(k);
+                let s = h.stats();
+                remove_splits += s.splits - before.splits;
+                remove_shifts += u64::from(gone && s.merges == before.merges);
+            }
+            Op::Get(k) => {
+                h.get(k);
+            }
+        }
+    }
+    let s = h.stats();
+    let kinds = [
+        ("insert shift", insert_shifts),
+        ("remove shift", remove_shifts),
+        ("insert-side split", insert_splits),
+        ("remove-side split", remove_splits),
+        ("merge", s.merges - base.merges),
+        ("index heal", s.index_heals - base.index_heals),
+        ("down-pointer install", s.downptr_fixes - base.downptr_fixes),
+    ];
+    println!("window script: {kinds:?}");
+    for (kind, n) in kinds {
+        assert!(n > 0, "the window script never reaches a {kind}");
     }
 }
 
