@@ -606,7 +606,7 @@ impl Cluster {
     /// its bottom-level hint live — and one load-window update. A run that
     /// raced a migration re-routes under the current map, as the per-op
     /// wrappers do; every other op breaks a run and executes with no fence
-    /// held here ([`Self::execute_alone`]). A full handle table fails that
+    /// held here (`execute_alone`). A full handle table fails that
     /// shard's run typed; the other shards' runs still answer.
     pub fn execute_batch(&self, ops: &[BatchOp], out: &mut Vec<BatchReply>) {
         let mut order = Vec::with_capacity(ops.len());

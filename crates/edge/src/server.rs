@@ -17,9 +17,8 @@
 //!    group-commit write effects into the durable sink *before* any reply
 //!    is queued (commit-before-ack), then route replies back to each
 //!    session by request id;
-//! 4. heal the engine: repair its quarantine (every pass; the engine runs
-//!    each op contained, so a crash leaves one instead of a poisoned
-//!    structure), advance the scrubber on a pass that did no work, and
+//! 4. heal the engine: repair its quarantine (every pass; a crashed op
+//!    leaves its chunks there), advance the scrubber on a pass that did no work, and
 //!    feed the worker's [`Supervisor`] the epoch's aborted replies, the
 //!    chunks repaired and the quarantine depth left — the rung that gates
 //!    step 2 (DESIGN §13);

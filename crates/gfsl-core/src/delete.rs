@@ -196,7 +196,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 // Journal the merge before the copy so a crash between the
                 // copy and the zombie mark rolls the merge *forward* (the
                 // absorber's image already carries the survivors).
-                self.journal.intent = Intent::Merge {
+                self.held.intent = Intent::Merge {
                     dying: p_enc,
                     absorber: p_next,
                     k,
@@ -204,7 +204,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     copied: false,
                 };
                 let moved = self.execute_remove_merge(p_enc, view, p_next, &nview, k);
-                if let Intent::Merge { copied, .. } = &mut self.journal.intent {
+                if let Intent::Merge { copied, .. } = &mut self.held.intent {
                     *copied = true;
                 }
                 ops::mark_zombie(
@@ -225,7 +225,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.list.note_zombie(level);
                 self.unlock(p_next);
                 self.update_down_ptrs(level, moved.as_slice(), p_next);
-                self.journal.intent = Intent::None;
+                self.held.intent = Intent::None;
             }
         }
     }

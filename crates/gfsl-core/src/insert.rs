@@ -96,8 +96,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// Everything this does is optional index work on behalf of an insert
     /// that already committed at the bottom level, so pool exhaustion ends
-    /// the climb without failing the insert (a contained abort in here ends
-    /// the same way: `try_insert` reports the journal's committed outcome).
+    /// the climb without failing the insert (an abort in here ends it too:
+    /// `try_insert` reports the journal's committed outcome, while a plain
+    /// `insert` unwinds with the abort although its key went in).
     fn climb(
         &mut self,
         path: &UpdatePath,

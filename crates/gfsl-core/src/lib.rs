@@ -98,8 +98,8 @@ pub use chunk::{Entry, KEY_INF, KEY_NEG_INF};
 pub use history::{check_linearizable, HistoryClock, OpAction, OpRecord, Recorder};
 pub use params::GfslParams;
 pub use skiplist::{
-    AbortReason, Error, Gfsl, GfslHandle, OpAbort, RepairStats, LOCK_RETRY_BOUND,
-    MAX_RECLAIM_HANDLES, STARVATION_RETRIES,
+    AbortReason, Error, Gfsl, GfslHandle, OpAbort, RepairStats, MAX_RECLAIM_HANDLES,
+    STARVATION_RETRIES,
 };
 pub use mc::controller::{quiet_injected_panics, InjectedCrash, McController};
 pub use mc::{Counterexample, McConfig, McOp, McReport};

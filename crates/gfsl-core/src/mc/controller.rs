@@ -45,7 +45,7 @@ use gfsl_rng::fnv;
 
 use super::strategy::{PendingAccess, Scheduler};
 use crate::chaos::ALL_CRASH_POINTS;
-use crate::skiplist::AbortSignal;
+use crate::skiplist::OpAbort;
 
 /// Synthetic address of the episode start gate: every worker's first
 /// yield point, so all threads are parked before any instruction of any
@@ -77,7 +77,7 @@ pub struct InjectedCrash {
 }
 
 /// Silence the default panic hook for injected unwinds — the fault plan's
-/// [`InjectedCrash`] and containment's typed abort signals — for the rest
+/// [`InjectedCrash`] and the [`OpAbort`] of a wait given up — for the rest
 /// of the process. Every other panic still prints.
 pub fn quiet_injected_panics() {
     static HOOK: Once = Once::new();
@@ -85,7 +85,7 @@ pub fn quiet_injected_panics() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            if !p.is::<InjectedCrash>() && !p.is::<AbortSignal>() {
+            if !p.is::<InjectedCrash>() && !p.is::<OpAbort>() {
                 prev(info);
             }
         }));

@@ -15,7 +15,7 @@
 //!   **shared** for its duration and stamps itself with the clock value `s`
 //!   it observed at entry ([`crate::skiplist::GfslHandle`]'s
 //!   `with_version_stamp`).
-//! * [`MvccEngine::pin`] takes the fence **exclusive**, mints a
+//! * `MvccEngine::pin` takes the fence **exclusive**, mints a
 //!   [`ReadTicket`] for the current version `v`, and bumps the clock. The
 //!   exclusive acquisition drains every in-flight writer, so all stamp-≤`v`
 //!   operations have completed before the ticket exists: version `v` is an

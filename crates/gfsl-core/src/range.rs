@@ -79,7 +79,7 @@ impl<'f> RangeEmit<'f> {
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Visit every `(key, value)` with `lo <= key <= hi` in ascending key
-    /// order, each key once (see [`RangeEmit`] for keys a merge in flight
+    /// order, each key once (see `RangeEmit` for keys a merge in flight
     /// shows twice). Returns the number of entries visited.
     pub fn for_each_in_range(
         &mut self,

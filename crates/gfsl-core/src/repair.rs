@@ -1,8 +1,8 @@
 //! Online scrub-and-repair of crash-quarantined chunks (DESIGN.md §13).
 //!
-//! When an operation run through a `try_*` entry point crashes, its
-//! held chunks are parked — still lock-held — in the structure's quarantine
-//! set together with the crashed op's journal intent.
+//! When an operation run through any entry point crashes, its held chunks
+//! are parked — still lock-held — in the structure's quarantine set
+//! together with the crashed op's intent.
 //! [`GfslHandle::repair_quarantine`] walks that set and decides, per chunk,
 //! from that intent and the chunk's current image alone (no image from
 //! before the op is kept): **roll-forward** (complete the structural
@@ -246,14 +246,14 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     fn poison_if_torn(&self, c: u32, view: &ChunkView) -> bool {
         let torn = !chunk_rules(&self.list.team, view, 0, c).is_empty();
         if torn {
-            self.list.poison(&[c]);
+            self.list.poison(c);
         }
         torn
     }
 
     /// Release a held chunk's lock with a version bump: [`ops::unlock`]
     /// minus its crash point, which must not fire inside the repairer or a
-    /// clean abort's release (the un-poisoning step of both).
+    /// clean abort's release.
     pub(crate) fn release_bumped(&mut self, c: u32) {
         let team = self.list.team;
         let addr = self.list.chunk(c).entry_addr(team.lock_lane());

@@ -395,6 +395,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Lock word observed before the current view's data lanes (i.e. from
         // the previous read of the *same* chunk). Reset on every move.
         let mut certify: Option<u64> = None;
+        let mut waits = 0;
         loop {
             // Pre-bracket: observe the lock word before the team read. If
             // the view's own lock lane (read after every data lane) repeats
@@ -470,7 +471,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                     if certify.is_some() {
                         // A writer was active during the read: genuine retry.
-                        self.certify_poison_check(cur);
+                        self.certify_backoff(&mut waits, cur);
                     }
                     certify = Some(after);
                 }
@@ -520,6 +521,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut steps = 0u8;
         // NotFound certification, exactly as in `search_lateral`.
         let mut certify: Option<u64> = None;
+        let mut waits = 0;
         loop {
             // Pre-bracket, as in `search_lateral_bounded`: certify views on
             // first read so the common quiescent case (every fresh insert's
@@ -594,7 +596,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                         };
                     }
                     if certify.is_some() {
-                        self.certify_poison_check(cur);
+                        self.certify_backoff(&mut waits, cur);
                     }
                     certify = Some(after);
                 }

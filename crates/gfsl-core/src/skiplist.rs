@@ -23,7 +23,8 @@ pub enum Error {
     /// `u32::MAX` is `∞`).
     InvalidKey(u32),
     /// An operation run through a `try_*` entry point aborted instead of
-    /// completing (see [`GfslHandle::try_insert`]).
+    /// completing (see [`GfslHandle::try_insert`]); a plain entry point
+    /// unwinds with the same [`OpAbort`] as its panic payload.
     Aborted(OpAbort),
     /// [`MAX_RECLAIM_HANDLES`] handles are already live on this structure
     /// (each holds a reclamation epoch slot); drop one and try again.
@@ -46,8 +47,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Why a contained operation aborted, and where. Returned inside
-/// [`Error::Aborted`] by the `try_*` entry points.
+/// Why an operation aborted, and where. Returned inside [`Error::Aborted`]
+/// by the `try_*` entry points; the payload a plain entry point unwinds
+/// with when it gives up a wait.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpAbort {
     /// What cut the operation short.
@@ -75,25 +77,20 @@ pub enum AbortReason {
     /// everything it held (all individually consistent) and had **no
     /// effect** on the structure.
     Quarantined,
-    /// The per-op retry budget ([`CONTAINED_RETRY_BUDGET`]) ran out at a
-    /// wait point. No effect on the structure.
+    /// One wait ran through [`CONTAINED_RETRY_BUDGET`] retries. Released
+    /// like `Quarantined`: no effect on the structure.
     RetryBudget,
-}
-
-/// Internal panic payload for *clean* aborts raised at wait points. Caught
-/// by [`GfslHandle::contained`]; never escapes the `try_*` entry points.
-pub(crate) struct AbortSignal {
-    pub(crate) reason: AbortReason,
-    pub(crate) chunk: u32,
 }
 
 /// Cumulative recovery counters (see [`Gfsl::repair_stats`]). All counts
 /// are totals since construction; `quarantine_depth` is the current value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Contained operations that aborted (any [`AbortReason`]).
+    /// Operations that aborted (any [`AbortReason`]), through any entry
+    /// point.
     pub aborts: u64,
-    /// Contained operations that crashed (panicked) mid-protocol.
+    /// Operations that crashed (panicked) mid-protocol: every crashed
+    /// `try_*` call, and every plain one that died holding a lock.
     pub crashed_ops: u64,
     /// Chunks ever moved into the quarantine set.
     pub chunks_quarantined: u64,
@@ -184,10 +181,11 @@ pub(crate) enum Commit {
     Removed(bool),
 }
 
-/// Per-op containment journal carried by the handle.
+/// Per-op journal carried by the handle: the commit point, for `try_*` to
+/// report. The op's [`Intent`] lives with the locks it describes
+/// ([`HeldLocks::intent`]).
 #[derive(Default)]
 pub(crate) struct OpJournal {
-    pub(crate) intent: Intent,
     pub(crate) committed: Option<Commit>,
 }
 
@@ -223,10 +221,10 @@ pub struct Gfsl {
     /// and the head-array scan of a reclamation pass start here.
     levels_high_water: AtomicUsize,
     handle_seq: AtomicU32,
-    /// Set when a team died (panicked) while holding chunk locks: those
-    /// locks can never be released, so waiters must fail fast, not spin.
+    /// Set when repair found a quarantined chunk torn mid-store: that chunk
+    /// stays locked for good, so waiters must fail fast, not spin.
     poisoned: AtomicBool,
-    /// Human-readable account of the first poisoning event.
+    /// Human-readable account of the first torn chunk.
     poison_note: Mutex<Option<String>>,
     /// Epoch-based reclaimer for unlinked zombie chunks (`None` when
     /// [`GfslParams::reclaim`] is off). See DESIGN.md for the safety
@@ -238,7 +236,8 @@ pub struct Gfsl {
     reclaim_ticks: AtomicU32,
     /// A reclamation pass is in flight (passes are serialized).
     reclaim_busy: AtomicBool,
-    /// Quarantined chunks awaiting repair (left by crashed `try_*` ops).
+    /// Quarantined chunks awaiting repair, left by ops that crashed through
+    /// any entry point.
     pub(crate) quarantine: Mutex<Vec<QuarantinedChunk>>,
     /// Lock-free mirror of the quarantine set's size, so the hot path can
     /// skip the mutex when nothing is quarantined.
@@ -441,7 +440,6 @@ impl Gfsl {
             reclaim_cands: Vec::new(),
             batch_order: Vec::new(),
             journal: OpJournal::default(),
-            op_waits: 0,
         })
     }
 
@@ -546,19 +544,22 @@ impl Gfsl {
         Entry(self.pool.read(self.chunk(chunk).entry_addr(self.team.next_lane()))).val()
     }
 
-    /// Has a team died while holding chunk locks?
+    /// Has repair found a chunk torn mid-store?
     ///
-    /// Once poisoned, the affected chunks can never be unlocked; teams that
-    /// subsequently wait on any lock panic with [`Gfsl::poison_report`]
-    /// instead of spinning forever. Operations that never touch the dead
-    /// team's chunks may still complete — poisoning is detected at lock-wait
-    /// time, not checked up front.
+    /// A crash through any entry point quarantines its chunks for
+    /// [`GfslHandle::repair_quarantine`]; only a chunk that then fails the
+    /// chunk-local rules — torn between two stores, which only a bug can
+    /// leave — poisons the structure. That chunk stays locked, and teams
+    /// that subsequently wait on any lock panic with
+    /// [`Gfsl::poison_report`] instead of spinning. Operations that wait on
+    /// nothing may still complete — poisoning is detected at wait time, not
+    /// checked up front.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// The first poisoning event, if any (which chunks went down with the
-    /// dead team).
+    /// The first poisoning event, if any (the torn chunk repair left
+    /// locked).
     pub fn poison_report(&self) -> Option<String> {
         if !self.is_poisoned() {
             return None;
@@ -569,30 +570,33 @@ impl Gfsl {
             .clone()
     }
 
-    /// Record that a team died holding `held`. First report wins; the flag
-    /// is sticky.
-    pub(crate) fn poison(&self, held: &[u32]) {
+    /// Record that repair found chunk `torn` torn mid-store and left it
+    /// locked. First report wins; the flag is sticky.
+    pub(crate) fn poison(&self, torn: u32) {
         let mut note = self.poison_note.lock().unwrap_or_else(|p| p.into_inner());
         if note.is_none() {
             *note = Some(format!(
-                "a team died (panicked) while holding lock(s) on chunk(s) {held:?}; \
-                 those locks can never be released"
+                "repair found chunk [{torn}] torn mid-store (a bug, not a crash \
+                 between stores); it stays locked for good"
             ));
         }
         self.poisoned.store(true, Ordering::Release);
     }
 }
 
-/// The chunk locks a handle currently holds. Tracked so that a team dying
-/// mid-operation (a panic unwinding through [`GfslHandle`]) is *detected* —
-/// the structure is poisoned with a report naming the orphaned locks —
-/// instead of silently deadlocking every team that later needs those chunks.
+/// The chunk locks a handle currently holds, and the structural mutation
+/// they are mid-way through. Tracked so that a team dying mid-operation —
+/// a panic unwinding through [`GfslHandle::contained`], or through a plain
+/// entry point and out of the handle — leaves its chunks in the quarantine
+/// set with its intent ([`Self::quarantine`]) for
+/// [`GfslHandle::repair_quarantine`], instead of silently deadlocking every
+/// team that later needs them.
 pub(crate) struct HeldLocks<'a> {
     list: &'a Gfsl,
     chunks: Vec<u32>,
-    /// Set while the handle runs inside [`GfslHandle::contained`]: only
-    /// then are waits able to abort cleanly.
-    pub(crate) contained: bool,
+    /// The structural mutation the held chunks are mid-way through; what
+    /// repair reads to roll a crashed op forward or back.
+    pub(crate) intent: Intent,
     /// The in-flight update's mvcc publish stamp (`0` = unstamped). Set by
     /// `with_version_stamp` while the operation holds the version fence
     /// shared; lock acquisitions capture version pre-images tagged with it.
@@ -604,7 +608,7 @@ impl<'a> HeldLocks<'a> {
         HeldLocks {
             list,
             chunks: Vec::new(),
-            contained: false,
+            intent: Intent::None,
             stamp: 0,
         }
     }
@@ -632,10 +636,9 @@ impl<'a> HeldLocks<'a> {
         self.chunks.push(ch);
     }
 
-    /// Forget all tracked locks. Only for code paths that release lock words
-    /// by direct pool writes instead of [`GfslHandle::unlock`] (bulk
-    /// construction, where every chunk is sealed unlocked by hand) and for
-    /// the containment paths that already dispatched every held chunk.
+    /// Forget all tracked locks. Only for bulk construction, which seals
+    /// every chunk unlocked by direct pool writes instead of
+    /// [`GfslHandle::unlock`].
     pub(crate) fn clear(&mut self) {
         self.chunks.clear();
     }
@@ -650,19 +653,34 @@ impl<'a> HeldLocks<'a> {
         }
     }
 
-    /// The chunks currently held (containment paths).
-    pub(crate) fn chunks(&self) -> &[u32] {
-        &self.chunks
+    /// A crash's one reaction: move every held chunk — still lock-held,
+    /// with the op's intent — into the quarantine set for repair, and
+    /// forget them here. Returns the first quarantined chunk (for the
+    /// [`OpAbort`] report), or `NIL` if the crash held nothing.
+    pub(crate) fn quarantine(&mut self) -> u32 {
+        let first = self.chunks.first().copied().unwrap_or(NIL);
+        let intent = std::mem::take(&mut self.intent);
+        self.stamp = 0;
+        let rec = &self.list.recovery;
+        rec.aborts.fetch_add(1, Ordering::Relaxed);
+        rec.crashed_ops.fetch_add(1, Ordering::Relaxed);
+        if !self.chunks.is_empty() {
+            rec.chunks_quarantined.fetch_add(self.chunks.len() as u64, Ordering::Relaxed);
+            let mut q = self.list.quarantine.lock().unwrap_or_else(|p| p.into_inner());
+            q.extend(self.chunks.drain(..).map(|chunk| QuarantinedChunk { chunk, intent }));
+            self.list.quarantine_len.store(q.len(), Ordering::Release);
+        }
+        first
     }
 }
 
 impl Drop for HeldLocks<'_> {
     fn drop(&mut self) {
-        // Non-empty on drop means the op never released these locks: the
-        // thread is unwinding from a panic mid-protocol (or the handle was
-        // leaked mid-op, which safe callers cannot do).
+        // Non-empty on drop means the op never released these locks: a
+        // plain op's panic is unwinding out of the handle mid-protocol (or
+        // the handle was leaked mid-op, which safe callers cannot do).
         if !self.chunks.is_empty() {
-            self.list.poison(&self.chunks);
+            self.quarantine();
         }
     }
 }
@@ -683,17 +701,13 @@ impl std::fmt::Debug for Gfsl {
 /// retry, 4096 retries is a long wall-clock window of being unserved.
 pub const STARVATION_RETRIES: u32 = 1 << 12;
 
-/// Hard bound on retries for one lock acquisition. The protocol's hold
-/// times are bounded (no operation blocks while holding a chunk lock), so
-/// crossing this bound means the holder is gone for good — the waiter
-/// panics with a deadlock diagnosis instead of spinning forever.
-pub const LOCK_RETRY_BOUND: u32 = 1 << 26;
-
-/// Lock-wait and certification retries one contained operation may spend
-/// before it aborts with [`AbortReason::RetryBudget`] — far below
-/// [`LOCK_RETRY_BOUND`], so a contained waiter gives up typed long before
-/// an uncontained one would panic. A constant since PR 25: every caller of
-/// the per-instance budget it replaces set this value.
+/// Retries one wait episode may spend — one lock acquisition's backoff, or
+/// one certification loop — before the operation gives the wait up with
+/// [`AbortReason::RetryBudget`]. The protocol's hold times are bounded (no
+/// operation blocks while holding a chunk lock), so a wait this long means
+/// the holder has stalled or is gone. It bounds every wait, whatever the
+/// entry point: a `try_*` call returns the abort, a plain one unwinds with
+/// it.
 pub const CONTAINED_RETRY_BUDGET: u32 = 1 << 20;
 
 /// Chunk-move budget for a lateral walk started from a validated traversal
@@ -792,12 +806,8 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// [`execute_batch_hinted`](Self::execute_batch_hinted), so steady-state
     /// batch dispatch allocates nothing.
     pub(crate) batch_order: Vec<u64>,
-    /// Containment journal for the op in flight (intent stub + commit
-    /// point); reset by [`Self::contained`].
+    /// Commit point of the op in flight; reset by [`Self::contained`].
     pub(crate) journal: OpJournal,
-    /// Lock-wait + certification retries spent by the contained op in
-    /// flight, charged against [`CONTAINED_RETRY_BUDGET`].
-    op_waits: u32,
 }
 
 /// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
@@ -889,6 +899,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// previous read's lock word is carried from one read to the next.
     pub(crate) fn read_chunk_certified(&mut self, index: u32, view: &mut ChunkView) {
         let team = self.list.team;
+        let mut waits = 0;
         self.read_chunk_into(index, view);
         while !view.is_zombie(&team) {
             let before = view.unlocked_word(&team);
@@ -896,7 +907,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if before.is_some() && before == Some(view.lock_word(&team)) {
                 return;
             }
-            self.certify_poison_check(index);
+            self.certify_backoff(&mut waits, index);
         }
     }
 
@@ -977,8 +988,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// non-reentrant fence).
     ///
     /// On panic the shared guard releases during unwind; the stale
-    /// `held.stamp` is reset by [`Self::contained`]'s abort path (the only
-    /// way a handle survives a panic).
+    /// `held.stamp` is reset where the abort is raised
+    /// ([`Self::abort_wait`]) or caught ([`Self::contained`]).
     #[inline]
     pub(crate) fn with_version_stamp<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let Some(mvcc) = self.list.mvcc.as_deref() else {
@@ -1000,26 +1011,25 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         r
     }
 
-    /// Run one operation inside the containment unwind boundary, as every
-    /// `try_*` entry point does: resets the op journal and retry budget,
-    /// marks the handle as inside the boundary for `f` (restoring the mark
-    /// it found: repair nests a second boundary), runs `f` under
-    /// `catch_unwind`, and converts any panic into a typed [`OpAbort`] —
+    /// Run one operation inside the unwind boundary every `try_*` entry
+    /// point runs in: resets the op journal, runs `f` under `catch_unwind`,
+    /// and turns the panic of an aborted op into a typed [`OpAbort`]. The
+    /// op itself runs exactly as through a plain entry point — every abort
+    /// has already done its one reaction by the time it unwinds here:
     ///
-    /// * a clean [`AbortSignal`] (raised by [`Self::note_wait`] at a wait
-    ///   point, where every held chunk is individually consistent) releases
-    ///   all held locks with a version bump and reports the signalled
-    ///   reason;
-    /// * any other panic (a *crash*: chaos injection, poison-detection, or
-    ///   a genuine bug mid-protocol) moves the held chunks — with the op's
-    ///   journal intent — into the quarantine set for
-    ///   [`Self::repair_quarantine`], leaving the rest of the structure live.
-    ///   Repair works from that intent and each chunk's current image, so a
-    ///   crash between a chunk's stores (any injected one: crash points
-    ///   precede their stores) heals unpoisoned. A panic that tears a chunk
-    ///   mid-store (a bug inside a shift or copy loop) leaves an image no
-    ///   intent describes: repair poisons the structure and leaves that
-    ///   chunk locked.
+    /// * an [`OpAbort`] payload is a clean abort, raised by
+    ///   [`Self::note_wait`] after it released every held chunk;
+    /// * any other panic is a *crash* (chaos injection, poison detection, or
+    ///   a genuine bug mid-protocol), and [`HeldLocks::quarantine`] moves the
+    ///   held chunks — with the op's intent — into the quarantine set for
+    ///   [`Self::repair_quarantine`], as [`HeldLocks`]'s drop does for a
+    ///   plain op whose panic unwinds out of the handle. Repair works from
+    ///   that intent and each chunk's current image, so a crash between a
+    ///   chunk's stores (any injected one: crash points precede their
+    ///   stores) heals unpoisoned. A panic that tears a chunk mid-store (a
+    ///   bug inside a shift or copy loop) leaves an image no intent
+    ///   describes: repair poisons the structure and leaves that chunk
+    ///   locked.
     ///
     /// The caller inspects `self.journal.committed` on `Err`: a recorded
     /// commit means the op's linearization point had already passed, so its
@@ -1027,100 +1037,42 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// acknowledged writes from being lost across crashes).
     pub(crate) fn contained<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> Result<R, OpAbort> {
         self.journal = OpJournal::default();
-        self.op_waits = 0;
-        let outer = std::mem::replace(&mut self.held.contained, true);
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self)));
-        self.held.contained = outer;
-        match run {
-            Ok(r) => {
-                self.journal.intent = Intent::None;
-                Ok(r)
-            }
-            Err(payload) => {
-                // The panic unwound through `with_version_stamp`: its fence
-                // guard released on the way out, but the stamp field stayed
-                // set. Reset it, or the handle's next update would skip
-                // stamping (and run unfenced).
-                self.held.stamp = 0;
-                self.list.recovery.aborts.fetch_add(1, Ordering::Relaxed);
-                match payload.downcast::<AbortSignal>() {
-                    Ok(sig) => {
-                        self.abort_release_held();
-                        Err(OpAbort {
-                            reason: sig.reason,
-                            chunk: sig.chunk,
-                        })
-                    }
-                    Err(_) => {
-                        // A killing probe (chaos) deregistered this team from
-                        // its scheduler mid-panic; we caught the kill, so tell
-                        // the probe the team lives on — even when the crash is
-                        // reported to the caller as a committed `Ok`. This
-                        // must happen *before* any quarantine bookkeeping: if
-                        // that bookkeeping ever performs a probed or
-                        // schedule-gated access (the pool accesses are gated
-                        // under the `sched` feature), a still-retired
-                        // participant would park in the turnstile waiting for
-                        // a turn no scheduler grants to the retired.
-                        self.probe.crash_recovered();
-                        let chunk = self.quarantine_held();
-                        self.list.recovery.crashed_ops.fetch_add(1, Ordering::Relaxed);
-                        Err(OpAbort {
-                            reason: AbortReason::Crashed,
-                            chunk,
-                        })
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(self))).map_err(|payload| {
+            match payload.downcast::<OpAbort>() {
+                Ok(abort) => *abort,
+                Err(_) => {
+                    // The panic unwound through `with_version_stamp`: its
+                    // fence guard released on the way out, but the stamp
+                    // field stayed set; the quarantine resets it.
+                    //
+                    // A killing probe (chaos) deregistered this team from its
+                    // scheduler mid-panic; we caught the kill, so tell the
+                    // probe the team lives on — even when the crash is
+                    // reported to the caller as a committed `Ok`. This must
+                    // happen *before* any quarantine bookkeeping: if that
+                    // bookkeeping ever performs a probed or schedule-gated
+                    // access (the pool accesses are gated under the `sched`
+                    // feature), a still-retired participant would park in
+                    // the turnstile waiting for a turn no scheduler grants
+                    // to the retired.
+                    self.probe.crash_recovered();
+                    OpAbort {
+                        reason: AbortReason::Crashed,
+                        chunk: self.held.quarantine(),
                     }
                 }
             }
-        }
+        })
     }
 
-    /// Blanket-release every held lock after a *clean* abort. Sound because
-    /// clean aborts are raised only at wait points, where each held chunk's
-    /// image is individually consistent (see [`Self::note_wait`]); the
-    /// release bumps the version exactly like [`ops::unlock`] so snapshot
-    /// certification and hints observe the mutation window.
-    fn abort_release_held(&mut self) {
-        for ch in self.held.chunks().to_vec() {
-            self.release_bumped(ch);
-        }
-        self.held.clear();
-    }
-
-    /// Move every held chunk into the quarantine set (still lock-held, with
-    /// the crashed op's intent stub) and forget them
-    /// locally, so the handle's unwind does not poison the structure.
-    /// Returns the first quarantined chunk (for the [`OpAbort`] report), or
-    /// `NIL` if the crash held nothing.
-    fn quarantine_held(&mut self) -> u32 {
-        let held: Vec<u32> = self.held.chunks().to_vec();
-        let first = held.first().copied().unwrap_or(NIL);
-        let intent = self.journal.intent;
-        if !held.is_empty() {
-            let mut q = self
-                .list
-                .quarantine
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            for &ch in &held {
-                q.push(QuarantinedChunk { chunk: ch, intent });
-            }
-            self.list.quarantine_len.store(q.len(), Ordering::Release);
-            self.list
-                .recovery
-                .chunks_quarantined
-                .fetch_add(held.len() as u64, Ordering::Relaxed);
-        }
-        self.held.clear();
-        first
-    }
-
-    /// Contained insert: like [`insert`](Self::insert), but a panic or
-    /// budget overrun mid-protocol surfaces as [`Error::Aborted`] (with the
-    /// faulty chunks quarantined) instead of poisoning the structure as
-    /// `insert` does. If the operation had already passed its
-    /// linearization point when it aborted, the recorded outcome is
-    /// returned as `Ok` — an acknowledged insert is never silently lost.
+    /// Contained insert: [`insert`](Self::insert), with an abort returned
+    /// as [`Error::Aborted`] instead of unwinding. The abort itself is the
+    /// same through either entry point: a crash mid-protocol quarantines the
+    /// op's chunks for repair, and a wait given up (quarantined chunk, or
+    /// [`CONTAINED_RETRY_BUDGET`] spent) releases them untouched. If the
+    /// operation had already passed its linearization point when it
+    /// aborted, the recorded outcome is returned as `Ok` — an acknowledged
+    /// insert is never silently lost.
     pub fn try_insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
         match self.contained(|h| h.insert(k, v)) {
             Ok(r) => r,
@@ -1477,14 +1429,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.held.released(ch);
     }
 
-    /// Abort a snapshot-certification spin if the structure is poisoned.
-    /// Certification waits for the chunk's lock word to settle UNLOCKED; if
-    /// the lock's holder died mid-operation that never happens, and without
-    /// this check a *reader* would spin forever on a chunk orphaned by a
-    /// writer's panic.
-    pub(crate) fn certify_poison_check(&mut self, ch: u32) {
+    /// One retry of a certification loop, which waits for a chunk's lock
+    /// word to settle unlocked: counts it, lets [`Self::note_wait`] decide
+    /// whether to give up, and spins. `waits` is the loop's own counter.
+    pub(crate) fn certify_backoff(&mut self, waits: &mut u32, ch: u32) {
         self.stats.certify_retries += 1;
-        self.note_wait(ch);
+        *waits += 1;
+        self.note_wait(ch, *waits);
         // Tell the model checker (if one is driving this thread) that we are
         // spinning on this chunk's lock word: exploration deprioritizes and
         // never branches into a waiting thread, so bounded-exhaustive search
@@ -1492,63 +1443,68 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         gfsl_gpu_mem::schedule::wait_hint(
             self.list.chunk(ch).entry_addr(self.list.team.lock_lane()),
         );
-        if let Some(report) = self.list.poison_report() {
-            panic!("read certification on chunk {ch} aborted: structure poisoned ({report})");
-        }
         std::hint::spin_loop();
     }
 
-    /// Contained wait accounting, called at every retry of every wait
-    /// point (lock backoff, snapshot certification). Raises a *clean*
-    /// [`AbortSignal`] — caught by [`Self::contained`] — when the wait
-    /// targets a quarantined chunk or the op's retry budget is spent. Every
-    /// wait point in the protocol occurs while each held chunk is
-    /// individually consistent (waits happen before a chunk's mutation
-    /// starts or after it fully completes; the shift/copy loops themselves
-    /// never wait), which is what entitles the catch site to blanket-release
-    /// the held locks.
+    /// The one place a wait gives up, called at the `n`th retry of every
+    /// wait episode (one lock acquisition's backoff, one certification
+    /// loop) on chunk `ch`, whatever the entry point. Past
+    /// [`CONTAINED_RETRY_BUDGET`] retries, or when `ch` is quarantined (its
+    /// holder crashed), the op aborts cleanly ([`Self::abort_wait`]); on a
+    /// poisoned structure it panics with the report (a crash: repair left
+    /// a torn chunk locked for good). The quarantine and poison checks run
+    /// at the first retries and every 16th after.
     #[inline]
-    fn note_wait(&mut self, ch: u32) {
-        if !self.held.contained {
-            return;
+    fn note_wait(&mut self, ch: u32, n: u32) {
+        if n > CONTAINED_RETRY_BUDGET {
+            self.abort_wait(AbortReason::RetryBudget, ch);
         }
-        self.op_waits += 1;
-        if self.op_waits > CONTAINED_RETRY_BUDGET {
-            std::panic::panic_any(AbortSignal { reason: AbortReason::RetryBudget, chunk: ch });
-        }
-        if (self.op_waits < 4 || self.op_waits.is_multiple_of(16)) && self.list.is_quarantined(ch) {
-            std::panic::panic_any(AbortSignal { reason: AbortReason::Quarantined, chunk: ch });
+        if n < 4 || n.is_multiple_of(16) {
+            if self.list.is_quarantined(ch) {
+                self.abort_wait(AbortReason::Quarantined, ch);
+            }
+            if let Some(report) = self.list.poison_report() {
+                panic!("wait on chunk {ch} aborted: structure poisoned ({report})");
+            }
         }
     }
 
-    /// Bounded, poison-aware wait between lock attempts: exponential spin
-    /// (capped at 64 iterations) escalating into a scheduler yield, so a
-    /// descheduled lock holder can run (essential on machines with fewer
-    /// cores than worker threads; a GPU scheduler interleaves stalled warps
-    /// for the same reason). Periodically re-checks [`Gfsl::is_poisoned`] so
-    /// waiters on an orphaned lock fail fast with the poison report instead
-    /// of spinning until [`LOCK_RETRY_BOUND`].
+    /// Give up a wait: release every held lock with a version bump, drop
+    /// the op's intent, and unwind with the [`OpAbort`] as the payload —
+    /// [`Self::contained`] returns it, a plain entry point lets it unwind
+    /// on. Sound because every wait point in the protocol occurs while each
+    /// held chunk is individually consistent (waits happen before a chunk's
+    /// mutation starts or after it fully completes; the shift/copy loops
+    /// themselves never wait), and the bump makes snapshot certification
+    /// and hints observe the release like [`ops::unlock`]'s.
+    #[cold]
+    fn abort_wait(&mut self, reason: AbortReason, chunk: u32) -> ! {
+        while let Some(ch) = self.held.chunks.pop() {
+            self.release_bumped(ch);
+        }
+        self.held.intent = Intent::None;
+        self.held.stamp = 0;
+        self.list.recovery.aborts.fetch_add(1, Ordering::Relaxed);
+        std::panic::panic_any(OpAbort { reason, chunk })
+    }
+
+    /// Bounded wait between lock attempts: exponential spin (capped at 64
+    /// iterations) escalating into a scheduler yield, so a descheduled lock
+    /// holder can run (essential on machines with fewer cores than worker
+    /// threads; a GPU scheduler interleaves stalled warps for the same
+    /// reason). `spins` is the acquisition's own counter; [`Self::note_wait`]
+    /// decides when the wait gives up.
     fn lock_backoff(&mut self, spins: &mut u32, ch: u32) {
         *spins += 1;
         let n = *spins;
-        self.note_wait(ch);
-        // Spin-wait advisory for the model checker (see certify_poison_check).
+        self.note_wait(ch, n);
+        // Spin-wait advisory for the model checker (see certify_backoff).
         gfsl_gpu_mem::schedule::wait_hint(
             self.list.chunk(ch).entry_addr(self.list.team.lock_lane()),
         );
-        if n.is_multiple_of(64) {
-            if let Some(report) = self.list.poison_report() {
-                panic!("lock wait on chunk {ch} aborted: structure poisoned ({report})");
-            }
-        }
         if n == STARVATION_RETRIES {
             self.stats.lock_starvation_events += 1;
         }
-        assert!(
-            n < LOCK_RETRY_BOUND,
-            "lock acquisition on chunk {ch} exceeded {LOCK_RETRY_BOUND} retries: \
-             the holder is likely dead (undetected) or the protocol deadlocked"
-        );
         if n < 7 {
             for _ in 0..(1u32 << n) {
                 std::hint::spin_loop();
@@ -1699,7 +1655,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// candidate is never missing from what another consults).
     ///
     /// Must not be called while holding chunk locks (see
-    /// [`Self::maybe_reclaim`]); public operations call it automatically,
+    /// `maybe_reclaim`); public operations call it automatically,
     /// tests and maintenance loops may call it directly.
     pub fn reclaim_pass(&mut self) -> usize {
         let list = self.list;
@@ -2095,6 +2051,58 @@ mod tests {
         // inside one op).
         assert!(h.insert(25, 25).unwrap());
         assert_eq!(list.keys(), vec![10, 15, 20, 25, 30, 40]);
+        list.assert_valid();
+    }
+
+    /// A lock nobody quarantined, as a stalled live writer holds it: an
+    /// insert whose split must lock that chunk gives the wait up after
+    /// [`CONTAINED_RETRY_BUDGET`] retries and releases the chunk it held.
+    /// `try_insert` returns the abort; `insert` unwinds with the same one.
+    #[test]
+    fn a_wait_on_a_stalled_writer_aborts_at_the_budget() {
+        crate::quiet_injected_panics();
+        let list = list16();
+        let team = list.team;
+        let mut h = list.handle();
+        for k in 1..=40u32 {
+            h.insert(k * 10, k).unwrap();
+        }
+        // Fill the head chunk: inserting one more key there splits it,
+        // which locks its next chunk.
+        let head = list.head_of(0);
+        let mut k = 1;
+        while (h.read_chunk(head).num_keys(&team) as usize) < team.dsize() {
+            h.insert(k, k).unwrap();
+            k += 1;
+        }
+        let next = h.read_chunk(head).next(&team);
+        let min = h.read_chunk(next).entry(0).key();
+        let mut stalled = list.handle();
+        let mut view = ChunkView::BLANK;
+        assert_eq!(stalled.find_and_lock_enclosing(next, min, &mut view), next);
+        let keys = list.keys();
+
+        let expected = OpAbort {
+            reason: AbortReason::RetryBudget,
+            chunk: next,
+        };
+        assert_eq!(h.try_insert(k, k), Err(Error::Aborted(expected)));
+        let unlocked = |c: u32| {
+            let word = list.pool.read(list.chunk(c).entry_addr(team.lock_lane()));
+            crate::chunk::lock_state(word) == LOCK_UNLOCKED
+        };
+        assert!(h.held.chunks.is_empty() && h.held.intent == Intent::None);
+        assert!(unlocked(head), "the aborted insert released the chunk it held");
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.insert(k, k)))
+            .expect_err("a plain insert unwinds with the abort");
+        assert_eq!(payload.downcast_ref::<OpAbort>(), Some(&expected));
+        assert!(h.held.chunks.is_empty() && unlocked(head));
+        assert_eq!(list.keys(), keys, "neither abort had any effect");
+        assert_eq!(list.repair_stats().aborts, 2);
+        assert_eq!(list.quarantine_depth(), 0);
+
+        stalled.unlock(next);
+        assert!(h.insert(k, k).unwrap());
         list.assert_valid();
     }
 

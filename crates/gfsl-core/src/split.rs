@@ -77,7 +77,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Journal the structural intent before any store touches p_new: a
         // crash before the publish rolls the unreachable p_new back
         // (retired), one after rolls the split forward.
-        self.journal.intent = Intent::Split {
+        self.held.intent = Intent::Split {
             split: p_split,
             new: p_new,
             thresh,
@@ -120,7 +120,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             thresh,
             p_new,
         );
-        if let Intent::Split { published, .. } = &mut self.journal.intent {
+        if let Intent::Split { published, .. } = &mut self.held.intent {
             *published = true;
         }
         let split_ch = self.list.chunk_words(p_split);
@@ -172,7 +172,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // The split is fully settled (caller's level-chunk accounting still
         // pending, which repair performs when it finds a Split intent).
-        self.journal.intent = Intent::None;
+        self.held.intent = Intent::None;
         Ok((p_insert, raised))
     }
 
@@ -200,7 +200,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // (merging just requires it to be too full to absorb its left
         // neighbour): move the live entries at positions >= DSIZE/2.
         let thresh = view.entry(half - 1).key();
-        self.journal.intent = Intent::Split {
+        self.held.intent = Intent::Split {
             split: p_split,
             new: p_new,
             thresh,
@@ -243,7 +243,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             thresh,
             p_new,
         );
-        if let Intent::Split { published, .. } = &mut self.journal.intent {
+        if let Intent::Split { published, .. } = &mut self.held.intent {
             *published = true;
         }
         let split_ch = self.list.chunk_words(p_split);
@@ -257,7 +257,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.stats.splits += 1;
 
         self.update_down_ptrs(level, moved.as_slice(), p_new);
-        self.journal.intent = Intent::None;
+        self.held.intent = Intent::None;
         Ok(())
     }
 }

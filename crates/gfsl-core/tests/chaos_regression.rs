@@ -1,206 +1,188 @@
-//! Regression: a team that dies (panics) mid-insert while holding chunk
-//! locks must be *detected* — the structure reports itself poisoned and
-//! later writers fail fast with a diagnosis — instead of silently
-//! deadlocking every team that needs the orphaned locks.
+//! Regression: a team that dies (panics) mid-protocol while holding chunk
+//! locks leaves them *quarantined* with its intent, whichever entry point it
+//! died in, and one repair pass returns the structure to full validity — it
+//! neither poisons the structure nor deadlocks every team that needs the
+//! orphaned locks. A team that then meets a quarantined chunk gives its
+//! wait up with a typed abort instead of waiting for the repair.
 //!
-//! The panic is injected deterministically with the chaos layer: the worker
-//! is killed at its first `SplitPublish` crash point, i.e. after it locked
-//! the splitting chunk AND the freshly allocated (locked-at-birth) new
-//! chunk, the worst case for orphaned locks.
+//! The crash is injected deterministically with the chaos layer: the worker
+//! is killed at its first `SplitPublish` crash point (after it locked the
+//! splitting chunk AND the freshly allocated, locked-at-birth new chunk) or
+//! at its first `MergeZombieMark` (mid-merge, holding the dying chunk and
+//! its absorber), the worst cases for orphaned locks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use gfsl::mc::strategy::Replay;
-use gfsl::{CrashPoint, Gfsl, GfslParams, TeamSize};
+use gfsl::{
+    AbortReason, CrashPoint, Gfsl, GfslHandle, GfslParams, NoProbe, OpAbort, RepairStats,
+    TeamSize, Violation,
+};
 
-#[test]
-fn panic_mid_split_poisons_instead_of_deadlocking() {
-    let list = Gfsl::new(GfslParams {
+fn list16() -> Gfsl {
+    Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
         ..Default::default()
     })
-    .unwrap();
-
-    let ctl = gfsl::chaos::controller(
-        1,
-        Replay::new(Vec::new()),
-        Some((CrashPoint::SplitPublish, 1)),
-    );
-
-    std::thread::scope(|s| {
-        let worker = s.spawn(|| {
-            let mut h = list.handle_with(ctl.probe(0));
-            // The 14th insert overflows the 16-entry chunk's data array and
-            // triggers the first split.
-            for k in 1..=100u32 {
-                let _ = h.insert(k, k);
-            }
-        });
-        assert!(
-            worker.join().is_err(),
-            "worker must die at the injected crash point"
-        );
-    });
-
-    // The held-lock tracker saw the unwind and poisoned the structure.
-    assert!(list.is_poisoned(), "dead team went undetected");
-    let report = list.poison_report().expect("poison carries a report");
-    assert!(
-        report.contains("chunk"),
-        "report should name the orphaned chunks: {report}"
-    );
-
-    // Lock-free reads still work: keys inserted before the crash are
-    // reachable (the split never published, so nothing moved).
-    let mut reader = list.handle();
-    for k in 1..=13u32 {
-        assert!(reader.contains(k), "pre-crash key {k} must stay readable");
-    }
-
-    // A writer that needs one of the orphaned locks fails FAST with the
-    // poison diagnosis (bounded wait + periodic poison check) instead of
-    // spinning forever. The test completing at all is the no-deadlock
-    // assertion.
-    let res = catch_unwind(AssertUnwindSafe(|| {
-        let mut h = list.handle();
-        let _ = h.insert(500, 1);
-    }));
-    let err = res.expect_err("writer must abort, not complete or hang");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        msg.contains("poisoned"),
-        "writer's panic should carry the poison diagnosis, got: {msg}"
-    );
-
-    // Full structural check: the injected crash fires *before* the split
-    // publish, so every data invariant must still hold — the only legal
-    // violations are the orphaned locks themselves.
-    assert_crash_left_data_intact(&list, &[]);
+    .unwrap()
 }
 
-/// Run the full [`Gfsl::validate`] walk on a poisoned structure and assert
-/// the crash corrupted nothing: orphaned locks (`quiescent-unlocked`) are
-/// always expected, and a caller whose crash point freezes a documented
-/// multi-chunk window (e.g. mid-merge, where moved keys transiently exist
-/// in both the dying chunk and its absorber) lists the level-scope rules
-/// that window legitimately suspends. Chunk-local rules — sorted, unique,
-/// packed, max fields — must hold unconditionally.
-fn assert_crash_left_data_intact(list: &Gfsl, window_rules: &[&str]) {
-    let violations = list.validate();
-    assert!(
-        !violations.is_empty(),
-        "a poisoned structure must at least report its orphaned locks"
-    );
-    for v in &violations {
-        assert!(
-            v.rule == "quiescent-unlocked" || window_rules.contains(&v.rule),
-            "crash may orphan locks but never corrupt data: {v}"
-        );
-    }
+/// The entry point the crashing worker runs its ops through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EntryPoint {
+    Plain,
+    Contained,
 }
 
-#[test]
-fn surviving_teams_keep_running_after_peer_dies_elsewhere() {
-    // A peer dying while holding locks on chunks another team never touches
-    // must not stop that team: poisoning is detected at lock-wait time.
-    let list = Gfsl::new(GfslParams {
-        team_size: TeamSize::Sixteen,
-        pool_chunks: 1 << 12,
-        ..Default::default()
-    })
-    .unwrap();
-    // Push enough keys that low and high key ranges live in distinct chunks.
-    {
+/// Everything a crash and its repair leave observable.
+#[derive(Debug, PartialEq)]
+struct Aftermath {
+    /// Recovery counters right after the crash (the quarantine's depth and
+    /// the chunks that entered it).
+    crashed: RepairStats,
+    /// The full validation walk before repair: the quarantined chunks that
+    /// are linked show as locked at quiescence.
+    locked: Vec<Violation>,
+    /// The key-value pairs before repair.
+    pairs: Vec<(u32, u32)>,
+    /// Recovery counters after one repair pass: which arm each chunk took
+    /// follows from the intent it was quarantined with.
+    repaired: RepairStats,
+}
+
+/// Crash one worker at the first `point` through `entry`, then repair.
+/// For `SplitPublish` the worker inserts `1, 2, …` into an empty list; for
+/// `MergeZombieMark` it removes `10, 20, …` from a list of 200 such keys.
+fn crash_and_repair(point: CrashPoint, entry: EntryPoint) -> Aftermath {
+    let list = list16();
+    let merge = point == CrashPoint::MergeZombieMark;
+    if merge {
         let mut h = list.handle();
         for k in 1..=200u32 {
             h.insert(k * 10, k).unwrap();
         }
     }
-
-    let ctl = gfsl::chaos::controller(
-        1,
-        Replay::new(Vec::new()),
-        // Die at the first zombie-mark: the victim is mid-merge holding
-        // the bottom chunk's lock, which gets orphaned by the unwind.
-        Some((CrashPoint::MergeZombieMark, 1)),
-    );
-    std::thread::scope(|s| {
-        let victim = s.spawn(|| {
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, 1)));
+    let died = std::thread::scope(|s| {
+        s.spawn(|| {
             let mut h = list.handle_with(ctl.probe(0));
-            // Remove low keys until a merge (zombie-mark) happens.
             for k in 1..=200u32 {
-                h.remove(k * 10);
+                let aborted = match (entry, merge) {
+                    (EntryPoint::Plain, false) => !h.insert(k, k).unwrap(),
+                    (EntryPoint::Plain, true) => !h.remove(k * 10),
+                    (EntryPoint::Contained, false) => h.try_insert(k, k).is_err(),
+                    (EntryPoint::Contained, true) => h.try_remove(k * 10).is_err(),
+                };
+                if aborted {
+                    return;
+                }
             }
-        });
-        let _ = victim.join();
+        })
+        .join()
+        .is_err()
     });
-
-    // Whether or not the merge fired (it does with these parameters), the
-    // high end of the key space must stay fully operational.
-    let mut h = list.handle();
-    for k in 150..=200u32 {
-        assert!(h.contains(k * 10) || list.is_poisoned());
-    }
-    assert!(h.insert(100_000, 1).unwrap_or(false) || list.is_poisoned());
-    drop(h);
-
-    // Same full-walk guarantee as above, with the merge window's two
-    // legal artifacts: the crash froze the op after the copy but before
-    // the zombie mark, so the moved keys transiently exist in both the
-    // dying chunk and its absorber (duplicates + out-of-order min). Every
-    // chunk-local rule must still hold.
-    if list.is_poisoned() {
-        assert_crash_left_data_intact(&list, &["level-unique-keys", "lateral-order"]);
-    } else {
-        list.assert_valid();
+    assert_eq!(
+        died,
+        entry == EntryPoint::Plain,
+        "{point:?}: the plain worker dies at the crash, the contained one returns"
+    );
+    assert!(!list.is_poisoned(), "{point:?} {entry:?}: a crash does not poison");
+    let crashed = list.repair_stats();
+    assert_eq!(crashed.crashed_ops, 1, "{point:?} {entry:?}");
+    assert!(crashed.quarantine_depth >= 2, "{point:?} {entry:?}: the op's chunks are quarantined");
+    let (locked, pairs) = (list.validate(), list.pairs());
+    let repaired = list.handle().repair_quarantine();
+    assert_eq!(repaired.quarantine_depth, 0, "{point:?} {entry:?}: repair drains the quarantine");
+    list.assert_valid();
+    Aftermath {
+        crashed,
+        locked,
+        pairs,
+        repaired,
     }
 }
 
-/// The containment counterpart of the poisoning regressions: the same
-/// injected crash, but through a `try_*` entry point the worker survives
-/// with a typed abort, the orphaned chunks land in quarantine, and one
-/// repair pass returns the structure to a state where the *full* validation
-/// walk — not just the lock-scrubbed subset — passes clean.
+/// The same injected crash through `insert` / `remove` and through
+/// `try_insert` / `try_remove` leaves the same quarantine, and one repair
+/// pass takes the same arms to the same fully valid structure.
 #[test]
-fn contained_crash_repairs_to_a_fully_valid_structure() {
-    let list = Gfsl::new(GfslParams {
-        team_size: TeamSize::Sixteen,
-        pool_chunks: 1 << 12,
-        ..Default::default()
-    })
-    .unwrap();
+fn a_crash_quarantines_and_repairs_alike_through_either_entry_point() {
+    gfsl::quiet_injected_panics();
+    for point in [CrashPoint::SplitPublish, CrashPoint::MergeZombieMark] {
+        let plain = crash_and_repair(point, EntryPoint::Plain);
+        let contained = crash_and_repair(point, EntryPoint::Contained);
+        assert_eq!(plain, contained, "{point:?}");
+    }
+}
+
+/// How long a plain op may take to give up its wait; waiting on until
+/// repair runs never ends here.
+const WATCHDOG: Duration = Duration::from_secs(5);
+
+/// After a contained insert crashes at `SplitPublish`, a plain `get`,
+/// `count_range` and `remove` of the crashed key each meet its quarantined
+/// chunk and unwind with `OpAbort { reason: Quarantined, .. }`, holding
+/// nothing, instead of waiting for a repair that never comes.
+#[test]
+fn a_plain_op_gives_up_a_wait_on_a_quarantined_chunk() {
+    gfsl::quiet_injected_panics();
+    let list = Arc::new(list16());
     let ctl = gfsl::chaos::controller(
         1,
         Replay::new(Vec::new()),
         Some((CrashPoint::SplitPublish, 1)),
     );
+    let key = {
+        let mut h = list.handle_with(ctl.probe(0));
+        (1..=100u32)
+            .find(|&k| h.try_insert(k, k).is_err())
+            .expect("the injected crash fires")
+    };
+    let depth = list.quarantine_depth();
+    assert!(depth >= 2, "the split's chunks are quarantined");
 
-    let crashed = std::thread::scope(|s| {
-        s.spawn(|| {
-            let mut h = list.handle_with(ctl.probe(0));
-            let mut crashed = 0u32;
-            for k in 1..=100u32 {
-                match h.try_insert(k, k) {
-                    Ok(_) => {}
-                    Err(gfsl::Error::Aborted(_)) => crashed += 1,
-                    Err(e) => panic!("unexpected error {e}"),
-                }
-            }
-            crashed
-        })
-        .join()
-        .expect("containment keeps the worker alive")
-    });
+    type PlainOp = fn(&mut GfslHandle<'_, NoProbe>, u32);
+    let ops: [(&str, PlainOp); 3] = [
+        ("get", |h, k| {
+            let _ = h.get(k);
+        }),
+        ("count_range", |h, k| {
+            let _ = h.count_range(k, k);
+        }),
+        ("remove", |h, k| {
+            let _ = h.remove(k);
+        }),
+    ];
+    for (name, op) in ops {
+        let (tx, rx) = mpsc::channel();
+        let shared = Arc::clone(&list);
+        std::thread::spawn(move || {
+            let run = catch_unwind(AssertUnwindSafe(|| op(&mut shared.handle(), key)));
+            let _ = tx.send(run.map_err(|p| p.downcast::<OpAbort>().map(|a| *a)));
+        });
+        let outcome = rx
+            .recv_timeout(WATCHDOG)
+            .unwrap_or_else(|_| panic!("plain {name}({key}) still waiting after {WATCHDOG:?}"));
+        match outcome {
+            Err(Ok(OpAbort {
+                reason: AbortReason::Quarantined,
+                ..
+            })) => {}
+            other => panic!("plain {name}({key}) must unwind with a Quarantined OpAbort: {other:?}"),
+        }
+        assert_eq!(
+            list.quarantine_depth(),
+            depth,
+            "plain {name} held nothing when its handle unwound"
+        );
+    }
 
-    assert!(crashed > 0, "the injected crash must surface as a typed abort");
-    assert!(!list.is_poisoned(), "containment replaces poisoning");
-    assert!(list.quarantine_depth() > 0, "crashed chunks are quarantined");
-
-    let stats = list.handle().repair_quarantine();
-    assert_eq!(stats.quarantine_depth, 0, "repair drains the quarantine");
+    list.handle().repair_quarantine();
     list.assert_valid();
+    let mut h = list.handle();
+    assert_eq!(h.get(key), None, "the crashed insert never published");
+    assert!(h.insert(key, key).unwrap());
 }

@@ -29,7 +29,7 @@
 //!   so churn runs at a bounded high-water mark.
 //!
 //! Everything in grace — retired chunks, staged chunks, the mvcc layer's
-//! deferred tokens — sits in a [`GraceQueue`]. Their total shares one atomic
+//! deferred tokens — sits in a `GraceQueue`. Their total shares one atomic
 //! word with the structure layer's [`flag`](EpochReclaimer::flag)s, so
 //! [`has_work`](EpochReclaimer::has_work) tells "nothing to reclaim" with a
 //! single relaxed load. Nothing here moves the epoch on its own: the owner

@@ -1,6 +1,6 @@
 //! Scheduled-atomic instrumentation: the model checker's view of memory.
 //!
-//! Fault injection gates *logical* accesses through [`MemProbe`] — one
+//! Fault injection gates *logical* accesses through [`MemProbe`](crate::MemProbe) — one
 //! probe event per warp read, per lane write, per lock CAS. That is the
 //! right granularity for a soak, but a schedule-*exploring* checker needs
 //! to interleave at the granularity the hardware does: every individual

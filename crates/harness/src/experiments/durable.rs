@@ -2,7 +2,7 @@
 //! recovery. Not a paper artifact — this measures the `gfsl-durable`
 //! subsystem layered on top of the paper's structure.
 //!
-//! Every number comes from one kind of cell ([`cell`]): a
+//! Every number comes from one kind of cell (`cell`): a
 //! [`DurableCluster`] in its single-list shape (one shard, one WAL lane)
 //! served by an [`EdgeServer`] whose workers commit each epoch through the
 //! engine's own sink, driven by pipelined connections that each send a

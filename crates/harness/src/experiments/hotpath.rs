@@ -25,7 +25,7 @@
 //!   still indexes. Counts, not timings: the row repeats exactly.
 //!
 //! One acceptance bar is **asserted in-run**, and it is a count: a `get` in
-//! the last 100k ops of the drift soak may cost at most [`DRIFT_GATE`]× one
+//! the last 100k ops of the drift soak may cost at most `DRIFT_GATE`× one
 //! in the first 100k (the parent of the index heal, DESIGN.md §20, read
 //! 3.03×). The timing columns are reported, not gated: wall-clock A/Bs
 //! belong to `perfbench`, which states its spread.

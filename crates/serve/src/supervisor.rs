@@ -3,8 +3,8 @@
 //!
 //! Operations run through the structure's `try_*` entry points (the batch
 //! path every server uses) are contained: crashes surface as typed
-//! aborts and quarantined chunks instead of a poisoned structure — the
-//! service can keep running *through* a fault. The supervisor decides what
+//! aborts and quarantined chunks, so the service can keep running
+//! *through* a fault. The supervisor decides what
 //! "keep running" means at each moment: it observes per-epoch recovery
 //! signals (aborted replies, chunks repaired, quarantine depth) and walks a
 //! degradation ladder
