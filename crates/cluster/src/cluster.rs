@@ -469,7 +469,10 @@ impl Cluster {
     // ---- fan-out reads ----
     //
     // Every shard visit mints a handle; a full handle table on any shard
-    // fails the whole read with that shard's typed error.
+    // fails the whole read with that shard's typed error. A fence-held walk
+    // runs contained, so a wait it gives up (a quarantined chunk, a spent
+    // budget) fails the read the same way; a version-pinned walk never
+    // waits on a chunk lock.
 
     /// All pairs in the inclusive window `[lo, hi]`, stitched across shard
     /// boundaries from a consistent cut; one routing attempt. With mvcc on
@@ -484,7 +487,7 @@ impl Cluster {
                 Ok(s.list.try_handle()?.range_at(clo, chi, t))
             })?
         } else {
-            self.with_range_shards(lo, hi, |s, clo, chi| Ok(s.list.try_handle()?.range(clo, chi)))?
+            self.with_range_shards(lo, hi, |s, clo, chi| s.list.try_handle()?.try_range(clo, chi))?
         };
         Ok(all_shards(per)?.into_iter().flatten().collect())
     }
@@ -498,7 +501,7 @@ impl Cluster {
             })?
         } else {
             self.with_range_shards(lo, hi, |s, clo, chi| {
-                Ok(s.list.try_handle()?.count_range(clo, chi))
+                s.list.try_handle()?.try_count_range(clo, chi)
             })?
         };
         Ok(all_shards(per)?.into_iter().sum())

@@ -10,11 +10,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gfsl::mc::strategy::Replay;
-use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslParams, TeamSize};
+use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslParams, OpAbort, TeamSize};
 use gfsl_cluster::Cluster;
 use gfsl_edge::proto::{self, Req, Resp};
 use gfsl_edge::{EdgeClient, EdgeConfig, EdgeEngine, EdgeServer};
-use gfsl_serve::MemorySink;
+use gfsl_serve::{MemorySink, Reply};
+use gfsl_workload::ServeOp;
 
 fn single_engine() -> EdgeEngine {
     EdgeEngine::Single(Arc::new(Gfsl::new(GfslParams::default()).unwrap()))
@@ -407,8 +408,9 @@ fn crash_one_split(list: &Gfsl) {
     panic!("the injected crash must fire before serving");
 }
 
-/// Serve 40 pipelined rounds of mixed point ops over keys `1..=2000` on
-/// one connection and one worker; return the final counters.
+/// Serve 40 pipelined rounds of mixed point ops over keys `1..=2000`, and
+/// one range over all of them per round, on one connection and one worker;
+/// return the final counters.
 fn serve_rounds(engine: EdgeEngine) -> gfsl_edge::StatsSnapshot {
     let cfg = EdgeConfig {
         workers: 1,
@@ -421,6 +423,9 @@ fn serve_rounds(engine: EdgeEngine) -> gfsl_edge::StatsSnapshot {
             .map(|i| {
                 let k = (round * 64 + i) * 37 % 2_000 + 1;
                 c.send(match i % 5 {
+                    // On a cluster the window fans out over every shard,
+                    // the crashed one included.
+                    _ if i == 2 => Req::Range(1, 2_000),
                     0 => Req::Insert(k, k),
                     1 => Req::Delete(k),
                     _ => Req::Get(k),
@@ -476,6 +481,17 @@ fn the_edge_heals_through_a_precrashed_structure() {
     let cluster = Arc::new(Cluster::prefilled(small_params(), 4, 2_000, pairs).unwrap());
     let shards = cluster.shards();
     crash_one_split(&shards[0].list);
+    // A fanned-out range that meets the crashed shard's quarantine answers
+    // `Failed`; it does not unwind out of the engine into the worker.
+    let mut out = Vec::new();
+    EdgeEngine::Cluster(cluster.clone()).execute(&[ServeOp::Range(1, 2_000)], &mut out);
+    let quarantined = |r: &Reply| {
+        matches!(
+            r,
+            Reply::Failed(Error::Aborted(OpAbort { reason: AbortReason::Quarantined, .. }))
+        )
+    };
+    assert!(matches!(&out[..], [r] if quarantined(r)), "{out:?}");
     let stats = serve_rounds(EdgeEngine::Cluster(cluster.clone()));
     assert_eq!(cluster.shard_count(), 4, "no migration retired a shard");
     check(

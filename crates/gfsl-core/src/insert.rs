@@ -35,6 +35,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// and the key did **not** go in (the structure is left consistent and
     /// usable). Exhaustion after the key reached the bottom level only
     /// costs index entries and still returns `Ok(true)`.
+    ///
+    /// # Panics
+    /// An abort unwinds out of a plain op (see [`Self::try_insert`] for the
+    /// typed form). A crash mid-protocol leaves the op's chunks held until
+    /// the handle drops, and the drop quarantines them; so a caller that
+    /// catches a plain op's panic must drop the handle, not reuse it.
     pub fn insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
         self.stats.insert_ops += 1;
         if !is_user_key(k) {

@@ -590,7 +590,9 @@ impl Gfsl {
 /// entry point and out of the handle — leaves its chunks in the quarantine
 /// set with its intent ([`Self::quarantine`]) for
 /// [`GfslHandle::repair_quarantine`], instead of silently deadlocking every
-/// team that later needs them.
+/// team that later needs them. A plain op's crash reaches the quarantine
+/// only when the handle drops: a handle whose plain op panicked must be
+/// dropped, not reused.
 pub(crate) struct HeldLocks<'a> {
     list: &'a Gfsl,
     chunks: Vec<u32>,
@@ -700,6 +702,13 @@ impl std::fmt::Debug for Gfsl {
 /// exponential backoff capped at a 64-iteration spin plus a yield per
 /// retry, 4096 retries is a long wall-clock window of being unserved.
 pub const STARVATION_RETRIES: u32 = 1 << 12;
+
+/// Certification retries spent spinning before each further retry yields.
+/// A writer holds a chunk lock for a few stores, so a wait this long means
+/// its holder is descheduled (more runnable threads than cores), and
+/// spinning on would spend [`CONTAINED_RETRY_BUDGET`] without letting the
+/// holder run.
+const CERTIFY_SPINS: u32 = 64;
 
 /// Retries one wait episode may spend — one lock acquisition's backoff, or
 /// one certification loop — before the operation gives the wait up with
@@ -1023,7 +1032,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///   a genuine bug mid-protocol), and [`HeldLocks::quarantine`] moves the
     ///   held chunks — with the op's intent — into the quarantine set for
     ///   [`Self::repair_quarantine`], as [`HeldLocks`]'s drop does for a
-    ///   plain op whose panic unwinds out of the handle. Repair works from
+    ///   plain op whose panic unwinds out of the handle (which is why such
+    ///   a handle must be dropped, not reused). Repair works from
     ///   that intent and each chunk's current image, so a crash between a
     ///   chunk's stores (any injected one: crash points precede their
     ///   stores) heals unpoisoned. A panic that tears a chunk mid-store (a
@@ -1109,6 +1119,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub fn try_count_range(&mut self, lo: u32, hi: u32) -> Result<usize, Error> {
         self.contained(|h| h.count_range(lo, hi))
             .map_err(Error::Aborted)
+    }
+
+    /// Contained range collection; see [`Self::try_get`].
+    pub fn try_range(&mut self, lo: u32, hi: u32) -> Result<Vec<(u32, u32)>, Error> {
+        self.contained(|h| h.range(lo, hi)).map_err(Error::Aborted)
     }
 
     /// Contained minimum-entry scan; see [`Self::try_get`] (reads never
@@ -1431,7 +1446,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// One retry of a certification loop, which waits for a chunk's lock
     /// word to settle unlocked: counts it, lets [`Self::note_wait`] decide
-    /// whether to give up, and spins. `waits` is the loop's own counter.
+    /// whether to give up, and spins — or, past [`CERTIFY_SPINS`] retries,
+    /// yields. `waits` is the loop's own counter.
     pub(crate) fn certify_backoff(&mut self, waits: &mut u32, ch: u32) {
         self.stats.certify_retries += 1;
         *waits += 1;
@@ -1443,7 +1459,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         gfsl_gpu_mem::schedule::wait_hint(
             self.list.chunk(ch).entry_addr(self.list.team.lock_lane()),
         );
-        std::hint::spin_loop();
+        if *waits < CERTIFY_SPINS {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 
     /// The one place a wait gives up, called at the `n`th retry of every
