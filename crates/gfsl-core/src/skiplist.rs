@@ -236,6 +236,10 @@ pub struct Gfsl {
     reclaim_ticks: AtomicU32,
     /// A reclamation pass is in flight (passes are serialized).
     reclaim_busy: AtomicBool,
+    /// Parent chunks the last verification walk read: a periodic pass
+    /// verifies once at least half this many candidates are ready (see
+    /// [`GfslHandle::maybe_reclaim`]). Only the pass in flight touches it.
+    last_walk: AtomicU64,
     /// Quarantined chunks awaiting repair, left by ops that crashed through
     /// any entry point.
     pub(crate) quarantine: Mutex<Vec<QuarantinedChunk>>,
@@ -258,14 +262,22 @@ pub struct Gfsl {
 pub const MAX_RECLAIM_HANDLES: usize = 1024;
 
 /// While reclamation work is pending (chunks or tokens in grace, or a level
-/// flagged for a head-edge sweep), a reclamation pass (sweep + drain +
-/// verify + recycle) runs every this many update operations — counted per
-/// handle once the handle is this old, across all younger handles before
-/// (see [`GfslHandle::maybe_reclaim`]). With nothing pending no pass runs
-/// and the epoch stands still. Allocation also consumes the free list
-/// directly, so the period only bounds how long a retired chunk waits to
-/// get there: two to three periods when no pin lags.
+/// flagged for a head-edge sweep), a reclamation pass runs every this many
+/// update operations — counted per handle once the handle is this old,
+/// across all younger handles before (see [`GfslHandle::maybe_reclaim`]).
+/// Every pass sweeps the flagged head edges, advances the epoch and moves
+/// staged chunks to the free list; it drains and verifies the grace-passed
+/// candidates only when they are a batch worth a walk of their parent level
+/// (at least half as many as the last walk read). With nothing pending no
+/// pass runs and the epoch stands still. Allocation also consumes the free
+/// list directly, so the period bounds how long a retired chunk waits for
+/// its grace (two to three periods when no pin lags); the batch rule adds
+/// the wait for the batch to fill.
 const RECLAIM_PERIOD: u32 = 16;
+
+/// The "referenced" mark [`GfslHandle::verify_candidates`] sets in a
+/// candidate's level byte (levels fit in five bits).
+const REFERENCED: u8 = 0x80;
 
 impl Gfsl {
     /// Create an empty skiplist: one unlocked sentinel chunk per level
@@ -313,6 +325,7 @@ impl Gfsl {
                 .then(|| EpochReclaimer::new(MAX_RECLAIM_HANDLES)),
             reclaim_ticks: AtomicU32::new(0),
             reclaim_busy: AtomicBool::new(false),
+            last_walk: AtomicU64::new(0),
             quarantine: Mutex::new(Vec::new()),
             quarantine_len: AtomicUsize::new(0),
             recovery: RecoveryCounters::default(),
@@ -1647,6 +1660,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the cluster mints one per operation — pool their pending updates in
     /// the list's counter instead, so they add up to the same cadence
     /// though none of them would ever count to a period alone.
+    ///
+    /// Such a pass verifies in batches sized by the walk they cost: it
+    /// drains the grace-passed candidates only once they number at least
+    /// half the parent chunks the last verification walk read (the first
+    /// walk goes at once), see [`Self::batch_is_due`]. So a walk of the
+    /// whole parent level is paid for by many chunks, not by the one or two
+    /// that came due in the last period.
     pub(crate) fn maybe_reclaim(&mut self) {
         let list = self.list;
         let Some(rec) = list.reclaim.as_ref() else {
@@ -1662,22 +1682,33 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             list.reclaim_ticks.fetch_add(1, Ordering::Relaxed) + 1
         };
         if tick.is_multiple_of(RECLAIM_PERIOD) {
-            self.reclaim_pass();
+            self.run_pass(true);
         }
     }
 
     /// Run one full reclamation pass now: sweep the flagged head edges,
     /// move verified chunks whose second grace period elapsed to the free
-    /// list, then drain newly grace-passed retired candidates and verify
-    /// them. Returns the number of chunks that reached the free list: 0
-    /// when reclamation is disabled, and when another handle's pass is in
-    /// flight (passes are serialized, so a chunk one pass holds as a
+    /// list, then drain every grace-passed retired candidate and verify
+    /// them, however few (the periodic pass an update runs waits for a
+    /// batch instead). Returns the number of chunks that reached the free
+    /// list: 0 when reclamation is disabled, and when another handle's pass
+    /// is in flight (passes are serialized, so a chunk one pass holds as a
     /// candidate is never missing from what another consults).
+    ///
+    /// A verification walk that gives up a wait (a quarantined parent
+    /// chunk, or the retry budget spent) puts its batch back in limbo and
+    /// ends the pass; the caller's own operation goes on.
     ///
     /// Must not be called while holding chunk locks (see
     /// `maybe_reclaim`); public operations call it automatically,
     /// tests and maintenance loops may call it directly.
     pub fn reclaim_pass(&mut self) -> usize {
+        self.run_pass(false)
+    }
+
+    /// [`Self::reclaim_pass`]; a `batched` pass drains and verifies only
+    /// when [`Self::batch_is_due`].
+    fn run_pass(&mut self, batched: bool) -> usize {
         let list = self.list;
         let mut freed = 0;
         if let Some(rec) = list.reclaim.as_ref() {
@@ -1701,19 +1732,62 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             rec.try_advance();
             freed = rec.harvest_verified();
             rec.try_advance();
-            let mut cands = std::mem::take(&mut self.reclaim_cands);
-            rec.drain_candidates(&mut cands);
-            let scanned = if cands.is_empty() {
-                0
+            let scanned = if !batched || self.batch_is_due(rec) {
+                self.verify_ready(rec)
             } else {
-                self.with_pin(|h| h.verify_candidates(&mut cands))
+                0
             };
             rec.note_pass(scanned);
-            cands.clear();
-            self.reclaim_cands = cands;
         }
         self.vacuum_versions();
         freed
+    }
+
+    /// Whether a periodic pass should verify now: the candidates whose
+    /// grace has elapsed are at least half as many as the parent chunks the
+    /// last walk read, so the walk costs at most two reads per candidate.
+    /// Deferring only lengthens a candidate's grace. It must not run the
+    /// pool dry, though: when fewer chunks are left to allocate (bump
+    /// headroom plus the free list) than the batch being waited for, the
+    /// pass verifies anyway. The headroom test alone comes first, so a
+    /// roomy pool never takes the free list's lock.
+    fn batch_is_due(&self, rec: &EpochReclaimer) -> bool {
+        let list = self.list;
+        let walk = list.last_walk.load(Ordering::Relaxed);
+        let headroom = u64::from(list.params.pool_chunks - list.chunks_allocated());
+        2 * rec.ready_candidates() >= walk
+            || (2 * headroom < walk && 2 * (headroom + rec.free_len()) < walk)
+    }
+
+    /// Drain every grace-passed candidate and verify the batch; returns the
+    /// parent chunks the walk read. A walk that gives up a wait (its
+    /// [`OpAbort`], raised by [`Self::note_wait`] with nothing held) puts
+    /// the whole batch back in limbo, where a later pass finds it once the
+    /// quarantine is repaired; any other panic unwinds on.
+    fn verify_ready(&mut self, rec: &EpochReclaimer) -> u64 {
+        let mut cands = std::mem::take(&mut self.reclaim_cands);
+        rec.drain_candidates(&mut cands);
+        let mut scanned = 0;
+        if !cands.is_empty() {
+            // `abort_wait` clears the stamp of the update this pass runs in.
+            let stamp = self.held.stamp;
+            let walk = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.with_pin(|h| h.verify_candidates(&mut cands, &mut scanned))
+            }));
+            match walk {
+                Ok(()) => self.list.last_walk.store(scanned, Ordering::Relaxed),
+                Err(payload) if payload.is::<OpAbort>() => {
+                    self.held.stamp = stamp;
+                    for &(c, lvl) in &cands {
+                        rec.requeue(c, lvl & !REFERENCED);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        cands.clear();
+        self.reclaim_cands = cands;
+        scanned
     }
 
     /// Vacuum the mvcc version chains (no-op without the knob). The vacuum
@@ -1796,7 +1870,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Decide each grace-passed candidate's fate: stage it for the free
     /// list if nothing can still lead a reader to it, otherwise requeue it
-    /// for a later pass. Returns the parent-level chunks it read.
+    /// for a later pass. Counts the parent-level chunks it reads in
+    /// `scanned`, which stays meaningful if the walk unwinds.
     ///
     /// A reader can only *acquire* a pointer to an unlinked zombie from
     /// (a) a stale down-pointer still sitting in the live chain one level
@@ -1812,11 +1887,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// waits out one more grace period (covering every pin live at scan
     /// time) before `alloc_chunk` may reuse it.
     ///
-    /// The batch is a handful of chunks against hundreds of references, so
-    /// it is the batch that is indexed: sorted by chunk, with the level
-    /// byte's top bit as the "referenced" mark a binary search sets.
-    fn verify_candidates(&mut self, cands: &mut [(u32, u8)]) -> u64 {
-        const REFERENCED: u8 = 0x80;
+    /// The walk reads each parent chunk once, bracketed by its lock word
+    /// ([`Self::read_chunk_bracketed`]): a chunk no writer overlapped is
+    /// certified by that one read, and only an overlapped one is re-read
+    /// until certified. The periodic pass sizes the batch by this walk, so
+    /// it costs at most two parent reads per candidate.
+    ///
+    /// The batch is still fewer chunks than the references it is checked
+    /// against, so it is the batch that is indexed: sorted by chunk, with
+    /// the level byte's top bit as the [`REFERENCED`] mark a binary search
+    /// sets.
+    fn verify_candidates(&mut self, cands: &mut [(u32, u8)], scanned: &mut u64) {
         let list = self.list;
         let rec = list.reclaim.as_ref().unwrap();
         let team = list.team;
@@ -1834,14 +1915,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // candidate's parent level.
         let mut parents = cands.iter().fold(0u64, |m, &(_, l)| m | 2 << l);
         parents &= (1 << list.params.max_levels()) - 1;
-        let mut scanned = 0;
         let mut view = ChunkView::BLANK;
         while parents != 0 {
             let mut cur = list.head_of(parents.trailing_zeros() as usize);
             parents &= parents - 1;
             while cur != NIL {
-                self.read_chunk_certified(cur, &mut view);
-                scanned += 1;
+                self.read_chunk_bracketed(cur, &mut view);
+                *scanned += 1;
                 if !view.is_zombie(&team) {
                     for (_, e) in view.live_entries(&team) {
                         mark(cands, e.val());
@@ -1894,7 +1974,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 rec.stage_verified(c);
             }
         }
-        scanned
     }
 }
 

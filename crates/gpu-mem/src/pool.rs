@@ -37,9 +37,18 @@ impl std::error::Error for PoolExhausted {}
 /// index as a pointer", §4.1). There is no free: like the paper's
 /// implementation, removed chunks/nodes are never reclaimed within a run.
 pub struct WordPool {
-    words: Box<[ScheduledAtomicU64]>,
+    /// `offset` words of padding, then the pool's words.
+    words: Vec<ScheduledAtomicU64>,
+    /// Where word 0 sits in `words`: the first [`CHUNK_ALIGN`]-byte
+    /// boundary of the allocation.
+    offset: usize,
     next: AtomicU32,
 }
+
+/// The byte alignment of the pool's word 0, and so of every chunk
+/// [`WordPool::alloc`] aligns to its size: a 32-lane chunk of 8-byte words
+/// fills four 64-byte lines exactly, and never straddles a page.
+const CHUNK_ALIGN: usize = 256;
 
 impl WordPool {
     /// Create a pool of `capacity_words` zeroed words.
@@ -52,10 +61,20 @@ impl WordPool {
             capacity_words < u32::MAX as usize,
             "pool capacity must fit 32-bit word addressing"
         );
-        let mut v = Vec::with_capacity(capacity_words);
-        v.resize_with(capacity_words, || ScheduledAtomicU64::new(0));
+        // The allocator aligns the words to 8 bytes only (a large pool's
+        // mmap header puts word 0 16 bytes past a page boundary), so
+        // allocate one chunk less a word of slack and start at the first
+        // boundary inside it.
+        let slack = CHUNK_ALIGN / std::mem::size_of::<ScheduledAtomicU64>() - 1;
+        let mut v = Vec::with_capacity(capacity_words + slack);
+        v.resize_with(capacity_words + slack, || ScheduledAtomicU64::new(0));
+        let offset = v.as_ptr().align_offset(CHUNK_ALIGN).min(slack);
+        // Truncating never moves the buffer; the tail slack goes, so the
+        // one bounds check of `span` is the pool's own.
+        v.truncate(offset + capacity_words);
         WordPool {
-            words: v.into_boxed_slice(),
+            words: v,
+            offset,
             next: AtomicU32::new(0),
         }
     }
@@ -63,7 +82,7 @@ impl WordPool {
     /// Pool capacity in words.
     #[inline]
     pub fn capacity(&self) -> u32 {
-        self.words.len() as u32
+        (self.words.len() - self.offset) as u32
     }
 
     /// Words handed out so far (bump pointer position).
@@ -76,6 +95,8 @@ impl WordPool {
     ///
     /// Alignment matters for the memory model: GFSL chunks must be
     /// line-aligned so a chunk read covers the minimum number of cache lines.
+    /// Word 0 sits on a 256-byte boundary, so a block aligned to its own
+    /// size of up to 32 words is aligned in memory too.
     pub fn alloc(&self, n: u32, align: u32) -> Result<WordAddr, PoolExhausted> {
         debug_assert!(align.is_power_of_two(), "alignment must be a power of two");
         let mut cur = self.next.load(Ordering::Relaxed);
@@ -110,13 +131,13 @@ impl WordPool {
     /// Acquire-load the word at `addr`.
     #[inline]
     pub fn read(&self, addr: WordAddr) -> u64 {
-        self.words[addr as usize].load(addr, Ordering::Acquire)
+        self.words[self.offset + addr as usize].load(addr, Ordering::Acquire)
     }
 
     /// Release-store the word at `addr` (the paper's `AtomicWrite`).
     #[inline]
     pub fn write(&self, addr: WordAddr, value: u64) {
-        self.words[addr as usize].store(addr, value, Ordering::Release);
+        self.words[self.offset + addr as usize].store(addr, value, Ordering::Release);
     }
 
     /// Compare-and-swap the word at `addr` (used for lock words and for
@@ -124,7 +145,7 @@ impl WordPool {
     /// `Err(current)` on failure.
     #[inline]
     pub fn cas(&self, addr: WordAddr, expected: u64, new: u64) -> Result<u64, u64> {
-        self.words[addr as usize].compare_exchange(
+        self.words[self.offset + addr as usize].compare_exchange(
             addr,
             expected,
             new,
@@ -158,17 +179,17 @@ impl WordPool {
     /// If the span does not lie inside the pool.
     #[inline]
     pub fn span(&self, base: WordAddr, n: u32) -> WordSpan<'_> {
-        let start = base as usize;
+        let start = self.offset + base as usize;
         match self.words.get(start..start.wrapping_add(n as usize)) {
             Some(words) => WordSpan { words, base },
-            None => span_out_of_bounds(base, n, self.words.len()),
+            None => span_out_of_bounds(base, n, self.capacity()),
         }
     }
 }
 
 #[cold]
 #[inline(never)]
-fn span_out_of_bounds(base: WordAddr, n: u32, len: usize) -> ! {
+fn span_out_of_bounds(base: WordAddr, n: u32, len: u32) -> ! {
     panic!("index out of bounds: the pool holds {len} words but words {base}..{base}+{n} were addressed")
 }
 
@@ -293,6 +314,18 @@ mod tests {
     fn span_at_a_wrapped_nil_base_panics() {
         let p = WordPool::new(64);
         p.span(u32::MAX - 31, 32);
+    }
+
+    /// Word 0, and with it every chunk, starts a 256-byte line group,
+    /// also in a pool large enough for the allocator to map it fresh.
+    #[test]
+    fn word_zero_is_chunk_aligned() {
+        for words in [64, 1 << 16, 1 << 20] {
+            let p = WordPool::new(words);
+            let word0 = p.span(0, 1).words.as_ptr() as usize;
+            assert_eq!(word0 % 256, 0, "a pool of {words} words");
+            assert_eq!(p.capacity() as usize, words);
+        }
     }
 
     #[test]

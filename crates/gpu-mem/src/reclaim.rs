@@ -340,6 +340,20 @@ impl EpochReclaimer {
         self.dequeue(&self.limbo, |c| out.push(c));
     }
 
+    /// How many retired chunks [`Self::drain_candidates`] would move now:
+    /// the front of limbo whose grace has elapsed (a prefix, see
+    /// `GraceQueue`), counted without moving anything.
+    pub fn ready_candidates(&self) -> u64 {
+        let now = self.epoch();
+        let q = self.limbo.lock().unwrap();
+        q.partition_point(|&(e, _)| now >= e + 2) as u64
+    }
+
+    /// Chunks on the free list now.
+    pub fn free_len(&self) -> u64 {
+        self.free.lock().unwrap().len() as u64
+    }
+
     /// Put a verified-unreachable chunk on the free list for reuse.
     ///
     /// Callers that verified reachability by scanning shared memory should
@@ -435,7 +449,7 @@ impl EpochReclaimer {
             reused: self.reused_total.load(o),
             limbo_len: self.limbo.lock().unwrap().len() as u64,
             staged_len: self.staged.lock().unwrap().len() as u64,
-            free_len: self.free.lock().unwrap().len() as u64,
+            free_len: self.free_len(),
             deferred_len: self.deferred.lock().unwrap().len() as u64,
             deferred_drained: self.deferred_drained_total.load(o),
             passes: self.passes.load(o),
@@ -532,13 +546,18 @@ mod tests {
         r.retire(1, 0);
         r.try_advance();
         r.retire(2, 0);
+        assert_eq!(r.ready_candidates(), 0);
+        r.try_advance();
+        assert_eq!(r.ready_candidates(), 1, "counting moves nothing");
+        assert_eq!(r.ready_candidates(), 1);
         let mut out = Vec::new();
-        advance_and_drain(&r, &mut out);
+        r.drain_candidates(&mut out);
         assert_eq!(
             out,
             vec![(1, 0)],
             "the younger entry stays queued behind it"
         );
+        assert_eq!(r.ready_candidates(), 0);
         advance_and_drain(&r, &mut out);
         assert_eq!(out, vec![(1, 0), (2, 0)]);
     }
