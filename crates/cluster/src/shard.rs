@@ -115,7 +115,7 @@ impl Shard {
     }
 }
 
-/// Per-shard statistics, emitted into `BENCH_cluster.json` by the harness.
+/// Per-shard statistics: one entry of [`Cluster::stats`](crate::Cluster::stats).
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct ShardStats {
     /// Stable shard id.

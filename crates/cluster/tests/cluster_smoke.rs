@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use gfsl::{GfslParams, TeamSize};
 use gfsl_cluster::{Cluster, RebalancePolicy, ReshardEvent};
 use gfsl_rng::SplitMix64;
+use gfsl_workload::{HotShard, ServeMix, ServeOp};
 
 fn params16() -> GfslParams {
     GfslParams {
@@ -258,6 +259,83 @@ fn rebalance_splits_the_hot_shard_and_merges_cold_neighbours() {
 
     // An idle window changes nothing.
     assert_eq!(cluster.rebalance_step(&policy).unwrap(), None);
+}
+
+/// The hot-shard trace: a zipf stream whose head sits at the start of shard
+/// 0, then jumps to the start of shard 2 halfway through, with one policy
+/// step after each window of routed ops. The move must make the policy
+/// act, and it must settle (a window whose step proposes nothing) inside
+/// the post-shift windows. Counted in windows, never timed.
+#[test]
+fn rebalance_restabilizes_after_the_hot_head_moves() {
+    const RANGE: u32 = 10_000;
+    const WINDOWS: usize = 16;
+    const WINDOW_OPS: usize = 1_000;
+    let shift_window = WINDOWS / 2;
+    // Theta 0.6: the head overloads one shard (its quarter of the keys
+    // draws most of the traffic) but is diffuse enough that key-median
+    // splits converge; at 0.9 the head's mass exceeds the hot threshold at
+    // every shard count. Zipf ranks walk upward from the center, so the
+    // whole head lands in one shard.
+    let hot = HotShard::new(
+        RANGE,
+        0.6,
+        1,
+        RANGE / 2 + 1,
+        (shift_window * WINDOW_OPS) as u64,
+    );
+    let stream = hot.stream(ServeMix::C80, 0x407, WINDOWS * WINDOW_OPS);
+    let params = GfslParams {
+        team_size: TeamSize::ThirtyTwo,
+        pool_chunks: GfslParams::chunks_for(
+            u64::from(RANGE) / 4 + stream.len() as u64,
+            TeamSize::ThirtyTwo,
+        ),
+        ..Default::default()
+    };
+    let cluster = Cluster::prefilled(
+        params,
+        4,
+        RANGE,
+        (1..RANGE).filter(|k| k % 2 == 0).map(|k| (k, k)),
+    )
+    .unwrap();
+    let policy = RebalancePolicy {
+        min_window_ops: WINDOW_OPS as u64 / 2,
+        max_shards: 8,
+        min_shards: 2,
+        ..Default::default()
+    };
+    let mut events = Vec::new();
+    for ops in stream.chunks(WINDOW_OPS) {
+        for op in ops {
+            match *op {
+                ServeOp::Get(k) => {
+                    cluster.get(k).unwrap();
+                }
+                ServeOp::Insert(k, v) => {
+                    cluster.insert(k, v).unwrap();
+                }
+                ServeOp::Delete(k) => {
+                    cluster.remove(k).unwrap();
+                }
+                other => panic!("C80 draws no {other:?}"),
+            }
+        }
+        events.push(cluster.rebalance_step(&policy).unwrap());
+    }
+    let post = &events[shift_window..];
+    assert!(
+        matches!(post[0], Some(ReshardEvent::Split { .. })),
+        "the moved head splits its new shard: {events:?}"
+    );
+    let time_to_stable = post.iter().position(Option::is_none).unwrap_or(post.len());
+    assert!(
+        time_to_stable < post.len(),
+        "no post-shift window settled: {events:?}"
+    );
+    println!("time to stable: {time_to_stable} of {} windows", post.len());
+    cluster.assert_valid();
 }
 
 /// The moving-token instant-T test, version-pinned edition: with the mvcc

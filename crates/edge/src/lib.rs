@@ -19,23 +19,18 @@
 //!   a repair step on every loop pass (scrub on idle passes) feeding each
 //!   worker's supervisor, whose ladder surfaces as typed shed frames.
 //! - [`client`] — the blocking reference client (pipelined, id-matched).
-//! - [`loadgen`] — closed-loop and open-loop client populations over real
-//!   sockets, with zipf-skewed per-tenant key windows, for capacity and
-//!   overload measurement (the harness's `edge` experiment drives it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod engine;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod session;
 
 pub use client::EdgeClient;
 pub use engine::EdgeEngine;
-pub use loadgen::{LoadConfig, LoadReport};
 pub use proto::{DecodeError, Req, Resp};
 pub use server::{EdgeConfig, EdgeServer, EdgeStats, SharedSink, StatsSnapshot};
 pub use session::Session;

@@ -107,8 +107,8 @@ pub struct MvccStats {
     pub oldest_pinned: u64,
     /// Version pre-images currently retained on chains.
     pub images: u64,
-    /// Deepest single-chunk chain ever observed (the bounded-high-water
-    /// gate of BENCH_mvcc asserts on this).
+    /// Deepest single-chunk chain ever observed (the retention test
+    /// `repinning_scans_keep_version_chains_bounded` bounds it).
     pub chain_hwm: u64,
     /// Bytes currently held by chain images.
     pub copy_bytes: u64,
@@ -885,6 +885,67 @@ mod tests {
                 stop.store(true, std::sync::atomic::Ordering::Relaxed);
             });
         });
+        list.assert_valid();
+    }
+
+    /// Retention stays bounded under a write soak: a scanner that re-pins
+    /// for every scan keeps each retention window short, so the deepest
+    /// per-chunk chain stays O(tens) however many writes run (256 is the
+    /// bound). Every pin advances the clock, and the writers run a fixed
+    /// op count, so their finishing at all is the not-starved check.
+    #[test]
+    fn repinning_scans_keep_version_chains_bounded() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+
+        const SPAN: u32 = 4_000;
+        const WRITERS: u32 = 2;
+        const WRITES_EACH: u32 = 20_000;
+        let list = Gfsl::prefilled(
+            GfslParams {
+                mvcc: true,
+                ..Default::default()
+            },
+            (1..SPAN).filter(|k| k % 2 == 0),
+        )
+        .unwrap();
+        // Pinned before the writers start, so they write under a pin
+        // however the threads are scheduled.
+        let mut ticket = list.pin_version().unwrap();
+        let clock0 = list.mvcc_stats().unwrap().clock;
+        let finished = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (lr, finished) = (&list, &finished);
+                s.spawn(move || {
+                    let mut h = lr.handle();
+                    let mut x = u64::from(w) + 1;
+                    for _ in 0..WRITES_EACH {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let k = ((x >> 33) as u32 % SPAN) + 1;
+                        if x & 1 == 0 {
+                            let _ = h.try_insert(k, k);
+                        } else {
+                            let _ = h.try_remove(k);
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            let mut h = list.handle();
+            loop {
+                assert!(h.count_range_at(1, SPAN, &ticket) > 0);
+                ticket = list.pin_version().unwrap();
+                if finished.load(Ordering::Relaxed) == WRITERS {
+                    break;
+                }
+            }
+        });
+        drop(ticket);
+        let s = list.mvcc_stats().unwrap();
+        assert!(s.captures > 0, "writers ran under a pin: {s:?}");
+        assert!(s.chain_hwm <= 256, "version-chain high water unbounded: {s:?}");
+        assert!(s.clock > clock0, "re-pins advanced the clock: {s:?}");
+        assert_eq!(finished.into_inner(), WRITERS);
         list.assert_valid();
     }
 

@@ -1,14 +1,9 @@
 //! One module per paper artifact; see the crate docs for the index.
 
 pub mod ablate;
-pub mod cluster;
 pub mod cyclesim;
 pub mod diag;
-pub mod durable;
-pub mod edge;
 pub mod figures;
-pub mod hotpath;
-pub mod mvcc;
 pub mod pkey;
 pub mod table_warps;
 
@@ -112,7 +107,7 @@ impl ExpConfig {
 /// Names of all experiments, in run order.
 pub const ALL: &[&str] = &[
     "table5_1", "table5_2", "fig5_1", "fig5_2", "fig5_3", "fig5_4", "pkey", "ablate", "cyclesim",
-    "diag", "hotpath", "cluster", "durable", "edge", "mvcc",
+    "diag",
 ];
 
 /// Run one experiment by id, returning its rendered tables.
@@ -128,11 +123,6 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
         "ablate" => ablate::run(cfg),
         "cyclesim" => cyclesim::run(cfg),
         "diag" => diag::run(cfg),
-        "hotpath" => hotpath::run(cfg),
-        "cluster" => cluster::run(cfg),
-        "durable" => durable::run(cfg),
-        "edge" => edge::run(cfg),
-        "mvcc" => mvcc::run(cfg),
         other => panic!("unknown experiment '{other}'; known: {ALL:?}"),
     }
 }
@@ -192,14 +182,12 @@ mod tests {
 
     #[test]
     fn experiment_registry_is_complete() {
-        assert_eq!(ALL.len(), 15);
-        assert!(ALL.contains(&"table5_1"));
-        assert!(ALL.contains(&"fig5_4"));
-        assert!(ALL.contains(&"diag"));
-        assert!(ALL.contains(&"hotpath"));
-        assert!(ALL.contains(&"cluster"));
-        assert!(ALL.contains(&"durable"));
-        assert!(ALL.contains(&"edge"));
-        assert!(ALL.contains(&"mvcc"));
+        assert_eq!(
+            ALL,
+            [
+                "table5_1", "table5_2", "fig5_1", "fig5_2", "fig5_3", "fig5_4", "pkey", "ablate",
+                "cyclesim", "diag",
+            ]
+        );
     }
 }

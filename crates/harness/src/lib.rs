@@ -12,6 +12,8 @@
 //! | `fig5_4`  | Fig. 5.4 — single-operation-type throughput |
 //! | `pkey`    | §5.2 — p_key / p_chunk sweeps |
 //! | `ablate`  | extra ablations (merge threshold, probe overhead) |
+//! | `cyclesim`| cross-validation — cycle-level SIMT executor vs the roofline model, Contains-only |
+//! | `diag`    | model diagnostics — per-component time breakdown of reference configurations |
 //!
 //! Methodology: the real data structures run the paper's workloads on host
 //! threads with instrumented memory (coalescing + shared L2 model); the

@@ -4,7 +4,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 /// A rendered experiment artifact: a titled table of string cells.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Title printed above the table (and used for file names).
     pub title: String,
@@ -12,9 +12,6 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Rows of cells; each row must be `headers.len()` long.
     pub rows: Vec<Vec<String>>,
-    /// Structured sidecar data emitted under `"meta"` in the bench JSON
-    /// (e.g. serialized per-shard stats); not rendered in the text table.
-    pub attachments: Vec<(String, serde::Value)>,
 }
 
 impl Table {
@@ -24,7 +21,6 @@ impl Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            attachments: Vec::new(),
         }
     }
 
@@ -32,12 +28,6 @@ impl Table {
     pub fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len(), "ragged table row");
         self.rows.push(cells);
-    }
-
-    /// Attach a structured value under `key` in the table's bench-JSON
-    /// `"meta"` object. Anything `serde::Serialize` works.
-    pub fn attach(&mut self, key: impl Into<String>, value: &dyn serde::Serialize) {
-        self.attachments.push((key.into(), value.serialize_value()));
     }
 
     /// Render as an aligned text table.
@@ -156,9 +146,7 @@ fn json_cell(s: &str) -> String {
 /// (`BENCH_<experiment>.json`), so the perf trajectory is trackable across
 /// PRs without scraping text tables. Numeric cells are emitted as JSON
 /// numbers; everything else as strings. Cell typing is sniffed from the
-/// rendered strings, so the writer stays hand-rolled; table
-/// [`attachments`](Table::attachments) carry structured values through the
-/// vendored shim's `serde::Value` tree under a per-table `"meta"` key.
+/// rendered strings, so the writer stays hand-rolled.
 pub fn write_bench_json(
     dir: &Path,
     experiment: &str,
@@ -193,12 +181,7 @@ pub fn write_bench_json(
                 if ri + 1 < t.rows.len() { "," } else { "" }
             ));
         }
-        body.push_str("      ]");
-        if !t.attachments.is_empty() {
-            let meta = serde::Value::Object(t.attachments.clone());
-            body.push_str(&format!(",\n      \"meta\": {}", meta.to_json()));
-        }
-        body.push('\n');
+        body.push_str("      ]\n");
         body.push_str(&format!(
             "    }}{}\n",
             if ti + 1 < tables.len() { "," } else { "" }
@@ -285,26 +268,6 @@ mod tests {
         assert!(body.contains("[\"fifo\", 12.5, \"0.97x\"]"), "{body}");
         assert!(body.contains("[\"sharded\", 13, \"1.01x\"]"), "{body}");
         // Balanced braces/brackets as a cheap well-formedness check.
-        let balance = |open: char, close: char| {
-            body.chars().filter(|&c| c == open).count()
-                == body.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}') && balance('[', ']'));
-    }
-
-    #[test]
-    fn attachments_land_under_meta() {
-        let mut t = Table::new("Cluster", &["shards", "mops"]);
-        t.row(vec!["4".into(), "12.5".into()]);
-        t.attach("shard_stats", &vec![(1u32, 2u32), (3, 4)]);
-        t.attach("note", &"hot".to_string());
-        let dir = std::env::temp_dir().join("gfsl_report_meta_test");
-        let path = write_bench_json(&dir, "cluster", &[t]).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            body.contains("\"meta\": {\"shard_stats\":[[1,2],[3,4]],\"note\":\"hot\"}"),
-            "{body}"
-        );
         let balance = |open: char, close: char| {
             body.chars().filter(|&c| c == open).count()
                 == body.chars().filter(|&c| c == close).count()

@@ -57,7 +57,7 @@ impl DurabilityContract {
         }
     }
 
-    /// All contracts, strongest first (experiment sweeps).
+    /// All contracts, strongest first (test sweeps).
     pub const ALL: [DurabilityContract; 3] = [
         DurabilityContract::Synced,
         DurabilityContract::DataSynced,

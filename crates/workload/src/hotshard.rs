@@ -5,10 +5,10 @@
 //! scenario manufactures exactly the failure mode load-aware resharding
 //! exists for: the first half of the stream hammers keys around one center
 //! (one shard's range), then the head *jumps* to a different center — the
-//! moment a real service sees when a tenant goes viral. The rebalance
-//! experiment measures how long the cluster takes to split the newly hot
-//! shard and return to stable throughput; the migration-under-chaos test
-//! uses the same stream to race splits against a moving hot set.
+//! moment a real service sees when a tenant goes viral. The cluster's
+//! rebalance test (`cluster_smoke::rebalance_restabilizes_after_the_hot_head_moves`)
+//! counts the policy windows it takes to split the newly hot shard and
+//! settle.
 
 use crate::arrival::{ServeMix, ServeOp};
 use crate::dist::Zipf;
