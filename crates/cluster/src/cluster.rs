@@ -33,7 +33,7 @@ use gfsl::{Error, Gfsl, GfslParams, MemProbe, Violation, KEY_INF};
 use parking_lot::{Mutex, RwLock};
 
 use crate::map::MapInner;
-use crate::shard::{Shard, ShardStats};
+use crate::shard::Shard;
 
 /// A cluster-level operation failure.
 #[derive(Debug)]
@@ -706,11 +706,6 @@ impl Cluster {
     }
 
     // ---- introspection (quiescent use) ----
-
-    /// Per-shard statistics for the current map.
-    pub fn stats(&self) -> Vec<ShardStats> {
-        self.shards().iter().map(|s| s.stats()).collect()
-    }
 
     /// Per-shard mvcc counters for the current map (`None` when the knob
     /// is off). Shard order matches [`Cluster::shards`].

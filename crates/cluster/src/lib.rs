@@ -36,5 +36,5 @@ pub mod snapshot;
 
 pub use cluster::{Cluster, ClusterError};
 pub use reshard::{RebalancePolicy, ReshardEvent};
-pub use shard::{Shard, ShardStats};
+pub use shard::Shard;
 pub use snapshot::{ClusterSnapshot, ShardCut};

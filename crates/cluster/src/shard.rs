@@ -94,42 +94,4 @@ impl Shard {
             .heal_step(0)
             .expect("no handle slot to repair a fenced shard's quarantine");
     }
-
-    /// A point-in-time statistics snapshot of this shard.
-    pub fn stats(&self) -> ShardStats {
-        let (reads, writes) = self.window();
-        let keys = if self.hi > self.lo {
-            self.list.handle().count_range(self.lo, self.hi - 1)
-        } else {
-            0
-        };
-        ShardStats {
-            id: self.id,
-            lo: self.lo,
-            hi: self.hi,
-            reads,
-            writes,
-            keys,
-            quarantine_depth: self.list.quarantine_depth(),
-        }
-    }
-}
-
-/// Per-shard statistics: one entry of [`Cluster::stats`](crate::Cluster::stats).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub struct ShardStats {
-    /// Stable shard id.
-    pub id: u64,
-    /// Inclusive lower key bound.
-    pub lo: u32,
-    /// Exclusive upper key bound.
-    pub hi: u32,
-    /// Reads routed here since the last window reset.
-    pub reads: u64,
-    /// Writes routed here since the last window reset.
-    pub writes: u64,
-    /// Keys currently resident (lock-free range count).
-    pub keys: usize,
-    /// Quarantined chunks awaiting repair.
-    pub quarantine_depth: usize,
 }

@@ -144,9 +144,9 @@ impl Gfsl {
     /// Build a structure prefilled with `keys` (values = keys), sorting and
     /// deduplicating first.
     ///
-    /// This is the serving front end's load path: a service run prefills via
-    /// bulk load instead of replaying millions of single-key inserts, so a
-    /// `serve` experiment spends its wall-clock on the measured phase.
+    /// The unsorted-keys front of [`Gfsl::from_sorted_pairs`]: tests build
+    /// their starting structure with it by bulk load instead of replaying
+    /// single-key inserts.
     ///
     /// # Errors
     /// [`Error::InvalidKey`] if any key is reserved (`0` / `u32::MAX`);

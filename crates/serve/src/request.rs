@@ -82,28 +82,35 @@ pub struct Response {
     pub reply: Reply,
 }
 
-impl Response {
-    /// End-to-end latency: completion minus arrival.
-    #[inline]
-    pub fn latency_ns(&self) -> u64 {
-        self.done_ns.saturating_sub(self.arrival_ns)
-    }
+/// A stream of timed requests with completion feedback: what [`serve`]
+/// pulls from. The service asks *when* the next request arrives
+/// ([`peek_ns`](RequestSource::peek_ns)), takes it once the epoch window
+/// covers that instant, and hands back each completion
+/// ([`on_complete`](RequestSource::on_complete)) and each shed
+/// ([`on_shed`](RequestSource::on_shed)); the source decides how its
+/// clients react — retry later, give up, or issue their next request.
+///
+/// [`serve`]: crate::service::serve
+pub trait RequestSource {
+    /// Virtual arrival time of the next pending request, if any.
+    fn peek_ns(&mut self) -> Option<u64>;
+
+    /// Take the next pending request (must follow a `Some` peek).
+    fn take(&mut self) -> Request;
+
+    /// A response was delivered to its client.
+    fn on_complete(&mut self, resp: &Response);
+
+    /// A request was shed at admission, at virtual time `now_ns`.
+    fn on_shed(&mut self, req: Request, now_ns: u64);
+
+    /// True when the source will never yield another request.
+    fn exhausted(&self) -> bool;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn resp(client: u32, id: u64) -> Response {
-        Response {
-            client,
-            id,
-            arrival_ns: 0,
-            wait_ns: 0,
-            done_ns: 10,
-            reply: Reply::Got(None),
-        }
-    }
 
     #[test]
     fn reply_conversion_covers_every_batch_reply() {
@@ -120,13 +127,5 @@ mod tests {
             Reply::from(BatchReply::Failed(GfslError::InvalidKey(0))),
             Reply::Failed(GfslError::InvalidKey(0))
         );
-    }
-
-    #[test]
-    fn latency_is_done_minus_arrival() {
-        let mut r = resp(0, 0);
-        r.arrival_ns = 100;
-        r.done_ns = 350;
-        assert_eq!(r.latency_ns(), 250);
     }
 }

@@ -1,25 +1,14 @@
-//! Open- and closed-loop arrival processes for the serving front end.
+//! Serving-request operations and their mixtures.
 //!
 //! The harness's op streams (`OpMix::stream`) model a saturating benchmark
-//! loop: every worker always has the next operation ready. A serving system
-//! sees something different — requests *arrive* over time, attributed to
-//! clients, and the server's batching decisions depend on that arrival
-//! process. This module provides both classic load-generation shapes,
-//! deterministically seeded so a service run replays bit-for-bit:
-//!
-//! * **Open loop** ([`OpenLoop`]): Poisson arrivals at a fixed offered rate,
-//!   independent of completions. Models internet-facing traffic; overload is
-//!   possible and sheds are expected.
-//! * **Closed loop** ([`ClosedLoop`]): each client keeps at most one request
-//!   outstanding and thinks (exponentially distributed pause) between its
-//!   completion and its next issue. Models a fixed client population;
-//!   offered load self-limits to `clients / (think + latency)`.
-//!
-//! Requests use [`ServeOp`], the four-kind superset of [`crate::Op`] that
-//! adds `Range` scans (the serving API exposes them; the saturating harness
-//! mixes do not).
+//! loop over three kinds. A serving front end takes requests of more kinds:
+//! [`ServeOp`] is the superset of [`crate::Op`] that adds `Range` scans and
+//! the priority-queue pair `MinEntry` / `PopMin`, and [`ServeMix`] draws
+//! deterministic streams of them. When requests *arrive* is the caller's
+//! business: the edge serves live connections, and `perfbench` drives its
+//! own clients.
 
-use crate::rng::{Lehmer64, SplitMix64};
+use crate::rng::Lehmer64;
 
 /// One serving-request operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +28,8 @@ pub enum ServeOp {
 }
 
 impl ServeOp {
-    /// The (low) key the operation addresses — what sharded batch policies
-    /// partition on. Min ops address the head of the key space, so they
+    /// The (low) key the operation addresses — what key-sorted batching
+    /// sorts on. Min ops address the head of the key space, so they
     /// report the smallest user key.
     #[inline]
     pub fn key(&self) -> u32 {
@@ -174,184 +163,6 @@ impl ServeMix {
     }
 }
 
-/// Deterministic exponential inter-arrival / think-time sampler.
-#[derive(Debug, Clone)]
-pub struct Exponential {
-    rng: SplitMix64,
-    mean_ns: f64,
-}
-
-impl Exponential {
-    /// Sampler with the given mean, in nanoseconds. A zero mean always
-    /// samples zero (back-to-back arrivals).
-    pub fn new(seed: u64, mean_ns: u64) -> Exponential {
-        Exponential {
-            rng: SplitMix64::new(seed),
-            mean_ns: mean_ns as f64,
-        }
-    }
-
-    /// Next interval in nanoseconds: `-mean · ln(1 - U)`, `U ∈ [0, 1)` so
-    /// the argument stays in `(0, 1]` and the draw is finite.
-    #[inline]
-    pub fn next_ns(&mut self) -> u64 {
-        if self.mean_ns <= 0.0 {
-            return 0;
-        }
-        let u = self.rng.unit_f64();
-        (-self.mean_ns * (1.0 - u).ln()) as u64
-    }
-}
-
-/// One arrival: a request op attributed to a client at a virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Arrival {
-    /// Virtual arrival time in nanoseconds since the run started.
-    pub at_ns: u64,
-    /// Issuing client.
-    pub client: u32,
-    /// The request operation.
-    pub op: ServeOp,
-}
-
-/// Open-loop (Poisson) arrival process: `n_ops` requests at a fixed offered
-/// rate, attributed uniformly to `clients` simulated clients.
-#[derive(Debug, Clone)]
-pub struct OpenLoop {
-    mix: ServeMix,
-    key_range: u32,
-    clients: u32,
-    remaining: u64,
-    clock_ns: u64,
-    iat: Exponential,
-    ops: Lehmer64,
-    assign: SplitMix64,
-}
-
-impl OpenLoop {
-    /// A process offering `rate_mops` million requests per second.
-    pub fn new(
-        mix: ServeMix,
-        key_range: u32,
-        clients: u32,
-        n_ops: u64,
-        rate_mops: f64,
-        seed: u64,
-    ) -> OpenLoop {
-        assert!(clients > 0 && key_range > 0 && rate_mops > 0.0);
-        let mean_ns = (1_000.0 / rate_mops).max(0.0) as u64;
-        OpenLoop {
-            mix,
-            key_range,
-            clients,
-            remaining: n_ops,
-            clock_ns: 0,
-            iat: Exponential::new(seed ^ 0x0A11_AB1E, mean_ns),
-            ops: Lehmer64::new(seed ^ 0x0BEA_7E11),
-            assign: SplitMix64::new(seed ^ 0x0C0F_FEE5),
-        }
-    }
-
-    /// Requests this process will still yield.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-}
-
-impl Iterator for OpenLoop {
-    type Item = Arrival;
-
-    fn next(&mut self) -> Option<Arrival> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.clock_ns += self.iat.next_ns();
-        Some(Arrival {
-            at_ns: self.clock_ns,
-            client: self.assign.below(self.clients as u64) as u32,
-            op: self.mix.draw(&mut self.ops, self.key_range),
-        })
-    }
-}
-
-/// One closed-loop client: a deterministic op stream plus a think-time
-/// sampler. The *server* drives the state machine — it calls [`next_op`]
-/// when the client issues and [`think_ns`] when a completion comes back.
-///
-/// [`next_op`]: ClientStream::next_op
-/// [`think_ns`]: ClientStream::think_ns
-#[derive(Debug, Clone)]
-pub struct ClientStream {
-    mix: ServeMix,
-    key_range: u32,
-    remaining: u64,
-    ops: Lehmer64,
-    think: Exponential,
-}
-
-impl ClientStream {
-    /// The client's next request, or `None` when its script is exhausted.
-    pub fn next_op(&mut self) -> Option<ServeOp> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.mix.draw(&mut self.ops, self.key_range))
-    }
-
-    /// Think-time pause before the client's next issue, in nanoseconds.
-    pub fn think_ns(&mut self) -> u64 {
-        self.think.next_ns()
-    }
-
-    /// Requests this client will still issue.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-}
-
-/// A closed-loop client population: each client keeps one request
-/// outstanding and thinks between completion and the next issue.
-#[derive(Debug, Clone)]
-pub struct ClosedLoop {
-    /// Per-client streams, indexed by client id.
-    pub streams: Vec<ClientStream>,
-}
-
-impl ClosedLoop {
-    /// `clients` clients, each scripted for `ops_per_client` requests with
-    /// mean think time `think_mean_ns`.
-    pub fn new(
-        clients: u32,
-        ops_per_client: u64,
-        think_mean_ns: u64,
-        mix: ServeMix,
-        key_range: u32,
-        seed: u64,
-    ) -> ClosedLoop {
-        assert!(clients > 0 && key_range > 0);
-        let streams = (0..clients)
-            .map(|c| ClientStream {
-                mix,
-                key_range,
-                remaining: ops_per_client,
-                ops: Lehmer64::new(seed ^ (c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5E12_CE00),
-                think: Exponential::new(
-                    seed ^ (c as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ 0x7417_4B11,
-                    think_mean_ns,
-                ),
-            })
-            .collect();
-        ClosedLoop { streams }
-    }
-
-    /// Total requests the population will issue.
-    pub fn total_ops(&self) -> u64 {
-        self.streams.iter().map(|s| s.remaining).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,53 +228,5 @@ mod tests {
                 assert!(lo <= hi && hi <= 500);
             }
         }
-    }
-
-    #[test]
-    fn exponential_mean_tracks_parameter() {
-        let mut e = Exponential::new(3, 1_000);
-        let n = 200_000u64;
-        let total: u64 = (0..n).map(|_| e.next_ns()).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 1_000.0).abs() < 25.0, "mean = {mean}");
-        assert_eq!(Exponential::new(3, 0).next_ns(), 0);
-    }
-
-    #[test]
-    fn open_loop_is_deterministic_and_time_ordered() {
-        let a: Vec<Arrival> =
-            OpenLoop::new(ServeMix::C80, 1000, 8, 5_000, 1.0, 11).collect();
-        let b: Vec<Arrival> =
-            OpenLoop::new(ServeMix::C80, 1000, 8, 5_000, 1.0, 11).collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 5_000);
-        assert!(a.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
-        assert!(a.iter().all(|r| r.client < 8));
-        let c: Vec<Arrival> =
-            OpenLoop::new(ServeMix::C80, 1000, 8, 5_000, 1.0, 12).collect();
-        assert_ne!(a, c, "different seed, different arrivals");
-    }
-
-    #[test]
-    fn open_loop_rate_sets_mean_spacing() {
-        let arrivals: Vec<Arrival> =
-            OpenLoop::new(ServeMix::C80, 1000, 4, 50_000, 2.0, 5).collect();
-        // 2 Mops/s -> mean inter-arrival 500 ns.
-        let span = arrivals.last().unwrap().at_ns as f64;
-        let mean = span / arrivals.len() as f64;
-        assert!((mean - 500.0).abs() < 20.0, "mean spacing = {mean}");
-    }
-
-    #[test]
-    fn closed_loop_clients_are_independent_deterministic_streams() {
-        let mut a = ClosedLoop::new(4, 100, 1_000, ServeMix::C80, 1000, 21);
-        let mut b = ClosedLoop::new(4, 100, 1_000, ServeMix::C80, 1000, 21);
-        assert_eq!(a.total_ops(), 400);
-        let ops_a: Vec<_> = (0..100).map_while(|_| a.streams[2].next_op()).collect();
-        let ops_b: Vec<_> = (0..100).map_while(|_| b.streams[2].next_op()).collect();
-        assert_eq!(ops_a, ops_b);
-        assert_eq!(a.streams[2].next_op(), None, "script exhausts at 100");
-        let ops_other: Vec<_> = (0..100).map_while(|_| b.streams[3].next_op()).collect();
-        assert_ne!(ops_a, ops_other, "clients draw distinct streams");
     }
 }

@@ -26,7 +26,7 @@ pub mod prefill;
 pub mod rng;
 pub mod spec;
 
-pub use arrival::{Arrival, ClientStream, ClosedLoop, Exponential, OpenLoop, ServeMix, ServeOp};
+pub use arrival::{ServeMix, ServeOp};
 pub use dist::{KeyDist, Zipf};
 pub use hotshard::HotShard;
 pub use mix::{Op, OpKind, OpMix};
