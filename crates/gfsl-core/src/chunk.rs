@@ -42,7 +42,7 @@ pub const LOCK_ZOMBIE: u64 = 2;
 /// unlocked lock word bracketing a chunk read certify that no writer held
 /// the chunk (hence no entry moved) anywhere between them. Lock-free
 /// readers use this to certify torn-read-hazardous `NotFound` answers (see
-/// `search_lateral`); the shift loops alone cannot protect a key that moves
+/// `walk_lateral`); the shift loops alone cannot protect a key that moves
 /// *toward* a concurrently scanning reader.
 pub const LOCK_STATE_MASK: u64 = 0b11;
 /// One release-version increment (the version lives above the state bits).

@@ -1,5 +1,11 @@
 //! Traversal: `Contains`/`get`, `searchDown`, `searchLateral`, and the
 //! path-recording `searchSlow` used by updates (paper §4.2.1–4.2.2).
+//!
+//! The levels above 0 are walked by one loop, `descend`, and level 0 by one
+//! more, `walk_lateral`. Each has a read mode, which writes nothing and so
+//! keeps `Contains` lock-free, and an update mode, which lazily unlinks the
+//! zombie runs it meets (§4.2.2's `findLateralWithZombieRedirect`) and marks
+//! where the index needs healing.
 
 use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, LaneId, Team};
@@ -85,6 +91,23 @@ pub fn tid_with_equal_key(team: &Team, k: u32, view: &ChunkView) -> LateralStep 
     }
 }
 
+/// A lock word that *certified* a view: it was read before the view's data
+/// lanes and the view's own lock lane, read after them, repeats it unlocked.
+/// Every entry move happens under the chunk lock and every release bumps the
+/// word's version, so no entry moved while such a view was read. Only this
+/// module mints one, and it is the only word
+/// [`GfslHandle::lock_certified`] upgrades from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Certified(u64);
+
+impl Certified {
+    /// The bracketing lock word.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        self.0
+    }
+}
+
 /// Result of a lateral search: where it ended and what it found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LateralResult {
@@ -92,12 +115,37 @@ pub(crate) struct LateralResult {
     pub enclosing: u32,
     /// The DATA lane holding `k` and its value, if present.
     pub found: Option<(LaneId, u32)>,
-    /// The enclosing chunk's lock word, when it was observed *unlocked* in
-    /// the final view (always on certified `NotFound`; on `Found` only if
-    /// no writer happened to hold the chunk). Feeds the traversal hint
-    /// cache: a `(chunk, word)` pair can later revalidate the chunk as
-    /// unchanged-since-observed via version equality.
-    pub word: Option<u64>,
+    /// The enclosing chunk's lock word as the final view's own lock lane
+    /// read it, when unlocked (on a `NotFound` always, since that answer is
+    /// certified; on a `Found` when no writer held the chunk). What the
+    /// traversal hint records: a `(chunk, word)` pair can later revalidate
+    /// the chunk as unchanged-since-observed via version equality.
+    pub unlocked: Option<u64>,
+    /// The same word when it also certified the final view.
+    pub certified: Option<Certified>,
+}
+
+impl LateralResult {
+    /// A result whose final view `word` certified.
+    fn certified_by(enclosing: u32, found: Option<(LaneId, u32)>, word: u64) -> LateralResult {
+        LateralResult { enclosing, found, unlocked: Some(word), certified: Some(Certified(word)) }
+    }
+}
+
+/// How [`GfslHandle::walk_lateral`] treats the chunks it passes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Walk {
+    /// Lock-free (`searchLateral`): zombies, which keep pointing at the chunk
+    /// that absorbed their keys, are stepped through and nothing is written.
+    /// Past `budget` chunk moves the walk gives up: a validated hint only
+    /// places the enclosing chunk at-or-right of it, at an unknown distance.
+    Read { budget: u32 },
+    /// The update path (`findLateralWithZombieRedirect`): a zombie run met
+    /// after a live chunk is lazily unlinked behind it, and the run's first
+    /// live chunk is read again as a fresh arrival. [`HEAL_STEPS_BOTTOM`] or
+    /// more live chunks stepped across mark level 0 for the index heal
+    /// (DESIGN.md §20).
+    Update,
 }
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
@@ -117,7 +165,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         self.with_pin(|h| {
             let res = h.hinted_lateral(k);
-            h.note_hint(res.enclosing, res.word);
+            h.note_hint(res.enclosing, res.unlocked);
             res.found.map(|(_, v)| v)
         })
     }
@@ -132,29 +180,22 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// answer certification, so both `Found` and `NotFound` are immediate.
     pub(crate) fn hinted_lateral(&mut self, k: u32) -> LateralResult {
         if let Some(c) = self.hint_start(k) {
-            // `hint_start` left the validated snapshot in `self.hint_view`.
+            // `hint_start` left the validated snapshot in `self.hint_view`,
+            // certified by the word it validated against.
             let team = self.list.team;
-            // The validated word is unlocked by construction.
-            let word = Some(self.hint_view.lock_word(&team));
+            let word = self.hint_view.lock_word(&team);
             match tid_with_equal_key(&team, k, &self.hint_view) {
                 LateralStep::Found(lane) => {
-                    return LateralResult {
-                        enclosing: c,
-                        found: Some((lane, self.hint_view.entry(lane).val())),
-                        word,
-                    };
+                    let found = Some((lane, self.hint_view.entry(lane).val()));
+                    return LateralResult::certified_by(c, found, word);
                 }
-                LateralStep::NotFound => {
-                    return LateralResult {
-                        enclosing: c,
-                        found: None,
-                        word,
-                    };
-                }
+                LateralStep::NotFound => return LateralResult::certified_by(c, None, word),
                 LateralStep::Continue => {
                     let next = self.hint_view.next(&team);
                     debug_assert_ne!(next, NIL);
-                    if let Some(res) = self.search_lateral_bounded(k, next, HINT_WALK_BUDGET) {
+                    let mut view = ChunkView::BLANK;
+                    let walk = Walk::Read { budget: HINT_WALK_BUDGET };
+                    if let Some(res) = self.walk_lateral(k, next, walk, &mut view) {
                         return res;
                     }
                     // Validated but too far left to be worth walking from.
@@ -351,8 +392,33 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Walk right along one level until `k`'s enclosing chunk, skipping
-    /// zombies (Algorithm 4.4).
+    /// Walk right along one level until `k`'s enclosing chunk, lock-free
+    /// (Algorithm 4.4): [`Self::walk_lateral`] in read mode, unbudgeted.
+    pub(crate) fn search_lateral(&mut self, k: u32, start: u32) -> LateralResult {
+        let mut view = ChunkView::BLANK;
+        self.walk_lateral(k, start, Walk::Read { budget: u32::MAX }, &mut view)
+            .expect("an unbudgeted walk always reaches the enclosing chunk")
+    }
+
+    /// The update-path search (`searchSlow`, Algorithm 4.6): `descend` with
+    /// a path, then [`Self::walk_lateral`] in update mode.
+    ///
+    /// `path.at(list, i)` = chunk in level `i` at-or-left of `k`'s enclosing
+    /// chunk; levels the traversal never visited read as the level head.
+    /// `view` is left holding the enclosing chunk's last read, which the
+    /// result's `certified` word, when there is one, brackets: what
+    /// [`Self::lock_certified`] upgrades to the update's bottom lock.
+    pub(crate) fn search_slow(&mut self, k: u32, view: &mut ChunkView) -> (LateralResult, UpdatePath) {
+        let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
+        let bottom = self.descend(k, 0, Some(&mut path)).expect("no structure is shorter than level 0");
+        let res = self.walk_lateral(k, bottom, Walk::Update, view).expect("an update walk has no budget");
+        path.0[0] = res.enclosing;
+        (res, path)
+    }
+
+    /// The one lateral walk, in either [`Walk`] mode: right from `start` to
+    /// `k`'s enclosing chunk, reading each chunk into `view`, whose last read
+    /// it leaves there. `None` only from a read walk past its budget.
     ///
     /// A `NotFound` answer is only returned once *certified*: the chunk is
     /// re-read until two consecutive views carry the same unlocked lock
@@ -365,33 +431,27 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// atomic word), and `Continue` follows a `(max, next)` pair written
     /// atomically; keys never migrate to an earlier chunk, so a passed
     /// chunk can never hide `k`.
-    pub(crate) fn search_lateral(&mut self, k: u32, start: u32) -> LateralResult {
-        self.search_lateral_bounded(k, start, u32::MAX)
-            .expect("unbounded lateral search always reaches the enclosing chunk")
-    }
-
-    /// [`Self::search_lateral`] with a chunk-move budget: returns `None`
-    /// once the walk has stepped `budget` chunks without reaching `k`'s
-    /// enclosing chunk.
-    ///
-    /// This is what makes the traversal hint cache safe to consult on
-    /// arbitrary key streams: a validated hint only proves the enclosing
-    /// chunk is *at-or-right* of the cached one, at an unknown distance. A
-    /// clustered stream lands within a step or two; a stream that jumps far
-    /// right would otherwise degrade the O(log n) descent into an O(n)
-    /// bottom-level crawl. Capping the walk bounds the worst case at
-    /// `budget` extra chunk reads before falling back to the descent.
-    pub(crate) fn search_lateral_bounded(
+    pub(crate) fn walk_lateral(
         &mut self,
         k: u32,
         start: u32,
-        budget: u32,
+        walk: Walk,
+        view: &mut ChunkView,
     ) -> Option<LateralResult> {
         let team = self.list.team;
+        let (update, budget) = match walk {
+            Walk::Read { budget } => (false, budget),
+            Walk::Update => (true, u32::MAX),
+        };
+        if update {
+            self.heal_levels &= !1;
+        }
         let mut cur = start;
+        // Update mode: the live chunk stepped from, which a redirect swings.
+        let mut prev: Option<u32> = None;
+        // Chunk moves: live chunks stepped across, and in read mode zombies
+        // stepped through too (an update's zombie hops are not heal steps).
         let mut moves = 0u32;
-        // One buffer, reloaded at every chunk the walk reads.
-        let mut view = ChunkView::BLANK;
         // Lock word observed before the current view's data lanes (i.e. from
         // the previous read of the *same* chunk). Reset on every move.
         let mut certify: Option<u64> = None;
@@ -410,197 +470,74 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.probe.lane_read(addr);
                 certify = Some(self.list.pool.read(addr));
             }
-            self.read_chunk_into(cur, &mut view);
-            if view.is_zombie(&team) {
-                cur = view.next(&team);
-                certify = None;
-                debug_assert_ne!(cur, NIL);
-                moves += 1;
-                if moves > budget {
-                    return None;
-                }
-                continue;
-            }
-            match tid_with_equal_key(&team, k, &view) {
-                LateralStep::Continue => {
-                    cur = view.next(&team);
-                    certify = None;
-                    moves += 1;
-                    if moves > budget {
-                        return None;
-                    }
-                }
-                LateralStep::Found(lane) => {
-                    let word = view.unlocked_word(&team);
-                    if word.is_some() && certify == word {
-                        // Pre-bracketed: certified despite needing no
-                        // confirmation for the answer itself.
-                        self.stash_hint_view(cur, &view);
-                    }
-                    return Some(LateralResult {
-                        enclosing: cur,
-                        found: Some((lane, view.entry(lane).val())),
-                        word,
-                    });
-                }
-                LateralStep::NotFound => {
-                    if crate::bug_knobs::revert_remove_shift() {
-                        // Seed-era reader: trust the single team read with
-                        // no lock-word bracketing. Combined with the
-                        // reverted right-to-left shift this re-opens the
-                        // PR 1 torn-read race for the model-check oracle.
-                        return Some(LateralResult {
-                            enclosing: cur,
-                            found: None,
-                            word: None,
-                        });
-                    }
-                    // The lock lane is read after every data lane of `view`.
-                    let after = view.lock_word(&team);
-                    if certify == Some(after)
-                        && crate::chunk::lock_state(after) == crate::chunk::LOCK_UNLOCKED
-                    {
-                        // Bracketed by the previous read's lock lane and this
-                        // view's own: certified, so eligible as the fat hint.
-                        self.stash_hint_view(cur, &view);
-                        return Some(LateralResult {
-                            enclosing: cur,
-                            found: None,
-                            word: Some(after),
-                        });
-                    }
-                    if certify.is_some() {
-                        // A writer was active during the read: genuine retry.
-                        self.certify_backoff(&mut waits, cur);
-                    }
-                    certify = Some(after);
-                }
-            }
-        }
-    }
-
-    /// The update-path search (`searchSlow`, Algorithm 4.6): same traversal
-    /// as `search_down` + bottom lateral, but records the per-level path and
-    /// lazily unlinks zombies it meets after lateral steps.
-    ///
-    /// `path.at(list, i)` = chunk in level `i` at-or-left of `k`'s enclosing
-    /// chunk; levels the traversal never visited read as the level head.
-    /// `view` is left holding the enclosing chunk's last read, and the
-    /// result's `word` is `Some` exactly when that view is *certified* (its
-    /// data lanes bracketed by two reads of that same unlocked word): what
-    /// [`Self::lock_certified`] upgrades to the update's bottom lock.
-    pub(crate) fn search_slow(
-        &mut self,
-        k: u32,
-        view: &mut ChunkView,
-    ) -> (LateralResult, UpdatePath) {
-        let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
-        let bottom = self
-            .descend(k, 0, Some(&mut path))
-            .expect("no structure is shorter than level 0");
-        let res = self.search_lateral_redirect(k, bottom, view);
-        path.0[0] = res.enclosing;
-        (res, path)
-    }
-
-    /// Like [`Self::search_lateral`] but lazily unlinks zombie runs it walks
-    /// through (the bottom-level half of `findLateralWithZombieRedirect`),
-    /// and walks in the caller's `view`, whose last read it leaves there.
-    /// Unlike `search_lateral`'s, a `Found` result carries its `word` only
-    /// when the view is certified.
-    pub(crate) fn search_lateral_redirect(
-        &mut self,
-        k: u32,
-        start: u32,
-        view: &mut ChunkView,
-    ) -> LateralResult {
-        let team = self.list.team;
-        let mut prev: Option<u32> = None;
-        let mut cur = start;
-        self.heal_levels &= !1;
-        let mut steps = 0u8;
-        // NotFound certification, exactly as in `search_lateral`.
-        let mut certify: Option<u64> = None;
-        let mut waits = 0;
-        loop {
-            // Pre-bracket, as in `search_lateral_bounded`: certify views on
-            // first read so the common quiescent case (every fresh insert's
-            // final `NotFound`) skips the confirming re-read.
-            if certify.is_none() {
-                let addr = ops::lock_addr(&team, self.list.chunk(cur));
-                self.probe.lane_read(addr);
-                certify = Some(self.list.pool.read(addr));
-            }
             self.read_chunk_into(cur, view);
             if view.is_zombie(&team) {
                 certify = None;
                 let next = view.next(&team);
-                match self.first_non_zombie(view) {
-                    Some(nz) => {
+                if update {
+                    if let Some(nz) = self.first_non_zombie(view) {
                         if let Some(p) = prev {
                             self.redirect_past_zombies(p, cur, nz, 0);
                         }
                         cur = nz;
                         continue;
                     }
-                    None => {
-                        // Torn race; fall back to the plain walk which will
-                        // simply keep stepping.
-                        cur = next;
-                        debug_assert_ne!(cur, NIL);
-                        continue;
+                    // Torn race: step on as the read walk does.
+                }
+                cur = next;
+                debug_assert_ne!(cur, NIL);
+                if !update {
+                    moves += 1;
+                    if moves > budget {
+                        return None;
                     }
                 }
+                continue;
             }
             let step = tid_with_equal_key(&team, k, view);
-            if step != LateralStep::Continue && steps >= HEAL_STEPS_BOTTOM && !is_tail(&team, view) {
+            let long = moves >= u32::from(HEAL_STEPS_BOTTOM);
+            if update && step != LateralStep::Continue && long && !is_tail(&team, view) {
                 self.heal_levels |= 1;
             }
-            match step {
+            let found = match step {
                 LateralStep::Continue => {
-                    steps = steps.saturating_add(1);
+                    moves += 1;
+                    if moves > budget {
+                        return None;
+                    }
                     prev = Some(cur);
                     cur = view.next(&team);
                     certify = None;
+                    continue;
                 }
-                LateralStep::Found(lane) => {
-                    let word = view.unlocked_word(&team).filter(|&w| certify == Some(w));
-                    if word.is_some() {
-                        self.stash_hint_view(cur, view);
-                    }
-                    return LateralResult {
-                        enclosing: cur,
-                        found: Some((lane, view.entry(lane).val())),
-                        word,
-                    };
+                LateralStep::Found(lane) => Some((lane, view.entry(lane).val())),
+                LateralStep::NotFound if crate::bug_knobs::revert_remove_shift() => {
+                    // Seed-era reader: trust the single team read with no
+                    // lock-word bracketing. Combined with the reverted
+                    // right-to-left shift this re-opens the seed's torn-read
+                    // race for the model-check oracle.
+                    let res = LateralResult { enclosing: cur, found: None, unlocked: None, certified: None };
+                    return Some(res);
                 }
-                LateralStep::NotFound => {
-                    if crate::bug_knobs::revert_remove_shift() {
-                        // Seed-era uncertified reader; see
-                        // `search_lateral_bounded`.
-                        return LateralResult {
-                            enclosing: cur,
-                            found: None,
-                            word: None,
-                        };
-                    }
-                    let after = view.lock_word(&team);
-                    if certify == Some(after)
-                        && crate::chunk::lock_state(after) == crate::chunk::LOCK_UNLOCKED
-                    {
-                        self.stash_hint_view(cur, view);
-                        return LateralResult {
-                            enclosing: cur,
-                            found: None,
-                            word: Some(after),
-                        };
-                    }
-                    if certify.is_some() {
-                        self.certify_backoff(&mut waits, cur);
-                    }
-                    certify = Some(after);
-                }
+                LateralStep::NotFound => None,
+            };
+            // The lock lane is read after every data lane of `view`.
+            let unlocked = view.unlocked_word(&team);
+            if let Some(word) = unlocked.filter(|&w| certify == Some(w)) {
+                // Bracketed by the previous read's lock lane and this view's
+                // own: certified, so eligible as the fat hint.
+                self.stash_hint_view(cur, view);
+                return Some(LateralResult::certified_by(cur, found, word));
             }
+            if found.is_some() {
+                // A key is one atomic word: found needs no certification.
+                return Some(LateralResult { enclosing: cur, found, unlocked, certified: None });
+            }
+            if certify.is_some() {
+                // A writer was active during the read: genuine retry.
+                self.certify_backoff(&mut waits, cur);
+            }
+            certify = Some(view.lock_word(&team));
         }
     }
 
@@ -819,6 +756,20 @@ mod tests {
         assert_eq!(r.found, None);
         let r = h.search_lateral(10, a);
         assert_eq!(r.found, Some((0, 1)));
+        // Read mode writes nothing: A still points at Z, no lock was taken.
+        let team = list.team;
+        assert_eq!(h.read_chunk(a).next(&team), z);
+        assert_eq!((h.stats().locks_taken, h.stats().zombie_unlinks), (0, 0));
+        // Update mode on the same chain swings A past Z and retires it.
+        let mut view = ChunkView::BLANK;
+        let r = h.walk_lateral(40, a, Walk::Update, &mut view).unwrap();
+        assert_eq!((r.enclosing, r.found), (b, Some((1, 4))));
+        assert_eq!(h.read_chunk(a).next(&team), b);
+        assert_eq!((h.stats().locks_taken, h.stats().zombie_unlinks), (1, 1));
+        assert_eq!(list.reclaim.as_ref().unwrap().stats().retired, 1);
+        let b_word = list.pool.read(ops::lock_addr(&team, list.chunk(b)));
+        assert_eq!(r.certified.map(Certified::word), Some(b_word));
+        assert_eq!((view.lock_word(&team), view.entry(1).key()), (b_word, 40), "B's view is left");
     }
 
     #[test]

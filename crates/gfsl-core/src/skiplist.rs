@@ -10,7 +10,7 @@ use gfsl_simt::Team;
 
 use crate::chunk::{ops, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
 use crate::params::GfslParams;
-use crate::search::LateralResult;
+use crate::search::{Certified, LateralResult};
 use gfsl_rng::SplitMix64;
 use crate::stats::OpStats;
 
@@ -934,7 +934,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// [`Self::read_chunk_certified`] with the pre-bracket of
-    /// [`Self::search_lateral`]: one lock-word read before the team read,
+    /// [`Self::walk_lateral`]: one lock-word read before the team read,
     /// so a quiescent chunk certifies on its first read. A view a writer
     /// overlapped falls back to the re-read loop.
     pub(crate) fn read_chunk_bracketed(&mut self, index: u32, view: &mut ChunkView) {
@@ -1177,7 +1177,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// can never come to hold `k`.
     ///
     /// The returned view is moreover *certified* in the
-    /// [`search_lateral`](Self::search_lateral) sense: its data lanes are
+    /// [`walk_lateral`](Self::walk_lateral) sense: its data lanes are
     /// bracketed by two observations of the same unlocked lock word (the
     /// cached one and the view's own lock lane, which `read_chunk` reads
     /// last), so a negative answer derived from it needs no re-read.
@@ -1336,18 +1336,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 ch = next;
                 continue;
             }
-            if view.is_locked(&team) {
-                self.stats.lock_retries += 1;
-                self.lock_backoff(&mut spins, ch);
+            if !self.take_lock(ch, view, &mut spins) {
                 continue;
             }
-            if !ops::try_lock(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch)) {
-                self.stats.lock_retries += 1;
-                self.lock_backoff(&mut spins, ch);
-                continue;
-            }
-            self.stats.locks_taken += 1;
-            self.held.acquired(ch);
             // Re-read under the lock; the chunk may have stopped enclosing
             // `k` between the read and the CAS.
             self.read_chunk_into(ch, view);
@@ -1360,19 +1351,35 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
+    /// One attempt at `ch`'s lock, from `view`, a fresh read of it: a view
+    /// showing the chunk locked, or a failed CAS, counts a lock retry and
+    /// backs off (`false`); a won CAS counts the lock and records it held.
+    fn take_lock(&mut self, ch: u32, view: &ChunkView, spins: &mut u32) -> bool {
+        let team = self.list.team;
+        let ch_ref = self.list.chunk(ch);
+        if view.is_locked(&team) || !ops::try_lock(&team, &self.list.pool, &mut self.probe, ch_ref) {
+            self.stats.lock_retries += 1;
+            self.lock_backoff(spins, ch);
+            return false;
+        }
+        self.stats.locks_taken += 1;
+        self.held.acquired(ch);
+        true
+    }
+
     /// Take an update's bottom lock on the chunk its [`Self::search_slow`]
     /// ended in, `res.enclosing`, whose last read is in `view`.
     ///
-    /// When that view is certified (`res.word`: its data lanes bracketed by
-    /// two reads of that unlocked word), one CAS from exactly that word
-    /// upgrades it: success proves no writer held the chunk since the view
-    /// was read, so `view` is still the chunk's content and neither of
+    /// When that view is certified (`res.certified`: its data lanes
+    /// bracketed by two reads of that unlocked word), one CAS from exactly
+    /// that word upgrades it: success proves no writer held the chunk since
+    /// the view was read, so `view` is still the chunk's content and neither of
     /// [`Self::find_and_lock_enclosing`]'s two team reads is needed (DESIGN
     /// §12). Any other outcome falls back to that walk from the same chunk,
     /// a failed CAS counting as a lock retry. Returns the locked chunk, its
     /// content in `view`.
     pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> u32 {
-        if let Some(word) = res.word {
+        if let Some(word) = res.certified.map(Certified::word) {
             let team = self.list.team;
             let ch = self.list.chunk(res.enclosing);
             let locked = if crate::bug_knobs::stale_lock_upgrade() {
@@ -1412,18 +1419,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 cur = view.next(&team);
                 continue;
             }
-            if view.is_locked(&team) {
-                self.stats.lock_retries += 1;
-                self.lock_backoff(&mut spins, cur);
+            if !self.take_lock(cur, &view, &mut spins) {
                 continue;
             }
-            if !ops::try_lock(&team, &self.list.pool, &mut self.probe, self.list.chunk(cur)) {
-                self.stats.lock_retries += 1;
-                self.lock_backoff(&mut spins, cur);
-                continue;
-            }
-            self.stats.locks_taken += 1;
-            self.held.acquired(cur);
             if cur != first_next {
                 // Unlink the zombies we skipped: we hold `ch`'s lock, so its
                 // max is stable and rewriting (max, next) in one word is safe.
@@ -2128,7 +2126,7 @@ mod tests {
         // with no chunk read.
         let mut view = ChunkView::BLANK;
         let (found, _) = h.search_slow(25, &mut view);
-        assert!(found.word.is_some(), "a quiescent chunk's view is certified");
+        assert!(found.certified.is_some(), "a quiescent chunk's view is certified");
         let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
         let p = h.lock_certified(&found, 25, &mut view);
         assert_eq!((h.stats().chunk_reads, h.stats().lock_retries), (reads, retries));
@@ -2136,7 +2134,7 @@ mod tests {
 
         // A second handle writes the chunk between the search and the lock.
         let (found, _) = h.search_slow(25, &mut view);
-        assert!(found.word.is_some());
+        assert!(found.certified.is_some());
         list.handle().insert(15, 15).unwrap();
         let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
         let p = h.lock_certified(&found, 25, &mut view);
