@@ -54,6 +54,27 @@ pub const fn lock_state(word: u64) -> u64 {
     word & LOCK_STATE_MASK
 }
 
+/// The word a held lock `held` is released to: unlocked, with the release
+/// version bumped.
+#[inline]
+pub(crate) const fn lock_released(held: u64) -> u64 {
+    (held & !LOCK_STATE_MASK).wrapping_add(LOCK_VERSION_UNIT) | LOCK_UNLOCKED
+}
+
+/// The zombie marker a held lock `held` turns into: the release version is
+/// kept.
+#[inline]
+pub(crate) const fn lock_zombified(held: u64) -> u64 {
+    (held & !LOCK_STATE_MASK) | LOCK_ZOMBIE
+}
+
+/// A recycled chunk's first lock word, from its zombie word `zombie`:
+/// locked, continuing the chunk's release-version sequence.
+#[inline]
+pub(crate) const fn lock_recycled(zombie: u64) -> u64 {
+    (zombie & !LOCK_STATE_MASK).wrapping_add(LOCK_VERSION_UNIT) | LOCK_LOCKED
+}
+
 /// Is `k` usable as a user key? (`-∞` and `∞` are reserved.)
 #[inline]
 pub const fn is_user_key(k: u32) -> bool {
@@ -344,10 +365,7 @@ pub mod ops {
         debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "unlocking a chunk we do not hold");
         probe.crash_point(CrashPoint::LockRelease);
         probe.lane_write(addr);
-        pool.write(
-            addr,
-            (cur & !LOCK_STATE_MASK).wrapping_add(LOCK_VERSION_UNIT) | LOCK_UNLOCKED,
-        );
+        pool.write(addr, lock_released(cur));
     }
 
     /// Convert a held lock into the terminal zombie marker. The release
@@ -364,7 +382,7 @@ pub mod ops {
         debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "only the lock holder may zombify");
         probe.crash_point(CrashPoint::MergeZombieMark);
         probe.lane_write(addr);
-        pool.write(addr, (cur & !LOCK_STATE_MASK) | LOCK_ZOMBIE);
+        pool.write(addr, lock_zombified(cur));
     }
 
     /// Atomically overwrite data entry `lane` of the chunk whose words are

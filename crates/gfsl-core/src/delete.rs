@@ -145,89 +145,77 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the minimum-fill threshold (`removeFromChunk`, Algorithm 4.12). The
     /// chunk is unlocked (or zombified) on return.
     pub(crate) fn remove_from_chunk(&mut self, k: u32, p_enc: u32, view: &ChunkView, level: usize) {
-        let team = self.list.team;
-        let count = view.num_keys(&team);
-        let threshold = self.list.params.merge_threshold();
-
-        if count > threshold {
-            // Plenty left: plain removal.
-            self.execute_remove_no_merge(p_enc, view, k);
-            if level == 0 {
-                self.journal.committed = Some(Commit::Removed(true));
-            }
-            self.unlock(p_enc);
-            return;
-        }
-
-        match self.lock_next_chunk(p_enc, level) {
-            None => {
+        let mut last = false;
+        if view.num_keys(&self.list.team) <= self.list.params.merge_threshold() {
+            match self.lock_next_chunk(p_enc, level) {
                 // Last chunk in the level: never merged, never zombified;
                 // just remove, even if that empties it completely.
-                self.execute_remove_no_merge(p_enc, view, k);
-                if level == 0 {
-                    self.journal.committed = Some(Commit::Removed(true));
-                }
-                if level > 0 {
-                    self.note_possible_level_empty(p_enc, level);
-                }
-                self.unlock(p_enc);
-            }
-            Some(p_next) => {
-                let mut nview = self.read_chunk(p_next);
-                if nview.num_keys(&team) + count - 1 > team.dsize() as u32 {
-                    // The absorber is too full: split it first (splitRemove).
-                    match self.split_remove(p_next, &nview, level) {
-                        Ok(()) => {
-                            self.list.inc_level_chunks(level);
-                            self.read_chunk_into(p_next, &mut nview);
-                        }
-                        Err(_) => {
-                            // Pool exhausted: degrade to a merge-free remove.
-                            self.unlock(p_next);
-                            self.execute_remove_no_merge(p_enc, view, k);
-                            if level == 0 {
-                                self.journal.committed = Some(Commit::Removed(true));
-                            }
-                            self.unlock(p_enc);
-                            return;
-                        }
+                None => last = true,
+                Some(p_next) => {
+                    if self.merge_into_next(k, p_enc, view, p_next, level) {
+                        return;
                     }
                 }
-                // Journal the merge before the copy so a crash between the
-                // copy and the zombie mark rolls the merge *forward* (the
-                // absorber's image already carries the survivors).
-                self.held.intent = Intent::Merge {
-                    dying: p_enc,
-                    absorber: p_next,
-                    k,
-                    level,
-                    copied: false,
-                };
-                let moved = self.execute_remove_merge(p_enc, view, p_next, &nview, k);
-                if let Intent::Merge { copied, .. } = &mut self.held.intent {
-                    *copied = true;
-                }
-                ops::mark_zombie(
-                    &team,
-                    &self.list.pool,
-                    &mut self.probe,
-                    self.list.chunk(p_enc),
-                );
-                // Zombification is a terminal release of p_enc's lock; for k
-                // it is also the linearization point of the removal (until
-                // the mark, readers could still find k in the dying chunk).
-                self.held.released(p_enc);
-                if level == 0 {
-                    self.journal.committed = Some(Commit::Removed(true));
-                }
-                self.stats.merges += 1;
-                self.list.dec_level_chunks(level);
-                self.list.note_zombie(level);
-                self.unlock(p_next);
-                self.update_down_ptrs(level, moved.as_slice(), p_next);
-                self.held.intent = Intent::None;
             }
         }
+        // Plain removal: plenty left, the level's last chunk, or a merge
+        // that could not pre-split its absorber.
+        self.execute_remove_no_merge(p_enc, view, k);
+        if level == 0 {
+            self.journal.committed = Some(Commit::Removed(true));
+        }
+        if last && level > 0 {
+            self.note_possible_level_empty(p_enc, level);
+        }
+        self.unlock(p_enc);
+    }
+
+    /// Remove `k` from the locked, underfull `p_enc` by merging its other
+    /// entries into its locked successor `p_next`, zombifying `p_enc` and
+    /// releasing `p_next`. Returns `false` with `p_next` released and
+    /// `p_enc` still held when the absorber needed a pre-split and the
+    /// pool is exhausted: the caller degrades to a merge-free remove.
+    fn merge_into_next(&mut self, k: u32, p_enc: u32, view: &ChunkView, p_next: u32, level: usize) -> bool {
+        let team = self.list.team;
+        let mut nview = self.read_chunk(p_next);
+        if nview.num_keys(&team) + view.num_keys(&team) - 1 > team.dsize() as u32 {
+            // The absorber is too full: split it first (splitRemove).
+            if self.split_remove(p_next, &nview, level).is_err() {
+                self.unlock(p_next);
+                return false;
+            }
+            self.list.inc_level_chunks(level);
+            self.read_chunk_into(p_next, &mut nview);
+        }
+        // Journal the merge before the copy so a crash between the
+        // copy and the zombie mark rolls the merge *forward* (the
+        // absorber's image already carries the survivors).
+        self.held.intent = Intent::Merge {
+            dying: p_enc,
+            absorber: p_next,
+            k,
+            level,
+            copied: false,
+        };
+        let moved = self.execute_remove_merge(view, p_next, &nview, k);
+        if let Intent::Merge { copied, .. } = &mut self.held.intent {
+            *copied = true;
+        }
+        ops::mark_zombie(&team, &self.list.pool, &mut self.probe, self.list.chunk(p_enc));
+        // Zombification is a terminal release of p_enc's lock; for k
+        // it is also the linearization point of the removal (until
+        // the mark, readers could still find k in the dying chunk).
+        self.held.released(p_enc);
+        if level == 0 {
+            self.journal.committed = Some(Commit::Removed(true));
+        }
+        self.stats.merges += 1;
+        self.list.dec_level_chunks(level);
+        self.list.note_zombie(level);
+        self.unlock(p_next);
+        self.update_down_ptrs(level, moved.as_slice(), p_next);
+        self.held.intent = Intent::None;
+        true
     }
 
     /// Physically remove `k` by shifting larger keys one entry left
@@ -309,7 +297,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// moved keys for the down-pointer repair pass.
     pub(crate) fn execute_remove_merge(
         &mut self,
-        _p_enc: u32,
         eview: &ChunkView,
         p_next: u32,
         nview: &ChunkView,

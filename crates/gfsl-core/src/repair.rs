@@ -32,8 +32,8 @@ use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
 use crate::chunk::{
-    lock_state, ops, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED, LOCK_STATE_MASK, LOCK_UNLOCKED,
-    LOCK_VERSION_UNIT, LOCK_ZOMBIE, NIL,
+    lock_released, lock_state, lock_zombified, ops, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED,
+    LOCK_UNLOCKED, NIL,
 };
 use crate::skiplist::{Error, Gfsl, GfslHandle, Intent, QuarantinedChunk, RepairStats};
 use crate::validate::chunk_rules;
@@ -260,10 +260,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
         let cur = self.list.pool.read(addr);
         debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "releasing an unheld chunk {c}");
         self.probe.lane_write(addr);
-        self.list.pool.write(
-            addr,
-            (cur & !LOCK_STATE_MASK).wrapping_add(LOCK_VERSION_UNIT) | LOCK_UNLOCKED,
-        );
+        self.list.pool.write(addr, lock_released(cur));
     }
 
     /// Convert a quarantined chunk's held lock into the terminal zombie
@@ -274,9 +271,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
         let cur = self.list.pool.read(addr);
         debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "zombifying an unheld chunk {c}");
         self.probe.lane_write(addr);
-        self.list
-            .pool
-            .write(addr, (cur & !LOCK_STATE_MASK) | LOCK_ZOMBIE);
+        self.list.pool.write(addr, lock_zombified(cur));
     }
 
     #[inline]

@@ -560,39 +560,39 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Lazily rewrite `prev`'s next pointer to skip a zombie run:
-    /// best-effort try-lock, re-verify, single-word write (paper §4.2.2:
-    /// "the redirection is performed lazily by calling try-lock on the
-    /// previous chunk; if the lock fails the team continues").
-    ///
-    /// A successful swing is the moment the skipped zombies become
-    /// unreachable from the live chain, and the re-verified lock on `prev`
-    /// makes this team the *unique* unlinker of exactly this run — so this
-    /// is where the run is retired to the epoch reclaimer.
+    /// Lazily rewrite `prev`'s next pointer to skip a zombie run: a
+    /// best-effort try-lock, then [`Self::swing_past_zombies`] (paper
+    /// §4.2.2: "the redirection is performed lazily by calling try-lock on
+    /// the previous chunk; if the lock fails the team continues").
     pub(crate) fn redirect_past_zombies(&mut self, prev: u32, old_next: u32, new_next: u32, level: usize) {
-        let team = self.list.team;
-        let pool = &self.list.pool;
         let pch = self.list.chunk(prev);
-        if !ops::try_lock(&team, pool, &mut self.probe, pch) {
+        if !ops::try_lock(&self.list.team, &self.list.pool, &mut self.probe, pch) {
             return;
         }
         self.stats.locks_taken += 1;
         self.held.acquired(prev);
-        // Under the lock, prev cannot be zombified or split concurrently.
-        let nf = ops::read_next_field(&team, &self.list.pool, &mut self.probe, pch);
+        self.swing_past_zombies(prev, old_next, new_next, level);
+        self.unlock(prev);
+    }
+
+    /// With `prev`'s lock held, swing its next pointer from `old_next` past
+    /// a zombie run to `new_next` (unless it no longer reads `old_next`),
+    /// keeping its max: under the lock `prev` cannot be zombified or split
+    /// concurrently, so rewriting (max, next) in one word is safe. The
+    /// lazy redirect and [`Self::lock_next_chunk`] both unlink this way.
+    ///
+    /// A successful swing is the moment the skipped zombies become
+    /// unreachable from the live chain, and the lock on `prev` makes this
+    /// team the *unique* unlinker of exactly this run — so this is where
+    /// the run is retired to the epoch reclaimer.
+    pub(crate) fn swing_past_zombies(&mut self, prev: u32, old_next: u32, new_next: u32, level: usize) {
+        let list = self.list;
+        let nf = ops::read_next_field(&list.team, &list.pool, &mut self.probe, list.chunk(prev));
         if nf.val() == old_next {
-            ops::write_next_field(
-                &team,
-                &self.list.pool,
-                &mut self.probe,
-                pch,
-                nf.key(),
-                new_next,
-            );
+            ops::write_next_field(&list.team, &list.pool, &mut self.probe, list.chunk(prev), nf.key(), new_next);
             self.stats.zombie_unlinks += 1;
             self.retire_run(old_next, new_next, level);
         }
-        self.unlock(prev);
     }
 
     /// CAS the head-array pointer of `level` from a zombified first chunk to

@@ -1423,21 +1423,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 continue;
             }
             if cur != first_next {
-                // Unlink the zombies we skipped: we hold `ch`'s lock, so its
-                // max is stable and rewriting (max, next) in one word is safe.
-                let nf = ops::read_next_field(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch));
-                ops::write_next_field(
-                    &team,
-                    &self.list.pool,
-                    &mut self.probe,
-                    self.list.chunk(ch),
-                    nf.key(),
-                    cur,
-                );
-                self.stats.zombie_unlinks += 1;
-                // Holding `ch`'s lock makes this team the unique unlinker of
-                // the skipped run: hand it to the reclaimer.
-                self.retire_run(first_next, cur, level);
+                // Unlink the zombies we skipped. `ch`'s next still reads
+                // `first_next`: only its lock holder, this team, writes it.
+                self.swing_past_zombies(ch, first_next, cur, level);
             }
             return Some(cur);
         }
@@ -1613,8 +1601,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 crate::chunk::LOCK_ZOMBIE,
                 "recycled chunk {idx} was not a zombie"
             );
-            (old & !crate::chunk::LOCK_STATE_MASK).wrapping_add(crate::chunk::LOCK_VERSION_UNIT)
-                | crate::chunk::LOCK_LOCKED
+            crate::chunk::lock_recycled(old)
         } else {
             crate::chunk::LOCK_LOCKED
         };

@@ -1,16 +1,20 @@
 //! Chunk splitting (paper §4.2.2, Algorithm 4.9 / Fig. 4.4).
 //!
-//! A split moves the top `DSIZE/2` entries of an overfull chunk into a newly
-//! allocated chunk, publishes the new chunk with a single atomic write of
-//! the old chunk's NEXT entry (new max + new next pointer together), and
-//! only then empties the moved entries. Lock-free readers racing the split
-//! are steered correctly by the lowered max field because ballots give
-//! precedence to the NEXT lane over stale DATA lanes.
+//! A split moves the live entries from `DSIZE/2` up of a locked chunk into
+//! a newly allocated chunk, publishes the new chunk with a single atomic
+//! write of the old chunk's NEXT entry (new max + new next pointer
+//! together), and only then empties the moved entries. Lock-free readers
+//! racing the split are steered correctly by the lowered max field because
+//! ballots give precedence to the NEXT lane over stale DATA lanes.
+//!
+//! There is one split body, `split_copy` (`preSplit` + `splitCopy`):
+//! `split_insert` (`splitInsert`) and `split_remove` (`splitRemove`) differ
+//! only in what they do after the publish.
 
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry};
+use crate::chunk::{ops, ChunkView, Entry, KEY_INF};
 use crate::skiplist::{Commit, Error, GfslHandle, Intent};
 
 /// The keys moved out of a split/merged chunk, kept for the down-pointer
@@ -38,7 +42,89 @@ impl MovedKeys {
     }
 }
 
+/// What the split body leaves its caller: the new chunk, still locked and
+/// published right after the split chunk, the threshold key that is now
+/// the split chunk's max, and the keys moved into the new chunk.
+struct Split {
+    new: u32,
+    thresh: u32,
+    moved: MovedKeys,
+}
+
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
+    /// `preSplit` + `splitCopy` of the locked chunk `p_split`, whose
+    /// snapshot is `view`: the one split body both `splitInsert` and
+    /// `splitRemove` run.
+    ///
+    /// On error (pool exhausted) the next chunk is released again and
+    /// `p_split` stays locked, the caller's to release.
+    fn split_copy(&mut self, p_split: u32, view: &ChunkView, level: usize) -> Result<Split, Error> {
+        let team = self.list.team;
+        let half = team.dsize() / 2;
+
+        // preSplit: lock the next chunk (unlinking zombies on the way), then
+        // allocate the new chunk — it comes out of the allocator locked.
+        let p_next = self.lock_next_chunk(p_split, level);
+        let p_new = match self.alloc_chunk() {
+            Ok(c) => c,
+            Err(e) => {
+                if let Some(n) = p_next {
+                    self.unlock(n);
+                }
+                return Err(e);
+            }
+        };
+
+        // splitCopy: copy the top half into the (still unreachable) new
+        // chunk, publish with one word, then empty the moved entries.
+        let thresh = view.entry(half - 1).key();
+        debug_assert!(thresh != KEY_INF, "split chunk at least half full");
+        // Journal the structural intent before any store touches p_new: a
+        // crash before the publish rolls the unreachable p_new back
+        // (retired), one after rolls the split forward.
+        self.held.intent = Intent::Split {
+            split: p_split,
+            new: p_new,
+            thresh,
+            level,
+            published: false,
+        };
+
+        // The new chunk inherits the split chunk's current (max, next): it
+        // slots in directly after it.
+        let list = self.list;
+        let nf = ops::read_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split));
+        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_new), nf.key(), nf.val());
+
+        // A chunk split by a merge may be only partially full (it need only
+        // be too full to absorb its left neighbour): move the live entries
+        // at positions >= DSIZE/2.
+        let new_ch = list.chunk_words(p_new);
+        let mut moved = MovedKeys::new();
+        for i in half..team.dsize() {
+            let e = view.entry(i);
+            if e.is_empty() {
+                break; // live entries are left-packed
+            }
+            moved.push(e.key());
+            ops::write_entry(&mut self.probe, new_ch, i - half, e);
+        }
+        self.probe.crash_point(CrashPoint::SplitPublish);
+        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split), thresh, p_new);
+        if let Intent::Split { published, .. } = &mut self.held.intent {
+            *published = true;
+        }
+        let split_ch = list.chunk_words(p_split);
+        for i in (half..half + moved.as_slice().len()).rev() {
+            ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
+        }
+        if let Some(n) = p_next {
+            self.unlock(n);
+        }
+        self.stats.splits += 1;
+        Ok(Split { new: p_new, thresh, moved })
+    }
+
     /// Split the full, locked chunk `p_split` and insert `(k, v)` into
     /// whichever half now encloses it (`splitInsert`).
     ///
@@ -54,83 +140,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         v: u32,
         level: usize,
     ) -> Result<(u32, u32), Error> {
-        let team = self.list.team;
-        let half = team.dsize() / 2;
-
-        // preSplit: lock the next chunk (unlinking zombies on the way), then
-        // allocate the new chunk — it comes out of the allocator locked.
-        let p_next = self.lock_next_chunk(p_split, level);
-        let p_new = match self.alloc_chunk() {
-            Ok(c) => c,
-            Err(e) => {
-                if let Some(n) = p_next {
-                    self.unlock(n);
-                }
-                self.unlock(p_split);
-                return Err(e);
-            }
-        };
-
-        // splitCopy: copy the top half into the (still unreachable) new
-        // chunk, publish with one word, then empty the moved entries.
-        let thresh = view.entry(half - 1).key();
-        // Journal the structural intent before any store touches p_new: a
-        // crash before the publish rolls the unreachable p_new back
-        // (retired), one after rolls the split forward.
-        self.held.intent = Intent::Split {
-            split: p_split,
-            new: p_new,
-            thresh,
-            level,
-            published: false,
-        };
-
-        // The new chunk inherits the split chunk's current (max, next): it
-        // slots in directly after it.
-        let nf = ops::read_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_split),
-        );
-        let (old_max, old_next) = (nf.key(), nf.val());
-        ops::write_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_new),
-            old_max,
-            old_next,
-        );
-
-        let new_ch = self.list.chunk_words(p_new);
-        let mut moved = MovedKeys::new();
-        for i in half..team.dsize() {
-            let e = view.entry(i);
-            debug_assert!(!e.is_empty(), "splitting a non-full chunk");
-            moved.push(e.key());
-            ops::write_entry(&mut self.probe, new_ch, i - half, e);
-        }
-        self.probe.crash_point(CrashPoint::SplitPublish);
-        ops::write_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_split),
-            thresh,
-            p_new,
-        );
-        if let Intent::Split { published, .. } = &mut self.held.intent {
-            *published = true;
-        }
-        let split_ch = self.list.chunk_words(p_split);
-        for i in (half..team.dsize()).rev() {
-            ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
-        }
-        if let Some(n) = p_next {
-            self.unlock(n);
-        }
-        self.stats.splits += 1;
+        let Split { new: p_new, thresh, moved } = self
+            .split_copy(p_split, view, level)
+            .inspect_err(|_| self.unlock(p_split))?;
+        let dsize = self.list.team.dsize();
+        debug_assert_eq!(moved.as_slice().len(), dsize - dsize / 2, "splitting a non-full chunk");
 
         // insertNewData: k goes into whichever half encloses it; the other
         // half is unlocked. At level 0 the half holding k must stay locked
@@ -157,7 +171,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // dangling forever (violating upper-subset-of-lower). So: when k
         // went into the old half, raise k itself; when k went into the new
         // half, max(k, min-of-new-chunk) also lives there and is safe.
-        let min_moved = view.entry(half).key();
+        let min_moved = moved.as_slice()[0];
         let unsafe_raise = crate::bug_knobs::revert_split_raised_key();
         let raised = if level == 0 && (p_insert == p_new || unsafe_raise) {
             k.max(min_moved)
@@ -176,86 +190,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         Ok((p_insert, raised))
     }
 
-    /// Split a locked chunk during a merge (`splitRemove`): identical to the
-    /// insert-path split except nothing is inserted and both the new chunk
-    /// and the next chunk end up unlocked; `p_next_of_merge` stays locked by
-    /// the caller.
+    /// Split a locked chunk during a merge (`splitRemove`): the same split
+    /// as the insert path's, but nothing is inserted and the new chunk is
+    /// unlocked at once; `p_split` stays locked by the caller, who keeps
+    /// responsibility for it on error too.
     pub(crate) fn split_remove(&mut self, p_split: u32, view: &ChunkView, level: usize) -> Result<(), Error> {
-        let team = self.list.team;
-        let half = team.dsize() / 2;
-
-        let p_nn = self.lock_next_chunk(p_split, level);
-        let p_new = match self.alloc_chunk() {
-            Ok(c) => c,
-            Err(e) => {
-                if let Some(n) = p_nn {
-                    self.unlock(n);
-                }
-                // Caller keeps responsibility for p_split.
-                return Err(e);
-            }
-        };
-
-        // Unlike the insert-path split, the chunk may be only partially full
-        // (merging just requires it to be too full to absorb its left
-        // neighbour): move the live entries at positions >= DSIZE/2.
-        let thresh = view.entry(half - 1).key();
-        self.held.intent = Intent::Split {
-            split: p_split,
-            new: p_new,
-            thresh,
-            level,
-            published: false,
-        };
-
-        let nf = ops::read_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_split),
-        );
-        ops::write_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_new),
-            nf.key(),
-            nf.val(),
-        );
-
-        debug_assert!(thresh != crate::chunk::KEY_INF, "absorber at least half full");
-        let new_ch = self.list.chunk_words(p_new);
-        let mut moved = MovedKeys::new();
-        for i in half..team.dsize() {
-            let e = view.entry(i);
-            if e.is_empty() {
-                break; // live entries are left-packed
-            }
-            moved.push(e.key());
-            ops::write_entry(&mut self.probe, new_ch, i - half, e);
-        }
-        self.probe.crash_point(CrashPoint::SplitPublish);
-        ops::write_next_field(
-            &team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(p_split),
-            thresh,
-            p_new,
-        );
-        if let Intent::Split { published, .. } = &mut self.held.intent {
-            *published = true;
-        }
-        let split_ch = self.list.chunk_words(p_split);
-        for i in (half..half + moved.as_slice().len()).rev() {
-            ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
-        }
-        if let Some(n) = p_nn {
-            self.unlock(n);
-        }
+        let Split { new: p_new, moved, .. } = self.split_copy(p_split, view, level)?;
         self.unlock(p_new);
-        self.stats.splits += 1;
-
         self.update_down_ptrs(level, moved.as_slice(), p_new);
         self.held.intent = Intent::None;
         Ok(())
@@ -264,10 +205,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::chunk::{KEY_INF, NIL};
+    use crate::chunk::{lock_state, KEY_INF, LOCK_UNLOCKED, NIL};
     use crate::params::GfslParams;
     use crate::skiplist::Gfsl;
     use gfsl_simt::TeamSize;
+    use std::collections::BTreeSet;
 
     fn list16() -> Gfsl {
         Gfsl::new(GfslParams {
@@ -277,40 +219,84 @@ mod tests {
         .unwrap()
     }
 
-    /// After one split the level-0 chain must be two sorted chunks with
-    /// correct max/next wiring.
+    /// The live level-0 chunks in chain order, each with its keys, after
+    /// checking the wiring: every chunk sorted and within its max, chunks
+    /// laterally ordered, the last one's (max, next) = (∞, NIL).
+    fn level0_chain(list: &Gfsl) -> Vec<(u32, Vec<u32>)> {
+        let team = &list.team;
+        let mut h = list.handle();
+        let (mut chain, mut cur, mut prev_max) = (Vec::new(), list.head_of(0), None);
+        loop {
+            let v = h.read_chunk(cur);
+            if !v.is_zombie(team) {
+                let keys: Vec<u32> = v.live_entries(team).map(|(_, e)| e.key()).collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "chunk {cur} sorted");
+                assert!(keys.iter().all(|&k| k <= v.max(team)), "chunk {cur} within its max");
+                if let (Some(pm), Some(&min)) = (prev_max, keys.first()) {
+                    assert!(min > pm, "chunks laterally ordered");
+                }
+                prev_max = Some(v.max(team));
+                chain.push((cur, keys));
+            }
+            if v.next(team) == NIL {
+                assert_eq!(v.max(team), KEY_INF, "the level's last chunk ends at ∞");
+                return chain;
+            }
+            cur = v.next(team);
+        }
+    }
+
+    /// One split must leave the level-0 chain sorted, with the moved keys
+    /// in a new, unlocked chunk linked right after the split one. Two
+    /// inputs, both splitting the level's last chunk:
+    /// - insert side (`splitInsert`): the 14th key overflows the head chunk;
+    /// - remove side (`splitRemove`): chunk {7..10} sits at the merge
+    ///   threshold (4) and its right neighbour holds 13 keys, more than
+    ///   DSIZE − 4 + 1 = 11 but fewer than DSIZE = 14, so removing 7 merges
+    ///   into a pre-split absorber whose copy loop stops at an empty lane.
     #[test]
     fn split_wires_chain_correctly() {
-        let list = list16();
-        let mut h = list.handle();
-        for k in 1..=14u32 {
-            h.insert(k, k).unwrap();
-        }
-        assert_eq!(h.stats().splits, 1);
-        let team = &list.team;
-        let first = list.head_of(0);
-        let v1 = h.read_chunk(first);
-        let second = v1.next(team);
-        assert_ne!(second, NIL);
-        let v2 = h.read_chunk(second);
-        // First chunk: max = threshold key, all keys <= max, no zombies.
-        let max1 = v1.max(team);
-        assert!(max1 < KEY_INF);
-        assert!(v1
-            .live_entries(team)
-            .all(|(_, e)| e.key() <= max1));
-        // Second chunk: last in level.
-        assert_eq!(v2.max(team), KEY_INF);
-        assert_eq!(v2.next(team), NIL);
-        let min2 = v2.live_entries(team).map(|(_, e)| e.key()).min().unwrap();
-        assert!(min2 > max1, "chunks laterally ordered");
-        // Both sorted.
-        for v in [&v1, &v2] {
-            let keys: Vec<u32> = v.live_entries(team).map(|(_, e)| e.key()).collect();
-            let mut sorted = keys.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(keys, sorted);
+        for (filled, removed, op_removes, op_key) in
+            [(13u32, &[][..], false, 14u32), (26, &[11, 12, 13], true, 7)]
+        {
+            let list = list16();
+            let mut h = list.handle();
+            let mut present: BTreeSet<u32> = (1..=filled).collect();
+            for &k in &present {
+                h.insert(k, k).unwrap();
+            }
+            for k in removed {
+                assert!(h.remove(*k));
+                present.remove(k);
+            }
+            let before = level0_chain(&list);
+            let (p_split, split_keys) = before.last().unwrap().clone();
+            let thresh = split_keys[list.team.dsize() / 2 - 1];
+            let stats = h.stats();
+            if op_removes {
+                assert!(h.remove(op_key));
+                present.remove(&op_key);
+            } else {
+                assert!(h.insert(op_key, op_key).unwrap());
+                present.insert(op_key);
+            }
+            assert_eq!(h.stats().splits, stats.splits + 1);
+            assert_eq!(h.stats().merges, stats.merges + u64::from(op_removes));
+
+            let after = level0_chain(&list);
+            assert_eq!(after.len(), before.len() + 1 - usize::from(op_removes));
+            let v = h.read_chunk(p_split);
+            assert_eq!(v.max(&list.team), thresh, "the split chunk ends at the threshold");
+            let p_new = v.next(&list.team);
+            assert!(before.iter().all(|(c, _)| *c != p_new), "the moved keys sit in a new chunk");
+            let (_, new_keys) = after.iter().find(|(c, _)| *c == p_new).unwrap();
+            assert_eq!(*new_keys, present.range(thresh + 1..).copied().collect::<Vec<_>>());
+            let lock = h.read_chunk(p_new).lock_word(&list.team);
+            assert_eq!(lock_state(lock), LOCK_UNLOCKED, "the new chunk is released");
+            for k in 1..=filled.max(op_key) {
+                assert_eq!(h.contains(k), present.contains(&k), "key {k}");
+            }
+            list.assert_valid();
         }
     }
 
