@@ -28,6 +28,8 @@ use gfsl_cluster::{Cluster, ClusterError};
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
+/// A key above the key space.
+const CEILING: u32 = 1 << 20;
 /// Long enough that a cell reaches the rare windows (split publish, zombie
 /// mark, down-pointer install) two to four times: at 200 a cell reached
 /// them once or twice, the second and third occurrences were rarely there
@@ -55,9 +57,12 @@ fn soak_seeds() -> u64 {
 
 /// One soak cell: two probed workers churn the key space while an
 /// unprobed driver splits, merges, and snapshots the shards, and the
-/// fault plan kills the seeded occurrence of `point`. Returns
-/// `(crashed_ops, migrations)`.
-fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
+/// fault plan kills the seeded occurrence of `point`. With `appends`, the
+/// second worker instead inserts `KEY_SPACE + 1, KEY_SPACE + 2, …`: each
+/// key is above every key of the last shard, so every split it takes is
+/// an append split. Returns `(crashed_ops, migrations, crashed_appends)`,
+/// the last counting the crashed inserts above the key space.
+fn soak_cell(point: CrashPoint, seed: u64, appends: bool) -> (u64, u64, usize) {
     gfsl::quiet_injected_panics();
     let params = GfslParams {
         team_size: TeamSize::Sixteen,
@@ -68,9 +73,14 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
     // removes) the sharding mid-run, so early crash windows see the same
     // structure depth as the single-structure soak.
     let cluster = Cluster::with_bounds(params, &[]).unwrap();
+    // With a key above the key space in the list, no prefill insert
+    // appends: every split is a half split, and the bottom level is left
+    // in chunks of seven keys, whose splits and merges the windows need.
+    cluster.insert(CEILING, 0).unwrap();
     for k in (2..KEY_SPACE).step_by(2) {
         cluster.insert(k, k).unwrap();
     }
+    assert_eq!(cluster.remove(CEILING), Ok(true));
     let occurrence = 1 + seed % 3;
     let ctl = gfsl::chaos::controller(
         WORKERS,
@@ -133,12 +143,16 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
                     };
                     let mut rec = Recorder::new(clock);
                     let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37) ^ t as u64);
-                    for _ in 0..OPS_PER_WORKER {
+                    for i in 0..OPS_PER_WORKER as u32 {
                         let r = rng.next_u64();
-                        let key = (r % u64::from(KEY_SPACE) + 1) as u32;
+                        let (key, kind) = if appends && t == 1 {
+                            (KEY_SPACE + 1 + i, 0)
+                        } else {
+                            ((r % u64::from(KEY_SPACE) + 1) as u32, (r >> 32) % 5)
+                        };
                         let value = (r >> 40) as u32 | 1;
                         let inv = rec.invoke();
-                        match (r >> 32) % 5 {
+                        match kind {
                             0 | 1 => loop {
                                 match cluster.try_insert_with(mint, key, value) {
                                     Ok(ok) => {
@@ -242,9 +256,14 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
     // records merge directly; sequential reads on the same clock pin the
     // end state so an acknowledged-then-lost write cannot hide.
     let mut records: Vec<_> = histories.into_iter().flatten().collect();
+    let crashed_appends = records
+        .iter()
+        .filter(|r| r.key > KEY_SPACE && matches!(r.action, OpAction::InsertMaybe { .. }))
+        .count();
     {
         let mut rec = Recorder::new(&clock);
-        for key in 1..=KEY_SPACE {
+        let top = KEY_SPACE + if appends { OPS_PER_WORKER as u32 } else { 0 };
+        for key in 1..=top {
             let inv = rec.invoke();
             let found = cluster
                 .try_get(key)
@@ -258,7 +277,7 @@ fn soak_cell(point: CrashPoint, seed: u64) -> (u64, u64) {
         panic!("[{point:?} seed {seed}] non-linearizable cluster history: {errors:?}");
     }
 
-    (crashed, migrations)
+    (crashed, migrations, crashed_appends)
 }
 
 #[test]
@@ -268,7 +287,7 @@ fn migration_chaos_every_crash_point() {
     for &point in LOCK_CRASH_POINTS.iter() {
         let mut crashes_for_point = 0u64;
         for seed in 0..seeds {
-            let (crashed, migrations) = soak_cell(point, seed);
+            let (crashed, migrations, _) = soak_cell(point, seed, false);
             crashes_for_point += crashed;
             total_migrations += migrations;
         }
@@ -278,6 +297,18 @@ fn migration_chaos_every_crash_point() {
              the soak is not exercising this window"
         );
     }
+    // The same seeds once more at `SplitPublish`, with an appending worker:
+    // a crash inside an append split is contained too.
+    let mut crashed_appends = 0;
+    for seed in 0..seeds {
+        let (_, migrations, appends) = soak_cell(CrashPoint::SplitPublish, seed, true);
+        crashed_appends += appends;
+        total_migrations += migrations;
+    }
+    assert!(
+        crashed_appends > 0,
+        "SplitPublish never crashed an append split in {seeds} seeds"
+    );
     assert!(
         total_migrations > 0,
         "the soak must actually race migrations against client ops"

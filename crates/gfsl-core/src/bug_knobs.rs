@@ -6,14 +6,16 @@
 //! model-check suite *prove its own teeth*: flip a knob to revert one of
 //! the races found and fixed so far (two by PR 1's chaos soak, one while
 //! sizing the index heal), to drop a step of the reclamation protocol
-//! (the staging grace) or to skip the check that makes the certified
-//! bottom-lock upgrade safe, run the
+//! (the staging grace), to skip the check that makes the certified
+//! bottom-lock upgrade safe or to publish an append split without lowering
+//! the split chunk's max, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
-//! operation (one relaxed load per split / per physical remove / per
-//! verified reclamation batch / per bottom-lock upgrade — noise even
+//! operation (one relaxed load per split, two per append split, one per
+//! physical remove / per verified reclamation batch / per bottom-lock
+//! upgrade — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -72,6 +74,13 @@ static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
 /// snapshot that predates the writer's change — a lost update.
 static STALE_LOCK_UPGRADE: AtomicBool = AtomicBool::new(false);
 
+/// Break the append split's publish: write the split chunk's NEXT lane with
+/// its old max (`∞`, the level's last chunk) instead of lowering it to its
+/// own largest key. The chunk still claims every key above it, so the
+/// appended key sits in a chunk that the lateral order puts nowhere, and a
+/// walk along the level stops short of it.
+static APPEND_SPLIT_KEEPS_MAX: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -103,6 +112,12 @@ pub fn skip_staging_grace() -> bool {
 #[inline]
 pub fn stale_lock_upgrade() -> bool {
     STALE_LOCK_UPGRADE.load(Ordering::Relaxed)
+}
+
+/// True if the append split publishes without lowering the old max.
+#[inline]
+pub fn append_split_keeps_max() -> bool {
+    APPEND_SPLIT_KEEPS_MAX.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -156,6 +171,12 @@ pub fn skip_staging_grace_guard() -> KnobGuard {
 /// view, for the guard's lifetime.
 pub fn stale_lock_upgrade_guard() -> KnobGuard {
     KnobGuard::set(&STALE_LOCK_UPGRADE)
+}
+
+/// Publish append splits without lowering the old chunk's max for the
+/// guard's lifetime.
+pub fn append_split_keeps_max_guard() -> KnobGuard {
+    KnobGuard::set(&APPEND_SPLIT_KEEPS_MAX)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

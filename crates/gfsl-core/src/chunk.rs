@@ -164,6 +164,14 @@ impl ChunkView {
     /// `Acquire` load per lane in ascending lane order, so the LOCK lane is
     /// read after every other lane (what certifying a view against its own
     /// lock word rests on).
+    ///
+    /// A LOCK lane that reads ZOMBIE is followed by one more read of the
+    /// NEXT lane. The first one may predate a split of the chunk that a
+    /// later merge then drained, and so skip the split's new chunk, which
+    /// holds the moved keys (the torn zombie view). A zombie's NEXT lane
+    /// does not change from the mark on, and a pinned reader keeps the
+    /// chunk from being recycled, so the second read is the one every
+    /// zombie step may follow.
     #[inline]
     pub fn reload<P: MemProbe>(&mut self, team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
         match team.size() {
@@ -178,6 +186,11 @@ impl ChunkView {
         probe.warp_read(&addrs);
         let regs = self.regs.first_chunk_mut::<N>().expect("a team is at most a warp wide");
         pool.read_words(ch.base, regs);
+        if lock_state(regs[N - 1]) == LOCK_ZOMBIE {
+            let next = ch.entry_addr(N - 2);
+            probe.lane_read(next);
+            regs[N - 2] = pool.read(next);
+        }
     }
 
     /// Build a view from lanes already captured elsewhere (an mvcc version

@@ -186,8 +186,8 @@ mod tests {
         // (team, fixes on the window, fixes on the mix), as counted by the
         // per-key repair on the same sequences.
         for (team_size, window, mix) in [
-            (TeamSize::Sixteen, 1_073, 177),
-            (TeamSize::ThirtyTwo, 464, 54),
+            (TeamSize::Sixteen, 458, 173),
+            (TeamSize::ThirtyTwo, 199, 54),
         ] {
             let params = GfslParams {
                 team_size,

@@ -47,27 +47,30 @@ fn mvcc_params() -> GfslParams {
     }
 }
 
-/// Keys `2, 4, …, 56` inserted in ascending order leave four bottom chunks
-/// — head `2..=12`, then `14..=26`, `28..=40`, `42..=56` — and the level-1
-/// keys 28, 42, 56 the three splits raised.
+/// Keys `2, 4, …, 56` inserted in descending order. Each goes below every
+/// key, so no split is an append split: each full head chunk splits at
+/// `DSIZE/2` and keeps the key, which it raises. Four bottom chunks of
+/// seven keys — head `2..=14`, then `16..=28`, `30..=42`, `44..=56` — each
+/// indexed at level 1 by its minimum but the last: 2, 16, 30.
 fn four_chunk_prefill() -> Vec<(u32, u32)> {
-    (1..=28u32).map(|i| (2 * i, 100 + i)).collect()
+    (1..=28u32).rev().map(|i| (2 * i, 100 + i)).collect()
 }
 
-/// Keys `2, 4, …, 504` in ascending order: 36 bottom chunks of seven keys,
-/// a level 1 of five chunks holding every bottom chunk's minimum but the
-/// head's — `28..=98`, `112..=196`, `210..=294`, `308..=392`, `406..=504`
-/// in steps of 14 — and the level-2 keys 210, 308, 406, 504 its four
-/// splits raised.
+/// Keys `2, 4, …, 504` in descending order (half splits only, as in
+/// [`four_chunk_prefill`]): 36 bottom chunks of seven keys; a level 1 of
+/// five chunks of seven keys holding every bottom chunk's minimum but the
+/// last's — `2..=86`, `100..=184`, `198..=282`, `296..=380`, `394..=478`
+/// in steps of 14; and the level-2 keys 2, 100, 198, 296, the minimums of
+/// all level-1 chunks but the last.
 fn five_index_chunk_prefill() -> Vec<(u32, u32)> {
-    (1..=252u32).map(|i| (2 * i, 100 + i)).collect()
+    (1..=252u32).rev().map(|i| (2 * i, 100 + i)).collect()
 }
 
 /// [`five_index_chunk_prefill`] with every key doubled (`4, 8, …, 1008`):
 /// the same chunks, each now spanning 28 integers for its seven keys, so a
 /// script can fill one to the brim and still find a key that splits it.
 fn spaced_five_index_prefill() -> Vec<(u32, u32)> {
-    (1..=252u32).map(|i| (4 * i, 100 + i)).collect()
+    (1..=252u32).rev().map(|i| (4 * i, 100 + i)).collect()
 }
 
 /// A setup script that deletes `keys`: an episode can start from an index
@@ -80,26 +83,30 @@ fn removes(keys: &[u32]) -> Vec<McOp> {
 fn reclaim_setup() -> Vec<McOp> {
     let inserts = |keys: &[u32]| keys.iter().map(|&k| McOp::Insert(k, 1)).collect::<Vec<_>>();
     // Level 2 goes (height 1).
-    let mut ops = removes(&[420, 616, 812, 1008]);
-    // Level 1's first chunk `-inf, 56, …, 196` drops to four entries and
+    let mut ops = removes(&[4, 200, 396, 592]);
+    // Level 1's first chunk `-inf, 32, …, 172` drops to four entries and
     // merges into its neighbour. The team that merged it never repairs
     // the level-2 sentinel's `-inf` entry: it keeps pointing down at the
     // zombie, which the next update's descent unlinks and retires.
-    ops.extend(removes(&[56, 84, 112]));
-    ops.push(McOp::RemoveUnrepaired(140));
-    // Four bottom chunks lost their index entry with that; each insert
-    // walks to its chunk along the bottom and heals: level 1's first chunk
-    // is full again.
-    ops.extend(inserts(&[145, 117, 89, 61]));
-    // The bottom chunk `364, …, 388` filled and split: the key that raises
+    ops.extend(removes(&[32, 60, 88]));
+    ops.push(McOp::RemoveUnrepaired(116));
+    // Three bottom chunks two or more steps right of the head lost their
+    // index entry with that; each insert walks to its chunk along the
+    // bottom and heals.
+    ops.extend(inserts(&[121, 93, 65]));
+    // The bottom chunks `312, …, 336` and `340, …, 364` fill and split:
+    // their raised keys fill level 1's first chunk again.
+    ops.extend(inserts(&[313, 314, 315, 317, 318, 319, 321, 322]));
+    ops.extend(inserts(&[341, 342, 343, 345, 346, 347, 349, 350]));
+    // The bottom chunk `284, …, 308` fills and splits: the key that raises
     // splits level 1's first chunk, which raises into level 2 — height 2,
     // and reads start at the sentinel with the stale entry.
-    ops.extend(inserts(&[365, 366, 367, 369, 370, 371, 373, 374]));
-    // Level 1's first chunk down to `-inf, 144, 168, 196`: one removal
+    ops.extend(inserts(&[285, 286, 287, 289, 290, 291, 293, 294]));
+    // Level 1's first chunk down to `-inf, 144, 172, 228`: one removal
     // from merging in its turn.
-    ops.extend(removes(&[60, 88, 116]));
-    // The bottom chunk `28, 32, …, 52` filled to its fourteen entries.
-    ops.extend(inserts(&[29, 30, 31, 33, 34, 35, 37]));
+    ops.extend(removes(&[64, 92, 120]));
+    // The bottom chunk `36, 40, …, 56` filled to its fourteen entries.
+    ops.extend(inserts(&[37, 39, 41, 42, 43, 45, 46, 47]));
     // The zombie has been a candidate, was found referenced from level 2
     // and went back to limbo; the stalled pass leaves it one epoch advance
     // short of being a candidate again.
@@ -117,16 +124,16 @@ pub fn all() -> Vec<McConfig> {
             params: mc_params(),
             prefill: four_chunk_prefill(),
             // The deletes take the whole index with them: height 0.
-            setup: removes(&[28, 42, 56]),
+            setup: removes(&[2, 16, 30]),
             threads: vec![
-                // Walks head -> 14.. -> 30.. (two live lateral steps, not
-                // the tail): heals by raising 30, the chunk's minimum, into
+                // Walks head -> 18.. -> 32.. (two live lateral steps, not
+                // the tail): heals by raising 32, the chunk's minimum, into
                 // the empty level 1 while holding the chunk's lock.
                 vec![McOp::Insert(33, 1)],
-                // Needs that same lock: either removes 30 before the heal
-                // reads the chunk (32 is raised instead) or finds and
+                // Needs that same lock: either removes 32 before the heal
+                // reads the chunk (34 is raised instead) or finds and
                 // removes the new entry top-down.
-                vec![McOp::Remove(30)],
+                vec![McOp::Remove(32)],
             ],
             max_steps: 20_000,
         },
@@ -136,13 +143,13 @@ pub fn all() -> Vec<McConfig> {
                     reads through the new index entry",
             params: mc_params(),
             prefill: four_chunk_prefill(),
-            setup: removes(&[28, 42, 56]),
+            setup: removes(&[2, 16, 30]),
             threads: vec![
                 vec![McOp::Insert(33, 1)],
-                vec![McOp::Remove(30)],
+                vec![McOp::Remove(32)],
                 // Both land in the healed chunk: through the level-1 entry
                 // once it is published, along the bottom level before.
-                vec![McOp::Get(30), McOp::Get(36)],
+                vec![McOp::Get(32), McOp::Get(36)],
             ],
             max_steps: 30_000,
         },
@@ -152,20 +159,20 @@ pub fn all() -> Vec<McConfig> {
                     lock protects (heal lock-coverage oracle)",
             params: mc_params(),
             prefill: five_index_chunk_prefill(),
-            // Level 2 goes (height 1), and so does 336, the level-1 entry
-            // after 322: the bottom chunk `338..=348` is now reached
-            // through 322 without sharing its lock.
-            setup: removes(&[210, 308, 406, 504, 336]),
+            // Level 2 goes (height 1), and so does 324, the level-1 entry
+            // after 310: the bottom chunk `326..=336` is now reached
+            // through 310 without sharing its lock.
+            setup: removes(&[2, 100, 198, 296, 324]),
             threads: vec![
-                // Level 1 is walked head -> 112.. -> 224.. -> 322.. (three
-                // steps, not the tail) and left through 322, that chunk's
-                // minimum; 341 lives one bottom chunk right of 322's. The
-                // heal must not raise 322 — the reverted draft does.
-                vec![McOp::Insert(341, 1)],
+                // Level 1 is walked head -> 114.. -> 212.. -> 310.. (three
+                // steps, not the tail) and left through 310, that chunk's
+                // minimum; 329 lives one bottom chunk right of 310's. The
+                // heal must not raise 310 — the reverted draft does.
+                vec![McOp::Insert(329, 1)],
                 // Finds nothing above level 1 before the reverted heal
-                // publishes 322 at level 2, and removes it below: the new
+                // publishes 310 at level 2, and removes it below: the new
                 // entry dangles.
-                vec![McOp::Remove(322)],
+                vec![McOp::Remove(310)],
             ],
             max_steps: 40_000,
         },
@@ -245,6 +252,27 @@ pub fn all() -> Vec<McConfig> {
                 // from level 0, finds no index entry to clean, and leaves
                 // the subsequently installed level-1 entry dangling.
                 vec![McOp::Remove(14)],
+            ],
+            max_steps: 20_000,
+        },
+        McConfig {
+            name: "split-append-2t",
+            about: "append split (the full tail chunk moves nothing, the new \
+                    chunk takes only the key) vs. reads and a remove of the \
+                    old max (lowered-max oracle)",
+            params: mc_params(),
+            prefill: full_chunk_prefill(),
+            setup: vec![],
+            threads: vec![
+                // 28 is above every key of the level's one full chunk: the
+                // new chunk is published empty, locked, and takes 28; the
+                // old chunk's max drops from ∞ to 26 in the publish.
+                vec![McOp::Insert(28, 1)],
+                // The old max, on either side of the publish; the appended
+                // key, which a read may meet in the locked, still-empty new
+                // chunk; then a remove of the old max, which needs the old
+                // chunk's lock.
+                vec![McOp::Get(26), McOp::Get(28), McOp::Remove(26)],
             ],
             max_steps: 20_000,
         },
@@ -360,19 +388,19 @@ mod tests {
         let mut h = list.handle();
         assert_eq!(h.insert(33, 1), Ok(true));
         assert_eq!(h.stats().index_heals, 1);
-        assert_eq!(list.level_keys(1), vec![30], "the locked chunk's minimum");
+        assert_eq!(list.level_keys(1), vec![32], "the locked chunk's minimum");
 
         let list = built("heal-upper-2t");
         assert_eq!(list.height(), 1);
         assert_eq!(list.shape().levels[1].live_chunks, 5);
         let mut h = list.handle();
-        assert_eq!(h.insert(341, 1), Ok(true));
-        assert_eq!((h.heal_levels, h.heal_keys[1]), (1 << 1, 322));
-        assert_eq!(h.stats().index_heals, 0, "322 is another chunk's key");
-        // One bottom chunk to the left the same walk ends under 322's lock.
-        assert_eq!(h.insert(323, 1), Ok(true));
+        assert_eq!(h.insert(329, 1), Ok(true));
+        assert_eq!((h.heal_levels, h.heal_keys[1]), (1 << 1, 310));
+        assert_eq!(h.stats().index_heals, 0, "310 is another chunk's key");
+        // One bottom chunk to the left the same walk ends under 310's lock.
+        assert_eq!(h.insert(311, 1), Ok(true));
         assert_eq!(h.stats().index_heals, 1);
-        assert_eq!(list.level_keys(2), vec![322]);
+        assert_eq!(list.level_keys(2), vec![310]);
         list.assert_valid();
     }
 

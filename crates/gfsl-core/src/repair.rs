@@ -362,20 +362,25 @@ mod tests {
         crate::chaos::controller(1, Replay::new(Vec::new()), Some((point, 1)))
     }
 
-    /// A structure of 200 keys (`10, 20, …`) built by plain inserts.
+    /// A structure of 200 keys (`10, 20, …`) built by plain inserts in
+    /// descending order, so every split is a half split: the head chunk
+    /// `10..=110`, then bottom chunks of seven keys, each indexed by its
+    /// minimum (the last excepted).
     fn prefilled16() -> Gfsl {
         let list = Gfsl::new(params16()).unwrap();
         let mut h = list.handle();
-        for k in 1..=200u32 {
+        for k in (1..=200u32).rev() {
             h.insert(k * 10, k).unwrap();
         }
         drop(h);
         list
     }
 
-    /// Run `try_insert(k * 10 + 5)` (for a split) or `try_remove(k * 10)`
-    /// (for a merge) for `k = 1, 2, …` on a handle that crashes at the
-    /// first `point`; return whether it fired.
+    /// Run `try_insert(4_005 - k * 10)` (for a split) or `try_remove(k *
+    /// 10)` (for a merge) for `k = 1, 2, …` on a handle that crashes at the
+    /// first `point`; return whether it fired. The inserts descend, so the
+    /// last chunk takes half splits, not append splits, and its second
+    /// split moves the key its first one raised.
     fn crash_one_op(list: &Gfsl, point: CrashPoint) -> bool {
         let ctl = crash_once_at(point);
         let mut h = list.handle_with(ctl.probe(0));
@@ -383,7 +388,7 @@ mod tests {
             let op = if point == CrashPoint::MergeZombieMark {
                 h.try_remove(k * 10).map(|_| ())
             } else {
-                h.try_insert(k * 10 + 5, k).map(|_| ())
+                h.try_insert(4_005 - k * 10, k).map(|_| ())
             };
             op.is_err()
         })
@@ -616,9 +621,9 @@ mod tests {
     /// where before the repair they still pointed at the split chunk.
     #[test]
     fn a_published_split_fixes_the_down_pointers_of_its_new_half() {
-        // The chunk of 210..=270 (210, its minimum, indexed above) takes
-        // 201..=207; 208 splits it and 210 moves to the new half.
-        let keys: Vec<u32> = (201..=208).collect();
+        // The chunk of 190..=250 (190, its minimum, indexed above) takes
+        // 181..=187; 188 splits it and 190 moves to the new half.
+        let keys: Vec<u32> = (181..=188).collect();
         let (list, split, new) = (1..=64u64)
             .find_map(|n| {
                 let (list, intent, held) = crash_inserts(CrashPoint::LockRelease, n, &keys);
@@ -660,23 +665,23 @@ mod tests {
     /// stale down-pointer stays, legal, and the structure validates.
     #[test]
     fn a_split_whose_new_half_was_released_queues_no_fix() {
-        // The chunk of 210..=270 takes six keys below 207 and 209; 208 then
-        // splits it at 209, lands in the old half, and 210 moves on.
-        let keys = [201, 202, 203, 204, 205, 206, 209, 208];
+        // The chunk of 190..=250 takes six keys below 187 and 189; 188 then
+        // splits it at 189, lands in the old half, and 190 moves on.
+        let keys = [181, 182, 183, 184, 185, 186, 189, 188];
         let (list, intent, held) = crash_inserts(CrashPoint::DownPtrInstall, 1, &keys);
         let Intent::Split { split, new, published: true, level: 0, .. } = intent else {
             panic!("the crash hit the split's own down-pointer install: {intent:?}");
         };
         assert!(held.contains(&split) && !held.contains(&new), "{held:?}");
-        assert_eq!(down_pointer(&list, 1, 210), Some(split));
+        assert_eq!(down_pointer(&list, 1, 190), Some(split));
         let before = list.repair_stats();
         let after = list.handle().repair_quarantine();
         assert_eq!(after.downptr_repairs, before.downptr_repairs, "no fix queued");
         assert_eq!(after.quarantine_depth, 0);
         assert!(!list.is_poisoned());
         list.assert_valid();
-        assert_eq!(down_pointer(&list, 1, 210), Some(split), "stale, and legal");
-        assert_eq!(list.handle().get(210), Some(21));
+        assert_eq!(down_pointer(&list, 1, 190), Some(split), "stale, and legal");
+        assert_eq!(list.handle().get(190), Some(19));
     }
 
     /// A probe that panics at the `nth` lane write into chunk `target`: a

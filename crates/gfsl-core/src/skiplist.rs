@@ -911,9 +911,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// whose lock words agree and show the chunk unlocked prove no writer
     /// moved an entry while the later view's data lanes were read (entry
     /// moves happen only under the chunk lock, and every release bumps the
-    /// lock word's version). Zombie views are terminal, hence trivially
-    /// consistent. Used by lock-free readers whose answer asserts the
-    /// *absence* of a key in the view (`NotFound`, range scans, `min_entry`)
+    /// lock word's version). A zombie view ends the loop unbracketed. Its
+    /// NEXT lane, which every zombie step follows, is read once more by
+    /// [`ChunkView::reload`] after the LOCK lane showed the mark: the first
+    /// read of it can predate a split of the chunk that a later merge
+    /// zombified (the torn zombie view, ROADMAP item 3). Used by
+    /// lock-free readers whose answer asserts the *absence* of a key in the
+    /// view (`NotFound`, range scans, `min_entry`)
     /// — a single ascending-order read can miss a key being shifted toward
     /// lower lanes by a concurrent `executeRemove`.
     ///

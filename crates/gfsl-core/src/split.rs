@@ -10,11 +10,32 @@
 //! There is one split body, `split_copy` (`preSplit` + `splitCopy`):
 //! `split_insert` (`splitInsert`) and `split_remove` (`splitRemove`) differ
 //! only in what they do after the publish.
+//!
+//! **Append split** (a deviation from Algorithm 4.9, DESIGN §4). When the
+//! full chunk is its level's last (`next == NIL`) and the inserted key is
+//! above every key in it, `split_insert` moves nothing: the new chunk is
+//! published empty as the level's tail, the old chunk's max drops to its
+//! own largest key, and the key goes into the new chunk. A sliding window
+//! or a priority queue of increasing timestamps appends at the tail; the
+//! half split would leave every lower half behind at half fill, never
+//! written again. Why it is safe:
+//! - the publish is the same one-word write of the old chunk's NEXT lane,
+//!   and the old chunk keeps every key at or below its new max, so keys
+//!   still move only rightward and a reader steered by the lowered max
+//!   lands on the new chunk;
+//! - the new chunk is published locked (the allocator hands it out
+//!   locked) and stays locked until the key is in, so a certified
+//!   `NotFound` on it waits for the insert, exactly as it waits for the
+//!   key of a half split that lands in the new half;
+//! - the raised key is the inserted key, which lives in the still-locked
+//!   new chunk, so the raise is as safe as the half split's.
+//!
+//! `split_remove` and an insert anywhere else split at `DSIZE/2`.
 
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry, KEY_INF};
+use crate::chunk::{ops, ChunkView, Entry, KEY_INF, NIL};
 use crate::skiplist::{Commit, Error, GfslHandle, Intent};
 
 /// The keys moved out of a split/merged chunk, kept for the down-pointer
@@ -54,13 +75,14 @@ struct Split {
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `preSplit` + `splitCopy` of the locked chunk `p_split`, whose
     /// snapshot is `view`: the one split body both `splitInsert` and
-    /// `splitRemove` run.
+    /// `splitRemove` run. The live entries from lane `from` up move to the
+    /// new chunk: `DSIZE/2` for Algorithm 4.9's half split, `DSIZE` for an
+    /// append split, which moves none.
     ///
     /// On error (pool exhausted) the next chunk is released again and
     /// `p_split` stays locked, the caller's to release.
-    fn split_copy(&mut self, p_split: u32, view: &ChunkView, level: usize) -> Result<Split, Error> {
+    fn split_copy(&mut self, p_split: u32, view: &ChunkView, level: usize, from: usize) -> Result<Split, Error> {
         let team = self.list.team;
-        let half = team.dsize() / 2;
 
         // preSplit: lock the next chunk (unlinking zombies on the way), then
         // allocate the new chunk — it comes out of the allocator locked.
@@ -75,9 +97,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
         };
 
-        // splitCopy: copy the top half into the (still unreachable) new
-        // chunk, publish with one word, then empty the moved entries.
-        let thresh = view.entry(half - 1).key();
+        // splitCopy: copy the entries from `from` up into the (still
+        // unreachable) new chunk, publish with one word, then empty the
+        // moved entries.
+        let thresh = view.entry(from - 1).key();
         debug_assert!(thresh != KEY_INF, "split chunk at least half full");
         // Journal the structural intent before any store touches p_new: a
         // crash before the publish rolls the unreachable p_new back
@@ -98,24 +121,29 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // A chunk split by a merge may be only partially full (it need only
         // be too full to absorb its left neighbour): move the live entries
-        // at positions >= DSIZE/2.
+        // at positions >= from.
         let new_ch = list.chunk_words(p_new);
         let mut moved = MovedKeys::new();
-        for i in half..team.dsize() {
+        for i in from..team.dsize() {
             let e = view.entry(i);
             if e.is_empty() {
                 break; // live entries are left-packed
             }
             moved.push(e.key());
-            ops::write_entry(&mut self.probe, new_ch, i - half, e);
+            ops::write_entry(&mut self.probe, new_ch, i - from, e);
         }
         self.probe.crash_point(CrashPoint::SplitPublish);
-        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split), thresh, p_new);
+        let max = if from == team.dsize() && crate::bug_knobs::append_split_keeps_max() {
+            nf.key()
+        } else {
+            thresh
+        };
+        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split), max, p_new);
         if let Intent::Split { published, .. } = &mut self.held.intent {
             *published = true;
         }
         let split_ch = list.chunk_words(p_split);
-        for i in (half..half + moved.as_slice().len()).rev() {
+        for i in (from..from + moved.as_slice().len()).rev() {
             ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
         }
         if let Some(n) = p_next {
@@ -140,11 +168,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         v: u32,
         level: usize,
     ) -> Result<(u32, u32), Error> {
+        let team = self.list.team;
+        let dsize = team.dsize();
+        // Append split: the level's last chunk, and k above every key in it.
+        let appends = view.next(&team) == NIL && view.entry(dsize - 1).key() < k;
+        let from = if appends { dsize } else { dsize / 2 };
         let Split { new: p_new, thresh, moved } = self
-            .split_copy(p_split, view, level)
+            .split_copy(p_split, view, level, from)
             .inspect_err(|_| self.unlock(p_split))?;
-        let dsize = self.list.team.dsize();
-        debug_assert_eq!(moved.as_slice().len(), dsize - dsize / 2, "splitting a non-full chunk");
+        debug_assert_eq!(moved.as_slice().len(), dsize - from, "splitting a non-full chunk");
 
         // insertNewData: k goes into whichever half encloses it; the other
         // half is unlocked. At level 0 the half holding k must stay locked
@@ -170,13 +202,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // up yet, and leave our subsequently-installed level-1 entry
         // dangling forever (violating upper-subset-of-lower). So: when k
         // went into the old half, raise k itself; when k went into the new
-        // half, max(k, min-of-new-chunk) also lives there and is safe.
-        let min_moved = moved.as_slice()[0];
+        // half, max(k, min-of-new-chunk) also lives there and is safe. An
+        // append split moved nothing: k is the new chunk's only key.
         let unsafe_raise = crate::bug_knobs::revert_split_raised_key();
-        let raised = if level == 0 && (p_insert == p_new || unsafe_raise) {
-            k.max(min_moved)
-        } else {
-            k
+        let raised = match moved.as_slice().first() {
+            Some(&min_moved) if level == 0 && (p_insert == p_new || unsafe_raise) => k.max(min_moved),
+            _ => k,
         };
 
         // Repair the level-above down-pointers of the moved keys. Stale
@@ -195,7 +226,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// unlocked at once; `p_split` stays locked by the caller, who keeps
     /// responsibility for it on error too.
     pub(crate) fn split_remove(&mut self, p_split: u32, view: &ChunkView, level: usize) -> Result<(), Error> {
-        let Split { new: p_new, moved, .. } = self.split_copy(p_split, view, level)?;
+        let half = self.list.team.dsize() / 2;
+        let Split { new: p_new, moved, .. } = self.split_copy(p_split, view, level, half)?;
         self.unlock(p_new);
         self.update_down_ptrs(level, moved.as_slice(), p_new);
         self.held.intent = Intent::None;
@@ -205,7 +237,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::chunk::{lock_state, KEY_INF, LOCK_UNLOCKED, NIL};
+    use crate::chunk::{lock_state, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
     use crate::params::GfslParams;
     use crate::skiplist::Gfsl;
     use gfsl_simt::TeamSize;
@@ -248,21 +280,27 @@ mod tests {
 
     /// One split must leave the level-0 chain sorted, with the moved keys
     /// in a new, unlocked chunk linked right after the split one. Two
-    /// inputs, both splitting the level's last chunk:
-    /// - insert side (`splitInsert`): the 14th key overflows the head chunk;
-    /// - remove side (`splitRemove`): chunk {7..10} sits at the merge
-    ///   threshold (4) and its right neighbour holds 13 keys, more than
-    ///   DSIZE − 4 + 1 = 11 but fewer than DSIZE = 14, so removing 7 merges
-    ///   into a pre-split absorber whose copy loop stops at an empty lane.
+    /// inputs, both splitting the level's last chunk at `DSIZE/2`:
+    /// - insert side (`splitInsert`): the head chunk holds `1..=14` but 7,
+    ///   and 7, below its maximum, overflows it;
+    /// - remove side (`splitRemove`): 26 goes in first, so no insert of
+    ///   `1..=25` after it appends, and the chunks are {1..6}, {7..13} and
+    ///   {14..26}. Chunk {7..10} sits at the merge threshold (4) and its
+    ///   right neighbour holds 13 keys, more than DSIZE − 4 + 1 = 11 but
+    ///   fewer than DSIZE = 14, so removing 7 merges into a pre-split
+    ///   absorber whose copy loop stops at an empty lane.
     #[test]
     fn split_wires_chain_correctly() {
-        for (filled, removed, op_removes, op_key) in
-            [(13u32, &[][..], false, 14u32), (26, &[11, 12, 13], true, 7)]
+        let all_but_7: Vec<u32> = (1..=14).filter(|&k| k != 7).collect();
+        let top_first: Vec<u32> = std::iter::once(26).chain(1..=25).collect();
+        for (inserts, removed, op_removes, op_key) in
+            [(all_but_7, &[][..], false, 7u32), (top_first, &[11, 12, 13], true, 7)]
         {
             let list = list16();
             let mut h = list.handle();
-            let mut present: BTreeSet<u32> = (1..=filled).collect();
-            for &k in &present {
+            let mut present: BTreeSet<u32> = inserts.iter().copied().collect();
+            let filled = *present.last().unwrap();
+            for &k in &inserts {
                 h.insert(k, k).unwrap();
             }
             for k in removed {
@@ -298,6 +336,93 @@ mod tests {
             }
             list.assert_valid();
         }
+    }
+
+    /// An append split: the level's last chunk is full and the key is above
+    /// all of it. Nothing moves; the old chunk's max drops to its largest
+    /// key, the new chunk holds the key alone, released, and the key is the
+    /// one raised.
+    #[test]
+    fn an_append_split_moves_nothing_and_raises_the_key() {
+        let list = list16();
+        let mut h = list.handle();
+        for k in 1..=13u32 {
+            h.insert(k, k).unwrap();
+        }
+        let splits = h.stats().splits;
+        assert!(h.insert(14, 14).unwrap());
+        assert_eq!(h.stats().splits, splits + 1);
+        let chain = level0_chain(&list);
+        assert_eq!(chain.len(), 2);
+        let head: Vec<u32> = std::iter::once(KEY_NEG_INF).chain(1..=13).collect();
+        assert_eq!(chain[0].1, head, "the full chunk keeps every key");
+        assert_eq!(h.read_chunk(chain[0].0).max(&list.team), 13, "its max is its own largest key");
+        assert_eq!(chain[1].1, vec![14], "the new chunk takes only the key");
+        let lock = h.read_chunk(chain[1].0).lock_word(&list.team);
+        assert_eq!(lock_state(lock), LOCK_UNLOCKED, "the new chunk is released");
+        assert_eq!(list.level_keys(1), vec![14], "the raised key is the appended one");
+        assert_eq!(h.stats().downptr_fixes, 0, "no key moved, so no down-pointer to fix");
+        list.assert_valid();
+    }
+
+    /// An insert below the max of a full last chunk is no append: the chunk
+    /// splits at `DSIZE/2`, as Algorithm 4.9 does.
+    #[test]
+    fn an_insert_below_the_tail_max_splits_at_half() {
+        let list = list16();
+        let mut h = list.handle();
+        for k in (1..=12u32).chain([14]) {
+            h.insert(k, k).unwrap();
+        }
+        assert!(h.insert(13, 13).unwrap());
+        let chain = level0_chain(&list);
+        assert_eq!(chain.len(), 2);
+        let half = list.team.dsize() as u32 / 2;
+        // The head keeps `-∞` and the keys below the threshold.
+        let head: Vec<u32> = std::iter::once(KEY_NEG_INF).chain(1..half).collect();
+        assert_eq!(chain[0].1, head);
+        assert_eq!(h.read_chunk(chain[0].0).max(&list.team), half - 1);
+        assert_eq!(chain[1].1, (half..=14).collect::<Vec<_>>());
+        list.assert_valid();
+    }
+
+    /// Ascending inserts fill the bottom level: every tail split is an
+    /// append split, so each chunk left behind is full (a half split leaves
+    /// each at about half: 15 of 30).
+    #[test]
+    fn ascending_inserts_leave_full_chunks() {
+        let list = Gfsl::new(GfslParams {
+            team_size: TeamSize::ThirtyTwo,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut h = list.handle();
+        for k in 1..=10_000u32 {
+            h.insert(k, k).unwrap();
+        }
+        let fill = list.shape().levels[0].mean_fill();
+        assert!(fill >= 28.0, "mean level-0 fill {fill:.1} of {}", list.team.dsize());
+        list.assert_valid();
+    }
+
+    /// `engine-churn`'s window: 4,096 keys, bulk built, slid 163,840 pairs
+    /// (insert above, remove below). Appends fill each tail chunk before
+    /// the next one is taken, and merged chunks come back through
+    /// reclamation, so the pool stays within a few chunks of the build's.
+    #[test]
+    fn a_sliding_window_stays_near_its_bulk_build() {
+        const WINDOW: u32 = 4096;
+        let list = Gfsl::from_sorted_pairs(GfslParams::default(), (1..=WINDOW).map(|k| (k, k))).unwrap();
+        let built = list.chunks_allocated();
+        assert_eq!(built, 226);
+        let mut h = list.handle();
+        for j in 0..163_840u32 {
+            assert!(h.insert(WINDOW + 1 + j, j).unwrap());
+            assert!(h.remove(j + 1));
+        }
+        let high = list.chunks_allocated();
+        assert!(high <= built + 8, "pool high water {high} for a {built}-chunk build");
+        list.assert_valid();
     }
 
     #[test]

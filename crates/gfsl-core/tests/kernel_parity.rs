@@ -152,17 +152,21 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// when splits and merges began repairing the index in one descent each,
 /// and again when updates began taking their bottom lock with one CAS on
 /// the search's certified view: the same fixes, fewer reads, so fewer
-/// granted steps. EXPERIMENTS ("Turnstile fold", "Update-path index
-/// maintenance", "Certified lock upgrade") lists old → new. A
+/// granted steps; and again when a level's last chunk began taking append
+/// splits (both classes insert ascending keys, so a full tail chunk now
+/// moves none of them) and a zombie view began re-reading its NEXT lane
+/// (one more granted step per zombie view). EXPERIMENTS ("Turnstile fold",
+/// "Update-path index maintenance", "Certified lock upgrade", "Append
+/// splits") lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0xaf4c_ae0c_4f49_a0d0,
-    0x4c8d_24bf_5411_2ab3,
-    0xf259_2283_3e3a_3f52,
-    0x27a8_8293_d49e_ba1b,
-    0x9ac7_ff08_1a19_91c7,
-    0x504d_04e5_3c45_1159,
+    0x644e_040e_b5c6_5918,
+    0x935e_d8ee_eaff_07a8,
+    0xe440_2478_5ddb_97d9,
+    0xcc64_7d05_b5bb_a6e7,
+    0x20c4_488a_bbf6_5879,
+    0x37f6_3d94_347c_c1bf,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

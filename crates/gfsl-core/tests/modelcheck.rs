@@ -87,6 +87,14 @@ fn reclaim_2t_exhaustive() {
 }
 
 #[test]
+fn split_append_2t_exhaustive() {
+    // A full tail chunk's append split — the new chunk published empty and
+    // locked, the old max lowered — against reads on both sides of it and a
+    // remove of the old max.
+    check_exhaustive("split-append-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn lock_upgrade_2t_exhaustive() {
     // Two inserts into one bottom chunk: either one's certified view can go
     // stale between its search and the CAS that upgrades it to the lock.

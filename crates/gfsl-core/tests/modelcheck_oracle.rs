@@ -1,8 +1,9 @@
 //! Differential oracles for the model checker (ISSUE 9 satellite):
 //! re-introduce each of PR 1's two seed races, the unprotected raise a
 //! first draft of the index heal made, a reclaimer without its staging
-//! grace, and a bottom-lock upgrade that ignores the word certifying its
-//! view, via the `bug_knobs` test-only
+//! grace, a bottom-lock upgrade that ignores the word certifying its
+//! view, and an append split that publishes without lowering the split
+//! chunk's max, via the `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
 //! that the *fixed* code passes the exact same schedule.
@@ -163,13 +164,40 @@ fn a_stale_lock_upgrade_is_refound() {
 }
 
 #[test]
+fn an_append_split_keeping_the_old_max_is_refound() {
+    let guard = bug_knobs::append_split_keeps_max_guard();
+    assert_found_minimized_and_differential("split-append-2t", "the append split's lowered max");
+    let cx = find_bug("split-append-2t").counterexample.expect("refound");
+    assert!(
+        cx.description.contains("structure invariant"),
+        "expected the appended key out of lateral order, got: {}",
+        cx.description
+    );
+    drop(guard);
+    let cfg = configs::by_name("split-append-2t").unwrap();
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "an append split that lowers the max must pass the bug's schedule, got: {:?}",
+        out.failure
+    );
+}
+
+#[test]
 fn clean_build_passes_the_oracle_configs() {
     // Sanity inverse: with no knob set, the same exploration budget finds
     // nothing on the oracle configs (they are ordinary workloads then).
     // The knobs are process-global: hold the lock the knob tests hold, or a
     // parallel test run explores these configs with a revert switched on.
     let _serial = bug_knobs::knob_test_lock();
-    for name in ["split-raise-2t", "remove-shift-2t", "heal-upper-2t", "reclaim-2t", "lock-upgrade-2t"] {
+    for name in [
+        "split-raise-2t",
+        "remove-shift-2t",
+        "heal-upper-2t",
+        "reclaim-2t",
+        "lock-upgrade-2t",
+        "split-append-2t",
+    ] {
         let report = find_bug(name);
         assert!(
             report.counterexample.is_none(),

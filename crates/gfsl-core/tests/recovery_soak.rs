@@ -51,6 +51,8 @@ struct CellStats {
     repaired_back: u64,
     unpoisoned_clean: u64,
     downptr_repairs: u64,
+    /// The keys of the inserts that crashed.
+    crashed_inserts: Vec<u32>,
 }
 
 /// One operation of a worker's script.
@@ -65,6 +67,22 @@ enum Op {
 /// to chew on from turn one.
 fn prefill() -> impl Iterator<Item = u32> {
     (2..KEY_SPACE).step_by(2)
+}
+
+/// A key above every key a script touches.
+const CEILING: u32 = 1 << 20;
+
+/// Insert `keys` (ascending) into `list` with [`CEILING`] in the level's
+/// last chunk, then remove it: no insert appends, so every split is a half
+/// split and the bottom level is left in chunks of seven keys (the shape
+/// the scripts below were written for), not full ones.
+fn insert_below_ceiling(list: &Gfsl, keys: impl Iterator<Item = u32>) {
+    let mut h = list.handle();
+    h.insert(CEILING, 0).unwrap();
+    for k in keys {
+        h.insert(k, k).unwrap();
+    }
+    assert!(h.remove(CEILING));
 }
 
 fn list16() -> Gfsl {
@@ -91,6 +109,12 @@ fn mixed_script(seed: u64, t: usize) -> Vec<Op> {
             }
         })
         .collect()
+}
+
+/// Ascending inserts above the key space: each one is above every key in
+/// the list, so every split it takes is an append split.
+fn append_script() -> Vec<Op> {
+    (1..=OPS_PER_WORKER as u32 / 3).map(|i| Op::Insert(KEY_SPACE + i, i)).collect()
 }
 
 /// A 64-key window sliding 64 steps right over the prefill: each step
@@ -154,12 +178,7 @@ fn soak_cell(
 ) -> CellStats {
     gfsl::quiet_injected_panics();
     let list = list16();
-    {
-        let mut h = list.handle();
-        for k in prefill() {
-            h.insert(k, k).unwrap();
-        }
-    }
+    insert_below_ceiling(&list, prefill());
     let ctl = gfsl::chaos::controller(scripts.len(), strategy, Some((point, occurrence)));
 
     let clock = HistoryClock::new();
@@ -214,6 +233,11 @@ fn soak_cell(
     }
 
     let mut records: Vec<_> = histories.into_iter().flatten().collect();
+    let crashed_inserts = records
+        .iter()
+        .filter(|r| matches!(r.action, OpAction::InsertMaybe { .. }))
+        .map(|r| r.key)
+        .collect();
     {
         // Sequential reads on the same clock pin the post-repair state:
         // an acknowledged-then-lost write becomes a linearizability error.
@@ -248,35 +272,49 @@ fn soak_cell(
         repaired_back: stats.repaired_back,
         unpoisoned_clean: stats.unpoisoned_clean,
         downptr_repairs: stats.downptr_repairs,
+        crashed_inserts,
     }
 }
 
 #[test]
 fn recovery_soak_every_crash_point() {
     let seeds = soak_seeds();
-    let mut report = String::from("point,seed,crashed_ops,aborts,quarantined,fwd,back,clean,downptr\n");
+    let mut report = String::from("point,seed,scripts,crashed_ops,aborts,quarantined,fwd,back,clean,downptr\n");
+    let mut append_split_crashes = 0;
     for &point in LOCK_CRASH_POINTS.iter() {
         let mut crashes_for_point = 0u64;
         for seed in 0..seeds {
-            let scripts: Vec<_> = (0..WORKERS).map(|t| mixed_script(seed, t)).collect();
-            let s = soak_cell(
-                point,
-                1 + seed % 3,
-                RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
-                &scripts,
-                &format!("{point:?} seed {seed}"),
-            );
-            crashes_for_point += s.crashed_ops;
-            report.push_str(&format!(
-                "{point:?},{seed},{},{},{},{},{},{},{}\n",
-                s.crashed_ops,
-                s.aborts,
-                s.chunks_quarantined,
-                s.repaired_forward,
-                s.repaired_back,
-                s.unpoisoned_clean,
-                s.downptr_repairs
-            ));
+            // Two mixed workers, which must fire every point on their own.
+            // At `SplitPublish`, a second cell runs a mixed worker against
+            // one that appends above the key space.
+            let mut cells = vec![((0..WORKERS).map(|t| mixed_script(seed, t)).collect::<Vec<_>>(), "mixed")];
+            if point == CrashPoint::SplitPublish {
+                cells.push((vec![mixed_script(seed, 0), append_script()], "append"));
+            }
+            for (scripts, kind) in &cells {
+                let s = soak_cell(
+                    point,
+                    1 + seed % 3,
+                    RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
+                    scripts,
+                    &format!("{point:?} seed {seed} {kind}"),
+                );
+                if *kind == "mixed" {
+                    crashes_for_point += s.crashed_ops;
+                } else {
+                    append_split_crashes += s.crashed_inserts.iter().filter(|&&k| k > KEY_SPACE).count();
+                }
+                report.push_str(&format!(
+                    "{point:?},{seed},{kind},{},{},{},{},{},{},{}\n",
+                    s.crashed_ops,
+                    s.aborts,
+                    s.chunks_quarantined,
+                    s.repaired_forward,
+                    s.repaired_back,
+                    s.unpoisoned_clean,
+                    s.downptr_repairs
+                ));
+            }
         }
         assert!(
             crashes_for_point > 0,
@@ -284,6 +322,10 @@ fn recovery_soak_every_crash_point() {
              the soak is not exercising this window"
         );
     }
+    assert!(
+        append_split_crashes > 0,
+        "SplitPublish never crashed an append split in {seeds} seeds"
+    );
     if let Ok(path) = std::env::var("GFSL_SOAK_STATS") {
         std::fs::write(&path, &report).expect("write soak stats artifact");
     }
@@ -318,17 +360,17 @@ fn crash_sweep_every_occurrence() {
 }
 
 /// The sweep's script reaches every mutation kind repair must handle:
-/// insert and remove shifts, splits on the insert and on the remove side,
-/// merges and index heals, with down-pointer installs after them.
+/// insert and remove shifts, splits on the insert and on the remove side
+/// (append splits among the insert side's), merges and index heals, with
+/// down-pointer installs after them.
 #[test]
 fn window_script_reaches_every_mutation_kind() {
     let list = list16();
+    insert_below_ceiling(&list, prefill());
     let mut h = list.handle();
-    for k in prefill() {
-        h.insert(k, k).unwrap();
-    }
     let base = h.stats();
     let [mut insert_shifts, mut remove_shifts, mut insert_splits, mut remove_splits] = [0u64; 4];
+    let (mut append_splits, mut top) = (0u64, prefill().max().unwrap());
     for op in window_script() {
         let before = h.stats();
         match op {
@@ -337,6 +379,8 @@ fn window_script_reaches_every_mutation_kind() {
                 let splits = h.stats().splits - before.splits;
                 insert_splits += splits;
                 insert_shifts += u64::from(fresh && splits == 0);
+                append_splits += u64::from(k > top && splits > 0);
+                top = top.max(k);
             }
             Op::Remove(k) => {
                 let gone = h.remove(k);
@@ -354,6 +398,7 @@ fn window_script_reaches_every_mutation_kind() {
         ("insert shift", insert_shifts),
         ("remove shift", remove_shifts),
         ("insert-side split", insert_splits),
+        ("append split", append_splits),
         ("remove-side split", remove_splits),
         ("merge", s.merges - base.merges),
         ("index heal", s.index_heals - base.index_heals),
@@ -380,11 +425,9 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     .unwrap();
     // Four bottom chunks, then delete the three raised keys: no index left,
     // so an insert into the third chunk walks two live chunks and heals.
+    insert_below_ceiling(&list, (2..=56).step_by(2));
     {
         let mut h = list.handle();
-        for k in (2..=56).step_by(2) {
-            h.insert(k, k).unwrap();
-        }
         for k in list.level_keys(1) {
             assert!(h.remove(k));
         }

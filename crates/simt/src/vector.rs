@@ -7,9 +7,14 @@
 //! lane — faithful to lockstep semantics, but 16/32 indirect predicate
 //! evaluations per traversal step on the host. The kernels here compute the
 //! same vote masks directly from the chunk's packed `u64` words: every one
-//! of the [`WARP_SIZE`] registers votes in straight-line code (no length to
-//! loop over, no tail; LLVM turns it into packed 32-bit compares), and the
-//! lanes that are not DATA lanes of the team are masked off the result.
+//! of the [`WARP_SIZE`] registers votes in straight-line, branch-free code
+//! (no length to loop over, no tail), and the lanes that are not DATA lanes
+//! of the team are masked off the result. That is all it is: inlined into
+//! the engine's `tid_with_equal_key` and `tid_for_next_step`, the release
+//! build compiles each vote to one scalar compare / set / shift / or per
+//! lane, with no packed compare and no movemask (a kernel called on its own
+//! can come out partly vectorized). A 32-lane vote costs about 6–9 ns,
+//! measured standalone with the call included.
 //!
 //! They are pure register math over an already-read chunk snapshot: they
 //! touch no shared memory and emit no probe events, so a replay's trace
