@@ -7,15 +7,15 @@
 //! the races found and fixed so far (two by PR 1's chaos soak, one while
 //! sizing the index heal), to drop a step of the reclamation protocol
 //! (the staging grace), to skip the check that makes the certified
-//! bottom-lock upgrade safe or to publish an append split without lowering
-//! the split chunk's max, run the
+//! bottom-lock upgrade safe, to publish an append split without lowering
+//! the split chunk's max or to skip the zombie view's NEXT re-read, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
 //! operation (one relaxed load per split, two per append split, one per
 //! physical remove / per verified reclamation batch / per bottom-lock
-//! upgrade — noise even
+//! upgrade / per zombie chunk read — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -81,6 +81,13 @@ static STALE_LOCK_UPGRADE: AtomicBool = AtomicBool::new(false);
 /// walk along the level stops short of it.
 static APPEND_SPLIT_KEEPS_MAX: AtomicBool = AtomicBool::new(false);
 
+/// Skip the zombie view's NEXT re-read: a zombie step follows the NEXT lane
+/// as the team read loaded it, before the LOCK lane. That load can predate
+/// a split of the chunk that a merge then drained, so the step skips the
+/// split's new chunk and the keys it holds (the torn zombie view): a read
+/// misses a present key, or an insert lands right of its chunk.
+static TORN_ZOMBIE_NEXT: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -118,6 +125,12 @@ pub fn stale_lock_upgrade() -> bool {
 #[inline]
 pub fn append_split_keeps_max() -> bool {
     APPEND_SPLIT_KEEPS_MAX.load(Ordering::Relaxed)
+}
+
+/// True if a zombie view keeps the NEXT lane of its team read.
+#[inline]
+pub fn torn_zombie_next() -> bool {
+    TORN_ZOMBIE_NEXT.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -177,6 +190,12 @@ pub fn stale_lock_upgrade_guard() -> KnobGuard {
 /// guard's lifetime.
 pub fn append_split_keeps_max_guard() -> KnobGuard {
     KnobGuard::set(&APPEND_SPLIT_KEEPS_MAX)
+}
+
+/// Let zombie steps follow the NEXT lane of the team read, without the
+/// re-read, for the guard's lifetime.
+pub fn torn_zombie_next_guard() -> KnobGuard {
+    KnobGuard::set(&TORN_ZOMBIE_NEXT)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

@@ -139,68 +139,131 @@ impl ChunkRef {
 /// and what the algorithm is designed to tolerate.
 ///
 /// A view is 256 bytes. Traversals keep one or two of them as buffers and
-/// [`reload`](Self::reload) them in place, passing `&ChunkView` around;
+/// `reload` them in place, passing `&ChunkView` around;
 /// nothing on a traversal moves one by value.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkView {
     regs: WarpRegs,
 }
 
+/// A lock word that *certified* a view: observed before the view's data
+/// lanes were read, and repeated, unlocked, by the view's own LOCK lane,
+/// read after them. Every entry move happens under the chunk lock and every
+/// release bumps the word's version, so no entry moved while such a view
+/// was read. Only [`ChunkView::reload`] mints one, and it is the only word
+/// the update path's bottom-lock upgrade CASes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Certified(u64);
+
+impl Certified {
+    /// The bracketing lock word.
+    #[inline]
+    pub(crate) fn word(self) -> u64 {
+        self.0
+    }
+}
+
+/// What one team read of a chunk can support: the value of
+/// [`ChunkView::reload`]. A decision asserting that a key is absent from
+/// the view (a lateral `NotFound`, a range emit, a minimum) needs
+/// `Certified`; a zombie step needs `Zombie` and follows its `next`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkRead {
+    /// The LOCK lane read ZOMBIE. `next` is the NEXT lane as read again
+    /// after the mark was seen, and it always names a chunk: only a merge
+    /// (or repair rolling a merge forward) zombifies a chunk, it does so
+    /// while holding the chunk's successor as the absorber, and a level's
+    /// last chunk is never merged away. A zombie's NEXT lane never changes
+    /// from the mark on, and a pinned reader keeps the chunk from being
+    /// recycled, so the re-read is the pointer every zombie step may
+    /// follow. The first read of the lane can predate a split of the chunk
+    /// that the merge then drained, and so skip the split's new chunk,
+    /// which holds the moved keys (the torn zombie view).
+    Zombie { next: u32 },
+    /// A live view no pre-read word certified. `unlocked` is its LOCK lane
+    /// when that shows the chunk unlocked.
+    Live { unlocked: Option<u64> },
+    /// A live view whose LOCK lane repeats, unlocked, the lock word the
+    /// caller observed before the read.
+    Certified(Certified),
+}
+
 impl ChunkView {
     /// A buffer no read has filled yet (reads as an unlocked chunk whose
-    /// every key is `-∞`; only ever a [`reload`](Self::reload) target).
+    /// every key is `-∞`; only ever a `reload` target).
     pub const BLANK: ChunkView = ChunkView { regs: [0; WARP_SIZE] };
 
     /// Read all `N` entries of the chunk at `ch` in one lockstep team read.
     #[inline]
     pub fn read<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) -> Self {
         let mut view = ChunkView::BLANK;
-        view.reload(team, pool, probe, ch);
+        view.reload(team, pool, probe, ch, None);
         view
     }
 
     /// Overwrite this view with one lockstep team read of the chunk at
-    /// `ch`: one probe event and one bounds check for the chunk, then one
-    /// `Acquire` load per lane in ascending lane order, so the LOCK lane is
-    /// read after every other lane (what certifying a view against its own
-    /// lock word rests on).
-    ///
-    /// A LOCK lane that reads ZOMBIE is followed by one more read of the
-    /// NEXT lane. The first one may predate a split of the chunk that a
-    /// later merge then drained, and so skip the split's new chunk, which
-    /// holds the moved keys (the torn zombie view). A zombie's NEXT lane
-    /// does not change from the mark on, and a pinned reader keeps the
-    /// chunk from being recycled, so the second read is the one every
-    /// zombie step may follow.
+    /// `ch`, and say what the view can support. One probe event and one
+    /// bounds check for the chunk, then one `Acquire` load per lane in
+    /// ascending lane order, so the LOCK lane is read after every other
+    /// lane: `before`, a lock word the caller read before this call, is
+    /// compared with it to certify the view. A LOCK lane that reads ZOMBIE
+    /// is followed by one more read of the NEXT lane (see
+    /// [`ChunkRead::Zombie`]). This is the only code that compares a
+    /// pre-read lock word with a view's LOCK lane.
     #[inline]
-    pub fn reload<P: MemProbe>(&mut self, team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
+    pub(crate) fn reload<P: MemProbe>(
+        &mut self,
+        team: &Team,
+        pool: &WordPool,
+        probe: &mut P,
+        ch: ChunkRef,
+        before: Option<u64>,
+    ) -> ChunkRead {
         match team.size() {
-            TeamSize::Sixteen => self.reload_lanes::<16, P>(pool, probe, ch),
-            TeamSize::ThirtyTwo => self.reload_lanes::<32, P>(pool, probe, ch),
+            TeamSize::Sixteen => self.reload_lanes::<16, P>(pool, probe, ch, before),
+            TeamSize::ThirtyTwo => self.reload_lanes::<32, P>(pool, probe, ch, before),
         }
     }
 
     #[inline(always)]
-    fn reload_lanes<const N: usize, P: MemProbe>(&mut self, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
+    fn reload_lanes<const N: usize, P: MemProbe>(
+        &mut self,
+        pool: &WordPool,
+        probe: &mut P,
+        ch: ChunkRef,
+        before: Option<u64>,
+    ) -> ChunkRead {
         let addrs: [WordAddr; N] = std::array::from_fn(|lane| ch.entry_addr(lane));
         probe.warp_read(&addrs);
         let regs = self.regs.first_chunk_mut::<N>().expect("a team is at most a warp wide");
         pool.read_words(ch.base, regs);
-        if lock_state(regs[N - 1]) == LOCK_ZOMBIE {
-            let next = ch.entry_addr(N - 2);
-            probe.lane_read(next);
-            regs[N - 2] = pool.read(next);
+        let lock = regs[N - 1];
+        match lock_state(lock) {
+            LOCK_ZOMBIE => {
+                if !crate::bug_knobs::torn_zombie_next() {
+                    let next = ch.entry_addr(N - 2);
+                    probe.lane_read(next);
+                    regs[N - 2] = pool.read(next);
+                }
+                ChunkRead::Zombie { next: Entry(regs[N - 2]).val() }
+            }
+            LOCK_UNLOCKED if before == Some(lock) => ChunkRead::Certified(Certified(lock)),
+            LOCK_UNLOCKED => ChunkRead::Live { unlocked: Some(lock) },
+            _ => ChunkRead::Live { unlocked: None },
         }
     }
 
-    /// Build a view from lanes already captured elsewhere (an mvcc version
-    /// pre-image): versioned readers decode a chain image with the same
-    /// ballot machinery a live chunk read uses.
+    /// Overwrite this view with an mvcc version image, and say what it
+    /// supports. An image is never torn: a live chunk's pre-image, read under
+    /// its writer's lock, or a recycled chunk's terminal zombie state.
     #[inline]
-    pub(crate) fn from_lanes(team: &Team, lanes: &[u64]) -> Self {
-        let mut view = ChunkView::BLANK;
-        view.regs[..team.lanes()].copy_from_slice(lanes);
-        view
+    pub(crate) fn load_image(&mut self, team: &Team, lanes: &[u64]) -> ChunkRead {
+        self.regs[..team.lanes()].copy_from_slice(lanes);
+        if self.is_zombie(team) {
+            ChunkRead::Zombie { next: self.next(team) }
+        } else {
+            ChunkRead::Live { unlocked: None }
+        }
     }
 
     /// Entry held by lane `lane`.
@@ -226,14 +289,6 @@ impl ChunkView {
     #[inline]
     pub fn lock_word(&self, team: &Team) -> u64 {
         self.regs[team.lock_lane()]
-    }
-
-    /// The lock word, if it shows the chunk unlocked at read time (the
-    /// observation the hint and certification record).
-    #[inline]
-    pub fn unlocked_word(&self, team: &Team) -> Option<u64> {
-        let word = self.lock_word(team);
-        (lock_state(word) == LOCK_UNLOCKED).then_some(word)
     }
 
     /// Was the chunk a zombie at read time?
@@ -267,13 +322,6 @@ impl ChunkView {
     #[inline]
     pub fn lane_of_key(&self, team: &Team, k: u32) -> Option<LaneId> {
         self.keys_eq(team, k).highest()
-    }
-
-    /// Is the chunk *not* enclosing `k`: a zombie, or `max < k`
-    /// (cooperative `chunkNotEnclosing`).
-    #[inline]
-    pub fn not_enclosing(&self, team: &Team, k: u32) -> bool {
-        self.is_zombie(team) || self.max(team) < k
     }
 
     /// Data entries as `(lane, entry)` pairs, non-EMPTY only.
@@ -498,6 +546,7 @@ mod tests {
     /// the LOCK lane's last: a view can be certified against its own lock
     /// word only because every data lane was loaded before it, and the
     /// model checker interleaves other teams between exactly these loads.
+    /// A zombie's read takes one load more, last, of its NEXT lane.
     #[test]
     fn a_team_read_loads_each_lane_once_in_order_lock_lane_last() {
         use gfsl_gpu_mem::schedule::{self, AccessKind, SchedHook};
@@ -518,17 +567,23 @@ mod tests {
             let team = Team::new(size);
             let pool = WordPool::new(4 * team.lanes());
             let ch = ChunkRef { base: 2 * team.lanes() as u32 };
-            let rec = Arc::new(Recorder::default());
-            let mut view = ChunkView::BLANK;
-            {
-                let _hooked = schedule::register(rec.clone());
-                view.reload(&team, &pool, &mut NoProbe, ch);
-            }
-            let want: Vec<_> = (0..team.lanes())
+            let mut want: Vec<_> = (0..team.lanes())
                 .map(|lane| (AccessKind::Load, ch.entry_addr(lane)))
                 .collect();
-            assert_eq!(*rec.0.lock().unwrap(), want, "{size}-lane team");
             assert_eq!(want.last().unwrap().1, ops::lock_addr(&team, ch));
+            for lock in [LOCK_UNLOCKED, LOCK_ZOMBIE] {
+                pool.write(ops::lock_addr(&team, ch), lock);
+                if lock == LOCK_ZOMBIE {
+                    want.push((AccessKind::Load, ops::next_addr(&team, ch)));
+                }
+                let rec = Arc::new(Recorder::default());
+                let mut view = ChunkView::BLANK;
+                {
+                    let _hooked = schedule::register(rec.clone());
+                    view.reload(&team, &pool, &mut NoProbe, ch, None);
+                }
+                assert_eq!(*rec.0.lock().unwrap(), want, "{size}-lane team, lock word {lock}");
+            }
         }
     }
 
@@ -553,18 +608,21 @@ mod tests {
     }
 
     #[test]
-    fn not_enclosing_for_zombie_or_small_max() {
+    fn a_read_says_what_its_view_supports() {
         let (team, pool) = setup();
-        write_chunk(&pool, 0, &[(5, 0)], 5, 64, LOCK_UNLOCKED);
-        let v = ChunkView::read(&team, &pool, &mut NoProbe, ChunkRef { base: 0 });
-        assert!(!v.not_enclosing(&team, 5));
-        assert!(!v.not_enclosing(&team, 3));
-        assert!(v.not_enclosing(&team, 6));
-
-        write_chunk(&pool, 64, &[(5, 0)], 5, NIL, LOCK_ZOMBIE);
-        let z = ChunkView::read(&team, &pool, &mut NoProbe, ChunkRef { base: 64 });
-        assert!(z.not_enclosing(&team, 3), "zombies never enclose");
-        assert!(z.is_zombie(&team));
+        let ch = ChunkRef { base: 0 };
+        let mut v = ChunkView::BLANK;
+        let mut read = |before| v.reload(&team, &pool, &mut NoProbe, ch, before);
+        write_chunk(&pool, 0, &[(5, 0)], 5, 64, LOCK_VERSION_UNIT);
+        assert_eq!(read(None), ChunkRead::Live { unlocked: Some(LOCK_VERSION_UNIT) });
+        assert_eq!(read(Some(LOCK_UNLOCKED)), ChunkRead::Live { unlocked: Some(LOCK_VERSION_UNIT) });
+        assert_eq!(read(Some(LOCK_VERSION_UNIT)), ChunkRead::Certified(Certified(LOCK_VERSION_UNIT)));
+        // A held chunk certifies nothing, not even against its own word.
+        let held = LOCK_VERSION_UNIT | LOCK_LOCKED;
+        write_chunk(&pool, 0, &[(5, 0)], 5, 64, held);
+        assert_eq!(read(Some(held)), ChunkRead::Live { unlocked: None });
+        write_chunk(&pool, 0, &[(5, 0)], 5, 64, LOCK_ZOMBIE);
+        assert_eq!(read(Some(LOCK_ZOMBIE)), ChunkRead::Zombie { next: 64 });
     }
 
     #[test]

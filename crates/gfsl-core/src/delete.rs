@@ -185,7 +185,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 return false;
             }
             self.list.inc_level_chunks(level);
-            self.read_chunk_into(p_next, &mut nview);
+            self.read_chunk_into(p_next, None, &mut nview);
         }
         // Journal the merge before the copy so a crash between the
         // copy and the zombie mark rolls the merge *forward* (the
@@ -562,7 +562,7 @@ mod tests {
         list.handle().insert(15, 15).unwrap();
         assert!(!h.view_is_current(head, &view));
         assert_eq!(h.stats().chunk_reads, reads, "plain pool loads, not counted reads");
-        h.read_chunk_into(head, &mut view);
+        h.read_chunk_into(head, None, &mut view);
         assert!(view.contains_key(&team, 15) && h.view_is_current(head, &view));
     }
 

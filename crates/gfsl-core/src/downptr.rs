@@ -20,7 +20,7 @@
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry, KEY_NEG_INF, NIL};
+use crate::chunk::{ops, ChunkRead, ChunkView, Entry, KEY_NEG_INF, NIL};
 use crate::skiplist::GfslHandle;
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
@@ -51,25 +51,26 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         while i < moved.len() {
             // Certified, so a moved key the view lacks is absent from the
             // chunk, not hidden by a concurrent shift.
-            self.read_chunk_bracketed(cur, &mut view);
-            if !view.is_zombie(&team) {
-                let max = view.max(&team);
-                let enclosed = moved[i..].partition_point(|&k| k <= max);
-                let held = moved[i..i + enclosed]
-                    .iter()
-                    .find(|&&k| view.contains_key(&team, k));
-                match held {
-                    // No moved key has an entry here: pass without a lock.
-                    None => i += enclosed,
-                    Some(&k) => {
-                        let p_upper = self.find_and_lock_enclosing(cur, k, &mut view);
-                        let max = view.max(&team);
-                        while i < moved.len() && moved[i] <= max {
-                            self.repair_locked(p_upper, &view, moved[i], target);
-                            i += 1;
-                        }
-                        self.unlock(p_upper);
+            if let ChunkRead::Zombie { next } = self.read_bracketed(cur, &mut view) {
+                cur = next;
+                continue;
+            }
+            let max = view.max(&team);
+            let enclosed = moved[i..].partition_point(|&k| k <= max);
+            let held = moved[i..i + enclosed]
+                .iter()
+                .find(|&&k| view.contains_key(&team, k));
+            match held {
+                // No moved key has an entry here: pass without a lock.
+                None => i += enclosed,
+                Some(&k) => {
+                    let p_upper = self.find_and_lock_enclosing(cur, k, &mut view);
+                    let max = view.max(&team);
+                    while i < moved.len() && moved[i] <= max {
+                        self.repair_locked(p_upper, &view, moved[i], target);
+                        i += 1;
                     }
+                    self.unlock(p_upper);
                 }
             }
             cur = view.next(&team);

@@ -73,6 +73,22 @@ fn spaced_five_index_prefill() -> Vec<(u32, u32)> {
     (1..=252u32).rev().map(|i| (4 * i, 100 + i)).collect()
 }
 
+/// Keys `4, 8, …, 52`, then `1`, then `400`, then `2, 3, 5, 6, 7, 9`. The
+/// insert of 1 splits the full head chunk in half and 400 the tail by an
+/// append, which leaves the head chunk `-inf, 1 … 9, 12, 16, 20, 24` full
+/// ahead of `28 … 52, 400`.
+fn torn_zombie_prefill() -> Vec<(u32, u32)> {
+    let keys = (1..=13u32).map(|i| 4 * i).chain([1, 400, 2, 3, 5, 6, 7, 9]);
+    keys.map(|k| (k, 100 + k)).collect()
+}
+
+/// The writer of the torn-zombie configs: the insert splits the full head
+/// chunk X, moving `7 … 24` into a new chunk X′ (which takes 10), and the
+/// removes drain X until it merges into X′ and is zombified.
+fn split_then_merge_away() -> Vec<McOp> {
+    vec![McOp::Insert(10, 1), McOp::Remove(1), McOp::Remove(2), McOp::Remove(3), McOp::Remove(4)]
+}
+
 /// A setup script that deletes `keys`: an episode can start from an index
 /// that deletes have thinned.
 fn removes(keys: &[u32]) -> Vec<McOp> {
@@ -348,6 +364,37 @@ pub fn all() -> Vec<McConfig> {
             ],
             max_steps: 40_000,
         },
+        McConfig {
+            name: "zombie-tear-2t",
+            about: "a read whose view of a chunk pairs a NEXT lane read before \
+                    the chunk split with a LOCK lane read after a merge \
+                    zombified it (torn zombie view)",
+            params: mc_params(),
+            prefill: torn_zombie_prefill(),
+            setup: vec![],
+            threads: vec![
+                split_then_merge_away(),
+                // 20 moves to X′; a zombie step past X by the NEXT lane of
+                // the team read would skip X′ and end right of 20.
+                vec![McOp::Get(20)],
+            ],
+            max_steps: 30_000,
+        },
+        McConfig {
+            name: "zombie-tear-insert-2t",
+            about: "torn zombie view on the update path: the lazy redirect \
+                    and the insert's placement both follow the zombie's NEXT",
+            params: mc_params(),
+            prefill: torn_zombie_prefill(),
+            setup: vec![],
+            threads: vec![
+                split_then_merge_away(),
+                // 22 belongs in X′: placed in X′'s successor, it breaks
+                // lateral order.
+                vec![McOp::Insert(22, 7), McOp::Get(22)],
+            ],
+            max_steps: 30_000,
+        },
     ]
 }
 
@@ -359,6 +406,7 @@ pub fn by_name(name: &str) -> Option<McConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::KEY_NEG_INF;
     use crate::skiplist::Gfsl;
 
     #[test]
@@ -437,6 +485,22 @@ mod tests {
         assert_eq!(h.stats().splits, splits + 1);
         assert_eq!(list.reclaim_stats().unwrap().reused, 1);
         list.assert_valid();
+    }
+
+    #[test]
+    fn torn_zombie_configs_start_from_a_full_head_chunk() {
+        for name in ["zombie-tear-2t", "zombie-tear-insert-2t"] {
+            let list = built(name);
+            let team = list.team;
+            let mut h = list.handle();
+            let head = h.read_chunk(list.head_of(0));
+            let keys: Vec<u32> = head.live_entries(&team).map(|(_, e)| e.key()).collect();
+            assert_eq!(keys, [KEY_NEG_INF, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 20, 24], "{name}");
+            let tail = h.read_chunk(head.next(&team));
+            let keys: Vec<u32> = tail.live_entries(&team).map(|(_, e)| e.key()).collect();
+            let want: Vec<u32> = (7..=13).map(|i| 4 * i).chain([400]).collect();
+            assert_eq!((keys, tail.next(&team)), (want, crate::chunk::NIL), "{name}");
+        }
     }
 
     #[test]

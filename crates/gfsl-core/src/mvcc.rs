@@ -69,7 +69,7 @@ use gfsl_gpu_mem::MemProbe;
 use parking_lot::{Mutex, RwLock};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
-use crate::chunk::{is_user_key, ChunkView, KEY_INF, NIL};
+use crate::chunk::{is_user_key, ChunkRead, ChunkView, KEY_INF, NIL};
 use crate::range::RangeEmit;
 use crate::skiplist::{Gfsl, GfslHandle};
 
@@ -631,34 +631,30 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.range_at(1, KEY_INF - 1, ticket)
     }
 
-    /// Read chunk `ch` as of version `v`: chain image if one tags `> v`,
-    /// else a raw read double-checked against the chain (a stamp-`> v`
-    /// writer pushes its pre-image before mutating, so a torn raw read is
-    /// always caught here and the image wins).
-    fn read_chunk_at(&mut self, ch: u32, v: u64) -> ChunkView {
+    /// Read chunk `ch` as of version `v` into `view`: chain image if one
+    /// tags `> v`, else a raw read double-checked against the chain (a
+    /// stamp-`> v` writer pushes its pre-image before mutating, so a torn raw
+    /// read is always caught here and the image wins).
+    fn read_chunk_at(&mut self, ch: u32, v: u64, view: &mut ChunkView) -> ChunkRead {
         let list = self.list();
-        let team = &list.team;
         let mvcc = list.mvcc.as_deref().expect("versioned read without mvcc");
         // `chunk_epoch <= v` proves no chain entry tags `> v`, so both
         // resolve round trips (mutex + chain walk + lane clone) are
         // skipped for every chunk not captured since the pin — the common
         // case on a large scan, and what keeps the scan tail flat while
         // writers hammer the chain shards with captures.
-        if mvcc.chunk_epoch(ch) > v {
-            if let Some(lanes) = mvcc.resolve_image(ch, v) {
-                return ChunkView::from_lanes(team, &lanes);
-            }
+        let image = |view: &mut ChunkView| {
+            let lanes = (mvcc.chunk_epoch(ch) > v).then(|| mvcc.resolve_image(ch, v)).flatten()?;
+            Some(view.load_image(&list.team, &lanes))
+        };
+        if let Some(read) = image(view) {
+            return read;
         }
-        let raw = self.read_chunk(ch);
+        let raw = self.read_chunk_into(ch, None, view);
         // Re-check: a torn raw read means some stamp-`> v` writer started
         // mutating, which means its capture (epoch bump, then image push)
         // completed first — so the epoch test cannot miss it.
-        if mvcc.chunk_epoch(ch) > v {
-            if let Some(lanes) = mvcc.resolve_image(ch, v) {
-                return ChunkView::from_lanes(team, &lanes);
-            }
-        }
-        raw
+        image(view).unwrap_or(raw)
     }
 
     /// The level-0 head at version `v` (same double-check protocol as
@@ -686,11 +682,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let team = self.list().team;
         let mut cur = self.head0_at(v);
         let mut emit = RangeEmit::new(lo, hi, f);
+        let mut view = ChunkView::BLANK;
         loop {
-            let view = self.read_chunk_at(cur, v);
             // A zombie at `v` emits nothing, but its frozen next still
             // chains rightward through the version's list.
-            if !view.is_zombie(&team) && emit.chunk(&team, &view) {
+            if let ChunkRead::Zombie { next } = self.read_chunk_at(cur, v, &mut view) {
+                cur = next;
+                continue;
+            }
+            if emit.chunk(&team, &view) {
                 break;
             }
             let next = view.next(&team);
@@ -1007,5 +1007,63 @@ mod tests {
         let mut records = writes;
         records.extend(scan_records);
         check_linearizable(&records, &std::collections::HashMap::new()).unwrap();
+    }
+
+    /// A zombie that was still linked at the pinned version, then unlinked
+    /// and recycled, resolves to its terminal image: a zombie, whose lanes
+    /// still hold the key the merge removed. The pinned walk steps over it.
+    #[test]
+    fn a_recycled_zombie_image_emits_nothing() {
+        let list = mvcc_list();
+        let team = list.team;
+        let mut h = list.handle();
+        for k in 1..=60u32 {
+            h.insert(k * 10, k).unwrap();
+        }
+        // Level 0 is `head, a, z, …`: `z` has a successor to merge into.
+        let a = h.read_chunk(list.head_of(0)).next(&team);
+        let z = h.read_chunk(a).next(&team);
+        assert_ne!(h.read_chunk(z).next(&team), crate::chunk::NIL);
+        let keys_of = |h: &mut crate::skiplist::GfslHandle<'_, _>, ch: u32| -> Vec<u32> {
+            let view = h.read_chunk(ch);
+            (0..team.dsize())
+                .map(|i| view.entry(i).key())
+                .filter(|&k| crate::chunk::is_user_key(k))
+                .collect()
+        };
+        // Remove `z`'s keys from the left until a removal merges it away.
+        let mut removed = None;
+        for k in keys_of(&mut h, z) {
+            assert!(h.remove(k));
+            if h.read_chunk(z).is_zombie(&team) {
+                removed = Some(k);
+                break;
+            }
+        }
+        let gone = removed.expect("the removals merged z");
+        assert_eq!(h.read_chunk(a).next(&team), z, "z is still linked");
+        assert!(keys_of(&mut h, z).contains(&gone), "the zombie's lanes keep {gone}");
+        let t = list.pin_version().unwrap();
+        let want = h.pairs_at(&t);
+        assert!(want.iter().all(|&(k, _)| k != gone));
+        // Split `a` (it is full): the split captures `a` with its next still
+        // on `z`, then unlinks and retires `z`.
+        let a_keys = keys_of(&mut h, a);
+        h.insert(a_keys[0] + 1, 0).unwrap();
+        assert_ne!(h.read_chunk(a).next(&team), z, "z is unlinked");
+        for _ in 0..8 {
+            h.reclaim_pass();
+        }
+        // Grow the tail until `z` is allocated again: the reinit captures
+        // its terminal zombie state for the ticket.
+        for k in 10_000..10_100 {
+            if !h.read_chunk(z).is_zombie(&team) {
+                break;
+            }
+            h.insert(k, k).unwrap();
+        }
+        assert!(!h.read_chunk(z).is_zombie(&team), "z was recycled");
+        assert_eq!(h.pairs_at(&t), want);
+        assert_eq!(h.range_at(gone, gone, &t), vec![]);
     }
 }

@@ -109,13 +109,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Certified reads throughout: a torn single read racing a remove's
         // left-shift can miss a key that is present for the whole scan,
         // which the scan contract forbids.
-        while let Some(c) = self.next_live_certified(cur, &mut view) {
+        loop {
+            let (c, cert) = self.next_live_certified(cur, &mut view);
             if !noted {
                 // The first live chunk encloses `lo`: cache it as the next
-                // scan's descent shortcut. A certified view's lock word was
-                // observed unlocked, but re-derive defensively.
+                // scan's descent shortcut.
                 noted = true;
-                self.note_hint(c, view.unlocked_word(&team));
+                self.note_hint(c, Some(cert.word()));
             }
             if emit.chunk(&team, &view) {
                 break;

@@ -32,8 +32,7 @@ use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
 use crate::chunk::{
-    lock_released, lock_state, lock_zombified, ops, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED,
-    LOCK_UNLOCKED, NIL,
+    lock_released, lock_state, lock_zombified, ops, ChunkRead, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED, NIL,
 };
 use crate::skiplist::{Error, Gfsl, GfslHandle, Intent, QuarantinedChunk, RepairStats};
 use crate::validate::chunk_rules;
@@ -300,14 +299,14 @@ impl<P: MemProbe> GfslHandle<'_, P> {
         let mut visited = 0usize;
         while visited < budget {
             let (level, chunk) = cursor;
-            let view = self.read_chunk(chunk);
-            let word = view.lock_word(&team);
-            if lock_state(word) == LOCK_UNLOCKED {
+            let mut view = ChunkView::BLANK;
+            let read = self.read_chunk_into(chunk, None, &mut view);
+            if let ChunkRead::Live { unlocked: Some(word) } = read {
                 if !chunk_rules(&team, &view, level, chunk).is_empty() {
                     // Certify before counting: the first read may have torn
                     // across an active writer's stores.
-                    let v2 = self.read_chunk(chunk);
-                    if v2.lock_word(&team) == word {
+                    let mut v2 = ChunkView::BLANK;
+                    if let ChunkRead::Certified(_) = self.read_chunk_into(chunk, Some(word), &mut v2) {
                         let confirmed = chunk_rules(&team, &v2, level, chunk).len();
                         if confirmed > 0 {
                             self.list
@@ -323,12 +322,13 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                     .fetch_add(1, Ordering::Relaxed);
             }
             visited += 1;
-            let next = view.next(&team);
-            cursor = if next == NIL {
-                let nl = (level + 1) % levels;
-                (nl, self.list.head_of(nl))
-            } else {
-                (level, next)
+            cursor = match read {
+                ChunkRead::Zombie { next } => (level, next),
+                _ if view.next(&team) == NIL => {
+                    let nl = (level + 1) % levels;
+                    (nl, self.list.head_of(nl))
+                }
+                _ => (level, view.next(&team)),
             };
         }
         *self

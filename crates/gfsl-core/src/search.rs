@@ -6,11 +6,17 @@
 //! keeps `Contains` lock-free, and an update mode, which lazily unlinks the
 //! zombie runs it meets (§4.2.2's `findLateralWithZombieRedirect`) and marks
 //! where the index needs healing.
+//!
+//! Every chunk they decide on comes from the one typed read
+//! (`read_chunk_into`), whose `ChunkRead` says what the view can support. A
+//! zombie step follows only `ChunkRead::Zombie`'s `next`, which always names
+//! a chunk, and a `NotFound` is answered only from a `Certified` view, which
+//! the one certify loop (`read_certified`) re-reads a chunk until it has.
 
 use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, LaneId, Team};
 
-use crate::chunk::{ops, is_user_key, ChunkView, NIL};
+use crate::chunk::{ops, is_user_key, Certified, ChunkRead, ChunkView, NIL};
 use crate::skiplist::{Gfsl, GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET};
 
 /// The per-level path an update's traversal records (`searchSlow`): at each
@@ -91,23 +97,6 @@ pub fn tid_with_equal_key(team: &Team, k: u32, view: &ChunkView) -> LateralStep 
     }
 }
 
-/// A lock word that *certified* a view: it was read before the view's data
-/// lanes and the view's own lock lane, read after them, repeats it unlocked.
-/// Every entry move happens under the chunk lock and every release bumps the
-/// word's version, so no entry moved while such a view was read. Only this
-/// module mints one, and it is the only word
-/// [`GfslHandle::lock_certified`] upgrades from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Certified(u64);
-
-impl Certified {
-    /// The bracketing lock word.
-    #[inline]
-    pub(crate) fn word(self) -> u64 {
-        self.0
-    }
-}
-
 /// Result of a lateral search: where it ended and what it found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LateralResult {
@@ -126,9 +115,9 @@ pub(crate) struct LateralResult {
 }
 
 impl LateralResult {
-    /// A result whose final view `word` certified.
-    fn certified_by(enclosing: u32, found: Option<(LaneId, u32)>, word: u64) -> LateralResult {
-        LateralResult { enclosing, found, unlocked: Some(word), certified: Some(Certified(word)) }
+    /// A result whose final view `cert` certified.
+    fn certified_by(enclosing: u32, found: Option<(LaneId, u32)>, cert: Certified) -> LateralResult {
+        LateralResult { enclosing, found, unlocked: Some(cert.word()), certified: Some(cert) }
     }
 }
 
@@ -179,17 +168,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// another chunk read: the validation bracket doubles as the negative-
     /// answer certification, so both `Found` and `NotFound` are immediate.
     pub(crate) fn hinted_lateral(&mut self, k: u32) -> LateralResult {
-        if let Some(c) = self.hint_start(k) {
+        if let Some((c, cert)) = self.hint_start(k) {
             // `hint_start` left the validated snapshot in `self.hint_view`,
-            // certified by the word it validated against.
+            // certified by `cert`.
             let team = self.list.team;
-            let word = self.hint_view.lock_word(&team);
             match tid_with_equal_key(&team, k, &self.hint_view) {
                 LateralStep::Found(lane) => {
                     let found = Some((lane, self.hint_view.entry(lane).val()));
-                    return LateralResult::certified_by(c, found, word);
+                    return LateralResult::certified_by(c, found, cert);
                 }
-                LateralStep::NotFound => return LateralResult::certified_by(c, None, word),
+                LateralStep::NotFound => return LateralResult::certified_by(c, None, cert),
                 LateralStep::Continue => {
                     let next = self.hint_view.next(&team);
                     debug_assert_ne!(next, NIL);
@@ -224,7 +212,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 // Certified: claiming a minimum asserts the absence of
                 // smaller keys in the view, which a torn read racing a
                 // remove can fake.
-                h.next_live_certified(cur, &mut view)?;
+                h.next_live_certified(cur, &mut view);
                 // First live key above -inf; data arrays are sorted with
                 // empties at the end, and the -inf sentinel can only sit in
                 // entry 0, so the lowest voting lane is the minimum.
@@ -303,38 +291,26 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             let mut cur = self.list.head_of(height);
             while height > stop {
-                self.read_chunk_into(cur, &mut views[at]);
-                if views[at].is_zombie(&team) {
-                    if path.is_some() {
-                        // Update path: lazily unlink the zombie run; the
-                        // walk leaves the first live chunk's view in place
-                        // of the zombie's.
-                        let Some(nz) = self.first_non_zombie(&mut views[at]) else {
-                            self.stats.search_restarts += 1;
-                            continue 'restart;
-                        };
-                        match prev {
-                            Some(pptr) => self.redirect_past_zombies(pptr, cur, nz, height),
-                            None => {
-                                if self.list.head_of(height) == cur {
-                                    self.update_head(height, cur, nz);
-                                }
-                            }
-                        }
-                        cur = nz;
-                    } else {
+                if let ChunkRead::Zombie { next } = self.read_chunk_into(cur, None, &mut views[at]) {
+                    if path.is_none() {
                         // Read path: zombies keep pointing at the chunk that
                         // absorbed their keys; just step through, lock-free.
-                        let next = views[at].next(&team);
-                        if next == NIL {
-                            // Defensive: the last chunk is never zombified,
-                            // so this indicates we raced something unusual.
-                            self.stats.search_restarts += 1;
-                            continue 'restart;
-                        }
                         cur = next;
                         continue;
                     }
+                    // Update path: lazily unlink the zombie run; the walk
+                    // leaves the first live chunk's view in place of the
+                    // zombie's.
+                    let nz = self.first_non_zombie(next, &mut views[at]);
+                    match prev {
+                        Some(pptr) => self.redirect_past_zombies(pptr, cur, nz, height),
+                        None => {
+                            if self.list.head_of(height) == cur {
+                                self.update_head(height, cur, nz);
+                            }
+                        }
+                    }
+                    cur = nz;
                 }
                 let view = &views[at];
                 match tid_for_next_step(&team, k, view) {
@@ -420,17 +396,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `k`'s enclosing chunk, reading each chunk into `view`, whose last read
     /// it leaves there. `None` only from a read walk past its budget.
     ///
-    /// A `NotFound` answer is only returned once *certified*: the chunk is
-    /// re-read until two consecutive views carry the same unlocked lock
-    /// word. The team reads lanes in ascending order while `executeRemove`
-    /// shifts entries toward lower lanes, so a single view can miss a key
-    /// that hopped over the read cursor — but every entry move happens under
-    /// the chunk lock, and each release bumps the lock word's version, so
-    /// equal unlocked lock words bracketing a view prove no entry moved
-    /// while it was read. `Found` needs no certification (an entry is one
-    /// atomic word), and `Continue` follows a `(max, next)` pair written
+    /// Each arrival reads the chunk's lock word, then the chunk through
+    /// [`Self::read_certified`], so a quiescent chunk's view is certified on
+    /// that one team read. A `NotFound` answer is only returned from a
+    /// certified view: the team reads lanes in ascending order while
+    /// `executeRemove` shifts entries toward lower lanes, so a single view
+    /// can miss a key that hopped over the read cursor. A live view that
+    /// answers `Found` or `Continue` is taken as read: an entry is one
+    /// atomic word, and `Continue` follows a `(max, next)` pair written
     /// atomically; keys never migrate to an earlier chunk, so a passed
-    /// chunk can never hide `k`.
+    /// chunk can never hide `k`. A certified final view becomes the fat
+    /// hint.
     pub(crate) fn walk_lateral(
         &mut self,
         k: u32,
@@ -446,57 +422,55 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if update {
             self.heal_levels &= !1;
         }
+        // Seed-era reader (model-check oracle): trust a single team read's
+        // `NotFound`. With the reverted right-to-left shift this re-opens
+        // the seed's torn-read race.
+        let seed_reader = crate::bug_knobs::revert_remove_shift();
         let mut cur = start;
         // Update mode: the live chunk stepped from, which a redirect swings.
         let mut prev: Option<u32> = None;
         // Chunk moves: live chunks stepped across, and in read mode zombies
         // stepped through too (an update's zombie hops are not heal steps).
         let mut moves = 0u32;
-        // Lock word observed before the current view's data lanes (i.e. from
-        // the previous read of the *same* chunk). Reset on every move.
-        let mut certify: Option<u64> = None;
+        // The whole walk is one wait episode for `note_wait`.
         let mut waits = 0;
+        // A long walk that decides on a chunk other than the tail, from any
+        // read of it, marks level 0 for the heal (DESIGN.md §20).
+        let mut heal = false;
         loop {
-            // Pre-bracket: observe the lock word before the team read. If
-            // the view's own lock lane (read after every data lane) repeats
-            // it unlocked, the view is *certified on first read* — a
-            // `NotFound` answer returns without the confirming re-read the
-            // certify loop below would otherwise pay, and a `Found` view is
-            // eligible for the fat-hint stash. One extra word read per
-            // chunk arrival buys back a whole team read on the (common)
-            // quiescent-chunk case.
-            if certify.is_none() {
-                let addr = ops::lock_addr(&team, self.list.chunk(cur));
-                self.probe.lane_read(addr);
-                certify = Some(self.list.pool.read(addr));
-            }
-            self.read_chunk_into(cur, view);
-            if view.is_zombie(&team) {
-                certify = None;
-                let next = view.next(&team);
-                if update {
-                    if let Some(nz) = self.first_non_zombie(view) {
-                        if let Some(p) = prev {
-                            self.redirect_past_zombies(p, cur, nz, 0);
-                        }
-                        cur = nz;
-                        continue;
+            let long = update && moves >= u32::from(HEAL_STEPS_BOTTOM);
+            let mut decide = |v: &ChunkView| {
+                let step = tid_with_equal_key(&team, k, v);
+                heal |= long && step != LateralStep::Continue && !is_tail(&team, v);
+                step
+            };
+            let mut seen = LateralStep::NotFound; // on the live read `settled` accepts
+            let settled = |v: &ChunkView| {
+                seen = decide(v);
+                seed_reader || seen != LateralStep::NotFound
+            };
+            let before = self.lock_word_of(cur);
+            let (cert, unlocked, step) = match self.read_certified(cur, Some(before), view, &mut waits, settled) {
+                ChunkRead::Zombie { next } if update => {
+                    let nz = self.first_non_zombie(next, view);
+                    if let Some(p) = prev {
+                        self.redirect_past_zombies(p, cur, nz, 0);
                     }
-                    // Torn race: step on as the read walk does.
+                    cur = nz;
+                    continue;
                 }
-                cur = next;
-                debug_assert_ne!(cur, NIL);
-                if !update {
+                ChunkRead::Zombie { next } => {
+                    cur = next;
                     moves += 1;
                     if moves > budget {
                         return None;
                     }
+                    continue;
                 }
-                continue;
-            }
-            let step = tid_with_equal_key(&team, k, view);
-            let long = moves >= u32::from(HEAL_STEPS_BOTTOM);
-            if update && step != LateralStep::Continue && long && !is_tail(&team, view) {
+                ChunkRead::Live { unlocked } => (None, unlocked, seen),
+                ChunkRead::Certified(cert) => (Some(cert), Some(cert.word()), decide(view)),
+            };
+            if heal {
                 self.heal_levels |= 1;
             }
             let found = match step {
@@ -507,56 +481,32 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                     prev = Some(cur);
                     cur = view.next(&team);
-                    certify = None;
                     continue;
                 }
                 LateralStep::Found(lane) => Some((lane, view.entry(lane).val())),
-                LateralStep::NotFound if crate::bug_knobs::revert_remove_shift() => {
-                    // Seed-era reader: trust the single team read with no
-                    // lock-word bracketing. Combined with the reverted
-                    // right-to-left shift this re-opens the seed's torn-read
-                    // race for the model-check oracle.
-                    let res = LateralResult { enclosing: cur, found: None, unlocked: None, certified: None };
-                    return Some(res);
+                LateralStep::NotFound if seed_reader => {
+                    return Some(LateralResult { enclosing: cur, found: None, unlocked: None, certified: None });
                 }
                 LateralStep::NotFound => None,
             };
-            // The lock lane is read after every data lane of `view`.
-            let unlocked = view.unlocked_word(&team);
-            if let Some(word) = unlocked.filter(|&w| certify == Some(w)) {
-                // Bracketed by the previous read's lock lane and this view's
-                // own: certified, so eligible as the fat hint.
-                self.stash_hint_view(cur, view);
-                return Some(LateralResult::certified_by(cur, found, word));
-            }
-            if found.is_some() {
-                // A key is one atomic word: found needs no certification.
+            let Some(cert) = cert else {
+                // Only a `Found` settles uncertified: a key is one atomic word.
                 return Some(LateralResult { enclosing: cur, found, unlocked, certified: None });
-            }
-            if certify.is_some() {
-                // A writer was active during the read: genuine retry.
-                self.certify_backoff(&mut waits, cur);
-            }
-            certify = Some(view.lock_word(&team));
+            };
+            self.stash_hint_view(cur, view, cert);
+            return Some(LateralResult::certified_by(cur, found, cert));
         }
     }
 
-    /// Follow next pointers from the zombie snapshot in `view` until a
-    /// non-zombie chunk, reloading `view` at every step: on `Some(chunk)`
-    /// it holds that chunk's snapshot. Returns `None` only on a torn race
-    /// (caller restarts).
-    pub(crate) fn first_non_zombie(&mut self, view: &mut ChunkView) -> Option<u32> {
-        let team = self.list.team;
-        let mut cur = view.next(&team);
+    /// Follow a zombie run from `next`, a zombie's [`ChunkRead::Zombie`]
+    /// pointer, to its first non-zombie chunk, reloading `view` at every
+    /// step: it is left holding that chunk's snapshot.
+    pub(crate) fn first_non_zombie(&mut self, mut next: u32, view: &mut ChunkView) -> u32 {
         loop {
-            if cur == NIL {
-                return None;
+            match self.read_chunk_into(next, None, view) {
+                ChunkRead::Zombie { next: after } => next = after,
+                _ => return next,
             }
-            self.read_chunk_into(cur, view);
-            if !view.is_zombie(&team) {
-                return Some(cur);
-            }
-            cur = view.next(&team);
         }
     }
 

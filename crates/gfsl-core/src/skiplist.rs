@@ -8,9 +8,11 @@ use gfsl_gpu_mem::{
 };
 use gfsl_simt::Team;
 
-use crate::chunk::{ops, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
+use crate::chunk::{
+    ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
+};
 use crate::params::GfslParams;
-use crate::search::{Certified, LateralResult};
+use crate::search::LateralResult;
 use gfsl_rng::SplitMix64;
 use crate::stats::OpStats;
 
@@ -444,7 +446,7 @@ impl Gfsl {
             reclaim_slot: ReclaimGuard { list: self, slot },
             hint_live: false,
             hint0: None,
-            hint_view_of: NIL,
+            hint_view_of: None,
             hint_view: ChunkView::BLANK,
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
@@ -791,20 +793,17 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// incarnation and unmutated since) and starts its lateral walk there,
     /// skipping the descent entirely.
     hint0: Option<Hint0>,
-    /// The chunk [`hint_view`](Self::hint_view) is a snapshot of (`NIL`:
-    /// none).
-    hint_view_of: u32,
-    /// Fat bottom-level hint: the last *certified* snapshot this handle's
-    /// traversals produced (the observed unlocked word is the view's own
-    /// lock lane). When the next lookup's
-    /// [`hint0`](Self::hint0) names the same `(chunk, word)` pair,
-    /// [`hint_start`](Self::hint_start) revalidates with a single lock-lane
-    /// read instead of the full team read: the identical unlocked word
-    /// proves no writer completed since the snapshot was certified, so the
-    /// cached data lanes are still authentic. Only views whose data lanes
-    /// were *bracketed* by two observations of the same unlocked word may
-    /// be stashed here — the later one-word re-read extends a bracket
-    /// forward, it cannot create one around an uncertified read.
+    /// The chunk [`hint_view`](Self::hint_view) is a snapshot of, with the
+    /// word that certified it.
+    hint_view_of: Option<(u32, Certified)>,
+    /// Fat bottom-level hint: the last certified snapshot this handle's
+    /// traversals produced. When the next lookup's [`hint0`](Self::hint0)
+    /// names the same `(chunk, word)` pair, [`hint_start`](Self::hint_start)
+    /// revalidates with a single lock-lane read instead of the full team
+    /// read: the identical unlocked word proves no writer completed since
+    /// the snapshot was certified, so the cached data lanes are still
+    /// authentic. The one-word re-read extends a bracket forward; it cannot
+    /// create one, which is why only a [`Certified`] view is stashed here.
     pub(crate) hint_view: ChunkView,
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
@@ -883,19 +882,22 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         (self.probe, self.stats)
     }
 
-    /// Read a whole chunk in one lockstep team read, into `view`. This is
+    /// Read a whole chunk in one lockstep team read, into `view`, and say
+    /// what the view can support ([`ChunkView::reload`]; `before` is a lock
+    /// word read before this call, to certify the view against). This is
     /// every traversal's chunk step: loops keep their view buffers across
     /// iterations and reload them here, so no snapshot is built and then
     /// moved.
     #[inline]
-    pub(crate) fn read_chunk_into(&mut self, index: u32, view: &mut ChunkView) {
+    pub(crate) fn read_chunk_into(&mut self, index: u32, before: Option<u64>, view: &mut ChunkView) -> ChunkRead {
         self.stats.chunk_reads += 1;
         view.reload(
             &self.list.team,
             &self.list.pool,
             &mut self.probe,
             self.list.chunk(index),
-        );
+            before,
+        )
     }
 
     /// [`Self::read_chunk_into`] a fresh view, for code that reads one chunk
@@ -903,72 +905,74 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     #[inline]
     pub(crate) fn read_chunk(&mut self, index: u32) -> ChunkView {
         let mut view = ChunkView::BLANK;
-        self.read_chunk_into(index, &mut view);
+        self.read_chunk_into(index, None, &mut view);
         view
     }
 
-    /// Read a chunk until the view is *certified*: two consecutive reads
-    /// whose lock words agree and show the chunk unlocked prove no writer
-    /// moved an entry while the later view's data lanes were read (entry
-    /// moves happen only under the chunk lock, and every release bumps the
-    /// lock word's version). A zombie view ends the loop unbracketed. Its
-    /// NEXT lane, which every zombie step follows, is read once more by
-    /// [`ChunkView::reload`] after the LOCK lane showed the mark: the first
-    /// read of it can predate a split of the chunk that a later merge
-    /// zombified (the torn zombie view, ROADMAP item 3). Used by
-    /// lock-free readers whose answer asserts the *absence* of a key in the
-    /// view (`NotFound`, range scans, `min_entry`)
-    /// — a single ascending-order read can miss a key being shifted toward
-    /// lower lanes by a concurrent `executeRemove`.
-    ///
-    /// `view` is reloaded until it holds the certified snapshot; only the
-    /// previous read's lock word is carried from one read to the next.
-    pub(crate) fn read_chunk_certified(&mut self, index: u32, view: &mut ChunkView) {
-        let team = self.list.team;
-        let mut waits = 0;
-        self.read_chunk_into(index, view);
-        while !view.is_zombie(&team) {
-            let before = view.unlocked_word(&team);
-            self.read_chunk_into(index, view);
-            if before.is_some() && before == Some(view.lock_word(&team)) {
-                return;
-            }
-            self.certify_backoff(&mut waits, index);
-        }
-    }
-
-    /// [`Self::read_chunk_certified`] with the pre-bracket of
-    /// [`Self::walk_lateral`]: one lock-word read before the team read,
-    /// so a quiescent chunk certifies on its first read. A view a writer
-    /// overlapped falls back to the re-read loop.
-    pub(crate) fn read_chunk_bracketed(&mut self, index: u32, view: &mut ChunkView) {
-        let team = self.list.team;
-        let addr = ops::lock_addr(&team, self.list.chunk(index));
+    /// One read of `index`'s lock word, as a pre-bracket for a team read
+    /// that follows (or to re-certify a cached view).
+    #[inline]
+    pub(crate) fn lock_word_of(&mut self, index: u32) -> u64 {
+        let addr = ops::lock_addr(&self.list.team, self.list.chunk(index));
         self.probe.lane_read(addr);
-        let before = self.list.pool.read(addr);
-        self.read_chunk_into(index, view);
-        if !view.is_zombie(&team) && view.unlocked_word(&team) != Some(before) {
-            self.read_chunk_certified(index, view);
+        self.list.pool.read(addr)
+    }
+
+    /// The one certify loop: read `index` into `view` until the read is a
+    /// zombie, is [`Certified`], or is a live view `settled` accepts as it
+    /// is. Each retry is certified against the previous read's own LOCK
+    /// lane; `before`, when the caller read the lock word first, does that
+    /// for the first read, so a quiescent chunk certifies on one read.
+    ///
+    /// A single ascending-order team read can miss a key that a concurrent
+    /// `executeRemove` shifts toward lower lanes across the read cursor,
+    /// so an answer that asserts a key's *absence* from the view is taken
+    /// only from a certified one. A retry after a read that had a word to
+    /// compare against waits first ([`Self::certify_backoff`]): a writer
+    /// held the chunk. `waits` counts the retries of the caller's wait
+    /// episode: one chunk's reads, or one whole lateral walk's.
+    pub(crate) fn read_certified(
+        &mut self,
+        index: u32,
+        mut before: Option<u64>,
+        view: &mut ChunkView,
+        waits: &mut u32,
+        mut settled: impl FnMut(&ChunkView) -> bool,
+    ) -> ChunkRead {
+        loop {
+            let read = self.read_chunk_into(index, before, view);
+            if !matches!(read, ChunkRead::Live { .. }) || settled(view) {
+                return read;
+            }
+            if before.is_some() {
+                self.certify_backoff(waits, index);
+            }
+            before = Some(view.lock_word(&self.list.team));
         }
     }
 
-    /// Certified-read `cur` into `view`, stepping right past zombies:
-    /// returns the first non-zombie chunk at-or-right of `cur` (its
-    /// certified snapshot in `view`), or `None` past the end of the level.
-    /// The shared chunk-step helper for the bottom-level scans
-    /// (`min_entry`, range iteration).
-    pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> Option<u32> {
-        let team = self.list.team;
+    /// The parent-level walks' chunk step (down-pointer repair, reclaimer
+    /// verification): one read given [`Self::lock_word_of`], then, if that
+    /// did not certify it, [`Self::read_certified`] from a fresh read.
+    pub(crate) fn read_bracketed(&mut self, index: u32, view: &mut ChunkView) -> ChunkRead {
+        let before = self.lock_word_of(index);
+        match self.read_chunk_into(index, Some(before), view) {
+            ChunkRead::Live { .. } => self.read_certified(index, None, view, &mut 0, |_| false),
+            read => read,
+        }
+    }
+
+    /// The first non-zombie chunk at-or-right of `cur`, with its certified
+    /// snapshot in `view` and the word that certified it: the zombie-stepping
+    /// caller of [`Self::read_certified`], and the chunk step of the
+    /// bottom-level scans (`min_entry`, range iteration).
+    pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> (u32, Certified) {
         loop {
-            self.read_chunk_certified(cur, view);
-            if !view.is_zombie(&team) {
-                return Some(cur);
+            match self.read_certified(cur, None, view, &mut 0, |_| false) {
+                ChunkRead::Zombie { next } => cur = next,
+                ChunkRead::Certified(cert) => return (cur, cert),
+                ChunkRead::Live { .. } => unreachable!("no live view settles uncertified"),
             }
-            let next = view.next(&team);
-            if next == NIL {
-                return None;
-            }
-            cur = next;
         }
     }
 
@@ -1166,9 +1170,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Validate the bottom-level hint against `k` and return its chunk,
-    /// leaving the validated snapshot in [`hint_view`](Self::hint_view), or
-    /// `None` (clearing the hint) on miss.
+    /// Validate the bottom-level hint against `k` and return its chunk with
+    /// the word that certifies its snapshot, leaving the snapshot in
+    /// [`hint_view`](Self::hint_view), or `None` (clearing the hint) on miss.
     ///
     /// Validity argument: re-reading the hinted chunk and seeing the *same
     /// unlocked lock word* proves no writer completed (versions bump on
@@ -1178,14 +1182,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `min <= k` places `k`'s enclosing chunk at-or-right of the hint:
     /// keys only migrate rightward (splits and merges move keys to the
     /// right; a chunk's max never increases), so chunks left of the hint
-    /// can never come to hold `k`.
-    ///
-    /// The returned view is moreover *certified* in the
-    /// [`walk_lateral`](Self::walk_lateral) sense: its data lanes are
-    /// bracketed by two observations of the same unlocked lock word (the
-    /// cached one and the view's own lock lane, which `read_chunk` reads
-    /// last), so a negative answer derived from it needs no re-read.
-    pub(crate) fn hint_start(&mut self, k: u32) -> Option<u32> {
+    /// can never come to hold `k`. The cached word was read before the
+    /// view's data lanes, so the read certifies the view against it, and a
+    /// negative answer derived from it needs no re-read.
+    pub(crate) fn hint_start(&mut self, k: u32) -> Option<(u32, Certified)> {
         if !self.hint_live {
             return None;
         }
@@ -1201,15 +1201,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if let Some(rec) = self.list.reclaim.as_ref() {
             if rec.epoch().wrapping_sub(epoch) >= 2 {
                 self.stats.hint_misses += 1;
-                self.hint0 = None;
                 // The snapshot is as old as the hint it certified; the same
                 // defense-in-depth retires it.
-                self.hint_view_of = NIL;
+                self.clear_hint();
                 return None;
             }
         }
         let team = self.list.team;
-        if self.hint_view_of == c {
+        let stashed = self.hint_view_of.filter(|&(of, _)| of == c).map(|(_, cert)| cert);
+        if stashed.is_some() {
             // Too far right to be worth walking to, judged on the snapshot's
             // lanes alone — stale or not, they are only a density estimate —
             // before any memory is touched: a sparse key-sorted batch then
@@ -1225,51 +1225,46 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // very `(chunk, word)` pair, one lock-lane read re-certifies the
         // whole cached view — the full team read is only paid when the hint
         // moved to a chunk we have no snapshot of.
-        if self.hint_view_of == c && self.hint_view.lock_word(&team) == w {
-            let addr = ops::lock_addr(&team, self.list.chunk(c));
-            self.probe.lane_read(addr);
+        if let Some(cert) = stashed.filter(|cert| cert.word() == w) {
             self.stats.skip_reads += 1;
-            if self.list.pool.read(addr) == w && self.hint_view.entry(0).key() <= k {
+            if self.lock_word_of(c) == w && self.hint_view.entry(0).key() <= k {
                 self.stats.hint_hits += 1;
-                return Some(c);
+                return Some((c, cert));
             }
             // Either the chunk mutated since the snapshot (the word
             // changed, so a full re-read would fail the same compare) or
             // its authentic minimum sits right of `k`; both are exactly
             // the miss conditions of the full-read path below, so
             // declare the miss without paying the team read.
-            self.hint_view_of = NIL;
             self.stats.hint_misses += 1;
-            self.hint0 = None;
+            self.clear_hint();
             return None;
         }
         // Not into `hint_view` itself: a miss here leaves the snapshot of
         // whatever other chunk it holds in place.
-        let view = self.read_chunk(c);
-        if view.lock_word(&team) == w && view.entry(0).key() <= k {
-            self.stats.hint_hits += 1;
-            // Bracketed by the cached word observation (before this read's
-            // data lanes) and the view's own lock lane (after them): a
-            // certified snapshot, eligible for the fast path above.
-            self.hint_view_of = c;
-            self.hint_view = view;
-            Some(c)
-        } else {
-            self.stats.hint_misses += 1;
-            self.hint0 = None;
-            None
+        let mut view = ChunkView::BLANK;
+        match self.read_chunk_into(c, Some(w), &mut view) {
+            ChunkRead::Certified(cert) if view.entry(0).key() <= k => {
+                self.stats.hint_hits += 1;
+                self.hint_view_of = Some((c, cert));
+                self.hint_view = view;
+                Some((c, cert))
+            }
+            _ => {
+                self.stats.hint_misses += 1;
+                self.hint0 = None;
+                None
+            }
         }
     }
 
-    /// Stash a *certified* view (data lanes bracketed by two observations of
-    /// the same unlocked lock word) as the fat bottom-level hint, so a later
+    /// Stash a certified view as the fat bottom-level hint, so a later
     /// [`Self::hint_start`] for the same `(chunk, word)` can revalidate it
-    /// with a single lock-lane read. Uncertified views must never be passed
-    /// here — see [`Self::hint_view`].
+    /// with a single lock-lane read.
     #[inline]
-    pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView) {
+    pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView, cert: Certified) {
         if self.hint_live {
-            self.hint_view_of = chunk;
+            self.hint_view_of = Some((chunk, cert));
             self.hint_view = *view;
         }
     }
@@ -1288,7 +1283,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     #[inline]
     pub(crate) fn clear_hint(&mut self) {
         self.hint0 = None;
-        self.hint_view_of = NIL;
+        self.hint_view_of = None;
     }
 
     /// Record a bottom-level chunk as the traversal hint. `word` must be its
@@ -1313,9 +1308,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// otherwise descend from the head.
     pub(crate) fn note_hint_after_update(&mut self, chunk: u32) {
         if self.hint_live {
-            let addr = ops::lock_addr(&self.list.team, self.list.chunk(chunk));
-            self.probe.lane_read(addr);
-            let word = self.list.pool.read(addr);
+            let word = self.lock_word_of(chunk);
             let unlocked = crate::chunk::lock_state(word) == crate::chunk::LOCK_UNLOCKED;
             self.note_hint(chunk, unlocked.then_some(word));
         }
@@ -1333,20 +1326,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut ch = start;
         let mut spins = 0u32;
         loop {
-            self.read_chunk_into(ch, view);
-            if view.not_enclosing(&team, k) {
-                let next = view.next(&team);
-                debug_assert_ne!(next, NIL, "walked past the last chunk hunting for {k}");
+            // Not enclosing `k` (`chunkNotEnclosing`): a zombie, or a live
+            // chunk whose `max < k < ∞`, which is no level's last.
+            if let ChunkRead::Zombie { next } = self.read_chunk_into(ch, None, view) {
                 ch = next;
+                continue;
+            }
+            if view.max(&team) < k {
+                ch = view.next(&team);
+                debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
                 continue;
             }
             if !self.take_lock(ch, view, &mut spins) {
                 continue;
             }
-            // Re-read under the lock; the chunk may have stopped enclosing
-            // `k` between the read and the CAS.
-            self.read_chunk_into(ch, view);
-            if view.not_enclosing(&team, k) {
+            // Re-read under the lock (a held chunk is no zombie); it may
+            // have stopped enclosing `k` between the read and the CAS.
+            self.read_chunk_into(ch, None, view);
+            if view.max(&team) < k {
                 self.unlock(ch);
                 ch = view.next(&team);
                 continue;
@@ -1403,24 +1400,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Lock the first non-zombie chunk right of `ch` (which the caller holds
     /// locked), unlinking any zombies skipped by rewriting `ch`'s next
-    /// pointer. Returns `None` when `ch` is the last chunk in its level.
+    /// pointer. Returns `None` when `ch` is the last chunk in its level;
+    /// past that one check, the walk steps only through zombies, each by
+    /// its [`ChunkRead::Zombie`] `next`, which always names a chunk.
     /// `level` is the level `ch` lives in, so unlinked zombies can be
     /// retired for reclamation.
     pub(crate) fn lock_next_chunk(&mut self, ch: u32, level: usize) -> Option<u32> {
         let team = self.list.team;
-        let pool = &self.list.pool;
         let first_next =
-            ops::read_next_field(&team, pool, &mut self.probe, self.list.chunk(ch)).val();
+            ops::read_next_field(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch)).val();
+        if first_next == NIL {
+            return None;
+        }
         let mut cur = first_next;
         let mut spins = 0u32;
         let mut view = ChunkView::BLANK;
         loop {
-            if cur == NIL {
-                return None;
-            }
-            self.read_chunk_into(cur, &mut view);
-            if view.is_zombie(&team) {
-                cur = view.next(&team);
+            if let ChunkRead::Zombie { next } = self.read_chunk_into(cur, None, &mut view) {
+                cur = next;
                 continue;
             }
             if !self.take_lock(cur, &view, &mut spins) {
@@ -1832,28 +1829,23 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut view = ChunkView::BLANK;
         let head = loop {
             let head = self.list.head_of(level);
-            self.read_chunk_into(head, &mut view);
-            if !view.is_zombie(&team) {
+            let ChunkRead::Zombie { next } = self.read_chunk_into(head, None, &mut view) else {
                 break head;
-            }
-            match self.first_non_zombie(&mut view) {
-                Some(nz) => self.update_head(level, head, nz),
-                None => return false,
-            }
+            };
+            let nz = self.first_non_zombie(next, &mut view);
+            self.update_head(level, head, nz);
         };
         // A zombie run right behind the first live chunk.
         let next = view.next(&team);
         if next == NIL {
             return true;
         }
-        self.read_chunk_into(next, &mut view);
-        if !view.is_zombie(&team) {
+        let ChunkRead::Zombie { next: znext } = self.read_chunk_into(next, None, &mut view) else {
             return true;
-        }
-        if let Some(nz) = self.first_non_zombie(&mut view) {
-            self.redirect_past_zombies(head, next, nz, level);
-        }
-        // Still in place: the try-lock lost (or the walk tore).
+        };
+        let nz = self.first_non_zombie(znext, &mut view);
+        self.redirect_past_zombies(head, next, nz, level);
+        // Still in place: the try-lock lost.
         self.list.next_of(head) != next
     }
 
@@ -1877,9 +1869,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// time) before `alloc_chunk` may reuse it.
     ///
     /// The walk reads each parent chunk once, bracketed by its lock word
-    /// ([`Self::read_chunk_bracketed`]): a chunk no writer overlapped is
-    /// certified by that one read, and only an overlapped one is re-read
-    /// until certified. The periodic pass sizes the batch by this walk, so
+    /// read first: a chunk no writer overlapped is certified by that one
+    /// read, and only an overlapped one is re-read until certified
+    /// ([`Self::read_certified`]). The periodic pass sizes the batch by this walk, so
     /// it costs at most two parent reads per candidate.
     ///
     /// The batch is still fewer chunks than the references it is checked
@@ -1908,15 +1900,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         while parents != 0 {
             let mut cur = list.head_of(parents.trailing_zeros() as usize);
             parents &= parents - 1;
-            while cur != NIL {
-                self.read_chunk_bracketed(cur, &mut view);
+            loop {
+                let read = self.read_bracketed(cur, &mut view);
                 *scanned += 1;
-                if !view.is_zombie(&team) {
-                    for (_, e) in view.live_entries(&team) {
-                        mark(cands, e.val());
-                    }
+                if let ChunkRead::Zombie { next } = read {
+                    cur = next;
+                    continue;
+                }
+                for (_, e) in view.live_entries(&team) {
+                    mark(cands, e.val());
                 }
                 cur = view.next(&team);
+                if cur == NIL {
+                    break;
+                }
             }
         }
         // (b) frozen next pointers of everything else still awaiting

@@ -126,6 +126,21 @@ fn mvcc_snap_3t_bounded() {
 }
 
 #[test]
+fn zombie_tear_2t_exhaustive() {
+    // A read preempted between a chunk's NEXT and LOCK lanes while the
+    // writer splits that chunk and then merges it away: the read's zombie
+    // step must follow the NEXT lane as read again after the mark.
+    check_exhaustive("zombie-tear-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
+fn zombie_tear_insert_2t_exhaustive() {
+    // The same tear on the update path: the lazy redirect and the insert's
+    // placement both follow the zombie's NEXT.
+    check_exhaustive("zombie-tear-insert-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn random_walk_soak_finds_nothing() {
     // Seeded random walks over every registered config — the strategy the
     // CI soak job runs for much longer. Complements DFS: walks routinely

@@ -2,8 +2,9 @@
 //! re-introduce each of PR 1's two seed races, the unprotected raise a
 //! first draft of the index heal made, a reclaimer without its staging
 //! grace, a bottom-lock upgrade that ignores the word certifying its
-//! view, and an append split that publishes without lowering the split
-//! chunk's max, via the `bug_knobs` test-only
+//! view, an append split that publishes without lowering the split
+//! chunk's max, and a zombie step that follows the NEXT lane of a torn
+//! view, via the `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
 //! that the *fixed* code passes the exact same schedule.
@@ -181,6 +182,36 @@ fn an_append_split_keeping_the_old_max_is_refound() {
         "an append split that lowers the max must pass the bug's schedule, got: {:?}",
         out.failure
     );
+}
+
+/// Item 3's torn zombie view, at one preemption: without the NEXT re-read,
+/// the read misses a present key and the insert lands right of its chunk.
+#[test]
+fn a_torn_zombie_next_is_refound() {
+    for (name, symptom) in [
+        ("zombie-tear-2t", "non-linearizable"),
+        ("zombie-tear-insert-2t", "structure invariant"),
+    ] {
+        let cfg = configs::by_name(name).expect("config registered");
+        let guard = bug_knobs::torn_zombie_next_guard();
+        let report = explore(&cfg, Box::new(DfsBounded::new(1, true, 500_000)));
+        println!("oracle {}", report.summary());
+        let cx = report
+            .counterexample
+            .unwrap_or_else(|| panic!("{name}: skipping the NEXT re-read must produce a counterexample"));
+        assert!(report.minimize_episodes > 0, "counterexample must have gone through ddmin");
+        assert!(cx.description.contains(symptom), "{name}: expected {symptom}, got: {}", cx.description);
+        let out = replay(&cfg, cx.decisions.clone());
+        assert_eq!(out.trace, cx.trace, "minimized schedule must replay to its recorded trace hash");
+        assert!(out.failure.is_some(), "minimized schedule must still fail on replay");
+        drop(guard);
+        let out = replay(&cfg, cx.decisions);
+        assert!(
+            out.failure.is_none(),
+            "{name}: the re-read NEXT lane must pass the bug's schedule, got: {:?}",
+            out.failure
+        );
+    }
 }
 
 #[test]
