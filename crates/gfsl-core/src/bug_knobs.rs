@@ -8,14 +8,15 @@
 //! sizing the index heal), to drop a step of the reclamation protocol
 //! (the staging grace), to skip the check that makes the certified
 //! bottom-lock upgrade safe, to publish an append split without lowering
-//! the split chunk's max or to skip the zombie view's NEXT re-read, run the
+//! the split chunk's max, to skip the zombie view's NEXT re-read or to
+//! publish a new level head before writing it, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
 //! operation (one relaxed load per split, two per append split, one per
 //! physical remove / per verified reclamation batch / per bottom-lock
-//! upgrade / per zombie chunk read — noise even
+//! upgrade / per zombie chunk read / per level head allocated — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -88,6 +89,13 @@ static APPEND_SPLIT_KEEPS_MAX: AtomicBool = AtomicBool::new(false);
 /// misses a present key, or an insert lands right of its chunk.
 static TORN_ZOMBIE_NEXT: AtomicBool = AtomicBool::new(false);
 
+/// Publish a new level head in the head array before writing its lanes: a
+/// team that finds the level through the head in between reads whatever
+/// the chunk held before — a fresh pool chunk reads as zeros, which is a
+/// chunk whose `max` is `-∞` and whose next pointer is chunk 0, the bottom
+/// level's head — and walks out of its level.
+static EARLY_HEAD_PUBLISH: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -131,6 +139,12 @@ pub fn append_split_keeps_max() -> bool {
 #[inline]
 pub fn torn_zombie_next() -> bool {
     TORN_ZOMBIE_NEXT.load(Ordering::Relaxed)
+}
+
+/// True if a new level head is published before its lanes are written.
+#[inline]
+pub fn early_head_publish() -> bool {
+    EARLY_HEAD_PUBLISH.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -196,6 +210,11 @@ pub fn append_split_keeps_max_guard() -> KnobGuard {
 /// re-read, for the guard's lifetime.
 pub fn torn_zombie_next_guard() -> KnobGuard {
     KnobGuard::set(&TORN_ZOMBIE_NEXT)
+}
+
+/// Publish new level heads before writing them for the guard's lifetime.
+pub fn early_head_publish_guard() -> KnobGuard {
+    KnobGuard::set(&EARLY_HEAD_PUBLISH)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

@@ -96,11 +96,13 @@ impl Gfsl {
         list.store_level_chunks(0, raised.len() as u32);
 
         // Upper levels: each non-sentinel chunk of level i is indexed by one
-        // (min key -> chunk) entry in level i+1.
+        // (min key -> chunk) entry in level i+1, whose head is allocated
+        // only when there is such an entry.
         let mut level = 1usize;
         while !raised.is_empty() && level < params.max_levels() {
             let mut next_raised: Vec<(u32, u32)> = Vec::new();
-            let mut cur = list.head_of(level);
+            let head = handle.head_or_grow(level)?;
+            let mut cur = head;
             let mut cur_ref = list.chunk(cur);
             let mut slot = 1usize;
             let mut cur_min = KEY_NEG_INF;
@@ -109,7 +111,7 @@ impl Gfsl {
                 if slot == fill.max(1) || slot == dsize {
                     let new_idx = handle.alloc_chunk()?;
                     finish_chunk(&list, cur_ref, prev_max, new_idx);
-                    if cur != list.head_of(level) {
+                    if cur != head {
                         next_raised.push((cur, cur_min));
                     }
                     cur = new_idx;
@@ -125,7 +127,7 @@ impl Gfsl {
                 slot += 1;
             }
             finish_chunk(&list, cur_ref, KEY_INF, NIL);
-            if cur != list.head_of(level) {
+            if cur != head {
                 next_raised.push((cur, cur_min));
             }
             list.store_level_chunks(level, raised.len() as u32);

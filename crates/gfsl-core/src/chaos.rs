@@ -2,7 +2,8 @@
 //!
 //! The fault model is the named [`CrashPoint`] windows (lock CAS and
 //! release, split publish, merge zombie-mark, next-pointer swing,
-//! down-pointer install, and `gfsl-durable`'s WAL / checkpoint windows), a
+//! down-pointer install, level-head publish, and `gfsl-durable`'s WAL /
+//! checkpoint windows), a
 //! fault plan that kills whoever reaches the n-th occurrence of one of them
 //! (`panic_at`, see [`controller`]) and a `try_*` entry point's containment
 //! catching that kill. The schedule is not this module's: a
@@ -22,15 +23,16 @@ use crate::mc::controller::{one_episode, McController};
 use crate::mc::strategy::Scheduler;
 
 /// All crash points, in discriminant order (the controller's hit table is
-/// indexed by `point as usize`): the six lock-protocol windows, then the
+/// indexed by `point as usize`): the seven lock-protocol windows, then the
 /// five durability-path windows.
-pub const ALL_CRASH_POINTS: [CrashPoint; 11] = [
+pub const ALL_CRASH_POINTS: [CrashPoint; 12] = [
     CrashPoint::LockCas,
     CrashPoint::LockRelease,
     CrashPoint::SplitPublish,
     CrashPoint::MergeZombieMark,
     CrashPoint::NextSwing,
     CrashPoint::DownPtrInstall,
+    CrashPoint::HeadPublish,
     CrashPoint::WalAppend,
     CrashPoint::WalFsync,
     CrashPoint::CkptWrite,
@@ -40,11 +42,11 @@ pub const ALL_CRASH_POINTS: [CrashPoint; 11] = [
 
 /// The lock-protocol windows: what the in-process recovery soak and the
 /// migration campaign reach by driving structure operations.
-pub const LOCK_CRASH_POINTS: &[CrashPoint] = ALL_CRASH_POINTS.split_at(6).0;
+pub const LOCK_CRASH_POINTS: &[CrashPoint] = ALL_CRASH_POINTS.split_at(7).0;
 
 /// The durability-path windows, which fire only inside `gfsl-durable`'s
 /// WAL / checkpoint code: what the kill-restart soaks iterate.
-pub const DURABILITY_CRASH_POINTS: &[CrashPoint] = ALL_CRASH_POINTS.split_at(6).1;
+pub const DURABILITY_CRASH_POINTS: &[CrashPoint] = ALL_CRASH_POINTS.split_at(7).1;
 
 /// Base of the synthetic addresses crash-point steps report (`| point`).
 const SYNTH_CRASH_BASE: WordAddr = 0xFFFF_FF00;

@@ -90,7 +90,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// contiguously up from level 0 (upper ⊆ lower): the probe climbs from
     /// level 1 and stops at the first level without `k`, so a key that was
     /// never raised costs one search. Path levels above the traversal
-    /// height read as the level heads, so levels added since are seen.
+    /// height read as the level heads, so levels added since are seen; a
+    /// level with no head holds nothing, and the probe stops there.
     pub(crate) fn levels_holding(
         &mut self,
         k: u32,
@@ -99,7 +100,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ) -> usize {
         let mut top = 0;
         while top + 1 < self.list.params.max_levels() {
-            let at = self.search_lateral(k, path.at(self.list, top + 1));
+            let start = path.at(self.list, top + 1);
+            if start == NIL {
+                break;
+            }
+            let at = self.search_lateral(k, start);
             if at.found.is_none() {
                 break;
             }

@@ -39,11 +39,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // sentinels' entry 0; being the smallest key, it is always first.
         let (mut cur, moved) = match self.search_down_to_level(upper, first) {
             Some(c) => (c, moved),
-            // The level above is not in use, so it holds one entry: its
-            // sentinel's `-∞`, still pointing down at the chunk `-∞` just
-            // left (a zombie no pass could ever free). No other key has an
-            // entry up there.
-            None if first == KEY_NEG_INF => (self.list.head_of(upper), &moved[..1]),
+            // The level above is not in use. If it has a head, that
+            // sentinel is its one chunk and `-∞` its one entry, still
+            // pointing down at the chunk `-∞` just left (a zombie no pass
+            // could ever free). With no head above there is no entry to
+            // repair, and no other key has one up there.
+            None if first == KEY_NEG_INF => match self.list.head_of(upper) {
+                NIL => return,
+                head => (head, &moved[..1]),
+            },
             None => return,
         };
         let mut view = ChunkView::BLANK;

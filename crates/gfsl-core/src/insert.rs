@@ -4,7 +4,7 @@
 
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{is_user_key, ops, ChunkView, Entry};
+use crate::chunk::{is_user_key, ops, ChunkView, Entry, NIL};
 use crate::search::UpdatePath;
 use crate::skiplist::{Commit, Error, GfslHandle};
 
@@ -100,6 +100,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// of §4.2.2). The caller holds the bottom-level lock that protects
     /// `key`; here one upper chunk is locked at a time.
     ///
+    /// A level with no head yet gets one here ([`Self::head_or_grow`]): a
+    /// climb is the only writer that reaches a level above the height.
+    ///
     /// Everything this does is optional index work on behalf of an insert
     /// that already committed at the bottom level, so pool exhaustion ends
     /// the climb without failing the insert (an abort in here ends it too:
@@ -114,7 +117,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         healing: bool,
     ) {
         while level < self.list.params.max_levels() {
-            match self.insert_to_level(level, path.at(self.list, level), key, down) {
+            let start = match path.at(self.list, level) {
+                NIL => self.head_or_grow(level),
+                c => Ok(c),
+            };
+            match start.and_then(|start| self.insert_to_level(level, start, key, down)) {
                 Ok(LevelOutcome::AlreadyPresent { locked }) => {
                     self.unlock(locked);
                     if healing {
@@ -397,7 +404,7 @@ mod tests {
         for k in 1..=13u32 {
             assert_eq!(h.insert(k, k), Ok(true));
         }
-        assert_eq!(list.chunks_allocated(), 16, "no split yet");
+        assert_eq!(list.chunks_allocated(), 1, "no split yet: the head alone");
         assert_eq!(h.stats().splits, 0);
         for k in 1..=13u32 {
             assert!(h.contains(k));
@@ -448,7 +455,7 @@ mod tests {
     fn pool_exhaustion_surfaces_and_leaves_structure_usable() {
         let list = Gfsl::new(GfslParams {
             team_size: TeamSize::Sixteen,
-            pool_chunks: 18, // 16 sentinels + 2 spare chunks
+            pool_chunks: 3, // the bottom level's head + 2 spare chunks
             ..Default::default()
         })
         .unwrap();
@@ -479,9 +486,10 @@ mod tests {
     #[test]
     fn exhaustion_mid_climb_still_reports_the_insert() {
         let mut raise_aborts = 0;
-        // Somewhere in this range the allocation that fails is the first
-        // level-1 split (16 sentinels + one chunk per bottom split so far).
-        for pool_chunks in 17..=40 {
+        // Somewhere in this range the allocation that fails is level 1's
+        // head or its first split (the bottom level's head + one chunk per
+        // bottom split so far, + level 1's head).
+        for pool_chunks in 2..=25 {
             let list = Gfsl::new(GfslParams {
                 team_size: TeamSize::Sixteen,
                 pool_chunks,

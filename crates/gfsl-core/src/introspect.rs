@@ -50,10 +50,10 @@ pub struct Shape {
     /// Per-level shapes, bottom first, only levels that hold keys (plus
     /// level 0 always).
     pub levels: Vec<LevelShape>,
-    /// Total chunks handed out by the pool's bump pointer (including
-    /// zombies and sentinels). With reclamation on this is the pool
-    /// *high-water mark*: recycled chunks are re-issued from the free list
-    /// without bumping it.
+    /// Total chunks handed out by the pool's bump pointer: zombies and the
+    /// heads of the levels in use included, no head of a level never used.
+    /// With reclamation on this is the pool *high-water mark*: recycled
+    /// chunks are re-issued from the free list without bumping it.
     pub chunks_allocated: u32,
     /// Reclamation progress counters (`None` when reclamation is off):
     /// epochs advanced, chunks retired/recycled/reused, and the current
@@ -112,16 +112,18 @@ impl Shape {
 }
 
 impl Gfsl {
-    /// Chunks linked into the level chains, `(live, zombie)`, over *every*
-    /// level — [`Gfsl::shape`] stops at the first level without keys, and a
-    /// level out of use still has its sentinel and may have a zombie run
-    /// parked behind it. With the reclaimer's queue depths this accounts
-    /// for every chunk the pool ever handed out. Quiescent use only.
+    /// Chunks linked into the level chains, `(live, zombie)`, over every
+    /// level that has a head — [`Gfsl::shape`] stops at the first level
+    /// without keys, and a level out of use keeps its sentinel and may have
+    /// a zombie run parked behind it. With the reclaimer's queue depths this
+    /// accounts for every chunk the pool ever handed out, but a level head
+    /// never published (its growth crashed before the publish, or lost the
+    /// race for it with reclamation off). Quiescent use only.
     pub fn linked_chunks(&self) -> (u64, u64) {
         let (mut live, mut zombies) = (0, 0);
         let mut h = self.handle_with(NoProbe);
-        for level in 0..self.params.max_levels() {
-            let mut cur = self.head_of(level);
+        for (_, head) in self.heads() {
+            let mut cur = head;
             while cur != NIL {
                 let v = h.read_chunk(cur);
                 if v.is_zombie(&self.team) {
@@ -143,7 +145,7 @@ impl Gfsl {
         // under the walk (the snapshot itself is still quiescent-only).
         h.with_pin(|h| {
         let mut levels = Vec::new();
-        for level in 0..self.params.max_levels() {
+        for (level, head) in self.heads() {
             let mut shape = LevelShape {
                 level,
                 live_chunks: 0,
@@ -151,7 +153,7 @@ impl Gfsl {
                 keys: 0,
                 fill_histogram: vec![0; team.dsize() + 1],
             };
-            let mut cur = self.head_of(level);
+            let mut cur = head;
             loop {
                 let v = h.read_chunk(cur);
                 if v.is_zombie(&team) {
@@ -174,7 +176,7 @@ impl Gfsl {
             let empty_level = level > 0 && shape.keys == 0;
             levels.push(shape);
             if empty_level {
-                break; // levels above an empty level are empty sentinels
+                break; // levels above an empty level hold no keys
             }
         }
         Shape {

@@ -82,6 +82,20 @@ fn torn_zombie_prefill() -> Vec<(u32, u32)> {
     keys.map(|k| (k, 100 + k)).collect()
 }
 
+/// Keys `4, 8, …, 416` inserted in descending order (half splits only, as
+/// in [`four_chunk_prefill`]): the bottom head chunk `-inf, 4 … 52` is
+/// full, thirteen chunks of seven keys follow (`56 … 80` to `392 … 416`),
+/// and level 1 is one full chunk, its head: `-inf` and the thirteen keys
+/// `28, 56, …, 364`. Level 2 has no head.
+fn full_level_one_prefill() -> Vec<(u32, u32)> {
+    (1..=104u32).rev().map(|i| (4 * i, 100 + i)).collect()
+}
+
+/// A setup script that inserts `keys` (values 1).
+fn inserts(keys: &[u32]) -> Vec<McOp> {
+    keys.iter().map(|&k| McOp::Insert(k, 1)).collect()
+}
+
 /// The writer of the torn-zombie configs: the insert splits the full head
 /// chunk X, moving `7 … 24` into a new chunk X′ (which takes 10), and the
 /// removes drain X until it merges into X′ and is zombified.
@@ -97,7 +111,6 @@ fn removes(keys: &[u32]) -> Vec<McOp> {
 
 /// Setup of `reclaim-2t`, on the spaced index.
 fn reclaim_setup() -> Vec<McOp> {
-    let inserts = |keys: &[u32]| keys.iter().map(|&k| McOp::Insert(k, 1)).collect::<Vec<_>>();
     // Level 2 goes (height 1).
     let mut ops = removes(&[4, 200, 396, 592]);
     // Level 1's first chunk `-inf, 32, …, 172` drops to four entries and
@@ -270,6 +283,27 @@ pub fn all() -> Vec<McConfig> {
                 vec![McOp::Remove(14)],
             ],
             max_steps: 20_000,
+        },
+        McConfig {
+            name: "level-grow-2t",
+            about: "two splits race to raise into the full head of the top \
+                    level: the first splits it and grows a level, whose head is \
+                    allocated and published then, vs. a remove whose upward \
+                    probe reads the new level (early-publish oracle)",
+            params: mc_params(),
+            prefill: full_level_one_prefill(),
+            // The bottom chunk `56 … 80` filled to its fourteen entries.
+            setup: inserts(&[57, 58, 59, 61, 62, 63, 65]),
+            threads: vec![
+                // Splits the full bottom head and raises into level 1's
+                // full head: splits it, or one of its halves takes the key.
+                vec![McOp::Insert(1, 1)],
+                // The same with the other full bottom chunk, then a remove
+                // of 112, a level-1 key of a third chunk: the probe above
+                // level 1 finds no head, or the new level's.
+                vec![McOp::Insert(66, 2), McOp::Remove(112)],
+            ],
+            max_steps: 40_000,
         },
         McConfig {
             name: "split-append-2t",
@@ -501,6 +535,28 @@ mod tests {
             let want: Vec<u32> = (7..=13).map(|i| 4 * i).chain([400]).collect();
             assert_eq!((keys, tail.next(&team)), (want, crate::chunk::NIL), "{name}");
         }
+    }
+
+    /// Each scripted insert splits a full bottom chunk and raises into
+    /// level 1's full head: the first splits it and grows level 2, which
+    /// has no head before, and the second goes into one of its halves.
+    #[test]
+    fn level_grow_config_starts_one_raise_short_of_a_level() {
+        let list = built("level-grow-2t");
+        let team = list.team;
+        let mut h = list.handle();
+        assert_eq!((list.height(), list.heads().count()), (1, 2));
+        let head1 = h.read_chunk(list.head_of(1));
+        assert_eq!((head1.num_keys(&team), head1.next(&team)), (14, crate::chunk::NIL));
+        assert!(list.level_keys(1).contains(&112));
+        let splits = h.stats().splits;
+        assert_eq!(h.insert(1, 1), Ok(true));
+        assert_eq!((h.stats().splits - splits, list.heads().count()), (2, 3), "grows level 2");
+        assert_eq!(h.insert(66, 2), Ok(true));
+        assert_eq!((h.stats().splits - splits, list.heads().count()), (3, 3));
+        assert_eq!(list.height(), 2);
+        assert!(h.remove(112));
+        list.assert_valid();
     }
 
     #[test]

@@ -100,8 +100,8 @@ impl GfslParams {
         if self.merge_divisor < 2 {
             return Err("merge_divisor must be >= 2 (threshold must stay below DSIZE/2 so a split always leaves chunks above it)".into());
         }
-        if self.pool_chunks < self.max_levels() as u32 + 1 {
-            return Err("pool too small for level sentinels".into());
+        if self.pool_chunks < 2 {
+            return Err("pool_chunks must be >= 2 (the bottom level's head, and a chunk for its first split)".into());
         }
         Ok(())
     }
@@ -164,9 +164,14 @@ mod tests {
         };
         assert!(p.validate().is_err());
         let p = GfslParams {
-            pool_chunks: 3,
+            pool_chunks: 1,
             ..Default::default()
         };
         assert!(p.validate().is_err());
+        let p = GfslParams {
+            pool_chunks: 2,
+            ..Default::default()
+        };
+        assert!(p.validate().is_ok(), "one head: the other levels' are allocated on first use");
     }
 }

@@ -324,10 +324,10 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             visited += 1;
             cursor = match read {
                 ChunkRead::Zombie { next } => (level, next),
-                _ if view.next(&team) == NIL => {
-                    let nl = (level + 1) % levels;
-                    (nl, self.list.head_of(nl))
-                }
+                _ if view.next(&team) == NIL => match self.list.head_of((level + 1) % levels) {
+                    NIL => (0, self.list.head_of(0)),
+                    head => ((level + 1) % levels, head),
+                },
                 _ => (level, view.next(&team)),
             };
         }

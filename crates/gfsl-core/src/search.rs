@@ -27,7 +27,9 @@ use crate::skiplist::{Gfsl, GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HIN
 pub(crate) struct UpdatePath([u32; gfsl_simt::WARP_SIZE]);
 
 impl UpdatePath {
-    /// The chunk to start from at `level`.
+    /// The chunk to start from at `level`: `NIL` when the descent did not
+    /// pass through it and the level has no head yet, which a reader takes
+    /// for an empty level and a climb grows.
     #[inline]
     pub(crate) fn at(&self, list: &Gfsl, level: usize) -> u32 {
         match self.0[level] {
@@ -432,25 +434,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Chunk moves: live chunks stepped across, and in read mode zombies
         // stepped through too (an update's zombie hops are not heal steps).
         let mut moves = 0u32;
-        // The whole walk is one wait episode for `note_wait`.
-        let mut waits = 0;
-        // A long walk that decides on a chunk other than the tail, from any
-        // read of it, marks level 0 for the heal (DESIGN.md §20).
-        let mut heal = false;
         loop {
-            let long = update && moves >= u32::from(HEAL_STEPS_BOTTOM);
-            let mut decide = |v: &ChunkView| {
-                let step = tid_with_equal_key(&team, k, v);
-                heal |= long && step != LateralStep::Continue && !is_tail(&team, v);
-                step
-            };
             let mut seen = LateralStep::NotFound; // on the live read `settled` accepts
             let settled = |v: &ChunkView| {
-                seen = decide(v);
+                seen = tid_with_equal_key(&team, k, v);
                 seed_reader || seen != LateralStep::NotFound
             };
             let before = self.lock_word_of(cur);
-            let (cert, unlocked, step) = match self.read_certified(cur, Some(before), view, &mut waits, settled) {
+            let (cert, unlocked, step) = match self.read_certified(cur, Some(before), view, settled) {
                 ChunkRead::Zombie { next } if update => {
                     let nz = self.first_non_zombie(next, view);
                     if let Some(p) = prev {
@@ -468,9 +459,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     continue;
                 }
                 ChunkRead::Live { unlocked } => (None, unlocked, seen),
-                ChunkRead::Certified(cert) => (Some(cert), Some(cert.word()), decide(view)),
+                ChunkRead::Certified(cert) => (Some(cert), Some(cert.word()), tid_with_equal_key(&team, k, view)),
             };
-            if heal {
+            // A long walk that settles on a chunk other than the tail marks
+            // level 0 for the heal (DESIGN.md §20), from the read it
+            // settled on.
+            if update
+                && moves >= u32::from(HEAL_STEPS_BOTTOM)
+                && step != LateralStep::Continue
+                && !is_tail(&team, view)
+            {
                 self.heal_levels |= 1;
             }
             let found = match step {

@@ -211,16 +211,18 @@ pub struct Gfsl {
     pub(crate) pool: WordPool,
     pub(crate) params: GfslParams,
     pub(crate) team: Team,
-    /// `head[i]` = pointer to the first chunk of level `i`. Redirected
-    /// (CAS) only when the first chunk becomes a zombie.
+    /// `head[i]` = pointer to the first chunk of level `i`, `NIL` until the
+    /// level's first use ([`GfslHandle::head_or_grow`] CASes it from `NIL`
+    /// once). Redirected (CAS) only when the first chunk becomes a zombie.
     pub(crate) head: Vec<AtomicU32>,
     /// Per-level utilized-chunk counters; `level_chunks[i] > 0` marks level
     /// `i` as in use (drives [`Gfsl::height`]).
     pub(crate) level_chunks: Vec<AtomicU32>,
     /// The highest level whose counter was ever raised above zero: raised
     /// before any counter increment, never lowered. Every level above it
-    /// holds nothing but its never-retired sentinel, so [`Gfsl::height`]
-    /// and the head-array scan of a reclamation pass start here.
+    /// has never held a key (it has no head, or a never-retired one), so
+    /// [`Gfsl::height`] and the head-array scan of a reclamation pass start
+    /// here.
     levels_high_water: AtomicUsize,
     handle_seq: AtomicU32,
     /// Set when repair found a quarantined chunk torn mid-store: that chunk
@@ -282,8 +284,10 @@ const RECLAIM_PERIOD: u32 = 16;
 const REFERENCED: u8 = 0x80;
 
 impl Gfsl {
-    /// Create an empty skiplist: one unlocked sentinel chunk per level
-    /// holding `-∞` and a down-pointer to the sentinel below (§4.1).
+    /// Create an empty skiplist: one unlocked sentinel chunk holding `-∞`,
+    /// the bottom level's head (§4.1). A level above it gets its own head
+    /// when an update first writes into it (DESIGN.md §4): the pool holds
+    /// the levels in use, not `max_levels` sentinels.
     /// # Panics
     /// Panics if `params` fail [`GfslParams::validate`] (misconfiguration is
     /// a programming error, not a runtime condition).
@@ -294,29 +298,13 @@ impl Gfsl {
         let lanes = params.lanes() as u32;
         let capacity_words = params.pool_chunks as usize * lanes as usize;
         let pool = WordPool::new(capacity_words);
-        let team = Team::new(params.team_size);
         let levels = params.max_levels();
+        let head0 = pool.alloc(lanes, lanes).map_err(Error::PoolExhausted)? / lanes;
 
-        // Allocate the per-level sentinels bottom-up so each can point to
-        // the one below.
-        let mut sentinels = vec![0u32; levels];
-        for level in 0..levels {
-            let base = pool.alloc(lanes, lanes).map_err(Error::PoolExhausted)?;
-            sentinels[level] = base / lanes; // store chunk index
-            let ch = ChunkRef { base };
-            let below = if level == 0 { 0 } else { sentinels[level - 1] };
-            pool.write(ch.entry_addr(0), Entry::new(KEY_NEG_INF, below).0);
-            for i in 1..team.dsize() {
-                pool.write(ch.entry_addr(i), Entry::EMPTY.0);
-            }
-            pool.write(ch.entry_addr(team.next_lane()), Entry::new(KEY_INF, NIL).0);
-            pool.write(ch.entry_addr(team.lock_lane()), LOCK_UNLOCKED);
-        }
-
-        Ok(Gfsl {
+        let list = Gfsl {
             pool,
-            team,
-            head: sentinels.iter().map(|&c| AtomicU32::new(c)).collect(),
+            team: Team::new(params.team_size),
+            head: (0..levels).map(|l| AtomicU32::new(if l == 0 { head0 } else { NIL })).collect(),
             level_chunks: (0..levels).map(|_| AtomicU32::new(0)).collect(),
             levels_high_water: AtomicUsize::new(0),
             handle_seq: AtomicU32::new(0),
@@ -331,12 +319,30 @@ impl Gfsl {
             quarantine: Mutex::new(Vec::new()),
             quarantine_len: AtomicUsize::new(0),
             recovery: RecoveryCounters::default(),
-            scrub_cursor: Mutex::new((0, sentinels[0])),
+            scrub_cursor: Mutex::new((0, head0)),
             mvcc: params
                 .mvcc
                 .then(|| Box::new(crate::mvcc::MvccEngine::new(params.pool_chunks))),
             params,
-        })
+        };
+        list.write_image(head0, Entry::new(KEY_NEG_INF, 0), LOCK_UNLOCKED);
+        Ok(list)
+    }
+
+    /// Write a whole chunk image over chunk `idx`, in lane order: `first` in
+    /// entry 0, EMPTY in the other data lanes, `(∞, NIL)` in the NEXT lane
+    /// and `lock` in the LOCK lane. A fresh chunk (`first` EMPTY, locked)
+    /// and a level head (`first` the `-∞` entry pointing down, unlocked)
+    /// are both this image.
+    fn write_image(&self, idx: u32, first: Entry, lock: u64) {
+        let team = &self.team;
+        let words = self.chunk_words(idx);
+        words.write(0, first.0);
+        for i in 1..team.dsize() {
+            words.write(i, Entry::EMPTY.0);
+        }
+        words.write(team.next_lane(), Entry::new(KEY_INF, NIL).0);
+        words.write(team.lock_lane(), lock);
     }
 
     /// Cumulative recovery counters: aborts, quarantined chunks, repairs by
@@ -392,7 +398,8 @@ impl Gfsl {
         &self.team
     }
 
-    /// Chunks allocated so far (sentinels included).
+    /// Chunks the pool's bump pointer has handed out: every chunk ever
+    /// allocated, the heads of the levels in use included.
     pub fn chunks_allocated(&self) -> u32 {
         self.pool.used() / self.params.lanes() as u32
     }
@@ -477,8 +484,10 @@ impl Gfsl {
     /// Highest level currently in use (0 when only the bottom level holds
     /// keys). Reads are unlocked: a stale-low answer merely starts searches
     /// lower (level 0 always holds every key), a stale-high answer starts at
-    /// an empty sentinel — both are benign. Scans down from the levels'
-    /// high-water mark, so it costs the levels in use, not `max_levels`.
+    /// the head of a level that has emptied — both are benign. Every level
+    /// it can name has a head: the high-water mark is raised only after the
+    /// level's head was published, and read with `Acquire`. Scans down from
+    /// that mark, so it costs the levels in use, not `max_levels`.
     pub fn height(&self) -> usize {
         (1..=self.levels_high_water())
             .rev()
@@ -486,19 +495,23 @@ impl Gfsl {
             .unwrap_or(0)
     }
 
-    /// The highest level ever in use: every level above it is a bare
-    /// sentinel that no operation has touched.
+    /// The highest level ever in use: every level above it has never held
+    /// a key (it has no head, or a head no operation has written since).
+    /// `Acquire`, pairing with the raise: a reader that sees the mark at
+    /// `l` also sees the heads of levels `0..=l`.
     #[inline]
     pub(crate) fn levels_high_water(&self) -> usize {
-        self.levels_high_water.load(Ordering::Relaxed)
+        self.levels_high_water.load(Ordering::Acquire)
     }
 
-    /// Raise the high-water mark to `level` before its counter goes up. A
-    /// plain load first: the mark is almost always high enough already, and
-    /// a read keeps the shared line out of every split's write set.
+    /// Raise the high-water mark to `level` before its counter goes up; the
+    /// caller has seen `level`'s head, so the `Release` makes it visible
+    /// with the mark. A plain load first: the mark is almost always high
+    /// enough already, and a read keeps the shared line out of every
+    /// split's write set.
     fn raise_levels_high_water(&self, level: usize) {
-        if self.levels_high_water() < level {
-            self.levels_high_water.fetch_max(level, Ordering::Relaxed);
+        if self.levels_high_water.load(Ordering::Relaxed) < level {
+            self.levels_high_water.fetch_max(level, Ordering::Release);
         }
     }
 
@@ -510,10 +523,19 @@ impl Gfsl {
         self.level_chunks[level].store(count, Ordering::Relaxed);
     }
 
-    /// First-chunk pointer for a level.
+    /// First-chunk pointer for a level, `NIL` when the level has no head
+    /// yet: the levels with a head are always `0..=M` for some `M` that
+    /// never shrinks, and no level above `M` has ever held a key.
     #[inline]
     pub(crate) fn head_of(&self, level: usize) -> u32 {
         self.head[level].load(Ordering::Acquire)
+    }
+
+    /// The heads of the levels that have one, bottom first.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        (0..self.params.max_levels())
+            .map(|l| (l, self.head_of(l)))
+            .take_while(|&(_, h)| h != NIL)
     }
 
     pub(crate) fn inc_level_chunks(&self, level: usize) {
@@ -834,7 +856,7 @@ pub struct GfslHandle<'a, P: MemProbe> {
 /// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
 /// `(chunk, lock word)` pair, the hint carries the reclaimer epoch at
 /// capture time: lock-word versions are monotonic across recycling (see
-/// `reinit_chunk`), but the epoch tag additionally bounds how *old* a hint
+/// `take_chunk`), but the epoch tag additionally bounds how *old* a hint
 /// may be — a hint that survived two reclaim epochs has had time for its
 /// chunk to be retired, verified, recycled, and re-churned, so it is
 /// dropped outright rather than trusted to a word comparison.
@@ -929,37 +951,36 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// so an answer that asserts a key's *absence* from the view is taken
     /// only from a certified one. A retry after a read that had a word to
     /// compare against waits first ([`Self::certify_backoff`]): a writer
-    /// held the chunk. `waits` counts the retries of the caller's wait
-    /// episode: one chunk's reads, or one whole lateral walk's.
+    /// held the chunk. One chunk's reads are one wait episode.
     pub(crate) fn read_certified(
         &mut self,
         index: u32,
         mut before: Option<u64>,
         view: &mut ChunkView,
-        waits: &mut u32,
         mut settled: impl FnMut(&ChunkView) -> bool,
     ) -> ChunkRead {
+        let mut waits = 0;
         loop {
             let read = self.read_chunk_into(index, before, view);
             if !matches!(read, ChunkRead::Live { .. }) || settled(view) {
                 return read;
             }
             if before.is_some() {
-                self.certify_backoff(waits, index);
+                self.certify_backoff(&mut waits, index);
             }
             before = Some(view.lock_word(&self.list.team));
         }
     }
 
     /// The parent-level walks' chunk step (down-pointer repair, reclaimer
-    /// verification): one read given [`Self::lock_word_of`], then, if that
-    /// did not certify it, [`Self::read_certified`] from a fresh read.
+    /// verification): [`Self::read_certified`] against
+    /// [`Self::lock_word_of`], as the lateral walk reads each chunk. A
+    /// chunk no writer overlapped is certified by one team read, and an
+    /// overlapped one by the first read that repeats the previous read's
+    /// own unlocked word.
     pub(crate) fn read_bracketed(&mut self, index: u32, view: &mut ChunkView) -> ChunkRead {
         let before = self.lock_word_of(index);
-        match self.read_chunk_into(index, Some(before), view) {
-            ChunkRead::Live { .. } => self.read_certified(index, None, view, &mut 0, |_| false),
-            read => read,
-        }
+        self.read_certified(index, Some(before), view, |_| false)
     }
 
     /// The first non-zombie chunk at-or-right of `cur`, with its certified
@@ -968,7 +989,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// bottom-level scans (`min_entry`, range iteration).
     pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> (u32, Certified) {
         loop {
-            match self.read_certified(cur, None, view, &mut 0, |_| false) {
+            match self.read_certified(cur, None, view, |_| false) {
                 ChunkRead::Zombie { next } => cur = next,
                 ChunkRead::Certified(cert) => return (cur, cert),
                 ChunkRead::Live { .. } => unreachable!("no live view settles uncertified"),
@@ -1541,28 +1562,41 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// pointer moves, which is what bounds the memory high-water mark under
     /// churn.
     pub(crate) fn alloc_chunk(&mut self) -> Result<u32, Error> {
-        let lanes = self.list.params.lanes() as u32;
-        if let Some(idx) = self.list.reclaim.as_ref().and_then(|r| r.try_alloc()) {
-            return Ok(self.reinit_chunk(idx, true));
-        }
-        let base = self
-            .list
-            .pool
-            .alloc(lanes, lanes)
-            .map_err(Error::PoolExhausted)?;
-        Ok(self.reinit_chunk(base / lanes, false))
+        let (idx, locked) = self.take_chunk()?;
+        self.write_image(idx, Entry::EMPTY, locked);
+        self.held.acquired(idx);
+        Ok(idx)
     }
 
-    /// Write a fresh-chunk image (EMPTY data, `(∞, NIL)` next, locked) over
-    /// chunk `idx`. For a recycled chunk the lock word *continues the dead
-    /// incarnation's version sequence* instead of restarting at zero: hint
+    /// [`Gfsl::write_image`], counted as one team write.
+    fn write_image(&mut self, idx: u32, first: Entry, lock: u64) {
+        let ch = self.list.chunk(idx);
+        let mut addrs = [0u32; gfsl_simt::WARP_SIZE];
+        let lanes = self.list.team.lanes();
+        for (i, a) in addrs.iter_mut().enumerate().take(lanes) {
+            *a = ch.entry_addr(i);
+        }
+        self.probe.warp_write(&addrs[..lanes]);
+        self.list.write_image(idx, first, lock);
+    }
+
+    /// Take a chunk for a new image: the free list's first, else the bump
+    /// pointer's next. Returns it with the lock word it is to be written
+    /// locked with: for a recycled chunk that word *continues the dead
+    /// incarnation's version sequence* instead of restarting at zero — hint
     /// validation distinguishes incarnations purely by lock-word equality,
     /// which only works if a chunk's versions are monotonic across its
     /// lifetimes.
-    fn reinit_chunk(&mut self, idx: u32, recycled: bool) -> u32 {
-        let ch = self.list.chunk(idx);
-        let team = &self.list.team;
-        let pool = &self.list.pool;
+    fn take_chunk(&mut self) -> Result<(u32, u64), Error> {
+        let list = self.list;
+        let lanes = list.params.lanes() as u32;
+        let recycled = list.reclaim.as_ref().and_then(|r| r.try_alloc());
+        let idx = match recycled {
+            Some(idx) => idx,
+            None => list.pool.alloc(lanes, lanes).map_err(Error::PoolExhausted)? / lanes,
+        };
+        let ch = list.chunk(idx);
+        let team = &list.team;
         // Mvcc: a long-lived ticket may still resolve this chunk's *old*
         // incarnation through an image's next pointer (ticket pins outlive
         // reclaimer grace). Before the lanes are overwritten, push the dead
@@ -1570,45 +1604,71 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // keep seeing it; for a bump-fresh chunk there is no prior state
         // and the mark merely keeps this stamp epoch's later lock
         // acquisitions from capturing the half-built chunk.
-        if let Some(mvcc) = self.list.mvcc.as_deref() {
+        if let Some(mvcc) = list.mvcc.as_deref() {
             let tag = if self.held.stamp != 0 {
                 self.held.stamp
             } else {
                 mvcc.clock_now() + 1
             };
-            if recycled && mvcc.wants_capture(idx, tag) {
+            if recycled.is_some() && mvcc.wants_capture(idx, tag) {
                 let img: Vec<u64> = (0..team.lanes())
-                    .map(|i| pool.read(ch.entry_addr(i)))
+                    .map(|i| list.pool.read(ch.entry_addr(i)))
                     .collect();
                 mvcc.capture(idx, tag, img);
             } else {
                 mvcc.mark_created(idx, tag);
             }
         }
-        let mut addrs = [0u32; gfsl_simt::WARP_SIZE];
-        for (i, a) in addrs.iter_mut().enumerate().take(team.lanes()) {
-            *a = ch.entry_addr(i);
+        if recycled.is_none() {
+            return Ok((idx, crate::chunk::LOCK_LOCKED));
         }
-        self.probe.warp_write(&addrs[..team.lanes()]);
-        let words = self.list.chunk_words(idx);
-        for i in 0..team.dsize() {
-            words.write(i, Entry::EMPTY.0);
+        let old = list.pool.read(ch.entry_addr(team.lock_lane()));
+        debug_assert_eq!(
+            crate::chunk::lock_state(old),
+            crate::chunk::LOCK_ZOMBIE,
+            "recycled chunk {idx} was not a zombie"
+        );
+        Ok((idx, crate::chunk::lock_recycled(old)))
+    }
+
+    /// The head of `level`, allocated first if the level has none yet: the
+    /// one place a level above 0 gets its `-∞` sentinel (DESIGN.md §4).
+    /// Called only by an update about to write into `level`, whose level
+    /// below has a head; readers treat a level without one as empty.
+    ///
+    /// The chunk is taken like any other but kept out of [`HeldLocks`]: its
+    /// whole image — `-∞` pointing down at the head of `level - 1`, EMPTY
+    /// lanes, `(∞, NIL)`, unlocked — is written before one CAS publishes it
+    /// from `NIL`, so a crash before the CAS leaves an unreachable chunk
+    /// and nothing to repair. A handle that loses the CAS to another one
+    /// creating the same level returns the winner's head and hands its own
+    /// chunk, which no other team ever saw, to the free list as a zombie
+    /// (with reclamation off it stays allocated, as every zombie does then).
+    pub(crate) fn head_or_grow(&mut self, level: usize) -> Result<u32, Error> {
+        let list = self.list;
+        let head = list.head_of(level);
+        if head != NIL {
+            return Ok(head);
         }
-        words.write(team.next_lane(), Entry::new(KEY_INF, NIL).0);
-        let lock = if recycled {
-            let old = pool.read(ch.entry_addr(team.lock_lane()));
-            debug_assert_eq!(
-                crate::chunk::lock_state(old),
-                crate::chunk::LOCK_ZOMBIE,
-                "recycled chunk {idx} was not a zombie"
-            );
-            crate::chunk::lock_recycled(old)
-        } else {
-            crate::chunk::LOCK_LOCKED
-        };
-        words.write(team.lock_lane(), lock);
-        self.held.acquired(idx);
-        idx
+        let below = list.head_of(level - 1);
+        debug_assert_ne!(below, NIL, "level {level} grown above a level with no head");
+        let (idx, locked) = self.take_chunk()?;
+        let publish = || list.head[level].compare_exchange(NIL, idx, Ordering::AcqRel, Ordering::Acquire);
+        let early = crate::bug_knobs::early_head_publish().then(publish);
+        let unlocked = crate::chunk::lock_released(locked);
+        self.write_image(idx, Entry::new(KEY_NEG_INF, below), unlocked);
+        self.probe.crash_point(gfsl_gpu_mem::probe::CrashPoint::HeadPublish);
+        match early.unwrap_or_else(publish) {
+            Ok(_) => Ok(idx),
+            Err(head) => {
+                if let Some(rec) = list.reclaim.as_ref() {
+                    let lock = list.chunk(idx).entry_addr(list.team.lock_lane());
+                    list.pool.write(lock, crate::chunk::lock_zombified(unlocked));
+                    rec.recycle(idx);
+                }
+                Ok(head)
+            }
+        }
     }
 
     /// Hand an unlinked zombie run to the reclaimer: every chunk on the
@@ -1824,6 +1884,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// pointer swing, retire. `false` when a racer got in the way.
     fn sweep_level(&mut self, level: usize) -> bool {
         let team = self.list.team;
+        if self.list.head_of(level) == NIL {
+            return true; // no head, no zombie behind it
+        }
         // A zombified first chunk: swing the head-array pointer itself (a
         // failed CAS means a racer swung it first; re-check).
         let mut view = ChunkView::BLANK;
@@ -1893,14 +1956,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
         }
         // (a) data entries (down-pointers) in the live chain of each
-        // candidate's parent level.
+        // candidate's parent level (none in a parent level with no head).
         let mut parents = cands.iter().fold(0u64, |m, &(_, l)| m | 2 << l);
         parents &= (1 << list.params.max_levels()) - 1;
         let mut view = ChunkView::BLANK;
         while parents != 0 {
             let mut cur = list.head_of(parents.trailing_zeros() as usize);
             parents &= parents - 1;
-            loop {
+            while cur != NIL {
                 let read = self.read_bracketed(cur, &mut view);
                 *scanned += 1;
                 if let ChunkRead::Zombie { next } = read {
@@ -1911,9 +1974,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     mark(cands, e.val());
                 }
                 cur = view.next(&team);
-                if cur == NIL {
-                    break;
-                }
             }
         }
         // (b) frozen next pointers of everything else still awaiting
@@ -1925,8 +1985,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             mark(cands, list.next_of(z));
         });
         // (c) the head array, up to the levels' high-water mark: a level
-        // above it never held a key, so its head is the sentinel it was
-        // built with, never a candidate.
+        // above it never held a key, so it has no head or the sentinel it
+        // was grown with, never a candidate.
         for lvl in 0..=list.levels_high_water() {
             mark(cands, list.head_of(lvl));
         }
@@ -1968,10 +2028,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_list_has_sentinel_per_level() {
+    fn a_new_list_has_one_head_and_grows_the_others_on_first_use() {
         let list = Gfsl::new(GfslParams::default()).unwrap();
-        assert_eq!(list.chunks_allocated(), 32, "one sentinel per level");
+        assert_eq!(list.chunks_allocated(), 1, "the bottom level's head only");
         assert_eq!(list.height(), 0);
+        assert!((1..list.params.max_levels()).all(|l| list.head_of(l) == NIL));
         let mut h = list.handle();
         // Bottom sentinel: -inf at entry 0, rest empty, max = inf, next NIL.
         let head0 = list.head_of(0);
@@ -1982,10 +2043,45 @@ mod tests {
         assert_eq!(v.max(&team), KEY_INF);
         assert_eq!(v.next(&team), NIL);
         assert!(!v.is_zombie(&team));
-        // Upper sentinel points down to the one below.
-        let head1 = list.head_of(1);
+        // A grown head is the same sentinel one level up, unlocked and
+        // pointing down to the head below; asking again returns it.
+        let head1 = h.head_or_grow(1).unwrap();
+        assert_eq!((list.head_of(1), h.head_or_grow(1)), (head1, Ok(head1)));
         let v1 = h.read_chunk(head1);
-        assert_eq!(v1.entry(0).val(), head0);
+        assert_eq!((v1.entry(0).key(), v1.entry(0).val()), (KEY_NEG_INF, head0));
+        assert!(v1.entry(1).is_empty() && !v1.is_locked(&team));
+        assert_eq!((v1.max(&team), v1.next(&team)), (KEY_INF, NIL));
+        assert_eq!(list.chunks_allocated(), 2);
+        assert!(h.held.chunks.is_empty(), "a head is never held");
+        list.assert_valid();
+    }
+
+    /// Ascending inserts (`p_chunk = 1`): a level's head appears with the
+    /// raise that first reaches the level, in the same insert that makes it
+    /// the height, and no sooner; the heads stay a prefix that never
+    /// shrinks, and the structure validates after every insert.
+    #[test]
+    fn ascending_inserts_grow_each_head_when_a_raise_first_reaches_it() {
+        let list = list16();
+        let mut h = list.handle();
+        let mut grown = vec![0u32];
+        for k in 1..=2_500u32 {
+            let heads = list.heads().count();
+            h.insert(k, k).unwrap();
+            let now = list.heads().count();
+            assert!(now == heads || now == heads + 1, "one level at a time, at key {k}");
+            assert_eq!(now, list.height() + 1, "the levels in use have heads, at key {k}");
+            if now > heads {
+                let new = list.head_of(heads);
+                assert_eq!(new + 1, list.chunks_allocated(), "after the splits below it, at key {k}");
+                assert_eq!(h.read_chunk(new).entry(0).val(), list.head_of(heads - 1));
+                grown.push(k);
+            }
+            assert!(list.validate().is_empty(), "at key {k}: {:?}", list.validate());
+        }
+        // Full chunks of 13 keys and the head's `-inf`: level 1 at the
+        // first split, level 2 at the fourteenth.
+        assert_eq!(grown, [0, 14, 196]);
     }
 
     #[test]
@@ -2024,7 +2120,7 @@ mod tests {
     #[test]
     fn pool_exhaustion_is_reported() {
         let params = GfslParams {
-            pool_chunks: 33,
+            pool_chunks: 2,
             ..Default::default()
         };
         let list = Gfsl::new(params).unwrap();

@@ -104,7 +104,7 @@ impl Gfsl {
         let team = self.team;
         let mut out = Vec::new();
         let mut cur = self.head_of(level);
-        loop {
+        while cur != NIL {
             let v = h.read_chunk(cur);
             if !v.is_zombie(&team) {
                 for (_, e) in v.live_entries(&team) {
@@ -113,12 +113,9 @@ impl Gfsl {
                     }
                 }
             }
-            let next = v.next(&team);
-            if next == NIL {
-                return out;
-            }
-            cur = next;
+            cur = v.next(&team);
         }
+        out
     }
 
     /// All keys currently in the set (bottom level). Quiescent use only.
@@ -151,9 +148,26 @@ impl Gfsl {
         let levels = self.params.max_levels();
         let mut level_sets: Vec<BTreeSet<u32>> = Vec::with_capacity(levels);
 
-        for level in 0..levels {
+        // The levels with a head are a prefix `0..=top`, at least as tall
+        // as the height, and no level above it has ever held a key.
+        let top = self.heads().count() - 1;
+        let headless = |rule, detail: String| Violation { rule, level: top + 1, chunk: None, detail };
+        if let Some(l) = (top + 1..levels).find(|&l| self.head_of(l) != NIL) {
+            violations.push(headless("level-heads-prefix", format!("level {l} has a head, level {} none", top + 1)));
+        }
+        if self.height() > top || self.levels_high_water() > top {
+            violations.push(headless(
+                "level-heads-cover-height",
+                format!("height {}, high water {}, heads up to level {top}", self.height(), self.levels_high_water()),
+            ));
+        }
+        if let Some(l) = (top + 1..levels).find(|&l| self.level_chunk_count(l) > 0) {
+            violations.push(headless("headless-level-unused", format!("level {l} counts chunks but has no head")));
+        }
+
+        for (level, head) in self.heads() {
             let mut seen = BTreeSet::new();
-            let mut cur = self.head_of(level);
+            let mut cur = head;
             let mut prev_max: Option<u32> = None;
             let mut first = true;
             let mut visited = std::collections::HashSet::new();
@@ -248,7 +262,7 @@ impl Gfsl {
 
         // Every upper-level down-pointer reaches its key laterally below.
         let mut h = self.handle_with(NoProbe);
-        for (level, set) in level_sets.iter().enumerate().take(levels).skip(1) {
+        for (level, set) in level_sets.iter().enumerate().skip(1) {
             if set.is_empty() {
                 continue;
             }
@@ -317,6 +331,23 @@ mod tests {
         list.assert_valid();
         assert!(list.is_empty());
         assert_eq!(list.keys(), Vec::<u32>::new());
+    }
+
+    /// The head-prefix rules: a head above a level with none, and a level
+    /// with no head that counts chunks, are violations.
+    #[test]
+    fn a_head_above_a_headless_level_is_a_violation() {
+        use std::sync::atomic::Ordering;
+        let list = list16();
+        let head1 = list.handle().head_or_grow(1).unwrap();
+        list.assert_valid();
+        list.head[1].store(crate::chunk::NIL, Ordering::Relaxed);
+        list.head[2].store(head1, Ordering::Relaxed);
+        list.inc_level_chunks(3);
+        let rules: Vec<&str> = list.validate().iter().map(|v| v.rule).collect();
+        for rule in ["level-heads-prefix", "level-heads-cover-height", "headless-level-unused"] {
+            assert!(rules.contains(&rule), "{rule} not in {rules:?}");
+        }
     }
 
     #[test]

@@ -155,18 +155,21 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// granted steps; and again when a level's last chunk began taking append
 /// splits (both classes insert ascending keys, so a full tail chunk now
 /// moves none of them) and a zombie view began re-reading its NEXT lane
-/// (one more granted step per zombie view). EXPERIMENTS ("Turnstile fold",
+/// (one more granted step per zombie view); and again when the parent-level
+/// walks began certifying a re-read against the read before it (seed 1)
+/// and `Gfsl::new` stopped allocating the heads of unused levels, which
+/// moves every chunk's index (all six). EXPERIMENTS ("Turnstile fold",
 /// "Update-path index maintenance", "Certified lock upgrade", "Append
-/// splits") lists old → new. A
+/// splits", "Level heads on first use") lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x644e_040e_b5c6_5918,
-    0x935e_d8ee_eaff_07a8,
-    0xe440_2478_5ddb_97d9,
-    0xcc64_7d05_b5bb_a6e7,
-    0x20c4_488a_bbf6_5879,
-    0x37f6_3d94_347c_c1bf,
+    0xe18f_a119_870f_cafd,
+    0x6eaa_9aa3_dd59_6f2c,
+    0x2bf8_d362_5344_ec77,
+    0xf938_f6cb_4038_9a33,
+    0x6ebf_19e0_20e9_e15f,
+    0x172e_461a_e614_685d,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

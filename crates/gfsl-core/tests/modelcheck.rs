@@ -95,6 +95,13 @@ fn split_append_2t_exhaustive() {
 }
 
 #[test]
+fn level_grow_2t_exhaustive() {
+    // Two splits race to raise into level 1's last free entry; the second
+    // splits level 1 and grows level 2 while a remove probes above level 1.
+    check_exhaustive("level-grow-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn lock_upgrade_2t_exhaustive() {
     // Two inserts into one bottom chunk: either one's certified view can go
     // stale between its search and the CAS that upgrades it to the lock.

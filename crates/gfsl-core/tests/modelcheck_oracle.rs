@@ -3,8 +3,9 @@
 //! first draft of the index heal made, a reclaimer without its staging
 //! grace, a bottom-lock upgrade that ignores the word certifying its
 //! view, an append split that publishes without lowering the split
-//! chunk's max, and a zombie step that follows the NEXT lane of a torn
-//! view, via the `bug_knobs` test-only
+//! chunk's max, a zombie step that follows the NEXT lane of a torn
+//! view, and a level head published before it is written, via the
+//! `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
 //! that the *fixed* code passes the exact same schedule.
@@ -212,6 +213,33 @@ fn a_torn_zombie_next_is_refound() {
             out.failure
         );
     }
+}
+
+/// A level head published before its lanes are written, at one
+/// preemption: between the publish and the first lane store, a remove's
+/// probe above level 1 reads the fresh pool chunk — zeros, a chunk whose
+/// max is `-inf` and whose next pointer is the bottom level's head — and
+/// walks out of its level, down to its own locked bottom chunk.
+#[test]
+fn an_early_head_publish_is_refound() {
+    let cfg = configs::by_name("level-grow-2t").expect("config registered");
+    let guard = bug_knobs::early_head_publish_guard();
+    let report = explore(&cfg, Box::new(DfsBounded::new(1, true, 500_000)));
+    println!("oracle {}", report.summary());
+    let cx = report
+        .counterexample
+        .unwrap_or_else(|| panic!("publishing a head before its lanes must produce a counterexample"));
+    assert!(report.minimize_episodes > 0, "counterexample must have gone through ddmin");
+    let out = replay(&cfg, cx.decisions.clone());
+    assert_eq!(out.trace, cx.trace, "minimized schedule must replay to its recorded trace hash");
+    assert!(out.failure.is_some(), "minimized schedule must still fail on replay");
+    drop(guard);
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "a head written before its publish must pass the bug's schedule, got: {:?}",
+        out.failure
+    );
 }
 
 #[test]

@@ -117,6 +117,13 @@ fn append_script() -> Vec<Op> {
     (1..=OPS_PER_WORKER as u32 / 3).map(|i| Op::Insert(KEY_SPACE + i, i)).collect()
 }
 
+/// [`append_script`], long enough to grow a level: alone on the prefill,
+/// the 100th append splits level 1's head and raises into level 2, which
+/// has no head until then.
+fn grow_script() -> Vec<Op> {
+    (1..=160).map(|i| Op::Insert(KEY_SPACE + i, i)).collect()
+}
+
 /// A 64-key window sliding 64 steps right over the prefill: each step
 /// inserts the key 64 above the left edge, removes the edge, removes and
 /// re-inserts the key 40 above it and reads one in between. Inserts fill
@@ -284,22 +291,28 @@ fn recovery_soak_every_crash_point() {
     for &point in LOCK_CRASH_POINTS.iter() {
         let mut crashes_for_point = 0u64;
         for seed in 0..seeds {
-            // Two mixed workers, which must fire every point on their own.
-            // At `SplitPublish`, a second cell runs a mixed worker against
-            // one that appends above the key space.
+            // Two mixed workers, which must fire every point on their own
+            // but `HeadPublish`: over the key space the index never grows
+            // a level. At `SplitPublish`, a second cell runs a mixed worker
+            // against one that appends above the key space; at
+            // `HeadPublish` the appending worker goes on until it grows
+            // level 2, the cell's one growth, which it crashes.
             let mut cells = vec![((0..WORKERS).map(|t| mixed_script(seed, t)).collect::<Vec<_>>(), "mixed")];
             if point == CrashPoint::SplitPublish {
                 cells.push((vec![mixed_script(seed, 0), append_script()], "append"));
             }
+            if point == CrashPoint::HeadPublish {
+                cells.push((vec![mixed_script(seed, 0), grow_script()], "grow"));
+            }
             for (scripts, kind) in &cells {
                 let s = soak_cell(
                     point,
-                    1 + seed % 3,
+                    if *kind == "grow" { 1 } else { 1 + seed % 3 },
                     RandomWalk::new(seed ^ 0xD6E8_FEB8_6659_FD93, 1),
                     scripts,
                     &format!("{point:?} seed {seed} {kind}"),
                 );
-                if *kind == "mixed" {
+                if *kind != "append" {
                     crashes_for_point += s.crashed_ops;
                 } else {
                     append_split_crashes += s.crashed_inserts.iter().filter(|&&k| k > KEY_SPACE).count();
@@ -336,10 +349,12 @@ fn recovery_soak_every_crash_point() {
 /// (one cell each, until the next occurrence no longer fires), each cell
 /// repaired and verified like a soak cell. Single-threaded runs are
 /// deterministic, so this covers every crash window the script reaches.
+/// The window never grows a level, so `HeadPublish` is swept on
+/// [`grow_script`] instead.
 #[test]
 fn crash_sweep_every_occurrence() {
-    let script = [window_script()];
     for &point in LOCK_CRASH_POINTS {
+        let script = [if point == CrashPoint::HeadPublish { grow_script() } else { window_script() }];
         let mut cells = 0u64;
         let [mut fwd, mut back, mut clean, mut fixes] = [0u64; 4];
         loop {
@@ -447,3 +462,44 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     assert!(list.validate().is_empty(), "{:?}", list.validate());
     assert_eq!(list.handle().get(33), Some(330));
 }
+
+/// A crash between a new level head's allocation and its publish is a
+/// crash inside a climb, after the insert committed: the insert reports
+/// `Ok(true)`, only the bottom chunk it held is quarantined (the head was
+/// never held), and the level stays headless until a later raise grows it
+/// again. The unpublished chunk is left unreachable, never linked.
+#[test]
+fn crash_inside_level_growth_keeps_the_insert_and_quarantines_no_head() {
+    gfsl::quiet_injected_panics();
+    let list = list16();
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::HeadPublish, 1)));
+    let mut h = list.handle_with(ctl.probe(0));
+    // The 14th ascending key splits the full bottom head and raises into
+    // level 1, which has no head yet.
+    let mut k = 0;
+    while ctl.crash_point_hits().iter().all(|&(p, n)| p != CrashPoint::HeadPublish || n == 0) {
+        k += 1;
+        assert_eq!(h.try_insert(k, k), Ok(true), "committed before any crash");
+    }
+    assert_eq!(k, 14);
+    drop(h);
+    assert_eq!(list.quarantine_depth(), 1, "the bottom chunk the insert held, no head");
+    assert_eq!(list.height(), 0, "level 1 never got its head");
+    let allocated = list.chunks_allocated();
+
+    let stats = list.handle().repair_quarantine();
+    assert_eq!((stats.crashed_ops, stats.quarantine_depth), (1, 0));
+    assert!(list.validate().is_empty(), "{:?}", list.validate());
+    let (live, zombies) = list.linked_chunks();
+    assert_eq!(live + zombies, u64::from(allocated) - 1, "the unpublished head is linked nowhere");
+
+    // The next split grows level 1 for good.
+    let mut h = list.handle();
+    while list.height() == 0 {
+        k += 1;
+        assert!(h.insert(k, k).unwrap());
+    }
+    assert_eq!(list.keys(), (1..=k).collect::<Vec<_>>());
+    list.assert_valid();
+}
+

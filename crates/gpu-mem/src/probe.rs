@@ -36,6 +36,9 @@ pub enum CrashPoint {
     NextSwing,
     /// About to install a down-pointer into an upper-level chunk.
     DownPtrInstall,
+    /// A level's first `-∞` head chunk is written and about to be published
+    /// in the head array.
+    HeadPublish,
     /// A write-ahead-log append is in flight: part of the record batch may
     /// already be on disk (killing here leaves a torn tail).
     WalAppend,
