@@ -50,6 +50,8 @@ static REVERT_SPLIT_RAISED_KEY: AtomicBool = AtomicBool::new(false);
 /// failure mode for the oracle. (Which doubles as a model-checked
 /// regression argument for certification itself: shift-revert minus the
 /// reader-revert explores clean.)
+/// Its reader stays a runtime oracle, not a `compile_fail` doctest: a
+/// doctest sees only the public API, without the crate-private `Certified`.
 static REVERT_REMOVE_SHIFT: AtomicBool = AtomicBool::new(false);
 
 /// Replace the index heal's lock-covered key with the cheaper choice a
@@ -73,6 +75,9 @@ static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
 /// that view. A writer that held and released the chunk between the search
 /// and the CAS goes unnoticed, and the update writes the chunk from a
 /// snapshot that predates the writer's change — a lost update.
+/// A runtime oracle, not a `compile_fail` doctest: `try_lock` legitimately
+/// mints a `Held` from the current word, and a doctest sees only the public
+/// API, without the crate-private `Held` and `Certified`.
 static STALE_LOCK_UPGRADE: AtomicBool = AtomicBool::new(false);
 
 /// Break the append split's publish: write the split chunk's NEXT lane with
@@ -87,6 +92,8 @@ static APPEND_SPLIT_KEEPS_MAX: AtomicBool = AtomicBool::new(false);
 /// a split of the chunk that a merge then drained, so the step skips the
 /// split's new chunk and the keys it holds (the torn zombie view): a read
 /// misses a present key, or an insert lands right of its chunk.
+/// A runtime oracle, not a `compile_fail` doctest: a doctest sees only the
+/// public API, without the crate-private `ChunkRead`, `Certified` and `Held`.
 static TORN_ZOMBIE_NEXT: AtomicBool = AtomicBool::new(false);
 
 /// Publish a new level head in the head array before writing its lanes: a

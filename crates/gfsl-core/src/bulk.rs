@@ -14,9 +14,58 @@
 
 use gfsl_gpu_mem::NoProbe;
 
-use crate::chunk::{is_user_key, ChunkRef, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
+use crate::chunk::{is_user_key, ops, ChunkRef, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL};
 use crate::params::GfslParams;
-use crate::skiplist::{Error, Gfsl};
+use crate::skiplist::{Error, Gfsl, GfslHandle};
+
+/// Pack `entries` (`(key, value)` at level 0, `(key, down-pointer)` above;
+/// strictly ascending user keys, else [`Error::InvalidKey`]) into the level
+/// whose head, which keeps `-∞`, is `head`, `fill` to a chunk. No other
+/// team sees the structure yet, so each chunk is written directly: locked,
+/// filled, sealed unlocked, with no lock held. Returns the `(chunk, min
+/// key)` of every chunk past the head: the level above's.
+fn pack_level(
+    h: &mut GfslHandle<'_, NoProbe>,
+    head: u32,
+    fill: usize,
+    entries: impl IntoIterator<Item = (u32, u32)>,
+) -> Result<Vec<(u32, u32)>, Error> {
+    let list = h.list();
+    let team = list.team;
+    let seal = |ch: ChunkRef, max: u32, next: u32| {
+        list.pool.write(ch.entry_addr(team.next_lane()), Entry::new(max, next).0);
+        list.pool.write(ch.entry_addr(team.lock_lane()), LOCK_UNLOCKED);
+    };
+    let mut raised = Vec::new();
+    let (mut cur, mut slot, mut min, mut max) = (head, 1, KEY_NEG_INF, KEY_NEG_INF);
+    let mut cur_ref = list.chunk(cur);
+    for (k, v) in entries {
+        if !is_user_key(k) || k <= max {
+            return Err(Error::InvalidKey(k));
+        }
+        if slot == fill {
+            let (new, locked) = h.take_chunk()?;
+            ops::write_image(&team, &list.pool, &mut NoProbe, new, Entry::EMPTY, locked);
+            seal(cur_ref, max, new);
+            if cur != head {
+                raised.push((cur, min));
+            }
+            (cur, cur_ref, slot) = (new, list.chunk(new), 0);
+        }
+        list.pool.write(cur_ref.entry_addr(slot), Entry::new(k, v).0);
+        if slot == 0 {
+            min = k;
+        }
+        max = k;
+        slot += 1;
+    }
+    // The last chunk is the end of the level.
+    seal(cur_ref, KEY_INF, NIL);
+    if cur != head {
+        raised.push((cur, min));
+    }
+    Ok(raised)
+}
 
 impl Gfsl {
     /// Build a structure from strictly-ascending `(key, value)` pairs.
@@ -35,8 +84,7 @@ impl Gfsl {
         pairs: impl IntoIterator<Item = (u32, u32)>,
     ) -> Result<Gfsl, Error> {
         let list = Gfsl::new(params)?;
-        let team = list.team;
-        let dsize = team.dsize();
+        let dsize = list.team.dsize();
         // Fill target: at least one above the merge threshold so a single
         // delete never immediately merges, at most dsize - 2 so a couple of
         // inserts fit before a split.
@@ -45,54 +93,8 @@ impl Gfsl {
             .min(dsize - 2)
             .max(1);
 
-        // Level 0: pack pairs into chained chunks. The level sentinel keeps
-        // -inf and receives the first fill-1 pairs.
         let mut handle = list.handle_with(NoProbe);
-        let mut last_key: Option<u32> = None;
-        // (chunk index, min key) of every non-sentinel chunk, for level 1.
-        let mut raised: Vec<(u32, u32)> = Vec::new();
-
-        let mut cur = list.head_of(0);
-        let mut cur_ref = list.chunk(cur);
-        let mut slot = 1usize; // sentinel slot 0 = -inf
-        let mut cur_min = KEY_NEG_INF;
-        let mut prev_written_max = KEY_NEG_INF;
-
-        let finish_chunk = |list: &Gfsl, ch: ChunkRef, max: u32, next: u32| {
-            list.pool
-                .write(ch.entry_addr(team.next_lane()), Entry::new(max, next).0);
-            list.pool.write(ch.entry_addr(team.lock_lane()), LOCK_UNLOCKED);
-        };
-
-        for (k, v) in pairs {
-            if !is_user_key(k) || last_key.is_some_and(|p| p >= k) {
-                return Err(Error::InvalidKey(k));
-            }
-            last_key = Some(k);
-            if slot == fill.max(1) || slot == dsize {
-                // Seal the current chunk and open a new one.
-                let new_idx = handle.alloc_chunk()?;
-                finish_chunk(&list, cur_ref, prev_written_max, new_idx);
-                if cur != list.head_of(0) {
-                    raised.push((cur, cur_min));
-                }
-                cur = new_idx;
-                cur_ref = list.chunk(cur);
-                slot = 0;
-                cur_min = k;
-            }
-            list.pool.write(cur_ref.entry_addr(slot), Entry::new(k, v).0);
-            if slot == 0 {
-                cur_min = k;
-            }
-            prev_written_max = k;
-            slot += 1;
-        }
-        // Seal the last chunk: it is the end of the level.
-        finish_chunk(&list, cur_ref, KEY_INF, NIL);
-        if cur != list.head_of(0) {
-            raised.push((cur, cur_min));
-        }
+        let mut raised = pack_level(&mut handle, list.head_of(0), fill, pairs)?;
         list.store_level_chunks(0, raised.len() as u32);
 
         // Upper levels: each non-sentinel chunk of level i is indexed by one
@@ -100,45 +102,12 @@ impl Gfsl {
         // only when there is such an entry.
         let mut level = 1usize;
         while !raised.is_empty() && level < params.max_levels() {
-            let mut next_raised: Vec<(u32, u32)> = Vec::new();
             let head = handle.head_or_grow(level)?;
-            let mut cur = head;
-            let mut cur_ref = list.chunk(cur);
-            let mut slot = 1usize;
-            let mut cur_min = KEY_NEG_INF;
-            let mut prev_max = KEY_NEG_INF;
-            for &(below_chunk, k) in &raised {
-                if slot == fill.max(1) || slot == dsize {
-                    let new_idx = handle.alloc_chunk()?;
-                    finish_chunk(&list, cur_ref, prev_max, new_idx);
-                    if cur != head {
-                        next_raised.push((cur, cur_min));
-                    }
-                    cur = new_idx;
-                    cur_ref = list.chunk(cur);
-                    slot = 0;
-                }
-                list.pool
-                    .write(cur_ref.entry_addr(slot), Entry::new(k, below_chunk).0);
-                if slot == 0 {
-                    cur_min = k;
-                }
-                prev_max = k;
-                slot += 1;
-            }
-            finish_chunk(&list, cur_ref, KEY_INF, NIL);
-            if cur != head {
-                next_raised.push((cur, cur_min));
-            }
+            let next = pack_level(&mut handle, head, fill, raised.iter().map(|&(below, k)| (k, below)))?;
             list.store_level_chunks(level, raised.len() as u32);
-            raised = next_raised;
+            raised = next;
             level += 1;
         }
-
-        // Every allocated chunk has been sealed unlocked by finish_chunk's
-        // direct pool writes; clear the held-lock tracker so dropping the
-        // handle is not misread as a team dying with locks held.
-        handle.held.clear();
         drop(handle);
         Ok(list)
     }

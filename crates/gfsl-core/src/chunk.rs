@@ -357,14 +357,64 @@ impl ChunkView {
     }
 }
 
+/// A chunk lock this team holds: the chunk's index, and the one thing that
+/// can release the lock. Winning the lock CAS mints one ([`ops::try_lock`],
+/// [`ops::try_lock_from`]), as do allocation ([`ops::alloc`]: chunks are
+/// allocated locked, §4.1) and the handover of a dying operation's locks
+/// ([`Held::handover`]); only [`ops::release`] consumes one. Neither `Clone`
+/// nor `Copy`, so no release needs to check the word it releases.
+#[must_use = "a held chunk lock is released through `ops::release`"]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Held(u32);
+
+impl Held {
+    /// The locked chunk's index.
+    #[inline]
+    pub(crate) fn chunk(&self) -> u32 {
+        self.0
+    }
+
+    /// A lock that a dying operation's lock ledger hands over: to the
+    /// quarantine when the operation crashed, for repair to release, or to
+    /// the operation's own quiet release when it aborted cleanly.
+    #[inline]
+    pub(crate) fn handover(chunk: u32) -> Held {
+        Held(chunk)
+    }
+}
+
+/// What [`ops::release`] turns a held lock into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Release {
+    /// An operation's unlock, after its `LockRelease` crash point: unlocked,
+    /// the release version bumped, so lock-free readers can certify that a
+    /// chunk read overlapped no writer.
+    Unlock,
+    /// A merge's zombie mark, after its `MergeZombieMark` crash point. The
+    /// version is kept: a recycled chunk continues it, and hint validation
+    /// relies on a chunk's versions rising across its incarnations.
+    Zombify,
+    /// Repair's and a clean abort's release: the zombie mark when `zombie`,
+    /// else the unlock, with no crash point — none may fire inside the
+    /// repairer, or in an abort that is already giving the operation up.
+    Quiet { zombie: bool },
+}
+
 /// Lock/write-side chunk operations. These are free functions over the pool
 /// (rather than methods on a guard type) because the GPU algorithm threads
 /// lock ownership through team control flow, not RAII — e.g. the bottom
 /// chunk stays locked across an entire multi-level insert while other chunks
 /// lock and unlock around it, and a merge converts a held lock into a
-/// terminal zombie marker.
+/// terminal zombie marker. What a team holds is a `Held` value passed
+/// along that control flow.
 pub mod ops {
     use super::*;
+
+    /// The chunk at index `idx`.
+    #[inline]
+    fn chunk_ref(team: &Team, idx: u32) -> ChunkRef {
+        ChunkRef { base: idx * team.lanes() as u32 }
+    }
 
     /// Word address of a chunk's lock entry.
     #[inline]
@@ -378,72 +428,80 @@ pub mod ops {
         ch.entry_addr(team.next_lane())
     }
 
-    /// One CAS attempt to lock the chunk. The paper's `LockChunkWithCAS`.
+    /// One CAS attempt to lock chunk `idx`. The paper's `LockChunkWithCAS`.
     ///
     /// The preliminary plain read fetches the current release version so the
     /// CAS can preserve it; on a GPU this costs nothing extra because
     /// `atomicCAS` returns the old word anyway (a failed blind CAS hands the
     /// team the version to retry with).
     #[inline]
-    pub fn try_lock<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) -> bool {
-        let addr = lock_addr(team, ch);
+    pub(crate) fn try_lock<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, idx: u32) -> Option<Held> {
+        let addr = lock_addr(team, chunk_ref(team, idx));
         probe.crash_point(CrashPoint::LockCas);
         probe.atomic(addr);
         let cur = pool.read(addr);
         if lock_state(cur) != LOCK_UNLOCKED {
-            return false;
+            return None;
         }
-        pool.cas(addr, cur, (cur & !LOCK_STATE_MASK) | LOCK_LOCKED)
-            .is_ok()
+        pool.cas(addr, cur, (cur & !LOCK_STATE_MASK) | LOCK_LOCKED).ok().map(|_| Held(idx))
     }
 
-    /// One CAS from exactly `word`, an unlocked lock word read earlier, to
-    /// its locked form, with no read first. It succeeds only if no writer
-    /// has held the chunk since `word` was read: every release bumps the
-    /// version, zombie marking changes the state bits, and a recycled chunk
-    /// continues its old version sequence.
+    /// One CAS from exactly `from`, the unlocked word that certified a view
+    /// of chunk `idx`, to its locked form, with no read first. It succeeds
+    /// only if no writer has held the chunk since the view was read: every
+    /// release bumps the version, zombie marking changes the state bits,
+    /// and a recycled chunk continues its old version sequence.
     #[inline]
-    pub fn try_lock_from<P: MemProbe>(
-        team: &Team,
-        pool: &WordPool,
-        probe: &mut P,
-        ch: ChunkRef,
-        word: u64,
-    ) -> bool {
-        debug_assert_eq!(lock_state(word), LOCK_UNLOCKED, "upgrading from a held lock word");
-        let addr = lock_addr(team, ch);
+    pub(crate) fn try_lock_from<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, idx: u32, from: Certified) -> Option<Held> {
+        let addr = lock_addr(team, chunk_ref(team, idx));
         probe.crash_point(CrashPoint::LockCas);
         probe.atomic(addr);
-        pool.cas(addr, word, word | LOCK_LOCKED).is_ok()
+        pool.cas(addr, from.0, from.0 | LOCK_LOCKED).ok().map(|_| Held(idx))
     }
 
-    /// Release a held lock, bumping the release version so lock-free readers
-    /// can certify that a chunk read overlapped no writer.
+    /// Release a held lock to the word `to` names. The one release: the
+    /// lock word is read, the crash point (if `to` has one) fires before
+    /// any store, and the new word is written.
     #[inline]
-    pub fn unlock<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
-        let addr = lock_addr(team, ch);
+    pub(crate) fn release<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, held: Held, to: Release) {
+        let addr = lock_addr(team, chunk_ref(team, held.0));
         let cur = pool.read(addr);
-        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "unlocking a chunk we do not hold");
-        probe.crash_point(CrashPoint::LockRelease);
+        let (point, zombie) = match to {
+            Release::Unlock => (Some(CrashPoint::LockRelease), false),
+            Release::Zombify => (Some(CrashPoint::MergeZombieMark), true),
+            Release::Quiet { zombie } => (None, zombie),
+        };
+        if let Some(point) = point {
+            probe.crash_point(point);
+        }
         probe.lane_write(addr);
-        pool.write(addr, lock_released(cur));
+        pool.write(addr, if zombie { lock_zombified(cur) } else { lock_released(cur) });
     }
 
-    /// Convert a held lock into the terminal zombie marker. The release
-    /// version is *preserved*: zombie contents never change again (so reads
-    /// of a zombie need no certification), but the version must survive into
-    /// any future incarnation of this chunk — reclamation recycles zombie
-    /// chunks, and the traversal hint cache relies on per-chunk lock-word
-    /// versions being monotonic across incarnations to reject hints that
-    /// name a since-recycled chunk.
-    #[inline]
-    pub fn mark_zombie<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, ch: ChunkRef) {
-        let addr = lock_addr(team, ch);
-        let cur = pool.read(addr);
-        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "only the lock holder may zombify");
-        probe.crash_point(CrashPoint::MergeZombieMark);
-        probe.lane_write(addr);
-        pool.write(addr, lock_zombified(cur));
+    /// Write chunk `idx`'s whole image in one team write, in lane order:
+    /// `first` in entry 0, EMPTY in the other data lanes, `(∞, NIL)` in the
+    /// NEXT lane and `lock` in the LOCK lane. A fresh chunk ([`alloc`]) and
+    /// a level head (`first` the `-∞` entry pointing down, unlocked) are
+    /// both this image.
+    pub(crate) fn write_image<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, idx: u32, first: Entry, lock: u64) {
+        let ch = chunk_ref(team, idx);
+        let addrs: [WordAddr; WARP_SIZE] = std::array::from_fn(|lane| ch.entry_addr(lane));
+        probe.warp_write(&addrs[..team.lanes()]);
+        let words = pool.span(ch.base, team.lanes() as u32);
+        words.write(0, first.0);
+        for i in 1..team.dsize() {
+            words.write(i, Entry::EMPTY.0);
+        }
+        words.write(team.next_lane(), Entry::new(KEY_INF, NIL).0);
+        words.write(team.lock_lane(), lock);
+    }
+
+    /// Allocate chunk `idx`: write its fresh image locked with `locked`
+    /// (paper §4.1: "all chunks are allocated locked") and hand out the
+    /// lock.
+    pub(crate) fn alloc<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, idx: u32, locked: u64) -> Held {
+        write_image(team, pool, probe, idx, Entry::EMPTY, locked);
+        Held(idx)
     }
 
     /// Atomically overwrite data entry `lane` of the chunk whose words are
@@ -630,14 +688,52 @@ mod tests {
         let (team, pool) = setup();
         let ch = ChunkRef { base: 0 };
         write_chunk(&pool, 0, &[], KEY_INF, NIL, LOCK_UNLOCKED);
-        assert!(ops::try_lock(&team, &pool, &mut NoProbe, ch));
-        assert!(!ops::try_lock(&team, &pool, &mut NoProbe, ch), "second lock fails");
-        ops::unlock(&team, &pool, &mut NoProbe, ch);
-        assert!(ops::try_lock(&team, &pool, &mut NoProbe, ch));
-        ops::mark_zombie(&team, &pool, &mut NoProbe, ch);
-        assert!(!ops::try_lock(&team, &pool, &mut NoProbe, ch), "zombies cannot be locked");
+        let held = ops::try_lock(&team, &pool, &mut NoProbe, 0).expect("an unlocked chunk locks");
+        assert!(ops::try_lock(&team, &pool, &mut NoProbe, 0).is_none(), "second lock fails");
+        ops::release(&team, &pool, &mut NoProbe, held, Release::Unlock);
+        let held = ops::try_lock(&team, &pool, &mut NoProbe, 0).expect("a released chunk locks");
+        ops::release(&team, &pool, &mut NoProbe, held, Release::Zombify);
+        assert!(ops::try_lock(&team, &pool, &mut NoProbe, 0).is_none(), "zombies cannot be locked");
         let v = ChunkView::read(&team, &pool, &mut NoProbe, ch);
         assert!(v.is_zombie(&team));
+    }
+
+    /// An operation's release fires its crash point once, before it writes
+    /// anything; the quiet release of repair and of a clean abort fires
+    /// none. Each release is one read and one write of the lock word, and
+    /// writes the same word whether or not it is quiet.
+    #[test]
+    fn only_an_operation_release_fires_a_crash_point() {
+        #[derive(Default)]
+        struct Points(Vec<CrashPoint>);
+        impl MemProbe for Points {
+            fn warp_read(&mut self, _: &[WordAddr]) {}
+            fn warp_write(&mut self, _: &[WordAddr]) {}
+            fn lane_read(&mut self, _: WordAddr) {}
+            fn lane_write(&mut self, _: WordAddr) {}
+            fn atomic(&mut self, _: WordAddr) {}
+            fn crash_point(&mut self, point: CrashPoint) {
+                self.0.push(point);
+            }
+        }
+
+        let (team, pool) = setup();
+        let lock = ops::lock_addr(&team, ChunkRef { base: 0 });
+        for (to, quiet, point) in [
+            (Release::Unlock, Release::Quiet { zombie: false }, CrashPoint::LockRelease),
+            (Release::Zombify, Release::Quiet { zombie: true }, CrashPoint::MergeZombieMark),
+        ] {
+            let mut words = Vec::new();
+            for (release, fired) in [(to, vec![point]), (quiet, vec![])] {
+                write_chunk(&pool, 0, &[], KEY_INF, NIL, LOCK_VERSION_UNIT);
+                let held = ops::try_lock(&team, &pool, &mut NoProbe, 0).unwrap();
+                let mut probe = Points::default();
+                ops::release(&team, &pool, &mut probe, held, release);
+                assert_eq!(probe.0, fired, "{release:?}");
+                words.push(pool.read(lock));
+            }
+            assert_eq!(words[0], words[1], "{to:?} and its quiet form write one word");
+        }
     }
 
     #[test]
@@ -645,18 +741,27 @@ mod tests {
         let (team, pool) = setup();
         let ch = ChunkRef { base: 0 };
         write_chunk(&pool, 0, &[], KEY_INF, NIL, LOCK_UNLOCKED);
-        let seen = ChunkView::read(&team, &pool, &mut NoProbe, ch).lock_word(&team);
+        // The word a quiescent read certifies: the one an update upgrades.
+        let certify = || {
+            let before = pool.read(ops::lock_addr(&team, ch));
+            let mut view = ChunkView::BLANK;
+            match view.reload(&team, &pool, &mut NoProbe, ch, Some(before)) {
+                ChunkRead::Certified(cert) => cert,
+                read => panic!("a quiescent chunk certifies: {read:?}"),
+            }
+        };
+        let seen = certify();
         // Another team's lock/unlock cycle bumps the version: the upgrade
         // from the old word fails, and one from the new word succeeds.
-        assert!(ops::try_lock(&team, &pool, &mut NoProbe, ch));
-        ops::unlock(&team, &pool, &mut NoProbe, ch);
-        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, seen));
-        let now = ChunkView::read(&team, &pool, &mut NoProbe, ch).lock_word(&team);
-        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now));
-        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now), "held");
+        let held = ops::try_lock(&team, &pool, &mut NoProbe, 0).unwrap();
+        ops::release(&team, &pool, &mut NoProbe, held, Release::Unlock);
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, seen).is_none());
+        let now = certify();
+        let held = ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).expect("upgrades from the current word");
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).is_none(), "held");
         // A zombie keeps its version but not its state bits.
-        ops::mark_zombie(&team, &pool, &mut NoProbe, ch);
-        assert!(!ops::try_lock_from(&team, &pool, &mut NoProbe, ch, now));
+        ops::release(&team, &pool, &mut NoProbe, held, Release::Zombify);
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).is_none());
     }
 
     #[test]

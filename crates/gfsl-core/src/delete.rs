@@ -5,7 +5,7 @@
 use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
-use crate::chunk::{is_user_key, ops, ChunkView, Entry, KEY_NEG_INF, NIL};
+use crate::chunk::{is_user_key, ops, ChunkView, Entry, Held, Release, KEY_NEG_INF, NIL};
 use crate::search::UpdatePath;
 use crate::skiplist::{Commit, GfslHandle, Intent};
 use crate::split::MovedKeys;
@@ -75,12 +75,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // Finally remove from the bottom level; only then is k logically
         // gone from the structure.
+        let bottom_chunk = p_bottom.chunk();
         debug_assert!(
-            self.view_is_current(p_bottom, &bottom),
-            "chunk {p_bottom} changed under our lock"
+            self.view_is_current(bottom_chunk, &bottom),
+            "chunk {bottom_chunk} changed under our lock"
         );
         self.remove_from_chunk(k, p_bottom, &bottom, 0);
-        self.note_hint_after_update(p_bottom);
+        self.note_hint_after_update(bottom_chunk);
         true
     }
 
@@ -146,71 +147,70 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Remove `k` from a locked chunk at `level`, merging if that crosses
+    /// Remove `k` from a held chunk at `level`, merging if that crosses
     /// the minimum-fill threshold (`removeFromChunk`, Algorithm 4.12). The
     /// chunk is unlocked (or zombified) on return.
-    pub(crate) fn remove_from_chunk(&mut self, k: u32, p_enc: u32, view: &ChunkView, level: usize) {
+    pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, level: usize) {
         let mut last = false;
         if view.num_keys(&self.list.team) <= self.list.params.merge_threshold() {
-            match self.lock_next_chunk(p_enc, level) {
+            match self.lock_next_chunk(&p_enc, level) {
                 // Last chunk in the level: never merged, never zombified;
                 // just remove, even if that empties it completely.
                 None => last = true,
-                Some(p_next) => {
-                    if self.merge_into_next(k, p_enc, view, p_next, level) {
-                        return;
-                    }
-                }
+                Some(p_next) => match self.merge_into_next(k, p_enc, view, p_next, level) {
+                    Ok(()) => return,
+                    Err(kept) => p_enc = kept,
+                },
             }
         }
         // Plain removal: plenty left, the level's last chunk, or a merge
         // that could not pre-split its absorber.
-        self.execute_remove_no_merge(p_enc, view, k);
+        self.execute_remove_no_merge(&p_enc, view, k);
         if level == 0 {
             self.journal.committed = Some(Commit::Removed(true));
         }
         if last && level > 0 {
-            self.note_possible_level_empty(p_enc, level);
+            self.note_possible_level_empty(&p_enc, level);
         }
         self.unlock(p_enc);
     }
 
-    /// Remove `k` from the locked, underfull `p_enc` by merging its other
-    /// entries into its locked successor `p_next`, zombifying `p_enc` and
-    /// releasing `p_next`. Returns `false` with `p_next` released and
-    /// `p_enc` still held when the absorber needed a pre-split and the
-    /// pool is exhausted: the caller degrades to a merge-free remove.
-    fn merge_into_next(&mut self, k: u32, p_enc: u32, view: &ChunkView, p_next: u32, level: usize) -> bool {
+    /// Remove `k` from the held, underfull `p_enc` by merging its other
+    /// entries into its held successor `p_next`, zombifying `p_enc` and
+    /// releasing `p_next`. Hands `p_enc` back, still held, with `p_next`
+    /// released when the absorber needed a pre-split and the pool is
+    /// exhausted: the caller degrades to a merge-free remove.
+    fn merge_into_next(&mut self, k: u32, p_enc: Held, view: &ChunkView, p_next: Held, level: usize) -> Result<(), Held> {
         let team = self.list.team;
-        let mut nview = self.read_chunk(p_next);
+        let (dying, absorber) = (p_enc.chunk(), p_next.chunk());
+        let mut nview = self.read_chunk(absorber);
         if nview.num_keys(&team) + view.num_keys(&team) - 1 > team.dsize() as u32 {
             // The absorber is too full: split it first (splitRemove).
-            if self.split_remove(p_next, &nview, level).is_err() {
+            if self.split_remove(&p_next, &nview, level).is_err() {
                 self.unlock(p_next);
-                return false;
+                return Err(p_enc);
             }
             self.list.inc_level_chunks(level);
-            self.read_chunk_into(p_next, None, &mut nview);
+            self.read_chunk_into(absorber, None, &mut nview);
         }
         // Journal the merge before the copy so a crash between the
         // copy and the zombie mark rolls the merge *forward* (the
         // absorber's image already carries the survivors).
         self.held.intent = Intent::Merge {
-            dying: p_enc,
-            absorber: p_next,
+            dying,
+            absorber,
             k,
             level,
             copied: false,
         };
-        let moved = self.execute_remove_merge(view, p_next, &nview, k);
+        let moved = self.execute_remove_merge(view, &p_next, &nview, k);
         if let Intent::Merge { copied, .. } = &mut self.held.intent {
             *copied = true;
         }
-        ops::mark_zombie(&team, &self.list.pool, &mut self.probe, self.list.chunk(p_enc));
         // Zombification is a terminal release of p_enc's lock; for k
         // it is also the linearization point of the removal (until
         // the mark, readers could still find k in the dying chunk).
-        self.held.released(p_enc);
+        self.release(p_enc, Release::Zombify);
         if level == 0 {
             self.journal.committed = Some(Commit::Removed(true));
         }
@@ -218,9 +218,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.list.dec_level_chunks(level);
         self.list.note_zombie(level);
         self.unlock(p_next);
-        self.update_down_ptrs(level, moved.as_slice(), p_next);
+        self.update_down_ptrs(level, moved.as_slice(), absorber);
         self.held.intent = Intent::None;
-        true
+        Ok(())
     }
 
     /// Physically remove `k` by shifting larger keys one entry left
@@ -228,12 +228,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// no key transiently disappears; if `k` was the chunk's max, the max
     /// field is lowered *first* so lock-free readers never chase a max that
     /// is no longer present.
-    pub(crate) fn execute_remove_no_merge(&mut self, p_enc: u32, view: &ChunkView, k: u32) {
+    pub(crate) fn execute_remove_no_merge(&mut self, p_enc: &Held, view: &ChunkView, k: u32) {
         let team = self.list.team;
         let idx = view
             .lane_of_key(&team, k)
             .expect("removing a key that is not in the locked chunk");
-        let ch = self.list.chunk_words(p_enc);
+        let ch = self.list.chunk_words(p_enc.chunk());
 
         if view.max(&team) == k {
             let new_max = if idx == 0 {
@@ -241,14 +241,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             } else {
                 view.entry(idx - 1).key()
             };
-            ops::write_next_field(
-                &team,
-                &self.list.pool,
-                &mut self.probe,
-                self.list.chunk(p_enc),
-                new_max,
-                view.next(&team),
-            );
+            let enc = self.list.chunk(p_enc.chunk());
+            ops::write_next_field(&team, &self.list.pool, &mut self.probe, enc, new_max, view.next(&team));
         }
 
         if crate::bug_knobs::revert_remove_shift() {
@@ -277,9 +271,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// from the chunk between the write that clobbers its slot and the
     /// write that restores it one slot left — a concurrent lock-free `get`
     /// interleaved into that window misses a present key.
-    fn execute_remove_shift_reverted(&mut self, p_enc: u32, view: &ChunkView, idx: usize) {
+    fn execute_remove_shift_reverted(&mut self, p_enc: &Held, view: &ChunkView, idx: usize) {
         let team = self.list.team;
-        let ch = self.list.chunk_words(p_enc);
+        let ch = self.list.chunk_words(p_enc.chunk());
         let mut end = team.dsize();
         for i in idx + 1..team.dsize() {
             if view.entry(i).is_empty() {
@@ -296,14 +290,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Move every live entry except `k` from `p_enc` into `p_next`
-    /// (`executeRemoveMerge`, Fig. 4.5c). Both chunks are locked. Target
+    /// (`executeRemoveMerge`, Fig. 4.5c). Both chunks are held. Target
     /// entries are written in descending index order so concurrent readers
     /// (which give precedence to higher lanes) never lose a key. Returns the
     /// moved keys for the down-pointer repair pass.
     pub(crate) fn execute_remove_merge(
         &mut self,
         eview: &ChunkView,
-        p_next: u32,
+        p_next: &Held,
         nview: &ChunkView,
         k: u32,
     ) -> MovedKeys {
@@ -328,7 +322,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             // The dying chunk held only k: nothing moves.
             return moved;
         }
-        let ch = self.list.chunk_words(p_next);
+        let ch = self.list.chunk_words(p_next.chunk());
         for j in (0..m).rev() {
             ops::write_entry(&mut self.probe, ch, j, merged[j]);
         }
@@ -338,12 +332,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// After emptying the last chunk of an upper level, mark the level
     /// unused when it holds nothing but `-∞` (paper: "the chunk counter for
     /// that level is decremented to show that the level is empty").
-    fn note_possible_level_empty(&mut self, p_enc: u32, level: usize) {
+    fn note_possible_level_empty(&mut self, p_enc: &Held, level: usize) {
         let team = self.list.team;
-        if self.list.head_of(level) != p_enc {
+        if self.list.head_of(level) != p_enc.chunk() {
             return; // not the only chunk in the level
         }
-        let v = self.read_chunk(p_enc);
+        let v = self.read_chunk(p_enc.chunk());
         let live = v.num_keys(&team);
         let only_sentinel = live == 0 || (live == 1 && v.entry(0).key() == KEY_NEG_INF);
         if only_sentinel {

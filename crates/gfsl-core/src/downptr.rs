@@ -20,7 +20,7 @@
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkRead, ChunkView, Entry, KEY_NEG_INF, NIL};
+use crate::chunk::{ops, ChunkRead, ChunkView, Entry, Held, KEY_NEG_INF, NIL};
 use crate::skiplist::GfslHandle;
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
@@ -71,7 +71,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     let p_upper = self.find_and_lock_enclosing(cur, k, &mut view);
                     let max = view.max(&team);
                     while i < moved.len() && moved[i] <= max {
-                        self.repair_locked(p_upper, &view, moved[i], target);
+                        self.repair_locked(&p_upper, &view, moved[i], target);
                         i += 1;
                     }
                     self.unlock(p_upper);
@@ -82,22 +82,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Point `mk`'s entry in the locked upper chunk `p_upper` (snapshot
+    /// Point `mk`'s entry in the held upper chunk `p_upper` (snapshot
     /// `view`, read under the lock) at `target`, if the entry is there and
     /// `mk` is still reachable from `target`: it may have moved again, and
     /// only then is the new pointer an improvement.
-    fn repair_locked(&mut self, p_upper: u32, view: &ChunkView, mk: u32, target: u32) {
+    fn repair_locked(&mut self, p_upper: &Held, view: &ChunkView, mk: u32, target: u32) {
         let Some(lane) = view.lane_of_key(&self.list.team, mk) else {
             return;
         };
         if self.search_lateral(mk, target).found.is_some() {
             self.probe.crash_point(CrashPoint::DownPtrInstall);
-            ops::write_entry(
-                &mut self.probe,
-                self.list.chunk_words(p_upper),
-                lane,
-                Entry::new(mk, target),
-            );
+            ops::write_entry(&mut self.probe, self.list.chunk_words(p_upper.chunk()), lane, Entry::new(mk, target));
             self.stats.downptr_fixes += 1;
         }
     }

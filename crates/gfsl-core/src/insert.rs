@@ -4,18 +4,18 @@
 
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{is_user_key, ops, ChunkView, Entry, NIL};
+use crate::chunk::{is_user_key, ops, ChunkView, Entry, Held, NIL};
 use crate::search::UpdatePath;
 use crate::skiplist::{Commit, Error, GfslHandle};
 
 /// What happened when inserting into one level.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) enum LevelOutcome {
     /// The key was already present; the enclosing chunk is returned locked.
-    AlreadyPresent { locked: u32 },
+    AlreadyPresent { locked: Held },
     /// The key went in; the chunk now containing it is returned locked.
     Inserted {
-        locked: u32,
+        locked: Held,
         /// Should a key be raised to the next level (a split happened and
         /// the `p_chunk` coin came up heads)?
         raise: bool,
@@ -85,13 +85,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // Value inserted at level i+1 is a pointer to the chunk holding the
         // raised key at level i.
+        let bottom = p_bottom.chunk();
         if raise {
-            self.climb(&path, 1, kk, p_bottom, false);
+            self.climb(&path, 1, kk, bottom, false);
         } else {
-            self.heal_index(p_bottom, k, &path);
+            self.heal_index(&p_bottom, k, &path);
         }
         self.unlock(p_bottom);
-        self.note_hint_after_update(p_bottom);
+        self.note_hint_after_update(bottom);
         Ok(true)
     }
 
@@ -123,6 +124,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             };
             match start.and_then(|start| self.insert_to_level(level, start, key, down)) {
                 Ok(LevelOutcome::AlreadyPresent { locked }) => {
+                    down = locked.chunk();
                     self.unlock(locked);
                     if healing {
                         return; // the entry the heal wanted exists
@@ -130,18 +132,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     // The raised key already has an index entry here (it was
                     // raised earlier and never removed). Keep climbing: it
                     // may be missing higher up.
-                    down = locked;
                 }
                 Ok(LevelOutcome::Inserted {
                     locked,
                     raise,
                     raised_key,
                 }) => {
+                    down = locked.chunk();
                     self.unlock(locked);
                     if !raise {
                         return;
                     }
-                    down = locked;
                     key = raised_key;
                 }
                 Err(_) => {
@@ -154,7 +155,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Repair the index this insert's traversal walked over (DESIGN.md
-    /// §20). `k` just went into the locked bottom chunk `p_bottom`.
+    /// §20). `k` just went into the held bottom chunk `p_bottom`.
     ///
     /// The traversal marked every level whose walk stepped across
     /// [`HEAL_STEPS_BOTTOM`](crate::skiplist::HEAL_STEPS_BOTTOM) live chunks
@@ -166,20 +167,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// bottom chunk: a remove of such a key needs that chunk's lock, which
     /// this insert holds until it returns, so the key cannot vanish between
     /// levels (`upper ⊆ lower`). `p_chunk` is the coin, as for a split.
-    fn heal_index(&mut self, p_bottom: u32, k: u32, path: &UpdatePath) {
+    fn heal_index(&mut self, p_bottom: &Held, k: u32, path: &UpdatePath) {
         let marked = self.heal_levels;
         if marked == 0 || !self.rng.coin(self.list.params.p_chunk) {
             return;
         }
         let team = self.list.team;
-        let view = self.read_chunk(p_bottom);
+        let view = self.read_chunk(p_bottom.chunk());
         if marked & 1 != 0 {
             let min = view
                 .keys_live(&team)
                 .lowest()
                 .map_or(k, |lane| view.entry(lane).key());
             self.stats.index_heals += 1;
-            self.climb(path, 1, min, p_bottom, true);
+            self.climb(path, 1, min, p_bottom.chunk(), true);
         }
         // Above: the descent left `level` through its chunk's minimum. When
         // that key lives in the locked bottom chunk it is ours to raise;
@@ -230,12 +231,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             let p_bottom = self.lock_certified(&found, k, &mut view);
             if let Some(lane) = view.lane_of_key(&team, k) {
                 let old = view.entry(lane).val();
-                ops::write_entry(
-                    &mut self.probe,
-                    self.list.chunk_words(p_bottom),
-                    lane,
-                    Entry::new(k, v),
-                );
+                ops::write_entry(&mut self.probe, self.list.chunk_words(p_bottom.chunk()), lane, Entry::new(k, v));
                 self.unlock(p_bottom);
                 return Ok(Some(old));
             }
@@ -266,11 +262,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// [`Self::insert_to_level`] once `k`'s enclosing chunk `p_enc` is
-    /// locked, its content in `view`.
+    /// held, its content in `view`.
     fn insert_locked(
         &mut self,
         level: usize,
-        p_enc: u32,
+        p_enc: Held,
         view: &ChunkView,
         k: u32,
         v: u32,
@@ -280,7 +276,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             return Ok(LevelOutcome::AlreadyPresent { locked: p_enc });
         }
         if (view.num_keys(&team) as usize) < team.dsize() {
-            self.execute_insert(p_enc, view, k, v);
+            self.execute_insert(&p_enc, view, k, v);
             if level == 0 {
                 // Linearization point passed: the key is in the bottom level.
                 // A crash from here on must still report Ok(true).
@@ -316,14 +312,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// from the highest DATA lane down to the insertion index so no key ever
     /// transiently disappears (a key may transiently appear twice, which
     /// readers resolve by highest-lane precedence).
-    pub(crate) fn execute_insert(&mut self, p_enc: u32, view: &ChunkView, k: u32, v: u32) {
+    pub(crate) fn execute_insert(&mut self, p_enc: &Held, view: &ChunkView, k: u32, v: u32) {
         let team = self.list.team;
         debug_assert!(view.lane_of_key(&team, k).is_none(), "inserting duplicate {k}");
         // Sorted + left-packed under the lock, so the insertion index is the
         // number of keys smaller than k (k >= 1, so `< k` is `<= k-1`).
         let insert_idx = view.keys_le(&team, k - 1).count() as usize;
         debug_assert!(insert_idx < team.dsize(), "chunk was full");
-        let ch = self.list.chunk_words(p_enc);
+        let ch = self.list.chunk_words(p_enc.chunk());
         for i in (insert_idx..team.dsize()).rev() {
             let e = if i == insert_idx {
                 Entry::new(k, v)

@@ -608,8 +608,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if !is_user_key(lo) && lo != 1 {
             return 0;
         }
-        let v = ticket.version();
-        self.with_pin(|h| h.range_at_pinned(lo, hi, v, &mut f))
+        self.with_pin(|h| h.range_at_pinned(lo, hi, ticket, &mut f))
     }
 
     /// Collect `lo..=hi` at the pinned version into a vector.
@@ -669,17 +668,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         mvcc.resolve_head0(v).unwrap_or(raw)
     }
 
-    /// The bottom-level walk at version `v`, emitting through the live
+    /// The bottom-level walk at the ticket's version, emitting through the live
     /// walk's [`RangeEmit`] (its merge dedup is defensive here: a quiescent
     /// version should never show a key twice).
     fn range_at_pinned(
         &mut self,
         lo: u32,
         hi: u32,
-        v: u64,
+        ticket: &ReadTicket<'_>,
         f: &mut dyn FnMut(u32, u32),
     ) -> usize {
         let team = self.list().team;
+        let v = ticket.version();
         let mut cur = self.head0_at(v);
         let mut emit = RangeEmit::new(lo, hi, f);
         let mut view = ChunkView::BLANK;
@@ -690,7 +690,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 cur = next;
                 continue;
             }
-            if emit.chunk(&team, &view) {
+            if emit.chunk(&team, &view, ticket) {
                 break;
             }
             let next = view.next(&team);

@@ -11,8 +11,17 @@
 use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::Team;
 
-use crate::chunk::{is_user_key, ChunkView, NIL};
+use crate::chunk::{is_user_key, Certified, ChunkView, NIL};
+use crate::mvcc::ReadTicket;
 use crate::skiplist::GfslHandle;
+
+/// What lets a scan take a key missing from a view as absent (a single team
+/// read racing a remove's shift can miss a present key): the live walk's
+/// [`Certified`] word, or the [`ReadTicket`] whose version the versioned
+/// walk resolved the view at.
+pub(crate) trait Settled {}
+impl Settled for Certified {}
+impl Settled for &ReadTicket<'_> {}
 
 /// The per-chunk half of a bottom-level scan, shared by the live walk
 /// ([`GfslHandle::for_each_in_range`]) and the versioned one
@@ -43,10 +52,10 @@ impl<'f> RangeEmit<'f> {
         }
     }
 
-    /// Emit `view`'s keys in `[lo, hi]`. Returns whether the scan is
-    /// complete: data arrays are sorted, so a live key above `hi` means
-    /// every later chunk holds only larger keys.
-    pub(crate) fn chunk(&mut self, team: &Team, view: &ChunkView) -> bool {
+    /// Emit `view`'s keys in `[lo, hi]`, a view `_settled` vouches for.
+    /// Returns whether the scan is complete: data arrays are sorted, so a
+    /// live key above `hi` means every later chunk holds only larger keys.
+    pub(crate) fn chunk(&mut self, team: &Team, view: &ChunkView, _settled: impl Settled) -> bool {
         let in_range = view.keys_in_range(team, self.lo, self.hi);
         for lane in 0..team.dsize() {
             if !in_range.is_set(lane) {
@@ -106,9 +115,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut emit = RangeEmit::new(lo, hi, f);
         let mut noted = false;
         let mut view = ChunkView::BLANK;
-        // Certified reads throughout: a torn single read racing a remove's
-        // left-shift can miss a key that is present for the whole scan,
-        // which the scan contract forbids.
         loop {
             let (c, cert) = self.next_live_certified(cur, &mut view);
             if !noted {
@@ -117,7 +123,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 noted = true;
                 self.note_hint(c, Some(cert.word()));
             }
-            if emit.chunk(&team, &view) {
+            if emit.chunk(&team, &view, cert) {
                 break;
             }
             let next = view.next(&team);

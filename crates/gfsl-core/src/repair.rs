@@ -31,9 +31,7 @@
 use gfsl_gpu_mem::MemProbe;
 use std::sync::atomic::Ordering;
 
-use crate::chunk::{
-    lock_released, lock_state, lock_zombified, ops, ChunkRead, ChunkView, Entry, KEY_NEG_INF, LOCK_LOCKED, NIL,
-};
+use crate::chunk::{ops, ChunkRead, ChunkView, Entry, Release, KEY_NEG_INF, NIL};
 use crate::skiplist::{Error, Gfsl, GfslHandle, Intent, QuarantinedChunk, RepairStats};
 use crate::validate::chunk_rules;
 
@@ -90,7 +88,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             return self.list.repair_stats();
         }
         let mut fixes: Vec<DownPtrFix> = Vec::new();
-        for entry in &entries {
+        for entry in entries {
             self.repair_one(entry, &mut fixes);
         }
         // All structural locks are released; now the deferred down-pointer
@@ -112,11 +110,13 @@ impl<P: MemProbe> GfslHandle<'_, P> {
     }
 
     /// Apply the roll-forward / roll-back decision table to one quarantined
-    /// chunk and release its lock.
-    fn repair_one(&mut self, entry: &QuarantinedChunk, fixes: &mut Vec<DownPtrFix>) {
+    /// chunk and release its lock quietly: the unlock, or for a chunk the
+    /// decision retires, the zombie mark.
+    fn repair_one(&mut self, QuarantinedChunk { held, intent }: QuarantinedChunk, fixes: &mut Vec<DownPtrFix>) {
         let team = self.list.team;
-        let c = entry.chunk;
-        match entry.intent {
+        let c = held.chunk();
+        let (unlock, zombify) = (Release::Quiet { zombie: false }, Release::Quiet { zombie: true });
+        match intent {
             // A split half that was never published: unreachable orphan.
             // Roll back by retiring it (readers cannot hold a pointer to a
             // chunk that was allocated and quarantined within one op).
@@ -126,7 +126,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 published: false,
                 ..
             } if c == new => {
-                self.quarantine_zombie(c);
+                self.release(held, zombify);
                 if let Some(rec) = self.list.reclaim.as_ref() {
                     // Safe to retire directly: unlike a merged-away zombie,
                     // an unpublished half is linked from nowhere, so no lazy
@@ -154,7 +154,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                         ops::write_entry(&mut self.probe, words, i, Entry::EMPTY);
                     }
                 }
-                self.release_bumped(c);
+                self.release(held, unlock);
                 self.list.inc_level_chunks(level);
                 self.bump(|r| &r.repaired_forward);
             }
@@ -176,7 +176,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 }
                 // Sorted, as the chunk rules just checked.
                 let moved: Vec<u32> = view.live_entries(&team).map(|(_, e)| e.key()).collect();
-                self.release_bumped(c);
+                self.release(held, unlock);
                 if !moved.is_empty() {
                     fixes.push(DownPtrFix {
                         level,
@@ -203,7 +203,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                     .map(|(_, e)| e.key())
                     .filter(|&key| key != k && key != KEY_NEG_INF)
                     .collect();
-                self.quarantine_zombie(c);
+                self.release(held, zombify);
                 self.list.dec_level_chunks(level);
                 self.list.note_zombie(level);
                 if !moved.is_empty() {
@@ -223,7 +223,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 copied: true,
                 ..
             } if c == absorber => {
-                self.release_bumped(c);
+                self.release(held, unlock);
                 self.bump(|r| &r.unpoisoned_clean);
             }
             // No applicable intent: decide from the chunk image itself.
@@ -232,7 +232,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             _ => {
                 let view = self.read_chunk(c);
                 if !self.poison_if_torn(c, &view) {
-                    self.release_bumped(c);
+                    self.release(held, unlock);
                     self.bump(|r| &r.unpoisoned_clean);
                 }
             }
@@ -241,36 +241,14 @@ impl<P: MemProbe> GfslHandle<'_, P> {
 
     /// Poison the structure if `c`'s image breaks the chunk-local rules:
     /// torn mid-store, which only a bug can leave and no intent describes.
-    /// The chunk stays locked, so the poisoned lock-wait path reports it.
+    /// The chunk stays locked for good (its caller drops the lock's token
+    /// unreleased), so the poisoned lock-wait path reports it.
     fn poison_if_torn(&self, c: u32, view: &ChunkView) -> bool {
         let torn = !chunk_rules(&self.list.team, view, 0, c).is_empty();
         if torn {
             self.list.poison(c);
         }
         torn
-    }
-
-    /// Release a held chunk's lock with a version bump: [`ops::unlock`]
-    /// minus its crash point, which must not fire inside the repairer or a
-    /// clean abort's release.
-    pub(crate) fn release_bumped(&mut self, c: u32) {
-        let team = self.list.team;
-        let addr = self.list.chunk(c).entry_addr(team.lock_lane());
-        let cur = self.list.pool.read(addr);
-        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "releasing an unheld chunk {c}");
-        self.probe.lane_write(addr);
-        self.list.pool.write(addr, lock_released(cur));
-    }
-
-    /// Convert a quarantined chunk's held lock into the terminal zombie
-    /// marker, preserving the version exactly like [`ops::mark_zombie`].
-    fn quarantine_zombie(&mut self, c: u32) {
-        let team = self.list.team;
-        let addr = self.list.chunk(c).entry_addr(team.lock_lane());
-        let cur = self.list.pool.read(addr);
-        debug_assert_eq!(lock_state(cur), LOCK_LOCKED, "zombifying an unheld chunk {c}");
-        self.probe.lane_write(addr);
-        self.list.pool.write(addr, lock_zombified(cur));
     }
 
     #[inline]
@@ -608,7 +586,7 @@ mod tests {
         drop(h);
         let q = list.quarantine.lock().unwrap();
         let intent = q.first().map_or(Intent::None, |e| e.intent);
-        let held = q.iter().map(|e| e.chunk).collect();
+        let held = q.iter().map(|e| e.held.chunk()).collect();
         drop(q);
         (list, intent, held)
     }

@@ -16,7 +16,7 @@
 use gfsl_gpu_mem::MemProbe;
 use gfsl_simt::{Ballot, LaneId, Team};
 
-use crate::chunk::{ops, is_user_key, Certified, ChunkRead, ChunkView, NIL};
+use crate::chunk::{ops, is_user_key, Certified, ChunkRead, ChunkView, Entry, Held, NIL};
 use crate::skiplist::{Gfsl, GfslHandle, HEAL_STEPS_BOTTOM, HEAL_STEPS_UPPER, HINT_WALK_BUDGET};
 
 /// The per-level path an update's traversal records (`searchSlow`): at each
@@ -211,15 +211,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             let mut cur = h.list.head_of(0);
             let mut view = ChunkView::BLANK;
             loop {
-                // Certified: claiming a minimum asserts the absence of
-                // smaller keys in the view, which a torn read racing a
-                // remove can fake.
-                h.next_live_certified(cur, &mut view);
-                // First live key above -inf; data arrays are sorted with
-                // empties at the end, and the -inf sentinel can only sit in
-                // entry 0, so the lowest voting lane is the minimum.
-                if let Some(lane) = view.keys_live(&team).lowest() {
-                    let e = view.entry(lane);
+                let (_, cert) = h.next_live_certified(cur, &mut view);
+                if let Some(e) = lowest_live(&team, &view, cert) {
                     return Some((e.key(), e.val()));
                 }
                 let next = view.next(&team);
@@ -513,14 +506,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// §4.2.2: "the redirection is performed lazily by calling try-lock on
     /// the previous chunk; if the lock fails the team continues").
     pub(crate) fn redirect_past_zombies(&mut self, prev: u32, old_next: u32, new_next: u32, level: usize) {
-        let pch = self.list.chunk(prev);
-        if !ops::try_lock(&self.list.team, &self.list.pool, &mut self.probe, pch) {
+        let Some(held) = self.try_acquire(prev, None) else {
             return;
-        }
-        self.stats.locks_taken += 1;
-        self.held.acquired(prev);
-        self.swing_past_zombies(prev, old_next, new_next, level);
-        self.unlock(prev);
+        };
+        self.swing_past_zombies(&held, old_next, new_next, level);
+        self.unlock(held);
     }
 
     /// With `prev`'s lock held, swing its next pointer from `old_next` past
@@ -533,11 +523,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// unreachable from the live chain, and the lock on `prev` makes this
     /// team the *unique* unlinker of exactly this run — so this is where
     /// the run is retired to the epoch reclaimer.
-    pub(crate) fn swing_past_zombies(&mut self, prev: u32, old_next: u32, new_next: u32, level: usize) {
+    pub(crate) fn swing_past_zombies(&mut self, prev: &Held, old_next: u32, new_next: u32, level: usize) {
         let list = self.list;
-        let nf = ops::read_next_field(&list.team, &list.pool, &mut self.probe, list.chunk(prev));
+        let prev = list.chunk(prev.chunk());
+        let nf = ops::read_next_field(&list.team, &list.pool, &mut self.probe, prev);
         if nf.val() == old_next {
-            ops::write_next_field(&list.team, &list.pool, &mut self.probe, list.chunk(prev), nf.key(), new_next);
+            ops::write_next_field(&list.team, &list.pool, &mut self.probe, prev, nf.key(), new_next);
             self.stats.zombie_unlinks += 1;
             self.retire_run(old_next, new_next, level);
         }
@@ -568,6 +559,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 }
 
+/// `min_entry`'s answer from a bottom-level view: it asserts that no smaller
+/// key is there, which a torn read racing a remove can fake, so it takes
+/// the word that certified the view. Data arrays are sorted, `-∞` only in
+/// entry 0, so the lowest voting lane is the minimum.
+#[inline]
+fn lowest_live(team: &Team, view: &ChunkView, _certified: Certified) -> Option<Entry> {
+    view.keys_live(team).lowest().map(|lane| view.entry(lane))
+}
+
 /// Is this the last chunk of its level (`max = ∞`)? The index heal leaves
 /// tails alone: an append or sliding-window pattern gets its index from its
 /// own splits, and healing there only adds index churn (DESIGN.md §20).
@@ -594,9 +594,13 @@ mod tests {
     use gfsl_simt::TeamSize;
 
     /// Hand-build a chunk inside a list's pool for decision-logic tests.
+    /// Its allocation is released first, so the handle drops holding
+    /// nothing and quarantines nothing.
     fn raw_chunk(list: &Gfsl, entries: &[(u32, u32)], max: u32, next: u32, lock: u64) -> u32 {
         let mut h = list.handle();
-        let idx = h.alloc_chunk().unwrap();
+        let held = h.alloc_chunk().unwrap();
+        let idx = held.chunk();
+        h.unlock(held);
         let team = &list.team;
         let ch = list.chunk(idx);
         for (i, &(k, v)) in entries.iter().enumerate() {

@@ -9,7 +9,7 @@ use gfsl_gpu_mem::{
 use gfsl_simt::Team;
 
 use crate::chunk::{
-    ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, KEY_INF, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
+    ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, Held, Release, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
 };
 use crate::params::GfslParams;
 use crate::search::LateralResult;
@@ -139,8 +139,8 @@ pub(crate) struct RecoveryCounters {
 /// A chunk parked in the quarantine set: still lock-held by a crashed op,
 /// waiting for [`GfslHandle::repair_quarantine`] to roll it forward or back.
 pub(crate) struct QuarantinedChunk {
-    /// Pool chunk index.
-    pub(crate) chunk: u32,
+    /// The chunk's lock, handed over by the crashed op.
+    pub(crate) held: Held,
     /// The crashed op's journal stub at crash time, shared by every chunk
     /// it held.
     pub(crate) intent: Intent,
@@ -325,24 +325,8 @@ impl Gfsl {
                 .then(|| Box::new(crate::mvcc::MvccEngine::new(params.pool_chunks))),
             params,
         };
-        list.write_image(head0, Entry::new(KEY_NEG_INF, 0), LOCK_UNLOCKED);
+        ops::write_image(&list.team, &list.pool, &mut NoProbe, head0, Entry::new(KEY_NEG_INF, 0), LOCK_UNLOCKED);
         Ok(list)
-    }
-
-    /// Write a whole chunk image over chunk `idx`, in lane order: `first` in
-    /// entry 0, EMPTY in the other data lanes, `(∞, NIL)` in the NEXT lane
-    /// and `lock` in the LOCK lane. A fresh chunk (`first` EMPTY, locked)
-    /// and a level head (`first` the `-∞` entry pointing down, unlocked)
-    /// are both this image.
-    fn write_image(&self, idx: u32, first: Entry, lock: u64) {
-        let team = &self.team;
-        let words = self.chunk_words(idx);
-        words.write(0, first.0);
-        for i in 1..team.dsize() {
-            words.write(i, Entry::EMPTY.0);
-        }
-        words.write(team.next_lane(), Entry::new(KEY_INF, NIL).0);
-        words.write(team.lock_lane(), lock);
     }
 
     /// Cumulative recovery counters: aborts, quarantined chunks, repairs by
@@ -379,7 +363,7 @@ impl Gfsl {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .iter()
-            .any(|q| q.chunk == ch)
+            .any(|q| q.held.chunk() == ch)
     }
 
     /// Reclamation counters (zombies retired/reclaimed, epochs advanced,
@@ -675,21 +659,21 @@ impl<'a> HeldLocks<'a> {
         self.chunks.push(ch);
     }
 
-    /// Forget all tracked locks. Only for bulk construction, which seals
-    /// every chunk unlocked by direct pool writes instead of
-    /// [`GfslHandle::unlock`].
-    pub(crate) fn clear(&mut self) {
-        self.chunks.clear();
+    /// Forget a released lock. Repair releases locks it took over from the
+    /// quarantine, which no ledger tracks.
+    #[inline]
+    fn released(&mut self, ch: u32) {
+        if let Some(i) = self.chunks.iter().rposition(|&c| c == ch) {
+            self.chunks.swap_remove(i);
+        }
     }
 
-    #[inline]
-    pub(crate) fn released(&mut self, ch: u32) {
-        match self.chunks.iter().rposition(|&c| c == ch) {
-            Some(i) => {
-                self.chunks.swap_remove(i);
-            }
-            None => debug_assert!(false, "releasing untracked lock on chunk {ch}"),
-        }
+    /// Hand every tracked lock over as its [`Held`] and forget it here: the
+    /// locks of an operation that is dying, to the quarantine (a crash) or
+    /// to its own quiet release (a clean abort). The one place outside
+    /// `chunk.rs` that mints a `Held`.
+    fn hand_over(&mut self) -> impl DoubleEndedIterator<Item = Held> + '_ {
+        self.chunks.drain(..).map(Held::handover)
     }
 
     /// A crash's one reaction: move every held chunk — still lock-held,
@@ -706,7 +690,7 @@ impl<'a> HeldLocks<'a> {
         if !self.chunks.is_empty() {
             rec.chunks_quarantined.fetch_add(self.chunks.len() as u64, Ordering::Relaxed);
             let mut q = self.list.quarantine.lock().unwrap_or_else(|p| p.into_inner());
-            q.extend(self.chunks.drain(..).map(|chunk| QuarantinedChunk { chunk, intent }));
+            q.extend(self.hand_over().map(|held| QuarantinedChunk { held, intent }));
             self.list.quarantine_len.store(q.len(), Ordering::Release);
         }
         first
@@ -1338,11 +1322,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Spin until the chunk that *encloses* `k` is locked, walking right
     /// past zombies and smaller-max chunks (paper Algorithm 4.8).
     ///
-    /// Returns the locked chunk's index, with its snapshot as re-read under
+    /// Returns the locked chunk's lock, with its snapshot as re-read under
     /// the lock in `view`. `start` must be at-or-left of the enclosing
     /// chunk, which the caller guarantees from traversal invariants (the
     /// max field only decreases).
-    pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> u32 {
+    pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
         let team = self.list.team;
         let mut ch = start;
         let mut spins = 0u32;
@@ -1358,35 +1342,48 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
                 continue;
             }
-            if !self.take_lock(ch, view, &mut spins) {
+            let Some(held) = self.take_lock(ch, view, &mut spins) else {
                 continue;
-            }
+            };
             // Re-read under the lock (a held chunk is no zombie); it may
             // have stopped enclosing `k` between the read and the CAS.
             self.read_chunk_into(ch, None, view);
             if view.max(&team) < k {
-                self.unlock(ch);
+                self.unlock(held);
                 ch = view.next(&team);
                 continue;
             }
-            return ch;
+            return held;
         }
     }
 
     /// One attempt at `ch`'s lock, from `view`, a fresh read of it: a view
     /// showing the chunk locked, or a failed CAS, counts a lock retry and
-    /// backs off (`false`); a won CAS counts the lock and records it held.
-    fn take_lock(&mut self, ch: u32, view: &ChunkView, spins: &mut u32) -> bool {
-        let team = self.list.team;
-        let ch_ref = self.list.chunk(ch);
-        if view.is_locked(&team) || !ops::try_lock(&team, &self.list.pool, &mut self.probe, ch_ref) {
+    /// backs off (`None`).
+    fn take_lock(&mut self, ch: u32, view: &ChunkView, spins: &mut u32) -> Option<Held> {
+        let held = if view.is_locked(&self.list.team) { None } else { self.try_acquire(ch, None) };
+        if held.is_none() {
             self.stats.lock_retries += 1;
             self.lock_backoff(spins, ch);
-            return false;
         }
+        held
+    }
+
+    /// The acquire step: one CAS at `ch`'s lock — from `from`, the word
+    /// that certified a view of it, or else from the word it reads now —
+    /// and, when it wins, the lock counted and tracked as held
+    /// ([`HeldLocks::acquired`]).
+    pub(crate) fn try_acquire(&mut self, ch: u32, from: Option<Certified>) -> Option<Held> {
+        let (team, pool) = (&self.list.team, &self.list.pool);
+        let held = match from {
+            Some(cert) if !crate::bug_knobs::stale_lock_upgrade() => {
+                ops::try_lock_from(team, pool, &mut self.probe, ch, cert)
+            }
+            _ => ops::try_lock(team, pool, &mut self.probe, ch),
+        }?;
         self.stats.locks_taken += 1;
         self.held.acquired(ch);
-        true
+        Some(held)
     }
 
     /// Take an update's bottom lock on the chunk its [`Self::search_slow`]
@@ -1398,38 +1395,29 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the view was read, so `view` is still the chunk's content and neither of
     /// [`Self::find_and_lock_enclosing`]'s two team reads is needed (DESIGN
     /// §12). Any other outcome falls back to that walk from the same chunk,
-    /// a failed CAS counting as a lock retry. Returns the locked chunk, its
+    /// a failed CAS counting as a lock retry. Returns the chunk's lock, its
     /// content in `view`.
-    pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> u32 {
-        if let Some(word) = res.certified.map(Certified::word) {
-            let team = self.list.team;
-            let ch = self.list.chunk(res.enclosing);
-            let locked = if crate::bug_knobs::stale_lock_upgrade() {
-                ops::try_lock(&team, &self.list.pool, &mut self.probe, ch)
-            } else {
-                ops::try_lock_from(&team, &self.list.pool, &mut self.probe, ch, word)
-            };
-            if locked {
-                self.stats.locks_taken += 1;
-                self.held.acquired(res.enclosing);
-                return res.enclosing;
+    pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> Held {
+        if let Some(cert) = res.certified {
+            if let Some(held) = self.try_acquire(res.enclosing, Some(cert)) {
+                return held;
             }
             self.stats.lock_retries += 1;
         }
         self.find_and_lock_enclosing(res.enclosing, k, view)
     }
 
-    /// Lock the first non-zombie chunk right of `ch` (which the caller holds
-    /// locked), unlinking any zombies skipped by rewriting `ch`'s next
-    /// pointer. Returns `None` when `ch` is the last chunk in its level;
+    /// Lock the first non-zombie chunk right of the held chunk `ch`,
+    /// unlinking any zombies skipped by rewriting `ch`'s next pointer.
+    /// Returns `None` when `ch` is the last chunk in its level;
     /// past that one check, the walk steps only through zombies, each by
     /// its [`ChunkRead::Zombie`] `next`, which always names a chunk.
     /// `level` is the level `ch` lives in, so unlinked zombies can be
     /// retired for reclamation.
-    pub(crate) fn lock_next_chunk(&mut self, ch: u32, level: usize) -> Option<u32> {
+    pub(crate) fn lock_next_chunk(&mut self, ch: &Held, level: usize) -> Option<Held> {
         let team = self.list.team;
         let first_next =
-            ops::read_next_field(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch)).val();
+            ops::read_next_field(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch.chunk())).val();
         if first_next == NIL {
             return None;
         }
@@ -1441,27 +1429,29 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 cur = next;
                 continue;
             }
-            if !self.take_lock(cur, &view, &mut spins) {
+            let Some(held) = self.take_lock(cur, &view, &mut spins) else {
                 continue;
-            }
+            };
             if cur != first_next {
                 // Unlink the zombies we skipped. `ch`'s next still reads
                 // `first_next`: only its lock holder, this team, writes it.
                 self.swing_past_zombies(ch, first_next, cur, level);
             }
-            return Some(cur);
+            return Some(held);
         }
     }
 
-    /// Unlock a held chunk.
+    /// An operation's unlock of a held chunk ([`Release::Unlock`]).
     #[inline]
-    pub(crate) fn unlock(&mut self, ch: u32) {
-        ops::unlock(
-            &self.list.team,
-            &self.list.pool,
-            &mut self.probe,
-            self.list.chunk(ch),
-        );
+    pub(crate) fn unlock(&mut self, held: Held) {
+        self.release(held, Release::Unlock);
+    }
+
+    /// Release a held chunk to `to` ([`ops::release`]) and forget it.
+    #[inline]
+    pub(crate) fn release(&mut self, held: Held, to: Release) {
+        let ch = held.chunk();
+        ops::release(&self.list.team, &self.list.pool, &mut self.probe, held, to);
         self.held.released(ch);
     }
 
@@ -1517,11 +1507,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// held chunk is individually consistent (waits happen before a chunk's
     /// mutation starts or after it fully completes; the shift/copy loops
     /// themselves never wait), and the bump makes snapshot certification
-    /// and hints observe the release like [`ops::unlock`]'s.
+    /// and hints observe the release like an unlock's.
     #[cold]
     fn abort_wait(&mut self, reason: AbortReason, chunk: u32) -> ! {
-        while let Some(ch) = self.held.chunks.pop() {
-            self.release_bumped(ch);
+        let list = self.list;
+        for held in self.held.hand_over().rev() {
+            ops::release(&list.team, &list.pool, &mut self.probe, held, Release::Quiet { zombie: false });
         }
         self.held.intent = Intent::None;
         self.held.stamp = 0;
@@ -1560,24 +1551,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `next = NIL`, **locked** (paper §4.1: "all chunks are allocated
     /// locked"). Recycled zombie chunks are consumed before the pool's bump
     /// pointer moves, which is what bounds the memory high-water mark under
-    /// churn.
-    pub(crate) fn alloc_chunk(&mut self) -> Result<u32, Error> {
+    /// churn. The new chunk is tracked as held ([`HeldLocks::acquired`]).
+    pub(crate) fn alloc_chunk(&mut self) -> Result<Held, Error> {
         let (idx, locked) = self.take_chunk()?;
-        self.write_image(idx, Entry::EMPTY, locked);
+        let held = ops::alloc(&self.list.team, &self.list.pool, &mut self.probe, idx, locked);
         self.held.acquired(idx);
-        Ok(idx)
-    }
-
-    /// [`Gfsl::write_image`], counted as one team write.
-    fn write_image(&mut self, idx: u32, first: Entry, lock: u64) {
-        let ch = self.list.chunk(idx);
-        let mut addrs = [0u32; gfsl_simt::WARP_SIZE];
-        let lanes = self.list.team.lanes();
-        for (i, a) in addrs.iter_mut().enumerate().take(lanes) {
-            *a = ch.entry_addr(i);
-        }
-        self.probe.warp_write(&addrs[..lanes]);
-        self.list.write_image(idx, first, lock);
+        Ok(held)
     }
 
     /// Take a chunk for a new image: the free list's first, else the bump
@@ -1587,7 +1566,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// validation distinguishes incarnations purely by lock-word equality,
     /// which only works if a chunk's versions are monotonic across its
     /// lifetimes.
-    fn take_chunk(&mut self) -> Result<(u32, u64), Error> {
+    pub(crate) fn take_chunk(&mut self) -> Result<(u32, u64), Error> {
         let list = self.list;
         let lanes = list.params.lanes() as u32;
         let recycled = list.reclaim.as_ref().and_then(|r| r.try_alloc());
@@ -1656,7 +1635,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let publish = || list.head[level].compare_exchange(NIL, idx, Ordering::AcqRel, Ordering::Acquire);
         let early = crate::bug_knobs::early_head_publish().then(publish);
         let unlocked = crate::chunk::lock_released(locked);
-        self.write_image(idx, Entry::new(KEY_NEG_INF, below), unlocked);
+        ops::write_image(&list.team, &list.pool, &mut self.probe, idx, Entry::new(KEY_NEG_INF, below), unlocked);
         self.probe.crash_point(gfsl_gpu_mem::probe::CrashPoint::HeadPublish);
         match early.unwrap_or_else(publish) {
             Ok(_) => Ok(idx),
@@ -2026,6 +2005,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::KEY_INF;
 
     #[test]
     fn a_new_list_has_one_head_and_grows_the_others_on_first_use() {
@@ -2109,7 +2089,7 @@ mod tests {
         let list = Gfsl::new(GfslParams::default()).unwrap();
         let mut h = list.handle();
         let c = h.alloc_chunk().unwrap();
-        let v = h.read_chunk(c);
+        let v = h.read_chunk(c.chunk());
         let team = list.team;
         assert!(v.is_locked(&team));
         assert_eq!(v.num_keys(&team), 0);
@@ -2192,8 +2172,8 @@ mod tests {
         let head0 = list.head_of(0);
         let mut view = ChunkView::BLANK;
         let locked = h.find_and_lock_enclosing(head0, 500, &mut view);
-        assert_eq!(locked, head0, "sentinel has max = inf, encloses everything");
-        let v = h.read_chunk(locked);
+        assert_eq!(locked.chunk(), head0, "sentinel has max = inf, encloses everything");
+        let v = h.read_chunk(locked.chunk());
         assert!(v.is_locked(&list.team));
         h.unlock(locked);
     }
@@ -2260,7 +2240,8 @@ mod tests {
         let min = h.read_chunk(next).entry(0).key();
         let mut stalled = list.handle();
         let mut view = ChunkView::BLANK;
-        assert_eq!(stalled.find_and_lock_enclosing(next, min, &mut view), next);
+        let stall = stalled.find_and_lock_enclosing(next, min, &mut view);
+        assert_eq!(stall.chunk(), next);
         let keys = list.keys();
 
         let expected = OpAbort {
@@ -2282,7 +2263,7 @@ mod tests {
         assert_eq!(list.repair_stats().aborts, 2);
         assert_eq!(list.quarantine_depth(), 0);
 
-        stalled.unlock(next);
+        stalled.unlock(stall);
         assert!(h.insert(k, k).unwrap());
         list.assert_valid();
     }
@@ -2294,7 +2275,7 @@ mod tests {
         let head0 = list.head_of(0);
         let mut view = ChunkView::BLANK;
         let locked = h.find_and_lock_enclosing(head0, 5, &mut view);
-        assert_eq!(h.lock_next_chunk(locked, 0), None);
+        assert_eq!(h.lock_next_chunk(&locked, 0), None);
         h.unlock(locked);
     }
 }

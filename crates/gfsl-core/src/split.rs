@@ -35,7 +35,7 @@
 use gfsl_gpu_mem::probe::CrashPoint;
 use gfsl_gpu_mem::MemProbe;
 
-use crate::chunk::{ops, ChunkView, Entry, KEY_INF, NIL};
+use crate::chunk::{ops, ChunkView, Entry, Held, KEY_INF, NIL};
 use crate::skiplist::{Commit, Error, GfslHandle, Intent};
 
 /// The keys moved out of a split/merged chunk, kept for the down-pointer
@@ -63,25 +63,25 @@ impl MovedKeys {
     }
 }
 
-/// What the split body leaves its caller: the new chunk, still locked and
+/// What the split body leaves its caller: the new chunk, still held and
 /// published right after the split chunk, the threshold key that is now
 /// the split chunk's max, and the keys moved into the new chunk.
 struct Split {
-    new: u32,
+    new: Held,
     thresh: u32,
     moved: MovedKeys,
 }
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
-    /// `preSplit` + `splitCopy` of the locked chunk `p_split`, whose
+    /// `preSplit` + `splitCopy` of the held chunk `p_split`, whose
     /// snapshot is `view`: the one split body both `splitInsert` and
     /// `splitRemove` run. The live entries from lane `from` up move to the
     /// new chunk: `DSIZE/2` for Algorithm 4.9's half split, `DSIZE` for an
     /// append split, which moves none.
     ///
     /// On error (pool exhausted) the next chunk is released again and
-    /// `p_split` stays locked, the caller's to release.
-    fn split_copy(&mut self, p_split: u32, view: &ChunkView, level: usize, from: usize) -> Result<Split, Error> {
+    /// `p_split` stays held, the caller's to release.
+    fn split_copy(&mut self, p_split: &Held, view: &ChunkView, level: usize, from: usize) -> Result<Split, Error> {
         let team = self.list.team;
 
         // preSplit: lock the next chunk (unlinking zombies on the way), then
@@ -105,9 +105,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Journal the structural intent before any store touches p_new: a
         // crash before the publish rolls the unreachable p_new back
         // (retired), one after rolls the split forward.
+        let (split, new) = (p_split.chunk(), p_new.chunk());
         self.held.intent = Intent::Split {
-            split: p_split,
-            new: p_new,
+            split,
+            new,
             thresh,
             level,
             published: false,
@@ -116,13 +117,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // The new chunk inherits the split chunk's current (max, next): it
         // slots in directly after it.
         let list = self.list;
-        let nf = ops::read_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split));
-        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_new), nf.key(), nf.val());
+        let nf = ops::read_next_field(&team, &list.pool, &mut self.probe, list.chunk(split));
+        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(new), nf.key(), nf.val());
 
         // A chunk split by a merge may be only partially full (it need only
         // be too full to absorb its left neighbour): move the live entries
         // at positions >= from.
-        let new_ch = list.chunk_words(p_new);
+        let new_ch = list.chunk_words(new);
         let mut moved = MovedKeys::new();
         for i in from..team.dsize() {
             let e = view.entry(i);
@@ -138,11 +139,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         } else {
             thresh
         };
-        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(p_split), max, p_new);
+        ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(split), max, new);
         if let Intent::Split { published, .. } = &mut self.held.intent {
             *published = true;
         }
-        let split_ch = list.chunk_words(p_split);
+        let split_ch = list.chunk_words(split);
         for i in (from..from + moved.as_slice().len()).rev() {
             ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
         }
@@ -153,45 +154,46 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         Ok(Split { new: p_new, thresh, moved })
     }
 
-    /// Split the full, locked chunk `p_split` and insert `(k, v)` into
+    /// Split the full, held chunk `p_split` and insert `(k, v)` into
     /// whichever half now encloses it (`splitInsert`).
     ///
     /// On success returns `(p_insert, raised_key)` where `p_insert` is the
-    /// still-locked chunk containing `k` (the other half has been unlocked)
+    /// still-held chunk containing `k` (the other half has been unlocked)
     /// and `raised_key` is the key to raise if the level coin says so.
     /// On error every lock taken here is released, including `p_split`.
     pub(crate) fn split_insert(
         &mut self,
-        p_split: u32,
+        p_split: Held,
         view: &ChunkView,
         k: u32,
         v: u32,
         level: usize,
-    ) -> Result<(u32, u32), Error> {
+    ) -> Result<(Held, u32), Error> {
         let team = self.list.team;
         let dsize = team.dsize();
         // Append split: the level's last chunk, and k above every key in it.
         let appends = view.next(&team) == NIL && view.entry(dsize - 1).key() < k;
         let from = if appends { dsize } else { dsize / 2 };
-        let Split { new: p_new, thresh, moved } = self
-            .split_copy(p_split, view, level, from)
-            .inspect_err(|_| self.unlock(p_split))?;
+        let Split { new: p_new, thresh, moved } = match self.split_copy(&p_split, view, level, from) {
+            Ok(split) => split,
+            Err(e) => {
+                self.unlock(p_split);
+                return Err(e);
+            }
+        };
         debug_assert_eq!(moved.as_slice().len(), dsize - from, "splitting a non-full chunk");
 
         // insertNewData: k goes into whichever half encloses it; the other
         // half is unlocked. At level 0 the half holding k must stay locked
         // until the whole Insert completes.
-        let p_insert = if k <= thresh { p_split } else { p_new };
-        let iv = self.read_chunk(p_insert);
-        self.execute_insert(p_insert, &iv, k, v);
+        let new = p_new.chunk();
+        let (p_insert, other) = if k <= thresh { (p_split, p_new) } else { (p_new, p_split) };
+        let iv = self.read_chunk(p_insert.chunk());
+        self.execute_insert(&p_insert, &iv, k, v);
         if level == 0 {
             self.journal.committed = Some(Commit::Inserted(true));
         }
-        if p_insert == p_split {
-            self.unlock(p_new);
-        } else {
-            self.unlock(p_split);
-        }
+        self.unlock(other);
 
         // keyForNextLevel: the raised key must live in the half that STAYS
         // LOCKED (p_insert) for the rest of the Insert. The paper's
@@ -206,14 +208,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // append split moved nothing: k is the new chunk's only key.
         let unsafe_raise = crate::bug_knobs::revert_split_raised_key();
         let raised = match moved.as_slice().first() {
-            Some(&min_moved) if level == 0 && (p_insert == p_new || unsafe_raise) => k.max(min_moved),
+            Some(&min_moved) if level == 0 && (p_insert.chunk() == new || unsafe_raise) => k.max(min_moved),
             _ => k,
         };
 
         // Repair the level-above down-pointers of the moved keys. Stale
         // pointers are legal (they point left of the key, which lateral
         // steps recover), so this is a best-effort performance fix.
-        self.update_down_ptrs(level, moved.as_slice(), p_new);
+        self.update_down_ptrs(level, moved.as_slice(), new);
 
         // The split is fully settled (caller's level-chunk accounting still
         // pending, which repair performs when it finds a Split intent).
@@ -221,15 +223,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         Ok((p_insert, raised))
     }
 
-    /// Split a locked chunk during a merge (`splitRemove`): the same split
+    /// Split a held chunk during a merge (`splitRemove`): the same split
     /// as the insert path's, but nothing is inserted and the new chunk is
-    /// unlocked at once; `p_split` stays locked by the caller, who keeps
+    /// unlocked at once; `p_split` stays held by the caller, who keeps
     /// responsibility for it on error too.
-    pub(crate) fn split_remove(&mut self, p_split: u32, view: &ChunkView, level: usize) -> Result<(), Error> {
+    pub(crate) fn split_remove(&mut self, p_split: &Held, view: &ChunkView, level: usize) -> Result<(), Error> {
         let half = self.list.team.dsize() / 2;
         let Split { new: p_new, moved, .. } = self.split_copy(p_split, view, level, half)?;
+        let new = p_new.chunk();
         self.unlock(p_new);
-        self.update_down_ptrs(level, moved.as_slice(), p_new);
+        self.update_down_ptrs(level, moved.as_slice(), new);
         self.held.intent = Intent::None;
         Ok(())
     }

@@ -117,6 +117,18 @@ fn append_script() -> Vec<Op> {
     (1..=OPS_PER_WORKER as u32 / 3).map(|i| Op::Insert(KEY_SPACE + i, i)).collect()
 }
 
+/// Ascending inserts above the key space, below a first key above them
+/// all, as [`insert_below_ceiling`] builds the prefill: no insert is above
+/// every key of the level's last chunk, which holds that first key, so
+/// every split the script takes is a half split, one about every seven
+/// inserts. A script below the prefill's largest key could take none: the
+/// prefill's chunks of seven keys each span at most fourteen integers, a
+/// full chunk, so only a merge can make room for one to overflow.
+fn half_split_script() -> Vec<Op> {
+    let top = KEY_SPACE + 41;
+    std::iter::once(top).chain(KEY_SPACE + 1..top).map(|k| Op::Insert(k, k)).collect()
+}
+
 /// [`append_script`], long enough to grow a level: alone on the prefill,
 /// the 100th append splits level 1's head and raises into level 2, which
 /// has no head until then.
@@ -291,14 +303,17 @@ fn recovery_soak_every_crash_point() {
     for &point in LOCK_CRASH_POINTS.iter() {
         let mut crashes_for_point = 0u64;
         for seed in 0..seeds {
-            // Two mixed workers, which must fire every point on their own
-            // but `HeadPublish`: over the key space the index never grows
-            // a level. At `SplitPublish`, a second cell runs a mixed worker
-            // against one that appends above the key space; at
+            // Two mixed workers, which fire every point but `SplitPublish`
+            // and `HeadPublish` on their own: over the key space the index
+            // never grows a level, and a split needs a merge first. At
+            // `SplitPublish`, two more cells run a mixed worker against one
+            // whose every split is a half split, which crashes one in every
+            // seed, and against one that appends above the key space; at
             // `HeadPublish` the appending worker goes on until it grows
             // level 2, the cell's one growth, which it crashes.
             let mut cells = vec![((0..WORKERS).map(|t| mixed_script(seed, t)).collect::<Vec<_>>(), "mixed")];
             if point == CrashPoint::SplitPublish {
+                cells.push((vec![mixed_script(seed, 0), half_split_script()], "half"));
                 cells.push((vec![mixed_script(seed, 0), append_script()], "append"));
             }
             if point == CrashPoint::HeadPublish {
