@@ -158,9 +158,10 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// (one more granted step per zombie view); and again when the parent-level
 /// walks began certifying a re-read against the read before it (seed 1)
 /// and `Gfsl::new` stopped allocating the heads of unused levels, which
-/// moves every chunk's index (all six). EXPERIMENTS ("Turnstile fold",
-/// "Update-path index maintenance", "Certified lock upgrade", "Append
-/// splits", "Level heads on first use") lists old → new. A
+/// moves every chunk's index (all six). `results/ab/` ("Turnstile fold",
+/// 21.md; "Update-path index maintenance", 26.md; "Certified lock
+/// upgrade", 28.md; "Append splits", 41.md; "Level heads on first use",
+/// 43.md) lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
