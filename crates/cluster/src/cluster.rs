@@ -12,7 +12,7 @@
 //! * a batched run ([`Cluster::execute_batch`]): the same steps once for a
 //!   whole key-sorted stretch of point ops one shard owns — one fence, one
 //!   verify, one handle — and one fence held at a time;
-//! * a fan-out op: route all overlapping shards, `fence.read` each in index
+//! * a fan-out op: route all overlapping shards, fence each in index
 //!   order, re-verify the epoch, run each sub-op, drop;
 //! * a migration (`reshard.rs`): `fence.write` on the victims in index
 //!   order → export/rebuild → `map.write` (swap + epoch bump, held briefly
@@ -22,60 +22,26 @@
 //! fencing, a migration may have retired the routed shard. Holding the read
 //! fence blocks any *future* migration of that shard, and the map re-read
 //! tells us whether one already happened — if the key no longer routes to
-//! the very same `Arc<Shard>`, the op returns a typed
-//! [`ClusterError::WrongShard`] redirect and the caller re-routes.
+//! the very same `Arc<Shard>`, the attempt is redirected and the op
+//! re-routes under the current map. Every public operation retries its
+//! redirects inside this module; callers see only [`gfsl::Error`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gfsl::batch::{key_order, order_index, BatchOp, BatchReply};
-use gfsl::{Error, Gfsl, GfslParams, MemProbe, Violation, KEY_INF};
+use gfsl::{Error, Gfsl, GfslParams, MemProbe, NoProbe, ReadTicket, Violation, KEY_INF};
 use parking_lot::{Mutex, RwLock};
 
 use crate::map::MapInner;
 use crate::shard::Shard;
 
-/// A cluster-level operation failure.
-#[derive(Debug)]
-pub enum ClusterError {
-    /// The op was routed under a shard map that changed before the shard
-    /// fence was acquired, and the key now belongs to a different shard.
-    /// Retry routes correctly; the convenience wrappers do so internally.
-    WrongShard {
-        /// The key that was being routed.
-        key: u32,
-        /// Map epoch the stale route was computed under.
-        routed_epoch: u64,
-        /// Map epoch observed at verification.
-        current_epoch: u64,
-    },
-    /// The underlying shard operation failed (abort, pool exhaustion, …).
+/// Why one routing attempt did not answer.
+pub(crate) enum ClusterError {
+    /// The map moved between routing and fencing: re-route and go again.
+    WrongShard,
+    /// The shard operation failed (abort, pool exhaustion, …).
     Shard(Error),
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::WrongShard {
-                key,
-                routed_epoch,
-                current_epoch,
-            } => write!(
-                f,
-                "key {key} routed at epoch {routed_epoch} no longer maps to the \
-                 fenced shard (epoch is now {current_epoch}); re-route"
-            ),
-            ClusterError::Shard(e) => write!(f, "shard operation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ClusterError {}
-
-impl From<Error> for ClusterError {
-    fn from(e: Error) -> ClusterError {
-        ClusterError::Shard(e)
-    }
 }
 
 /// K GFSL shards behind an epoch-versioned key-range router.
@@ -86,13 +52,6 @@ pub struct Cluster {
     /// a stable shard set; never taken by routed operations.
     pub(crate) reshard: Mutex<()>,
     next_shard_id: AtomicU64,
-}
-
-/// The per-shard results of a fan-out read, or the first shard's error.
-fn all_shards<T>(per: Vec<Result<T, Error>>) -> Result<Vec<T>, ClusterError> {
-    per.into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(ClusterError::Shard)
 }
 
 impl Cluster {
@@ -237,201 +196,20 @@ impl Cluster {
 
     /// Run `f` against the live shard owning `key` with its fence read-held
     /// and the route verified (see module docs): the lock steps every
-    /// routed path shares, whatever it runs under them.
+    /// routed path shares, whatever it runs under them. One attempt.
     fn fenced<T>(&self, key: u32, f: impl FnOnce(&Shard) -> T) -> Result<T, ClusterError> {
         let (shard, routed_epoch) = self.route(key);
         let _fence = shard.fence.read();
         {
             let m = self.map.read();
             if m.epoch != routed_epoch && !Arc::ptr_eq(&m.shards[m.find(key)], &shard) {
-                return Err(ClusterError::WrongShard {
-                    key,
-                    routed_epoch,
-                    current_epoch: m.epoch,
-                });
+                return Err(ClusterError::WrongShard);
             }
         }
         Ok(f(&shard))
     }
 
-    /// Run `f` against the live shard owning `key`, under the full routed
-    /// protocol. `write` feeds the shard's load window.
-    pub(crate) fn with_shard<T>(
-        &self,
-        key: u32,
-        write: bool,
-        f: impl FnOnce(&Shard) -> T,
-    ) -> Result<T, ClusterError> {
-        assert!((1..KEY_INF).contains(&key), "key {key} outside the user range");
-        self.fenced(key, |shard| {
-            shard.note(write);
-            f(shard)
-        })
-    }
-
-    /// Run `f` once per live shard overlapping the inclusive window
-    /// `[lo, hi]`, all fences read-held simultaneously (a consistent cut).
-    /// `f` receives each shard plus the window clipped to its range.
-    pub(crate) fn with_range_shards<T>(
-        &self,
-        lo: u32,
-        hi: u32,
-        mut f: impl FnMut(&Shard, u32, u32) -> T,
-    ) -> Result<Vec<T>, ClusterError> {
-        assert!(lo >= 1 && hi < KEY_INF && lo <= hi, "bad window [{lo}, {hi}]");
-        let (shards, routed_epoch) = {
-            let m = self.map.read();
-            (m.shards[m.overlapping(lo, hi)].to_vec(), m.epoch)
-        };
-        // Index order — the same global fence order migrations use.
-        let _fences: Vec<_> = shards.iter().map(|s| s.fence.read()).collect();
-        {
-            // Any epoch motion can have reshuffled an overlapped range;
-            // unlike the single-key path there is no cheap identity check
-            // across a window, so redirect on any bump (rare, cheap retry).
-            let m = self.map.read();
-            if m.epoch != routed_epoch {
-                return Err(ClusterError::WrongShard {
-                    key: lo,
-                    routed_epoch,
-                    current_epoch: m.epoch,
-                });
-            }
-        }
-        Ok(shards
-            .iter()
-            .map(|s| {
-                s.note(false);
-                f(s, lo.max(s.lo), hi.min(s.hi - 1))
-            })
-            .collect())
-    }
-
-    /// Run `f` once per live shard overlapping `[lo, hi]` against a
-    /// **version-pinned cut** (mvcc only): every overlapped shard's fence
-    /// is write-held just long enough to pin one version per shard — the
-    /// instant `T` of the cut — then the fences drop and `f` runs against
-    /// the tickets, wait-free with respect to resumed writers.
-    ///
-    /// Lock order matches the global protocol: fences (write, ascending
-    /// shard index) before the map read. A concurrent migration takes its
-    /// victims' fences in the same index order, so the two cannot deadlock;
-    /// an epoch bump between routing and fencing surfaces as the usual
-    /// [`ClusterError::WrongShard`] redirect.
-    pub(crate) fn with_range_shards_pinned<T>(
-        &self,
-        lo: u32,
-        hi: u32,
-        mut f: impl FnMut(&Shard, &gfsl::ReadTicket<'_>, u32, u32) -> T,
-    ) -> Result<Vec<T>, ClusterError> {
-        assert!(lo >= 1 && hi < KEY_INF && lo <= hi, "bad window [{lo}, {hi}]");
-        debug_assert!(self.params.mvcc, "pinned fan-out needs the mvcc knob");
-        let (shards, routed_epoch) = {
-            let m = self.map.read();
-            (m.shards[m.overlapping(lo, hi)].to_vec(), m.epoch)
-        };
-        // Write fences in index order: drain in-flight routed ops so the
-        // pins below jointly name one instant across all overlapped shards.
-        let fences: Vec<_> = shards.iter().map(|s| s.fence.write()).collect();
-        {
-            let m = self.map.read();
-            if m.epoch != routed_epoch {
-                return Err(ClusterError::WrongShard {
-                    key: lo,
-                    routed_epoch,
-                    current_epoch: m.epoch,
-                });
-            }
-        }
-        let tickets: Vec<_> = shards
-            .iter()
-            .map(|s| s.list.pin_version().expect("mvcc knob is on"))
-            .collect();
-        drop(fences);
-        Ok(shards
-            .iter()
-            .zip(&tickets)
-            .map(|(s, t)| {
-                s.note(false);
-                f(s, t, lo.max(s.lo), hi.min(s.hi - 1))
-            })
-            .collect())
-    }
-
-    // ---- one-shot routed operations (surface WrongShard) ----
-
-    /// Routed lookup; one routing attempt.
-    pub fn try_get(&self, key: u32) -> Result<Option<u32>, ClusterError> {
-        self.with_shard(key, false, |s| s.list.try_handle()?.try_get(key))?
-            .map_err(ClusterError::Shard)
-    }
-
-    /// Routed membership test; one routing attempt.
-    pub fn try_contains(&self, key: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, false, |s| s.list.try_handle()?.try_contains(key))?
-            .map_err(ClusterError::Shard)
-    }
-
-    /// Routed insert; one routing attempt. Set-like: `Ok(false)` keeps the
-    /// resident value, exactly as [`gfsl::GfslHandle`] does.
-    pub fn try_insert(&self, key: u32, value: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, |s| s.list.try_handle()?.try_insert(key, value))?
-            .map_err(ClusterError::Shard)
-    }
-
-    /// Routed remove; one routing attempt.
-    pub fn try_remove(&self, key: u32) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, |s| s.list.try_handle()?.try_remove(key))?
-            .map_err(ClusterError::Shard)
-    }
-
-    // ---- probed one-shot variants (chaos campaigns) ----
-    //
-    // The probe is supplied as a *factory* invoked only after the shard
-    // fence is read-held, and the probe drops (retiring its chaos
-    // participant) before the fence releases. Minting it earlier would
-    // deadlock chaos campaigns against migrations: a live turnstile
-    // participant blocked on the fence (an OS lock, not a parked turn)
-    // stalls every grant, while the migration writer waits on a fence some
-    // parked participant holds.
-
-    /// Like [`Cluster::try_get`], probed; `probe` is minted post-fence.
-    pub fn try_get_with<P: MemProbe>(
-        &self,
-        probe: impl FnOnce() -> P,
-        key: u32,
-    ) -> Result<Option<u32>, ClusterError> {
-        self.with_shard(key, false, move |s| s.list.handle_with(probe()).try_get(key))?
-            .map_err(ClusterError::Shard)
-    }
-
-    /// Like [`Cluster::try_insert`], probed; `probe` is minted post-fence.
-    pub fn try_insert_with<P: MemProbe>(
-        &self,
-        probe: impl FnOnce() -> P,
-        key: u32,
-        value: u32,
-    ) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, move |s| {
-            s.list.handle_with(probe()).try_insert(key, value)
-        })?
-        .map_err(ClusterError::Shard)
-    }
-
-    /// Like [`Cluster::try_remove`], probed; `probe` is minted post-fence.
-    pub fn try_remove_with<P: MemProbe>(
-        &self,
-        probe: impl FnOnce() -> P,
-        key: u32,
-    ) -> Result<bool, ClusterError> {
-        self.with_shard(key, true, move |s| {
-            s.list.handle_with(probe()).try_remove(key)
-        })?
-        .map_err(ClusterError::Shard)
-    }
-
-    // ---- retrying convenience operations ----
-
+    /// Run `attempt` until it is not redirected.
     fn retry<T>(&self, mut attempt: impl FnMut() -> Result<T, ClusterError>) -> Result<T, Error> {
         loop {
             match attempt() {
@@ -440,30 +218,140 @@ impl Cluster {
                 // Progress: each retry re-routes under the *current* map,
                 // and a migration's fence-write section cannot start while
                 // the retried op holds the fresh shard's read fence.
-                Err(ClusterError::WrongShard { .. }) => continue,
+                Err(ClusterError::WrongShard) => continue,
                 Err(ClusterError::Shard(e)) => return Err(e),
             }
         }
     }
 
-    /// Lookup, re-routing through migrations.
+    /// Run `f` against the live shard owning `key` under the routed
+    /// protocol, re-routing through migrations. `write` feeds the shard's
+    /// load window.
+    fn routed<T>(
+        &self,
+        key: u32,
+        write: bool,
+        mut f: impl FnMut(&Shard) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        assert!((1..KEY_INF).contains(&key), "key {key} outside the user range");
+        self.retry(|| {
+            self.fenced(key, |shard| {
+                shard.note(write);
+                f(shard)
+            })?
+            .map_err(ClusterError::Shard)
+        })
+    }
+
+    /// Run `f` once per live shard overlapping the inclusive window
+    /// `[lo, hi]` against one consistent cut, re-routing through
+    /// migrations. `f` receives each shard, its pinned version if the cut
+    /// is version-pinned, and the window clipped to its range.
+    ///
+    /// The overlapped fences are taken in index order (the global fence
+    /// order) and the epoch re-verified; any epoch motion can have
+    /// reshuffled an overlapped range, and there is no cheap identity check
+    /// across a window, so any bump redirects (rare, cheap retry). With
+    /// mvcc on the fences are write-held just long enough to pin one
+    /// version per shard — the instant of the cut — and `f` runs after they
+    /// drop, wait-free with respect to resumed writers; with mvcc off they
+    /// stay read-held while `f` runs.
+    fn fan_out<T>(
+        &self,
+        lo: u32,
+        hi: u32,
+        mut f: impl FnMut(&Shard, Option<&ReadTicket<'_>>, u32, u32) -> Result<T, Error>,
+    ) -> Result<Vec<T>, Error> {
+        assert!(lo >= 1 && hi < KEY_INF && lo <= hi, "bad window [{lo}, {hi}]");
+        let pinned = self.params.mvcc;
+        self.retry(|| {
+            let (shards, routed_epoch) = {
+                let m = self.map.read();
+                (m.shards[m.overlapping(lo, hi)].to_vec(), m.epoch)
+            };
+            let (mut stamp, mut walk) = (Vec::new(), Vec::new());
+            for s in &shards {
+                if pinned {
+                    stamp.push(s.fence.write());
+                } else {
+                    walk.push(s.fence.read());
+                }
+            }
+            if self.map.read().epoch != routed_epoch {
+                return Err(ClusterError::WrongShard);
+            }
+            let tickets: Vec<_> = shards
+                .iter()
+                .map(|s| pinned.then(|| s.list.pin_version().expect("mvcc knob is on")))
+                .collect();
+            drop(stamp);
+            let per = shards.iter().zip(&tickets).map(|(s, t)| {
+                s.note(false);
+                f(s, t.as_ref(), lo.max(s.lo), hi.min(s.hi - 1))
+            });
+            per.collect::<Result<_, _>>().map_err(ClusterError::Shard)
+        })
+    }
+
+    // ---- point operations ----
+
+    /// Lookup.
     pub fn get(&self, key: u32) -> Result<Option<u32>, Error> {
-        self.retry(|| self.try_get(key))
+        self.get_with(|| NoProbe, key)
     }
 
-    /// Membership test, re-routing through migrations.
+    /// Membership test.
     pub fn contains(&self, key: u32) -> Result<bool, Error> {
-        self.retry(|| self.try_contains(key))
+        self.routed(key, false, |s| s.list.try_handle()?.try_contains(key))
     }
 
-    /// Set-like insert, re-routing through migrations.
+    /// Set-like insert: `Ok(false)` keeps the resident value, exactly as
+    /// [`gfsl::GfslHandle`] does.
     pub fn insert(&self, key: u32, value: u32) -> Result<bool, Error> {
-        self.retry(|| self.try_insert(key, value))
+        self.insert_with(|| NoProbe, key, value)
     }
 
-    /// Remove, re-routing through migrations.
+    /// Remove.
     pub fn remove(&self, key: u32) -> Result<bool, Error> {
-        self.retry(|| self.try_remove(key))
+        self.remove_with(|| NoProbe, key)
+    }
+
+    // The probed variants (chaos campaigns) take the probe as a *factory*
+    // invoked only after the shard fence is read-held, once per routing
+    // attempt, and the probe drops (retiring its chaos participant) before
+    // the fence releases. Minting it earlier would deadlock chaos campaigns
+    // against migrations: a live turnstile participant blocked on the fence
+    // (an OS lock, not a parked turn) stalls every grant, while the
+    // migration writer waits on a fence some parked participant holds.
+
+    /// [`Cluster::get`] through a handle carrying `probe()`.
+    pub fn get_with<P: MemProbe>(
+        &self,
+        mut probe: impl FnMut() -> P,
+        key: u32,
+    ) -> Result<Option<u32>, Error> {
+        self.routed(key, false, |s| s.list.try_handle_with(probe())?.try_get(key))
+    }
+
+    /// [`Cluster::insert`] through a handle carrying `probe()`.
+    pub fn insert_with<P: MemProbe>(
+        &self,
+        mut probe: impl FnMut() -> P,
+        key: u32,
+        value: u32,
+    ) -> Result<bool, Error> {
+        self.routed(key, true, |s| {
+            s.list.try_handle_with(probe())?.try_insert(key, value)
+        })
+    }
+
+    /// [`Cluster::remove`] through a handle carrying `probe()`.
+    pub fn remove_with<P: MemProbe>(
+        &self,
+        mut probe: impl FnMut() -> P,
+        key: u32,
+    ) -> Result<bool, Error> {
+        self.routed(key, true, |s| s.list.try_handle_with(probe())?.try_remove(key))
     }
 
     // ---- fan-out reads ----
@@ -475,78 +363,49 @@ impl Cluster {
     // waits on a chunk lock.
 
     /// All pairs in the inclusive window `[lo, hi]`, stitched across shard
-    /// boundaries from a consistent cut; one routing attempt. With mvcc on
-    /// the cut is version-pinned (fences held only to stamp it, the walk
-    /// wait-free w.r.t. writers); otherwise every overlapped fence stays
-    /// read-held for the walk.
-    pub fn try_range(&self, lo: u32, hi: u32) -> Result<Vec<(u32, u32)>, ClusterError> {
+    /// boundaries from one consistent cut: version-pinned with mvcc on,
+    /// every overlapped fence read-held for the walk otherwise.
+    pub fn range(&self, lo: u32, hi: u32) -> Result<Vec<(u32, u32)>, Error> {
+        let per = self.fan_out(lo, hi, |s, ticket, lo, hi| {
+            let mut h = s.list.try_handle()?;
+            match ticket {
+                Some(t) => Ok(h.range_at(lo, hi, t)),
+                None => h.try_range(lo, hi),
+            }
+        })?;
         // Shards are visited in ascending range order, so concatenation is
         // already globally sorted.
-        let per = if self.params.mvcc {
-            self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-                Ok(s.list.try_handle()?.range_at(clo, chi, t))
-            })?
-        } else {
-            self.with_range_shards(lo, hi, |s, clo, chi| s.list.try_handle()?.try_range(clo, chi))?
-        };
-        Ok(all_shards(per)?.into_iter().flatten().collect())
+        Ok(per.into_iter().flatten().collect())
     }
 
-    /// Count keys in the inclusive window `[lo, hi]` across shards; one
-    /// routing attempt. Same cut modes as [`Cluster::try_range`].
-    pub fn try_count_range(&self, lo: u32, hi: u32) -> Result<usize, ClusterError> {
-        let per = if self.params.mvcc {
-            self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-                Ok(s.list.try_handle()?.count_range_at(clo, chi, t))
-            })?
-        } else {
-            self.with_range_shards(lo, hi, |s, clo, chi| {
-                s.list.try_handle()?.try_count_range(clo, chi)
-            })?
-        };
-        Ok(all_shards(per)?.into_iter().sum())
-    }
-
-    /// Stitched range query, re-routing through migrations.
-    pub fn range(&self, lo: u32, hi: u32) -> Result<Vec<(u32, u32)>, Error> {
-        self.retry(|| self.try_range(lo, hi))
-    }
-
-    /// Stitched range count, re-routing through migrations.
+    /// Count keys in the inclusive window `[lo, hi]` across shards, from
+    /// the cut [`Cluster::range`] reads.
     pub fn count_range(&self, lo: u32, hi: u32) -> Result<usize, Error> {
-        self.retry(|| self.try_count_range(lo, hi))
+        self.snap_count_range(lo, hi).map(|(_, n)| n as usize)
     }
 
-    /// Version-stamped spanning count: `(version, count)`; one routing
-    /// attempt. With mvcc on the count is read from a version-pinned cut
-    /// and `version` names it (the newest shard version in the cut — the
-    /// clock value the fences jointly stamped at the cut instant); with
-    /// mvcc off it falls back to the fence-held legacy count and reports
-    /// version 0, so callers (the edge wire, notably) never need to know
-    /// which engine they are talking to.
-    pub fn try_snap_count_range(&self, lo: u32, hi: u32) -> Result<(u64, u64), ClusterError> {
-        if !self.params.mvcc {
-            return self.try_count_range(lo, hi).map(|n| (0, n as u64));
-        }
-        let per = all_shards(self.with_range_shards_pinned(lo, hi, |s, t, clo, chi| {
-            Ok((t.version(), s.list.try_handle()?.count_range_at(clo, chi, t) as u64))
-        })?)?;
-        let version = per.iter().map(|&(v, _)| v).max().unwrap_or(0);
-        let count = per.iter().map(|&(_, n)| n).sum();
-        Ok((version, count))
-    }
-
-    /// Version-stamped spanning count, re-routing through migrations; see
-    /// [`Cluster::try_snap_count_range`].
+    /// Version-stamped spanning count: `(version, count)`. With mvcc on
+    /// `version` names the version-pinned cut the count was read from (the
+    /// newest shard version in it — the clock value the fences jointly
+    /// stamped at the cut instant); with mvcc off the count is fence-held
+    /// and the version 0, so callers (the edge wire, notably) never need to
+    /// know which engine they are talking to.
     pub fn snap_count_range(&self, lo: u32, hi: u32) -> Result<(u64, u64), Error> {
-        self.retry(|| self.try_snap_count_range(lo, hi))
+        let per = self.fan_out(lo, hi, |s, ticket, lo, hi| {
+            let mut h = s.list.try_handle()?;
+            Ok(match ticket {
+                Some(t) => (t.version(), h.count_range_at(lo, hi, t) as u64),
+                None => (0, h.try_count_range(lo, hi)? as u64),
+            })
+        })?;
+        Ok(per.into_iter().fold((0, 0), |(v, n), (sv, sn)| (v.max(sv), n + sn)))
     }
 
     // ---- priority-queue front (min-entry scan) ----
 
-    /// Walk shards in ascending key order under the routed single-key
-    /// protocol, running `f` on each until it yields `Some`. The global
-    /// minimum lives in the lowest non-empty shard, so the first hit wins.
+    /// Walk shards in ascending key order, each step one routed op, running
+    /// `f` on each until it yields `Some`. The global minimum lives in the
+    /// lowest non-empty shard, so the first hit wins.
     ///
     /// Each step fences one shard at a time (not a consistent cut): a
     /// concurrent insert of a smaller key into a shard already found empty
@@ -557,41 +416,28 @@ impl Cluster {
         &self,
         write: bool,
         mut f: impl FnMut(&Shard) -> Result<Option<T>, Error>,
-    ) -> Result<Option<T>, ClusterError> {
+    ) -> Result<Option<T>, Error> {
         let mut key = 1u32;
         loop {
-            let (found, hi) = self.with_shard(key, write, |s| (f(s), s.hi))?;
-            match found {
-                Ok(Some(v)) => return Ok(Some(v)),
-                Ok(None) if hi == KEY_INF => return Ok(None),
-                Ok(None) => key = hi,
-                Err(e) => return Err(ClusterError::Shard(e)),
+            match self.routed(key, write, |s| Ok((f(s)?, s.hi)))? {
+                (Some(v), _) => return Ok(Some(v)),
+                (None, KEY_INF) => return Ok(None),
+                (None, hi) => key = hi,
             }
         }
     }
 
-    /// The smallest present entry across all shards; one routing attempt
-    /// per shard visited.
-    pub fn try_min_entry(&self) -> Result<Option<(u32, u32)>, ClusterError> {
+    /// The smallest present entry across all shards.
+    pub fn min_entry(&self) -> Result<Option<(u32, u32)>, Error> {
         self.scan_min(false, |s| s.list.try_handle()?.try_min_entry())
     }
 
     /// Extract-min across all shards: remove and return the smallest
-    /// present entry; one routing attempt per shard visited. Racing
-    /// consumers never pop the same element (the per-shard extract-min is
-    /// atomic); see [`Self::try_min_entry`] for the cross-shard caveat.
-    pub fn try_pop_min(&self) -> Result<Option<(u32, u32)>, ClusterError> {
-        self.scan_min(true, |s| s.list.try_handle()?.try_pop_min())
-    }
-
-    /// Minimum-entry peek, re-routing through migrations.
-    pub fn min_entry(&self) -> Result<Option<(u32, u32)>, Error> {
-        self.retry(|| self.try_min_entry())
-    }
-
-    /// Extract-min, re-routing through migrations.
+    /// present entry. Racing consumers never pop the same element (the
+    /// per-shard extract-min is atomic); see [`Self::min_entry`] for the
+    /// cross-shard caveat.
     pub fn pop_min(&self) -> Result<Option<(u32, u32)>, Error> {
-        self.retry(|| self.try_pop_min())
+        self.scan_min(true, |s| s.list.try_handle()?.try_pop_min())
     }
 
     // ---- the epoch batch ----

@@ -7,10 +7,10 @@
 //!
 //! * **Routing** ([`cluster`]): single-key ops route by range under a
 //!   per-shard read *fence* and re-verify the map epoch after fencing; an
-//!   op that raced a migration gets a typed [`ClusterError::WrongShard`]
-//!   redirect and re-routes. Cross-shard `range` / `count_range` fan out
-//!   over every overlapped shard (all fences held — a consistent cut) and
-//!   stitch the results.
+//!   op that raced a migration re-routes under the current map inside the
+//!   call, so callers see only [`gfsl::Error`]. Cross-shard `range` /
+//!   `count_range` fan out over every overlapped shard (one consistent
+//!   cut) and stitch the results.
 //! * **Live resharding** ([`reshard`]): per-shard windowed load counters
 //!   drive a split/merge policy — a hot shard bulk-exports its top half
 //!   into a fresh structure via `Gfsl::from_sorted_pairs`, two cold
@@ -20,10 +20,11 @@
 //!   simultaneously give a linearizable cluster-wide cut, exported eagerly
 //!   and rebuildable into a single GFSL.
 //!
-//! The chaos layer composes: every routed op has a contained `try_*`
-//! probed variant, and migrations repair the quarantine before
-//! exporting, so splits and merges can race crashing client ops (see the
-//! `migration_chaos` integration test).
+//! The chaos layer composes: the point ops have probed variants
+//! (`get_with`, `insert_with`, `remove_with`), every op is contained, and
+//! migrations repair the quarantine before exporting, so splits and merges
+//! can race crashing client ops (see the `migration_chaos` integration
+//! test).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ pub mod reshard;
 pub mod shard;
 pub mod snapshot;
 
-pub use cluster::{Cluster, ClusterError};
+pub use cluster::Cluster;
 pub use reshard::{RebalancePolicy, ReshardEvent};
 pub use shard::Shard;
 pub use snapshot::{ClusterSnapshot, ShardCut};

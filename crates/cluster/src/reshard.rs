@@ -7,10 +7,10 @@
 //! bulk-build the successor structures, and swap the shard map under a
 //! brief `map.write` with an epoch bump. Ops that routed to the retired
 //! shard before the swap see the identity mismatch on their verify re-read
-//! and bounce with [`crate::ClusterError::WrongShard`]; the retry routes to
-//! a successor. No acknowledged write can be lost: the export happens
-//! strictly after every in-flight op released its read fence, and the
-//! successors are installed strictly before any new op can fence them.
+//! and re-route to a successor inside the call. No acknowledged write can
+//! be lost: the export happens strictly after every in-flight op released
+//! its read fence, and the successors are installed strictly before any new
+//! op can fence them.
 
 use std::sync::Arc;
 

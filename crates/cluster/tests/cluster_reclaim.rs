@@ -1,6 +1,6 @@
 //! Shards of a cluster reclaim their zombie chunks.
 //!
-//! `Cluster::try_insert` and `try_remove` mint a handle per operation. When
+//! `Cluster::insert` and `remove` mint a handle per operation. When
 //! reclamation passes were paced by a per-handle update counter, such a
 //! handle never counted past one: no shard ever ran a pass, every merged
 //! chunk stayed in limbo, and a long-lived cluster walked its pools to
@@ -31,14 +31,12 @@ fn sliding_window_churn_through_per_op_handles_recycles_every_shard() {
     for j in 0..STEPS {
         for shard in 0..SHARDS {
             assert!(
-                cluster
-                    .try_insert(key(shard, j), j)
-                    .expect("the pool is recycled"),
+                cluster.insert(key(shard, j), j).expect("the pool is recycled"),
                 "insert {j} on shard {shard}"
             );
             if j >= WINDOW {
                 assert!(
-                    cluster.try_remove(key(shard, j - WINDOW)).unwrap(),
+                    cluster.remove(key(shard, j - WINDOW)).unwrap(),
                     "remove {} on shard {shard}",
                     j - WINDOW
                 );

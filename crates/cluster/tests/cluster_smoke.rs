@@ -106,34 +106,36 @@ fn split_and_merge_preserve_every_pair_and_bump_the_epoch() {
     assert_eq!(cluster.merge_with_right(rightmost).unwrap(), None);
 }
 
+/// Alternate splits and merges over whichever shards currently cover the
+/// keys `1..=span` until `stop` is set; returns the migrations installed.
+fn churn_shards(cluster: &Cluster, stop: &AtomicBool, span: u64) -> u64 {
+    let mut rng = SplitMix64::new(0xC0DE);
+    let mut done = 0u64;
+    while !stop.load(Ordering::Relaxed) {
+        let key = (rng.next_u64() % span + 1) as u32;
+        let id = cluster
+            .shards()
+            .iter()
+            .find(|sh| sh.owns(key))
+            .unwrap()
+            .id;
+        let ev = if rng.coin(0.5) && cluster.shard_count() < 10 {
+            cluster.split_shard(id).unwrap()
+        } else {
+            cluster.merge_with_right(id).unwrap()
+        };
+        done += u64::from(ev.is_some());
+        std::thread::yield_now();
+    }
+    done
+}
+
 #[test]
 fn routed_ops_survive_concurrent_migration_churn() {
     let cluster = Cluster::with_bounds(params16(), &[250, 500, 750]).unwrap();
     let stop = AtomicBool::new(false);
     let (oracle, migrations) = std::thread::scope(|s| {
-        let churn = s.spawn(|| {
-            // Alternate splits and merges over whichever shards currently
-            // cover the active key space.
-            let mut rng = SplitMix64::new(0xC0DE);
-            let mut done = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let key = (rng.next_u64() % 1_000 + 1) as u32;
-                let id = cluster
-                    .shards()
-                    .iter()
-                    .find(|sh| sh.owns(key))
-                    .unwrap()
-                    .id;
-                let ev = if rng.coin(0.5) && cluster.shard_count() < 10 {
-                    cluster.split_shard(id).unwrap()
-                } else {
-                    cluster.merge_with_right(id).unwrap()
-                };
-                done += u64::from(ev.is_some());
-                std::thread::yield_now();
-            }
-            done
-        });
+        let churn = s.spawn(|| churn_shards(&cluster, &stop, 1_000));
         // One mutator keeps the oracle exact while the map churns under it.
         let mut oracle = BTreeMap::new();
         let mut rng = SplitMix64::new(0xFACE);
@@ -158,6 +160,68 @@ fn routed_ops_survive_concurrent_migration_churn() {
     cluster.assert_valid();
     let expect: Vec<(u32, u32)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
     assert_eq!(cluster.pairs(), expect, "no write lost through {migrations} migrations");
+}
+
+/// Fan-out reads against a map that splits and merges under them: the keys
+/// `2, 4, …, 2000` are written once before the churn starts, so every
+/// window must read exactly its static keys, whichever shards it spans and
+/// however often its fences are redirected. With mvcc on the cut is
+/// version-pinned and the count names a nonzero version.
+fn fan_out_reads_survive_concurrent_migration_churn(mvcc: bool) {
+    let params = GfslParams {
+        mvcc,
+        ..params16()
+    };
+    let cluster = Cluster::with_bounds(params, &[500, 1_000, 1_500]).unwrap();
+    let oracle: BTreeMap<u32, u32> = (2..=2_000).step_by(2).map(|k| (k, k * 3)).collect();
+    for (&k, &v) in &oracle {
+        cluster.insert(k, v).unwrap();
+    }
+    /// Stops the churn thread however the reader leaves the scope, so a
+    /// failed assert fails the test instead of hanging it.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let (windows, migrations) = std::thread::scope(|s| {
+        let churn = s.spawn(|| churn_shards(&cluster, &stop, 2_000));
+        let stopper = StopOnDrop(&stop);
+        let mut rng = SplitMix64::new(0xF4A0 + u64::from(mvcc));
+        let mut windows = 0u32;
+        // At least 2,000 windows, and at least one of them after a
+        // migration has been installed.
+        while windows < 2_000 || cluster.epoch() == 0 {
+            let r = rng.next_u64();
+            let lo = (r % 2_100 + 1) as u32;
+            let hi = lo + ((r >> 32) % 300) as u32;
+            let expect: Vec<(u32, u32)> = oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(cluster.range(lo, hi).unwrap(), expect, "range [{lo}, {hi}]");
+            assert_eq!(cluster.count_range(lo, hi).unwrap(), expect.len(), "count [{lo}, {hi}]");
+            let (version, count) = cluster.snap_count_range(lo, hi).unwrap();
+            assert_eq!(count, expect.len() as u64, "snap count [{lo}, {hi}]");
+            assert_eq!(version != 0, mvcc, "version {version} of [{lo}, {hi}]");
+            windows += 1;
+        }
+        drop(stopper);
+        (windows, churn.join().unwrap())
+    });
+    assert!(migrations > 0, "the churn thread must have migrated something");
+    println!("{windows} windows through {migrations} migrations");
+    cluster.assert_valid();
+    assert_eq!(cluster.len(), oracle.len());
+}
+
+#[test]
+fn fenced_fan_out_reads_survive_concurrent_migration_churn() {
+    fan_out_reads_survive_concurrent_migration_churn(false);
+}
+
+#[test]
+fn pinned_fan_out_reads_survive_concurrent_migration_churn() {
+    fan_out_reads_survive_concurrent_migration_churn(true);
 }
 
 #[test]
@@ -343,8 +407,8 @@ fn rebalance_restabilizes_after_the_hot_head_moves() {
 /// version per shard, then exports wait-free while a write-heavy soak
 /// churns both shards. Every cut must still hold exactly one or two
 /// tokens — and, being pinned, must record a nonzero per-shard version.
-/// The pinned spanning range sees the same invariant through
-/// `with_range_shards_pinned`.
+/// The spanning range, whose cut is version-pinned too, sees the same
+/// invariant.
 #[test]
 fn pinned_snapshots_are_consistent_cuts_under_write_soak() {
     let params = GfslParams {

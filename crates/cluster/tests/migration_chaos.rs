@@ -6,16 +6,17 @@
 //!
 //! 1. no acknowledged write is lost and every crashed op either fully
 //!    happened or not at all — the per-worker histories (crashed ops as
-//!    `InsertMaybe` / `RemoveMaybe`, `WrongShard` redirects retried under
-//!    the same invocation) stitch into one cluster history that
-//!    linearizes;
+//!    `InsertMaybe` / `RemoveMaybe`, a redirect re-routed inside the same
+//!    call and so the same invocation) stitch into one cluster history
+//!    that linearizes;
 //! 2. after the run every surviving shard passes the full validation walk,
 //!    including the shard-range ownership rule, with an empty quarantine;
 //! 3. snapshots taken mid-chaos are well-formed (strictly ascending).
 //!
-//! Worker probes are minted only after the shard fence is held (see
-//! `Cluster::try_insert_with`): a turnstile participant must never block
-//! on an OS lock while live, or grants stall against the migration driver.
+//! Worker probes are minted only after the shard fence is held, once per
+//! routing attempt (see `Cluster::insert_with`): a turnstile participant
+//! must never block on an OS lock while live, or grants stall against the
+//! migration driver.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -24,7 +25,7 @@ use gfsl::chaos::LOCK_CRASH_POINTS;
 use gfsl::history::{check_linearizable, HistoryClock, OpAction, Recorder};
 use gfsl::mc::strategy::RandomWalk;
 use gfsl::{AbortReason, CrashPoint, Error, GfslParams, TeamSize};
-use gfsl_cluster::{Cluster, ClusterError};
+use gfsl_cluster::Cluster;
 use gfsl_rng::SplitMix64;
 
 const KEY_SPACE: u32 = 110;
@@ -153,61 +154,32 @@ fn soak_cell(point: CrashPoint, seed: u64, appends: bool) -> (u64, u64, usize) {
                         let value = (r >> 40) as u32 | 1;
                         let inv = rec.invoke();
                         match kind {
-                            0 | 1 => loop {
-                                match cluster.try_insert_with(mint, key, value) {
-                                    Ok(ok) => {
-                                        rec.finish(key, OpAction::Insert { value, ok }, inv);
-                                        break;
+                            0 | 1 => match cluster.insert_with(mint, key, value) {
+                                Ok(ok) => rec.finish(key, OpAction::Insert { value, ok }, inv),
+                                Err(Error::Aborted(a)) => {
+                                    if a.reason == AbortReason::Crashed {
+                                        rec.finish(key, OpAction::InsertMaybe { value }, inv);
                                     }
-                                    // The op never reached the structure:
-                                    // same invocation, fresh route.
-                                    Err(ClusterError::WrongShard { .. }) => continue,
-                                    Err(ClusterError::Shard(Error::Aborted(a))) => {
-                                        if a.reason == AbortReason::Crashed {
-                                            rec.finish(
-                                                key,
-                                                OpAction::InsertMaybe { value },
-                                                inv,
-                                            );
-                                        }
-                                        break;
-                                    }
-                                    Err(e) => panic!("insert({key}): unexpected error {e}"),
                                 }
+                                Err(e) => panic!("insert({key}): unexpected error {e}"),
                             },
-                            2 | 3 => loop {
-                                match cluster.try_remove_with(mint, key) {
-                                    Ok(ok) => {
-                                        rec.finish(key, OpAction::Remove { ok }, inv);
-                                        break;
+                            2 | 3 => match cluster.remove_with(mint, key) {
+                                Ok(ok) => rec.finish(key, OpAction::Remove { ok }, inv),
+                                Err(Error::Aborted(a)) => {
+                                    if a.reason == AbortReason::Crashed {
+                                        rec.finish(key, OpAction::RemoveMaybe, inv);
                                     }
-                                    Err(ClusterError::WrongShard { .. }) => continue,
-                                    Err(ClusterError::Shard(Error::Aborted(a))) => {
-                                        if a.reason == AbortReason::Crashed {
-                                            rec.finish(key, OpAction::RemoveMaybe, inv);
-                                        }
-                                        break;
-                                    }
-                                    Err(e) => panic!("remove({key}): unexpected error {e}"),
                                 }
+                                Err(e) => panic!("remove({key}): unexpected error {e}"),
                             },
-                            _ => loop {
-                                match cluster.try_get_with(mint, key) {
-                                    Ok(found) => {
-                                        rec.finish(key, OpAction::Get { found }, inv);
-                                        break;
-                                    }
-                                    Err(ClusterError::WrongShard { .. }) => continue,
-                                    Err(ClusterError::Shard(Error::Aborted(a))) => {
-                                        assert_ne!(
-                                            a.reason,
-                                            AbortReason::Crashed,
-                                            "lock-free gets cannot crash"
-                                        );
-                                        break;
-                                    }
-                                    Err(e) => panic!("get({key}): unexpected error {e}"),
-                                }
+                            _ => match cluster.get_with(mint, key) {
+                                Ok(found) => rec.finish(key, OpAction::Get { found }, inv),
+                                Err(Error::Aborted(a)) => assert_ne!(
+                                    a.reason,
+                                    AbortReason::Crashed,
+                                    "lock-free gets cannot crash"
+                                ),
+                                Err(e) => panic!("get({key}): unexpected error {e}"),
                             },
                         }
                         op_done.send(()).expect("the driver outlives the workers");
@@ -265,9 +237,7 @@ fn soak_cell(point: CrashPoint, seed: u64, appends: bool) -> (u64, u64, usize) {
         let top = KEY_SPACE + if appends { OPS_PER_WORKER as u32 } else { 0 };
         for key in 1..=top {
             let inv = rec.invoke();
-            let found = cluster
-                .try_get(key)
-                .expect("quiescent get cannot abort or redirect");
+            let found = cluster.get(key).expect("quiescent get cannot abort");
             rec.finish(key, OpAction::Get { found }, inv);
         }
         records.extend(rec.records);

@@ -70,7 +70,7 @@ fn main() -> ExitCode {
         println!("\n### experiment: {id}\n");
         let t0 = std::time::Instant::now();
         let tables = experiments::run(id, &cfg);
-        experiments::emit(id, &tables, &cfg);
+        experiments::emit(&tables, &cfg);
         println!("({id} took {:.1}s)", t0.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS

@@ -22,10 +22,7 @@ use crate::runner::{run_gfsl, run_gfsl_ops, RunConfig};
 
 /// Run all three ablations at the anchor range.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
     let range = cfg.anchor_range();
 
     // Merge-threshold sweep on a delete-heavy mixture.
@@ -95,10 +92,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         ]);
     }
     {
-        let one = RunConfig {
-            workers: 1,
-            ..Default::default()
-        };
+        let one = RunConfig { workers: 1 };
         let m = run_gfsl(&po_spec, GfslParams::sized_for(po_range as u64 * 2), &one);
         t_probe.row(vec![
             "CountingProbe+L2".into(),

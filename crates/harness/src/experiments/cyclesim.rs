@@ -69,10 +69,7 @@ fn simulate_mc(list: &McSkipList, keys: &[u32]) -> f64 {
 
 /// Run the cross-validation at three representative ranges.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
     let n_ops = cfg.mixed_ops().min(300_000);
     let ranges: Vec<u32> = {
         let r = cfg.ranges();

@@ -13,10 +13,7 @@ use crate::runner::{run_gfsl, run_mc, RunConfig};
 
 /// Run the diagnostic breakdown across the configured ranges.
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
     let mut t = Table::new(
         "Diagnostics: model component breakdown ([10,10,80])",
         &[

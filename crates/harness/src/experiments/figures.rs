@@ -10,10 +10,7 @@ use crate::report::{mops, ratio, Table};
 use crate::runner::{run_gfsl, run_mc, RunConfig};
 
 fn run_cfg(cfg: &ExpConfig) -> RunConfig {
-    RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    }
+    RunConfig { workers: cfg.workers }
 }
 
 fn gfsl_params(cfg: &ExpConfig, spec: &WorkloadSpec, team: TeamSize) -> GfslParams {

@@ -127,9 +127,9 @@ pub fn run(id: &str, cfg: &ExpConfig) -> Vec<Table> {
     }
 }
 
-/// Emit one experiment's tables: print, and optionally write per-table
-/// CSVs plus one machine-readable `BENCH_<id>.json` rollup.
-pub fn emit(id: &str, tables: &[Table], cfg: &ExpConfig) {
+/// Emit one experiment's tables: print each, and write each as a CSV when
+/// `cfg.out_dir` is set.
+pub fn emit(tables: &[Table], cfg: &ExpConfig) {
     for t in tables {
         println!("{}", t.render());
         if let Some(dir) = &cfg.out_dir {
@@ -137,12 +137,6 @@ pub fn emit(id: &str, tables: &[Table], cfg: &ExpConfig) {
                 Ok(p) => println!("   -> {}", p.display()),
                 Err(e) => eprintln!("   !! csv write failed: {e}"),
             }
-        }
-    }
-    if let Some(dir) = &cfg.out_dir {
-        match crate::report::write_bench_json(dir, id, tables) {
-            Ok(p) => println!("   -> {}", p.display()),
-            Err(e) => eprintln!("   !! bench json write failed: {e}"),
         }
     }
 }

@@ -16,10 +16,7 @@ use crate::runner::{run_gfsl, run_mc, RunConfig};
 pub fn run(cfg: &ExpConfig) -> Vec<Table> {
     let range = cfg.anchor_range();
     let spec = WorkloadSpec::mixed(OpMix::C80, range, cfg.mixed_ops(), cfg.seed);
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
 
     let mut t_chunk = Table::new(
         format!("p_chunk sweep: GFSL-32, [10,10,80], range {}", spec.range_label()),

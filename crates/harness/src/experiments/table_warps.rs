@@ -56,10 +56,7 @@ fn static_rows(table: &mut Table, kernel: &KernelProfile) {
 pub fn table5_1(cfg: &ExpConfig) -> Vec<Table> {
     let range = cfg.anchor_range();
     let spec = WorkloadSpec::mixed(OpMix::C80, range, cfg.mixed_ops(), cfg.seed);
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
     let metrics = run_gfsl(
         &spec,
         GfslParams::sized_for(range as u64 + spec.n_ops as u64),
@@ -95,10 +92,7 @@ pub fn table5_1(cfg: &ExpConfig) -> Vec<Table> {
 pub fn table5_2(cfg: &ExpConfig) -> Vec<Table> {
     let range = cfg.anchor_range();
     let spec = WorkloadSpec::mixed(OpMix::C80, range, cfg.mixed_ops(), cfg.seed);
-    let run_cfg = RunConfig {
-        workers: cfg.workers,
-        ..Default::default()
-    };
+    let run_cfg = RunConfig { workers: cfg.workers };
     let metrics = run_mc(
         &spec,
         McParams::sized_for(range as u64 + spec.n_ops as u64),

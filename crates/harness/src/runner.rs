@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use gfsl::{Gfsl, GfslParams};
 use gfsl_gpu_mem::{CountingProbe, L2Cache};
-use gfsl_simt::DivergenceStats;
+use gfsl_simt::{DivergenceStats, WARP_SIZE};
 use gfsl_workload::{Op, WorkloadSpec};
 use mc_skiplist::{McParams, McSkipList};
 
@@ -24,17 +24,11 @@ pub struct RunConfig {
     /// rescales the measured contention from this concurrency to the
     /// modeled GPU's resident-team count.
     pub workers: usize,
-    /// Lanes per model warp when aggregating M&C divergence (always 32 on
-    /// the modeled hardware).
-    pub warp_lanes: usize,
 }
 
 impl Default for RunConfig {
     fn default() -> Self {
-        RunConfig {
-            workers: 4,
-            warp_lanes: 32,
-        }
+        RunConfig { workers: 4 }
     }
 }
 
@@ -187,7 +181,6 @@ pub fn run_mc(spec: &WorkloadSpec, params: McParams, cfg: &RunConfig) -> RunMetr
     });
 
     let ops = spec.ops();
-    let warp_lanes = cfg.warp_lanes.max(1);
     let t0 = Instant::now();
     type McWorker = (gfsl_gpu_mem::Traffic, mc_skiplist::McStats, DivergenceStats);
     let per_worker: Vec<McWorker> = std::thread::scope(|s| {
@@ -199,7 +192,7 @@ pub fn run_mc(spec: &WorkloadSpec, params: McParams, cfg: &RunConfig) -> RunMetr
                 s.spawn(move || {
                     let mut h = list.handle_with(CountingProbe::new(l2));
                     let mut divergence = DivergenceStats::new();
-                    let mut lane_steps: Vec<u64> = Vec::with_capacity(warp_lanes);
+                    let mut lane_steps: Vec<u64> = Vec::with_capacity(WARP_SIZE);
                     let mut last_reads = 0u64;
                     for op in slice {
                         match *op {
@@ -216,7 +209,7 @@ pub fn run_mc(spec: &WorkloadSpec, params: McParams, cfg: &RunConfig) -> RunMetr
                         let reads = h.stats().node_reads;
                         lane_steps.push(reads - last_reads);
                         last_reads = reads;
-                        if lane_steps.len() == warp_lanes {
+                        if lane_steps.len() == WARP_SIZE {
                             divergence.record_diverged_region(&lane_steps);
                             lane_steps.clear();
                         }
