@@ -10,6 +10,17 @@ use gfsl_cluster::{Cluster, RebalancePolicy, ReshardEvent};
 use gfsl_rng::SplitMix64;
 use gfsl_workload::{HotShard, ServeMix, ServeOp};
 
+/// Sets its flag when dropped: held by the thread that asserts, it stops a
+/// scope's spinning threads however that thread leaves, so a failed assert
+/// fails the test instead of hanging it in the scope's join.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 fn params16() -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
@@ -136,6 +147,7 @@ fn routed_ops_survive_concurrent_migration_churn() {
     let stop = AtomicBool::new(false);
     let (oracle, migrations) = std::thread::scope(|s| {
         let churn = s.spawn(|| churn_shards(&cluster, &stop, 1_000));
+        let stopper = StopOnDrop(&stop);
         // One mutator keeps the oracle exact while the map churns under it.
         let mut oracle = BTreeMap::new();
         let mut rng = SplitMix64::new(0xFACE);
@@ -152,7 +164,7 @@ fn routed_ops_survive_concurrent_migration_churn() {
                 _ => assert_eq!(cluster.get(k).unwrap(), oracle.get(&k).copied()),
             }
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stopper);
         (oracle, churn.join().unwrap())
     });
     assert!(migrations > 0, "the churn thread must have migrated something");
@@ -176,14 +188,6 @@ fn fan_out_reads_survive_concurrent_migration_churn(mvcc: bool) {
     let oracle: BTreeMap<u32, u32> = (2..=2_000).step_by(2).map(|k| (k, k * 3)).collect();
     for (&k, &v) in &oracle {
         cluster.insert(k, v).unwrap();
-    }
-    /// Stops the churn thread however the reader leaves the scope, so a
-    /// failed assert fails the test instead of hanging it.
-    struct StopOnDrop<'a>(&'a AtomicBool);
-    impl Drop for StopOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
     }
     let stop = AtomicBool::new(false);
     let (windows, migrations) = std::thread::scope(|s| {
@@ -250,6 +254,7 @@ fn snapshots_are_consistent_cuts_even_across_shards() {
                 i += 1;
             }
         });
+        let stopper = StopOnDrop(&stop);
         for _ in 0..200 {
             let snap = cluster.snapshot();
             assert!(
@@ -262,7 +267,7 @@ fn snapshots_are_consistent_cuts_even_across_shards() {
                 snap.pairs
             );
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stopper);
         writer.join().unwrap();
     });
     // The final snapshot materializes back into a single valid GFSL.
@@ -460,6 +465,7 @@ fn pinned_snapshots_are_consistent_cuts_under_write_soak() {
                 })
             })
             .collect();
+        let stopper = StopOnDrop(&stop);
         for _ in 0..100 {
             let snap = cluster.snapshot();
             assert!(snap.pinned(), "mvcc cut must be version-pinned: {:?}", snap.cuts);
@@ -486,7 +492,7 @@ fn pinned_snapshots_are_consistent_cuts_under_write_soak() {
             // of the test. Real snapshot cadences have gaps.
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stopper);
         mover.join().unwrap();
         let soak_ops: u64 = soakers.into_iter().map(|w| w.join().unwrap()).sum();
         // Write-heavy means write-heavy: the soak must have made real

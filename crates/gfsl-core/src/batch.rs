@@ -2,12 +2,13 @@
 //!
 //! The paper's structure only pays off when operations arrive in warp-sized
 //! cooperative batches — the shape a kernel launch (or a continuous-batching
-//! serving loop, see `gfsl-serve`) produces. [`GfslHandle::execute_batch`]
-//! is that entry point: one team drains an ordered slice of operations,
-//! appending one typed reply per operation. Inserts that hit a structural
-//! error (pool exhaustion, reserved key) record the error in their reply
-//! slot and the batch keeps going, so a single bad request cannot abort the
-//! dispatch of its batchmates.
+//! serving loop, see `gfsl-serve`) produces.
+//! [`GfslHandle::execute_batch_hinted`] is that entry point: one team
+//! drains a slice of operations in key order, writing one typed reply per
+//! operation at its index. Inserts that hit a structural error (pool
+//! exhaustion, reserved key) record the error in their reply slot and the
+//! batch keeps going, so a single bad request cannot abort the dispatch of
+//! its batchmates.
 
 use gfsl_gpu_mem::MemProbe;
 
@@ -93,30 +94,19 @@ pub fn order_index(packed: u64) -> usize {
 }
 
 impl<P: MemProbe> GfslHandle<'_, P> {
-    /// Execute `ops` in order, appending one [`BatchReply`] per op to `out`.
-    ///
-    /// Returns the number of replies appended (always `ops.len()`).
-    pub fn execute_batch(&mut self, ops: &[BatchOp], out: &mut Vec<BatchReply>) -> usize {
-        out.reserve(ops.len());
-        for op in ops {
-            let reply = self.dispatch_one(*op);
-            out.push(reply);
-        }
-        ops.len()
-    }
-
-    /// Execute `ops` in ascending key order (replies stay index-aligned
-    /// with the request slice), so consecutive operations land in the same
-    /// or adjacent bottom-level chunks. The call is **hinted by
-    /// construction**: for its duration the handle's bottom-level traversal
-    /// hint is live, so op *i+1*'s lateral walk starts at op *i*'s chunk
-    /// instead of re-descending from the head.
+    /// Execute `ops` in ascending key order, appending one [`BatchReply`]
+    /// per op to `out` (replies stay index-aligned with the request slice)
+    /// and returning how many (always `ops.len()`). Consecutive operations
+    /// land in the same or adjacent bottom-level chunks. The call is
+    /// **hinted by construction**: for its duration the handle's
+    /// bottom-level traversal hint is live, so op *i+1*'s lateral walk
+    /// starts at op *i*'s chunk instead of re-descending from the head.
     ///
     /// Operations on the *same* key keep their original relative order (the
-    /// sort is by `(key, index)`), so per-key reply semantics match
-    /// [`execute_batch`](Self::execute_batch); operations on different keys
-    /// are mutually unordered in either entry point, exactly as they would
-    /// be across concurrently dispatched batches.
+    /// sort is by `(key, index)`), so per-key reply semantics match running
+    /// the ops one by one in order; operations on different keys are
+    /// mutually unordered, exactly as they would be across concurrently
+    /// dispatched batches.
     pub fn execute_batch_hinted(&mut self, ops: &[BatchOp], out: &mut Vec<BatchReply>) -> usize {
         // The scratch buffer lives on the handle so steady-state batch
         // dispatch allocates nothing.
@@ -212,7 +202,7 @@ mod tests {
             BatchOp::Get(10),
         ];
         let mut out = Vec::new();
-        assert_eq!(h.execute_batch(&ops, &mut out), ops.len());
+        assert_eq!(h.execute_batch_hinted(&ops, &mut out), ops.len());
         assert_eq!(
             out,
             vec![
@@ -234,7 +224,7 @@ mod tests {
         let list = Gfsl::prefilled(params16(), (1..=100u32).map(|k| k * 2)).unwrap();
         let mut h = list.handle();
         let mut out = Vec::new();
-        h.execute_batch(
+        h.execute_batch_hinted(
             &[BatchOp::CountRange(2, 200), BatchOp::CountRange(3, 8)],
             &mut out,
         );
@@ -260,8 +250,7 @@ mod tests {
         let unhinted = |s: crate::OpStats| s.hint_hits + s.hint_misses == 0;
 
         assert!(!h.hint_live, "a fresh handle's hint is off");
-        let mut plain = Vec::new();
-        h.execute_batch(&ops, &mut plain);
+        let plain: Vec<BatchReply> = ops.iter().map(|&op| h.dispatch_one(op)).collect();
         assert!(unhinted(h.stats()), "a per-op stream consults no hint");
 
         // Same-key order is kept, so the replies are what the in-order run
@@ -276,7 +265,9 @@ mod tests {
         assert!(!th.hint_live, "the call switches it back off");
 
         th.reset_stats();
-        th.execute_batch(&ops, &mut sorted);
+        for &op in &ops {
+            th.dispatch_one(op);
+        }
         assert!(unhinted(th.stats()), "the hint does not outlive the sorted call");
         twin.assert_valid();
     }
@@ -327,7 +318,7 @@ mod tests {
             BatchOp::MinEntry,
         ];
         let mut out = Vec::new();
-        h.execute_batch(&ops, &mut out);
+        h.execute_batch_hinted(&ops, &mut out);
         assert_eq!(
             out,
             vec![

@@ -3,6 +3,7 @@
 //! after splits.
 
 use gfsl_gpu_mem::MemProbe;
+use gfsl_simt::LaneId;
 
 use crate::chunk::{is_user_key, ops, ChunkView, Entry, Held, NIL};
 use crate::search::UpdatePath;
@@ -11,8 +12,9 @@ use crate::skiplist::{Commit, Error, GfslHandle};
 /// What happened when inserting into one level.
 #[derive(Debug)]
 pub(crate) enum LevelOutcome {
-    /// The key was already present; the enclosing chunk is returned locked.
-    AlreadyPresent { locked: Held },
+    /// The key was already present, in DATA lane `lane` of the enclosing
+    /// chunk, which is returned locked.
+    AlreadyPresent { locked: Held, lane: LaneId },
     /// The key went in; the chunk now containing it is returned locked.
     Inserted {
         locked: Held,
@@ -52,16 +54,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // own locks).
         self.with_version_stamp(|h| {
             h.maybe_reclaim();
-            h.with_pin(|h| h.insert_pinned(k, v))
+            h.with_pin(|h| h.insert_pinned(k, v, false))
         })
+        .map(|old| old.is_none())
     }
 
-    fn insert_pinned(&mut self, k: u32, v: u32) -> Result<bool, Error> {
+    /// The one insert body, for `insert` and `upsert`: put `(k, v)` in, or
+    /// find `k` present and, when `overwrite`, store `v` over its value
+    /// under the bottom lock. Returns the value `k` had, `None` when it
+    /// went in.
+    fn insert_pinned(&mut self, k: u32, v: u32, overwrite: bool) -> Result<Option<u32>, Error> {
         let mut view = ChunkView::BLANK;
         let (found, path) = self.search_slow(k, &mut view);
-        if found.found.is_some() {
+        if let (Some((_, old)), false) = (found.found, overwrite) {
             self.note_hint_after_update(found.enclosing);
-            return Ok(false);
+            return Ok(Some(old));
         }
 
         // Bottom level: the chunk that receives k stays locked until every
@@ -69,12 +76,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // to the same key.
         let p_enc = self.lock_certified(&found, k, &mut view);
         let (p_bottom, raise, kk) = match self.insert_locked(0, p_enc, &view, k, v)? {
-            LevelOutcome::AlreadyPresent { locked } => {
-                // Duplicate observed under the bottom lock: the op's outcome
-                // is decided even if the unlock below crashes.
+            LevelOutcome::AlreadyPresent { locked, lane } => {
+                // Present under the bottom lock: the op's outcome is decided
+                // (an overwrite by the one store below) even if the unlock
+                // crashes.
+                let old = view.entry(lane).val();
+                if overwrite {
+                    ops::write_entry(&mut self.probe, self.list.chunk_words(locked.chunk()), lane, Entry::new(k, v));
+                }
                 self.journal.committed = Some(Commit::Inserted(false));
                 self.unlock(locked);
-                return Ok(false);
+                return Ok(Some(old));
             }
             LevelOutcome::Inserted {
                 locked,
@@ -93,7 +105,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         self.unlock(p_bottom);
         self.note_hint_after_update(bottom);
-        Ok(true)
+        Ok(None)
     }
 
     /// Install `(key, down)` at `level`, then keep raising one level at a
@@ -123,7 +135,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 c => Ok(c),
             };
             match start.and_then(|start| self.insert_to_level(level, start, key, down)) {
-                Ok(LevelOutcome::AlreadyPresent { locked }) => {
+                Ok(LevelOutcome::AlreadyPresent { locked, .. }) => {
                     down = locked.chunk();
                     self.unlock(locked);
                     if healing {
@@ -208,41 +220,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Insert `(k, v)`, or overwrite the value if `k` is already present.
     /// Returns the previous value, if any.
     ///
-    /// Not part of the paper's API, but a natural extension: the overwrite
-    /// is a single atomic store of the entry (same key, new value) under the
-    /// bottom-level chunk lock, so it serializes with other updates to `k`
-    /// exactly like insert/remove do, and lock-free readers see either the
-    /// old or the new value.
+    /// Not part of the paper's API, but a natural extension, and one pass
+    /// of the insert body: the key's bottom chunk is locked once, and a
+    /// present key's overwrite is a single atomic store of the entry (same
+    /// key, new value) under that lock, so it serializes with other updates
+    /// to `k` exactly like insert/remove do, and lock-free readers see
+    /// either the old or the new value.
     pub fn upsert(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
         if !is_user_key(k) {
             return Err(Error::InvalidKey(k));
         }
         self.with_version_stamp(|h| {
             h.maybe_reclaim();
-            h.with_pin(|h| h.upsert_pinned(k, v))
+            h.with_pin(|h| h.insert_pinned(k, v, true))
         })
-    }
-
-    fn upsert_pinned(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
-        let team = self.list.team;
-        let mut view = ChunkView::BLANK;
-        loop {
-            let (found, _) = self.search_slow(k, &mut view);
-            let p_bottom = self.lock_certified(&found, k, &mut view);
-            if let Some(lane) = view.lane_of_key(&team, k) {
-                let old = view.entry(lane).val();
-                ops::write_entry(&mut self.probe, self.list.chunk_words(p_bottom.chunk()), lane, Entry::new(k, v));
-                self.unlock(p_bottom);
-                return Ok(Some(old));
-            }
-            // Absent at lock time: release and take the plain insert path
-            // (it redoes the locking); a racing inserter may still beat us,
-            // in which case we loop back to the overwrite path.
-            self.unlock(p_bottom);
-            if self.insert(k, v)? {
-                return Ok(None);
-            }
-        }
     }
 
     /// Lock `k`'s enclosing chunk at `level` (starting the walk at `start`,
@@ -272,8 +263,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         v: u32,
     ) -> Result<LevelOutcome, Error> {
         let team = self.list.team;
-        if view.contains_key(&team, k) {
-            return Ok(LevelOutcome::AlreadyPresent { locked: p_enc });
+        if let Some(lane) = view.lane_of_key(&team, k) {
+            return Ok(LevelOutcome::AlreadyPresent { locked: p_enc, lane });
         }
         if (view.num_keys(&team) as usize) < team.dsize() {
             self.execute_insert(&p_enc, view, k, v);
@@ -366,6 +357,19 @@ mod tests {
         assert_eq!(h.insert(7, 1), Ok(true));
         assert_eq!(h.insert(7, 2), Ok(false));
         assert_eq!(h.get(7), Some(1), "original value preserved");
+    }
+
+    /// An absent key's `upsert` is one pass of the insert body: it takes
+    /// the bottom lock once, where re-entering `insert` took it twice.
+    #[test]
+    fn upsert_of_an_absent_key_takes_one_lock() {
+        let list = list16();
+        let mut h = list.handle();
+        assert_eq!(h.upsert(42, 420), Ok(None));
+        assert_eq!(h.get(42), Some(420));
+        assert_eq!((h.stats().splits, h.stats().locks_taken), (0, 1));
+        assert_eq!(h.upsert(42, 421), Ok(Some(420)));
+        assert_eq!(h.get(42), Some(421));
     }
 
     #[test]

@@ -51,19 +51,17 @@
 //!
 //! ## Retirement
 //!
-//! Images retire through the same epoch pipeline as zombie chunks: a vacuum
-//! pass (run under the fence, so no ticket can be minted mid-pass) condemns
-//! every image whose tag no active ticket precedes, hands the batch an
-//! opaque token via [`EpochReclaimer::defer`], and drops the memory only
-//! when [`EpochReclaimer::drain_deferred`] returns the token after two
-//! epoch advances. Resolution clones the image under the chain mutex, so
-//! dropping is memory-safe regardless — the grace period is defense in
-//! depth and keeps the retirement story uniform with chunks.
+//! Images drop at vacuum. A vacuum pass (run under the fence, so no ticket
+//! can be minted mid-pass) removes, under each chain-shard mutex, every
+//! image whose tag is at most the oldest pinned version. Resolution clones
+//! the image it picks under that same mutex, and no active ticket resolves
+//! to an image tagged at or below its own version, so no reader holds an
+//! image a vacuum drops: images need no grace period, and the epoch
+//! reclaimer guards chunks only.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use gfsl_gpu_mem::reclaim::EpochReclaimer;
 use gfsl_gpu_mem::schedule::{self, AccessKind, SYNTH_MVCC_FENCE};
 use gfsl_gpu_mem::MemProbe;
 use parking_lot::{Mutex, RwLock};
@@ -114,10 +112,8 @@ pub struct MvccStats {
     pub copy_bytes: u64,
     /// Pre-images captured since construction.
     pub captures: u64,
-    /// Images condemned by vacuum passes since construction.
+    /// Images dropped by vacuum passes since construction.
     pub vacuumed: u64,
-    /// Condemned image batches still waiting out the reclaimer grace.
-    pub condemned_batches: u64,
     /// Entries on the level-0 head version chain.
     pub head_entries: u64,
     /// Read tickets minted since construction.
@@ -184,10 +180,6 @@ pub struct MvccEngine {
     tickets_active: AtomicU64,
     /// Mirror of the oldest pinned version (`0` = none).
     oldest: AtomicU64,
-    /// Condemned image batches awaiting reclaimer grace, keyed by the
-    /// opaque token handed to [`EpochReclaimer::defer`].
-    condemned: Mutex<Vec<(u64, Vec<VersionImage>)>>,
-    next_token: AtomicU64,
     images_live: AtomicU64,
     /// One-at-a-time guard for the opportunistic writer-epilogue vacuum:
     /// when retention is pin-bound the high water can stay exceeded for a
@@ -220,8 +212,6 @@ impl MvccEngine {
             tickets: Mutex::new(BTreeMap::new()),
             tickets_active: AtomicU64::new(0),
             oldest: AtomicU64::new(0),
-            condemned: Mutex::new(Vec::new()),
-            next_token: AtomicU64::new(1),
             images_live: AtomicU64::new(0),
             vacuuming: AtomicBool::new(false),
             copy_bytes: AtomicU64::new(0),
@@ -451,71 +441,47 @@ impl MvccEngine {
     /// no other thread is already sweeping, run one vacuum pass. Same
     /// fence precondition as [`Self::vacuum_locked`] (shared suffices).
     /// Returns whether this call swept.
-    pub(crate) fn try_vacuum(&self, rec: Option<&EpochReclaimer>) -> bool {
+    pub(crate) fn try_vacuum(&self) -> bool {
         if !self.needs_vacuum() {
             return false;
         }
         if self.vacuuming.swap(true, Ordering::Acquire) {
             return false;
         }
-        self.vacuum_locked(rec);
+        self.vacuum_locked();
         self.vacuuming.store(false, Ordering::Release);
         true
     }
 
-    /// Condemn every image no active ticket can still resolve (tag ≤ oldest
-    /// pinned version, or all of them when no ticket is outstanding) and
-    /// route the batch through the reclaimer's deferred-token grace
-    /// pipeline; also drop batches whose grace has elapsed.
+    /// Drop every image no active ticket can still resolve (tag ≤ oldest
+    /// pinned version, or all of them when no ticket is outstanding).
     ///
     /// **Caller must hold the fence** (shared suffices): with the fence
     /// held no new ticket can be minted mid-pass, so the oldest-version
-    /// floor read at entry stays valid for the whole sweep. Resolution
-    /// clones under the chain mutex, so the deferred drop is defense in
-    /// depth, not a memory-safety requirement.
-    pub(crate) fn vacuum_locked(&self, rec: Option<&EpochReclaimer>) {
+    /// floor read at entry stays valid for the whole sweep. Each image is
+    /// removed under its chain-shard mutex, the one `resolve_image` clones
+    /// under, so no reader holds an image this drops.
+    pub(crate) fn vacuum_locked(&self) {
         let min = self.oldest.load(Ordering::SeqCst);
         let droppable = |tag: u64| min == 0 || tag <= min;
-        let mut dropped: Vec<VersionImage> = Vec::new();
+        let (mut n, mut bytes) = (0u64, 0u64);
         for shard in self.chains.iter() {
-            let mut m = shard.lock();
-            m.retain(|_, chain| {
-                let mut i = 0;
-                while i < chain.len() {
-                    if droppable(chain[i].tag) {
-                        dropped.push(chain.swap_remove(i));
-                    } else {
-                        i += 1;
+            shard.lock().retain(|_, chain| {
+                chain.retain(|img| {
+                    let gone = droppable(img.tag);
+                    if gone {
+                        n += 1;
+                        bytes += img.lanes.len() as u64 * 8;
                     }
-                }
+                    !gone
+                });
                 !chain.is_empty()
             });
         }
         self.head0.lock().retain(|&(tag, _)| !droppable(tag));
-        if !dropped.is_empty() {
-            let bytes: u64 = dropped.iter().map(|i| i.lanes.len() as u64 * 8).sum();
-            self.images_live
-                .fetch_sub(dropped.len() as u64, Ordering::SeqCst);
-            self.copy_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.vacuumed
-                .fetch_add(dropped.len() as u64, Ordering::Relaxed);
-            match rec {
-                Some(r) => {
-                    let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-                    self.condemned.lock().push((token, dropped));
-                    r.defer(token);
-                }
-                // No reclaimer: immediate drop (still safe — see above).
-                None => drop(dropped),
-            }
-        }
-        if let Some(r) = rec {
-            let mut tokens = Vec::new();
-            r.drain_deferred(&mut tokens);
-            if !tokens.is_empty() {
-                self.condemned.lock().retain(|(t, _)| !tokens.contains(t));
-            }
-        }
+        self.images_live.fetch_sub(n, Ordering::SeqCst);
+        self.copy_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.vacuumed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
@@ -529,7 +495,6 @@ impl MvccEngine {
             copy_bytes: self.copy_bytes.load(Ordering::Relaxed),
             captures: self.captures.load(Ordering::Relaxed),
             vacuumed: self.vacuumed.load(Ordering::Relaxed),
-            condemned_batches: self.condemned.lock().len() as u64,
             head_entries: self.head0.lock().len() as u64,
             pins: self.pins.load(Ordering::Relaxed),
             image_resolves: self.image_resolves.load(Ordering::Relaxed),
@@ -820,15 +785,11 @@ mod tests {
             assert!(s.images > 0, "captures happened under a live ticket");
             assert_eq!(h.get_at(1, &t), Some(1));
         }
-        // Ticket dropped: repeated reclaim passes vacuum the chains and walk
-        // the deferred batches through the reclaimer grace.
-        for _ in 0..8 {
-            h.reclaim_pass();
-        }
+        // Ticket dropped: one reclaim pass vacuums the chains.
+        h.reclaim_pass();
         let s = list.mvcc_stats().unwrap();
         assert_eq!(s.active_tickets, 0);
         assert_eq!(s.images, 0, "no ticket, no retained images: {s:?}");
-        assert_eq!(s.condemned_batches, 0, "grace drained: {s:?}");
         assert!(s.vacuumed > 0);
     }
 
@@ -877,12 +838,20 @@ mod tests {
             }
             let tref = &t;
             s.spawn(move || {
+                // Stops the writers however this reader ends, so a failed
+                // assert fails the test instead of hanging the scope.
+                struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+                impl Drop for StopOnDrop<'_> {
+                    fn drop(&mut self) {
+                        self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+                    }
+                }
+                let _stopper = StopOnDrop(stop);
                 let mut h = lr.handle();
                 for _ in 0..30 {
                     let got = h.pairs_at(tref);
                     assert_eq!(got, want, "pinned snapshot drifted under soak");
                 }
-                stop.store(true, std::sync::atomic::Ordering::Relaxed);
             });
         });
         list.assert_valid();

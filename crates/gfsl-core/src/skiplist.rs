@@ -982,11 +982,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Run `f` with this handle's epoch slot pinned (no-op when reclamation
-    /// is off). Pinning is reentrant, so composite operations (`pop_min`,
-    /// `upsert`) may nest pinned primitives freely. Every public operation
-    /// that dereferences chunk pointers runs under a pin: the reclaimer
-    /// cannot recycle a chunk retired after the pin was announced, which is
-    /// what makes traversal-held pointers safe to follow.
+    /// is off). A pin never nests ([`EpochReclaimer::pin`] asserts it): a
+    /// composite operation (`pop_min`) runs its pinned primitives one after
+    /// another, and `upsert` is one pass of the insert body. Every public
+    /// operation that dereferences chunk pointers runs under a pin: the
+    /// reclaimer cannot recycle a chunk retired after the pin was announced,
+    /// which is what makes traversal-held pointers safe to follow.
     /// The unpin runs from a drop guard so a chaos-injected panic mid-`f`
     /// (a "crashed team") still quiesces the slot while unwinding: a dead
     /// team's stack holds no chunk references, and leaving its announcement
@@ -1017,10 +1018,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// fence is held **shared** for the whole call (so [`Gfsl::pin_version`]
     /// drains this op before minting a ticket) and `held.stamp` carries the
     /// observed clock value for the capture hook in [`HeldLocks::acquired`].
-    /// A zero-cost passthrough when [`GfslParams::mvcc`] is off, and a
-    /// plain call when already stamped (no update nests inside another
-    /// today; the guard keeps a future composite from deadlocking on the
-    /// non-reentrant fence).
+    /// A zero-cost passthrough when [`GfslParams::mvcc`] is off. No update
+    /// nests inside another (the fence is not reentrant), and a debug build
+    /// asserts it.
     ///
     /// On panic the shared guard releases during unwind; the stale
     /// `held.stamp` is reset where the abort is raised
@@ -1030,9 +1030,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let Some(mvcc) = self.list.mvcc.as_deref() else {
             return f(self);
         };
-        if self.held.stamp != 0 {
-            return f(self);
-        }
+        debug_assert_eq!(self.held.stamp, 0, "nested version stamp");
         let fence = mvcc.writer_fence();
         self.held.stamp = *fence;
         let r = f(self);
@@ -1041,7 +1039,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // retention: if this op's captures pushed the live-image count past
         // the high water, sweep once before releasing the fence (still held
         // shared, as `vacuum_locked` requires). Readers never sweep.
-        mvcc.try_vacuum(self.list.reclaim.as_ref());
+        mvcc.try_vacuum();
         drop(fence);
         r
     }
@@ -1825,10 +1823,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             return;
         };
         if self.held.stamp != 0 {
-            mvcc.vacuum_locked(self.list.reclaim.as_ref());
+            mvcc.vacuum_locked();
         } else {
             let _fence = mvcc.writer_fence();
-            mvcc.vacuum_locked(self.list.reclaim.as_ref());
+            mvcc.vacuum_locked();
         }
     }
 

@@ -23,7 +23,7 @@ use std::sync::{Condvar, Mutex};
 use gfsl::mc::strategy::Replay;
 use gfsl::chunk::{ChunkRef, ChunkView, Entry};
 use gfsl::search::{tid_for_next_step, tid_with_equal_key, LateralStep, NextStep};
-use gfsl::{BatchOp, BatchReply, Gfsl, GfslParams, NoProbe, TeamSize};
+use gfsl::{BatchOp, BatchReply, Gfsl, GfslHandle, GfslParams, MemProbe, NoProbe, TeamSize};
 use gfsl_gpu_mem::WordPool;
 use gfsl_simt::{Ballot, ScalarBallot, Team};
 use proptest::prelude::*;
@@ -53,11 +53,27 @@ fn script_from_seed(seed: u64) -> Vec<u8> {
 /// How a scripted worker runs its ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Run {
-    /// In order through `execute_batch`.
+    /// In order, one `try_*` call per op ([`in_order`]).
     Plain,
     /// Through the key-sorted entry point: `(key, index)` order, the
     /// bottom-level hint live for the call.
     Sorted,
+}
+
+/// Run `ops` one by one in order, each through the contained (`try_*`)
+/// entry point the key-sorted call dispatches it to.
+fn in_order<P: MemProbe>(h: &mut GfslHandle<'_, P>, ops: &[BatchOp]) -> Vec<BatchReply> {
+    let fail = BatchReply::Failed;
+    ops.iter()
+        .map(|&op| match op {
+            BatchOp::Get(k) => h.try_get(k).map_or_else(fail, BatchReply::Got),
+            BatchOp::Insert(k, v) => h.try_insert(k, v).map_or_else(fail, BatchReply::Inserted),
+            BatchOp::Remove(k) => h.try_remove(k).map_or_else(fail, BatchReply::Removed),
+            BatchOp::CountRange(lo, hi) => h.try_count_range(lo, hi).map_or_else(fail, |n| BatchReply::Counted(n as u32)),
+            BatchOp::MinEntry => h.try_min_entry().map_or_else(fail, BatchReply::MinIs),
+            BatchOp::PopMin => h.try_pop_min().map_or_else(fail, BatchReply::Popped),
+        })
+        .collect()
 }
 
 /// Worker `t`'s ops: insert its class's keys, remove all but every 4th,
@@ -110,12 +126,14 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
                 drop(turn);
 
                 let ops = class_ops(t);
-                let mut out = Vec::new();
-                if run == Run::Sorted {
-                    h.execute_batch_hinted(&ops, &mut out);
-                } else {
-                    h.execute_batch(&ops, &mut out);
-                }
+                let out = match run {
+                    Run::Plain => in_order(&mut h, &ops),
+                    Run::Sorted => {
+                        let mut out = Vec::new();
+                        h.execute_batch_hinted(&ops, &mut out);
+                        out
+                    }
+                };
                 for (op, reply) in ops.iter().zip(&out) {
                     match (*op, *reply) {
                         (BatchOp::Insert(..), BatchReply::Inserted(true))
@@ -253,12 +271,13 @@ fn apply_history(ops: &[BatchOp], sorted: bool) -> (Vec<BatchReply>, Vec<u32>) {
     })
     .expect("params valid");
     let mut h = list.handle();
-    let mut out = Vec::new();
-    if sorted {
+    let out = if sorted {
+        let mut out = Vec::new();
         h.execute_batch_hinted(ops, &mut out);
+        out
     } else {
-        h.execute_batch(ops, &mut out);
-    }
+        in_order(&mut h, ops)
+    };
     list.assert_valid();
     (out, list.keys())
 }

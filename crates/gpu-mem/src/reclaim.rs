@@ -28,17 +28,16 @@
 //! * `alloc_chunk` consumes the free list before touching the bump pointer,
 //!   so churn runs at a bounded high-water mark.
 //!
-//! Everything in grace — retired chunks, staged chunks, the mvcc layer's
-//! deferred tokens — sits in a `GraceQueue`. Their total shares one atomic
-//! word with the structure layer's [`flag`](EpochReclaimer::flag)s, so
+//! Everything in grace — retired chunks and staged chunks — sits in a
+//! `GraceQueue`. Their total shares one atomic word with the structure
+//! layer's [`flag`](EpochReclaimer::flag)s, so
 //! [`has_work`](EpochReclaimer::has_work) tells "nothing to reclaim" with a
 //! single relaxed load. Nothing here moves the epoch on its own: the owner
 //! of a reclamation pass calls [`try_advance`](EpochReclaimer::try_advance)
 //! and then drains.
 //!
-//! Pinning is reentrant (a per-slot depth counter): `pop_min` runs a search
-//! inside a remove, `upsert` runs an insert inside a get, and each entry
-//! point pins unconditionally.
+//! A pin never nests: each entry point pins once for its whole operation,
+//! and [`pin`](EpochReclaimer::pin) debug-asserts the slot was quiescent.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -60,19 +59,17 @@ type GraceQueue<T> = Mutex<VecDeque<(u64, T)>>;
 /// One worker's epoch announcement.
 ///
 /// `announce == 0` means quiescent (not inside an operation); otherwise it
-/// is the global epoch the worker observed when it pinned. `depth` makes
-/// pinning reentrant and is only ever touched by the owning worker.
+/// is the global epoch the worker observed when it pinned.
 ///
-/// Its owner writes a slot three or four times per operation (`depth`, the
-/// `SeqCst` announce, the unpin), so each slot gets a cache-line pair to
-/// itself (the adjacent-line prefetcher pulls lines in twos): neighbouring
-/// handles' slots must not bounce one line between their cores.
+/// Its owner writes a slot twice per operation (the `SeqCst` announce, the
+/// unpin), so each slot gets a cache-line pair to itself (the adjacent-line
+/// prefetcher pulls lines in twos): neighbouring handles' slots must not
+/// bounce one line between their cores.
 #[derive(Debug)]
 #[repr(align(128))]
 struct Slot {
     registered: AtomicU32,
     announce: AtomicU64,
-    depth: AtomicU32,
 }
 
 /// Counters describing reclamation progress (see `introspect.rs`).
@@ -92,10 +89,6 @@ pub struct ReclaimStats {
     pub staged_len: u64,
     /// Chunks currently on the free list.
     pub free_len: u64,
-    /// Opaque deferred tokens (mvcc version pre-images) still in grace.
-    pub deferred_len: u64,
-    /// Deferred tokens whose grace elapsed and were drained back.
-    pub deferred_drained: u64,
     /// Reclamation passes the structure layer ran.
     pub passes: u64,
     /// Passes that came due (or were asked for) while another worker's pass
@@ -105,7 +98,7 @@ pub struct ReclaimStats {
     /// scans: the part of a pass's cost that grows with the structure, not
     /// with what the pass reclaims.
     pub parent_chunks_scanned: u64,
-    /// Most items ever in grace at once (limbo + staged + deferred).
+    /// Most chunks ever in grace at once (limbo + staged).
     pub backlog_high_water: u64,
 }
 
@@ -126,13 +119,8 @@ pub struct EpochReclaimer {
     limbo: GraceQueue<(u32, u8)>,
     /// Verified-unreachable chunks serving their second grace period.
     staged: GraceQueue<u32>,
-    /// Opaque tokens (not chunk indices) riding the same two-advance grace
-    /// as limbo chunks. The mvcc layer defers condemned version pre-images
-    /// here so a reader that resolved a chain entry just before it was
-    /// condemned has quiesced before the image is dropped.
-    deferred: GraceQueue<u64>,
     free: Mutex<Vec<u32>>,
-    /// Low half: entries in the three grace queues together. High half:
+    /// Low half: entries in the two grace queues together. High half:
     /// the structure layer's attention flags (see [`Self::flag`]). Zero
     /// means a pass has nothing to do.
     work: AtomicU64,
@@ -141,7 +129,6 @@ pub struct EpochReclaimer {
     retired_total: AtomicU64,
     reclaimed_total: AtomicU64,
     reused_total: AtomicU64,
-    deferred_drained_total: AtomicU64,
     passes: AtomicU64,
     passes_skipped: AtomicU64,
     parent_chunks_scanned: AtomicU64,
@@ -155,7 +142,6 @@ impl EpochReclaimer {
             .map(|_| Slot {
                 registered: AtomicU32::new(0),
                 announce: AtomicU64::new(0),
-                depth: AtomicU32::new(0),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -165,7 +151,6 @@ impl EpochReclaimer {
             slots_used: AtomicUsize::new(0),
             limbo: GraceQueue::default(),
             staged: GraceQueue::default(),
-            deferred: GraceQueue::default(),
             free: Mutex::new(Vec::new()),
             work: AtomicU64::new(0),
             backlog_high_water: AtomicU64::new(0),
@@ -173,7 +158,6 @@ impl EpochReclaimer {
             retired_total: AtomicU64::new(0),
             reclaimed_total: AtomicU64::new(0),
             reused_total: AtomicU64::new(0),
-            deferred_drained_total: AtomicU64::new(0),
             passes: AtomicU64::new(0),
             passes_skipped: AtomicU64::new(0),
             parent_chunks_scanned: AtomicU64::new(0),
@@ -188,7 +172,6 @@ impl EpochReclaimer {
                 .is_ok()
             {
                 s.announce.store(0, Ordering::Release);
-                s.depth.store(0, Ordering::Relaxed);
                 // Grown only, so a handle minted per operation pays a load.
                 // SeqCst, like `pin`'s announcement that follows it: an
                 // advance scan that does not see the new bound is ordered
@@ -210,12 +193,12 @@ impl EpochReclaimer {
     /// advance (and with it all reclamation) forever.
     pub fn unregister(&self, slot: SlotId) {
         let s = &self.slots[slot];
-        s.depth.store(0, Ordering::Relaxed);
         s.announce.store(0, Ordering::Release);
         s.registered.store(0, Ordering::Release);
     }
 
-    /// Enter an operation: announce the current epoch (outermost pin only).
+    /// Enter an operation: announce the current epoch. The slot must be
+    /// quiescent — a pin never nests.
     ///
     /// The announcement store is `SeqCst` so it is globally ordered before
     /// any chunk reads the operation performs; a reclaimer scan that sees
@@ -223,24 +206,17 @@ impl EpochReclaimer {
     #[inline]
     pub fn pin(&self, slot: SlotId) {
         let s = &self.slots[slot];
-        let d = s.depth.load(Ordering::Relaxed);
-        s.depth.store(d + 1, Ordering::Relaxed);
-        if d == 0 {
-            let e = self.global.load(Ordering::SeqCst);
-            s.announce.store(e, Ordering::SeqCst);
-        }
+        debug_assert_eq!(s.announce.load(Ordering::Relaxed), 0, "nested pin");
+        let e = self.global.load(Ordering::SeqCst);
+        s.announce.store(e, Ordering::SeqCst);
     }
 
-    /// Leave an operation: go quiescent when the outermost pin unwinds.
+    /// Leave an operation: go quiescent.
     #[inline]
     pub fn unpin(&self, slot: SlotId) {
         let s = &self.slots[slot];
-        let d = s.depth.load(Ordering::Relaxed);
-        debug_assert!(d > 0, "unpin without pin");
-        s.depth.store(d - 1, Ordering::Relaxed);
-        if d == 1 {
-            s.announce.store(0, Ordering::Release);
-        }
+        debug_assert_ne!(s.announce.load(Ordering::Relaxed), 0, "unpin without pin");
+        s.announce.store(0, Ordering::Release);
     }
 
     /// Put `item` in grace at the current epoch. The count goes up before
@@ -393,24 +369,6 @@ impl EpochReclaimer {
         self.staged.lock().unwrap().iter().for_each(|&(_, c)| f(c));
     }
 
-    /// Defer an opaque token until two epoch advances have passed.
-    ///
-    /// Tokens are never interpreted: the caller (the mvcc engine) maps them
-    /// back to condemned version pre-images when [`Self::drain_deferred`]
-    /// hands them back, and only then drops the backing memory. The grace
-    /// rule is identical to retired chunks — any reader that could have
-    /// been resolving the image when it was condemned was pinned then, and
-    /// two advances prove every such pin has since quiesced.
-    pub fn defer(&self, token: u64) {
-        self.enqueue(&self.deferred, token);
-    }
-
-    /// Move every deferred token whose grace period has elapsed into `out`.
-    pub fn drain_deferred(&self, out: &mut Vec<u64>) {
-        let n = self.dequeue(&self.deferred, |t| out.push(t));
-        self.deferred_drained_total.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Pop a recycled chunk index, if any.
     pub fn try_alloc(&self) -> Option<u32> {
         let c = self.free.lock().unwrap().pop();
@@ -450,8 +408,6 @@ impl EpochReclaimer {
             limbo_len: self.limbo.lock().unwrap().len() as u64,
             staged_len: self.staged.lock().unwrap().len() as u64,
             free_len: self.free_len(),
-            deferred_len: self.deferred.lock().unwrap().len() as u64,
-            deferred_drained: self.deferred_drained_total.load(o),
             passes: self.passes.load(o),
             passes_skipped: self.passes_skipped.load(o),
             parent_chunks_scanned: self.parent_chunks_scanned.load(o),
@@ -613,24 +569,14 @@ mod tests {
         r.unregister(slot);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn reentrant_pin_stays_pinned_until_outermost_unpin() {
+    #[should_panic(expected = "nested pin")]
+    fn pinning_a_pinned_slot_panics() {
         let r = EpochReclaimer::new(4);
         let slot = r.register().unwrap();
         r.pin(slot);
-        r.pin(slot); // nested (pop_min -> remove)
-        r.retire(5, 0);
-        r.unpin(slot);
-        let mut out = Vec::new();
-        for _ in 0..4 {
-            advance_and_drain(&r, &mut out);
-        }
-        assert!(out.is_empty(), "still pinned at depth 1");
-        r.unpin(slot);
-        advance_and_drain(&r, &mut out);
-        advance_and_drain(&r, &mut out);
-        assert_eq!(out, vec![(5, 0)]);
-        r.unregister(slot);
+        r.pin(slot);
     }
 
     #[test]
@@ -677,44 +623,6 @@ mod tests {
         let mut out = Vec::new();
         r.for_each_pending(|c| out.push(c));
         assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn deferred_tokens_wait_out_grace() {
-        let r = EpochReclaimer::new(4);
-        r.defer(0xdead_beef);
-        assert!(r.has_work(), "a deferred token is reclamation work too");
-        let mut out = Vec::new();
-        r.try_advance();
-        r.drain_deferred(&mut out);
-        assert!(out.is_empty(), "one advance is not grace");
-        r.try_advance();
-        r.drain_deferred(&mut out);
-        assert_eq!(out, vec![0xdead_beef]);
-        let s = r.stats();
-        assert!(s.deferred_len == 0 && !r.has_work());
-        assert_eq!(s.deferred_drained, 1);
-    }
-
-    #[test]
-    fn pinned_slot_blocks_deferred_drain() {
-        let r = EpochReclaimer::new(4);
-        let slot = r.register().unwrap();
-        r.pin(slot);
-        r.defer(42);
-        let mut out = Vec::new();
-        for _ in 0..5 {
-            r.try_advance();
-            r.drain_deferred(&mut out);
-        }
-        assert!(out.is_empty(), "pinned reader holds deferred grace back");
-        assert_eq!(r.stats().deferred_len, 1);
-        r.unpin(slot);
-        r.try_advance();
-        r.try_advance();
-        r.drain_deferred(&mut out);
-        assert_eq!(out, vec![42]);
-        r.unregister(slot);
     }
 
     #[test]
