@@ -44,7 +44,7 @@ fn sliding_window_churn_through_per_op_handles_recycles_every_shard() {
         }
     }
     for shard in cluster.shards() {
-        let stats = shard.list.reclaim_stats().expect("reclamation on");
+        let stats = shard.list.reclaim_stats();
         assert!(stats.zombies_reclaimed > 0, "shard {}: {stats:?}", shard.id);
         assert!(stats.reused > 0, "shard {}: {stats:?}", shard.id);
         assert!(shard.list.chunks_allocated() <= POOL_CHUNKS);

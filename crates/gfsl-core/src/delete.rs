@@ -123,30 +123,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             .all(|lane| self.list.pool.read(base.entry_addr(lane)) == view.entry(lane).0)
     }
 
-    /// Remove and return the smallest key (with its value), or `None` when
-    /// the set is empty — the extract-min of a skiplist priority queue.
-    ///
-    /// Implemented as a scan-then-remove loop: [`min_entry`] is lock-free,
-    /// and losing the removal race to a concurrent consumer simply rescans
-    /// (the new minimum may differ). Each successful call removes exactly
-    /// one element; concurrent callers never remove the same one.
-    ///
-    /// Caveat: the returned *value* comes from the scan. If another thread
-    /// removes and reinserts the same key with a different value between
-    /// the scan and this call's removal, the returned value may belong to
-    /// the earlier incarnation (the key itself is always the one this call
-    /// removed).
-    ///
-    /// [`min_entry`]: crate::skiplist::GfslHandle::min_entry
-    pub fn pop_min(&mut self) -> Option<(u32, u32)> {
-        loop {
-            let (k, v) = self.min_entry()?;
-            if self.remove(k) {
-                return Some((k, v));
-            }
-        }
-    }
-
     /// Remove `k` from a held chunk at `level`, merging if that crosses
     /// the minimum-fill threshold (`removeFromChunk`, Algorithm 4.12). The
     /// chunk is unlocked (or zombified) on return.

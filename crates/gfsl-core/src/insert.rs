@@ -227,6 +227,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// to `k` exactly like insert/remove do, and lock-free readers see
     /// either the old or the new value.
     pub fn upsert(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
+        self.stats.insert_ops += 1;
         if !is_user_key(k) {
             return Err(Error::InvalidKey(k));
         }
@@ -369,6 +370,7 @@ mod tests {
         assert_eq!(h.get(42), Some(420));
         assert_eq!((h.stats().splits, h.stats().locks_taken), (0, 1));
         assert_eq!(h.upsert(42, 421), Ok(Some(420)));
+        assert_eq!(h.stats().insert_ops, 2);
         assert_eq!(h.get(42), Some(421));
     }
 

@@ -52,12 +52,13 @@ pub struct Shape {
     pub levels: Vec<LevelShape>,
     /// Total chunks handed out by the pool's bump pointer: zombies and the
     /// heads of the levels in use included, no head of a level never used.
-    /// With reclamation on this is the pool *high-water mark*: recycled
-    /// chunks are re-issued from the free list without bumping it.
+    /// This is the pool *high-water mark*: recycled chunks are re-issued
+    /// from the free list without bumping it.
     pub chunks_allocated: u32,
-    /// Reclamation progress counters (`None` when reclamation is off):
-    /// epochs advanced, chunks retired/recycled/reused, and the current
-    /// limbo/staged/free populations.
+    /// Reclamation progress counters: epochs advanced, chunks
+    /// retired/recycled/reused, and the current limbo/staged/free
+    /// populations. Always `Some`: it stays an `Option` while `perfbench`
+    /// reads it with `unwrap_or_default()`.
     pub reclaim: Option<gfsl_gpu_mem::ReclaimStats>,
 }
 
@@ -117,8 +118,7 @@ impl Gfsl {
     /// without keys, and a level out of use keeps its sentinel and may have
     /// a zombie run parked behind it. With the reclaimer's queue depths this
     /// accounts for every chunk the pool ever handed out, but a level head
-    /// never published (its growth crashed before the publish, or lost the
-    /// race for it with reclamation off). Quiescent use only.
+    /// whose growth crashed before the publish. Quiescent use only.
     pub fn linked_chunks(&self) -> (u64, u64) {
         let (mut live, mut zombies) = (0, 0);
         let mut h = self.handle_with(NoProbe);
@@ -182,7 +182,7 @@ impl Gfsl {
         Shape {
             levels,
             chunks_allocated: self.chunks_allocated(),
-            reclaim: self.reclaim_stats(),
+            reclaim: Some(self.reclaim_stats()),
         }
         })
     }

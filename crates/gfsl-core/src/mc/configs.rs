@@ -498,11 +498,11 @@ mod tests {
         let zombie = h.read_chunk(list.head_of(2)).entry(0).val();
         assert_ne!(zombie, list.head_of(1));
         assert!(h.read_chunk(zombie).is_zombie(&team));
-        let s = list.reclaim_stats().unwrap();
+        let s = list.reclaim_stats();
         assert_eq!((s.retired, s.limbo_len, s.staged_len, s.free_len), (1, 1, 0, 0));
         let before = s.epochs_advanced;
         assert_eq!(h.reclaim_pass(), 0);
-        let s = list.reclaim_stats().unwrap();
+        let s = list.reclaim_stats();
         assert_eq!((s.epochs_advanced - before, s.limbo_len), (2, 1), "a candidate, and referenced");
         // The scripted remove merges level 1's first chunk, and the repair
         // that follows takes the reference away.
@@ -512,12 +512,12 @@ mod tests {
             h.reclaim_pass();
         }
         assert_eq!(h.read_chunk(list.head_of(2)).entry(0).val(), list.head_of(1));
-        assert_eq!(list.reclaim_stats().unwrap().free_len, 2, "both zombies recycled");
+        assert_eq!(list.reclaim_stats().free_len, 2, "both zombies recycled");
         // The scripted insert splits the full bottom chunk into one of them.
         let splits = h.stats().splits;
         assert_eq!(h.insert(38, 2), Ok(true));
         assert_eq!(h.stats().splits, splits + 1);
-        assert_eq!(list.reclaim_stats().unwrap().reused, 1);
+        assert_eq!(list.reclaim_stats().reused, 1);
         list.assert_valid();
     }
 

@@ -17,17 +17,13 @@ pub struct GfslParams {
     /// `DSIZE / merge_divisor` live entries (paper: 3).
     pub merge_divisor: u32,
     /// Pool capacity in chunks. The paper preallocates the device pool at
-    /// initialization; splits and merges allocate from it. With
-    /// [`reclaim`](Self::reclaim) enabled, unlinked zombie chunks are
-    /// recycled back into circulation, so the bump pointer stops at the
-    /// churn high-water mark instead of growing forever.
+    /// initialization; splits and merges allocate from it. Unlinked zombie
+    /// chunks are recycled back into circulation (epoch-based reclamation,
+    /// see `gfsl_gpu_mem::reclaim` and DESIGN.md), so the bump pointer stops
+    /// at the churn high-water mark instead of growing forever.
     pub pool_chunks: u32,
     /// Seed for the per-handle raise-coin RNG streams.
     pub seed: u64,
-    /// Enable epoch-based reclamation of unlinked zombie chunks (recycled
-    /// through `alloc_chunk`). See `gfsl_gpu_mem::reclaim` and DESIGN.md for
-    /// the safety argument.
-    pub reclaim: bool,
     /// Enable multiversion reads (DESIGN.md §19): a global version clock,
     /// per-chunk copy-on-write version chains captured at lock acquisition,
     /// and `pin_version` read tickets that serve `get`/`range`/snapshot
@@ -45,7 +41,6 @@ impl Default for GfslParams {
             merge_divisor: 3,
             pool_chunks: 1 << 16,
             seed: 0x9E37_79B9_7F4A_7C15,
-            reclaim: true,
             mvcc: false,
         }
     }

@@ -127,12 +127,12 @@ impl<P: MemProbe> GfslHandle<'_, P> {
                 ..
             } if c == new => {
                 self.release(held, zombify);
-                if let Some(rec) = self.list.reclaim.as_ref() {
-                    // Safe to retire directly: unlike a merged-away zombie,
-                    // an unpublished half is linked from nowhere, so no lazy
-                    // unlink will ever retire it for us.
-                    rec.retire(c, level.min(u8::MAX as usize) as u8);
-                }
+                // Safe to retire directly: unlike a merged-away zombie, an
+                // unpublished half is linked from nowhere, so no lazy unlink
+                // will ever retire it for us.
+                self.list
+                    .reclaim
+                    .retire(c, level.min(u8::MAX as usize) as u8);
                 self.bump(|r| &r.repaired_back);
             }
             // The published side of a split: the one-word publish is the

@@ -718,7 +718,7 @@ mod tests {
         assert_eq!((r.enclosing, r.found), (b, Some((1, 4))));
         assert_eq!(h.read_chunk(a).next(&team), b);
         assert_eq!((h.stats().locks_taken, h.stats().zombie_unlinks), (1, 1));
-        assert_eq!(list.reclaim.as_ref().unwrap().stats().retired, 1);
+        assert_eq!(list.reclaim.stats().retired, 1);
         let b_word = list.pool.read(ops::lock_addr(&team, list.chunk(b)));
         assert_eq!(r.certified.map(Certified::word), Some(b_word));
         assert_eq!((view.lock_word(&team), view.entry(1).key()), (b_word, 40), "B's view is left");

@@ -41,7 +41,7 @@ impl std::fmt::Display for Error {
             Error::Aborted(a) => write!(f, "{a}"),
             Error::TooManyHandles => write!(
                 f,
-                "more than {MAX_RECLAIM_HANDLES} concurrently-live handles with reclamation enabled"
+                "more than {MAX_RECLAIM_HANDLES} concurrently-live handles"
             ),
         }
     }
@@ -230,10 +230,9 @@ pub struct Gfsl {
     poisoned: AtomicBool,
     /// Human-readable account of the first torn chunk.
     poison_note: Mutex<Option<String>>,
-    /// Epoch-based reclaimer for unlinked zombie chunks (`None` when
-    /// [`GfslParams::reclaim`] is off). See DESIGN.md for the safety
-    /// argument.
-    pub(crate) reclaim: Option<EpochReclaimer>,
+    /// Epoch-based reclaimer for unlinked zombie chunks. See DESIGN.md for
+    /// the safety argument.
+    pub(crate) reclaim: EpochReclaimer,
     /// Updates by handles younger than [`RECLAIM_PERIOD`] that found
     /// reclamation work pending (only ever written while there is some):
     /// every `RECLAIM_PERIOD`th one runs a pass.
@@ -260,12 +259,11 @@ pub struct Gfsl {
     pub(crate) mvcc: Option<Box<crate::mvcc::MvccEngine>>,
 }
 
-/// Maximum concurrently-live handles when reclamation is enabled (epoch
-/// slots are recycled as handles drop, so this bounds *concurrent* handles,
-/// not total).
+/// Maximum concurrently-live handles: each holds a reclamation epoch slot,
+/// recycled as handles drop, so this bounds *concurrent* handles, not total.
 pub const MAX_RECLAIM_HANDLES: usize = 1024;
 
-/// While reclamation work is pending (chunks or tokens in grace, or a level
+/// While reclamation work is pending (chunks in grace, or a level
 /// flagged for a head-edge sweep), a reclamation pass runs every this many
 /// update operations — counted per handle once the handle is this old,
 /// across all younger handles before (see [`GfslHandle::maybe_reclaim`]).
@@ -310,9 +308,7 @@ impl Gfsl {
             handle_seq: AtomicU32::new(0),
             poisoned: AtomicBool::new(false),
             poison_note: Mutex::new(None),
-            reclaim: params
-                .reclaim
-                .then(|| EpochReclaimer::new(MAX_RECLAIM_HANDLES)),
+            reclaim: EpochReclaimer::new(MAX_RECLAIM_HANDLES),
             reclaim_ticks: AtomicU32::new(0),
             reclaim_busy: AtomicBool::new(false),
             last_walk: AtomicU64::new(0),
@@ -367,9 +363,9 @@ impl Gfsl {
     }
 
     /// Reclamation counters (zombies retired/reclaimed, epochs advanced,
-    /// free-list depth), or `None` when [`GfslParams::reclaim`] is off.
-    pub fn reclaim_stats(&self) -> Option<ReclaimStats> {
-        self.reclaim.as_ref().map(|r| r.stats())
+    /// free-list depth).
+    pub fn reclaim_stats(&self) -> ReclaimStats {
+        self.reclaim.stats()
     }
 
     /// The configuration this instance was built with.
@@ -402,9 +398,9 @@ impl Gfsl {
     /// `CountingProbe` sharing the run's L2 model).
     ///
     /// # Panics
-    /// With reclamation on, when [`MAX_RECLAIM_HANDLES`] handles are
-    /// already live. Code that mints handles on behalf of outside requests
-    /// uses [`Gfsl::try_handle_with`] instead.
+    /// When [`MAX_RECLAIM_HANDLES`] handles are already live. Code that
+    /// mints handles on behalf of outside requests uses
+    /// [`Gfsl::try_handle_with`] instead.
     pub fn handle_with<P: MemProbe>(&self, probe: P) -> GfslHandle<'_, P> {
         self.try_handle_with(probe).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -423,10 +419,7 @@ impl Gfsl {
     /// mint-per-op callers (`Cluster::try_*`) pay on every request.
     #[inline]
     pub fn try_handle_with<P: MemProbe>(&self, probe: P) -> Result<GfslHandle<'_, P>, Error> {
-        let slot = match self.reclaim.as_ref() {
-            Some(r) => Some(r.register().ok_or(Error::TooManyHandles)?),
-            None => None,
-        };
+        let slot = self.reclaim.register().ok_or(Error::TooManyHandles)?;
         let n = self.handle_seq.fetch_add(1, Ordering::Relaxed) as u64;
         Ok(GfslHandle {
             list: self,
@@ -553,9 +546,7 @@ impl Gfsl {
     /// head edge may now hold a run no traversal unlinks, so the level is
     /// flagged (bit `level`) for the next reclamation pass to sweep.
     pub(crate) fn note_zombie(&self, level: usize) {
-        if let Some(rec) = self.reclaim.as_ref() {
-            rec.flag(1 << level);
-        }
+        self.reclaim.flag(1 << level);
     }
 
     /// A chunk's next pointer (frozen, if the chunk is a zombie), read
@@ -856,14 +847,12 @@ struct Hint0 {
 /// fields out of the handle.
 struct ReclaimGuard<'a> {
     list: &'a Gfsl,
-    slot: Option<SlotId>,
+    slot: SlotId,
 }
 
 impl Drop for ReclaimGuard<'_> {
     fn drop(&mut self) {
-        if let (Some(rec), Some(slot)) = (self.list.reclaim.as_ref(), self.slot) {
-            rec.unregister(slot);
-        }
+        self.list.reclaim.unregister(self.slot);
     }
 }
 
@@ -981,10 +970,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Run `f` with this handle's epoch slot pinned (no-op when reclamation
-    /// is off). A pin never nests ([`EpochReclaimer::pin`] asserts it): a
-    /// composite operation (`pop_min`) runs its pinned primitives one after
-    /// another, and `upsert` is one pass of the insert body. Every public
+    /// Run `f` with this handle's epoch slot pinned. A pin never nests
+    /// ([`EpochReclaimer::pin`] asserts it): a composite operation
+    /// (`try_pop_min`) runs its pinned primitives one after another, and
+    /// `upsert` is one pass of the insert body. Every public
     /// operation that dereferences chunk pointers runs under a pin: the
     /// reclaimer cannot recycle a chunk retired after the pin was announced,
     /// which is what makes traversal-held pointers safe to follow.
@@ -1004,13 +993,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.rec.unpin(self.slot);
             }
         }
-        let _guard = match (self.list.reclaim.as_ref(), self.reclaim_slot.slot) {
-            (Some(rec), Some(s)) => {
-                rec.pin(s);
-                Some(UnpinGuard { rec, slot: s })
-            }
-            _ => None,
-        };
+        let (rec, slot) = (&self.list.reclaim, self.reclaim_slot.slot);
+        rec.pin(slot);
+        let _guard = UnpinGuard { rec, slot };
         f(self)
     }
 
@@ -1156,12 +1141,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.contained(|h| h.min_entry()).map_err(Error::Aborted)
     }
 
-    /// Contained extract-min: the priority-queue pop built from
-    /// [`min_entry`](Self::min_entry) + [`try_remove`](Self::try_remove).
-    /// Composing at this level (rather than containing
-    /// [`pop_min`](Self::pop_min) wholesale) keeps `try_remove`'s abort
-    /// contract intact: a removal that crashed *after* its linearization
-    /// point still reports `Ok`, so an acknowledged pop is never lost.
+    /// Remove and return the smallest key (with its value), or `None` when
+    /// the set is empty — the extract-min of a skiplist priority queue,
+    /// built from [`try_min_entry`](Self::try_min_entry) +
+    /// [`try_remove`](Self::try_remove). The scan is lock-free, and losing
+    /// the removal race to a concurrent consumer simply rescans; concurrent
+    /// callers never remove the same element. Composing the contained
+    /// primitives keeps `try_remove`'s abort contract intact: a removal that
+    /// crashed *after* its linearization point still reports `Ok`, so an
+    /// acknowledged pop is never lost.
+    ///
+    /// Caveat: the returned *value* comes from the scan. If another thread
+    /// removes and reinserts the same key with a different value between
+    /// the scan and this call's removal, the returned value may belong to
+    /// the earlier incarnation (the key itself is always the one this call
+    /// removed).
     pub fn try_pop_min(&mut self) -> Result<Option<(u32, u32)>, Error> {
         loop {
             let Some((k, v)) = self.try_min_entry()? else {
@@ -1201,14 +1195,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // depth against any future free-list path that loses that
         // monotonicity (and it keeps pathologically stale hints from ever
         // reaching the compare).
-        if let Some(rec) = self.list.reclaim.as_ref() {
-            if rec.epoch().wrapping_sub(epoch) >= 2 {
-                self.stats.hint_misses += 1;
-                // The snapshot is as old as the hint it certified; the same
-                // defense-in-depth retires it.
-                self.clear_hint();
-                return None;
-            }
+        if self.list.reclaim.epoch().wrapping_sub(epoch) >= 2 {
+            self.stats.hint_misses += 1;
+            // The snapshot is as old as the hint it certified; the same
+            // defense-in-depth retires it.
+            self.clear_hint();
+            return None;
         }
         let team = self.list.team;
         let stashed = self.hint_view_of.filter(|&(of, _)| of == c).map(|(_, cert)| cert);
@@ -1297,7 +1289,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn note_hint(&mut self, chunk: u32, word: Option<u64>) {
         if self.hint_live {
             if let Some(w) = word {
-                let epoch = self.list.reclaim.as_ref().map_or(0, |r| r.epoch());
+                let epoch = self.list.reclaim.epoch();
                 self.hint0 = Some(Hint0 { chunk, word: w, epoch });
             }
         }
@@ -1567,7 +1559,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn take_chunk(&mut self) -> Result<(u32, u64), Error> {
         let list = self.list;
         let lanes = list.params.lanes() as u32;
-        let recycled = list.reclaim.as_ref().and_then(|r| r.try_alloc());
+        let recycled = list.reclaim.try_alloc();
         let idx = match recycled {
             Some(idx) => idx,
             None => list.pool.alloc(lanes, lanes).map_err(Error::PoolExhausted)? / lanes,
@@ -1619,8 +1611,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// from `NIL`, so a crash before the CAS leaves an unreachable chunk
     /// and nothing to repair. A handle that loses the CAS to another one
     /// creating the same level returns the winner's head and hands its own
-    /// chunk, which no other team ever saw, to the free list as a zombie
-    /// (with reclamation off it stays allocated, as every zombie does then).
+    /// chunk, which no other team ever saw, to the free list as a zombie.
     pub(crate) fn head_or_grow(&mut self, level: usize) -> Result<u32, Error> {
         let list = self.list;
         let head = list.head_of(level);
@@ -1638,11 +1629,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         match early.unwrap_or_else(publish) {
             Ok(_) => Ok(idx),
             Err(head) => {
-                if let Some(rec) = list.reclaim.as_ref() {
-                    let lock = list.chunk(idx).entry_addr(list.team.lock_lane());
-                    list.pool.write(lock, crate::chunk::lock_zombified(unlocked));
-                    rec.recycle(idx);
-                }
+                let lock = list.chunk(idx).entry_addr(list.team.lock_lane());
+                list.pool.write(lock, crate::chunk::lock_zombified(unlocked));
+                list.reclaim.recycle(idx);
                 Ok(head)
             }
         }
@@ -1653,9 +1642,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// The caller must be the run's unique unlinker (it holds the lock or
     /// won the CAS that made the run unreachable).
     pub(crate) fn retire_run(&mut self, from: u32, until: u32, level: usize) {
-        let Some(rec) = self.list.reclaim.as_ref() else {
-            return;
-        };
         let lock_lane = self.list.team.lock_lane();
         let mut cur = from;
         while cur != until && cur != NIL {
@@ -1664,7 +1650,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 crate::chunk::LOCK_ZOMBIE,
                 "retiring non-zombie chunk {cur}"
             );
-            rec.retire(cur, level as u8);
+            self.list.reclaim.retire(cur, level as u8);
             cur = self.list.next_of(cur);
         }
     }
@@ -1692,11 +1678,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// that came due in the last period.
     pub(crate) fn maybe_reclaim(&mut self) {
         let list = self.list;
-        let Some(rec) = list.reclaim.as_ref() else {
-            return;
-        };
         self.reclaim_tick = self.reclaim_tick.wrapping_add(1);
-        if !rec.has_work() && !list.mvcc.as_deref().is_some_and(|m| m.has_images()) {
+        if !list.reclaim.has_work() && !list.mvcc.as_deref().is_some_and(|m| m.has_images()) {
             return;
         }
         let tick = if self.reclaim_tick >= RECLAIM_PERIOD {
@@ -1714,9 +1697,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// list, then drain every grace-passed retired candidate and verify
     /// them, however few (the periodic pass an update runs waits for a
     /// batch instead). Returns the number of chunks that reached the free
-    /// list: 0 when reclamation is disabled, and when another handle's pass
-    /// is in flight (passes are serialized, so a chunk one pass holds as a
-    /// candidate is never missing from what another consults).
+    /// list: 0 when another handle's pass is in flight (passes are
+    /// serialized, so a chunk one pass holds as a candidate is never missing
+    /// from what another consults).
     ///
     /// A verification walk that gives up a wait (a quarantined parent
     /// chunk, or the retry budget spent) puts its batch back in limbo and
@@ -1730,38 +1713,38 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// [`Self::reclaim_pass`]; a `batched` pass drains and verifies only
-    /// when [`Self::batch_is_due`].
+    /// when [`Self::batch_is_due`]. The pass's own chunk reads (head-edge
+    /// sweep, verification walk) are this handle's `chunk_reads` across it.
     fn run_pass(&mut self, batched: bool) -> usize {
-        let list = self.list;
-        let mut freed = 0;
-        if let Some(rec) = list.reclaim.as_ref() {
-            struct Busy<'a>(&'a AtomicBool);
-            impl Drop for Busy<'_> {
-                fn drop(&mut self) {
-                    self.0.store(false, Ordering::Release);
-                }
+        struct Busy<'a>(&'a AtomicBool);
+        impl Drop for Busy<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
             }
-            if list.reclaim_busy.swap(true, Ordering::Acquire) {
-                rec.note_pass_skipped();
-                return 0;
-            }
-            // Released from a drop guard, like `with_pin`'s unpin: a pass
-            // that dies mid-scan must not end reclamation for good.
-            let _busy = Busy(&list.reclaim_busy);
-            self.sweep_head_edge();
-            // Two advances a pass, one ahead of each drain: whatever was
-            // retired before this pass is a candidate in it when no pin
-            // lags, and a staged chunk is free two passes on.
-            rec.try_advance();
-            freed = rec.harvest_verified();
-            rec.try_advance();
-            let scanned = if !batched || self.batch_is_due(rec) {
-                self.verify_ready(rec)
-            } else {
-                0
-            };
-            rec.note_pass(scanned);
         }
+        let list = self.list;
+        let rec = &list.reclaim;
+        if list.reclaim_busy.swap(true, Ordering::Acquire) {
+            rec.note_pass_skipped();
+            return 0;
+        }
+        // Released from a drop guard, like `with_pin`'s unpin: a pass that
+        // dies mid-scan must not end reclamation for good.
+        let _busy = Busy(&list.reclaim_busy);
+        let reads = self.stats.chunk_reads;
+        self.sweep_head_edge();
+        // Two advances a pass, one ahead of each drain: whatever was retired
+        // before this pass is a candidate in it when no pin lags, and a
+        // staged chunk is free two passes on.
+        rec.try_advance();
+        let freed = rec.harvest_verified();
+        rec.try_advance();
+        let scanned = if !batched || self.batch_is_due(rec) {
+            self.verify_ready(rec)
+        } else {
+            0
+        };
+        rec.note_pass(scanned, self.stats.chunk_reads - reads);
         self.vacuum_versions();
         freed
     }
@@ -1846,7 +1829,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// on a level that has since emptied. A level whose sweep lost a race
     /// is flagged again for the next pass.
     fn sweep_head_edge(&mut self) {
-        let mut dirty = self.list.reclaim.as_ref().map_or(0, |r| r.take_flags());
+        let mut dirty = self.list.reclaim.take_flags();
         while dirty != 0 {
             let level = dirty.trailing_zeros() as usize;
             dirty &= dirty - 1;
@@ -1920,7 +1903,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// sets.
     fn verify_candidates(&mut self, cands: &mut [(u32, u8)], scanned: &mut u64) {
         let list = self.list;
-        let rec = list.reclaim.as_ref().unwrap();
+        let rec = &list.reclaim;
         let team = list.team;
         cands.sort_unstable();
         fn mark(cands: &mut [(u32, u8)], chunk: u32) -> bool {

@@ -10,7 +10,8 @@
 pub struct OpStats {
     /// Completed `contains`/`get` operations.
     pub contains_ops: u64,
-    /// Completed `insert` calls (including duplicates rejected).
+    /// Completed `insert` and `upsert` calls (including duplicates rejected
+    /// and overwrites).
     pub insert_ops: u64,
     /// Completed `remove` calls (including missing keys).
     pub remove_ops: u64,

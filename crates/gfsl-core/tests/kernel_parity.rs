@@ -101,9 +101,6 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 1 << 12,
-        // What the pinned traces were recorded with: a reclamation pass
-        // would add its own turns to the schedule.
-        reclaim: false,
         ..Default::default()
     })
     .expect("params valid");
@@ -176,19 +173,21 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// (one more granted step per zombie view); and again when the parent-level
 /// walks began certifying a re-read against the read before it (seed 1)
 /// and `Gfsl::new` stopped allocating the heads of unused levels, which
-/// moves every chunk's index (all six). `results/ab/` ("Turnstile fold",
+/// moves every chunk's index (all six); and again when reclamation stopped
+/// being optional: the runs now take its passes, whose reads and epoch
+/// words are granted steps too (all six). `results/ab/` ("Turnstile fold",
 /// 21.md; "Update-path index maintenance", 26.md; "Certified lock
 /// upgrade", 28.md; "Append splits", 41.md; "Level heads on first use",
-/// 43.md) lists old → new. A
+/// 43.md; "Reclamation always on", 49.md) lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0xe18f_a119_870f_cafd,
-    0x6eaa_9aa3_dd59_6f2c,
-    0x2bf8_d362_5344_ec77,
-    0xf938_f6cb_4038_9a33,
-    0x6ebf_19e0_20e9_e15f,
-    0x172e_461a_e614_685d,
+    0xb0c4_e969_c0be_29cc,
+    0x8d6f_2aa7_f5ca_b8cb,
+    0x9e88_f664_9dd0_940c,
+    0x051c_fe09_b914_80a1,
+    0x9bc5_e78f_943f_0400,
+    0xb697_0eec_0b8a_cf74,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

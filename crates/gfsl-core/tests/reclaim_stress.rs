@@ -5,10 +5,10 @@
 //! returned, and sustained insert/remove churn exhausted the pool long
 //! before the live set needed it. These tests pin down the new contract:
 //!
-//! * with `reclaim: true`, churn many times the pool size recycles zombie
-//!   chunks and the bump high-water stays bounded by the live-set footprint
-//!   (not by the operation count);
-//! * with `reclaim: false`, exhaustion surfaces as the typed
+//! * churn many times the pool size recycles zombie chunks and the bump
+//!   high-water stays bounded by the live-set footprint (not by the
+//!   operation count);
+//! * a live set larger than the pool surfaces as the typed
 //!   [`Error::PoolExhausted`] with every lock released — the structure
 //!   stays fully usable and valid afterwards.
 
@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use gfsl::{BatchOp, BatchReply, Error, Gfsl, GfslParams, TeamSize};
 
-fn params(pool_chunks: u32, reclaim: bool) -> GfslParams {
+fn params(pool_chunks: u32) -> GfslParams {
     GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks,
-        reclaim,
         ..Default::default()
     }
 }
@@ -33,7 +32,7 @@ fn params(pool_chunks: u32, reclaim: bool) -> GfslParams {
 fn sliding_window_churn_bounds_the_high_water_mark() {
     const WINDOW: u32 = 64;
     const LAST: u32 = 6_000;
-    let list = Gfsl::new(params(256, true)).unwrap();
+    let list = Gfsl::new(params(256)).unwrap();
     let mut h = list.handle();
 
     for k in 1..=WINDOW {
@@ -54,7 +53,7 @@ fn sliding_window_churn_bounds_the_high_water_mark() {
         high_water <= 2 * baseline,
         "high water {high_water} vs 2x live-set footprint {baseline}"
     );
-    let stats = list.reclaim_stats().expect("reclamation on");
+    let stats = list.reclaim_stats();
     assert!(stats.zombies_reclaimed > 0, "no zombie ever reclaimed: {stats:?}");
     assert!(stats.reused > 0, "free list never consumed: {stats:?}");
 
@@ -79,7 +78,7 @@ fn concurrent_churn_recycles_and_stays_valid() {
     const WINDOW: u32 = 32;
     const PER_THREAD: u32 = 3_000;
     const LAG: u32 = 64;
-    let list = Gfsl::new(params(1024, true)).unwrap();
+    let list = Gfsl::new(params(1024)).unwrap();
     let progress = [AtomicU32::new(0), AtomicU32::new(0)];
 
     let finals: Vec<BTreeSet<u32>> = std::thread::scope(|s| {
@@ -123,7 +122,7 @@ fn concurrent_churn_recycles_and_stays_valid() {
     // open for up to `LAG` of the other's steps). Linked is the 16
     // sentinels, two 32-key windows and the zombies a pass or a traversal
     // has yet to unlink (again up to `LAG` steps' worth): 64 covers it.
-    let stats = list.reclaim_stats().expect("reclamation on");
+    let stats = list.reclaim_stats();
     let high_water = u64::from(list.chunks_allocated());
     assert!(
         high_water <= 64 + stats.backlog_high_water,
@@ -169,7 +168,6 @@ fn sorted_batches_stay_correct_across_reclamation_churn() {
     let list = Gfsl::new(GfslParams {
         team_size: TeamSize::Sixteen,
         pool_chunks: 64,
-        reclaim: true,
         ..Default::default()
     })
     .unwrap();
@@ -209,7 +207,7 @@ fn sorted_batches_stay_correct_across_reclamation_churn() {
     // The pool was recycled end over end: demand stayed inside 64 chunks
     // only because zombies were reclaimed (plain sliding-window demand is
     // ~850 bottom chunks, >13x the pool).
-    let stats = list.reclaim_stats().expect("reclamation on");
+    let stats = list.reclaim_stats();
     assert!(
         stats.reused >= 640,
         "churn must recycle >10x the pool, reused only {}",
@@ -235,13 +233,14 @@ fn sorted_batches_stay_correct_across_reclamation_churn() {
     assert_eq!((r.crashed_ops, r.quarantine_depth), (0, 0), "{r:?}");
 }
 
-/// With reclamation off, a tiny pool exhausts under churn. The regression
-/// being pinned: exhaustion inside a split used to leave chunk locks held,
-/// wedging every later writer. It must instead surface the typed error
-/// with all locks released and the structure intact.
+/// Ascending inserts into a tiny pool exhaust it: they never merge, so
+/// there is nothing to reclaim. The regression being pinned: exhaustion
+/// inside a split used to leave chunk locks held, wedging every later
+/// writer. It must instead surface the typed error with all locks released
+/// and the structure intact.
 #[test]
-fn exhaustion_without_reclaim_is_typed_and_leaves_no_lock_held() {
-    let list = Gfsl::new(params(40, false)).unwrap();
+fn exhaustion_is_typed_and_leaves_no_lock_held() {
+    let list = Gfsl::new(params(40)).unwrap();
     let mut h = list.handle();
 
     let mut inserted = Vec::new();
@@ -292,15 +291,15 @@ fn exhaustion_without_reclaim_is_typed_and_leaves_no_lock_held() {
 }
 
 /// The companion guarantee: a tiny pool survives a churn workload that
-/// dwarfs it once reclamation is on, because the steady-state live set
-/// fits comfortably. The window spans several chunks so removals hit
+/// dwarfs it, because reclamation recycles what the churn zombifies and
+/// the steady-state live set fits comfortably. The window spans several chunks so removals hit
 /// non-terminal chunks and actually merge (removals confined to the last
 /// chunk of a level never zombify anything by design).
 #[test]
-fn same_tiny_pool_survives_churn_with_reclaim_on() {
+fn same_tiny_pool_survives_churn() {
     const WINDOW: u32 = 32;
     const LAST: u32 = 2_000;
-    let list = Gfsl::new(params(48, true)).unwrap();
+    let list = Gfsl::new(params(48)).unwrap();
     let mut h = list.handle();
 
     for k in 1..=LAST {
@@ -310,7 +309,7 @@ fn same_tiny_pool_survives_churn_with_reclaim_on() {
         }
     }
 
-    let stats = list.reclaim_stats().expect("reclamation on");
+    let stats = list.reclaim_stats();
     assert!(stats.reused > 0, "survival required recycling: {stats:?}");
     assert!(list.chunks_allocated() <= 48, "bump pointer within the pool");
     let expect: Vec<u32> = (LAST - WINDOW + 1..=LAST).collect();

@@ -98,6 +98,9 @@ pub struct ReclaimStats {
     /// scans: the part of a pass's cost that grows with the structure, not
     /// with what the pass reclaims.
     pub parent_chunks_scanned: u64,
+    /// Every chunk read the passes took: the parent-level walks, the
+    /// head-edge sweeps and their zombie steps.
+    pub pass_chunk_reads: u64,
     /// Most chunks ever in grace at once (limbo + staged).
     pub backlog_high_water: u64,
 }
@@ -132,6 +135,7 @@ pub struct EpochReclaimer {
     passes: AtomicU64,
     passes_skipped: AtomicU64,
     parent_chunks_scanned: AtomicU64,
+    pass_chunk_reads: AtomicU64,
 }
 
 impl EpochReclaimer {
@@ -161,6 +165,7 @@ impl EpochReclaimer {
             passes: AtomicU64::new(0),
             passes_skipped: AtomicU64::new(0),
             parent_chunks_scanned: AtomicU64::new(0),
+            pass_chunk_reads: AtomicU64::new(0),
         }
     }
 
@@ -384,12 +389,15 @@ impl EpochReclaimer {
         self.global.load(Ordering::SeqCst)
     }
 
-    /// Account one reclamation pass that read `parent_chunks` chunks while
-    /// scanning parent levels for stale down pointers.
-    pub fn note_pass(&self, parent_chunks: u64) {
+    /// Account one reclamation pass that read `chunk_reads` chunks in all,
+    /// `parent_chunks` of them scanning parent levels for stale down
+    /// pointers.
+    pub fn note_pass(&self, parent_chunks: u64, chunk_reads: u64) {
         self.passes.fetch_add(1, Ordering::Relaxed);
         self.parent_chunks_scanned
             .fetch_add(parent_chunks, Ordering::Relaxed);
+        self.pass_chunk_reads
+            .fetch_add(chunk_reads, Ordering::Relaxed);
     }
 
     /// Account a pass that did not run because another was in flight.
@@ -411,6 +419,7 @@ impl EpochReclaimer {
             passes: self.passes.load(o),
             passes_skipped: self.passes_skipped.load(o),
             parent_chunks_scanned: self.parent_chunks_scanned.load(o),
+            pass_chunk_reads: self.pass_chunk_reads.load(o),
             backlog_high_water: self.backlog_high_water.load(o),
         }
     }
