@@ -173,7 +173,7 @@ mod tests {
         assert!(h.insert(5, 5).unwrap());
         assert!(h.insert(10_005, 5).unwrap());
         assert!(h.insert(55, 55).unwrap());
-        assert!(h.remove(500));
+        assert!(h.remove(500).is_some());
         assert!(!h.contains(500));
         assert!(h.contains(55));
         list.assert_valid();
@@ -235,7 +235,7 @@ mod tests {
         // And the compacted structure is fully usable.
         let mut h = compacted.handle();
         assert!(h.insert(3, 3).unwrap());
-        assert!(h.remove(4_999));
+        assert!(h.remove(4_999).is_some());
         compacted.assert_valid();
     }
 

@@ -11,7 +11,8 @@ use crate::skiplist::{Commit, GfslHandle, Intent};
 use crate::split::MovedKeys;
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
-    /// Remove `k`. Returns `true` if the key was present.
+    /// The remove body [`Self::try_remove`] runs contained: returns the
+    /// value removed, `None` if `k` was absent.
     ///
     /// The bottom-level enclosing chunk stays locked until `k` has been
     /// removed from every level, which serializes updates to the same key.
@@ -24,10 +25,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// the absorbing chunk and the pool is exhausted, we fall back to a
     /// plain (merge-free) removal instead of failing — the chunk is merely
     /// left underfull, which every traversal tolerates.
-    pub fn remove(&mut self, k: u32) -> bool {
+    pub(crate) fn remove(&mut self, k: u32) -> Option<u32> {
         self.stats.remove_ops += 1;
         if !is_user_key(k) {
-            return false;
+            return None;
         }
         // Stamped with the mvcc version clock (a passthrough without the
         // knob). Reclamation maintenance runs inside the stamp but before
@@ -39,7 +40,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         })
     }
 
-    fn remove_pinned(&mut self, k: u32) -> bool {
+    fn remove_pinned(&mut self, k: u32) -> Option<u32> {
         let team = self.list.team;
         // k's bottom chunk as locked, kept to the final removal: nobody else
         // writes a chunk this handle holds, and everything this op writes
@@ -48,16 +49,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let (found, path) = self.search_slow(k, &mut bottom);
         if found.found.is_none() {
             self.note_hint_after_update(found.enclosing);
-            return false;
+            return None;
         }
         let p_bottom = self.lock_certified(&found, k, &mut bottom);
-        if bottom.lane_of_key(&team, k).is_none() {
+        let Some(lane) = bottom.lane_of_key(&team, k) else {
             // Lost the race to another deleter. Decided under the bottom
             // lock, so the outcome survives a crash in the unlock below.
-            self.journal.committed = Some(Commit::Removed(false));
+            self.journal.committed = Some(Commit::Removed(None));
             self.unlock(p_bottom);
-            return false;
-        }
+            return None;
+        };
+        // The value this removal takes, certified under the bottom lock.
+        let old = bottom.entry(lane).val();
 
         let mut enclosing = [NIL; gfsl_simt::WARP_SIZE];
         let top = self.levels_holding(k, &path, &mut enclosing);
@@ -70,7 +73,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 self.unlock(p_enc);
                 continue;
             }
-            self.remove_from_chunk(k, p_enc, &view, level);
+            self.remove_from_chunk(k, p_enc, &view, level, None);
         }
 
         // Finally remove from the bottom level; only then is k logically
@@ -80,9 +83,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.view_is_current(bottom_chunk, &bottom),
             "chunk {bottom_chunk} changed under our lock"
         );
-        self.remove_from_chunk(k, p_bottom, &bottom, 0);
+        self.remove_from_chunk(k, p_bottom, &bottom, 0, Some(Commit::Removed(Some(old))));
         self.note_hint_after_update(bottom_chunk);
-        true
+        Some(old)
     }
 
     /// The highest level holding `k`, whose bottom lock the caller holds,
@@ -125,15 +128,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Remove `k` from a held chunk at `level`, merging if that crosses
     /// the minimum-fill threshold (`removeFromChunk`, Algorithm 4.12). The
-    /// chunk is unlocked (or zombified) on return.
-    pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, level: usize) {
+    /// chunk is unlocked (or zombified) on return. `commit` is journaled at
+    /// the removal's linearization point: the bottom level's outcome, `None`
+    /// above it.
+    pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, level: usize, commit: Option<Commit>) {
         let mut last = false;
         if view.num_keys(&self.list.team) <= self.list.params.merge_threshold() {
             match self.lock_next_chunk(&p_enc, level) {
                 // Last chunk in the level: never merged, never zombified;
                 // just remove, even if that empties it completely.
                 None => last = true,
-                Some(p_next) => match self.merge_into_next(k, p_enc, view, p_next, level) {
+                Some(p_next) => match self.merge_into_next(k, p_enc, view, p_next, level, commit) {
                     Ok(()) => return,
                     Err(kept) => p_enc = kept,
                 },
@@ -142,8 +147,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Plain removal: plenty left, the level's last chunk, or a merge
         // that could not pre-split its absorber.
         self.execute_remove_no_merge(&p_enc, view, k);
-        if level == 0 {
-            self.journal.committed = Some(Commit::Removed(true));
+        if commit.is_some() {
+            self.journal.committed = commit;
         }
         if last && level > 0 {
             self.note_possible_level_empty(&p_enc, level);
@@ -155,8 +160,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// entries into its held successor `p_next`, zombifying `p_enc` and
     /// releasing `p_next`. Hands `p_enc` back, still held, with `p_next`
     /// released when the absorber needed a pre-split and the pool is
-    /// exhausted: the caller degrades to a merge-free remove.
-    fn merge_into_next(&mut self, k: u32, p_enc: Held, view: &ChunkView, p_next: Held, level: usize) -> Result<(), Held> {
+    /// exhausted: the caller degrades to a merge-free remove. `commit` is
+    /// as for [`Self::remove_from_chunk`].
+    fn merge_into_next(&mut self, k: u32, p_enc: Held, view: &ChunkView, p_next: Held, level: usize, commit: Option<Commit>) -> Result<(), Held> {
         let team = self.list.team;
         let (dying, absorber) = (p_enc.chunk(), p_next.chunk());
         let mut nview = self.read_chunk(absorber);
@@ -187,8 +193,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // it is also the linearization point of the removal (until
         // the mark, readers could still find k in the dying chunk).
         self.release(p_enc, Release::Zombify);
-        if level == 0 {
-            self.journal.committed = Some(Commit::Removed(true));
+        if commit.is_some() {
+            self.journal.committed = commit;
         }
         self.stats.merges += 1;
         self.list.dec_level_chunks(level);
@@ -343,9 +349,9 @@ mod tests {
         let list = list16();
         let mut h = list.handle();
         assert!(h.insert(5, 50).unwrap());
-        assert!(h.remove(5));
+        assert!(h.remove(5).is_some());
         assert!(!h.contains(5));
-        assert!(!h.remove(5), "double remove fails");
+        assert!(h.remove(5).is_none(), "double remove fails");
         assert!(h.insert(5, 51).unwrap(), "reinsert after remove");
         assert_eq!(h.get(5), Some(51));
     }
@@ -354,9 +360,9 @@ mod tests {
     fn remove_missing_and_reserved_keys() {
         let list = list16();
         let mut h = list.handle();
-        assert!(!h.remove(77));
-        assert!(!h.remove(0));
-        assert!(!h.remove(u32::MAX));
+        assert!(h.remove(77).is_none());
+        assert!(h.remove(0).is_none());
+        assert!(h.remove(u32::MAX).is_none());
     }
 
     #[test]
@@ -372,7 +378,7 @@ mod tests {
         let v = h.read_chunk(head);
         let max = v.max(team);
         assert!(max < u32::MAX);
-        assert!(h.remove(max));
+        assert!(h.remove(max).is_some());
         let v = h.read_chunk(head);
         assert!(v.max(team) < max, "max lowered after removing the max key");
         assert!(!h.contains(max));
@@ -391,7 +397,7 @@ mod tests {
         }
         // Delete a dense band to force underfull chunks.
         for k in 50..=150u32 {
-            assert!(h.remove(k), "k={k}");
+            assert!(h.remove(k).is_some(), "k={k}");
         }
         assert!(h.stats().merges > 0, "deleting half the keys must merge");
         for k in 1..=200u32 {
@@ -408,7 +414,7 @@ mod tests {
             h.insert(k, k).unwrap();
         }
         for k in 1..=500u32 {
-            assert!(h.remove(k), "k={k}");
+            assert!(h.remove(k).is_some(), "k={k}");
         }
         for k in 1..=500u32 {
             assert!(!h.contains(k), "k={k}");
@@ -442,7 +448,7 @@ mod tests {
                     assert_eq!(h.insert(k, k).unwrap(), reference.insert(k), "insert {k}");
                 }
                 1 => {
-                    assert_eq!(h.remove(k), reference.remove(&k), "remove {k}");
+                    assert_eq!(h.remove(k).is_some(), reference.remove(&k), "remove {k}");
                 }
                 _ => {
                     assert_eq!(h.contains(k), reference.contains(&k), "contains {k}");
@@ -465,7 +471,7 @@ mod tests {
         // Remove every key; upper levels must drain too (structure returns
         // to height 0 via the level-empty bookkeeping).
         for k in 1..=1000u32 {
-            assert!(h.remove(k), "k={k}");
+            assert!(h.remove(k).is_some(), "k={k}");
         }
         for k in 1..=1000u32 {
             assert!(!h.contains(k));
@@ -515,7 +521,7 @@ mod tests {
         assert_eq!(probe(&list, raised_to_2), (2, 3));
         // The removes themselves take every level the probe found.
         let mut h = list.handle();
-        assert!(h.remove(bottom_only) && h.remove(raised_to_2));
+        assert!(h.remove(bottom_only).is_some() && h.remove(raised_to_2).is_some());
         assert!(!list.level_keys(2).contains(&raised_to_2));
         assert!(!list.level_keys(1).contains(&raised_to_2));
         list.assert_valid();

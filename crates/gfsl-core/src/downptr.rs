@@ -158,7 +158,7 @@ mod tests {
         }
         for k in 1..=3_000 {
             h.insert(k + W, k).unwrap();
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
         }
     }
 

@@ -28,22 +28,16 @@ pub(crate) enum LevelOutcome {
 }
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
-    /// Insert `(k, v)`. Returns `Ok(true)` if the key was added, `Ok(false)`
-    /// if it was already present.
-    ///
-    /// # Errors
-    /// [`Error::InvalidKey`] for the reserved keys `0` and `u32::MAX`;
-    /// [`Error::PoolExhausted`] when the preallocated chunk pool is full
-    /// and the key did **not** go in (the structure is left consistent and
-    /// usable). Exhaustion after the key reached the bottom level only
-    /// costs index entries and still returns `Ok(true)`.
-    ///
-    /// # Panics
-    /// An abort unwinds out of a plain op (see [`Self::try_insert`] for the
-    /// typed form). A crash mid-protocol leaves the op's chunks held until
-    /// the handle drops, and the drop quarantines them; so a caller that
-    /// catches a plain op's panic must drop the handle, not reuse it.
-    pub fn insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
+    /// The insert body [`Self::try_insert`] runs contained.
+    pub(crate) fn insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
+        self.insert_body(k, v, false).map(|old| old.is_none())
+    }
+
+    /// The one insert body, for `try_insert` and `try_upsert`: put `(k, v)`
+    /// in, or find `k` present and, when `overwrite`, store `v` over its
+    /// value under the bottom lock. Returns the value `k` had, `None` when
+    /// it went in.
+    pub(crate) fn insert_body(&mut self, k: u32, v: u32, overwrite: bool) -> Result<Option<u32>, Error> {
         self.stats.insert_ops += 1;
         if !is_user_key(k) {
             return Err(Error::InvalidKey(k));
@@ -54,15 +48,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // own locks).
         self.with_version_stamp(|h| {
             h.maybe_reclaim();
-            h.with_pin(|h| h.insert_pinned(k, v, false))
+            h.with_pin(|h| h.insert_pinned(k, v, overwrite))
         })
-        .map(|old| old.is_none())
     }
 
-    /// The one insert body, for `insert` and `upsert`: put `(k, v)` in, or
-    /// find `k` present and, when `overwrite`, store `v` over its value
-    /// under the bottom lock. Returns the value `k` had, `None` when it
-    /// went in.
     fn insert_pinned(&mut self, k: u32, v: u32, overwrite: bool) -> Result<Option<u32>, Error> {
         let mut view = ChunkView::BLANK;
         let (found, path) = self.search_slow(k, &mut view);
@@ -84,7 +73,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 if overwrite {
                     ops::write_entry(&mut self.probe, self.list.chunk_words(locked.chunk()), lane, Entry::new(k, v));
                 }
-                self.journal.committed = Some(Commit::Inserted(false));
+                self.journal.committed = Some(Commit::Inserted(Some(old)));
                 self.unlock(locked);
                 return Ok(Some(old));
             }
@@ -118,9 +107,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// Everything this does is optional index work on behalf of an insert
     /// that already committed at the bottom level, so pool exhaustion ends
-    /// the climb without failing the insert (an abort in here ends it too:
-    /// `try_insert` reports the journal's committed outcome, while a plain
-    /// `insert` unwinds with the abort although its key went in).
+    /// the climb without failing the insert (an abort in here ends it too,
+    /// and `try_insert` reports the journal's committed outcome).
     fn climb(
         &mut self,
         path: &UpdatePath,
@@ -217,26 +205,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Insert `(k, v)`, or overwrite the value if `k` is already present.
-    /// Returns the previous value, if any.
-    ///
-    /// Not part of the paper's API, but a natural extension, and one pass
-    /// of the insert body: the key's bottom chunk is locked once, and a
-    /// present key's overwrite is a single atomic store of the entry (same
-    /// key, new value) under that lock, so it serializes with other updates
-    /// to `k` exactly like insert/remove do, and lock-free readers see
-    /// either the old or the new value.
-    pub fn upsert(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
-        self.stats.insert_ops += 1;
-        if !is_user_key(k) {
-            return Err(Error::InvalidKey(k));
-        }
-        self.with_version_stamp(|h| {
-            h.maybe_reclaim();
-            h.with_pin(|h| h.insert_pinned(k, v, true))
-        })
-    }
-
     /// Lock `k`'s enclosing chunk at `level` (starting the walk at `start`,
     /// a path hint at-or-left of it) and insert, splitting on overflow
     /// (`insertToLevel`, Algorithm 4.5). All outcomes return with exactly
@@ -272,7 +240,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             if level == 0 {
                 // Linearization point passed: the key is in the bottom level.
                 // A crash from here on must still report Ok(true).
-                self.journal.committed = Some(Commit::Inserted(true));
+                self.journal.committed = Some(Commit::Inserted(None));
             }
             if level > 0 && self.list.level_chunk_count(level) == 0 {
                 // First key in this level: mark it in use so searches start
@@ -366,10 +334,10 @@ mod tests {
     fn upsert_of_an_absent_key_takes_one_lock() {
         let list = list16();
         let mut h = list.handle();
-        assert_eq!(h.upsert(42, 420), Ok(None));
+        assert_eq!(h.try_upsert(42, 420), Ok(None));
         assert_eq!(h.get(42), Some(420));
         assert_eq!((h.stats().splits, h.stats().locks_taken), (0, 1));
-        assert_eq!(h.upsert(42, 421), Ok(Some(420)));
+        assert_eq!(h.try_upsert(42, 421), Ok(Some(420)));
         assert_eq!(h.stats().insert_ops, 2);
         assert_eq!(h.get(42), Some(421));
     }
@@ -529,7 +497,7 @@ mod tests {
         let indexed: Vec<u32> = list.level_keys(1);
         assert!(indexed.len() > 100);
         for &k in &indexed {
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
         }
         assert_eq!(list.shape().index_coverage()[0], 0.0);
         // Odd keys in a scattered order (ascending inserts would re-index

@@ -40,14 +40,14 @@
 //!         s.spawn(move || {
 //!             let mut h = list.handle();
 //!             for k in 1..500 {
-//!                 h.insert(k * 2 + t, k).ok();
+//!                 h.try_insert(k * 2 + t, k).unwrap();
 //!             }
 //!         });
 //!     }
 //! });
 //!
 //! let mut h = list.handle();
-//! assert!(h.contains(2));
+//! assert!(h.try_contains(2).unwrap());
 //! ```
 //!
 //! ## Locking discipline (deadlock freedom)

@@ -501,15 +501,15 @@ mod tests {
         let s = list.reclaim_stats();
         assert_eq!((s.retired, s.limbo_len, s.staged_len, s.free_len), (1, 1, 0, 0));
         let before = s.epochs_advanced;
-        assert_eq!(h.reclaim_pass(), 0);
+        assert_eq!(h.run_pass(false), 0);
         let s = list.reclaim_stats();
         assert_eq!((s.epochs_advanced - before, s.limbo_len), (2, 1), "a candidate, and referenced");
         // The scripted remove merges level 1's first chunk, and the repair
         // that follows takes the reference away.
         assert_eq!(h.read_chunk(list.head_of(1)).num_keys(&team), 4);
-        assert!(h.remove(144));
+        assert!(h.remove(144).is_some());
         for _ in 0..3 {
-            h.reclaim_pass();
+            h.run_pass(false);
         }
         assert_eq!(h.read_chunk(list.head_of(2)).entry(0).val(), list.head_of(1));
         assert_eq!(list.reclaim_stats().free_len, 2, "both zombies recycled");
@@ -555,7 +555,7 @@ mod tests {
         assert_eq!(h.insert(66, 2), Ok(true));
         assert_eq!((h.stats().splits - splits, list.heads().count()), (3, 3));
         assert_eq!(list.height(), 2);
-        assert!(h.remove(112));
+        assert!(h.remove(112).is_some());
         list.assert_valid();
     }
 

@@ -69,7 +69,7 @@ pub enum McOp {
     /// mvcc publish/pin/resolve protocol; recorded as a plain get (a
     /// single-key snapshot read has get semantics).
     SnapGet(u32),
-    /// One reclamation pass ([`crate::GfslHandle::reclaim_pass`]); leaves
+    /// One reclamation pass (the body of [`crate::GfslHandle::reclaim_pass`]); leaves
     /// no history record.
     ReclaimPass,
     /// A reclamation pass with a reader in flight: a second handle of the
@@ -243,7 +243,7 @@ type Handle<'a> = GfslHandle<'a, NoProbe>;
 /// one removal.
 fn remove_unrepaired(h: &mut Handle<'_>, k: u32) -> bool {
     h.skip_downptr_repair = true;
-    let removed = h.remove(k);
+    let removed = h.remove(k).is_some();
     h.skip_downptr_repair = false;
     removed
 }
@@ -263,7 +263,7 @@ fn snap_get(h: &mut Handle<'_>, k: u32) -> Option<u32> {
 /// [`McOp::StalledReclaimPass`]: a second handle of the same structure
 /// stays pinned across the pass.
 fn stalled_reclaim_pass(h: &mut Handle<'_>) {
-    h.list.handle().with_pin(|_| h.reclaim_pass());
+    h.list.handle().with_pin(|_| h.run_pass(false));
 }
 
 /// Run one scripted op: the key it touched and what it did there, or
@@ -274,12 +274,12 @@ fn apply(h: &mut Handle<'_>, op: McOp) -> Option<(u32, OpAction)> {
             let ok = h.insert(k, v).expect("gfsl insert failed");
             (k, OpAction::Insert { value: v, ok })
         }
-        McOp::Remove(k) => (k, OpAction::Remove { ok: h.remove(k) }),
+        McOp::Remove(k) => (k, OpAction::Remove { ok: h.remove(k).is_some() }),
         McOp::RemoveUnrepaired(k) => (k, OpAction::Remove { ok: remove_unrepaired(h, k) }),
         McOp::Get(k) => (k, OpAction::Get { found: h.get(k) }),
         McOp::SnapGet(k) => (k, OpAction::Get { found: snap_get(h, k) }),
         McOp::ReclaimPass => {
-            h.reclaim_pass();
+            h.run_pass(false);
             return None;
         }
         McOp::StalledReclaimPass => {

@@ -539,6 +539,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// The value of `k` at the ticket's pinned version, never blocking on
     /// writer locks. An O(bottom-chunks) walk from the version-resolved
     /// head — see the module docs for why no descent accelerator is sound.
+    /// It takes no lock and never waits, so no abort can arise.
     pub fn get_at(&mut self, k: u32, ticket: &ReadTicket<'_>) -> Option<u32> {
         if !is_user_key(k) {
             return None;
@@ -551,7 +552,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Visit every `(key, value)` with `lo <= key <= hi` at the ticket's
     /// pinned version, in ascending key order; returns the count. The walk
     /// is wait-free with respect to writer locks (chunks mutated since the
-    /// pinned version resolve to their chain pre-images).
+    /// pinned version resolve to their chain pre-images): it takes no lock
+    /// and never waits, so no abort can arise.
     pub fn for_each_in_range_at(
         &mut self,
         lo: u32,
@@ -576,21 +578,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.with_pin(|h| h.range_at_pinned(lo, hi, ticket, &mut f))
     }
 
-    /// Collect `lo..=hi` at the pinned version into a vector.
+    /// Collect `lo..=hi` at the pinned version into a vector; never aborts.
     pub fn range_at(&mut self, lo: u32, hi: u32, ticket: &ReadTicket<'_>) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         self.for_each_in_range_at(lo, hi, ticket, |k, v| out.push((k, v)));
         out
     }
 
-    /// Number of keys in `lo..=hi` at the pinned version.
+    /// Number of keys in `lo..=hi` at the pinned version; never aborts.
     pub fn count_range_at(&mut self, lo: u32, hi: u32, ticket: &ReadTicket<'_>) -> usize {
         self.for_each_in_range_at(lo, hi, ticket, |_, _| {})
     }
 
     /// Every `(key, value)` pair at the pinned version, sorted — the
     /// snapshot-export walk (cluster snapshots and durable checkpoints ride
-    /// this instead of write-holding shard fences).
+    /// this instead of write-holding shard fences); never aborts.
     pub fn pairs_at(&mut self, ticket: &ReadTicket<'_>) -> Vec<(u32, u32)> {
         self.range_at(1, KEY_INF - 1, ticket)
     }
@@ -729,7 +731,7 @@ mod tests {
         let mut h = list.handle();
         h.insert(10, 1).unwrap();
         let t1 = list.pin_version().unwrap();
-        h.upsert(10, 2).unwrap();
+        h.try_upsert(10, 2).unwrap();
         h.insert(20, 7).unwrap();
         let t2 = list.pin_version().unwrap();
         h.remove(10);
@@ -757,11 +759,11 @@ mod tests {
                 if k % 2 == round % 2 {
                     h.remove(k * 3);
                 } else {
-                    h.upsert(k * 3, k + round).unwrap();
+                    h.try_upsert(k * 3, k + round).unwrap();
                 }
             }
             for k in 1..=500u32 {
-                h.upsert(k * 3, k).unwrap();
+                h.try_upsert(k * 3, k).unwrap();
             }
         }
         let after = h.range_at(30, 600, &t);
@@ -779,14 +781,14 @@ mod tests {
         {
             let t = list.pin_version().unwrap();
             for k in 1..=200u32 {
-                h.upsert(k, k + 1).unwrap();
+                h.try_upsert(k, k + 1).unwrap();
             }
             let s = list.mvcc_stats().unwrap();
             assert!(s.images > 0, "captures happened under a live ticket");
             assert_eq!(h.get_at(1, &t), Some(1));
         }
         // Ticket dropped: one reclaim pass vacuums the chains.
-        h.reclaim_pass();
+        h.reclaim_pass().unwrap();
         let s = list.mvcc_stats().unwrap();
         assert_eq!(s.active_tickets, 0);
         assert_eq!(s.images, 0, "no ticket, no retained images: {s:?}");
@@ -799,7 +801,7 @@ mod tests {
         let mut h = list.handle();
         for k in 1..=300u32 {
             h.insert(k, k).unwrap();
-            h.upsert(k, k + 1).unwrap();
+            h.try_upsert(k, k + 1).unwrap();
         }
         let s = list.mvcc_stats().unwrap();
         assert_eq!(s.captures, 0, "no reader, no copies: {s:?}");
@@ -946,7 +948,7 @@ mod tests {
                         let ok = h.insert(k, k * 10).unwrap();
                         r.finish(k, OpAction::Insert { value: k * 10, ok }, t);
                     } else {
-                        let ok = h.remove(k);
+                        let ok = h.remove(k).is_some();
                         r.finish(k, OpAction::Remove { ok }, t);
                     }
                 }
@@ -1003,7 +1005,7 @@ mod tests {
         // Remove `z`'s keys from the left until a removal merges it away.
         let mut removed = None;
         for k in keys_of(&mut h, z) {
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
             if h.read_chunk(z).is_zombie(&team) {
                 removed = Some(k);
                 break;
@@ -1021,7 +1023,7 @@ mod tests {
         h.insert(a_keys[0] + 1, 0).unwrap();
         assert_ne!(h.read_chunk(a).next(&team), z, "z is unlinked");
         for _ in 0..8 {
-            h.reclaim_pass();
+            h.reclaim_pass().unwrap();
         }
         // Grow the tail until `z` is allocated again: the reinit captures
         // its terminal zombie state for the ticket.

@@ -89,8 +89,9 @@ impl<'f> RangeEmit<'f> {
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Visit every `(key, value)` with `lo <= key <= hi` in ascending key
     /// order, each key once (see `RangeEmit` for keys a merge in flight
-    /// shows twice). Returns the number of entries visited.
-    pub fn for_each_in_range(
+    /// shows twice). Returns the number of entries visited. The body of
+    /// [`Self::try_range`] and [`Self::try_count_range`].
+    pub(crate) fn for_each_in_range(
         &mut self,
         lo: u32,
         hi: u32,
@@ -137,14 +138,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Collect `lo..=hi` into a vector (see
     /// [`for_each_in_range`](Self::for_each_in_range)).
-    pub fn range(&mut self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
+    pub(crate) fn range(&mut self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         self.for_each_in_range(lo, hi, |k, v| out.push((k, v)));
         out
     }
 
     /// Number of keys in `lo..=hi`.
-    pub fn count_range(&mut self, lo: u32, hi: u32) -> usize {
+    pub(crate) fn count_range(&mut self, lo: u32, hi: u32) -> usize {
         self.for_each_in_range(lo, hi, |_, _| {})
     }
 }
@@ -205,7 +206,7 @@ mod tests {
         let list = built(200);
         let mut h = list.handle();
         for k in (30..=120u32).filter(|k| k % 3 == 0).step_by(2) {
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
         }
         // Deleted: every other multiple of 3 in [30,120] = multiples of 6.
         let got = h.range(30, 120);

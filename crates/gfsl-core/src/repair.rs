@@ -744,7 +744,7 @@ mod tests {
         while view(&mut h).num_keys(&team) > list.params.merge_threshold() {
             let v = view(&mut h);
             let k = v.entry(v.keys_live(&team).lowest().unwrap()).key();
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
         }
         let v = view(&mut h);
         let k = v.entry(v.keys_live(&team).lowest().unwrap()).key();

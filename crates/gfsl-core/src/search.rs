@@ -140,16 +140,13 @@ pub(crate) enum Walk {
 }
 
 impl<'a, P: MemProbe> GfslHandle<'a, P> {
-    /// Is `k` in the set? Lock-free (paper §4.2.1).
-    pub fn contains(&mut self, k: u32) -> bool {
+    /// The body [`Self::try_contains`] runs contained.
+    pub(crate) fn contains(&mut self, k: u32) -> bool {
         self.get(k).is_some()
     }
 
-    /// Look up `k`'s value. Lock-free.
-    ///
-    /// Returns `None` for reserved keys (`0`, `u32::MAX`) as they can never
-    /// be inserted.
-    pub fn get(&mut self, k: u32) -> Option<u32> {
+    /// The body [`Self::try_get`] runs contained.
+    pub(crate) fn get(&mut self, k: u32) -> Option<u32> {
         self.stats.contains_ops += 1;
         if !is_user_key(k) {
             return None;
@@ -197,14 +194,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         self.search_lateral(k, bottom)
     }
 
-    /// The smallest key currently in the set (with its value), or `None`
-    /// when empty. Lock-free, like `contains`: walks the bottom level from
-    /// the head until the first live key.
-    ///
-    /// This is the primitive skiplist-based priority queues are built on
-    /// (the paper cites Shavit & Lotan's skiplist priority queue as a
-    /// motivating application).
-    pub fn min_entry(&mut self) -> Option<(u32, u32)> {
+    /// The body [`Self::try_min_entry`] runs contained.
+    pub(crate) fn min_entry(&mut self) -> Option<(u32, u32)> {
         let team = self.list.team;
         self.stats.contains_ops += 1;
         self.with_pin(|h| {

@@ -24,9 +24,8 @@ pub enum Error {
     /// The key collides with a reserved sentinel (`0` is `-∞`,
     /// `u32::MAX` is `∞`).
     InvalidKey(u32),
-    /// An operation run through a `try_*` entry point aborted instead of
-    /// completing (see [`GfslHandle::try_insert`]); a plain entry point
-    /// unwinds with the same [`OpAbort`] as its panic payload.
+    /// An operation aborted instead of completing (see
+    /// [`GfslHandle::try_insert`]).
     Aborted(OpAbort),
     /// [`MAX_RECLAIM_HANDLES`] handles are already live on this structure
     /// (each holds a reclamation epoch slot); drop one and try again.
@@ -50,8 +49,7 @@ impl std::fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Why an operation aborted, and where. Returned inside [`Error::Aborted`]
-/// by the `try_*` entry points; the payload a plain entry point unwinds
-/// with when it gives up a wait.
+/// by the handle's operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpAbort {
     /// What cut the operation short.
@@ -88,11 +86,9 @@ pub enum AbortReason {
 /// are totals since construction; `quarantine_depth` is the current value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
-    /// Operations that aborted (any [`AbortReason`]), through any entry
-    /// point.
+    /// Operations that aborted (any [`AbortReason`]).
     pub aborts: u64,
-    /// Operations that crashed (panicked) mid-protocol: every crashed
-    /// `try_*` call, and every plain one that died holding a lock.
+    /// Operations that crashed (panicked) mid-protocol.
     pub crashed_ops: u64,
     /// Chunks ever moved into the quarantine set.
     pub chunks_quarantined: u64,
@@ -179,8 +175,11 @@ pub(crate) enum Intent {
 /// point has passed; a crash after this returns the real outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Commit {
-    Inserted(bool),
-    Removed(bool),
+    /// The value `k` had (`None`: it went in).
+    Inserted(Option<u32>),
+    /// The value removed, read from the bottom view certified under the
+    /// bottom lock (`None`: another remove got there first).
+    Removed(Option<u32>),
 }
 
 /// Per-op journal carried by the handle: the commit point, for `try_*` to
@@ -202,10 +201,10 @@ pub(crate) struct OpJournal {
 ///
 /// let list = Gfsl::new(GfslParams::default()).unwrap();
 /// let mut h = list.handle();
-/// assert!(h.insert(10, 100).unwrap());
-/// assert_eq!(h.get(10), Some(100));
-/// assert!(h.remove(10));
-/// assert!(!h.contains(10));
+/// assert!(h.try_insert(10, 100).unwrap());
+/// assert_eq!(h.try_get(10).unwrap(), Some(100));
+/// assert!(h.try_remove(10).unwrap());
+/// assert!(!h.try_contains(10).unwrap());
 /// ```
 pub struct Gfsl {
     pub(crate) pool: WordPool,
@@ -243,8 +242,7 @@ pub struct Gfsl {
     /// verifies once at least half this many candidates are ready (see
     /// [`GfslHandle::maybe_reclaim`]). Only the pass in flight touches it.
     last_walk: AtomicU64,
-    /// Quarantined chunks awaiting repair, left by ops that crashed through
-    /// any entry point.
+    /// Quarantined chunks awaiting repair, left by ops that crashed.
     pub(crate) quarantine: Mutex<Vec<QuarantinedChunk>>,
     /// Lock-free mirror of the quarantine set's size, so the hot path can
     /// skip the mutex when nothing is quarantined.
@@ -598,13 +596,10 @@ impl Gfsl {
 
 /// The chunk locks a handle currently holds, and the structural mutation
 /// they are mid-way through. Tracked so that a team dying mid-operation —
-/// a panic unwinding through [`GfslHandle::contained`], or through a plain
-/// entry point and out of the handle — leaves its chunks in the quarantine
-/// set with its intent ([`Self::quarantine`]) for
+/// a panic unwinding through [`GfslHandle::contained`] — leaves its chunks
+/// in the quarantine set with its intent ([`Self::quarantine`]) for
 /// [`GfslHandle::repair_quarantine`], instead of silently deadlocking every
-/// team that later needs them. A plain op's crash reaches the quarantine
-/// only when the handle drops: a handle whose plain op panicked must be
-/// dropped, not reused.
+/// team that later needs them.
 pub(crate) struct HeldLocks<'a> {
     list: &'a Gfsl,
     chunks: Vec<u32>,
@@ -690,9 +685,9 @@ impl<'a> HeldLocks<'a> {
 
 impl Drop for HeldLocks<'_> {
     fn drop(&mut self) {
-        // Non-empty on drop means the op never released these locks: a
-        // plain op's panic is unwinding out of the handle mid-protocol (or
-        // the handle was leaked mid-op, which safe callers cannot do).
+        // Non-empty on drop means the op never released these locks: an op
+        // body run uncontained (`mc` episodes, unit tests; every public
+        // operation is contained) is unwinding out of the handle.
         if !self.chunks.is_empty() {
             self.quarantine();
         }
@@ -726,9 +721,7 @@ const CERTIFY_SPINS: u32 = 64;
 /// one certification loop — before the operation gives the wait up with
 /// [`AbortReason::RetryBudget`]. The protocol's hold times are bounded (no
 /// operation blocks while holding a chunk lock), so a wait this long means
-/// the holder has stalled or is gone. It bounds every wait, whatever the
-/// entry point: a `try_*` call returns the abort, a plain one unwinds with
-/// it.
+/// the holder has stalled or is gone. The operation returns the abort.
 pub const CONTAINED_RETRY_BUDGET: u32 = 1 << 20;
 
 /// Chunk-move budget for a lateral walk started from a validated traversal
@@ -765,9 +758,10 @@ pub(crate) const HEAL_STEPS_UPPER: u8 = 3;
 /// A per-thread session on a [`Gfsl`]: the moral equivalent of one GPU team.
 ///
 /// Holds the thread's memory probe, RNG stream, and operation statistics.
-/// All skiplist operations ([`contains`](GfslHandle::contains),
-/// [`get`](GfslHandle::get), [`insert`](GfslHandle::insert),
-/// [`remove`](GfslHandle::remove)) live on the handle.
+/// All skiplist operations ([`try_contains`](GfslHandle::try_contains),
+/// [`try_get`](GfslHandle::try_get), [`try_insert`](GfslHandle::try_insert),
+/// [`try_remove`](GfslHandle::try_remove), ...) live on the handle, each
+/// contained: an abort comes back as [`Error::Aborted`], never as a panic.
 pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) list: &'a Gfsl,
     pub(crate) probe: P,
@@ -1029,26 +1023,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         r
     }
 
-    /// Run one operation inside the unwind boundary every `try_*` entry
-    /// point runs in: resets the op journal, runs `f` under `catch_unwind`,
-    /// and turns the panic of an aborted op into a typed [`OpAbort`]. The
-    /// op itself runs exactly as through a plain entry point — every abort
-    /// has already done its one reaction by the time it unwinds here:
+    /// Run one operation body inside the unwind boundary every public
+    /// operation runs in: resets the op journal, runs `f` under
+    /// `catch_unwind`, and turns the panic of an aborted op into a typed
+    /// [`OpAbort`], adding no probe event and no chunk read:
     ///
     /// * an [`OpAbort`] payload is a clean abort, raised by
     ///   [`Self::note_wait`] after it released every held chunk;
     /// * any other panic is a *crash* (chaos injection, poison detection, or
     ///   a genuine bug mid-protocol), and [`HeldLocks::quarantine`] moves the
     ///   held chunks — with the op's intent — into the quarantine set for
-    ///   [`Self::repair_quarantine`], as [`HeldLocks`]'s drop does for a
-    ///   plain op whose panic unwinds out of the handle (which is why such
-    ///   a handle must be dropped, not reused). Repair works from
-    ///   that intent and each chunk's current image, so a crash between a
-    ///   chunk's stores (any injected one: crash points precede their
-    ///   stores) heals unpoisoned. A panic that tears a chunk mid-store (a
-    ///   bug inside a shift or copy loop) leaves an image no intent
-    ///   describes: repair poisons the structure and leaves that chunk
-    ///   locked.
+    ///   [`Self::repair_quarantine`]. Repair works from that intent and each
+    ///   chunk's current image, so a crash between a chunk's stores (any
+    ///   injected one: crash points precede their stores) heals unpoisoned.
+    ///   A panic that tears a chunk mid-store (a bug inside a shift or copy
+    ///   loop) leaves an image no intent describes: repair poisons the
+    ///   structure and leaves that chunk locked.
+    ///
+    /// Either way the handle stays usable.
     ///
     /// The caller inspects `self.journal.committed` on `Err`: a recorded
     /// commit means the op's linearization point had already passed, so its
@@ -1084,84 +1076,108 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         })
     }
 
-    /// Contained insert: [`insert`](Self::insert), with an abort returned
-    /// as [`Error::Aborted`] instead of unwinding. The abort itself is the
-    /// same through either entry point: a crash mid-protocol quarantines the
-    /// op's chunks for repair, and a wait given up (quarantined chunk, or
-    /// [`CONTAINED_RETRY_BUDGET`] spent) releases them untouched. If the
-    /// operation had already passed its linearization point when it
-    /// aborted, the recorded outcome is returned as `Ok` — an acknowledged
-    /// insert is never silently lost.
+    /// Insert `(k, v)`. Returns `Ok(true)` if the key was added, `Ok(false)`
+    /// if it was already present.
+    ///
+    /// # Errors
+    /// [`Error::InvalidKey`] for the reserved keys `0` and `u32::MAX`;
+    /// [`Error::PoolExhausted`] when the chunk pool is full and the key did
+    /// **not** go in (exhaustion after it reached the bottom level only
+    /// costs index entries); [`Error::Aborted`] when the insert gave up
+    /// before its linearization point: a crash quarantines the op's chunks
+    /// for [`Self::repair_quarantine`], a wait given up (quarantined chunk,
+    /// or [`CONTAINED_RETRY_BUDGET`] spent) releases them untouched, and the
+    /// handle stays usable. An abort *after* the linearization point returns
+    /// the recorded outcome as `Ok`: an acknowledged insert is never lost.
     pub fn try_insert(&mut self, k: u32, v: u32) -> Result<bool, Error> {
-        match self.contained(|h| h.insert(k, v)) {
+        self.try_put(k, v, false).map(|old| old.is_none())
+    }
+
+    /// Insert `(k, v)`, or overwrite the value if `k` is already present;
+    /// returns the previous value. Errors as [`Self::try_insert`]: an
+    /// overwrite that crashed after its store returns `Ok(Some(old))`. One
+    /// pass of the insert body: a present key's overwrite is one atomic
+    /// store of the entry under its bottom lock, so it serializes with
+    /// other updates to `k` and readers see the old or the new value.
+    pub fn try_upsert(&mut self, k: u32, v: u32) -> Result<Option<u32>, Error> {
+        self.try_put(k, v, true)
+    }
+
+    /// The contained insert body: the value `k` had (`None` when it went
+    /// in), from the body or, after a late abort, from the journal.
+    fn try_put(&mut self, k: u32, v: u32, overwrite: bool) -> Result<Option<u32>, Error> {
+        match self.contained(|h| h.insert_body(k, v, overwrite)) {
             Ok(r) => r,
             Err(abort) => match self.journal.committed.take() {
-                Some(Commit::Inserted(a)) => Ok(a),
+                Some(Commit::Inserted(old)) => Ok(old),
                 _ => Err(Error::Aborted(abort)),
             },
         }
     }
 
-    /// Contained remove; see [`Self::try_insert`] for the abort contract.
+    /// Remove `k`. Returns `Ok(true)` if the key was present; see
+    /// [`Self::try_insert`] for the abort contract.
     pub fn try_remove(&mut self, k: u32) -> Result<bool, Error> {
+        self.try_take(k).map(|old| old.is_some())
+    }
+
+    /// The contained remove body: the value removed, from the body or,
+    /// after a late abort, from the journal. The removal step of
+    /// [`Self::try_pop_min`].
+    fn try_take(&mut self, k: u32) -> Result<Option<u32>, Error> {
         match self.contained(|h| h.remove(k)) {
             Ok(r) => Ok(r),
             Err(abort) => match self.journal.committed.take() {
-                Some(Commit::Removed(a)) => Ok(a),
+                Some(Commit::Removed(old)) => Ok(old),
                 _ => Err(Error::Aborted(abort)),
             },
         }
     }
 
-    /// Contained lookup; reads never mutate, so an abort simply means the
-    /// read gave up (quarantined chunk in its path, or budget spent).
+    /// Look up `k`'s value (lock-free, paper §4.2.1); `None` for absent and
+    /// reserved keys. An abort means the read gave up (quarantined chunk in
+    /// its path, or budget spent).
     pub fn try_get(&mut self, k: u32) -> Result<Option<u32>, Error> {
         self.contained(|h| h.get(k)).map_err(Error::Aborted)
     }
 
-    /// Contained membership test; see [`Self::try_get`].
+    /// Is `k` in the set? See [`Self::try_get`].
     pub fn try_contains(&mut self, k: u32) -> Result<bool, Error> {
         self.contained(|h| h.contains(k)).map_err(Error::Aborted)
     }
 
-    /// Contained range count; see [`Self::try_get`].
+    /// Number of keys in `lo..=hi`; see [`Self::try_range`].
     pub fn try_count_range(&mut self, lo: u32, hi: u32) -> Result<usize, Error> {
         self.contained(|h| h.count_range(lo, hi))
             .map_err(Error::Aborted)
     }
 
-    /// Contained range collection; see [`Self::try_get`].
+    /// Every `(key, value)` with `lo <= key <= hi`, in ascending key order,
+    /// each key once. Lock-free; aborts as [`Self::try_get`].
     pub fn try_range(&mut self, lo: u32, hi: u32) -> Result<Vec<(u32, u32)>, Error> {
         self.contained(|h| h.range(lo, hi)).map_err(Error::Aborted)
     }
 
-    /// Contained minimum-entry scan; see [`Self::try_get`] (reads never
-    /// mutate, so an abort simply means the scan gave up).
+    /// The smallest key in the set with its value, `None` when empty: the
+    /// lock-free primitive of skiplist priority queues (the paper cites
+    /// Shavit & Lotan's as motivation). Aborts as [`Self::try_get`].
     pub fn try_min_entry(&mut self) -> Result<Option<(u32, u32)>, Error> {
         self.contained(|h| h.min_entry()).map_err(Error::Aborted)
     }
 
-    /// Remove and return the smallest key (with its value), or `None` when
-    /// the set is empty — the extract-min of a skiplist priority queue,
-    /// built from [`try_min_entry`](Self::try_min_entry) +
-    /// [`try_remove`](Self::try_remove). The scan is lock-free, and losing
-    /// the removal race to a concurrent consumer simply rescans; concurrent
-    /// callers never remove the same element. Composing the contained
-    /// primitives keeps `try_remove`'s abort contract intact: a removal that
-    /// crashed *after* its linearization point still reports `Ok`, so an
-    /// acknowledged pop is never lost.
-    ///
-    /// Caveat: the returned *value* comes from the scan. If another thread
-    /// removes and reinserts the same key with a different value between
-    /// the scan and this call's removal, the returned value may belong to
-    /// the earlier incarnation (the key itself is always the one this call
-    /// removed).
+    /// Remove and return the smallest key with the value its removal took,
+    /// `None` when the set is empty: [`Self::try_min_entry`], then the
+    /// removal step of [`Self::try_remove`], rescanning when a concurrent
+    /// consumer wins the race. No two callers pop the same element, and the
+    /// value is the one removed even if the key was removed and re-inserted
+    /// since the scan. A removal that crashed after its linearization point
+    /// still reports `Ok`: an acknowledged pop is never lost.
     pub fn try_pop_min(&mut self) -> Result<Option<(u32, u32)>, Error> {
         loop {
-            let Some((k, v)) = self.try_min_entry()? else {
+            let Some((k, _)) = self.try_min_entry()? else {
                 return Ok(None);
             };
-            if self.try_remove(k)? {
+            if let Some(v) = self.try_take(k)? {
                 return Ok(Some((k, v)));
             }
         }
@@ -1491,13 +1507,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Give up a wait: release every held lock with a version bump, drop
-    /// the op's intent, and unwind with the [`OpAbort`] as the payload —
-    /// [`Self::contained`] returns it, a plain entry point lets it unwind
-    /// on. Sound because every wait point in the protocol occurs while each
-    /// held chunk is individually consistent (waits happen before a chunk's
-    /// mutation starts or after it fully completes; the shift/copy loops
-    /// themselves never wait), and the bump makes snapshot certification
-    /// and hints observe the release like an unlock's.
+    /// the op's intent, and unwind with the [`OpAbort`] as the payload,
+    /// which [`Self::contained`] returns. Sound because every wait point in
+    /// the protocol occurs while each held chunk is individually consistent
+    /// (waits happen before a chunk's mutation starts or after it fully
+    /// completes; the shift/copy loops themselves never wait), and the bump
+    /// makes snapshot certification and hints observe the release like an
+    /// unlock's.
     #[cold]
     fn abort_wait(&mut self, reason: AbortReason, chunk: u32) -> ! {
         let list = self.list;
@@ -1703,19 +1719,22 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// A verification walk that gives up a wait (a quarantined parent
     /// chunk, or the retry budget spent) puts its batch back in limbo and
-    /// ends the pass; the caller's own operation goes on.
+    /// ends the pass; the caller's own operation goes on. Public operations
+    /// run passes themselves; tests and maintenance loops may call this.
     ///
-    /// Must not be called while holding chunk locks (see
-    /// `maybe_reclaim`); public operations call it automatically,
-    /// tests and maintenance loops may call it directly.
-    pub fn reclaim_pass(&mut self) -> usize {
-        self.run_pass(false)
+    /// # Errors
+    /// [`Error::Aborted`] when the pass crashed: contained like every
+    /// operation (a pass takes chunk locks), the crash quarantines what it
+    /// held for [`Self::repair_quarantine`] and the handle stays usable.
+    pub fn reclaim_pass(&mut self) -> Result<usize, Error> {
+        self.contained(|h| h.run_pass(false)).map_err(Error::Aborted)
     }
 
-    /// [`Self::reclaim_pass`]; a `batched` pass drains and verifies only
-    /// when [`Self::batch_is_due`]. The pass's own chunk reads (head-edge
-    /// sweep, verification walk) are this handle's `chunk_reads` across it.
-    fn run_pass(&mut self, batched: bool) -> usize {
+    /// The body [`Self::reclaim_pass`] runs contained; a `batched` pass
+    /// drains and verifies only when [`Self::batch_is_due`]. The pass's own
+    /// chunk reads (head-edge sweep, verification walk) are this handle's
+    /// `chunk_reads` across it.
+    pub(crate) fn run_pass(&mut self, batched: bool) -> usize {
         struct Busy<'a>(&'a AtomicBool);
         impl Drop for Busy<'_> {
             fn drop(&mut self) {
@@ -2137,7 +2156,7 @@ mod tests {
             last = list.height();
         }
         for k in 1..=3_000u32 {
-            assert!(h.remove(k));
+            assert!(h.remove(k).is_some());
             assert_eq!(list.height(), list.scanned_height(), "after removing {k}");
             emptied += last.saturating_sub(list.height());
             last = list.height();
@@ -2199,7 +2218,7 @@ mod tests {
     /// A lock nobody quarantined, as a stalled live writer holds it: an
     /// insert whose split must lock that chunk gives the wait up after
     /// [`CONTAINED_RETRY_BUDGET`] retries and releases the chunk it held.
-    /// `try_insert` returns the abort; `insert` unwinds with the same one.
+    /// `try_insert` returns the abort.
     #[test]
     fn a_wait_on_a_stalled_writer_aborts_at_the_budget() {
         crate::quiet_injected_panics();
@@ -2236,17 +2255,29 @@ mod tests {
         };
         assert!(h.held.chunks.is_empty() && h.held.intent == Intent::None);
         assert!(unlocked(head), "the aborted insert released the chunk it held");
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.insert(k, k)))
-            .expect_err("a plain insert unwinds with the abort");
-        assert_eq!(payload.downcast_ref::<OpAbort>(), Some(&expected));
-        assert!(h.held.chunks.is_empty() && unlocked(head));
-        assert_eq!(list.keys(), keys, "neither abort had any effect");
-        assert_eq!(list.repair_stats().aborts, 2);
+        assert_eq!(list.keys(), keys, "the abort had no effect");
+        assert_eq!(list.repair_stats().aborts, 1);
         assert_eq!(list.quarantine_depth(), 0);
 
         stalled.unlock(stall);
         assert!(h.insert(k, k).unwrap());
         list.assert_valid();
+    }
+
+    /// `try_pop_min` pops the value its removal took: a key removed and
+    /// re-inserted with a new value between the scan and the removal step
+    /// pops with the new value, not the one the scan saw.
+    #[test]
+    fn pop_min_returns_the_value_its_removal_took() {
+        let list = list16();
+        let (mut a, mut b) = (list.handle(), list.handle());
+        a.try_insert(5, 1).unwrap();
+        a.try_insert(9, 9).unwrap();
+        let (k, v1) = a.try_min_entry().unwrap().unwrap();
+        assert_eq!((k, v1), (5, 1), "A's scan");
+        assert!(b.try_remove(k).unwrap() && b.try_insert(k, 2).unwrap());
+        assert_eq!(a.try_take(k), Ok(Some(2)), "A's removal step");
+        assert_eq!(list.pairs(), vec![(9, 9)]);
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let iv = self.read_chunk(p_insert.chunk());
         self.execute_insert(&p_insert, &iv, k, v);
         if level == 0 {
-            self.journal.committed = Some(Commit::Inserted(true));
+            self.journal.committed = Some(Commit::Inserted(None));
         }
         self.unlock(other);
 
@@ -307,7 +307,7 @@ mod tests {
                 h.insert(k, k).unwrap();
             }
             for k in removed {
-                assert!(h.remove(*k));
+                assert!(h.remove(*k).is_some());
                 present.remove(k);
             }
             let before = level0_chain(&list);
@@ -315,7 +315,7 @@ mod tests {
             let thresh = split_keys[list.team.dsize() / 2 - 1];
             let stats = h.stats();
             if op_removes {
-                assert!(h.remove(op_key));
+                assert!(h.remove(op_key).is_some());
                 present.remove(&op_key);
             } else {
                 assert!(h.insert(op_key, op_key).unwrap());
@@ -422,7 +422,7 @@ mod tests {
         let mut h = list.handle();
         for j in 0..163_840u32 {
             assert!(h.insert(WINDOW + 1 + j, j).unwrap());
-            assert!(h.remove(j + 1));
+            assert!(h.remove(j + 1).is_some());
         }
         let high = list.chunks_allocated();
         assert_eq!(high, built + 6, "pool high water for a {built}-chunk build");

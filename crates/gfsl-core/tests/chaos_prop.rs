@@ -51,7 +51,7 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
                     for i in 0..KEYS_PER_CLASS {
                         let k = i * 2 + t + 1;
                         assert_eq!(
-                            h.insert(k, k * 10).expect("pool"),
+                            h.try_insert(k, k * 10).expect("pool"),
                             reference.insert(k),
                             "insert {k}"
                         );
@@ -61,7 +61,7 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
                             continue;
                         }
                         let k = i * 2 + t + 1;
-                        assert_eq!(h.remove(k), reference.remove(&k), "remove {k}");
+                        assert_eq!(h.try_remove(k).unwrap(), reference.remove(&k), "remove {k}");
                     }
                     reference
                 })

@@ -1,9 +1,10 @@
 //! Regression: a team that dies (panics) mid-protocol while holding chunk
-//! locks leaves them *quarantined* with its intent, whichever entry point it
-//! died in, and one repair pass returns the structure to full validity — it
-//! neither poisons the structure nor deadlocks every team that needs the
-//! orphaned locks. A team that then meets a quarantined chunk gives its
-//! wait up with a typed abort instead of waiting for the repair.
+//! locks leaves them *quarantined* with its intent, and one repair pass
+//! returns the structure to full validity — it neither poisons the
+//! structure nor deadlocks every team that needs the orphaned locks. The
+//! crashed op returns a typed abort and its handle stays usable. A team
+//! that then meets a quarantined chunk gives its wait up with a typed abort
+//! instead of waiting for the repair.
 //!
 //! The crash is injected deterministically with the chaos layer: the worker
 //! is killed at its first `SplitPublish` crash point (after it locked the
@@ -11,15 +12,11 @@
 //! at its first `MergeZombieMark` (mid-merge, holding the dying chunk and
 //! its absorber), the worst cases for orphaned locks.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use gfsl::mc::strategy::Replay;
-use gfsl::{
-    AbortReason, CrashPoint, Gfsl, GfslHandle, GfslParams, NoProbe, OpAbort, RepairStats,
-    TeamSize, Violation,
-};
+use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslHandle, GfslParams, NoProbe, OpAbort, TeamSize};
 
 fn list16() -> Gfsl {
     Gfsl::new(GfslParams {
@@ -30,159 +27,160 @@ fn list16() -> Gfsl {
     .unwrap()
 }
 
-/// The entry point the crashing worker runs its ops through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryPoint {
-    Plain,
-    Contained,
-}
-
-/// Everything a crash and its repair leave observable.
-#[derive(Debug, PartialEq)]
-struct Aftermath {
-    /// Recovery counters right after the crash (the quarantine's depth and
-    /// the chunks that entered it).
-    crashed: RepairStats,
-    /// The full validation walk before repair: the quarantined chunks that
-    /// are linked show as locked at quiescence.
-    locked: Vec<Violation>,
-    /// The key-value pairs before repair.
-    pairs: Vec<(u32, u32)>,
-    /// Recovery counters after one repair pass: which arm each chunk took
-    /// follows from the intent it was quarantined with.
-    repaired: RepairStats,
-}
-
-/// Crash one worker at the first `point` through `entry`, then repair.
-/// For `SplitPublish` the worker inserts `1, 2, …` into an empty list; for
-/// `MergeZombieMark` it removes `10, 20, …` from a list of 200 such keys.
-fn crash_and_repair(point: CrashPoint, entry: EntryPoint) -> Aftermath {
+/// Crash one worker at the first `point`, then repair. For `SplitPublish`
+/// the worker inserts `1, 2, …` into an empty list; for `MergeZombieMark`
+/// it removes `10, 20, …` from a list of 200 such keys. The crashed op
+/// returns an abort, the quarantine holds its chunks, and the validation
+/// walk shows the linked ones locked until one repair pass drains it.
+fn crash_and_repair(point: CrashPoint) {
     let list = list16();
     let merge = point == CrashPoint::MergeZombieMark;
     if merge {
         let mut h = list.handle();
         for k in 1..=200u32 {
-            h.insert(k * 10, k).unwrap();
+            h.try_insert(k * 10, k).unwrap();
         }
     }
     let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((point, 1)));
-    let died = std::thread::scope(|s| {
+    let aborted = std::thread::scope(|s| {
         s.spawn(|| {
             let mut h = list.handle_with(ctl.probe(0));
-            for k in 1..=200u32 {
-                let aborted = match (entry, merge) {
-                    (EntryPoint::Plain, false) => !h.insert(k, k).unwrap(),
-                    (EntryPoint::Plain, true) => !h.remove(k * 10),
-                    (EntryPoint::Contained, false) => h.try_insert(k, k).is_err(),
-                    (EntryPoint::Contained, true) => h.try_remove(k * 10).is_err(),
-                };
-                if aborted {
-                    return;
-                }
-            }
+            (1..=200u32).any(|k| match merge {
+                false => h.try_insert(k, k).is_err(),
+                true => h.try_remove(k * 10).is_err(),
+            })
         })
         .join()
-        .is_err()
+        .expect("a contained op returns, it does not unwind")
     });
-    assert_eq!(
-        died,
-        entry == EntryPoint::Plain,
-        "{point:?}: the plain worker dies at the crash, the contained one returns"
-    );
-    assert!(!list.is_poisoned(), "{point:?} {entry:?}: a crash does not poison");
+    assert!(aborted, "{point:?}: the injected crash fires");
+    assert!(!list.is_poisoned(), "{point:?}: a crash does not poison");
     let crashed = list.repair_stats();
-    assert_eq!(crashed.crashed_ops, 1, "{point:?} {entry:?}");
-    assert!(crashed.quarantine_depth >= 2, "{point:?} {entry:?}: the op's chunks are quarantined");
-    let (locked, pairs) = (list.validate(), list.pairs());
+    assert_eq!(crashed.crashed_ops, 1, "{point:?}");
+    assert!(crashed.quarantine_depth >= 2, "{point:?}: the op's chunks are quarantined");
+    assert!(!list.validate().is_empty(), "{point:?}: quarantined chunks show locked");
     let repaired = list.handle().repair_quarantine();
-    assert_eq!(repaired.quarantine_depth, 0, "{point:?} {entry:?}: repair drains the quarantine");
+    assert_eq!(repaired.quarantine_depth, 0, "{point:?}: repair drains the quarantine");
+    assert_eq!(repaired.repaired(), crashed.chunks_quarantined, "{point:?}");
     list.assert_valid();
-    Aftermath {
-        crashed,
-        locked,
-        pairs,
-        repaired,
-    }
 }
 
-/// The same injected crash through `insert` / `remove` and through
-/// `try_insert` / `try_remove` leaves the same quarantine, and one repair
-/// pass takes the same arms to the same fully valid structure.
+/// A crash through `try_insert` (a split) and through `try_remove` (a
+/// merge) quarantines the op's chunks, and one repair pass restores a
+/// fully valid structure.
 #[test]
-fn a_crash_quarantines_and_repairs_alike_through_either_entry_point() {
+fn a_crash_quarantines_and_one_repair_restores_validity() {
     gfsl::quiet_injected_panics();
-    for point in [CrashPoint::SplitPublish, CrashPoint::MergeZombieMark] {
-        let plain = crash_and_repair(point, EntryPoint::Plain);
-        let contained = crash_and_repair(point, EntryPoint::Contained);
-        assert_eq!(plain, contained, "{point:?}");
-    }
+    crash_and_repair(CrashPoint::SplitPublish);
+    crash_and_repair(CrashPoint::MergeZombieMark);
 }
 
-/// How long a plain op may take to give up its wait; waiting on until
-/// repair runs never ends here.
+/// How long an op may take to give up its wait; waiting on until repair
+/// runs never ends here.
 const WATCHDOG: Duration = Duration::from_secs(5);
 
-/// After a contained insert crashes at `SplitPublish`, a plain `get`,
-/// `count_range` and `remove` of the crashed key each meet its quarantined
-/// chunk and unwind with `OpAbort { reason: Quarantined, .. }`, holding
-/// nothing, instead of waiting for a repair that never comes.
+/// After an insert crashes at `SplitPublish` in the head chunk, its handle
+/// inserts a key of another chunk, and `try_get`, `try_count_range` and
+/// `try_remove` of the crashed key each meet its quarantined chunk and
+/// return `OpAbort { reason: Quarantined, .. }`, holding nothing, instead
+/// of waiting for a repair that never comes.
 #[test]
-fn a_plain_op_gives_up_a_wait_on_a_quarantined_chunk() {
+fn a_contained_op_gives_up_a_wait_on_a_quarantined_chunk() {
     gfsl::quiet_injected_panics();
     let list = Arc::new(list16());
+    {
+        // Chunks right of the head, for the crashed handle to reuse.
+        let mut h = list.handle();
+        for k in (1_000..1_400u32).step_by(2) {
+            h.try_insert(k, k).unwrap();
+        }
+    }
     let ctl = gfsl::chaos::controller(
         1,
         Replay::new(Vec::new()),
         Some((CrashPoint::SplitPublish, 1)),
     );
-    let key = {
-        let mut h = list.handle_with(ctl.probe(0));
-        (1..=100u32)
-            .find(|&k| h.try_insert(k, k).is_err())
-            .expect("the injected crash fires")
-    };
+    let mut crashed = list.handle_with(ctl.probe(0));
+    let key = (1..=100u32)
+        .find(|&k| crashed.try_insert(k, k).is_err())
+        .expect("the injected crash fires");
     let depth = list.quarantine_depth();
     assert!(depth >= 2, "the split's chunks are quarantined");
+    assert_eq!(crashed.try_insert(1_301, 1), Ok(true), "the crashed handle is reusable");
+    assert_eq!(list.quarantine_depth(), depth);
 
-    type PlainOp = fn(&mut GfslHandle<'_, NoProbe>, u32);
-    let ops: [(&str, PlainOp); 3] = [
-        ("get", |h, k| {
-            let _ = h.get(k);
-        }),
-        ("count_range", |h, k| {
-            let _ = h.count_range(k, k);
-        }),
-        ("remove", |h, k| {
-            let _ = h.remove(k);
-        }),
+    type Op = fn(&mut GfslHandle<'_, NoProbe>, u32) -> Result<(), Error>;
+    let ops: [(&str, Op); 3] = [
+        ("try_get", |h, k| h.try_get(k).map(drop)),
+        ("try_count_range", |h, k| h.try_count_range(k, k).map(drop)),
+        ("try_remove", |h, k| h.try_remove(k).map(drop)),
     ];
     for (name, op) in ops {
         let (tx, rx) = mpsc::channel();
         let shared = Arc::clone(&list);
         std::thread::spawn(move || {
-            let run = catch_unwind(AssertUnwindSafe(|| op(&mut shared.handle(), key)));
-            let _ = tx.send(run.map_err(|p| p.downcast::<OpAbort>().map(|a| *a)));
+            let _ = tx.send(op(&mut shared.handle(), key));
         });
         let outcome = rx
             .recv_timeout(WATCHDOG)
-            .unwrap_or_else(|_| panic!("plain {name}({key}) still waiting after {WATCHDOG:?}"));
-        match outcome {
-            Err(Ok(OpAbort {
-                reason: AbortReason::Quarantined,
-                ..
-            })) => {}
-            other => panic!("plain {name}({key}) must unwind with a Quarantined OpAbort: {other:?}"),
-        }
-        assert_eq!(
-            list.quarantine_depth(),
-            depth,
-            "plain {name} held nothing when its handle unwound"
+            .unwrap_or_else(|_| panic!("{name}({key}) still waiting after {WATCHDOG:?}"));
+        assert!(
+            matches!(
+                outcome,
+                Err(Error::Aborted(OpAbort {
+                    reason: AbortReason::Quarantined,
+                    ..
+                }))
+            ),
+            "{name}({key}) must return a Quarantined OpAbort: {outcome:?}"
         );
+        assert_eq!(list.quarantine_depth(), depth, "{name} held nothing when it gave up");
     }
 
     list.handle().repair_quarantine();
     list.assert_valid();
     let mut h = list.handle();
-    assert_eq!(h.get(key), None, "the crashed insert never published");
-    assert!(h.insert(key, key).unwrap());
+    assert_eq!(h.try_get(key).unwrap(), None, "the crashed insert never published");
+    assert!(h.try_insert(key, key).unwrap());
+}
+
+/// A reclamation pass takes chunk locks (the head-edge sweep's try-lock
+/// on the chunk a zombie run sits behind), so it is contained too: a crash
+/// inside it returns a typed abort, not a pass count that reads like an
+/// empty pass, and quarantines the chunk it held. One repair restores
+/// validity, and the crashed pass let go of the one-pass-at-a-time flag.
+#[test]
+fn a_crashed_reclaim_pass_returns_an_abort() {
+    gfsl::quiet_injected_panics();
+    let list = list16();
+    let mut h = list.handle();
+    let mut k = 0;
+    while list.shape().levels[0].live_chunks < 3 {
+        k += 1;
+        h.try_insert(k, k).unwrap();
+    }
+    // Empty the bottom level's last chunk (never merged), then the second
+    // until it merges into the last: a zombie parked right behind the head,
+    // which no traversal has passed since, so the pass's sweep unlinks it.
+    while list.shape().levels[0].zombie_chunks == 0 {
+        assert!(h.try_remove(k).unwrap(), "{k}");
+        k -= 1;
+    }
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::NextSwing, 1)));
+    let mut crashing = list.handle_with(ctl.probe(0));
+    let pass = crashing.reclaim_pass();
+    assert!(
+        matches!(
+            pass,
+            Err(Error::Aborted(OpAbort {
+                reason: AbortReason::Crashed,
+                ..
+            }))
+        ),
+        "{pass:?}"
+    );
+    assert_eq!(list.quarantine_depth(), 1, "the chunk the sweep held");
+    list.handle().repair_quarantine();
+    list.assert_valid();
+    assert!(crashing.reclaim_pass().is_ok());
 }

@@ -64,13 +64,13 @@ fn disjoint_key_classes_are_exact() {
                         let k = ((r % 3_000) as u32) * THREADS + t + 1;
                         match (r >> 33) % 3 {
                             0 => {
-                                assert_eq!(h.insert(k, k).unwrap(), reference.insert(k), "insert {k}");
+                                assert_eq!(h.try_insert(k, k).unwrap(), reference.insert(k), "insert {k}");
                             }
                             1 => {
-                                assert_eq!(h.remove(k), reference.remove(&k), "remove {k}");
+                                assert_eq!(h.try_remove(k).unwrap(), reference.remove(&k), "remove {k}");
                             }
                             _ => {
-                                assert_eq!(h.contains(k), reference.contains(&k), "contains {k}");
+                                assert_eq!(h.try_contains(k).unwrap(), reference.contains(&k), "contains {k}");
                             }
                         }
                     }
@@ -113,13 +113,13 @@ fn full_contention_structural_integrity() {
                     let k = (r % RANGE) as u32 + 1;
                     match (r >> 40) % 4 {
                         0 | 1 => {
-                            let _ = h.insert(k, t).unwrap();
+                            let _ = h.try_insert(k, t).unwrap();
                         }
                         2 => {
-                            let _ = h.remove(k);
+                            let _ = h.try_remove(k).unwrap();
                         }
                         _ => {
-                            let _ = h.contains(k);
+                            let _ = h.try_contains(k).unwrap();
                         }
                     }
                 }
@@ -153,9 +153,9 @@ fn readers_never_observe_foreign_keys() {
                 let r = xorshift(&mut x);
                 let k = ((r % 2_000) as u32) * 2 + 2;
                 if (r >> 41).is_multiple_of(2) {
-                    let _ = h.insert(k, k).unwrap();
+                    let _ = h.try_insert(k, k).unwrap();
                 } else {
-                    let _ = h.remove(k);
+                    let _ = h.try_remove(k).unwrap();
                 }
             }
             stop_ref.store(true, Ordering::Release);
@@ -170,9 +170,9 @@ fn readers_never_observe_foreign_keys() {
                     let r = xorshift(&mut x);
                     let even = ((r % 2_000) as u32) * 2 + 2;
                     let odd = even + 1;
-                    let _ = h.contains(even);
-                    assert!(!h.contains(odd), "odd key {odd} must never appear");
-                    if let Some(v) = h.get(even) {
+                    let _ = h.try_contains(even).unwrap();
+                    assert!(!h.try_contains(odd).unwrap(), "odd key {odd} must never appear");
+                    if let Some(v) = h.try_get(even).unwrap() {
                         assert_eq!(v, even, "value corruption on {even}");
                     }
                 }
@@ -190,7 +190,7 @@ fn contains_restarts_are_rare() {
     {
         let mut h = list.handle();
         for k in 1..=4_000u32 {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
     }
     let seed = test_seed();
@@ -200,7 +200,7 @@ fn contains_restarts_are_rare() {
         let del = s.spawn(move || {
             let mut h = list_ref.handle();
             for k in 1..=4_000u32 {
-                h.remove(k);
+                h.try_remove(k).unwrap();
             }
         });
         let search = s.spawn(move || {
@@ -208,7 +208,7 @@ fn contains_restarts_are_rare() {
             let mut x = mix(31, seed);
             for _ in 0..40_000 {
                 let r = xorshift(&mut x);
-                h.contains((r % 4_000) as u32 + 1);
+                h.try_contains((r % 4_000) as u32 + 1).unwrap();
             }
             h.stats()
         });
@@ -247,9 +247,9 @@ fn concurrent_gfsl32_mixed() {
                         let r = xorshift(&mut x);
                         let k = ((r % 5_000) as u32) * THREADS + t + 1;
                         if (r >> 35) % 5 < 3 {
-                            assert_eq!(h.insert(k, k ^ 1).unwrap(), reference.insert(k));
+                            assert_eq!(h.try_insert(k, k ^ 1).unwrap(), reference.insert(k));
                         } else {
-                            assert_eq!(h.remove(k), reference.remove(&k));
+                            assert_eq!(h.try_remove(k).unwrap(), reference.remove(&k));
                         }
                     }
                     reference

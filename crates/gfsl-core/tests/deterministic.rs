@@ -33,7 +33,7 @@ fn tiny_list(prefill: impl IntoIterator<Item = u32>) -> Gfsl {
     {
         let mut h = list.handle();
         for k in prefill {
-            h.insert(k, k * 3).unwrap();
+            h.try_insert(k, k * 3).unwrap();
         }
     }
     list
@@ -53,7 +53,7 @@ fn racing_inserts_into_one_full_chunk() {
                 let ts = ts.clone();
                 s.spawn(move || {
                     let mut h = list.handle_with(ts.probe(id));
-                    assert!(h.insert(key, key).unwrap(), "seed {seed} key {key}");
+                    assert!(h.try_insert(key, key).unwrap(), "seed {seed} key {key}");
                 });
             }
         });
@@ -83,7 +83,7 @@ fn racing_insert_and_merge() {
                     // Deleting most of the left keys drives the chunk under
                     // the merge threshold.
                     for k in [10u32, 20, 30] {
-                        assert!(h.remove(k), "seed {seed} remove {k}");
+                        assert!(h.try_remove(k).unwrap(), "seed {seed} remove {k}");
                     }
                 });
             }
@@ -92,8 +92,8 @@ fn racing_insert_and_merge() {
                 let ts = ts.clone();
                 s.spawn(move || {
                     let mut h = list.handle_with(ts.probe(1));
-                    assert!(h.insert(15, 15).unwrap(), "seed {seed} insert");
-                    assert!(h.insert(25, 25).unwrap(), "seed {seed} insert2");
+                    assert!(h.try_insert(15, 15).unwrap(), "seed {seed} insert");
+                    assert!(h.try_insert(25, 25).unwrap(), "seed {seed} insert2");
                 });
             }
         });
@@ -125,10 +125,10 @@ fn reader_sees_anchor_through_split_and_merge_storm() {
                 s.spawn(move || {
                     let mut h = list.handle_with(ts.probe(0));
                     for k in 61..=68u32 {
-                        h.insert(k, k).unwrap();
+                        h.try_insert(k, k).unwrap();
                     }
                     for k in 61..=68u32 {
-                        assert!(h.remove(k), "seed {seed} remove {k}");
+                        assert!(h.try_remove(k).unwrap(), "seed {seed} remove {k}");
                     }
                 });
             }
@@ -140,7 +140,7 @@ fn reader_sees_anchor_through_split_and_merge_storm() {
                     let mut h = list.handle_with(ts.probe(1));
                     for probe_round in 0..40 {
                         assert_eq!(
-                            h.get(60),
+                            h.try_get(60).unwrap(),
                             Some(180),
                             "seed {seed}: anchor lost at round {probe_round}"
                         );
@@ -170,12 +170,12 @@ fn three_writers_disjoint_oracle() {
                         // Insert 8 keys, remove every other one.
                         for i in 0..8u32 {
                             let k = i * 3 + id as u32 + 1;
-                            assert!(h.insert(k, k).unwrap());
+                            assert!(h.try_insert(k, k).unwrap());
                             mine.push(k);
                         }
                         for i in (0..8u32).step_by(2) {
                             let k = i * 3 + id as u32 + 1;
-                            assert!(h.remove(k));
+                            assert!(h.try_remove(k).unwrap());
                             mine.retain(|&x| x != k);
                         }
                         mine
@@ -209,9 +209,9 @@ fn same_seed_replays_and_seeds_differ() {
                     let mut h = list.handle_with(ts.probe(id as usize));
                     for i in 0..40u32 {
                         let k = 1 + i * 2 + id;
-                        h.insert(k, k).unwrap();
+                        h.try_insert(k, k).unwrap();
                         if i % 3 == 0 {
-                            h.remove(k);
+                            h.try_remove(k).unwrap();
                         }
                     }
                 });

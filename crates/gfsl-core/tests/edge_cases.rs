@@ -1,7 +1,8 @@
 //! Edge-case tests for the GFSL core: extreme keys, chunk-boundary
 //! behaviours, head-chunk zombies, stats accounting, and handle plumbing.
 
-use gfsl::{Gfsl, GfslParams, TeamSize};
+use gfsl::mc::strategy::Replay;
+use gfsl::{CrashPoint, Gfsl, GfslParams, TeamSize};
 
 fn list16() -> Gfsl {
     Gfsl::new(GfslParams {
@@ -16,14 +17,14 @@ fn extreme_user_keys_roundtrip() {
     let list = list16();
     let mut h = list.handle();
     for k in [1u32, 2, u32::MAX - 2, u32::MAX - 1] {
-        assert!(h.insert(k, k ^ 0xFFFF).unwrap(), "k={k}");
+        assert!(h.try_insert(k, k ^ 0xFFFF).unwrap(), "k={k}");
     }
     for k in [1u32, 2, u32::MAX - 2, u32::MAX - 1] {
-        assert_eq!(h.get(k), Some(k ^ 0xFFFF), "k={k}");
+        assert_eq!(h.try_get(k).unwrap(), Some(k ^ 0xFFFF), "k={k}");
     }
-    assert!(h.remove(u32::MAX - 1));
-    assert!(!h.contains(u32::MAX - 1));
-    assert!(h.contains(u32::MAX - 2));
+    assert!(h.try_remove(u32::MAX - 1).unwrap());
+    assert!(!h.try_contains(u32::MAX - 1).unwrap());
+    assert!(h.try_contains(u32::MAX - 2).unwrap());
     list.assert_valid();
 }
 
@@ -31,18 +32,18 @@ fn extreme_user_keys_roundtrip() {
 fn min_entry_tracks_minimum_through_churn() {
     let list = list16();
     let mut h = list.handle();
-    assert_eq!(h.min_entry(), None);
-    h.insert(500, 5).unwrap();
-    assert_eq!(h.min_entry(), Some((500, 5)));
-    h.insert(100, 1).unwrap();
-    assert_eq!(h.min_entry(), Some((100, 1)));
-    h.insert(300, 3).unwrap();
-    assert_eq!(h.min_entry(), Some((100, 1)));
-    assert!(h.remove(100));
-    assert_eq!(h.min_entry(), Some((300, 3)));
-    assert!(h.remove(300));
-    assert!(h.remove(500));
-    assert_eq!(h.min_entry(), None);
+    assert_eq!(h.try_min_entry().unwrap(), None);
+    h.try_insert(500, 5).unwrap();
+    assert_eq!(h.try_min_entry().unwrap(), Some((500, 5)));
+    h.try_insert(100, 1).unwrap();
+    assert_eq!(h.try_min_entry().unwrap(), Some((100, 1)));
+    h.try_insert(300, 3).unwrap();
+    assert_eq!(h.try_min_entry().unwrap(), Some((100, 1)));
+    assert!(h.try_remove(100).unwrap());
+    assert_eq!(h.try_min_entry().unwrap(), Some((300, 3)));
+    assert!(h.try_remove(300).unwrap());
+    assert!(h.try_remove(500).unwrap());
+    assert_eq!(h.try_min_entry().unwrap(), None);
 }
 
 /// Drain a multi-chunk level-0 chain from the left so the head chunk keeps
@@ -53,18 +54,18 @@ fn head_chunk_zombie_chain_is_survivable() {
     let list = list16();
     let mut h = list.handle();
     for k in 1..=400u32 {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     // Delete ascending: the leftmost chunks underflow and merge rightward.
     for k in 1..=300u32 {
-        assert!(h.remove(k), "k={k}");
+        assert!(h.try_remove(k).unwrap(), "k={k}");
     }
     assert!(h.stats().merges > 0);
     for k in 301..=400u32 {
-        assert!(h.contains(k), "k={k}");
+        assert!(h.try_contains(k).unwrap(), "k={k}");
     }
-    assert!(!h.contains(1));
-    assert_eq!(h.min_entry().map(|(k, _)| k), Some(301));
+    assert!(!h.try_contains(1).unwrap());
+    assert_eq!(h.try_min_entry().unwrap().map(|(k, _)| k), Some(301));
     list.assert_valid();
     assert_eq!(list.len(), 100);
 }
@@ -78,14 +79,14 @@ fn insert_below_chunk_minimum() {
     let mut h = list.handle();
     // Build two chunks: 1..14 splits around 7.
     for k in (1..=28u32).map(|k| k * 10) {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     assert!(h.stats().splits >= 1);
     // 145 falls strictly between chunk boundaries; 5 goes below everything.
-    h.insert(145, 1).unwrap();
-    h.insert(5, 2).unwrap();
-    assert_eq!(h.get(145), Some(1));
-    assert_eq!(h.get(5), Some(2));
+    h.try_insert(145, 1).unwrap();
+    h.try_insert(5, 2).unwrap();
+    assert_eq!(h.try_get(145).unwrap(), Some(1));
+    assert_eq!(h.try_get(5).unwrap(), Some(2));
     list.assert_valid();
 }
 
@@ -96,15 +97,15 @@ fn repeatedly_delete_chunk_maxima() {
     let list = list16();
     let mut h = list.handle();
     for k in 1..=200u32 {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     // Walk down from the global max; every few deletions hit a chunk max.
     for k in (100..=200u32).rev() {
-        assert!(h.remove(k), "k={k}");
+        assert!(h.try_remove(k).unwrap(), "k={k}");
         list.assert_valid();
     }
     for k in 1..100u32 {
-        assert!(h.contains(k));
+        assert!(h.try_contains(k).unwrap());
     }
 }
 
@@ -113,7 +114,7 @@ fn stats_counters_move_sensibly() {
     let list = list16();
     let mut h = list.handle();
     for k in 1..=100u32 {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     let s = h.stats();
     assert_eq!(s.insert_ops, 100);
@@ -122,7 +123,7 @@ fn stats_counters_move_sensibly() {
     assert!(s.chunk_reads > 100);
     h.reset_stats();
     assert_eq!(h.stats().insert_ops, 0);
-    h.contains(1);
+    h.try_contains(1).unwrap();
     assert_eq!(h.stats().contains_ops, 1);
 }
 
@@ -132,7 +133,7 @@ fn into_parts_returns_probe_and_stats() {
     use std::sync::Arc;
     let list = list16();
     let mut h = list.handle_with(CountingProbe::new(Arc::new(L2Cache::gtx970())));
-    h.insert(9, 9).unwrap();
+    h.try_insert(9, 9).unwrap();
     let (probe, stats) = h.into_parts();
     assert_eq!(stats.insert_ops, 1);
     assert!(probe.traffic().read_txns > 0);
@@ -150,11 +151,11 @@ fn fractional_p_chunk() {
     .unwrap();
     let mut h = list.handle();
     for k in 1..=3_000u32 {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     assert!(list.height() >= 1, "some splits must raise at p=0.5");
     for k in (1..=3_000u32).step_by(17) {
-        assert!(h.contains(k));
+        assert!(h.try_contains(k).unwrap());
     }
     list.assert_valid();
 }
@@ -177,9 +178,9 @@ fn eager_merge_threshold() {
         x ^= x << 17;
         let k = (x % 600 + 1) as u32;
         if (x >> 37) & 1 == 0 {
-            assert_eq!(h.insert(k, k).unwrap(), reference.insert(k));
+            assert_eq!(h.try_insert(k, k).unwrap(), reference.insert(k));
         } else {
-            assert_eq!(h.remove(k), reference.remove(&k));
+            assert_eq!(h.try_remove(k).unwrap(), reference.remove(&k));
         }
     }
     assert!(h.stats().merges > 0, "divisor 2 merges eagerly");
@@ -199,10 +200,10 @@ fn lazy_merge_threshold() {
     .unwrap();
     let mut h = list.handle();
     for k in 1..=1_000u32 {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     for k in (1..=1_000u32).filter(|k| k % 3 != 0) {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     list.assert_valid();
     assert_eq!(list.len(), 333);
@@ -214,13 +215,13 @@ fn values_survive_splits_and_merges() {
     let list = list16();
     let mut h = list.handle();
     for k in 1..=500u32 {
-        h.insert(k, k.wrapping_mul(0x9E37_79B9)).unwrap();
+        h.try_insert(k, k.wrapping_mul(0x9E37_79B9)).unwrap();
     }
     for k in (1..=500u32).step_by(2) {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     for k in (2..=500u32).step_by(2) {
-        assert_eq!(h.get(k), Some(k.wrapping_mul(0x9E37_79B9)), "k={k}");
+        assert_eq!(h.try_get(k).unwrap(), Some(k.wrapping_mul(0x9E37_79B9)), "k={k}");
     }
 }
 
@@ -228,14 +229,33 @@ fn values_survive_splits_and_merges() {
 fn upsert_inserts_then_overwrites() {
     let list = list16();
     let mut h = list.handle();
-    assert_eq!(h.upsert(10, 100), Ok(None));
-    assert_eq!(h.get(10), Some(100));
-    assert_eq!(h.upsert(10, 200), Ok(Some(100)));
-    assert_eq!(h.get(10), Some(200));
-    assert!(h.remove(10));
-    assert_eq!(h.upsert(10, 300), Ok(None), "fresh after remove");
-    assert_eq!(h.get(10), Some(300));
-    assert!(matches!(h.upsert(0, 1), Err(gfsl::Error::InvalidKey(0))));
+    assert_eq!(h.try_upsert(10, 100), Ok(None));
+    assert_eq!(h.try_get(10).unwrap(), Some(100));
+    assert_eq!(h.try_upsert(10, 200), Ok(Some(100)));
+    assert_eq!(h.try_get(10).unwrap(), Some(200));
+    assert!(h.try_remove(10).unwrap());
+    assert_eq!(h.try_upsert(10, 300), Ok(None), "fresh after remove");
+    assert_eq!(h.try_get(10).unwrap(), Some(300));
+    assert!(matches!(h.try_upsert(0, 1), Err(gfsl::Error::InvalidKey(0))));
+    list.assert_valid();
+}
+
+/// An overwrite that crashes at its bottom lock's release has already
+/// stored the new value: `try_upsert` reports the committed overwrite,
+/// `Ok(Some(old))`, and repair releases the lock with the new value in
+/// place.
+#[test]
+fn a_crashed_overwrite_reports_its_old_value() {
+    gfsl::quiet_injected_panics();
+    let list = list16();
+    list.handle().try_insert(10, 100).unwrap();
+    let ctl = gfsl::chaos::controller(1, Replay::new(Vec::new()), Some((CrashPoint::LockRelease, 1)));
+    let mut h = list.handle_with(ctl.probe(0));
+    assert_eq!(h.try_upsert(10, 200), Ok(Some(100)));
+    let crashed = list.repair_stats();
+    assert_eq!((crashed.crashed_ops, crashed.quarantine_depth), (1, 1), "the release crashed");
+    list.handle().repair_quarantine();
+    assert_eq!(list.handle().try_get(10), Ok(Some(200)));
     list.assert_valid();
 }
 
@@ -249,7 +269,7 @@ fn concurrent_upserts_last_writer_wins_per_key() {
                 let mut h = list.handle();
                 for round in 0..2_000u32 {
                     for k in 1..=50u32 {
-                        h.upsert(k, t * 1_000_000 + round).unwrap();
+                        h.try_upsert(k, t * 1_000_000 + round).unwrap();
                     }
                 }
             });
@@ -271,10 +291,10 @@ fn concurrent_upserts_last_writer_wins_per_key() {
 fn empty_structure_operations() {
     let list = list16();
     let mut h = list.handle();
-    assert!(!h.remove(5));
-    assert!(!h.contains(5));
-    assert_eq!(h.get(5), None);
-    assert_eq!(h.min_entry(), None);
+    assert!(!h.try_remove(5).unwrap());
+    assert!(!h.try_contains(5).unwrap());
+    assert_eq!(h.try_get(5).unwrap(), None);
+    assert_eq!(h.try_min_entry().unwrap(), None);
     assert_eq!(list.len(), 0);
     list.assert_valid();
 }

@@ -36,7 +36,7 @@ fn assert_roundtrip(list: &Gfsl, reference: &BTreeMap<u32, u32>) {
     // The rebuilt structure must be fully usable, not just readable.
     let mut h = rebuilt.handle();
     if let Some((&k, &v)) = reference.iter().next() {
-        assert_eq!(h.get(k), Some(v));
+        assert_eq!(h.try_get(k).unwrap(), Some(v));
     }
 }
 
@@ -55,11 +55,11 @@ fn roundtrip_on_zombie_laden_post_churn_structure() {
             if rng.coin(0.55) {
                 // Insert is set-like: a duplicate key keeps its old value.
                 let v = rng.next_u64() as u32;
-                if h.insert(k, v).unwrap() {
+                if h.try_insert(k, v).unwrap() {
                     oracle.insert(k, v);
                 }
             } else {
-                assert_eq!(h.remove(k), oracle.remove(&k).is_some());
+                assert_eq!(h.try_remove(k).unwrap(), oracle.remove(&k).is_some());
             }
         }
         assert!(h.stats().merges > 0, "churn must have exercised merges");
@@ -78,11 +78,11 @@ fn roundtrip_on_near_empty_and_empty_lists() {
     {
         let mut h = list.handle();
         for k in 1..=200u32 {
-            h.insert(k, k + 7).unwrap();
+            h.try_insert(k, k + 7).unwrap();
             oracle.insert(k, k + 7);
         }
         for k in 1..=199u32 {
-            h.remove(k);
+            h.try_remove(k).unwrap();
             oracle.remove(&k);
         }
     }
@@ -106,11 +106,11 @@ proptest! {
             for (k, is_insert, v) in ops {
                 if is_insert {
                     // Set-like insert: duplicates keep the original value.
-                    if h.insert(k, v).unwrap() {
+                    if h.try_insert(k, v).unwrap() {
                         oracle.insert(k, v);
                     }
                 } else {
-                    prop_assert_eq!(h.remove(k), oracle.remove(&k).is_some());
+                    prop_assert_eq!(h.try_remove(k).unwrap(), oracle.remove(&k).is_some());
                 }
             }
         }

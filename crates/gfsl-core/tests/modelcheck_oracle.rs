@@ -278,7 +278,7 @@ fn probe_run(strategy: impl Scheduler + 'static) -> (bool, Vec<u8>, u64) {
     {
         let mut h = list.handle();
         for &(k, v) in &cfg.prefill {
-            assert!(h.insert(k, v).expect("pool"));
+            assert!(h.try_insert(k, v).expect("pool"));
         }
     }
     let ctl = gfsl::chaos::controller(cfg.threads.len(), strategy, None);
@@ -289,8 +289,8 @@ fn probe_run(strategy: impl Scheduler + 'static) -> (bool, Vec<u8>, u64) {
                 let mut h = list.handle_with(ctl.probe(id));
                 for &op in ops {
                     match op {
-                        McOp::Insert(k, v) => drop(h.insert(k, v).expect("pool")),
-                        McOp::Remove(k) => drop(h.remove(k)),
+                        McOp::Insert(k, v) => drop(h.try_insert(k, v).expect("pool")),
+                        McOp::Remove(k) => drop(h.try_remove(k).unwrap()),
                         other => unreachable!("split-raise-2t scripts no {other:?}"),
                     }
                 }

@@ -45,7 +45,7 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
     {
         let mut h = list.handle();
         for k in (1..=UNIVERSE).filter(|&k| stable(k) || victim(k)) {
-            h.insert(k, k * 10).expect("pool");
+            h.try_insert(k, k * 10).expect("pool");
         }
     }
     let ctl = gfsl::chaos::controller(2, Replay::new(script), None);
@@ -56,10 +56,10 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
             s.spawn(move || {
                 let mut h = list.handle_with(ctl.probe(0));
                 for k in (1..=UNIVERSE).filter(|&k| victim(k)) {
-                    assert!(h.remove(k), "victim {k} was prefilled");
+                    assert!(h.try_remove(k).unwrap(), "victim {k} was prefilled");
                 }
                 for k in (1..=UNIVERSE).filter(|&k| late(k)) {
-                    assert!(h.insert(k, k * 10).expect("pool"), "late {k} was absent");
+                    assert!(h.try_insert(k, k * 10).expect("pool"), "late {k} was absent");
                 }
             })
         };
@@ -68,7 +68,7 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
             s.spawn(move || -> Option<String> {
                 let mut h = list.handle_with(ctl.probe(1));
                 for scan in 0..SCANS {
-                    let got = h.range(1, UNIVERSE);
+                    let got = h.try_range(1, UNIVERSE).unwrap();
                     if !got.windows(2).all(|w| w[0].0 < w[1].0) {
                         return Some(format!("scan {scan} not sorted/unique: {got:?}"));
                     }
@@ -105,7 +105,7 @@ fn run_scripted(script: Vec<u8>) -> Result<u64, TestCaseError> {
     let expect: BTreeSet<u32> = (1..=UNIVERSE).filter(|&k| stable(k) || late(k)).collect();
     prop_assert_eq!(got, expect);
     let mut h = list.handle();
-    prop_assert_eq!(h.count_range(1, UNIVERSE), expect.len());
+    prop_assert_eq!(h.try_count_range(1, UNIVERSE).unwrap(), expect.len());
     Ok(ctl.trace_hash())
 }
 

@@ -36,7 +36,7 @@ fn sliding_window_churn_bounds_the_high_water_mark() {
     let mut h = list.handle();
 
     for k in 1..=WINDOW {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
     // The post-fill footprint (the heads of levels 0 and 1 + the live
     // window's chunks) is the live-set yardstick the steady state is
@@ -44,8 +44,8 @@ fn sliding_window_churn_bounds_the_high_water_mark() {
     let baseline = list.chunks_allocated();
 
     for k in WINDOW + 1..=LAST {
-        h.insert(k, k).unwrap();
-        assert!(h.remove(k - WINDOW), "window key {k} present", k = k - WINDOW);
+        h.try_insert(k, k).unwrap();
+        assert!(h.try_remove(k - WINDOW).unwrap(), "window key {k} present", k = k - WINDOW);
     }
 
     let high_water = list.chunks_allocated();
@@ -101,9 +101,9 @@ fn concurrent_churn_recycles_and_stays_valid() {
                         while i > other.load(Ordering::Acquire).saturating_add(LAG) {
                             std::thread::yield_now();
                         }
-                        h.insert(key(i), i).unwrap();
+                        h.try_insert(key(i), i).unwrap();
                         if i >= WINDOW {
-                            assert!(h.remove(key(i - WINDOW)), "own window key");
+                            assert!(h.try_remove(key(i - WINDOW)).unwrap(), "own window key");
                         }
                         mine.store(i + 1, Ordering::Release);
                     }
@@ -246,7 +246,7 @@ fn exhaustion_is_typed_and_leaves_no_lock_held() {
     let mut inserted = Vec::new();
     let exhausted_at = loop {
         let k = inserted.len() as u32 + 1;
-        match h.insert(k, k * 10) {
+        match h.try_insert(k, k * 10) {
             Ok(added) => {
                 assert!(added);
                 inserted.push(k);
@@ -260,25 +260,25 @@ fn exhaustion_is_typed_and_leaves_no_lock_held() {
     // An exhaustion mid-raise still inserts the key at the bottom level
     // (only index levels are missing, which is legal); an exhaustion in the
     // bottom split does not. Either way the structure answers.
-    let failing_key_landed = h.get(exhausted_at) == Some(exhausted_at * 10);
+    let failing_key_landed = h.try_get(exhausted_at).unwrap() == Some(exhausted_at * 10);
 
     // Every lock was released on the error path: reads, removes, and
     // no-alloc inserts must all still go through (a held lock would wedge
     // each of these), and repeating the failing insert fails cleanly
     // instead of deadlocking on a self-held lock.
-    match h.insert(exhausted_at, 0) {
+    match h.try_insert(exhausted_at, 0) {
         Ok(false) => assert!(failing_key_landed, "duplicate implies it landed"),
         Err(Error::PoolExhausted(_)) => {}
         other => panic!("retried insert: {other:?}"),
     }
     for &k in &inserted {
-        assert_eq!(h.get(k), Some(k * 10), "get {k} after exhaustion");
+        assert_eq!(h.try_get(k).unwrap(), Some(k * 10), "get {k} after exhaustion");
     }
     // Freeing in-chunk slots makes room for inserts that need no split.
     for &k in inserted.iter().take(20) {
-        assert!(h.remove(k), "remove {k} after exhaustion");
+        assert!(h.try_remove(k).unwrap(), "remove {k} after exhaustion");
     }
-    assert!(h.insert(1, 42).unwrap(), "insert into freed slot");
+    assert!(h.try_insert(1, 42).unwrap(), "insert into freed slot");
     list.assert_valid();
 
     let mut expect: BTreeSet<u32> = inserted.iter().skip(20).copied().collect();
@@ -303,9 +303,9 @@ fn same_tiny_pool_survives_churn() {
     let mut h = list.handle();
 
     for k in 1..=LAST {
-        h.insert(k, k).expect("reclamation keeps the pool ahead of churn");
+        h.try_insert(k, k).expect("reclamation keeps the pool ahead of churn");
         if k > WINDOW {
-            assert!(h.remove(k - WINDOW));
+            assert!(h.try_remove(k - WINDOW).unwrap());
         }
     }
 

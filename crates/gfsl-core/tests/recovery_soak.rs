@@ -78,11 +78,11 @@ const CEILING: u32 = 1 << 20;
 /// the scripts below were written for), not full ones.
 fn insert_below_ceiling(list: &Gfsl, keys: impl Iterator<Item = u32>) {
     let mut h = list.handle();
-    h.insert(CEILING, 0).unwrap();
+    h.try_insert(CEILING, 0).unwrap();
     for k in keys {
-        h.insert(k, k).unwrap();
+        h.try_insert(k, k).unwrap();
     }
-    assert!(h.remove(CEILING));
+    assert!(h.try_remove(CEILING).unwrap());
 }
 
 fn list16() -> Gfsl {
@@ -405,7 +405,7 @@ fn window_script_reaches_every_mutation_kind() {
         let before = h.stats();
         match op {
             Op::Insert(k, v) => {
-                let fresh = h.insert(k, v).unwrap();
+                let fresh = h.try_insert(k, v).unwrap();
                 let splits = h.stats().splits - before.splits;
                 insert_splits += splits;
                 insert_shifts += u64::from(fresh && splits == 0);
@@ -413,13 +413,13 @@ fn window_script_reaches_every_mutation_kind() {
                 top = top.max(k);
             }
             Op::Remove(k) => {
-                let gone = h.remove(k);
+                let gone = h.try_remove(k).unwrap();
                 let s = h.stats();
                 remove_splits += s.splits - before.splits;
                 remove_shifts += u64::from(gone && s.merges == before.merges);
             }
             Op::Get(k) => {
-                h.get(k);
+                h.try_get(k).unwrap();
             }
         }
     }
@@ -459,7 +459,7 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     {
         let mut h = list.handle();
         for k in list.level_keys(1) {
-            assert!(h.remove(k));
+            assert!(h.try_remove(k).unwrap());
         }
     }
     assert_eq!(list.height(), 0);
@@ -475,7 +475,7 @@ fn crash_inside_the_heal_climb_keeps_the_insert() {
     assert_eq!(stats.crashed_ops, 1);
     assert_eq!(stats.quarantine_depth, 0);
     assert!(list.validate().is_empty(), "{:?}", list.validate());
-    assert_eq!(list.handle().get(33), Some(330));
+    assert_eq!(list.handle().try_get(33).unwrap(), Some(330));
 }
 
 /// A crash between a new level head's allocation and its publish is a
@@ -512,7 +512,7 @@ fn crash_inside_level_growth_keeps_the_insert_and_quarantines_no_head() {
     let mut h = list.handle();
     while list.height() == 0 {
         k += 1;
-        assert!(h.insert(k, k).unwrap());
+        assert!(h.try_insert(k, k).unwrap());
     }
     assert_eq!(list.keys(), (1..=k).collect::<Vec<_>>());
     list.assert_valid();

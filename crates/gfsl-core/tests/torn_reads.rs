@@ -46,7 +46,7 @@ fn anchored_keys_never_flicker() {
     {
         let mut h = list.handle();
         for &a in &anchors {
-            h.insert(a, a * 7).unwrap();
+            h.try_insert(a, a * 7).unwrap();
         }
     }
     let seed = test_seed();
@@ -70,9 +70,9 @@ fn anchored_keys_never_flicker() {
                     let base = ((x % 30 + 1) * 10) as u32;
                     let filler = base + 1 + ((x >> 32) % 8) as u32; // 10x+1..10x+8
                     if (x >> 45).is_multiple_of(2) {
-                        let _ = h.insert(filler, 1).unwrap();
+                        let _ = h.try_insert(filler, 1).unwrap();
                     } else {
-                        let _ = h.remove(filler);
+                        let _ = h.try_remove(filler).unwrap();
                     }
                 }
                 stop_ref.store(true, Ordering::Release);
@@ -88,7 +88,7 @@ fn anchored_keys_never_flicker() {
                     let a = anchors_ref[i % anchors_ref.len()];
                     i += 1;
                     n += 1;
-                    match h.get(a) {
+                    match h.try_get(a).unwrap() {
                         Some(v) => assert_eq!(v, a * 7, "anchor {a} value torn"),
                         None => panic!("anchor {a} vanished during churn (read {n})"),
                     }
@@ -101,7 +101,7 @@ fn anchored_keys_never_flicker() {
     list.assert_valid();
     let mut h = list.handle();
     for &a in &anchors {
-        assert_eq!(h.get(a), Some(a * 7));
+        assert_eq!(h.try_get(a).unwrap(), Some(a * 7));
     }
 }
 
@@ -119,7 +119,7 @@ fn range_scans_stay_ordered_under_churn() {
     {
         let mut h = list.handle();
         for &a in &anchors {
-            h.insert(a, a).unwrap();
+            h.try_insert(a, a).unwrap();
         }
     }
     let seed = test_seed();
@@ -140,9 +140,9 @@ fn range_scans_stay_ordered_under_churn() {
                     continue; // never touch anchors
                 }
                 if (x >> 40).is_multiple_of(2) {
-                    let _ = h.insert(k, k).unwrap();
+                    let _ = h.try_insert(k, k).unwrap();
                 } else {
-                    let _ = h.remove(k);
+                    let _ = h.try_remove(k).unwrap();
                 }
             }
             stop_ref.store(true, Ordering::Release);
@@ -150,7 +150,7 @@ fn range_scans_stay_ordered_under_churn() {
         s.spawn(move || {
             let mut h = list_ref.handle();
             while !stop_ref.load(Ordering::Acquire) {
-                let got = h.range(1, 1_100);
+                let got = h.try_range(1, 1_100).unwrap();
                 assert!(
                     got.windows(2).all(|w| w[0].0 < w[1].0),
                     "scan out of order or duplicated: {got:?}"
@@ -179,7 +179,7 @@ fn min_entry_under_min_deletion_churn() {
     {
         let mut h = list.handle();
         for k in 1..=2_000u32 {
-            h.insert(k, k + 1).unwrap();
+            h.try_insert(k, k + 1).unwrap();
         }
     }
     std::thread::scope(|s| {
@@ -187,14 +187,14 @@ fn min_entry_under_min_deletion_churn() {
         s.spawn(move || {
             let mut h = list_ref.handle();
             for k in 1..=1_800u32 {
-                assert!(h.remove(k));
+                assert!(h.try_remove(k).unwrap());
             }
         });
         s.spawn(move || {
             let mut h = list_ref.handle();
             let mut last_seen = 0u32;
             for _ in 0..20_000 {
-                if let Some((k, v)) = h.min_entry() {
+                if let Some((k, v)) = h.try_min_entry().unwrap() {
                     assert!((1..=2_000).contains(&k));
                     assert_eq!(v, k + 1, "value of min {k}");
                     // The minimum can only move right over time (deletions

@@ -85,7 +85,7 @@ impl WarpProgram for GfslContainsWarp<'_> {
         };
         // One handle per op: resident warps never hold reclaim slots.
         let mut h = self.list.handle_with(Recorder::default());
-        self.results.push(h.contains(k));
+        self.results.push(h.try_contains(k).unwrap());
         self.pending = h.into_parts().0 .0.into_iter();
         // Reading the head array + height counters: a cheap step.
         Step::Compute(4)
@@ -164,7 +164,7 @@ mod tests {
         let list = Gfsl::new(GfslParams::sized_for(5_000)).unwrap();
         let mut h = list.handle();
         for k in (1..=2_000u32).step_by(2) {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
         let keys: Vec<u32> = (1..=100).collect();
         let mut w = GfslContainsWarp::new(&list, keys.clone());

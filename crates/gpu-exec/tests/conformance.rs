@@ -45,12 +45,12 @@ proptest! {
         for _ in 0..n_build {
             let k = rng.below(600) as u32 + 1;
             if rng.coin(0.7) {
-                h.insert(k, k).unwrap();
+                h.try_insert(k, k).unwrap();
             } else {
-                h.remove(k);
+                h.try_remove(k).unwrap();
             }
         }
-        let expect: Vec<bool> = probes.iter().map(|&k| h.contains(k)).collect();
+        let expect: Vec<bool> = probes.iter().map(|&k| h.try_contains(k).unwrap()).collect();
         let got = drive_gfsl(&list, probes);
         prop_assert_eq!(got, expect);
     }
@@ -103,9 +103,9 @@ fn warps_replay_the_counting_probe_stream() {
         for _ in 0..2_000 {
             let k = rng.below(600) as u32 + 1;
             if rng.coin(0.6) {
-                h.insert(k, k).unwrap();
+                h.try_insert(k, k).unwrap();
             } else {
-                h.remove(k);
+                h.try_remove(k).unwrap();
             }
         }
         let mut dev = Device::new(ExecConfig::default());
@@ -113,7 +113,7 @@ fn warps_replay_the_counting_probe_stream() {
         let got = dev.run(vec![Box::new(warp)], keys.len() as u64).traffic;
         let mut h = list.handle_with(CountingProbe::new(Arc::new(L2Cache::gtx970())));
         for &k in &keys {
-            h.contains(k);
+            h.try_contains(k).unwrap();
         }
         let want = h.into_parts().0.traffic();
         assert_eq!(read_counts(got), read_counts(want), "{team_size:?}");
@@ -149,7 +149,7 @@ fn device_end_to_end_with_gfsl_warps() {
     {
         let mut h = list.handle();
         for k in 1..=20_000u32 {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
     }
     let keys: Vec<u32> = (1..=4_000).collect();
@@ -181,7 +181,7 @@ fn device_runs_are_deterministic() {
     {
         let mut h = list.handle();
         for k in (1..=5_000u32).step_by(2) {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
     }
     let keys: Vec<u32> = (1..=2_000).collect();

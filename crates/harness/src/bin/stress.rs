@@ -179,7 +179,7 @@ fn run_chaos_seed(a: &Args, seed: u64, strategy: impl Scheduler + 'static) -> Se
 
     for round in 0..CHAOS_ROUNDS {
         let ctl = McController::new(threads, strategy.clone(), gfsl::chaos::MAX_STEPS, None);
-        let per_thread: Vec<Option<(Vec<OpRecord>, OpStats)>> = std::thread::scope(|s| {
+        let per_thread: Vec<Result<(Vec<OpRecord>, OpStats), String>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..threads)
                 .map(|t| {
                     let list = &list;
@@ -190,30 +190,35 @@ fn run_chaos_seed(a: &Args, seed: u64, strategy: impl Scheduler + 'static) -> Se
                         let mut rec = Recorder::new(clock);
                         let mut rng =
                             SplitMix64::new(seed ^ (round << 8) ^ ((t as u64 + 1) << 40));
+                        // No crash is injected: an op's `Err` (the step bomb,
+                        // an assert, a wait given up) fails the check.
+                        let failed = |op: &'static str, k: u32| {
+                            move |e: gfsl::Error| format!("thread {t}: {op} {k}: {e}")
+                        };
                         for _ in 0..CHAOS_OPS {
                             let k = rng.below(u64::from(CHAOS_RANGE)) as u32 + 1;
                             let roll = rng.below(100);
                             let inv = rec.invoke();
-                            if roll < 40 {
+                            let action = if roll < 40 {
                                 let v = rng.next_u64() as u32;
-                                let ok = h.insert(k, v).expect("chaos pool sized generously");
-                                rec.finish(k, OpAction::Insert { value: v, ok }, inv);
+                                let ok = h.try_insert(k, v).map_err(failed("insert", k))?;
+                                OpAction::Insert { value: v, ok }
                             } else if roll < 75 {
-                                let ok = h.remove(k);
-                                rec.finish(k, OpAction::Remove { ok }, inv);
+                                OpAction::Remove { ok: h.try_remove(k).map_err(failed("remove", k))? }
                             } else {
-                                let found = h.get(k);
-                                rec.finish(k, OpAction::Get { found }, inv);
-                            }
+                                OpAction::Get { found: h.try_get(k).map_err(failed("get", k))? }
+                            };
+                            rec.finish(k, action, inv);
                         }
-                        let st = h.stats();
-                        (rec.records, st)
+                        Ok((rec.records, h.stats()))
                     })
                 })
                 .collect();
-            // A worker's own panic (the step bomb, a protocol assert) is
-            // a failed check, not the campaign's: its message is on stderr.
-            workers.into_iter().map(|w| w.join().ok()).collect()
+            // A worker's own panic outside an op: its message is on stderr.
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|_| Err("a worker panicked".into())))
+                .collect()
         });
         out.trace = gfsl_rng::fnv::fold_u64(out.trace, ctl.trace_hash());
         out.steps += ctl.steps();
@@ -237,9 +242,12 @@ fn run_chaos_seed(a: &Args, seed: u64, strategy: impl Scheduler + 'static) -> Se
 
         let mut records: Vec<OpRecord> = Vec::new();
         for worker in per_thread {
-            let Some((r, st)) = worker else {
-                out.failure = Some(format!("seed 0x{seed:016x} round {round}: a worker panicked"));
-                return out;
+            let (r, st) = match worker {
+                Ok(done) => done,
+                Err(e) => {
+                    out.failure = Some(format!("seed 0x{seed:016x} round {round}: {e}"));
+                    return out;
+                }
             };
             records.extend(r);
             out.stats.merge(&st);
@@ -253,7 +261,8 @@ fn run_chaos_seed(a: &Args, seed: u64, strategy: impl Scheduler + 'static) -> Se
             let mut rec = Recorder::new(&clock);
             for k in 1..=CHAOS_RANGE {
                 let inv = rec.invoke();
-                let found = h.get(k);
+                // Valid and quiescent: nothing is locked to abort on.
+                let found = h.try_get(k).expect("quiescent get");
                 rec.finish(k, OpAction::Get { found }, inv);
                 if let Some(v) = found {
                     next_initial.insert(k, v);
@@ -549,12 +558,12 @@ fn main() -> ExitCode {
             while !stop_ref.load(Ordering::Acquire) {
                 let lo = rng.below(a.range as u64) as u32 + 1;
                 let hi = (lo + 500).min(a.range);
-                let window = h.range(lo, hi);
+                let window = h.try_range(lo, hi).expect("range scan");
                 assert!(
                     window.windows(2).all(|w| w[0].0 < w[1].0),
                     "range scan disorder"
                 );
-                if let Some((mk, _)) = h.min_entry() {
+                if let Some((mk, _)) = h.try_min_entry().expect("min scan") {
                     assert!((1..=a.range).contains(&mk));
                 }
             }
@@ -582,18 +591,18 @@ fn main() -> ExitCode {
                             let roll = rng.below(100) as u32;
                             if roll < a.mix.0 {
                                 let v = rng.next_u64() as u32;
-                                if h.insert(k, v).expect("pool") {
+                                if h.try_insert(k, v).expect("insert") {
                                     oracle.insert(k, v);
                                 }
                             } else if roll < a.mix.0 + a.mix.1 {
                                 assert_eq!(
-                                    h.remove(k),
+                                    h.try_remove(k).expect("remove"),
                                     oracle.remove(&k).is_some(),
                                     "remove {k} disagrees with oracle"
                                 );
                             } else {
                                 assert_eq!(
-                                    h.get(k),
+                                    h.try_get(k).expect("get"),
                                     oracle.get(&k).copied(),
                                     "get {k} disagrees with oracle"
                                 );

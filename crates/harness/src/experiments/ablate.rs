@@ -66,20 +66,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         let list = Gfsl::new(GfslParams::sized_for(po_range as u64 * 2)).unwrap();
         let mut h = list.handle();
         for k in po_spec.prefill_keys() {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
         let ops = po_spec.ops();
         let t0 = Instant::now();
         for op in &ops {
             match *op {
                 Op::Insert(k, v) => {
-                    let _ = h.insert(k, v).unwrap();
+                    let _ = h.try_insert(k, v).unwrap();
                 }
                 Op::Delete(k) => {
-                    let _ = h.remove(k);
+                    let _ = h.try_remove(k).unwrap();
                 }
                 Op::Contains(k) => {
-                    let _ = h.contains(k);
+                    let _ = h.try_contains(k).unwrap();
                 }
             }
         }

@@ -104,7 +104,7 @@ pub fn run(cfg: &ExpConfig) -> Vec<Table> {
         {
             let mut h = gfsl.handle();
             for k in spec.prefill_keys() {
-                h.insert(k, k).unwrap();
+                h.try_insert(k, k).unwrap();
             }
         }
         let mc = McSkipList::new(McParams {

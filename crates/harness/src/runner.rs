@@ -74,7 +74,7 @@ pub fn run_gfsl_ops(
                         break;
                     }
                     for &k in &prefill[i..(i + 1024).min(prefill.len())] {
-                        h.insert(k, k).expect("prefill insert");
+                        h.try_insert(k, k).expect("prefill insert");
                     }
                 }
             });
@@ -94,13 +94,13 @@ pub fn run_gfsl_ops(
                     for op in slice {
                         match *op {
                             Op::Insert(k, v) => {
-                                let _ = h.insert(k, v).expect("pool exhausted mid-run");
+                                let _ = h.try_insert(k, v).expect("pool exhausted mid-run");
                             }
                             Op::Delete(k) => {
-                                let _ = h.remove(k);
+                                let _ = h.try_remove(k).unwrap();
                             }
                             Op::Contains(k) => {
-                                let _ = h.contains(k);
+                                let _ = h.try_contains(k).unwrap();
                             }
                         }
                     }

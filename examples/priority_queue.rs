@@ -1,8 +1,8 @@
 //! A concurrent min-priority queue on GFSL — the paper's other motivating
 //! application (§1 cites Shavit & Lotan's skiplist-based priority queues).
 //!
-//! `push` = insert; `pop_min` = lock-free minimum scan + remove, retried if
-//! another consumer wins the race. Used here to run a tiny discrete-event
+//! `push` = `try_insert`; `pop_min` = `try_pop_min`, a lock-free minimum
+//! scan + remove, retried if another consumer wins the race. Used here to run a tiny discrete-event
 //! merge: producers push timestamped events, consumers drain them in
 //! nondecreasing timestamp order.
 //!
@@ -31,22 +31,15 @@ impl PriorityQueue {
         prio: u32,
         payload: u32,
     ) -> bool {
-        h.insert(prio, payload).expect("queue sized for workload")
+        h.try_insert(prio, payload).expect("queue sized for workload")
     }
 
-    /// Pop the minimum-priority element. Retries when racing consumers
-    /// grab the same minimum (only one `remove` wins).
+    /// Pop the minimum-priority element with its payload.
     fn pop_min(
         &self,
         h: &mut gfsl::GfslHandle<'_, impl gfsl_gpu_mem::MemProbe>,
     ) -> Option<(u32, u32)> {
-        loop {
-            let (k, v) = h.min_entry()?;
-            if h.remove(k) {
-                return Some((k, v));
-            }
-            // Lost the race; the new minimum may differ — rescan.
-        }
+        h.try_pop_min().expect("no op aborts here")
     }
 }
 

@@ -15,12 +15,12 @@ fn main() {
     // team) and call set operations on it.
     {
         let mut h = list.handle();
-        assert!(h.insert(42, 4200).unwrap());
-        assert!(!h.insert(42, 9999).unwrap(), "duplicate keys are rejected");
-        assert_eq!(h.get(42), Some(4200));
-        assert!(h.contains(42));
-        assert!(h.remove(42));
-        assert!(!h.contains(42));
+        assert!(h.try_insert(42, 4200).unwrap());
+        assert!(!h.try_insert(42, 9999).unwrap(), "duplicate keys are rejected");
+        assert_eq!(h.try_get(42).unwrap(), Some(4200));
+        assert!(h.try_contains(42).unwrap());
+        assert!(h.try_remove(42).unwrap());
+        assert!(!h.try_contains(42).unwrap());
     }
 
     // Concurrent use: share &list, one handle per thread. Handles embed
@@ -33,11 +33,11 @@ fn main() {
                 // Each thread owns keys congruent to t mod 4.
                 for i in 0..25_000u32 {
                     let k = i * 4 + t + 1;
-                    h.insert(k, k * 2).expect("pool sized for this");
+                    h.try_insert(k, k * 2).expect("pool sized for this");
                 }
                 for i in (0..25_000u32).step_by(2) {
                     let k = i * 4 + t + 1;
-                    assert!(h.remove(k));
+                    assert!(h.try_remove(k).unwrap());
                 }
             });
         }
@@ -65,7 +65,7 @@ fn main() {
     })
     .unwrap();
     let mut h = small.handle();
-    h.insert(7, 70).unwrap();
-    assert_eq!(h.get(7), Some(70));
+    h.try_insert(7, 70).unwrap();
+    assert_eq!(h.try_get(7).unwrap(), Some(70));
     println!("GFSL-16 works too");
 }

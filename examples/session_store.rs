@@ -52,16 +52,16 @@ impl SessionStore {
         rec.user.store(user, Ordering::Relaxed);
         rec.logins.store(1, Ordering::Relaxed);
         // Publish: the index entry makes the slot reachable.
-        h.insert(id, slot).expect("arena sized with the index")
+        h.try_insert(id, slot).expect("arena sized with the index")
     }
 
     fn lookup(&self, h: &mut gfsl::GfslHandle<'_, impl gfsl_gpu_mem::MemProbe>, id: u32) -> Option<u64> {
-        let slot = h.get(id)?;
+        let slot = h.try_get(id).unwrap()?;
         Some(self.arena[slot as usize].user.load(Ordering::Relaxed))
     }
 
     fn touch(&self, h: &mut gfsl::GfslHandle<'_, impl gfsl_gpu_mem::MemProbe>, id: u32) -> bool {
-        match h.get(id) {
+        match h.try_get(id).unwrap() {
             Some(slot) => {
                 self.arena[slot as usize].logins.fetch_add(1, Ordering::Relaxed);
                 true
@@ -71,7 +71,7 @@ impl SessionStore {
     }
 
     fn end(&self, h: &mut gfsl::GfslHandle<'_, impl gfsl_gpu_mem::MemProbe>, id: u32) -> bool {
-        h.remove(id)
+        h.try_remove(id).unwrap()
     }
 
     /// Expire every session created in `epoch` (a contiguous id range —
@@ -89,7 +89,7 @@ impl SessionStore {
             .collect();
         let mut n = 0;
         for id in victims {
-            if h.remove(id) {
+            if h.try_remove(id).unwrap() {
                 n += 1;
             }
         }

@@ -3,8 +3,8 @@
 //! continue, then compact.
 //!
 //! Exercises the ordered-structure APIs a hash table cannot offer:
-//! `Gfsl::from_sorted_pairs` (split-free bulk load), `range` /
-//! `for_each_in_range` (lock-free ordered scans), `upsert` (corrections),
+//! `Gfsl::from_sorted_pairs` (split-free bulk load), `try_range`
+//! (lock-free ordered scans), `try_upsert` (corrections),
 //! and `compacted` (the paper's between-kernel-launches reclamation).
 //!
 //! ```text
@@ -50,7 +50,7 @@ fn main() {
                 let mut h = store_ref.handle();
                 for i in 0..20_000u32 {
                     let second = 72_000 + (i % 14_400); // 20:00..24:00
-                    h.insert(ts(second, t), i % 1000).ok();
+                    h.try_insert(ts(second, t), i % 1000).ok();
                 }
             });
         }
@@ -62,11 +62,11 @@ fn main() {
                 let mut sum = 0u64;
                 let mut n = 0u64;
                 let mut max = 0u32;
-                h.for_each_in_range(lo, hi, |_, v| {
+                for (_, v) in h.try_range(lo, hi).unwrap() {
                     sum += v as u64;
                     n += 1;
                     max = max.max(v);
-                });
+                }
                 if hour % 6 == 0 {
                     println!(
                         "  hour {hour:02}: n={n}, mean={:.1}, max={max}",
@@ -82,14 +82,14 @@ fn main() {
         // A correction comes in: overwrite one reading in place.
         let mut h = store.handle();
         let key = ts(12 * 3_600, 0);
-        let old = h.upsert(key, 999_999 % 1000).expect("valid key");
+        let old = h.try_upsert(key, 999_999 % 1000).expect("valid key");
         println!("corrected noon reading (was {old:?})");
 
         // Retention: drop the first six hours, then compact away the zombies.
         let cutoff = ts(6 * 3_600, 0);
-        let victims = h.range(1, cutoff - 1);
+        let victims = h.try_range(1, cutoff - 1).unwrap();
         for (k, _) in &victims {
-            h.remove(*k);
+            h.try_remove(*k).unwrap();
         }
         println!("expired {} readings before 06:00", victims.len());
     }

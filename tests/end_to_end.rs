@@ -24,7 +24,7 @@ fn structures_agree_on_identical_histories() {
     let mut mh = mc.handle();
 
     for k in spec.prefill_keys() {
-        assert!(gh.insert(k, k).unwrap());
+        assert!(gh.try_insert(k, k).unwrap());
         assert!(mh.insert(k, k));
         assert!(reference.insert(k));
     }
@@ -32,17 +32,17 @@ fn structures_agree_on_identical_histories() {
         match op {
             Op::Insert(k, v) => {
                 let want = reference.insert(k);
-                assert_eq!(gh.insert(k, v).unwrap(), want, "insert {k}");
+                assert_eq!(gh.try_insert(k, v).unwrap(), want, "insert {k}");
                 assert_eq!(mh.insert(k, v), want, "mc insert {k}");
             }
             Op::Delete(k) => {
                 let want = reference.remove(&k);
-                assert_eq!(gh.remove(k), want, "remove {k}");
+                assert_eq!(gh.try_remove(k).unwrap(), want, "remove {k}");
                 assert_eq!(mh.remove(k), want, "mc remove {k}");
             }
             Op::Contains(k) => {
                 let want = reference.contains(&k);
-                assert_eq!(gh.contains(k), want, "contains {k}");
+                assert_eq!(gh.try_contains(k).unwrap(), want, "contains {k}");
                 assert_eq!(mh.contains(k), want, "mc contains {k}");
             }
         }

@@ -26,7 +26,7 @@ fn reads_per_get(list: &Gfsl) -> f64 {
     let mut rng = SplitMix64::new(0xD1CE);
     let n = 20_000u64;
     for _ in 0..n {
-        h.get(1 + rng.below(u64::from(SPAN)) as u32);
+        h.try_get(1 + rng.below(u64::from(SPAN)) as u32).unwrap();
     }
     h.stats().chunk_reads as f64 / n as f64
 }
@@ -41,12 +41,12 @@ fn soak(list: &Gfsl, ops: u32) -> (BTreeMap<u32, u32>, gfsl_repro::gfsl::OpStats
         let k = 1 + rng.below(u64::from(SPAN)) as u32;
         match rng.below(10) {
             0 => {
-                let added = h.insert(k, i).unwrap();
+                let added = h.try_insert(k, i).unwrap();
                 assert_eq!(added, !oracle.contains_key(&k), "insert {k} at op {i}");
                 oracle.entry(k).or_insert(i);
             }
-            1 => assert_eq!(h.remove(k), oracle.remove(&k).is_some(), "remove {k} at op {i}"),
-            _ => assert_eq!(h.get(k), oracle.get(&k).copied(), "get {k} at op {i}"),
+            1 => assert_eq!(h.try_remove(k).unwrap(), oracle.remove(&k).is_some(), "remove {k} at op {i}"),
+            _ => assert_eq!(h.try_get(k).unwrap(), oracle.get(&k).copied(), "get {k} at op {i}"),
         }
     }
     (oracle, h.stats())
@@ -125,15 +125,15 @@ fn heals_racing_removes_linearize() {
                         match rng.below(5) {
                             0 | 1 => {
                                 let value = (t as u32) << 24 | i;
-                                let ok = h.insert(k, value).unwrap();
+                                let ok = h.try_insert(k, value).unwrap();
                                 rec.finish(k, OpAction::Insert { value, ok }, inv);
                             }
                             2 | 3 => {
-                                let ok = h.remove(k);
+                                let ok = h.try_remove(k).unwrap();
                                 rec.finish(k, OpAction::Remove { ok }, inv);
                             }
                             _ => {
-                                let found = h.get(k);
+                                let found = h.try_get(k).unwrap();
                                 rec.finish(k, OpAction::Get { found }, inv);
                             }
                         }

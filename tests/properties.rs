@@ -48,22 +48,22 @@ fn check_gfsl(team: TeamSize, actions: &[Action]) {
     for a in actions {
         match *a {
             Action::Insert(k, v) => {
-                let inserted = h.insert(k, v).unwrap();
+                let inserted = h.try_insert(k, v).unwrap();
                 assert_eq!(inserted, !reference.contains_key(&k), "insert {k}");
                 reference.entry(k).or_insert(v);
             }
             Action::Remove(k) => {
-                assert_eq!(h.remove(k), reference.remove(&k).is_some(), "remove {k}");
+                assert_eq!(h.try_remove(k).unwrap(), reference.remove(&k).is_some(), "remove {k}");
             }
             Action::Get(k) => {
-                assert_eq!(h.get(k), reference.get(&k).copied(), "get {k}");
+                assert_eq!(h.try_get(k).unwrap(), reference.get(&k).copied(), "get {k}");
             }
             Action::MinEntry => {
                 let want = reference.iter().next().map(|(&k, &v)| (k, v));
-                assert_eq!(h.min_entry(), want, "min_entry");
+                assert_eq!(h.try_min_entry().unwrap(), want, "min_entry");
             }
             Action::Range(lo, hi) => {
-                let got = h.range(lo, hi);
+                let got = h.try_range(lo, hi).unwrap();
                 assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "range {lo}..={hi} sorted, unique");
                 let want: Vec<(u32, u32)> = reference.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
                 assert_eq!(got, want, "range {lo}..={hi}");
@@ -139,7 +139,7 @@ proptest! {
         }).unwrap();
         let mut h = list.handle();
         for &k in &keys {
-            h.insert(k, k).unwrap();
+            h.try_insert(k, k).unwrap();
         }
         let bottom = list.level_keys(0);
         for level in 1..list.params().max_levels() {

@@ -21,8 +21,8 @@ fn slide(list: &Gfsl) -> u64 {
     let mut h = list.handle();
     for j in 0..PAIRS {
         let next = WINDOW + 1 + j;
-        assert!(h.insert(next, j).unwrap());
-        assert!(h.remove(next - WINDOW));
+        assert!(h.try_insert(next, j).unwrap());
+        assert!(h.try_remove(next - WINDOW).unwrap());
     }
     h.stats().chunk_reads
 }
@@ -97,7 +97,7 @@ fn an_idle_list_runs_no_pass_and_keeps_its_epoch() {
     let list = Gfsl::new(GfslParams::default()).unwrap();
     let mut h = list.handle();
     for k in 1..=10_000u32 {
-        assert!(h.insert(k, k).unwrap());
+        assert!(h.try_insert(k, k).unwrap());
     }
     assert!(h.stats().splits > 100);
     let s = list.reclaim_stats();
@@ -124,7 +124,7 @@ fn assert_no_chunk_lost(list: &Gfsl, what: &str) {
 fn drain(list: &Gfsl) {
     let mut h = list.handle();
     for _ in 0..8 {
-        h.reclaim_pass();
+        h.reclaim_pass().unwrap();
     }
 }
 
@@ -137,7 +137,7 @@ fn small(keys: u32) -> Gfsl {
     let list = Gfsl::new(params).unwrap();
     let mut h = list.handle();
     for k in 1..=keys {
-        assert!(h.insert(k, k).unwrap());
+        assert!(h.try_insert(k, k).unwrap());
     }
     drop(h);
     list
@@ -150,8 +150,8 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let list = small(2_000);
     let mut h = list.handle();
     for k in 1..=1_500u32 {
-        assert!(h.remove(k));
-        assert!(h.insert(2_000 + k, k).unwrap());
+        assert!(h.try_remove(k).unwrap());
+        assert!(h.try_insert(2_000 + k, k).unwrap());
     }
     drop(h);
     drain(&list);
@@ -170,14 +170,14 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let mut n = 0;
     while list.shape().levels.get(1).map_or(0, |l| l.live_chunks) < 2 {
         n += 1;
-        assert!(h.insert(n, n).unwrap());
+        assert!(h.try_insert(n, n).unwrap());
     }
     drop(h);
     let index = list.level_keys(1);
     assert!(index.len() < 16, "one period: {index:?}");
     let mut h = list.handle();
     for &k in &index {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     drop(h);
     let s = list.reclaim_stats();
@@ -205,10 +205,10 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let mut n = 0;
     while list.shape().levels.get(1).map_or(0, |l| l.live_chunks) < 2 {
         n += 1;
-        assert!(h.insert(n, n).unwrap());
+        assert!(h.try_insert(n, n).unwrap());
     }
     for k in list.level_keys(2) {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     assert_eq!(list.height(), 1, "level 2 is out of use again");
     assert_eq!(list.shape().levels[1].live_chunks, 2);
@@ -216,7 +216,7 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
         if list.linked_chunks().1 > 0 {
             break;
         }
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     assert_eq!(list.linked_chunks().1, 1, "level 1's first chunk merged away");
     drop(h);
@@ -232,7 +232,7 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let present = *list.keys().last().expect("most keys are still there");
     let mut h = list.handle();
     for _ in 0..64 {
-        assert!(!h.insert(present, 0).unwrap(), "already present");
+        assert!(!h.try_insert(present, 0).unwrap(), "already present");
     }
     drop(h);
     assert_eq!(list.reclaim_stats().passes, s.passes);
@@ -242,7 +242,7 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let list = small(2_000);
     let mut h = list.handle();
     for k in 1..=2_000u32 {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     drop(h);
     assert_eq!(list.height(), 0);
@@ -256,7 +256,7 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let list = small(2_000);
     let mut h = list.handle();
     for k in (1..=2_000u32).rev() {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     drop(h);
     drain(&list);
@@ -266,7 +266,7 @@ fn no_chunk_is_lost_whatever_shape_the_levels_are_left_in() {
     let list = small(2_000);
     let mut h = list.handle();
     for k in (1..=2_000u32).step_by(2).chain((2..=2_000).step_by(2)) {
-        assert!(h.remove(k));
+        assert!(h.try_remove(k).unwrap());
     }
     drop(h);
     drain(&list);
@@ -295,7 +295,7 @@ fn walk_into_a_quarantined_parent(mvcc: bool) {
     .unwrap();
     let mut h = list.handle();
     for k in 1..=2_000u32 {
-        assert!(h.insert(2 * k, k).unwrap());
+        assert!(h.try_insert(2 * k, k).unwrap());
     }
     drop(h);
 
@@ -378,7 +378,7 @@ fn a_full_pool_does_not_wait_for_a_batch() {
         .unwrap();
         let mut h = list.handle();
         for k in 1..=KEYS {
-            assert!(h.insert(k, k).unwrap());
+            assert!(h.try_insert(k, k).unwrap());
         }
         drop(h);
         list
@@ -389,8 +389,8 @@ fn a_full_pool_does_not_wait_for_a_batch() {
     let mut h = list.handle();
     for j in 0..4 * KEYS {
         let next = KEYS + 1 + j;
-        assert_eq!(h.insert(next, j), Ok(true), "{:?}", list.reclaim_stats());
-        assert!(h.remove(next - KEYS));
+        assert_eq!(h.try_insert(next, j), Ok(true), "{:?}", list.reclaim_stats());
+        assert!(h.try_remove(next - KEYS).unwrap());
     }
     drop(h);
     let s = list.reclaim_stats();
