@@ -324,6 +324,47 @@ impl ChunkView {
         self.keys_eq(team, k).highest()
     }
 
+    /// Where `k` sits in a held chunk's view, from one `keys_le(k)` vote:
+    /// `Ok(lane)` when `k` is there, else `Err(index)`, the lane an insert
+    /// puts it in. A held lock guarantees a sorted, left-packed image (a
+    /// writer finishes its shifts before it releases, and a certified view
+    /// overlapped no writer), so `k` is present iff the highest voting lane
+    /// holds it, and the vote count is the number of keys below it. Debug
+    /// builds check both against the full votes.
+    #[inline]
+    pub fn place(&self, team: &Team, k: u32) -> Result<LaneId, usize> {
+        let le = self.keys_le(team, k);
+        let placed = match le.highest() {
+            Some(lane) if self.entry(lane).key() == k => Ok(lane),
+            _ => Err(le.count() as usize),
+        };
+        debug_assert_eq!(
+            placed,
+            self.lane_of_key(team, k).ok_or_else(|| self.keys_le(team, k - 1).count() as usize),
+            "{k} placed in a view that is not sorted and left-packed"
+        );
+        placed
+    }
+
+    /// Is a held chunk's view full? Left-packed, it is iff its last DATA
+    /// lane holds a key: one register, no vote.
+    #[inline]
+    pub fn is_full(&self, team: &Team) -> bool {
+        let full = !self.entry(team.dsize() - 1).is_empty();
+        debug_assert_eq!(full, self.num_keys(team) as usize == team.dsize(), "a view that is not left-packed");
+        full
+    }
+
+    /// Does a held chunk's view hold at most `n` keys? Left-packed, it does
+    /// iff lane `n` is EMPTY (or past the DATA lanes): one register, no
+    /// vote.
+    #[inline]
+    pub fn holds_at_most(&self, team: &Team, n: u32) -> bool {
+        let at_most = n as usize >= team.dsize() || self.entry(n as usize).is_empty();
+        debug_assert_eq!(at_most, self.num_keys(team) <= n, "a view that is not left-packed");
+        at_most
+    }
+
     /// Data entries as `(lane, entry)` pairs, non-EMPTY only.
     pub fn live_entries<'a>(&'a self, team: &'a Team) -> impl Iterator<Item = (LaneId, Entry)> + 'a {
         (0..team.dsize())

@@ -3,6 +3,7 @@
 //! zombies.
 
 use gfsl_gpu_mem::MemProbe;
+use gfsl_simt::LaneId;
 use std::sync::atomic::Ordering;
 
 use crate::chunk::{is_user_key, ops, ChunkView, Entry, Held, Release, KEY_NEG_INF, NIL};
@@ -51,8 +52,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.note_hint_after_update(found.enclosing);
             return None;
         }
-        let p_bottom = self.lock_certified(&found, k, &mut bottom);
-        let Some(lane) = bottom.lane_of_key(&team, k) else {
+        // An upgraded lock takes `k`'s lane from the walk's vote on the
+        // same view; only a re-read view is voted on again.
+        let (p_bottom, placed) = self.lock_certified(&found, k, &mut bottom);
+        let Ok(lane) = placed else {
             // Lost the race to another deleter. Decided under the bottom
             // lock, so the outcome survives a crash in the unlock below.
             self.journal.committed = Some(Commit::Removed(None));
@@ -67,13 +70,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut view = ChunkView::BLANK;
         for level in (1..=top).rev() {
             let p_enc = self.find_and_lock_enclosing(enclosing[level], k, &mut view);
-            if view.lane_of_key(&team, k).is_none() {
+            let Ok(lane) = view.place(&team, k) else {
                 // Cannot happen while we hold k's bottom lock (no other team
                 // may update k), but a defensive unlock is free.
                 self.unlock(p_enc);
                 continue;
-            }
-            self.remove_from_chunk(k, p_enc, &view, level, None);
+            };
+            self.remove_from_chunk(k, p_enc, &view, lane, level, None);
         }
 
         // Finally remove from the bottom level; only then is k logically
@@ -83,7 +86,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.view_is_current(bottom_chunk, &bottom),
             "chunk {bottom_chunk} changed under our lock"
         );
-        self.remove_from_chunk(k, p_bottom, &bottom, 0, Some(Commit::Removed(Some(old))));
+        self.remove_from_chunk(k, p_bottom, &bottom, lane, 0, Some(Commit::Removed(Some(old))));
         self.note_hint_after_update(bottom_chunk);
         Some(old)
     }
@@ -126,14 +129,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             .all(|lane| self.list.pool.read(base.entry_addr(lane)) == view.entry(lane).0)
     }
 
-    /// Remove `k` from a held chunk at `level`, merging if that crosses
-    /// the minimum-fill threshold (`removeFromChunk`, Algorithm 4.12). The
-    /// chunk is unlocked (or zombified) on return. `commit` is journaled at
-    /// the removal's linearization point: the bottom level's outcome, `None`
-    /// above it.
-    pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, level: usize, commit: Option<Commit>) {
+    /// Remove `k`, in DATA lane `lane` of `view`, from a held chunk at
+    /// `level`, merging if that crosses the minimum-fill threshold
+    /// (`removeFromChunk`, Algorithm 4.12). The chunk is unlocked (or
+    /// zombified) on return. `commit` is journaled at the removal's
+    /// linearization point: the bottom level's outcome, `None` above it.
+    ///
+    /// The threshold test reads one lane of the held, left-packed view
+    /// ([`ChunkView::holds_at_most`]); the lane was found by the one vote
+    /// that placed `k`.
+    pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, lane: LaneId, level: usize, commit: Option<Commit>) {
         let mut last = false;
-        if view.num_keys(&self.list.team) <= self.list.params.merge_threshold() {
+        if view.holds_at_most(&self.list.team, self.list.params.merge_threshold()) {
             match self.lock_next_chunk(&p_enc, level) {
                 // Last chunk in the level: never merged, never zombified;
                 // just remove, even if that empties it completely.
@@ -146,7 +153,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         // Plain removal: plenty left, the level's last chunk, or a merge
         // that could not pre-split its absorber.
-        self.execute_remove_no_merge(&p_enc, view, k);
+        self.execute_remove_no_merge(&p_enc, view, lane);
         if commit.is_some() {
             self.journal.committed = commit;
         }
@@ -205,19 +212,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         Ok(())
     }
 
-    /// Physically remove `k` by shifting larger keys one entry left
-    /// (`executeRemoveNoMerge`, Fig. 4.6). Writes proceed left-to-right so
-    /// no key transiently disappears; if `k` was the chunk's max, the max
-    /// field is lowered *first* so lock-free readers never chase a max that
-    /// is no longer present.
-    pub(crate) fn execute_remove_no_merge(&mut self, p_enc: &Held, view: &ChunkView, k: u32) {
+    /// Physically remove the key in DATA lane `idx` by shifting larger keys
+    /// one entry left (`executeRemoveNoMerge`, Fig. 4.6). Writes proceed
+    /// left-to-right so no key transiently disappears; if it was the
+    /// chunk's max, the max field is lowered *first* so lock-free readers
+    /// never chase a max that is no longer present.
+    pub(crate) fn execute_remove_no_merge(&mut self, p_enc: &Held, view: &ChunkView, idx: LaneId) {
         let team = self.list.team;
-        let idx = view
-            .lane_of_key(&team, k)
-            .expect("removing a key that is not in the locked chunk");
         let ch = self.list.chunk_words(p_enc.chunk());
 
-        if view.max(&team) == k {
+        if view.max(&team) == view.entry(idx).key() {
             let new_max = if idx == 0 {
                 KEY_NEG_INF
             } else {
@@ -499,7 +503,7 @@ mod tests {
         let mut view = ChunkView::BLANK;
         let (found, path) = h.search_slow(k, &mut view);
         assert!(found.found.is_some());
-        let p_bottom = h.lock_certified(&found, k, &mut view);
+        let (p_bottom, _) = h.lock_certified(&found, k, &mut view);
         let before = h.stats().chunk_reads;
         let top = h.levels_holding(k, &path, &mut [NIL; gfsl_simt::WARP_SIZE]);
         let reads = h.stats().chunk_reads - before;

@@ -63,8 +63,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Bottom level: the chunk that receives k stays locked until every
         // upper-level insertion completes, which is what serializes updates
         // to the same key.
-        let p_enc = self.lock_certified(&found, k, &mut view);
-        let (p_bottom, raise, kk) = match self.insert_locked(0, p_enc, &view, k, v)? {
+        let (p_enc, placed) = self.lock_certified(&found, k, &mut view);
+        let (p_bottom, raise, kk) = match self.insert_locked(0, p_enc, &view, placed, k, v)? {
             LevelOutcome::AlreadyPresent { locked, lane } => {
                 // Present under the bottom lock: the op's outcome is decided
                 // (an overwrite by the one store below) even if the unlock
@@ -218,25 +218,29 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ) -> Result<LevelOutcome, Error> {
         let mut view = ChunkView::BLANK;
         let p_enc = self.find_and_lock_enclosing(start, k, &mut view);
-        self.insert_locked(level, p_enc, &view, k, v)
+        let placed = view.place(&self.list.team, k);
+        self.insert_locked(level, p_enc, &view, placed, k, v)
     }
 
     /// [`Self::insert_to_level`] once `k`'s enclosing chunk `p_enc` is
-    /// held, its content in `view`.
+    /// held, its content in `view` and `k`'s [`ChunkView::place`] in it
+    /// `placed`: the one vote the held view costs.
     fn insert_locked(
         &mut self,
         level: usize,
         p_enc: Held,
         view: &ChunkView,
+        placed: Result<LaneId, usize>,
         k: u32,
         v: u32,
     ) -> Result<LevelOutcome, Error> {
         let team = self.list.team;
-        if let Some(lane) = view.lane_of_key(&team, k) {
-            return Ok(LevelOutcome::AlreadyPresent { locked: p_enc, lane });
-        }
-        if (view.num_keys(&team) as usize) < team.dsize() {
-            self.execute_insert(&p_enc, view, k, v);
+        let index = match placed {
+            Ok(lane) => return Ok(LevelOutcome::AlreadyPresent { locked: p_enc, lane }),
+            Err(index) => index,
+        };
+        if !view.is_full(&team) {
+            self.execute_insert(&p_enc, view, index, k, v);
             if level == 0 {
                 // Linearization point passed: the key is in the bottom level.
                 // A crash from here on must still report Ok(true).
@@ -266,18 +270,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Physically insert `(k, v)` into a locked, non-full chunk while
-    /// keeping it sorted (`executeInsert`, Algorithm 4.7 / Fig. 4.3).
+    /// keeping it sorted (`executeInsert`, Algorithm 4.7 / Fig. 4.3), at
+    /// `insert_idx`, the lane [`ChunkView::place`] found for it in `view`.
     ///
     /// Each lane takes its left neighbour's entry; writes proceed serially
     /// from the highest DATA lane down to the insertion index so no key ever
     /// transiently disappears (a key may transiently appear twice, which
     /// readers resolve by highest-lane precedence).
-    pub(crate) fn execute_insert(&mut self, p_enc: &Held, view: &ChunkView, k: u32, v: u32) {
+    pub(crate) fn execute_insert(&mut self, p_enc: &Held, view: &ChunkView, insert_idx: usize, k: u32, v: u32) {
         let team = self.list.team;
-        debug_assert!(view.lane_of_key(&team, k).is_none(), "inserting duplicate {k}");
-        // Sorted + left-packed under the lock, so the insertion index is the
-        // number of keys smaller than k (k >= 1, so `< k` is `<= k-1`).
-        let insert_idx = view.keys_le(&team, k - 1).count() as usize;
         debug_assert!(insert_idx < team.dsize(), "chunk was full");
         let ch = self.list.chunk_words(p_enc.chunk());
         for i in (insert_idx..team.dsize()).rev() {

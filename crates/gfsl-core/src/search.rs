@@ -59,16 +59,19 @@ pub enum NextStep {
 /// wins. EMPTY (∞) keys never vote because `k` is a user key `< ∞`; the
 /// `-∞` key always votes.
 ///
-/// The DATA-lane votes are evaluated as one branch-free mask over the
-/// chunk's packed words ([`ChunkView::keys_le`]), then the NEXT lane's
-/// `max < k` vote is OR-ed in at its lane position.
-#[inline]
+/// The NEXT lane sits above every DATA lane, so its vote is taken first:
+/// `max < k` is `Lateral` whatever the DATA lanes say, and only otherwise
+/// are they voted, as one branch-free mask over the chunk's packed words
+/// ([`ChunkView::keys_le`]), whose highest lane decides. Inlined into every
+/// traversal loop, this is one compare on a lateral step and one vote on a
+/// down step.
+#[inline(always)]
 pub fn tid_for_next_step(team: &Team, k: u32, view: &ChunkView) -> NextStep {
-    let data = view.keys_le(team, k).bits();
-    let next = ((view.max(team) < k) as u32) << team.next_lane();
-    match Ballot::from_bits(data | next).highest() {
+    if view.max(team) < k {
+        return NextStep::Lateral;
+    }
+    match view.keys_le(team, k).highest() {
         None => NextStep::Backtrack,
-        Some(lane) if lane == team.next_lane() => NextStep::Lateral,
         Some(lane) => NextStep::Down(lane),
     }
 }
@@ -86,9 +89,14 @@ pub enum LateralStep {
 }
 
 /// The cooperative `isTidWithEqualKey`: DATA lanes vote `key == k`, the
-/// NEXT lane votes `max < k`; the highest voting lane wins. DATA votes are
-/// one mask, as in [`tid_for_next_step`].
-#[inline]
+/// NEXT lane votes `max < k`; the highest voting lane wins.
+///
+/// Unlike [`tid_for_next_step`] this keeps the one ballot: the DATA mask
+/// ([`ChunkView::keys_eq`]) with the NEXT lane's vote OR-ed in at its lane.
+/// Taking the NEXT lane first here, in the lateral walk, measured 4–6 %
+/// slower on `engine-churn` over alternated runs: the release build then
+/// compiles the walk's vote to packed compares instead of scalar ones.
+#[inline(always)]
 pub fn tid_with_equal_key(team: &Team, k: u32, view: &ChunkView) -> LateralStep {
     let data = view.keys_eq(team, k).bits();
     let next = ((view.max(team) < k) as u32) << team.next_lane();
@@ -242,17 +250,25 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///   is recorded in the path (every level from the height down is
     ///   written before the descent leaves it; levels above it stay `NIL`)
     ///   and zombie runs are lazily unlinked via try-lock redirection.
-    pub(crate) fn descend(
+    pub(crate) fn descend(&mut self, k: u32, stop: usize, path: Option<&mut UpdatePath>) -> Option<u32> {
+        let mut views = self.descend_views.take().unwrap_or_else(|| Box::new([ChunkView::BLANK; 2]));
+        let reached = self.descend_with(k, stop, path, &mut views);
+        self.descend_views = Some(views);
+        reached
+    }
+
+    /// [`Self::descend`]'s loop over the two view buffers it lends, swapped
+    /// on every lateral step: `views[at]` is the chunk being decided on,
+    /// `views[at ^ 1]` the chunk stepped from for as long as `prev` names
+    /// it.
+    fn descend_with(
         &mut self,
         k: u32,
         stop: usize,
         mut path: Option<&mut UpdatePath>,
+        views: &mut [ChunkView; 2],
     ) -> Option<u32> {
         let team = self.list.team;
-        // Two view buffers, swapped on every lateral step: `views[at]` is
-        // the chunk being decided on, `views[at ^ 1]` the chunk stepped from
-        // for as long as `prev` names it.
-        let mut views = [ChunkView::BLANK; 2];
         let mut at = 0;
         // The height the last attempt started from.
         let mut written = 0;

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use gfsl_gpu_mem::{
     EpochReclaimer, MemProbe, NoProbe, PoolExhausted, ReclaimStats, SlotId, WordPool, WordSpan,
 };
-use gfsl_simt::Team;
+use gfsl_simt::{LaneId, Team};
 
 use crate::chunk::{
     ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, Held, Release, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
@@ -430,6 +430,7 @@ impl Gfsl {
             hint0: None,
             hint_view_of: None,
             hint_view: ChunkView::BLANK,
+            descend_views: None,
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
             skip_downptr_repair: false,
@@ -796,6 +797,11 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// authentic. The one-word re-read extends a bracket forward; it cannot
     /// create one, which is why only a [`Certified`] view is stashed here.
     pub(crate) hint_view: ChunkView,
+    /// [`Self::descend`]'s two view buffers, lent to each descent and put
+    /// back after it: taking the box moves a pointer, where buffers built
+    /// per descent zero-filled 512 bytes every time. `None` until this
+    /// handle's first descent (and after one that unwound).
+    pub(crate) descend_views: Option<Box<[ChunkView; 2]>>,
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
     /// `i` = level `i`): what `insert` reads to decide whether to heal
@@ -1393,24 +1399,36 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Take an update's bottom lock on the chunk its [`Self::search_slow`]
-    /// ended in, `res.enclosing`, whose last read is in `view`.
+    /// ended in, `res.enclosing`, whose last read is in `view`, and place
+    /// `k` in it ([`ChunkView::place`]).
     ///
     /// When that view is certified (`res.certified`: its data lanes
     /// bracketed by two reads of that unlocked word), one CAS from exactly
     /// that word upgrades it: success proves no writer held the chunk since
     /// the view was read, so `view` is still the chunk's content and neither of
     /// [`Self::find_and_lock_enclosing`]'s two team reads is needed (DESIGN
-    /// §12). Any other outcome falls back to that walk from the same chunk,
-    /// a failed CAS counting as a lock retry. Returns the chunk's lock, its
+    /// §12). The walk's `res.found` is then `k`'s lane in it, and the view
+    /// is voted on again only to place an absent `k`. Any other outcome
+    /// falls back to that walk from the same chunk, a failed CAS counting
+    /// as a lock retry. Returns the chunk's lock and `k`'s placement, its
     /// content in `view`.
-    pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> Held {
+    pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> (Held, Result<LaneId, usize>) {
+        let team = self.list.team;
         if let Some(cert) = res.certified {
             if let Some(held) = self.try_acquire(res.enclosing, Some(cert)) {
-                return held;
+                let placed = match res.found {
+                    Some((lane, _)) => {
+                        debug_assert_eq!(view.lane_of_key(&team, k), Some(lane), "the certified view is the chunk's");
+                        Ok(lane)
+                    }
+                    None => view.place(&team, k),
+                };
+                return (held, placed);
             }
             self.stats.lock_retries += 1;
         }
-        self.find_and_lock_enclosing(res.enclosing, k, view)
+        let held = self.find_and_lock_enclosing(res.enclosing, k, view);
+        (held, view.place(&team, k))
     }
 
     /// Lock the first non-zombie chunk right of the held chunk `ch`,
@@ -1846,14 +1864,27 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// zombie only ever appears at a level's head edge through a merge on
     /// that level, so the flagged levels are all there is to visit — also
     /// on a level that has since emptied. A level whose sweep lost a race
-    /// is flagged again for the next pass.
+    /// is flagged again for the next pass, and so is every level a crashed
+    /// pass had not swept: nothing else raises a flag for a run already
+    /// parked behind a head.
     fn sweep_head_edge(&mut self) {
-        let mut dirty = self.list.reclaim.take_flags();
-        while dirty != 0 {
-            let level = dirty.trailing_zeros() as usize;
-            dirty &= dirty - 1;
-            if !self.sweep_level(level) {
-                self.list.note_zombie(level);
+        /// The levels not swept yet, flagged again if the pass unwinds.
+        struct Unswept<'r>(&'r EpochReclaimer, u32);
+        impl Drop for Unswept<'_> {
+            fn drop(&mut self) {
+                if self.1 != 0 {
+                    self.0.flag(self.1);
+                }
+            }
+        }
+        let list = self.list;
+        let mut dirty = Unswept(&list.reclaim, list.reclaim.take_flags());
+        while dirty.1 != 0 {
+            let level = dirty.1.trailing_zeros() as usize;
+            let swept = self.sweep_level(level);
+            dirty.1 &= dirty.1 - 1;
+            if !swept {
+                list.note_zombie(level);
             }
         }
     }
@@ -2192,8 +2223,9 @@ mod tests {
         let (found, _) = h.search_slow(25, &mut view);
         assert!(found.certified.is_some(), "a quiescent chunk's view is certified");
         let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
-        let p = h.lock_certified(&found, 25, &mut view);
+        let (p, placed) = h.lock_certified(&found, 25, &mut view);
         assert_eq!((h.stats().chunk_reads, h.stats().lock_retries), (reads, retries));
+        assert_eq!(placed, Err(3), "after -inf, 10 and 20");
         h.unlock(p);
 
         // A second handle writes the chunk between the search and the lock.
@@ -2201,10 +2233,11 @@ mod tests {
         assert!(found.certified.is_some());
         list.handle().insert(15, 15).unwrap();
         let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
-        let p = h.lock_certified(&found, 25, &mut view);
+        let (p, placed) = h.lock_certified(&found, 25, &mut view);
         assert_eq!(h.stats().lock_retries, retries + 1, "the failed CAS is a retry");
         assert_eq!(h.stats().chunk_reads, reads + 2, "read, lock, re-read");
         assert!(view.is_locked(&team) && view.contains_key(&team, 15), "the view is the chunk's");
+        assert_eq!(placed, Err(4), "placed in the re-read view, after 15");
         h.unlock(p);
 
         // The other handle's key survived, and the insert the lock was

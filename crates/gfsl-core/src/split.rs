@@ -189,7 +189,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let new = p_new.chunk();
         let (p_insert, other) = if k <= thresh { (p_split, p_new) } else { (p_new, p_split) };
         let iv = self.read_chunk(p_insert.chunk());
-        self.execute_insert(&p_insert, &iv, k, v);
+        let index = iv.place(&team, k).expect_err("k is in neither half of the chunk it split");
+        self.execute_insert(&p_insert, &iv, index, k, v);
         if level == 0 {
             self.journal.committed = Some(Commit::Inserted(None));
         }

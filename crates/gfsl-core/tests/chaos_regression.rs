@@ -15,6 +15,7 @@
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use gfsl::chaos::ChaosProbe;
 use gfsl::mc::strategy::Replay;
 use gfsl::{AbortReason, CrashPoint, Error, Gfsl, GfslHandle, GfslParams, NoProbe, OpAbort, TeamSize};
 
@@ -151,8 +152,20 @@ fn a_contained_op_gives_up_a_wait_on_a_quarantined_chunk() {
 /// validity, and the crashed pass let go of the one-pass-at-a-time flag.
 #[test]
 fn a_crashed_reclaim_pass_returns_an_abort() {
-    gfsl::quiet_injected_panics();
     let list = list16();
+    let mut crashed = crash_the_head_edge_sweep(&list);
+    list.handle().repair_quarantine();
+    list.assert_valid();
+    assert!(crashed.reclaim_pass().is_ok());
+}
+
+/// Park a zombie right behind the bottom level's head, which no traversal
+/// has passed since, and crash the reclamation pass whose head-edge sweep
+/// unlinks it, at the sweep's pointer swing: the pass returns a typed
+/// abort and quarantines the head chunk it held. Returns the crashed
+/// handle.
+fn crash_the_head_edge_sweep(list: &Gfsl) -> GfslHandle<'_, ChaosProbe> {
+    gfsl::quiet_injected_panics();
     let mut h = list.handle();
     let mut k = 0;
     while list.shape().levels[0].live_chunks < 3 {
@@ -160,8 +173,7 @@ fn a_crashed_reclaim_pass_returns_an_abort() {
         h.try_insert(k, k).unwrap();
     }
     // Empty the bottom level's last chunk (never merged), then the second
-    // until it merges into the last: a zombie parked right behind the head,
-    // which no traversal has passed since, so the pass's sweep unlinks it.
+    // until it merges into the last.
     while list.shape().levels[0].zombie_chunks == 0 {
         assert!(h.try_remove(k).unwrap(), "{k}");
         k -= 1;
@@ -180,7 +192,23 @@ fn a_crashed_reclaim_pass_returns_an_abort() {
         "{pass:?}"
     );
     assert_eq!(list.quarantine_depth(), 1, "the chunk the sweep held");
+    crashing
+}
+
+/// A sweep takes every level's flag before it sweeps any, and nothing
+/// raises a flag again for a zombie run already parked behind a head: a
+/// pass that crashed mid-sweep flags the levels it had not swept, so a
+/// later pass unlinks and retires the run after repair.
+#[test]
+fn a_crashed_sweep_leaves_its_levels_flagged() {
+    let list = list16();
+    crash_the_head_edge_sweep(&list);
     list.handle().repair_quarantine();
+    let mut h = list.handle();
+    for _ in 0..8 {
+        h.reclaim_pass().unwrap();
+    }
+    assert!(list.reclaim_stats().retired >= 1, "{:?}", list.reclaim_stats());
+    assert_eq!(list.shape().levels[0].zombie_chunks, 0, "a zombie still parked behind the head");
     list.assert_valid();
-    assert!(crashing.reclaim_pass().is_ok());
 }

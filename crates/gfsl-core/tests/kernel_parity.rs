@@ -9,6 +9,9 @@
 //!   as an oracle — over chunks of every shape a traversal can meet: sorted,
 //!   mid-shift with a transient duplicate, torn across a concurrent remove,
 //!   all EMPTY, sentinel-edged, and arbitrary words;
+//! * the one vote a held chunk's view costs (`ChunkView::place`, with the
+//!   one-lane `is_full` and `holds_at_most`) against the full votes it
+//!   replaces, over the settled images a held lock guarantees;
 //! * the scripted schedules' trace hashes, pinned. The FNV trace (the
 //!   shared `gfsl_rng::fnv` word-wise fold) folds every granted probe event
 //!   of every team — who, what kind, which word — in execution order, so an
@@ -473,6 +476,77 @@ proptest! {
                 None => LateralStep::NotFound,
             };
             prop_assert_eq!(tid_with_equal_key(&team, k, &view), want_eq);
+        }
+    }
+}
+
+/// User keys from the sentinels' neighbourhoods as often as from the middle.
+fn user_key_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        3 => 1..=200u32,
+        1 => 1..=2u32,
+        1 => (1..=2u32).prop_map(|d| u32::MAX - d),
+        1 => 1..=u32::MAX - 1,
+    ]
+}
+
+/// Gaps between neighbouring keys of a chunk: mostly dense, so a full
+/// chunk's keys stay clear of `∞`, sometimes wide.
+fn gap_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![3 => 1..=3u32, 1 => 1..=1_000_000u32]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The one vote a held chunk's view costs, [`ChunkView::place`], and the
+    /// one-lane `is_full` / `holds_at_most` answer what the full votes do on
+    /// the sorted, left-packed image a held lock guarantees: `k`'s lane is
+    /// `lane_of_key`'s, an absent `k`'s index is `keys_le(k - 1)`'s count,
+    /// and fullness and fill are `num_keys`'s. Both team sizes; empty,
+    /// one-key and full chunks, with and without the `-∞` head.
+    #[test]
+    fn one_pass_placement_matches_the_full_votes(
+        (first, gaps, fill, headed) in (
+            user_key_strategy(),
+            proptest::collection::vec(gap_strategy(), 32),
+            prop_oneof![1 => Just(0usize), 2 => Just(1usize), 2 => Just(32usize), 3 => 0..=32usize],
+            any::<bool>(),
+        ),
+        (k, present, pick) in (user_key_strategy(), any::<bool>(), any::<usize>()),
+        n in 0..=32u32,
+    ) {
+        // Ascending distinct user keys from `first`, as many as fit below ∞.
+        let mut user = vec![first];
+        for &gap in &gaps {
+            match user.last().unwrap().checked_add(gap) {
+                Some(key) if key < u32::MAX => user.push(key),
+                _ => break,
+            }
+        }
+        for size in [TeamSize::Sixteen, TeamSize::ThirtyTwo] {
+            let team = Team::new(size);
+            let (lanes, dsize) = (team.lanes(), team.dsize());
+            let mut keys: Vec<u32> = headed.then_some(0).into_iter().chain(user.iter().copied()).collect();
+            keys.truncate(fill.min(dsize));
+            let users: Vec<u32> = keys.iter().copied().filter(|&key| key != 0).collect();
+            let k = if present && !users.is_empty() { users[pick % users.len()] } else { k };
+
+            let pool = WordPool::new(3 * lanes);
+            let ch = ChunkRef { base: 2 * lanes as u32 };
+            for lane in 0..dsize {
+                let e = keys.get(lane).map_or(Entry::EMPTY, |&key| Entry::new(key, lane as u32));
+                pool.write(ch.entry_addr(lane), e.0);
+            }
+            let max = if keys.len() == dsize { *keys.last().unwrap() } else { u32::MAX };
+            pool.write(ch.entry_addr(team.next_lane()), Entry::new(max, 7).0);
+            pool.write(ch.entry_addr(team.lock_lane()), 1); // held
+            let view = ChunkView::read(&team, &pool, &mut NoProbe, ch);
+
+            let full_votes = view.lane_of_key(&team, k).ok_or(view.keys_le(&team, k - 1).count() as usize);
+            prop_assert_eq!(view.place(&team, k), full_votes, "k {} in {:?}", k, keys);
+            prop_assert_eq!(view.is_full(&team), (view.num_keys(&team) as usize) >= dsize);
+            prop_assert_eq!(view.holds_at_most(&team, n), view.num_keys(&team) <= n);
         }
     }
 }

@@ -10,11 +10,22 @@
 //! of the [`WARP_SIZE`] registers votes in straight-line, branch-free code
 //! (no length to loop over, no tail), and the lanes that are not DATA lanes
 //! of the team are masked off the result. That is all it is: inlined into
-//! the engine's `tid_with_equal_key` and `tid_for_next_step`, the release
-//! build compiles each vote to one scalar compare / set / shift / or per
-//! lane, with no packed compare and no movemask (a kernel called on its own
-//! can come out partly vectorized). A 32-lane vote costs about 6–9 ns,
-//! measured standalone with the call included.
+//! a loop, the release build compiles a vote to one scalar compare / set /
+//! shift / or per lane, with no packed compare and no movemask, and a
+//! 32-lane `keys_le` costs 7–9 ns over an L1-resident view (20 M calls,
+//! best of five).
+//!
+//! What a chunk decision costs is how many votes it takes. The engine's
+//! `tid_for_next_step` tests the NEXT lane's `max < k` first and votes the
+//! DATA lanes only when it does not win: a lateral step costs 2–3 ns and a
+//! down step 8–10 ns, each with the call, where voting first and OR-ing
+//! the NEXT vote in cost 12–17 ns either way. A held chunk is voted once
+//! (`ChunkView::place`, 8–10 ns, where the three votes it replaces cost
+//! 44–62 ns). These are standalone figures: how the release build compiles
+//! a vote depends on the loop it is inlined into (packed or scalar
+//! compares), and the lateral walk's `tid_with_equal_key` keeps its one
+//! ballot because taking the NEXT lane first there measured slower in the
+//! engine.
 //!
 //! They are pure register math over an already-read chunk snapshot: they
 //! touch no shared memory and emit no probe events, so a replay's trace
