@@ -8,15 +8,17 @@
 //! sizing the index heal), to drop a step of the reclamation protocol
 //! (the staging grace), to skip the check that makes the certified
 //! bottom-lock upgrade safe, to publish an append split without lowering
-//! the split chunk's max, to skip the zombie view's NEXT re-read or to
-//! publish a new level head before writing it, run the
+//! the split chunk's max, to skip the zombie view's NEXT re-read, to
+//! publish a new level head before writing it or to answer a remove's
+//! level probe from a view whose word was not read again, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
 //! The knobs are process-global relaxed atomics read once per affected
 //! operation (one relaxed load per split, two per append split, one per
 //! physical remove / per verified reclamation batch / per bottom-lock
-//! upgrade / per zombie chunk read / per level head allocated — noise even
+//! upgrade / per zombie chunk read / per level head allocated / per level
+//! probe answered from the descent — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -70,11 +72,12 @@ static HEAL_RAISES_UPPER_MIN: AtomicBool = AtomicBool::new(false);
 /// reuses the chunk, and walks on through the new incarnation's lanes.
 static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
 
-/// Break the bottom-lock upgrade: CAS the lock word from whatever it reads
-/// *now* instead of from the word that certified the search's view, and keep
-/// that view. A writer that held and released the chunk between the search
-/// and the CAS goes unnoticed, and the update writes the chunk from a
-/// snapshot that predates the writer's change — a lost update.
+/// Break the lock upgrade: CAS the lock word from whatever it reads *now*
+/// instead of from the word that certified the view being upgraded (the
+/// search's bottom view, or any read a lock is taken from), and keep that
+/// view. A writer that held and released the chunk between the read and
+/// the CAS goes unnoticed, and the update writes the chunk from a snapshot
+/// that predates the writer's change — a lost update.
 /// A runtime oracle, not a `compile_fail` doctest: `try_lock` legitimately
 /// mints a `Held` from the current word, and a doctest sees only the public
 /// API, without the crate-private `Held` and `Certified`.
@@ -95,6 +98,14 @@ static APPEND_SPLIT_KEEPS_MAX: AtomicBool = AtomicBool::new(false);
 /// A runtime oracle, not a `compile_fail` doctest: a doctest sees only the
 /// public API, without the crate-private `ChunkRead`, `Certified` and `Held`.
 static TORN_ZOMBIE_NEXT: AtomicBool = AtomicBool::new(false);
+
+/// Answer a remove's level-1 probe from its descent's view of the chunk it
+/// stepped down through without reading that chunk's lock word again: an
+/// insert that raised `k` into the chunk between the descent and the
+/// remove's bottom lock goes unseen, the probe stops at level 0, and the
+/// remove leaves `k`'s level-1 entry dangling (upper-subset-of-lower
+/// violation).
+static STALE_LEVEL_PROBE: AtomicBool = AtomicBool::new(false);
 
 /// Publish a new level head in the head array before writing its lanes: a
 /// team that finds the level through the head in between reads whatever
@@ -130,7 +141,7 @@ pub fn skip_staging_grace() -> bool {
     SKIP_STAGING_GRACE.load(Ordering::Relaxed)
 }
 
-/// True if the bottom-lock upgrade ignores the certifying word.
+/// True if the lock upgrade ignores the certifying word.
 #[inline]
 pub fn stale_lock_upgrade() -> bool {
     STALE_LOCK_UPGRADE.load(Ordering::Relaxed)
@@ -146,6 +157,12 @@ pub fn append_split_keeps_max() -> bool {
 #[inline]
 pub fn torn_zombie_next() -> bool {
     TORN_ZOMBIE_NEXT.load(Ordering::Relaxed)
+}
+
+/// True if the level probe trusts the descent's view without its word.
+#[inline]
+pub fn stale_level_probe() -> bool {
+    STALE_LEVEL_PROBE.load(Ordering::Relaxed)
 }
 
 /// True if a new level head is published before its lanes are written.
@@ -222,6 +239,12 @@ pub fn torn_zombie_next_guard() -> KnobGuard {
 /// Publish new level heads before writing them for the guard's lifetime.
 pub fn early_head_publish_guard() -> KnobGuard {
     KnobGuard::set(&EARLY_HEAD_PUBLISH)
+}
+
+/// Answer the level probe from the descent's view without re-reading its
+/// lock word, for the guard's lifetime.
+pub fn stale_level_probe_guard() -> KnobGuard {
+    KnobGuard::set(&STALE_LEVEL_PROBE)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

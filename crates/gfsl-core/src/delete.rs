@@ -69,7 +69,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let top = self.levels_holding(k, &path, &mut enclosing);
         let mut view = ChunkView::BLANK;
         for level in (1..=top).rev() {
-            let p_enc = self.find_and_lock_enclosing(enclosing[level], k, &mut view);
+            // Level 1 upgrades the descent's view when it is still in hand.
+            let p_enc = self.lock_enclosing(enclosing[level], k, &mut view);
             let Ok(lane) = view.place(&team, k) else {
                 // Cannot happen while we hold k's bottom lock (no other team
                 // may update k), but a defensive unlock is free.
@@ -95,10 +96,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// with `k`'s enclosing chunk at each level from 1 up to it left in
     /// `enclosing`. Under that lock `k`'s levels are frozen, and they run
     /// contiguously up from level 0 (upper ⊆ lower): the probe climbs from
-    /// level 1 and stops at the first level without `k`, so a key that was
-    /// never raised costs one search. Path levels above the traversal
-    /// height read as the level heads, so levels added since are seen; a
-    /// level with no head holds nothing, and the probe stops there.
+    /// level 1 and stops at the first level without `k`. Path levels above
+    /// the traversal height read as the level heads, so levels added since
+    /// are seen; a level with no head holds nothing, and the probe stops
+    /// there.
+    ///
+    /// Level 1 is answered from the descent's certified view of the chunk
+    /// it stepped down through ([`Self::descended_view`]), which encloses
+    /// `k` at level 1, when one read of that chunk's lock word repeats the
+    /// word that certified it: no writer held the chunk since, so the view
+    /// is its content now, after the bottom lock froze `k`'s levels. A key
+    /// that was never raised then costs no chunk read; otherwise level 1
+    /// is searched like the levels above it.
     pub(crate) fn levels_holding(
         &mut self,
         k: u32,
@@ -106,6 +115,17 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         enclosing: &mut [u32; gfsl_simt::WARP_SIZE],
     ) -> usize {
         let mut top = 0;
+        let descended = self.descended_view().filter(|&(c, ..)| c == path.at(self.list, 1));
+        if let Some((c, cert, seen)) = descended {
+            let holds = seen.contains_key(&self.list.team, k);
+            if crate::bug_knobs::stale_level_probe() || self.lock_word_of(c) == cert.word() {
+                if !holds {
+                    return 0;
+                }
+                top = 1;
+                enclosing[1] = c;
+            }
+        }
         while top + 1 < self.list.params.max_levels() {
             let start = path.at(self.list, top + 1);
             if start == NIL {
@@ -141,11 +161,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn remove_from_chunk(&mut self, k: u32, mut p_enc: Held, view: &ChunkView, lane: LaneId, level: usize, commit: Option<Commit>) {
         let mut last = false;
         if view.holds_at_most(&self.list.team, self.list.params.merge_threshold()) {
-            match self.lock_next_chunk(&p_enc, level) {
+            let mut nview = ChunkView::BLANK;
+            match self.lock_next_chunk(&p_enc, level, &mut nview) {
                 // Last chunk in the level: never merged, never zombified;
                 // just remove, even if that empties it completely.
                 None => last = true,
-                Some(p_next) => match self.merge_into_next(k, p_enc, view, p_next, level, commit) {
+                Some(p_next) => match self.merge_into_next(k, p_enc, view, (p_next, &mut nview), level, commit) {
                     Ok(()) => return,
                     Err(kept) => p_enc = kept,
                 },
@@ -164,23 +185,23 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Remove `k` from the held, underfull `p_enc` by merging its other
-    /// entries into its held successor `p_next`, zombifying `p_enc` and
+    /// entries into its held successor `p_next`, whose content
+    /// [`Self::lock_next_chunk`] left in `nview`, zombifying `p_enc` and
     /// releasing `p_next`. Hands `p_enc` back, still held, with `p_next`
     /// released when the absorber needed a pre-split and the pool is
     /// exhausted: the caller degrades to a merge-free remove. `commit` is
     /// as for [`Self::remove_from_chunk`].
-    fn merge_into_next(&mut self, k: u32, p_enc: Held, view: &ChunkView, p_next: Held, level: usize, commit: Option<Commit>) -> Result<(), Held> {
+    fn merge_into_next(&mut self, k: u32, p_enc: Held, view: &ChunkView, (p_next, nview): (Held, &mut ChunkView), level: usize, commit: Option<Commit>) -> Result<(), Held> {
         let team = self.list.team;
         let (dying, absorber) = (p_enc.chunk(), p_next.chunk());
-        let mut nview = self.read_chunk(absorber);
         if nview.num_keys(&team) + view.num_keys(&team) - 1 > team.dsize() as u32 {
             // The absorber is too full: split it first (splitRemove).
-            if self.split_remove(&p_next, &nview, level).is_err() {
+            if self.split_remove(&p_next, nview, level).is_err() {
                 self.unlock(p_next);
                 return Err(p_enc);
             }
             self.list.inc_level_chunks(level);
-            self.read_chunk_into(absorber, None, &mut nview);
+            self.read_chunk_into(absorber, None, nview);
         }
         // Journal the merge before the copy so a crash between the
         // copy and the zombie mark rolls the merge *forward* (the
@@ -192,7 +213,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             level,
             copied: false,
         };
-        let moved = self.execute_remove_merge(view, &p_next, &nview, k);
+        let moved = self.execute_remove_merge(view, &p_next, nview, k);
         if let Intent::Merge { copied, .. } = &mut self.held.intent {
             *copied = true;
         }
@@ -496,6 +517,11 @@ mod tests {
         list
     }
 
+    /// The first key of `keys` that `not_in` lacks.
+    fn first_without(keys: &[u32], not_in: &[u32]) -> u32 {
+        *keys.iter().find(|k| !not_in.contains(k)).unwrap()
+    }
+
     /// Lock `k`'s bottom chunk the way `remove` does, then run the upward
     /// probe alone: the level it stops at and the chunk reads it cost.
     fn probe(list: &Gfsl, k: u32) -> (usize, u64) {
@@ -512,23 +538,88 @@ mod tests {
     }
 
     #[test]
-    fn the_upward_probe_reads_one_chunk_per_level_up_to_the_first_without_the_key() {
+    fn the_upward_probe_answers_level_1_from_the_descent_and_searches_the_levels_above() {
         let list = tall_list16();
         let at = |level: usize| list.level_keys(level);
         let (l1, l2, l3) = (at(1), at(2), at(3));
-        let bottom_only = *at(0).iter().find(|k| !l1.contains(k)).unwrap();
-        let raised_to_2 = *l2.iter().find(|k| !l3.contains(k)).unwrap();
-        // One search, at level 1, where the top-down walk it replaces
-        // searched every level from the height down.
-        assert_eq!(probe(&list, bottom_only), (0, 1));
-        // Levels 1 and 2 find it, level 3 does not.
-        assert_eq!(probe(&list, raised_to_2), (2, 3));
+        let bottom_only = first_without(&at(0), &l1);
+        let raised_to_2 = first_without(&l2, &l3);
+        // No read: the descent's certified level-1 view lacks the key and
+        // its chunk's word has not moved. The top-down walk the probe
+        // replaced searched every level from the height down.
+        assert_eq!(probe(&list, bottom_only), (0, 0));
+        // Level 1 from the view, then one search each at levels 2, which
+        // holds it, and 3, which does not.
+        assert_eq!(probe(&list, raised_to_2), (2, 2));
         // The removes themselves take every level the probe found.
         let mut h = list.handle();
         assert!(h.remove(bottom_only).is_some() && h.remove(raised_to_2).is_some());
         assert!(!list.level_keys(2).contains(&raised_to_2));
         assert!(!list.level_keys(1).contains(&raised_to_2));
         list.assert_valid();
+    }
+
+    /// The reads and locks one `remove(k)` takes, with the reads of its
+    /// search alone (the descent and the bottom walk).
+    fn remove_cost(h: &mut crate::skiplist::GfslHandle<'_, gfsl_gpu_mem::NoProbe>, k: u32) -> (u64, u64, u64) {
+        let reads = h.stats().chunk_reads;
+        h.search_slow(k, &mut ChunkView::BLANK.clone());
+        let search = h.stats().chunk_reads - reads;
+        let before = h.stats();
+        assert!(h.remove(k).is_some());
+        let after = h.stats();
+        (after.chunk_reads - before.chunk_reads, search, after.locks_taken - before.locks_taken)
+    }
+
+    /// Under its bottom lock a remove of a key that was never raised reads
+    /// nothing: the level probe is answered from the descent's view.
+    #[test]
+    fn a_remove_of_an_unraised_key_reads_no_chunk_under_its_bottom_lock() {
+        let list = tall_list16();
+        let k = first_without(&list.level_keys(0), &list.level_keys(1));
+        let mut h = list.handle();
+        // One read per level on the way down from the height (3), then the
+        // bottom walk's one: the search's reads and nothing after them.
+        assert_eq!(list.height(), 3);
+        assert_eq!(remove_cost(&mut h, k), (4, 4, 1));
+        list.assert_valid();
+    }
+
+    /// A key raised to level 1 only: its level-1 lock upgrades the
+    /// descent's view, so the remove reads one chunk past its search, the
+    /// probe's search of level 2.
+    #[test]
+    fn a_remove_of_a_key_raised_to_level_1_locks_it_by_upgrade() {
+        let list = tall_list16();
+        let k = first_without(&list.level_keys(1), &list.level_keys(2));
+        let mut h = list.handle();
+        assert_eq!(remove_cost(&mut h, k), (5, 4, 2));
+        assert!(!list.level_keys(1).contains(&k));
+        list.assert_valid();
+    }
+
+    /// The absorber of a merge is read once, by the read its lock
+    /// upgrades: the remove reads its search's chunks and that one (the
+    /// down-pointer repair is switched off to isolate it).
+    #[test]
+    fn a_merge_reads_its_absorber_once() {
+        let list = list16();
+        let mut h = list.handle();
+        for k in 1..=20u32 {
+            h.insert(k, k).unwrap();
+        }
+        h.skip_downptr_repair = true;
+        for k in 1..=13u32 {
+            let merges = h.stats().merges;
+            let (reads, search, locks) = remove_cost(&mut h, k);
+            if h.stats().merges > merges {
+                assert_eq!((reads, locks), (search + 1, 2));
+                list.assert_valid();
+                return;
+            }
+            assert_eq!((reads, locks), (search, 1), "k={k}");
+        }
+        panic!("draining the head chunk never merged it");
     }
 
     #[test]

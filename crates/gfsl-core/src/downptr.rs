@@ -11,7 +11,8 @@
 //! descent reaches level `i+1` for the smallest moved key and one lateral
 //! walk covers the rest, in ascending order, chunk by chunk. A chunk whose
 //! certified view holds none of the moved keys is passed without a lock.
-//! One that holds some is locked once, and under that lock each moved key
+//! One that holds some is locked once, by one CAS from the word that
+//! certified the walk's read of it, and under that lock each moved key
 //! it encloses gets the thesis's per-key recheck: its lane is still there
 //! and it is still reachable from the destination chunk. Only then is the
 //! entry rewritten, with a single atomic store. Single-threaded, this
@@ -55,10 +56,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         while i < moved.len() {
             // Certified, so a moved key the view lacks is absent from the
             // chunk, not hidden by a concurrent shift.
-            if let ChunkRead::Zombie { next } = self.read_bracketed(cur, &mut view) {
-                cur = next;
-                continue;
-            }
+            let cert = match self.read_bracketed(cur, &mut view) {
+                ChunkRead::Zombie { next } => {
+                    cur = next;
+                    continue;
+                }
+                ChunkRead::Certified(cert) => cert,
+                ChunkRead::Live { .. } => unreachable!("a bracketed read settles only certified"),
+            };
             let max = view.max(&team);
             let enclosed = moved[i..].partition_point(|&k| k <= max);
             let held = moved[i..i + enclosed]
@@ -68,7 +73,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 // No moved key has an entry here: pass without a lock.
                 None => i += enclosed,
                 Some(&k) => {
-                    let p_upper = self.find_and_lock_enclosing(cur, k, &mut view);
+                    // The view encloses `k`: its upgrade is the lock, and
+                    // only a writer since sends the lock walking.
+                    let p_upper = match self.upgrade(cur, cert) {
+                        Some(held) => held,
+                        None => self.find_and_lock_enclosing(cur, k, &mut view),
+                    };
                     let max = view.max(&team);
                     while i < moved.len() && moved[i] <= max {
                         self.repair_locked(&p_upper, &view, moved[i], target);

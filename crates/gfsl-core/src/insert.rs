@@ -207,8 +207,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// Lock `k`'s enclosing chunk at `level` (starting the walk at `start`,
     /// a path hint at-or-left of it) and insert, splitting on overflow
-    /// (`insertToLevel`, Algorithm 4.5). All outcomes return with exactly
-    /// one chunk locked; errors return with none.
+    /// (`insertToLevel`, Algorithm 4.5). At level 1 the lock upgrades the
+    /// descent's certified view of `start` when it is still in hand
+    /// ([`Self::lock_enclosing`]). All outcomes return with exactly one
+    /// chunk locked; errors return with none.
     pub(crate) fn insert_to_level(
         &mut self,
         level: usize,
@@ -217,7 +219,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         v: u32,
     ) -> Result<LevelOutcome, Error> {
         let mut view = ChunkView::BLANK;
-        let p_enc = self.find_and_lock_enclosing(start, k, &mut view);
+        let p_enc = self.lock_enclosing(start, k, &mut view);
         let placed = view.place(&self.list.team, k);
         self.insert_locked(level, p_enc, &view, placed, k, v)
     }

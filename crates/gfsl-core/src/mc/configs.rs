@@ -306,6 +306,27 @@ pub fn all() -> Vec<McConfig> {
             max_steps: 40_000,
         },
         McConfig {
+            name: "remove-probe-2t",
+            about: "a remove's level probe answered from its descent's view of \
+                    level 1 vs. the insert whose append split raises the key \
+                    into that chunk (stale-probe oracle)",
+            params: mc_params(),
+            prefill: four_chunk_prefill(),
+            // The tail chunk `44 … 56` filled to its fourteen entries.
+            setup: inserts(&[45, 47, 49, 51, 53, 55, 57]),
+            threads: vec![
+                // Above every key of the full tail: an append split, and 58
+                // raised into level 1's one chunk `-inf, 2, 16, 30`.
+                vec![McOp::Insert(58, 1)],
+                // Its descent can read level 1 before the raise and its
+                // bottom walk find 58 after the split; it then waits for
+                // the insert's bottom lock, and the probe must see the
+                // raise that happened meanwhile.
+                vec![McOp::Remove(58)],
+            ],
+            max_steps: 20_000,
+        },
+        McConfig {
             name: "split-append-2t",
             about: "append split (the full tail chunk moves nothing, the new \
                     chunk takes only the key) vs. reads and a remove of the \
@@ -556,6 +577,27 @@ mod tests {
         assert_eq!((h.stats().splits - splits, list.heads().count()), (3, 3));
         assert_eq!(list.height(), 2);
         assert!(h.remove(112).is_some());
+        list.assert_valid();
+    }
+
+    /// The scripted insert appends to a full tail chunk and raises into
+    /// level 1, which has no level above it; the remove then finds the key
+    /// on both levels.
+    #[test]
+    fn remove_probe_config_starts_one_append_short_of_a_raise() {
+        let list = built("remove-probe-2t");
+        let team = list.team;
+        let mut h = list.handle();
+        assert_eq!((list.height(), list.heads().count()), (1, 2));
+        assert_eq!(list.level_keys(1), [2, 16, 30]);
+        let tail = h.read_chunk(list.head_of(0));
+        let tail = (0..3).fold(tail, |v, _| h.read_chunk(v.next(&team)));
+        assert_eq!((tail.num_keys(&team), tail.next(&team)), (14, crate::chunk::NIL));
+        assert_eq!(h.insert(58, 1), Ok(true));
+        assert_eq!(h.stats().splits, 1);
+        assert_eq!(list.level_keys(1), [2, 16, 30, 58]);
+        assert_eq!(h.remove(58), Some(1));
+        assert_eq!(list.level_keys(1), [2, 16, 30]);
         list.assert_valid();
     }
 

@@ -39,6 +39,26 @@ impl UpdatePath {
     }
 }
 
+/// [`GfslHandle::descend`]'s two view buffers, lent to each descent and
+/// put back after it, and what an update-path descent leaves in them for
+/// the update that ran it.
+pub(crate) struct DescentViews {
+    bufs: [ChunkView; 2],
+    /// The level-1 chunk the last update-path descent stepped down
+    /// through, the word that certified its view, and the buffer holding
+    /// that view; `None` when that read did not certify, when the descent
+    /// left level 1 by a backtrack, and from the start of every later
+    /// descent, which reuses the buffers.
+    level1: Option<(u32, Certified, usize)>,
+}
+
+impl DescentViews {
+    /// Buffers no read has filled yet.
+    fn new() -> Box<DescentViews> {
+        Box::new(DescentViews { bufs: [ChunkView::BLANK; 2], level1: None })
+    }
+}
+
 /// Team decision for the next traversal step (result of the ballot in
 /// `getTidForNextStep`, Algorithm 4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,25 +271,40 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///   written before the descent leaves it; levels above it stay `NIL`)
     ///   and zombie runs are lazily unlinked via try-lock redirection.
     pub(crate) fn descend(&mut self, k: u32, stop: usize, path: Option<&mut UpdatePath>) -> Option<u32> {
-        let mut views = self.descend_views.take().unwrap_or_else(|| Box::new([ChunkView::BLANK; 2]));
+        let mut views = self.descend_views.take().unwrap_or_else(DescentViews::new);
         let reached = self.descend_with(k, stop, path, &mut views);
         self.descend_views = Some(views);
         reached
     }
 
+    /// The certified level-1 view the last update-path descent stepped
+    /// down to level 0 through: its chunk, the word that certified it, and
+    /// the view. `None` when that read did not certify, the descent left
+    /// level 1 by a backtrack or restart, or another descent ran since.
+    pub(crate) fn descended_view(&self) -> Option<(u32, Certified, &ChunkView)> {
+        let views = self.descend_views.as_deref()?;
+        views.level1.map(|(c, cert, at)| (c, cert, &views.bufs[at]))
+    }
+
     /// [`Self::descend`]'s loop over the two view buffers it lends, swapped
-    /// on every lateral step: `views[at]` is the chunk being decided on,
-    /// `views[at ^ 1]` the chunk stepped from for as long as `prev` names
-    /// it.
+    /// on every lateral step: `views.bufs[at]` is the chunk being decided
+    /// on, `views.bufs[at ^ 1]` the chunk stepped from for as long as `prev`
+    /// names it.
+    ///
+    /// An update-path descent reads each level-1 chunk against a pre-read
+    /// lock word, so the view it steps down through to level 0 is
+    /// certified when no writer overlapped it; it is kept as
+    /// `views.level1` for [`Self::descended_view`].
     fn descend_with(
         &mut self,
         k: u32,
         stop: usize,
         mut path: Option<&mut UpdatePath>,
-        views: &mut [ChunkView; 2],
+        views: &mut DescentViews,
     ) -> Option<u32> {
         let team = self.list.team;
         let mut at = 0;
+        views.level1 = None;
         // The height the last attempt started from.
         let mut written = 0;
         'restart: loop {
@@ -293,28 +328,34 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
             let mut cur = self.list.head_of(height);
             while height > stop {
-                if let ChunkRead::Zombie { next } = self.read_chunk_into(cur, None, &mut views[at]) {
-                    if path.is_none() {
+                let before = (height == 1 && path.is_some()).then(|| self.lock_word_of(cur));
+                let mut cert = None;
+                match self.read_chunk_into(cur, before, &mut views.bufs[at]) {
+                    ChunkRead::Zombie { next } if path.is_none() => {
                         // Read path: zombies keep pointing at the chunk that
                         // absorbed their keys; just step through, lock-free.
                         cur = next;
                         continue;
                     }
-                    // Update path: lazily unlink the zombie run; the walk
-                    // leaves the first live chunk's view in place of the
-                    // zombie's.
-                    let nz = self.first_non_zombie(next, &mut views[at]);
-                    match prev {
-                        Some(pptr) => self.redirect_past_zombies(pptr, cur, nz, height),
-                        None => {
-                            if self.list.head_of(height) == cur {
-                                self.update_head(height, cur, nz);
+                    ChunkRead::Zombie { next } => {
+                        // Update path: lazily unlink the zombie run; the
+                        // walk leaves the first live chunk's view in place
+                        // of the zombie's.
+                        let nz = self.first_non_zombie(next, &mut views.bufs[at]);
+                        match prev {
+                            Some(pptr) => self.redirect_past_zombies(pptr, cur, nz, height),
+                            None => {
+                                if self.list.head_of(height) == cur {
+                                    self.update_head(height, cur, nz);
+                                }
                             }
                         }
+                        cur = nz;
                     }
-                    cur = nz;
+                    ChunkRead::Certified(c) => cert = Some(c),
+                    ChunkRead::Live { .. } => {}
                 }
-                let view = &views[at];
+                let view = &views.bufs[at];
                 match tid_for_next_step(&team, k, view) {
                     NextStep::Lateral => {
                         if path.is_some() {
@@ -335,6 +376,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                                 self.heal_levels |= 1 << height;
                                 self.heal_keys[height] = view.entry(lane).key();
                             }
+                            if height == 1 {
+                                views.level1 = cert.map(|c| (cur, c, at));
+                            }
                         }
                         steps = 0;
                         height -= 1;
@@ -349,7 +393,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                             continue 'restart;
                         }
                         Some(pptr) => {
-                            let pview = &views[at ^ 1];
+                            let pview = &views.bufs[at ^ 1];
                             if let Some(p) = path.as_deref_mut() {
                                 p.0[height] = pptr;
                             }

@@ -12,7 +12,7 @@ use crate::chunk::{
     ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, Held, Release, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
 };
 use crate::params::GfslParams;
-use crate::search::LateralResult;
+use crate::search::{DescentViews, LateralResult};
 use gfsl_rng::SplitMix64;
 use crate::stats::OpStats;
 
@@ -800,8 +800,10 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// [`Self::descend`]'s two view buffers, lent to each descent and put
     /// back after it: taking the box moves a pointer, where buffers built
     /// per descent zero-filled 512 bytes every time. `None` until this
-    /// handle's first descent (and after one that unwound).
-    pub(crate) descend_views: Option<Box<[ChunkView; 2]>>,
+    /// handle's first descent (and after one that unwound). An update's
+    /// descent leaves its certified level-1 view here
+    /// ([`Self::descended_view`]).
+    pub(crate) descend_views: Option<Box<DescentViews>>,
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
     /// `i` = level `i`): what `insert` reads to decide whether to heal
@@ -1334,18 +1336,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Spin until the chunk that *encloses* `k` is locked, walking right
     /// past zombies and smaller-max chunks (paper Algorithm 4.8).
     ///
-    /// Returns the locked chunk's lock, with its snapshot as re-read under
-    /// the lock in `view`. `start` must be at-or-left of the enclosing
-    /// chunk, which the caller guarantees from traversal invariants (the
-    /// max field only decreases).
+    /// Returns the locked chunk's lock, with its content in `view`. `start`
+    /// must be at-or-left of the enclosing chunk, which the caller
+    /// guarantees from traversal invariants (the max field only
+    /// decreases). Each chunk is read once, against its lock word read
+    /// first, and the lock is that read's upgrade ([`Self::take_lock`]):
+    /// the CAS succeeds only if no writer held the chunk since, so the
+    /// view that showed it enclosing `k` is its content under the lock,
+    /// where Algorithm 4.8 re-reads it (DESIGN §4, §12).
     pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
         let team = self.list.team;
         let mut ch = start;
         let mut spins = 0u32;
         loop {
+            let before = self.lock_word_of(ch);
+            let read = self.read_chunk_into(ch, Some(before), view);
             // Not enclosing `k` (`chunkNotEnclosing`): a zombie, or a live
             // chunk whose `max < k < ∞`, which is no level's last.
-            if let ChunkRead::Zombie { next } = self.read_chunk_into(ch, None, view) {
+            if let ChunkRead::Zombie { next } = read {
                 ch = next;
                 continue;
             }
@@ -1354,29 +1362,55 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
                 continue;
             }
-            let Some(held) = self.take_lock(ch, view, &mut spins) else {
-                continue;
-            };
-            // Re-read under the lock (a held chunk is no zombie); it may
-            // have stopped enclosing `k` between the read and the CAS.
-            self.read_chunk_into(ch, None, view);
-            if view.max(&team) < k {
-                self.unlock(held);
-                ch = view.next(&team);
-                continue;
+            if let Some(held) = self.take_lock(ch, read, &mut spins) {
+                return held;
             }
-            return held;
         }
     }
 
-    /// One attempt at `ch`'s lock, from `view`, a fresh read of it: a view
-    /// showing the chunk locked, or a failed CAS, counts a lock retry and
-    /// backs off (`None`).
-    fn take_lock(&mut self, ch: u32, view: &ChunkView, spins: &mut u32) -> Option<Held> {
-        let held = if view.is_locked(&self.list.team) { None } else { self.try_acquire(ch, None) };
+    /// [`Self::find_and_lock_enclosing`] from `start`, unless the last
+    /// update-path descent's certified view of `start` is in hand
+    /// ([`Self::descended_view`]) and encloses `k`: then it is copied into
+    /// `view` and upgraded ([`Self::upgrade`]), and no chunk is read. The
+    /// first level of an update's climb, and a remove's level-1 lock.
+    pub(crate) fn lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
+        let team = self.list.team;
+        if let Some((c, cert, seen)) = self.descended_view() {
+            if c == start && seen.max(&team) >= k {
+                *view = *seen;
+                if let Some(held) = self.upgrade(start, cert) {
+                    return held;
+                }
+            }
+        }
+        self.find_and_lock_enclosing(start, k, view)
+    }
+
+    /// One attempt at `ch`'s lock from `read`, a fresh read of it: an
+    /// [`Self::upgrade`] of a certified view. A view no word certified (a
+    /// writer held the chunk, or released it during the read), or a failed
+    /// CAS, counts a lock retry and backs off (`None`).
+    fn take_lock(&mut self, ch: u32, read: ChunkRead, spins: &mut u32) -> Option<Held> {
+        let held = match read {
+            ChunkRead::Certified(cert) => self.upgrade(ch, cert),
+            _ => {
+                self.stats.lock_retries += 1;
+                None
+            }
+        };
+        if held.is_none() {
+            self.lock_backoff(spins, ch);
+        }
+        held
+    }
+
+    /// Lock `ch` by one CAS from `cert`, the word that certified a view of
+    /// it: on success that view is the chunk's content under the lock; a
+    /// failed CAS (a writer held the chunk since) counts a lock retry.
+    pub(crate) fn upgrade(&mut self, ch: u32, cert: Certified) -> Option<Held> {
+        let held = self.try_acquire(ch, Some(cert));
         if held.is_none() {
             self.stats.lock_retries += 1;
-            self.lock_backoff(spins, ch);
         }
         held
     }
@@ -1415,7 +1449,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> (Held, Result<LaneId, usize>) {
         let team = self.list.team;
         if let Some(cert) = res.certified {
-            if let Some(held) = self.try_acquire(res.enclosing, Some(cert)) {
+            if let Some(held) = self.upgrade(res.enclosing, cert) {
                 let placed = match res.found {
                     Some((lane, _)) => {
                         debug_assert_eq!(view.lane_of_key(&team, k), Some(lane), "the certified view is the chunk's");
@@ -1425,20 +1459,21 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 };
                 return (held, placed);
             }
-            self.stats.lock_retries += 1;
         }
         let held = self.find_and_lock_enclosing(res.enclosing, k, view);
         (held, view.place(&team, k))
     }
 
     /// Lock the first non-zombie chunk right of the held chunk `ch`,
-    /// unlinking any zombies skipped by rewriting `ch`'s next pointer.
+    /// unlinking any zombies skipped by rewriting `ch`'s next pointer, and
+    /// leave its content in `view`: each chunk is read once against its
+    /// lock word and locked by that read's upgrade ([`Self::take_lock`]).
     /// Returns `None` when `ch` is the last chunk in its level;
     /// past that one check, the walk steps only through zombies, each by
     /// its [`ChunkRead::Zombie`] `next`, which always names a chunk.
     /// `level` is the level `ch` lives in, so unlinked zombies can be
     /// retired for reclamation.
-    pub(crate) fn lock_next_chunk(&mut self, ch: &Held, level: usize) -> Option<Held> {
+    pub(crate) fn lock_next_chunk(&mut self, ch: &Held, level: usize, view: &mut ChunkView) -> Option<Held> {
         let team = self.list.team;
         let first_next =
             ops::read_next_field(&team, &self.list.pool, &mut self.probe, self.list.chunk(ch.chunk())).val();
@@ -1447,13 +1482,14 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
         let mut cur = first_next;
         let mut spins = 0u32;
-        let mut view = ChunkView::BLANK;
         loop {
-            if let ChunkRead::Zombie { next } = self.read_chunk_into(cur, None, &mut view) {
+            let before = self.lock_word_of(cur);
+            let read = self.read_chunk_into(cur, Some(before), view);
+            if let ChunkRead::Zombie { next } = read {
                 cur = next;
                 continue;
             }
-            let Some(held) = self.take_lock(cur, &view, &mut spins) else {
+            let Some(held) = self.take_lock(cur, read, &mut spins) else {
                 continue;
             };
             if cur != first_next {
@@ -2204,6 +2240,9 @@ mod tests {
         let mut view = ChunkView::BLANK;
         let locked = h.find_and_lock_enclosing(head0, 500, &mut view);
         assert_eq!(locked.chunk(), head0, "sentinel has max = inf, encloses everything");
+        // A quiescent chunk: one read, certified by the word read before
+        // it, and the lock is its upgrade (Algorithm 4.8 reads it twice).
+        assert_eq!((h.stats().chunk_reads, h.stats().lock_retries, h.stats().locks_taken), (1, 0, 1));
         let v = h.read_chunk(locked.chunk());
         assert!(v.is_locked(&list.team));
         h.unlock(locked);
@@ -2235,8 +2274,8 @@ mod tests {
         let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
         let (p, placed) = h.lock_certified(&found, 25, &mut view);
         assert_eq!(h.stats().lock_retries, retries + 1, "the failed CAS is a retry");
-        assert_eq!(h.stats().chunk_reads, reads + 2, "read, lock, re-read");
-        assert!(view.is_locked(&team) && view.contains_key(&team, 15), "the view is the chunk's");
+        assert_eq!(h.stats().chunk_reads, reads + 1, "one read, which the walk's lock upgrades");
+        assert!(view.contains_key(&team, 15), "the view is the chunk's");
         assert_eq!(placed, Err(4), "placed in the re-read view, after 15");
         h.unlock(p);
 
@@ -2320,7 +2359,7 @@ mod tests {
         let head0 = list.head_of(0);
         let mut view = ChunkView::BLANK;
         let locked = h.find_and_lock_enclosing(head0, 5, &mut view);
-        assert_eq!(h.lock_next_chunk(&locked, 0), None);
+        assert_eq!(h.lock_next_chunk(&locked, 0, &mut view), None);
         h.unlock(locked);
     }
 }

@@ -86,7 +86,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
         // preSplit: lock the next chunk (unlinking zombies on the way), then
         // allocate the new chunk — it comes out of the allocator locked.
-        let p_next = self.lock_next_chunk(p_split, level);
+        let mut next_view = ChunkView::BLANK;
+        let p_next = self.lock_next_chunk(p_split, level, &mut next_view);
         let p_new = match self.alloc_chunk() {
             Ok(c) => c,
             Err(e) => {

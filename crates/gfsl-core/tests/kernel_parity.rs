@@ -178,19 +178,23 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// and `Gfsl::new` stopped allocating the heads of unused levels, which
 /// moves every chunk's index (all six); and again when reclamation stopped
 /// being optional: the runs now take its passes, whose reads and epoch
-/// words are granted steps too (all six). `results/ab/` ("Turnstile fold",
-/// 21.md; "Update-path index maintenance", 26.md; "Certified lock
-/// upgrade", 28.md; "Append splits", 41.md; "Level heads on first use",
-/// 43.md; "Reclamation always on", 49.md) lists old → new. A
+/// words are granted steps too (all six); and again when every chunk lock
+/// became the upgrade of a certified read and a remove's level probe began
+/// answering level 1 from its descent's view: one lock-word read where a
+/// chunk read and a re-read under the lock were (all six). `results/ab/`
+/// ("Turnstile fold", 21.md; "Update-path index maintenance", 26.md;
+/// "Certified lock upgrade", 28.md; "Append splits", 41.md; "Level heads
+/// on first use", 43.md; "Reclamation always on", 49.md; "One read per
+/// lock", 52.md) lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0xb0c4_e969_c0be_29cc,
-    0x8d6f_2aa7_f5ca_b8cb,
-    0x9e88_f664_9dd0_940c,
-    0x051c_fe09_b914_80a1,
-    0x9bc5_e78f_943f_0400,
-    0xb697_0eec_0b8a_cf74,
+    0x7eae_bedd_d754_cfad,
+    0x39ac_a833_e64a_7031,
+    0x2401_3e5d_6d7a_814f,
+    0x8013_a9d6_cfe8_8bfb,
+    0x482e_72d1_0467_afba,
+    0x0e4c_de01_d116_50bf,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

@@ -102,6 +102,14 @@ fn level_grow_2t_exhaustive() {
 }
 
 #[test]
+fn remove_probe_2t_exhaustive() {
+    // A remove whose level probe is answered from its descent's level-1
+    // view, against the insert whose append split raises the key into
+    // that chunk between the descent and the remove's bottom lock.
+    check_exhaustive("remove-probe-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn lock_upgrade_2t_exhaustive() {
     // Two inserts into one bottom chunk: either one's certified view can go
     // stale between its search and the CAS that upgrades it to the lock.

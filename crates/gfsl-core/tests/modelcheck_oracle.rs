@@ -4,7 +4,8 @@
 //! grace, a bottom-lock upgrade that ignores the word certifying its
 //! view, an append split that publishes without lowering the split
 //! chunk's max, a zombie step that follows the NEXT lane of a torn
-//! view, and a level head published before it is written, via the
+//! view, a level head published before it is written, and a level probe
+//! answered from a descent's view whose word was not read again, via the
 //! `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
@@ -242,6 +243,30 @@ fn an_early_head_publish_is_refound() {
     );
 }
 
+/// A level probe that trusts the descent's view of level 1 without reading
+/// the chunk's lock word again: the insert's raise lands between the
+/// remove's descent and its bottom lock, the probe stops at level 0, and
+/// the key's level-1 entry dangles.
+#[test]
+fn a_stale_level_probe_is_refound() {
+    let guard = bug_knobs::stale_level_probe_guard();
+    assert_found_minimized_and_differential("remove-probe-2t", "the level probe's word check");
+    let cx = find_bug("remove-probe-2t").counterexample.expect("refound");
+    assert!(
+        cx.description.contains("upper-subset-of-lower"),
+        "expected a dangling level-1 entry, got: {}",
+        cx.description
+    );
+    drop(guard);
+    let cfg = configs::by_name("remove-probe-2t").unwrap();
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "a probe that re-reads the word must pass the bug's schedule, got: {:?}",
+        out.failure
+    );
+}
+
 #[test]
 fn clean_build_passes_the_oracle_configs() {
     // Sanity inverse: with no knob set, the same exploration budget finds
@@ -256,6 +281,7 @@ fn clean_build_passes_the_oracle_configs() {
         "reclaim-2t",
         "lock-upgrade-2t",
         "split-append-2t",
+        "remove-probe-2t",
     ] {
         let report = find_bug(name);
         assert!(

@@ -15,7 +15,9 @@
 #  3. runs `perfbench trial --workload W --seed 1 --scale 1 --count N
 #     --replay 0` under LD_PRELOAD, the trials alone, in this process;
 #  4. symbolizes every sampled address with `addr2line -f -i -C`, inlined
-#     frames included, and prints, over the samples whose stack holds the
+#     frames included (it prints which addr2line it ran, and a warning
+#     when that is GNU's, whose innermost inlined frame can take its
+#     caller's name), and prints, over the samples whose stack holds the
 #     root frame, the inclusive share of each function (in the stack at
 #     all) and its self share (innermost frame), largest first.
 #
@@ -201,7 +203,13 @@ PROFILE_OUT="$out/samples.txt" PROFILE_US="$period" LD_PRELOAD="$out/sampler.so"
 # (function, location) pair per inline level, innermost first. LLVM's
 # addr2line when there is one: GNU's names the innermost inlined frame at
 # some return addresses by the function it is inlined into.
+# The script says which one it ran, and warns when it is GNU's.
 symbolizer=$(command -v llvm-addr2line || command -v addr2line)
+echo "symbolizer: $symbolizer"
+case $("$symbolizer" --version 2>&1) in
+    *LLVM*) ;;
+    *) echo "warning: GNU addr2line: an inlined vote frame may carry the name of the function it is inlined into; install llvm-addr2line for exact inlined frames" ;;
+esac
 tr ' ' '\n' < "$out/samples.txt" | sed -n 's/^exe+//p' | sort -u \
     | sed 's/^/0x/' | "$symbolizer" -a -f -i -C -e "$exe" > "$out/symbols.txt"
 
