@@ -72,12 +72,16 @@ static HEAL_RAISES_UPPER_MIN: AtomicBool = AtomicBool::new(false);
 /// reuses the chunk, and walks on through the new incarnation's lanes.
 static SKIP_STAGING_GRACE: AtomicBool = AtomicBool::new(false);
 
-/// Break the lock upgrade: CAS the lock word from whatever it reads *now*
-/// instead of from the word that certified the view being upgraded (the
-/// search's bottom view, or any read a lock is taken from), and keep that
-/// view. A writer that held and released the chunk between the read and
-/// the CAS goes unnoticed, and the update writes the chunk from a snapshot
-/// that predates the writer's change — a lost update.
+/// Break the lock upgrade: CAS the lock word of the chunk a `Certified`
+/// token names from whatever it reads *now* instead of from the token's
+/// word, and keep the view the token certified. Every view in hand is
+/// locked this way (`GfslHandle::upgrade_or_walk`: the search's bottom
+/// view, the descent's level-1 view, the down-pointer repair's read), and
+/// so is every read of the locking walk. A writer that held and released
+/// the chunk between the read and the CAS goes unnoticed, and the update
+/// writes the chunk from a snapshot that predates the writer's change — a
+/// lost update. The token names its chunk, so only its word can go stale:
+/// upgrading another chunk from it does not type-check.
 /// A runtime oracle, not a `compile_fail` doctest: `try_lock` legitimately
 /// mints a `Held` from the current word, and a doctest sees only the public
 /// API, without the crate-private `Held` and `Certified`.

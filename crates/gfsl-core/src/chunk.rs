@@ -146,20 +146,31 @@ pub struct ChunkView {
     regs: WarpRegs,
 }
 
-/// A lock word that *certified* a view: observed before the view's data
-/// lanes were read, and repeated, unlocked, by the view's own LOCK lane,
-/// read after them. Every entry move happens under the chunk lock and every
-/// release bumps the word's version, so no entry moved while such a view
-/// was read. Only [`ChunkView::reload`] mints one, and it is the only word
-/// the update path's bottom-lock upgrade CASes from.
+/// A chunk and the lock word that *certified* a view of it: observed
+/// before the view's data lanes were read, and repeated, unlocked, by the
+/// view's own LOCK lane, read after them. Every entry move happens under
+/// the chunk lock and every release bumps the word's version, so no entry
+/// moved while such a view was read. Only [`ChunkView::reload`] mints one,
+/// and it is the only word a lock upgrade CASes from. The token names its
+/// chunk, so a word is only ever compared with, or CASed at, the chunk
+/// whose read it certified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Certified(u64);
+pub(crate) struct Certified {
+    chunk: u32,
+    word: u64,
+}
 
 impl Certified {
+    /// The certified chunk's index.
+    #[inline]
+    pub(crate) fn chunk(self) -> u32 {
+        self.chunk
+    }
+
     /// The bracketing lock word.
     #[inline]
     pub(crate) fn word(self) -> u64 {
-        self.0
+        self.word
     }
 }
 
@@ -167,8 +178,12 @@ impl Certified {
 /// [`ChunkView::reload`]. A decision asserting that a key is absent from
 /// the view (a lateral `NotFound`, a range emit, a minimum) needs
 /// `Certified`; a zombie step needs `Zombie` and follows its `next`.
+///
+/// `L` is what a live view no word certified carries: its LOCK lane when
+/// unlocked, from one read; what the certify loop's `settled` made of it,
+/// from that loop, which `Infallible` says never stops on such a view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChunkRead {
+pub(crate) enum ChunkRead<L = Option<u64>> {
     /// The LOCK lane read ZOMBIE. `next` is the NEXT lane as read again
     /// after the mark was seen, and it always names a chunk: only a merge
     /// (or repair rolling a merge forward) zombifies a chunk, it does so
@@ -180,9 +195,8 @@ pub(crate) enum ChunkRead {
     /// that the merge then drained, and so skip the split's new chunk,
     /// which holds the moved keys (the torn zombie view).
     Zombie { next: u32 },
-    /// A live view no pre-read word certified. `unlocked` is its LOCK lane
-    /// when that shows the chunk unlocked.
-    Live { unlocked: Option<u64> },
+    /// A live view no pre-read word certified.
+    Live(L),
     /// A live view whose LOCK lane repeats, unlocked, the lock word the
     /// caller observed before the read.
     Certified(Certified),
@@ -247,9 +261,11 @@ impl ChunkView {
                 }
                 ChunkRead::Zombie { next: Entry(regs[N - 2]).val() }
             }
-            LOCK_UNLOCKED if before == Some(lock) => ChunkRead::Certified(Certified(lock)),
-            LOCK_UNLOCKED => ChunkRead::Live { unlocked: Some(lock) },
-            _ => ChunkRead::Live { unlocked: None },
+            LOCK_UNLOCKED if before == Some(lock) => {
+                ChunkRead::Certified(Certified { chunk: ch.base / N as u32, word: lock })
+            }
+            LOCK_UNLOCKED => ChunkRead::Live(Some(lock)),
+            _ => ChunkRead::Live(None),
         }
     }
 
@@ -262,7 +278,7 @@ impl ChunkView {
         if self.is_zombie(team) {
             ChunkRead::Zombie { next: self.next(team) }
         } else {
-            ChunkRead::Live { unlocked: None }
+            ChunkRead::Live(None)
         }
     }
 
@@ -487,17 +503,17 @@ pub mod ops {
         pool.cas(addr, cur, (cur & !LOCK_STATE_MASK) | LOCK_LOCKED).ok().map(|_| Held(idx))
     }
 
-    /// One CAS from exactly `from`, the unlocked word that certified a view
-    /// of chunk `idx`, to its locked form, with no read first. It succeeds
+    /// One CAS at the chunk `from` certified a view of, from exactly its
+    /// unlocked word to its locked form, with no read first. It succeeds
     /// only if no writer has held the chunk since the view was read: every
     /// release bumps the version, zombie marking changes the state bits,
     /// and a recycled chunk continues its old version sequence.
     #[inline]
-    pub(crate) fn try_lock_from<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, idx: u32, from: Certified) -> Option<Held> {
-        let addr = lock_addr(team, chunk_ref(team, idx));
+    pub(crate) fn try_lock_from<P: MemProbe>(team: &Team, pool: &WordPool, probe: &mut P, from: Certified) -> Option<Held> {
+        let addr = lock_addr(team, chunk_ref(team, from.chunk));
         probe.crash_point(CrashPoint::LockCas);
         probe.atomic(addr);
-        pool.cas(addr, from.0, from.0 | LOCK_LOCKED).ok().map(|_| Held(idx))
+        pool.cas(addr, from.word, from.word | LOCK_LOCKED).ok().map(|_| Held(from.chunk))
     }
 
     /// Release a held lock to the word `to` names. The one release: the
@@ -713,13 +729,14 @@ mod tests {
         let mut v = ChunkView::BLANK;
         let mut read = |before| v.reload(&team, &pool, &mut NoProbe, ch, before);
         write_chunk(&pool, 0, &[(5, 0)], 5, 64, LOCK_VERSION_UNIT);
-        assert_eq!(read(None), ChunkRead::Live { unlocked: Some(LOCK_VERSION_UNIT) });
-        assert_eq!(read(Some(LOCK_UNLOCKED)), ChunkRead::Live { unlocked: Some(LOCK_VERSION_UNIT) });
-        assert_eq!(read(Some(LOCK_VERSION_UNIT)), ChunkRead::Certified(Certified(LOCK_VERSION_UNIT)));
+        assert_eq!(read(None), ChunkRead::Live(Some(LOCK_VERSION_UNIT)));
+        assert_eq!(read(Some(LOCK_UNLOCKED)), ChunkRead::Live(Some(LOCK_VERSION_UNIT)));
+        let cert = Certified { chunk: 0, word: LOCK_VERSION_UNIT };
+        assert_eq!(read(Some(LOCK_VERSION_UNIT)), ChunkRead::Certified(cert));
         // A held chunk certifies nothing, not even against its own word.
         let held = LOCK_VERSION_UNIT | LOCK_LOCKED;
         write_chunk(&pool, 0, &[(5, 0)], 5, 64, held);
-        assert_eq!(read(Some(held)), ChunkRead::Live { unlocked: None });
+        assert_eq!(read(Some(held)), ChunkRead::Live(None));
         write_chunk(&pool, 0, &[(5, 0)], 5, 64, LOCK_ZOMBIE);
         assert_eq!(read(Some(LOCK_ZOMBIE)), ChunkRead::Zombie { next: 64 });
     }
@@ -796,13 +813,13 @@ mod tests {
         // from the old word fails, and one from the new word succeeds.
         let held = ops::try_lock(&team, &pool, &mut NoProbe, 0).unwrap();
         ops::release(&team, &pool, &mut NoProbe, held, Release::Unlock);
-        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, seen).is_none());
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, seen).is_none());
         let now = certify();
-        let held = ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).expect("upgrades from the current word");
-        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).is_none(), "held");
+        let held = ops::try_lock_from(&team, &pool, &mut NoProbe, now).expect("upgrades from the current word");
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, now).is_none(), "held");
         // A zombie keeps its version but not its state bits.
         ops::release(&team, &pool, &mut NoProbe, held, Release::Zombify);
-        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, 0, now).is_none());
+        assert!(ops::try_lock_from(&team, &pool, &mut NoProbe, now).is_none());
     }
 
     #[test]

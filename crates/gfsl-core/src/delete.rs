@@ -115,15 +115,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         enclosing: &mut [u32; gfsl_simt::WARP_SIZE],
     ) -> usize {
         let mut top = 0;
-        let descended = self.descended_view().filter(|&(c, ..)| c == path.at(self.list, 1));
-        if let Some((c, cert, seen)) = descended {
+        let descended = self.descended_view().filter(|&(cert, _)| cert.chunk() == path.at(self.list, 1));
+        if let Some((cert, seen)) = descended {
             let holds = seen.contains_key(&self.list.team, k);
-            if crate::bug_knobs::stale_level_probe() || self.lock_word_of(c) == cert.word() {
+            if crate::bug_knobs::stale_level_probe() || self.recertify(cert) {
                 if !holds {
                     return 0;
                 }
                 top = 1;
-                enclosing[1] = c;
+                enclosing[1] = cert.chunk();
             }
         }
         while top + 1 < self.list.params.max_levels() {

@@ -62,7 +62,6 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     continue;
                 }
                 ChunkRead::Certified(cert) => cert,
-                ChunkRead::Live { .. } => unreachable!("a bracketed read settles only certified"),
             };
             let max = view.max(&team);
             let enclosed = moved[i..].partition_point(|&k| k <= max);
@@ -75,10 +74,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 Some(&k) => {
                     // The view encloses `k`: its upgrade is the lock, and
                     // only a writer since sends the lock walking.
-                    let p_upper = match self.upgrade(cur, cert) {
-                        Some(held) => held,
-                        None => self.find_and_lock_enclosing(cur, k, &mut view),
-                    };
+                    let (p_upper, _) = self.upgrade_or_walk(cert, k, &mut view);
                     let max = view.max(&team);
                     while i < moved.len() && moved[i] <= max {
                         self.repair_locked(&p_upper, &view, moved[i], target);

@@ -117,12 +117,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let mut noted = false;
         let mut view = ChunkView::BLANK;
         loop {
-            let (c, cert) = self.next_live_certified(cur, &mut view);
+            let cert = self.next_live_certified(cur, &mut view);
             if !noted {
                 // The first live chunk encloses `lo`: cache it as the next
                 // scan's descent shortcut.
                 noted = true;
-                self.note_hint(c, Some(cert.word()));
+                self.note_hint(cert.chunk(), Some(cert.word()));
             }
             if emit.chunk(&team, &view, cert) {
                 break;

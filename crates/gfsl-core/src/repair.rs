@@ -279,7 +279,7 @@ impl<P: MemProbe> GfslHandle<'_, P> {
             let (level, chunk) = cursor;
             let mut view = ChunkView::BLANK;
             let read = self.read_chunk_into(chunk, None, &mut view);
-            if let ChunkRead::Live { unlocked: Some(word) } = read {
+            if let ChunkRead::Live(Some(word)) = read {
                 if !chunk_rules(&team, &view, level, chunk).is_empty() {
                     // Certify before counting: the first read may have torn
                     // across an active writer's stores.

@@ -44,12 +44,12 @@ impl UpdatePath {
 /// the update that ran it.
 pub(crate) struct DescentViews {
     bufs: [ChunkView; 2],
-    /// The level-1 chunk the last update-path descent stepped down
-    /// through, the word that certified its view, and the buffer holding
+    /// The token that certified the last update-path descent's view of
+    /// the level-1 chunk it stepped down through, and the buffer holding
     /// that view; `None` when that read did not certify, when the descent
     /// left level 1 by a backtrack, and from the start of every later
     /// descent, which reuses the buffers.
-    level1: Option<(u32, Certified, usize)>,
+    level1: Option<(Certified, usize)>,
 }
 
 impl DescentViews {
@@ -145,9 +145,10 @@ pub(crate) struct LateralResult {
 }
 
 impl LateralResult {
-    /// A result whose final view `cert` certified.
-    fn certified_by(enclosing: u32, found: Option<(LaneId, u32)>, cert: Certified) -> LateralResult {
-        LateralResult { enclosing, found, unlocked: Some(cert.word()), certified: Some(cert) }
+    /// A result whose final view `cert` certified: it ended in
+    /// `cert`'s chunk.
+    fn certified_by(found: Option<(LaneId, u32)>, cert: Certified) -> LateralResult {
+        LateralResult { enclosing: cert.chunk(), found, unlocked: Some(cert.word()), certified: Some(cert) }
     }
 }
 
@@ -195,16 +196,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// another chunk read: the validation bracket doubles as the negative-
     /// answer certification, so both `Found` and `NotFound` are immediate.
     pub(crate) fn hinted_lateral(&mut self, k: u32) -> LateralResult {
-        if let Some((c, cert)) = self.hint_start(k) {
+        if let Some(cert) = self.hint_start(k) {
             // `hint_start` left the validated snapshot in `self.hint_view`,
             // certified by `cert`.
             let team = self.list.team;
             match tid_with_equal_key(&team, k, &self.hint_view) {
                 LateralStep::Found(lane) => {
                     let found = Some((lane, self.hint_view.entry(lane).val()));
-                    return LateralResult::certified_by(c, found, cert);
+                    return LateralResult::certified_by(found, cert);
                 }
-                LateralStep::NotFound => return LateralResult::certified_by(c, None, cert),
+                LateralStep::NotFound => return LateralResult::certified_by(None, cert),
                 LateralStep::Continue => {
                     let next = self.hint_view.next(&team);
                     debug_assert_ne!(next, NIL);
@@ -230,7 +231,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             let mut cur = h.list.head_of(0);
             let mut view = ChunkView::BLANK;
             loop {
-                let (_, cert) = h.next_live_certified(cur, &mut view);
+                let cert = h.next_live_certified(cur, &mut view);
                 if let Some(e) = lowest_live(&team, &view, cert) {
                     return Some((e.key(), e.val()));
                 }
@@ -278,12 +279,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// The certified level-1 view the last update-path descent stepped
-    /// down to level 0 through: its chunk, the word that certified it, and
-    /// the view. `None` when that read did not certify, the descent left
-    /// level 1 by a backtrack or restart, or another descent ran since.
-    pub(crate) fn descended_view(&self) -> Option<(u32, Certified, &ChunkView)> {
+    /// down to level 0 through, with the token that certified it (which
+    /// names its chunk). `None` when that read did not certify, the descent
+    /// left level 1 by a backtrack or restart, or another descent ran
+    /// since.
+    pub(crate) fn descended_view(&self) -> Option<(Certified, &ChunkView)> {
         let views = self.descend_views.as_deref()?;
-        views.level1.map(|(c, cert, at)| (c, cert, &views.bufs[at]))
+        views.level1.map(|(cert, at)| (cert, &views.bufs[at]))
     }
 
     /// [`Self::descend`]'s loop over the two view buffers it lends, swapped
@@ -353,7 +355,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                         cur = nz;
                     }
                     ChunkRead::Certified(c) => cert = Some(c),
-                    ChunkRead::Live { .. } => {}
+                    ChunkRead::Live(_) => {}
                 }
                 let view = &views.bufs[at];
                 match tid_for_next_step(&team, k, view) {
@@ -377,7 +379,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                                 self.heal_keys[height] = view.entry(lane).key();
                             }
                             if height == 1 {
-                                views.level1 = cert.map(|c| (cur, c, at));
+                                views.level1 = cert.map(|c| (c, at));
                             }
                         }
                         steps = 0;
@@ -479,10 +481,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // stepped through too (an update's zombie hops are not heal steps).
         let mut moves = 0u32;
         loop {
-            let mut seen = LateralStep::NotFound; // on the live read `settled` accepts
-            let settled = |v: &ChunkView| {
-                seen = tid_with_equal_key(&team, k, v);
-                seed_reader || seen != LateralStep::NotFound
+            // A live view settles with its vote, unless that is a
+            // `NotFound`.
+            let settled = |v: &ChunkView, unlocked| {
+                let step = tid_with_equal_key(&team, k, v);
+                (seed_reader || step != LateralStep::NotFound).then_some((unlocked, step))
             };
             let before = self.lock_word_of(cur);
             let (cert, unlocked, step) = match self.read_certified(cur, Some(before), view, settled) {
@@ -502,7 +505,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     }
                     continue;
                 }
-                ChunkRead::Live { unlocked } => (None, unlocked, seen),
+                ChunkRead::Live((unlocked, step)) => (None, unlocked, step),
                 ChunkRead::Certified(cert) => (Some(cert), Some(cert.word()), tid_with_equal_key(&team, k, view)),
             };
             // A long walk that settles on a chunk other than the tail marks
@@ -535,8 +538,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 // Only a `Found` settles uncertified: a key is one atomic word.
                 return Some(LateralResult { enclosing: cur, found, unlocked, certified: None });
             };
-            self.stash_hint_view(cur, view, cert);
-            return Some(LateralResult::certified_by(cur, found, cert));
+            self.stash_hint_view(view, cert);
+            return Some(LateralResult::certified_by(found, cert));
         }
     }
 
@@ -557,9 +560,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// §4.2.2: "the redirection is performed lazily by calling try-lock on
     /// the previous chunk; if the lock fails the team continues").
     pub(crate) fn redirect_past_zombies(&mut self, prev: u32, old_next: u32, new_next: u32, level: usize) {
-        let Some(held) = self.try_acquire(prev, None) else {
+        let Some(held) = ops::try_lock(&self.list.team, &self.list.pool, &mut self.probe, prev) else {
             return;
         };
+        self.stats.locks_taken += 1;
+        self.held.acquired(prev);
         self.swing_past_zombies(&held, old_next, new_next, level);
         self.unlock(held);
     }
@@ -773,6 +778,38 @@ mod tests {
         let b_word = list.pool.read(ops::lock_addr(&team, list.chunk(b)));
         assert_eq!(r.certified.map(Certified::word), Some(b_word));
         assert_eq!((view.lock_word(&team), view.entry(1).key()), (b_word, 40), "B's view is left");
+    }
+
+    /// `lock_next_chunk` over a zombie run: the walk locks the run's first
+    /// live chunk, reading each chunk once and taking one CAS; the held
+    /// chunk's next swings past the run, which is retired once, chunk by
+    /// chunk.
+    #[test]
+    fn lock_next_chunk_locks_past_a_zombie_run_and_retires_it() {
+        let list = small_list();
+        let team = list.team;
+        let b = raw_chunk(&list, &[(30, 3)], KEY_INF, NIL, LOCK_UNLOCKED);
+        let z2 = raw_chunk(&list, &[(25, 9)], 25, b, LOCK_ZOMBIE);
+        let z1 = raw_chunk(&list, &[(21, 9)], 21, z2, LOCK_ZOMBIE);
+        let a = raw_chunk(&list, &[(10, 1)], 20, z1, LOCK_UNLOCKED);
+        let mut h = list.handle();
+        let mut view = ChunkView::BLANK;
+        let held_a = h.find_and_lock_enclosing(a, 10, &mut view);
+        let before = h.stats();
+        let held_b = h.lock_next_chunk(&held_a, 0, &mut view).expect("a live chunk follows the run");
+        let after = h.stats();
+        assert_eq!(held_b.chunk(), b);
+        assert_eq!(view.entry(0).key(), 30, "b's view is left");
+        assert_eq!(
+            (after.chunk_reads - before.chunk_reads, after.locks_taken - before.locks_taken, after.lock_retries),
+            (3, 1, 0),
+            "z1, z2 and b read once each, b locked by one CAS"
+        );
+        assert_eq!(after.zombie_unlinks - before.zombie_unlinks, 1);
+        assert_eq!(list.reclaim.stats().retired, 2, "z1 and z2");
+        h.unlock(held_b);
+        h.unlock(held_a);
+        assert_eq!(h.read_chunk(a).next(&team), b);
     }
 
     #[test]

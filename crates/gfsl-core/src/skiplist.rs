@@ -1,6 +1,7 @@
 //! The GFSL structure and per-thread operation handles.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::convert::Infallible;
 use std::sync::Mutex;
 
 use gfsl_gpu_mem::{
@@ -785,9 +786,9 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// incarnation and unmutated since) and starts its lateral walk there,
     /// skipping the descent entirely.
     hint0: Option<Hint0>,
-    /// The chunk [`hint_view`](Self::hint_view) is a snapshot of, with the
+    /// The chunk [`hint_view`](Self::hint_view) is a snapshot of, and the
     /// word that certified it.
-    hint_view_of: Option<(u32, Certified)>,
+    hint_view_of: Option<Certified>,
     /// Fat bottom-level hint: the last certified snapshot this handle's
     /// traversals produced. When the next lookup's [`hint0`](Self::hint0)
     /// names the same `(chunk, word)` pair, [`hint_start`](Self::hint_start)
@@ -830,18 +831,14 @@ pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) journal: OpJournal,
 }
 
-/// A cached bottom-level traversal hint (see [`GfslHandle`]). Beyond the
-/// `(chunk, lock word)` pair, the hint carries the reclaimer epoch at
-/// capture time: lock-word versions are monotonic across recycling (see
-/// `take_chunk`), but the epoch tag additionally bounds how *old* a hint
-/// may be — a hint that survived two reclaim epochs has had time for its
-/// chunk to be retired, verified, recycled, and re-churned, so it is
-/// dropped outright rather than trusted to a word comparison.
+/// A cached bottom-level traversal hint (see [`GfslHandle`]): a chunk and
+/// a lock word observed unlocked there. Lock-word versions are monotonic
+/// across recycling (see `take_chunk`), so however many reclaim epochs
+/// have passed, an equal word names the same incarnation, unwritten since.
 #[derive(Debug, Clone, Copy)]
 struct Hint0 {
     chunk: u32,
     word: u64,
-    epoch: u64,
 }
 
 /// Unregisters a handle's epoch slot when the handle drops. A separate
@@ -917,9 +914,11 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// The one certify loop: read `index` into `view` until the read is a
     /// zombie, is [`Certified`], or is a live view `settled` accepts as it
-    /// is. Each retry is certified against the previous read's own LOCK
-    /// lane; `before`, when the caller read the lock word first, does that
-    /// for the first read, so a quiescent chunk certifies on one read.
+    /// is: `settled` gets the view and its unlocked LOCK lane, if any, and
+    /// its `Some` is the read's [`ChunkRead::Live`]. Each retry is
+    /// certified against the previous read's own LOCK lane; `before`, when
+    /// the caller read the lock word first, does that for the first read,
+    /// so a quiescent chunk certifies on one read.
     ///
     /// A single ascending-order team read can miss a key that a concurrent
     /// `executeRemove` shifts toward lower lanes across the read cursor,
@@ -927,18 +926,23 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// only from a certified one. A retry after a read that had a word to
     /// compare against waits first ([`Self::certify_backoff`]): a writer
     /// held the chunk. One chunk's reads are one wait episode.
-    pub(crate) fn read_certified(
+    pub(crate) fn read_certified<L>(
         &mut self,
         index: u32,
         mut before: Option<u64>,
         view: &mut ChunkView,
-        mut settled: impl FnMut(&ChunkView) -> bool,
-    ) -> ChunkRead {
+        mut settled: impl FnMut(&ChunkView, Option<u64>) -> Option<L>,
+    ) -> ChunkRead<L> {
         let mut waits = 0;
         loop {
-            let read = self.read_chunk_into(index, before, view);
-            if !matches!(read, ChunkRead::Live { .. }) || settled(view) {
-                return read;
+            match self.read_chunk_into(index, before, view) {
+                ChunkRead::Zombie { next } => return ChunkRead::Zombie { next },
+                ChunkRead::Certified(cert) => return ChunkRead::Certified(cert),
+                ChunkRead::Live(unlocked) => {
+                    if let Some(live) = settled(view, unlocked) {
+                        return ChunkRead::Live(live);
+                    }
+                }
             }
             if before.is_some() {
                 self.certify_backoff(&mut waits, index);
@@ -952,24 +956,33 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// [`Self::lock_word_of`], as the lateral walk reads each chunk. A
     /// chunk no writer overlapped is certified by one team read, and an
     /// overlapped one by the first read that repeats the previous read's
-    /// own unlocked word.
-    pub(crate) fn read_bracketed(&mut self, index: u32, view: &mut ChunkView) -> ChunkRead {
+    /// own unlocked word. It settles on nothing else: the token, or a
+    /// zombie's `next`.
+    pub(crate) fn read_bracketed(&mut self, index: u32, view: &mut ChunkView) -> ChunkRead<Infallible> {
         let before = self.lock_word_of(index);
-        self.read_certified(index, Some(before), view, |_| false)
+        self.read_certified(index, Some(before), view, |_, _| None)
     }
 
     /// The first non-zombie chunk at-or-right of `cur`, with its certified
-    /// snapshot in `view` and the word that certified it: the zombie-stepping
-    /// caller of [`Self::read_certified`], and the chunk step of the
-    /// bottom-level scans (`min_entry`, range iteration).
-    pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> (u32, Certified) {
+    /// snapshot in `view`, as the token that certified it: the
+    /// zombie-stepping caller of [`Self::read_certified`], and the chunk
+    /// step of the bottom-level scans (`min_entry`, range iteration).
+    pub(crate) fn next_live_certified(&mut self, mut cur: u32, view: &mut ChunkView) -> Certified {
         loop {
-            match self.read_certified(cur, None, view, |_| false) {
+            match self.read_certified::<Infallible>(cur, None, view, |_, _| None) {
                 ChunkRead::Zombie { next } => cur = next,
-                ChunkRead::Certified(cert) => return (cur, cert),
-                ChunkRead::Live { .. } => unreachable!("no live view settles uncertified"),
+                ChunkRead::Certified(cert) => return cert,
             }
         }
+    }
+
+    /// Does `cert` still certify its view? One read of its chunk's lock
+    /// word, equal to the token's word: no writer held the chunk since
+    /// the view was read, so the view is the chunk's content now. The one
+    /// re-certify, of the fat hint and of the descent's level-1 view.
+    #[inline]
+    pub(crate) fn recertify(&mut self, cert: Certified) -> bool {
+        self.lock_word_of(cert.chunk()) == cert.word()
     }
 
     /// Run `f` with this handle's epoch slot pinned. A pin never nests
@@ -1191,13 +1204,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Validate the bottom-level hint against `k` and return its chunk with
-    /// the word that certifies its snapshot, leaving the snapshot in
+    /// Validate the bottom-level hint against `k` and return the token that
+    /// certifies its chunk's snapshot, leaving the snapshot in
     /// [`hint_view`](Self::hint_view), or `None` (clearing the hint) on miss.
     ///
     /// Validity argument: re-reading the hinted chunk and seeing the *same
     /// unlocked lock word* proves no writer completed (versions bump on
-    /// every unlock, monotonically across recycling) or is active, so the
+    /// every unlock, monotonically across recycling: a recycled
+    /// incarnation never repeats a word, however many reclaim epochs
+    /// passed) or is active, so the
     /// fresh view's data is an authentic consistent snapshot of a live
     /// bottom-level chunk. Its entry 0 is then the chunk's minimum, and
     /// `min <= k` places `k`'s enclosing chunk at-or-right of the hint:
@@ -1206,28 +1221,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// can never come to hold `k`. The cached word was read before the
     /// view's data lanes, so the read certifies the view against it, and a
     /// negative answer derived from it needs no re-read.
-    pub(crate) fn hint_start(&mut self, k: u32) -> Option<(u32, Certified)> {
+    pub(crate) fn hint_start(&mut self, k: u32) -> Option<Certified> {
         if !self.hint_live {
             return None;
         }
-        let Hint0 { chunk: c, word: w, epoch } = self.hint0?;
-        // Reclamation guard: if the reclaimer advanced two or more epochs
-        // since the hint was captured, the hinted chunk may have completed
-        // a full retire→verify→recycle cycle in the meantime. Versions stay
-        // monotonic across recycling, so the word compare below would still
-        // reject a recycled incarnation — this epoch tag is defense in
-        // depth against any future free-list path that loses that
-        // monotonicity (and it keeps pathologically stale hints from ever
-        // reaching the compare).
-        if self.list.reclaim.epoch().wrapping_sub(epoch) >= 2 {
-            self.stats.hint_misses += 1;
-            // The snapshot is as old as the hint it certified; the same
-            // defense-in-depth retires it.
-            self.clear_hint();
-            return None;
-        }
+        let Hint0 { chunk: c, word: w } = self.hint0?;
         let team = self.list.team;
-        let stashed = self.hint_view_of.filter(|&(of, _)| of == c).map(|(_, cert)| cert);
+        let stashed = self.hint_view_of.filter(|cert| cert.chunk() == c);
         if stashed.is_some() {
             // Too far right to be worth walking to, judged on the snapshot's
             // lanes alone — stale or not, they are only a density estimate —
@@ -1246,9 +1246,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // moved to a chunk we have no snapshot of.
         if let Some(cert) = stashed.filter(|cert| cert.word() == w) {
             self.stats.skip_reads += 1;
-            if self.lock_word_of(c) == w && self.hint_view.entry(0).key() <= k {
+            if self.recertify(cert) && self.hint_view.entry(0).key() <= k {
                 self.stats.hint_hits += 1;
-                return Some((c, cert));
+                return Some(cert);
             }
             // Either the chunk mutated since the snapshot (the word
             // changed, so a full re-read would fail the same compare) or
@@ -1265,9 +1265,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         match self.read_chunk_into(c, Some(w), &mut view) {
             ChunkRead::Certified(cert) if view.entry(0).key() <= k => {
                 self.stats.hint_hits += 1;
-                self.hint_view_of = Some((c, cert));
+                self.hint_view_of = Some(cert);
                 self.hint_view = view;
-                Some((c, cert))
+                Some(cert)
             }
             _ => {
                 self.stats.hint_misses += 1;
@@ -1277,13 +1277,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Stash a certified view as the fat bottom-level hint, so a later
-    /// [`Self::hint_start`] for the same `(chunk, word)` can revalidate it
-    /// with a single lock-lane read.
+    /// Stash the view `cert` certified as the fat bottom-level hint, so a
+    /// later [`Self::hint_start`] for the same `(chunk, word)` can
+    /// revalidate it with a single lock-lane read.
     #[inline]
-    pub(crate) fn stash_hint_view(&mut self, chunk: u32, view: &ChunkView, cert: Certified) {
+    pub(crate) fn stash_hint_view(&mut self, view: &ChunkView, cert: Certified) {
         if self.hint_live {
-            self.hint_view_of = Some((chunk, cert));
+            self.hint_view_of = Some(cert);
             self.hint_view = *view;
         }
     }
@@ -1311,11 +1311,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// unlocked observation is available, leaving the previous hint alone.
     #[inline]
     pub(crate) fn note_hint(&mut self, chunk: u32, word: Option<u64>) {
-        if self.hint_live {
-            if let Some(w) = word {
-                let epoch = self.list.reclaim.epoch();
-                self.hint0 = Some(Hint0 { chunk, word: w, epoch });
-            }
+        if let (true, Some(word)) = (self.hint_live, word) {
+            self.hint0 = Some(Hint0 { chunk, word });
         }
     }
 
@@ -1334,101 +1331,97 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Spin until the chunk that *encloses* `k` is locked, walking right
-    /// past zombies and smaller-max chunks (paper Algorithm 4.8).
+    /// past zombies and smaller-max chunks (paper Algorithm 4.8): the one
+    /// loop that locks a chunk it reads.
     ///
     /// Returns the locked chunk's lock, with its content in `view`. `start`
     /// must be at-or-left of the enclosing chunk, which the caller
     /// guarantees from traversal invariants (the max field only
     /// decreases). Each chunk is read once, against its lock word read
-    /// first, and the lock is that read's upgrade ([`Self::take_lock`]):
-    /// the CAS succeeds only if no writer held the chunk since, so the
-    /// view that showed it enclosing `k` is its content under the lock,
-    /// where Algorithm 4.8 re-reads it (DESIGN §4, §12).
+    /// first, and the lock is that read's [`Self::upgrade`]: the CAS
+    /// succeeds only if no writer held the chunk since, so the view that
+    /// showed it enclosing `k` is its content under the lock, where
+    /// Algorithm 4.8 re-reads it (DESIGN §4, §12). A view no word certified
+    /// (a writer held the chunk, or released it during the read), or a
+    /// failed CAS, counts a lock retry and backs off.
     pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
         let team = self.list.team;
         let mut ch = start;
         let mut spins = 0u32;
         loop {
             let before = self.lock_word_of(ch);
-            let read = self.read_chunk_into(ch, Some(before), view);
-            // Not enclosing `k` (`chunkNotEnclosing`): a zombie, or a live
-            // chunk whose `max < k < ∞`, which is no level's last.
-            if let ChunkRead::Zombie { next } = read {
-                ch = next;
-                continue;
-            }
-            if view.max(&team) < k {
-                ch = view.next(&team);
-                debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
-                continue;
-            }
-            if let Some(held) = self.take_lock(ch, read, &mut spins) {
+            let cert = match self.read_chunk_into(ch, Some(before), view) {
+                // Not enclosing `k` (`chunkNotEnclosing`): a zombie, or a
+                // live chunk whose `max < k < ∞`, which is no level's last.
+                ChunkRead::Zombie { next } => {
+                    ch = next;
+                    continue;
+                }
+                _ if view.max(&team) < k => {
+                    ch = view.next(&team);
+                    debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
+                    continue;
+                }
+                ChunkRead::Certified(cert) => Some(cert),
+                ChunkRead::Live(_) => {
+                    self.stats.lock_retries += 1;
+                    None
+                }
+            };
+            if let Some(held) = cert.and_then(|cert| self.upgrade(cert)) {
                 return held;
             }
+            self.lock_backoff(&mut spins, ch);
+        }
+    }
+
+    /// Lock the chunk `cert` certified the view in `view` of, by that
+    /// view's [`Self::upgrade`] when no writer held the chunk since, else
+    /// by [`Self::find_and_lock_enclosing`] from it: the one way a view in
+    /// hand becomes a lock (the bottom lock, the descent's level-1 view,
+    /// the down-pointer repair's bracketed read). `view` must enclose `k`.
+    /// Returns the lock, its content in `view`, and whether that is still
+    /// the certified view (no chunk read).
+    pub(crate) fn upgrade_or_walk(&mut self, cert: Certified, k: u32, view: &mut ChunkView) -> (Held, bool) {
+        match self.upgrade(cert) {
+            Some(held) => (held, true),
+            None => (self.find_and_lock_enclosing(cert.chunk(), k, view), false),
         }
     }
 
     /// [`Self::find_and_lock_enclosing`] from `start`, unless the last
     /// update-path descent's certified view of `start` is in hand
     /// ([`Self::descended_view`]) and encloses `k`: then it is copied into
-    /// `view` and upgraded ([`Self::upgrade`]), and no chunk is read. The
-    /// first level of an update's climb, and a remove's level-1 lock.
+    /// `view` and locked by [`Self::upgrade_or_walk`]. The first level of
+    /// an update's climb, and a remove's level-1 lock.
     pub(crate) fn lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
         let team = self.list.team;
-        if let Some((c, cert, seen)) = self.descended_view() {
-            if c == start && seen.max(&team) >= k {
+        match self.descended_view() {
+            Some((cert, seen)) if cert.chunk() == start && seen.max(&team) >= k => {
                 *view = *seen;
-                if let Some(held) = self.upgrade(start, cert) {
-                    return held;
-                }
+                self.upgrade_or_walk(cert, k, view).0
             }
+            _ => self.find_and_lock_enclosing(start, k, view),
         }
-        self.find_and_lock_enclosing(start, k, view)
     }
 
-    /// One attempt at `ch`'s lock from `read`, a fresh read of it: an
-    /// [`Self::upgrade`] of a certified view. A view no word certified (a
-    /// writer held the chunk, or released it during the read), or a failed
-    /// CAS, counts a lock retry and backs off (`None`).
-    fn take_lock(&mut self, ch: u32, read: ChunkRead, spins: &mut u32) -> Option<Held> {
-        let held = match read {
-            ChunkRead::Certified(cert) => self.upgrade(ch, cert),
-            _ => {
-                self.stats.lock_retries += 1;
-                None
-            }
-        };
-        if held.is_none() {
-            self.lock_backoff(spins, ch);
-        }
-        held
-    }
-
-    /// Lock `ch` by one CAS from `cert`, the word that certified a view of
-    /// it: on success that view is the chunk's content under the lock; a
-    /// failed CAS (a writer held the chunk since) counts a lock retry.
-    pub(crate) fn upgrade(&mut self, ch: u32, cert: Certified) -> Option<Held> {
-        let held = self.try_acquire(ch, Some(cert));
-        if held.is_none() {
-            self.stats.lock_retries += 1;
-        }
-        held
-    }
-
-    /// The acquire step: one CAS at `ch`'s lock — from `from`, the word
-    /// that certified a view of it, or else from the word it reads now —
-    /// and, when it wins, the lock counted and tracked as held
-    /// ([`HeldLocks::acquired`]).
-    pub(crate) fn try_acquire(&mut self, ch: u32, from: Option<Certified>) -> Option<Held> {
+    /// Lock the chunk `cert` names by one CAS from its word, the word that
+    /// certified a view of it: on success that view is the chunk's content
+    /// under the lock, counted and tracked as held ([`HeldLocks::acquired`]);
+    /// a failed CAS (a writer held the chunk since) counts a lock retry.
+    pub(crate) fn upgrade(&mut self, cert: Certified) -> Option<Held> {
         let (team, pool) = (&self.list.team, &self.list.pool);
-        let held = match from {
-            Some(cert) if !crate::bug_knobs::stale_lock_upgrade() => {
-                ops::try_lock_from(team, pool, &mut self.probe, ch, cert)
-            }
-            _ => ops::try_lock(team, pool, &mut self.probe, ch),
-        }?;
+        let held = if crate::bug_knobs::stale_lock_upgrade() {
+            ops::try_lock(team, pool, &mut self.probe, cert.chunk())
+        } else {
+            ops::try_lock_from(team, pool, &mut self.probe, cert)
+        };
+        let Some(held) = held else {
+            self.stats.lock_retries += 1;
+            return None;
+        };
         self.stats.locks_taken += 1;
-        self.held.acquired(ch);
+        self.held.acquired(held.chunk());
         Some(held)
     }
 
@@ -1437,42 +1430,39 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `k` in it ([`ChunkView::place`]).
     ///
     /// When that view is certified (`res.certified`: its data lanes
-    /// bracketed by two reads of that unlocked word), one CAS from exactly
-    /// that word upgrades it: success proves no writer held the chunk since
-    /// the view was read, so `view` is still the chunk's content and neither of
-    /// [`Self::find_and_lock_enclosing`]'s two team reads is needed (DESIGN
-    /// §12). The walk's `res.found` is then `k`'s lane in it, and the view
-    /// is voted on again only to place an absent `k`. Any other outcome
-    /// falls back to that walk from the same chunk, a failed CAS counting
-    /// as a lock retry. Returns the chunk's lock and `k`'s placement, its
-    /// content in `view`.
+    /// bracketed by two reads of that unlocked word), it is locked by
+    /// [`Self::upgrade_or_walk`]: an upgrade proves no writer held the
+    /// chunk since the view was read, so `view` is still the chunk's
+    /// content and neither of [`Self::find_and_lock_enclosing`]'s two team
+    /// reads is needed (DESIGN §12). The walk's `res.found` is then `k`'s
+    /// lane in it, and the view is voted on again only to place an absent
+    /// `k`. An uncertified view walks from the same chunk. Returns the
+    /// chunk's lock and `k`'s placement, its content in `view`.
     pub(crate) fn lock_certified(&mut self, res: &LateralResult, k: u32, view: &mut ChunkView) -> (Held, Result<LaneId, usize>) {
         let team = self.list.team;
-        if let Some(cert) = res.certified {
-            if let Some(held) = self.upgrade(res.enclosing, cert) {
-                let placed = match res.found {
-                    Some((lane, _)) => {
-                        debug_assert_eq!(view.lane_of_key(&team, k), Some(lane), "the certified view is the chunk's");
-                        Ok(lane)
-                    }
-                    None => view.place(&team, k),
-                };
-                return (held, placed);
+        let (held, upgraded) = match res.certified {
+            Some(cert) => self.upgrade_or_walk(cert, k, view),
+            None => (self.find_and_lock_enclosing(res.enclosing, k, view), false),
+        };
+        let placed = match res.found {
+            Some((lane, _)) if upgraded => {
+                debug_assert_eq!(view.lane_of_key(&team, k), Some(lane), "the certified view is the chunk's");
+                Ok(lane)
             }
-        }
-        let held = self.find_and_lock_enclosing(res.enclosing, k, view);
-        (held, view.place(&team, k))
+            _ => view.place(&team, k),
+        };
+        (held, placed)
     }
 
     /// Lock the first non-zombie chunk right of the held chunk `ch`,
     /// unlinking any zombies skipped by rewriting `ch`'s next pointer, and
-    /// leave its content in `view`: each chunk is read once against its
-    /// lock word and locked by that read's upgrade ([`Self::take_lock`]).
-    /// Returns `None` when `ch` is the last chunk in its level;
-    /// past that one check, the walk steps only through zombies, each by
-    /// its [`ChunkRead::Zombie`] `next`, which always names a chunk.
-    /// `level` is the level `ch` lives in, so unlinked zombies can be
-    /// retired for reclamation.
+    /// leave its content in `view`. Returns `None` when `ch` is the last
+    /// chunk in its level. Past that one read of `ch`'s NEXT lane, this is
+    /// [`Self::find_and_lock_enclosing`] for `-∞`, which every live chunk
+    /// encloses: the walk steps only through zombies, each by its
+    /// [`ChunkRead::Zombie`] `next`, which always names a chunk. `level`
+    /// is the level `ch` lives in, so unlinked zombies can be retired for
+    /// reclamation.
     pub(crate) fn lock_next_chunk(&mut self, ch: &Held, level: usize, view: &mut ChunkView) -> Option<Held> {
         let team = self.list.team;
         let first_next =
@@ -1480,25 +1470,13 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if first_next == NIL {
             return None;
         }
-        let mut cur = first_next;
-        let mut spins = 0u32;
-        loop {
-            let before = self.lock_word_of(cur);
-            let read = self.read_chunk_into(cur, Some(before), view);
-            if let ChunkRead::Zombie { next } = read {
-                cur = next;
-                continue;
-            }
-            let Some(held) = self.take_lock(cur, read, &mut spins) else {
-                continue;
-            };
-            if cur != first_next {
-                // Unlink the zombies we skipped. `ch`'s next still reads
-                // `first_next`: only its lock holder, this team, writes it.
-                self.swing_past_zombies(ch, first_next, cur, level);
-            }
-            return Some(held);
+        let held = self.find_and_lock_enclosing(first_next, KEY_NEG_INF, view);
+        if held.chunk() != first_next {
+            // Unlink the zombies we skipped. `ch`'s next still reads
+            // `first_next`: only its lock holder, this team, writes it.
+            self.swing_past_zombies(ch, first_next, held.chunk(), level);
         }
+        Some(held)
     }
 
     /// An operation's unlock of a held chunk ([`Release::Unlock`]).
@@ -2248,43 +2226,110 @@ mod tests {
         h.unlock(locked);
     }
 
+    /// Every view in hand becomes a lock through [`GfslHandle::upgrade_or_walk`]:
+    /// the bottom lock over a search's view, a remove's level-1 lock over
+    /// its descent's view, and the down-pointer repair over its bracketed
+    /// read. On a quiescent chunk each is one CAS and no chunk read; on a
+    /// chunk another handle locked and released since, the CAS fails (a
+    /// lock retry), and the walk reads the chunk once and locks it by that
+    /// read's upgrade, a second CAS.
     #[test]
     fn a_certified_view_written_since_falls_back_to_the_locking_walk() {
-        let list = Gfsl::new(GfslParams::default()).unwrap();
-        let team = list.team;
-        let mut h = list.handle();
-        for k in [10, 20, 30, 40] {
-            h.insert(k, k).unwrap();
+        #[derive(Default)]
+        struct Cas(u64);
+        impl MemProbe for Cas {
+            fn warp_read(&mut self, _: &[gfsl_gpu_mem::WordAddr]) {}
+            fn warp_write(&mut self, _: &[gfsl_gpu_mem::WordAddr]) {}
+            fn lane_read(&mut self, _: gfsl_gpu_mem::WordAddr) {}
+            fn lane_write(&mut self, _: gfsl_gpu_mem::WordAddr) {}
+            fn atomic(&mut self, _: gfsl_gpu_mem::WordAddr) {
+                self.0 += 1;
+            }
         }
-        // Quiescent: the search's view is certified and one CAS locks it,
-        // with no chunk read.
-        let mut view = ChunkView::BLANK;
-        let (found, _) = h.search_slow(25, &mut view);
-        assert!(found.certified.is_some(), "a quiescent chunk's view is certified");
-        let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
-        let (p, placed) = h.lock_certified(&found, 25, &mut view);
-        assert_eq!((h.stats().chunk_reads, h.stats().lock_retries), (reads, retries));
-        assert_eq!(placed, Err(3), "after -inf, 10 and 20");
-        h.unlock(p);
+        #[derive(Debug, Clone, Copy)]
+        enum InHand {
+            Bottom,
+            Level1,
+            DownPtr,
+        }
 
-        // A second handle writes the chunk between the search and the lock.
-        let (found, _) = h.search_slow(25, &mut view);
-        assert!(found.certified.is_some());
-        list.handle().insert(15, 15).unwrap();
-        let (reads, retries) = (h.stats().chunk_reads, h.stats().lock_retries);
-        let (p, placed) = h.lock_certified(&found, 25, &mut view);
-        assert_eq!(h.stats().lock_retries, retries + 1, "the failed CAS is a retry");
-        assert_eq!(h.stats().chunk_reads, reads + 1, "one read, which the walk's lock upgrades");
-        assert!(view.contains_key(&team, 15), "the view is the chunk's");
-        assert_eq!(placed, Err(4), "placed in the re-read view, after 15");
-        h.unlock(p);
-
-        // The other handle's key survived, and the insert the lock was
-        // taken for goes in next to it (`lock-upgrade-2t` explores the race
-        // inside one op).
-        assert!(h.insert(25, 25).unwrap());
-        assert_eq!(list.keys(), vec![10, 15, 20, 25, 30, 40]);
+        let list = list16();
+        let team = list.team;
+        let mut h = list.handle_with(Cas::default());
+        for k in 1..=400u32 {
+            h.insert(k * 10, k).unwrap();
+        }
+        // A key the index holds at level 1.
+        let level1 = list.head_of(1);
+        let raised = h.read_chunk(level1).keys_live(&team).lowest().map(|lane| h.read_chunk(level1).entry(lane).key());
+        let k = raised.expect("400 keys raise some to level 1");
+        for caller in [InHand::Bottom, InHand::Level1, InHand::DownPtr] {
+            for written in [false, true] {
+                let mut view = ChunkView::BLANK;
+                let (found, path) = h.search_slow(k, &mut view);
+                let cert = match caller {
+                    InHand::Bottom => found.certified,
+                    InHand::Level1 => h.descended_view().map(|(cert, _)| cert),
+                    InHand::DownPtr => match h.read_bracketed(path.at(&list, 1), &mut view) {
+                        ChunkRead::Certified(cert) => Some(cert),
+                        ChunkRead::Zombie { .. } => None,
+                    },
+                };
+                let cert = cert.unwrap_or_else(|| panic!("{caller:?}: a quiescent chunk's view is certified"));
+                if written {
+                    let mut other = list.handle();
+                    let mut seen = ChunkView::BLANK;
+                    let held = other.find_and_lock_enclosing(cert.chunk(), k, &mut seen);
+                    other.unlock(held);
+                }
+                let before = (h.stats().chunk_reads, h.stats().lock_retries, h.probe.0);
+                let held = match caller {
+                    InHand::Bottom => {
+                        let (held, placed) = h.lock_certified(&found, k, &mut view);
+                        assert_eq!(placed, view.place(&team, k), "{caller:?}: placed in the view that is the chunk's");
+                        held
+                    }
+                    InHand::Level1 => h.lock_enclosing(cert.chunk(), k, &mut view),
+                    InHand::DownPtr => h.upgrade_or_walk(cert, k, &mut view).0,
+                };
+                let cost = (h.stats().chunk_reads - before.0, h.stats().lock_retries - before.1, h.probe.0 - before.2);
+                let n = u64::from(written);
+                assert_eq!(cost, (n, n, 1 + n), "{caller:?}, written since: {written}");
+                assert_eq!(held.chunk(), cert.chunk());
+                assert!(view.contains_key(&team, k), "{caller:?}: the view is the chunk's");
+                h.unlock(held);
+            }
+        }
+        assert_eq!(h.remove(k), Some(k / 10));
         list.assert_valid();
+    }
+
+    /// A bottom-level hint whose chunk no writer touched still hits however
+    /// many reclamation epochs pass: the word compare alone tells a
+    /// recycled incarnation apart, and the fat hint's one lock-word read
+    /// re-certifies the cached view, so the lookup reads no chunk.
+    #[test]
+    fn an_untouched_hint_hits_across_reclamation_epochs() {
+        let list = list16();
+        let mut h = list.handle();
+        for k in 1..=400u32 {
+            h.insert(k * 10, k).unwrap();
+        }
+        h.hint_live = true;
+        assert_eq!(h.get(2_000), Some(200));
+        let epoch = list.reclaim.epoch();
+        list.reclaim.try_advance();
+        list.reclaim.try_advance();
+        assert_eq!(list.reclaim.epoch(), epoch + 2);
+        let before = h.stats();
+        assert_eq!(h.get(2_010), Some(201));
+        let after = h.stats();
+        assert_eq!(
+            (after.hint_hits - before.hint_hits, after.hint_misses - before.hint_misses),
+            (1, 0),
+            "the hint survives the epochs"
+        );
+        assert_eq!(after.chunk_reads, before.chunk_reads, "answered from the cached view");
     }
 
     /// A lock nobody quarantined, as a stalled live writer holds it: an

@@ -148,9 +148,10 @@ fn concurrent_churn_recycles_and_stays_valid() {
 /// The sorted call's traversal hint must stay safe across chunk
 /// reclamation. Within one key-sorted batch the hint can name a chunk that
 /// the batch's own later updates merge away, retire, reclaim, and
-/// reinitialize under a different key range; the hint's `(lock word,
-/// reclaim epoch)` guard must reject such hints so a hinted lookup never
-/// trusts a recycled incarnation. (A hint idling *between* calls — an idle
+/// reinitialize under a different key range; the hint's `(chunk, lock
+/// word)` compare must reject such hints so a hinted lookup never trusts a
+/// recycled incarnation. The hint carries no reclaim epoch: a recycled
+/// chunk continues its release versions, so its words never repeat. (A hint idling *between* calls — an idle
 /// handle's hint going generations stale — is unreachable outside `mc`,
 /// whose workers keep `hint_live` set across per-op calls: a sorted call
 /// clears the hint on entry and nothing consults it outside one.)
