@@ -150,15 +150,10 @@ pub struct ChunkView {
 /// before the view's data lanes were read, and repeated, unlocked, by the
 /// view's own LOCK lane, read after them. Every entry move happens under
 /// the chunk lock and every release bumps the word's version, so no entry
-/// moved while such a view was read. Only [`ChunkView::reload`] mints one,
-/// and it is the only word a lock upgrade CASes from. The token names its
-/// chunk, so a word is only ever compared with, or CASed at, the chunk
-/// whose read it certified.
+/// moved while such a view was read. Only [`ChunkView::reload`] mints one;
+/// a lock upgrade CASes from nothing else, and only at the chunk it names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Certified {
-    chunk: u32,
-    word: u64,
-}
+pub(crate) struct Certified { chunk: u32, word: u64 }
 
 impl Certified {
     /// The certified chunk's index.
@@ -178,10 +173,9 @@ impl Certified {
 /// [`ChunkView::reload`]. A decision asserting that a key is absent from
 /// the view (a lateral `NotFound`, a range emit, a minimum) needs
 /// `Certified`; a zombie step needs `Zombie` and follows its `next`.
-///
-/// `L` is what a live view no word certified carries: its LOCK lane when
-/// unlocked, from one read; what the certify loop's `settled` made of it,
-/// from that loop, which `Infallible` says never stops on such a view.
+/// `L` is what an uncertified live view carries: from one read, its LOCK
+/// lane when unlocked; from the certify loop, what its `settled` made of
+/// it (`Infallible`: the loop never stops on one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkRead<L = Option<u64>> {
     /// The LOCK lane read ZOMBIE. `next` is the NEXT lane as read again
@@ -261,9 +255,7 @@ impl ChunkView {
                 }
                 ChunkRead::Zombie { next: Entry(regs[N - 2]).val() }
             }
-            LOCK_UNLOCKED if before == Some(lock) => {
-                ChunkRead::Certified(Certified { chunk: ch.base / N as u32, word: lock })
-            }
+            LOCK_UNLOCKED if before == Some(lock) => ChunkRead::Certified(Certified { chunk: ch.base / N as u32, word: lock }),
             LOCK_UNLOCKED => ChunkRead::Live(Some(lock)),
             _ => ChunkRead::Live(None),
         }
@@ -286,6 +278,13 @@ impl ChunkView {
     #[inline]
     pub fn entry(&self, lane: LaneId) -> Entry {
         Entry(self.regs[lane])
+    }
+
+    /// Put `e` in lane `lane`: a writer keeps the image it stores into a
+    /// chunk it holds, where a read would only fetch it back.
+    #[inline]
+    pub(crate) fn set(&mut self, lane: LaneId, e: Entry) {
+        self.regs[lane] = e.0;
     }
 
     /// The chunk's max field (key half of the NEXT entry).

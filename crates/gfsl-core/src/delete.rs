@@ -179,7 +179,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             self.journal.committed = commit;
         }
         if last && level > 0 {
-            self.note_possible_level_empty(&p_enc, level);
+            self.note_possible_level_empty(&p_enc, view, level);
         }
         self.unlock(p_enc);
     }
@@ -196,12 +196,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let (dying, absorber) = (p_enc.chunk(), p_next.chunk());
         if nview.num_keys(&team) + view.num_keys(&team) - 1 > team.dsize() as u32 {
             // The absorber is too full: split it first (splitRemove).
+            // On success `nview` is the absorber's image after the split.
             if self.split_remove(&p_next, nview, level).is_err() {
                 self.unlock(p_next);
                 return Err(p_enc);
             }
             self.list.inc_level_chunks(level);
-            self.read_chunk_into(absorber, None, nview);
         }
         // Journal the merge before the copy so a crash between the
         // copy and the zombie mark rolls the merge *forward* (the
@@ -338,15 +338,15 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// After emptying the last chunk of an upper level, mark the level
     /// unused when it holds nothing but `-∞` (paper: "the chunk counter for
-    /// that level is decremented to show that the level is empty").
-    fn note_possible_level_empty(&mut self, p_enc: &Held, level: usize) {
+    /// that level is decremented to show that the level is empty"), counted
+    /// from `view`, the held chunk before it lost one user key.
+    fn note_possible_level_empty(&mut self, p_enc: &Held, view: &ChunkView, level: usize) {
         let team = self.list.team;
         if self.list.head_of(level) != p_enc.chunk() {
             return; // not the only chunk in the level
         }
-        let v = self.read_chunk(p_enc.chunk());
-        let live = v.num_keys(&team);
-        let only_sentinel = live == 0 || (live == 1 && v.entry(0).key() == KEY_NEG_INF);
+        let live = view.num_keys(&team) - 1;
+        let only_sentinel = live == 0 || (live == 1 && view.entry(0).key() == KEY_NEG_INF);
         if only_sentinel {
             // We hold the level's only chunk locked, so no split can race.
             self.list.level_chunks[level].store(0, Ordering::Relaxed);

@@ -145,8 +145,7 @@ pub(crate) struct LateralResult {
 }
 
 impl LateralResult {
-    /// A result whose final view `cert` certified: it ended in
-    /// `cert`'s chunk.
+    /// A result whose final view `cert` certified, in `cert`'s chunk.
     fn certified_by(found: Option<(LaneId, u32)>, cert: Certified) -> LateralResult {
         LateralResult { enclosing: cert.chunk(), found, unlocked: Some(cert.word()), certified: Some(cert) }
     }
@@ -279,10 +278,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// The certified level-1 view the last update-path descent stepped
-    /// down to level 0 through, with the token that certified it (which
-    /// names its chunk). `None` when that read did not certify, the descent
-    /// left level 1 by a backtrack or restart, or another descent ran
-    /// since.
+    /// down to level 0 through, with the token that certified it. `None`
+    /// when that read did not certify, the descent left level 1 by a
+    /// backtrack or restart, or another descent ran since.
     pub(crate) fn descended_view(&self) -> Option<(Certified, &ChunkView)> {
         let views = self.descend_views.as_deref()?;
         views.level1.map(|(cert, at)| (cert, &views.bufs[at]))
@@ -481,8 +479,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // stepped through too (an update's zombie hops are not heal steps).
         let mut moves = 0u32;
         loop {
-            // A live view settles with its vote, unless that is a
-            // `NotFound`.
+            // A live view settles with its vote, unless a `NotFound`.
             let settled = |v: &ChunkView, unlocked| {
                 let step = tid_with_equal_key(&team, k, v);
                 (seed_reader || step != LateralStep::NotFound).then_some((unlocked, step))

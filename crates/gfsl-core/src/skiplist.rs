@@ -783,9 +783,10 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// Bottom-level traversal hint: the last bottom chunk this handle's
     /// reads touched, with the lock word observed unlocked there. A later
     /// lookup revalidates the pair (word equality ⇒ the chunk is the same
-    /// incarnation and unmutated since) and starts its lateral walk there,
-    /// skipping the descent entirely.
-    hint0: Option<Hint0>,
+    /// incarnation and unmutated since: versions rise across recycling, see
+    /// `take_chunk`, so no reclaim epoch is kept) and starts its lateral
+    /// walk there, skipping the descent entirely.
+    hint0: Option<(u32, u64)>,
     /// The chunk [`hint_view`](Self::hint_view) is a snapshot of, and the
     /// word that certified it.
     hint_view_of: Option<Certified>,
@@ -829,16 +830,6 @@ pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) batch_order: Vec<u64>,
     /// Commit point of the op in flight; reset by [`Self::contained`].
     pub(crate) journal: OpJournal,
-}
-
-/// A cached bottom-level traversal hint (see [`GfslHandle`]): a chunk and
-/// a lock word observed unlocked there. Lock-word versions are monotonic
-/// across recycling (see `take_chunk`), so however many reclaim epochs
-/// have passed, an equal word names the same incarnation, unwritten since.
-#[derive(Debug, Clone, Copy)]
-struct Hint0 {
-    chunk: u32,
-    word: u64,
 }
 
 /// Unregisters a handle's epoch slot when the handle drops. A separate
@@ -914,11 +905,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
 
     /// The one certify loop: read `index` into `view` until the read is a
     /// zombie, is [`Certified`], or is a live view `settled` accepts as it
-    /// is: `settled` gets the view and its unlocked LOCK lane, if any, and
-    /// its `Some` is the read's [`ChunkRead::Live`]. Each retry is
-    /// certified against the previous read's own LOCK lane; `before`, when
-    /// the caller read the lock word first, does that for the first read,
-    /// so a quiescent chunk certifies on one read.
+    /// is (`settled` gets it with its unlocked LOCK lane; its `Some` is the
+    /// `Live`). Each retry is certified against the previous read's own
+    /// LOCK lane; `before`, when the caller read the lock word first, does
+    /// that for the first read, so a quiescent chunk certifies on one read.
     ///
     /// A single ascending-order team read can miss a key that a concurrent
     /// `executeRemove` shifts toward lower lanes across the read cursor,
@@ -956,8 +946,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// [`Self::lock_word_of`], as the lateral walk reads each chunk. A
     /// chunk no writer overlapped is certified by one team read, and an
     /// overlapped one by the first read that repeats the previous read's
-    /// own unlocked word. It settles on nothing else: the token, or a
-    /// zombie's `next`.
+    /// own unlocked word: the token, or a zombie's `next`, and nothing else.
     pub(crate) fn read_bracketed(&mut self, index: u32, view: &mut ChunkView) -> ChunkRead<Infallible> {
         let before = self.lock_word_of(index);
         self.read_certified(index, Some(before), view, |_, _| None)
@@ -976,10 +965,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Does `cert` still certify its view? One read of its chunk's lock
-    /// word, equal to the token's word: no writer held the chunk since
-    /// the view was read, so the view is the chunk's content now. The one
-    /// re-certify, of the fat hint and of the descent's level-1 view.
+    /// The one re-certify (fat hint, level probe): does one read of
+    /// `cert`'s chunk's lock word repeat its word? Then no writer held the
+    /// chunk since, and the view it certified is the chunk's content now.
     #[inline]
     pub(crate) fn recertify(&mut self, cert: Certified) -> bool {
         self.lock_word_of(cert.chunk()) == cert.word()
@@ -1210,9 +1198,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     ///
     /// Validity argument: re-reading the hinted chunk and seeing the *same
     /// unlocked lock word* proves no writer completed (versions bump on
-    /// every unlock, monotonically across recycling: a recycled
-    /// incarnation never repeats a word, however many reclaim epochs
-    /// passed) or is active, so the
+    /// every unlock, monotonically across recycling, however many reclaim
+    /// epochs passed) or is active, so the
     /// fresh view's data is an authentic consistent snapshot of a live
     /// bottom-level chunk. Its entry 0 is then the chunk's minimum, and
     /// `min <= k` places `k`'s enclosing chunk at-or-right of the hint:
@@ -1225,7 +1212,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         if !self.hint_live {
             return None;
         }
-        let Hint0 { chunk: c, word: w } = self.hint0?;
+        let (c, w) = self.hint0?;
         let team = self.list.team;
         let stashed = self.hint_view_of.filter(|cert| cert.chunk() == c);
         if stashed.is_some() {
@@ -1312,7 +1299,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     #[inline]
     pub(crate) fn note_hint(&mut self, chunk: u32, word: Option<u64>) {
         if let (true, Some(word)) = (self.hint_live, word) {
-            self.hint0 = Some(Hint0 { chunk, word });
+            self.hint0 = Some((chunk, word));
         }
     }
 
@@ -1331,19 +1318,16 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// Spin until the chunk that *encloses* `k` is locked, walking right
-    /// past zombies and smaller-max chunks (paper Algorithm 4.8): the one
-    /// loop that locks a chunk it reads.
+    /// past zombies and smaller-max chunks (paper Algorithm 4.8).
     ///
     /// Returns the locked chunk's lock, with its content in `view`. `start`
     /// must be at-or-left of the enclosing chunk, which the caller
     /// guarantees from traversal invariants (the max field only
-    /// decreases). Each chunk is read once, against its lock word read
-    /// first, and the lock is that read's [`Self::upgrade`]: the CAS
-    /// succeeds only if no writer held the chunk since, so the view that
-    /// showed it enclosing `k` is its content under the lock, where
-    /// Algorithm 4.8 re-reads it (DESIGN §4, §12). A view no word certified
-    /// (a writer held the chunk, or released it during the read), or a
-    /// failed CAS, counts a lock retry and backs off.
+    /// decreases). The one loop that locks a chunk it reads: each chunk is
+    /// read once, against its lock word read first, and locked by that
+    /// read's [`Self::upgrade`], so the view that showed it enclosing `k` is
+    /// its content under the lock, where Algorithm 4.8 re-reads it (DESIGN
+    /// §4, §12). An uncertified view, or a failed CAS, is a lock retry.
     pub(crate) fn find_and_lock_enclosing(&mut self, start: u32, k: u32, view: &mut ChunkView) -> Held {
         let team = self.list.team;
         let mut ch = start;
@@ -1362,26 +1346,24 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     debug_assert_ne!(ch, NIL, "walked past the last chunk hunting for {k}");
                     continue;
                 }
-                ChunkRead::Certified(cert) => Some(cert),
+                ChunkRead::Certified(cert) => cert,
                 ChunkRead::Live(_) => {
                     self.stats.lock_retries += 1;
-                    None
+                    self.lock_backoff(&mut spins, ch);
+                    continue;
                 }
             };
-            if let Some(held) = cert.and_then(|cert| self.upgrade(cert)) {
+            if let Some(held) = self.upgrade(cert) {
                 return held;
             }
             self.lock_backoff(&mut spins, ch);
         }
     }
 
-    /// Lock the chunk `cert` certified the view in `view` of, by that
-    /// view's [`Self::upgrade`] when no writer held the chunk since, else
-    /// by [`Self::find_and_lock_enclosing`] from it: the one way a view in
-    /// hand becomes a lock (the bottom lock, the descent's level-1 view,
-    /// the down-pointer repair's bracketed read). `view` must enclose `k`.
-    /// Returns the lock, its content in `view`, and whether that is still
-    /// the certified view (no chunk read).
+    /// The one way a view in hand (`view`, enclosing `k`, certified by
+    /// `cert`) becomes a lock: its [`Self::upgrade`], or after a writer,
+    /// [`Self::find_and_lock_enclosing`] from its chunk. Returns the lock,
+    /// its content in `view`, and whether that is the certified view.
     pub(crate) fn upgrade_or_walk(&mut self, cert: Certified, k: u32, view: &mut ChunkView) -> (Held, bool) {
         match self.upgrade(cert) {
             Some(held) => (held, true),
@@ -1405,10 +1387,10 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         }
     }
 
-    /// Lock the chunk `cert` names by one CAS from its word, the word that
-    /// certified a view of it: on success that view is the chunk's content
-    /// under the lock, counted and tracked as held ([`HeldLocks::acquired`]);
-    /// a failed CAS (a writer held the chunk since) counts a lock retry.
+    /// Lock `cert`'s chunk by one CAS from its word: on success the view it
+    /// certified is the chunk's content under the lock, counted and tracked
+    /// as held ([`HeldLocks::acquired`]); a failed CAS (a writer held the
+    /// chunk since) counts a lock retry.
     pub(crate) fn upgrade(&mut self, cert: Certified) -> Option<Held> {
         let (team, pool) = (&self.list.team, &self.list.pool);
         let held = if crate::bug_knobs::stale_lock_upgrade() {

@@ -64,10 +64,11 @@ impl MovedKeys {
 }
 
 /// What the split body leaves its caller: the new chunk, still held and
-/// published right after the split chunk, the threshold key that is now
-/// the split chunk's max, and the keys moved into the new chunk.
+/// published right after the split chunk, its image, the threshold key
+/// that is now the split chunk's max, and the keys moved into the new chunk.
 struct Split {
     new: Held,
+    image: ChunkView,
     thresh: u32,
     moved: MovedKeys,
 }
@@ -79,9 +80,12 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// new chunk: `DSIZE/2` for Algorithm 4.9's half split, `DSIZE` for an
     /// append split, which moves none.
     ///
-    /// On error (pool exhausted) the next chunk is released again and
-    /// `p_split` stays held, the caller's to release.
-    fn split_copy(&mut self, p_split: &Held, view: &ChunkView, level: usize, from: usize) -> Result<Split, Error> {
+    /// Neither held chunk is read back: the data and NEXT lanes written
+    /// here are kept as `view`, now `p_split`'s image, and as the new
+    /// chunk's (LOCK lanes aside). On error (pool exhausted) the next
+    /// chunk is released again and `p_split` stays held, the caller's to
+    /// release.
+    fn split_copy(&mut self, p_split: &Held, view: &mut ChunkView, level: usize, from: usize) -> Result<Split, Error> {
         let team = self.list.team;
 
         // preSplit: lock the next chunk (unlinking zombies on the way), then
@@ -120,19 +124,22 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         let list = self.list;
         let nf = ops::read_next_field(&team, &list.pool, &mut self.probe, list.chunk(split));
         ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(new), nf.key(), nf.val());
+        let mut image = *view;
+        image.set(team.next_lane(), nf);
 
         // A chunk split by a merge may be only partially full (it need only
         // be too full to absorb its left neighbour): move the live entries
         // at positions >= from.
         let new_ch = list.chunk_words(new);
         let mut moved = MovedKeys::new();
-        for i in from..team.dsize() {
-            let e = view.entry(i);
-            if e.is_empty() {
-                break; // live entries are left-packed
+        for i in 0..team.dsize() {
+            // Allocated all EMPTY; live entries are left-packed.
+            let e = if from + i < team.dsize() { view.entry(from + i) } else { Entry::EMPTY };
+            image.set(i, e);
+            if !e.is_empty() {
+                moved.push(e.key());
+                ops::write_entry(&mut self.probe, new_ch, i, e);
             }
-            moved.push(e.key());
-            ops::write_entry(&mut self.probe, new_ch, i - from, e);
         }
         self.probe.crash_point(CrashPoint::SplitPublish);
         let max = if from == team.dsize() && crate::bug_knobs::append_split_keeps_max() {
@@ -141,18 +148,20 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             thresh
         };
         ops::write_next_field(&team, &list.pool, &mut self.probe, list.chunk(split), max, new);
+        view.set(team.next_lane(), Entry::new(max, new));
         if let Intent::Split { published, .. } = &mut self.held.intent {
             *published = true;
         }
         let split_ch = list.chunk_words(split);
         for i in (from..from + moved.as_slice().len()).rev() {
             ops::write_entry(&mut self.probe, split_ch, i, Entry::EMPTY);
+            view.set(i, Entry::EMPTY);
         }
         if let Some(n) = p_next {
             self.unlock(n);
         }
         self.stats.splits += 1;
-        Ok(Split { new: p_new, thresh, moved })
+        Ok(Split { new: p_new, image, thresh, moved })
     }
 
     /// Split the full, held chunk `p_split` and insert `(k, v)` into
@@ -175,7 +184,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // Append split: the level's last chunk, and k above every key in it.
         let appends = view.next(&team) == NIL && view.entry(dsize - 1).key() < k;
         let from = if appends { dsize } else { dsize / 2 };
-        let Split { new: p_new, thresh, moved } = match self.split_copy(&p_split, view, level, from) {
+        let mut split_view = *view;
+        let Split { new: p_new, image, thresh, moved } = match self.split_copy(&p_split, &mut split_view, level, from) {
             Ok(split) => split,
             Err(e) => {
                 self.unlock(p_split);
@@ -188,10 +198,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
         // half is unlocked. At level 0 the half holding k must stay locked
         // until the whole Insert completes.
         let new = p_new.chunk();
-        let (p_insert, other) = if k <= thresh { (p_split, p_new) } else { (p_new, p_split) };
-        let iv = self.read_chunk(p_insert.chunk());
+        let (p_insert, other, iv) = if k <= thresh { (p_split, p_new, &split_view) } else { (p_new, p_split, &image) };
         let index = iv.place(&team, k).expect_err("k is in neither half of the chunk it split");
-        self.execute_insert(&p_insert, &iv, index, k, v);
+        self.execute_insert(&p_insert, iv, index, k, v);
         if level == 0 {
             self.journal.committed = Some(Commit::Inserted(None));
         }
@@ -228,8 +237,9 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// Split a held chunk during a merge (`splitRemove`): the same split
     /// as the insert path's, but nothing is inserted and the new chunk is
     /// unlocked at once; `p_split` stays held by the caller, who keeps
-    /// responsibility for it on error too.
-    pub(crate) fn split_remove(&mut self, p_split: &Held, view: &ChunkView, level: usize) -> Result<(), Error> {
+    /// responsibility for it on error too. On success `view` is
+    /// `p_split`'s image after the split.
+    pub(crate) fn split_remove(&mut self, p_split: &Held, view: &mut ChunkView, level: usize) -> Result<(), Error> {
         let half = self.list.team.dsize() / 2;
         let Split { new: p_new, moved, .. } = self.split_copy(p_split, view, level, half)?;
         let new = p_new.chunk();
@@ -254,6 +264,28 @@ mod tests {
             ..Default::default()
         })
         .unwrap()
+    }
+
+    /// A split keeps the images it wrote: an insert that splits the full
+    /// chunk its search ended in reads only that chunk, whether it splits
+    /// at the half (55) or appends a new tail (140). No key is raised
+    /// (`p_chunk` 0), so nothing above level 0 is read either.
+    #[test]
+    fn a_split_reads_neither_half_back() {
+        for k in [55, 140] {
+            let list = Gfsl::new(GfslParams { team_size: TeamSize::Sixteen, p_chunk: 0.0, ..Default::default() }).unwrap();
+            let mut h = list.handle();
+            for key in (1..=13u32).map(|i| i * 10) {
+                h.insert(key, key).unwrap();
+            }
+            let before = h.stats();
+            assert!(h.insert(k, k).unwrap());
+            let after = h.stats();
+            assert_eq!(after.splits - before.splits, 1, "inserting {k} split the head");
+            assert_eq!(after.chunk_reads - before.chunk_reads, 1, "inserting {k} read its search's chunk only");
+            list.assert_valid();
+            assert!(list.keys().contains(&k));
+        }
     }
 
     /// The live level-0 chunks in chain order, each with its keys, after

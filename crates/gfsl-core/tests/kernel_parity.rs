@@ -181,20 +181,22 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// words are granted steps too (all six); and again when every chunk lock
 /// became the upgrade of a certified read and a remove's level probe began
 /// answering level 1 from its descent's view: one lock-word read where a
-/// chunk read and a re-read under the lock were (all six). `results/ab/`
-/// ("Turnstile fold", 21.md; "Update-path index maintenance", 26.md;
-/// "Certified lock upgrade", 28.md; "Append splits", 41.md; "Level heads
-/// on first use", 43.md; "Reclamation always on", 49.md; "One read per
-/// lock", 52.md) lists old → new. A
+/// chunk read and a re-read under the lock were (all six); and again when a
+/// split kept the images it wrote instead of reading its halves back (all
+/// six). `results/ab/` ("Turnstile fold", 21.md; "Update-path index
+/// maintenance", 26.md; "Certified lock upgrade", 28.md; "Append splits",
+/// 41.md; "Level heads on first use", 43.md; "Reclamation always on",
+/// 49.md; "One read per lock", 52.md; "Split images", 55.md) lists old →
+/// new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x7eae_bedd_d754_cfad,
-    0x39ac_a833_e64a_7031,
-    0x2401_3e5d_6d7a_814f,
-    0x8013_a9d6_cfe8_8bfb,
-    0x482e_72d1_0467_afba,
-    0x0e4c_de01_d116_50bf,
+    0x5e9d_d78a_a822_eee9,
+    0xbe93_34b9_ac99_73ce,
+    0x278b_e9fd_0040_e5db,
+    0x57b8_edcd_0d53_fd0c,
+    0x4e99_271e_a5b1_2e64,
+    0x87c6_5245_047a_b9d8,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules
