@@ -9,8 +9,9 @@
 //! (the staging grace), to skip the check that makes the certified
 //! bottom-lock upgrade safe, to publish an append split without lowering
 //! the split chunk's max, to skip the zombie view's NEXT re-read, to
-//! publish a new level head before writing it or to answer a remove's
-//! level probe from a view whose word was not read again, run the
+//! publish a new level head before writing it, to answer a remove's
+//! level probe from a view whose word was not read again or to start an
+//! update from a finger the epoch has moved past, run the
 //! bounded-exhaustive search on a small configuration, and assert the
 //! checker emits a counterexample (then flip it back and assert the pass).
 //!
@@ -18,7 +19,7 @@
 //! operation (one relaxed load per split, two per append split, one per
 //! physical remove / per verified reclamation batch / per bottom-lock
 //! upgrade / per zombie chunk read / per level head allocated / per level
-//! probe answered from the descent — noise even
+//! probe answered from the descent / per update — noise even
 //! on the hot path, and the hot paths are benchmarked with the knobs cold).
 //! They are `#[doc(hidden)]`-style test plumbing kept always-compiled so
 //! the release-build model-check binary can use them too; nothing outside
@@ -118,6 +119,14 @@ static STALE_LEVEL_PROBE: AtomicBool = AtomicBool::new(false);
 /// level's head — and walks out of its level.
 static EARLY_HEAD_PUBLISH: AtomicBool = AtomicBool::new(false);
 
+/// Start an update from its handle's finger whatever the epoch: drop the
+/// check that the global epoch has not advanced since the pin that
+/// recorded the finger's path. A chunk on that path can then be merged
+/// away, retired, recycled and reused by a split elsewhere between the
+/// handle's two updates, and the second one walks from the new
+/// incarnation — an insert lands outside its key's chunk.
+static FINGER_IGNORES_EPOCH: AtomicBool = AtomicBool::new(false);
+
 /// Serializes tests that touch the process-global knobs.
 static KNOB_TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -173,6 +182,12 @@ pub fn stale_level_probe() -> bool {
 #[inline]
 pub fn early_head_publish() -> bool {
     EARLY_HEAD_PUBLISH.load(Ordering::Relaxed)
+}
+
+/// True if an update trusts its finger across epoch advances.
+#[inline]
+pub fn finger_ignores_epoch() -> bool {
+    FINGER_IGNORES_EPOCH.load(Ordering::Relaxed)
 }
 
 /// Acquire the knob test lock, then set/clear the split knob. Restores on
@@ -249,6 +264,12 @@ pub fn early_head_publish_guard() -> KnobGuard {
 /// lock word, for the guard's lifetime.
 pub fn stale_level_probe_guard() -> KnobGuard {
     KnobGuard::set(&STALE_LEVEL_PROBE)
+}
+
+/// Let an update start from its finger across epoch advances for the
+/// guard's lifetime.
+pub fn finger_ignores_epoch_guard() -> KnobGuard {
+    KnobGuard::set(&FINGER_IGNORES_EPOCH)
 }
 
 /// Serialize a knob-adjacent test without setting any knob (for baseline

@@ -559,16 +559,20 @@ mod tests {
         list.assert_valid();
     }
 
-    /// The reads and locks one `remove(k)` takes, with the reads of its
-    /// search alone (the descent and the bottom walk).
-    fn remove_cost(h: &mut crate::skiplist::GfslHandle<'_, gfsl_gpu_mem::NoProbe>, k: u32) -> (u64, u64, u64) {
-        let reads = h.stats().chunk_reads;
+    /// The reads and locks one `remove(k)` takes on a fresh handle, which
+    /// has no finger to start from, with the reads of its search alone (the
+    /// descent and the bottom walk) taken on another fresh handle; and
+    /// whether it merged. `skip_repair` switches its down-pointer repair
+    /// off.
+    fn remove_cost(list: &Gfsl, k: u32, skip_repair: bool) -> (u64, u64, u64, bool) {
+        let mut h = list.handle();
         h.search_slow(k, &mut ChunkView::BLANK.clone());
-        let search = h.stats().chunk_reads - reads;
-        let before = h.stats();
+        let search = h.stats().chunk_reads;
+        let mut h = list.handle();
+        h.skip_downptr_repair = skip_repair;
         assert!(h.remove(k).is_some());
-        let after = h.stats();
-        (after.chunk_reads - before.chunk_reads, search, after.locks_taken - before.locks_taken)
+        let s = h.stats();
+        (s.chunk_reads, search, s.locks_taken, s.merges > 0)
     }
 
     /// Under its bottom lock a remove of a key that was never raised reads
@@ -577,11 +581,10 @@ mod tests {
     fn a_remove_of_an_unraised_key_reads_no_chunk_under_its_bottom_lock() {
         let list = tall_list16();
         let k = first_without(&list.level_keys(0), &list.level_keys(1));
-        let mut h = list.handle();
         // One read per level on the way down from the height (3), then the
         // bottom walk's one: the search's reads and nothing after them.
         assert_eq!(list.height(), 3);
-        assert_eq!(remove_cost(&mut h, k), (4, 4, 1));
+        assert_eq!(remove_cost(&list, k, false), (4, 4, 1, false));
         list.assert_valid();
     }
 
@@ -592,8 +595,7 @@ mod tests {
     fn a_remove_of_a_key_raised_to_level_1_locks_it_by_upgrade() {
         let list = tall_list16();
         let k = first_without(&list.level_keys(1), &list.level_keys(2));
-        let mut h = list.handle();
-        assert_eq!(remove_cost(&mut h, k), (5, 4, 2));
+        assert_eq!(remove_cost(&list, k, false), (5, 4, 2, false));
         assert!(!list.level_keys(1).contains(&k));
         list.assert_valid();
     }
@@ -608,11 +610,10 @@ mod tests {
         for k in 1..=20u32 {
             h.insert(k, k).unwrap();
         }
-        h.skip_downptr_repair = true;
+        drop(h);
         for k in 1..=13u32 {
-            let merges = h.stats().merges;
-            let (reads, search, locks) = remove_cost(&mut h, k);
-            if h.stats().merges > merges {
+            let (reads, search, locks, merged) = remove_cost(&list, k, true);
+            if merged {
                 assert_eq!((reads, locks), (search + 1, 2));
                 list.assert_valid();
                 return;

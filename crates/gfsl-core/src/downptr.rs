@@ -157,18 +157,24 @@ mod tests {
 
     /// A 600-key window sliding right by 3,000: inserts split the tail,
     /// removes merge the head (the `engine-churn` shape).
+    /// Every update descends (no finger), as the per-key pass's counts
+    /// were taken.
     fn monotone_window(h: &mut GfslHandle<'_, NoProbe>) {
         const W: u32 = 600;
         for k in 1..=W {
+            h.forget_fingers();
             h.insert(k, k).unwrap();
         }
         for k in 1..=3_000 {
+            h.forget_fingers();
             h.insert(k + W, k).unwrap();
+            h.forget_fingers();
             assert!(h.remove(k).is_some());
         }
     }
 
-    /// Seeded inserts and removes over 3,000 keys, half of each.
+    /// Seeded inserts and removes over 3,000 keys, half of each, each
+    /// descending as in [`monotone_window`].
     fn random_mix(h: &mut GfslHandle<'_, NoProbe>) {
         let mut x: u64 = 0x2545_F491_4F6C_DD1D;
         for _ in 0..30_000 {
@@ -176,6 +182,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let k = (x % 3_000 + 1) as u32;
+            h.forget_fingers();
             if x >> 63 == 0 {
                 h.insert(k, k).unwrap();
             } else {

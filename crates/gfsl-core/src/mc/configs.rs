@@ -327,6 +327,38 @@ pub fn all() -> Vec<McConfig> {
             max_steps: 20_000,
         },
         McConfig {
+            name: "finger-2t",
+            about: "an update started from its handle's finger vs. a merge that \
+                    kills the finger's chunk, the passes that recycle it and the \
+                    append split that reuses it (finger-epoch oracle)",
+            params: mc_params(),
+            prefill: four_chunk_prefill(),
+            // The bottom chunk `16 … 28` down to `16, 18, 20, 26, 28`, and
+            // the tail `44 … 56` filled to its fourteen entries.
+            setup: [removes(&[22, 24]), inserts(&[45, 47, 49, 51, 53, 55, 57])].concat(),
+            threads: vec![
+                // The remove leaves its path as the handle's finger, at
+                // the chunk `16, 20, 26, 28`; the insert starts from it
+                // unless an epoch advance came between, which the idle
+                // step, outside any pin, lets the other thread's passes
+                // take as far as they go.
+                vec![McOp::Remove(18), McOp::Idle, McOp::Insert(19, 1)],
+                // Merges that chunk into the next, unlinks and retires it
+                // (15 walks the bottom from the head chunk through it),
+                // sees it through both graces onto the free list, and
+                // splits the full tail by an append into it.
+                vec![
+                    McOp::Remove(20),
+                    McOp::Insert(15, 2),
+                    McOp::ReclaimPass,
+                    McOp::ReclaimPass,
+                    McOp::ReclaimPass,
+                    McOp::Insert(58, 3),
+                ],
+            ],
+            max_steps: 60_000,
+        },
+        McConfig {
             name: "split-append-2t",
             about: "append split (the full tail chunk moves nothing, the new \
                     chunk takes only the key) vs. reads and a remove of the \
@@ -598,6 +630,41 @@ mod tests {
         assert_eq!(list.level_keys(1), [2, 16, 30, 58]);
         assert_eq!(h.remove(58), Some(1));
         assert_eq!(list.level_keys(1), [2, 16, 30]);
+        list.assert_valid();
+    }
+
+    /// Run one after the other, the scripts of `finger-2t` recycle the
+    /// chunk the first thread's finger names into the new tail, right of
+    /// 19's chunk, and the passes expire the finger: the insert descends.
+    #[test]
+    fn finger_config_recycles_the_fingers_chunk_into_the_tail() {
+        let list = built("finger-2t");
+        let team = list.team;
+        let (mut a, mut b) = (list.handle(), list.handle());
+        assert_eq!(a.remove(18), Some(109));
+        let finger = a.read_chunk(list.head_of(0)).next(&team);
+        let keys: Vec<u32> = a.read_chunk(finger).live_entries(&team).map(|(_, e)| e.key()).collect();
+        assert_eq!(keys, [16, 20, 26, 28]);
+        assert_eq!(b.remove(20), Some(110));
+        assert_eq!(b.stats().merges, 1);
+        assert_eq!(b.insert(15, 2), Ok(true));
+        assert_eq!(list.reclaim_stats().retired, 1);
+        for _ in 0..3 {
+            b.run_pass(false);
+        }
+        assert_eq!(list.reclaim_stats().free_len, 1);
+        assert_eq!(b.insert(58, 3), Ok(true));
+        // Head chunk, the absorber, the old tail, the new tail.
+        let tail = (0..3).fold(list.head_of(0), |c, _| a.read_chunk(c).next(&team));
+        assert_eq!(tail, finger, "the append split's new chunk is the finger's");
+        assert_eq!(a.insert(19, 1), Ok(true));
+        assert_eq!(a.stats().finger_hits, 0, "the passes expired the finger");
+        list.assert_valid();
+        // Without them, the same insert starts from the remove's finger.
+        let list = built("finger-2t");
+        let mut a = list.handle();
+        assert_eq!((a.remove(18), a.insert(19, 1)), (Some(109), Ok(true)));
+        assert_eq!(a.stats().finger_hits, 1);
         list.assert_valid();
     }
 

@@ -77,6 +77,11 @@ pub enum McOp {
     /// advance goes through and its second does not — what it leaves in
     /// limbo is one advance short of its grace.
     StalledReclaimPass,
+    /// The thread is descheduled between two operations: one yield point
+    /// (the start gate's address) outside any pin. Every other yield point
+    /// of a script is a pool access inside an operation's pin, which holds
+    /// the epoch within one advance of it.
+    Idle,
 }
 
 /// A model-check configuration: a small, fully scripted concurrent run.
@@ -112,6 +117,10 @@ impl McConfig {
             assert_eq!(h.insert(k, v), Ok(true), "mc: prefill dup {k}");
         }
         for &op in &self.setup {
+            // Each setup update descends from the top level, as the scripts
+            // were written for: a finger would skip the descents that unlink
+            // and heal what a script sets up.
+            h.forget_fingers();
             let failed = matches!(
                 apply(&mut h, op),
                 Some((_, OpAction::Insert { ok: false, .. } | OpAction::Remove { ok: false }))
@@ -284,6 +293,10 @@ fn apply(h: &mut Handle<'_>, op: McOp) -> Option<(u32, OpAction)> {
         }
         McOp::StalledReclaimPass => {
             stalled_reclaim_pass(h);
+            return None;
+        }
+        McOp::Idle => {
+            schedule::yield_point(AccessKind::Load, SYNTH_START);
             return None;
         }
     })

@@ -39,23 +39,67 @@ impl UpdatePath {
     }
 }
 
+/// How many update fingers a handle keeps: one per end of a sliding
+/// window, where one update stream inserts and another removes.
+const FINGERS: usize = 2;
+
+/// Where one of a handle's recent updates ended (DESIGN §17): the path its
+/// search recorded, which an update of any key from `key` up may start
+/// from while the global epoch is still `epoch`.
+#[derive(Debug, Clone, Copy)]
+struct Finger {
+    /// The update's key: every level of `path` is at-or-left of the
+    /// enclosing chunk of every key at or above it.
+    key: u32,
+    /// The max of the bottom chunk the update ended in, as its last read
+    /// saw it: a key above it lies further right, where a descent is the
+    /// shorter way.
+    max: u32,
+    /// The epoch the update's pin announced; 0, which no pin announces,
+    /// for a finger never set.
+    epoch: u64,
+    path: UpdatePath,
+}
+
+impl Finger {
+    /// A finger no key starts from: `max` is below every user key.
+    const NONE: Finger = Finger { key: 0, max: 0, epoch: 0, path: UpdatePath([NIL; gfsl_simt::WARP_SIZE]) };
+}
+
 /// [`GfslHandle::descend`]'s two view buffers, lent to each descent and
-/// put back after it, and what an update-path descent leaves in them for
-/// the update that ran it.
+/// put back after it, what an update-path descent leaves in them for
+/// the update that ran it, and the handle's update fingers.
 pub(crate) struct DescentViews {
     bufs: [ChunkView; 2],
     /// The token that certified the last update-path descent's view of
     /// the level-1 chunk it stepped down through, and the buffer holding
     /// that view; `None` when that read did not certify, when the descent
-    /// left level 1 by a backtrack, and from the start of every later
-    /// descent, which reuses the buffers.
+    /// left level 1 by a backtrack, when the last update started from a
+    /// finger, and from the start of every later descent, which reuses
+    /// the buffers.
     level1: Option<(Certified, usize)>,
+    fingers: [Finger; FINGERS],
 }
 
 impl DescentViews {
-    /// Buffers no read has filled yet.
+    /// Buffers no read has filled yet, and no finger.
     fn new() -> Box<DescentViews> {
-        Box::new(DescentViews { bufs: [ChunkView::BLANK; 2], level1: None })
+        Box::new(DescentViews { bufs: [ChunkView::BLANK; 2], level1: None, fingers: [Finger::NONE; FINGERS] })
+    }
+
+    /// The finger an update of `k` starts from when the global epoch is
+    /// `now` (`Ok`): one whose pin's epoch `now` has not passed, whose key
+    /// is at most `k` and whose bottom chunk's max is at least `k`. Else
+    /// the finger its own path replaces (`Err`): an expired one, or the
+    /// one whose key is nearest `k`.
+    fn finger_for(&self, k: u32, now: u64) -> Result<usize, usize> {
+        let any_epoch = crate::bug_knobs::finger_ignores_epoch();
+        let live = |f: &Finger| now <= f.epoch || any_epoch;
+        if let Some(i) = self.fingers.iter().position(|f| live(f) && f.key <= k && k <= f.max) {
+            return Ok(i);
+        }
+        let rank = |f: &Finger| if live(f) { u64::from(f.key.abs_diff(k)) + 1 } else { 0 };
+        Err((0..FINGERS).min_by_key(|&i| rank(&self.fingers[i])).expect("a handle keeps fingers"))
     }
 }
 
@@ -423,7 +467,18 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     }
 
     /// The update-path search (`searchSlow`, Algorithm 4.6): `descend` with
-    /// a path, then [`Self::walk_lateral`] in update mode.
+    /// a path, then [`Self::walk_lateral`] in update mode — or, when one of
+    /// the handle's update fingers covers `k`, that walk from the bottom of
+    /// the finger's path, whose levels above it are this search's too.
+    /// Either way the search's path becomes a finger.
+    ///
+    /// A finger is safe to start from because keys only move right, so a
+    /// chunk at-or-left of its key's enclosing chunk is at-or-left of every
+    /// larger key's, and because no chunk the pinned update that recorded
+    /// it could reach is recycled before the global epoch has advanced
+    /// twice past that pin's ([`gfsl_gpu_mem::EpochReclaimer::pin`]): an
+    /// epoch still at the finger's when read after this update's own pin
+    /// cannot advance twice before this update unpins (DESIGN §17).
     ///
     /// `path.at(list, i)` = chunk in level `i` at-or-left of `k`'s enclosing
     /// chunk; levels the traversal never visited read as the level head.
@@ -431,11 +486,37 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// result's `certified` word, when there is one, brackets: what
     /// [`Self::lock_certified`] upgrades to the update's bottom lock.
     pub(crate) fn search_slow(&mut self, k: u32, view: &mut ChunkView) -> (LateralResult, UpdatePath) {
-        let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
-        let bottom = self.descend(k, 0, Some(&mut path)).expect("no structure is shorter than level 0");
-        let res = self.walk_lateral(k, bottom, Walk::Update, view).expect("an update walk has no budget");
+        let now = self.list.reclaim.epoch();
+        let mut views = self.descend_views.take().unwrap_or_else(DescentViews::new);
+        let (slot, mut path) = match views.finger_for(k, now) {
+            Ok(i) => {
+                self.stats.finger_hits += 1;
+                // No descent: nothing above level 0 is marked for the heal,
+                // and no level-1 view is in hand.
+                self.heal_levels = 0;
+                views.level1 = None;
+                (i, views.fingers[i].path)
+            }
+            Err(i) => {
+                let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
+                path.0[0] = self.descend_with(k, 0, Some(&mut path), &mut views).expect("no structure is shorter than level 0");
+                (i, path)
+            }
+        };
+        let res = self.walk_lateral(k, path.0[0], Walk::Update, view).expect("an update walk has no budget");
         path.0[0] = res.enclosing;
+        let max = view.max(&self.list.team);
+        views.fingers[slot] = Finger { key: k, max, epoch: self.pin_epoch, path };
+        self.descend_views = Some(views);
         (res, path)
+    }
+
+    /// Drop this handle's update fingers: its next updates descend from
+    /// the top level, as a fresh handle's do.
+    pub(crate) fn forget_fingers(&mut self) {
+        if let Some(views) = self.descend_views.as_deref_mut() {
+            views.fingers = [Finger::NONE; FINGERS];
+        }
     }
 
     /// The one lateral walk, in either [`Walk`] mode: right from `start` to
@@ -809,6 +890,82 @@ mod tests {
         assert_eq!(h.read_chunk(a).next(&team), b);
     }
 
+    /// A list of `n` keys, built by a handle of its own.
+    fn filled(n: u32) -> Gfsl {
+        let list = small_list();
+        let mut h = list.handle();
+        for k in 1..=n {
+            h.insert(2 * k, k).unwrap();
+        }
+        drop(h);
+        list
+    }
+
+    /// A finger covers the keys from its own up to its bottom chunk's max:
+    /// a larger key in that chunk starts from it, a smaller one descends.
+    /// 502 is in the chunk 501 goes into: the chunk enclosing 502, or the
+    /// one whose max, 500, sends 501 on to 502's.
+    #[test]
+    fn a_key_below_a_fingers_key_descends() {
+        let list = filled(500);
+        let mut h = list.handle();
+        assert_eq!(h.insert(501, 1), Ok(true));
+        assert_eq!(h.stats().finger_hits, 0, "a fresh handle descends");
+        assert_eq!(h.remove(502), Some(251));
+        assert_eq!(h.stats().finger_hits, 1);
+        // Below the finger's key, in its chunk: a descent, one read a level.
+        let reads = h.stats().chunk_reads;
+        assert_eq!(h.insert(499, 1), Ok(true));
+        assert_eq!(h.stats().finger_hits, 1);
+        assert!(h.stats().chunk_reads - reads > list.height() as u64, "a descent reads every level");
+        // Above it again: the insert's own finger.
+        assert_eq!(h.insert(500, 2), Ok(false));
+        assert_eq!(h.stats().finger_hits, 2);
+        list.assert_valid();
+    }
+
+    /// A reclaim pass advances the epoch between two updates: the second
+    /// descends, though its key is just above the first's.
+    #[test]
+    fn a_reclaim_pass_between_two_updates_expires_the_finger() {
+        let list = filled(500);
+        let mut h = list.handle();
+        assert_eq!(h.insert(501, 1), Ok(true));
+        assert_eq!(h.remove(502), Some(251));
+        assert_eq!(h.stats().finger_hits, 1);
+        let epoch = list.reclaim.epoch();
+        h.reclaim_pass().unwrap();
+        assert!(list.reclaim.epoch() > epoch);
+        assert_eq!(h.insert(502, 1), Ok(true));
+        assert_eq!(h.stats().finger_hits, 1, "the pass expired both fingers");
+        assert_eq!(h.remove(502), Some(1));
+        assert_eq!(h.stats().finger_hits, 2, "the insert's path is a finger again");
+        list.assert_valid();
+    }
+
+    /// The sliding window of `engine-churn` (one handle, every op a write,
+    /// reclamation running): the inserts at the right end and the removes
+    /// at the left each start from their own finger between passes.
+    #[test]
+    fn a_sliding_window_reads_under_two_and_a_half_chunks_per_op() {
+        const WINDOW: u32 = 4_096;
+        let list = Gfsl::new(GfslParams::default()).unwrap();
+        let mut h = list.handle();
+        for k in 1..=WINDOW {
+            h.insert(k, k).unwrap();
+        }
+        h.reset_stats();
+        for k in 1..=16_384 {
+            assert_eq!(h.insert(WINDOW + k, WINDOW + k), Ok(true));
+            assert_eq!(h.remove(k), Some(k));
+        }
+        let s = h.stats();
+        let per_op = s.chunk_reads as f64 / s.total_ops() as f64;
+        assert!(per_op <= 2.4, "{per_op:.3} chunk reads per op");
+        assert!(s.finger_hits * 2 > s.total_ops(), "{} finger hits", s.finger_hits);
+        list.assert_valid();
+    }
+
     #[test]
     fn path_levels_above_the_descent_read_as_heads() {
         let list = small_list();
@@ -822,12 +979,14 @@ mod tests {
             assert_eq!(path.at(&list, lvl), list.head_of(lvl));
         }
         // Taller: the levels the descent left are its choices, at-or-left
-        // of the key's enclosing chunk; the ones above read as heads.
+        // of the key's enclosing chunk; the ones above read as heads. A
+        // fresh handle searches, so no finger stands in for the descent.
         for k in 1..=2_000u32 {
             h.insert(k, k).unwrap();
         }
         let height = list.height();
         assert!(height >= 2);
+        let mut h = list.handle();
         let (_, path) = h.search_slow(1_500, &mut view);
         for lvl in 0..list.params.max_levels() {
             let c = path.at(&list, lvl);

@@ -427,6 +427,7 @@ impl Gfsl {
             stats: OpStats::new(),
             held: HeldLocks::new(self),
             reclaim_slot: ReclaimGuard { list: self, slot },
+            pin_epoch: 0,
             hint_live: false,
             hint0: None,
             hint_view_of: None,
@@ -772,6 +773,9 @@ pub struct GfslHandle<'a, P: MemProbe> {
     pub(crate) held: HeldLocks<'a>,
     /// This handle's epoch slot; unregisters itself on drop.
     reclaim_slot: ReclaimGuard<'a>,
+    /// The epoch the operation in flight, or the last one, pinned at
+    /// ([`Self::with_pin`]): what an update stamps its finger with.
+    pub(crate) pin_epoch: u64,
     /// Whether operations consult and record the bottom-level hint below:
     /// set by a key-sorted call ([`GfslHandle::execute_ordered`]) for its
     /// duration, where op *i+1*'s key is at-or-right of op *i*'s whichever
@@ -804,7 +808,8 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// per descent zero-filled 512 bytes every time. `None` until this
     /// handle's first descent (and after one that unwound). An update's
     /// descent leaves its certified level-1 view here
-    /// ([`Self::descended_view`]).
+    /// ([`Self::descended_view`]), and the handle's update fingers live
+    /// here ([`Self::search_slow`]).
     pub(crate) descend_views: Option<Box<DescentViews>>,
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
@@ -997,7 +1002,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             }
         }
         let (rec, slot) = (&self.list.reclaim, self.reclaim_slot.slot);
-        rec.pin(slot);
+        self.pin_epoch = rec.pin(slot);
         let _guard = UnpinGuard { rec, slot };
         f(self)
     }
@@ -2247,6 +2252,9 @@ mod tests {
         let k = raised.expect("400 keys raise some to level 1");
         for caller in [InHand::Bottom, InHand::Level1, InHand::DownPtr] {
             for written in [false, true] {
+                // A fresh handle, whose search descends: no finger from the
+                // last round stands in for the level-1 view.
+                let mut h = list.handle_with(Cas::default());
                 let mut view = ChunkView::BLANK;
                 let (found, path) = h.search_slow(k, &mut view);
                 let cert = match caller {

@@ -64,6 +64,10 @@ pub struct OpStats {
     /// whole chunk: the fat hint's stashed snapshot was of the very
     /// `(chunk, word)` pair the hint names.
     pub skip_reads: u64,
+    /// Updates that started from one of the handle's update fingers (the
+    /// path a recent update of the handle recorded) instead of a descent
+    /// from the top level.
+    pub finger_hits: u64,
 }
 
 impl OpStats {
@@ -110,6 +114,7 @@ impl OpStats {
         self.hint_hits += o.hint_hits;
         self.hint_misses += o.hint_misses;
         self.skip_reads += o.skip_reads;
+        self.finger_hits += o.finger_hits;
     }
 }
 
@@ -139,6 +144,7 @@ mod tests {
             hint_hits: 14,
             hint_misses: 15,
             skip_reads: 18,
+            finger_hits: 21,
         };
         assert_eq!(a.total_ops(), 6);
         let b = a;
@@ -154,5 +160,6 @@ mod tests {
         assert_eq!(a.lock_starvation_events, 26);
         assert_eq!(a.certify_retries, 8);
         assert_eq!(a.skip_reads, 36);
+        assert_eq!(a.finger_hits, 42);
     }
 }

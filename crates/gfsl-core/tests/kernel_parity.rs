@@ -183,20 +183,21 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// answering level 1 from its descent's view: one lock-word read where a
 /// chunk read and a re-read under the lock were (all six); and again when a
 /// split kept the images it wrote instead of reading its halves back (all
-/// six). `results/ab/` ("Turnstile fold", 21.md; "Update-path index
-/// maintenance", 26.md; "Certified lock upgrade", 28.md; "Append splits",
-/// 41.md; "Level heads on first use", 43.md; "Reclamation always on",
-/// 49.md; "One read per lock", 52.md; "Split images", 55.md) lists old →
-/// new. A
+/// six); and again when an update began starting from its handle's finger
+/// instead of a descent (all six). `results/ab/` ("Turnstile fold", 21.md;
+/// "Update-path index maintenance", 26.md; "Certified lock upgrade",
+/// 28.md; "Append splits", 41.md; "Level heads on first use", 43.md;
+/// "Reclamation always on", 49.md; "One read per lock", 52.md; "Split
+/// images", 55.md; "Update fingers", 56.md) lists old → new. A
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x5e9d_d78a_a822_eee9,
-    0xbe93_34b9_ac99_73ce,
-    0x278b_e9fd_0040_e5db,
-    0x57b8_edcd_0d53_fd0c,
-    0x4e99_271e_a5b1_2e64,
-    0x87c6_5245_047a_b9d8,
+    0x007b_b262_d0e3_b47e,
+    0x9c4f_4624_9cb5_b716,
+    0x4cee_8fd6_b6d6_3767,
+    0xc3a4_8372_ca3c_fff4,
+    0x641f_2e6a_28af_b110,
+    0x93bd_ae2b_e52a_0d2c,
 ];
 
 /// Acceptance check for any change to the chunk step: the pinned schedules

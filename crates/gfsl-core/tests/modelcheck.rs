@@ -110,6 +110,11 @@ fn remove_probe_2t_exhaustive() {
 }
 
 #[test]
+fn finger_2t_exhaustive() {
+    check_exhaustive("finger-2t", bound(1, 2), 5_000_000, false);
+}
+
+#[test]
 fn lock_upgrade_2t_exhaustive() {
     // Two inserts into one bottom chunk: either one's certified view can go
     // stale between its search and the CAS that upgrades it to the lock.

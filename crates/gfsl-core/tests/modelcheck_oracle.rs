@@ -4,8 +4,9 @@
 //! grace, a bottom-lock upgrade that ignores the word certifying its
 //! view, an append split that publishes without lowering the split
 //! chunk's max, a zombie step that follows the NEXT lane of a torn
-//! view, a level head published before it is written, and a level probe
-//! answered from a descent's view whose word was not read again, via the
+//! view, a level head published before it is written, a level probe
+//! answered from a descent's view whose word was not read again, and an
+//! update started from a finger the epoch has moved past, via the
 //! `bug_knobs` test-only
 //! reverts and assert the schedule explorer **finds** the bug,
 //! minimizes it, and emits a trace-hash-replayable counterexample — then
@@ -84,6 +85,7 @@ fn split_raised_key_revert_is_refound() {
     let guard = bug_knobs::revert_split_raised_key_guard();
     let cx = find_bug("split-raise-2t").counterexample.expect("refound");
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("split-raise-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -102,6 +104,7 @@ fn remove_shift_revert_is_refound() {
     let guard = bug_knobs::revert_remove_shift_guard();
     let cx = find_bug("remove-shift-2t").counterexample.expect("refound");
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("remove-shift-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -122,6 +125,7 @@ fn heal_raising_an_unprotected_minimum_is_refound() {
         cx.description
     );
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("heal-upper-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -137,6 +141,7 @@ fn skipping_the_staging_grace_is_refound() {
     assert_found_minimized_and_differential("reclaim-2t", "the reclaimer's staging grace");
     let cx = find_bug("reclaim-2t").counterexample.expect("refound");
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("reclaim-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -157,6 +162,7 @@ fn a_stale_lock_upgrade_is_refound() {
         cx.description
     );
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("lock-upgrade-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -177,6 +183,7 @@ fn an_append_split_keeping_the_old_max_is_refound() {
         cx.description
     );
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("split-append-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
@@ -207,6 +214,7 @@ fn a_torn_zombie_next_is_refound() {
         assert_eq!(out.trace, cx.trace, "minimized schedule must replay to its recorded trace hash");
         assert!(out.failure.is_some(), "minimized schedule must still fail on replay");
         drop(guard);
+        let _serial = bug_knobs::knob_test_lock();
         let out = replay(&cfg, cx.decisions);
         assert!(
             out.failure.is_none(),
@@ -235,6 +243,7 @@ fn an_early_head_publish_is_refound() {
     assert_eq!(out.trace, cx.trace, "minimized schedule must replay to its recorded trace hash");
     assert!(out.failure.is_some(), "minimized schedule must still fail on replay");
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let out = replay(&cfg, cx.decisions);
     assert!(
         out.failure.is_none(),
@@ -258,11 +267,37 @@ fn a_stale_level_probe_is_refound() {
         cx.description
     );
     drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
     let cfg = configs::by_name("remove-probe-2t").unwrap();
     let out = replay(&cfg, cx.decisions);
     assert!(
         out.failure.is_none(),
         "a probe that re-reads the word must pass the bug's schedule, got: {:?}",
+        out.failure
+    );
+}
+
+/// An update that starts from its finger whatever the epoch: between the
+/// handle's remove and insert, the finger's chunk is merged away, retired,
+/// seen through both graces and reused by an append split as the new tail,
+/// and the insert walks from it and lands right of its key's chunk.
+#[test]
+fn a_finger_past_its_epoch_is_refound() {
+    let guard = bug_knobs::finger_ignores_epoch_guard();
+    assert_found_minimized_and_differential("finger-2t", "the finger's epoch check");
+    let cx = find_bug("finger-2t").counterexample.expect("refound");
+    assert!(
+        cx.description.contains("structure invariant"),
+        "expected the insert out of lateral order, got: {}",
+        cx.description
+    );
+    drop(guard);
+    let _serial = bug_knobs::knob_test_lock();
+    let cfg = configs::by_name("finger-2t").unwrap();
+    let out = replay(&cfg, cx.decisions);
+    assert!(
+        out.failure.is_none(),
+        "a finger the epoch has passed must not be started from, got: {:?}",
         out.failure
     );
 }
@@ -282,6 +317,7 @@ fn clean_build_passes_the_oracle_configs() {
         "lock-upgrade-2t",
         "split-append-2t",
         "remove-probe-2t",
+        "finger-2t",
     ] {
         let report = find_bug(name);
         assert!(

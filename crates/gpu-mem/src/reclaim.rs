@@ -202,18 +202,25 @@ impl EpochReclaimer {
         s.registered.store(0, Ordering::Release);
     }
 
-    /// Enter an operation: announce the current epoch. The slot must be
-    /// quiescent — a pin never nests.
+    /// Enter an operation: announce the current epoch, and return it. The
+    /// slot must be quiescent — a pin never nests.
     ///
     /// The announcement store is `SeqCst` so it is globally ordered before
     /// any chunk reads the operation performs; a reclaimer scan that sees
     /// this slot quiescent is therefore ordered before those reads too.
+    ///
+    /// Nothing the pinned operation can reach is recycled before the global
+    /// epoch reaches the returned epoch + 2 (two advances from a retire, or
+    /// the staging grace of a chunk verified while it ran), which is what
+    /// lets a caller keep such a chunk past its unpin for as long as the
+    /// epoch has not moved.
     #[inline]
-    pub fn pin(&self, slot: SlotId) {
+    pub fn pin(&self, slot: SlotId) -> u64 {
         let s = &self.slots[slot];
         debug_assert_eq!(s.announce.load(Ordering::Relaxed), 0, "nested pin");
         let e = self.global.load(Ordering::SeqCst);
         s.announce.store(e, Ordering::SeqCst);
+        e
     }
 
     /// Leave an operation: go quiescent.

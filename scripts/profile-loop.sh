@@ -19,7 +19,11 @@
 #     when that is GNU's, whose innermost inlined frame can take its
 #     caller's name), and prints, over the samples whose stack holds the
 #     root frame, the inclusive share of each function (in the stack at
-#     all) and its self share (innermost frame), largest first.
+#     all) and its self share (innermost frame), largest first;
+#  5. with PROFILE_ADDRS=N, also prints the N hottest sampled instruction
+#     addresses under the root frame, each with its inlined frame chain,
+#     innermost first, and every frame's source line: the view that shows
+#     which load or store of a hot function the samples land on.
 #
 # A sample taken in a library that keeps no frame pointer (libc's memset,
 # say) counts the word at its stack pointer as its caller, which is exact
@@ -33,6 +37,7 @@ trials=${2:-30}
 root_frame=${3:-perfbench::engine::drive}
 period=${PROFILE_US:-250}
 top=${PROFILE_TOP:-25}
+addrs=${PROFILE_ADDRS:-0}
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 out="$repo/target/profile-loop"
@@ -213,7 +218,7 @@ esac
 tr ' ' '\n' < "$out/samples.txt" | sed -n 's/^exe+//p' | sort -u \
     | sed 's/^/0x/' | "$symbolizer" -a -f -i -C -e "$exe" > "$out/symbols.txt"
 
-awk -v root="$root_frame" -v top="$top" -v workload="$workload" '
+awk -v root="$root_frame" -v top="$top" -v addrs="$addrs" -v workload="$workload" '
     # A frame by its own name: generic arguments and the module path go, a
     # closure keeps the function it is in.
     function short(name,    n, part) {
@@ -235,6 +240,11 @@ awk -v root="$root_frame" -v top="$top" -v workload="$workload" '
             name = short($0)
             if (addr in sym) sym[addr] = sym[addr] "\t" name
             else sym[addr] = name
+        } else {
+            line = $0; sub(/ \(discriminator [0-9]+\)$/, "", line); sub(/.*\//, "", line)
+            frame = name " (" line ")"
+            if (addr in where) where[addr] = where[addr] " <- " frame
+            else where[addr] = frame
         }
         odd = !odd
         next
@@ -261,6 +271,8 @@ awk -v root="$root_frame" -v top="$top" -v workload="$workload" '
         # A library leaf is named with the frame that called it.
         leaf = (substr(chain[1], 1, 1) == "[" && n > 1) ? chain[1] " from " chain[2] : chain[1]
         self[leaf]++
+        split($1, part, "+")
+        if (part[1] == "exe") { off = part[2]; sub(/^0*/, "", off); hot[off]++ }
         split("", seen)
         for (i = 1; i <= cut; i++) if (!(chain[i] in seen)) { seen[chain[i]] = 1; incl[chain[i]]++ }
     }
@@ -276,5 +288,12 @@ awk -v root="$root_frame" -v top="$top" -v workload="$workload" '
         fflush()
         for (f in self) printf "%6.1f   %s\n", 100 * self[f] / under, f | sorted
         close(sorted)
+        if (addrs > 0) {
+            sorted = "sort -rn | head -n " addrs
+            printf "\nself %%   address   inlined frames, innermost first (source line)\n"
+            fflush()
+            for (a in hot) printf "%6.1f   0x%s   %s\n", 100 * hot[a] / under, a, ((a in where) ? where[a] : "??") | sorted
+            close(sorted)
+        }
     }
 ' "$out/symbols.txt" "$out/samples.txt"
