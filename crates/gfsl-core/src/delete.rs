@@ -132,6 +132,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                 break;
             }
             let at = self.search_lateral(k, start);
+            self.note_finger_level(top + 1, k, at.enclosing);
             if at.found.is_none() {
                 break;
             }

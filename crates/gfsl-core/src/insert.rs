@@ -125,6 +125,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
             match start.and_then(|start| self.insert_to_level(level, start, key, down)) {
                 Ok(LevelOutcome::AlreadyPresent { locked, .. }) => {
                     down = locked.chunk();
+                    self.note_finger_level(level, key, down);
                     self.unlock(locked);
                     if healing {
                         return; // the entry the heal wanted exists
@@ -139,6 +140,7 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
                     raised_key,
                 }) => {
                     down = locked.chunk();
+                    self.note_finger_level(level, key, down);
                     self.unlock(locked);
                     if !raise {
                         return;

@@ -337,12 +337,13 @@ pub fn all() -> Vec<McConfig> {
             // the tail `44 … 56` filled to its fourteen entries.
             setup: [removes(&[22, 24]), inserts(&[45, 47, 49, 51, 53, 55, 57])].concat(),
             threads: vec![
-                // The remove leaves its path as the handle's finger, at
-                // the chunk `16, 20, 26, 28`; the insert starts from it
-                // unless an epoch advance came between, which the idle
-                // step, outside any pin, lets the other thread's passes
-                // take as far as they go.
-                vec![McOp::Remove(18), McOp::Idle, McOp::Insert(19, 1)],
+                // The read is the handle's first descent, which keeps no
+                // finger. The remove then leaves its path as the handle's
+                // finger, at the chunk `16, 20, 26, 28`; the insert starts
+                // from it unless an epoch advance came between, which the
+                // idle step, outside any pin, lets the other thread's
+                // passes take as far as they go.
+                vec![McOp::Get(2), McOp::Remove(18), McOp::Idle, McOp::Insert(19, 1)],
                 // Merges that chunk into the next, unlinks and retires it
                 // (15 walks the bottom from the head chunk through it),
                 // sees it through both graces onto the free list, and
@@ -641,6 +642,7 @@ mod tests {
         let list = built("finger-2t");
         let team = list.team;
         let (mut a, mut b) = (list.handle(), list.handle());
+        assert_eq!(a.get(2), Some(101));
         assert_eq!(a.remove(18), Some(109));
         let finger = a.read_chunk(list.head_of(0)).next(&team);
         let keys: Vec<u32> = a.read_chunk(finger).live_entries(&team).map(|(_, e)| e.key()).collect();
@@ -663,7 +665,7 @@ mod tests {
         // Without them, the same insert starts from the remove's finger.
         let list = built("finger-2t");
         let mut a = list.handle();
-        assert_eq!((a.remove(18), a.insert(19, 1)), (Some(109), Ok(true)));
+        assert_eq!((a.get(2), a.remove(18), a.insert(19, 1)), (Some(101), Some(109), Ok(true)));
         assert_eq!(a.stats().finger_hits, 1);
         list.assert_valid();
     }

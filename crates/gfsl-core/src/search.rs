@@ -44,12 +44,14 @@ impl UpdatePath {
 const FINGERS: usize = 2;
 
 /// Where one of a handle's recent updates ended (DESIGN §17): the path its
-/// search recorded, which an update of any key from `key` up may start
-/// from while the global epoch is still `epoch`.
+/// search recorded, moved up by the walks it made above level 0, which an
+/// update of any key from `key` up may start from while the global epoch
+/// is still `epoch`.
 #[derive(Debug, Clone, Copy)]
 struct Finger {
-    /// The update's key: every level of `path` is at-or-left of the
-    /// enclosing chunk of every key at or above it.
+    /// Every level of `path` is at-or-left of the enclosing chunk of every
+    /// key at or above this one: the update's key, or a larger key it
+    /// raised and whose chunk it recorded.
     key: u32,
     /// The max of the bottom chunk the update ended in, as its last read
     /// saw it: a key above it lies further right, where a descent is the
@@ -66,9 +68,41 @@ impl Finger {
     const NONE: Finger = Finger { key: 0, max: 0, epoch: 0, path: UpdatePath([NIL; gfsl_simt::WARP_SIZE]) };
 }
 
+/// A handle's update fingers ([`GfslHandle::search_slow`]), and which of
+/// them its update in flight writes.
+pub(crate) struct Fingers {
+    all: [Finger; FINGERS],
+    /// The finger the last update-path search wrote, which that update's
+    /// walks above level 0 move up ([`GfslHandle::note_finger_level`]).
+    last: usize,
+}
+
+impl Fingers {
+    fn new() -> Box<Fingers> {
+        Box::new(Fingers { all: [Finger::NONE; FINGERS], last: 0 })
+    }
+
+    /// The finger an update of `k` starts from (`Ok`): one whose key is at
+    /// most `k`, whose bottom chunk's max is at least `k` and whose pin's
+    /// epoch the global epoch, `now()`, has not passed. Else the finger its
+    /// own path replaces (`Err`): an expired one that covers `k`, or the
+    /// one whose key is nearest `k`. `now` is read only when some finger
+    /// covers `k`.
+    fn finger_for(&self, k: u32, now: impl FnOnce() -> u64) -> Result<usize, usize> {
+        let covers = |i: &usize| self.all[*i].key <= k && k <= self.all[*i].max;
+        let Some(first) = (0..FINGERS).find(covers) else {
+            return Err((0..FINGERS).min_by_key(|&i| self.all[i].key.abs_diff(k)).expect("a handle keeps fingers"));
+        };
+        let (now, any_epoch) = (now(), crate::bug_knobs::finger_ignores_epoch());
+        (first..FINGERS)
+            .find(|i| covers(i) && (now <= self.all[*i].epoch || any_epoch))
+            .ok_or(first)
+    }
+}
+
 /// [`GfslHandle::descend`]'s two view buffers, lent to each descent and
-/// put back after it, what an update-path descent leaves in them for
-/// the update that ran it, and the handle's update fingers.
+/// put back after it, and what an update-path descent leaves in them for
+/// the update that ran it.
 pub(crate) struct DescentViews {
     bufs: [ChunkView; 2],
     /// The token that certified the last update-path descent's view of
@@ -78,28 +112,12 @@ pub(crate) struct DescentViews {
     /// finger, and from the start of every later descent, which reuses
     /// the buffers.
     level1: Option<(Certified, usize)>,
-    fingers: [Finger; FINGERS],
 }
 
 impl DescentViews {
-    /// Buffers no read has filled yet, and no finger.
+    /// Buffers no read has filled yet.
     fn new() -> Box<DescentViews> {
-        Box::new(DescentViews { bufs: [ChunkView::BLANK; 2], level1: None, fingers: [Finger::NONE; FINGERS] })
-    }
-
-    /// The finger an update of `k` starts from when the global epoch is
-    /// `now` (`Ok`): one whose pin's epoch `now` has not passed, whose key
-    /// is at most `k` and whose bottom chunk's max is at least `k`. Else
-    /// the finger its own path replaces (`Err`): an expired one, or the
-    /// one whose key is nearest `k`.
-    fn finger_for(&self, k: u32, now: u64) -> Result<usize, usize> {
-        let any_epoch = crate::bug_knobs::finger_ignores_epoch();
-        let live = |f: &Finger| now <= f.epoch || any_epoch;
-        if let Some(i) = self.fingers.iter().position(|f| live(f) && f.key <= k && k <= f.max) {
-            return Ok(i);
-        }
-        let rank = |f: &Finger| if live(f) { u64::from(f.key.abs_diff(k)) + 1 } else { 0 };
-        Err((0..FINGERS).min_by_key(|&i| rank(&self.fingers[i])).expect("a handle keeps fingers"))
+        Box::new(DescentViews { bufs: [ChunkView::BLANK; 2], level1: None })
     }
 }
 
@@ -470,7 +488,8 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// a path, then [`Self::walk_lateral`] in update mode — or, when one of
     /// the handle's update fingers covers `k`, that walk from the bottom of
     /// the finger's path, whose levels above it are this search's too.
-    /// Either way the search's path becomes a finger.
+    /// Either way the search's path becomes a finger, except on a handle's
+    /// first descent: a handle minted for one request keeps none.
     ///
     /// A finger is safe to start from because keys only move right, so a
     /// chunk at-or-left of its key's enclosing chunk is at-or-left of every
@@ -485,37 +504,60 @@ impl<'a, P: MemProbe> GfslHandle<'a, P> {
     /// `view` is left holding the enclosing chunk's last read, which the
     /// result's `certified` word, when there is one, brackets: what
     /// [`Self::lock_certified`] upgrades to the update's bottom lock.
+    ///
+    /// `#[inline(always)]`: out of line, its result pair is returned
+    /// through memory and read back by the caller, which cost
+    /// `engine-churn` 4 % on a build whose every update misses its finger.
+    #[inline(always)]
     pub(crate) fn search_slow(&mut self, k: u32, view: &mut ChunkView) -> (LateralResult, UpdatePath) {
-        let now = self.list.reclaim.epoch();
-        let mut views = self.descend_views.take().unwrap_or_else(DescentViews::new);
-        let (slot, mut path) = match views.finger_for(k, now) {
-            Ok(i) => {
-                self.stats.finger_hits += 1;
-                // No descent: nothing above level 0 is marked for the heal,
-                // and no level-1 view is in hand.
-                self.heal_levels = 0;
+        let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
+        let mut fingers = self.fingers.take().or_else(|| self.descend_views.is_some().then(Fingers::new));
+        let reclaim = &self.list.reclaim;
+        let pick = fingers.as_deref().map(|f| f.finger_for(k, || reclaim.epoch()));
+        if let (Some(Ok(i)), Some(f)) = (pick, fingers.as_deref()) {
+            self.stats.finger_hits += 1;
+            // No descent: nothing above level 0 is marked for the heal, and
+            // no level-1 view is in hand.
+            self.heal_levels = 0;
+            if let Some(views) = self.descend_views.as_deref_mut() {
                 views.level1 = None;
-                (i, views.fingers[i].path)
             }
-            Err(i) => {
-                let mut path = UpdatePath([NIL; gfsl_simt::WARP_SIZE]);
-                path.0[0] = self.descend_with(k, 0, Some(&mut path), &mut views).expect("no structure is shorter than level 0");
-                (i, path)
-            }
-        };
+            path = f.all[i].path;
+        } else {
+            path.0[0] = self.descend(k, 0, Some(&mut path)).expect("no structure is shorter than level 0");
+        }
         let res = self.walk_lateral(k, path.0[0], Walk::Update, view).expect("an update walk has no budget");
         path.0[0] = res.enclosing;
-        let max = view.max(&self.list.team);
-        views.fingers[slot] = Finger { key: k, max, epoch: self.pin_epoch, path };
-        self.descend_views = Some(views);
+        if let (Some(f), Some(Ok(slot) | Err(slot))) = (fingers.as_deref_mut(), pick) {
+            f.all[slot] = Finger { key: k, max: view.max(&self.list.team), epoch: self.pin_epoch, path };
+            f.last = slot;
+            self.fingers = fingers;
+        }
         (res, path)
+    }
+
+    /// Record in the finger this update's search wrote that the update
+    /// found `chunk` enclosing `key` at `level` above 0, so the finger's
+    /// path follows the update's climb and level probe instead of keeping
+    /// the levels its search started from: a later update from it then
+    /// walks from here, not from wherever the finger's first descent left
+    /// that level. The finger's key rises to `key` when `key` is larger,
+    /// which keeps every level at-or-left of the enclosing chunk of every
+    /// key it covers; the chunk was reached under the pin the finger is
+    /// stamped with.
+    pub(crate) fn note_finger_level(&mut self, level: usize, key: u32, chunk: u32) {
+        if let Some(fingers) = self.fingers.as_deref_mut() {
+            let f = &mut fingers.all[fingers.last];
+            f.key = f.key.max(key);
+            f.path.0[level] = chunk;
+        }
     }
 
     /// Drop this handle's update fingers: its next updates descend from
     /// the top level, as a fresh handle's do.
     pub(crate) fn forget_fingers(&mut self) {
-        if let Some(views) = self.descend_views.as_deref_mut() {
-            views.fingers = [Finger::NONE; FINGERS];
+        if let Some(fingers) = self.fingers.as_deref_mut() {
+            fingers.all = [Finger::NONE; FINGERS];
         }
     }
 
@@ -901,6 +943,35 @@ mod tests {
         list
     }
 
+    /// A handle of `list` that has run a read, so its first update's path
+    /// is already a finger.
+    fn armed(list: &Gfsl) -> GfslHandle<'_, gfsl_gpu_mem::NoProbe> {
+        let mut h = list.handle();
+        h.contains(2);
+        assert!(h.descend_views.is_some(), "a read descends");
+        h
+    }
+
+    /// A handle's first descent keeps no finger, so a handle minted for one
+    /// request builds none; the path of its next update is a finger.
+    #[test]
+    fn a_handles_first_descent_keeps_no_finger() {
+        let list = filled(500);
+        let mut h = list.handle();
+        assert_eq!(h.insert(501, 1), Ok(true));
+        assert!(h.fingers.is_none(), "one update builds no finger");
+        assert_eq!(h.remove(502), Some(251));
+        assert_eq!(h.stats().finger_hits, 0, "the remove descends");
+        assert_eq!(h.insert(502, 2), Ok(true));
+        assert_eq!(h.stats().finger_hits, 1, "from the remove's finger");
+        // A read is a first descent too.
+        let mut h = armed(&list);
+        assert_eq!(h.remove(502), Some(2));
+        assert_eq!(h.insert(502, 3), Ok(true));
+        assert_eq!(h.stats().finger_hits, 1);
+        list.assert_valid();
+    }
+
     /// A finger covers the keys from its own up to its bottom chunk's max:
     /// a larger key in that chunk starts from it, a smaller one descends.
     /// 502 is in the chunk 501 goes into: the chunk enclosing 502, or the
@@ -908,9 +979,9 @@ mod tests {
     #[test]
     fn a_key_below_a_fingers_key_descends() {
         let list = filled(500);
-        let mut h = list.handle();
+        let mut h = armed(&list);
         assert_eq!(h.insert(501, 1), Ok(true));
-        assert_eq!(h.stats().finger_hits, 0, "a fresh handle descends");
+        assert_eq!(h.stats().finger_hits, 0, "a handle with no finger descends");
         assert_eq!(h.remove(502), Some(251));
         assert_eq!(h.stats().finger_hits, 1);
         // Below the finger's key, in its chunk: a descent, one read a level.
@@ -929,7 +1000,7 @@ mod tests {
     #[test]
     fn a_reclaim_pass_between_two_updates_expires_the_finger() {
         let list = filled(500);
-        let mut h = list.handle();
+        let mut h = armed(&list);
         assert_eq!(h.insert(501, 1), Ok(true));
         assert_eq!(h.remove(502), Some(251));
         assert_eq!(h.stats().finger_hits, 1);
@@ -941,6 +1012,37 @@ mod tests {
         assert_eq!(h.remove(502), Some(1));
         assert_eq!(h.stats().finger_hits, 2, "the insert's path is a finger again");
         list.assert_valid();
+    }
+
+    /// An insert-only ascending stream on one handle: the tail chunk's max
+    /// covers every larger key and no pass advances the epoch, so every
+    /// insert after the first two starts from its finger, and the finger's
+    /// upper levels follow each raise's climb. The stream reads no more
+    /// chunks per insert than the same inserts each descending from the
+    /// top level (a finger whose upper levels stayed where its first
+    /// descent left them walked each climb over every chunk raised since).
+    #[test]
+    fn an_ascending_insert_stream_reads_no_more_than_its_descents() {
+        const N: u32 = 200_000;
+        let reads_per_insert = |descend: bool| {
+            let list = Gfsl::new(GfslParams::default()).unwrap();
+            let mut h = armed(&list);
+            h.reset_stats();
+            for k in 1..=N {
+                if descend {
+                    h.forget_fingers();
+                }
+                assert_eq!(h.insert(k, k), Ok(true));
+            }
+            list.assert_valid();
+            let s = h.stats();
+            (s.chunk_reads as f64 / f64::from(N), s.finger_hits)
+        };
+        let (descents, hits) = reads_per_insert(true);
+        assert_eq!(hits, 0);
+        let (fingers, hits) = reads_per_insert(false);
+        assert_eq!(hits, u64::from(N) - 1, "every insert after the first from its finger");
+        assert!(fingers <= descents, "{fingers:.3} chunk reads per insert from fingers, {descents:.3} by descents");
     }
 
     /// The sliding window of `engine-churn` (one handle, every op a write,

@@ -13,7 +13,7 @@ use crate::chunk::{
     ops, Certified, ChunkRead, ChunkRef, ChunkView, Entry, Held, Release, KEY_NEG_INF, LOCK_UNLOCKED, NIL,
 };
 use crate::params::GfslParams;
-use crate::search::{DescentViews, LateralResult};
+use crate::search::{DescentViews, Fingers, LateralResult};
 use gfsl_rng::SplitMix64;
 use crate::stats::OpStats;
 
@@ -433,6 +433,7 @@ impl Gfsl {
             hint_view_of: None,
             hint_view: ChunkView::BLANK,
             descend_views: None,
+            fingers: None,
             heal_levels: 0,
             heal_keys: [0; gfsl_simt::WARP_SIZE],
             skip_downptr_repair: false,
@@ -808,9 +809,12 @@ pub struct GfslHandle<'a, P: MemProbe> {
     /// per descent zero-filled 512 bytes every time. `None` until this
     /// handle's first descent (and after one that unwound). An update's
     /// descent leaves its certified level-1 view here
-    /// ([`Self::descended_view`]), and the handle's update fingers live
-    /// here ([`Self::search_slow`]).
+    /// ([`Self::descended_view`]).
     pub(crate) descend_views: Option<Box<DescentViews>>,
+    /// This handle's update fingers ([`Self::search_slow`]): `None` until
+    /// an update runs after its first descent, so a handle minted for one
+    /// request never builds them.
+    pub(crate) fingers: Option<Box<Fingers>>,
     /// Levels at which the last update-path traversal
     /// ([`Self::search_slow`]) found the index above missing an entry (bit
     /// `i` = level `i`): what `insert` reads to decide whether to heal

@@ -192,11 +192,11 @@ fn scripted_run(script: Vec<u8>, run: Run) -> (u64, Vec<u32>, [Vec<BatchReply>; 
 /// change that alters any of them changed which word some team accessed on
 /// which turn — re-pin only for a change that means to.
 const PLAIN_TRACES: [u64; 6] = [
-    0x007b_b262_d0e3_b47e,
+    0x4ed0_a58e_22d3_e032,
     0x9c4f_4624_9cb5_b716,
     0x4cee_8fd6_b6d6_3767,
     0xc3a4_8372_ca3c_fff4,
-    0x641f_2e6a_28af_b110,
+    0xf936_37a9_9fea_f124,
     0x93bd_ae2b_e52a_0d2c,
 ];
 
